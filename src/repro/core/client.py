@@ -27,11 +27,12 @@ from repro.core.integrity import (
     seal_fresh,
     unseal_fresh,
 )
-from repro.core.parallel import WorkerPool
+from repro.core.parallel import WorkerPool, shard_spans
 from repro.core.server import Fragment, ServerResponse
 from repro.core.translate import PlanCache, QueryTranslator, TranslatedQuery
+from repro.crypto.aes import aes128_for_key
 from repro.crypto.keyring import ClientKeyring
-from repro.crypto.modes import cbc_decrypt
+from repro.crypto.modes import cbc_decrypt_many
 from repro.netsim.message import (
     MessageDecodeError,
     StreamChunk,
@@ -44,11 +45,14 @@ from repro.xmldb.node import (
     Attribute,
     Document,
     Element,
-    EncryptedBlockNode,
     Node,
     iter_encrypted_blocks,
 )
-from repro.xmldb.parser import ENCRYPTED_DATA_TAG, parse_fragment
+from repro.xmldb.parser import (
+    ENCRYPTED_DATA_TAG,
+    block_placeholder,
+    parse_fragment,
+)
 from repro.xmldb.serializer import serialize
 from repro.xpath import ast
 from repro.xpath.axes import residual_pattern
@@ -355,186 +359,209 @@ class Client:
     ) -> list[tuple[Fragment, Element]]:
         """Parse and fully decrypt every shipped fragment.
 
-        Each fragment becomes a plaintext element tree: nested
-        ``EncryptedData`` payloads are decrypted and spliced in, and decoys
-        are stripped.
-
-        With a worker ``pool`` the per-fragment work fans out and the
-        results are re-ordered to input order, so the returned list is
-        identical to the serial one.  The thread backend maps whole
-        fragments (the shared caches stay warm across workers); the
-        process backend cannot share live trees, so it bulk-ships only
-        the raw CBC decryptions and keeps parsing and splicing here.
+        Each fragment becomes a plaintext element tree: ``EncryptedData``
+        payloads are decrypted and spliced in, and decoys are stripped.
+        The response is one batch — every MAC tag is checked before the
+        first cipher call, and all cache-missing payloads share one cipher
+        pass.  A worker ``pool`` changes only who runs that pass.
         """
-        if pool is None or pool.workers < 2 or len(response.fragments) < 2:
-            return [
-                (fragment, self._fragment_tree(fragment.xml))
-                for fragment in response.fragments
-            ]
-        if pool.backend == "process":
-            return self._decrypt_fragments_bulk(response, pool)
-        counters.add("parallel_decrypt_tasks", len(response.fragments))
-        trees = pool.map_ordered(
-            self._fragment_tree, [f.xml for f in response.fragments]
-        )
-        return list(zip(response.fragments, trees))
-
-    def _decrypt_fragments_bulk(
-        self, response: ServerResponse, pool: "WorkerPool"
-    ) -> list[tuple[Fragment, Element]]:
-        """Process-backend fragment decryption: bulk-ship the CBC work.
-
-        Tag verification stays on this thread (the MAC key and the
-        expected tags never leave the client's address space needlessly),
-        parsing and decoy-stripping stay here too (trees don't pickle
-        cheaply), and only the deduplicated ``(key, iv, payload)``
-        decryptions cross the process boundary.
-        """
-        fragments = list(response.fragments)
-        results: list[Element | None] = [None] * len(fragments)
-        if self._tree_cache is not None:
-            self._check_epoch()
-        parsed: list[tuple[int, Element]] = []
-        for index, fragment in enumerate(fragments):
-            if self._tree_cache is not None:
-                cached = self._tree_cache.get(fragment.xml)
-                if cached is not None:
-                    counters.add("tree_cache_hits")
-                    results[index] = cached.clone()
-                    continue
-                counters.add("tree_cache_misses")
-            parsed.append((index, parse_fragment(fragment.xml)))
-
-        # Verify every ciphertext (cache hits included — a tampered
-        # payload must never be masked by a stale cached plaintext),
-        # then queue exactly one decryption per cache-missing block.
-        jobs: dict[int, tuple[bytes, bytes]] = {}
-        for _, root in parsed:
-            for block_id, payload in self._iter_block_payloads(root):
-                self._verify_block(block_id, payload)
-                if (
-                    self._block_cache is not None
-                    and block_id in self._block_cache
-                ):
-                    counters.add("block_cache_hits")
-                    continue
-                if block_id not in jobs:
-                    iv = self._keyring.block_iv(
-                        block_id if self._secure else 0
-                    )
-                    jobs[block_id] = (iv, payload)
-        plain: dict[int, Element] = {}
-        if jobs:
-            key = self._keyring.block_key_bytes()
-            order = list(jobs)
-            tasks = [(key,) + jobs[block_id] for block_id in order]
-            counters.add("parallel_decrypt_tasks", len(tasks))
-            counters.add("block_cache_misses", len(tasks))
-            # Worker-side increments (blocks_decrypted, per-process
-            # key_expansions) come back as per-task deltas merged by
-            # map_ordered at join; crediting them here again would double
-            # count.  A single task runs inline and counts itself anyway.
-            plaintexts = pool.map_ordered(_decrypt_block_payload, tasks)
-            for block_id, plaintext in zip(order, plaintexts):
-                subtree = parse_fragment(plaintext.decode("utf-8"))
-                plain[block_id] = subtree
-                if self._block_cache is not None:
-                    self._block_cache[block_id] = subtree
-
-        def subtree_for(block_id: int) -> Element:
-            if self._block_cache is not None:
-                cached = self._block_cache.get(block_id)
-                if cached is not None:
-                    return cached.clone()
-            return plain[block_id].clone()
-
-        for index, root in parsed:
-            if root.tag == ENCRYPTED_DATA_TAG:
-                attribute = root.attribute("block-id")
-                assert attribute is not None
-                tree = subtree_for(int(attribute.value))
-            else:
-                tree = root
-            for node in list(tree.iter()):
-                if isinstance(node, EncryptedBlockNode):
-                    node.replace_with(subtree_for(node.block_id))
-            # Nested blocks surfaced *by* a decryption (none in the
-            # current encryptor, but the serial path tolerates them)
-            # fall back to the serial per-block machinery.
-            self._decrypt_placeholders(tree)
-            remove_decoys(tree)
-            if self._tree_cache is not None:
-                self._tree_cache[fragments[index].xml] = tree
-                results[index] = tree.clone()
-            else:
-                results[index] = tree
-        return [
-            (fragments[i], results[i])  # type: ignore[misc]
-            for i in range(len(fragments))
-        ]
-
-    def _iter_block_payloads(self, root: Element):
-        """Yield every ``(block_id, ciphertext)`` a parsed fragment needs."""
-        if root.tag == ENCRYPTED_DATA_TAG:
-            attribute = root.attribute("block-id")
-            assert attribute is not None
-            yield int(attribute.value), bytes.fromhex(root.text_value() or "")
-            return
-        for node in iter_encrypted_blocks(root):
-            yield node.block_id, node.payload
+        fragments = response.fragments
+        trees = self._decrypt_batch([f.xml for f in fragments], pool)
+        return list(zip(fragments, trees))
 
     def decrypt_fragment(self, xml: str) -> Element:
         """Decrypt one shipped fragment (the streaming pipeline's unit).
 
-        Thread-safe under the worker pool: the caches it touches are
-        plain dicts mutated with single (GIL-atomic) get/set operations
-        on immutable keys, so the worst concurrent outcome is two workers
-        building the same pristine tree and one harmlessly winning.
+        A batch of one.  Thread-safe under the worker pool: the caches it
+        touches are plain dicts mutated with single (GIL-atomic) get/set
+        operations on immutable keys, so the worst concurrent outcome is
+        two workers building the same pristine tree and one harmlessly
+        winning.
         """
-        return self._fragment_tree(xml)
+        return self._decrypt_batch([xml], None)[0]
 
-    def _fragment_tree(self, xml: str) -> Element:
-        """Decrypted plaintext tree for one shipped fragment, via the cache.
+    def _decrypt_batch(
+        self, xmls: "list[str]", pool: "WorkerPool | None"
+    ) -> list[Element]:
+        """Decrypted plaintext trees for shipped fragments, via the cache.
 
-        Keyed by the fragment's serialized text: the tree is a pure
-        function of that text and the client's keys, and the server's own
-        fragment cache hands back the identical string object for a
-        repeated node, so the dict lookup reuses Python's cached string
-        hash.  Cached trees are pristine; callers get deep clones because
-        assembly re-parents them.
-
-        Only the cache-*miss* path is instrumented (span + histogram):
-        a warm hit is one dict lookup, and per-fragment instrumentation
-        on it would cost more than the work it measures — the obs
-        overhead benchmark gates exactly this.
+        The tree cache is keyed by the fragment's serialized text: the
+        tree is a pure function of that text and the client's keys, and
+        the server's own fragment cache hands back the identical string
+        object for a repeated node, so the dict lookup reuses Python's
+        cached string hash.  Cached trees are pristine; callers get deep
+        clones because assembly re-parents them.
         """
-        if self._tree_cache is None:
-            return self._traced_build_fragment_tree(xml)
+        cache = self._tree_cache
+        if cache is None:
+            return self._build_trees(xmls, pool)
         self._check_epoch()
-        cached = self._tree_cache.get(xml)
-        if cached is not None:
-            counters.add("tree_cache_hits")
-            return cached.clone()
-        counters.add("tree_cache_misses")
-        tree = self._traced_build_fragment_tree(xml)
-        self._tree_cache[xml] = tree
-        return tree.clone()
+        results: "list[Element | None]" = [None] * len(xmls)
+        #: distinct cache-missing texts → the result slots that want them
+        missing: dict[str, list[int]] = {}
+        for index, xml in enumerate(xmls):
+            cached = cache.get(xml)
+            if cached is not None:
+                counters.add("tree_cache_hits")
+                results[index] = cached.clone()
+            elif xml in missing:  # built once, earlier in this batch
+                counters.add("tree_cache_hits")
+                missing[xml].append(index)
+            else:
+                counters.add("tree_cache_misses")
+                missing[xml] = [index]
+        if missing:
+            trees = self._build_trees(list(missing), pool)
+            for (xml, slots), tree in zip(missing.items(), trees):
+                cache[xml] = tree
+                for index in slots:
+                    results[index] = tree.clone()
+        return results  # type: ignore[return-value]
 
-    def _traced_build_fragment_tree(self, xml: str) -> Element:
+    def _build_trees(
+        self, xmls: "list[str]", pool: "WorkerPool | None"
+    ) -> list[Element]:
+        """parse → resolve every block → strip decoys, for a whole batch.
+
+        Runs only on cache misses, so the span and histogram sit here:
+        on a warm hit (one dict lookup) they would cost more than the
+        work they measure — the obs overhead benchmark gates this.
+        """
         obs = self._obs
-        if obs is None or not obs.enabled:
-            return self._build_fragment_tree(xml)
-        with obs.tracer.span("decrypt_fragment") as span:
-            tree = self._build_fragment_tree(xml)
+        if not xmls or obs is None or not obs.enabled:
+            return self._build_trees_untraced(xmls, pool)
+        with obs.tracer.span("decrypt_batch") as span:
+            span.annotate(fragments=len(xmls))
+            trees = self._build_trees_untraced(xmls, pool)
         obs.metrics.observe("chunk_decrypt_seconds", span.finish())
-        return tree
+        return trees
 
-    def _build_fragment_tree(self, xml: str) -> Element:
-        root = parse_fragment(xml)
-        root = self._resolve_encrypted_root(root)
-        self._decrypt_placeholders(root)
-        remove_decoys(root)
-        return root
+    def _build_trees_untraced(
+        self, xmls: "list[str]", pool: "WorkerPool | None"
+    ) -> list[Element]:
+        trees = self._resolve_blocks(
+            [parse_fragment(xml) for xml in xmls], pool
+        )
+        for tree in trees:
+            remove_decoys(tree)
+        return trees
+
+    def _resolve_blocks(
+        self, roots: "list[Element]", pool: "WorkerPool | None"
+    ) -> list[Element]:
+        """Replace every encrypted block under ``roots`` by its plaintext.
+
+        Every MAC tag is verified before anything else happens — cache
+        hits included, so a tampered payload is never masked by a stale
+        cached plaintext, and one bad tag means no cipher call and no
+        cache entry for the whole batch.  Then the cache-missing payloads
+        are decrypted in one pass and clones are spliced in.
+
+        The block cache keeps one pristine parsed subtree per block id
+        (decoys still in place — callers strip them from their own copy);
+        a scheme-epoch change flushes it, since updates re-encrypt
+        payloads under the *same* block ids.  Without a cache every
+        occurrence is decrypted on its own.
+        """
+        occurrences = [
+            (index, *occurrence)
+            for index, root in enumerate(roots)
+            for occurrence in _block_occurrences(root)
+        ]
+        if not occurrences:
+            return roots
+        for _, _, block_id, payload in occurrences:
+            self._verify_block(block_id, payload)
+
+        cache = self._block_cache
+        if cache is None:
+            subtrees = self._plaintext_subtrees(
+                [(block_id, payload) for _, _, block_id, payload in occurrences],
+                pool,
+            )
+        else:
+            pristine: dict[int, Element] = {}
+            wanted: dict[int, bytes] = {}
+            for _, _, block_id, payload in occurrences:
+                if block_id in pristine or block_id in wanted:
+                    counters.add("block_cache_hits")
+                elif (cached := cache.get(block_id)) is not None:
+                    counters.add("block_cache_hits")
+                    pristine[block_id] = cached
+                else:
+                    counters.add("block_cache_misses")
+                    wanted[block_id] = payload
+            fresh = dict(
+                zip(wanted, self._plaintext_subtrees(list(wanted.items()), pool))
+            )
+            cache.update(fresh)
+            pristine.update(fresh)
+            subtrees = [
+                pristine[block_id].clone() for _, _, block_id, _ in occurrences
+            ]
+
+        roots = list(roots)
+        for (index, placeholder, _, _), subtree in zip(occurrences, subtrees):
+            if placeholder is None:
+                roots[index] = subtree
+            else:
+                placeholder.replace_with(subtree)
+        return roots
+
+    def _plaintext_subtrees(
+        self, blocks: "list[tuple[int, bytes]]", pool: "WorkerPool | None"
+    ) -> list[Element]:
+        """derive IVs → one cipher pass → parse, for verified payloads."""
+        block_iv = self._keyring.block_iv
+        secure = self._secure
+        plaintexts = self._decrypt_payloads(
+            [
+                (block_iv(block_id if secure else 0), payload)
+                for block_id, payload in blocks
+            ],
+            pool,
+        )
+        subtrees = [
+            parse_fragment(plaintext.decode("utf-8"))
+            for plaintext in plaintexts
+        ]
+        # A plaintext that itself holds blocks (the encryptor nests none
+        # today) is resolved before anyone caches or splices it.
+        nested = [
+            slot for slot, plaintext in enumerate(plaintexts)
+            if _BLOCK_MARKER in plaintext
+        ]
+        if nested:
+            resolved = self._resolve_blocks([subtrees[s] for s in nested], pool)
+            for slot, subtree in zip(nested, resolved):
+                subtrees[slot] = subtree
+        return subtrees
+
+    def _decrypt_payloads(
+        self, items: "list[tuple[bytes, bytes]]", pool: "WorkerPool | None"
+    ) -> list[bytes]:
+        """The batch's cipher pass: inline, or split across worker processes.
+
+        Threads run it inline under the keyring's own cipher: they cannot
+        overlap a pass that holds the GIL, and splitting it only shrinks
+        the byte-plane kernel's batches.  Processes get the raw block key
+        (a cipher object does not pickle); their counter increments come
+        back as per-task deltas merged by ``map_ordered``.
+        """
+        serial = pool is None or pool.backend != "process" or pool.workers < 2
+        if serial or len(items) < 2:
+            return cbc_decrypt_many(self._keyring.block_cipher, items)
+        key = self._keyring.block_key_bytes()
+        tasks = [
+            (key, items[start:stop])
+            for start, stop in shard_spans(len(items), pool.workers)
+        ]
+        counters.add("parallel_decrypt_tasks", len(tasks))
+        return [
+            plaintext
+            for part in pool.map_ordered(_decrypt_payload_batch, tasks)
+            for plaintext in part
+        ]
 
     def _check_epoch(self) -> None:
         """Flush the decrypted caches when the scheme epoch moved on."""
@@ -566,54 +593,6 @@ class Client:
         # that skipped those HMACs was not actually cold (found by the
         # flush-coverage audit; see tests/test_parallel_engine.py).
         self._keyring.flush_memoized()
-
-    def _resolve_encrypted_root(self, root: Element) -> Element:
-        if root.tag != ENCRYPTED_DATA_TAG:
-            return root
-        attribute = root.attribute("block-id")
-        assert attribute is not None
-        payload = bytes.fromhex(root.text_value() or "")
-        return self._decrypt_block(int(attribute.value), payload)
-
-    def _decrypt_block(self, block_id: int, payload: bytes) -> Element:
-        """Decrypt one block to its plaintext subtree, through the cache.
-
-        The payload is verified against its encrypt-then-MAC tag *before*
-        any decryption or cache consultation, so a tampered ciphertext can
-        never be masked by a stale cached plaintext.
-
-        The cache keeps a pristine parsed copy per block id (decoys still
-        in place — callers strip them from their own copy) and hands out
-        deep clones, since the pipeline mutates the returned tree.  A
-        scheme-epoch change flushes the whole cache: update operations
-        re-encrypt or remove payloads under the *same* block ids.
-        """
-        if self._block_cache is not None:
-            self._check_epoch()
-        self._verify_block(block_id, payload)
-        if self._block_cache is None:
-            return self._decrypt_block_uncached(block_id, payload)
-        cached = self._block_cache.get(block_id)
-        if cached is not None:
-            counters.add("block_cache_hits")
-            return cached.clone()
-        counters.add("block_cache_misses")
-        subtree = self._decrypt_block_uncached(block_id, payload)
-        self._block_cache[block_id] = subtree
-        return subtree.clone()
-
-    def _decrypt_block_uncached(self, block_id: int, payload: bytes) -> Element:
-        iv = self._keyring.block_iv(block_id if self._secure else 0)
-        plaintext = cbc_decrypt(self._keyring.block_cipher, iv, payload)
-        return parse_fragment(plaintext.decode("utf-8"))
-
-    def _decrypt_placeholders(self, root: Element) -> None:
-        placeholders = list(iter_encrypted_blocks(root))
-        for placeholder in placeholders:
-            subtree = self._decrypt_block(
-                placeholder.block_id, placeholder.payload
-            )
-            placeholder.replace_with(subtree)
 
     # ------------------------------------------------------------------
     # Post-processing (§6.4, second half)
@@ -668,14 +647,32 @@ class Client:
         return QueryAnswer(nodes=nodes, pruned_document=pruned)
 
 
-def _decrypt_block_payload(task: "tuple[bytes, bytes, bytes]") -> bytes:
-    """One ``(key, iv, ciphertext)`` CBC decryption, pool-worker shaped.
+_BLOCK_MARKER = ENCRYPTED_DATA_TAG.encode("ascii")
+
+
+def _block_occurrences(root: Element):
+    """Yield ``(placeholder, block id, ciphertext)`` for each block in a tree.
+
+    A fragment that *is* one encrypted block parses as a plain
+    ``EncryptedData`` root element (the parser only builds placeholders
+    below the root); it is yielded with ``placeholder=None``.
+    """
+    whole = block_placeholder(root)
+    if whole is not None:
+        yield None, whole.block_id, whole.payload
+        return
+    for node in iter_encrypted_blocks(root):
+        yield node, node.block_id, node.payload
+
+
+def _decrypt_payload_batch(
+    task: "tuple[bytes, list[tuple[bytes, bytes]]]",
+) -> list[bytes]:
+    """CBC-decrypt one ``(key, [(iv, ciphertext), …])`` share of a batch.
 
     Module-level (and fed plain bytes) so a ``ProcessPoolExecutor`` can
     pickle it; :func:`repro.crypto.aes.aes128_for_key` memoizes the key
     expansion per process, so a warm worker pays it once.
     """
-    key, iv, payload = task
-    from repro.crypto.aes import aes128_for_key
-
-    return cbc_decrypt(aes128_for_key(key), iv, payload)
+    key, items = task
+    return cbc_decrypt_many(aes128_for_key(key), items)

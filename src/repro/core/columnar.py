@@ -44,7 +44,7 @@ import os
 import threading
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 from repro.core.dsi import IndexEntry, Interval, StructuralIndex
@@ -421,6 +421,20 @@ class ColumnarPlanes:
             for hosted, low in zip(self.hosted_ids, self.lows)
             if hosted != _NO_ID
         }
+
+    def with_hosted_ids(self, renumbered: dict[int, int]) -> "ColumnarPlanes":
+        """These planes with every attached hosted id mapped through
+        ``renumbered``; rows with no hosted node keep the sentinel."""
+        return replace(
+            self,
+            hosted_ids=array(
+                "q",
+                (
+                    hosted if hosted == _NO_ID else renumbered[hosted]
+                    for hosted in self.hosted_ids
+                ),
+            ),
+        )
 
     # ------------------------------------------------------------------
     # Hydration: planes → object index rows (the update path)

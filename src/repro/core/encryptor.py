@@ -22,6 +22,7 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.core.decoy import assert_no_reserved_tags, inject_decoys
 from repro.core.dsi import (
@@ -383,6 +384,18 @@ def _node_key(node: Node) -> str | None:
     return None
 
 
+def _hosted_order(root: Node) -> Iterator[Node]:
+    """Hosted-tree nodes in id order: document order, attributes right
+    after their element."""
+    stack: list[Node] = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Element):
+            yield from node.attributes
+        stack.extend(reversed(node.children))
+
+
 def _renumber_hosted(root: Node) -> int:
     """Assign fresh document-order ids over the hosted tree.
 
@@ -392,14 +405,24 @@ def _renumber_hosted(root: Node) -> int:
     ids assigned, which seeds the hosted database's id high-water mark.
     """
     counter = 0
-    stack: list[Node] = [root]
-    while stack:
-        node = stack.pop()
+    for node in _hosted_order(root):
         node.node_id = counter
         counter += 1
-        if isinstance(node, Element):
-            for attribute in node.attributes:
-                attribute.node_id = counter
-                counter += 1
-        stack.extend(reversed(node.children))
     return counter
+
+
+def renumbered_hosted_ids(root: Node) -> dict[int, int]:
+    """Current hosted id → the id :func:`_renumber_hosted` would assign.
+
+    Inserts take ids from the high-water mark, so a live tree's ids stop
+    being document-ordered; a reload renumbers from scratch.  Whatever is
+    persisted alongside the tree must name nodes by the ids the reload
+    will hand out, and this is that translation (the identity until the
+    first insert).  Nodes that never got an id — the Text child of an
+    inserted leaf — are not keys: nothing persisted can name them.
+    """
+    return {
+        node.node_id: new_id
+        for new_id, node in enumerate(_hosted_order(root))
+        if node.node_id >= 0
+    }

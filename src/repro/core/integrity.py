@@ -47,7 +47,7 @@ import bisect
 import hashlib
 import hmac as _compare
 
-from repro.crypto.hmac import hmac_sha256_fast
+from repro.crypto.hmac import hmac_sha256
 
 #: Envelope magic: "repro xml integrity, layout 1".
 MAGIC = b"rxi1"
@@ -125,7 +125,7 @@ class ReplayedCommandError(IntegrityError):
 
 def seal(key: bytes, payload: bytes) -> bytes:
     """Wrap ``payload`` in the integrity envelope under ``key``."""
-    return MAGIC + hmac_sha256_fast(key, payload) + payload
+    return MAGIC + hmac_sha256(key, payload) + payload
 
 
 def unseal(
@@ -143,7 +143,7 @@ def unseal(
         raise error("envelope header missing or truncated")
     tag = blob[len(MAGIC) : OVERHEAD]
     payload = blob[OVERHEAD:]
-    if not _compare.compare_digest(tag, hmac_sha256_fast(key, payload)):
+    if not _compare.compare_digest(tag, hmac_sha256(key, payload)):
         raise error("envelope MAC mismatch")
     return payload
 
@@ -159,7 +159,7 @@ def seal_fresh(key: bytes, payload: bytes, epoch: int, root: bytes) -> bytes:
     if len(root) != ROOT_BYTES:
         raise ValueError(f"root must be {ROOT_BYTES} bytes")
     header = MAGIC_FRESH + epoch.to_bytes(EPOCH_BYTES, "big") + root
-    tag = hmac_sha256_fast(key, header + payload)
+    tag = hmac_sha256(key, header + payload)
     return header + tag + payload
 
 
@@ -189,7 +189,7 @@ def unseal_fresh(
     tag = blob[FRESH_HEADER:FRESH_OVERHEAD]
     payload = blob[FRESH_OVERHEAD:]
     if not _compare.compare_digest(
-        tag, hmac_sha256_fast(key, header + payload)
+        tag, hmac_sha256(key, header + payload)
     ):
         raise error("freshness envelope MAC mismatch")
     observed_epoch = int.from_bytes(

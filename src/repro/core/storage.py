@@ -67,7 +67,11 @@ from repro.core.colstore import (
 )
 from repro.core.columnar import LazyStructuralIndex, resolve_backend
 from repro.core.dsi import IndexEntry, Interval, StructuralIndex
-from repro.core.encryptor import HostedDatabase, _renumber_hosted
+from repro.core.encryptor import (
+    HostedDatabase,
+    _renumber_hosted,
+    renumbered_hosted_ids,
+)
 from repro.core.opess import ValueIndex, build_field_plan
 from repro.core.scheme import EncryptionScheme
 from repro.core.server import Server
@@ -75,7 +79,7 @@ from repro.core.system import HostingTrace, RetryPolicy, SecureXMLSystem
 from repro.crypto.keyring import ClientKeyring
 from repro.netsim.channel import Channel
 from repro.xmldb.node import Element, EncryptedBlockNode, Node
-from repro.xmldb.parser import ENCRYPTED_DATA_TAG, parse_fragment
+from repro.xmldb.parser import block_placeholder, parse_fragment
 from repro.xmldb.serializer import serialize
 
 _FORMAT_VERSION = 2
@@ -181,6 +185,10 @@ def save_system(system: SecureXMLSystem, directory: str) -> None:
 
     entries = hosted.structural_index.all_entries()
     entry_index = {id(entry): position for position, entry in enumerate(entries)}
+    # ``load_system`` renumbers the parsed tree in document order, while a
+    # live tree that took an insert holds a high-water id out of order:
+    # persist every hosted id as the one the reload will assign.
+    saved_id = renumbered_hosted_ids(hosted.hosted_root)
     server_meta = {
         "version": _FORMAT_VERSION,
         "dsi": [
@@ -193,7 +201,7 @@ def save_system(system: SecureXMLSystem, directory: str) -> None:
                 "parent": entry_index.get(id(entry.parent)),
                 "value": entry.plaintext_value,
                 "hosted_id": (
-                    entry.hosted_node.node_id
+                    saved_id[entry.hosted_node.node_id]
                     if entry.hosted_node is not None
                     else None
                 ),
@@ -238,7 +246,7 @@ def save_system(system: SecureXMLSystem, directory: str) -> None:
     }
 
     columns_manifest, columns_blob = pack_columns(
-        hosted.structural_index.columnar()
+        hosted.structural_index.columnar().with_hosted_ids(saved_id)
     )
     contents: dict[str, bytes] = {
         "hosted.xml": serialize(hosted.hosted_root).encode("utf-8"),
@@ -461,20 +469,12 @@ def load_system(
         raise
     except (ValueError, KeyError) as exc:
         raise StorageError(hosted_path, f"unparseable hosted tree ({exc})") from exc
-    if (
-        isinstance(hosted_root, Element)
-        and hosted_root.tag == ENCRYPTED_DATA_TAG
-        and hosted_root.attribute("block-id") is not None
-    ):
-        try:
-            hosted_root = EncryptedBlockNode(
-                int(hosted_root.attribute("block-id").value),
-                bytes.fromhex(hosted_root.text_value() or ""),
-            )
-        except ValueError as exc:
-            raise StorageError(
-                hosted_path, f"unparseable root block ({exc})"
-            ) from exc
+    try:
+        hosted_root = block_placeholder(hosted_root) or hosted_root
+    except ValueError as exc:
+        raise StorageError(
+            hosted_path, f"unparseable root block ({exc})"
+        ) from exc
     _renumber_hosted(hosted_root)
     nodes_by_id: dict[int, Node] = {}
     for node in hosted_root.iter():

@@ -23,6 +23,15 @@ Two equivalent code paths exist:
   arithmetic, and the property suite checks byte-identity of the two
   paths on random keys and blocks.
 
+A third, decrypt-only form serves whole batches:
+:meth:`AES128.decrypt_blocks` holds ``n`` ciphertext blocks as sixteen
+*byte-planes* (plane ``j`` is byte ``j`` of every block) and runs each
+round as a handful of ``bytes.translate`` and big-integer XOR calls over
+all ``n`` blocks at once, so the per-block cost is C loops rather than
+Python bytecode.  It is byte-identical to the other two paths
+(``tests/test_crypto_fastpath.py``) and only pays off from a few dozen
+blocks up; shorter inputs take the T-table path.
+
 Key schedules are expanded exactly once per distinct key
 (:func:`_expand_key_cached`), and :func:`aes128_for_key` memoizes whole
 cipher objects so every consumer of the same derived key — hosting,
@@ -144,6 +153,24 @@ def _build_round_tables() -> tuple[tuple[tuple[int, ...], ...], ...]:
 (_T0, _T1, _T2, _T3) = _ENC_T
 (_U0, _U1, _U2, _U3) = _INV_MIX_U
 (_D0, _D1, _D2, _D3) = _DEC_T
+
+
+# Byte-plane kernel tables (decrypt_blocks): InvSubBytes fused with each
+# InvMixColumns constant, as 256-byte ``bytes.translate`` tables.  Key
+# independent, 1 KiB in all; the final round uses ``_INV_SBOX`` itself.
+_PLANE_D14, _PLANE_D11, _PLANE_D13, _PLANE_D9 = (
+    bytes(_MUL[constant][_INV_SBOX[x]] for x in range(256))
+    for constant in (14, 11, 13, 9)
+)
+
+#: State byte held by each plane, planes in row-major order.
+_PLANE_ORDER = tuple(row + 4 * col for row in range(4) for col in range(4))
+
+#: Fewest cipher blocks the byte-plane kernel is used for.  It costs
+#: ~75 µs of C calls per batch before the first byte, against ~13 µs per
+#: block on the T-table path, so it wins from about this many blocks.  A
+#: property of the input (batch size), not a setting.
+_PLANE_MIN_BLOCKS = 8
 
 
 def _inv_mix_word(word: int) -> int:
@@ -384,6 +411,97 @@ class AES128:
         )
 
 
+    # ------------------------------------------------------------------
+    # Multi-block decryption (ECB over independent blocks)
+    # ------------------------------------------------------------------
+    def decrypt_blocks(self, ciphertext: bytes) -> bytes:
+        """Decrypt a whole number of independent 16-byte blocks.
+
+        The batch form of :meth:`decrypt_block` (no chaining — the modes
+        layer applies that): short inputs loop over the T-table path,
+        longer ones go through the byte-plane kernel.
+        """
+        if len(ciphertext) % self.BLOCK_SIZE != 0:
+            raise ValueError("ciphertext must be a whole number of blocks")
+        if len(ciphertext) < _PLANE_MIN_BLOCKS * self.BLOCK_SIZE:
+            return self._decrypt_blocks_scalar(ciphertext)
+        return self._decrypt_blocks_planes(ciphertext)
+
+    def _decrypt_blocks_scalar(self, ciphertext: bytes) -> bytes:
+        decrypt_block = self.decrypt_block
+        return b"".join(
+            decrypt_block(ciphertext[offset : offset + 16])
+            for offset in range(0, len(ciphertext), 16)
+        )
+
+    def _decrypt_blocks_planes(self, ciphertext: bytes) -> bytes:
+        """The equivalent inverse cipher over sixteen byte-planes.
+
+        Layout: the state of all ``n`` blocks is one ``16n``-byte string
+        of planes in *row-major* order — plane ``4*row + col`` holds state
+        byte ``row + 4*col`` of every block — so that
+
+        * InvShiftRows is a renaming of planes within each row (seven
+          slices and a join),
+        * InvSubBytes∘InvMixColumns is four whole-state ``translate``
+          calls (one per GF constant, InvSubBytes fused into each table)
+          whose results are rotated by whole rows and XORed as integers:
+          output row ``i`` = 14·row ``i`` ⊕ 11·row ``i+1`` ⊕ 13·row
+          ``i+2`` ⊕ 9·row ``i+3``,
+        * AddRoundKey is one more integer XOR with the round key spread
+          over the planes.
+
+        Round keys are the equivalent-inverse schedule the T-table path
+        already uses, so no per-key table exists.  XOR is position-wise,
+        so the integer byte order is immaterial as long as it is the same
+        everywhere; little-endian is the cheaper conversion in CPython.
+        """
+        n = len(ciphertext) // 16
+        size = 16 * n
+        from_bytes = int.from_bytes
+        keys = [
+            from_bytes(
+                b"".join(round_key[j : j + 1] * n for j in _PLANE_ORDER),
+                "little",
+            )
+            for round_key in (
+                _FOUR_WORDS.pack(*words) for words in self._dec_schedule
+            )
+        ]
+        n4, n7, n8, n10, n12, n13 = 4 * n, 7 * n, 8 * n, 10 * n, 12 * n, 13 * n
+        state = (
+            from_bytes(
+                b"".join(ciphertext[j::16] for j in _PLANE_ORDER), "little"
+            )
+            ^ keys[0]
+        ).to_bytes(size, "little")
+        for round_index in range(1, 11):
+            # InvShiftRows: row i rotates right by i planes.
+            state = b"".join((
+                state[:n4],
+                state[n7:n8], state[n4:n7],
+                state[n10:n12], state[n8:n10],
+                state[n13:], state[n12:n13],
+            ))
+            if round_index == 10:
+                mixed = from_bytes(state.translate(_INV_SBOX), "little")
+            else:
+                by11 = state.translate(_PLANE_D11)
+                by13 = state.translate(_PLANE_D13)
+                by9 = state.translate(_PLANE_D9)
+                mixed = (
+                    from_bytes(state.translate(_PLANE_D14), "little")
+                    ^ from_bytes(by11[n4:] + by11[:n4], "little")
+                    ^ from_bytes(by13[n8:] + by13[:n8], "little")
+                    ^ from_bytes(by9[n12:] + by9[:n12], "little")
+                )
+            state = (mixed ^ keys[round_index]).to_bytes(size, "little")
+        out = bytearray(size)
+        for plane, j in enumerate(_PLANE_ORDER):
+            out[j::16] = state[plane * n : (plane + 1) * n]
+        return bytes(out)
+
+
 class ReferenceAES128(AES128):
     """An :class:`AES128` whose block interface runs the spec path.
 
@@ -396,6 +514,10 @@ class ReferenceAES128(AES128):
 
     def decrypt_block(self, ciphertext: bytes) -> bytes:
         return self.decrypt_block_spec(ciphertext)
+
+    #: Multi-block calls stay on the spec path at every length: the
+    #: scalar loop goes through :meth:`decrypt_block` above.
+    _decrypt_blocks_planes = AES128._decrypt_blocks_scalar
 
 
 @lru_cache(maxsize=1024)

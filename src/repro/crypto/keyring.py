@@ -17,7 +17,7 @@ re-derive "the same keys used for the construction of the DSI index table"
 from __future__ import annotations
 
 from repro.crypto.aes import AES128, ReferenceAES128, aes128_for_key
-from repro.crypto.hmac import derive_key, hmac_sha256_fast
+from repro.crypto.hmac import derive_key, hmac_sha256
 from repro.crypto.ope import OrderPreservingEncryption
 from repro.crypto.prf import DeterministicRandom, PRF
 from repro.crypto.vernam import DeterministicTagCipher
@@ -55,7 +55,7 @@ class ClientKeyring:
         (benchmark baseline) builds a private spec-path cipher instead.
         """
         if self._block_cipher is None:
-            key = derive_key(self._master, "block")[:16]
+            key = self.block_key_bytes()
             self._block_cipher = (
                 aes128_for_key(key) if self._fast_aes else ReferenceAES128(key)
             )
@@ -64,20 +64,17 @@ class ClientKeyring:
     def block_key_bytes(self) -> bytes:
         """Raw AES key for block payloads (client-side use only).
 
-        Exists for the process-backed worker pool: a child process cannot
-        pickle a live cipher object, so the client hands each bulk
-        decryption task the key material instead and the worker rebuilds
-        the (process-wide cached) cipher from it.  Never sent anywhere.
+        The one ``"block"`` derivation :attr:`block_cipher` is built
+        from.  Also handed to the process-backed worker pool: a child
+        process cannot pickle a live cipher object, so the client gives
+        each bulk decryption task the key material instead and the worker
+        rebuilds the (process-wide cached) cipher from it.  Never sent
+        anywhere.
         """
         return derive_key(self._master, "block")[:16]
 
     def block_iv(self, block_id: int) -> bytes:
-        """Deterministic per-block CBC IV.
-
-        Memoized: the HMAC derivation runs over a from-scratch SHA-256
-        and would otherwise rival the block decryption itself in cost
-        when the same blocks are fetched repeatedly.
-        """
+        """Deterministic per-block CBC IV (memoized per block id)."""
         cached = self._block_ivs.get(block_id)
         if cached is None:
             cached = derive_key(self._master, "block-iv", str(block_id))[:16]
@@ -128,7 +125,7 @@ class ClientKeyring:
         server's metadata; the server cannot forge a tag for a modified
         (or swapped) payload because it never holds :attr:`block_mac_key`.
         """
-        return hmac_sha256_fast(
+        return hmac_sha256(
             self.block_mac_key, block_id.to_bytes(8, "big") + payload
         )
 

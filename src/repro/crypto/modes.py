@@ -12,9 +12,15 @@ The XOR plumbing is word-wise: blocks are combined as 128-bit integers via
 chaining XOR of CBC decryption (plus the keystream XOR of CTR) is applied
 to the whole message in a single big-integer operation — CBC decryption
 and CTR have no sequential data dependency, only CBC *encryption* does.
+That independence is also why decryption batches: :func:`cbc_decrypt_many`
+hands every cipher block of every payload of a response to
+:meth:`AES128.decrypt_blocks` in one call, while each block of an
+encryption needs the previous block's *output* first.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from repro.crypto.aes import AES128
 from repro.perf import counters
@@ -69,21 +75,44 @@ def cbc_encrypt(cipher: AES128, iv: bytes, plaintext: bytes) -> bytes:
 
 def cbc_decrypt(cipher: AES128, iv: bytes, ciphertext: bytes) -> bytes:
     """CBC-decrypt and remove PKCS#7 padding."""
-    if len(iv) != BLOCK:
-        raise ValueError("IV must be one cipher block")
-    if len(ciphertext) % BLOCK != 0:
-        raise ValueError("ciphertext length must be a multiple of the block size")
-    counters.add("blocks_decrypted", len(ciphertext) // BLOCK)
-    decrypt_block = cipher.decrypt_block
-    decrypted = b"".join(
-        decrypt_block(ciphertext[offset : offset + BLOCK])
-        for offset in range(0, len(ciphertext), BLOCK)
-    )
+    return cbc_decrypt_many(cipher, [(iv, ciphertext)])[0]
+
+
+def cbc_decrypt_many(
+    cipher: AES128, items: "Sequence[tuple[bytes, bytes]]"
+) -> list[bytes]:
+    """CBC-decrypt independent ``(iv, ciphertext)`` payloads in one pass.
+
+    Equal to ``[cbc_decrypt(cipher, iv, ct) for iv, ct in items]``, but
+    every cipher block of every payload goes through one
+    :meth:`AES128.decrypt_blocks` call and one chaining XOR.  All inputs
+    are validated before any block is decrypted, and a padding failure
+    in any member raises ``ValueError`` for the whole batch — no
+    plaintext of the other members is returned.
+    """
+    for iv, ciphertext in items:
+        if len(iv) != BLOCK:
+            raise ValueError("IV must be one cipher block")
+        if len(ciphertext) % BLOCK != 0:
+            raise ValueError(
+                "ciphertext length must be a multiple of the block size"
+            )
+    joined = b"".join(ciphertext for _, ciphertext in items)
+    counters.add("blocks_decrypted", len(joined) // BLOCK)
     # Each plaintext block is decrypted-block XOR previous ciphertext
-    # block (IV for the first) — independent per block, so one whole-
-    # message XOR replaces the per-block chaining loop.
-    chain = iv + ciphertext[:-BLOCK]
-    return pkcs7_unpad(_xor_bytes(decrypted, chain))
+    # block (IV for the first block of a payload) — independent per
+    # block, so one whole-batch XOR replaces the chaining loop.
+    chain = b"".join(
+        iv + ciphertext[:-BLOCK] for iv, ciphertext in items if ciphertext
+    )
+    padded = _xor_bytes(cipher.decrypt_blocks(joined), chain)
+    plaintexts = []
+    offset = 0
+    for _, ciphertext in items:
+        end = offset + len(ciphertext)
+        plaintexts.append(pkcs7_unpad(padded[offset:end]))
+        offset = end
+    return plaintexts
 
 
 def ctr_transform(cipher: AES128, nonce: bytes, data: bytes) -> bytes:

@@ -50,7 +50,7 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
 #: Histograms every registry carries, with their HELP strings.
 HISTOGRAMS: dict[str, str] = {
     "query_seconds": "End-to-end secure query latency (client wall time).",
-    "chunk_decrypt_seconds": "Per-fragment decrypt+strip time on the client.",
+    "chunk_decrypt_seconds": "Decrypt+strip time of one batch of cache-missing fragments.",
     "retry_backoff_seconds": "Modelled backoff before each query retry.",
     "transfer_seconds": "Modelled wire time per channel transfer.",
     "cluster_scatter_seconds": "Scatter phase: all shard exchanges of one query.",

@@ -1,4 +1,4 @@
-"""A recursive-descent XML parser for the document model.
+"""A scanning XML parser for the document model.
 
 The parser accepts the XML subset the reproduction needs: prolog, comments,
 CDATA sections, elements with attributes, character data with the five
@@ -9,15 +9,31 @@ semantics — none of which appear in the paper's datasets.
 Round-tripping of hosted databases is supported: the serializer encodes an
 :class:`~repro.xmldb.node.EncryptedBlockNode` as an ``EncryptedData`` element
 (mirroring the W3C XML-Encryption wire shape the paper cites in §7.4), and
-:func:`parse_document` reconstructs the placeholder when it sees one.
+the parser rebuilds the placeholder when such an element closes.
+
+Every shipped fragment and every decrypted block goes through here, so the
+parser is a compiled-regex token scanner driving an explicit element stack
+rather than a per-character recursive descent: one ``match`` per tag (a leaf
+``<t>text</t>`` is a single token), no Python frame per nesting level.
+Input comes from disk and from the untrusted server, so every rejection is
+an :class:`XMLParseError` carrying an offset — including malformed character
+references and nesting beyond :data:`MAX_DEPTH`.
 """
 
 from __future__ import annotations
+
+import re
 
 from repro.xmldb.node import Attribute, Document, Element, EncryptedBlockNode, Node, Text
 
 #: Tag used to serialize encrypted-block placeholders (see serializer.py).
 ENCRYPTED_DATA_TAG = "EncryptedData"
+
+#: Deepest element nesting accepted.  The tree consumers (``clone``,
+#: ``serialize``) recurse once per level, so a document the parser let
+#: through at interpreter-stack depth would crash them untyped; the paper's
+#: datasets nest fewer than ten levels.
+MAX_DEPTH = 256
 
 _ENTITY_MAP = {
     "lt": "<",
@@ -28,9 +44,40 @@ _ENTITY_MAP = {
 }
 
 # '#' is admitted in names because the paper's running example uses tags
-# like "policy#" (Figure 2).
-_NAME_START_EXTRA = set("_:")
-_NAME_EXTRA = set("_:.-#")
+# like "policy#" (Figure 2).  ``[^\W\d]`` is "letter or underscore" up to a
+# few non-decimal numerics (``²``), which :func:`_check_name` rejects.  The
+# lookahead stops the scanner from backtracking into a name (``<aid=''/>``
+# is not ``<a id=''/>``).
+_NAME = r"(?:[^\W\d]|:)[\w:.\-#]*(?![\w:.\-#])"
+_VALUE = r"""(?:"[^"<]*"|'[^'<]*')"""
+
+# A comment or processing instruction ends at the first terminator at or
+# after its own opener, so ``<!-->`` and ``<?>`` are complete (as they
+# always were here).
+_COMMENT = r"<!(?=--).*?-->"
+_INSTRUCTION = r"<(?=\?).*?\?>"
+
+_MISC = re.compile(
+    rf"(?:\s+|{_INSTRUCTION}|{_COMMENT}|<!DOCTYPE[^>]*>)*", re.DOTALL
+)
+_OPEN_RE = re.compile(rf"<({_NAME})")
+_ATTRIBUTE_RE = re.compile(rf"""\s*({_NAME})\s*=\s*(?:"([^"<]*)"|'([^'<]*)')""")
+_REFERENCE = r"&([^;]{0,10});"
+_REFERENCE_RE = re.compile(_REFERENCE)
+_SPACE_RE = re.compile(r"\s*")
+_ATTRIBUTE_NAME_RE = re.compile(rf"{_NAME}\s*")
+_TOKEN = re.compile(
+    # 1 name, 2 attributes, 3 '/' of an empty-element tag, 4 the text of a
+    # leaf whose matching close tag follows directly
+    rf"<({_NAME})((?:\s*{_NAME}\s*=\s*{_VALUE})*)\s*"
+    r"(?:(/)>|>(?:([^<&]*)</\1\s*>)?)"
+    rf"|</({_NAME})\s*>"            # 5 close tag
+    r"|([^<&]+)"                    # 6 character data
+    rf"|{_REFERENCE}"               # 7 reference
+    r"|<!\[CDATA\[(.*?)\]\]>"       # 8 CDATA section
+    rf"|{_COMMENT}|{_INSTRUCTION}",  # skipped
+    re.DOTALL,
+)
 
 
 class XMLParseError(ValueError):
@@ -48,224 +95,246 @@ def parse_document(text: str) -> Document:
 
 def parse_fragment(text: str) -> Element:
     """Parse a single-rooted XML fragment into an (unnumbered) element tree."""
-    parser = _Parser(text)
-    root = parser.parse_root()
-    return root
+    pos = _MISC.match(text).end()
+    if not text.startswith("<", pos):
+        raise _prolog_error(text, pos, "expected root element")
 
+    match_token = _TOKEN.match
+    #: open elements, innermost last
+    stack: list[Element] = []
+    #: character data of the innermost open element since its last child
+    pieces: list[str] = []
+    element: "Element | None" = None
+    root: "Node | None" = None
 
-def _is_name_start(char: str) -> bool:
-    return char.isalpha() or char in _NAME_START_EXTRA
-
-
-def _is_name_char(char: str) -> bool:
-    return char.isalnum() or char in _NAME_EXTRA
-
-
-class _Parser:
-    """Single-pass cursor over the input string."""
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-        self.length = len(text)
-
-    # ------------------------------------------------------------------
-    # Cursor helpers
-    # ------------------------------------------------------------------
-    def _error(self, message: str) -> XMLParseError:
-        return XMLParseError(message, self.pos)
-
-    def _peek(self) -> str:
-        if self.pos >= self.length:
-            raise self._error("unexpected end of input")
-        return self.text[self.pos]
-
-    def _startswith(self, token: str) -> bool:
-        return self.text.startswith(token, self.pos)
-
-    def _expect(self, token: str) -> None:
-        if not self._startswith(token):
-            raise self._error(f"expected {token!r}")
-        self.pos += len(token)
-
-    def _skip_whitespace(self) -> None:
-        while self.pos < self.length and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _skip_misc(self) -> None:
-        """Skip whitespace, comments, PIs and the XML declaration."""
-        while True:
-            self._skip_whitespace()
-            if self._startswith("<?"):
-                end = self.text.find("?>", self.pos)
-                if end < 0:
-                    raise self._error("unterminated processing instruction")
-                self.pos = end + 2
-            elif self._startswith("<!--"):
-                end = self.text.find("-->", self.pos)
-                if end < 0:
-                    raise self._error("unterminated comment")
-                self.pos = end + 3
-            elif self._startswith("<!DOCTYPE"):
-                # Skip to the matching '>' (no internal subsets supported).
-                end = self.text.find(">", self.pos)
-                if end < 0:
-                    raise self._error("unterminated DOCTYPE")
-                self.pos = end + 1
-            else:
-                return
-
-    # ------------------------------------------------------------------
-    # Grammar productions
-    # ------------------------------------------------------------------
-    def parse_root(self) -> Element:
-        self._skip_misc()
-        if self.pos >= self.length or self._peek() != "<":
-            raise self._error("expected root element")
-        root = self._parse_element()
-        self._skip_misc()
-        if self.pos != self.length:
-            raise self._error("trailing content after root element")
-        return _decode_encrypted_blocks(root)
-
-    def _parse_name(self) -> str:
-        start = self.pos
-        if self.pos >= self.length or not _is_name_start(self._peek()):
-            raise self._error("expected a name")
-        self.pos += 1
-        while self.pos < self.length and _is_name_char(self.text[self.pos]):
-            self.pos += 1
-        return self.text[start : self.pos]
-
-    def _parse_attribute_value(self) -> str:
-        quote = self._peek()
-        if quote not in ("'", '"'):
-            raise self._error("expected quoted attribute value")
-        self.pos += 1
-        pieces: list[str] = []
-        while True:
-            char = self._peek()
-            if char == quote:
-                self.pos += 1
-                return "".join(pieces)
-            if char == "<":
-                raise self._error("'<' not allowed in attribute value")
-            if char == "&":
-                pieces.append(self._parse_entity())
-            else:
-                pieces.append(char)
-                self.pos += 1
-
-    def _parse_entity(self) -> str:
-        self._expect("&")
-        end = self.text.find(";", self.pos)
-        if end < 0 or end - self.pos > 10:
-            raise self._error("unterminated entity reference")
-        body = self.text[self.pos : end]
-        self.pos = end + 1
-        if body.startswith("#x") or body.startswith("#X"):
-            return chr(int(body[2:], 16))
-        if body.startswith("#"):
-            return chr(int(body[1:]))
-        try:
-            return _ENTITY_MAP[body]
-        except KeyError:
-            raise self._error(f"unknown entity &{body};") from None
-
-    def _parse_element(self) -> Element:
-        self._expect("<")
-        tag = self._parse_name()
-        element = Element(tag)
-
-        # Attributes.
-        while True:
-            self._skip_whitespace()
-            char = self._peek()
-            if char == ">" or self._startswith("/>"):
-                break
-            name = self._parse_name()
-            self._skip_whitespace()
-            self._expect("=")
-            self._skip_whitespace()
-            value = self._parse_attribute_value()
-            if element.attribute(name) is not None:
-                raise self._error(f"duplicate attribute {name!r}")
-            element.set_attribute(name, value)
-
-        if self._startswith("/>"):
-            self.pos += 2
-            return element
-        self._expect(">")
-
-        # Content.
-        text_pieces: list[str] = []
-
-        def flush_text() -> None:
-            if text_pieces:
-                merged = "".join(text_pieces)
-                text_pieces.clear()
-                if merged.strip():
-                    element.append(Text(merged.strip()))
-
-        while True:
-            if self.pos >= self.length:
-                raise self._error(f"unterminated element <{tag}>")
-            char = self._peek()
-            if char == "<":
-                if self._startswith("</"):
-                    flush_text()
-                    self.pos += 2
-                    closing = self._parse_name()
-                    if closing != tag:
-                        raise self._error(
-                            f"mismatched closing tag </{closing}> for <{tag}>"
-                        )
-                    self._skip_whitespace()
-                    self._expect(">")
-                    return element
-                if self._startswith("<!--"):
-                    end = self.text.find("-->", self.pos)
-                    if end < 0:
-                        raise self._error("unterminated comment")
-                    self.pos = end + 3
-                elif self._startswith("<![CDATA["):
-                    end = self.text.find("]]>", self.pos)
-                    if end < 0:
-                        raise self._error("unterminated CDATA section")
-                    text_pieces.append(self.text[self.pos + 9 : end])
-                    self.pos = end + 3
-                elif self._startswith("<?"):
-                    end = self.text.find("?>", self.pos)
-                    if end < 0:
-                        raise self._error("unterminated processing instruction")
-                    self.pos = end + 2
-                else:
-                    flush_text()
-                    element.append(self._parse_element())
-            elif char == "&":
-                text_pieces.append(self._parse_entity())
-            else:
-                text_pieces.append(char)
-                self.pos += 1
-
-
-def _decode_encrypted_blocks(root: Element) -> Element:
-    """Replace serialized ``EncryptedData`` elements with placeholders."""
-    replacements: list[tuple[Element, EncryptedBlockNode]] = []
-    for node in root.iter():
-        if isinstance(node, Element) and node.tag == ENCRYPTED_DATA_TAG:
-            attribute = node.attribute("block-id")
-            if attribute is None:
-                continue
-            payload_text = node.text_value() or ""
-            placeholder = EncryptedBlockNode(
-                int(attribute.value), bytes.fromhex(payload_text)
-            )
-            replacements.append((node, placeholder))
-    for element, placeholder in replacements:
-        if element is root:
-            # A fragment that *is* one encrypted block parses as a plain
-            # EncryptedData element; the client unwraps it explicitly.
+    while root is None:
+        token = match_token(text, pos)
+        if token is None:
+            raise _token_error(text, pos, element)
+        index = token.lastindex
+        if index is None:  # comment or processing instruction
+            pos = token.end()
             continue
-        element.replace_with(placeholder)
+        if index <= 4:
+            name, attributes, empty, leaf_text = token.group(1, 2, 3, 4)
+            if not name.isascii():
+                _check_name(name, pos + 1)
+            if pieces:
+                _flush_text(element, pieces)
+            node = Element(name)
+            if attributes:
+                _set_attributes(node, attributes, token.start(2))
+            if empty is None and leaf_text is None:
+                if len(stack) >= MAX_DEPTH:
+                    raise XMLParseError(
+                        f"elements nested deeper than {MAX_DEPTH}", pos
+                    )
+                stack.append(node)
+                element = node
+                pos = token.end()
+                continue
+            if leaf_text:
+                leaf_text = leaf_text.strip()
+                if leaf_text:
+                    _attach(node, Text(leaf_text))
+        elif index == 5:
+            if element is None or token.group(5) != element.tag:
+                raise XMLParseError(
+                    f"mismatched closing tag </{token.group(5)}>"
+                    + (f" for <{element.tag}>" if element is not None else ""),
+                    pos + 2,
+                )
+            if pieces:
+                _flush_text(element, pieces)
+            node = stack.pop()
+            element = stack[-1] if stack else None
+        else:
+            if element is None:
+                raise XMLParseError("expected root element", pos)
+            if index == 7:
+                pieces.append(_decode_reference(token.group(7), pos))
+            else:  # character data or CDATA
+                pieces.append(token.group(index))
+            pos = token.end()
+            continue
+
+        # ``node`` is complete: hand it to its parent, or finish.
+        pos = token.end()
+        if element is None:
+            root = node
+        else:
+            if node.tag == ENCRYPTED_DATA_TAG:
+                node = block_placeholder(node, token.start()) or node
+            _attach(element, node)
+
+    end = _MISC.match(text, pos).end()
+    if end != len(text):
+        raise _prolog_error(text, end, "trailing content after root element")
     return root
+
+
+# ----------------------------------------------------------------------
+# Node construction (``append``/``set_attribute`` bypassed: the scanner
+# already guarantees what they check — unparented nodes, distinct names)
+# ----------------------------------------------------------------------
+def _attach(parent: Element, child: Node) -> None:
+    child.parent = parent
+    parent.children.append(child)
+
+
+def _flush_text(element: Element, pieces: list[str]) -> None:
+    """Turn accumulated character data into one stripped text child."""
+    merged = "".join(pieces).strip()
+    pieces.clear()
+    if merged:
+        _attach(element, Text(merged))
+
+
+def _set_attributes(element: Element, source: str, offset: int) -> None:
+    """Attach the attributes of one start tag (``source`` already scanned)."""
+    seen: set[str] = set()
+    attributes = element.attributes
+    for name, double, single in _ATTRIBUTE_RE.findall(source):
+        if not name.isascii():
+            _check_name(name, offset)
+        if name in seen:
+            raise XMLParseError(f"duplicate attribute {name!r}", offset)
+        seen.add(name)
+        value = double or single
+        if "&" in value:
+            value = _decode_references(value, offset)
+        attribute = Attribute(name, value)
+        attribute.parent = element
+        attributes.append(attribute)
+
+
+def block_placeholder(
+    element: Element, position: int = 0
+) -> "EncryptedBlockNode | None":
+    """The block placeholder an ``EncryptedData`` element stands for.
+
+    ``None`` for any other element, including an ``EncryptedData`` without
+    a ``block-id``.  The parser applies this to every element it closes
+    below the root; a fragment that *is* one encrypted block keeps its
+    root as a plain element, and the callers that expect one (the client,
+    ``load_system``) apply it to the root themselves.
+    """
+    if element.tag != ENCRYPTED_DATA_TAG:
+        return None
+    attribute = element.attribute("block-id")
+    if attribute is None:
+        return None
+    try:
+        return EncryptedBlockNode(
+            int(attribute.value), bytes.fromhex(element.text_value() or "")
+        )
+    except ValueError:
+        raise XMLParseError("malformed encrypted block", position) from None
+
+
+# ----------------------------------------------------------------------
+# References
+# ----------------------------------------------------------------------
+def _decode_reference(body: str, position: int) -> str:
+    """Expand one ``&body;`` reference."""
+    try:
+        if body[:2] in ("#x", "#X"):
+            return chr(int(body[2:], 16))
+        if body[:1] == "#":
+            return chr(int(body[1:]))
+        return _ENTITY_MAP[body]
+    except KeyError:
+        raise XMLParseError(f"unknown entity &{body};", position) from None
+    except (ValueError, OverflowError):
+        raise XMLParseError(
+            f"malformed character reference &{body};", position
+        ) from None
+
+
+def _decode_references(value: str, offset: int) -> str:
+    """Expand every reference in an attribute value."""
+    pieces = []
+    pos = 0
+    while True:
+        start = value.find("&", pos)
+        if start < 0:
+            pieces.append(value[pos:])
+            return "".join(pieces)
+        reference = _REFERENCE_RE.match(value, start)
+        if reference is None:
+            raise XMLParseError("unterminated entity reference", offset)
+        pieces.append(value[pos:start])
+        pieces.append(_decode_reference(reference.group(1), offset))
+        pos = reference.end()
+
+
+# ----------------------------------------------------------------------
+# Rejections (cold path: work out *why* no token matched)
+# ----------------------------------------------------------------------
+def _check_name(name: str, position: int) -> None:
+    first = name[0]
+    if not (first.isalpha() or first in "_:"):
+        raise XMLParseError("expected a name", position)
+
+
+def _unterminated(text: str, pos: int, *openers: str) -> "XMLParseError | None":
+    for opener in openers:
+        if text.startswith(opener, pos):
+            return XMLParseError(f"unterminated {_OPENERS[opener]}", pos)
+    return None
+
+
+_OPENERS = {
+    "<!--": "comment",
+    "<![CDATA[": "CDATA section",
+    "<?": "processing instruction",
+    "<!DOCTYPE": "DOCTYPE",
+}
+
+
+def _prolog_error(text: str, pos: int, otherwise: str) -> XMLParseError:
+    return _unterminated(text, pos, "<!--", "<?", "<!DOCTYPE") or XMLParseError(
+        otherwise, pos
+    )
+
+
+def _token_error(
+    text: str, pos: int, element: "Element | None"
+) -> XMLParseError:
+    """The error for input at ``pos`` that is not a content token."""
+    if pos >= len(text):
+        tag = element.tag if element is not None else ""
+        return XMLParseError(f"unterminated element <{tag}>", pos)
+    if text[pos] == "&":
+        return XMLParseError("unterminated entity reference", pos)
+    if text.startswith("</", pos):
+        return XMLParseError("malformed closing tag", pos + 2)
+    unterminated = _unterminated(text, pos, "<!--", "<![CDATA[", "<?")
+    if unterminated is not None:
+        return unterminated
+
+    # A start tag that does not scan: find the first thing wrong with it.
+    opened = _OPEN_RE.match(text, pos)
+    if opened is None:
+        return XMLParseError("expected a name", pos + 1)
+    pos = opened.end()
+    while (attribute := _ATTRIBUTE_RE.match(text, pos)) is not None:
+        pos = attribute.end()
+    pos = _SPACE_RE.match(text, pos).end()
+    if pos >= len(text):
+        return XMLParseError("unexpected end of input", pos)
+    named = _ATTRIBUTE_NAME_RE.match(text, pos)
+    if named is None:
+        return XMLParseError("expected a name", pos)
+    pos = named.end()
+    if not text.startswith("=", pos):
+        return XMLParseError("expected '='", pos)
+    pos = _SPACE_RE.match(text, pos + 1).end()
+    quote = text[pos : pos + 1]
+    if quote not in ("'", '"'):
+        return XMLParseError("expected quoted attribute value", pos)
+    closing = text.find(quote, pos + 1)
+    bracket = text.find("<", pos + 1)
+    if bracket >= 0 and (closing < 0 or bracket < closing):
+        return XMLParseError("'<' not allowed in attribute value", bracket)
+    return XMLParseError("unexpected end of input", len(text))

@@ -26,6 +26,8 @@ from repro.security.indistinguishability import (
     indistinguishable,
     permute_field_values,
 )
+from repro.xmldb.node import EncryptedBlockNode
+from repro.xmldb.serializer import serialize
 from repro.xmldb.stats import value_frequencies
 
 SHARDS = 3
@@ -58,7 +60,9 @@ def correctly_cracked(system, report) -> int:
         for block_id, stored in system.hosted.blocks.items():
             if stored != payload:
                 continue
-            subtree = system.client._decrypt_block(block_id, payload)
+            subtree = system.client.decrypt_fragment(
+                serialize(EncryptedBlockNode(block_id, payload))
+            )
             texts = {
                 text
                 for node in subtree.iter()

@@ -2,12 +2,18 @@
 
 import pytest
 
+from repro.core import client as client_module
 from repro.core.client import Client, QueryAnswer, canonical_node
 from repro.core.encryptor import host_database
+from repro.core.integrity import TamperedResponseError
+from repro.core.parallel import ParallelConfig
 from repro.core.scheme import build_scheme
 from repro.core.server import Fragment, Server, ServerResponse
+from repro.core.system import SecureXMLSystem
 from repro.crypto.keyring import ClientKeyring
-from repro.xmldb.node import Attribute, Element
+from repro.crypto.modes import cbc_encrypt
+from repro.perf import counters
+from repro.xmldb.node import Attribute, Element, EncryptedBlockNode
 from repro.xmldb.parser import parse_fragment
 from repro.xmldb.serializer import serialize
 
@@ -95,6 +101,214 @@ class TestClientDecryption:
         decrypted = client.decrypt_fragments(response)
         for _, root in decrypted:
             assert "EncryptedData" not in serialize(root)
+
+
+def _with_tampered_block(response, victim):
+    """The response with one flipped bit in the ``victim``-th fragment's
+    first ciphertext payload."""
+    fragments = list(response.fragments)
+    xml = fragments[victim].xml
+    start = xml.index(">", xml.index("<EncryptedData")) + 1
+    flipped = "1" if xml[start] != "1" else "2"
+    fragments[victim] = Fragment(
+        ancestor_path=fragments[victim].ancestor_path,
+        xml=xml[:start] + flipped + xml[start + 1 :],
+    )
+    return ServerResponse(fragments=fragments)
+
+
+class TestDecryptPipelineOrder:
+    """verify every tag → derive IVs → one cipher pass → parse → splice."""
+
+    def test_one_tampered_payload_stops_the_batch_before_any_cipher_call(
+        self, stack
+    ):
+        hosted, server, client = stack
+        response = server.answer(client.translate("//patient"))
+        assert len(response.fragments) > 1 and response.blocks_shipped > 2
+        tampered = _with_tampered_block(response, len(response.fragments) - 1)
+        client.flush_caches()  # hosting shares the keyring and its IV memo
+        before = counters.snapshot()
+        with pytest.raises(TamperedResponseError):
+            client.decrypt_fragments(tampered)
+        delta = counters.delta_since(before)
+        assert delta["blocks_decrypted"] == 0
+        assert delta["integrity_failures"] == 1
+        assert client._block_cache == {} and client._tree_cache == {}
+        assert client._keyring._block_ivs == {}  # not even an IV derived
+        # The untampered response still decrypts afterwards.
+        assert len(client.decrypt_fragments(response)) == len(response.fragments)
+
+    def test_block_cache_hit_still_verifies_its_ciphertext(self, stack):
+        hosted, server, client = stack
+        response = server.answer(client.translate("//patient"))
+        client.decrypt_fragments(response)
+        assert client._block_cache
+        tampered = _with_tampered_block(response, 0)  # new text: tree-cache miss
+        before = counters.snapshot()
+        with pytest.raises(TamperedResponseError):
+            client.decrypt_fragments(tampered)
+        assert counters.delta_since(before)["blocks_decrypted"] == 0
+
+    def test_one_cipher_pass_per_response(self, stack, monkeypatch):
+        hosted, server, client = stack
+        response = server.answer(client.translate("//patient"))
+        calls = []
+        original = client_module.cbc_decrypt_many
+
+        def recording(cipher, items):
+            calls.append(len(items))
+            return original(cipher, items)
+
+        monkeypatch.setattr(client_module, "cbc_decrypt_many", recording)
+        before = counters.snapshot()
+        client.decrypt_fragments(response)
+        delta = counters.delta_since(before)
+        assert calls == [response.blocks_shipped]
+        assert delta["block_cache_misses"] == response.blocks_shipped
+        assert delta["tree_cache_misses"] == len(response.fragments)
+        # Warm: a dict lookup and a clone per fragment, no cipher pass.
+        before = counters.snapshot()
+        client.decrypt_fragments(response)
+        delta = counters.delta_since(before)
+        assert calls == [response.blocks_shipped]
+        assert delta["tree_cache_hits"] == len(response.fragments)
+        assert delta["blocks_decrypted"] == delta["block_cache_misses"] == 0
+
+    def test_repeats_inside_one_batch_count_as_the_serial_path_did(self, stack):
+        """Second sight of a fragment text or a block id is a cache hit."""
+        hosted, server, client = stack
+        response = server.answer(client.translate("//insurance"))
+        first = response.fragments[0]
+        blocks = first.xml.count("<EncryptedData")
+        assert blocks >= 1
+        # Same block under a different fragment text: a block-cache hit.
+        wrapped = Fragment(first.ancestor_path, f"<w>{first.xml}</w>")
+        before = counters.snapshot()
+        trees = client.decrypt_fragments(
+            ServerResponse(fragments=[first, first, wrapped])
+        )
+        delta = counters.delta_since(before)
+        assert delta["tree_cache_misses"] == 2 and delta["tree_cache_hits"] == 1
+        assert delta["block_cache_misses"] == blocks
+        assert delta["block_cache_hits"] == blocks
+        assert serialize(trees[0][1]) == serialize(trees[1][1])
+        assert trees[0][1] is not trees[1][1]
+        assert serialize(trees[2][1]) == f"<w>{serialize(trees[0][1])}</w>"
+
+    def test_uncached_client_decrypts_every_occurrence(self, stack):
+        hosted, server, _ = stack
+        client = Client(ClientKeyring(b"s" * 16), hosted, enable_cache=False)
+        response = server.answer(client.translate("//insurance"))
+        first = response.fragments[0]
+        before = counters.snapshot()
+        once = client.decrypt_fragments(ServerResponse(fragments=[first]))
+        single = counters.delta_since(before)["blocks_decrypted"]
+        before = counters.snapshot()
+        twice = client.decrypt_fragments(ServerResponse(fragments=[first, first]))
+        delta = counters.delta_since(before)
+        assert delta["blocks_decrypted"] == 2 * single > 0
+        assert delta["block_cache_hits"] == delta["tree_cache_hits"] == 0
+        assert serialize(twice[1][1]) == serialize(once[0][1])
+
+    def test_flush_caches_empties_the_iv_memo(self, stack):
+        """Cold stays cold: the IVs are re-derived, just in C."""
+        hosted, server, client = stack
+        response = server.answer(client.translate("//patient"))
+        client.flush_caches()
+        client.decrypt_fragments(response)
+        assert len(client._keyring._block_ivs) == response.blocks_shipped
+        client.flush_caches()
+        assert client._keyring._block_ivs == {}
+        assert client._block_cache == {} and client._tree_cache == {}
+
+    def test_decrypt_fragment_is_a_batch_of_one(self, stack):
+        hosted, server, client = stack
+        response = server.answer(client.translate("//patient"))
+        batch = client.decrypt_fragments(response)
+        client.flush_caches()
+        for (fragment, tree) in batch:
+            assert serialize(client.decrypt_fragment(fragment.xml)) == serialize(tree)
+
+    def test_block_nested_inside_a_block_is_resolved(self, stack):
+        """The encryptor nests none, but a plaintext that holds a block
+        (here: a root-level block whose plaintext is again a block) must
+        not leak a placeholder into the answer tree."""
+        hosted, server, client = stack
+        keyring = client._keyring
+        inner_id, inner_payload = next(iter(hosted.blocks.items()))
+        outer_id = max(hosted.blocks) + 1
+        inner_xml = serialize(EncryptedBlockNode(inner_id, inner_payload))
+        outer_payload = cbc_encrypt(
+            keyring.block_cipher,
+            keyring.block_iv(outer_id),
+            f"<wrap>{inner_xml}</wrap>".encode("utf-8"),
+        )
+        hosted.block_tags[outer_id] = keyring.block_tag(outer_id, outer_payload)
+        outer_xml = serialize(EncryptedBlockNode(outer_id, outer_payload))
+        tree = client.decrypt_fragment(f"<top>{outer_xml}</top>")
+        text = serialize(tree)
+        assert text.startswith("<top><wrap><") and "EncryptedData" not in text
+        assert serialize(client.decrypt_fragment(outer_xml)) == text[5:-6]
+
+
+class TestBackendsAgree:
+    """Serial, threads and processes differ only in who runs the batch."""
+
+    def test_answers_byte_identical(self, xmark_doc, xmark_scs):
+        queries = ["//people/person", "//creditcard", "//person/@id", "/site/people"]
+        canonical = {}
+        decrypted_blocks = {}
+        for label, parallel in (
+            ("serial", False),
+            ("threads", ParallelConfig(workers=4, backend="thread")),
+            ("processes", ParallelConfig(workers=2, backend="process")),
+        ):
+            system = SecureXMLSystem.host(
+                xmark_doc, xmark_scs, scheme="opt", parallel=parallel
+            )
+            try:
+                before = counters.snapshot()
+                canonical[label] = [
+                    [serialize(node) if not isinstance(node, Attribute)
+                     else canonical_node(node) for node in system.query(q).nodes]
+                    for q in queries
+                ]
+                decrypted_blocks[label] = counters.delta_since(before)[
+                    "blocks_decrypted"
+                ]
+            finally:
+                system.close()
+        assert canonical["serial"][0]  # not vacuous
+        assert canonical["threads"] == canonical["serial"]
+        assert canonical["processes"] == canonical["serial"]
+        assert len(set(decrypted_blocks.values())) == 1
+
+    def test_threads_keep_the_keyrings_cipher(
+        self, xmark_doc, xmark_scs, monkeypatch
+    ):
+        """Only processes rebuild a cipher from key bytes: with threads a
+        ``fast_path=False`` keyring must stay on the reference cipher."""
+        system = SecureXMLSystem.host(
+            xmark_doc, xmark_scs, scheme="opt", fast_path=False,
+            parallel=ParallelConfig(workers=4, backend="thread"),
+        )
+
+        def forbidden(*_):
+            raise AssertionError("thread backend rebuilt the cipher")
+
+        monkeypatch.setattr(client_module, "aes128_for_key", forbidden)
+        try:
+            before = counters.snapshot()
+            assert system.query("//people/person").nodes
+            response = system.server.answer(
+                system.client.translate("//people/person")
+            )
+            system.client.flush_caches()
+            system.client.decrypt_fragments(response, system._pool)
+            assert counters.delta_since(before)["blocks_decrypted"] > 1
+        finally:
+            system.close()
 
 
 class TestClientAssembly:

@@ -6,8 +6,11 @@ import os
 import pytest
 
 from repro.core.client import canonical_node
+from repro.core.encryptor import renumbered_hosted_ids
 from repro.core.storage import load_system, save_system
 from repro.core.system import SecureXMLSystem
+from repro.workloads.nasa import build_nasa_database
+from repro.xmldb.node import Element, Text
 from repro.xpath.evaluator import evaluate
 
 MASTER = b"storage-test-master-key-32bytes!"
@@ -123,3 +126,82 @@ class TestVersioning:
             json.dump(meta, f)
         with pytest.raises(ValueError):
             load_system(directory, MASTER)
+
+
+class TestSaveWithLiveInsert:
+    """An insert takes the high-water hosted id, out of document order;
+    the reload renumbers in document order.  Saved metadata must name
+    nodes by the ids the reload assigns, or every index entry at or after
+    the insert point resolves to the wrong node (wrong answers, no error).
+    """
+
+    @pytest.mark.parametrize("backend", ["object", "columnar"])
+    @pytest.mark.parametrize(
+        "parent, tag, value",
+        [("{dataset}", "note", "hello"), ("{dataset}/distribution", "last", "Zed")],
+        ids=["plaintext", "encrypted"],
+    )
+    def test_reloaded_answers_match_live_and_plaintext(
+        self, tmp_path, nasa_scs, backend, parent, tag, value
+    ):
+        document = build_nasa_database(dataset_count=12, seed=13)
+        # Early in the document, so most entries sit after the insert.
+        title = next(document.root.find_elements("title")).text_value()
+        dataset = f"//dataset[title='{title}']"
+        parent = parent.format(dataset=dataset)
+
+        live = SecureXMLSystem.host(
+            document.clone(), nasa_scs, scheme="opt",
+            master_key=MASTER, backend=backend,
+        )
+        live.insert_element(parent, tag, value)
+        (target,) = evaluate(document, parent)
+        target.append(Element(tag)).append(Text(value))
+        document.renumber()
+
+        directory = str(tmp_path / "hosting")
+        save_system(live, directory)
+        loaded = load_system(directory, MASTER, backend=backend)
+        for query in (
+            "//dataset/note",
+            "//distribution/last",
+            f"{dataset}/altname",
+            f"{parent}[{tag}='{value}']/{tag}",
+            "//dataset/title",
+        ):
+            expected = sorted(
+                canonical_node(n) for n in evaluate(document, query)
+            )
+            assert live.query(query).canonical() == expected, query
+            assert loaded.query(query).canonical() == expected, query
+        assert expected  # the last query is not vacuous
+
+    def test_columnar_rows_keep_the_no_hosted_node_sentinel(
+        self, tmp_path, nasa_scs
+    ):
+        """The inserted Text carries no hosted id; the saved hosted-id
+        plane must not mistake that for the plane's 'none attached'."""
+        document = build_nasa_database(dataset_count=12, seed=13)
+        title = next(document.root.find_elements("title")).text_value()
+        live = SecureXMLSystem.host(
+            document, nasa_scs, scheme="opt", master_key=MASTER,
+            backend="columnar",
+        )
+        live.insert_element(f"//dataset[title='{title}']", "note", "hello")
+        saved_id = renumbered_hosted_ids(live.hosted.hosted_root)
+        assert all(old >= 0 for old in saved_id)
+        expected = {
+            saved_id[old]: low
+            for old, low in live.hosted.structural_index.hosted_node_lows().items()
+        }
+
+        directory = str(tmp_path / "hosting")
+        save_system(live, directory)
+        loaded = load_system(directory, MASTER, backend="columnar")
+        index = loaded.hosted.structural_index
+        assert index.hosted_node_lows() == expected
+        block_entries = [
+            entry for entry in index.all_entries() if entry.block_id is not None
+        ]
+        assert block_entries
+        assert all(entry.hosted_node is None for entry in block_entries)

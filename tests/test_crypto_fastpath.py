@@ -1,22 +1,37 @@
-"""Property tests for the T-table AES fast path and word-wise modes.
+"""Property tests for the crypto fast paths against their spec twins.
 
-The fast path must be a pure performance change: byte-identical to the
-from-scratch FIPS-197 spec implementation on every key and block, with
-the official Appendix C vector passing through both code paths, and the
-word-wise CBC/CTR rewrites round-tripping arbitrary payloads including
-empty and non-block-aligned ones.
+Every fast path must be a pure performance change: the T-table AES and
+the byte-plane batch kernel byte-identical to the from-scratch FIPS-197
+spec implementation on every key and block (the official Appendix C
+vector passing through all of them), the word-wise CBC/CTR rewrites
+round-tripping arbitrary payloads including empty and non-block-aligned
+ones, the batched CBC decryption equal to the one-at-a-time form, and the
+C-backed HMAC equal to the from-scratch one — with ``derive_key`` pinned
+by literals, so that hosted bytes can never drift.
 """
 
+import hashlib
+import hmac as std_hmac
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.aes import (
+    _PLANE_MIN_BLOCKS,
     AES128,
     ReferenceAES128,
     _expand_key_cached,
     aes128_for_key,
 )
-from repro.crypto.modes import cbc_decrypt, cbc_encrypt, ctr_transform
+from repro.crypto.hmac import derive_key, hmac_sha256, hmac_sha256_spec
+from repro.crypto.keyring import ClientKeyring
+from repro.crypto.modes import (
+    cbc_decrypt,
+    cbc_decrypt_many,
+    cbc_encrypt,
+    ctr_transform,
+)
 from repro.perf import counters
 
 # FIPS-197 Appendix C.1 (AES-128) known-answer vector.
@@ -68,6 +83,171 @@ class TestFastPathEquivalence:
         spec = ReferenceAES128(key)
         assert fast.encrypt_block(block) == spec.encrypt_block(block)
         assert spec.decrypt_block(fast.encrypt_block(block)) == block
+
+
+class TestBytePlaneKernel:
+    """``decrypt_blocks``: plane kernel == T-table == FIPS-197 spec."""
+
+    @given(_keys, st.integers(1, 300), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_three_paths_agree(self, key, block_count, random):
+        cipher = AES128(key)
+        data = random.randbytes(16 * block_count)
+        spec = b"".join(
+            cipher.decrypt_block_spec(data[offset : offset + 16])
+            for offset in range(0, len(data), 16)
+        )
+        assert cipher._decrypt_blocks_planes(data) == spec
+        assert cipher._decrypt_blocks_scalar(data) == spec
+        assert cipher.decrypt_blocks(data) == spec
+
+    def test_fips_197_appendix_c_through_the_planes(self):
+        cipher = AES128(_FIPS_KEY)
+        assert cipher._decrypt_blocks_planes(_FIPS_CIPHER * 3) == _FIPS_PLAIN * 3
+
+    def test_both_sides_of_the_size_threshold(self):
+        cipher = AES128(_FIPS_KEY)
+        for block_count in (0, 1, _PLANE_MIN_BLOCKS - 1, _PLANE_MIN_BLOCKS):
+            data = bytes(range(256)) * block_count
+            data = data[: 16 * block_count]
+            assert cipher.decrypt_blocks(data) == cipher._decrypt_blocks_scalar(data)
+
+    def test_partial_block_rejected(self):
+        for cipher in (AES128(_FIPS_KEY), ReferenceAES128(_FIPS_KEY)):
+            with pytest.raises(ValueError):
+                cipher.decrypt_blocks(bytes(17))
+
+    def test_reference_cipher_stays_on_the_spec_path(self, monkeypatch):
+        """``fast_path=False`` is the benchmarks' baseline: a multi-block
+        call on the reference cipher must not reach either fast path."""
+        spec = ReferenceAES128(_FIPS_KEY)
+
+        def forbidden(*_):
+            raise AssertionError("fast path reached from ReferenceAES128")
+
+        monkeypatch.setattr(AES128, "_decrypt_blocks_planes", forbidden)
+        monkeypatch.setattr(AES128, "decrypt_block", forbidden)
+        data = _FIPS_CIPHER * (4 * _PLANE_MIN_BLOCKS)
+        assert spec.decrypt_blocks(data) == _FIPS_PLAIN * (4 * _PLANE_MIN_BLOCKS)
+        payload = bytes(1000)
+        iv = bytes(16)
+        assert cbc_decrypt(spec, iv, cbc_encrypt(spec, iv, payload)) == payload
+
+
+_batches = st.lists(
+    st.tuples(_ivs, st.binary(min_size=0, max_size=400)), min_size=0, max_size=12
+)
+
+
+class TestBatchedCbc:
+    """``cbc_decrypt_many`` == ``[cbc_decrypt(...)]``."""
+
+    @given(_keys, _batches)
+    @settings(max_examples=60, deadline=None)
+    def test_equals_one_at_a_time(self, key, batch):
+        cipher = AES128(key)
+        items = [(iv, cbc_encrypt(cipher, iv, payload)) for iv, payload in batch]
+        expected = [cbc_decrypt(cipher, iv, ct) for iv, ct in items]
+        assert expected == [payload for _, payload in batch]
+        assert cbc_decrypt_many(cipher, items) == expected
+
+    def test_single_block_payload_and_counter(self):
+        cipher = AES128(_FIPS_KEY)
+        iv = bytes(range(16))
+        items = [
+            (iv, cbc_encrypt(cipher, iv, b"x")),  # one cipher block
+            (iv, cbc_encrypt(cipher, iv, bytes(500))),
+        ]
+        before = counters.snapshot()
+        assert cbc_decrypt_many(cipher, items) == [b"x", bytes(500)]
+        assert counters.delta_since(before)["blocks_decrypted"] == 1 + 32
+
+    def test_bad_padding_member_fails_the_whole_batch(self):
+        cipher = AES128(_FIPS_KEY)
+        iv = bytes(16)
+        good = cbc_encrypt(cipher, iv, bytes(300))
+        bad = cbc_encrypt(cipher, iv, b"secret")[:-1] + b"\x00"
+        with pytest.raises(ValueError) as single:
+            cbc_decrypt(cipher, iv, bad)
+        for items in ([(iv, good), (iv, bad)], [(iv, bad), (iv, good)]):
+            with pytest.raises(ValueError) as batched:
+                cbc_decrypt_many(cipher, items)
+            assert str(batched.value) == str(single.value)
+
+    @pytest.mark.parametrize(
+        "bad_item", [(bytes(16), bytes(17)), (b"short", bytes(16))]
+    )
+    def test_malformed_member_rejected_before_any_cipher_call(self, bad_item):
+        cipher = AES128(_FIPS_KEY)
+        good = (bytes(16), cbc_encrypt(cipher, bytes(16), bytes(300)))
+        with pytest.raises(ValueError) as single:
+            cbc_decrypt(cipher, *bad_item)
+        before = counters.snapshot()
+        with pytest.raises(ValueError) as batched:
+            cbc_decrypt_many(cipher, [good, bad_item])
+        assert str(batched.value) == str(single.value)
+        assert counters.delta_since(before).get("blocks_decrypted", 0) == 0
+
+    def test_empty_member_and_empty_batch(self):
+        cipher = AES128(_FIPS_KEY)
+        assert cbc_decrypt_many(cipher, []) == []
+        with pytest.raises(ValueError):
+            cbc_decrypt_many(cipher, [(bytes(16), b"")])
+
+
+# RFC 4231 test cases 1-4, 6, 7 (case 5 is a truncated tag).
+_RFC_4231 = [
+    (b"\x0b" * 20, b"Hi There",
+     "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"),
+    (b"Jefe", b"what do ya want for nothing?",
+     "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"),
+    (b"\xaa" * 20, b"\xdd" * 50,
+     "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"),
+    (bytes(range(1, 26)), b"\xcd" * 50,
+     "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"),
+    (b"\xaa" * 131,
+     b"Test Using Larger Than Block-Size Key - Hash Key First",
+     "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"),
+    (b"\xaa" * 131,
+     b"This is a test using a larger than block-size key and a larger "
+     b"than block-size data. The key needs to be hashed before being "
+     b"used by the HMAC algorithm.",
+     "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"),
+]
+
+
+class TestHmacPaths:
+    """``hmac_sha256`` (C) == ``hmac_sha256_spec`` (from scratch) == stdlib."""
+
+    @pytest.mark.parametrize("key, message, digest", _RFC_4231)
+    def test_rfc_4231_vectors(self, key, message, digest):
+        assert hmac_sha256(key, message).hex() == digest
+        assert hmac_sha256_spec(key, message).hex() == digest
+
+    @given(st.binary(max_size=200), st.binary(max_size=300))
+    @settings(max_examples=80, deadline=None)
+    def test_random_inputs(self, key, message):
+        expected = std_hmac.new(key, message, hashlib.sha256).digest()
+        assert hmac_sha256(key, message) == expected
+        assert hmac_sha256_spec(key, message) == expected
+        assert hmac_sha256(bytearray(key), bytearray(message)) == expected
+
+    def test_derive_key_pinned(self):
+        """Every hosted byte hangs off these: literals, not a comparison."""
+        master = b"pinned-master-key-0123456789abcd"
+        assert derive_key(master, "block").hex() == (
+            "9b9de244b20f0c283ca1c61cc90d87f6c94c8916e5ce07866b54283c444b62e0"
+        )
+        assert derive_key(master, "block-iv", "17").hex() == (
+            "41ff2c39cdaf51640e08498bbcbf3777517034543ca882084cd5695723162c6c"
+        )
+        assert derive_key(master, "a", "bc") != derive_key(master, "ab", "c")
+        keyring = ClientKeyring(master)
+        assert keyring.block_key_bytes().hex() == "9b9de244b20f0c283ca1c61cc90d87f6"
+        assert keyring.block_iv(17).hex() == "41ff2c39cdaf51640e08498bbcbf3777"
+        assert keyring.block_tag(17, b"payload").hex() == (
+            "012d5fda88b374503db5a966bedd4bebaab7dcffd2713bf4dea9ab45eeb77ea5"
+        )
 
 
 class TestWordWiseModes:

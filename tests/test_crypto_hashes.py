@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.hmac import derive_key, hmac_sha256
+from repro.crypto.hmac import derive_key, hmac_sha256, hmac_sha256_spec
 from repro.crypto.prf import PRF, DeterministicRandom
 from repro.crypto.sha256 import sha256, sha256_hex
 from repro.crypto.siphash import SipPRF, siphash24
@@ -61,18 +61,20 @@ class TestHMAC:
     def test_matches_stdlib(self, key, message):
         expected = std_hmac.new(key, message, hashlib.sha256).digest()
         assert hmac_sha256(key, message) == expected
+        assert hmac_sha256_spec(key, message) == expected
 
     def test_long_key_hashed_first(self):
         key = b"k" * 200
         expected = std_hmac.new(key, b"m", hashlib.sha256).digest()
         assert hmac_sha256(key, b"m") == expected
+        assert hmac_sha256_spec(key, b"m") == expected
 
     def test_rfc4231_case_1(self):
         key = b"\x0b" * 20
-        digest = hmac_sha256(key, b"Hi There")
-        assert digest.hex() == (
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-        )
+        for function in (hmac_sha256, hmac_sha256_spec):
+            assert function(key, b"Hi There").hex() == (
+                "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
+            )
 
 
 class TestDeriveKey:

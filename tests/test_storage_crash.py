@@ -198,6 +198,20 @@ class TestCorruptionDetection:
             load_system(saved, MASTER)
         assert "server_meta.json" in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "hosted_xml", ["<a>" * 3000 + "</a>" * 3000, "<a>&#xZZ;</a>"]
+    )
+    def test_hostile_hosted_tree_wrapped_without_manifest(
+        self, saved, hosted_xml
+    ):
+        """Deep nesting used to escape as RecursionError, untyped."""
+        os.remove(os.path.join(saved, "manifest.json"))
+        with open(os.path.join(saved, "hosted.xml"), "w") as f:
+            f.write(hosted_xml)
+        with pytest.raises(StorageError) as excinfo:
+            load_system(saved, MASTER)
+        assert "hosted.xml" in str(excinfo.value)
+
     def test_storage_error_is_a_value_error(self):
         assert issubclass(StorageError, ValueError)
 

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.xmldb.node import Element, EncryptedBlockNode, Text
-from repro.xmldb.parser import XMLParseError, parse_document, parse_fragment
+from repro.xmldb.parser import (
+    MAX_DEPTH,
+    XMLParseError,
+    parse_document,
+    parse_fragment,
+)
 
 
 class TestBasicParsing:
@@ -136,3 +141,39 @@ class TestFragment:
     def test_fragment_rejects_trailing(self):
         with pytest.raises(XMLParseError):
             parse_fragment("<a/>junk")
+
+
+class TestHostileInput:
+    """Bytes from disk or the untrusted server: a typed error, never a crash."""
+
+    def test_nesting_beyond_the_bound_is_a_parse_error(self):
+        # Used to escape as RecursionError, past load_system's handler.
+        with pytest.raises(XMLParseError) as info:
+            parse_fragment("<a>" * 3000 + "</a>" * 3000)
+        assert info.value.position == 3 * MAX_DEPTH
+
+    def test_nesting_up_to_the_bound_parses(self):
+        root = parse_fragment("<a>" * MAX_DEPTH + "x" + "</a>" * MAX_DEPTH)
+        depth, node = 0, root
+        while isinstance(node, Element):
+            depth, node = depth + 1, node.children[0]
+        assert depth == MAX_DEPTH and node.value == "x"
+        root.clone()  # the recursive consumers cope with the bound
+
+    @pytest.mark.parametrize(
+        "reference", ["&#xZZ;", "&#1114112;", "&#;", "&#x;", "&#-5;"]
+    )
+    def test_malformed_character_reference_has_a_position(self, reference):
+        # Used to be a bare ValueError from int()/chr(), with no offset.
+        for text, offset in ((f"<a>ok{reference}</a>", 5), (f"<a x='{reference}'/>", 2)):
+            with pytest.raises(XMLParseError) as info:
+                parse_fragment(text)
+            assert info.value.position == offset
+
+    def test_malformed_block_is_a_parse_error(self):
+        for text in (
+            '<a><EncryptedData block-id="x">00</EncryptedData></a>',
+            '<a><EncryptedData block-id="1">zz</EncryptedData></a>',
+        ):
+            with pytest.raises(XMLParseError):
+                parse_fragment(text)
