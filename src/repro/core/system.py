@@ -1142,8 +1142,10 @@ class SecureXMLSystem:
             trace.decrypt_client_s = span.finish()
 
             with tracer.span("postprocess") as span:
-                pruned = self.client.assemble(decrypted)
-                answer = self.client.post_process(xpath, pruned)
+                with tracer.span("assemble"):
+                    pruned = self.client.assemble(decrypted)
+                with tracer.span("evaluate"):
+                    answer = self.client.post_process(xpath, pruned)
             trace.postprocess_client_s = span.finish()
 
         trace.answer_count = len(answer)

@@ -345,6 +345,53 @@ def iter_encrypted_blocks(node: Node) -> Iterator[EncryptedBlockNode]:
             yield candidate
 
 
+class DocumentOrder:
+    """Pre-order geometry of one tree: every subtree is one rank range.
+
+    ``elements[r]`` is the element of document-order rank ``r``,
+    ``ends[r]`` the rank of the last element in its subtree and
+    ``rank(element)`` the inverse of ``elements``.  The descendants of an
+    element are therefore ``elements[r + 1 : ends[r] + 1]``, what follows
+    it ``elements[ends[r] + 1 :]`` and what precedes it ``elements[:r]``
+    less its ancestors — the interval geometry the server evaluates on DSI
+    labels (§5.1), which is what lets the XPath evaluator answer a whole
+    context set with one slice.
+
+    Only elements are ranked: no name test selects anything else, and an
+    attribute stands where its owner does.  Ranks come from walking the
+    tree, not from ``node_id``, so absent or stale numbering cannot make
+    them wrong.
+    """
+
+    __slots__ = ("elements", "ends", "_ranks")
+
+    def __init__(self, root: Node) -> None:
+        elements: list[Element] = []
+        ends: list[int] = []
+        ranks: dict[int, int] = {}
+        # An int on the stack closes the subtree of the element of that rank.
+        stack: list = [root]
+        while stack:
+            node = stack.pop()
+            if node.__class__ is int:
+                ends[node] = len(elements) - 1
+            elif isinstance(node, Element):
+                rank = len(elements)
+                ranks[id(node)] = rank
+                elements.append(node)
+                ends.append(rank)
+                if node.children:
+                    stack.append(rank)
+                    stack.extend(reversed(node.children))
+        self.elements = elements
+        self.ends = ends
+        self._ranks = ranks
+
+    def rank(self, element: Node) -> int:
+        """Document-order rank of an element of this tree."""
+        return self._ranks[id(element)]
+
+
 class Document:
     """A rooted XML document with stable document-order node numbering.
 
@@ -355,7 +402,7 @@ class Document:
     mutating helpers in :mod:`repro.core.encryptor` do this for you.
     """
 
-    __slots__ = ("root", "_nodes_by_id")
+    __slots__ = ("root", "_nodes_by_id", "_order")
 
     def __init__(self, root: Element) -> None:
         if not isinstance(root, Element):
@@ -366,6 +413,7 @@ class Document:
 
     def renumber(self) -> None:
         """(Re)assign document-order node ids to the whole tree."""
+        self._order: Optional[DocumentOrder] = None
         self._nodes_by_id.clear()
         counter = 0
         for node in self.iter_with_attributes():
@@ -386,6 +434,17 @@ class Document:
     def node_by_id(self, node_id: int) -> Node:
         """Resolve a document-order id back to its node."""
         return self._nodes_by_id[node_id]
+
+    def order(self) -> DocumentOrder:
+        """The tree's :class:`DocumentOrder`, built on first use.
+
+        Kept until the next :meth:`renumber` — which structural mutation
+        must be followed by anyway — so a document that is only ever asked
+        child paths never builds it.
+        """
+        if self._order is None:
+            self._order = DocumentOrder(self.root)
+        return self._order
 
     def size(self) -> int:
         """Total number of nodes (elements + text + attributes)."""
@@ -428,6 +487,7 @@ class Document:
         copy = object.__new__(Document)
         copy.root = root
         copy._nodes_by_id = nodes_by_id
+        copy._order = None
         return copy
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

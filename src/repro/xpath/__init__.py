@@ -12,9 +12,9 @@ benchmark queries need:
   (``[q = v]``, ``<``, ``<=``, ``>``, ``>=``, ``!=``) with string or numeric
   literals, plus positional predicates (``[1]``).
 
-Two evaluation strategies are provided: :func:`evaluate` is the naive
-tree-walk evaluator (the correctness oracle and the client-side
-post-processor), and :mod:`repro.xpath.compiler` lowers queries to the
+Two evaluation strategies are provided: :func:`evaluate` is the
+set-at-a-time evaluator over the document tree (the correctness oracle and
+the client-side post-processor), and :mod:`repro.xpath.compiler` lowers queries to the
 pattern trees that the server's DSI structural-join machinery executes.
 """
 

@@ -447,6 +447,27 @@ class TestEndToEnd:
         # Exact: modelled seconds are copied, not re-measured.
         assert root.total("transfer") == system.last_trace.transfer_s
 
+    def test_postprocess_splits_into_assemble_and_evaluate(
+        self, healthcare_doc, healthcare_scs
+    ):
+        system = SecureXMLSystem.host(
+            healthcare_doc, healthcare_scs, parallel=False
+        )
+        system.query("//treat/preceding::pname")
+        trace = system.last_trace
+        postprocess = trace.span.find("postprocess")
+        assert [c.name for c in postprocess.children] == [
+            "assemble",
+            "evaluate",
+        ]
+        halves = sum(child.duration_s for child in postprocess.children)
+        assert 0.0 < halves <= postprocess.duration_s
+        # The halves are children, not new stages: the stage total is
+        # still the one span the trace field was written from.
+        assert trace.span.total("postprocess") == trace.postprocess_client_s
+        slowest = system.observability().slow_log.entries()[0]
+        assert slowest.span.find("evaluate") is not None
+
 
 class TestFaultAnnotations:
     def test_fault_kinds_annotate_the_open_span(self):

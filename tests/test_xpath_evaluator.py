@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.xmldb.parser import parse_document
+from repro.xmldb.parser import parse_document, parse_fragment
 from repro.xpath.evaluator import (
     compare_values,
     evaluate,
@@ -157,6 +157,23 @@ class TestContextual:
     def test_document_order_and_dedup(self, doc):
         result = evaluate(doc, "//item/ancestor::dept/item/label")
         assert values(result) == ["apple", "pear", "saw"]
+
+    def test_document_order_without_numbering(self):
+        """A parsed fragment has no ids; order comes from the tree itself."""
+        fragment = parse_fragment(
+            '<a><a><b k="2" m="3"/></a><b k="4"/><c><b k="1"/></c></a>'
+        )
+        assert fragment.node_id == -1
+        # The outer a's child comes after the inner a's in document order,
+        # though the outer a is met first.
+        result = evaluate_on_element(fragment, "descendant-or-self::a/b/@*")
+        assert [a.value for a in result] == ["2", "3", "4"]
+        result = evaluate_on_element(fragment, "//b/ancestor::*/b/@k")
+        assert [a.value for a in result] == ["2", "4", "1"]
+
+    def test_document_node_has_no_value(self, doc):
+        assert evaluate(doc, "/.[.=1]") == []
+        assert evaluate(doc, "//item[/.=1]") == []
 
 
 class TestCompareValues:

@@ -4,7 +4,8 @@ The paper notes that "XPath axes descendant, following, following-sibling
 (and their symmetric counterparts) are all computed efficiently just as
 using a regular (continuous) interval index": ``following(x, y)`` holds
 exactly when y's DSI interval starts after x's ends.  These tests pin the
-tree-walk semantics and verify the interval characterization against it.
+evaluator's semantics by literal answers and verify the interval
+characterization against it.
 """
 
 import pytest
@@ -127,3 +128,73 @@ def _path_to(element: Element) -> str:
         node = node.parent
     pieces.append(node.tag)
     return "/" + "/".join(reversed(pieces))
+
+class TestReverseAxisProximity:
+    """A positional predicate counts in the axis's own direction.
+
+    XPath 1.0 §2.4: on a reverse axis position 1 is the node nearest the
+    context node, i.e. candidates are numbered in reverse document order.
+    """
+
+    @pytest.fixture
+    def nested(self):
+        return parse_document(
+            "<r><a><x>1</x><x>2</x></a><a><x>3</x><x>4</x></a><y>t</y></r>"
+        )
+
+    @pytest.mark.parametrize(
+        "query, expected",
+        [
+            ("//y/preceding::x[1]", ["4"]),
+            ("//y/preceding::x[2]", ["3"]),
+            ("//y/preceding::x[last()]", ["1"]),
+            ("//y/preceding::x[position()=3]", ["2"]),
+            ("//y/preceding-sibling::a[1]/x", ["3", "4"]),
+            ("//y/preceding-sibling::a[last()]/x", ["1", "2"]),
+            # One answer per context node, merged into document order.
+            ("//x/preceding-sibling::x[1]", ["1", "3"]),
+            ("//x/preceding::x[1]", ["1", "2", "3"]),
+        ],
+    )
+    def test_positions_count_backwards(self, nested, query, expected):
+        assert values(evaluate(nested, query)) == expected
+
+    @pytest.mark.parametrize(
+        "query, expected",
+        [
+            ("/r/c/d/x/ancestor::*[1]", ["d"]),
+            ("/r/c/d/x/ancestor::*[2]", ["c"]),
+            ("/r/c/d/x/ancestor::*[last()]", ["r"]),
+            ("/r/c/d/x/ancestor-or-self::*[1]", ["x"]),
+            ("//x/ancestor::*[2]", ["r", "c"]),
+        ],
+    )
+    def test_ancestor_positions_count_upwards(self, doc, query, expected):
+        assert [n.tag for n in evaluate(doc, query)] == expected
+
+    def test_forward_axes_count_forwards(self, nested):
+        assert values(evaluate(nested, "/r/a[1]/following::x[1]")) == ["3"]
+        assert values(evaluate(nested, "/r/a[1]/following::x[last()]")) == ["4"]
+        assert values(evaluate(nested, "/r/a[1]/x[1]/following-sibling::x[1]")) == ["2"]
+
+
+class TestAttributeContext:
+    """Attributes have no siblings and sit before their owner's children."""
+
+    @pytest.fixture
+    def attributed(self):
+        return parse_document(
+            '<r><p id="1"><q>a</q></p><p id="2"><q>b</q></p></r>'
+        )
+
+    def test_no_siblings(self, attributed):
+        assert evaluate(attributed, "//p/@id/preceding-sibling::*") == []
+        assert evaluate(attributed, "//p/@id/following-sibling::*") == []
+
+    def test_following_starts_inside_the_owner(self, attributed):
+        result = evaluate(attributed, "/r/p[2]/@id/following::q")
+        assert values(result) == ["b"]
+
+    def test_preceding_excludes_the_owner(self, attributed):
+        result = evaluate(attributed, "/r/p[2]/@id/preceding::*")
+        assert [n.tag for n in result] == ["p", "q"]
