@@ -88,7 +88,7 @@ def test_freshness_verify_overhead_on_warm_queries(xmark_doc, fresh_queries):
     # Warm per-query latency on the full end-to-end path.
     system.execute_many(queries)  # warm every cache layer
     gc.collect()
-    gc.disable()  # cyclic node graphs; see test_parallel_engine
+    gc.disable()  # answers are cyclic node graphs: no mid-sample collections
     try:
         samples = []
         for _ in range(max(BENCH_TRIALS, 3)):

@@ -20,7 +20,6 @@ at the repository root, so the perf trajectory is trackable across PRs.
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import time
@@ -238,63 +237,3 @@ def test_repeated_query_latency(hotpath_systems, hotpath_queries):
     assert speedup_warm >= 5.0, (
         f"repeated-query speedup {speedup_warm:.2f}x below 5x target"
     )
-
-
-def test_parallel_speedup_series(hotpath_systems, hotpath_queries, xmark_doc):
-    """Track the parallel engine on the hot-path workload across PRs.
-
-    Emits a ``parallel_speedup`` series (workers → warm batch time and
-    speedup over the serial fast path) into ``BENCH_hotpath.json`` so the
-    perf trajectory of the parallel engine rides the same report as the
-    crypto/cache numbers.  The acceptance floor lives with the dedicated
-    sweep in ``test_parallel_engine.py``; this series only records.
-    """
-    fast_system, _ = hotpath_systems
-    queries = hotpath_queries
-
-    def timed_warm(system: SecureXMLSystem) -> float:
-        system.execute_many(queries)  # warm every cache/memo layer
-        gc.collect()
-        gc.disable()  # cyclic node graphs; see test_parallel_engine
-        try:
-            samples = []
-            for _ in range(BENCH_TRIALS):
-                started = time.perf_counter()
-                system.execute_many(queries)
-                samples.append(time.perf_counter() - started)
-        finally:
-            gc.enable()
-        return trimmed_mean(samples)
-
-    serial_s = timed_warm(fast_system)
-    series = [
-        {"workers": 0, "warm_batch_s": serial_s, "speedup": 1.0}
-    ]
-    reference = [a.canonical() for a in fast_system.execute_many(queries)]
-    for workers in (1, 4):
-        system = SecureXMLSystem.host(
-            xmark_doc,
-            xmark_constraints(),
-            scheme="opt",
-            master_key=MASTER_KEY,
-            parallel=workers,
-        )
-        try:
-            warm_s = timed_warm(system)
-            answers = system.execute_many(queries)
-            assert [a.canonical() for a in answers] == reference
-        finally:
-            system.close()
-        series.append(
-            {
-                "workers": workers,
-                "warm_batch_s": warm_s,
-                "speedup": serial_s / warm_s,
-            }
-        )
-
-    _REPORT["parallel_speedup"] = {
-        "query_count": len(queries),
-        "series": series,
-    }
-    _write_report()

@@ -79,7 +79,7 @@ def obs_queries(xmark_doc, xmark_queries):
 def _timed_warm(system: SecureXMLSystem, queries: list[str]) -> float:
     system.execute_many(queries)  # warm every cache layer
     gc.collect()
-    gc.disable()  # cyclic node graphs; see test_parallel_engine
+    gc.disable()  # answers are cyclic node graphs: no mid-sample collections
     try:
         samples = []
         for _ in range(max(BENCH_TRIALS, 3)):

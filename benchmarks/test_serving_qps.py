@@ -94,7 +94,6 @@ def stack():
         build_healthcare_database(),
         healthcare_constraints(),
         scheme="opt",
-        parallel=False,
     )
     # One outstanding op per client: an admission bound at the client
     # count measures serving throughput, not retry-storm throughput.
@@ -109,7 +108,7 @@ def stack():
 def test_served_answers_are_byte_identical(stack):
     """Correctness gate before any throughput number is recorded."""
     local, _server, address = stack
-    remote = remote_system(local, address, "bench", parallel=False)
+    remote = remote_system(local, address, "bench")
     try:
         for query in QUERIES:
             assert (

@@ -97,11 +97,6 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
         help="master-key passphrase (defaults to the demo key)",
     )
     parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker count for the parallel query engine "
-        "(default: $REPRO_WORKERS, 0 disables)",
-    )
-    parser.add_argument(
         "--shards", type=int, default=None, metavar="N",
         help="shard the hosting across N servers with scatter–gather "
         "queries (default: $REPRO_SHARDS, <=1 disables)",
@@ -158,18 +153,6 @@ def _leakage(args: argparse.Namespace):
     return getattr(args, "leakage", None)
 
 
-def _parallel(args: argparse.Namespace):
-    """``--workers`` value, shaped for ``SecureXMLSystem.host(parallel=)``.
-
-    ``None`` (flag absent) defers to ``REPRO_WORKERS``; an explicit 0
-    forces the serial engine.
-    """
-    workers = getattr(args, "workers", None)
-    if workers is None:
-        return None
-    return False if workers <= 0 else workers
-
-
 def _master_key(args: argparse.Namespace) -> bytes:
     from repro.core.system import _DEFAULT_MASTER_KEY
     from repro.crypto.hmac import derive_key
@@ -212,7 +195,7 @@ def cmd_host(args: argparse.Namespace) -> int:
     print(f"workload {args.workload}: {document.size()} nodes")
     system = SecureXMLSystem.host(
         document, constraints, scheme=args.scheme,
-        master_key=_master_key(args), parallel=_parallel(args),
+        master_key=_master_key(args),
         cluster=_cluster(args), backend=_backend(args),
         leakage=_leakage(args),
     )
@@ -250,7 +233,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         )
         system = SecureXMLSystem.host(
             document, constraints, scheme=args.scheme,
-            parallel=_parallel(args), cluster=_cluster(args),
+            cluster=_cluster(args),
             backend=_backend(args), leakage=_leakage(args),
         )
     answer = system.query(args.xpath)
@@ -305,7 +288,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     document, constraints = build_workload(args.workload, args.size, args.seed)
     system = SecureXMLSystem.host(
         document, constraints, scheme=args.scheme,
-        master_key=_master_key(args), parallel=_parallel(args),
+        master_key=_master_key(args),
         cluster=_cluster(args), backend=_backend(args),
         leakage=_leakage(args),
     )
@@ -368,7 +351,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     document, constraints = build_workload(args.workload, args.size, args.seed)
     system = SecureXMLSystem.host(
         document, constraints, scheme=args.scheme,
-        master_key=_master_key(args), parallel=_parallel(args),
+        master_key=_master_key(args),
         cluster=_cluster(args), backend=_backend(args),
         leakage=_leakage(args),
     )
@@ -443,7 +426,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         cluster = ClusterConfig(shards=4)
     system = SecureXMLSystem.host(
         document, constraints, scheme=args.scheme,
-        master_key=_master_key(args), parallel=_parallel(args),
+        master_key=_master_key(args),
         cluster=cluster, backend=_backend(args),
         leakage=_leakage(args),
     )
@@ -475,7 +458,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     document, constraints = build_workload(args.workload, args.size, args.seed)
     system = SecureXMLSystem.host(
         document, constraints, scheme=args.scheme,
-        master_key=_master_key(args), parallel=_parallel(args),
+        master_key=_master_key(args),
         cluster=_cluster(args), backend=_backend(args),
         leakage=_leakage(args),
     )

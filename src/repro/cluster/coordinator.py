@@ -186,9 +186,7 @@ class ClusterCoordinator:
         config: ClusterConfig,
         retry_policy: "RetryPolicy",
         obs: "Observability",
-        pool: Any = None,
         enable_cache: bool = True,
-        min_shard: int = 64,
         channel_template: Channel | None = None,
         faults: "FaultPolicy | Any | None" = None,
         backend: "str | None" = None,
@@ -238,9 +236,7 @@ class ClusterCoordinator:
                     placement,
                     shard_id,
                     session_keys=session_keys,
-                    pool=pool,
                     enable_cache=enable_cache,
-                    min_shard=min_shard,
                     obs=obs,
                     backend=backend,
                 )
@@ -361,8 +357,8 @@ class ClusterCoordinator:
         set — but selection is never cached per shard.  The per-shard
         epoch guards only fragment *content* (a fragment's bytes depend
         on its subtree and ancestor path alone, both inside this set),
-        while everything selection-dependent — the sealed wire/stream
-        caches and the derived join inputs — tracks the *global* commit
+        while everything selection-dependent — the sealed wire cache
+        and the derived join inputs — tracks the *global* commit
         epoch, which every update moves (see
         :meth:`ShardServer._check_epoch <repro.cluster.shard.ShardServer._check_epoch>`).
         Widening the bump to axis reach would re-flush warm fragment
@@ -386,22 +382,6 @@ class ClusterCoordinator:
     def flush_caches(self) -> None:
         for replica_set in self.replica_sets:
             replica_set.flush_caches()
-
-    def close(self) -> None:
-        """Shut down every distinct worker pool exactly once (idempotent).
-
-        Shard servers typically share the owning system's pool; dedup by
-        identity keeps a shared pool from being closed N×R times and
-        makes a second ``close()`` a no-op on top of the pools' own
-        idempotent close.
-        """
-        seen: set[int] = set()
-        for replica_set in self.replica_sets:
-            for replica in replica_set.replicas:
-                pool = replica.server._pool
-                if pool is not None and id(pool) not in seen:
-                    seen.add(id(pool))
-                    pool.close()
 
     def shard_stats(self) -> list[ShardStats]:
         return [replica_set.stats for replica_set in self.replica_sets]

@@ -33,9 +33,9 @@ alter (:meth:`~repro.cluster.coordinator.Coordinator.invalidate_entry`).
 
 Freshness: a shard's *fragment* cache is gated on its own
 ``shard_epoch`` (only updates routed to this shard invalidate it), but
-its *sealed* wire/stream caches embed the global commit epoch and
-Merkle root, so the inherited ``Server._check_wire_epoch`` drops just
-those on any global epoch move — untouched shards keep their warm
+its *sealed* wire cache embeds the global commit epoch and Merkle
+root, so the inherited ``Server._check_wire_epoch`` drops just that on
+any global epoch move — untouched shards keep their warm
 fragment caches while never replaying a stale seal.
 """
 
@@ -52,7 +52,6 @@ from repro.xmldb.node import EncryptedBlockNode, Node
 from repro.cluster.placement import PlacementMap, blocks_of_shard
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.core.parallel import WorkerPool
     from repro.obs import Observability
 
 
@@ -65,9 +64,7 @@ class ShardServer(Server):
         placement: PlacementMap,
         shard_id: int,
         session_keys: "tuple[bytes, bytes] | None" = None,
-        pool: "WorkerPool | None" = None,
         enable_cache: bool = True,
-        min_shard: int = 64,
         obs: "Observability | None" = None,
         backend: "str | None" = None,
     ) -> None:
@@ -75,8 +72,6 @@ class ShardServer(Server):
             hosted,
             enable_cache=enable_cache,
             session_keys=session_keys,
-            pool=pool,
-            min_shard=min_shard,
             obs=obs,
             backend=backend,
         )

@@ -27,16 +27,12 @@ from repro.core.integrity import (
     seal_fresh,
     unseal_fresh,
 )
-from repro.core.parallel import WorkerPool, shard_spans
 from repro.core.server import Fragment, ServerResponse
 from repro.core.translate import PlanCache, QueryTranslator, TranslatedQuery
-from repro.crypto.aes import aes128_for_key
 from repro.crypto.keyring import ClientKeyring
 from repro.crypto.modes import cbc_decrypt_many
 from repro.netsim.message import (
     MessageDecodeError,
-    StreamChunk,
-    decode_chunk,
     decode_response,
     encode_query,
 )
@@ -68,21 +64,6 @@ class QueryAnswer:
 
     nodes: list[Node]
     pruned_document: Document
-
-    def clone(self) -> "QueryAnswer":
-        """Independent deep copy (fresh document, relocated answer nodes).
-
-        The parallel engine's answer memo hands out clones so a caller
-        mutating one answer can never corrupt another — one document
-        clone relocates every answer node through the clone map, with no
-        re-evaluation of the query.
-        """
-        document = self.pruned_document.clone_numbered()
-        relocate = document.node_by_id
-        return QueryAnswer(
-            nodes=[relocate(node.node_id) for node in self.nodes],
-            pruned_document=document,
-        )
 
     def canonical(self) -> list[str]:
         """Order-insensitive canonical form, for comparing answer sets."""
@@ -152,13 +133,6 @@ class Client:
             {} if enable_cache else None
         )
         self._response_cache: dict[bytes, ServerResponse] | None = (
-            {} if enable_cache else None
-        )
-        #: verified stream chunks keyed by their sealed bytes — the
-        #: streamed twin of ``_response_cache`` (the server's stream
-        #: cache replays identical bytes objects, so a warm chunk costs
-        #: one cached-hash dict lookup)
-        self._chunk_cache: dict[bytes, StreamChunk] | None = (
             {} if enable_cache else None
         )
         self._verified_payloads: dict[int, bytes] | None = (
@@ -298,34 +272,6 @@ class Client:
             self._response_cache[blob] = response
         return response
 
-    def open_chunk(self, blob: bytes) -> StreamChunk:
-        """Verify and decode one sealed stream chunk.
-
-        Same failure surface as :meth:`open_response`: any byte-level
-        difference from what the server sealed raises
-        :class:`~repro.core.integrity.TamperedResponseError` before a
-        byte is parsed.  Sequencing (the header's chunk/fragment totals
-        against each chunk's stream index) is the *caller's* job — the
-        system validates it while pulling the stream, so a dropped or
-        reordered chunk surfaces as the same typed error and retries.
-        """
-        if self._chunk_cache is not None:
-            self._check_epoch()
-            cached = self._chunk_cache.get(blob)
-            if cached is not None:
-                return cached
-        payload = unseal_fresh(
-            self._response_key, blob,
-            self._hosted.epoch, self._hosted.state_root(),
-        )
-        try:
-            chunk = decode_chunk(payload)
-        except MessageDecodeError as exc:
-            raise TamperedResponseError(str(exc)) from exc
-        if self._chunk_cache is not None:
-            self._chunk_cache[blob] = chunk
-        return chunk
-
     def _verify_block(self, block_id: int, payload: bytes) -> None:
         """Check a ciphertext payload against its encrypt-then-MAC tag.
 
@@ -353,9 +299,7 @@ class Client:
     # Decryption (§6.4, first half)
     # ------------------------------------------------------------------
     def decrypt_fragments(
-        self,
-        response: ServerResponse,
-        pool: "WorkerPool | None" = None,
+        self, response: ServerResponse
     ) -> list[tuple[Fragment, Element]]:
         """Parse and fully decrypt every shipped fragment.
 
@@ -363,26 +307,17 @@ class Client:
         payloads are decrypted and spliced in, and decoys are stripped.
         The response is one batch — every MAC tag is checked before the
         first cipher call, and all cache-missing payloads share one cipher
-        pass.  A worker ``pool`` changes only who runs that pass.
+        pass.
         """
         fragments = response.fragments
-        trees = self._decrypt_batch([f.xml for f in fragments], pool)
+        trees = self._decrypt_batch([f.xml for f in fragments])
         return list(zip(fragments, trees))
 
     def decrypt_fragment(self, xml: str) -> Element:
-        """Decrypt one shipped fragment (the streaming pipeline's unit).
+        """Decrypt one shipped fragment: a batch of one."""
+        return self._decrypt_batch([xml])[0]
 
-        A batch of one.  Thread-safe under the worker pool: the caches it
-        touches are plain dicts mutated with single (GIL-atomic) get/set
-        operations on immutable keys, so the worst concurrent outcome is
-        two workers building the same pristine tree and one harmlessly
-        winning.
-        """
-        return self._decrypt_batch([xml], None)[0]
-
-    def _decrypt_batch(
-        self, xmls: "list[str]", pool: "WorkerPool | None"
-    ) -> list[Element]:
+    def _decrypt_batch(self, xmls: "list[str]") -> list[Element]:
         """Decrypted plaintext trees for shipped fragments, via the cache.
 
         The tree cache is keyed by the fragment's serialized text: the
@@ -394,7 +329,7 @@ class Client:
         """
         cache = self._tree_cache
         if cache is None:
-            return self._build_trees(xmls, pool)
+            return self._build_trees(xmls)
         self._check_epoch()
         results: "list[Element | None]" = [None] * len(xmls)
         #: distinct cache-missing texts → the result slots that want them
@@ -411,16 +346,14 @@ class Client:
                 counters.add("tree_cache_misses")
                 missing[xml] = [index]
         if missing:
-            trees = self._build_trees(list(missing), pool)
+            trees = self._build_trees(list(missing))
             for (xml, slots), tree in zip(missing.items(), trees):
                 cache[xml] = tree
                 for index in slots:
                     results[index] = tree.clone()
         return results  # type: ignore[return-value]
 
-    def _build_trees(
-        self, xmls: "list[str]", pool: "WorkerPool | None"
-    ) -> list[Element]:
+    def _build_trees(self, xmls: "list[str]") -> list[Element]:
         """parse → resolve every block → strip decoys, for a whole batch.
 
         Runs only on cache misses, so the span and histogram sit here:
@@ -429,26 +362,20 @@ class Client:
         """
         obs = self._obs
         if not xmls or obs is None or not obs.enabled:
-            return self._build_trees_untraced(xmls, pool)
+            return self._build_trees_untraced(xmls)
         with obs.tracer.span("decrypt_batch") as span:
             span.annotate(fragments=len(xmls))
-            trees = self._build_trees_untraced(xmls, pool)
+            trees = self._build_trees_untraced(xmls)
         obs.metrics.observe("chunk_decrypt_seconds", span.finish())
         return trees
 
-    def _build_trees_untraced(
-        self, xmls: "list[str]", pool: "WorkerPool | None"
-    ) -> list[Element]:
-        trees = self._resolve_blocks(
-            [parse_fragment(xml) for xml in xmls], pool
-        )
+    def _build_trees_untraced(self, xmls: "list[str]") -> list[Element]:
+        trees = self._resolve_blocks([parse_fragment(xml) for xml in xmls])
         for tree in trees:
             remove_decoys(tree)
         return trees
 
-    def _resolve_blocks(
-        self, roots: "list[Element]", pool: "WorkerPool | None"
-    ) -> list[Element]:
+    def _resolve_blocks(self, roots: "list[Element]") -> list[Element]:
         """Replace every encrypted block under ``roots`` by its plaintext.
 
         Every MAC tag is verified before anything else happens — cache
@@ -476,8 +403,7 @@ class Client:
         cache = self._block_cache
         if cache is None:
             subtrees = self._plaintext_subtrees(
-                [(block_id, payload) for _, _, block_id, payload in occurrences],
-                pool,
+                [(block_id, payload) for _, _, block_id, payload in occurrences]
             )
         else:
             pristine: dict[int, Element] = {}
@@ -492,7 +418,7 @@ class Client:
                     counters.add("block_cache_misses")
                     wanted[block_id] = payload
             fresh = dict(
-                zip(wanted, self._plaintext_subtrees(list(wanted.items()), pool))
+                zip(wanted, self._plaintext_subtrees(list(wanted.items())))
             )
             cache.update(fresh)
             pristine.update(fresh)
@@ -509,17 +435,17 @@ class Client:
         return roots
 
     def _plaintext_subtrees(
-        self, blocks: "list[tuple[int, bytes]]", pool: "WorkerPool | None"
+        self, blocks: "list[tuple[int, bytes]]"
     ) -> list[Element]:
         """derive IVs → one cipher pass → parse, for verified payloads."""
         block_iv = self._keyring.block_iv
         secure = self._secure
-        plaintexts = self._decrypt_payloads(
+        plaintexts = cbc_decrypt_many(
+            self._keyring.block_cipher,
             [
                 (block_iv(block_id if secure else 0), payload)
                 for block_id, payload in blocks
             ],
-            pool,
         )
         subtrees = [
             parse_fragment(plaintext.decode("utf-8"))
@@ -532,36 +458,10 @@ class Client:
             if _BLOCK_MARKER in plaintext
         ]
         if nested:
-            resolved = self._resolve_blocks([subtrees[s] for s in nested], pool)
+            resolved = self._resolve_blocks([subtrees[s] for s in nested])
             for slot, subtree in zip(nested, resolved):
                 subtrees[slot] = subtree
         return subtrees
-
-    def _decrypt_payloads(
-        self, items: "list[tuple[bytes, bytes]]", pool: "WorkerPool | None"
-    ) -> list[bytes]:
-        """The batch's cipher pass: inline, or split across worker processes.
-
-        Threads run it inline under the keyring's own cipher: they cannot
-        overlap a pass that holds the GIL, and splitting it only shrinks
-        the byte-plane kernel's batches.  Processes get the raw block key
-        (a cipher object does not pickle); their counter increments come
-        back as per-task deltas merged by ``map_ordered``.
-        """
-        serial = pool is None or pool.backend != "process" or pool.workers < 2
-        if serial or len(items) < 2:
-            return cbc_decrypt_many(self._keyring.block_cipher, items)
-        key = self._keyring.block_key_bytes()
-        tasks = [
-            (key, items[start:stop])
-            for start, stop in shard_spans(len(items), pool.workers)
-        ]
-        counters.add("parallel_decrypt_tasks", len(tasks))
-        return [
-            plaintext
-            for part in pool.map_ordered(_decrypt_payload_batch, tasks)
-            for plaintext in part
-        ]
 
     def _check_epoch(self) -> None:
         """Flush the decrypted caches when the scheme epoch moved on."""
@@ -585,13 +485,11 @@ class Client:
             self._request_cache.clear()
         if self._response_cache is not None:
             self._response_cache.clear()
-        if self._chunk_cache is not None:
-            self._chunk_cache.clear()
         if self._verified_payloads is not None:
             self._verified_payloads.clear()
         # The keyring memoizes per-block IV derivations; a "cold" query
         # that skipped those HMACs was not actually cold (found by the
-        # flush-coverage audit; see tests/test_parallel_engine.py).
+        # flush-coverage audit; see tests/test_cache_invalidation.py).
         self._keyring.flush_memoized()
 
     # ------------------------------------------------------------------
@@ -663,16 +561,3 @@ def _block_occurrences(root: Element):
         return
     for node in iter_encrypted_blocks(root):
         yield node, node.block_id, node.payload
-
-
-def _decrypt_payload_batch(
-    task: "tuple[bytes, list[tuple[bytes, bytes]]]",
-) -> list[bytes]:
-    """CBC-decrypt one ``(key, [(iv, ciphertext), …])`` share of a batch.
-
-    Module-level (and fed plain bytes) so a ``ProcessPoolExecutor`` can
-    pickle it; :func:`repro.crypto.aes.aes128_for_key` memoizes the key
-    expansion per process, so a warm worker pays it once.
-    """
-    key, items = task
-    return cbc_decrypt_many(aes128_for_key(key), items)

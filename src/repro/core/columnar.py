@@ -48,7 +48,6 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 from repro.core.dsi import IndexEntry, Interval, StructuralIndex
-from repro.core.parallel import filter_shards, shard_spans
 from repro.core.structural_join import MatchResult
 from repro.core.translate import TranslatedNode, TranslatedQuery
 from repro.perf import counters
@@ -56,7 +55,6 @@ from repro.xpath.evaluator import compare_values
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.opess import ValueIndex
-    from repro.core.parallel import WorkerPool
     from repro.obs import Observability
     from repro.xmldb.node import Node
 
@@ -90,7 +88,6 @@ def resolve_backend(backend: Any) -> str:
 
     ``None`` defers to the environment; a string names the backend
     (case-insensitive).  Mirrors the coercion convention of
-    :meth:`~repro.core.parallel.ParallelConfig.coerce` and
     :meth:`~repro.cluster.placement.ClusterConfig.coerce`.
     """
     if backend is None:
@@ -627,28 +624,20 @@ def match_pattern_columnar(
     planes: ColumnarPlanes,
     values: "ValueIndex",
     node_for: "Callable[[int], Node | None]",
-    pool: "WorkerPool | None" = None,
-    min_shard: int = 64,
     obs: "Observability | None" = None,
 ) -> MatchResult:
     """Run the structural join over the planes; byte-identical results.
 
     ``node_for`` resolves hosted node ids to live hosted-tree nodes for
     the surviving output/ship entries (the only place the columnar join
-    touches objects).  ``pool``/``min_shard`` shard the per-candidate
-    filters exactly like the object path's sharded evaluation.  ``obs``
-    wraps the whole match in a ``join_sweep`` span.
+    touches objects).  ``obs`` wraps the whole match in a ``join_sweep``
+    span.
     """
     counters.add("columnar_join_sweeps")
+    matcher = _ColumnarMatcher(planes, values, node_for)
     if obs is not None and obs.enabled:
         with obs.tracer.span("join_sweep", entries=planes.entry_count):
-            matcher = _ColumnarMatcher(
-                planes, values, node_for, pool=pool, min_shard=min_shard
-            )
             return matcher.run(query)
-    matcher = _ColumnarMatcher(
-        planes, values, node_for, pool=pool, min_shard=min_shard
-    )
     return matcher.run(query)
 
 
@@ -720,22 +709,17 @@ class _ColumnarMatcher:
         planes: ColumnarPlanes,
         values: "ValueIndex",
         node_for: "Callable[[int], Node | None]",
-        pool: "WorkerPool | None" = None,
-        min_shard: int = 64,
     ) -> None:
         self._planes = planes
         self._values = values
         self._node_for = node_for
-        self._pool = pool
-        self._min_shard = min_shard
         self._match_sets: dict[int, list[int]] = {}
         self._counts: dict[str, int] = {}
 
-    def _filter(self, entry_ids: list[int], predicate) -> list[int]:
-        """Order-preserving (sharded when pooled) filter step."""
-        return filter_shards(
-            self._pool, entry_ids, predicate, self._min_shard
-        )
+    @staticmethod
+    def _filter(entry_ids: list[int], predicate) -> list[int]:
+        """Order-preserving filter step."""
+        return [entry_id for entry_id in entry_ids if predicate(entry_id)]
 
     # ------------------------------------------------------------------
     # Bottom-up phase
@@ -865,7 +849,9 @@ class _ColumnarMatcher:
             )
         if axis in ("descendant", "attribute-descendant"):
             match_lows = self._descendant_lows(child, child_matches)
-            return self._sweep(candidates, match_lows)
+            return sweep_descendant(
+                candidates, planes.lows, planes.highs, match_lows
+            )
         # Axis-engine edges (inverse tests; mirrors the object matcher).
         if axis == "self":
             match_set = set(child_matches)
@@ -932,36 +918,6 @@ class _ColumnarMatcher:
             return tag_lows
         lows = self._planes.lows
         return sorted(lows[match] for match in child_matches)
-
-    def _sweep(self, candidates: list[int], match_lows: Any) -> list[int]:
-        """Descendant-axis filter: sharded galloping sweep."""
-        planes = self._planes
-        pool = self._pool
-        if (
-            pool is None
-            or pool.workers < 2
-            or pool.backend != "thread"
-            or len(candidates) < max(self._min_shard, 2)
-        ):
-            return sweep_descendant(
-                candidates, planes.lows, planes.highs, match_lows
-            )
-        counters.add("sharded_filter_runs")
-        spans = shard_spans(len(candidates), pool.workers)
-
-        def run_shard(span: tuple[int, int]) -> list[int]:
-            start, stop = span
-            return sweep_descendant(
-                candidates[start:stop],
-                planes.lows,
-                planes.highs,
-                match_lows,
-            )
-
-        kept: list[int] = []
-        for shard in pool.map_ordered(run_shard, spans):
-            kept.extend(shard)
-        return kept
 
     # ------------------------------------------------------------------
     # Top-down phase

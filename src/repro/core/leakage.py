@@ -44,7 +44,7 @@ from repro.crypto.prf import DeterministicRandom
 from repro.perf import counters
 
 #: Environment knob read by :meth:`LeakageContext.coerce` when the
-#: hosting call leaves ``leakage=None`` — mirrors REPRO_WORKERS /
+#: hosting call leaves ``leakage=None`` — mirrors REPRO_BACKEND /
 #: REPRO_SHARDS so CI matrices can flip the tier on without code edits.
 ENV_POLICY = "REPRO_LEAKAGE"
 

@@ -19,7 +19,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.obs import Observability
@@ -35,15 +35,12 @@ from repro.core.integrity import (
 )
 from repro.core.leakage import LeakageContext
 from repro.core.opess import ValueIndex
-from repro.core.parallel import WorkerPool, iter_chunks
 from repro.core.structural_join import MatchResult, match_pattern
 from repro.core.translate import TranslatedQuery
 from repro.netsim.message import (
     MessageDecodeError,
     decode_query,
-    encode_fragment_chunk,
     encode_response,
-    encode_stream_header,
 )
 from repro.perf import counters
 from repro.xmldb.node import (
@@ -108,8 +105,6 @@ class Server:
         hosted: HostedDatabase,
         enable_cache: bool = True,
         session_keys: "tuple[bytes, bytes] | None" = None,
-        pool: "WorkerPool | None" = None,
-        min_shard: int = 64,
         obs: "Observability | None" = None,
         backend: "str | None" = None,
     ) -> None:
@@ -130,16 +125,7 @@ class Server:
         #: and even returns the *same bytes object*, which lets the client
         #: verify it with one cached-hash dict lookup.
         self._wire_cache: dict[bytes, bytes] = {}
-        #: Streamed twin of the wire cache: request blob → the exact
-        #: sealed chunk sequence previously streamed for it.  Replaying
-        #: the identical bytes objects keeps the client's chunk-level
-        #: verification a cached-hash dict lookup per chunk.
-        self._stream_cache: dict[bytes, tuple[bytes, ...]] = {}
         self._session_keys = session_keys
-        #: Worker pool for sharded structural joins and fragment
-        #: serialization; ``None`` preserves the serial evaluator.
-        self._pool = pool
-        self._min_shard = min_shard
         self._cache_epoch = hosted.epoch
         #: Global-epoch gate for the *sealed* caches only.  Sealed blobs
         #: embed the commit epoch and Merkle root, so any global epoch
@@ -195,7 +181,6 @@ class Server:
         with self._cache_lock:
             if self._hosted.epoch != self._wire_epoch:
                 self._wire_cache.clear()
-                self._stream_cache.clear()
                 self._wire_epoch = self._hosted.epoch
 
     def _seal_fresh(self, key: bytes, payload: bytes) -> bytes:
@@ -256,8 +241,8 @@ class Server:
         with self._cache_lock:
             self._fragment_cache.clear()
             self._wire_cache.clear()
-            self._stream_cache.clear()
             self._nodes_by_id = None
+            self._universe_cache = None
             if self._backend == "columnar":
                 self._structure.drop_columnar()
 
@@ -311,7 +296,7 @@ class Server:
     def _observe_leakage(self, roots: list[Node]) -> None:
         """Record (and pad/decoy) one evaluated query's fetch trace.
 
-        Called once per *evaluation* — warm wire/stream cache hits
+        Called once per *evaluation* — warm wire-cache hits
         replay sealed bytes without touching storage, so they add no
         trace, exactly as a storage-level observer would see it.
         """
@@ -336,16 +321,15 @@ class Server:
         """Span for one server stage, under the caller's ambient span.
 
         The system opens a ``server`` span around every call into this
-        class (including each stream-generator pull), so these children
-        break its time into join vs. serialization.  No-op without an
-        enabled observability context.
+        class, so these children break its time into join vs.
+        serialization.  No-op without an enabled observability context.
         """
         if self._obs is None or not self._obs.enabled:
             return nullcontext()
         return self._obs.tracer.span(name)
 
     def _match(self, query: TranslatedQuery) -> MatchResult:
-        """Structural join, sharded across the pool when one is set."""
+        """Structural join over the configured index representation."""
         if self._backend == "columnar":
             with self._span("server.join"):
                 return match_pattern_columnar(
@@ -353,18 +337,10 @@ class Server:
                     self._columnar_planes(),
                     self._values,
                     self._node_map().get,
-                    pool=self._pool,
-                    min_shard=self._min_shard,
                     obs=self._obs,
                 )
         with self._span("server.join"):
-            return match_pattern(
-                query,
-                self._structure,
-                self._values,
-                pool=self._pool,
-                min_shard=self._min_shard,
-            )
+            return match_pattern(query, self._structure, self._values)
 
     def _columnar_planes(self):
         """The index's plane snapshot, timing cold builds."""
@@ -400,19 +376,8 @@ class Server:
             return nodes
 
     def _make_fragments(self, roots: list[Node]) -> list[Fragment]:
-        """Serialize the shipped subtrees, fanned across the pool.
-
-        ``map_ordered`` keeps the fragment order identical to the serial
-        path; the fragment cache tolerates concurrent writers (worst case
-        two workers serialize the same node to the identical fragment).
-        """
+        """Serialize the shipped subtrees, in document order."""
         with self._span("server.serialize"):
-            if (
-                self._pool is not None
-                and self._pool.backend == "thread"
-                and len(roots) >= 2
-            ):
-                return self._pool.map_ordered(self._make_fragment, roots)
             return [self._make_fragment(node) for node in roots]
 
     @staticmethod
@@ -477,69 +442,6 @@ class Server:
             with self._cache_lock:
                 self._wire_cache[request_blob] = blob
         return blob
-
-    def answer_wire_stream(
-        self, request_blob: bytes, chunk_fragments: int = 8
-    ) -> Iterator[bytes]:
-        """Answer a sealed request as a stream of sealed chunks.
-
-        The generator runs the structural join up front (the header needs
-        the counts), then serializes and seals the fragments *lazily*,
-        ``chunk_fragments`` at a time — so a client pulling the stream
-        can verify and decrypt chunk ``i`` while this generator is still
-        serializing chunk ``i+1``.  Chunk sequencing (index + totals in
-        the header) makes truncation and reordering detectable at the
-        client; see ``docs/PROTOCOL.md``, "Streaming & parallel
-        execution".
-
-        Warm repeats replay the identical sealed chunk objects from the
-        stream cache, mirroring :meth:`answer_wire`'s monolithic cache.
-        """
-        request_key, response_key = self._require_session_keys()
-        with self._cache_lock:
-            self._check_epoch()
-            self._check_wire_epoch()
-            cached = (
-                self._stream_cache.get(request_blob)
-                if self._enable_cache
-                else None
-            )
-        if cached is not None:
-            yield from cached
-            return
-        query_bytes = self._open_fresh_request(request_key, request_blob)
-        try:
-            translated = decode_query(query_bytes)
-        except MessageDecodeError as exc:
-            raise TamperedRequestError(str(exc)) from exc
-
-        result = self._match(translated)
-        roots = self._fragment_roots(result.ship_entries)
-        self._observe_leakage(roots)
-        runs = list(iter_chunks(roots, chunk_fragments))
-        emitted: list[bytes] = []
-
-        def emit(payload: bytes) -> bytes:
-            blob = self._seal_fresh(response_key, payload)
-            emitted.append(blob)
-            counters.add("chunks_streamed")
-            return blob
-
-        yield emit(
-            encode_stream_header(
-                naive=False,
-                blocks_shipped=self._count_blocks(roots),
-                candidate_counts=result.candidate_counts,
-                fragment_count=len(roots),
-                chunk_count=1 + len(runs),
-            )
-        )
-        for index, run in enumerate(runs, start=1):
-            fragments = self._make_fragments(list(run))
-            yield emit(encode_fragment_chunk(index, fragments))
-        if self._enable_cache:
-            with self._cache_lock:
-                self._stream_cache[request_blob] = tuple(emitted)
 
     def ship_all_wire(self, request_blob: bytes) -> bytes:
         """Naive-path wire exchange: verify the request, ship everything.

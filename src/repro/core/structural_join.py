@@ -27,14 +27,6 @@ only widen match sets, never lose a real match, and the client restores
 exactness in post-processing.  Nodes translated from positional steps
 (``position_sensitive``) skip bottom-up pruning entirely so the client
 receives the complete per-parent candidate list to index into.
-
-**Sharded evaluation.**  Every pruning step is a pure, order-preserving
-filter over an interval-sorted candidate list, so a worker pool can
-evaluate contiguous *interval groups* of the DSI table independently and
-concatenate — the match sets, their order, and the per-node candidate
-counts are identical to serial evaluation by construction (asserted by
-the parallel-engine property tests).  Pass ``pool=None`` (the default)
-for the exact serial behaviour.
 """
 
 from __future__ import annotations
@@ -44,7 +36,6 @@ from dataclasses import dataclass, field
 
 from repro.core.dsi import IndexEntry, StructuralIndex
 from repro.core.opess import ValueIndex
-from repro.core.parallel import WorkerPool, filter_shards
 from repro.core.stack_join import entry_order_bounds, entry_sibling_bounds
 from repro.core.translate import TranslatedNode, TranslatedQuery
 from repro.xpath.axes import can_follow, can_precede
@@ -65,42 +56,24 @@ def match_pattern(
     query: TranslatedQuery,
     structure: StructuralIndex,
     values: ValueIndex,
-    pool: "WorkerPool | None" = None,
-    min_shard: int = 64,
 ) -> MatchResult:
-    """Run the full structural join for a translated query.
-
-    With a ``pool``, candidate lists longer than ``min_shard`` are
-    filtered as interval-group shards across the pool's workers; the
-    result is identical to the serial join (same entries, same order,
-    same candidate counts) — only the schedule changes.
-    """
-    matcher = _Matcher(structure, values, pool=pool, min_shard=min_shard)
-    return matcher.run(query)
+    """Run the full structural join for a translated query."""
+    return _Matcher(structure, values).run(query)
 
 
 class _Matcher:
     def __init__(
-        self,
-        structure: StructuralIndex,
-        values: ValueIndex,
-        pool: "WorkerPool | None" = None,
-        min_shard: int = 64,
+        self, structure: StructuralIndex, values: ValueIndex
     ) -> None:
         self._structure = structure
         self._values = values
-        self._pool = pool
-        self._min_shard = min_shard
         self._match_sets: dict[int, list[IndexEntry]] = {}
         self._counts: dict[str, int] = {}
 
-    def _filter(
-        self, entries: list[IndexEntry], predicate
-    ) -> list[IndexEntry]:
-        """Order-preserving (sharded when pooled) filter step."""
-        return filter_shards(
-            self._pool, entries, predicate, self._min_shard
-        )
+    @staticmethod
+    def _filter(entries: list[IndexEntry], predicate) -> list[IndexEntry]:
+        """Order-preserving filter step."""
+        return [entry for entry in entries if predicate(entry)]
 
     # ------------------------------------------------------------------
     # Bottom-up phase: which entries satisfy the pattern subtree

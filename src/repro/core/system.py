@@ -13,10 +13,8 @@ the client.
 from __future__ import annotations
 
 import random
-import threading
 import time
-from concurrent.futures import Future
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
 from repro.core.client import Client, QueryAnswer
@@ -27,16 +25,13 @@ from repro.core.integrity import (
     FreshnessError,
     IntegrityError,
     RollbackDetectedError,
-    TamperedResponseError,
 )
 from repro.core.leakage import LeakageContext
-from repro.core.parallel import ParallelConfig, WorkerPool
 from repro.core.scheme import EncryptionScheme, build_scheme
 from repro.core.server import Server, ServerResponse
 from repro.crypto.keyring import ClientKeyring
 from repro.netsim.channel import Channel
 from repro.netsim.faults import TransferDropped
-from repro.netsim.message import MessageDecodeError, assemble_stream
 from repro.obs import Observability, Span
 from repro.perf import counters
 from repro.xmldb.node import Document
@@ -140,9 +135,9 @@ class QueryTrace:
     #: reconciliation (``span.total(...)``) keeps working; this field is
     #: the cluster's answer to "how long would N parallel shards take".
     cluster_makespan_s: float = 0.0
-    #: Root of the query's span tree (None when tracing is disabled or
-    #: the trace came from the answer memo).  Excluded from comparisons
-    #: and reprs: two traces of the same exchange stay equal.
+    #: Root of the query's span tree (None when tracing is disabled).
+    #: Excluded from comparisons and reprs: two traces of the same
+    #: exchange stay equal.
     span: "Span | None" = dataclass_field(
         default=None, repr=False, compare=False
     )
@@ -211,8 +206,6 @@ class SecureXMLSystem:
         keyring: ClientKeyring,
         fast_path: bool = True,
         retry_policy: RetryPolicy | None = None,
-        parallel: ParallelConfig | None = None,
-        pool: WorkerPool | None = None,
         observability: "Observability | bool | None" = None,
         cluster: "object | None" = None,
         cluster_faults: "object | None" = None,
@@ -236,9 +229,6 @@ class SecureXMLSystem:
         self._backoff_rng = random.Random(self.retry_policy.seed)
         self._keyring = keyring
         self._fast_path = fast_path
-        self.parallel = parallel or ParallelConfig(workers=0)
-        self._pool = pool if self.parallel.enabled else None
-        self._close_lock = threading.Lock()
         # One observability context threads through every layer: the
         # system owns it and wires it into its collaborators, so spans
         # opened deep in the client/server/channel nest under the query
@@ -247,15 +237,6 @@ class SecureXMLSystem:
         client._obs = self._obs
         server._obs = self._obs
         channel.obs = self._obs
-        if self._pool is not None:
-            self._pool.obs = self._obs
-        #: epoch-gated completed-exchange memo (parallel engine only):
-        #: xpath → (pristine answer, pristine trace).  Hits hand out
-        #: clones, so callers can mutate answers freely.
-        self._answer_memo: (
-            dict[str, tuple[QueryAnswer, QueryTrace]] | None
-        ) = ({} if self.parallel.enabled else None)
-        self._memo_epoch = hosted.epoch
         # Sharded cluster execution (lazy import: the cluster package
         # imports this module for QueryFailedError).  ``coerce`` returns
         # None for the exact legacy single-server path; otherwise the
@@ -274,9 +255,7 @@ class SecureXMLSystem:
                 self.cluster,
                 retry_policy=self.retry_policy,
                 obs=self._obs,
-                pool=self._pool,
                 enable_cache=fast_path,
-                min_shard=self.parallel.min_shard,
                 channel_template=channel,
                 faults=cluster_faults,
                 backend=self.backend,
@@ -306,7 +285,6 @@ class SecureXMLSystem:
         secure: bool = True,
         fast_path: bool = True,
         retry_policy: RetryPolicy | None = None,
-        parallel: "ParallelConfig | bool | int | None" = None,
         observability: "Observability | bool | None" = None,
         cluster: "object | None" = None,
         cluster_faults: "object | None" = None,
@@ -323,14 +301,6 @@ class SecureXMLSystem:
         T-table AES and every query cache (seed-equivalent behaviour,
         kept as the baseline for the hot-path benchmarks); the hosted
         bytes are identical either way.
-
-        ``parallel`` configures the parallel query engine (see
-        :meth:`ParallelConfig.coerce`): ``None`` reads ``REPRO_WORKERS``,
-        ``False`` forces the exact serial pipeline, ``True``/an int/a
-        :class:`ParallelConfig` enable the streaming protocol, the shared
-        worker pool, sharded server evaluation and the answer memo.
-        Answers are byte-identical either way — parallelism changes the
-        schedule, never the result.
 
         ``observability`` wires the tracing/metrics/slow-log context (see
         :class:`~repro.obs.Observability.coerce`): ``None``/``True``
@@ -373,8 +343,6 @@ class SecureXMLSystem:
         else:
             scheme_obj = scheme
         keyring = ClientKeyring(master_key, fast_aes=fast_path)
-        config = ParallelConfig.coerce(parallel)
-        pool = WorkerPool(config) if config.enabled else None
 
         started = time.perf_counter()
         hosted = host_database(document, scheme_obj, keyring, secure=secure)
@@ -397,8 +365,6 @@ class SecureXMLSystem:
                 hosted,
                 enable_cache=fast_path,
                 session_keys=keyring.session_keys(),
-                pool=pool,
-                min_shard=config.min_shard,
                 backend=backend,
             ),
             hosted=hosted,
@@ -408,8 +374,6 @@ class SecureXMLSystem:
             keyring=keyring,
             fast_path=fast_path,
             retry_policy=retry_policy,
-            parallel=config,
-            pool=pool,
             observability=observability,
             cluster=cluster,
             cluster_faults=cluster_faults,
@@ -430,8 +394,6 @@ class SecureXMLSystem:
         self.server.flush_caches()
         if self._coordinator is not None:
             self._coordinator.flush_caches()
-        if self._answer_memo is not None:
-            self._answer_memo.clear()
 
     @property
     def coordinator(self):
@@ -449,21 +411,12 @@ class SecureXMLSystem:
         return self._fast_path
 
     def close(self) -> None:
-        """Shut down the worker pool (idempotent; restarts on next use).
+        """Release what the system holds open (idempotent).
 
-        In cluster mode the coordinator's shard servers share the same
-        pool; its close dedups by pool identity, so closing both here is
-        safe in any order, any number of times.  The lock makes
-        *concurrent* closes safe too: a serving drain can race an
-        explicit ``close()`` (or a second drain), and both the
-        coordinator teardown and the pool shutdown must not interleave
-        with themselves.
+        An in-process system — monolithic or clustered — holds nothing
+        open and stays usable afterwards; the remote system overrides
+        this to close its connection.
         """
-        with self._close_lock:
-            if self._coordinator is not None:
-                self._coordinator.close()
-            if self._pool is not None:
-                self._pool.close()
 
     # ------------------------------------------------------------------
     # Querying
@@ -484,40 +437,12 @@ class SecureXMLSystem:
         The outcome is always the exact answer or a typed error — never a
         silent wrong answer.
 
-        With the parallel engine enabled the exchange streams the
-        response chunk-by-chunk (decryption overlapping the server's
-        serialization) and a completed exchange feeds the epoch-gated
-        answer memo, so a repeated query under an unchanged scheme epoch
-        is served as a clone without touching the wire.
-        """
-        memo = self._memo_lookup(xpath)
-        if memo is not None:
-            answer, trace = memo
-            self.last_trace = trace
-            return answer
-        result = self._run_query(xpath, deferred=False)
-        assert isinstance(result, QueryAnswer)
-        return result
-
-    def _run_query(
-        self, xpath: str, deferred: bool
-    ) -> "QueryAnswer | tuple[ServerResponse, QueryTrace]":
-        """One full retry-managed query.
-
-        ``deferred=False`` finishes inline and returns the answer (the
-        :meth:`query` behaviour).  ``deferred=True`` (the pipelined batch
-        path) returns ``(response, trace)`` after a successful exchange
-        so the caller can overlap post-processing with the next query's
-        server work; queries that complete inline anyway (naive path,
-        untranslatable queries) still return the finished answer.
-
         Opens the query's root span and keeps it ambient for the whole
         run, so every stage span — including those opened by the client,
-        server, channel and pool workers — nests under it.  The root is
-        finished (and the query folded into the metrics/slow log) by
-        :meth:`_finish`, which for a deferred query may run later on a
-        pool worker; a query that fails outright is finished and recorded
-        here, annotated ``failed``.
+        server and channel — nests under it.  The root is finished (and
+        the query folded into the metrics/slow log) by :meth:`_finish`;
+        a query that fails outright is finished and recorded here,
+        annotated ``failed``.
         """
         trace = QueryTrace(query=xpath)
         tracer = self._obs.tracer
@@ -526,7 +451,7 @@ class SecureXMLSystem:
             trace.span = root
         with tracer.activate(root):
             try:
-                return self._run_query_attempts(xpath, trace, deferred)
+                return self._run_query_attempts(xpath, trace)
             except QueryFailedError:
                 root.annotate(failed=True)
                 root.finish()
@@ -534,8 +459,8 @@ class SecureXMLSystem:
                 raise
 
     def _run_query_attempts(
-        self, xpath: str, trace: QueryTrace, deferred: bool
-    ) -> "QueryAnswer | tuple[ServerResponse, QueryTrace]":
+        self, xpath: str, trace: QueryTrace
+    ) -> QueryAnswer:
         policy = self.retry_policy
         tracer = self._obs.tracer
         started_wall = time.perf_counter()
@@ -578,19 +503,16 @@ class SecureXMLSystem:
                                 trace,
                                 self._backoff_rng,
                             )
-                            jobs = None
-                        elif self._pool is not None:
-                            response, jobs = self._secure_exchange_stream(
-                                xpath, translated, trace, prefetch=not deferred
-                            )
                         else:
-                            response = self._secure_exchange(
-                                xpath, translated, trace
+                            with tracer.span("seal"):
+                                request = self.client.seal_request(
+                                    translated, cache_key=xpath
+                                )
+                            response = self._exchange(
+                                request, self.server.answer_wire, trace
                             )
-                            jobs = None
-                    if deferred:
-                        return response, trace
-                    return self._finish(xpath, response, trace, jobs)
+                            trace.candidate_counts = response.candidate_counts
+                    return self._finish(xpath, response, trace)
                 except _RETRYABLE as exc:
                     last_error = self._record_failure(exc, trace)
                     if attempt_span is not None:
@@ -632,72 +554,6 @@ class SecureXMLSystem:
             f"query failed after {trace.attempts} attempts "
             f"({self._failure_detail(trace, last_error)}): {last_error}"
         ) from last_error
-
-    # ------------------------------------------------------------------
-    # Answer memo (parallel engine)
-    # ------------------------------------------------------------------
-    def _memo_lookup(
-        self, xpath: str
-    ) -> "tuple[QueryAnswer, QueryTrace] | None":
-        """Serve a repeated query from the completed-exchange memo.
-
-        Returns a fresh answer clone plus a trace copying every
-        non-timing field of the original exchange (timing fields stay
-        zero — nothing ran).  ``None`` when the memo is disabled, stale
-        (epoch moved) or cold for this query.
-        """
-        if self._answer_memo is None:
-            return None
-        self._check_memo_epoch()
-        stored = self._answer_memo.get(xpath)
-        if stored is None:
-            counters.add("answer_cache_misses")
-            return None
-        counters.add("answer_cache_hits")
-        answer, trace = stored
-        hit_trace = replace(
-            trace,
-            translate_client_s=0.0,
-            server_s=0.0,
-            transfer_s=0.0,
-            decrypt_client_s=0.0,
-            postprocess_client_s=0.0,
-            backoff_s=0.0,
-            cluster_makespan_s=0.0,
-            candidate_counts=dict(trace.candidate_counts),
-            span=None,
-        )
-        return answer.clone(), hit_trace
-
-    def _memo_store(
-        self, xpath: str, answer: QueryAnswer, trace: QueryTrace
-    ) -> None:
-        """Memoize a completed exchange (skipping naive/fallback answers).
-
-        Naive answers hold the whole database — pinning (and cloning)
-        one per query string would bloat the heap while the naive path
-        is supposed to stay the honest cost baseline.
-        """
-        if self._answer_memo is None or trace.naive or trace.fell_back:
-            return
-        self._check_memo_epoch()
-        if xpath not in self._answer_memo:
-            # ``span=None``: memoizing the span tree would pin every
-            # stored query's spans for the memo's lifetime.
-            self._answer_memo[xpath] = (
-                answer.clone(),
-                replace(
-                    trace,
-                    candidate_counts=dict(trace.candidate_counts),
-                    span=None,
-                ),
-            )
-
-    def _check_memo_epoch(self) -> None:
-        if self._memo_epoch != self.hosted.epoch:
-            assert self._answer_memo is not None
-            self._answer_memo.clear()
-            self._memo_epoch = self.hosted.epoch
 
     # ------------------------------------------------------------------
     # Retry machinery
@@ -774,94 +630,6 @@ class SecureXMLSystem:
             detail += f", last fault {kind}"
         return detail
 
-    def _secure_exchange(
-        self, xpath: str, translated, trace: QueryTrace
-    ) -> ServerResponse:
-        """One sealed request/response round trip over the channel."""
-        tracer = self._obs.tracer
-        with tracer.span("seal"):
-            request = self.client.seal_request(translated, cache_key=xpath)
-        request, seconds = self.channel.transfer(
-            "client->server", "query", request
-        )
-        trace.transfer_s += seconds
-
-        with tracer.span("server") as span:
-            sealed = self.server.answer_wire(request)
-        trace.server_s += span.finish()
-
-        sealed, seconds = self.channel.transfer(
-            "server->client", "answer", sealed
-        )
-        trace.transfer_s += seconds
-        with tracer.span("verify"):
-            response = self.client.open_response(sealed)
-        trace.candidate_counts = response.candidate_counts
-        return response
-
-    def _secure_exchange_stream(
-        self,
-        xpath: str,
-        translated,
-        trace: QueryTrace,
-        prefetch: bool,
-    ) -> "tuple[ServerResponse, list[tuple[object, Future]] | None]":
-        """One sealed round trip with a chunked (streamed) response.
-
-        Each chunk crosses the channel and is verified the moment it
-        arrives; with ``prefetch`` (single-query mode, thread pool) the
-        fragments of a verified chunk are handed to the pool right away,
-        so the client decrypts chunk ``i`` while the server — driven by
-        the next generator pull — is still joining and sealing chunk
-        ``i+1``.  Sequencing is validated by :func:`assemble_stream`: a
-        dropped, duplicated or reordered chunk surfaces as the usual
-        retryable integrity error, never as a silently reordered answer.
-        """
-        tracer = self._obs.tracer
-        with tracer.span("seal"):
-            request = self.client.seal_request(translated, cache_key=xpath)
-        request, seconds = self.channel.transfer(
-            "client->server", "query", request
-        )
-        trace.transfer_s += seconds
-
-        pool = self._pool
-        assert pool is not None
-        fan_out = prefetch and pool.backend == "thread" and pool.workers >= 2
-        stream = self.server.answer_wire_stream(
-            request, chunk_fragments=self.parallel.chunk_fragments
-        )
-        chunks = []
-        jobs: "list[tuple[object, Future]] | None" = [] if fan_out else None
-        while True:
-            with tracer.span("server") as span:
-                sealed = next(stream, None)
-            trace.server_s += span.finish()
-            if sealed is None:
-                break
-            sealed, seconds = self.channel.transfer(
-                "server->client", "answer", sealed
-            )
-            trace.transfer_s += seconds
-            with tracer.span("verify"):
-                chunk = self.client.open_chunk(sealed)
-            chunks.append(chunk)
-            if jobs is not None and chunk.kind == "fragments":
-                counters.add("parallel_decrypt_tasks", len(chunk.fragments))
-                jobs.extend(
-                    (
-                        fragment,
-                        pool.submit(self.client.decrypt_fragment, fragment.xml),
-                    )
-                    for fragment in chunk.fragments
-                )
-        try:
-            response = assemble_stream(chunks)
-        except MessageDecodeError as exc:
-            raise TamperedResponseError(str(exc)) from exc
-        trace.candidate_counts = response.candidate_counts
-        return response, jobs
-
     def execute_many(self, xpaths: list[str]) -> list[QueryAnswer]:
         """Answer a batch of queries through the secure pipeline.
 
@@ -873,85 +641,15 @@ class SecureXMLSystem:
         kept in :attr:`last_batch_traces`, in input order (``last_trace``
         ends up holding the final query's trace, as with single
         :meth:`query` calls).
-
-        With the parallel engine enabled the batch is *pipelined*: every
-        exchange still runs sequentially on the calling thread (so the
-        channel sees the same deterministic transfer order regardless of
-        worker count), but post-processing is deferred to the pool and
-        overlaps the next query's server work, duplicates within the
-        batch are served from the answer memo, and results are gathered
-        back into input order.
         """
-        if self._pool is None:
-            answers: list[QueryAnswer] = []
-            traces: list[QueryTrace] = []
-            for xpath in xpaths:
-                answers.append(self.query(xpath))
-                assert self.last_trace is not None
-                traces.append(self.last_trace)
-            self.last_batch_traces = traces
-            return answers
-        return self._execute_many_pipelined(xpaths)
-
-    def _execute_many_pipelined(
-        self, xpaths: list[str]
-    ) -> list[QueryAnswer]:
-        pool = self._pool
-        assert pool is not None
-        total = len(xpaths)
-        answers: "list[QueryAnswer | None]" = [None] * total
-        traces: "list[QueryTrace | None]" = [None] * total
-        pending: dict[int, tuple[Future, QueryTrace]] = {}
-        inflight: dict[str, int] = {}
-
-        def drain(index: int) -> None:
-            future, trace = pending.pop(index)
-            inflight.pop(xpaths[index], None)
-            try:
-                answers[index] = future.result()
-                traces[index] = trace
-            except _RETRYABLE:
-                # The deferred finish failed *after* its retry loop
-                # closed (e.g. a block failed verification); re-run the
-                # whole query inline with a fresh attempt budget — the
-                # outcome stays exact-answer-or-typed-error.
-                answers[index] = self.query(xpaths[index])
-                traces[index] = self.last_trace
-
-        for index, xpath in enumerate(xpaths):
-            prior = inflight.get(xpath)
-            if prior is not None:
-                # A duplicate of a still-pending query: settle the first
-                # occurrence now so the memo can serve this one.
-                drain(prior)
-            memo = self._memo_lookup(xpath)
-            if memo is not None:
-                answers[index], traces[index] = memo
-                continue
-            defer = pool.backend == "thread"
-            result = self._run_query(xpath, deferred=defer)
-            if isinstance(result, QueryAnswer):
-                # Finished inline: naive/untranslatable queries, or a
-                # process-backed pool (bound methods don't pickle — the
-                # process backend parallelizes inside ``_finish``, via
-                # the bulk block-decrypt path, not across queries).
-                answers[index] = result
-                traces[index] = self.last_trace
-                continue
-            response, trace = result
-            future = pool.submit(
-                self._finish, xpath, response, trace, None, False
-            )
-            pending[index] = (future, trace)
-            inflight[xpath] = index
-        for index in sorted(pending):
-            drain(index)
-
-        done_traces = [trace for trace in traces if trace is not None]
-        assert len(done_traces) == total
-        self.last_batch_traces = done_traces
-        self.last_trace = done_traces[-1] if done_traces else None
-        return [answer for answer in answers if answer is not None]
+        answers: list[QueryAnswer] = []
+        traces: list[QueryTrace] = []
+        for xpath in xpaths:
+            answers.append(self.query(xpath))
+            assert self.last_trace is not None
+            traces.append(self.last_trace)
+        self.last_batch_traces = traces
+        return answers
 
     def aggregate(
         self, xpath: str, func: str, mode: str = "exact"
@@ -1083,16 +781,28 @@ class SecureXMLSystem:
                 self.client, xpath, trace, self._backoff_rng
             )
             return self._finish(xpath, response, trace)
-        tracer = self._obs.tracer
-        with tracer.span("seal"):
+        with self._obs.tracer.span("seal"):
             request = self.client.seal_naive_request(xpath)
+        response = self._exchange(request, self.server.ship_all_wire, trace)
+        return self._finish(xpath, response, trace)
+
+    def _exchange(
+        self, request: bytes, serve, trace: QueryTrace
+    ) -> ServerResponse:
+        """One sealed request/response round trip over the channel.
+
+        ``serve`` is the server's wire entry point for the request kind
+        (``answer_wire`` or ``ship_all_wire``): sealed bytes in, sealed
+        bytes out.
+        """
+        tracer = self._obs.tracer
         request, seconds = self.channel.transfer(
             "client->server", "query", request
         )
         trace.transfer_s += seconds
 
         with tracer.span("server") as span:
-            sealed = self.server.ship_all_wire(request)
+            sealed = serve(request)
         trace.server_s += span.finish()
 
         sealed, seconds = self.channel.transfer(
@@ -1100,45 +810,23 @@ class SecureXMLSystem:
         )
         trace.transfer_s += seconds
         with tracer.span("verify"):
-            response = self.client.open_response(sealed)
-        return self._finish(xpath, response, trace)
+            return self.client.open_response(sealed)
 
     def _finish(
-        self,
-        xpath: str,
-        response: ServerResponse,
-        trace: QueryTrace,
-        jobs: "list[tuple[object, Future]] | None" = None,
-        use_pool: bool = True,
+        self, xpath: str, response: ServerResponse, trace: QueryTrace
     ) -> QueryAnswer:
-        """Decrypt, assemble and re-evaluate — the client's §6.4 half.
-
-        ``jobs`` carries fragment decryptions already in flight (the
-        streaming prefetch); they are gathered in stream order, so the
-        decrypted list is identical to the serial one.  ``use_pool=False``
-        keeps all work on the calling thread — the pipelined batch path
-        runs ``_finish`` itself on a pool worker, and fanning out from
-        inside a worker could deadlock a saturated pool.
-        """
+        """Decrypt, assemble and re-evaluate — the client's §6.4 half."""
         trace.blocks_returned = response.blocks_shipped
         trace.fragments_returned = len(response.fragments)
         trace.transfer_bytes = response.size_bytes()
 
         tracer = self._obs.tracer
-        # The deferred batch path runs ``_finish`` on a pool worker where
-        # no span is ambient — re-activate the query's root so the stage
-        # spans land under it regardless of which thread finishes.
+        # The naive path gets here from inside its ``attempt`` span —
+        # re-activate the query's root so the stage spans land directly
+        # under it on every path.
         with tracer.activate(trace.span):
             with tracer.span("decrypt") as span:
-                if jobs is not None and len(jobs) == len(response.fragments):
-                    decrypted = [
-                        (fragment, future.result())
-                        for fragment, future in jobs
-                    ]
-                else:
-                    decrypted = self.client.decrypt_fragments(
-                        response, pool=self._pool if use_pool else None
-                    )
+                decrypted = self.client.decrypt_fragments(response)
             trace.decrypt_client_s = span.finish()
 
             with tracer.span("postprocess") as span:
@@ -1154,7 +842,6 @@ class SecureXMLSystem:
             root.annotate(answers=trace.answer_count)
             root.finish()
         self.last_trace = trace
-        self._memo_store(xpath, answer, trace)
         self._obs.record_query(trace, root)
         return answer
 

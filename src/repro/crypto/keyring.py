@@ -65,11 +65,7 @@ class ClientKeyring:
         """Raw AES key for block payloads (client-side use only).
 
         The one ``"block"`` derivation :attr:`block_cipher` is built
-        from.  Also handed to the process-backed worker pool: a child
-        process cannot pickle a live cipher object, so the client gives
-        each bulk decryption task the key material instead and the worker
-        rebuilds the (process-wide cached) cipher from it.  Never sent
-        anywhere.
+        from.  Never sent anywhere.
         """
         return derive_key(self._master, "block")[:16]
 

@@ -10,15 +10,6 @@ execution on decode, and every decode error is raised as
 :class:`MessageDecodeError` so the retry layer can treat a mangled
 payload that slipped past truncation checks exactly like a tampered one.
 
-The streaming protocol adds a third, *chunked* shape for the response:
-a header chunk (counts and stream length) followed by fragment chunks,
-each sealed independently so the client can verify and start decrypting
-chunk ``i`` while the server is still serializing chunk ``i+1``.  Every
-chunk carries its stream index and the header fixes the chunk and
-fragment totals, so a reordered, repeated, or missing chunk is detected
-at assembly, not silently absorbed (see ``docs/PROTOCOL.md``,
-"Streaming & parallel execution").
-
 Codec stability is not a compatibility promise (client and server are
 versioned together); determinism is what matters — the same query object
 encodes to the same bytes, which the request/response wire caches key on.
@@ -35,7 +26,6 @@ attacker keys its recorded responses on the *stripped* request payload
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Any
 
 
@@ -170,167 +160,6 @@ def decode_response(payload: bytes) -> Any:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise MessageDecodeError(f"malformed response message: {exc}") from exc
-
-
-# ----------------------------------------------------------------------
-# Chunked (streaming) server response (server -> client)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class StreamChunk:
-    """One decoded chunk of a streamed response.
-
-    ``index`` is the chunk's position in the stream; the header (always
-    index 0) fixes ``chunk_count`` and ``fragment_count`` so the client
-    can detect truncation, reordering and duplication.  Fragment chunks
-    carry a contiguous run of the response's fragments in stream order.
-    """
-
-    kind: str  # "header" | "fragments"
-    index: int
-    naive: bool = False
-    blocks_shipped: int = 0
-    candidate_counts: dict[str, int] = field(default_factory=dict)
-    fragment_count: int = 0
-    chunk_count: int = 0
-    fragments: tuple[Any, ...] = ()
-
-
-def encode_stream_header(
-    naive: bool,
-    blocks_shipped: int,
-    candidate_counts: dict[str, int],
-    fragment_count: int,
-    chunk_count: int,
-) -> bytes:
-    """Serialize the stream header (chunk 0) to canonical JSON bytes."""
-    return json.dumps(
-        {
-            "k": "hd",
-            "i": 0,
-            "n": int(naive),
-            "b": blocks_shipped,
-            "cc": candidate_counts,
-            "fc": fragment_count,
-            "nc": chunk_count,
-        },
-        separators=(",", ":"),
-        sort_keys=True,
-    ).encode("utf-8")
-
-
-def encode_fragment_chunk(index: int, fragments: Any) -> bytes:
-    """Serialize one run of fragments as stream chunk ``index`` (>= 1)."""
-    if index < 1:
-        raise ValueError("fragment chunks start at stream index 1")
-    return json.dumps(
-        {
-            "k": "fr",
-            "i": index,
-            "f": [_fragment_record(f) for f in fragments],
-        },
-        separators=(",", ":"),
-        sort_keys=True,
-    ).encode("utf-8")
-
-
-def decode_chunk(payload: bytes) -> StreamChunk:
-    """Rebuild a :class:`StreamChunk` from its canonical JSON bytes."""
-    try:
-        record = _load(payload)
-        kind = record["k"]
-        if kind == "hd":
-            if record["i"] != 0:
-                raise MessageDecodeError("stream header must be chunk 0")
-            return StreamChunk(
-                kind="header",
-                index=0,
-                naive=bool(record["n"]),
-                blocks_shipped=record["b"],
-                candidate_counts=dict(record["cc"]),
-                fragment_count=int(record["fc"]),
-                chunk_count=int(record["nc"]),
-            )
-        if kind == "fr":
-            index = int(record["i"])
-            if index < 1:
-                raise MessageDecodeError("fragment chunk index must be >= 1")
-            return StreamChunk(
-                kind="fragments",
-                index=index,
-                fragments=tuple(
-                    _fragment_from_record(f) for f in record["f"]
-                ),
-            )
-        raise MessageDecodeError(f"unknown chunk kind {kind!r}")
-    except MessageDecodeError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MessageDecodeError(f"malformed stream chunk: {exc}") from exc
-
-
-def encode_response_chunks(response: Any, chunk_fragments: int) -> list[bytes]:
-    """Encode a whole ``ServerResponse`` as its chunked wire form.
-
-    Convenience used by tests and the server's streaming cache; the live
-    streaming path emits the same bytes chunk-by-chunk so serialization
-    overlaps the client's decryption.
-    """
-    if chunk_fragments < 1:
-        raise ValueError("chunk_fragments must be >= 1")
-    fragments = list(response.fragments)
-    runs = [
-        fragments[start : start + chunk_fragments]
-        for start in range(0, len(fragments), chunk_fragments)
-    ] or []
-    chunks = [
-        encode_stream_header(
-            naive=response.naive,
-            blocks_shipped=response.blocks_shipped,
-            candidate_counts=response.candidate_counts,
-            fragment_count=len(fragments),
-            chunk_count=1 + len(runs),
-        )
-    ]
-    for offset, run in enumerate(runs):
-        chunks.append(encode_fragment_chunk(1 + offset, run))
-    return chunks
-
-
-def assemble_stream(chunks: list[StreamChunk]) -> Any:
-    """Validate a full chunk sequence and rebuild the ``ServerResponse``.
-
-    Raises :class:`MessageDecodeError` unless the chunks are exactly the
-    header followed by its promised fragment chunks in stream order with
-    the promised total fragment count — the ordering guarantee callers
-    rely on for byte-identical parallel/serial answers.
-    """
-    from repro.core.server import ServerResponse
-
-    if not chunks or chunks[0].kind != "header":
-        raise MessageDecodeError("stream must begin with a header chunk")
-    header = chunks[0]
-    if len(chunks) != header.chunk_count:
-        raise MessageDecodeError(
-            f"stream promised {header.chunk_count} chunks, got {len(chunks)}"
-        )
-    fragments: list[Any] = []
-    for position, chunk in enumerate(chunks[1:], start=1):
-        if chunk.kind != "fragments" or chunk.index != position:
-            raise MessageDecodeError(
-                f"stream chunk {position} out of order or wrong kind"
-            )
-        fragments.extend(chunk.fragments)
-    if len(fragments) != header.fragment_count:
-        raise MessageDecodeError(
-            f"stream promised {header.fragment_count} fragments, "
-            f"got {len(fragments)}"
-        )
-    return ServerResponse(
-        fragments=fragments,
-        naive=header.naive,
-        blocks_shipped=header.blocks_shipped,
-        candidate_counts=dict(header.candidate_counts),
-    )
 
 
 def _load(payload: bytes) -> dict[str, Any]:

@@ -1,7 +1,7 @@
 """Structured observability for the secure query pipeline.
 
 One :class:`Observability` context threads through the whole stack —
-client, server, parallel engine, netsim channel, CLI — and bundles the
+client, server, netsim channel, CLI — and bundles the
 three concerns the paper's §7 "division of work" analysis needs:
 
 * :class:`~repro.obs.span.Tracer` — nested timed spans per query;

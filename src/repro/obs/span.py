@@ -4,16 +4,13 @@ A :class:`Span` is one timed region of the query pipeline — ``translate``,
 ``server``, ``decrypt`` — nested into a tree that mirrors the paper's
 Fig. 9 "division of work": where a :class:`~repro.core.system.QueryTrace`
 reports one scalar per stage, the span tree keeps *structure* (which
-attempt, which chunk, which worker) so "where did this query spend its
+attempt, which stage of which layer) so "where did this query spend its
 time" has an answer without editing benchmark code.
 
 A :class:`Tracer` owns the ambient context: a thread-local stack of open
-spans, so a deeper layer (the server's structural join, the channel, a
-fragment decrypt on a pool worker) attaches its spans under whatever the
-caller has open without any plumbing through call signatures.  Worker
-threads inherit the submitting thread's context through
-:meth:`Tracer.wrap` (the :class:`~repro.core.parallel.WorkerPool` applies
-it to every thread-backend task).
+spans, so a deeper layer (the server's structural join, the channel, the
+client's batch decrypt) attaches its spans under whatever the caller has
+open without any plumbing through call signatures.
 
 Design rules, load-bearing for the rest of the package:
 
@@ -35,7 +32,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 
 class Span:
@@ -258,8 +255,8 @@ class Tracer:
         """Open a span *without* making it ambient (see :meth:`activate`).
 
         The query pipeline uses this for the root ``query`` span, whose
-        lifetime spans multiple method calls (and, for pipelined batches,
-        multiple threads) rather than one lexical block.
+        lifetime spans multiple method calls rather than one lexical
+        block.
         """
         if not self.enabled:
             return Span(name)
@@ -289,50 +286,19 @@ class Tracer:
                 stack.pop()
 
     @contextmanager
-    def activate(self, span: Span | None, worker: bool = False):
+    def activate(self, span: Span | None):
         """Make ``span`` the ambient parent without timing anything.
 
-        Used to resume a long-lived span (the root query span inside a
-        deferred ``_finish``) and by :meth:`wrap` to propagate context
-        onto pool workers.  ``worker=True`` tags spans opened underneath
-        with ``worker`` so concurrent (wall-clock-overlapping) work is
-        distinguishable from the sequential stages in the rendered tree.
+        Used to keep a long-lived span (the root query span) ambient
+        across the method calls it covers.
         """
         if not self.enabled or span is None:
             yield
             return
         stack = self._stack()
         stack.append(span)
-        was_worker = getattr(self._local, "worker", False)
-        if worker:
-            self._local.worker = True
         try:
             yield
         finally:
-            if worker:
-                self._local.worker = was_worker
             if stack and stack[-1] is span:
                 stack.pop()
-
-    def in_worker(self) -> bool:
-        """True while executing under a worker-propagated context."""
-        return bool(getattr(self._local, "worker", False))
-
-    def wrap(self, fn: Callable[..., Any]) -> Callable[..., Any]:
-        """Bind the *current* span context into ``fn`` for another thread.
-
-        The worker pool applies this at submit time, so a task's spans
-        attach under the span that was open when the caller scheduled it
-        — the cross-thread half of "propagated through the worker pool".
-        """
-        if not self.enabled:
-            return fn
-        parent = self.current()
-        if parent is None:
-            return fn
-
-        def wrapped(*args: Any, **kwargs: Any) -> Any:
-            with self.activate(parent, worker=True):
-                return fn(*args, **kwargs)
-
-        return wrapped

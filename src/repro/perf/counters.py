@@ -5,32 +5,15 @@ incremented from the hot paths themselves — the AES key schedule, the CBC
 decryptor, and every cache layer.  Nothing here imports the rest of the
 package (the crypto layer imports *us*).
 
-Since the parallel query engine landed, hot paths run on worker threads,
-so every mutation goes through :meth:`PerfCounters.add`, which serializes
-the read-modify-write under one process-wide lock.  A bare ``counters.x
-+= 1`` is *not* safe under concurrency (the interpreter can preempt
-between the read and the write, losing increments) and is kept only for
-single-threaded test scaffolding; library code must use ``add``.  Reads
-(:meth:`snapshot`, :meth:`delta_since`, :meth:`hit_rate`) take the same
-lock, so a snapshot is a consistent cut even while workers increment.
-
-Process-backend accounting rule
--------------------------------
-
-Increments made inside a ``ProcessPoolExecutor`` worker mutate the *child
-process's* registry and would otherwise be lost.  The worker pool closes
-that gap at join: each process-backend task snapshots the child registry
-around the work and returns its per-task delta alongside the result, and
-:meth:`WorkerPool.map_ordered <repro.core.parallel.WorkerPool.map_ordered>`
-folds the deltas into this registry via :meth:`PerfCounters.merge`.  Work
-counters (``blocks_decrypted``, cache traffic, …) therefore report equal
-totals for the thread and process backends on the same workload.
-
-The one deliberate exception is ``key_expansions``: the AES key schedule
-is memoized *per process*, so every worker process pays (and reports) its
-own expansion where the thread backend pays one.  That is a true account
-of work done — process isolation really does re-expand the key — so the
-deltas are merged as-is rather than normalized away.
+The serving layer dispatches requests onto a thread pool, so hot paths
+run on many threads and every mutation goes through
+:meth:`PerfCounters.add`, which serializes the read-modify-write under
+one process-wide lock.  A bare ``counters.x += 1`` is *not* safe under
+concurrency (the interpreter can preempt between the read and the write,
+losing increments) and is kept only for single-threaded test
+scaffolding; library code must use ``add``.  Reads (:meth:`snapshot`,
+:meth:`delta_since`, :meth:`hit_rate`) take the same lock, so a snapshot
+is a consistent cut even while other threads increment.
 """
 
 from __future__ import annotations
@@ -53,8 +36,6 @@ class PerfCounters:
       block cache);
     * ``interval`` — the structural index's per-tag sorted low-bound
       arrays used by descendant joins;
-    * ``answer`` — the parallel engine's completed-exchange memo
-      (epoch-gated final answers, cloned per hit);
     * ``columnar`` — the structural index's flat plane snapshot (the
       columnar backend's join representation, dropped on epoch bumps).
     """
@@ -92,12 +73,6 @@ class PerfCounters:
     rollback_detected: int = 0
     naive_fallbacks: int = 0
     queries_failed: int = 0
-    # --- parallel engine (streaming chunks / worker pool / answer memo) ---
-    answer_cache_hits: int = 0
-    answer_cache_misses: int = 0
-    chunks_streamed: int = 0
-    parallel_decrypt_tasks: int = 0
-    sharded_filter_runs: int = 0
     # --- cluster (scatter–gather, replica failover, routed updates) ---
     cluster_scatters: int = 0
     cluster_failovers: int = 0
@@ -116,7 +91,6 @@ class PerfCounters:
     # --- serving layer (socket front door) ---
     serving_connections: int = 0
     serving_requests: int = 0
-    serving_streams: int = 0
     serving_updates: int = 0
     #: Requests refused because the bounded in-flight queue was full.
     backpressure_rejections: int = 0
@@ -154,19 +128,6 @@ class PerfCounters:
         """Thread-safe increment (the only mutation hot paths may use)."""
         with _LOCK:
             setattr(self, name, getattr(self, name) + amount)
-
-    def merge(self, delta: dict[str, int]) -> None:
-        """Fold a child process's counter delta into this registry.
-
-        One lock acquisition for the whole delta; unknown names raise
-        (a delta can only legitimately contain field names).
-        """
-        if not delta:
-            return
-        with _LOCK:
-            for name, amount in delta.items():
-                if amount:
-                    setattr(self, name, getattr(self, name) + amount)
 
     def cache_layers(self) -> tuple[str, ...]:
         """Names of the cache layers with a hits/misses counter pair."""

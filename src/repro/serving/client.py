@@ -15,9 +15,9 @@ Three layers, innermost first:
     :class:`~repro.serving.transport.AsyncFaultTransport` is applied:
     request payloads are faulted **before** they are framed (a corrupted
     request genuinely crosses the wire mangled; a dropped one never
-    leaves the process), responses and stream chunks are faulted lazily
-    on arrival, on the calling thread, in consumption order — exactly
-    the transfer sequence the in-process channel sees, so a seeded
+    leaves the process), responses are faulted on arrival, on the
+    calling thread, in consumption order — exactly the transfer
+    sequence the in-process channel sees, so a seeded
     :class:`~repro.netsim.faults.FaultPolicy` replays the same schedule
     over live sockets.
 
@@ -53,7 +53,6 @@ import json
 import secrets
 import threading
 from concurrent.futures import TimeoutError as _FutureTimeoutError
-from typing import Iterator
 
 from repro.core.client import Client
 from repro.core.integrity import (
@@ -62,7 +61,6 @@ from repro.core.integrity import (
     seal_fresh,
     unseal,
 )
-from repro.core.parallel import ParallelConfig, WorkerPool
 from repro.core.system import SecureXMLSystem
 from repro.crypto.keyring import ClientKeyring
 from repro.netsim.channel import Channel, NullChannel
@@ -74,8 +72,7 @@ from repro.serving.errors import (
     decode_error,
 )
 from repro.serving.framing import (
-    OP_CHUNK,
-    OP_END,
+    FAULTED_OPS,
     OP_ERROR,
     OP_FLUSH,
     OP_HELLO,
@@ -83,7 +80,6 @@ from repro.serving.framing import (
     OP_NAIVE,
     OP_OK,
     OP_QUERY,
-    OP_QUERY_STREAM,
     OP_STATS,
     OP_UPDATE,
     PROTOCOL_VERSION,
@@ -93,11 +89,6 @@ from repro.serving.framing import (
     read_frame,
 )
 from repro.serving.transport import AsyncFaultTransport
-
-#: Opcodes whose payloads pass through the fault transport.  Updates,
-#: flushes and stats are control traffic with no in-process transfer
-#: twin, so faulting them would desynchronize seeded schedules.
-FAULTED_OPS = frozenset({OP_QUERY, OP_QUERY_STREAM, OP_NAIVE})
 
 #: How many times a sealed command re-seals after losing an anchor race.
 _COMMAND_RESEAL_ATTEMPTS = 5
@@ -201,42 +192,6 @@ class AsyncServingClient:
         finally:
             self._pending.pop(rid, None)
 
-    async def open_stream(self, op: int, payload: bytes) -> int:
-        """Send a streaming request; frames are pulled with next_frame."""
-        rid = next(self._ids)
-        self._pending[rid] = asyncio.Queue()
-        await self._send(rid, op, payload)
-        return rid
-
-    async def next_frame(self, rid: int) -> tuple[int, bytes]:
-        queue = self._pending.get(rid)
-        if queue is None:
-            return (_CLOSED, b"")
-        return await queue.get()
-
-    async def release(self, rid: int) -> None:
-        """Forget a stream whose terminal frame was already consumed."""
-        self._pending.pop(rid, None)
-
-    async def drain_stream(self, rid: int) -> None:
-        """Consume an abandoned stream's remaining frames, then forget it.
-
-        Mirrors the in-process semantics of abandoning the server's
-        chunk generator: whatever the server still sends for this
-        request id is discarded *without* fault-transport draws, so the
-        seeded schedule stays aligned with the in-process run.
-        """
-        queue = self._pending.get(rid)
-        if queue is None:
-            return
-        try:
-            while True:
-                op, _ = await queue.get()
-                if op in (OP_END, OP_ERROR, _CLOSED):
-                    return
-        finally:
-            self._pending.pop(rid, None)
-
 
 class ServingConnection:
     """Blocking facade over :class:`AsyncServingClient`.
@@ -310,48 +265,6 @@ class ServingConnection:
             data = self.transport.inbound("answer", data)
         return data
 
-    def stream(
-        self, request_blob: bytes, chunk_fragments: int
-    ) -> Iterator[bytes]:
-        """Streamed query: yields sealed chunks as they arrive.
-
-        The request blob is faulted *before* the ``chunk_fragments``
-        prefix is attached (the prefix is transport metadata the
-        in-process path doesn't have, and per-transfer RNG draws depend
-        on payload size).  Chunks are faulted lazily as the consumer
-        pulls them; once the consumer abandons the generator (or a
-        chunk transfer drops), the remaining frames are drained without
-        further transport draws — the in-process equivalent abandons the
-        server's generator and performs no further transfers.
-        """
-        blob = self.transport.outbound("query", request_blob)
-        payload = chunk_fragments.to_bytes(4, "big") + blob
-        rid = self._run(self._client.open_stream(OP_QUERY_STREAM, payload))
-        terminated = False
-        try:
-            while True:
-                op, data = self._run(self._client.next_frame(rid))
-                if op == _CLOSED:
-                    terminated = True
-                    raise ConnectionClosedError("connection lost mid-stream")
-                if op == OP_ERROR:
-                    terminated = True
-                    raise decode_error(data)
-                if op == OP_END:
-                    terminated = True
-                    break
-                if op != OP_CHUNK:
-                    terminated = True
-                    raise ProtocolError(
-                        f"unexpected opcode {op} in stream {rid}"
-                    )
-                yield self.transport.inbound("answer", data)
-        finally:
-            if terminated:
-                self._run(self._client.release(rid))
-            else:
-                self._run(self._client.drain_stream(rid))
-
     def sealed_call(self, op: int, command: dict) -> bytes:
         """Issue a freshness-sealed control command; returns the
         verified response payload.
@@ -419,7 +332,7 @@ class ServingConnection:
 class RemoteServer:
     """The monolithic ``Server`` wire surface, proxied over a connection.
 
-    Implements exactly the four methods the secure pipeline calls on
+    Implements exactly the three methods the secure pipeline calls on
     ``system.server`` plus the attributes the system constructor touches,
     so a :class:`~repro.core.system.SecureXMLSystem` cannot tell it from
     a local server.
@@ -432,11 +345,6 @@ class RemoteServer:
 
     def answer_wire(self, request_blob: bytes) -> bytes:
         return self._connection.call(OP_QUERY, request_blob)
-
-    def answer_wire_stream(
-        self, request_blob: bytes, chunk_fragments: int = 8
-    ) -> Iterator[bytes]:
-        return self._connection.stream(request_blob, chunk_fragments)
 
     def ship_all_wire(self, request_blob: bytes) -> bytes:
         return self._connection.call(OP_NAIVE, request_blob)
@@ -501,7 +409,6 @@ def remote_system(
     address: tuple[str, int],
     tenant: str,
     channel: Channel | None = None,
-    parallel: "ParallelConfig | bool | int | None" = False,
     observability: "object | None" = None,
     timeout: float = 60.0,
 ) -> RemoteSecureXMLSystem:
@@ -513,19 +420,12 @@ def remote_system(
     untrusted server half).  ``channel`` is the netsim channel applied
     at the socket boundary: default accounting-only, ``NullChannel()``
     for free transfers, a ``FaultyChannel`` for chaos over live sockets.
-
-    ``parallel`` defaults to ``False`` (the exact serial pipeline) —
-    note the parallel engine *streams* responses, which changes the
-    transfer sequence a seeded fault schedule sees, so fault-parity
-    comparisons must pin the same ``parallel`` setting on both systems.
     """
     host, port = address
     connection = ServingConnection(
         host, port, tenant, channel=channel, timeout=timeout,
         keyring=local.keyring, hosted=local.hosted,
     )
-    config = ParallelConfig.coerce(parallel)
-    pool = WorkerPool(config) if config.enabled else None
     remote = RemoteSecureXMLSystem(
         client=Client(local.keyring, local.hosted, enable_cache=local.fast_path),
         server=RemoteServer(connection),
@@ -536,8 +436,6 @@ def remote_system(
         keyring=local.keyring,
         fast_path=local.fast_path,
         retry_policy=local.retry_policy,
-        parallel=config,
-        pool=pool,
         observability=observability,
         cluster=False,  # never coordinator-side: the far end shards, not us
         backend=local.backend,

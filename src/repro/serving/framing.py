@@ -10,9 +10,7 @@ and *multiplexing*.  One frame is::
 where ``length`` covers everything after itself (id + opcode + payload).
 The request id is chosen by the client and echoed by the server on every
 frame belonging to that request, so many requests can be in flight on
-one connection and responses are matched by id, not arrival order.  A
-streamed response is a run of ``OP_CHUNK`` frames closed by ``OP_END``,
-all carrying the same id.
+one connection and responses are matched by id, not arrival order.
 
 The framing is deliberately dumb: no compression, no negotiation beyond
 the HELLO exchange, and a hard size cap so a garbage length prefix
@@ -41,7 +39,6 @@ _HEAD = struct.Struct("!QB")
 # Client -> server opcodes.
 OP_HELLO = 1  # JSON {"tenant": ..., "protocol": 1}
 OP_QUERY = 2  # sealed translated-query request (answer_wire)
-OP_QUERY_STREAM = 3  # u32 chunk_fragments | sealed request (streamed)
 OP_NAIVE = 4  # sealed naive request (ship_all_wire)
 OP_UPDATE = 5  # freshness-sealed JSON update command (nonce-bound)
 OP_FLUSH = 6  # freshness-sealed {"op": "flush"} command (admin/benchmarks)
@@ -49,15 +46,13 @@ OP_STATS = 7  # freshness-sealed {"op": "stats"}; sealed JSON response
 
 # Server -> client opcodes.
 OP_OK = 16  # complete response payload for the request id
-OP_CHUNK = 17  # one sealed chunk of a streamed response
-OP_END = 18  # terminates a chunk stream
 OP_ERROR = 19  # JSON {"error": <type name>, "message": ...}
 OP_HELLO_OK = 20  # JSON session parameters (epoch, root, backend, ...)
 
 #: Opcodes whose payloads are data-plane traffic: exactly the bytes that
 #: cross the in-process :class:`~repro.netsim.channel.Channel`, so the
 #: fault transport applies the seeded schedules to these and only these.
-FAULTED_OPS = frozenset({OP_QUERY, OP_QUERY_STREAM, OP_NAIVE})
+FAULTED_OPS = frozenset({OP_QUERY, OP_NAIVE})
 
 PROTOCOL_VERSION = 1
 

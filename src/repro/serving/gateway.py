@@ -38,7 +38,7 @@ import threading
 from repro.cluster.coordinator import ClusterCoordinator, merge_partials
 from repro.core.integrity import seal_fresh
 from repro.core.system import QueryTrace, SecureXMLSystem
-from repro.netsim.message import encode_response, encode_response_chunks
+from repro.netsim.message import encode_response
 from repro.perf import counters
 
 
@@ -62,12 +62,11 @@ class ClusterGateway:
         #: Deterministic backoff RNG for the replica failover loops
         #: (modelled delays only; seeded so socket runs are replayable).
         self._rng = random.Random(system.retry_policy.seed)
-        # Epoch-gated sealed caches, mirroring Server's wire/stream
-        # caches: the sealed blobs embed the anchor, so any epoch move
-        # invalidates them wholesale.
+        # Epoch-gated sealed cache, mirroring Server's wire cache: the
+        # sealed blobs embed the anchor, so any epoch move invalidates
+        # them wholesale.
         self._lock = threading.RLock()
         self._wire_cache: dict[bytes, bytes] = {}
-        self._stream_cache: dict[bytes, tuple[bytes, ...]] = {}
         self._cache_epoch = self._hosted.epoch
 
     # ------------------------------------------------------------------
@@ -90,36 +89,6 @@ class ClusterGateway:
             if self._hosted.epoch == epoch:
                 self._wire_cache[request_blob] = blob
         return blob
-
-    def answer_wire_stream(
-        self, request_blob: bytes, chunk_fragments: int = 8
-    ):
-        """The chunked twin of :meth:`answer_wire`.
-
-        The merged response is computed first (a cluster gather cannot
-        stream — the merge needs every partial), then re-encoded as the
-        standard chunk sequence and sealed chunk by chunk, so the remote
-        client's streaming verifier works identically against cluster
-        and monolithic tenants.
-        """
-        key = (request_blob, chunk_fragments)
-        with self._lock:
-            self._check_epoch()
-            cached = self._stream_cache.get(key)
-        if cached is not None:
-            yield from cached
-            return
-        merged = self._scatter(request_blob)
-        epoch, root = self._hosted.anchor()
-        sealed = tuple(
-            seal_fresh(self._response_key, payload, epoch, root)
-            for payload in encode_response_chunks(merged, chunk_fragments)
-        )
-        with self._lock:
-            self._check_epoch()
-            if self._hosted.epoch == epoch:
-                self._stream_cache[key] = sealed
-        yield from sealed
 
     def ship_all_wire(self, request_blob: bytes) -> bytes:
         """Naive path: the root-owning shard ships everything.
@@ -146,7 +115,6 @@ class ClusterGateway:
     def flush_caches(self) -> None:
         with self._lock:
             self._wire_cache.clear()
-            self._stream_cache.clear()
         self._coordinator.flush_caches()
 
     # ------------------------------------------------------------------
@@ -155,7 +123,6 @@ class ClusterGateway:
     def _check_epoch(self) -> None:
         if self._hosted.epoch != self._cache_epoch:
             self._wire_cache.clear()
-            self._stream_cache.clear()
             self._cache_epoch = self._hosted.epoch
 
     def _scatter(self, request_blob: bytes):

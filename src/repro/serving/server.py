@@ -20,7 +20,7 @@ many requests per connection are genuinely in flight at once and
 responses are matched by request id, not order.
 
 Concurrency within a tenant is a readers–writer discipline:
-queries/streams/naive ships share a read lock, updates and cache
+queries and naive ships share a read lock, updates and cache
 flushes take the write lock (writer-priority, so a steady query stream
 cannot starve updates).  Combined with the
 :class:`~repro.core.server.Server` cache lock and the
@@ -75,8 +75,6 @@ from repro.serving.errors import (
     encode_error,
 )
 from repro.serving.framing import (
-    OP_CHUNK,
-    OP_END,
     OP_ERROR,
     OP_FLUSH,
     OP_HELLO,
@@ -84,7 +82,6 @@ from repro.serving.framing import (
     OP_NAIVE,
     OP_OK,
     OP_QUERY,
-    OP_QUERY_STREAM,
     OP_STATS,
     OP_UPDATE,
     PROTOCOL_VERSION,
@@ -97,9 +94,15 @@ from repro.serving.gateway import ClusterGateway
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     pass
 
-#: Sentinel the stream pump uses to detect generator exhaustion across
-#: the executor boundary.
-_STREAM_DONE = object()
+#: Request opcodes the front door serves, mapped to the
+#: :class:`TenantSession` method that handles each.
+_REQUEST_HANDLERS = {
+    OP_QUERY: "query",
+    OP_NAIVE: "naive",
+    OP_UPDATE: "update",
+    OP_FLUSH: "flush",
+    OP_STATS: "stats",
+}
 
 #: Update operations a sealed OP_UPDATE payload may name, mapped to the
 #: system methods that apply them.
@@ -111,10 +114,7 @@ class ReadWriteLock:
 
     Plain condition-variable construction: readers share, a writer is
     exclusive, and a *waiting* writer blocks new readers so a steady
-    query stream cannot starve updates.  Acquire and release may happen
-    on different threads (the streaming path enters the read lock on
-    one pool thread and may release on another), which is why this is
-    built on a condition rather than on ``threading.Lock`` ownership.
+    query stream cannot starve updates.
     """
 
     def __init__(self) -> None:
@@ -235,15 +235,6 @@ class TenantSession:
         self._count("query")
         with self._rw.read():
             return self._target().answer_wire(blob)
-
-    def query_stream(
-        self, blob: bytes, chunk_fragments: int
-    ) -> Iterator[bytes]:
-        self._count("stream")
-        with self._rw.read():
-            yield from self._target().answer_wire_stream(
-                blob, chunk_fragments=chunk_fragments
-            )
 
     def naive(self, blob: bytes) -> bytes:
         self._count("naive")
@@ -700,10 +691,7 @@ class ServingServer:
         writer: asyncio.StreamWriter,
         write_lock: asyncio.Lock,
     ) -> None:
-        if op not in (
-            OP_QUERY, OP_QUERY_STREAM, OP_NAIVE,
-            OP_UPDATE, OP_FLUSH, OP_STATS,
-        ):
+        if op not in _REQUEST_HANDLERS:
             await self._send_error(
                 writer, write_lock, rid,
                 ProtocolError(f"unknown opcode {op}"),
@@ -750,22 +738,11 @@ class ServingServer:
         loop = asyncio.get_running_loop()
         started = time.perf_counter()
         try:
-            if op == OP_QUERY_STREAM:
-                await self._run_stream(
-                    session, rid, payload, writer, write_lock
-                )
-            else:
-                handler = {
-                    OP_QUERY: session.query,
-                    OP_NAIVE: session.naive,
-                    OP_UPDATE: session.update,
-                    OP_FLUSH: session.flush,
-                    OP_STATS: session.stats,
-                }[op]
-                blob = await loop.run_in_executor(
-                    self._executor, handler, payload
-                )
-                await self._send(writer, write_lock, rid, OP_OK, blob)
+            handler = getattr(session, _REQUEST_HANDLERS[op])
+            blob = await loop.run_in_executor(
+                self._executor, handler, payload
+            )
+            await self._send(writer, write_lock, rid, OP_OK, blob)
         except (ConnectionError, FrameError):
             pass  # peer went away mid-response; nothing left to tell it
         except Exception as exc:  # typed errors travel as ERROR frames
@@ -777,32 +754,6 @@ class ServingServer:
             self._observe(
                 "serving_request_seconds", time.perf_counter() - started
             )
-
-    async def _run_stream(
-        self,
-        session: TenantSession,
-        rid: int,
-        payload: bytes,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-    ) -> None:
-        if len(payload) < 4:
-            raise ProtocolError("stream request missing chunk-count prefix")
-        chunk_fragments = int.from_bytes(payload[:4], "big") or 8
-        counters.add("serving_streams")
-        loop = asyncio.get_running_loop()
-        stream = session.query_stream(payload[4:], chunk_fragments)
-        try:
-            while True:
-                chunk = await loop.run_in_executor(
-                    self._executor, next, stream, _STREAM_DONE
-                )
-                if chunk is _STREAM_DONE:
-                    break
-                await self._send(writer, write_lock, rid, OP_CHUNK, chunk)
-        finally:
-            stream.close()
-        await self._send(writer, write_lock, rid, OP_END, b"")
 
     # ------------------------------------------------------------------
     # Frame I/O and metric helpers

@@ -12,17 +12,15 @@ socket:
   ``channel.transfer`` **before** it is framed and sent, so a corrupted
   or truncated request genuinely crosses the wire mangled and a dropped
   one never leaves the process (exactly like the in-process raise);
-* inbound (``server->client``) — each response payload (monolithic
-  ``OP_OK`` or each streamed ``OP_CHUNK``) passes through on arrival,
-  in arrival order.
+* inbound (``server->client``) — each ``OP_OK`` response payload
+  passes through on arrival, in arrival order.
 
 ``OP_ERROR`` and control frames bypass the transport: in-process, a
 server-raised typed error propagates as an exception and produces *no*
 server→client transfer, so faulting error frames would desynchronize
 the seeded schedule.  Likewise only the sealed payload is faulted,
-never the frame header or the stream's ``chunk_fragments`` prefix —
-those are transport metadata the in-process path doesn't have, and the
-per-transfer RNG draws depend on payload size.
+never the frame header — that is transport metadata the in-process path
+doesn't have, and the per-transfer RNG draws depend on payload size.
 
 With the default :class:`~repro.netsim.channel.Channel` the transport
 is pure accounting (every byte billed once, no faults); with a

@@ -183,9 +183,7 @@ class Node:
         """Deep-copy the subtree rooted at this node (parent left unset).
 
         ``_map`` (optional) is filled with ``id(original) -> copy`` for
-        every node in the subtree, attributes included — the parallel
-        engine's answer memo uses it to relocate answer nodes inside a
-        cloned pruned document without re-evaluating the query.
+        every node in the subtree, attributes included.
         """
         raise NotImplementedError
 
@@ -468,86 +466,5 @@ class Document:
         """Deep-copy the document (fresh numbering, same order)."""
         return Document(self.root.clone(_map))
 
-    def clone_numbered(
-        self, _map: "Optional[dict[int, Node]]" = None
-    ) -> "Document":
-        """Deep-copy carrying the current numbering over in one pass.
-
-        Equivalent to :meth:`clone` whenever the numbering is current
-        (clone preserves document order, so renumbering the copy
-        reassigns exactly the ids the originals already hold).  Folding
-        the id transfer and the ``_nodes_by_id`` rebuild into the copy
-        walk skips the separate renumber pass, which makes this the
-        fast path for answer-memo hits that deep-copy a pristine
-        document per hit.
-        """
-        nodes_by_id: dict[int, Node] = {}
-        root = _clone_numbered_node(self.root, _map, nodes_by_id)
-        root.parent = None
-        copy = object.__new__(Document)
-        copy.root = root
-        copy._nodes_by_id = nodes_by_id
-        copy._order = None
-        return copy
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Document root={self.root.tag!r} nodes={self.size()}>"
-
-
-def _clone_numbered_node(
-    node: Node,
-    mapping: "Optional[dict[int, Node]]",
-    nodes_by_id: "dict[int, Node]",
-) -> Node:
-    """Copy a subtree, carrying node ids into ``nodes_by_id`` as it goes.
-
-    The hot loop of the answer-memo hit path: constructors and attach
-    helpers are bypassed in favour of ``__new__`` plus direct slot
-    writes (the source tree already satisfies every invariant those
-    helpers enforce).  The caller attaches the returned copy.
-    """
-    cls = node.__class__
-    if cls is Element:
-        copy: Node = Element.__new__(Element)
-        copy.tag = node.tag
-        attributes: list[Node] = []
-        copy.attributes = attributes
-        for attribute in node.attributes:
-            dup = Attribute.__new__(Attribute)
-            dup.name = attribute.name
-            dup.value = attribute.value
-            dup.parent = copy
-            dup.children = []
-            dup.node_id = attribute.node_id
-            attributes.append(dup)
-            nodes_by_id[attribute.node_id] = dup
-            if mapping is not None:
-                mapping[id(attribute)] = dup
-        children: list[Node] = []
-        copy.children = children
-        for child in node.children:
-            dup = _clone_numbered_node(child, mapping, nodes_by_id)
-            dup.parent = copy
-            children.append(dup)
-    elif cls is Text:
-        copy = Text.__new__(Text)
-        copy.value = node.value
-        copy.children = []
-    elif cls is Attribute:
-        copy = Attribute.__new__(Attribute)
-        copy.name = node.name
-        copy.value = node.value
-        copy.children = []
-    elif cls is EncryptedBlockNode:
-        copy = EncryptedBlockNode.__new__(EncryptedBlockNode)
-        copy.block_id = node.block_id
-        copy.payload = node.payload
-        copy.children = []
-    else:  # pragma: no cover - subclasses keep the generic path
-        copy = node.clone(mapping)
-        copy.parent = None
-    copy.node_id = node.node_id
-    nodes_by_id[node.node_id] = copy
-    if mapping is not None:
-        mapping[id(node)] = copy
-    return copy

@@ -127,3 +127,105 @@ class TestSchemeSizeAccounting:
             for root in scheme.block_roots(healthcare_doc)
         )
         assert scheme.size(healthcare_doc) > plain_nodes  # decoys included
+
+
+def _defined_public_names(module):
+    """Public names a module defines itself (imports excluded)."""
+    return {
+        name
+        for name, value in vars(module).items()
+        if not name.startswith("_")
+        and getattr(value, "__module__", module.__name__) == module.__name__
+        and not isinstance(value, type(module))
+    }
+
+
+class TestOneSerialPipeline:
+    """The parallel engine is gone: one wire shape, no knob selects another."""
+
+    def test_wire_codec_surface(self):
+        from repro.netsim import message
+
+        assert _defined_public_names(message) == {
+            "MessageDecodeError",
+            "encode_query", "decode_query",
+            "encode_response", "decode_response",
+        }
+
+    def test_framing_surface(self):
+        from repro.serving import framing
+
+        opcodes = {
+            name: value
+            for name, value in vars(framing).items()
+            if name.startswith("OP_")
+        }
+        assert opcodes == {
+            "OP_HELLO": 1, "OP_QUERY": 2, "OP_NAIVE": 4, "OP_UPDATE": 5,
+            "OP_FLUSH": 6, "OP_STATS": 7,
+            "OP_OK": 16, "OP_ERROR": 19, "OP_HELLO_OK": 20,
+        }
+        assert _defined_public_names(framing) - set(opcodes) == {
+            "MAX_FRAME_BYTES", "PROTOCOL_VERSION", "FAULTED_OPS",
+            "FrameError", "ConnectionClosedError",
+            "encode_frame", "decode_frame", "read_frame",
+        }
+
+    def test_counter_registry_surface(self):
+        from repro.perf.counters import PerfCounters
+
+        methods = {
+            name
+            for name, value in vars(PerfCounters).items()
+            if callable(value) and not name.startswith("_")
+        }
+        assert methods == {
+            "add", "snapshot", "delta_since", "reset",
+            "cache_layers", "hit_rate",
+        }
+        assert set(PerfCounters().cache_layers()) == {
+            "plan", "fragment", "block", "tree", "interval", "columnar",
+        }
+        retired = {
+            "answer_cache_hits", "answer_cache_misses", "chunks_streamed",
+            "parallel_decrypt_tasks", "sharded_filter_runs",
+            "serving_streams",
+        }
+        assert not retired & set(PerfCounters().snapshot())
+
+    def test_engine_knobs_are_rejected_or_ignored(
+        self, healthcare_doc, healthcare_scs, monkeypatch
+    ):
+        import importlib
+        import threading
+
+        from repro.core.system import SecureXMLSystem
+        from repro.serving import ServingServer, remote_system
+
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.core.parallel")
+        with pytest.raises(TypeError):
+            SecureXMLSystem.host(healthcare_doc, healthcare_scs, parallel=4)
+
+        queries = ["//patient/SSN", "//pname", "//patient/SSN"]
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        plain = SecureXMLSystem.host(healthcare_doc, healthcare_scs)
+        expected = [a.canonical() for a in plain.execute_many(queries)]
+
+        monkeypatch.setenv("REPRO_WORKERS", "4")
+        threads_before = threading.active_count()
+        system = SecureXMLSystem.host(healthcare_doc, healthcare_scs)
+        answers = system.execute_many(queries)
+        assert threading.active_count() == threads_before
+        assert [a.canonical() for a in answers] == expected
+        assert len(system.last_batch_traces) == len(
+            plain.last_batch_traces
+        ) == len(queries)
+
+        server = ServingServer()
+        server.register_tenant("t0", system)
+        try:
+            with pytest.raises(TypeError):
+                remote_system(system, server.start(), "t0", parallel=2)
+        finally:
+            server.stop()

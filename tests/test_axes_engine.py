@@ -3,9 +3,9 @@
 The contract is the same correctness equation the downward fragment has
 always satisfied — ``Q(δ(Qs(η(D)))) = Q(D)`` — extended to every axis
 and every positional-predicate shape, across the execution matrix:
-object/columnar backends, serial/parallel engines, monolithic and
-(4, 2) cluster hosting, and a ≥20% fault sweep where the outcome must
-be the exact answer or a typed error.
+object/columnar backends, monolithic and (4, 2) cluster hosting, and a
+≥20% fault sweep where the outcome must be the exact answer or a typed
+error.
 
 None of these queries may touch the naive protocol: the planner must
 pick a twig, axis, or residual server-side plan for each (the
@@ -17,7 +17,6 @@ import pytest
 
 from repro.cluster.placement import ClusterConfig
 from repro.core.client import canonical_node
-from repro.core.parallel import ParallelConfig
 from repro.core.system import QueryFailedError, SecureXMLSystem
 from repro.netsim import FaultPolicy, FaultyChannel
 from repro.perf import counters
@@ -87,21 +86,6 @@ class TestHealthcareMatrix:
         assert_exact_and_served(system, healthcare_doc, queries)
 
     @pytest.mark.parametrize("backend", ["object", "columnar"])
-    def test_parallel(self, healthcare_doc, healthcare_scs, backend):
-        system = SecureXMLSystem.host(
-            healthcare_doc,
-            healthcare_scs,
-            scheme="opt",
-            backend=backend,
-            parallel=ParallelConfig(workers=4, backend="thread"),
-        )
-        try:
-            queries = axis_queries(healthcare_doc) + list(EXTRA_QUERIES)
-            assert_exact_and_served(system, healthcare_doc, queries)
-        finally:
-            system.close()
-
-    @pytest.mark.parametrize("backend", ["object", "columnar"])
     def test_cluster(self, healthcare_doc, healthcare_scs, backend):
         system = SecureXMLSystem.host(
             healthcare_doc,
@@ -150,21 +134,6 @@ class TestOtherCorpora:
             cluster=ClusterConfig(shards=4, replicas=2),
         )
         assert_exact_and_served(system, xmark_doc, axis_queries(xmark_doc))
-
-    def test_xmark_parallel_columnar(self, xmark_doc, xmark_scs):
-        system = SecureXMLSystem.host(
-            xmark_doc,
-            xmark_scs,
-            scheme="opt",
-            backend="columnar",
-            parallel=ParallelConfig(workers=4, backend="thread"),
-        )
-        try:
-            assert_exact_and_served(
-                system, xmark_doc, axis_queries(xmark_doc)
-            )
-        finally:
-            system.close()
 
 
 class TestFaultSweep:

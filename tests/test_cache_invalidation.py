@@ -10,8 +10,11 @@ be answered fresh and exactly, never from stale cached state.
 
 import pytest
 
+from repro.core.client import canonical_node
+from repro.core.leakage import LeakagePolicy
 from repro.core.system import SecureXMLSystem
 from repro.perf import counters
+from repro.xpath.evaluator import evaluate
 
 
 @pytest.fixture
@@ -206,3 +209,66 @@ class TestColumnarInvalidation:
                 system.query(probe).canonical()
                 == columnar_system.query(probe).canonical()
             )
+
+
+class TestFlushCaches:
+    """``flush_caches()`` leaves a truly cold system behind."""
+
+    QUERY = "//patient[.//insurance//@coverage>=10000]//SSN"
+
+    def test_flush_clears_keyring_iv_memo(
+        self, healthcare_doc, healthcare_scs
+    ):
+        system = SecureXMLSystem.host(healthcare_doc, healthcare_scs)
+        system.query(self.QUERY)
+        keyring = system.keyring
+        assert keyring._block_ivs, "query should have derived block IVs"
+        system.flush_caches()
+        assert keyring._block_ivs == {}
+        # And the flush is behavioural, not just structural: the next
+        # query still answers correctly from a fully cold start.
+        assert system.query(self.QUERY).canonical() == sorted(
+            canonical_node(n) for n in evaluate(healthcare_doc, self.QUERY)
+        )
+
+    def test_flush_leaves_no_cache_behind(
+        self, healthcare_doc, healthcare_scs
+    ):
+        """Flush-coverage audit over every cache attribute that exists.
+
+        Walks ``vars()`` rather than naming the caches, so a cache added
+        later without a line in ``flush_caches()`` fails here.
+        """
+        system = SecureXMLSystem.host(
+            healthcare_doc, healthcare_scs,
+            leakage=LeakagePolicy(pad_to=8, decoys=8),
+        )
+        system.query(self.QUERY)
+
+        def dict_caches(owner):
+            return {
+                name: value
+                for name, value in vars(owner).items()
+                if name.endswith("_cache") and isinstance(value, dict)
+            }
+
+        warm = {
+            name
+            for owner in (system.client, system.server)
+            for name, value in dict_caches(owner).items()
+            if value
+        }
+        assert warm >= {
+            "_block_cache", "_tree_cache", "_request_cache",
+            "_response_cache", "_fragment_cache", "_wire_cache",
+        }
+        assert system.server._universe_cache is not None
+
+        system.flush_caches()
+        for owner in (system.client, system.server):
+            for name, value in dict_caches(owner).items():
+                assert value == {}, (type(owner).__name__, name)
+        assert len(system.client._plan_cache) == 0
+        assert system.client._verified_payloads == {}
+        assert system.server._nodes_by_id is None
+        assert system.server._universe_cache is None

@@ -210,23 +210,13 @@ class TestWireTampering:
     def test_tampering_server_triggers_fallback(self, system):
         """A server that always mangles the fast path forces naive mode."""
         real_answer_wire = system.server.answer_wire
-        real_answer_wire_stream = system.server.answer_wire_stream
 
         def mangled(request_blob):
             blob = bytearray(real_answer_wire(request_blob))
             blob[-1] ^= 0xFF
             return bytes(blob)
 
-        def mangled_stream(request_blob, **kwargs):
-            # The streaming entry point (parallel engine) is covered too,
-            # so the test holds under any REPRO_WORKERS setting.
-            for chunk in real_answer_wire_stream(request_blob, **kwargs):
-                blob = bytearray(chunk)
-                blob[-1] ^= 0xFF
-                yield bytes(blob)
-
         system.server.answer_wire = mangled
-        system.server.answer_wire_stream = mangled_stream
         answer = system.query(QUERIES[1])
         trace = system.last_trace
         assert answer.values() == ["Brown"]
@@ -245,21 +235,13 @@ class TestWireTampering:
             retry_policy=RetryPolicy(naive_fallback=False),
         )
         real_answer_wire = system.server.answer_wire
-        real_answer_wire_stream = system.server.answer_wire_stream
 
         def mangled(request_blob):
             blob = bytearray(real_answer_wire(request_blob))
             blob[40] ^= 0x10
             return bytes(blob)
 
-        def mangled_stream(request_blob, **kwargs):
-            for chunk in real_answer_wire_stream(request_blob, **kwargs):
-                blob = bytearray(chunk)
-                blob[40 % len(blob)] ^= 0x10
-                yield bytes(blob)
-
         system.server.answer_wire = mangled
-        system.server.answer_wire_stream = mangled_stream
         before = counters.snapshot()
         with pytest.raises(QueryFailedError):
             system.query(QUERIES[0])

@@ -5,8 +5,8 @@ list as flat sorted plane arrays and answering structural joins with
 galloping merge sweeps may change *how* a query is scheduled, never
 *what* it answers.  Every test here pins some face of that contract —
 plane geometry against the object rows, the gallop/sweep kernels against
-bisect references, end-to-end answer bytes across backends × parallelism
-× cluster shapes, and identity under seeded wire faults.
+bisect references, end-to-end answer bytes across backends × cluster
+shapes, and identity under seeded wire faults.
 """
 
 import json
@@ -33,7 +33,6 @@ from repro.core.colstore import (
     unpack_columns,
 )
 from repro.core.dsi import assign_intervals
-from repro.core.parallel import ParallelConfig
 from repro.core.storage import load_system, save_system
 from repro.core.system import QueryFailedError, SecureXMLSystem
 from repro.cluster.placement import ClusterConfig, build_placement
@@ -315,7 +314,7 @@ class TestSweepKernels:
 
 
 class TestByteIdentity:
-    """Same answer bytes on every workload × parallelism × cluster shape."""
+    """Same answer bytes on every workload × cluster shape."""
 
     def _expected(self, doc, scs, queries):
         system = _host(doc, scs, "object")
@@ -328,18 +327,15 @@ class TestByteIdentity:
 
     def _check(self, doc, scs, queries, expected, **kwargs):
         system = _host(doc, scs, "columnar", **kwargs)
-        try:
-            for query, (answer, candidates) in zip(queries, expected):
-                result = system.query(query)
-                assert result.canonical() == answer, (query, kwargs)
-                assert (
-                    dict(system.last_trace.candidate_counts) == candidates
-                ), (query, kwargs)
-        finally:
-            system.close()
+        for query, (answer, candidates) in zip(queries, expected):
+            result = system.query(query)
+            assert result.canonical() == answer, (query, kwargs)
+            assert (
+                dict(system.last_trace.candidate_counts) == candidates
+            ), (query, kwargs)
 
     @pytest.mark.parametrize("workload", sorted(WORKLOAD_QUERIES))
-    def test_serial_parallel_and_cluster_agree(self, workload, request):
+    def test_serial_and_cluster_agree(self, workload, request):
         if workload == "healthcare":
             doc = request.getfixturevalue("healthcare_doc")
             scs = request.getfixturevalue("healthcare_scs")
@@ -351,26 +347,11 @@ class TestByteIdentity:
         self._check(doc, scs, queries, expected)
         self._check(
             doc, scs, queries, expected,
-            parallel=ParallelConfig(workers=4, backend="thread"),
-        )
-        self._check(
-            doc, scs, queries, expected,
             cluster=ClusterConfig(shards=1, replicas=1),
         )
         self._check(
             doc, scs, queries, expected,
             cluster=ClusterConfig(shards=4, replicas=2),
-        )
-
-    def test_low_shard_threshold_still_identical(
-        self, healthcare_doc, healthcare_scs
-    ):
-        """Force the sharded sweep path even on the tiny document."""
-        queries = WORKLOAD_QUERIES["healthcare"]
-        expected = self._expected(healthcare_doc, healthcare_scs, queries)
-        self._check(
-            healthcare_doc, healthcare_scs, queries, expected,
-            parallel=ParallelConfig(workers=4, backend="thread", min_shard=2),
         )
 
 

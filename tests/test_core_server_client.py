@@ -6,10 +6,8 @@ from repro.core import client as client_module
 from repro.core.client import Client, QueryAnswer, canonical_node
 from repro.core.encryptor import host_database
 from repro.core.integrity import TamperedResponseError
-from repro.core.parallel import ParallelConfig
 from repro.core.scheme import build_scheme
 from repro.core.server import Fragment, Server, ServerResponse
-from repro.core.system import SecureXMLSystem
 from repro.crypto.keyring import ClientKeyring
 from repro.crypto.modes import cbc_encrypt
 from repro.perf import counters
@@ -250,65 +248,6 @@ class TestDecryptPipelineOrder:
         text = serialize(tree)
         assert text.startswith("<top><wrap><") and "EncryptedData" not in text
         assert serialize(client.decrypt_fragment(outer_xml)) == text[5:-6]
-
-
-class TestBackendsAgree:
-    """Serial, threads and processes differ only in who runs the batch."""
-
-    def test_answers_byte_identical(self, xmark_doc, xmark_scs):
-        queries = ["//people/person", "//creditcard", "//person/@id", "/site/people"]
-        canonical = {}
-        decrypted_blocks = {}
-        for label, parallel in (
-            ("serial", False),
-            ("threads", ParallelConfig(workers=4, backend="thread")),
-            ("processes", ParallelConfig(workers=2, backend="process")),
-        ):
-            system = SecureXMLSystem.host(
-                xmark_doc, xmark_scs, scheme="opt", parallel=parallel
-            )
-            try:
-                before = counters.snapshot()
-                canonical[label] = [
-                    [serialize(node) if not isinstance(node, Attribute)
-                     else canonical_node(node) for node in system.query(q).nodes]
-                    for q in queries
-                ]
-                decrypted_blocks[label] = counters.delta_since(before)[
-                    "blocks_decrypted"
-                ]
-            finally:
-                system.close()
-        assert canonical["serial"][0]  # not vacuous
-        assert canonical["threads"] == canonical["serial"]
-        assert canonical["processes"] == canonical["serial"]
-        assert len(set(decrypted_blocks.values())) == 1
-
-    def test_threads_keep_the_keyrings_cipher(
-        self, xmark_doc, xmark_scs, monkeypatch
-    ):
-        """Only processes rebuild a cipher from key bytes: with threads a
-        ``fast_path=False`` keyring must stay on the reference cipher."""
-        system = SecureXMLSystem.host(
-            xmark_doc, xmark_scs, scheme="opt", fast_path=False,
-            parallel=ParallelConfig(workers=4, backend="thread"),
-        )
-
-        def forbidden(*_):
-            raise AssertionError("thread backend rebuilt the cipher")
-
-        monkeypatch.setattr(client_module, "aes128_for_key", forbidden)
-        try:
-            before = counters.snapshot()
-            assert system.query("//people/person").nodes
-            response = system.server.answer(
-                system.client.translate("//people/person")
-            )
-            system.client.flush_caches()
-            system.client.decrypt_fragments(response, system._pool)
-            assert counters.delta_since(before)["blocks_decrypted"] > 1
-        finally:
-            system.close()
 
 
 class TestClientAssembly:

@@ -45,7 +45,7 @@ def test_xmark_20_hosting_and_wire_bytes_unchanged(monkeypatch):
     for name in [name for name in os.environ if name.startswith("REPRO_")]:
         monkeypatch.delenv(name)  # CI exports backend/shard/leakage knobs
     system = SecureXMLSystem.host(
-        build_xmark_database(20), xmark_constraints(), scheme="opt", parallel=False
+        build_xmark_database(20), xmark_constraints(), scheme="opt"
     )
     try:
         hosted = system.hosted

@@ -223,13 +223,6 @@ class TestTraceDeterminism:
         second = recorded(healthcare_doc, healthcare_scs, cluster=cluster)
         assert first == second
 
-    def test_serial_vs_parallel_identical(
-        self, healthcare_doc, healthcare_scs
-    ):
-        serial = recorded(healthcare_doc, healthcare_scs, parallel=False)
-        parallel = recorded(healthcare_doc, healthcare_scs, parallel=4)
-        assert serial == parallel
-
     def test_different_seed_differs(self, healthcare_doc, healthcare_scs):
         first = recorded(healthcare_doc, healthcare_scs,
                          policy=LeakagePolicy.full(seed=1))
@@ -268,10 +261,9 @@ class TestByteIdentity:
         "kwargs",
         [
             {},
-            {"parallel": 4},
             {"cluster": ClusterConfig(shards=4, replicas=2)},
         ],
-        ids=["serial", "workers4", "cluster4x2"],
+        ids=["serial", "cluster4x2"],
     )
     def test_answers_identical_in_process(
         self, kwargs, healthcare_doc, healthcare_scs

@@ -8,11 +8,9 @@ acceptance window for measured ones.
 """
 
 import json
-import threading
 
 import pytest
 
-from repro.core.parallel import ParallelConfig
 from repro.core.system import SecureXMLSystem
 from repro.netsim.channel import Channel
 from repro.netsim.faults import FaultPolicy, FaultyChannel
@@ -136,33 +134,6 @@ class TestTracer:
         with tracer.activate(root):
             assert tracer.current() is root
         assert tracer.current() is None
-
-    def test_wrap_propagates_context_across_threads(self):
-        tracer = Tracer()
-        seen: dict[str, object] = {}
-
-        def task() -> None:
-            seen["current"] = tracer.current()
-            seen["worker"] = tracer.in_worker()
-            tracer.begin("work").finish()
-
-        with tracer.span("root") as root:
-            wrapped = tracer.wrap(task)
-        worker = threading.Thread(target=wrapped)
-        worker.start()
-        worker.join()
-        assert seen["current"] is root
-        assert seen["worker"] is True
-        assert root.find("work") is not None
-
-    def test_wrap_without_context_is_identity(self):
-        tracer = Tracer()
-
-        def task() -> None:
-            pass
-
-        assert tracer.wrap(task) is task
-        assert Tracer(enabled=False).wrap(task) is task
 
     def test_activate_none_is_a_noop(self):
         tracer = Tracer()
@@ -328,57 +299,23 @@ class TestEndToEnd:
         self, healthcare_doc, healthcare_scs
     ):
         system = SecureXMLSystem.host(
-            healthcare_doc, healthcare_scs, parallel=False
+            healthcare_doc, healthcare_scs
         )
         for query in ("//patient/SSN", "/hospital/patient", "//pname"):
             system.query(query)
             assert_reconciles(system.last_trace)
 
-    def test_parallel_spans_reconcile_with_trace(
-        self, healthcare_doc, healthcare_scs
-    ):
-        system = SecureXMLSystem.host(
-            healthcare_doc, healthcare_scs, parallel=2
-        )
-        try:
-            for query in ("//patient/SSN", "//insurance/@coverage"):
-                system.query(query)
-                assert_reconciles(system.last_trace)
-                # Worker-side fragment decrypts attach under the root.
-                assert system.last_trace.span.find("decrypt") is not None
-        finally:
-            system.close()
-
-    def test_pipelined_batch_spans_reconcile(
-        self, healthcare_doc, healthcare_scs
-    ):
-        system = SecureXMLSystem.host(
-            healthcare_doc, healthcare_scs, parallel=2
-        )
-        try:
-            queries = ["//patient/SSN", "//pname", "/hospital/patient"]
-            system.execute_many(queries)
-            for trace in system.last_batch_traces:
-                assert_reconciles(trace)
-        finally:
-            system.close()
-
-    def test_memo_hits_carry_no_span(self, healthcare_doc, healthcare_scs):
-        system = SecureXMLSystem.host(
-            healthcare_doc, healthcare_scs, parallel=2
-        )
-        try:
-            system.execute_many(["//patient/SSN"])
-            system.execute_many(["//patient/SSN"])  # memo hit
-            hit_trace = system.last_trace
-            assert hit_trace.span is None
-            assert hit_trace.server_s == 0.0
-        finally:
-            system.close()
+    def test_batch_spans_reconcile(self, healthcare_doc, healthcare_scs):
+        system = SecureXMLSystem.host(healthcare_doc, healthcare_scs)
+        queries = ["//patient/SSN", "//pname", "/hospital/patient"]
+        system.execute_many(queries)
+        assert len(system.last_batch_traces) == len(queries)
+        for trace in system.last_batch_traces:
+            assert_reconciles(trace)
 
     def test_naive_query_traced(self, healthcare_doc, healthcare_scs):
         system = SecureXMLSystem.host(
-            healthcare_doc, healthcare_scs, parallel=False
+            healthcare_doc, healthcare_scs
         )
         system.naive_query("//patient/SSN")
         trace = system.last_trace
@@ -392,10 +329,10 @@ class TestEndToEnd:
         self, healthcare_doc, healthcare_scs
     ):
         enabled = SecureXMLSystem.host(
-            healthcare_doc, healthcare_scs, parallel=False
+            healthcare_doc, healthcare_scs
         )
         disabled = SecureXMLSystem.host(
-            healthcare_doc, healthcare_scs, parallel=False,
+            healthcare_doc, healthcare_scs,
             observability=False,
         )
         answer_on = enabled.query("//patient/SSN")
@@ -414,7 +351,7 @@ class TestEndToEnd:
         self, healthcare_doc, healthcare_scs
     ):
         system = SecureXMLSystem.host(
-            healthcare_doc, healthcare_scs, parallel=False
+            healthcare_doc, healthcare_scs
         )
         queries = ("//patient/SSN", "//pname")
         for query in queries:
@@ -436,7 +373,7 @@ class TestEndToEnd:
     ):
         channel = Channel()
         system = SecureXMLSystem.host(
-            healthcare_doc, healthcare_scs, parallel=False, channel=channel
+            healthcare_doc, healthcare_scs, channel=channel
         )
         system.query("//patient/SSN")
         root = system.last_trace.span
@@ -451,7 +388,7 @@ class TestEndToEnd:
         self, healthcare_doc, healthcare_scs
     ):
         system = SecureXMLSystem.host(
-            healthcare_doc, healthcare_scs, parallel=False
+            healthcare_doc, healthcare_scs
         )
         system.query("//treat/preceding::pname")
         trace = system.last_trace
@@ -485,7 +422,7 @@ class TestFaultAnnotations:
         policy = FaultPolicy.symmetric(seed=3, drop=0.4)
         channel = FaultyChannel(policy=policy)
         system = SecureXMLSystem.host(
-            healthcare_doc, healthcare_scs, parallel=False, channel=channel
+            healthcare_doc, healthcare_scs, channel=channel
         )
         retried = None
         for query in ("//patient/SSN", "//pname", "/hospital/patient"):
@@ -522,10 +459,10 @@ class TestSharedObservability:
     def test_one_context_across_systems(self, healthcare_doc, healthcare_scs):
         obs = Observability()
         first = SecureXMLSystem.host(
-            healthcare_doc, healthcare_scs, parallel=False, observability=obs
+            healthcare_doc, healthcare_scs, observability=obs
         )
         second = SecureXMLSystem.host(
-            healthcare_doc, healthcare_scs, parallel=False, observability=obs
+            healthcare_doc, healthcare_scs, observability=obs
         )
         first.query("//patient/SSN")
         second.query("//pname")
@@ -537,7 +474,7 @@ class TestSharedObservability:
         self, healthcare_doc, healthcare_scs
     ):
         system = SecureXMLSystem.host(
-            healthcare_doc, healthcare_scs, parallel=False
+            healthcare_doc, healthcare_scs
         )
         system.query("//patient/SSN")
         obs = system.observability()
@@ -547,19 +484,3 @@ class TestSharedObservability:
         assert all(
             data["count"] == 0 for data in snapshot["histograms"].values()
         )
-
-
-class TestProcessBackendTracing:
-    def test_process_backend_reconciles_too(
-        self, healthcare_doc, healthcare_scs
-    ):
-        system = SecureXMLSystem.host(
-            healthcare_doc,
-            healthcare_scs,
-            parallel=ParallelConfig(workers=2, backend="process"),
-        )
-        try:
-            system.query("//patient/SSN")
-            assert_reconciles(system.last_trace)
-        finally:
-            system.close()

@@ -2,7 +2,7 @@
 
 The headline invariant: a :func:`~repro.serving.client.remote_system`
 is indistinguishable from its in-process twin — byte-identical answers
-on every path (serial, streamed/parallel, naive, cluster), the same
+on every path (translated, naive, cluster), the same
 typed errors, and updates that commit through the same freshness
 anchor.  Around it, the serving-native machinery: length-prefixed
 framing, request multiplexing over one connection, admission control
@@ -148,19 +148,6 @@ class TestRemoteByteIdentity:
         finally:
             remote.close()
 
-    def test_streamed_answers_identical(self, served, reference):
-        """parallel=2 exercises OP_QUERY_STREAM chunk framing end to end."""
-        _, address, local = served
-        remote = remote_system(local, address, "t0", parallel=2)
-        try:
-            for query in QUERIES:
-                assert (
-                    remote.query(query).canonical()
-                    == reference.query(query).canonical()
-                ), query
-        finally:
-            remote.close()
-
     def test_naive_path_identical(self, served, reference):
         _, address, local = served
         remote = remote_system(local, address, "t0")
@@ -187,6 +174,31 @@ class TestRemoteByteIdentity:
             assert hello["protocol"] == 1
             assert hello["backend"] == local.backend
             assert hello["epoch"] == local.hosted.epoch
+        finally:
+            remote.close()
+
+
+class TestRetiredOpcodes:
+    @pytest.mark.parametrize("opcode", [3, 17, 18])
+    def test_typed_error_then_connection_still_serves(self, served, opcode):
+        """3/17/18 were QUERY_STREAM/CHUNK/END: now unknown, not fatal."""
+        _, address, local = served
+        remote = remote_system(local, address, "t0")
+        try:
+            connection = remote._connection
+            request = remote.client.seal_request(
+                remote.client.translate(PROBE)
+            )
+            with pytest.raises(
+                ProtocolError, match=f"unknown opcode {opcode}"
+            ):
+                connection.call(opcode, (8).to_bytes(4, "big") + request)
+            sealed = connection.call(OP_QUERY, request)
+            assert remote.client.open_response(sealed).fragments
+            assert (
+                remote.query(PROBE).canonical()
+                == local.query(PROBE).canonical()
+            )
         finally:
             remote.close()
 
@@ -628,8 +640,7 @@ class TestReadWriteLock:
         assert order.index("write") < order.index("r2")
 
     def test_release_on_another_thread(self):
-        """The streaming path acquires and releases on different pool
-        threads; the lock must not assume thread ownership."""
+        """The lock must not assume thread ownership."""
         lock = ReadWriteLock()
         ctx = lock.read()
         t1 = threading.Thread(target=ctx.__enter__)

@@ -15,11 +15,6 @@ over a real TCP connection — and assert:
 * the two policies' :meth:`~repro.netsim.faults.FaultPolicy
   .schedule_signature` transcripts are equal — every transfer faulted
   the same way, in the same order, at the same payload size.
-
-Both runs pin ``parallel=False``: the parallel engine streams responses
-(one transfer per chunk instead of one per response), which is a
-*different* transfer sequence, not a parity bug — parity is only
-defined against the matching engine configuration.
 """
 
 import os
@@ -58,19 +53,17 @@ def _inprocess_system(doc, scs, policy):
     return SecureXMLSystem.host(
         doc, scs, scheme="opt",
         channel=FaultyChannel(policy=policy),
-        parallel=False,
     )
 
 
 def _socket_system(doc, scs, policy):
     """A served tenant plus a remote system faulting at the socket."""
-    local = SecureXMLSystem.host(doc, scs, scheme="opt", parallel=False)
+    local = SecureXMLSystem.host(doc, scs, scheme="opt")
     server = ServingServer(max_inflight=8)
     server.register_tenant("t0", local)
     remote = remote_system(
         local, server.start(), "t0",
         channel=FaultyChannel(policy=policy),
-        parallel=False,
     )
     return server, remote
 
@@ -174,7 +167,7 @@ class TestRollbackSweepOverSockets:
             healthcare_doc, healthcare_scs, policy
         )
         reference = SecureXMLSystem.host(
-            healthcare_doc, healthcare_scs, scheme="opt", parallel=False
+            healthcare_doc, healthcare_scs, scheme="opt"
         )
         try:
             for query in QUERIES:

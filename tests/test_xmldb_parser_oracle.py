@@ -216,7 +216,7 @@ def test_workload_fragments_and_plaintexts(workload, monkeypatch):
 
     monkeypatch.setattr(client_module, "parse_fragment", recording)
     system = SecureXMLSystem.host(
-        document, constraints(), scheme="opt", parallel=False
+        document, constraints(), scheme="opt"
     )
     try:
         queries = QueryWorkload(document, per_class=6).by_class()
