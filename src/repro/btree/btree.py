@@ -10,12 +10,17 @@ the index.
 The implementation is a classic Cormen-style B-tree parameterized by minimum
 degree ``t`` (max ``2t − 1`` keys per node), supporting insertion, exact
 search, inclusive range scans, in-order iteration and a structural invariant
-checker used by the property-based tests.
+checker used by the property-based tests.  A whole sorted run of entries is
+loaded bottom-up in one pass by :meth:`BTree.from_sorted` — the path every
+index (re)build takes; :meth:`BTree.insert` is for one entry at a time.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional
+from bisect import bisect_left
+from itertools import groupby
+from operator import itemgetter
+from typing import Any, Iterable, Iterator, Optional
 
 
 class _BTreeNode:
@@ -43,6 +48,80 @@ class BTree:
         self._root = _BTreeNode()
         self._distinct_keys = 0
         self._entry_count = 0
+
+    # ------------------------------------------------------------------
+    # Bulk load
+    # ------------------------------------------------------------------
+    @classmethod
+    def from_sorted(
+        cls, entries: Iterable[tuple[Any, Any]], min_degree: int = 16
+    ) -> "BTree":
+        """Build a tree from ⟨key, payload⟩ entries in non-decreasing key order.
+
+        Equivalent to inserting the entries one by one — same ``items()``,
+        duplicates under one key keep the order they arrive in — but in
+        one linear pass: equal keys are merged, then nodes are cut
+        bottom-up with each level's keys spread evenly over the fewest
+        levels that hold them, which keeps every non-root node between
+        ``t − 1`` and ``2t − 1`` keys.  Raises ``ValueError`` if a key is
+        smaller than its predecessor.
+        """
+        tree = cls(min_degree)
+        keys: list[Any] = []
+        payloads: list[list[Any]] = []
+        count = 0
+        for key, run in groupby(entries, key=itemgetter(0)):
+            if keys and key < keys[-1]:
+                raise ValueError(
+                    f"bulk-load keys out of order: {key!r} after {keys[-1]!r}"
+                )
+            keys.append(key)
+            payloads.append([payload for _, payload in run])
+            count += len(payloads[-1])
+        tree._entry_count = count
+        tree._distinct_keys = len(keys)
+        height = 1
+        while len(keys) > (2 * min_degree) ** height - 1:
+            height += 1
+        tree._root = tree._build(keys, payloads, 0, len(keys), height)
+        return tree
+
+    def _build(
+        self,
+        keys: list[Any],
+        payloads: list[list[Any]],
+        low: int,
+        high: int,
+        height: int,
+    ) -> _BTreeNode:
+        """The subtree of ``height`` levels over ``keys[low:high]``.
+
+        A non-root subtree of height ``h`` holds between ``t^h − 1`` and
+        ``(2t)^h − 1`` keys, so any fan-out ``c`` with
+        ``c·t^(h−1) ≤ n + 1 ≤ c·(2t)^(h−1)`` leaves every child a legal
+        share; the largest such ``c`` keeps nodes closest to their minimum
+        fill, and the shares differ by at most one key.
+        """
+        node = _BTreeNode()
+        if height == 1:
+            node.keys = keys[low:high]
+            node.payloads = payloads[low:high]
+            return node
+        t = self._t
+        count = high - low
+        fanout = min(2 * t, (count + 1) // t ** (height - 1))
+        share, extra = divmod(count - (fanout - 1), fanout)
+        start = low
+        for child in range(fanout):
+            end = start + share + (1 if child < extra else 0)
+            node.children.append(
+                self._build(keys, payloads, start, end, height - 1)
+            )
+            if end < high:
+                node.keys.append(keys[end])
+                node.payloads.append(payloads[end])
+            start = end + 1
+        return node
 
     # ------------------------------------------------------------------
     # Metrics
@@ -107,7 +186,7 @@ class BTree:
 
     def _insert_nonfull(self, node: _BTreeNode, key: Any, payload: Any) -> None:
         while True:
-            index = _lower_bound(node.keys, key)
+            index = bisect_left(node.keys, key)
             if index < len(node.keys) and node.keys[index] == key:
                 node.payloads[index].append(payload)
                 return
@@ -133,7 +212,7 @@ class BTree:
         """All payloads stored under ``key`` (empty list if absent)."""
         node = self._root
         while True:
-            index = _lower_bound(node.keys, key)
+            index = bisect_left(node.keys, key)
             if index < len(node.keys) and node.keys[index] == key:
                 return list(node.payloads[index])
             if node.is_leaf:
@@ -157,7 +236,7 @@ class BTree:
     def _scan(
         self, node: _BTreeNode, low: Optional[Any], high: Optional[Any]
     ) -> Iterator[tuple[Any, Any]]:
-        start = 0 if low is None else _lower_bound(node.keys, low)
+        start = 0 if low is None else bisect_left(node.keys, low)
         for index in range(start, len(node.keys) + 1):
             if not node.is_leaf:
                 # Descend left of keys[index] unless everything there < low.
@@ -248,15 +327,3 @@ class BTree:
                 depth=depth + 1,
                 leaf_depths=leaf_depths,
             )
-
-
-def _lower_bound(keys: list[Any], key: Any) -> int:
-    """First index whose key is >= ``key`` (binary search)."""
-    low, high = 0, len(keys)
-    while low < high:
-        mid = (low + high) // 2
-        if keys[mid] < key:
-            low = mid + 1
-        else:
-            high = mid
-    return low

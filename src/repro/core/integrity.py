@@ -256,21 +256,26 @@ class BlockMerkleTree:
 
     The common update path (``update_value`` re-tags an existing block)
     is a true O(log n) incremental path update; inserting or deleting a
-    block shifts sorted positions, so those rebuild the level arrays
-    (O(n) hashing, amortized by the epoch-cached root on both ends).
+    block shifts sorted positions, so those rebuild the interior levels
+    (n − 1 node hashes) over the leaf hashes, which are computed once per
+    ``set_leaf`` and kept.
     """
 
     _EMPTY_ROOT = hashlib.sha256(b"repro-merkle-empty").digest()
 
     def __init__(self, tags: dict[int, bytes] | None = None) -> None:
-        self._tags: dict[int, bytes] = dict(tags or {})
+        #: block id → leaf hash
+        self._leaves: dict[int, bytes] = {
+            block_id: self._leaf_hash(block_id, tag)
+            for block_id, tag in (tags or {}).items()
+        }
         self._ids: list[int] = []
         self._levels: list[list[bytes]] = []
         self._dirty = True
 
     @property
     def leaf_count(self) -> int:
-        return len(self._tags)
+        return len(self._leaves)
 
     @staticmethod
     def _leaf_hash(block_id: int, tag: bytes) -> bytes:
@@ -279,8 +284,8 @@ class BlockMerkleTree:
         ).digest()
 
     def _rebuild(self) -> None:
-        self._ids = sorted(self._tags)
-        level = [self._leaf_hash(i, self._tags[i]) for i in self._ids]
+        self._ids = sorted(self._leaves)
+        level = [self._leaves[i] for i in self._ids]
         self._levels = [level]
         while len(level) > 1:
             nxt = []
@@ -298,10 +303,11 @@ class BlockMerkleTree:
 
     def set_leaf(self, block_id: int, tag: bytes) -> None:
         """Insert or update one leaf; re-tagging is an O(log n) path."""
-        if block_id in self._tags and not self._dirty:
-            self._tags[block_id] = tag
+        known = block_id in self._leaves
+        leaf = self._leaves[block_id] = self._leaf_hash(block_id, tag)
+        if known and not self._dirty:
             index = bisect.bisect_left(self._ids, block_id)
-            self._levels[0][index] = self._leaf_hash(block_id, tag)
+            self._levels[0][index] = leaf
             for depth in range(len(self._levels) - 1):
                 level = self._levels[depth]
                 parent = index // 2
@@ -315,11 +321,10 @@ class BlockMerkleTree:
                 self._levels[depth + 1][parent] = digest
                 index = parent
             return
-        self._tags[block_id] = tag
         self._dirty = True
 
     def remove_leaf(self, block_id: int) -> None:
-        if self._tags.pop(block_id, None) is not None:
+        if self._leaves.pop(block_id, None) is not None:
             self._dirty = True
 
     def root(self) -> bytes:

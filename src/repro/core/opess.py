@@ -41,6 +41,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import itemgetter
 from typing import Optional
 
 from repro.btree import BTree
@@ -284,13 +286,25 @@ class KeyRange:
 
 def chunk_ciphertexts(plan: FieldPlan, value: str, ope: OrderPreservingEncryption) -> list[int]:
     """The OPE ciphertexts of every chunk of ``value`` (ordered)."""
-    position = plan.position(value)
-    if position is None:
-        raise KeyError(f"value {value!r} not in field plan")
-    return [
-        ope.encrypt_float(position + plan.displacement(j))
-        for j in range(1, len(plan.chunk_plan[value]) + 1)
+    return _chunk_ciphertexts_of(plan, [value], ope)[0]
+
+
+def _chunk_ciphertexts_of(
+    plan: FieldPlan, values: list[str], ope: OrderPreservingEncryption
+) -> list[list[int]]:
+    """:func:`chunk_ciphertexts` of each value, from one OPE batch."""
+    displacements = [
+        plan.displacement(j) for j in range(1, plan.key_count + 1)
     ]
+    chunk_counts = [len(plan.chunk_plan[value]) for value in values]
+    ciphertexts = iter(
+        ope.encrypt_many(
+            ope.quantize(plan.mapping[value] + displacement)
+            for value, count in zip(values, chunk_counts)
+            for displacement in displacements[:count]
+        )
+    )
+    return [list(islice(ciphertexts, count)) for count in chunk_counts]
 
 
 def translate_predicate(
@@ -417,35 +431,36 @@ def build_value_index(
 
     ``occurrences[field]`` lists ``(value, block_id)`` for every encrypted
     occurrence, in document order.  Occurrences of a value are dealt to its
-    chunks in order; every resulting ⟨ciphertext, block⟩ entry is inserted
-    ``sᵢ`` times (the scaling step).
+    chunks in order; every resulting ⟨ciphertext, block⟩ entry appears
+    ``sᵢ`` times (the scaling step).  A field's entries are gathered, put
+    in key order by one stable sort and bulk-loaded, so entries under one
+    ciphertext keep the order they were dealt in.
     """
     index = ValueIndex()
     for field_name, occurrence_list in occurrences.items():
         plan = plans[field_name]
-        tree = BTree(min_degree=min_degree)
         by_value: dict[str, list[int]] = {}
         for value, block_id in occurrence_list:
             by_value.setdefault(value, []).append(block_id)
-        for value, block_ids in by_value.items():
-            ciphertexts = chunk_ciphertexts(plan, value, ope)
+        entries: list[tuple[int, int]] = []
+        for (value, block_ids), ciphertexts in zip(
+            by_value.items(), _chunk_ciphertexts_of(plan, list(by_value), ope)
+        ):
             chunks = plan.chunk_plan[value]
             scale = plan.scales[value]
             if len(block_ids) == 1 and len(chunks) > 1:
                 # Singleton rule: every chunk indexes the one occurrence.
-                assignments = [
-                    (ciphertext, block_ids[0]) for ciphertext in ciphertexts
-                ]
-            else:
-                assignments = []
-                cursor = 0
-                for ciphertext, chunk_size in zip(ciphertexts, chunks):
-                    for block_id in block_ids[cursor : cursor + chunk_size]:
-                        assignments.append((ciphertext, block_id))
-                    cursor += chunk_size
-                assert cursor == len(block_ids)
-            for ciphertext, block_id in assignments:
-                for _ in range(scale):
-                    tree.insert(ciphertext, block_id)
-        index.trees[field_tokens[field_name]] = tree
+                for ciphertext in ciphertexts:
+                    entries.extend([(ciphertext, block_ids[0])] * scale)
+                continue
+            cursor = 0
+            for ciphertext, chunk_size in zip(ciphertexts, chunks):
+                for block_id in block_ids[cursor : cursor + chunk_size]:
+                    entries.extend([(ciphertext, block_id)] * scale)
+                cursor += chunk_size
+            assert cursor == len(block_ids)
+        entries.sort(key=itemgetter(0))
+        index.trees[field_tokens[field_name]] = BTree.from_sorted(
+            entries, min_degree=min_degree
+        )
     return index

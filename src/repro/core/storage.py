@@ -541,10 +541,18 @@ def load_system(
 
         value_index = ValueIndex()
         for token, flat_entries in server_meta["value_index"].items():
-            tree = BTree(min_degree=16)
-            for key, block in flat_entries:
-                tree.insert(key, block)
-            value_index.trees[token] = tree
+            for row in flat_entries:
+                if [type(cell) for cell in row] != [int, int]:
+                    raise StorageError(
+                        meta_path,
+                        f"value index {token!r} holds a row that is not "
+                        f"[int, int]: {row!r}",
+                    )
+            # ``save_system`` writes ``tree.items()``: key order.  The
+            # bulk load raises ValueError on anything else.
+            value_index.trees[token] = BTree.from_sorted(
+                flat_entries, min_degree=16
+            )
     except StorageError:
         raise
     except (KeyError, TypeError, IndexError, ValueError) as exc:

@@ -33,9 +33,9 @@ exactly the open problem §8 flags.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.core.decoy import inject_decoys
 from repro.core.dsi import IndexEntry, Interval
@@ -50,6 +50,11 @@ from repro.xmldb.serializer import serialize
 
 class UpdateError(ValueError):
     """Raised when an update cannot be applied safely."""
+
+
+def _low(entry: IndexEntry) -> float:
+    """Sort key of ``StructuralIndex.entries``: the interval's low bound."""
+    return entry.interval.low
 
 
 class UpdateEngine:
@@ -109,7 +114,8 @@ class UpdateEngine:
                     interval=interval,
                     member_ids=(new_element.node_id,),
                     block_id=block_id,
-                )
+                ),
+                entry,
             )
             self._add_occurrence(tag, value, block_id)
         else:
@@ -123,7 +129,8 @@ class UpdateEngine:
                     block_id=None,
                     plaintext_value=value,
                     hosted_node=new_element,
-                )
+                ),
+                entry,
             )
         self._hosted.bump_epoch()
 
@@ -150,7 +157,7 @@ class UpdateEngine:
             if isinstance(descendant, EncryptedBlockNode):
                 self._delete_block(descendant.block_id)
         node.detach()
-        self._remove_entries_inside(target.interval, include_self=True)
+        self._remove_entries_inside(target.interval)
         self._hosted.bump_epoch()
 
     # ------------------------------------------------------------------
@@ -257,45 +264,64 @@ class UpdateEngine:
         w2 = stream.uniform(0.35, 0.60)
         return Interval(gap_low + width * w1, gap_low + width * w2)
 
-    def _add_entry(self, entry: IndexEntry) -> None:
+    def _add_entry(self, entry: IndexEntry, parent: IndexEntry) -> None:
+        """Link a new entry below ``parent``.
+
+        Its interval was drawn in ``parent``'s trailing gap, past every
+        existing child, so ``parent`` is the smallest interval around it.
+        """
         index = self._hosted.structural_index
-        # Parent = smallest existing interval strictly containing ours.
-        parent: Optional[IndexEntry] = None
-        for candidate in index.all_entries():
-            if candidate.interval.contains(entry.interval):
-                if parent is None or parent.interval.contains(
-                    candidate.interval
-                ):
-                    parent = candidate
         entry.parent = parent
-        if parent is not None:
-            parent.children.append(entry)
+        parent.children.append(entry)
         index.table.setdefault(entry.key, []).append(entry)
-        insort(index.entries, entry, key=lambda e: e.interval.low)
+        insort(index.entries, entry, key=_low)
 
-    def _remove_entries_inside(
-        self, interval: Interval, include_self: bool
+    def _unlink_entries(
+        self, span: Interval, doomed: Callable[[IndexEntry], bool]
     ) -> None:
+        """Remove the entries at or inside ``span`` that ``doomed`` selects.
+
+        ``entries`` is sorted by low bound and the intervals are laminar,
+        so everything at or inside ``span`` is one contiguous run, found
+        by bisection.  A removed entry is referenced from three places —
+        that run, its key's table list and its parent's ``children`` —
+        and only those are rewritten.
+        """
         index = self._hosted.structural_index
-
-        def doomed(entry: IndexEntry) -> bool:
-            if interval.contains(entry.interval):
-                return True
-            return include_self and entry.interval == interval
-
-        removed = [e for e in index.entries if doomed(e)]
-        removed_ids = {id(e) for e in removed}
-        index.entries = [e for e in index.entries if id(e) not in removed_ids]
-        for key in list(index.table):
-            index.table[key] = [
-                e for e in index.table[key] if id(e) not in removed_ids
+        entries = index.entries
+        start = bisect_left(entries, span.low, key=_low)
+        stop = bisect_right(entries, span.high, key=_low)
+        run = entries[start:stop]
+        removed = [entry for entry in run if doomed(entry)]
+        removed_ids = {id(entry) for entry in removed}
+        entries[start:stop] = [
+            entry for entry in run if id(entry) not in removed_ids
+        ]
+        # Compare by identity: IndexEntry equality recurses through links.
+        table = index.table
+        for key in {entry.key for entry in removed}:
+            kept = [e for e in table[key] if id(e) not in removed_ids]
+            if kept:
+                table[key] = kept
+            else:
+                del table[key]
+        survivors = {
+            id(entry.parent): entry.parent
+            for entry in removed
+            if entry.parent is not None and id(entry.parent) not in removed_ids
+        }
+        for parent in survivors.values():
+            parent.children = [
+                c for c in parent.children if id(c) not in removed_ids
             ]
-            if not index.table[key]:
-                del index.table[key]
-        for entry in index.entries:
-            entry.children = [
-                c for c in entry.children if id(c) not in removed_ids
-            ]
+
+    def _remove_entries_inside(self, interval: Interval) -> None:
+        """Drop the entry at ``interval`` and every entry nested in it."""
+        self._unlink_entries(
+            interval,
+            lambda entry: interval.contains(entry.interval)
+            or entry.interval == interval,
+        )
 
     def _delete_block(self, block_id: int) -> None:
         hosted = self._hosted
@@ -304,23 +330,15 @@ class UpdateEngine:
             placeholder.detach()
         hosted.blocks.pop(block_id, None)
         hosted.drop_block_tag(block_id)
+        # Every entry of a block lies at or inside its representative
+        # interval (the block root's).
         representative = hosted.structural_index.block_table.pop(
             block_id, None
         )
-        index = hosted.structural_index
-        removed = [e for e in index.entries if e.block_id == block_id]
-        removed_ids = {id(e) for e in removed}
-        index.entries = [e for e in index.entries if id(e) not in removed_ids]
-        for key in list(index.table):
-            index.table[key] = [
-                e for e in index.table[key] if id(e) not in removed_ids
-            ]
-            if not index.table[key]:
-                del index.table[key]
-        for entry in index.entries:
-            entry.children = [
-                c for c in entry.children if id(c) not in removed_ids
-            ]
+        if representative is not None:
+            self._unlink_entries(
+                representative, lambda entry: entry.block_id == block_id
+            )
         # Drop value occurrences pointing at the dead block.
         for field_name in list(hosted.occurrences):
             occurrence_list = hosted.occurrences[field_name]

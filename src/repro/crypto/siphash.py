@@ -1,12 +1,17 @@
 """SipHash-2-4, implemented from the Aumasson–Bernstein specification.
 
 SipHash is a keyed pseudo-random function designed for short inputs.  The
-reproduction uses it as the *hot-path* PRF — the OPE function evaluates one
-PRF per bisection level and the deterministic randomness streams draw tens
-of thousands of values per hosting — where HMAC-SHA256 (four full SHA-256
-compressions per call in pure Python) would dominate the run time.
-HMAC-SHA256 remains the key-derivation PRF; SipHash keys are derived from
-it, so the hierarchy is still rooted in the hash.
+reproduction uses it as the PRF under the OPE function (one call per
+bisection rectangle it samples) and under the deterministic randomness
+streams (DSI weights, decoys, OPESS weights and scales).  It was chosen when
+HMAC-SHA256 here was four pure-Python SHA-256 compressions per call; since
+``repro.crypto.hmac.hmac_sha256`` became the C-backed ``hmac.digest`` that is
+no longer true — on a 32-byte message the HMAC is ~2 µs and this pure-Python
+SipHash ~16 µs.  It stays because every hosted ciphertext, interval and
+decoy was drawn with it: swapping the PRF changes hosted bytes
+(``tests/test_hosted_bytes_pinned.py``), which is a decision of its own
+(ROADMAP item 1).  HMAC-SHA256 remains the key-derivation PRF; SipHash keys
+are derived from it, so the hierarchy is still rooted in the hash.
 
 Verified against the reference test vectors from the SipHash paper in the
 test suite.
@@ -25,9 +30,9 @@ def siphash24(key: bytes, message: bytes) -> int:
     """SipHash-2-4 of ``message`` under a 16-byte key; returns a 64-bit int.
 
     The compression rounds are manually unrolled with local variables —
-    this function sits on the hottest path of the whole system (one call
-    per OPE bisection level), and closure/function-call overhead in pure
-    Python would roughly triple its cost.
+    hosting spends most of its time here (one call per OPE rectangle
+    sampled, one per eight stream bytes), and closure/function-call
+    overhead in pure Python would roughly triple its cost.
     """
     if len(key) != 16:
         raise ValueError("SipHash requires a 16-byte key")

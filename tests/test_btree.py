@@ -150,3 +150,91 @@ class TestProperties:
         for key in keys:
             tree.insert(key, None)
         tree.check_invariants()
+
+
+def _boundary_sizes(degree: int) -> list[int]:
+    """Distinct-key counts either side of every height-1..3 capacity edge.
+
+    A subtree of height ``h`` holds between ``t^h − 1`` and ``(2t)^h − 1``
+    keys, so these are the counts where the bulk load changes height or
+    runs a level at its minimum or maximum fill.
+    """
+    sizes = {0, 1, 2}
+    for height in (1, 2, 3):
+        for edge in (degree**height - 1, (2 * degree) ** height - 1):
+            if edge <= 5000:
+                sizes.update((edge - 1, edge, edge + 1))
+    return sorted(size for size in sizes if size >= 0)
+
+
+def _assert_same_tree_contents(bulk: BTree, looped: BTree, entries) -> None:
+    bulk.check_invariants()
+    assert list(bulk.items()) == list(looped.items()) == entries
+    assert len(bulk) == len(looped)
+    assert bulk.distinct_keys == looped.distinct_keys
+    assert list(bulk.keys()) == list(looped.keys())
+
+
+class TestBulkLoad:
+    """``from_sorted`` is the insert loop, minus the per-entry descents."""
+
+    @pytest.mark.parametrize("degree", [2, 3, 16])
+    def test_every_capacity_boundary(self, degree):
+        for size in _boundary_sizes(degree):
+            entries = [(key, -key) for key in range(size)]
+            looped = BTree(min_degree=degree)
+            for key, payload in entries:
+                looped.insert(key, payload)
+            bulk = BTree.from_sorted(entries, min_degree=degree)
+            _assert_same_tree_contents(bulk, looped, entries)
+            if size:
+                assert bulk.min_key() == 0 and bulk.max_key() == size - 1
+            assert bulk.height() <= looped.height()
+
+    @given(
+        st.sampled_from([2, 3, 16]),
+        st.lists(
+            st.tuples(st.integers(0, 120), st.integers(0, 9)), max_size=400
+        ),
+        st.integers(-5, 125),
+        st.integers(-5, 125),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_insert_loop(self, degree, entries, low, high):
+        """Same ``items()`` (duplicates in arrival order), counts and scans."""
+        entries.sort(key=lambda entry: entry[0])  # stable: payload order kept
+        looped = BTree(min_degree=degree)
+        for key, payload in entries:
+            looped.insert(key, payload)
+        bulk = BTree.from_sorted(entries, min_degree=degree)
+        _assert_same_tree_contents(bulk, looped, entries)
+        low, high = min(low, high), max(low, high)
+        for bounds in ((low, high), (None, high), (low, None)):
+            assert list(bulk.range_scan(*bounds)) == list(
+                looped.range_scan(*bounds)
+            )
+        for key in (low, high, 60):
+            assert bulk.search(key) == looped.search(key)
+
+    def test_inserts_after_a_bulk_load_keep_the_invariants(self):
+        tree = BTree.from_sorted([(key, 0) for key in range(0, 400, 2)], 2)
+        for key in range(1, 400, 2):
+            tree.insert(key, 1)
+        tree.insert(10, 2)
+        tree.check_invariants()
+        assert list(tree.keys()) == list(range(400))
+        assert tree.search(10) == [0, 2]
+
+    def test_accepts_an_iterator(self):
+        tree = BTree.from_sorted(iter([(1, "a"), (1, "b"), (2, "c")]))
+        assert list(tree.items()) == [(1, "a"), (1, "b"), (2, "c")]
+
+    def test_out_of_order_keys_rejected(self):
+        with pytest.raises(ValueError, match="out of order"):
+            BTree.from_sorted([(1, 0), (3, 0), (2, 0)])
+        with pytest.raises(ValueError, match="out of order"):
+            BTree.from_sorted([(1, 0), (2, 0), (1, 1)])
+
+    def test_min_degree_validated(self):
+        with pytest.raises(ValueError):
+            BTree.from_sorted([], min_degree=1)

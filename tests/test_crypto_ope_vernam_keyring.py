@@ -92,6 +92,146 @@ class TestOPE:
             assert first.encrypt_int(value) == second.encrypt_int(value)
 
 
+class TestOPETrie:
+    """The lazily sampled function is a trie of rectangles, not a table.
+
+    The pinned numbers were produced by the commit before the trie (a memo
+    dict keyed by rectangle): same PRF, same rectangles, same ciphertexts.
+    """
+
+    PINNED_KEY = b"pinned-ope-key-0123456789abcdef"
+    PINNED_POINTS = [
+        0, 1, 2, (1 << 43) - 1, 1 << 43, (1 << 43) + 1,
+        (1 << 43) + 1_000_000, (1 << 43) + 123_456_789_012,
+        (1 << 44) - 2, (1 << 44) - 1,
+    ]
+    PINNED_CIPHERTEXTS = [
+        0, 2, 6, 1104606774525459038, 1104606774525459039,
+        1104606774525459420, 1104606941723674884, 1106221912429818770,
+        1152921504606846974, 1152921504606846975,
+    ]
+
+    def test_ciphertexts_pinned_from_the_memo_implementation(self):
+        ope = OrderPreservingEncryption(self.PINNED_KEY)
+        # Largest first, so no ciphertext depends on the order of filling.
+        for point, ciphertext in reversed(
+            list(zip(self.PINNED_POINTS, self.PINNED_CIPHERTEXTS))
+        ):
+            assert ope.encrypt_int(point) == ciphertext
+        assert ope.encrypt_many(self.PINNED_POINTS) == self.PINNED_CIPHERTEXTS
+        assert ope.encrypt_float(-12.5) == 1104606760690681381
+        assert ope.encrypt_float(0.000001) == 1104606774525459420
+        assert ope.encrypt_float(1999.25) == 1104659682540509000
+        assert [
+            small_ope().encrypt_int(v)
+            for v in [0, 1, 2, 17, 500, 40_000, (1 << 16) - 1]
+        ] == [0, 221, 227, 1597, 16072, 15743423, 16777214]
+
+    @given(st.lists(st.integers(0, (1 << 16) - 1), max_size=40))
+    @settings(max_examples=30, deadline=None)
+    def test_encrypt_many_is_encrypt_int_per_element(self, values):
+        batch = small_ope().encrypt_many(values)
+        assert batch == [small_ope().encrypt_int(v) for v in values]
+        # Duplicates, any order, and a generator are all fine.
+        assert small_ope().encrypt_many(v for v in values) == batch
+
+    def test_every_batch_of_two_on_a_tiny_domain_cold_and_warm(self):
+        """Batches that share all, some or none of their walk, whether the
+        nodes they cross were sampled before or not."""
+        def tiny():
+            return OrderPreservingEncryption(
+                b"t" * 16, domain_bits=4, expansion_bits=2
+            )
+
+        expected = [tiny().encrypt_int(point) for point in range(16)]
+        warm = tiny()
+        assert warm.encrypt_many(range(16)) == expected
+        for a in range(16):
+            for b in range(16):
+                want = [expected[a], expected[b]]
+                assert tiny().encrypt_many([a, b]) == want
+                assert warm.encrypt_many([a, b]) == want
+        assert tiny().encrypt_many([]) == []
+        assert tiny().encrypt_many([9, 9, 9]) == [expected[9]] * 3
+
+    def test_whole_small_domain_strictly_monotone_and_invertible(self):
+        ope = OrderPreservingEncryption(
+            b"s" * 16, domain_bits=8, expansion_bits=4
+        )
+        ciphertexts = ope.encrypt_many(range(256))
+        assert all(a < b for a, b in zip(ciphertexts, ciphertexts[1:]))
+        valid = {c: point for point, c in enumerate(ciphertexts)}
+        for candidate in range(ope.range_size):
+            if candidate in valid:
+                assert ope.decrypt_int(candidate) == valid[candidate]
+            else:
+                with pytest.raises(ValueError):
+                    ope.decrypt_int(candidate)
+
+    def test_decrypt_on_a_cold_trie_matches_a_warm_one(self):
+        warm = small_ope()
+        ciphertexts = warm.encrypt_many(range(0, 1 << 16, 997))
+        cold = small_ope()
+        assert [cold.decrypt_int(c) for c in ciphertexts] == list(
+            range(0, 1 << 16, 997)
+        )
+
+    def test_bad_batch_raises_before_any_output(self):
+        ope = small_ope()
+        sampled = []
+        original = ope._split
+        ope._split = lambda *rect: sampled.append(rect) or original(*rect)
+        for bad in (-1, 1 << 16):
+            with pytest.raises(ValueError, match="outside OPE domain"):
+                ope.encrypt_many([5, 6, bad])
+        assert sampled == []  # nothing was encrypted on the way to the error
+
+    def test_no_result_table_and_no_entry_cap(self):
+        ope = small_ope()
+        assert not hasattr(ope, "_memo")
+        ope.encrypt_many(range(2000))
+        # The only state is the trie: lists of [mid, image, left, right].
+        node = ope._root
+        assert isinstance(node, list) and len(node) == 4
+        assert not any(
+            isinstance(value, dict) for value in vars(ope).values()
+        )
+
+    def test_two_threads_filling_one_trie_agree(self):
+        import sys
+        import threading
+
+        shared = small_ope()
+        points = list(range(0, 1 << 16, 13))
+        results: dict[int, list[int]] = {}
+
+        def fill(slot: int, order: list[int]) -> None:
+            encrypted = shared.encrypt_many(order)
+            results[slot] = [
+                c for _, c in sorted(zip(order, encrypted))
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=fill, args=(0, points)),
+                threading.Thread(target=fill, args=(1, points[::-1])),
+                threading.Thread(target=fill, args=(2, points[::2] + points[1::2])),
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        expected = [small_ope().encrypt_int(p) for p in sorted(points)]
+        assert results[0] == results[1] == results[2] == expected
+        # ... and the trie they raced to fill is the function itself.
+        assert shared.encrypt_many(sorted(points)) == expected
+
+
 class TestVernam:
     def test_xor_roundtrip(self):
         pad = bytes(range(32))

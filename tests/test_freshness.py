@@ -11,6 +11,7 @@ answers byte-identical to the no-fault run throughout.
 
 from __future__ import annotations
 
+import hashlib
 import os
 
 import pytest
@@ -133,6 +134,23 @@ class TestFreshSeal:
 # ----------------------------------------------------------------------
 # Merkle tree unit tests
 # ----------------------------------------------------------------------
+def original_root(tags):
+    """The root by the definition, with no tree object involved."""
+    level = [
+        hashlib.sha256(
+            b"leaf" + block_id.to_bytes(8, "big", signed=True) + tags[block_id]
+        ).digest()
+        for block_id in sorted(tags)
+    ]
+    while len(level) > 1:
+        paired = [
+            hashlib.sha256(b"node" + level[i] + level[i + 1]).digest()
+            for i in range(0, len(level) - 1, 2)
+        ]
+        level = paired + ([level[-1]] if len(level) % 2 else [])
+    return level[0]
+
+
 class TestBlockMerkleTree:
     def test_empty_root_is_stable(self):
         assert BlockMerkleTree().root() == BlockMerkleTree().root()
@@ -181,6 +199,38 @@ class TestBlockMerkleTree:
         reference = {i: t for i, t in tags.items() if i != 2}
         assert tree.root() == BlockMerkleTree(reference).root()
         assert tree.leaf_count == 4
+
+    def test_dirty_rebuild_hashes_each_leaf_once(self, monkeypatch):
+        """Inserting or deleting a block re-hashes interior nodes only."""
+        hashed = []
+        original = BlockMerkleTree._leaf_hash
+        monkeypatch.setattr(
+            BlockMerkleTree,
+            "_leaf_hash",
+            staticmethod(
+                lambda block_id, tag: hashed.append(block_id)
+                or original(block_id, tag)
+            ),
+        )
+        tags = {i: bytes([i + 1]) * 32 for i in range(0, 40, 2)}
+        tree = BlockMerkleTree(tags)
+        tree.root()
+        assert sorted(hashed) == sorted(tags)
+        del hashed[:]
+        tree.set_leaf(7, b"\x07" * 32)  # a new block: positions shift
+        tags[7] = b"\x07" * 32
+        assert tree.root() == original_root(tags)
+        tree.remove_leaf(12)
+        del tags[12]
+        assert tree.root() == original_root(tags)
+        tree.set_leaf(7, b"\x08" * 32)  # retag while clean: one path
+        tags[7] = b"\x08" * 32
+        tree.set_leaf(41, b"\x29" * 32)
+        tree.set_leaf(41, b"\x2a" * 32)  # retag while dirty
+        tags[41] = b"\x2a" * 32
+        assert tree.root() == original_root(tags)
+        assert tree.leaf_count == len(tags)
+        assert hashed == [7, 7, 41, 41]
 
 
 # ----------------------------------------------------------------------

@@ -198,6 +198,53 @@ class TestCorruptionDetection:
             load_system(saved, MASTER)
         assert "server_meta.json" in str(excinfo.value)
 
+    @staticmethod
+    def _rewrite_value_index(saved, rewrite):
+        """Edit one persisted value-index list in a manifest-less hosting."""
+        os.remove(os.path.join(saved, "manifest.json"))
+        path = os.path.join(saved, "server_meta.json")
+        with open(path) as f:
+            meta = json.load(f)
+        token = max(meta["value_index"], key=lambda t: len(meta["value_index"][t]))
+        rewrite(meta["value_index"][token])
+        with open(path, "w") as f:
+            json.dump(meta, f)
+
+    def test_value_index_rows_load_in_saved_order(self, saved):
+        """The untouched list loads: it is ``tree.items()``, key order."""
+        self._rewrite_value_index(saved, lambda rows: None)
+        loaded = load_system(saved, MASTER)
+        for tree in loaded.hosted.value_index.trees.values():
+            tree.check_invariants()
+        assert loaded.query(PROBE).values()
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            lambda rows: rows.reverse(),
+            lambda rows: rows.append([rows[0][0] - 1, rows[0][1]]),
+            lambda rows: rows.insert(0, [rows[-1][0], rows[-1][1]]),
+        ],
+        ids=["reversed", "smaller-key-last", "largest-key-first"],
+    )
+    def test_value_index_keys_out_of_order_rejected(self, saved, rewrite):
+        """Any order used to be accepted from disk and re-sorted silently."""
+        self._rewrite_value_index(saved, rewrite)
+        with pytest.raises(StorageError, match="out of order") as excinfo:
+            load_system(saved, MASTER)
+        assert "server_meta.json" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "row",
+        [[1.5, 2], ["7", 2], [7, None], [True, 2], [7, 2, 3], [7], 7, "ab", {}],
+        ids=repr,
+    )
+    def test_value_index_row_shape_rejected(self, saved, row):
+        self._rewrite_value_index(saved, lambda rows: rows.append(row))
+        with pytest.raises(StorageError) as excinfo:
+            load_system(saved, MASTER)
+        assert "server_meta.json" in str(excinfo.value)
+
     @pytest.mark.parametrize(
         "hosted_xml", ["<a>" * 3000 + "</a>" * 3000, "<a>&#xZZ;</a>"]
     )
