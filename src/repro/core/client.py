@@ -16,11 +16,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import hmac as _compare
+import re
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.obs import Observability
 
-from repro.core.decoy import remove_decoys
+from repro.core.decoy import DECOY_TAG
 from repro.core.encryptor import HostedDatabase
 from repro.core.integrity import (
     TamperedResponseError,
@@ -37,19 +38,9 @@ from repro.netsim.message import (
     encode_query,
 )
 from repro.perf import counters
-from repro.xmldb.node import (
-    Attribute,
-    Document,
-    Element,
-    Node,
-    iter_encrypted_blocks,
-)
-from repro.xmldb.parser import (
-    ENCRYPTED_DATA_TAG,
-    block_placeholder,
-    parse_fragment,
-)
-from repro.xmldb.serializer import serialize
+from repro.xmldb.node import Attribute, Document, Element, Node
+from repro.xmldb.parser import XMLParseError, parse_fragment
+from repro.xmldb.serializer import BLOCK_CLOSE, BLOCK_OPEN, serialize
 from repro.xpath import ast
 from repro.xpath.axes import residual_pattern
 from repro.xpath.compiler import UnsupportedQuery
@@ -122,7 +113,7 @@ class Client:
         self._plan_cache: PlanCache | None = (
             PlanCache() if enable_cache else None
         )
-        self._block_cache: dict[int, Element] | None = (
+        self._block_cache: dict[int, str] | None = (
             {} if enable_cache else None
         )
         self._tree_cache: dict[str, Element] | None = (
@@ -301,13 +292,14 @@ class Client:
     def decrypt_fragments(
         self, response: ServerResponse
     ) -> list[tuple[Fragment, Element]]:
-        """Parse and fully decrypt every shipped fragment.
+        """Fully decrypt and parse every shipped fragment.
 
         Each fragment becomes a plaintext element tree: ``EncryptedData``
-        payloads are decrypted and spliced in, and decoys are stripped.
-        The response is one batch — every MAC tag is checked before the
-        first cipher call, and all cache-missing payloads share one cipher
-        pass.
+        payloads are decrypted and spliced into the text, which is parsed
+        once, without its decoys.  The response is one batch — every MAC
+        tag is checked before the first cipher call, and all cache-missing
+        payloads share one cipher pass.  Whatever shipped bytes can get
+        wrong here raises :class:`TamperedResponseError`.
         """
         fragments = response.fragments
         trees = self._decrypt_batch([f.xml for f in fragments])
@@ -331,30 +323,18 @@ class Client:
         if cache is None:
             return self._build_trees(xmls)
         self._check_epoch()
-        results: "list[Element | None]" = [None] * len(xmls)
-        #: distinct cache-missing texts → the result slots that want them
-        missing: dict[str, list[int]] = {}
-        for index, xml in enumerate(xmls):
-            cached = cache.get(xml)
-            if cached is not None:
-                counters.add("tree_cache_hits")
-                results[index] = cached.clone()
-            elif xml in missing:  # built once, earlier in this batch
-                counters.add("tree_cache_hits")
-                missing[xml].append(index)
-            else:
-                counters.add("tree_cache_misses")
-                missing[xml] = [index]
+        #: distinct cache-missing texts, each built once for this batch
+        missing = list(dict.fromkeys(x for x in xmls if x not in cache))
+        hits = len(xmls) - len(missing)
+        if hits:
+            counters.add("tree_cache_hits", hits)
         if missing:
-            trees = self._build_trees(list(missing))
-            for (xml, slots), tree in zip(missing.items(), trees):
-                cache[xml] = tree
-                for index in slots:
-                    results[index] = tree.clone()
-        return results  # type: ignore[return-value]
+            counters.add("tree_cache_misses", len(missing))
+            cache.update(zip(missing, self._build_trees(missing)))
+        return [cache[xml].clone() for xml in xmls]
 
     def _build_trees(self, xmls: "list[str]") -> list[Element]:
-        """parse → resolve every block → strip decoys, for a whole batch.
+        """splice every block's plaintext in → one parse per fragment.
 
         Runs only on cache misses, so the span and histogram sit here:
         on a warm hit (one dict lookup) they would cost more than the
@@ -370,98 +350,112 @@ class Client:
         return trees
 
     def _build_trees_untraced(self, xmls: "list[str]") -> list[Element]:
-        trees = self._resolve_blocks([parse_fragment(xml) for xml in xmls])
-        for tree in trees:
-            remove_decoys(tree)
-        return trees
+        try:
+            return [
+                parse_fragment(text, drop_tag=DECOY_TAG, reject_blocks=True)
+                for text in self._splice_plaintexts(xmls)
+            ]
+        except XMLParseError as exc:  # not text our serializer wrote
+            raise TamperedResponseError(f"malformed fragment: {exc}") from exc
 
-    def _resolve_blocks(self, roots: "list[Element]") -> list[Element]:
-        """Replace every encrypted block under ``roots`` by its plaintext.
+    def _splice_plaintexts(self, texts: "list[str]") -> list[str]:
+        """The texts with every serialized block replaced by its plaintext.
 
-        Every MAC tag is verified before anything else happens — cache
-        hits included, so a tampered payload is never masked by a stale
-        cached plaintext, and one bad tag means no cipher call and no
-        cache entry for the whole batch.  Then the cache-missing payloads
-        are decrypted in one pass and clones are spliced in.
+        scan → verify → one cipher pass → splice.  Every MAC tag is
+        verified before anything else happens — cache hits included, so a
+        tampered payload is never masked by a stale cached plaintext, and
+        one bad tag means no cipher call and no cache entry for the whole
+        batch.  Decoys stay in the text; the parse that follows drops them.
 
-        The block cache keeps one pristine parsed subtree per block id
-        (decoys still in place — callers strip them from their own copy);
-        a scheme-epoch change flushes it, since updates re-encrypt
-        payloads under the *same* block ids.  Without a cache every
-        occurrence is decrypted on its own.
+        The block cache keeps one plaintext string per block id; a
+        scheme-epoch change flushes it, since updates re-encrypt payloads
+        under the *same* block ids.  Without a cache every occurrence is
+        decrypted on its own.
         """
-        occurrences = [
-            (index, *occurrence)
-            for index, root in enumerate(roots)
-            for occurrence in _block_occurrences(root)
-        ]
-        if not occurrences:
-            return roots
-        for _, _, block_id, payload in occurrences:
+        scanned = [_BLOCK_RE.findall(text) for text in texts]
+        if not any(scanned):
+            return texts
+        for text, blocks in zip(texts, scanned):
+            # Inside a comment, CDATA section or processing instruction —
+            # none of which the serializer writes — a block would be
+            # spliced where the parse never looks for an element.
+            if blocks and ("<!" in text or "<?" in text):
+                raise TamperedResponseError(
+                    "block shipped beside markup the serializer never emits"
+                )
+        try:
+            occurrences = [
+                (int(block_id), bytes.fromhex(payload))
+                for blocks in scanned
+                for block_id, payload in blocks
+            ]
+        except ValueError as exc:  # not hex, or an absurdly long id
+            raise TamperedResponseError(f"malformed block: {exc}") from None
+        for block_id, payload in occurrences:
             self._verify_block(block_id, payload)
 
         cache = self._block_cache
         if cache is None:
-            subtrees = self._plaintext_subtrees(
-                [(block_id, payload) for _, _, block_id, payload in occurrences]
-            )
+            plaintexts = self._decrypt_blocks(occurrences)
         else:
-            pristine: dict[int, Element] = {}
+            #: distinct cache-missing ids; a repeated id keeps its first payload
             wanted: dict[int, bytes] = {}
-            for _, _, block_id, payload in occurrences:
-                if block_id in pristine or block_id in wanted:
-                    counters.add("block_cache_hits")
-                elif (cached := cache.get(block_id)) is not None:
-                    counters.add("block_cache_hits")
-                    pristine[block_id] = cached
-                else:
-                    counters.add("block_cache_misses")
-                    wanted[block_id] = payload
-            fresh = dict(
-                zip(wanted, self._plaintext_subtrees(list(wanted.items())))
-            )
-            cache.update(fresh)
-            pristine.update(fresh)
-            subtrees = [
-                pristine[block_id].clone() for _, _, block_id, _ in occurrences
-            ]
+            for block_id, payload in occurrences:
+                if block_id not in cache:
+                    wanted.setdefault(block_id, payload)
+            hits = len(occurrences) - len(wanted)
+            if hits:
+                counters.add("block_cache_hits", hits)
+            if wanted:
+                counters.add("block_cache_misses", len(wanted))
+                cache.update(
+                    zip(wanted, self._decrypt_blocks(list(wanted.items())))
+                )
+            plaintexts = [cache[block_id] for block_id, _ in occurrences]
 
-        roots = list(roots)
-        for (index, placeholder, _, _), subtree in zip(occurrences, subtrees):
-            if placeholder is None:
-                roots[index] = subtree
-            else:
-                placeholder.replace_with(subtree)
-        return roots
+        # A callable replacement: a plaintext is never read as a template.
+        supply = iter(plaintexts)
+        return [
+            _BLOCK_RE.sub(lambda _: next(supply), text) if blocks else text
+            for text, blocks in zip(texts, scanned)
+        ]
 
-    def _plaintext_subtrees(
+    def _decrypt_blocks(
         self, blocks: "list[tuple[int, bytes]]"
-    ) -> list[Element]:
-        """derive IVs → one cipher pass → parse, for verified payloads."""
+    ) -> list[str]:
+        """derive IVs → one cipher pass → decode, for verified payloads."""
         block_iv = self._keyring.block_iv
         secure = self._secure
-        plaintexts = cbc_decrypt_many(
-            self._keyring.block_cipher,
-            [
-                (block_iv(block_id if secure else 0), payload)
-                for block_id, payload in blocks
-            ],
-        )
-        subtrees = [
-            parse_fragment(plaintext.decode("utf-8"))
-            for plaintext in plaintexts
-        ]
+        try:
+            plaintexts = [
+                plaintext.decode("utf-8")
+                for plaintext in cbc_decrypt_many(
+                    self._keyring.block_cipher,
+                    [
+                        (block_iv(block_id if secure else 0), payload)
+                        for block_id, payload in blocks
+                    ],
+                )
+            ]
+        except ValueError as exc:  # bad length, padding or UTF-8
+            raise TamperedResponseError(f"undecryptable block: {exc}") from exc
+        tags = self._hosted.block_tags
+        for (block_id, _), plaintext in zip(blocks, plaintexts):
+            # Splicing is only sound for one well-formed element.  A
+            # verified MAC says the owner's serializer wrote this one; a
+            # block from a hosting without tags has to parse on its own.
+            if block_id not in tags:
+                parse_fragment(plaintext)
         # A plaintext that itself holds blocks (the encryptor nests none
         # today) is resolved before anyone caches or splices it.
         nested = [
             slot for slot, plaintext in enumerate(plaintexts)
-            if _BLOCK_MARKER in plaintext
+            if BLOCK_OPEN in plaintext
         ]
-        if nested:
-            resolved = self._resolve_blocks([subtrees[s] for s in nested])
-            for slot, subtree in zip(nested, resolved):
-                subtrees[slot] = subtree
-        return subtrees
+        resolved = self._splice_plaintexts([plaintexts[s] for s in nested])
+        for slot, plaintext in zip(nested, resolved):
+            plaintexts[slot] = plaintext
+        return plaintexts
 
     def _check_epoch(self) -> None:
         """Flush the decrypted caches when the scheme epoch moved on."""
@@ -545,19 +539,9 @@ class Client:
         return QueryAnswer(nodes=nodes, pruned_document=pruned)
 
 
-_BLOCK_MARKER = ENCRYPTED_DATA_TAG.encode("ascii")
-
-
-def _block_occurrences(root: Element):
-    """Yield ``(placeholder, block id, ciphertext)`` for each block in a tree.
-
-    A fragment that *is* one encrypted block parses as a plain
-    ``EncryptedData`` root element (the parser only builds placeholders
-    below the root); it is yielded with ``placeholder=None``.
-    """
-    whole = block_placeholder(root)
-    if whole is not None:
-        yield None, whole.block_id, whole.payload
-        return
-    for node in iter_encrypted_blocks(root):
-        yield node, node.block_id, node.payload
+#: A block as the serializer writes it; ``bytes.fromhex`` judges the payload
+#: (``[^<]*`` scans five times faster than a hex class).  Anything else that
+#: claims to be a block is left for the parser to reject.
+_BLOCK_RE = re.compile(
+    re.escape(BLOCK_OPEN) + r'([0-9]+)">([^<]*)' + re.escape(BLOCK_CLOSE)
+)

@@ -10,7 +10,9 @@ Figure 2 get decoys ``xyya`` and ``atrw`` and become unrelated ciphertexts).
 A decoy is represented as a reserved-tag child element
 (``__decoy__``) holding the random value.  The reserved tag lives only
 *inside* ciphertext payloads — the server never sees it — and is how the
-client recognizes and strips decoys during post-processing (§6.4).
+client recognizes decoys during post-processing (§6.4: "If there exists the
+encryption decoy, the decoy is removed"): its one parse of a decrypted
+fragment leaves elements of this tag out of the tree.
 """
 
 from __future__ import annotations
@@ -52,24 +54,6 @@ def _make_decoy(stream: DeterministicRandom) -> Element:
     length = stream.randint(4, 8)
     decoy.append(Text(stream.token(length)))
     return decoy
-
-
-def remove_decoys(root: Element) -> int:
-    """Strip every decoy child below ``root``; returns how many were removed.
-
-    Used by the client after decrypting blocks (§6.4: "If there exists the
-    encryption decoy, the decoy is removed").
-    """
-    removed = 0
-    decoys: list[Element] = [
-        node
-        for node in root.iter()
-        if isinstance(node, Element) and node.tag == DECOY_TAG
-    ]
-    for decoy in decoys:
-        decoy.detach()
-        removed += 1
-    return removed
 
 
 def assert_no_reserved_tags(document: Document) -> None:

@@ -50,7 +50,7 @@ from repro.xmldb.node import (
     Node,
     iter_encrypted_blocks,
 )
-from repro.xmldb.serializer import serialize
+from repro.xmldb.serializer import BLOCK_OPEN, serialize
 
 
 @dataclass(frozen=True)
@@ -258,7 +258,7 @@ class Server:
         fragments = self._make_fragments(roots)
         return ServerResponse(
             fragments=fragments,
-            blocks_shipped=self._count_blocks(roots),
+            blocks_shipped=self._count_blocks(fragments),
             candidate_counts=result.candidate_counts,
         )
 
@@ -381,20 +381,14 @@ class Server:
             return [self._make_fragment(node) for node in roots]
 
     @staticmethod
-    def _count_blocks(roots: list[Node]) -> int:
-        """Encrypted blocks inside the shipped subtrees (ground truth).
+    def _count_blocks(fragments: list[Fragment]) -> int:
+        """Encrypted blocks inside the shipped fragments (ground truth).
 
-        A fragment root is often a plaintext element with block
-        placeholders nested somewhere below it; counting only roots that
-        *are* placeholders undercounted those, so ``blocks_shipped``
-        disagreed with what actually crossed the wire.  Walk each
-        subtree instead — the same walk the client decrypts by.
+        Counted in the text that crosses the wire, by the marker the
+        client's scan resolves: a fragment root is often a plaintext
+        element with blocks nested somewhere below it.
         """
-        return sum(
-            1
-            for root in roots
-            for _ in iter_encrypted_blocks(root)
-        )
+        return sum(fragment.xml.count(BLOCK_OPEN) for fragment in fragments)
 
     # ------------------------------------------------------------------
     # Fallback path: the naive ship-everything protocol (§7.3 baseline)
@@ -405,7 +399,7 @@ class Server:
         return ServerResponse(
             fragments=[fragment],
             naive=True,
-            blocks_shipped=self._count_blocks([self._hosted_root]),
+            blocks_shipped=self._count_blocks([fragment]),
         )
 
     # ------------------------------------------------------------------

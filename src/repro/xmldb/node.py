@@ -333,10 +333,10 @@ def iter_encrypted_blocks(node: Node) -> Iterator[EncryptedBlockNode]:
     """Yield every :class:`EncryptedBlockNode` in ``node``'s subtree.
 
     Includes ``node`` itself when it is a block placeholder, in document
-    (pre-) order.  This is the one shared definition of "blocks inside a
-    shipped subtree": the server's ``blocks_shipped`` accounting, the
-    client's placeholder decryption and the access-pattern trace recorder
-    must all count the same set or the leakage harness keys off a lie.
+    (pre-) order.  The access-pattern trace recorder reads a shipped
+    subtree's blocks through this; the server's ``blocks_shipped`` and the
+    client's scan count ``serializer.BLOCK_OPEN`` in the serialized text,
+    and must find the same set or the leakage harness keys off a lie.
     """
     for candidate in node.iter():
         if isinstance(candidate, EncryptedBlockNode):

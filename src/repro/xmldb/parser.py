@@ -93,8 +93,18 @@ def parse_document(text: str) -> Document:
     return Document(parse_fragment(text))
 
 
-def parse_fragment(text: str) -> Element:
-    """Parse a single-rooted XML fragment into an (unnumbered) element tree."""
+def parse_fragment(
+    text: str, *, drop_tag: "str | None" = None, reject_blocks: bool = False
+) -> Element:
+    """Parse a single-rooted XML fragment into an (unnumbered) element tree.
+
+    The keywords serve the client's decrypt stage, whose text has plaintext
+    where the blocks were: ``drop_tag`` (the decoy tag) names an element to
+    leave out wherever it closes below the root — an attribute-less leaf of
+    it is skipped before a node is built — and ``reject_blocks`` makes an
+    ``EncryptedData`` element with a ``block-id``, the root included, an
+    error instead of a placeholder.
+    """
     pos = _MISC.match(text).end()
     if not text.startswith("<", pos):
         raise _prolog_error(text, pos, "expected root element")
@@ -121,6 +131,14 @@ def parse_fragment(text: str) -> Element:
                 _check_name(name, pos + 1)
             if pieces:
                 _flush_text(element, pieces)
+            if (
+                name == drop_tag
+                and not attributes
+                and (empty is not None or leaf_text is not None)
+                and element is not None
+            ):
+                pos = token.end()
+                continue
             node = Element(name)
             if attributes:
                 _set_attributes(node, attributes, token.start(2))
@@ -160,11 +178,18 @@ def parse_fragment(text: str) -> Element:
 
         # ``node`` is complete: hand it to its parent, or finish.
         pos = token.end()
+        tag = node.tag
+        if tag == ENCRYPTED_DATA_TAG:
+            if reject_blocks:
+                if node.attribute("block-id") is not None:
+                    raise XMLParseError(
+                        "unresolved encrypted block", token.start()
+                    )
+            elif element is not None:
+                node = block_placeholder(node, token.start()) or node
         if element is None:
             root = node
-        else:
-            if node.tag == ENCRYPTED_DATA_TAG:
-                node = block_placeholder(node, token.start()) or node
+        elif tag != drop_tag:
             _attach(element, node)
 
     end = _MISC.match(text, pos).end()
@@ -215,9 +240,9 @@ def block_placeholder(
 
     ``None`` for any other element, including an ``EncryptedData`` without
     a ``block-id``.  The parser applies this to every element it closes
-    below the root; a fragment that *is* one encrypted block keeps its
-    root as a plain element, and the callers that expect one (the client,
-    ``load_system``) apply it to the root themselves.
+    below the root; a document that *is* one encrypted block keeps its
+    root as a plain element, and ``load_system``, which expects one,
+    applies it to the root itself.
     """
     if element.tag != ENCRYPTED_DATA_TAG:
         return None

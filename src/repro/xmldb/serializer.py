@@ -20,6 +20,12 @@ from repro.xmldb.node import (
 )
 from repro.xmldb.parser import ENCRYPTED_DATA_TAG
 
+#: How a serialized block opens and closes.  ``<`` is escaped everywhere
+#: else, so ``text.count(BLOCK_OPEN)`` is the blocks in a serialized subtree:
+#: what the server reports as shipped and what the client's scan resolves.
+BLOCK_OPEN = f'<{ENCRYPTED_DATA_TAG} block-id="'
+BLOCK_CLOSE = f"</{ENCRYPTED_DATA_TAG}>"
+
 
 def _escape_text(value: str) -> str:
     return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
@@ -62,8 +68,8 @@ def _write(node: Node, pieces: list[str], level: int, indent: bool) -> None:
 
     if isinstance(node, EncryptedBlockNode):
         pieces.append(
-            f'{pad}<{ENCRYPTED_DATA_TAG} block-id="{node.block_id}">'
-            f"{node.payload.hex()}</{ENCRYPTED_DATA_TAG}>{newline}"
+            f'{pad}{BLOCK_OPEN}{node.block_id}">'
+            f"{node.payload.hex()}{BLOCK_CLOSE}{newline}"
         )
         return
 

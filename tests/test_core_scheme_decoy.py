@@ -2,11 +2,11 @@
 
 import pytest
 
+from decrypt_oracle import remove_decoys
 from repro.core.decoy import (
     DECOY_TAG,
     assert_no_reserved_tags,
     inject_decoys,
-    remove_decoys,
 )
 from repro.core.scheme import (
     EncryptionScheme,
@@ -179,3 +179,6 @@ class TestDecoys:
         reparsed = parse_fragment(serialize(root))
         remove_decoys(reparsed)
         assert serialize(reparsed) == "<a><b>v</b></a>"
+        # What the client does: the parse itself leaves the decoys out.
+        dropped = parse_fragment(serialize(root), drop_tag=DECOY_TAG)
+        assert serialize(dropped) == "<a><b>v</b></a>"

@@ -116,7 +116,8 @@ def _with_tampered_block(response, victim):
 
 
 class TestDecryptPipelineOrder:
-    """verify every tag → derive IVs → one cipher pass → parse → splice."""
+    """scan → verify every tag → derive IVs → one cipher pass → splice →
+    one parse per fragment."""
 
     def test_one_tampered_payload_stops_the_batch_before_any_cipher_call(
         self, stack
@@ -142,6 +143,7 @@ class TestDecryptPipelineOrder:
         response = server.answer(client.translate("//patient"))
         client.decrypt_fragments(response)
         assert client._block_cache
+        assert all(type(text) is str for text in client._block_cache.values())
         tampered = _with_tampered_block(response, 0)  # new text: tree-cache miss
         before = counters.snapshot()
         with pytest.raises(TamperedResponseError):

@@ -1,0 +1,593 @@
+"""The text-level decrypt stage against the tree-level pipeline it replaced.
+
+``decrypt_oracle.OracleDecryptor`` is ``Client``'s decrypt stage as it
+stood when plaintexts were parsed one by one and spliced in as trees.
+For honest fragments the client must build the same tree, node for node,
+with the same cipher and cache-counter traffic.  For anything else a
+server can put in a fragment's text it must build the tree the oracle
+builds or raise ``TamperedResponseError`` — never another tree, never a
+placeholder or a decoy, and never one of the untyped errors the oracle
+lets escape.
+"""
+
+import os
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from decrypt_oracle import OracleDecryptor
+from test_property_end_to_end import constraint_sets, documents
+from repro.core.client import Client, canonical_node
+from repro.core.decoy import DECOY_TAG
+from repro.core.integrity import TamperedResponseError
+from repro.core.server import Fragment, ServerResponse
+from repro.core.system import QueryFailedError, RetryPolicy, SecureXMLSystem
+from repro.crypto.modes import cbc_encrypt
+from repro.perf import counters
+from repro.serving import ServingServer, remote_system
+from repro.workloads.axes import AxisWorkload
+from repro.workloads.healthcare import (
+    build_healthcare_database,
+    healthcare_constraints,
+)
+from repro.workloads.nasa import build_nasa_database, nasa_constraints
+from repro.workloads.xmark import build_xmark_database, xmark_constraints
+from repro.xmldb.builder import TreeBuilder
+from repro.xmldb.node import Element, EncryptedBlockNode, Text
+from repro.xmldb.serializer import serialize
+from repro.xpath.evaluator import evaluate
+
+BENCH_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"
+)
+
+DATASETS = {
+    "healthcare": (build_healthcare_database, healthcare_constraints),
+    "xmark": (lambda: build_xmark_database(25, seed=5), xmark_constraints),
+    "nasa": (lambda: build_nasa_database(15, seed=5), nasa_constraints),
+}
+#: (scheme, secure): the four §7.1 granularities, and the strawman hosting
+#: (no decoys, one IV for every block).
+CONFIGS = [("opt", True), ("top", True), ("sub", True), ("app", True), ("opt", False)]
+HEALTHCARE_QUERIES = [
+    "//patient",
+    "//patient[.//insurance//@coverage>=10000]//SSN",
+    "//treat[disease='leukemia']/doctor",
+    "//insurance/policy#",
+    "//insurance",
+    "//SSN",
+]
+#: What the decrypt stage is allowed to move.
+COUNTERS = (
+    "blocks_decrypted",
+    "block_cache_hits",
+    "block_cache_misses",
+    "tree_cache_hits",
+    "tree_cache_misses",
+)
+
+
+def shape(node):
+    """Everything about a tree but object identity."""
+    if isinstance(node, Text):
+        return node.value
+    assert isinstance(node, Element), node  # no placeholder ever
+    return (
+        node.tag,
+        [(a.name, a.value) for a in node.attributes],
+        [shape(child) for child in node.children],
+    )
+
+
+def bench_queries(dataset, document):
+    """Every read shape of every ``bench/workloads.py`` workload."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(BENCH_DIR)
+        from workloads import WORKLOADS, Plan
+
+        queries = []
+        for workload in WORKLOADS:
+            if workload.dataset == dataset:
+                queries += Plan(workload, document, seed=5).distinct_reads()
+        return queries
+
+
+def queries_for(dataset, document):
+    queries = AxisWorkload(document).queries()
+    if dataset == "healthcare":
+        queries += HEALTHCARE_QUERIES
+    else:
+        queries += bench_queries(dataset, document)
+    return list(dict.fromkeys(queries))
+
+
+def measured(call):
+    before = counters.snapshot()
+    result = call()
+    delta = counters.delta_since(before)
+    return result, {name: delta[name] for name in COUNTERS}
+
+
+# ----------------------------------------------------------------------
+# Honest fragments
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("enable_cache", [True, False], ids=["cached", "uncached"])
+@pytest.mark.parametrize("scheme,secure", CONFIGS)
+@pytest.mark.parametrize("dataset", sorted(DATASETS))
+def test_every_shipped_fragment_decrypts_to_the_oracle_tree(
+    dataset, scheme, secure, enable_cache
+):
+    build, constraints = DATASETS[dataset]
+    document = build()
+    system = SecureXMLSystem.host(
+        document, constraints(), scheme=scheme, secure=secure
+    )
+    # One client and one oracle for the whole sweep, so later responses
+    # meet warm block and tree caches exactly as a session would.
+    client = Client(system.keyring, system.hosted, enable_cache=enable_cache)
+    oracle = OracleDecryptor(
+        system.keyring, system.hosted, enable_cache=enable_cache
+    )
+    responses = [
+        system.server.answer(client.translate(query))
+        for query in queries_for(dataset, document)
+    ]
+    responses.append(system.server.ship_all())
+    shipped = 0
+    for response in responses:
+        xmls = [fragment.xml for fragment in response.fragments]
+        trees, traffic = measured(lambda: client.decrypt_fragments(response))
+        expected, oracle_traffic = measured(lambda: oracle.decrypt_batch(xmls))
+        assert traffic == oracle_traffic
+        assert len(trees) == len(expected)
+        for (_, tree), oracle_tree in zip(trees, expected):
+            assert shape(tree) == shape(oracle_tree)
+            assert tree.parent is None
+        shipped += response.blocks_shipped
+    assert shipped > 0
+    # The naive ship is the whole database: the original document.
+    assert shape(trees[0][1]) == shape(document.root)
+
+
+class TestRandomHostings:
+    @given(
+        documents(),
+        constraint_sets(),
+        st.sampled_from(["opt", "top", "sub", "app"]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_host_ship_decrypt_gives_back_the_original_subtrees(
+        self, document, constraints, scheme
+    ):
+        system = SecureXMLSystem.host(document, constraints, scheme=scheme)
+        client, server = system.client, system.server
+        originals = {serialize(e) for e in document.elements()}
+        tags = sorted({e.tag for e in document.elements()})
+        for query in [f"//{tag}" for tag in tags] + ["//rec/..", "//*"]:
+            response = server.answer(client.translate(query))
+            for _, tree in client.decrypt_fragments(response):
+                text = serialize(tree)
+                assert DECOY_TAG not in text
+                assert "EncryptedData" not in text
+                assert text in originals
+                shape(tree)  # elements and text only
+        whole = client.decrypt_fragments(server.ship_all())
+        assert shape(whole[0][1]) == shape(document.root)
+
+
+# ----------------------------------------------------------------------
+# Hostile fragments
+# ----------------------------------------------------------------------
+@pytest.fixture
+def stack():
+    system = SecureXMLSystem.host(
+        build_healthcare_database(), healthcare_constraints(), scheme="opt"
+    )
+    oracle = OracleDecryptor(system.keyring, system.hosted)
+    return system, system.client, oracle
+
+
+def honest_fragment(system):
+    """A plaintext ``patient`` root with blocks nested below it."""
+    response = system.server.answer(system.client.translate("//patient"))
+    xml = response.fragments[0].xml
+    assert xml.startswith("<patient") and xml.count("<EncryptedData ") >= 2
+    return xml
+
+
+def first_block(xml):
+    start = xml.index("<EncryptedData ")
+    end = xml.index("</EncryptedData>", start) + len("</EncryptedData>")
+    return start, end, xml[start:end]
+
+
+def own_block(system, block_id, plaintext, tagged=True):
+    """A block only the key holder can make, serialized for the wire."""
+    keyring = system.keyring
+    payload = cbc_encrypt(
+        keyring.block_cipher, keyring.block_iv(block_id), plaintext
+    )
+    if tagged:
+        system.hosted.block_tags[block_id] = keyring.block_tag(
+            block_id, payload
+        )
+    return serialize(EncryptedBlockNode(block_id, payload))
+
+
+def _replace_block(edit):
+    def mutate(system, xml):
+        start, end, block = first_block(xml)
+        return xml[:start] + edit(block) + xml[end:]
+    return mutate
+
+
+def _upper_hex(block):
+    open_end = block.index(">") + 1
+    close = block.index("</")
+    return block[:open_end] + block[open_end:close].upper() + block[close:]
+
+
+def _flip_payload(block):
+    at = block.index(">") + 1
+    return block[:at] + ("1" if block[at] != "1" else "2") + block[at + 1 :]
+
+
+#: name → (mutation, expected); expected is "tampered", "same" (the tree
+#: of the unmutated fragment) or "oracle" (whatever the oracle builds).
+HOSTILE = {
+    "truncated-tail": (lambda s, x: x[:-4], "tampered"),
+    "truncated-half": (lambda s, x: x[: len(x) // 2], "tampered"),
+    "truncated-inside-payload": (
+        lambda s, x: x[: x.index("</EncryptedData>") - 3], "tampered",
+    ),
+    "block-in-comment": (
+        _replace_block(lambda b: f"<!--{b}-->"), "tampered",
+    ),
+    "block-in-cdata": (
+        _replace_block(lambda b: f"<![CDATA[{b}]]>"), "tampered",
+    ),
+    "block-in-pi": (_replace_block(lambda b: f"<?pi {b}?>"), "tampered"),
+    "comment-beside-blocks": (
+        lambda s, x: x.replace("<EncryptedData ", "<!-- c --><EncryptedData ", 1),
+        "tampered",
+    ),
+    "single-quoted-id": (
+        _replace_block(lambda b: b.replace('"', "'")), "tampered",
+    ),
+    "space-before-attribute": (
+        _replace_block(lambda b: b.replace(" block-id", "  block-id")), "tampered",
+    ),
+    "space-in-open-tag": (
+        _replace_block(lambda b: b.replace('">', '" >')), "tampered",
+    ),
+    "space-in-close-tag": (
+        _replace_block(lambda b: b.replace("</EncryptedData>", "</EncryptedData >")),
+        "tampered",
+    ),
+    # ``bytes.fromhex`` reads these two as the parser's placeholder did.
+    "space-around-payload": (
+        _replace_block(lambda b: b.replace('">', '"> ').replace("</", " </")),
+        "same",
+    ),
+    "upper-case-hex": (_replace_block(_upper_hex), "same"),
+    "entity-in-payload": (
+        _replace_block(lambda b: b.replace('">', '">&#48;&#48;')), "tampered",
+    ),
+    "extra-attribute": (
+        _replace_block(lambda b: b.replace('">', '" x="1">', 1)), "tampered",
+    ),
+    "odd-length-hex": (
+        _replace_block(lambda b: b.replace("</", "0</")), "tampered",
+    ),
+    "non-hex-payload": (
+        _replace_block(lambda b: b.replace("</", "zz</")), "tampered",
+    ),
+    "empty-payload": (
+        _replace_block(lambda b: b[: b.index(">") + 1] + "</EncryptedData>"),
+        "tampered",
+    ),
+    "element-in-payload": (
+        _replace_block(lambda b: b.replace("</", "<x/></")), "tampered",
+    ),
+    "flipped-payload-bit": (_replace_block(_flip_payload), "tampered"),
+    "duplicate-id-differing-payload": (
+        _replace_block(lambda b: b + _flip_payload(b)), "tampered",
+    ),
+    "duplicate-id-same-payload": (
+        _replace_block(lambda b: b + b), "oracle",
+    ),
+    "unknown-id-garbage-payload": (
+        _replace_block(
+            lambda b: '<EncryptedData block-id="987654">' + "ab" * 32
+            + "</EncryptedData>"
+        ),
+        "tampered",
+    ),
+    "negative-id": (
+        _replace_block(lambda b: b.replace('block-id="', 'block-id="-')),
+        "tampered",
+    ),
+    "look-alike-tag": (
+        lambda s, x: x.replace("</patient>", '<EncryptedDataX block-id="1">00</EncryptedDataX></patient>'),
+        "oracle",
+    ),
+    "block-tag-without-id": (
+        lambda s, x: x.replace("</patient>", "<EncryptedData>00</EncryptedData></patient>"),
+        "oracle",
+    ),
+    "decoy-in-plaintext-part": (
+        lambda s, x: x.replace("</patient>", "<__decoy__>zz</__decoy__></patient>"),
+        "same",
+    ),
+    "decoy-with-attributes-and-children": (
+        lambda s, x: x.replace(
+            "</patient>",
+            '<__decoy__ k="v"><kept>no</kept><__decoy__/>t</__decoy__></patient>',
+        ),
+        "same",
+    ),
+    "decoy-with-a-bad-attribute": (
+        lambda s, x: x.replace("</patient>", '<__decoy__ k="&bogus;">z</__decoy__></patient>'),
+        "tampered",
+    ),
+    "decoy-wrapping-a-block": (
+        _replace_block(lambda b: f"<__decoy__>{b}</__decoy__>"), "oracle",
+    ),
+    "decoy-inside-a-block": (
+        lambda s, x: x.replace(
+            "</patient>",
+            own_block(s, 9001, b'<n><__decoy__ a="1"><m>no</m></__decoy__>v</n>')
+            + "</patient>",
+        ),
+        "oracle",
+    ),
+    "block-nested-in-a-block": (
+        lambda s, x: x.replace(
+            "</patient>",
+            own_block(s, 9002, f"<wrap>{first_block(x)[2]}</wrap>".encode())
+            + "</patient>",
+        ),
+        "oracle",
+    ),
+    "non-canonical-block-nested-in-a-block": (
+        lambda s, x: x.replace(
+            "</patient>",
+            own_block(
+                s, 9003,
+                f"<wrap>{first_block(x)[2]}</wrap>".replace('"', "'").encode(),
+            )
+            + "</patient>",
+        ),
+        "tampered",
+    ),
+    "whole-fragment-is-one-block": (
+        lambda s, x: first_block(x)[2], "oracle",
+    ),
+    "whole-fragment-is-a-decoy": (
+        lambda s, x: "<__decoy__>x</__decoy__>", "oracle",
+    ),
+    "text-beside-a-decoy-stays-two-nodes": (
+        lambda s, x: "<a>v<__decoy__>x</__decoy__>w</a>", "oracle",
+    ),
+    "not-xml-at-all": (lambda s, x: "\x00\x01 nope", "tampered"),
+    "empty-text": (lambda s, x: "", "tampered"),
+}
+
+
+class TestHostileFragments:
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    def test_oracle_tree_or_typed_error(self, stack, name):
+        system, client, oracle = stack
+        mutate, expected = HOSTILE[name]
+        honest = honest_fragment(system)
+        hostile = mutate(system, honest)
+        assert hostile != honest
+        try:
+            oracle_shape = shape(oracle.decrypt_fragment(hostile))
+        except Exception:  # the oracle's untyped escapes are the bug
+            oracle_shape = None
+        if expected == "same":
+            assert oracle_shape == shape(oracle.decrypt_fragment(honest))
+        elif expected == "oracle":
+            assert oracle_shape is not None
+        for attempt in ("cold", "warm"):  # warm: block cache holds the ids
+            try:
+                tree = client.decrypt_fragment(hostile)
+            except TamperedResponseError:
+                assert expected == "tampered", (name, attempt)
+                assert hostile not in client._tree_cache
+            else:
+                assert expected != "tampered", (name, attempt)
+                assert shape(tree) == oracle_shape
+        # Nothing a hostile fragment did sticks: the honest one still reads.
+        assert shape(client.decrypt_fragment(honest)) == shape(
+            oracle.decrypt_fragment(honest)
+        )
+
+    def test_hostile_fragment_fails_the_whole_batch(self, stack):
+        system, client, _ = stack
+        honest = honest_fragment(system)
+        client.flush_caches()
+        before = counters.snapshot()
+        with pytest.raises(TamperedResponseError):
+            client.decrypt_fragments(ServerResponse(fragments=[
+                Fragment((("hospital", 0),), honest),
+                Fragment((("hospital", 0),), honest[:-4]),
+            ]))
+        # The scan and every MAC check passed; only the parse did not —
+        # so the blocks were decrypted, but no tree was cached.
+        assert counters.delta_since(before)["blocks_decrypted"] > 0
+        assert client._tree_cache == {}
+
+    @pytest.mark.parametrize(
+        "plaintext",
+        [
+            b"\xff\xfe not utf-8",
+            b"no markup at all",
+            b"<a/><b/>",
+            b"</patient><patient>",
+            b"<a>unclosed",
+            b"",
+        ],
+        ids=["non-utf8", "text", "two-roots", "unbalanced", "unclosed", "empty"],
+    )
+    def test_unverifiable_plaintext_on_a_tagless_hosting(self, stack, plaintext):
+        """Hostings from before block tags: no MAC vouches for the shape
+        of a plaintext, so it must stand as one element on its own."""
+        system, client, oracle = stack
+        system.hosted.block_tags.clear()
+        block = own_block(system, 9100, plaintext, tagged=False)
+        for text in (block, f"<patient>{block}</patient>"):
+            with pytest.raises(Exception) as escaped:
+                oracle.decrypt_fragment(text)
+            assert not isinstance(escaped.value, TamperedResponseError)
+            with pytest.raises(TamperedResponseError):
+                client.decrypt_fragment(text)
+
+    def test_bad_padding_on_a_tagless_hosting(self, stack):
+        system, client, oracle = stack
+        system.hosted.block_tags.clear()
+        start, end, block = first_block(honest_fragment(system))
+        for garbled in (_flip_payload(block), block.replace("</", "00</")):
+            with pytest.raises(ValueError) as escaped:
+                oracle.decrypt_fragment(f"<p>{garbled}</p>")
+            assert not isinstance(escaped.value, TamperedResponseError)
+            with pytest.raises(TamperedResponseError):
+                client.decrypt_fragment(f"<p>{garbled}</p>")
+
+
+class _LyingServer:
+    """Seals honest-looking responses around fragments it has damaged."""
+
+    def __init__(self, system, mutate):
+        self.lies = 0
+        honest_answer = system.server.answer
+
+        def answer(query):
+            response = honest_answer(query)
+            first = response.fragments[0]
+            response.fragments[0] = Fragment(
+                first.ancestor_path, mutate(system, first.xml), first.root_id
+            )
+            self.lies += 1
+            return response
+
+        system.server.answer = answer
+
+
+class TestLyingServer:
+    QUERY = "//patient"
+
+    @pytest.mark.parametrize(
+        "name", ["truncated-tail", "block-in-cdata", "single-quoted-id", "odd-length-hex"]
+    )
+    def test_query_falls_back_or_fails_typed(self, name):
+        document = build_healthcare_database()
+        expected = sorted(canonical_node(n) for n in evaluate(document, self.QUERY))
+        system = SecureXMLSystem.host(document, healthcare_constraints())
+        liar = _LyingServer(system, HOSTILE[name][0])
+        # Default policy: every attempt fails typed, then the naive ship
+        # (which this server does not lie about) answers exactly.
+        assert system.query(self.QUERY).canonical() == expected
+        trace = system.last_trace
+        # (The server's wire cache re-serves the one sealed lie.)
+        assert trace.fell_back and trace.integrity_failures == 4
+        assert liar.lies >= 1
+        system.retry_policy = RetryPolicy(naive_fallback=False)
+        with pytest.raises(QueryFailedError) as failed:
+            system.query(self.QUERY)
+        assert isinstance(failed.value.__cause__, TamperedResponseError)
+
+    def test_remote_system_gets_the_same_typed_failure(self):
+        document = build_healthcare_database()
+        expected = sorted(canonical_node(n) for n in evaluate(document, self.QUERY))
+        local = SecureXMLSystem.host(document, healthcare_constraints())
+        server = ServingServer(max_inflight=4)
+        server.register_tenant("t0", local)
+        address = server.start()
+        try:
+            remote = remote_system(local, address, "t0")
+            try:
+                assert remote.query(self.QUERY).canonical() == expected
+                liar = _LyingServer(local, HOSTILE["truncated-tail"][0])
+                local.server.flush_caches()
+                remote.flush_caches()
+                assert remote.query(self.QUERY).canonical() == expected
+                assert liar.lies >= 1
+                assert remote.last_trace.integrity_failures == 4
+                assert remote.last_trace.fell_back
+            finally:
+                remote.close()
+        finally:
+            server.stop()
+
+
+# ----------------------------------------------------------------------
+# User text that looks like what the scan and the splice key on
+# ----------------------------------------------------------------------
+AWKWARD_VALUES = [
+    r"\1",
+    r"\g<0>",
+    '<EncryptedData block-id="1">00</EncryptedData>',
+    "<__decoy__>x</__decoy__>",
+    "<!--",
+    "]]>",
+    "<?pi?> &amp; &#65;",
+]
+
+
+class TestAwkwardLeafValues:
+    """``secret`` is encrypted, ``label`` and ``@note`` stay plaintext."""
+
+    CONSTRAINTS = ["//rec/secret"]
+
+    def _document(self, values):
+        builder = TreeBuilder("root")
+        for index, value in enumerate(values):
+            with builder.element("rec", note=value, n=str(index)):
+                builder.leaf("secret", value)
+                builder.leaf("label", value)
+        return builder.document()
+
+    def _host(self, document):
+        from repro.core.constraints import SecurityConstraint
+
+        system = SecureXMLSystem.host(
+            document, [SecurityConstraint.parse(c) for c in self.CONSTRAINTS]
+        )
+        assert "secret" in system.hosted.encrypted_tags
+        assert "label" not in system.hosted.encrypted_tags
+        return system
+
+    def _check(self, system, document, queries):
+        for query in queries:
+            expected = sorted(canonical_node(n) for n in evaluate(document, query))
+            system.flush_caches()
+            assert system.query(query).canonical() == expected, query
+            assert system.query(query).canonical() == expected, query  # warm
+            assert not system.last_trace.fell_back
+
+    def test_round_trip_through_hosting(self):
+        document = self._document(AWKWARD_VALUES)
+        system = self._host(document)
+        self._check(
+            system, document, ["//secret", "//label", "//rec", "/root", "//rec/@note"]
+        )
+        for _, tree in system.client.decrypt_fragments(system.server.ship_all()):
+            assert shape(tree) == shape(document.root)
+
+    @pytest.mark.parametrize("value", AWKWARD_VALUES)
+    def test_round_trip_through_insert_and_update(self, value):
+        document = self._document(["plain", "other"])
+        system = self._host(document)
+        first, second = evaluate(document, "//rec")
+        for tag in ("secret", "label"):
+            system.insert_element("//rec[@n='0']", tag, value)
+            first.append(Element(tag)).append(Text(value))
+        self._check(system, document, ["//rec", "//secret", "//label"])
+        for tag in ("secret", "label"):
+            system.update_value(f"//rec[@n='1']/{tag}", value)
+            (leaf,) = evaluate(document, f"//rec[@n='1']/{tag}")
+            leaf.children[0].value = value
+        self._check(system, document, ["//rec", "//secret", "//label", "/root"])

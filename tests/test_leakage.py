@@ -17,6 +17,7 @@ Four invariant families:
 import pytest
 
 from repro.cluster.placement import ClusterConfig
+from repro.core import client as client_module
 from repro.core.leakage import (
     LeakageContext,
     LeakagePolicy,
@@ -27,6 +28,8 @@ from repro.core.system import SecureXMLSystem
 from repro.perf import counters
 from repro.security.leakage import TraceClusteringAttack, run_leakage_game
 from repro.serving import ServingServer, remote_system
+from repro.workloads.axes import AxisWorkload
+from repro.xmldb.node import iter_encrypted_blocks
 from repro.xmldb.parser import ENCRYPTED_DATA_TAG
 
 QUERIES = (
@@ -186,6 +189,47 @@ class TestBlockAccounting:
                 mono.last_trace.blocks_returned
                 == clustered.last_trace.blocks_returned
             ), query
+
+
+class TestOneDefinitionOfABlock:
+    """``blocks_shipped`` is counted in the fragment text; the tree walk
+    over the same roots, the trace recorder and the client's scan must
+    all see exactly those blocks."""
+
+    @pytest.mark.parametrize("dataset", ["healthcare", "xmark", "nasa"])
+    def test_text_count_tree_walk_trace_and_client_scan_agree(
+        self, dataset, request
+    ):
+        document = request.getfixturevalue(f"{dataset}_doc")
+        constraints = request.getfixturevalue(f"{dataset}_scs")
+        system = host(document, constraints, leakage=LeakagePolicy())
+        server, recorder = system.server, system.leakage.recorder
+        shipped = 0
+        for query in AxisWorkload(document).queries():
+            translated = system.client.translate(query)
+            roots = server._fragment_roots(server._match(translated).ship_entries)
+            walked = [
+                block.block_id
+                for root in roots
+                for block in iter_encrypted_blocks(root)
+            ]
+            for _ in ("serialized", "from the fragment cache"):
+                response = server.answer(translated)
+                scanned = [
+                    int(block_id)
+                    for fragment in response.fragments
+                    for block_id, _ in client_module._BLOCK_RE.findall(fragment.xml)
+                ]
+                assert scanned == walked, query
+                assert recorder.traces("server")[-1].blocks == tuple(walked), query
+                assert response.blocks_shipped == len(walked), query
+                assert response.blocks_shipped == marker_count(response), query
+            shipped += len(walked)
+        assert shipped > 0
+        whole = server.ship_all()
+        assert whole.blocks_shipped == len(
+            list(iter_encrypted_blocks(system.hosted.hosted_root))
+        ) == len(system.hosted.blocks)
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xml_parser_oracle as oracle
+from decrypt_oracle import remove_decoys
 from repro.core import client as client_module
+from repro.core.decoy import DECOY_TAG
 from repro.core.system import SecureXMLSystem
 from repro.workloads.healthcare import (
     build_healthcare_database,
@@ -21,8 +23,14 @@ from repro.workloads.healthcare import (
 from repro.workloads.nasa import build_nasa_database, nasa_constraints
 from repro.workloads.queries import QueryWorkload
 from repro.workloads.xmark import build_xmark_database, xmark_constraints
-from repro.xmldb.node import Attribute, Element, EncryptedBlockNode, Text
-from repro.xmldb.parser import XMLParseError, parse_fragment
+from repro.xmldb.node import (
+    Attribute,
+    Element,
+    EncryptedBlockNode,
+    Text,
+    iter_encrypted_blocks,
+)
+from repro.xmldb.parser import XMLParseError, block_placeholder, parse_fragment
 from repro.xmldb.serializer import serialize
 
 
@@ -71,11 +79,45 @@ def check_against_oracle(text):
         assert_same_tree(parse_fragment(text), expected)
 
 
+def check_decrypt_keywords_against_oracle(text):
+    """``drop_tag`` + ``reject_blocks`` against parse → look → strip.
+
+    The oracle side is what the client did with a block-free tree: parse,
+    refuse if a block is left anywhere (the root included), walk again to
+    detach the decoys.
+    """
+    def parse():
+        return parse_fragment(text, drop_tag=DECOY_TAG, reject_blocks=True)
+
+    try:
+        expected = oracle.parse_fragment(text)
+        unresolved = block_placeholder(expected) is not None or any(
+            iter_encrypted_blocks(expected)
+        )
+    except XMLParseError:
+        unresolved = True
+    except (ValueError, RecursionError, OverflowError):
+        try:
+            parse()
+        except XMLParseError:
+            pass
+        return
+    if unresolved:
+        with pytest.raises(XMLParseError):
+            parse()
+        return
+    remove_decoys(expected)
+    assert_same_tree(parse(), expected)
+
+
 # ----------------------------------------------------------------------
 # Generated documents
 # ----------------------------------------------------------------------
 _names = st.sampled_from(
-    ["a", "b", "item", "policy#", "x:y", "_u", "né", "EncryptedData", "a-b.c"]
+    [
+        "a", "b", "item", "policy#", "x:y", "_u", "né", "EncryptedData",
+        "a-b.c", DECOY_TAG, DECOY_TAG,
+    ]
 )
 _chars = st.text(
     alphabet=st.sampled_from(list("abc xyz01\n\t>'\"]é;#")), max_size=8
@@ -150,6 +192,7 @@ class TestGeneratedDocuments:
     @settings(max_examples=300, deadline=None)
     def test_well_formed_documents_parse_to_the_same_tree(self, text):
         check_against_oracle(text)
+        check_decrypt_keywords_against_oracle(text)
 
     @given(_documents(), st.data())
     @settings(max_examples=300, deadline=None)
@@ -161,6 +204,7 @@ class TestGeneratedDocuments:
             st.sampled_from(["", "<", ">", "&", "/", '"', "=", "</a>", "<a", "1", "²"])
         )
         check_against_oracle(text[:start] + patch + text[stop:])
+        check_decrypt_keywords_against_oracle(text[:start] + patch + text[stop:])
 
     @pytest.mark.parametrize(
         "text",
@@ -188,10 +232,27 @@ class TestGeneratedDocuments:
             "<a x='1",
             "<a/><!-- tail",
             "<?xml",
+            "<__decoy__>x</__decoy__>",
+            "<__decoy__/>",
+            "<a>v<__decoy__>x</__decoy__></a>",
+            "<a>v<__decoy__/>w</a>",
+            "<a> <__decoy__>x</__decoy__> </a>",
+            "<a><__decoy__ k='1'>x</__decoy__><__decoy__ k='&bad;'/></a>",
+            "<a><__decoy__ k='1' k='2'>x</__decoy__></a>",
+            "<a><__decoy__><b>kept?</b><__decoy__>x</__decoy__></__decoy__></a>",
+            "<a><__decoy__><EncryptedData block-id='1'>00</EncryptedData></__decoy__></a>",
+            "<a><__decoy__x>kept</__decoy__x><x__decoy__/></a>",
+            "<a><__decoy__>&amp;</__decoy__><__decoy__><![CDATA[<]]></__decoy__></a>",
+            "<a><__decoy__>x</__decoy__ ></a>",
+            "<EncryptedData block-id='1'>00</EncryptedData>",
+            "<EncryptedData>00</EncryptedData>",
+            "<a><EncryptedData>00</EncryptedData><EncryptedDataX block-id='1'/></a>",
+            "<a><EncryptedData block-id=''/></a>",
         ],
     )
     def test_corner_cases(self, text):
         check_against_oracle(text)
+        check_decrypt_keywords_against_oracle(text)
 
 
 # ----------------------------------------------------------------------
@@ -210,9 +271,9 @@ def test_workload_fragments_and_plaintexts(workload, monkeypatch):
     document = build()
     parsed: list[str] = []
 
-    def recording(text):
+    def recording(text, **keywords):
         parsed.append(text)
-        return parse_fragment(text)
+        return parse_fragment(text, **keywords)
 
     monkeypatch.setattr(client_module, "parse_fragment", recording)
     system = SecureXMLSystem.host(
@@ -225,7 +286,11 @@ def test_workload_fragments_and_plaintexts(workload, monkeypatch):
         hosted_text = serialize(system.hosted.hosted_root)
     finally:
         system.close()
+    # The client parses each fragment once, plaintexts already spliced in.
     assert len(parsed) > 10
-    assert any("EncryptedData" in text for text in parsed)
+    assert any(DECOY_TAG in text for text in parsed)
+    assert not any("EncryptedData" in text for text in parsed)
+    assert "EncryptedData" in hosted_text
     for text in {*parsed, hosted_text, serialize(document, indent=True)}:
         assert_same_tree(parse_fragment(text), oracle.parse_fragment(text))
+        check_decrypt_keywords_against_oracle(text)
