@@ -106,11 +106,6 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
         help="replicas per shard for failover (needs --shards)",
     )
     parser.add_argument(
-        "--backend", choices=("object", "columnar"), default=None,
-        help="server join representation (default: $REPRO_BACKEND; "
-        "answers are byte-identical either way)",
-    )
-    parser.add_argument(
         "--leakage", default=None, metavar="POLICY",
         help="access-pattern countermeasures: 'off' records traces "
         "only, 'full' enables padding+decoys+shuffle, or knobs like "
@@ -135,14 +130,6 @@ def _cluster(args: argparse.Namespace):
     return ClusterConfig(
         shards=shards, replicas=max(1, getattr(args, "replicas", 1))
     )
-
-
-def _backend(args: argparse.Namespace):
-    """``--backend`` value for ``host(backend=)``/``load_system(backend=)``.
-
-    ``None`` (flag absent) defers to ``REPRO_BACKEND``.
-    """
-    return getattr(args, "backend", None)
 
 
 def _leakage(args: argparse.Namespace):
@@ -196,8 +183,7 @@ def cmd_host(args: argparse.Namespace) -> int:
     system = SecureXMLSystem.host(
         document, constraints, scheme=args.scheme,
         master_key=_master_key(args),
-        cluster=_cluster(args), backend=_backend(args),
-        leakage=_leakage(args),
+        cluster=_cluster(args), leakage=_leakage(args),
     )
     _print_hosting(system)
     coordinator = system.coordinator
@@ -219,9 +205,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         from repro.core.storage import StorageError, load_system
 
         try:
-            system = load_system(
-                args.load, _master_key(args), backend=_backend(args)
-            )
+            system = load_system(args.load, _master_key(args))
         except StorageError as exc:
             # Corrupt/tampered hosting: one-line diagnostic, nonzero exit —
             # never a traceback, never a query over bad state.
@@ -233,8 +217,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         )
         system = SecureXMLSystem.host(
             document, constraints, scheme=args.scheme,
-            cluster=_cluster(args),
-            backend=_backend(args), leakage=_leakage(args),
+            cluster=_cluster(args), leakage=_leakage(args),
         )
     answer = system.query(args.xpath)
     print(f"answers ({len(answer)}):")
@@ -289,8 +272,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     system = SecureXMLSystem.host(
         document, constraints, scheme=args.scheme,
         master_key=_master_key(args),
-        cluster=_cluster(args), backend=_backend(args),
-        leakage=_leakage(args),
+        cluster=_cluster(args), leakage=_leakage(args),
     )
     answer = system.query(args.xpath)
     trace = system.last_trace
@@ -352,8 +334,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     system = SecureXMLSystem.host(
         document, constraints, scheme=args.scheme,
         master_key=_master_key(args),
-        cluster=_cluster(args), backend=_backend(args),
-        leakage=_leakage(args),
+        cluster=_cluster(args), leakage=_leakage(args),
     )
     workload = QueryWorkload(
         document, seed=args.seed, per_class=args.per_class
@@ -427,8 +408,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     system = SecureXMLSystem.host(
         document, constraints, scheme=args.scheme,
         master_key=_master_key(args),
-        cluster=cluster, backend=_backend(args),
-        leakage=_leakage(args),
+        cluster=cluster, leakage=_leakage(args),
     )
     coordinator = system.coordinator
     assert coordinator is not None
@@ -459,8 +439,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     system = SecureXMLSystem.host(
         document, constraints, scheme=args.scheme,
         master_key=_master_key(args),
-        cluster=_cluster(args), backend=_backend(args),
-        leakage=_leakage(args),
+        cluster=_cluster(args), leakage=_leakage(args),
     )
     server = ServingServer(
         host=args.host, port=args.port,
@@ -470,7 +449,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     host, port = server.start()
     print(
         f"serving tenant {args.tenant!r} "
-        f"({args.workload}/{args.scheme}, backend {system.backend}) "
+        f"({args.workload}/{args.scheme}) "
         f"on {host}:{port}"
     )
     print(f"admission control: {args.max_inflight} in-flight requests")

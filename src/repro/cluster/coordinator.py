@@ -189,7 +189,6 @@ class ClusterCoordinator:
         enable_cache: bool = True,
         channel_template: Channel | None = None,
         faults: "FaultPolicy | Any | None" = None,
-        backend: "str | None" = None,
     ) -> "ClusterCoordinator":
         """Stand up N×R shard servers with their per-replica channels.
 
@@ -198,11 +197,9 @@ class ClusterCoordinator:
         either one :class:`FaultPolicy` applied to every replica channel
         or a callable ``(shard_id, replica_id) -> FaultPolicy | None``,
         which is how the chaos tests give a shard one lossy and one clean
-        replica.  ``backend`` is the join representation every shard
-        server evaluates over; placement reads its cutpoints from the
-        columnar planes when it names the columnar backend.
+        replica.
         """
-        placement = build_placement(hosted, config, backend=backend)
+        placement = build_placement(hosted, config)
         session_keys = keyring.session_keys()
         bandwidth = (
             channel_template.bandwidth_bits_per_second
@@ -238,7 +235,6 @@ class ClusterCoordinator:
                     session_keys=session_keys,
                     enable_cache=enable_cache,
                     obs=obs,
-                    backend=backend,
                 )
                 replicas.append(Replica(replica_id, server, channel))
             replica_sets.append(

@@ -185,7 +185,6 @@ class PlacementMap:
 def build_placement(
     hosted: "HostedDatabase",
     config: ClusterConfig,
-    backend: "str | None" = None,
 ) -> PlacementMap:
     """Place a hosted database's interval groups onto ``config.shards``.
 
@@ -194,21 +193,11 @@ def build_placement(
     group → shard assignment walks a seeded permutation of the shards
     round-robin, so every shard owns ``~groups_per_shard`` groups and the
     assignment is reproducible from the seed alone.
-
-    On the columnar backend the cutpoints and per-group counts are read
-    straight off the plane arrays — same order, same values — so a
-    lazily loaded (mmap) index places without hydrating its object rows.
     """
-    from repro.core.columnar import resolve_backend
-
     index = hosted.structural_index
-    requested = config.shards * config.groups_per_shard
-    columnar = resolve_backend(backend) == "columnar"
-    if columnar:
-        planes = index.columnar()
-        cutpoints = planes.group_cutpoints(requested)
-    else:
-        cutpoints = index.group_cutpoints(requested)
+    cutpoints = index.group_cutpoints(
+        config.shards * config.groups_per_shard
+    )
     permutation = list(range(config.shards))
     random.Random(config.seed).shuffle(permutation)
     group_shards = tuple(
@@ -218,16 +207,10 @@ def build_placement(
     placement = PlacementMap(config, cutpoints, group_shards, ())
     # Count entries/blocks per group for the admin rendering.
     entry_counts = [0] * len(cutpoints)
-    if columnar:
-        entry_lows = planes.lows
-        block_items = planes.block_table_dict().items()
-    else:
-        entry_lows = [entry.interval.low for entry in index.entries]
-        block_items = index.block_table.items()
-    for low in entry_lows:
-        entry_counts[placement.group_of_low(low)] += 1
+    for entry in index.entries:
+        entry_counts[placement.group_of_low(entry.interval.low)] += 1
     group_blocks: list[list[int]] = [[] for _ in cutpoints]
-    for block_id, interval in block_items:
+    for block_id, interval in index.block_table.items():
         group_blocks[placement.group_of_low(interval.low)].append(block_id)
     bounds = cutpoints[1:] + [float("inf")]
     placement.groups = tuple(

@@ -23,13 +23,12 @@ The join still runs over the full replicated index on every shard —
 an axis edge can anchor a candidate on entries *anywhere* in the
 document, and every shard sees all of them — and ownership filtering
 still partitions the final root list by the root's own interval group.
-What the axis edges do change is *freshness*: a root's survival can now
-depend on entries owned by other shards, so the derived join inputs
-(node map, columnar plane snapshot) are gated on the global epoch
-rather than the per-shard one (see :meth:`ShardServer._check_epoch`),
-while the fragment cache keeps the narrower per-shard gating — fragment
-bytes depend only on subtree and ancestor path, which axis edges never
-alter (:meth:`~repro.cluster.coordinator.Coordinator.invalidate_entry`).
+A root's survival can depend on entries owned by other shards, but the
+join reads the live index (whose sorted-low arrays every epoch bump
+drops), so it needs no per-shard gating; the fragment cache keeps the
+narrower per-shard gating — fragment bytes depend only on subtree and
+ancestor path, which axis edges never alter
+(:meth:`~repro.cluster.coordinator.Coordinator.invalidate_entry`).
 
 Freshness: a shard's *fragment* cache is gated on its own
 ``shard_epoch`` (only updates routed to this shard invalidate it), but
@@ -66,14 +65,12 @@ class ShardServer(Server):
         session_keys: "tuple[bytes, bytes] | None" = None,
         enable_cache: bool = True,
         obs: "Observability | None" = None,
-        backend: "str | None" = None,
     ) -> None:
         super().__init__(
             hosted,
             enable_cache=enable_cache,
             session_keys=session_keys,
             obs=obs,
-            backend=backend,
         )
         self.placement = placement
         self.shard_id = shard_id
@@ -90,31 +87,12 @@ class ShardServer(Server):
         # lazily whenever the hosted epoch moves (inserts add entries).
         self._lows: dict[int, float] = {}
         self._lows_epoch = -1
-        #: Global epoch the derived *join* state (node map, columnar
-        #: plane snapshot) was built at — tracked separately from the
-        #: per-shard fragment epoch, see :meth:`_check_epoch`.
-        self._join_epoch = hosted.epoch
 
     def _check_epoch(self) -> None:
         with self._cache_lock:
             if self.shard_epoch != self._cache_epoch:
                 self.flush_caches()
                 self._cache_epoch = self.shard_epoch
-                self._join_epoch = self._hosted.epoch
-            elif self._hosted.epoch != self._join_epoch:
-                # A root's membership in this shard's answer can hinge on
-                # entries owned by *any* shard once axis edges (sibling,
-                # following/preceding, ancestor) anchor the join, so the
-                # derived join inputs must track the global epoch even
-                # when this shard's owned fragments are provably
-                # untouched.  The fragment cache itself stays warm: a
-                # fragment's bytes depend only on its subtree and
-                # ancestor path, and updates inside those always bump
-                # this shard (see ``Coordinator.invalidate_entry``).
-                self._nodes_by_id = None
-                if self._backend == "columnar":
-                    self._structure.drop_columnar()
-                self._join_epoch = self._hosted.epoch
 
     # ------------------------------------------------------------------
     # Ownership

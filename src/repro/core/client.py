@@ -269,16 +269,19 @@ class Client:
         The expected tag comes from the client's *own* hosted-state
         knowledge (``hosted.block_tags``), never from the response, so a
         server cannot strip or substitute tags.  Hostings built before
-        tags existed have no entry and skip the check.
+        tags existed hold none and skip the check; on any other hosting
+        an id without a tag is a block the owner never wrote.
         """
-        expected = self._hosted.block_tags.get(block_id)
-        if expected is None:
+        tags = self._hosted.block_tags
+        expected = tags.get(block_id)
+        if expected is None and not tags:
             return
         if self._verified_payloads is not None:
             if self._verified_payloads.get(block_id) == payload:
                 return
-        actual = self._keyring.block_tag(block_id, payload)
-        if not _compare.compare_digest(actual, expected):
+        if expected is None or not _compare.compare_digest(
+            self._keyring.block_tag(block_id, payload), expected
+        ):
             counters.add("integrity_failures")
             raise TamperedResponseError(
                 f"block {block_id} failed integrity verification"
@@ -439,12 +442,11 @@ class Client:
             ]
         except ValueError as exc:  # bad length, padding or UTF-8
             raise TamperedResponseError(f"undecryptable block: {exc}") from exc
-        tags = self._hosted.block_tags
-        for (block_id, _), plaintext in zip(blocks, plaintexts):
+        if not self._hosted.block_tags:
             # Splicing is only sound for one well-formed element.  A
             # verified MAC says the owner's serializer wrote this one; a
             # block from a hosting without tags has to parse on its own.
-            if block_id not in tags:
+            for plaintext in plaintexts:
                 parse_fragment(plaintext)
         # A plaintext that itself holds blocks (the encryptor nests none
         # today) is resolved before anyone caches or splices it.

@@ -159,13 +159,6 @@ class StructuralIndex:
     _lows_lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
-    #: lazily built columnar plane encoding (see
-    #: :mod:`repro.core.columnar`); dropped with the other static-data
-    #: caches on :meth:`invalidate_caches` so an epoch bump can never
-    #: leave a stale plane snapshot answering queries
-    _columnar: Optional[object] = field(
-        default=None, repr=False, compare=False
-    )
 
     def lookup(self, key: str) -> list[IndexEntry]:
         """Intervals registered under a (translated) tag."""
@@ -205,56 +198,9 @@ class StructuralIndex:
             return lows
 
     def invalidate_caches(self) -> None:
-        """Drop the static-data caches (called on every epoch bump).
-
-        Covers both the per-tag sorted-low arrays and the columnar plane
-        snapshot (with its per-tag slice-offset memo) — the planes
-        encode the same geometry, so they go stale together.
-        """
+        """Drop the static-data caches (called on every epoch bump)."""
         with self._lows_lock:
             self._lows_by_key.clear()
-            self._columnar = None
-
-    # ------------------------------------------------------------------
-    # Columnar plane snapshot (static-data cache, like the low arrays)
-    # ------------------------------------------------------------------
-    def columnar(self):
-        """The columnar plane encoding of this index, built once.
-
-        Rebuilt lazily after :meth:`invalidate_caches`; counters track
-        hit/miss so the epoch-invalidation tests can assert the planes
-        were actually dropped and rebuilt.
-        """
-        from repro.core.columnar import ColumnarPlanes
-        from repro.perf import counters
-
-        planes = self._columnar
-        if planes is not None:
-            counters.add("columnar_cache_hits")
-            return planes
-        with self._lows_lock:
-            planes = self._columnar
-            if planes is not None:
-                counters.add("columnar_cache_hits")
-                return planes
-            counters.add("columnar_cache_misses")
-            planes = ColumnarPlanes.from_index(self)
-            self._columnar = planes
-            return planes
-
-    def columnar_cached(self):
-        """The current plane snapshot, or ``None`` if not built/dropped."""
-        return self._columnar
-
-    def attach_columnar(self, planes) -> None:
-        """Adopt pre-built planes (the storage layer's mmap load path)."""
-        with self._lows_lock:
-            self._columnar = planes
-
-    def drop_columnar(self) -> None:
-        """Drop just the plane snapshot (server cache-flush path)."""
-        with self._lows_lock:
-            self._columnar = None
 
     def block_of(self, entry: IndexEntry) -> Optional[int]:
         """Resolve which encryption block an entry falls inside, if any.

@@ -18,7 +18,7 @@ the real request path:
   :class:`~repro.crypto.prf.DeterministicRandom` instances (the same
   counter-mode PRG the hosting pipeline draws decoy values from),
   independent of the :mod:`random` module state, so decoy draws and
-  shuffles replay byte-identically across backends and runs;
+  shuffles replay byte-identically across cluster shapes and runs;
 * :class:`TraceRecorder` / :class:`ObservedTrace` — what the attacker
   in :mod:`repro.security.leakage` gets to see: the ordered block-fetch
   sequence per observer ("server", "shard0", ...);
@@ -44,8 +44,8 @@ from repro.crypto.prf import DeterministicRandom
 from repro.perf import counters
 
 #: Environment knob read by :meth:`LeakageContext.coerce` when the
-#: hosting call leaves ``leakage=None`` — mirrors REPRO_BACKEND /
-#: REPRO_SHARDS so CI matrices can flip the tier on without code edits.
+#: hosting call leaves ``leakage=None`` — mirrors REPRO_SHARDS so CI
+#: matrices can flip the tier on without code edits.
 ENV_POLICY = "REPRO_LEAKAGE"
 
 
@@ -56,10 +56,9 @@ def leakage_stream(seed: int, label: str) -> DeterministicRandom:
     ``(key, label)`` only — never of interpreter hash randomization or
     :mod:`random` module state — which is the property the determinism
     tier tests: identical seeds must produce identical decoy/shuffle
-    sequences across the object and columnar backends, across cluster
-    shapes, and across runs.  The label is namespaced so these streams
-    can never collide with the hosting pipeline's decoy-value streams
-    even under a shared key.
+    sequences across cluster shapes and across runs.  The label is
+    namespaced so these streams can never collide with the hosting
+    pipeline's decoy-value streams even under a shared key.
     """
     key = (seed & ((1 << 64) - 1)).to_bytes(8, "big").rjust(16, b"\x00")
     return DeterministicRandom(key, f"leakage:{label}")
@@ -230,7 +229,7 @@ class LeakageContext:
     advancing :class:`DeterministicRandom` stream, so decoy draws are
     fresh per query (a repeated query does *not* repeat its decoys —
     per-request determinism would let the observer match repeats by set
-    equality) while remaining replay-identical across backends and runs,
+    equality) while remaining replay-identical across runs,
     because the per-observer call sequence is identical.
     """
 

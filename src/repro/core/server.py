@@ -15,7 +15,6 @@ document and re-evaluate the original query exactly.
 from __future__ import annotations
 
 import threading
-import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -24,7 +23,6 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.obs import Observability
 
-from repro.core.columnar import match_pattern_columnar, resolve_backend
 from repro.core.dsi import IndexEntry, StructuralIndex
 from repro.core.encryptor import HostedDatabase
 from repro.core.integrity import (
@@ -46,7 +44,6 @@ from repro.perf import counters
 from repro.xmldb.node import (
     Attribute,
     Element,
-    EncryptedBlockNode,
     Node,
     iter_encrypted_blocks,
 )
@@ -106,13 +103,9 @@ class Server:
         enable_cache: bool = True,
         session_keys: "tuple[bytes, bytes] | None" = None,
         obs: "Observability | None" = None,
-        backend: "str | None" = None,
     ) -> None:
         self._hosted = hosted
         self._obs = obs
-        #: Join representation: "object" walks the entry forest,
-        #: "columnar" sweeps the flat plane arrays (identical answers).
-        self._backend = resolve_backend(backend)
         self._hosted_root = hosted.hosted_root
         self._structure: StructuralIndex = hosted.structural_index
         self._values: ValueIndex = hosted.value_index
@@ -134,10 +127,6 @@ class Server:
         #: untouched by the update.  Tracking it separately keeps
         #: fragment caches warm on unaffected shards.
         self._wire_epoch = hosted.epoch
-        #: hosted node id → node, for the columnar matcher's survivor
-        #: materialization; rebuilt lazily after every epoch bump
-        #: (updates add and remove hosted nodes).
-        self._nodes_by_id: "dict[int, Node] | None" = None
         #: Serializes cache reads against epoch flushes.  The serving
         #: layer dispatches many connections onto a thread pool, so an
         #: epoch bump must not be able to interleave with a cache lookup
@@ -163,11 +152,6 @@ class Server:
         self.leakage: "LeakageContext | None" = None
         self._leakage_observer = "server"
         self._universe_cache: "tuple[int, tuple[int, ...]] | None" = None
-
-    @property
-    def backend(self) -> str:
-        """The join representation this server evaluates over."""
-        return self._backend
 
     def _check_epoch(self) -> None:
         """Flush the fragment cache when the hosted state has mutated."""
@@ -231,20 +215,11 @@ class Server:
             return payload
 
     def flush_caches(self) -> None:
-        """Drop the fragment and sealed-response caches.
-
-        On the columnar backend this also drops the index's plane
-        snapshot (with its per-tag slice-offset memo) and the node map —
-        a flush must leave *no* derived representation of pre-flush
-        state behind.
-        """
+        """Drop the fragment and sealed-response caches."""
         with self._cache_lock:
             self._fragment_cache.clear()
             self._wire_cache.clear()
-            self._nodes_by_id = None
             self._universe_cache = None
-            if self._backend == "columnar":
-                self._structure.drop_columnar()
 
     # ------------------------------------------------------------------
     # Normal path: §6.2 steps 1-3
@@ -329,51 +304,9 @@ class Server:
         return self._obs.tracer.span(name)
 
     def _match(self, query: TranslatedQuery) -> MatchResult:
-        """Structural join over the configured index representation."""
-        if self._backend == "columnar":
-            with self._span("server.join"):
-                return match_pattern_columnar(
-                    query,
-                    self._columnar_planes(),
-                    self._values,
-                    self._node_map().get,
-                    obs=self._obs,
-                )
+        """Structural join over the DSI index table."""
         with self._span("server.join"):
             return match_pattern(query, self._structure, self._values)
-
-    def _columnar_planes(self):
-        """The index's plane snapshot, timing cold builds."""
-        planes = self._structure.columnar_cached()
-        if planes is not None:
-            return self._structure.columnar()  # counts the hit
-        start = time.perf_counter()
-        planes = self._structure.columnar()
-        if self._obs is not None and self._obs.enabled:
-            self._obs.metrics.observe(
-                "plane_build_seconds", time.perf_counter() - start
-            )
-        return planes
-
-    def _node_map(self) -> "dict[int, Node]":
-        """hosted node id → node (elements, attributes, block stubs)."""
-        with self._cache_lock:
-            nodes = self._nodes_by_id
-            if nodes is not None:
-                return nodes
-            nodes = {}
-            stack: list[Node] = [self._hosted.hosted_root]
-            while stack:
-                node = stack.pop()
-                nodes[node.node_id] = node
-                if isinstance(node, Element):
-                    for attribute in node.attributes:
-                        nodes[attribute.node_id] = attribute
-                    for child in node.children:
-                        if isinstance(child, (Element, EncryptedBlockNode)):
-                            stack.append(child)
-            self._nodes_by_id = nodes
-            return nodes
 
     def _make_fragments(self, roots: list[Node]) -> list[Fragment]:
         """Serialize the shipped subtrees, in document order."""

@@ -119,59 +119,6 @@ def entry_sibling_bounds(
     )
 
 
-def join_following(
-    anchors: list[IndexEntry],
-    candidates: list[IndexEntry],
-) -> list[IndexEntry]:
-    """Candidates that can *follow* at least one anchor (relaxed form).
-
-    Entries are grouped intervals, so the exact disjoint-after test
-    widens to ``candidate.high > min(anchor.low)`` — sound as a
-    superset, like every other server-side axis test.  Order-preserving
-    over ``candidates``.
-    """
-    bounds = entry_order_bounds(anchors)
-    if bounds is None:
-        return []
-    min_low, _ = bounds
-    return [c for c in candidates if c.interval.high > min_low]
-
-
-def join_preceding(
-    anchors: list[IndexEntry],
-    candidates: list[IndexEntry],
-) -> list[IndexEntry]:
-    """Candidates that can *precede* at least one anchor (relaxed form)."""
-    bounds = entry_order_bounds(anchors)
-    if bounds is None:
-        return []
-    _, max_high = bounds
-    return [c for c in candidates if c.interval.low < max_high]
-
-
-def join_siblings(
-    anchors: list[IndexEntry],
-    candidates: list[IndexEntry],
-    direction: str = "following",
-) -> list[IndexEntry]:
-    """Sibling-axis semi-join: same parent plus the order threshold."""
-    bounds_by_parent = entry_sibling_bounds(anchors)
-    kept: list[IndexEntry] = []
-    for candidate in candidates:
-        key = (
-            id(candidate.parent) if candidate.parent is not None else None
-        )
-        bounds = bounds_by_parent.get(key)
-        if bounds is None:
-            continue
-        if direction == "following":
-            if candidate.interval.high > bounds[0]:
-                kept.append(candidate)
-        elif candidate.interval.low < bounds[1]:
-            kept.append(candidate)
-    return kept
-
-
 def join_children(
     parents: list[IndexEntry],
     children: list[IndexEntry],

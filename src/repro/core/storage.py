@@ -17,11 +17,6 @@ Layout of a saved hosting::
                           # per-block MAC tags (client-side — contains
                           # plaintext values; it must never be given to
                           # the server)
-      columns.json        # column manifest: plane layout + tag slices
-                          # (see repro.core.colstore)
-      columns.bin         # the flat plane arrays, 8-byte aligned — a
-                          # columnar-backend load mmaps this instead of
-                          # materializing the DSI entry objects
       manifest.json       # SHA-256 of each file above (commit marker)
 
 Field plans, tag tokens and every key are *re-derived* from the master key
@@ -58,14 +53,6 @@ from collections import Counter
 
 from repro.btree import BTree
 from repro.core.client import Client
-from repro.core.colstore import (
-    ColstoreError,
-    MANIFEST_FILE as COLUMNS_MANIFEST,
-    PLANES_FILE as COLUMNS_PLANES,
-    load_columns,
-    pack_columns,
-)
-from repro.core.columnar import LazyStructuralIndex, resolve_backend
 from repro.core.dsi import IndexEntry, Interval, StructuralIndex
 from repro.core.encryptor import (
     HostedDatabase,
@@ -84,13 +71,7 @@ from repro.xmldb.serializer import serialize
 
 _FORMAT_VERSION = 2
 
-_DATA_FILES = (
-    "hosted.xml",
-    "server_meta.json",
-    "client_state.json",
-    COLUMNS_MANIFEST,
-    COLUMNS_PLANES,
-)
+_DATA_FILES = ("hosted.xml", "server_meta.json", "client_state.json")
 _MANIFEST = "manifest.json"
 
 
@@ -245,15 +226,10 @@ def save_system(system: SecureXMLSystem, directory: str) -> None:
         "state_root": hosted.state_root().hex(),
     }
 
-    columns_manifest, columns_blob = pack_columns(
-        hosted.structural_index.columnar().with_hosted_ids(saved_id)
-    )
     contents: dict[str, bytes] = {
         "hosted.xml": serialize(hosted.hosted_root).encode("utf-8"),
         "server_meta.json": json.dumps(server_meta).encode("utf-8"),
         "client_state.json": json.dumps(client_state).encode("utf-8"),
-        COLUMNS_MANIFEST: json.dumps(columns_manifest).encode("utf-8"),
-        COLUMNS_PLANES: columns_blob,
     }
     manifest = {
         "version": _FORMAT_VERSION,
@@ -388,19 +364,15 @@ def _check_version(meta: dict, path: str) -> None:
         )
 
 
-def index_from_records(
+def _index_from_records(
     records: list[dict],
     block_table: dict,
     node_for,
 ) -> StructuralIndex:
-    """Materialize the object-row structural index from persisted records.
+    """Materialize the structural index from persisted records.
 
     ``records`` is the ``server_meta.json`` ``"dsi"`` list; ``node_for``
-    maps a hosted node id to its parsed tree node.  This is the eager
-    half of the boot path — the columnar backend skips it entirely by
-    mmapping the plane arrays instead — kept as a public function so the
-    scaling benchmark can time the two index-preparation paths
-    head-to-head on identical inputs.
+    maps a hosted node id to its parsed tree node.
     """
     entries: list[IndexEntry] = []
     for record in records:
@@ -441,7 +413,6 @@ def load_system(
     channel: Channel | None = None,
     fast_path: bool = True,
     retry_policy: RetryPolicy | None = None,
-    backend: "str | None" = None,
 ) -> SecureXMLSystem:
     """Rebuild a working system from a saved hosting and the master key.
 
@@ -449,14 +420,6 @@ def load_system(
     fails its manifest digest or does not parse — raising
     :class:`StorageError` naming the offending file rather than ever
     standing up a system over corrupt state.
-
-    ``backend`` selects the server's join representation (``None`` reads
-    ``REPRO_BACKEND``).  On the columnar backend a hosting saved with a
-    column store boots *lazily*: the plane arrays are mmapped from
-    ``columns.bin`` and the DSI entry objects are never materialized
-    unless something needs them (incremental updates hydrate on first
-    touch).  A legacy save without column files loads the object index
-    and the server builds planes from it on first query.
     """
     _recover(directory)
     _verify_manifest(directory)
@@ -493,51 +456,12 @@ def load_system(
     server_meta = _read_json(meta_path)
     _check_version(server_meta, meta_path)
 
-    resolved_backend = resolve_backend(backend)
-    columns_manifest_path = os.path.join(directory, COLUMNS_MANIFEST)
-    lazy_columns = resolved_backend == "columnar" and os.path.exists(
-        columns_manifest_path
-    )
-
     try:
-        if lazy_columns:
-            # Columnar boot: mmap the plane arrays and defer the object
-            # rows entirely — the join, placement and hosted-node-lows
-            # paths all run plane-native, so the hosting answers queries
-            # in O(1) index heap.
-            try:
-                planes = load_columns(directory)
-            except ColstoreError as exc:
-                raise StorageError(
-                    columns_manifest_path,
-                    f"unreadable column store ({exc})",
-                ) from exc
-            except OSError as exc:
-                raise StorageError(
-                    os.path.join(directory, COLUMNS_PLANES),
-                    f"unreadable column store ({exc})",
-                ) from exc
-            # The records stay unmaterialized, but the metadata schema is
-            # still validated: a hosting whose column store disagrees
-            # with (or lost) its record list is damaged for *some* boot
-            # path and must be rejected now, not on the next object boot.
-            if len(server_meta["dsi"]) != planes.entry_count:
-                raise StorageError(
-                    columns_manifest_path,
-                    f"column store holds {planes.entry_count} entries "
-                    f"but server metadata lists {len(server_meta['dsi'])}",
-                )
-            structural_index: StructuralIndex = LazyStructuralIndex(
-                planes, nodes_by_id.get
-            )
-            index_entry_count = planes.entry_count
-        else:
-            structural_index = index_from_records(
-                server_meta["dsi"],
-                server_meta["block_table"],
-                nodes_by_id.get,
-            )
-            index_entry_count = len(structural_index.entries)
+        structural_index = _index_from_records(
+            server_meta["dsi"],
+            server_meta["block_table"],
+            nodes_by_id.get,
+        )
 
         value_index = ValueIndex()
         for token, flat_entries in server_meta["value_index"].items():
@@ -634,7 +558,7 @@ def load_system(
         hosted_bytes=hosted.hosted_size_bytes(),
         plaintext_bytes=0,
         decoy_count=hosted.decoy_count,
-        index_entries=index_entry_count,
+        index_entries=len(structural_index.entries),
         value_index_entries=value_index.total_entries(),
     )
     return SecureXMLSystem(
@@ -643,7 +567,6 @@ def load_system(
             hosted,
             enable_cache=fast_path,
             session_keys=keyring.session_keys(),
-            backend=resolved_backend,
         ),
         hosted=hosted,
         scheme=scheme,

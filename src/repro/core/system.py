@@ -18,7 +18,6 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
 from repro.core.client import Client, QueryAnswer
-from repro.core.columnar import resolve_backend
 from repro.core.constraints import SecurityConstraint
 from repro.core.encryptor import HostedDatabase, host_database
 from repro.core.integrity import (
@@ -209,16 +208,10 @@ class SecureXMLSystem:
         observability: "Observability | bool | None" = None,
         cluster: "object | None" = None,
         cluster_faults: "object | None" = None,
-        backend: "str | None" = None,
         leakage: "object | None" = None,
     ) -> None:
         self.client = client
         self.server = server
-        # Resolve once (None → REPRO_BACKEND → "object") so the server,
-        # every cluster shard and introspection all agree on one name.
-        self.backend = resolve_backend(
-            backend if backend is not None else server.backend
-        )
         self.hosted = hosted
         self.scheme = scheme
         self.channel = channel
@@ -258,7 +251,6 @@ class SecureXMLSystem:
                 enable_cache=fast_path,
                 channel_template=channel,
                 faults=cluster_faults,
-                backend=self.backend,
             )
         # Access-pattern leakage tier (see repro.core.leakage): one
         # context shared by the monolithic server and every shard
@@ -288,7 +280,6 @@ class SecureXMLSystem:
         observability: "Observability | bool | None" = None,
         cluster: "object | None" = None,
         cluster_faults: "object | None" = None,
-        backend: "str | None" = None,
         leakage: "object | None" = None,
     ) -> "SecureXMLSystem":
         """Encrypt ``document`` under the given scheme and stand up a system.
@@ -319,13 +310,6 @@ class SecureXMLSystem:
         ``cluster_faults`` injects a :class:`~repro.netsim.faults
         .FaultPolicy` (or a ``(shard, replica) -> policy`` callable) into
         the per-replica channels for failover testing.
-
-        ``backend`` selects the server's join representation (see
-        :func:`~repro.core.columnar.resolve_backend`): ``None`` reads
-        ``REPRO_BACKEND``, ``"object"`` walks the entry forest,
-        ``"columnar"`` sweeps flat plane arrays.  Answers are
-        byte-identical either way — the backend changes the
-        representation the join runs over, never the result.
 
         ``leakage`` enables the access-pattern leakage tier (see
         :meth:`~repro.core.leakage.LeakageContext.coerce`): ``None``
@@ -365,7 +349,6 @@ class SecureXMLSystem:
                 hosted,
                 enable_cache=fast_path,
                 session_keys=keyring.session_keys(),
-                backend=backend,
             ),
             hosted=hosted,
             scheme=scheme_obj,

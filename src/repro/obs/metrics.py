@@ -56,7 +56,6 @@ HISTOGRAMS: dict[str, str] = {
     "cluster_scatter_seconds": "Scatter phase: all shard exchanges of one query.",
     "cluster_gather_seconds": "Gather phase: merge of the partial responses.",
     "shard_exchange_seconds": "One shard's server + wire time within a scatter.",
-    "plane_build_seconds": "Columnar DSI plane build time (entries → flat arrays).",
     # Unitless lag (commits, not seconds) — recorded when a replica is
     # demoted for serving stale state, so the distribution shows how far
     # behind stale replicas were when caught.

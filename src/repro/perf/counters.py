@@ -35,9 +35,7 @@ class PerfCounters:
       (parse + block decryption + decoy stripping, one level above the
       block cache);
     * ``interval`` — the structural index's per-tag sorted low-bound
-      arrays used by descendant joins;
-    * ``columnar`` — the structural index's flat plane snapshot (the
-      columnar backend's join representation, dropped on epoch bumps).
+      arrays used by descendant joins.
     """
 
     key_expansions: int = 0
@@ -83,11 +81,6 @@ class PerfCounters:
     #: resynced + re-admitted after a confirmed-fresh exchange.
     replica_demotions: int = 0
     replica_resyncs: int = 0
-    # --- columnar backend (plane snapshot cache / vectorized sweeps) ---
-    columnar_cache_hits: int = 0
-    columnar_cache_misses: int = 0
-    columnar_plane_builds: int = 0
-    columnar_join_sweeps: int = 0
     # --- serving layer (socket front door) ---
     serving_connections: int = 0
     serving_requests: int = 0

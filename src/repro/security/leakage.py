@@ -225,7 +225,7 @@ def run_leakage_game(
     warm hits replay sealed bytes without touching storage, which a
     storage-level observer never sees.  The issue order is drawn from a
     :func:`~repro.core.leakage.leakage_stream` over ``seed``, so the whole
-    game replays identically across backends and runs.
+    game replays identically across runs.
     """
     context = system.leakage
     if context is None:

@@ -340,7 +340,6 @@ class RemoteServer:
 
     def __init__(self, connection: ServingConnection) -> None:
         self._connection = connection
-        self.backend = connection.hello.get("backend", "object")
         self._obs = None  # assigned by SecureXMLSystem.__init__
 
     def answer_wire(self, request_blob: bytes) -> bytes:
@@ -438,7 +437,6 @@ def remote_system(
         retry_policy=local.retry_policy,
         observability=observability,
         cluster=False,  # never coordinator-side: the far end shards, not us
-        backend=local.backend,
         # Never client-side either: decoy/padding fetches happen where
         # the storage is — the served tenant system — and REPRO_LEAKAGE
         # must not make this proxy try to attach a tier to RemoteServer.

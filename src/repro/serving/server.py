@@ -226,7 +226,6 @@ class TenantSession:
             return {
                 "tenant": self.tenant_id,
                 "protocol": PROTOCOL_VERSION,
-                "backend": self.system.backend,
                 "epoch": self.system.hosted.epoch,
                 "cluster": self._gateway is not None,
             }

@@ -9,7 +9,7 @@ attributes), so most queries have non-empty answers — an axis join that
 returns nothing exercises very little.
 
 Determinism matters twice over: the differential sweep replays the same
-queries across backends/engines/cluster shapes, and the leakage tier
+queries across cluster shapes, and the leakage tier
 asserts trace determinism per query.  Everything is derived from the
 document plus a seeded :class:`~repro.crypto.prf.DeterministicRandom`.
 """

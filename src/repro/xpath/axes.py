@@ -111,7 +111,7 @@ INVERSE_EDGE = {
 
 
 # ----------------------------------------------------------------------
-# Interval-algebra threshold helpers (shared by both matcher backends)
+# Interval-algebra threshold helpers
 # ----------------------------------------------------------------------
 
 

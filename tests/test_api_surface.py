@@ -184,7 +184,7 @@ class TestOneSerialPipeline:
             "cache_layers", "hit_rate",
         }
         assert set(PerfCounters().cache_layers()) == {
-            "plan", "fragment", "block", "tree", "interval", "columnar",
+            "plan", "fragment", "block", "tree", "interval",
         }
         retired = {
             "answer_cache_hits", "answer_cache_misses", "chunks_streamed",

@@ -3,9 +3,8 @@
 The contract is the same correctness equation the downward fragment has
 always satisfied — ``Q(δ(Qs(η(D)))) = Q(D)`` — extended to every axis
 and every positional-predicate shape, across the execution matrix:
-object/columnar backends, monolithic and (4, 2) cluster hosting, and a
-≥20% fault sweep where the outcome must be the exact answer or a typed
-error.
+monolithic and (4, 2) cluster hosting, and a ≥20% fault sweep where the
+outcome must be the exact answer or a typed error.
 
 None of these queries may touch the naive protocol: the planner must
 pick a twig, axis, or residual server-side plan for each (the
@@ -77,21 +76,18 @@ class TestGeneratorCoversEveryAxis:
 class TestHealthcareMatrix:
     """Full execution matrix on the Figure 2 database."""
 
-    @pytest.mark.parametrize("backend", ["object", "columnar"])
-    def test_serial(self, healthcare_doc, healthcare_scs, backend):
+    def test_serial(self, healthcare_doc, healthcare_scs):
         system = SecureXMLSystem.host(
-            healthcare_doc, healthcare_scs, scheme="opt", backend=backend
+            healthcare_doc, healthcare_scs, scheme="opt"
         )
         queries = axis_queries(healthcare_doc) + list(EXTRA_QUERIES)
         assert_exact_and_served(system, healthcare_doc, queries)
 
-    @pytest.mark.parametrize("backend", ["object", "columnar"])
-    def test_cluster(self, healthcare_doc, healthcare_scs, backend):
+    def test_cluster(self, healthcare_doc, healthcare_scs):
         system = SecureXMLSystem.host(
             healthcare_doc,
             healthcare_scs,
             scheme="opt",
-            backend=backend,
             cluster=ClusterConfig(shards=4, replicas=2),
         )
         queries = axis_queries(healthcare_doc) + list(EXTRA_QUERIES)
@@ -119,11 +115,8 @@ class TestHealthcareMatrix:
 class TestOtherCorpora:
     """Spot configurations on the synthetic NASA and XMark databases."""
 
-    @pytest.mark.parametrize("backend", ["object", "columnar"])
-    def test_nasa(self, nasa_doc, nasa_scs, backend):
-        system = SecureXMLSystem.host(
-            nasa_doc, nasa_scs, scheme="opt", backend=backend
-        )
+    def test_nasa(self, nasa_doc, nasa_scs):
+        system = SecureXMLSystem.host(nasa_doc, nasa_scs, scheme="opt")
         assert_exact_and_served(system, nasa_doc, axis_queries(nasa_doc))
 
     def test_xmark_cluster(self, xmark_doc, xmark_scs):

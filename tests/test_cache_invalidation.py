@@ -112,105 +112,6 @@ class TestInvalidationCorrectness:
         assert first[0].canonical() == second[0].canonical()
 
 
-@pytest.fixture
-def columnar_system(healthcare_doc, healthcare_scs):
-    return SecureXMLSystem.host(
-        healthcare_doc, healthcare_scs, scheme="opt", backend="columnar"
-    )
-
-
-class TestColumnarInvalidation:
-    """The plane snapshot cache obeys the same epoch discipline.
-
-    The columnar backend answers joins from a flat-array snapshot of the
-    structural index (``StructuralIndex.columnar()``).  An update that
-    mutates the entry list must drop that snapshot — and the per-tag
-    slice memo living inside it — or a repeated query would sweep stale
-    planes and resurrect deleted intervals.
-    """
-
-    def test_insert_visible_after_cached_query(self, columnar_system):
-        query = "//patient[pname='Matt']/phone"
-        assert columnar_system.query(query).values() == []
-        assert columnar_system.query(query).values() == []
-        columnar_system.insert_element(
-            "//patient[pname='Matt']", "phone", "555-1234"
-        )
-        assert columnar_system.query(query).values() == ["555-1234"]
-
-    def test_delete_visible_after_cached_query(self, columnar_system):
-        query = "//patient[pname='Matt']//disease"
-        first = columnar_system.query(query)
-        assert len(first) > 0
-        assert columnar_system.query(query).canonical() == first.canonical()
-        columnar_system.delete_element("//patient[pname='Matt']/treat")
-        assert columnar_system.query(query).values() == []
-
-    def test_update_value_visible_after_cached_query(self, columnar_system):
-        query = "//patient[pname='Matt']/pname"
-        assert columnar_system.query(query).values() == ["Matt"]
-        columnar_system.update_value(
-            "//patient[pname='Matt']/pname", "Matthew"
-        )
-        assert columnar_system.query(query).values() == []
-        assert columnar_system.query(
-            "//patient[pname='Matthew']/pname"
-        ).values() == ["Matthew"]
-
-    def test_update_drops_and_rebuilds_plane_snapshot(self, columnar_system):
-        """The epoch bump evicts the cached planes; the next query pays
-        exactly one rebuild (a ``columnar_cache_misses`` increment)."""
-        index = columnar_system.hosted.structural_index
-        columnar_system.query("//patient/pname")
-        assert index.columnar_cached() is not None
-        columnar_system.update_value(
-            "//patient[pname='Matt']/pname", "Matthew"
-        )
-        assert index.columnar_cached() is None
-        before = counters.snapshot()
-        columnar_system.query("//patient/pname")
-        delta = counters.delta_since(before)
-        assert delta.get("columnar_cache_misses", 0) >= 1
-        assert index.columnar_cached() is not None
-
-    def test_warm_queries_reuse_the_snapshot(self, columnar_system):
-        """Without an update in between, repeat queries hit the cache."""
-        columnar_system.query("//patient/pname")
-        before = counters.snapshot()
-        columnar_system.query("//patient/age")
-        delta = counters.delta_since(before)
-        assert delta.get("columnar_cache_misses", 0) == 0
-        assert delta.get("columnar_cache_hits", 0) >= 1
-
-    def test_answers_match_object_backend_across_updates(
-        self, system, columnar_system
-    ):
-        """Byte identity holds through a full update cycle."""
-        probes = [
-            "//patient/pname",
-            "//patient[pname='Matt']//disease",
-            "//insurance/@coverage",
-        ]
-        for probe in probes:
-            assert (
-                system.query(probe).canonical()
-                == columnar_system.query(probe).canonical()
-            )
-        for target in (system, columnar_system):
-            target.update_value(
-                "//patient[pname='Matt']/treat/disease", "updated-disease"
-            )
-            target.insert_element(
-                "//patient[pname='Matt']", "phone", "555-1234"
-            )
-        probes.append("//patient[pname='Matt']/phone")
-        for probe in probes:
-            assert (
-                system.query(probe).canonical()
-                == columnar_system.query(probe).canonical()
-            )
-
-
 class TestFlushCaches:
     """``flush_caches()`` leaves a truly cold system behind."""
 
@@ -270,5 +171,4 @@ class TestFlushCaches:
                 assert value == {}, (type(owner).__name__, name)
         assert len(system.client._plan_cache) == 0
         assert system.client._verified_payloads == {}
-        assert system.server._nodes_by_id is None
         assert system.server._universe_cache is None

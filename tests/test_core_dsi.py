@@ -232,3 +232,30 @@ class TestStructuralIndexTable:
         )
         lows = [entry.interval.low for entry in index.all_entries()]
         assert lows == sorted(lows)
+
+
+class TestIntervalUnderflowDiagnostic:
+    def test_deep_chain_reports_depth_and_remedy(self):
+        from repro.xmldb.node import Document, Element
+
+        root = Element("chain")
+        cursor = root
+        for level in range(120):
+            child = Element(f"level{level}")
+            cursor.append(child)
+            cursor = child
+        document = Document(root)
+        weights = DeterministicRandom(b"w" * 16, "dsi")
+        with pytest.raises(ValueError) as excinfo:
+            assign_intervals(document, weights)
+        message = str(excinfo.value)
+        assert "underflowed" in message
+        assert "depth" in message
+        assert "fanout" in message
+        assert "bulk-load" in message
+        assert "regroup" in message
+
+    def test_shallow_document_is_fine(self, healthcare_doc):
+        weights = DeterministicRandom(b"w" * 16, "dsi")
+        intervals = assign_intervals(healthcare_doc, weights)
+        assert intervals

@@ -2,18 +2,26 @@
 
 import json
 import os
+import shutil
+from pathlib import Path
 
 import pytest
 
 from repro.core.client import canonical_node
-from repro.core.encryptor import renumbered_hosted_ids
-from repro.core.storage import load_system, save_system
+from repro.core.storage import StorageError, load_system, save_system
 from repro.core.system import SecureXMLSystem
 from repro.workloads.nasa import build_nasa_database
 from repro.xmldb.node import Element, Text
 from repro.xpath.evaluator import evaluate
 
 MASTER = b"storage-test-master-key-32bytes!"
+
+#: The healthcare document hosted under ``opt`` with ``MASTER`` and saved
+#: by PR 17, the last commit whose saves carried a second copy of the DSI
+#: (``columns.json`` / ``columns.bin``, listed in its manifest).
+PARENT_FORMAT_HOSTING = os.path.join(
+    os.path.dirname(__file__), "fixtures", "hosting_saved_by_pr17"
+)
 
 QUERIES = (
     "//patient[.//insurance//@coverage>=10000]//SSN",
@@ -135,14 +143,13 @@ class TestSaveWithLiveInsert:
     the insert point resolves to the wrong node (wrong answers, no error).
     """
 
-    @pytest.mark.parametrize("backend", ["object", "columnar"])
     @pytest.mark.parametrize(
         "parent, tag, value",
         [("{dataset}", "note", "hello"), ("{dataset}/distribution", "last", "Zed")],
         ids=["plaintext", "encrypted"],
     )
     def test_reloaded_answers_match_live_and_plaintext(
-        self, tmp_path, nasa_scs, backend, parent, tag, value
+        self, tmp_path, nasa_scs, parent, tag, value
     ):
         document = build_nasa_database(dataset_count=12, seed=13)
         # Early in the document, so most entries sit after the insert.
@@ -151,8 +158,7 @@ class TestSaveWithLiveInsert:
         parent = parent.format(dataset=dataset)
 
         live = SecureXMLSystem.host(
-            document.clone(), nasa_scs, scheme="opt",
-            master_key=MASTER, backend=backend,
+            document.clone(), nasa_scs, scheme="opt", master_key=MASTER
         )
         live.insert_element(parent, tag, value)
         (target,) = evaluate(document, parent)
@@ -161,7 +167,7 @@ class TestSaveWithLiveInsert:
 
         directory = str(tmp_path / "hosting")
         save_system(live, directory)
-        loaded = load_system(directory, MASTER, backend=backend)
+        loaded = load_system(directory, MASTER)
         for query in (
             "//dataset/note",
             "//distribution/last",
@@ -176,32 +182,45 @@ class TestSaveWithLiveInsert:
             assert loaded.query(query).canonical() == expected, query
         assert expected  # the last query is not vacuous
 
-    def test_columnar_rows_keep_the_no_hosted_node_sentinel(
-        self, tmp_path, nasa_scs
-    ):
-        """The inserted Text carries no hosted id; the saved hosted-id
-        plane must not mistake that for the plane's 'none attached'."""
-        document = build_nasa_database(dataset_count=12, seed=13)
-        title = next(document.root.find_elements("title")).text_value()
-        live = SecureXMLSystem.host(
-            document, nasa_scs, scheme="opt", master_key=MASTER,
-            backend="columnar",
-        )
-        live.insert_element(f"//dataset[title='{title}']", "note", "hello")
-        saved_id = renumbered_hosted_ids(live.hosted.hosted_root)
-        assert all(old >= 0 for old in saved_id)
-        expected = {
-            saved_id[old]: low
-            for old, low in live.hosted.structural_index.hosted_node_lows().items()
-        }
 
-        directory = str(tmp_path / "hosting")
-        save_system(live, directory)
-        loaded = load_system(directory, MASTER, backend="columnar")
-        index = loaded.hosted.structural_index
-        assert index.hosted_node_lows() == expected
-        block_entries = [
-            entry for entry in index.all_entries() if entry.block_id is not None
-        ]
-        assert block_entries
-        assert all(entry.hosted_node is None for entry in block_entries)
+class TestParentFormatHosting:
+    """Load is driven by the files the manifest *lists*: the column files
+    of an older save are digest-checked, then ignored."""
+
+    def test_loads_answers_resaves_and_still_checks_every_listed_file(
+        self, tmp_path, healthcare_doc, healthcare_scs
+    ):
+        directory = str(tmp_path / "parent")
+        shutil.copytree(PARENT_FORMAT_HOSTING, directory)
+        fresh = SecureXMLSystem.host(
+            healthcare_doc, healthcare_scs, scheme="opt", master_key=MASTER
+        )
+        expected = [fresh.query(query).canonical() for query in QUERIES]
+        assert all(expected)
+
+        loaded = load_system(directory, MASTER)
+        assert [loaded.query(q).canonical() for q in QUERIES] == expected
+
+        resaved = str(tmp_path / "resaved")
+        save_system(loaded, resaved)
+        data_files = ["client_state.json", "hosted.xml", "server_meta.json"]
+        assert sorted(os.listdir(resaved)) == sorted(
+            [*data_files, "manifest.json"]
+        )
+        with open(os.path.join(resaved, "manifest.json")) as f:
+            assert sorted(json.load(f)["files"]) == data_files
+        for name in data_files:
+            assert (
+                Path(resaved, name).read_bytes()
+                == Path(directory, name).read_bytes()
+            ), name
+        reloaded = load_system(resaved, MASTER)
+        assert [reloaded.query(q).canonical() for q in QUERIES] == expected
+
+        columns = Path(directory, "columns.bin")
+        data = bytearray(columns.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        columns.write_bytes(data)
+        with pytest.raises(StorageError) as excinfo:
+            load_system(directory, MASTER)
+        assert "columns.bin" in str(excinfo.value)

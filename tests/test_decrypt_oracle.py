@@ -179,13 +179,18 @@ class TestRandomHostings:
 # ----------------------------------------------------------------------
 # Hostile fragments
 # ----------------------------------------------------------------------
-@pytest.fixture
-def stack():
+def make_stack(secure=True):
     system = SecureXMLSystem.host(
-        build_healthcare_database(), healthcare_constraints(), scheme="opt"
+        build_healthcare_database(), healthcare_constraints(), scheme="opt",
+        secure=secure,
     )
     oracle = OracleDecryptor(system.keyring, system.hosted)
     return system, system.client, oracle
+
+
+@pytest.fixture
+def stack():
+    return make_stack()
 
 
 def honest_fragment(system):
@@ -233,8 +238,10 @@ def _flip_payload(block):
     return block[:at] + ("1" if block[at] != "1" else "2") + block[at + 1 :]
 
 
-#: name → (mutation, expected); expected is "tampered", "same" (the tree
-#: of the unmutated fragment) or "oracle" (whatever the oracle builds).
+#: name → (mutation, expected); expected is "tampered", "untagged"
+#: (tampered, and turned away by the tag check before any cipher call),
+#: "same" (the tree of the unmutated fragment) or "oracle" (whatever the
+#: oracle builds).
 HOSTILE = {
     "truncated-tail": (lambda s, x: x[:-4], "tampered"),
     "truncated-half": (lambda s, x: x[: len(x) // 2], "tampered"),
@@ -303,6 +310,13 @@ HOSTILE = {
             + "</EncryptedData>"
         ),
         "tampered",
+    ),
+    # The owner wrote this payload, but never under this id.
+    "unknown-id-replayed-payload": (
+        _replace_block(
+            lambda b: '<EncryptedData block-id="987654"' + b[b.index(">") :]
+        ),
+        "untagged",
     ),
     "negative-id": (
         _replace_block(lambda b: b.replace('block-id="', 'block-id="-')),
@@ -375,10 +389,20 @@ HOSTILE = {
 }
 
 
+#: Every row on a secure hosting, and the replay again where one IV
+#: serves every block: there nothing but the tag check can turn it away.
+HOSTILE_CASES = [pytest.param(name, True, id=name) for name in sorted(HOSTILE)] + [
+    pytest.param(
+        "unknown-id-replayed-payload", False,
+        id="unknown-id-replayed-payload-one-iv",
+    )
+]
+
+
 class TestHostileFragments:
-    @pytest.mark.parametrize("name", sorted(HOSTILE))
-    def test_oracle_tree_or_typed_error(self, stack, name):
-        system, client, oracle = stack
+    @pytest.mark.parametrize("name,secure", HOSTILE_CASES)
+    def test_oracle_tree_or_typed_error(self, name, secure):
+        system, client, oracle = make_stack(secure)
         mutate, expected = HOSTILE[name]
         honest = honest_fragment(system)
         hostile = mutate(system, honest)
@@ -392,13 +416,18 @@ class TestHostileFragments:
         elif expected == "oracle":
             assert oracle_shape is not None
         for attempt in ("cold", "warm"):  # warm: block cache holds the ids
+            before = counters.snapshot()
             try:
                 tree = client.decrypt_fragment(hostile)
             except TamperedResponseError:
-                assert expected == "tampered", (name, attempt)
+                assert expected in ("tampered", "untagged"), (name, attempt)
                 assert hostile not in client._tree_cache
+                if expected == "untagged":
+                    delta = counters.delta_since(before)
+                    assert delta["integrity_failures"] == 1, (name, attempt)
+                    assert delta["blocks_decrypted"] == 0, (name, attempt)
             else:
-                assert expected != "tampered", (name, attempt)
+                assert expected in ("same", "oracle"), (name, attempt)
                 assert shape(tree) == oracle_shape
         # Nothing a hostile fragment did sticks: the honest one still reads.
         assert shape(client.decrypt_fragment(honest)) == shape(

@@ -9,7 +9,7 @@ Four invariant families:
   number of encrypted-block markers actually present in the shipped
   fragments, on the fast path, the naive path, and across a cluster.
 * **Trace determinism** — the same seed produces byte-identical fetch
-  traces across backends, cluster shapes, engine schedules and runs.
+  traces across cluster shapes and runs.
 * **Byte-identity & hygiene** — the full countermeasure set changes no
   answer byte on any path and pollutes no cache counter.
 """
@@ -246,14 +246,6 @@ def recorded(doc, scs, **kwargs):
 
 
 class TestTraceDeterminism:
-    def test_object_vs_columnar_identical(
-        self, healthcare_doc, healthcare_scs
-    ):
-        first = recorded(healthcare_doc, healthcare_scs, backend="object")
-        second = recorded(healthcare_doc, healthcare_scs, backend="columnar")
-        assert first == second
-        assert first  # traces were actually recorded
-
     @pytest.mark.parametrize(
         "cluster",
         [ClusterConfig(shards=1, replicas=1),
@@ -433,16 +425,6 @@ class TestAxisQueryLeakage:
             translated = system.client.translate(query)
             response = system.server.answer(translated)
             assert response.blocks_shipped == marker_count(response), query
-
-    def test_object_vs_columnar_traces_identical(
-        self, healthcare_doc, healthcare_scs
-    ):
-        first = recorded_axis(healthcare_doc, healthcare_scs,
-                              backend="object")
-        second = recorded_axis(healthcare_doc, healthcare_scs,
-                               backend="columnar")
-        assert first == second
-        assert first
 
     def test_cluster_run_to_run_identical(
         self, healthcare_doc, healthcare_scs

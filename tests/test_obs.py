@@ -179,30 +179,6 @@ class TestExporters:
         text = self._registry_with_samples().to_prometheus()
         assert lint_prometheus(text) == []
 
-    def test_columnar_counters_exported(self):
-        """The columnar backend's counters ride the standard exposition:
-        every ``columnar_*`` registry field surfaces as a ``_total``
-        series, and their presence keeps the output lint-clean."""
-        registry = self._registry_with_samples()
-        text = registry.to_prometheus()
-        samples = parse_prometheus(text)
-        for name in (
-            "columnar_cache_hits",
-            "columnar_cache_misses",
-            "columnar_plane_builds",
-            "columnar_join_sweeps",
-        ):
-            assert f"repro_{name}_total" in samples, name
-        assert lint_prometheus(text) == []
-        data = json.loads(registry.to_json())
-        assert "columnar_join_sweeps" in data["counters"]
-
-    def test_plane_build_histogram_registered(self):
-        registry = MetricsRegistry()
-        registry.observe("plane_build_seconds", 0.01)
-        samples = parse_prometheus(registry.to_prometheus())
-        assert samples["repro_plane_build_seconds_count"] == 1.0
-
     def test_prometheus_parse_back(self):
         registry = self._registry_with_samples()
         samples = parse_prometheus(registry.to_prometheus())

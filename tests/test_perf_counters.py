@@ -38,20 +38,6 @@ class TestHitRateValidation:
         for layer in layers:
             assert registry.hit_rate(layer) == 0.0
 
-    def test_columnar_layer_is_registered(self):
-        """The plane-snapshot cache is a first-class cache layer."""
-        registry = PerfCounters()
-        assert "columnar" in registry.cache_layers()
-        registry.add("columnar_cache_hits", 1)
-        registry.add("columnar_cache_misses", 1)
-        assert registry.hit_rate("columnar") == pytest.approx(0.5)
-
-    def test_columnar_work_counters_exist(self):
-        registry = PerfCounters()
-        snapshot = registry.snapshot()
-        assert "columnar_plane_builds" in snapshot
-        assert "columnar_join_sweeps" in snapshot
-
     def test_hit_rate_math(self):
         registry = PerfCounters()
         registry.add("plan_cache_hits", 3)

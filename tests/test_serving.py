@@ -172,7 +172,6 @@ class TestRemoteByteIdentity:
             hello = remote._connection.hello
             assert hello["tenant"] == "t0"
             assert hello["protocol"] == 1
-            assert hello["backend"] == local.backend
             assert hello["epoch"] == local.hosted.epoch
         finally:
             remote.close()

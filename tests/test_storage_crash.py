@@ -49,6 +49,7 @@ class TestCrashSweep:
         and always see a *consistent* hosting (entirely v1 or entirely v2,
         never a mix)."""
         v1, v2, v1_answer, v2_answer = hosted_pair
+        assert len(crash_points()) == 8  # stage + commit of four files
         for point in crash_points():
             directory = str(tmp_path / point.replace(":", "_"))
             save_system(v1, directory)  # the previous, intact hosting
@@ -95,29 +96,9 @@ class TestCrashSweep:
         directory = str(tmp_path / "clean")
         save_system(v1, directory)
         assert sorted(os.listdir(directory)) == [
-            "client_state.json", "columns.bin", "columns.json",
-            "hosted.xml", "manifest.json", "server_meta.json",
+            "client_state.json", "hosted.xml", "manifest.json",
+            "server_meta.json",
         ]
-
-    def test_column_manifest_has_crash_points(self):
-        """The column store files ride the stage-then-commit protocol."""
-        points = crash_points()
-        for name in ("columns.json", "columns.bin"):
-            assert f"stage:{name}" in points
-            assert f"commit:{name}" in points
-
-    def test_crash_at_column_manifest_stage_keeps_old_generation(
-        self, tmp_path, hosted_pair
-    ):
-        v1, v2, v1_answer, _ = hosted_pair
-        directory = str(tmp_path / "colstage")
-        save_system(v1, directory)
-        set_crash_point("stage:columns.json")
-        with pytest.raises(CrashInjected):
-            save_system(v2, directory)
-        set_crash_point(None)
-        loaded = load_system(directory, MASTER, backend="columnar")
-        assert loaded.query(PROBE).values() == v1_answer
 
 
 class TestCorruptionDetection:
@@ -132,13 +113,7 @@ class TestCorruptionDetection:
 
     @pytest.mark.parametrize(
         "victim",
-        [
-            "hosted.xml",
-            "server_meta.json",
-            "client_state.json",
-            "columns.json",
-            "columns.bin",
-        ],
+        ["hosted.xml", "server_meta.json", "client_state.json"],
     )
     def test_flipped_byte_names_the_bad_file(self, saved, victim):
         path = os.path.join(saved, victim)
@@ -153,13 +128,7 @@ class TestCorruptionDetection:
 
     @pytest.mark.parametrize(
         "victim",
-        [
-            "hosted.xml",
-            "server_meta.json",
-            "client_state.json",
-            "columns.json",
-            "columns.bin",
-        ],
+        ["hosted.xml", "server_meta.json", "client_state.json"],
     )
     def test_missing_file_names_the_bad_file(self, saved, victim):
         os.remove(os.path.join(saved, victim))
@@ -275,20 +244,18 @@ class TestFreshnessPersistence:
     """The client's freshness anchor (epoch + Merkle root) survives
     crashes atomically with the hosting it describes."""
 
-    @pytest.mark.parametrize("backend", ["object", "columnar"])
-    def test_epoch_and_root_roundtrip(self, tmp_path, hosted_pair, backend):
+    def test_epoch_and_root_roundtrip(self, tmp_path, hosted_pair):
         _, v2, _, v2_answer = hosted_pair
-        directory = str(tmp_path / f"anchor-{backend}")
+        directory = str(tmp_path / "anchor")
         save_system(v2, directory)
-        loaded = load_system(directory, MASTER, backend=backend)
+        loaded = load_system(directory, MASTER)
         assert loaded.hosted.epoch == v2.hosted.epoch
         assert loaded.hosted.epoch > 0  # v2 is post-update
         assert loaded.hosted.state_root() == v2.hosted.state_root()
         assert loaded.query(PROBE).values() == v2_answer
 
-    @pytest.mark.parametrize("backend", ["object", "columnar"])
     def test_crash_sweep_never_mixes_anchor_and_state(
-        self, tmp_path, hosted_pair, backend
+        self, tmp_path, hosted_pair
     ):
         """At every crash point the recovered hosting's (epoch, root)
         pair is exactly v1's or exactly v2's, and always the pair
@@ -301,15 +268,13 @@ class TestFreshnessPersistence:
         }
         assert anchors[tuple(v1_answer)] != anchors[tuple(v2_answer)]
         for point in crash_points():
-            directory = str(
-                tmp_path / f"{backend}-{point.replace(':', '_')}"
-            )
+            directory = str(tmp_path / point.replace(":", "_"))
             save_system(v1, directory)
             set_crash_point(point)
             with pytest.raises(CrashInjected):
                 save_system(v2, directory)
             set_crash_point(None)
-            loaded = load_system(directory, MASTER, backend=backend)
+            loaded = load_system(directory, MASTER)
             answer = loaded.query(PROBE).values()
             assert tuple(answer) in anchors, point
             assert (
