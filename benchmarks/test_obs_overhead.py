@@ -3,10 +3,9 @@
 The observability layer promises "always-on" tracing: every query gets a
 span tree, latency histograms and a slow-log entry.  That promise is only
 tenable if the instrumentation is cheap, so this benchmark runs the same
-warm repeated-query batch (the hot-path workload of ``test_hotpath.py``)
-on two otherwise-identical systems — observability enabled vs.
-``observability=False`` — and gates the enabled path's throughput
-regression.
+warm repeated-query batch on two otherwise-identical systems —
+observability enabled vs. ``observability=False`` — and gates the enabled
+path's throughput regression.
 
 The gate passes when either
 
@@ -16,7 +15,7 @@ The gate passes when either
   this fast, the ratio is measuring timer noise, not instrumentation.
 
 Results are appended to ``BENCH_hotpath.json`` as an ``obs_overhead``
-series (read-modify-write, so the hot-path numbers survive) and a table
+series (read-modify-write, so the other series survives) and a table
 under ``benchmarks/results/``.
 """
 

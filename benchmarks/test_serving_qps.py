@@ -164,7 +164,7 @@ def test_sustained_qps_within_factor_of_inprocess(stack):
         trials.append(report)
     serving_qps = trimmed_mean([t.qps for t in trials])
 
-    sealer = Client(local.keyring, local.hosted, enable_cache=True)
+    sealer = Client(local.keyring, local.hosted)
     _inprocess_pass(local, sealer)  # warm the sealer's caches
     gc.collect()
     gc.disable()

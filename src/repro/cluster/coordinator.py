@@ -186,7 +186,6 @@ class ClusterCoordinator:
         config: ClusterConfig,
         retry_policy: "RetryPolicy",
         obs: "Observability",
-        enable_cache: bool = True,
         channel_template: Channel | None = None,
         faults: "FaultPolicy | Any | None" = None,
     ) -> "ClusterCoordinator":
@@ -233,7 +232,6 @@ class ClusterCoordinator:
                     placement,
                     shard_id,
                     session_keys=session_keys,
-                    enable_cache=enable_cache,
                     obs=obs,
                 )
                 replicas.append(Replica(replica_id, server, channel))
@@ -356,7 +354,7 @@ class ClusterCoordinator:
         while everything selection-dependent — the sealed wire cache
         and the derived join inputs — tracks the *global* commit
         epoch, which every update moves (see
-        :meth:`ShardServer._check_epoch <repro.cluster.shard.ShardServer._check_epoch>`).
+        :meth:`ShardServer._fragment_epoch <repro.cluster.shard.ShardServer._fragment_epoch>`).
         Widening the bump to axis reach would re-flush warm fragment
         caches across the whole parent span for no soundness gain.
         """

@@ -33,18 +33,19 @@ ancestor path, which axis edges never alter
 Freshness: a shard's *fragment* cache is gated on its own
 ``shard_epoch`` (only updates routed to this shard invalidate it), but
 its *sealed* wire cache embeds the global commit epoch and Merkle
-root, so the inherited ``Server._check_wire_epoch`` drops just that on
-any global epoch move — untouched shards keep their warm
-fragment caches while never replaying a stale seal.
+root, so the inherited wire cache reads the global epoch and is dropped
+on any commit — untouched shards keep their warm fragment caches while
+never replaying a stale seal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.core.dsi import IndexEntry
 from repro.core.encryptor import HostedDatabase
+from repro.core.epoch_cache import EpochCache
 from repro.core.server import Fragment, Server, ServerResponse
 from repro.xmldb.node import EncryptedBlockNode, Node
 
@@ -63,36 +64,26 @@ class ShardServer(Server):
         placement: PlacementMap,
         shard_id: int,
         session_keys: "tuple[bytes, bytes] | None" = None,
-        enable_cache: bool = True,
         obs: "Observability | None" = None,
     ) -> None:
-        super().__init__(
-            hosted,
-            enable_cache=enable_cache,
-            session_keys=session_keys,
-            obs=obs,
-        )
+        super().__init__(hosted, session_keys=session_keys, obs=obs)
         self.placement = placement
         self.shard_id = shard_id
         #: Per-shard epoch, bumped by the coordinator only when a routed
         #: update touches one of this shard's interval groups.  Replaces
-        #: the global hosted epoch as this server's cache-flush trigger:
-        #: a shard whose owned fragments provably cannot contain the
-        #: change keeps its warm caches across the update (safe because
+        #: the global hosted epoch as the fragment cache's epoch: a
+        #: shard whose owned fragments provably cannot contain the
+        #: change keeps them warm across the update (safe because
         #: an update bumps the affected entry's overlap *and* every
         #: ancestor group — by laminarity no other entry can root a
         #: fragment containing the change).
         self.shard_epoch = hosted.epoch
-        # node_id → interval low for plaintext hosted nodes; rebuilt
-        # lazily whenever the hosted epoch moves (inserts add entries).
-        self._lows: dict[int, float] = {}
-        self._lows_epoch = -1
+        #: the node_id → interval low map of the plaintext hosted nodes,
+        #: rebuilt after any commit (inserts add entries)
+        self._lows_cache = EpochCache(lambda: hosted.epoch, self._caches)
 
-    def _check_epoch(self) -> None:
-        with self._cache_lock:
-            if self.shard_epoch != self._cache_epoch:
-                self.flush_caches()
-                self._cache_epoch = self.shard_epoch
+    def _fragment_epoch(self) -> int:
+        return self.shard_epoch
 
     # ------------------------------------------------------------------
     # Ownership
@@ -111,14 +102,15 @@ class ShardServer(Server):
             return (
                 self.placement.shard_of_low(interval.low) == self.shard_id
             )
-        low = self._node_lows().get(node.node_id)
+        lows = self._node_lows()
+        low = lows.get(node.node_id)
         if low is None:
             # Plaintext node without its own index entry (e.g. an element
             # shipped for an attribute match): resolve through the nearest
             # ancestor that has one — ownership follows the entry that
             # selected the node.
             for ancestor in node.ancestors():
-                low = self._node_lows().get(ancestor.node_id)
+                low = lows.get(ancestor.node_id)
                 if low is not None:
                     break
         if low is None:
@@ -130,10 +122,11 @@ class ShardServer(Server):
         return self.placement.shard_of_low(float("-inf")) == self.shard_id
 
     def _node_lows(self) -> dict[int, float]:
-        if self._lows_epoch != self._hosted.epoch:
-            self._lows = self._structure.hosted_node_lows()
-            self._lows_epoch = self._hosted.epoch
-        return self._lows
+        cached = self._lows_cache.live()
+        lows = cached.get("lows")
+        if lows is None:
+            lows = cached["lows"] = self._structure.hosted_node_lows()
+        return lows
 
     # ------------------------------------------------------------------
     # Server overrides: filter to owned roots, tag fragments
@@ -142,21 +135,15 @@ class ShardServer(Server):
         roots = super()._fragment_roots(entries)
         return [node for node in roots if self.owns_node(node)]
 
-    def _make_fragment(self, node: Node) -> Fragment:
-        fragment = super()._make_fragment(node)
-        if fragment.root_id != node.node_id:
-            fragment = replace(fragment, root_id=node.node_id)
-            if self._enable_cache:
-                # Re-cache the tagged form so warm hits skip the replace.
-                self._fragment_cache[node.node_id] = fragment
-        return fragment
+    def _build_fragment(self, node: Node) -> Fragment:
+        return replace(super()._build_fragment(node), root_id=node.node_id)
 
     def ship_all(self) -> ServerResponse:
         if self.owns_root():
             return super().ship_all()
         return ServerResponse(fragments=[], naive=True, blocks_shipped=0)
 
-    def _leakage_universe(self) -> tuple[int, ...]:
+    def _stored_blocks(self) -> Iterable[int]:
         """Decoy population for this shard: only the blocks it stores.
 
         A shard can only be asked for blocks in its placement slice, so
@@ -164,17 +151,7 @@ class ShardServer(Server):
         no cover traffic is possible here — the trace then carries real
         fetches only (and this shard ships none either).
         """
-        cached = self._universe_cache
-        epoch = self._hosted.epoch
-        if cached is not None and cached[0] == epoch:
-            return cached[1]
-        universe = tuple(
-            sorted(
-                blocks_of_shard(self._hosted, self.placement, self.shard_id)
-            )
-        )
-        self._universe_cache = (epoch, universe)
-        return universe
+        return blocks_of_shard(self._hosted, self.placement, self.shard_id)
 
     # ------------------------------------------------------------------
     # What an attacker on this shard sees (security regression tests)

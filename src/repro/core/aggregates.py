@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.dsi import IndexEntry
 from repro.core.opess import FieldPlan
 from repro.core.structural_join import match_pattern
 from repro.core.translate import TranslatedQuery

@@ -23,13 +23,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 
 from repro.core.decoy import DECOY_TAG
 from repro.core.encryptor import HostedDatabase
-from repro.core.integrity import (
-    TamperedResponseError,
-    seal_fresh,
-    unseal_fresh,
-)
+from repro.core.epoch_cache import EpochCache
+from repro.core.integrity import TamperedResponseError, unseal_fresh
 from repro.core.server import Fragment, ServerResponse
-from repro.core.translate import PlanCache, QueryTranslator, TranslatedQuery
+from repro.core.translate import QueryTranslator, TranslatedQuery
 from repro.crypto.keyring import ClientKeyring
 from repro.crypto.modes import cbc_decrypt_many
 from repro.netsim.message import (
@@ -83,18 +80,17 @@ def canonical_node(node: Node) -> str:
 class Client:
     """The data owner's runtime state after hosting.
 
-    ``enable_cache=False`` turns off the translated-plan and decrypted-
-    block caches (the seed-equivalent behaviour, kept for the hot-path
-    benchmarks and ablations).  Both caches are gated on the hosted
-    database's scheme epoch, so an incremental update invalidates them
-    without any call into the client.
+    Built once per hosting and kept across writes — its own or anybody
+    else's.  Everything it derives from hosted state, the translator's
+    view of the tags and OPESS plans included, sits in an
+    :class:`EpochCache` read off ``hosted.epoch``, so a commit made
+    through any handle invalidates it without any call into the client.
     """
 
     def __init__(
         self,
         keyring: ClientKeyring,
         hosted: HostedDatabase,
-        enable_cache: bool = True,
         obs: "Observability | None" = None,
     ) -> None:
         self._keyring = keyring
@@ -102,34 +98,26 @@ class Client:
         self._obs = obs
         self._root_tag = hosted.root_tag
         self._secure = hosted.secure
-        self._translator = QueryTranslator(
-            tag_cipher=keyring.tag_cipher,
-            ope=keyring.ope,
-            encrypted_tags=set(hosted.encrypted_tags),
-            plaintext_keys=set(hosted.plaintext_keys),
-            field_plans=dict(hosted.field_plans),
-            field_tokens=dict(hosted.field_tokens),
-        )
-        self._plan_cache: PlanCache | None = (
-            PlanCache() if enable_cache else None
-        )
-        self._block_cache: dict[int, str] | None = (
-            {} if enable_cache else None
-        )
-        self._tree_cache: dict[str, Element] | None = (
-            {} if enable_cache else None
-        )
         self._request_key, self._response_key = keyring.session_keys()
-        self._request_cache: dict[str, bytes] | None = (
-            {} if enable_cache else None
-        )
-        self._response_cache: dict[bytes, ServerResponse] | None = (
-            {} if enable_cache else None
-        )
-        self._verified_payloads: dict[int, bytes] | None = (
-            {} if enable_cache else None
-        )
-        self._cache_epoch = hosted.epoch
+        self._caches: list[EpochCache] = []
+
+        def cache(bounded: bool = False) -> EpochCache:
+            return EpochCache(lambda: hosted.epoch, self._caches, bounded)
+
+        #: the one :class:`QueryTranslator` of this epoch
+        self._translator_cache = cache()
+        #: XPath string → translated plan
+        self._plan_cache = cache(bounded=True)
+        #: XPath string → sealed request bytes
+        self._request_cache = cache(bounded=True)
+        #: sealed response bytes → verified, decoded response
+        self._response_cache = cache(bounded=True)
+        #: block id → the ciphertext payload whose MAC tag verified
+        self._verified_payloads = cache()
+        #: block id → plaintext text
+        self._block_cache = cache()
+        #: fragment text → pristine decrypted tree
+        self._tree_cache = cache()
 
     # ------------------------------------------------------------------
     # Query translation (§6.1)
@@ -145,22 +133,43 @@ class Client:
         previously translated ``Qs`` without re-deriving tokens or key
         ranges.
         """
-        if self._plan_cache is not None and isinstance(query, str):
-            epoch = self._hosted.epoch
-            plan = self._plan_cache.get(query, epoch)
-            if plan is None:
-                plan = self._translate_uncached(query)
-                self._plan_cache.put(query, epoch, plan)
-            return plan
-        return self._translate_uncached(query)
+        if not isinstance(query, str):
+            return self._translate_uncached(query)
+        epoch = self._hosted.epoch  # read first: the plan is as of it
+        plan = self._plan_cache.live().get(query)
+        if plan is None:
+            counters.add("plan_cache_misses")
+            plan = self._translate_uncached(query)
+            self._plan_cache.store(query, plan, epoch)
+        else:
+            counters.add("plan_cache_hits")
+        return plan
+
+    def _translator(self) -> QueryTranslator:
+        """The translator over the hosting's tags and OPESS plans as they
+        stand; a write re-plans its field, so it lasts one epoch."""
+        cached = self._translator_cache.live()
+        translator = cached.get("translator")
+        if translator is None:
+            hosted, keyring = self._hosted, self._keyring
+            translator = cached["translator"] = QueryTranslator(
+                tag_cipher=keyring.tag_cipher,
+                ope=keyring.ope,
+                encrypted_tags=set(hosted.encrypted_tags),
+                plaintext_keys=set(hosted.plaintext_keys),
+                field_plans=dict(hosted.field_plans),
+                field_tokens=dict(hosted.field_tokens),
+            )
+        return translator
 
     def _translate_uncached(
         self, query: "str | ast.LocationPath"
     ) -> TranslatedQuery:
         path = query if isinstance(query, ast.LocationPath) else parse_xpath(query)
         plan = plan_query(path)
+        translator = self._translator()
         try:
-            translated = self._translator.translate(plan.pattern)
+            translated = translator.translate(plan.pattern)
         except UnsupportedQuery as exc:
             if plan.kind == "residual":
                 raise  # the residual pattern always translates
@@ -171,7 +180,7 @@ class Client:
                 pattern=residual_pattern(),
                 reason=str(exc),
             )
-            translated = self._translator.translate(plan.pattern)
+            translated = translator.translate(plan.pattern)
         translated.plan_kind = plan.kind
         translated.plan_reason = plan.reason
         return translated
@@ -188,32 +197,18 @@ class Client:
         reuse its sealed bytes — same object, same cached hash — which is
         what keeps the server's wire cache a single dict lookup.
         """
-        if self._request_cache is not None and cache_key is not None:
-            self._check_epoch()
-            blob = self._request_cache.get(cache_key)
-            if blob is None:
-                blob = self._seal_fresh(
-                    self._request_key, encode_query(translated)
-                )
-                self._request_cache[cache_key] = blob
-            return blob
-        return self._seal_fresh(self._request_key, encode_query(translated))
+        seal, key = self._hosted.seal, self._request_key
+        if cache_key is None:
+            return seal(key, encode_query(translated))[0]
+        blob = self._request_cache.live().get(cache_key)
+        if blob is None:
+            blob, epoch = seal(key, encode_query(translated))
+            self._request_cache.store(cache_key, blob, epoch)
+        return blob
 
     def seal_naive_request(self, xpath: str) -> bytes:
         """Seal the opaque naive-path request (the raw query string)."""
-        return self._seal_fresh(self._request_key, xpath.encode("utf-8"))
-
-    def _seal_fresh(self, key: bytes, payload: bytes) -> bytes:
-        """Seal under the current commit epoch and client-held root.
-
-        Reads the pair through :meth:`HostedDatabase.anchor` so it
-        cannot tear across a concurrent commit — and so the anchor is
-        recorded in the bounded history, keeping this envelope
-        verifiable even if a concurrent writer supersedes the anchor
-        while the request is in flight.
-        """
-        epoch, root = self._hosted.anchor()
-        return seal_fresh(key, payload, epoch, root)
+        return self._hosted.seal(self._request_key, xpath.encode("utf-8"))[0]
 
     def check_freshness(self, blob: bytes) -> None:
         """Cheap freshness pre-check on a sealed response blob.
@@ -224,10 +219,8 @@ class Client:
         it serves a rolled-back snapshot, rather than after the gather.
         Raises the same typed errors as :meth:`open_response`.
         """
-        if self._response_cache is not None:
-            self._check_epoch()
-            if blob in self._response_cache:
-                return  # already fully verified under this epoch
+        if blob in self._response_cache.live():
+            return  # already fully verified under this epoch
         unseal_fresh(
             self._response_key, blob,
             self._hosted.epoch, self._hosted.state_root(),
@@ -243,28 +236,26 @@ class Client:
         sealed bytes, so the warm repeated-query path costs one dict
         lookup (the server hands back the identical bytes object).
         """
-        if self._response_cache is not None:
-            self._check_epoch()
-            cached = self._response_cache.get(blob)
-            if cached is not None:
-                return cached
+        cached = self._response_cache.live().get(blob)
+        if cached is not None:
+            return cached
+        epoch = self._hosted.epoch
         payload = unseal_fresh(
-            self._response_key, blob,
-            self._hosted.epoch, self._hosted.state_root(),
+            self._response_key, blob, epoch, self._hosted.state_root()
         )
         try:
             response = decode_response(payload)
         except MessageDecodeError as exc:
             raise TamperedResponseError(str(exc)) from exc
-        if self._response_cache is not None and not response.naive:
+        if not response.naive:
             # Naive responses hold the whole database as live fragment
             # objects; pinning one per scheme bloats the heap (and the
             # naive path is the cost baseline — it should stay honest).
-            self._response_cache[blob] = response
+            self._response_cache.store(blob, response, epoch)
         return response
 
-    def _verify_block(self, block_id: int, payload: bytes) -> None:
-        """Check a ciphertext payload against its encrypt-then-MAC tag.
+    def _verify_blocks(self, blocks: "list[tuple[int, bytes]]") -> None:
+        """Check ciphertext payloads against their encrypt-then-MAC tags.
 
         The expected tag comes from the client's *own* hosted-state
         knowledge (``hosted.block_tags``), never from the response, so a
@@ -273,21 +264,21 @@ class Client:
         an id without a tag is a block the owner never wrote.
         """
         tags = self._hosted.block_tags
-        expected = tags.get(block_id)
-        if expected is None and not tags:
+        if not tags:
             return
-        if self._verified_payloads is not None:
-            if self._verified_payloads.get(block_id) == payload:
-                return
-        if expected is None or not _compare.compare_digest(
-            self._keyring.block_tag(block_id, payload), expected
-        ):
-            counters.add("integrity_failures")
-            raise TamperedResponseError(
-                f"block {block_id} failed integrity verification"
-            )
-        if self._verified_payloads is not None:
-            self._verified_payloads[block_id] = payload
+        verified = self._verified_payloads.live()
+        for block_id, payload in blocks:
+            if verified.get(block_id) == payload:
+                continue
+            expected = tags.get(block_id)
+            if expected is None or not _compare.compare_digest(
+                self._keyring.block_tag(block_id, payload), expected
+            ):
+                counters.add("integrity_failures")
+                raise TamperedResponseError(
+                    f"block {block_id} failed integrity verification"
+                )
+            verified[block_id] = payload
 
     # ------------------------------------------------------------------
     # Decryption (§6.4, first half)
@@ -322,10 +313,7 @@ class Client:
         cached string hash.  Cached trees are pristine; callers get deep
         clones because assembly re-parents them.
         """
-        cache = self._tree_cache
-        if cache is None:
-            return self._build_trees(xmls)
-        self._check_epoch()
+        cache = self._tree_cache.live()
         #: distinct cache-missing texts, each built once for this batch
         missing = list(dict.fromkeys(x for x in xmls if x not in cache))
         hits = len(xmls) - len(missing)
@@ -372,8 +360,7 @@ class Client:
 
         The block cache keeps one plaintext string per block id; a
         scheme-epoch change flushes it, since updates re-encrypt payloads
-        under the *same* block ids.  Without a cache every occurrence is
-        decrypted on its own.
+        under the *same* block ids.
         """
         scanned = [_BLOCK_RE.findall(text) for text in texts]
         if not any(scanned):
@@ -394,27 +381,25 @@ class Client:
             ]
         except ValueError as exc:  # not hex, or an absurdly long id
             raise TamperedResponseError(f"malformed block: {exc}") from None
-        for block_id, payload in occurrences:
-            self._verify_block(block_id, payload)
+        # Gate before verifying: a commit that lands after a tag verified
+        # must find these plaintexts in the old epoch's entries.
+        cache = self._block_cache.live()
+        self._verify_blocks(occurrences)
 
-        cache = self._block_cache
-        if cache is None:
-            plaintexts = self._decrypt_blocks(occurrences)
-        else:
-            #: distinct cache-missing ids; a repeated id keeps its first payload
-            wanted: dict[int, bytes] = {}
-            for block_id, payload in occurrences:
-                if block_id not in cache:
-                    wanted.setdefault(block_id, payload)
-            hits = len(occurrences) - len(wanted)
-            if hits:
-                counters.add("block_cache_hits", hits)
-            if wanted:
-                counters.add("block_cache_misses", len(wanted))
-                cache.update(
-                    zip(wanted, self._decrypt_blocks(list(wanted.items())))
-                )
-            plaintexts = [cache[block_id] for block_id, _ in occurrences]
+        #: distinct cache-missing ids; a repeated id keeps its first payload
+        wanted: dict[int, bytes] = {}
+        for block_id, payload in occurrences:
+            if block_id not in cache:
+                wanted.setdefault(block_id, payload)
+        hits = len(occurrences) - len(wanted)
+        if hits:
+            counters.add("block_cache_hits", hits)
+        if wanted:
+            counters.add("block_cache_misses", len(wanted))
+            cache.update(
+                zip(wanted, self._decrypt_blocks(list(wanted.items())))
+            )
+        plaintexts = [cache[block_id] for block_id, _ in occurrences]
 
         # A callable replacement: a plaintext is never read as a template.
         supply = iter(plaintexts)
@@ -459,33 +444,19 @@ class Client:
             plaintexts[slot] = plaintext
         return plaintexts
 
-    def _check_epoch(self) -> None:
-        """Flush the decrypted caches when the scheme epoch moved on."""
-        if self._hosted.epoch != self._cache_epoch:
-            self.flush_caches()
-            self._cache_epoch = self._hosted.epoch
-
     def flush_caches(self) -> None:
         """Drop every warm-path cache (plans, trees, blocks, wire blobs).
 
         Correctness never depends on the caches, so flushing is always
         safe; benchmarks use it to measure cold per-query costs.
         """
-        if self._plan_cache is not None:
-            self._plan_cache.clear()
-        if self._block_cache is not None:
-            self._block_cache.clear()
-        if self._tree_cache is not None:
-            self._tree_cache.clear()
-        if self._request_cache is not None:
-            self._request_cache.clear()
-        if self._response_cache is not None:
-            self._response_cache.clear()
-        if self._verified_payloads is not None:
-            self._verified_payloads.clear()
+        for cache in self._caches:
+            cache.clear()
         # The keyring memoizes per-block IV derivations; a "cold" query
         # that skipped those HMACs was not actually cold (found by the
         # flush-coverage audit; see tests/test_cache_invalidation.py).
+        # They are a function of key and block id alone, so an epoch
+        # move keeps them: only this explicit flush drops them.
         self._keyring.flush_memoized()
 
     # ------------------------------------------------------------------
@@ -517,8 +488,11 @@ class Client:
                 skeleton[top_id] = pruned_root
             current = skeleton.get(top_id)
             if current is None:
-                # Multiple distinct roots cannot happen in one document.
-                raise ValueError("fragments disagree on the document root")
+                # One document has one root: the server shipped paths
+                # that cannot all be true.
+                raise TamperedResponseError(
+                    "fragments disagree on the document root"
+                )
             for tag, ancestor_id in path[1:]:
                 node = skeleton.get(ancestor_id)
                 if node is None:

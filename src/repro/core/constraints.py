@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from repro.xmldb.node import Attribute, Document, Element, Node
+from repro.xmldb.node import Document, Element, Node
 from repro.xpath import ast
 from repro.xpath.evaluator import evaluate, evaluate_on_element
 from repro.xpath.lexer import COLON, COMMA, END, LPAREN, RPAREN, tokenize

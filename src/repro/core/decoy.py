@@ -17,7 +17,7 @@ fragment leaves elements of this tag out of the tree.
 
 from __future__ import annotations
 
-from repro.xmldb.node import Document, Element, Node, Text
+from repro.xmldb.node import Document, Element, Text
 from repro.crypto.prf import DeterministicRandom
 
 #: Reserved tag for decoy children.  Never appears in user data (validated

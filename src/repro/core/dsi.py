@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.crypto.prf import DeterministicRandom
-from repro.xmldb.node import Attribute, Document, Element, Node
+from repro.xmldb.node import Document, Element, Node
 
 #: Intervals thinner than this lose float resolution for strict-containment
 #: tests; documents deep/wide enough to hit it need a wider number type.

@@ -149,6 +149,22 @@ class HostedDatabase:
             self._record_anchor(self.epoch, root)
             return self.epoch, root
 
+    def seal(self, key: bytes, payload: bytes) -> tuple[bytes, int]:
+        """Seal ``payload`` under the current anchor; returns the sealed
+        bytes and the epoch they name (what a cache stores them under).
+
+        Client and server read the same hosted state, so an honest
+        exchange always verifies; only a *replayed* (rolled-back) blob —
+        whose header bytes authenticate an earlier epoch — fails the
+        receiver's freshness check.  Going through :meth:`anchor` also
+        records the pair in the bounded history, which keeps a request
+        verifiable if a concurrent writer supersedes it in flight.
+        """
+        from repro.core.integrity import seal_fresh
+
+        epoch, root = self.anchor()
+        return seal_fresh(key, payload, epoch, root), epoch
+
     def _record_anchor(self, epoch: int, root: bytes) -> None:
         """Remember a committed anchor pair (caller holds the lock)."""
         self.anchor_history[epoch] = root

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from repro.core.constraints import SecurityConstraint
 from repro.core.scheme import EncryptionScheme
-from repro.xmldb.node import Document, Element, Node
+from repro.xmldb.node import Document, Element
 
 
 @dataclass(frozen=True)

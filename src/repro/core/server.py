@@ -18,17 +18,17 @@ import threading
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.obs import Observability
 
 from repro.core.dsi import IndexEntry, StructuralIndex
 from repro.core.encryptor import HostedDatabase
+from repro.core.epoch_cache import EpochCache
 from repro.core.integrity import (
     RollbackDetectedError,
     TamperedRequestError,
-    seal_fresh,
     unseal_fresh,
 )
 from repro.core.leakage import LeakageContext
@@ -93,14 +93,13 @@ class Server:
     clear (ciphertext payloads and plaintext structure), so caching it
     changes nothing about what an attacker sees — it only stops the
     server re-serializing the same subtree for every repeated query.
-    The cache is invalidated by scheme-epoch comparison against the
-    hosted database, the hook the update engine drives.
+    Every cache here is an :class:`EpochCache` read off the hosted
+    database's epoch, the hook the update engine drives.
     """
 
     def __init__(
         self,
         hosted: HostedDatabase,
-        enable_cache: bool = True,
         session_keys: "tuple[bytes, bytes] | None" = None,
         obs: "Observability | None" = None,
     ) -> None:
@@ -110,32 +109,31 @@ class Server:
         self._structure: StructuralIndex = hosted.structural_index
         self._values: ValueIndex = hosted.value_index
         self._placeholders = hosted.placeholders
-        self._enable_cache = enable_cache
-        self._fragment_cache: dict[int, Fragment] = {}
+        self._session_keys = session_keys
+        self._caches: list[EpochCache] = []
+        #: hosted node id → shipped :class:`Fragment`
+        self._fragment_cache = EpochCache(self._fragment_epoch, self._caches)
         #: Sealed wire responses keyed by the (verified-by-construction)
         #: request blob: a repeated query re-sends byte-identical request
         #: bytes, so the warm path skips decode + evaluate + seal entirely
         #: and even returns the *same bytes object*, which lets the client
-        #: verify it with one cached-hash dict lookup.
-        self._wire_cache: dict[bytes, bytes] = {}
-        self._session_keys = session_keys
-        self._cache_epoch = hosted.epoch
-        #: Global-epoch gate for the *sealed* caches only.  Sealed blobs
-        #: embed the commit epoch and Merkle root, so any global epoch
-        #: move invalidates them — even on a :class:`ShardServer` whose
-        #: own ``shard_epoch`` (and therefore its fragment cache) was
-        #: untouched by the update.  Tracking it separately keeps
-        #: fragment caches warm on unaffected shards.
-        self._wire_epoch = hosted.epoch
+        #: verify it with one cached-hash dict lookup.  Sealed blobs embed
+        #: the commit epoch and Merkle root, so this one reads the global
+        #: epoch even on a :class:`ShardServer`, whose fragments follow its
+        #: own ``shard_epoch`` and stay warm across updates routed elsewhere.
+        self._wire_cache = EpochCache(
+            lambda: hosted.epoch, self._caches, bounded=True
+        )
+        #: the sorted block-id population decoy fetches draw from
+        self._universe_cache = EpochCache(lambda: hosted.epoch, self._caches)
         #: Serializes cache reads against epoch flushes.  The serving
         #: layer dispatches many connections onto a thread pool, so an
         #: epoch bump must not be able to interleave with a cache lookup
         #: (e.g. a wire-cache hit sealed at the pre-flush anchor being
-        #: returned after the flush).  Reentrant because the wire entry
-        #: points nest the epoch checks.  Query-vs-update *evaluation*
-        #: is serialized one level up (the tenant session's
-        #: reader–writer lock); this lock only has to make the
-        #: check-epoch + cache-access sequences atomic.
+        #: returned after the flush).  Query-vs-update *evaluation* is
+        #: serialized one level up (the tenant session's reader–writer
+        #: lock); this lock only has to make the check-epoch +
+        #: cache-access sequences atomic.
         self._cache_lock = threading.RLock()
         #: Bounded request-staleness acceptance (commits).  0 — the
         #: default everywhere in-process — keeps the strict rule: a
@@ -151,34 +149,10 @@ class Server:
         #: evaluated path untouched.  See :meth:`attach_leakage`.
         self.leakage: "LeakageContext | None" = None
         self._leakage_observer = "server"
-        self._universe_cache: "tuple[int, tuple[int, ...]] | None" = None
 
-    def _check_epoch(self) -> None:
-        """Flush the fragment cache when the hosted state has mutated."""
-        with self._cache_lock:
-            if self._hosted.epoch != self._cache_epoch:
-                self.flush_caches()
-                self._cache_epoch = self._hosted.epoch
-
-    def _check_wire_epoch(self) -> None:
-        """Drop only the sealed caches when the *global* epoch moved."""
-        with self._cache_lock:
-            if self._hosted.epoch != self._wire_epoch:
-                self._wire_cache.clear()
-                self._wire_epoch = self._hosted.epoch
-
-    def _seal_fresh(self, key: bytes, payload: bytes) -> bytes:
-        """Seal under the current commit epoch and Merkle root.
-
-        Client and server read the same hosted state, so an honest
-        exchange always verifies; only a *replayed* (rolled-back) blob —
-        whose header bytes authenticate an earlier epoch — fails the
-        client's freshness check.  Read through
-        :meth:`HostedDatabase.anchor` so the pair cannot tear across a
-        concurrent commit and the anchor lands in the bounded history.
-        """
-        epoch, root = self._hosted.anchor()
-        return seal_fresh(key, payload, epoch, root)
+    def _fragment_epoch(self) -> int:
+        """The epoch a shipped fragment's bytes are valid for."""
+        return self._hosted.epoch
 
     def _open_fresh_request(self, key: bytes, request_blob: bytes) -> bytes:
         """Verify a request's envelope *and* freshness.
@@ -215,18 +189,16 @@ class Server:
             return payload
 
     def flush_caches(self) -> None:
-        """Drop the fragment and sealed-response caches."""
+        """Drop the fragment, sealed-response and decoy-universe caches."""
         with self._cache_lock:
-            self._fragment_cache.clear()
-            self._wire_cache.clear()
-            self._universe_cache = None
+            for cache in self._caches:
+                cache.clear()
 
     # ------------------------------------------------------------------
     # Normal path: §6.2 steps 1-3
     # ------------------------------------------------------------------
     def answer(self, query: TranslatedQuery) -> ServerResponse:
         """Evaluate a translated query and assemble the fragments."""
-        self._check_epoch()
         result = self._match(query)
         roots = self._fragment_roots(result.ship_entries)
         self._observe_leakage(roots)
@@ -256,17 +228,18 @@ class Server:
     def _leakage_universe(self) -> tuple[int, ...]:
         """Sorted block-id population decoy fetches may draw from.
 
-        The monolith can be asked for any stored block; cluster shards
-        override this with their placement slice.  Cached per epoch —
-        updates add and remove blocks.
+        Cached per epoch — updates add and remove blocks.
         """
-        cached = self._universe_cache
-        epoch = self._hosted.epoch
-        if cached is not None and cached[0] == epoch:
-            return cached[1]
-        universe = tuple(sorted(self._hosted.blocks))
-        self._universe_cache = (epoch, universe)
+        cached = self._universe_cache.live()
+        universe = cached.get("universe")
+        if universe is None:
+            universe = cached["universe"] = tuple(sorted(self._stored_blocks()))
         return universe
+
+    def _stored_blocks(self) -> Iterable[int]:
+        """Ids of the blocks this server can be asked for: the monolith,
+        any stored block; a cluster shard, its placement slice."""
+        return self._hosted.blocks
 
     def _observe_leakage(self, roots: list[Node]) -> None:
         """Record (and pad/decoy) one evaluated query's fetch trace.
@@ -310,8 +283,22 @@ class Server:
 
     def _make_fragments(self, roots: list[Node]) -> list[Fragment]:
         """Serialize the shipped subtrees, in document order."""
+        fragments = []
         with self._span("server.serialize"):
-            return [self._make_fragment(node) for node in roots]
+            with self._cache_lock:
+                cache = self._fragment_cache.live()
+            for node in roots:
+                with self._cache_lock:
+                    fragment = cache.get(node.node_id)
+                if fragment is None:
+                    counters.add("fragment_cache_misses")
+                    fragment = self._build_fragment(node)
+                    with self._cache_lock:
+                        cache[node.node_id] = fragment
+                else:
+                    counters.add("fragment_cache_hits")
+                fragments.append(fragment)
+        return fragments
 
     @staticmethod
     def _count_blocks(fragments: list[Fragment]) -> int:
@@ -352,22 +339,18 @@ class Server:
         """
         request_key, response_key = self._require_session_keys()
         with self._cache_lock:
-            self._check_epoch()
-            self._check_wire_epoch()
-            if self._enable_cache:
-                cached = self._wire_cache.get(request_blob)
-                if cached is not None:
-                    return cached
+            cached = self._wire_cache.live().get(request_blob)
+        if cached is not None:
+            return cached
         query_bytes = self._open_fresh_request(request_key, request_blob)
         try:
             translated = decode_query(query_bytes)
         except MessageDecodeError as exc:
             raise TamperedRequestError(str(exc)) from exc
         response = self.answer(translated)
-        blob = self._seal_fresh(response_key, encode_response(response))
-        if self._enable_cache:
-            with self._cache_lock:
-                self._wire_cache[request_blob] = blob
+        blob, epoch = self._hosted.seal(response_key, encode_response(response))
+        with self._cache_lock:
+            self._wire_cache.store(request_blob, blob, epoch)
         return blob
 
     def ship_all_wire(self, request_blob: bytes) -> bytes:
@@ -381,12 +364,10 @@ class Server:
         so every call pays the full serialize + seal bill.
         """
         request_key, response_key = self._require_session_keys()
-        self._check_epoch()
-        self._check_wire_epoch()
         self._open_fresh_request(request_key, request_blob)
-        return self._seal_fresh(
+        return self._hosted.seal(
             response_key, encode_response(self.ship_all())
-        )
+        )[0]
 
     def _require_session_keys(self) -> tuple[bytes, bytes]:
         if self._session_keys is None:
@@ -426,23 +407,12 @@ class Server:
             return node.parent
         return node
 
-    def _make_fragment(self, node: Node) -> Fragment:
-        if self._enable_cache:
-            with self._cache_lock:
-                cached = self._fragment_cache.get(node.node_id)
-            if cached is not None:
-                counters.add("fragment_cache_hits")
-                return cached
-            counters.add("fragment_cache_misses")
+    def _build_fragment(self, node: Node) -> Fragment:
         path = []
         for ancestor in reversed(list(node.ancestors())):
             assert isinstance(ancestor, Element)
             path.append((ancestor.tag, ancestor.node_id))
-        fragment = Fragment(ancestor_path=tuple(path), xml=serialize(node))
-        if self._enable_cache:
-            with self._cache_lock:
-                self._fragment_cache[node.node_id] = fragment
-        return fragment
+        return Fragment(ancestor_path=tuple(path), xml=serialize(node))
 
     # ------------------------------------------------------------------
     # Observable state (what an attacker on the server sees)

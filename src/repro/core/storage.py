@@ -411,7 +411,6 @@ def load_system(
     directory: str,
     master_key: bytes,
     channel: Channel | None = None,
-    fast_path: bool = True,
     retry_policy: RetryPolicy | None = None,
 ) -> SecureXMLSystem:
     """Rebuild a working system from a saved hosting and the master key.
@@ -423,7 +422,7 @@ def load_system(
     """
     _recover(directory)
     _verify_manifest(directory)
-    keyring = ClientKeyring(master_key, fast_aes=fast_path)
+    keyring = ClientKeyring(master_key)
 
     hosted_path = os.path.join(directory, "hosted.xml")
     try:
@@ -562,17 +561,12 @@ def load_system(
         value_index_entries=value_index.total_entries(),
     )
     return SecureXMLSystem(
-        client=Client(keyring, hosted, enable_cache=fast_path),
-        server=Server(
-            hosted,
-            enable_cache=fast_path,
-            session_keys=keyring.session_keys(),
-        ),
+        client=Client(keyring, hosted),
+        server=Server(hosted, session_keys=keyring.session_keys()),
         hosted=hosted,
         scheme=scheme,
         channel=channel or Channel(),
         hosting_trace=hosting_trace,
         keyring=keyring,
-        fast_path=fast_path,
         retry_policy=retry_policy,
     )

@@ -31,7 +31,7 @@ receives the complete per-parent candidate list to index into.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from repro.core.dsi import IndexEntry, StructuralIndex

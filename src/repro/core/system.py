@@ -203,7 +203,6 @@ class SecureXMLSystem:
         channel: Channel,
         hosting_trace: HostingTrace,
         keyring: ClientKeyring,
-        fast_path: bool = True,
         retry_policy: RetryPolicy | None = None,
         observability: "Observability | bool | None" = None,
         cluster: "object | None" = None,
@@ -221,7 +220,6 @@ class SecureXMLSystem:
         self.retry_policy = retry_policy or RetryPolicy()
         self._backoff_rng = random.Random(self.retry_policy.seed)
         self._keyring = keyring
-        self._fast_path = fast_path
         # One observability context threads through every layer: the
         # system owns it and wires it into its collaborators, so spans
         # opened deep in the client/server/channel nest under the query
@@ -248,7 +246,6 @@ class SecureXMLSystem:
                 self.cluster,
                 retry_policy=self.retry_policy,
                 obs=self._obs,
-                enable_cache=fast_path,
                 channel_template=channel,
                 faults=cluster_faults,
             )
@@ -275,7 +272,6 @@ class SecureXMLSystem:
         master_key: bytes = _DEFAULT_MASTER_KEY,
         channel: Channel | None = None,
         secure: bool = True,
-        fast_path: bool = True,
         retry_policy: RetryPolicy | None = None,
         observability: "Observability | bool | None" = None,
         cluster: "object | None" = None,
@@ -288,10 +284,8 @@ class SecureXMLSystem:
         ``"sub"``, ``"top"``), the §4.1 strawman ``"leaf"``, or a prebuilt
         :class:`EncryptionScheme`.  ``secure=False`` hosts without decoys
         and with deterministic block encryption — insecure by design, for
-        the attack demonstrations only.  ``fast_path=False`` disables the
-        T-table AES and every query cache (seed-equivalent behaviour,
-        kept as the baseline for the hot-path benchmarks); the hosted
-        bytes are identical either way.
+        the attack demonstrations only.  Every query cache is always on;
+        :meth:`flush_caches` is how a measurement gets a cold system.
 
         ``observability`` wires the tracing/metrics/slow-log context (see
         :class:`~repro.obs.Observability.coerce`): ``None``/``True``
@@ -326,7 +320,7 @@ class SecureXMLSystem:
             scheme_obj = build_scheme(document, constraints, scheme)
         else:
             scheme_obj = scheme
-        keyring = ClientKeyring(master_key, fast_aes=fast_path)
+        keyring = ClientKeyring(master_key)
 
         started = time.perf_counter()
         hosted = host_database(document, scheme_obj, keyring, secure=secure)
@@ -344,18 +338,13 @@ class SecureXMLSystem:
             value_index_entries=hosted.value_index.total_entries(),
         )
         return cls(
-            client=Client(keyring, hosted, enable_cache=fast_path),
-            server=Server(
-                hosted,
-                enable_cache=fast_path,
-                session_keys=keyring.session_keys(),
-            ),
+            client=Client(keyring, hosted),
+            server=Server(hosted, session_keys=keyring.session_keys()),
             hosted=hosted,
             scheme=scheme_obj,
             channel=channel or Channel(),
             hosting_trace=hosting_trace,
             keyring=keyring,
-            fast_path=fast_path,
             retry_policy=retry_policy,
             observability=observability,
             cluster=cluster,
@@ -387,11 +376,6 @@ class SecureXMLSystem:
     def keyring(self) -> ClientKeyring:
         """The owner's keyring (the serving layer derives session MACs)."""
         return self._keyring
-
-    @property
-    def fast_path(self) -> bool:
-        """Whether client-side caching was enabled at construction."""
-        return self._fast_path
 
     def close(self) -> None:
         """Release what the system holds open (idempotent).
@@ -616,11 +600,10 @@ class SecureXMLSystem:
     def execute_many(self, xpaths: list[str]) -> list[QueryAnswer]:
         """Answer a batch of queries through the secure pipeline.
 
-        The batched entry point is where the hot-path caches pay off:
-        within one batch (and across batches on the same system),
-        repeated XPath strings reuse translated plans, repeated ship
-        nodes reuse serialized fragments, and repeated blocks skip
-        decryption entirely.  Per-query traces for the whole batch are
+        Within one batch (and across batches on the same system, until
+        the next write), repeated XPath strings reuse translated plans,
+        repeated ship nodes reuse serialized fragments, and repeated
+        blocks skip decryption entirely.  Per-query traces for the whole batch are
         kept in :attr:`last_batch_traces`, in input order (``last_trace``
         ends up holding the final query's trace, as with single
         :meth:`query` calls).
@@ -701,7 +684,6 @@ class SecureXMLSystem:
         entry = engine.resolve_single(self.client.translate(parent_xpath))
         engine.insert_element(entry, tag, value)
         self._route_update(entry)
-        self._refresh_client()
 
     def delete_element(self, xpath: str) -> None:
         """Delete the unique subtree matched by ``xpath``."""
@@ -711,7 +693,6 @@ class SecureXMLSystem:
         entry = engine.resolve_single(self.client.translate(xpath))
         self._route_update(entry)
         engine.delete_element(entry)
-        self._refresh_client()
 
     def update_value(self, xpath: str, new_value: str) -> None:
         """Rewrite the value of the unique leaf matched by ``xpath``."""
@@ -721,7 +702,6 @@ class SecureXMLSystem:
         entry = engine.resolve_single(self.client.translate(xpath))
         engine.update_value(entry, new_value)
         self._route_update(entry)
-        self._refresh_client()
 
     def _route_update(self, entry) -> None:
         """Bump only the shards a change at ``entry`` can reach.
@@ -734,15 +714,6 @@ class SecureXMLSystem:
         """
         if self._coordinator is not None:
             self._coordinator.invalidate_entry(entry)
-
-    def _refresh_client(self) -> None:
-        """Rebuild the client translator after hosted-state mutation."""
-        self.client = Client(
-            self._keyring,
-            self.hosted,
-            enable_cache=self._fast_path,
-            obs=self._obs,
-        )
 
     def naive_query(self, xpath: str) -> QueryAnswer:
         """Answer a query with the §7.3 naive baseline (ship everything)."""

@@ -16,14 +16,12 @@ wire in the clear.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.opess import FieldPlan, KeyRange, translate_predicate
 from repro.crypto.ope import OrderPreservingEncryption
 from repro.crypto.vernam import DeterministicTagCipher
-from repro.perf import counters
 from repro.xpath.compiler import PatternNode, PatternTree, UnsupportedQuery
 
 
@@ -100,50 +98,9 @@ class TranslatedQuery:
         return self.root.wire_size()
 
 
-class PlanCache:
-    """LRU cache of translated query plans, keyed by (xpath, epoch).
-
-    Translating a query re-derives Vernam tokens and OPESS key ranges —
-    pure functions of the client's static knowledge — so a repeated
-    query string under an unchanged scheme epoch can reuse the plan
-    verbatim.  Plans are immutable after translation; sharing one object
-    across executions is safe.  Keying on the epoch makes invalidation
-    free: an update bumps the epoch and every older entry simply stops
-    being reachable (the LRU eviction reclaims it).
-    """
-
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity <= 0:
-            raise ValueError("plan cache capacity must be positive")
-        self._capacity = capacity
-        self._plans: OrderedDict[tuple[str, int], TranslatedQuery] = (
-            OrderedDict()
-        )
-
-    def get(self, xpath: str, epoch: int) -> Optional[TranslatedQuery]:
-        plan = self._plans.get((xpath, epoch))
-        if plan is None:
-            counters.add("plan_cache_misses")
-            return None
-        self._plans.move_to_end((xpath, epoch))
-        counters.add("plan_cache_hits")
-        return plan
-
-    def put(self, xpath: str, epoch: int, plan: TranslatedQuery) -> None:
-        self._plans[(xpath, epoch)] = plan
-        self._plans.move_to_end((xpath, epoch))
-        while len(self._plans) > self._capacity:
-            self._plans.popitem(last=False)
-
-    def clear(self) -> None:
-        self._plans.clear()
-
-    def __len__(self) -> int:
-        return len(self._plans)
-
-
 class QueryTranslator:
-    """Holds the client knowledge needed to translate queries."""
+    """The client knowledge needed to translate queries, as of one epoch:
+    a write re-plans its field and may add a tag."""
 
     def __init__(
         self,

@@ -44,7 +44,7 @@ from repro.core.opess import build_field_plan, build_value_index
 from repro.core.structural_join import match_pattern
 from repro.crypto.keyring import ClientKeyring
 from repro.crypto.modes import cbc_encrypt
-from repro.xmldb.node import Element, EncryptedBlockNode, Node, Text
+from repro.xmldb.node import Element, EncryptedBlockNode, Text
 from repro.xmldb.serializer import serialize
 
 

@@ -10,10 +10,9 @@ test suite.
 Two equivalent code paths exist:
 
 * the **spec path** (:meth:`AES128.encrypt_block_spec` /
-  :meth:`AES128.decrypt_block_spec`, and :class:`ReferenceAES128`) — a
-  direct transcription of the FIPS-197 round functions over a 16-byte
-  state list, kept as the readable reference and the baseline for the
-  hot-path benchmarks;
+  :meth:`AES128.decrypt_block_spec`) — a direct transcription of the
+  FIPS-197 round functions over a 16-byte state list, kept as the
+  readable reference the T-tables are built from;
 * the **T-table fast path** (:meth:`AES128.encrypt_block` /
   :meth:`AES128.decrypt_block`) — the classic 32-bit-word formulation:
   SubBytes+ShiftRows+MixColumns fused into four 256-entry word tables
@@ -500,24 +499,6 @@ class AES128:
         for plane, j in enumerate(_PLANE_ORDER):
             out[j::16] = state[plane * n : (plane + 1) * n]
         return bytes(out)
-
-
-class ReferenceAES128(AES128):
-    """An :class:`AES128` whose block interface runs the spec path.
-
-    Exists so the modes, the keyring and the benchmarks can exercise the
-    seed-equivalent slow path through the very same call surface.
-    """
-
-    def encrypt_block(self, plaintext: bytes) -> bytes:
-        return self.encrypt_block_spec(plaintext)
-
-    def decrypt_block(self, ciphertext: bytes) -> bytes:
-        return self.decrypt_block_spec(ciphertext)
-
-    #: Multi-block calls stay on the spec path at every length: the
-    #: scalar loop goes through :meth:`decrypt_block` above.
-    _decrypt_blocks_planes = AES128._decrypt_blocks_scalar
 
 
 @lru_cache(maxsize=1024)

@@ -16,7 +16,7 @@ re-derive "the same keys used for the construction of the DSI index table"
 
 from __future__ import annotations
 
-from repro.crypto.aes import AES128, ReferenceAES128, aes128_for_key
+from repro.crypto.aes import AES128, aes128_for_key
 from repro.crypto.hmac import derive_key, hmac_sha256
 from repro.crypto.ope import OrderPreservingEncryption
 from repro.crypto.prf import DeterministicRandom, PRF
@@ -26,11 +26,10 @@ from repro.crypto.vernam import DeterministicTagCipher
 class ClientKeyring:
     """All client-side secrets, derived from one master key."""
 
-    def __init__(self, master_key: bytes, fast_aes: bool = True) -> None:
+    def __init__(self, master_key: bytes) -> None:
         if len(master_key) < 16:
             raise ValueError("master key must be at least 16 bytes")
         self._master = bytes(master_key)
-        self._fast_aes = fast_aes
         self._tag_cipher: DeterministicTagCipher | None = None
         self._ope: OrderPreservingEncryption | None = None
         self._block_cipher: AES128 | None = None
@@ -49,16 +48,12 @@ class ClientKeyring:
     def block_cipher(self) -> AES128:
         """AES instance for encryption-block payloads.
 
-        The fast path goes through the process-wide keyed cipher cache,
-        so every keyring derived from the same master key shares one
-        cipher object and its one key expansion.  ``fast_aes=False``
-        (benchmark baseline) builds a private spec-path cipher instead.
+        Goes through the process-wide keyed cipher cache, so every
+        keyring derived from the same master key shares one cipher
+        object and its one key expansion.
         """
         if self._block_cipher is None:
-            key = self.block_key_bytes()
-            self._block_cipher = (
-                aes128_for_key(key) if self._fast_aes else ReferenceAES128(key)
-            )
+            self._block_cipher = aes128_for_key(self.block_key_bytes())
         return self._block_cipher
 
     def block_key_bytes(self) -> bytes:

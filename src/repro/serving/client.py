@@ -55,12 +55,7 @@ import threading
 from concurrent.futures import TimeoutError as _FutureTimeoutError
 
 from repro.core.client import Client
-from repro.core.integrity import (
-    FreshnessError,
-    TamperedResponseError,
-    seal_fresh,
-    unseal,
-)
+from repro.core.integrity import FreshnessError, TamperedResponseError, unseal
 from repro.core.system import SecureXMLSystem
 from repro.crypto.keyring import ClientKeyring
 from repro.netsim.channel import Channel, NullChannel
@@ -287,8 +282,7 @@ class ServingConnection:
         ).encode("utf-8")
         last: FreshnessError | None = None
         for _ in range(_COMMAND_RESEAL_ATTEMPTS):
-            epoch, root = self._hosted.anchor()
-            blob = seal_fresh(request_key, payload, epoch, root)
+            blob, _ = self._hosted.seal(request_key, payload)
             try:
                 sealed = self.call(op, blob)
             except FreshnessError as exc:
@@ -391,7 +385,6 @@ class RemoteSecureXMLSystem(SecureXMLSystem):
         # re-seals after losing an anchor race to a concurrent writer.
         ack = connection.sealed_call(OP_UPDATE, op)
         json.loads(ack.decode("utf-8"))  # malformed ack → typed error
-        self._refresh_client()
 
     # ------------------------------------------------------------------
     # Teardown
@@ -426,14 +419,13 @@ def remote_system(
         keyring=local.keyring, hosted=local.hosted,
     )
     remote = RemoteSecureXMLSystem(
-        client=Client(local.keyring, local.hosted, enable_cache=local.fast_path),
+        client=Client(local.keyring, local.hosted),
         server=RemoteServer(connection),
         hosted=local.hosted,
         scheme=local.scheme,
         channel=NullChannel(),
         hosting_trace=local.hosting_trace,
         keyring=local.keyring,
-        fast_path=local.fast_path,
         retry_policy=local.retry_policy,
         observability=observability,
         cluster=False,  # never coordinator-side: the far end shards, not us

@@ -36,7 +36,7 @@ import random
 import threading
 
 from repro.cluster.coordinator import ClusterCoordinator, merge_partials
-from repro.core.integrity import seal_fresh
+from repro.core.epoch_cache import EpochCache
 from repro.core.system import QueryTrace, SecureXMLSystem
 from repro.netsim.message import encode_response
 from repro.perf import counters
@@ -62,12 +62,13 @@ class ClusterGateway:
         #: Deterministic backoff RNG for the replica failover loops
         #: (modelled delays only; seeded so socket runs are replayable).
         self._rng = random.Random(system.retry_policy.seed)
-        # Epoch-gated sealed cache, mirroring Server's wire cache: the
-        # sealed blobs embed the anchor, so any epoch move invalidates
-        # them wholesale.
+        # Sealed cache, mirroring Server's wire cache: the sealed blobs
+        # embed the anchor, so any epoch move invalidates them wholesale.
         self._lock = threading.RLock()
-        self._wire_cache: dict[bytes, bytes] = {}
-        self._cache_epoch = self._hosted.epoch
+        self._caches: list[EpochCache] = []
+        self._wire_cache = EpochCache(
+            lambda: self._hosted.epoch, self._caches, bounded=True
+        )
 
     # ------------------------------------------------------------------
     # Server wire surface
@@ -75,19 +76,15 @@ class ClusterGateway:
     def answer_wire(self, request_blob: bytes) -> bytes:
         """Scatter the sealed request, gather, merge, re-seal."""
         with self._lock:
-            self._check_epoch()
-            cached = self._wire_cache.get(request_blob)
-            if cached is not None:
-                return cached
+            cached = self._wire_cache.live().get(request_blob)
+        if cached is not None:
+            return cached
         merged = self._scatter(request_blob)
-        epoch, root = self._hosted.anchor()
-        blob = seal_fresh(
-            self._response_key, encode_response(merged), epoch, root
+        blob, epoch = self._hosted.seal(
+            self._response_key, encode_response(merged)
         )
         with self._lock:
-            self._check_epoch()
-            if self._hosted.epoch == epoch:
-                self._wire_cache[request_blob] = blob
+            self._wire_cache.store(request_blob, blob, epoch)
         return blob
 
     def ship_all_wire(self, request_blob: bytes) -> bytes:
@@ -114,17 +111,13 @@ class ClusterGateway:
 
     def flush_caches(self) -> None:
         with self._lock:
-            self._wire_cache.clear()
+            for cache in self._caches:
+                cache.clear()
         self._coordinator.flush_caches()
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _check_epoch(self) -> None:
-        if self._hosted.epoch != self._cache_epoch:
-            self._wire_cache.clear()
-            self._cache_epoch = self._hosted.epoch
-
     def _scatter(self, request_blob: bytes):
         """Failover exchange against every shard; merged response."""
         coordinator = self._coordinator

@@ -44,7 +44,6 @@ from repro.core.integrity import (
     FreshnessError,
     RollbackDetectedError,
     TamperedResponseError,
-    seal_fresh,
     unseal,
     unseal_fresh,
 )
@@ -112,7 +111,7 @@ def run_load(
     report = LoadReport(clients=clients)
 
     async def _drive() -> LoadReport:
-        sealer = Client(local.keyring, local.hosted, enable_cache=True)
+        sealer = Client(local.keyring, local.hosted)
         request_key, response_key = local.keyring.session_keys()
         connections = await asyncio.gather(
             *[
@@ -184,8 +183,7 @@ def run_load(
             ).encode("utf-8")
             for attempt in range(max_attempts):
                 try:
-                    epoch, root = local.hosted.anchor()
-                    blob = seal_fresh(request_key, payload, epoch, root)
+                    blob, _ = local.hosted.seal(request_key, payload)
                     ack = await conn.call(OP_UPDATE, blob)
                     unseal(response_key, ack, error=TamperedResponseError)
                     report.updates += 1

@@ -12,7 +12,6 @@ near it on a cold select).  Delete this file with the deselect.
 """
 
 import os
-import sys
 
 import pytest
 

@@ -12,7 +12,7 @@ from repro.core.dsi import (
 from repro.core.scheme import opt_scheme, top_scheme
 from repro.crypto.prf import DeterministicRandom
 from repro.crypto.vernam import DeterministicTagCipher
-from repro.xmldb.node import Attribute, Document, Element
+from repro.xmldb.node import Document, Element
 from repro.xmldb.parser import parse_document
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.core.opess import (
     KeyRange,
-    ValueIndex,
     build_field_plan,
     build_value_index,
     chunk_ciphertexts,

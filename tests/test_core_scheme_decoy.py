@@ -9,7 +9,6 @@ from repro.core.decoy import (
     inject_decoys,
 )
 from repro.core.scheme import (
-    EncryptionScheme,
     app_scheme,
     build_scheme,
     opt_scheme,

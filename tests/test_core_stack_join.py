@@ -1,6 +1,5 @@
 """Tests for the stack-based structural join, cross-checked three ways."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

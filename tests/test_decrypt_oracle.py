@@ -112,11 +112,11 @@ def measured(call):
 # ----------------------------------------------------------------------
 # Honest fragments
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("enable_cache", [True, False], ids=["cached", "uncached"])
+@pytest.mark.parametrize("flush", [False, True], ids=["cached", "uncached"])
 @pytest.mark.parametrize("scheme,secure", CONFIGS)
 @pytest.mark.parametrize("dataset", sorted(DATASETS))
 def test_every_shipped_fragment_decrypts_to_the_oracle_tree(
-    dataset, scheme, secure, enable_cache
+    dataset, scheme, secure, flush
 ):
     build, constraints = DATASETS[dataset]
     document = build()
@@ -124,11 +124,10 @@ def test_every_shipped_fragment_decrypts_to_the_oracle_tree(
         document, constraints(), scheme=scheme, secure=secure
     )
     # One client and one oracle for the whole sweep, so later responses
-    # meet warm block and tree caches exactly as a session would.
-    client = Client(system.keyring, system.hosted, enable_cache=enable_cache)
-    oracle = OracleDecryptor(
-        system.keyring, system.hosted, enable_cache=enable_cache
-    )
+    # meet warm block and tree caches exactly as a session would — or,
+    # flushed before every response, cold ones as a cold benchmark would.
+    client = Client(system.keyring, system.hosted)
+    oracle = OracleDecryptor(system.keyring, system.hosted)
     responses = [
         system.server.answer(client.translate(query))
         for query in queries_for(dataset, document)
@@ -137,6 +136,9 @@ def test_every_shipped_fragment_decrypts_to_the_oracle_tree(
     shipped = 0
     for response in responses:
         xmls = [fragment.xml for fragment in response.fragments]
+        if flush:
+            client.flush_caches()
+            oracle.flush_caches()
         trees, traffic = measured(lambda: client.decrypt_fragments(response))
         expected, oracle_traffic = measured(lambda: oracle.decrypt_batch(xmls))
         assert traffic == oracle_traffic
@@ -421,7 +423,7 @@ class TestHostileFragments:
                 tree = client.decrypt_fragment(hostile)
             except TamperedResponseError:
                 assert expected in ("tampered", "untagged"), (name, attempt)
-                assert hostile not in client._tree_cache
+                assert hostile not in client._tree_cache.live()
                 if expected == "untagged":
                     delta = counters.delta_since(before)
                     assert delta["integrity_failures"] == 1, (name, attempt)
@@ -447,7 +449,7 @@ class TestHostileFragments:
         # The scan and every MAC check passed; only the parse did not —
         # so the blocks were decrypted, but no tree was cached.
         assert counters.delta_since(before)["blocks_decrypted"] > 0
-        assert client._tree_cache == {}
+        assert len(client._tree_cache) == 0
 
     @pytest.mark.parametrize(
         "plaintext",
@@ -486,19 +488,38 @@ class TestHostileFragments:
                 client.decrypt_fragment(f"<p>{garbled}</p>")
 
 
-class _LyingServer:
-    """Seals honest-looking responses around fragments it has damaged."""
+#: The assemble stage's table: name → what a server does to the ancestor
+#: paths it ships.  Every row must end in ``TamperedResponseError``.
+HOSTILE_PATHS = {
+    "fragments-disagree-on-the-root": lambda paths: [
+        paths[0], (("clinic", 987654),) + paths[1][1:], *paths[2:]
+    ],
+}
 
-    def __init__(self, system, mutate):
+
+class _LyingServer:
+    """Seals honest-looking responses around fragments it has damaged:
+    the first one's text, or (``repath``) every one's ancestor path."""
+
+    def __init__(self, system, mutate=None, repath=None):
         self.lies = 0
         honest_answer = system.server.answer
 
         def answer(query):
             response = honest_answer(query)
-            first = response.fragments[0]
-            response.fragments[0] = Fragment(
-                first.ancestor_path, mutate(system, first.xml), first.root_id
-            )
+            shipped = response.fragments
+            if mutate is not None:
+                first = shipped[0]
+                shipped[0] = Fragment(
+                    first.ancestor_path, mutate(system, first.xml), first.root_id
+                )
+            if repath is not None:
+                shipped[:] = [
+                    Fragment(path, fragment.xml, fragment.root_id)
+                    for fragment, path in zip(
+                        shipped, repath([f.ancestor_path for f in shipped])
+                    )
+                ]
             self.lies += 1
             return response
 
@@ -526,6 +547,35 @@ class TestLyingServer:
         system.retry_policy = RetryPolicy(naive_fallback=False)
         with pytest.raises(QueryFailedError) as failed:
             system.query(self.QUERY)
+        assert isinstance(failed.value.__cause__, TamperedResponseError)
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_PATHS))
+    def test_hostile_ancestor_paths_fail_typed_too(self, name):
+        """The server holds the response session key, so it can seal any
+        fragment list it likes: assembly is the last stage that reads
+        shipped bytes, and it raises the same typed error as the rest."""
+        query = "//pname"
+        document = build_healthcare_database()
+        expected = sorted(canonical_node(n) for n in evaluate(document, query))
+        system = SecureXMLSystem.host(document, healthcare_constraints())
+        honest = system.client.decrypt_fragments(
+            system.server.answer(system.client.translate(query))
+        )
+        assert len(honest) == 2 and all(f.ancestor_path for f, _ in honest)
+        liar = _LyingServer(system, repath=HOSTILE_PATHS[name])
+        with pytest.raises(TamperedResponseError):
+            system.client.assemble(system.client.decrypt_fragments(
+                system.server.answer(system.client.translate(query))
+            ))
+        before = counters.snapshot()
+        assert system.query(query).canonical() == expected
+        trace = system.last_trace
+        assert trace.fell_back and trace.integrity_failures == 4
+        assert counters.delta_since(before)["integrity_failures"] == 4
+        assert liar.lies >= 2
+        system.retry_policy = RetryPolicy(naive_fallback=False)
+        with pytest.raises(QueryFailedError) as failed:
+            system.query(query)
         assert isinstance(failed.value.__cause__, TamperedResponseError)
 
     def test_remote_system_gets_the_same_typed_failure(self):

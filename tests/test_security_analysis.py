@@ -61,8 +61,6 @@ class TestAuditReport:
 
     def test_strawman_hosting_fails_audit(self):
         """The insecure mode is caught: deterministic blocks crack."""
-        from collections import Counter
-
         from repro.security.attacks import (
             FrequencyAttack,
             ciphertext_block_histogram,

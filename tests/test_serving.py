@@ -16,6 +16,8 @@ import time
 
 import pytest
 
+from updates_oracle import write_plaintext
+from repro.core.client import canonical_node
 from repro.core.storage import load_system
 from repro.core.system import SecureXMLSystem, _DEFAULT_MASTER_KEY
 from repro.obs import Observability
@@ -40,6 +42,7 @@ from repro.serving import (
 )
 from repro.serving.framing import OP_FLUSH, OP_QUERY, OP_STATS, OP_UPDATE
 from repro.serving.server import ReadWriteLock
+from repro.xpath.evaluator import evaluate
 
 QUERIES = (
     "//patient[.//insurance//@coverage>=10000]//SSN",
@@ -255,6 +258,74 @@ class TestRemoteUpdates:
         remote.close()
 
 
+#: name → (writes made through one connection, a query whose predicate
+#: only the re-planned field or the new tag can answer).
+WRITES_SEEN_BY_THE_OTHER_CONNECTION = {
+    "update-to-a-value-new-to-the-field": (
+        [("update_value", "//patient[pname='Matt']/treat/disease", "measles")],
+        "//patient[.//disease='measles']/SSN",
+    ),
+    "insert-into-a-sensitive-field": (
+        [("insert_element", "//patient[pname='Matt']", "SSN", "999")],
+        "//patient[SSN='999']/pname",
+    ),
+    "insert-of-a-tag-new-to-the-hosting": (
+        [("insert_element", "//patient[pname='Matt']", "phone", "555")],
+        "//patient[phone='555']/pname",
+    ),
+    "delete-of-a-values-last-occurrence": (
+        [("delete_element", "//patient[pname='Matt']/treat")],
+        "//treat[disease='diarrhea']/doctor",
+    ),
+    "delete-of-a-fields-last-occurrence": (
+        [
+            ("delete_element", "//patient[pname='Betty']/SSN"),
+            ("delete_element", "//patient[pname='Matt']/SSN"),
+        ],
+        "//patient[SSN='276543']/pname",
+    ),
+    "insert-into-a-field-emptied-since-hosting": (
+        [
+            ("delete_element", "//patient[pname='Betty']/SSN"),
+            ("delete_element", "//patient[pname='Matt']/SSN"),
+            ("insert_element", "//patient[pname='Matt']", "SSN", "276543"),
+        ],
+        "//patient[SSN='276543']/pname",
+    ),
+}
+
+
+class TestTwoConnections:
+    """A write acknowledged to any connection is visible to the next
+    query on every connection of that tenant."""
+
+    @pytest.mark.parametrize("name", sorted(WRITES_SEEN_BY_THE_OTHER_CONNECTION))
+    def test_other_connection_answers_as_the_plaintext_oracle(
+        self, served, healthcare_doc, name
+    ):
+        _, address, local = served
+        writes, query = WRITES_SEEN_BY_THE_OTHER_CONNECTION[name]
+        a = remote_system(local, address, "t0")
+        b = remote_system(local, address, "t0")
+        try:
+            client = b.client
+            b.query(query)  # every layer of b is warm on the old state
+            for method, *args in writes:
+                getattr(a, method)(*args)
+                write_plaintext(healthcare_doc, method, *args)
+            expected = sorted(
+                canonical_node(n) for n in evaluate(healthcare_doc, query)
+            )
+            assert expected or name == "delete-of-a-fields-last-occurrence"
+            for handle in (b, a, local):
+                assert handle.query(query).canonical() == expected
+                assert handle.last_trace.fell_back is False
+            assert a.client is not b.client and b.client is client
+        finally:
+            a.close()
+            b.close()
+
+
 # ----------------------------------------------------------------------
 # Multiplexing: many in-flight requests per connection
 # ----------------------------------------------------------------------
@@ -266,7 +337,7 @@ class TestMultiplexing:
         from repro.serving.client import AsyncServingClient
 
         _, (host, port), _ = served
-        sealer = Client(local.keyring, local.hosted, enable_cache=True)
+        sealer = Client(local.keyring, local.hosted)
         expected = {
             query: local.query(query).canonical() for query in QUERIES
         }
@@ -345,7 +416,7 @@ class TestBackpressure:
             from repro.core.client import Client
             from repro.serving.client import AsyncServingClient
 
-            sealer = Client(local.keyring, local.hosted, enable_cache=True)
+            sealer = Client(local.keyring, local.hosted)
             blob = sealer.seal_request(
                 sealer.translate(PROBE), cache_key=PROBE
             )
@@ -670,7 +741,7 @@ class TestFreshnessWindow:
     def _sealed_query(self, system, xpath):
         from repro.core.client import Client
 
-        client = Client(system.keyring, system.hosted, enable_cache=False)
+        client = Client(system.keyring, system.hosted)
         return client.seal_request(client.translate(xpath))
 
     def test_anchor_history_records_commits(self, local):
@@ -710,7 +781,7 @@ class TestFreshnessWindow:
         assert delta.get("requests_accepted_in_window", 0) == 1
         # The response is sealed at the *current* anchor, so the owner's
         # strict verification accepts it as usual.
-        client = Client(local.keyring, local.hosted, enable_cache=False)
+        client = Client(local.keyring, local.hosted)
         assert client.open_response(sealed) is not None
 
     def test_window_bounds_the_accepted_lag(self, local):
@@ -1011,7 +1082,7 @@ class TestClientTimeout:
 
         session.query = slow_query
         host, port = server.start()
-        sealer = Client(local.keyring, local.hosted, enable_cache=True)
+        sealer = Client(local.keyring, local.hosted)
         blob = sealer.seal_request(sealer.translate(PROBE), cache_key=PROBE)
         connection = ServingConnection(host, port, "t0", timeout=0.5)
         try:

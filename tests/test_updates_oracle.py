@@ -180,7 +180,6 @@ def apply(system, engine_class, operation):
         engine.update_value(entry, value)
     else:
         engine.delete_element(entry)
-    system._refresh_client()
 
 
 @pytest.mark.parametrize("dataset", sorted(DATASETS))

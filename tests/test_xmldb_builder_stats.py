@@ -3,7 +3,6 @@
 import pytest
 
 from repro.xmldb.builder import TreeBuilder
-from repro.xmldb.node import Element
 from repro.xmldb.stats import (
     depth,
     fanout_profile,

@@ -167,3 +167,23 @@ class FullScanUpdateEngine(UpdateEngine):
             self._keyring.ope,
         )
         hosted.value_index.trees[token] = rebuilt.trees[token]
+
+
+def write_plaintext(document, method: str, xpath: str, *args: str) -> None:
+    """``SecureXMLSystem.<method>(xpath, *args)`` on the plaintext document,
+    for tests that hold post-write answers to ``evaluate(document, query)``."""
+    from repro.xmldb.node import Element, Text
+    from repro.xpath.evaluator import evaluate
+
+    (target,) = evaluate(document, xpath)
+    if method == "insert_element":
+        tag, value = args
+        leaf = Element(tag)
+        leaf.append(Text(value))
+        target.append(leaf)
+    elif method == "update_value":
+        (target.children[0].value,) = args
+    else:
+        assert method == "delete_element" and not args
+        target.detach()
+    document.renumber()
