@@ -2,7 +2,8 @@
 
 Not paper figures — these track the per-operation costs that determine the
 experiment run times (and guard against performance regressions in the
-from-scratch primitives).  Each uses proper multi-round pytest-benchmark
+from-scratch primitives; the spec SHA-256 and the generators' SipHash run
+in no measured path and have no row).  Each uses proper multi-round pytest-benchmark
 measurement since the operations are cheap.
 """
 
@@ -10,8 +11,6 @@ from repro.btree import BTree
 from repro.crypto.aes import AES128
 from repro.crypto.hmac import hmac_sha256
 from repro.crypto.ope import OrderPreservingEncryption
-from repro.crypto.sha256 import sha256
-from repro.crypto.siphash import siphash24
 from repro.workloads.healthcare import build_healthcare_database
 from repro.xmldb.parser import parse_document
 from repro.xmldb.serializer import serialize
@@ -21,19 +20,9 @@ _KEY16 = bytes(range(16))
 _BLOCK = bytes(range(16))
 
 
-def test_micro_sha256(benchmark):
-    result = benchmark(sha256, b"x" * 64)
-    assert len(result) == 32
-
-
 def test_micro_hmac(benchmark):
     result = benchmark(hmac_sha256, b"key", b"message" * 8)
     assert len(result) == 32
-
-
-def test_micro_siphash(benchmark):
-    result = benchmark(siphash24, _KEY16, b"m" * 32)
-    assert 0 <= result < (1 << 64)
 
 
 def test_micro_aes_block(benchmark):

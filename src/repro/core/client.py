@@ -384,21 +384,27 @@ class Client:
         # Gate before verifying: a commit that lands after a tag verified
         # must find these plaintexts in the old epoch's entries.
         cache = self._block_cache.live()
-        self._verify_blocks(occurrences)
-
         #: distinct cache-missing ids; a repeated id keeps its first payload
         wanted: dict[int, bytes] = {}
         for block_id, payload in occurrences:
             if block_id not in cache:
                 wanted.setdefault(block_id, payload)
+        # Write stamps are read before the tags verify, for the same
+        # reason: a payload that then verifies is the one its stamp was
+        # kept for, whatever commits afterwards.
+        stamp_of = self._hosted.block_stamps.get
+        stamped = [
+            (block_id, stamp_of(block_id), payload)
+            for block_id, payload in wanted.items()
+        ]
+        self._verify_blocks(occurrences)
+
         hits = len(occurrences) - len(wanted)
         if hits:
             counters.add("block_cache_hits", hits)
         if wanted:
             counters.add("block_cache_misses", len(wanted))
-            cache.update(
-                zip(wanted, self._decrypt_blocks(list(wanted.items())))
-            )
+            cache.update(zip(wanted, self._decrypt_blocks(stamped)))
         plaintexts = [cache[block_id] for block_id, _ in occurrences]
 
         # A callable replacement: a plaintext is never read as a template.
@@ -409,9 +415,13 @@ class Client:
         ]
 
     def _decrypt_blocks(
-        self, blocks: "list[tuple[int, bytes]]"
+        self, blocks: "list[tuple[int, int | None, bytes]]"
     ) -> list[str]:
-        """derive IVs → one cipher pass → decode, for verified payloads."""
+        """derive IVs → one cipher pass → decode, for verified payloads.
+
+        Each block is ``(id, write stamp, payload)``; id and stamp name
+        the IV (``None``: the payload hosting wrote).
+        """
         block_iv = self._keyring.block_iv
         secure = self._secure
         try:
@@ -420,8 +430,11 @@ class Client:
                 for plaintext in cbc_decrypt_many(
                     self._keyring.block_cipher,
                     [
-                        (block_iv(block_id if secure else 0), payload)
-                        for block_id, payload in blocks
+                        (
+                            block_iv(block_id, stamp) if secure else block_iv(0),
+                            payload,
+                        )
+                        for block_id, stamp, payload in blocks
                     ],
                 )
             ]
@@ -455,8 +468,8 @@ class Client:
         # The keyring memoizes per-block IV derivations; a "cold" query
         # that skipped those HMACs was not actually cold (found by the
         # flush-coverage audit; see tests/test_cache_invalidation.py).
-        # They are a function of key and block id alone, so an epoch
-        # move keeps them: only this explicit flush drops them.
+        # They are a function of key, block id and write stamp alone, so
+        # an epoch move keeps them: only this explicit flush drops them.
         self._keyring.flush_memoized()
 
     # ------------------------------------------------------------------

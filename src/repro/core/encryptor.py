@@ -67,6 +67,12 @@ class HostedDatabase:
     #: verifies these before decrypting, so a server that modifies or
     #: swaps ciphertexts is detected rather than silently believed.
     block_tags: dict[int, bytes] = field(default_factory=dict)
+    #: Write stamp per block rewritten or created *after* hosting: the
+    #: epoch that write committed as.  The block's IV and decoys were
+    #: derived from ``(block id, stamp)``, so the client needs the stamp
+    #: to decrypt; it is derived state the owner keeps beside the tags,
+    #: never shipped.  Sparse — a block hosting wrote is absent.
+    block_stamps: dict[int, int] = field(default_factory=dict)
     decoy_count: int = 0
     #: False only for the §4.1 strawman hosting (fixed IV, no decoys).
     secure: bool = True
@@ -87,6 +93,11 @@ class HostedDatabase:
     #: path can never alias a node deleted earlier in the epoch.  ``None``
     #: (hostings loaded from pre-mark storage) triggers one lazy scan.
     max_hosted_id: int | None = None
+    #: High-water mark of block ids, persisted with the client state: a
+    #: deleted block's id (and with it every ``(id, stamp)`` it was
+    #: encrypted under) is never handed out again.  ``None`` (hostings
+    #: saved before the mark existed) falls back to the largest live id.
+    max_block_id: int | None = None
     #: Lazily-built Merkle tree over ``block_tags`` (the freshness
     #: anchor).  All tag mutations must go through :meth:`set_block_tag`
     #: / :meth:`drop_block_tag` so the tree stays incremental; a keyset
@@ -223,6 +234,13 @@ class HostedDatabase:
             self.max_hosted_id = self._scan_max_hosted_id()
         self.max_hosted_id += 1
         return self.max_hosted_id
+
+    def allocate_block_id(self) -> int:
+        """Next fresh block id (advances the high-water mark)."""
+        if self.max_block_id is None:
+            self.max_block_id = max(self.blocks, default=0)
+        self.max_block_id += 1
+        return self.max_block_id
 
     def _scan_max_hosted_id(self) -> int:
         """Full-tree walk for the largest assigned id (legacy hostings).
@@ -370,6 +388,7 @@ def host_database(
         secure=secure,
         occurrences=occurrences,
         max_hosted_id=hosted_id_count - 1,
+        max_block_id=len(blocks),
     )
 
 

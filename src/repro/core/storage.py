@@ -22,8 +22,28 @@ Layout of a saved hosting::
 Field plans, tag tokens and every key are *re-derived* from the master key
 on load (the whole pipeline is deterministic in it), so the client file
 holds only what cannot be derived: which tags/fields exist on which side,
-the per-field occurrence lists that power incremental updates, and the
-encrypt-then-MAC block tags.
+the per-field occurrence lists that power incremental updates, the
+encrypt-then-MAC block tags, and the two pieces of state that keep a
+write's nonce from ever repeating — the write stamp of every block
+rewritten since hosting (``block_stamps``) and the block-id high-water
+mark (``max_block_id``).
+
+Format versions
+---------------
+``version: 3`` is what :func:`save_system` writes: every keyed draw —
+OPE rectangles, OPESS weights, DSI gaps, decoys — comes from HMAC-SHA256.
+``version: 2`` drew them from another PRF (a pure-Python one the workload
+generators still use), and is still read: intervals
+are persisted numbers, block IVs never depended on the PRF, and field
+plans are re-derived from ``occurrences`` in either version — so the only
+bytes of a version-2 directory that the old PRF shaped *and* that are read
+back are the value-index keys.  Loading them beside plans drawn under the
+new PRF would answer every value predicate wrongly and silently, so a
+version-2 load ignores the persisted ``value_index`` rows and rebuilds the
+index from ``occurrences`` under the current OPE.  Its blocks carry no
+stamps and decrypt under the id-only IV they were written with; the next
+:func:`save_system` writes version 3.  Any other version is a
+:class:`StorageError`.
 
 Crash safety
 ------------
@@ -59,7 +79,7 @@ from repro.core.encryptor import (
     _renumber_hosted,
     renumbered_hosted_ids,
 )
-from repro.core.opess import ValueIndex, build_field_plan
+from repro.core.opess import ValueIndex, build_field_plan, build_value_index
 from repro.core.scheme import EncryptionScheme
 from repro.core.server import Server
 from repro.core.system import HostingTrace, RetryPolicy, SecureXMLSystem
@@ -69,7 +89,10 @@ from repro.xmldb.node import Element, EncryptedBlockNode, Node
 from repro.xmldb.parser import block_placeholder, parse_fragment
 from repro.xmldb.serializer import serialize
 
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
+#: The format before the PRF changed: read (see the module docstring),
+#: never written.
+_OLD_PRF_FORMAT_VERSION = 2
 
 _DATA_FILES = ("hosted.xml", "server_meta.json", "client_state.json")
 _MANIFEST = "manifest.json"
@@ -217,6 +240,11 @@ def save_system(system: SecureXMLSystem, directory: str) -> None:
             str(block_id): tag.hex()
             for block_id, tag in sorted(hosted.block_tags.items())
         },
+        "block_stamps": {
+            str(block_id): stamp
+            for block_id, stamp in sorted(hosted.block_stamps.items())
+        },
+        "max_block_id": hosted.max_block_id,
         "decoy_count": hosted.decoy_count,
         # Freshness anchor: the commit epoch and Merkle root over the
         # block tags travel with the client state, inside the same
@@ -355,13 +383,15 @@ def _read_json(path: str) -> dict:
     return decoded
 
 
-def _check_version(meta: dict, path: str) -> None:
-    if meta.get("version") != _FORMAT_VERSION:
+def _check_version(meta: dict, path: str) -> int:
+    version = meta.get("version")
+    if version not in (_FORMAT_VERSION, _OLD_PRF_FORMAT_VERSION):
         raise StorageError(
             path,
-            f"unsupported format version {meta.get('version')!r} "
-            f"(expected {_FORMAT_VERSION})",
+            f"unsupported format version {version!r} "
+            f"(expected {_FORMAT_VERSION} or {_OLD_PRF_FORMAT_VERSION})",
         )
+    return version
 
 
 def _index_from_records(
@@ -453,7 +483,7 @@ def load_system(
 
     meta_path = os.path.join(directory, "server_meta.json")
     server_meta = _read_json(meta_path)
-    _check_version(server_meta, meta_path)
+    index_version = _check_version(server_meta, meta_path)
 
     try:
         structural_index = _index_from_records(
@@ -463,7 +493,12 @@ def load_system(
         )
 
         value_index = ValueIndex()
-        for token, flat_entries in server_meta["value_index"].items():
+        persisted_rows = (
+            server_meta["value_index"]
+            if index_version == _FORMAT_VERSION
+            else {}  # keys of the old PRF: rebuilt below, under the plans
+        )
+        for token, flat_entries in persisted_rows.items():
             for row in flat_entries:
                 if [type(cell) for cell in row] != [int, int]:
                     raise StorageError(
@@ -506,6 +541,14 @@ def load_system(
                 field, histogram, keyring.opess_stream(field), keyring.ope
             )
             field_tokens[field] = keyring.tag_cipher.encrypt_tag(field)
+        if index_version == _OLD_PRF_FORMAT_VERSION:
+            value_index = build_value_index(
+                {field: occurrences[field] for field in field_plans},
+                field_plans,
+                field_tokens,
+                keyring.ope,
+            )
+        max_block_id = client_state.get("max_block_id")
 
         hosted = HostedDatabase(
             hosted_root=hosted_root,
@@ -519,6 +562,13 @@ def load_system(
             field_plans=field_plans,
             field_tokens=field_tokens,
             block_tags=block_tags,
+            block_stamps={
+                int(block_id): int(stamp)
+                for block_id, stamp in client_state.get(
+                    "block_stamps", {}
+                ).items()
+            },
+            max_block_id=None if max_block_id is None else int(max_block_id),
             decoy_count=client_state["decoy_count"],
             secure=client_state["secure"],
             occurrences=occurrences,

@@ -96,15 +96,11 @@ class UpdateEngine:
         new_element.node_id = self._next_hosted_id()
 
         if sensitive:
-            block_id = self._next_block_id()
-            payload = self._encrypt_block(new_element, block_id)
+            block_id = self._hosted.allocate_block_id()
+            payload = self._write_block(new_element, block_id)
             placeholder = EncryptedBlockNode(block_id, payload)
             placeholder.node_id = new_element.node_id
             hosted_parent.append(placeholder)
-            self._hosted.blocks[block_id] = payload
-            self._hosted.set_block_tag(
-                block_id, self._keyring.block_tag(block_id, payload)
-            )
             self._hosted.placeholders[block_id] = placeholder
             self._hosted.structural_index.block_table[block_id] = interval
             key = self._keyring.tag_cipher.encrypt_tag(tag)
@@ -192,11 +188,7 @@ class UpdateEngine:
 
         new_element = Element(tag)
         new_element.append(Text(new_value))
-        payload = self._encrypt_block(new_element, block_id)
-        self._hosted.blocks[block_id] = payload
-        self._hosted.set_block_tag(
-            block_id, self._keyring.block_tag(block_id, payload)
-        )
+        payload = self._write_block(new_element, block_id)
         placeholder = self._hosted.placeholders[block_id]
         placeholder.payload = payload
         self._add_occurrence(tag, new_value, block_id)
@@ -244,12 +236,24 @@ class UpdateEngine:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _stamp(self) -> int:
+        """The epoch the write in progress commits as.
+
+        Every write ends in exactly one ``bump_epoch()``, and the epoch is
+        persisted with the freshness anchor, so no two writes — in this
+        process or after a reload — draw under the same stamp.
+        """
+        return self._hosted.epoch + 1
+
     def _allocate_child_interval(self, parent: IndexEntry) -> Interval:
         """Draw a fresh interval in the parent's trailing gap.
 
         The §5.1 construction leaves ``(max_N, parent.high)`` unused; we
         place the new child in the first part of whatever gap remains
         after the current last child, keeping room for further inserts.
+        The two weights come from this write's own stream: §5.1's weights
+        are secret, and a stream reopened per insert would put every
+        inserted child at the same two fractions of its gap.
         """
         children = sorted(
             (c.interval for c in parent.children), key=lambda i: i.high
@@ -259,7 +263,7 @@ class UpdateEngine:
         width = gap_high - gap_low
         if width <= 1e-12:
             raise UpdateError("no interval gap left under this parent")
-        stream = self._keyring.dsi_weight_stream()
+        stream = self._keyring.dsi_weight_stream(self._stamp())
         w1 = stream.uniform(0.05, 0.30)
         w2 = stream.uniform(0.35, 0.60)
         return Interval(gap_low + width * w1, gap_low + width * w2)
@@ -329,6 +333,7 @@ class UpdateEngine:
         if placeholder is not None and placeholder.parent is not None:
             placeholder.detach()
         hosted.blocks.pop(block_id, None)
+        hosted.block_stamps.pop(block_id, None)
         hosted.drop_block_tag(block_id)
         # Every entry of a block lies at or inside its representative
         # interval (the block root's).
@@ -350,14 +355,24 @@ class UpdateEngine:
                 hosted.occurrences[field_name] = kept
                 self._rebuild_field(field_name)
 
-    def _encrypt_block(self, subtree: Element, block_id: int) -> bytes:
-        inject_decoys(subtree, self._keyring.decoy_stream())
-        plaintext = serialize(subtree).encode("utf-8")
-        return cbc_encrypt(
-            self._keyring.block_cipher,
-            self._keyring.block_iv(block_id),
-            plaintext,
+    def _write_block(self, subtree: Element, block_id: int) -> bytes:
+        """Encrypt ``subtree`` as block ``block_id`` and store it.
+
+        IV and decoys are derived from ``(block_id, stamp)``: the id may
+        have held a payload before, the pair has not.  The stamp is kept
+        with the tag — it is what the client decrypts under.
+        """
+        keyring, hosted, stamp = self._keyring, self._hosted, self._stamp()
+        inject_decoys(subtree, keyring.decoy_stream(block_id, stamp))
+        payload = cbc_encrypt(
+            keyring.block_cipher,
+            keyring.block_iv(block_id, stamp),
+            serialize(subtree).encode("utf-8"),
         )
+        hosted.blocks[block_id] = payload
+        hosted.block_stamps[block_id] = stamp
+        hosted.set_block_tag(block_id, keyring.block_tag(block_id, payload))
+        return payload
 
     def _add_occurrence(self, field_name: str, value: str, block_id: int) -> None:
         self._hosted.occurrences.setdefault(field_name, []).append(
@@ -403,10 +418,6 @@ class UpdateEngine:
             self._keyring.ope,
         )
         hosted.value_index.trees[token] = rebuilt.trees[token]
-
-    def _next_block_id(self) -> int:
-        existing = self._hosted.blocks
-        return (max(existing) + 1) if existing else 1
 
     def _next_hosted_id(self) -> int:
         """Fresh hosted node id, from the database's high-water mark.

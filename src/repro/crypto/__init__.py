@@ -1,12 +1,13 @@
-"""From-scratch cryptographic primitives used by the reproduction.
+"""Cryptographic primitives used by the reproduction.
 
 The paper needs four cryptographic contracts, all implemented here without
 external crypto dependencies:
 
-* a collision-resistant hash / PRF for key derivation and deterministic
-  randomness — :mod:`repro.crypto.sha256` (FIPS 180-4) and
-  :mod:`repro.crypto.hmac` (RFC 2104), cross-checked against the standard
-  library in the test suite;
+* a keyed PRF for key derivation, integrity tags and deterministic
+  randomness — HMAC-SHA256 through the standard library's C
+  implementation (:mod:`repro.crypto.hmac`, :mod:`repro.crypto.prf`),
+  held to a from-scratch RFC 2104 / FIPS 180-4 transcription that lives
+  with the test suite;
 * a semantically secure block cipher for encryption blocks —
   :mod:`repro.crypto.aes` (FIPS-197 AES-128) with CBC/CTR modes and PKCS#7
   padding in :mod:`repro.crypto.modes`;
@@ -19,7 +20,6 @@ external crypto dependencies:
 of the above from a single master secret.
 """
 
-from repro.crypto.sha256 import sha256
 from repro.crypto.hmac import hmac_sha256
 from repro.crypto.prf import PRF, DeterministicRandom
 from repro.crypto.aes import AES128
@@ -35,7 +35,6 @@ from repro.crypto.ope import OrderPreservingEncryption
 from repro.crypto.keyring import ClientKeyring
 
 __all__ = [
-    "sha256",
     "hmac_sha256",
     "PRF",
     "DeterministicRandom",

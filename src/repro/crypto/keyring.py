@@ -12,6 +12,16 @@ key produces byte-identical ciphertext and metadata, which the test suite
 exploits, and which models the paper's setting where the client can always
 re-derive "the same keys used for the construction of the DSI index table"
 (§6.1) at query-translation time.
+
+Determinism must not mean *reuse*.  Hosting encrypts each block once, so
+an IV derived from the block id and one decoy stream are fresh there.  A
+write after hosting encrypts again — under a block id that already has a
+ciphertext on the server — so everything it draws is derived from the
+write's **stamp** as well: the epoch the write commits as, which is
+monotone, persisted with the freshness anchor and never repeats.
+:meth:`ClientKeyring.block_iv`, :meth:`ClientKeyring.decoy_stream` and
+:meth:`ClientKeyring.dsi_weight_stream` take it; a block hosting wrote has
+no stamp and keeps the id-only derivation.
 """
 
 from __future__ import annotations
@@ -21,6 +31,12 @@ from repro.crypto.hmac import derive_key, hmac_sha256
 from repro.crypto.ope import OrderPreservingEncryption
 from repro.crypto.prf import DeterministicRandom, PRF
 from repro.crypto.vernam import DeterministicTagCipher
+
+
+def _context(*ids: "int | None") -> list[str]:
+    """Derivation context naming a block and/or a write stamp; an absent
+    id (hosting has no stamp) contributes nothing."""
+    return [str(part) for part in ids if part is not None]
 
 
 class ClientKeyring:
@@ -33,7 +49,7 @@ class ClientKeyring:
         self._tag_cipher: DeterministicTagCipher | None = None
         self._ope: OrderPreservingEncryption | None = None
         self._block_cipher: AES128 | None = None
-        self._block_ivs: dict[int, bytes] = {}
+        self._block_ivs: dict[tuple[int, int | None], bytes] = {}
         self._block_mac_key: bytes | None = None
 
     @classmethod
@@ -64,12 +80,19 @@ class ClientKeyring:
         """
         return derive_key(self._master, "block")[:16]
 
-    def block_iv(self, block_id: int) -> bytes:
-        """Deterministic per-block CBC IV (memoized per block id)."""
-        cached = self._block_ivs.get(block_id)
+    def block_iv(self, block_id: int, stamp: int | None = None) -> bytes:
+        """Per-block CBC IV, memoized per ``(block id, stamp)``.
+
+        ``stamp`` is the epoch the block's payload was written at, from
+        ``HostedDatabase.block_stamps``; ``None`` for a block still
+        holding the payload hosting gave it.
+        """
+        cached = self._block_ivs.get((block_id, stamp))
         if cached is None:
-            cached = derive_key(self._master, "block-iv", str(block_id))[:16]
-            self._block_ivs[block_id] = cached
+            cached = derive_key(
+                self._master, "block-iv", *_context(block_id, stamp)
+            )[:16]
+            self._block_ivs[block_id, stamp] = cached
         return cached
 
     def flush_memoized(self) -> None:
@@ -136,13 +159,30 @@ class ClientKeyring:
     # ------------------------------------------------------------------
     # Deterministic randomness streams
     # ------------------------------------------------------------------
-    def dsi_weight_stream(self) -> DeterministicRandom:
-        """Stream of DSI gap weights w1, w2 ∈ (0, 0.5) (§5.1)."""
-        return DeterministicRandom(derive_key(self._master, "dsi-weights"))
+    def dsi_weight_stream(
+        self, stamp: int | None = None
+    ) -> DeterministicRandom:
+        """Stream of DSI gap weights w1, w2 ∈ (0, 0.5) (§5.1).
 
-    def decoy_stream(self) -> DeterministicRandom:
-        """Stream of random decoy values (§4.1)."""
-        return DeterministicRandom(derive_key(self._master, "decoys"))
+        Without a stamp, hosting's stream; with one, the stream of the
+        one insert that commits as epoch ``stamp``.
+        """
+        return DeterministicRandom(
+            derive_key(self._master, "dsi-weights", *_context(stamp))
+        )
+
+    def decoy_stream(
+        self, block_id: int | None = None, stamp: int | None = None
+    ) -> DeterministicRandom:
+        """Stream of random decoy values (§4.1).
+
+        Without arguments, hosting's stream, drawn from block after
+        block; ``decoy_stream(block_id, stamp)`` is the stream of one
+        block written after hosting.
+        """
+        return DeterministicRandom(
+            derive_key(self._master, "decoys", *_context(block_id, stamp))
+        )
 
     def opess_stream(self, field: str) -> DeterministicRandom:
         """Per-field stream for OPESS splitting weights and scale factors."""

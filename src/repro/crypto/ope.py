@@ -26,7 +26,7 @@ from __future__ import annotations
 from struct import pack as _pack
 from typing import Iterable
 
-from repro.crypto.siphash import SipPRF
+from repro.crypto.prf import PRF
 
 
 class OrderPreservingEncryption:
@@ -53,10 +53,12 @@ class OrderPreservingEncryption:
             raise ValueError("domain_bits must be in [4, 60]")
         if expansion_bits < 2 or expansion_bits > 32:
             raise ValueError("expansion_bits must be in [2, 32]")
-        # One PRF evaluation per sampled rectangle.  SipHash-2-4 is what
-        # the hosted ciphertexts were drawn with; changing the PRF changes
-        # every value-index key (ROADMAP item 1 weighs that).
-        self._prf = SipPRF(key)
+        # One PRF evaluation per sampled rectangle, 64 bits of it.  The
+        # PRF is what every value-index key is drawn with: changing it
+        # changes them all, which is why a hosting saved in format 2 (a
+        # different PRF) has its value index rebuilt at load
+        # (:mod:`repro.core.storage`).
+        self._prf = PRF(key)
         self._domain_bits = domain_bits
         self.domain_size = 1 << domain_bits
         self.range_size = 1 << (domain_bits + expansion_bits)

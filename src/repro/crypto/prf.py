@@ -16,17 +16,24 @@ translation on the client line up with the index on the server.
 
 from __future__ import annotations
 
-from repro.crypto.hmac import hmac_sha256
+from hmac import digest as _hmac_digest
 
 
 class PRF:
-    """A keyed pseudo-random function ``bytes -> 32 bytes``."""
+    """A keyed pseudo-random function ``bytes -> 32 bytes``.
+
+    HMAC-SHA256 through the standard library's C-backed ``hmac.digest`` —
+    the function :func:`~repro.crypto.hmac.hmac_sha256` wraps for key
+    derivation, per-block IVs and integrity tags, called here without the
+    wrapper's argument checks: hosting evaluates it once per OPE rectangle
+    and once per 32 stream bytes, some twenty thousand times.
+    """
 
     def __init__(self, key: bytes) -> None:
         self._key = bytes(key)
 
     def __call__(self, message: bytes) -> bytes:
-        return hmac_sha256(self._key, message)
+        return _hmac_digest(self._key, message, "sha256")
 
     def integer(self, message: bytes, bits: int = 64) -> int:
         """PRF output truncated to an unsigned ``bits``-bit integer."""
@@ -41,24 +48,23 @@ class DeterministicRandom:
 
     The stream is a function of ``(key, stream_label)`` only.  Distinct
     labels give independent streams from the same key, which is how the
-    keyring hands out per-purpose randomness.  The stream cipher is
-    SipHash-2-4 in counter mode (the key is folded with the label through
-    HMAC-SHA256 first), trading the hash's conservative margin for the
-    ~50× speed the hosting pipeline needs from its weight/decoy streams.
+    keyring hands out per-purpose randomness.  The key is folded with the
+    label once; block ``i`` of the stream is the whole 32-byte
+    HMAC-SHA256 of the counter ``i`` under the folded key.
     """
 
     def __init__(self, key: bytes, stream_label: str = "") -> None:
-        from repro.crypto.siphash import SipPRF
-
-        folded = hmac_sha256(key, b"drbg:" + stream_label.encode("utf-8"))
-        self._prf = SipPRF(folded[:16])
+        self._key = _hmac_digest(
+            key, b"drbg:" + stream_label.encode("utf-8"), "sha256"
+        )
         self._counter = 0
         self._buffer = b""
 
     def _refill(self) -> None:
-        block = self._prf.block(self._counter.to_bytes(8, "big"))
+        self._buffer += _hmac_digest(
+            self._key, self._counter.to_bytes(8, "big"), "sha256"
+        )
         self._counter += 1
-        self._buffer += block
 
     def bytes(self, count: int) -> bytes:
         """Next ``count`` bytes of the stream."""

@@ -8,6 +8,8 @@
   Theorems 4.1, 5.1 and 5.2 (big-integer arithmetic).
 * :mod:`repro.security.belief` — the attacker-belief tracker of
   Definition 3.5 / Theorem 6.1.
+* :mod:`repro.security.nonce_reuse` — the update-trace attacker: a
+  shared-prefix distinguisher over the ciphertexts a write replaces.
 """
 
 from repro.security.attacks import FrequencyAttack, SizeAttack

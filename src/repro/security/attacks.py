@@ -12,7 +12,14 @@ of the tag distribution or value correlations.  Two attacks are modelled:
     construction every ciphertext has frequency 1 (database side), and
     against OPESS every ciphertext frequency is in {m−1, m, m+1} scaled by
     secret factors (index side), so the attack degrades to guessing among
-    the Theorem 4.1 / 5.2 candidate sets.
+    the Theorem 4.1 / 5.2 candidate sets.  What :meth:`FrequencyAttack.run`
+    reports as *cracked* is a **claim** — a unique-frequency value met by
+    exactly one ciphertext count.  Against randomly scaled counts such a
+    meeting is a coincidence that some master keys draw and others do
+    not, so a claim is only attacker success when it names the right
+    ciphertext: :func:`correctly_cracked` adjudicates with the owner's
+    keys, and :func:`frequency_attack_over_keys` sums claims, correct
+    claims and the chance rate over many hostings.
 
 :class:`SizeAttack`
     Eliminate candidate databases whose encryption has a different size
@@ -26,8 +33,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
+from repro.core.opess import chunk_ciphertexts
+from repro.crypto.hmac import derive_key
 from repro.security.counting import database_candidates
+from repro.xmldb.node import EncryptedBlockNode
+from repro.xmldb.serializer import serialize
+from repro.xmldb.stats import value_frequencies
 
 
 @dataclass
@@ -186,6 +199,162 @@ def ciphertext_block_histogram(hosted, field_token: str) -> Counter:
         if payload is not None:
             histogram[payload] += len(entry.member_ids)
     return histogram
+
+
+def correctly_cracked(system, report: AttackReport) -> int:
+    """How many of the report's claimed cracks name the right ciphertext.
+
+    A frequency match can assert a value→ciphertext mapping with false
+    certainty (a partial per-shard view, or OPESS counts that happen to
+    coincide); only a mapping that is *true* is attacker advantage.  The
+    caller holds the client keys, so it can adjudicate: a claimed block
+    payload must decrypt to the value, a claimed value-index key must be
+    one of the value's chunk ciphertexts under the field's plan.
+    """
+    hosted = system.hosted
+    correct = 0
+    for value, ciphertext in report.cracked.items():
+        if isinstance(ciphertext, int):
+            plan = hosted.field_plans[report.field]
+            correct += ciphertext in chunk_ciphertexts(
+                plan, value, system.keyring.ope
+            )
+            continue
+        block_id = next(
+            (i for i, stored in hosted.blocks.items() if stored == ciphertext),
+            None,
+        )
+        if block_id is None:
+            continue
+        subtree = system.client.decrypt_fragment(
+            serialize(EncryptedBlockNode(block_id, ciphertext))
+        )
+        correct += any(
+            getattr(node, "text_value", lambda: None)() == value
+            for node in subtree.iter()
+        )
+    return correct
+
+
+@dataclass(frozen=True)
+class CrackTally:
+    """Frequency-attack claims on one design of one field, over hostings."""
+
+    #: hostings (master keys) summed over
+    hostings: int
+    #: plaintext values in the field
+    domain_size: int
+    #: value→ciphertext matches the attack asserted
+    claimed: int
+    #: of those, matches that name the right ciphertext
+    correct: int
+    #: expected correct matches had each claim named one of the field's
+    #: observed ciphertexts uniformly at random
+    chance: float
+
+    @property
+    def correct_fraction(self) -> float:
+        """Plaintext values truly recovered, per value per hosting."""
+        total = self.hostings * self.domain_size
+        return self.correct / total if total else 0.0
+
+
+
+def sweep_keys(count: int) -> list[bytes]:
+    """``count`` independent master keys for an across-key experiment."""
+    return [
+        derive_key(b"frequency-attack-key-sweep", str(index))
+        for index in range(count)
+    ]
+
+
+def frequency_attack_over_keys(
+    document, constraints, master_keys: Iterable[bytes]
+) -> dict[str, dict[str, CrackTally]]:
+    """Mount the frequency attack on three designs under every key.
+
+    For each master key the document is hosted as the §4.1 strawman
+    (``leaf`` scheme, ``secure=False``), as the same leaf scheme with
+    decoys, and as the production ``opt`` hosting whose OPESS value index
+    is attacked; returns ``{field: {design: CrackTally}}`` — designs
+    ``"strawman"``, ``"decoys"``, ``"opess"`` — over the fields all three
+    protect.  One draw of one key says little — whether
+    a scaled OPESS count lands on a unique plaintext frequency is a coin
+    the key flips — so claims are scored for correctness and summed.
+    """
+    from repro.core.system import SecureXMLSystem
+
+    prior = value_frequencies(document)
+    sums: dict[str, dict[str, list]] = {}
+    hostings = 0
+    for master_key in master_keys:
+        hostings += 1
+        systems = {
+            "strawman": SecureXMLSystem.host(
+                document, constraints, scheme="leaf", secure=False,
+                master_key=master_key,
+            ),
+            "decoys": SecureXMLSystem.host(
+                document, constraints, scheme="leaf", master_key=master_key
+            ),
+            "opess": SecureXMLSystem.host(
+                document, constraints, scheme="opt", master_key=master_key
+            ),
+        }
+        try:
+            fields = sorted(
+                set.intersection(
+                    *(set(s.hosted.field_plans) for s in systems.values())
+                )
+            )
+            for field in fields:
+                attack = FrequencyAttack(prior[field])
+                for design, system in systems.items():
+                    hosted = system.hosted
+                    token = hosted.field_tokens[field]
+                    # ``right[value]``: how many observed ciphertexts a
+                    # claim about ``value`` could correctly name.
+                    if design == "opess":
+                        histogram = hosted.value_index.ciphertext_histogram(
+                            token
+                        )
+                        chunk_plan = hosted.field_plans[field].chunk_plan
+                        right = {v: len(c) for v, c in chunk_plan.items()}
+                    else:
+                        histogram = ciphertext_block_histogram(hosted, token)
+                        # Leaf blocks: equal values share one payload
+                        # without decoys and none with them.
+                        right = (
+                            prior[field]
+                            if hosted.secure
+                            else dict.fromkeys(prior[field], 1)
+                        )
+                    report = attack.run(histogram, field)
+                    tally = sums.setdefault(field, {}).setdefault(
+                        design, [0, 0, 0.0]
+                    )
+                    tally[0] += len(report.cracked)
+                    tally[1] += correctly_cracked(system, report)
+                    tally[2] += sum(
+                        right[value] / len(histogram)
+                        for value in report.cracked
+                    )
+        finally:
+            for system in systems.values():
+                system.close()
+    return {
+        field: {
+            design: CrackTally(
+                hostings=hostings,
+                domain_size=len(prior[field]),
+                claimed=claimed,
+                correct=correct,
+                chance=chance,
+            )
+            for design, (claimed, correct, chance) in by_design.items()
+        }
+        for field, by_design in sums.items()
+    }
 
 
 class SizeAttack:

@@ -8,4 +8,6 @@
   generator (the paper's real dataset) with the Figure 8(b) constraint
   graph.
 * :mod:`repro.workloads.queries` — the Qs / Qm / Ql query classes of §7.1.
+* :mod:`repro.workloads.rng` — the seeded stream all of the above draw
+  from, kept apart from the keyring's so that documents never move with it.
 """

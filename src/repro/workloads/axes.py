@@ -11,14 +11,14 @@ returns nothing exercises very little.
 Determinism matters twice over: the differential sweep replays the same
 queries across cluster shapes, and the leakage tier
 asserts trace determinism per query.  Everything is derived from the
-document plus a seeded :class:`~repro.crypto.prf.DeterministicRandom`.
+document plus a seeded :class:`~repro.workloads.rng.WorkloadRandom`.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 
-from repro.crypto.prf import DeterministicRandom
+from repro.workloads.rng import WorkloadRandom
 from repro.xmldb.node import Document, Element
 
 #: Axes the generator emits query shapes for — all thirteen.
@@ -46,7 +46,7 @@ class AxisWorkload:
         self, document: Document, seed: int = 7, per_axis: int = 3
     ) -> None:
         self._document = document
-        self._rng = DeterministicRandom(
+        self._rng = WorkloadRandom(
             seed.to_bytes(8, "big").rjust(16, b"\x00"), "axes"
         )
         self._per_axis = per_axis

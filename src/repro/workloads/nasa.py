@@ -11,7 +11,7 @@ Figure 8(b) constraint graph: ``initial``, ``last``, ``date``,
 from __future__ import annotations
 
 from repro.core.constraints import SecurityConstraint, parse_constraints
-from repro.crypto.prf import DeterministicRandom
+from repro.workloads.rng import WorkloadRandom
 from repro.xmldb.builder import TreeBuilder
 from repro.xmldb.node import Document
 
@@ -45,7 +45,7 @@ def build_nasa_database(
     dataset_count: int = 150, seed: int = 2
 ) -> Document:
     """Generate a deterministic NASA-like document (~20 nodes per dataset)."""
-    rng = DeterministicRandom(
+    rng = WorkloadRandom(
         seed.to_bytes(8, "big").rjust(16, b"\x00"), "nasa"
     )
     builder = TreeBuilder("datasets")
@@ -55,7 +55,7 @@ def build_nasa_database(
 
 
 def _add_dataset(
-    builder: TreeBuilder, rng: DeterministicRandom, index: int
+    builder: TreeBuilder, rng: WorkloadRandom, index: int
 ) -> None:
     with builder.element("dataset", subject=rng.choice(_SUBJECTS)):
         builder.leaf(

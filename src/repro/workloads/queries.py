@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from repro.crypto.prf import DeterministicRandom
+from repro.workloads.rng import WorkloadRandom
 from repro.xmldb.node import Attribute, Document, Element
 from repro.xmldb.stats import depth as document_depth
 
@@ -53,7 +53,7 @@ def _leaf_paths(document: Document) -> set[tuple[str, ...]]:
 
 
 def _sample_value(
-    document: Document, field: str, rng: DeterministicRandom
+    document: Document, field: str, rng: WorkloadRandom
 ) -> str | None:
     """A real value of a leaf field, for predicate queries."""
     values = []
@@ -71,7 +71,7 @@ def _sample_value(
 
 
 def _path_to_query(
-    path: tuple[str, ...], rng: DeterministicRandom
+    path: tuple[str, ...], rng: WorkloadRandom
 ) -> str:
     """Render a tag path as an XPath query, mixing / and // separators."""
     if len(path) == 1:
@@ -95,7 +95,7 @@ class QueryWorkload:
         predicate_fraction: float = 0.3,
     ) -> None:
         self._document = document
-        self._rng = DeterministicRandom(
+        self._rng = WorkloadRandom(
             seed.to_bytes(8, "big").rjust(16, b"\x00"), "queries"
         )
         self._per_class = per_class

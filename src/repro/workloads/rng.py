@@ -1,38 +1,34 @@
-"""SipHash-2-4, implemented from the Aumasson–Bernstein specification.
+"""The workload generators' random stream: SipHash-2-4 in counter mode.
 
-SipHash is a keyed pseudo-random function designed for short inputs.  The
-reproduction uses it as the PRF under the OPE function (one call per
-bisection rectangle it samples) and under the deterministic randomness
-streams (DSI weights, decoys, OPESS weights and scales).  It was chosen when
-HMAC-SHA256 here was four pure-Python SHA-256 compressions per call; since
-``repro.crypto.hmac.hmac_sha256`` became the C-backed ``hmac.digest`` that is
-no longer true — on a 32-byte message the HMAC is ~2 µs and this pure-Python
-SipHash ~16 µs.  It stays because every hosted ciphertext, interval and
-decoy was drawn with it: swapping the PRF changes hosted bytes
-(``tests/test_hosted_bytes_pinned.py``), which is a decision of its own
-(ROADMAP item 1).  HMAC-SHA256 remains the key-derivation PRF; SipHash keys
-are derived from it, so the hierarchy is still rooted in the hash.
+The XMark / NASA documents, the §7.1 query classes and the axis shapes are
+drawn from a seeded stream, and a ``(size, seed)`` pair has to keep naming
+the same document: every table in EXPERIMENTS.md describes these documents
+and the benchmark gate compares two commits on them.  The generators are
+not cryptography, so they do not follow the keyring when its PRF changes.
+:class:`WorkloadRandom` is :class:`~repro.crypto.prf.DeterministicRandom`
+with its own refill — eight bytes of SipHash-2-4 per counter value, keyed
+by the first half of the folded key — and ``tests/test_workloads.py`` pins
+the documents and query sets it draws.
 
-Verified against the reference test vectors from the SipHash paper in the
-test suite.
+SipHash-2-4 is implemented from the Aumasson–Bernstein specification and
+verified against the paper's reference vectors in the test suite.  Nothing
+outside ``repro/workloads/`` imports this module
+(``tests/test_api_surface.py``).
 """
 
 from __future__ import annotations
 
+from repro.crypto.prf import DeterministicRandom
+
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-
-
-def _rotl(value: int, amount: int) -> int:
-    return ((value << amount) | (value >> (64 - amount))) & _MASK64
 
 
 def siphash24(key: bytes, message: bytes) -> int:
     """SipHash-2-4 of ``message`` under a 16-byte key; returns a 64-bit int.
 
-    The compression rounds are manually unrolled with local variables —
-    hosting spends most of its time here (one call per OPE rectangle
-    sampled, one per eight stream bytes), and closure/function-call
-    overhead in pure Python would roughly triple its cost.
+    The compression rounds are manually unrolled with local variables:
+    closure/function-call overhead in pure Python would roughly triple
+    the cost of building a document.
     """
     if len(key) != 16:
         raise ValueError("SipHash requires a 16-byte key")
@@ -101,3 +97,11 @@ class SipPRF:
     def block(self, message: bytes) -> bytes:
         """8-byte PRF output (for keystream-style uses)."""
         return siphash24(self._key, message).to_bytes(8, "little")
+
+
+class WorkloadRandom(DeterministicRandom):
+    """The generators' stream: ``DeterministicRandom`` refilled by SipHash."""
+
+    def _refill(self) -> None:
+        self._buffer += SipPRF(self._key).block(self._counter.to_bytes(8, "big"))
+        self._counter += 1

@@ -12,7 +12,7 @@ value distributions so OPESS has something to flatten.
 from __future__ import annotations
 
 from repro.core.constraints import SecurityConstraint, parse_constraints
-from repro.crypto.prf import DeterministicRandom
+from repro.workloads.rng import WorkloadRandom
 from repro.xmldb.builder import TreeBuilder
 from repro.xmldb.node import Document
 
@@ -52,7 +52,7 @@ def build_xmark_database(
     auction noise); the same (count, seed) pair always yields the same
     tree.
     """
-    rng = DeterministicRandom(
+    rng = WorkloadRandom(
         seed.to_bytes(8, "big").rjust(16, b"\x00"), "xmark"
     )
     builder = TreeBuilder("site")
@@ -69,7 +69,7 @@ def build_xmark_database(
 
 
 def _add_person(
-    builder: TreeBuilder, rng: DeterministicRandom, index: int
+    builder: TreeBuilder, rng: WorkloadRandom, index: int
 ) -> None:
     first = rng.choice(_FIRST_NAMES)
     last = rng.choice(_LAST_NAMES)

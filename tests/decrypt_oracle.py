@@ -168,10 +168,16 @@ class OracleDecryptor:
     ) -> list[Element]:
         block_iv = self._keyring.block_iv
         secure = self._secure
+        stamps = self._hosted.block_stamps
         plaintexts = cbc_decrypt_many(
             self._keyring.block_cipher,
             [
-                (block_iv(block_id if secure else 0), payload)
+                (
+                    block_iv(block_id, stamps.get(block_id))
+                    if secure
+                    else block_iv(0),
+                    payload,
+                )
                 for block_id, payload in blocks
             ],
         )

@@ -1,12 +1,9 @@
-"""SHA-256, implemented from the FIPS 180-4 specification.
+"""SHA-256 (FIPS 180-4) and HMAC-SHA256 (RFC 2104), transcribed from the specs.
 
-This is the root primitive of the reproduction's crypto stack: HMAC, the
-PRF/PRG, key derivation and the order-preserving encryption function are all
-built on it.  The test suite cross-checks the implementation against
-``hashlib.sha256`` on fixed vectors and hypothesis-generated inputs.
-
-The implementation favours clarity over speed (it is pure Python); the hot
-paths of the system cache derived keys so the hash is not a bottleneck.
+The readable reference ``repro.crypto.hmac.hmac_sha256`` — the C-backed
+``hmac.digest`` every consumer calls — is tested against, beside
+``ReferenceAES128`` in ``test_crypto_fastpath.py``.  Pure Python, clarity
+over speed; nothing at run time calls it.
 """
 
 from __future__ import annotations
@@ -105,3 +102,25 @@ def sha256(message: bytes) -> bytes:
 def sha256_hex(message: bytes) -> str:
     """Hex digest convenience wrapper."""
     return sha256(message).hex()
+
+
+_BLOCK_SIZE = 64  # SHA-256 block size in bytes
+
+
+def hmac_sha256_spec(key: bytes, message: bytes) -> bytes:
+    """HMAC-SHA256 transcribed from RFC 2104 over the from-scratch SHA-256.
+
+    Byte-identical to ``repro.crypto.hmac.hmac_sha256``; the reference the
+    fast path is tested against.
+    """
+    for argument, name in ((key, "key"), (message, "message")):
+        if not isinstance(argument, (bytes, bytearray)):
+            raise TypeError(f"hmac {name} must be bytes")
+    key = bytes(key)
+    if len(key) > _BLOCK_SIZE:
+        key = sha256(key)
+    key = key.ljust(_BLOCK_SIZE, b"\x00")
+
+    inner_pad = bytes(byte ^ 0x36 for byte in key)
+    outer_pad = bytes(byte ^ 0x5C for byte in key)
+    return sha256(outer_pad + sha256(inner_pad + bytes(message)))

@@ -291,3 +291,41 @@ def test_no_module_of_the_package_imports_a_name_it_never_uses():
                     pass  # prose, not an annotation
         unused += [f"{path}:{n} {name}" for name, n in imported.items() if name not in used]
     assert not unused, unused
+
+
+def test_cryptography_and_generators_do_not_import_each_other():
+    """Format 3's layering, where it can be checked offline: nothing under
+    ``repro/crypto`` or ``repro/core`` imports ``repro.workloads`` or
+    anything named ``siphash`` (the hosted bytes have one PRF and no
+    switch), and the generators' stream, ``repro.workloads.rng``, is
+    imported only from ``repro/workloads/`` (the documents have one too)."""
+    import ast
+    import pathlib
+
+    import repro
+
+    package = pathlib.Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        layer = path.relative_to(package).parts[0]
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                imported = [module] + [
+                    f"{module}.{alias.name}" for alias in node.names
+                ]
+            else:
+                continue
+            for name in imported:
+                if layer in ("crypto", "core") and (
+                    name.startswith("repro.workloads")
+                    or "siphash" in name.lower()
+                ):
+                    offenders.append(f"{path}:{node.lineno} imports {name}")
+                if layer != "workloads" and name.startswith(
+                    "repro.workloads.rng"
+                ):
+                    offenders.append(f"{path}:{node.lineno} imports {name}")
+    assert not offenders, offenders

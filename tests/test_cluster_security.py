@@ -21,13 +21,12 @@ from repro.core.system import SecureXMLSystem
 from repro.security.attacks import (
     FrequencyAttack,
     ciphertext_block_histogram,
+    correctly_cracked,
 )
 from repro.security.indistinguishability import (
     indistinguishable,
     permute_field_values,
 )
-from repro.xmldb.node import EncryptedBlockNode
-from repro.xmldb.serializer import serialize
 from repro.xmldb.stats import value_frequencies
 
 SHARDS = 3
@@ -45,33 +44,6 @@ def run_attack(document, view, token):
     fields = value_frequencies(document)
     attack = FrequencyAttack(fields[FIELD])
     return attack.run(ciphertext_block_histogram(view, token), FIELD)
-
-
-def correctly_cracked(system, report) -> int:
-    """How many of the report's claimed cracks are actually *true*.
-
-    A frequency match against a partial (per-shard) view can assert a
-    value→ciphertext mapping with false certainty; only a mapping whose
-    block really decrypts to the claimed value is attacker advantage.
-    The test holds the client keys, so it can adjudicate.
-    """
-    correct = 0
-    for value, payload in report.cracked.items():
-        for block_id, stored in system.hosted.blocks.items():
-            if stored != payload:
-                continue
-            subtree = system.client.decrypt_fragment(
-                serialize(EncryptedBlockNode(block_id, payload))
-            )
-            texts = {
-                text
-                for node in subtree.iter()
-                if (text := getattr(node, "text_value", lambda: None)())
-            }
-            if value in texts:
-                correct += 1
-            break
-    return correct
 
 
 class TestShardedFrequencyAttack:

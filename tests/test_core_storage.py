@@ -1,5 +1,6 @@
 """Tests for saving and loading hosted systems."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -10,9 +11,11 @@ import pytest
 from repro.core.client import canonical_node
 from repro.core.storage import StorageError, load_system, save_system
 from repro.core.system import SecureXMLSystem
+from repro.workloads.axes import AxisWorkload
 from repro.workloads.nasa import build_nasa_database
 from repro.xmldb.node import Element, Text
 from repro.xpath.evaluator import evaluate
+from updates_oracle import write_plaintext
 
 MASTER = b"storage-test-master-key-32bytes!"
 
@@ -21,6 +24,27 @@ MASTER = b"storage-test-master-key-32bytes!"
 #: (``columns.json`` / ``columns.bin``, listed in its manifest).
 PARENT_FORMAT_HOSTING = os.path.join(
     os.path.dirname(__file__), "fixtures", "hosting_saved_by_pr17"
+)
+
+#: The same, saved by PR 19 (``bdcff64``, the last version-2 writer) after
+#: ``PR19_WRITES`` — so it holds a block rewritten under the IV its first
+#: payload used, and a block whose id was ``max(existing) + 1``.
+WRITTEN_PARENT_FORMAT_HOSTING = os.path.join(
+    os.path.dirname(__file__), "fixtures", "hosting_saved_by_pr19"
+)
+PR19_WRITES = (
+    ("insert_element", "//patient[pname='Matt']/treat", "disease", "measles"),
+    ("update_value", "//patient[pname='Betty']/SSN", "111222"),
+    (
+        "delete_element",
+        "//patient[pname='Betty']/treat[doctor='Walker']/disease",
+    ),
+)
+PR19_QUERIES = (
+    "//patient[SSN='111222']/pname",
+    "//treat[disease='measles']/doctor",
+    "//treat[disease='diarrhea']/doctor",
+    "//patient[SSN>200000]/pname",
 )
 
 QUERIES = (
@@ -183,23 +207,62 @@ class TestSaveWithLiveInsert:
         assert expected  # the last query is not vacuous
 
 
+def _write_marker(directory, name, version):
+    """Set one file's ``version`` and re-list it in the manifest."""
+    path = Path(directory, name)
+    meta = json.loads(path.read_text())
+    meta["version"] = version
+    path.write_text(json.dumps(meta))
+    manifest_path = Path(directory, "manifest.json")
+    manifest = json.loads(manifest_path.read_text())
+    manifest["files"][name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+
+
 class TestParentFormatHosting:
-    """Load is driven by the files the manifest *lists*: the column files
-    of an older save are digest-checked, then ignored."""
+    """Version-2 directories — written when OPE and every stream drew from
+    another PRF, and a rewritten block reused its id's IV — still load.
+
+    Load is driven by the files the manifest *lists* (the column files of
+    PR 17's save are digest-checked, then ignored) and by the version
+    marker: a version-2 value index is rebuilt from ``occurrences`` under
+    the current OPE instead of being read, because its keys pair with
+    field plans this code can no longer derive.
+    """
+
+    def _answers_like_a_fresh_hosting(self, loaded, document, constraints):
+        fresh = SecureXMLSystem.host(
+            document, constraints, scheme="opt", master_key=MASTER
+        )
+        queries = [*AxisWorkload(document).queries(), *QUERIES, *PR19_QUERIES]
+        answered = 0
+        for query in queries:
+            expected = fresh.query(query).canonical()
+            assert loaded.query(query).canonical() == expected, query
+            assert expected == sorted(
+                canonical_node(n) for n in evaluate(document, query)
+            ), query
+            answered += bool(expected)
+        assert answered > len(queries) // 2
+        # The rebuilt value index holds the keys a fresh hosting draws
+        # (block ids are the hosting's own numbering).
+        assert {
+            token: [key for key, _ in tree.items()]
+            for token, tree in loaded.hosted.value_index.trees.items()
+        } == {
+            token: [key for key, _ in tree.items()]
+            for token, tree in fresh.hosted.value_index.trees.items()
+        }
 
     def test_loads_answers_resaves_and_still_checks_every_listed_file(
         self, tmp_path, healthcare_doc, healthcare_scs
     ):
         directory = str(tmp_path / "parent")
         shutil.copytree(PARENT_FORMAT_HOSTING, directory)
-        fresh = SecureXMLSystem.host(
-            healthcare_doc, healthcare_scs, scheme="opt", master_key=MASTER
-        )
-        expected = [fresh.query(query).canonical() for query in QUERIES]
-        assert all(expected)
-
         loaded = load_system(directory, MASTER)
-        assert [loaded.query(q).canonical() for q in QUERIES] == expected
+        self._answers_like_a_fresh_hosting(loaded, healthcare_doc, healthcare_scs)
+        expected = [loaded.query(query).canonical() for query in QUERIES]
+        assert all(expected)
 
         resaved = str(tmp_path / "resaved")
         save_system(loaded, resaved)
@@ -208,12 +271,24 @@ class TestParentFormatHosting:
             [*data_files, "manifest.json"]
         )
         with open(os.path.join(resaved, "manifest.json")) as f:
-            assert sorted(json.load(f)["files"]) == data_files
-        for name in data_files:
-            assert (
-                Path(resaved, name).read_bytes()
-                == Path(directory, name).read_bytes()
-            ), name
+            manifest = json.load(f)
+        assert sorted(manifest["files"]) == data_files
+        # Ciphertext and intervals are carried over byte for byte; what
+        # moves is the version marker and the value-index keys.
+        assert (
+            Path(resaved, "hosted.xml").read_bytes()
+            == Path(directory, "hosted.xml").read_bytes()
+        )
+        old_meta = json.loads(Path(directory, "server_meta.json").read_text())
+        new_meta = json.loads(Path(resaved, "server_meta.json").read_text())
+        assert (old_meta["version"], new_meta["version"]) == (2, 3)
+        assert manifest["version"] == 3
+        assert json.loads(Path(resaved, "client_state.json").read_text())[
+            "version"
+        ] == 3
+        assert new_meta["dsi"] == old_meta["dsi"]
+        assert new_meta["block_table"] == old_meta["block_table"]
+        assert new_meta["value_index"] != old_meta["value_index"]
         reloaded = load_system(resaved, MASTER)
         assert [reloaded.query(q).canonical() for q in QUERIES] == expected
 
@@ -224,3 +299,55 @@ class TestParentFormatHosting:
         with pytest.raises(StorageError) as excinfo:
             load_system(directory, MASTER)
         assert "columns.bin" in str(excinfo.value)
+
+    def test_a_hosting_written_to_under_the_old_iv_rule_loads_and_takes_writes(
+        self, tmp_path, healthcare_doc, healthcare_scs
+    ):
+        """PR 19's save after one insert, one ``update_value`` and one
+        delete: block 1 (Betty's SSN) was re-encrypted under its id's IV,
+        block 8 (the inserted disease) took ``max(existing) + 1``."""
+        directory = str(tmp_path / "written")
+        shutil.copytree(WRITTEN_PARENT_FORMAT_HOSTING, directory)
+        for method, xpath, *args in PR19_WRITES:
+            write_plaintext(healthcare_doc, method, xpath, *args)
+        loaded = load_system(directory, MASTER)
+        assert loaded.hosted.block_stamps == {}
+        assert loaded.hosted.epoch == len(PR19_WRITES)
+        self._answers_like_a_fresh_hosting(loaded, healthcare_doc, healthcare_scs)
+
+        # A further write on the already-rewritten block: stamped, so its
+        # IV is not the one both of the block's earlier payloads used.
+        before = loaded.hosted.blocks[1]
+        loaded.update_value("//patient[pname='Betty']/SSN", "111333")
+        assert loaded.hosted.block_stamps == {1: len(PR19_WRITES) + 1}
+        assert loaded.hosted.blocks[1][:16] != before[:16]
+        assert loaded.query("//patient[SSN='111333']/pname").values() == ["Betty"]
+        loaded.insert_element("//patient[pname='Betty']", "SSN", "999000")
+        assert max(loaded.hosted.blocks) == 9
+
+        resaved = str(tmp_path / "resaved")
+        save_system(loaded, resaved)
+        state = json.loads(Path(resaved, "client_state.json").read_text())
+        assert state["version"] == 3
+        assert state["block_stamps"] == {"1": 4, "9": 5}
+        assert state["max_block_id"] == 9
+        reloaded = load_system(resaved, MASTER)
+        assert reloaded.hosted.block_stamps == {1: 4, 9: 5}
+        assert sorted(reloaded.query("//SSN").values()) == [
+            "111333", "276543", "999000",
+        ]
+
+    @pytest.mark.parametrize("version", [1, 4])
+    @pytest.mark.parametrize(
+        "name", ["server_meta.json", "client_state.json"]
+    )
+    def test_any_other_version_marker_is_refused_by_name(
+        self, tmp_path, name, version
+    ):
+        directory = str(tmp_path / "marked")
+        shutil.copytree(WRITTEN_PARENT_FORMAT_HOSTING, directory)
+        _write_marker(directory, name, version)
+        with pytest.raises(StorageError) as excinfo:
+            load_system(directory, MASTER)
+        assert name in str(excinfo.value)
+        assert f"version {version}" in str(excinfo.value)

@@ -45,6 +45,39 @@ class TestIntervalAllocation:
                 assert newest.interval.low > previous_high
             previous_high = newest.interval.high
 
+    def test_two_inserts_under_one_parent_draw_different_weights(
+        self, engine_and_hosted
+    ):
+        """§5.1's gap weights are known only to the client.  A stream
+        reopened per insert put every inserted child at the same two
+        fractions of its gap — the first two draws of the stream hosting
+        used for the root — so each insert draws from its own stamp's."""
+        engine, hosted = engine_and_hosted
+        parent = hosted.structural_index.lookup("patient")[0]
+        hosting_stream = engine._keyring.dsi_weight_stream()
+        hosting_weights = (
+            hosting_stream.uniform(0.05, 0.30),
+            hosting_stream.uniform(0.35, 0.60),
+        )
+        weights = []
+        for index in range(6):
+            children = [c.interval.high for c in parent.children]
+            gap_low = max(children)
+            width = parent.interval.high - gap_low
+            engine.insert_element(parent, "note", f"n{index}")
+            interval = hosted.structural_index.lookup("note")[-1].interval
+            weights.append(
+                (
+                    round((interval.low - gap_low) / width, 9),
+                    round((interval.high - gap_low) / width, 9),
+                )
+            )
+        assert len(set(weights)) == len(weights)
+        assert len({w1 for w1, _ in weights}) == len(weights)
+        for w1, w2 in weights:
+            assert 0.05 <= w1 < 0.30 and 0.35 <= w2 < 0.60
+            assert abs(w1 - hosting_weights[0]) > 1e-6
+
     def test_gap_exhaustion_raises_cleanly(self, engine_and_hosted):
         engine, hosted = engine_and_hosted
         parent = hosted.structural_index.lookup("patient")[0]

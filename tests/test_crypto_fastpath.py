@@ -23,7 +23,7 @@ from repro.crypto.aes import (
     _expand_key_cached,
     aes128_for_key,
 )
-from repro.crypto.hmac import derive_key, hmac_sha256, hmac_sha256_spec
+from repro.crypto.hmac import derive_key, hmac_sha256
 from repro.crypto.keyring import ClientKeyring
 from repro.crypto.modes import (
     cbc_decrypt,
@@ -32,6 +32,7 @@ from repro.crypto.modes import (
     ctr_transform,
 )
 from repro.perf import counters
+from hmac_spec import hmac_sha256_spec
 
 # FIPS-197 Appendix C.1 (AES-128) known-answer vector.
 _FIPS_KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")

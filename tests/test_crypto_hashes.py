@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.hmac import derive_key, hmac_sha256, hmac_sha256_spec
+from repro.crypto.hmac import derive_key, hmac_sha256
 from repro.crypto.prf import PRF, DeterministicRandom
-from repro.crypto.sha256 import sha256, sha256_hex
-from repro.crypto.siphash import SipPRF, siphash24
+from repro.workloads.rng import SipPRF, siphash24
+from hmac_spec import hmac_sha256_spec, sha256, sha256_hex
 
 
 class TestSHA256:

@@ -1,5 +1,8 @@
 """Tests for order-preserving encryption, the tag cipher and the keyring."""
 
+import hmac as std_hmac
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,11 +95,43 @@ class TestOPE:
             assert first.encrypt_int(value) == second.encrypt_int(value)
 
 
+def bisect_encrypt(key, point, domain_bits=44, expansion_bits=16):
+    """The OPE function as ``crypto/ope.py``'s docstring defines it, in a
+    straight line: recursive bisection, one stdlib HMAC-SHA256 per
+    rectangle (its first 64 bits), no trie, no batch, no ``repro`` code."""
+
+    def descend(domain_low, domain_high, range_low, range_high):
+        if domain_low == domain_high:
+            return range_low
+        domain_mid = (domain_low + domain_high) // 2
+        # Both halves keep at least as much range as they have points.
+        lowest = range_low + (domain_mid - domain_low)
+        highest = range_high - (domain_high - domain_mid)
+        digest = std_hmac.digest(
+            key,
+            struct.pack("<4Q", domain_low, domain_high, range_low, range_high),
+            "sha256",
+        )
+        draw = int.from_bytes(digest[:8], "big")
+        range_mid = lowest + draw % (highest - lowest + 1)
+        if point <= domain_mid:
+            return descend(domain_low, domain_mid, range_low, range_mid)
+        return descend(domain_mid + 1, domain_high, range_mid + 1, range_high)
+
+    return descend(
+        0, (1 << domain_bits) - 1, 0, (1 << (domain_bits + expansion_bits)) - 1
+    )
+
+
 class TestOPETrie:
     """The lazily sampled function is a trie of rectangles, not a table.
 
-    The pinned numbers were produced by the commit before the trie (a memo
-    dict keyed by rectangle): same PRF, same rectangles, same ciphertexts.
+    The ciphertexts are pinned twice: as literals, so a change of PRF or
+    of rectangle encoding shows in a diff, and against
+    :func:`bisect_encrypt`, so the literals are not merely what the trie
+    happens to return.  ``PINNED_V2`` is what the same points encrypted to
+    under hosted format 2 (SipHash-2-4 per rectangle), kept to show what
+    format 3 moved.
     """
 
     PINNED_KEY = b"pinned-ope-key-0123456789abcdef"
@@ -106,10 +141,29 @@ class TestOPETrie:
         (1 << 44) - 2, (1 << 44) - 1,
     ]
     PINNED_CIPHERTEXTS = [
-        0, 2, 6, 1104606774525459038, 1104606774525459039,
-        1104606774525459420, 1104606941723674884, 1106221912429818770,
-        1152921504606846974, 1152921504606846975,
+        0, 3, 4, 242258418982159485, 242258418982204708,
+        242258418982204709, 242258418984130204, 256169437140486219,
+        1152921504606846916, 1152921504606846948,
     ]
+    PINNED_FLOATS = {
+        -12.5: 242217909687518451,
+        0.000001: 242258418982204709,
+        1999.25: 242258750176228242,
+    }
+    PINNED_SMALL = [0, 1, 2, 22, 17544, 13967341, 16777210]
+    PINNED_V2 = {
+        "ciphertexts": [
+            0, 2, 6, 1104606774525459038, 1104606774525459039,
+            1104606774525459420, 1104606941723674884, 1106221912429818770,
+            1152921504606846974, 1152921504606846975,
+        ],
+        "floats": {
+            -12.5: 1104606760690681381,
+            0.000001: 1104606774525459420,
+            1999.25: 1104659682540509000,
+        },
+        "small": [0, 221, 227, 1597, 16072, 15743423, 16777214],
+    }
 
     def test_ciphertexts_pinned_from_the_memo_implementation(self):
         ope = OrderPreservingEncryption(self.PINNED_KEY)
@@ -118,14 +172,30 @@ class TestOPETrie:
             list(zip(self.PINNED_POINTS, self.PINNED_CIPHERTEXTS))
         ):
             assert ope.encrypt_int(point) == ciphertext
+            assert bisect_encrypt(self.PINNED_KEY, point) == ciphertext
         assert ope.encrypt_many(self.PINNED_POINTS) == self.PINNED_CIPHERTEXTS
-        assert ope.encrypt_float(-12.5) == 1104606760690681381
-        assert ope.encrypt_float(0.000001) == 1104606774525459420
-        assert ope.encrypt_float(1999.25) == 1104659682540509000
+        for value, ciphertext in self.PINNED_FLOATS.items():
+            assert ope.encrypt_float(value) == ciphertext
+            assert (
+                bisect_encrypt(self.PINNED_KEY, ope.quantize(value))
+                == ciphertext
+            )
+        small_points = [0, 1, 2, 17, 500, 40_000, (1 << 16) - 1]
         assert [
-            small_ope().encrypt_int(v)
-            for v in [0, 1, 2, 17, 500, 40_000, (1 << 16) - 1]
-        ] == [0, 221, 227, 1597, 16072, 15743423, 16777214]
+            small_ope().encrypt_int(v) for v in small_points
+        ] == self.PINNED_SMALL
+        assert [
+            bisect_encrypt(b"k" * 16, v, domain_bits=16, expansion_bits=8)
+            for v in small_points
+        ] == self.PINNED_SMALL
+        assert self.PINNED_CIPHERTEXTS != self.PINNED_V2["ciphertexts"]
+
+    @given(st.integers(0, (1 << 16) - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_trie_is_the_straight_line_bisection(self, point):
+        assert small_ope().encrypt_int(point) == bisect_encrypt(
+            b"k" * 16, point, domain_bits=16, expansion_bits=8
+        )
 
     @given(st.lists(st.integers(0, (1 << 16) - 1), max_size=40))
     @settings(max_examples=30, deadline=None)
@@ -314,6 +384,29 @@ class TestKeyring:
         weights = keyring.dsi_weight_stream()
         decoys = keyring.decoy_stream()
         assert weights.uniform() != decoys.uniform()
+
+    def test_a_write_stamp_separates_every_draw_of_a_write(self):
+        keyring = ClientKeyring(b"m" * 16)
+        # An unstamped block keeps the id-only derivation, memo or not.
+        assert keyring.block_iv(3) == keyring.block_iv(3, None)
+        assert keyring.block_iv(3) == ClientKeyring(b"m" * 16).block_iv(3)
+        ivs = [keyring.block_iv(3), keyring.block_iv(3, 1),
+               keyring.block_iv(3, 2), keyring.block_iv(4, 1),
+               keyring.block_iv(31), keyring.block_iv(1, 3)]
+        assert len(set(ivs)) == len(ivs)
+        assert keyring.block_iv(3, 1) == ClientKeyring(b"m" * 16).block_iv(3, 1)
+        for stream in (keyring.decoy_stream, keyring.dsi_weight_stream):
+            assert stream().uint(64) == stream().uint(64)
+        draws = [
+            keyring.decoy_stream().uint(64),
+            keyring.decoy_stream(3, 1).uint(64),
+            keyring.decoy_stream(3, 2).uint(64),
+            keyring.decoy_stream(31).uint(64),
+            keyring.dsi_weight_stream().uint(64),
+            keyring.dsi_weight_stream(1).uint(64),
+            keyring.dsi_weight_stream(2).uint(64),
+        ]
+        assert len(set(draws)) == len(draws)
 
     def test_field_streams_independent(self):
         keyring = ClientKeyring(b"m" * 16)

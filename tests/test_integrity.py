@@ -13,8 +13,9 @@ from repro.core.integrity import (
     unseal,
 )
 from repro.core.system import SecureXMLSystem
-from repro.crypto.hmac import derive_key, hmac_sha256, hmac_sha256_spec
+from repro.crypto.hmac import derive_key, hmac_sha256
 from repro.crypto.keyring import ClientKeyring
+from hmac_spec import hmac_sha256_spec
 
 KEY = derive_key(b"integrity-test-master", "unit")
 

@@ -89,6 +89,8 @@ def hosted_state(system):
         "occurrences": {k: list(v) for k, v in hosted.occurrences.items()},
         "blocks": dict(hosted.blocks),
         "block_tags": dict(hosted.block_tags),
+        "block_stamps": dict(hosted.block_stamps),
+        "max_block_id": hosted.max_block_id,
         "hosted_root": serialize(hosted.hosted_root),
         "epoch": hosted.epoch,
         "state_root": hosted.state_root(),
@@ -262,20 +264,35 @@ def test_hosted_value_index_equals_insert_loop(build, constraints):
 # What reaches disk is what the full-scan commit wrote
 # ----------------------------------------------------------------------
 #: sha256 of the files ``save_system`` wrote for a fixed XMark-20 hosting,
-#: at hosting and after five writes, taken at the commit before this engine
-#: (insert-loop B-trees, memo-dict OPE, full-scan surgery).  Equal bytes mean
-#: a hosting saved by that commit *is* the hosting this one saves — DSI
-#: records, block table and every value-index row, in order.
+#: at hosting and after five writes.  Equal bytes mean a hosting saved by
+#: the pinning commit *is* the hosting this one saves — DSI records, block
+#: table and every value-index row, in order.  First taken at the commit
+#: before the O(change) engine (insert-loop B-trees, memo-dict OPE,
+#: full-scan surgery) and unmoved by it; taken again, once, for hosted
+#: format 3 (new PRF, stamped writes, ``block_stamps`` / ``max_block_id``
+#: in the client state) — the ``_V2`` digests are what they were.
 SAVED_MASTER_KEY = b"saved-hosting-master-key-0123456789"
 SAVED_AT_HOSTING = {
-    "server_meta.json": "b7837a3e68e0a00a621adcbdda154e165f8f23551eb1d951e7db4a43e8d15874",
-    "client_state.json": "14ba73862194cda8a981af0b4a075387b5e89841d8716b4144144fb0b211e2d4",
-    "hosted.xml": "d6eafedf186bfeb5e3812afb413b3e453d27966a960c6e5918d22e5915e437c6",
+    "server_meta.json": "2dc7ae25d5bec0c1354d631e7f18e73405acda681b8353a0390ce503abc61edd",
+    "client_state.json": "af79728c52cc416c55add0d6389495eb428f16464cf0e7c97004ba3a7cf1d90e",
+    "hosted.xml": "2a57924c81df87bf857ce9ea5b9f94429c8db1d2cf518b54a61f251a488b7f86",
 }
 SAVED_AFTER_WRITES = {
-    "server_meta.json": "26dad55d1426dfb7c95700167cc1fe2d787d73eb6f5021c125263289b3ee410e",
-    "client_state.json": "e171fee56ccf001c6b850a7aea49969981487a96d1918a0cd2f980c46f5ae48c",
-    "hosted.xml": "8f79f3cae13d7ccb280b6885cf58be16d15c6d501dfa6fc847a0464a90143b3a",
+    "server_meta.json": "d0c27210ffb83f5267870318fa21f7ea07ec7738890eabc885c9538df56e2c02",
+    "client_state.json": "33040953f9db91e8094e7997d519f6443b1a1278cf70751f6c355879b0fd4737",
+    "hosted.xml": "1e6205d967ded36b5b0e35ba51bc1f5e13e1a9a20b06a4ec37dcf18dd9a91d41",
+}
+PINNED_V2 = {
+    "at_hosting": {
+        "server_meta.json": "b7837a3e68e0a00a621adcbdda154e165f8f23551eb1d951e7db4a43e8d15874",
+        "client_state.json": "14ba73862194cda8a981af0b4a075387b5e89841d8716b4144144fb0b211e2d4",
+        "hosted.xml": "d6eafedf186bfeb5e3812afb413b3e453d27966a960c6e5918d22e5915e437c6",
+    },
+    "after_writes": {
+        "server_meta.json": "26dad55d1426dfb7c95700167cc1fe2d787d73eb6f5021c125263289b3ee410e",
+        "client_state.json": "e171fee56ccf001c6b850a7aea49969981487a96d1918a0cd2f980c46f5ae48c",
+        "hosted.xml": "8f79f3cae13d7ccb280b6885cf58be16d15c6d501dfa6fc847a0464a90143b3a",
+    },
 }
 SAVED_QUERIES = [
     "//creditcard",

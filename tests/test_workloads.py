@@ -1,7 +1,11 @@
 """Tests for the workload generators and query classes."""
 
+import hashlib
+import json
+
 import pytest
 
+from repro.workloads.axes import AxisWorkload
 from repro.workloads.healthcare import (
     EXAMPLE_QUERY,
     build_healthcare_database,
@@ -136,3 +140,70 @@ class TestQueryWorkload:
         for queries in workload.by_class().values():
             for query in queries:
                 evaluate(nasa_doc, query)  # must not raise
+
+
+class TestGeneratedInputsPinned:
+    """The benchmark gate's inputs do not move with the hosting PRF.
+
+    ``bench/`` hosts ``build_xmark_database(200, seed=2006)`` and
+    ``build_nasa_database(200, seed=2006)`` and draws its axis reads from
+    ``AxisWorkload``; every E-table in EXPERIMENTS.md describes documents
+    and query sets of the same generators.  Digests taken at the commit
+    before hosted format 3, when the generators shared their stream with
+    the keyring: they draw from ``repro.workloads.rng`` so that these stay
+    what they were while hosted bytes were re-pinned.
+    """
+
+    DOCUMENTS = {
+        "xmark": "8ba1cfff10afa34b5388e127af76051fb8943d00e6e1f9d060a4cc2cd8adee4b",
+        "nasa": "24d1708faf0bcb9df46b42472c1ab213fa7b79142aebefe5b28361882c25dd37",
+        "healthcare": "229de43156da2d80f69bca3bd157fe63f2897112f6bce1cebe2a77b57ed8708f",
+    }
+    AXIS_SHAPES = {
+        "xmark": "48ece24c1b7fe19e954419d240bb6bf92ba124c58d1495e4b83596551c142c71",
+        "nasa": "aa70826a61a3bb86b90989e08fc7df12b2838ee29e8213b80e0763d5f5f60581",
+        "healthcare": "9ceb6d65ffa8bb6fb09f792d6716f5f574bae06ee1676c9cd7d89c3606a52f25",
+    }
+    QUERY_CLASSES = {
+        "xmark": "ed68c156a135166e54c88a0db4e014d1452b7a6a18e8f18482002adb1cc9e68c",
+        "nasa": "0bca7c38ff774ca533cbb6909f179ba225c87d6b7aa00a825a142d297a3ead98",
+        "healthcare": "83c10d1753e6bdbbd1b9426704ba3ddd0e789ec6157c27003651e2066fd3fdd6",
+    }
+    BUILDERS = {
+        "xmark": lambda: build_xmark_database(200, seed=2006),
+        "nasa": lambda: build_nasa_database(200, seed=2006),
+        "healthcare": build_healthcare_database,
+    }
+
+    @staticmethod
+    def _digest(text: str) -> str:
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    @pytest.mark.parametrize("dataset", sorted(BUILDERS))
+    def test_document_and_query_shapes(self, dataset):
+        document = self.BUILDERS[dataset]()
+        assert self._digest(serialize(document)) == self.DOCUMENTS[dataset]
+        assert (
+            self._digest(json.dumps(AxisWorkload(document).queries()))
+            == self.AXIS_SHAPES[dataset]
+        )
+        classes = QueryWorkload(document, seed=51, per_class=6).by_class()
+        assert (
+            self._digest(json.dumps(classes, sort_keys=True))
+            == self.QUERY_CLASSES[dataset]
+        )
+
+    def test_first_axis_shapes_spelled_out(self):
+        """A digest says *that* a list moved; these say what it was."""
+        shapes = AxisWorkload(self.BUILDERS["nasa"]()).queries()
+        assert shapes[:4] == [
+            "//history/creation",
+            "//dataset/reference",
+            "//author/age",
+            "//journal",
+        ]
+        assert shapes[-3:] == [
+            "//distribution/size[last()]",
+            "//author/last[1]",
+            "//initial[position()=1]",
+        ]

@@ -125,6 +125,7 @@ class FullScanUpdateEngine(UpdateEngine):
         if placeholder is not None and placeholder.parent is not None:
             placeholder.detach()
         hosted.blocks.pop(block_id, None)
+        hosted.block_stamps.pop(block_id, None)
         hosted.drop_block_tag(block_id)
         hosted.structural_index.block_table.pop(block_id, None)
         index = hosted.structural_index
