@@ -7,7 +7,7 @@ sealed netsim channels, reassembling answers byte-identical to the
 single-server path.  See ``docs/CLUSTER.md`` for the design.
 """
 
-from repro.cluster.coordinator import ClusterCoordinator, ShardEpochs
+from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.placement import (
     ClusterConfig,
     GroupPlacement,
@@ -30,7 +30,6 @@ __all__ = [
     "PlacementMap",
     "Replica",
     "ReplicaSet",
-    "ShardEpochs",
     "ShardServer",
     "ShardStats",
     "ShardView",

@@ -56,7 +56,7 @@ def render_shard_stats(coordinator: ClusterCoordinator) -> str:
     lines = [
         f"{'shard':>5} {'exchanges':>9} {'failovers':>9} {'degraded':>8} "
         f"{'demoted':>7} {'resyncs':>7} {'lag':>4} "
-        f"{'fragments':>9} {'blocks':>7} {'bumps':>6} {'server_s':>9} "
+        f"{'fragments':>9} {'blocks':>7} {'server_s':>9} "
         f"{'wire_s':>9} {'bytes':>10}"
     ]
     for replica_set in coordinator.replica_sets:
@@ -65,7 +65,7 @@ def render_shard_stats(coordinator: ClusterCoordinator) -> str:
             f"{stats.shard_id:>5} {stats.exchanges:>9} {stats.failovers:>9} "
             f"{stats.degraded:>8} {stats.demotions:>7} {stats.resyncs:>7} "
             f"{stats.max_epoch_lag:>4} {stats.fragments_returned:>9} "
-            f"{stats.blocks_shipped:>7} {stats.epoch_bumps:>6} "
+            f"{stats.blocks_shipped:>7} "
             f"{stats.server_s:>9.4f} {stats.transfer_s:>9.4f} "
             f"{replica_set.total_bytes():>10}"
         )

@@ -15,7 +15,7 @@ and runs every query as
    by their ``root_id`` tag and sorted by it, which reproduces the
    monolithic fragment order *exactly* (the monolithic server sorts
    fragment roots by hosted node id), candidate counts taken from the
-   freshest shard, block counts summed.
+   first partial, block counts summed.
 
 Because every shard runs the identical structural join and the owned
 fragment roots partition the monolithic root list, the merged response —
@@ -23,10 +23,9 @@ and therefore the final answer — is byte-identical to the single-server
 path at any (N, R), including under faults as long as one replica per
 needed shard survives.
 
-Updates route *through* the coordinator: :meth:`invalidate_entry` bumps
-the per-shard epoch of exactly the shards whose groups the change can
-reach (the affected entry's interval overlap plus every ancestor's
-group), so an untouched shard keeps its warm caches across the update.
+Updates need no routing: every shard server reads the one hosted
+database, whose epoch and subtree marks tell each shard's caches what a
+write changed (see :mod:`repro.cluster.shard`, "Freshness").
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Any
 
-from repro.core.dsi import IndexEntry
 from repro.core.encryptor import HostedDatabase
 from repro.core.server import ServerResponse
 from repro.netsim.channel import Channel
@@ -57,47 +55,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.obs import Observability
 
 
-class ShardEpochs:
-    """Update-serial stamps deciding which shard's counts are fresh.
-
-    Every routed update increments the serial and stamps the shards it
-    bumped.  Only a shard stamped with the *current* serial is guaranteed
-    to have flushed its caches after the latest update, so the gather
-    takes candidate counts from the lowest-numbered such shard (all
-    shards compute the identical full join, so any fresh shard's counts
-    equal the monolithic server's).
-    """
-
-    def __init__(self, shard_count: int) -> None:
-        self.serial = 0
-        self.stamps = [0] * shard_count
-
-    def bump(self, shard_ids: list[int]) -> None:
-        self.serial += 1
-        for shard_id in shard_ids:
-            self.stamps[shard_id] = self.serial
-
-    def freshest_shard(self) -> int:
-        for shard_id, stamp in enumerate(self.stamps):
-            if stamp == self.serial:
-                return shard_id
-        return 0  # unreachable: a bump always stamps at least one shard
-
-
-def merge_partials(
-    partials: list[tuple[int, ServerResponse]], fresh_shard: int
-) -> ServerResponse:
+def merge_partials(partials: list[ServerResponse]) -> ServerResponse:
     """Combine per-shard partial responses into the monolithic one.
 
-    Fragment dedup keys on ``root_id``: ownership is a partition so
-    duplicates cannot normally occur, but a replica served from a
-    stale-but-safe cache may overlap a freshly computed partial after
-    an update; first-seen wins (the fragments are identical by the
-    staleness-safety argument in :mod:`repro.cluster.shard`).
-    Candidate counts come from ``fresh_shard`` — the lowest-numbered
-    shard stamped by the latest routed update (every shard computes the
-    identical full join, so any fresh shard's counts equal the
-    monolithic server's).
+    Fragment dedup keys on ``root_id``: ownership is a partition, so
+    duplicates cannot normally occur; first-seen wins.  Candidate counts
+    come from the first partial: every shard's wire cache is dropped on
+    any commit and every shard re-runs the identical full join, so each
+    partial's counts are the monolithic server's.
 
     Module-level (not a coordinator method) because the serving
     gateway gathers the same partials server-side, and the
@@ -106,11 +71,8 @@ def merge_partials(
     """
     by_root: dict[int, Any] = {}
     blocks = 0
-    candidate_counts: dict[str, int] = {}
-    for shard_id, partial in partials:
+    for partial in partials:
         blocks += partial.blocks_shipped
-        if shard_id == fresh_shard:
-            candidate_counts = dict(partial.candidate_counts)
         for fragment in partial.fragments:
             key = (
                 fragment.root_id
@@ -123,7 +85,7 @@ def merge_partials(
     return ServerResponse(
         fragments=fragments,
         blocks_shipped=blocks,
-        candidate_counts=candidate_counts,
+        candidate_counts=dict(partials[0].candidate_counts),
     )
 
 
@@ -141,7 +103,6 @@ class ClusterCoordinator:
         self.placement = placement
         self.replica_sets = replica_sets
         self._obs = obs
-        self.epochs = ShardEpochs(len(replica_sets))
         #: Access-pattern leakage context shared with every shard
         #: replica; ``None`` keeps the fixed scatter order.
         self.leakage: "LeakageContext | None" = None
@@ -262,7 +223,7 @@ class ClusterCoordinator:
         with tracer.span("seal"):
             request = client.seal_request(translated, cache_key=xpath)
 
-        partials: list[tuple[int, ServerResponse]] = []
+        partials: list[ServerResponse] = []
         makespan = 0.0
         with tracer.span(
             "scatter", shards=len(self.replica_sets)
@@ -277,14 +238,14 @@ class ClusterCoordinator:
                 )
                 with tracer.span("verify", shard=replica_set.shard_id):
                     partial = client.open_response(sealed)
-                partials.append((replica_set.shard_id, partial))
+                partials.append(partial)
                 replica_set.stats.fragments_returned += len(partial.fragments)
                 replica_set.stats.blocks_shipped += partial.blocks_shipped
                 makespan = max(makespan, elapsed)
         scatter_s = scatter_span.finish()
 
         with tracer.span("gather") as gather_span:
-            response = self._merge(partials)
+            response = merge_partials(partials)
         gather_s = gather_span.finish()
 
         if self._obs.enabled:
@@ -326,49 +287,6 @@ class ClusterCoordinator:
         trace.cluster_shards = len(self.replica_sets)
         trace.cluster_makespan_s += elapsed
         return response
-
-    def _merge(
-        self, partials: list[tuple[int, ServerResponse]]
-    ) -> ServerResponse:
-        """Gather step: delegate to the shared :func:`merge_partials`."""
-        return merge_partials(partials, self.epochs.freshest_shard())
-
-    # ------------------------------------------------------------------
-    # Update routing
-    # ------------------------------------------------------------------
-    def invalidate_entry(self, entry: IndexEntry) -> None:
-        """Bump exactly the shards a change at ``entry`` can reach.
-
-        The affected set is the owners of every group overlapping the
-        entry's interval (covers the entry, its whole subtree, and any
-        gap-drawn insert inside it — laminarity keeps descendants inside
-        the parent interval) plus the owner of each ancestor entry's
-        group (a fragment root containing the change is the entry or an
-        ancestor; no other entry can contain it).
-
-        Axis engine note: reverse/order/sibling edges let a change here
-        flip the *selection* of roots owned by shards far outside this
-        set — but selection is never cached per shard.  The per-shard
-        epoch guards only fragment *content* (a fragment's bytes depend
-        on its subtree and ancestor path alone, both inside this set),
-        while everything selection-dependent — the sealed wire cache
-        and the derived join inputs — tracks the *global* commit
-        epoch, which every update moves (see
-        :meth:`ShardServer._fragment_epoch <repro.cluster.shard.ShardServer._fragment_epoch>`).
-        Widening the bump to axis reach would re-flush warm fragment
-        caches across the whole parent span for no soundness gain.
-        """
-        affected = self.placement.shards_overlapping(
-            entry.interval.low, entry.interval.high
-        )
-        ancestor = entry.parent
-        while ancestor is not None:
-            affected.add(self.placement.shard_of_low(ancestor.interval.low))
-            ancestor = ancestor.parent
-        ordered = sorted(affected)
-        self.epochs.bump(ordered)
-        for shard_id in ordered:
-            self.replica_sets[shard_id].bump_epoch()
 
     # ------------------------------------------------------------------
     # Lifecycle / introspection

@@ -147,24 +147,6 @@ class PlacementMap:
     def shard_of_low(self, low: float) -> int:
         return self._group_shards[self.group_of_low(low)]
 
-    def shards_overlapping(self, low: float, high: float) -> set[int]:
-        """Owners of every group intersecting ``[low, high]``.
-
-        Group ``g`` covers ``[cut[g], cut[g+1])``; the range intersects
-        groups ``group_of(low) .. group_of(high)`` inclusive (the
-        cutpoints are sorted), so this is a contiguous slice.
-
-        This is also the update router's reachability primitive:
-        descendant reach is the entry's own span (laminarity).  Axis
-        reach (sibling, following/preceding, ancestor) is deliberately
-        *not* expressed here — selection-dependent state is gated on the
-        global epoch, never on per-shard ownership, so the router only
-        needs containment reach (see ``Coordinator.invalidate_entry``).
-        """
-        first = self.group_of_low(low)
-        last = self.group_of_low(high)
-        return {self._group_shards[g] for g in range(first, last + 1)}
-
     def group_count(self) -> int:
         return len(self._group_shards)
 

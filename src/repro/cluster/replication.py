@@ -66,7 +66,6 @@ class ShardStats:
     degraded: int = 0
     fragments_returned: int = 0
     blocks_shipped: int = 0
-    epoch_bumps: int = 0
     server_s: float = 0.0
     transfer_s: float = 0.0
     #: Replicas demoted for serving rolled-back / stale state.
@@ -87,7 +86,6 @@ class ShardStats:
             "epoch_lag": self.max_epoch_lag,
             "fragments": self.fragments_returned,
             "blocks": self.blocks_shipped,
-            "epoch_bumps": self.epoch_bumps,
             "t_server": self.server_s,
             "t_transfer": self.transfer_s,
         }
@@ -293,14 +291,6 @@ class ReplicaSet:
     # ------------------------------------------------------------------
     # Maintenance fan-out
     # ------------------------------------------------------------------
-    def bump_epoch(self) -> None:
-        """Invalidate every replica's caches (a routed update hit us)."""
-        for replica in self.replicas:
-            replica.server.shard_epoch += 1
-        counters.add("shard_epoch_bumps")
-        self.perf.add("shard_epoch_bumps")
-        self.stats.epoch_bumps += 1
-
     def flush_caches(self) -> None:
         for replica in self.replicas:
             replica.server.flush_caches()

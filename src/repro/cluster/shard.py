@@ -24,18 +24,16 @@ an axis edge can anchor a candidate on entries *anywhere* in the
 document, and every shard sees all of them — and ownership filtering
 still partitions the final root list by the root's own interval group.
 A root's survival can depend on entries owned by other shards, but the
-join reads the live index (whose sorted-low arrays every epoch bump
-drops), so it needs no per-shard gating; the fragment cache keeps the
-narrower per-shard gating — fragment bytes depend only on subtree and
-ancestor path, which axis edges never alter
-(:meth:`~repro.cluster.coordinator.Coordinator.invalidate_entry`).
+join reads the live index (an edited tag's sorted-low array is dropped by
+the write that edits it), so selection is never cached per shard.
 
-Freshness: a shard's *fragment* cache is gated on its own
-``shard_epoch`` (only updates routed to this shard invalidate it), but
-its *sealed* wire cache embeds the global commit epoch and Merkle
-root, so the inherited wire cache reads the global epoch and is dropped
-on any commit — untouched shards keep their warm fragment caches while
-never replaying a stale seal.
+Freshness: nothing here is shard-specific.  The inherited *fragment*
+cache carries across a commit exactly the fragments whose root the write
+did not mark (fragment bytes depend only on subtree and ancestor path,
+which axis edges never alter), so an update leaves warm whatever it
+cannot reach on every shard; the *sealed* wire cache embeds the global
+commit epoch and Merkle root and is dropped on any commit, so no shard
+replays a stale seal.
 """
 
 from __future__ import annotations
@@ -69,21 +67,9 @@ class ShardServer(Server):
         super().__init__(hosted, session_keys=session_keys, obs=obs)
         self.placement = placement
         self.shard_id = shard_id
-        #: Per-shard epoch, bumped by the coordinator only when a routed
-        #: update touches one of this shard's interval groups.  Replaces
-        #: the global hosted epoch as the fragment cache's epoch: a
-        #: shard whose owned fragments provably cannot contain the
-        #: change keeps them warm across the update (safe because
-        #: an update bumps the affected entry's overlap *and* every
-        #: ancestor group — by laminarity no other entry can root a
-        #: fragment containing the change).
-        self.shard_epoch = hosted.epoch
         #: the node_id → interval low map of the plaintext hosted nodes,
         #: rebuilt after any commit (inserts add entries)
         self._lows_cache = EpochCache(lambda: hosted.epoch, self._caches)
-
-    def _fragment_epoch(self) -> int:
-        return self.shard_epoch
 
     # ------------------------------------------------------------------
     # Ownership

@@ -85,6 +85,9 @@ class Client:
     view of the tags and OPESS plans included, sits in an
     :class:`EpochCache` read off ``hosted.epoch``, so a commit made
     through any handle invalidates it without any call into the client.
+    Verified payloads, block plaintexts and decrypted trees outlive a
+    commit that did not rewrite their blocks — judged by the owner's own
+    ``block_tags`` / ``block_stamps``, never by anything a server sent.
     """
 
     def __init__(
@@ -101,8 +104,30 @@ class Client:
         self._request_key, self._response_key = keyring.session_keys()
         self._caches: list[EpochCache] = []
 
-        def cache(bounded: bool = False) -> EpochCache:
-            return EpochCache(lambda: hosted.epoch, self._caches, bounded)
+        def cache(bounded: bool = False, survives=None) -> EpochCache:
+            return EpochCache(
+                lambda: hosted.epoch, self._caches, bounded, survives
+            )
+
+        def block_unwritten(block_id: int, _cached, since: int) -> bool:
+            """Is this block the one the owner held at epoch ``since``?
+
+            By the owner's own record alone: a live block has a tag, and
+            a write that re-encrypts one stamps it with the epoch it
+            commits as.  Ids are never reused, so a deleted block fails
+            for good; a hosting without tags keeps nothing.  (A closure
+            over ``hosted``, like the epoch reads: a bound method would
+            tie client and caches into a cycle only the collector frees.)
+            """
+            return (
+                block_id in hosted.block_tags
+                and hosted.block_stamps.get(block_id, 0) <= since
+            )
+
+        def tree_unwritten(_text: str, entry, since: int) -> bool:
+            return all(
+                block_unwritten(block_id, None, since) for block_id in entry[1]
+            )
 
         #: the one :class:`QueryTranslator` of this epoch
         self._translator_cache = cache()
@@ -113,11 +138,11 @@ class Client:
         #: sealed response bytes → verified, decoded response
         self._response_cache = cache(bounded=True)
         #: block id → the ciphertext payload whose MAC tag verified
-        self._verified_payloads = cache()
+        self._verified_payloads = cache(survives=block_unwritten)
         #: block id → plaintext text
-        self._block_cache = cache()
-        #: fragment text → pristine decrypted tree
-        self._tree_cache = cache()
+        self._block_cache = cache(survives=block_unwritten)
+        #: fragment text → (pristine decrypted tree, ids of its blocks)
+        self._tree_cache = cache(survives=tree_unwritten)
 
     # ------------------------------------------------------------------
     # Query translation (§6.1)
@@ -311,7 +336,8 @@ class Client:
         the server's own fragment cache hands back the identical string
         object for a repeated node, so the dict lookup reuses Python's
         cached string hash.  Cached trees are pristine; callers get deep
-        clones because assembly re-parents them.
+        clones because assembly re-parents them.  Each is kept with the ids
+        of its blocks, which is what decides whether it outlives a write.
         """
         cache = self._tree_cache.live()
         #: distinct cache-missing texts, each built once for this batch
@@ -322,9 +348,11 @@ class Client:
         if missing:
             counters.add("tree_cache_misses", len(missing))
             cache.update(zip(missing, self._build_trees(missing)))
-        return [cache[xml].clone() for xml in xmls]
+        return [cache[xml][0].clone() for xml in xmls]
 
-    def _build_trees(self, xmls: "list[str]") -> list[Element]:
+    def _build_trees(
+        self, xmls: "list[str]"
+    ) -> "list[tuple[Element, tuple[int, ...]]]":
         """splice every block's plaintext in → one parse per fragment.
 
         Runs only on cache misses, so the span and histogram sit here:
@@ -340,17 +368,26 @@ class Client:
         obs.metrics.observe("chunk_decrypt_seconds", span.finish())
         return trees
 
-    def _build_trees_untraced(self, xmls: "list[str]") -> list[Element]:
+    def _build_trees_untraced(
+        self, xmls: "list[str]"
+    ) -> "list[tuple[Element, tuple[int, ...]]]":
         try:
+            texts, block_ids = self._splice_plaintexts(xmls)
             return [
-                parse_fragment(text, drop_tag=DECOY_TAG, reject_blocks=True)
-                for text in self._splice_plaintexts(xmls)
+                (
+                    parse_fragment(text, drop_tag=DECOY_TAG, reject_blocks=True),
+                    ids,
+                )
+                for text, ids in zip(texts, block_ids)
             ]
         except XMLParseError as exc:  # not text our serializer wrote
             raise TamperedResponseError(f"malformed fragment: {exc}") from exc
 
-    def _splice_plaintexts(self, texts: "list[str]") -> list[str]:
-        """The texts with every serialized block replaced by its plaintext.
+    def _splice_plaintexts(
+        self, texts: "list[str]"
+    ) -> "tuple[list[str], list[tuple[int, ...]]]":
+        """The texts with every serialized block replaced by its plaintext,
+        and the ids of the blocks each one held.
 
         scan → verify → one cipher pass → splice.  Every MAC tag is
         verified before anything else happens — cache hits included, so a
@@ -358,13 +395,13 @@ class Client:
         one bad tag means no cipher call and no cache entry for the whole
         batch.  Decoys stay in the text; the parse that follows drops them.
 
-        The block cache keeps one plaintext string per block id; a
-        scheme-epoch change flushes it, since updates re-encrypt payloads
-        under the *same* block ids.
+        The block cache keeps one plaintext string per block id, until a
+        write re-encrypts a payload under the *same* id: an epoch move
+        drops the ids stamped since (``block_unwritten``, above).
         """
         scanned = [_BLOCK_RE.findall(text) for text in texts]
         if not any(scanned):
-            return texts
+            return texts, [()] * len(texts)
         for text, blocks in zip(texts, scanned):
             # Inside a comment, CDATA section or processing instruction —
             # none of which the serializer writes — a block would be
@@ -374,13 +411,16 @@ class Client:
                     "block shipped beside markup the serializer never emits"
                 )
         try:
-            occurrences = [
-                (int(block_id), bytes.fromhex(payload))
+            parsed = [
+                [
+                    (int(block_id), bytes.fromhex(payload))
+                    for block_id, payload in blocks
+                ]
                 for blocks in scanned
-                for block_id, payload in blocks
             ]
         except ValueError as exc:  # not hex, or an absurdly long id
             raise TamperedResponseError(f"malformed block: {exc}") from None
+        occurrences = [occurrence for blocks in parsed for occurrence in blocks]
         # Gate before verifying: a commit that lands after a tag verified
         # must find these plaintexts in the old epoch's entries.
         cache = self._block_cache.live()
@@ -412,7 +452,7 @@ class Client:
         return [
             _BLOCK_RE.sub(lambda _: next(supply), text) if blocks else text
             for text, blocks in zip(texts, scanned)
-        ]
+        ], [tuple(block_id for block_id, _ in blocks) for blocks in parsed]
 
     def _decrypt_blocks(
         self, blocks: "list[tuple[int, int | None, bytes]]"
@@ -447,12 +487,14 @@ class Client:
             for plaintext in plaintexts:
                 parse_fragment(plaintext)
         # A plaintext that itself holds blocks (the encryptor nests none
-        # today) is resolved before anyone caches or splices it.
+        # today) is resolved before anyone caches or splices it.  The outer
+        # entry is kept under the outer id alone: an encryptor that nested
+        # would have to stamp the outer block when it rewrites an inner one.
         nested = [
             slot for slot, plaintext in enumerate(plaintexts)
             if BLOCK_OPEN in plaintext
         ]
-        resolved = self._splice_plaintexts([plaintexts[s] for s in nested])
+        resolved, _ = self._splice_plaintexts([plaintexts[s] for s in nested])
         for slot, plaintext in zip(nested, resolved):
             plaintexts[slot] = plaintext
         return plaintexts

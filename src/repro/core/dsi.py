@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.crypto.prf import DeterministicRandom
 from repro.xmldb.node import Document, Element, Node
@@ -85,8 +85,8 @@ def assign_intervals(
                 f"(depth {depth}, fanout {count}: each level divides its "
                 f"interval by 2*fanout+1, and spacing fell below "
                 f"{_MIN_WIDTH:g}); regroup the document into shallower "
-                "bulk-load batches (host subtrees separately and merge "
-                "their column planes) or widen the number type"
+                "bulk-load batches (host subtrees as separate databases) "
+                "or widen the number type"
             )
         for position, child in enumerate(children, start=1):
             w1 = weights.uniform(0.0, 0.5)
@@ -149,7 +149,8 @@ class StructuralIndex:
     #: all entries, sorted by interval low bound (the laminar forest)
     entries: list[IndexEntry]
     #: lazily built per-tag sorted low-bound arrays (static-data cache for
-    #: the descendant joins; dropped wholesale on :meth:`invalidate_caches`)
+    #: the descendant joins; an edited tag's array is dropped by
+    #: :meth:`invalidate_caches`)
     _lows_by_key: dict[str, list[float]] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -176,8 +177,8 @@ class StructuralIndex:
         The descendant-axis join probes these arrays with binary search
         on every query; building them per query re-sorted the same
         static data over and over, so the index now owns one array per
-        tag, built on first use and dropped on mutation (see
-        :meth:`invalidate_caches`).
+        tag, built on first use and dropped when that tag's entry list is
+        edited (see :meth:`invalidate_caches`).
         """
         from repro.perf import counters
 
@@ -197,10 +198,13 @@ class StructuralIndex:
             self._lows_by_key[key] = lows
             return lows
 
-    def invalidate_caches(self) -> None:
-        """Drop the static-data caches (called on every epoch bump)."""
+    def invalidate_caches(self, keys: Iterable[str]) -> None:
+        """Drop the sorted arrays of ``keys``: whoever adds or removes an
+        entry names the tags whose lists it edited.  A value update edits
+        none, so it drops none."""
         with self._lows_lock:
-            self._lows_by_key.clear()
+            for key in keys:
+                self._lows_by_key.pop(key, None)
 
     def block_of(self, entry: IndexEntry) -> Optional[int]:
         """Resolve which encryption block an entry falls inside, if any.

@@ -80,10 +80,12 @@ class HostedDatabase:
     #: Client-side knowledge retained to support the incremental-update
     #: extension (field-granular value-index rebuilds).
     occurrences: dict[str, list[tuple[str, int]]] = field(default_factory=dict)
-    #: Scheme epoch: bumped on every mutation of the hosted state.  All
-    #: derived caches — query plans, server fragments, client-decrypted
-    #: blocks, structural-index interval arrays — are keyed or gated on
-    #: it, so one integer compare invalidates every layer at once.
+    #: Scheme epoch: bumped on every mutation of the hosted state.  Every
+    #: derived cache — query plans, sealed blobs, server fragments,
+    #: client-decrypted blocks and trees — is an ``EpochCache`` gated on
+    #: it: one integer compare tells each layer that a write committed,
+    #: and :attr:`block_stamps` / :attr:`subtree_stamps` tell the layers
+    #: that can use the answer what that write left alone.
     epoch: int = 0
     #: High-water mark of hosted node ids: the largest id ever assigned in
     #: the hosted tree (elements, attributes and block placeholders).  All
@@ -124,6 +126,14 @@ class HostedDatabase:
     #: see :meth:`root_at`).  Derived state — never persisted; a fresh
     #: process simply starts with an empty window.
     anchor_history: dict[int, bytes] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    #: Hosted node id → the epoch of the last write that changed anything
+    #: at or below that node (:meth:`mark_changed`).  What the server's
+    #: fragment cache asks before carrying a serialized subtree across a
+    #: commit.  Sparse, derived, never persisted: a reload renumbers the
+    #: hosted ids and starts every cache empty.
+    subtree_stamps: dict[int, int] = field(
         default_factory=dict, repr=False, compare=False
     )
 
@@ -209,19 +219,33 @@ class HostedDatabase:
             if self.merkle is not None:
                 self.merkle.remove_leaf(block_id)
 
+    def mark_changed(
+        self, node: Node, stamp: int, removed: bool = False
+    ) -> None:
+        """Record that the write committing as ``stamp`` changed ``node``.
+
+        The node and its ancestors — O(depth), and by laminarity the only
+        roots whose serialized subtree can hold the change.  A ``removed``
+        node takes its whole subtree along: none of it ships again.
+        """
+        stamps = self.subtree_stamps
+        for touched in node.iter() if removed else (node,):
+            stamps[touched.node_id] = stamp
+        for ancestor in node.ancestors():
+            stamps[ancestor.node_id] = stamp
+
     def bump_epoch(self) -> None:
         """Advance the scheme epoch after a hosted-state mutation.
 
-        Called by :mod:`repro.core.updates` once per applied update; the
-        structural index's static caches are dropped eagerly, the
-        epoch-keyed caches (plans, fragments, decrypted blocks) expire
-        lazily on their next epoch check.
+        Called by :mod:`repro.core.updates` once per applied update, after
+        everything the write changes has been stamped; the epoch-gated
+        caches (plans, fragments, decrypted blocks) sweep lazily on their
+        next epoch check.
         """
         from repro.perf import counters
 
         with self.anchor_lock:
             self.epoch += 1
-            self.structural_index.invalidate_caches()
             # Record the new commit's anchor immediately, so envelopes
             # sealed at this epoch stay verifiable even after further
             # concurrent commits advance the live anchor.

@@ -2,10 +2,14 @@
 
 Whatever the client and the servers derive from hosted state — plans,
 plaintexts, trees, sealed blobs, the translator's view of the OPESS plans —
-holds for one epoch: a write re-encrypts payloads under the same block ids
-and re-plans a field under the same name.  This type owns the only
-comparison of a stored epoch with the live one, and an owner's
-``flush_caches()`` loops over the registry its caches were built with.
+is valid as of one epoch: a write re-encrypts payloads under the same block
+ids and re-plans a field under the same name.  This type owns the only
+comparison of a stored epoch with the live one.  What an epoch move costs
+is the owner's call: a cache built with a ``survives`` predicate carries
+the entries the owner's own record says no write since has touched; one
+built without drops them all (anything that embeds the anchor or an OPESS
+plan).  An owner's ``flush_caches()`` loops over the registry its caches
+were built with.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from typing import Any, Callable, Hashable
 
 
 class EpochCache:
-    """A dict replaced by an empty one when the epoch it reads has moved.
+    """A dict swept — emptied, unless ``survives`` says otherwise — when
+    the epoch it reads has moved.
 
     Not synchronised: an owner shared between threads holds its own lock
     around each gate-and-access sequence.
@@ -30,9 +35,14 @@ class EpochCache:
         epoch: Callable[[], int],
         registry: "list[EpochCache]",
         bounded: bool = False,
+        survives: "Callable[[Any, Any, int], bool] | None" = None,
     ) -> None:
         self._epoch = epoch
         self._bounded = bounded
+        #: ``survives(key, value, since)``: has nothing this entry derives
+        #: from been written after epoch ``since``?  Asked once per entry
+        #: per epoch move, never on a hit.
+        self._survives = survives
         self._entries: dict[Any, Any] = {}
         self._entries_epoch: "int | None" = None
         registry.append(self)
@@ -41,11 +51,24 @@ class EpochCache:
         """This epoch's entries: take them once per stage, *before* reading
         the state the values derive from, then use the dict directly."""
         epoch = self._epoch()
-        if epoch != self._entries_epoch:
+        since = self._entries_epoch
+        if epoch != since:
             # A new dict, not ``clear()``: a stage still holding the old
             # one keeps a consistent view, and what it writes late lands
-            # in the old epoch's entries, not in these.
-            self._entries = {}
+            # in the old epoch's entries, not in these.  Every entry was
+            # computed at ``since`` or later, so "unwritten after
+            # ``since``" covers it wherever in the epoch it was made.  The
+            # sweep reads a snapshot: such a stage may be writing now.
+            survives = self._survives
+            self._entries = (
+                {}
+                if survives is None or since is None
+                else {
+                    key: value
+                    for key, value in list(self._entries.items())
+                    if survives(key, value, since)
+                }
+            )
             self._entries_epoch = epoch
         return self._entries
 

@@ -94,7 +94,10 @@ class Server:
     changes nothing about what an attacker sees — it only stops the
     server re-serializing the same subtree for every repeated query.
     Every cache here is an :class:`EpochCache` read off the hosted
-    database's epoch, the hook the update engine drives.
+    database's epoch, the hook the update engine drives.  A fragment
+    outlives a commit unless the write marked its root's subtree changed
+    (``HostedDatabase.subtree_stamps``) — which node a write touched is
+    in the update trace the server sees anyway.
     """
 
     def __init__(
@@ -112,15 +115,19 @@ class Server:
         self._session_keys = session_keys
         self._caches: list[EpochCache] = []
         #: hosted node id → shipped :class:`Fragment`
-        self._fragment_cache = EpochCache(self._fragment_epoch, self._caches)
+        self._fragment_cache = EpochCache(
+            lambda: hosted.epoch,
+            self._caches,
+            survives=lambda node_id, _fragment, since: (
+                hosted.subtree_stamps.get(node_id, 0) <= since
+            ),
+        )
         #: Sealed wire responses keyed by the (verified-by-construction)
         #: request blob: a repeated query re-sends byte-identical request
         #: bytes, so the warm path skips decode + evaluate + seal entirely
         #: and even returns the *same bytes object*, which lets the client
         #: verify it with one cached-hash dict lookup.  Sealed blobs embed
-        #: the commit epoch and Merkle root, so this one reads the global
-        #: epoch even on a :class:`ShardServer`, whose fragments follow its
-        #: own ``shard_epoch`` and stay warm across updates routed elsewhere.
+        #: the commit epoch and Merkle root, so no commit spares one.
         self._wire_cache = EpochCache(
             lambda: hosted.epoch, self._caches, bounded=True
         )
@@ -149,10 +156,6 @@ class Server:
         #: evaluated path untouched.  See :meth:`attach_leakage`.
         self.leakage: "LeakageContext | None" = None
         self._leakage_observer = "server"
-
-    def _fragment_epoch(self) -> int:
-        """The epoch a shipped fragment's bytes are valid for."""
-        return self._hosted.epoch
 
     def _open_fresh_request(self, key: bytes, request_blob: bytes) -> bytes:
         """Verify a request's envelope *and* freshness.

@@ -432,58 +432,49 @@ class SecureXMLSystem:
         tracer = self._obs.tracer
         started_wall = time.perf_counter()
 
-        with tracer.span("translate") as span:
-            try:
-                translated = self.client.translate(xpath)
-            except UnsupportedQuery as exc:
-                # The planner's residual tier makes this near-unreachable
-                # (every parseable query gets *some* server-side plan),
-                # but the typed degrade stays: count it and record why.
-                translated = None
-                trace.plan = "naive"
-                trace.fallback_reason = str(exc)
-                counters.add("naive_fallbacks")
-        trace.translate_client_s = span.finish()
-        if translated is not None:
-            trace.plan = translated.plan_kind
-            trace.fallback_reason = translated.plan_reason
-
         last_error: Exception | None = None
+        translated = None
+        for attempt in range(policy.max_attempts):
+            # Every attempt seals a plan made under the epoch it runs at:
+            # the commit that failed the last one re-planned a field.  A
+            # plan-cache hit — one dict lookup — when no commit landed.
+            translated = self._translate(xpath, trace)
+            if translated is None:
+                break
+            self._pre_attempt(attempt, trace, started_wall, policy)
+            attempt_span: Span | None = None
+            try:
+                with tracer.span(
+                    "attempt", number=trace.attempts
+                ) as attempt_span:
+                    if self._coordinator is not None:
+                        # Cluster path: the coordinator handles its own
+                        # replica failover internally; a shard with no
+                        # surviving replica surfaces as a
+                        # ClusterDegradedError (a QueryFailedError, not
+                        # retryable here).
+                        response = self._coordinator.scatter_gather(
+                            self.client,
+                            xpath,
+                            translated,
+                            trace,
+                            self._backoff_rng,
+                        )
+                    else:
+                        with tracer.span("seal"):
+                            request = self.client.seal_request(
+                                translated, cache_key=xpath
+                            )
+                        response = self._exchange(
+                            request, self.server.answer_wire, trace
+                        )
+                        trace.candidate_counts = response.candidate_counts
+                return self._finish(xpath, response, trace)
+            except _RETRYABLE as exc:
+                last_error = self._record_failure(exc, trace)
+                if attempt_span is not None:
+                    attempt_span.annotate(error=type(exc).__name__)
         if translated is not None:
-            for attempt in range(policy.max_attempts):
-                self._pre_attempt(attempt, trace, started_wall, policy)
-                attempt_span: Span | None = None
-                try:
-                    with tracer.span(
-                        "attempt", number=trace.attempts
-                    ) as attempt_span:
-                        if self._coordinator is not None:
-                            # Cluster path: the coordinator handles its
-                            # own replica failover internally; a shard
-                            # with no surviving replica surfaces as a
-                            # ClusterDegradedError (a QueryFailedError,
-                            # not retryable here).
-                            response = self._coordinator.scatter_gather(
-                                self.client,
-                                xpath,
-                                translated,
-                                trace,
-                                self._backoff_rng,
-                            )
-                        else:
-                            with tracer.span("seal"):
-                                request = self.client.seal_request(
-                                    translated, cache_key=xpath
-                                )
-                            response = self._exchange(
-                                request, self.server.answer_wire, trace
-                            )
-                            trace.candidate_counts = response.candidate_counts
-                    return self._finish(xpath, response, trace)
-                except _RETRYABLE as exc:
-                    last_error = self._record_failure(exc, trace)
-                    if attempt_span is not None:
-                        attempt_span.annotate(error=type(exc).__name__)
             if not policy.naive_fallback:
                 counters.add("queries_failed")
                 raise QueryFailedError(
@@ -525,6 +516,25 @@ class SecureXMLSystem:
     # ------------------------------------------------------------------
     # Retry machinery
     # ------------------------------------------------------------------
+    def _translate(self, xpath: str, trace: QueryTrace):
+        """The plan for one attempt, or ``None`` to go naive."""
+        with self._obs.tracer.span("translate") as span:
+            try:
+                translated = self.client.translate(xpath)
+            except UnsupportedQuery as exc:
+                # The planner's residual tier makes this near-unreachable
+                # (every parseable query gets *some* server-side plan),
+                # but the typed degrade stays: count it and record why.
+                translated = None
+                trace.plan = "naive"
+                trace.fallback_reason = str(exc)
+                counters.add("naive_fallbacks")
+        trace.translate_client_s += span.finish()
+        if translated is not None:
+            trace.plan = translated.plan_kind
+            trace.fallback_reason = translated.plan_reason
+        return translated
+
     def _pre_attempt(
         self,
         attempt: int,
@@ -683,7 +693,6 @@ class SecureXMLSystem:
         engine = UpdateEngine(self.hosted, self._keyring)
         entry = engine.resolve_single(self.client.translate(parent_xpath))
         engine.insert_element(entry, tag, value)
-        self._route_update(entry)
 
     def delete_element(self, xpath: str) -> None:
         """Delete the unique subtree matched by ``xpath``."""
@@ -691,7 +700,6 @@ class SecureXMLSystem:
 
         engine = UpdateEngine(self.hosted, self._keyring)
         entry = engine.resolve_single(self.client.translate(xpath))
-        self._route_update(entry)
         engine.delete_element(entry)
 
     def update_value(self, xpath: str, new_value: str) -> None:
@@ -701,19 +709,6 @@ class SecureXMLSystem:
         engine = UpdateEngine(self.hosted, self._keyring)
         entry = engine.resolve_single(self.client.translate(xpath))
         engine.update_value(entry, new_value)
-        self._route_update(entry)
-
-    def _route_update(self, entry) -> None:
-        """Bump only the shards a change at ``entry`` can reach.
-
-        No-op on the single-server path (the monolithic server's epoch
-        check already flushes on ``hosted.bump_epoch()``).  Routed
-        *before* a delete so the entry's ancestor links are still live,
-        and after insert/value updates (the resolved entry — the insert's
-        parent — is untouched by the engine there).
-        """
-        if self._coordinator is not None:
-            self._coordinator.invalidate_entry(entry)
 
     def naive_query(self, xpath: str) -> QueryAnswer:
         """Answer a query with the §7.3 naive baseline (ship everything)."""

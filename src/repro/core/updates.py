@@ -38,7 +38,7 @@ from collections import Counter
 from typing import Callable, Optional
 
 from repro.core.decoy import inject_decoys
-from repro.core.dsi import IndexEntry, Interval
+from repro.core.dsi import _MIN_WIDTH, IndexEntry, Interval
 from repro.core.encryptor import HostedDatabase
 from repro.core.opess import build_field_plan, build_value_index
 from repro.core.structural_join import match_pattern
@@ -60,9 +60,11 @@ def _low(entry: IndexEntry) -> float:
 class UpdateEngine:
     """Applies incremental updates to a hosted database.
 
-    The engine mutates the :class:`HostedDatabase` in place; the system
-    façade rebuilds its client translator afterwards so subsequent query
-    translation sees the updated tag/field knowledge.
+    The engine mutates the :class:`HostedDatabase` in place and leaves
+    behind the record of what it changed that the caches ask at the next
+    epoch check: a stamp on every block it (re)writes, a mark on the
+    hosted node it touched and that node's ancestors, and the index keys
+    whose entry lists it edited.  Each public call commits as one epoch.
     """
 
     def __init__(self, hosted: HostedDatabase, keyring: ClientKeyring) -> None:
@@ -128,6 +130,7 @@ class UpdateEngine:
                 ),
                 entry,
             )
+        self._hosted.mark_changed(hosted_parent, self._stamp())
         self._hosted.bump_epoch()
 
     # ------------------------------------------------------------------
@@ -141,13 +144,19 @@ class UpdateEngine:
         enclosing block entirely (the block is the unit of encryption, so
         a grouped entry's members leave together).
         """
+        hosted = self._hosted
         if target.block_id is not None:
+            placeholder = hosted.placeholders.get(target.block_id)
+            if placeholder is not None:
+                hosted.mark_changed(placeholder, self._stamp(), removed=True)
             self._delete_block(target.block_id)
-            self._hosted.bump_epoch()
+            hosted.bump_epoch()
             return
         node = target.hosted_node
         if node is None or node.parent is None:
             raise UpdateError("cannot delete the document root")
+        # Marked first, while the ancestor chain is still attached.
+        hosted.mark_changed(node, self._stamp(), removed=True)
         # Remove blocks nested below the plaintext subtree first.
         for descendant in list(node.iter()):
             if isinstance(descendant, EncryptedBlockNode):
@@ -170,6 +179,7 @@ class UpdateEngine:
             assert isinstance(text, Text)
             text.value = new_value
             target.plaintext_value = new_value
+            self._hosted.mark_changed(node, self._stamp())
             self._hosted.bump_epoch()
             return
 
@@ -192,6 +202,7 @@ class UpdateEngine:
         placeholder = self._hosted.placeholders[block_id]
         placeholder.payload = payload
         self._add_occurrence(tag, new_value, block_id)
+        self._hosted.mark_changed(placeholder, self._stamp())
         self._hosted.bump_epoch()
 
     # ------------------------------------------------------------------
@@ -261,7 +272,7 @@ class UpdateEngine:
         gap_low = children[-1].high if children else parent.interval.low
         gap_high = parent.interval.high
         width = gap_high - gap_low
-        if width <= 1e-12:
+        if width <= _MIN_WIDTH:
             raise UpdateError("no interval gap left under this parent")
         stream = self._keyring.dsi_weight_stream(self._stamp())
         w1 = stream.uniform(0.05, 0.30)
@@ -279,6 +290,7 @@ class UpdateEngine:
         parent.children.append(entry)
         index.table.setdefault(entry.key, []).append(entry)
         insort(index.entries, entry, key=_low)
+        index.invalidate_caches((entry.key,))
 
     def _unlink_entries(
         self, span: Interval, doomed: Callable[[IndexEntry], bool]
@@ -303,12 +315,14 @@ class UpdateEngine:
         ]
         # Compare by identity: IndexEntry equality recurses through links.
         table = index.table
-        for key in {entry.key for entry in removed}:
+        keys = {entry.key for entry in removed}
+        for key in keys:
             kept = [e for e in table[key] if id(e) not in removed_ids]
             if kept:
                 table[key] = kept
             else:
                 del table[key]
+        index.invalidate_caches(keys)
         survivors = {
             id(entry.parent): entry.parent
             for entry in removed

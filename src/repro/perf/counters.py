@@ -71,12 +71,11 @@ class PerfCounters:
     rollback_detected: int = 0
     naive_fallbacks: int = 0
     queries_failed: int = 0
-    # --- cluster (scatter–gather, replica failover, routed updates) ---
+    # --- cluster (scatter–gather, replica failover) ---
     cluster_scatters: int = 0
     cluster_failovers: int = 0
     cluster_degraded: int = 0
     shard_exchanges: int = 0
-    shard_epoch_bumps: int = 0
     #: Replicas benched for serving stale state, and benched replicas
     #: resynced + re-admitted after a confirmed-fresh exchange.
     replica_demotions: int = 0

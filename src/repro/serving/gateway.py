@@ -133,7 +133,7 @@ class ClusterGateway:
                 verify=client.check_freshness,
             )
             partial = client.open_response(sealed)
-            partials.append((replica_set.shard_id, partial))
+            partials.append(partial)
             replica_set.stats.fragments_returned += len(partial.fragments)
             replica_set.stats.blocks_shipped += partial.blocks_shipped
-        return merge_partials(partials, coordinator.epochs.freshest_shard())
+        return merge_partials(partials)

@@ -8,14 +8,26 @@ or gated on that epoch.  A repeated query after an update must therefore
 be answered fresh and exactly, never from stale cached state.
 """
 
+import sys
+import threading
+
 import pytest
 
 from updates_oracle import write_plaintext
 from repro.core.client import Client, canonical_node
 from repro.core.epoch_cache import EpochCache
+from repro.core.integrity import RollbackDetectedError, TamperedResponseError
 from repro.core.leakage import LeakagePolicy
-from repro.core.system import SecureXMLSystem
+from repro.core.server import Fragment, ServerResponse
+from repro.core.storage import load_system, save_system
+from repro.core.system import (
+    QueryFailedError,
+    SecureXMLSystem,
+    _DEFAULT_MASTER_KEY,
+)
+from repro.netsim.message import encode_response
 from repro.perf import counters
+from repro.serving import ServingServer, remote_system
 from repro.serving.gateway import ClusterGateway
 from repro.xpath.evaluator import evaluate
 
@@ -89,10 +101,10 @@ class TestInvalidationCorrectness:
         assert delta["plan_cache_hits"] == 1
 
     def test_client_caches_flushed_on_epoch_change(self, system):
-        """Decrypted-tree/block caches never serve pre-update payloads."""
-        query = "//patient[pname='Matt']//disease"
-        baseline = system.query(query).values()
-        assert baseline  # covered field: answered via encrypted blocks
+        """Decrypted-tree/block caches never serve a pre-update payload —
+        and a write costs them nothing but the block it rewrote."""
+        query = "//patient"
+        assert "leukemia" in "".join(system.query(query).canonical())
         system.query(query)
         system.update_value(
             "//patient[pname='Matt']/treat/disease", "updated-disease"
@@ -100,9 +112,16 @@ class TestInvalidationCorrectness:
         before = counters.snapshot()
         answer = system.query(query)
         delta = counters.delta_since(before)
-        assert answer.values() == ["updated-disease"]
-        assert delta["tree_cache_hits"] == 0
-        assert delta["block_cache_hits"] == 0
+        text = "".join(answer.canonical())
+        assert "updated-disease" in text and "leukemia" not in text
+        # Matt's fragment holds the rewritten block, Betty's does not ...
+        assert delta["fragment_cache_hits"] == delta["fragment_cache_misses"] == 1
+        assert (delta["tree_cache_hits"], delta["tree_cache_misses"]) == (1, 1)
+        # ... and of Matt's three blocks only the rewritten one misses.
+        assert (delta["block_cache_hits"], delta["block_cache_misses"]) == (2, 1)
+        assert system.query("//patient[pname='Matt']//disease").values() == [
+            "updated-disease"
+        ]
 
     def test_repeated_batch_across_update(self, system):
         """execute_many answers reflect the update on the very next batch."""
@@ -113,6 +132,272 @@ class TestInvalidationCorrectness:
         second = system.execute_many(queries)
         assert second[1].values() == ["555-4321"]
         assert first[0].canonical() == second[0].canonical()
+
+
+class TestSortedIntervalArrays:
+    """``StructuralIndex.sorted_lows`` arrays go by tag: a write drops the
+    ones whose entry list it edited, a value update drops none."""
+
+    JOIN = "//patient[.//disease]/pname"  # probes the ``disease`` array
+
+    def misses(self, system):
+        before = counters.snapshot()
+        assert len(system.query(self.JOIN)) == 2
+        delta = counters.delta_since(before)
+        assert delta["interval_cache_misses"] + delta["interval_cache_hits"] > 0
+        return delta["interval_cache_misses"]
+
+    def test_a_value_update_drops_none(self, system):
+        assert self.misses(system) == 1
+        system.update_value("//patient[pname='Matt']/treat/disease", "measles")
+        system.update_value("//patient[pname='Matt']/pname", "Matthew")
+        assert self.misses(system) == 0
+
+    def test_an_insert_or_delete_drops_the_tags_it_edited(self, system):
+        self.misses(system)
+        system.insert_element("//patient[pname='Matt']", "phone", "555")
+        assert self.misses(system) == 0  # ``phone`` is nobody's join input
+        system.delete_element("//patient[pname='Betty']/treat[doctor='Smith']")
+        assert self.misses(system) == 1  # a ``disease`` entry went with it
+        system.insert_element("//patient[pname='Matt']/treat", "disease", "flu")
+        assert self.misses(system) == 1
+
+
+class TestEntriesThatOutliveAnEpoch:
+    """Integrity is not freshness: an entry crosses a commit only on the
+    owner's own record that its block was not rewritten, so nothing a
+    hostile server replays after the write reaches a cached plaintext."""
+
+    QUERY = "//patient"
+    WRITE = ("//patient[pname='Matt']/treat/disease", "measles")
+
+    @staticmethod
+    def staged(client, system, query=QUERY):
+        request = client.seal_request(client.translate(query), cache_key=query)
+        response = client.open_response(system.server.answer_wire(request))
+        return client.decrypt_fragments(response)
+
+    @staticmethod
+    def sealed_now(system, response):
+        """What a server holding the session keys can always do: seal any
+        fragments it likes under the live anchor."""
+        _, response_key = system.keyring.session_keys()
+        return system.hosted.seal(response_key, encode_response(response))[0]
+
+    @staticmethod
+    def text_of(decrypted):
+        return "".join(canonical_node(tree) for _, tree in decrypted)
+
+    @pytest.fixture
+    def warm(self, system):
+        """A warm client, the pre-write response and its sealed bytes."""
+        client = system.client
+        plan = client.translate(self.QUERY)
+        request = client.seal_request(plan, cache_key=self.QUERY)
+        old_blob = system.server.answer_wire(request)
+        old = client.open_response(old_blob)
+        assert "leukemia" in self.text_of(client.decrypt_fragments(old))
+        assert len(client._tree_cache) == 2 and len(client._block_cache) == 7
+        return client, old, old_blob
+
+    def rewritten_block(self, system):
+        (block_id,) = system.hosted.block_stamps
+        return block_id
+
+    def test_a_replayed_pre_write_fragment_is_refused(self, system, warm):
+        client, old, _ = warm
+        system.update_value(*self.WRITE)
+        replay = client.open_response(self.sealed_now(system, old))
+        with pytest.raises(TamperedResponseError):
+            client.decrypt_fragments(replay)
+        # The fragment without the rewritten block is still the truth, and
+        # still cached; the honest answer is the updated one.
+        before = counters.snapshot()
+        text = self.text_of(self.staged(client, system))
+        assert "measles" in text and "leukemia" not in text
+        delta = counters.delta_since(before)
+        assert (delta["tree_cache_hits"], delta["block_cache_misses"]) == (1, 1)
+
+    def test_the_current_text_with_the_old_payload_is_refused(
+        self, system, warm
+    ):
+        client, _, _ = warm
+        stale_payload = dict(system.hosted.blocks)
+        system.update_value(*self.WRITE)
+        block_id = self.rewritten_block(system)
+        current = system.server.answer(client.translate(self.QUERY))
+        forged = ServerResponse(fragments=[
+            Fragment(fragment.ancestor_path, fragment.xml.replace(
+                system.hosted.blocks[block_id].hex(),
+                stale_payload[block_id].hex(),
+            ))
+            for fragment in current.fragments
+        ])
+        assert forged != current
+        with pytest.raises(TamperedResponseError):
+            client.decrypt_fragments(
+                client.open_response(self.sealed_now(system, forged))
+            )
+
+    def test_a_replayed_text_holding_a_deleted_block_is_refused(
+        self, system, warm
+    ):
+        client, old, _ = warm
+        system.delete_element("//patient[pname='Matt']/treat/disease")
+        assert len(system.hosted.block_tags) == 6
+        assert len(client._block_cache.live()) == 6
+        with pytest.raises(TamperedResponseError):
+            client.decrypt_fragments(
+                client.open_response(self.sealed_now(system, old))
+            )
+        assert "leukemia" not in self.text_of(self.staged(client, system))
+
+    def test_an_answer_under_the_old_seal_is_a_rollback(self, system, warm):
+        client, _, old_blob = warm
+        assert client.open_response(old_blob)  # this epoch: the cached one
+        system.update_value(*self.WRITE)
+        with pytest.raises(RollbackDetectedError):
+            client.open_response(old_blob)
+        with pytest.raises(RollbackDetectedError):
+            client.check_freshness(old_blob)
+
+    def test_a_handle_that_did_not_write_drops_the_same_entries(self, system):
+        writer, reader = system.client, Client(system.keyring, system.hosted)
+        old = reader.open_response(system.server.answer_wire(
+            reader.seal_request(reader.translate(self.QUERY))
+        ))
+        for client in (writer, reader):
+            self.staged(client, system)
+        system.update_value(*self.WRITE)
+        block_id = self.rewritten_block(system)
+        for client in (writer, reader):
+            assert set(client._block_cache.live()) == (
+                set(system.hosted.blocks) - {block_id}
+            )
+            assert set(client._verified_payloads.live()) == (
+                set(system.hosted.blocks) - {block_id}
+            )
+            assert len(client._tree_cache.live()) == 1
+        with pytest.raises(TamperedResponseError):
+            reader.decrypt_fragments(
+                reader.open_response(self.sealed_now(system, old))
+            )
+        assert "measles" in self.text_of(self.staged(reader, system))
+
+    def test_a_remote_handle_that_did_not_write_drops_them_too(self, system):
+        server = ServingServer(max_inflight=4)
+        server.register_tenant("t0", system)
+        address = server.start()
+        writer = remote_system(system, address, "t0")
+        reader = remote_system(system, address, "t0")
+        try:
+            for handle in (writer, reader):
+                assert "leukemia" in "".join(handle.query(self.QUERY).canonical())
+            writer.update_value(*self.WRITE)
+            block_id = self.rewritten_block(system)
+            assert block_id not in reader.client._block_cache.live()
+            assert len(reader.client._block_cache) == 6
+            before = counters.snapshot()
+            text = "".join(reader.query(self.QUERY).canonical())
+            assert "measles" in text and "leukemia" not in text
+            assert counters.delta_since(before)["block_cache_misses"] == 1
+        finally:
+            writer.close()
+            reader.close()
+            server.stop()
+
+    def test_readers_racing_a_writer_never_read_behind_an_acknowledged_write(
+        self, system
+    ):
+        """Three remote readers sweep their caches while another
+        connection rewrites one block over and over: an answer is never
+        older than the last write acknowledged before the read began."""
+        server = ServingServer(max_inflight=16)
+        server.register_tenant("t0", system)
+        address = server.start()
+        handles = [remote_system(system, address, "t0") for _ in range(4)]
+        writer, readers = handles[0], handles[1:]
+        values = ["leukemia"] + [f"d{n}" for n in range(12)]
+        acknowledged = [0]
+        seen, errors = [], []
+
+        def write():
+            for n, value in enumerate(values[1:], start=1):
+                writer.update_value(
+                    "//patient[pname='Matt']/treat/disease", value
+                )
+                acknowledged[0] = n
+
+        def version_read(handle):
+            text = "".join(handle.query(self.QUERY).canonical())
+            (found,) = [n for n, v in enumerate(values) if f">{v}<" in text]
+            return found
+
+        def read(handle):
+            try:
+                while acknowledged[0] < len(values) - 1:
+                    floor = acknowledged[0]
+                    try:
+                        seen.append((floor, version_read(handle)))
+                    except QueryFailedError:
+                        continue  # typed: every retry lost a race to the writer
+                # The writer is done: nothing left to lose a race to.
+                seen.append((len(values) - 1, version_read(handle)))
+            except Exception as exc:  # surfaced below, on the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=read, args=(h,)) for h in readers]
+        threads.append(threading.Thread(target=write))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            for handle in handles:
+                handle.close()
+            server.stop()
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert acknowledged[0] == len(values) - 1 and seen
+        assert all(found >= floor for floor, found in seen), seen
+
+    def test_a_tagless_hosting_keeps_nothing(self, system, warm):
+        """No tag, no record of what the owner wrote: nothing to go by."""
+        client, _, _ = warm
+        system.hosted.block_tags.clear()
+        system.hosted.bump_epoch()
+        assert len(client._block_cache.live()) == 0
+        assert len(client._verified_payloads.live()) == 0
+        assert len(client._tree_cache.live()) == 0
+
+    def test_a_reloaded_handle_starts_empty(self, system, warm, tmp_path):
+        system.update_value(*self.WRITE)
+        save_system(system, str(tmp_path / "hosting"))
+        reloaded = load_system(str(tmp_path / "hosting"), _DEFAULT_MASTER_KEY)
+        for owner in (reloaded.client, reloaded.server):
+            assert all(len(cache) == 0 for cache in owner._caches)
+        assert reloaded.hosted.subtree_stamps == {}
+        text = "".join(reloaded.query(self.QUERY).canonical())
+        assert "measles" in text and "leukemia" not in text
+
+    def test_the_server_keeps_the_fragments_the_write_cannot_reach(
+        self, system, warm
+    ):
+        server = system.server
+        before = dict(server._fragment_cache.live())
+        system.update_value(*self.WRITE)
+        kept = server._fragment_cache.live()
+        assert kept and kept.items() < before.items()
+        for node_id, fragment in kept.items():
+            node = next(
+                n for n in system.hosted.hosted_root.iter()
+                if n.node_id == node_id
+            )
+            assert fragment == server._build_fragment(node)
 
 
 class TestEpochCache:

@@ -15,12 +15,12 @@ import pytest
 from repro.cluster import (
     ClusterConfig,
     ClusterDegradedError,
-    ShardEpochs,
     build_placement,
 )
 from repro.cluster.placement import blocks_of_shard
 from repro.core.system import QueryFailedError, SecureXMLSystem
 from repro.netsim.faults import FaultPolicy
+from repro.perf import counters
 from repro.workloads.queries import QueryWorkload
 from repro.xpath.compiler import UnsupportedQuery
 
@@ -310,38 +310,42 @@ class TestFailover:
 
 
 # ----------------------------------------------------------------------
-# Update routing: partial epoch bumps, fresh answers afterwards
+# Updates: only what a write can reach re-serializes, answers stay fresh
 # ----------------------------------------------------------------------
 class TestUpdateRouting:
-    def shard_epochs(self, system) -> list[list[int]]:
-        """Per shard, the fragment epoch of each of its replicas."""
-        return [
-            [replica.server.shard_epoch for replica in replica_set.replicas]
-            for replica_set in system.coordinator.replica_sets
-        ]
-
     def warm(self, system, queries) -> None:
         for query in queries:
             system.query(query)
 
-    def test_narrow_update_bumps_a_proper_subset(
+    def test_narrow_update_leaves_other_roots_fragments_cached_on_every_shard(
         self, healthcare_doc, healthcare_scs
     ):
         system = SecureXMLSystem.host(
             healthcare_doc, healthcare_scs, scheme="opt",
-            cluster=ClusterConfig(shards=4),
+            cluster=ClusterConfig(shards=4, replicas=2),
         )
-        queries = ("//patient/SSN", "//pname")
-        self.warm(system, queries)
-        before = self.shard_epochs(system)
-        system.update_value("//patient[pname='Matt']/pname", "Matthew")
-        bumped = [
-            now != then for now, then in zip(self.shard_epochs(system), before)
+        hosted = system.hosted
+        servers = [
+            replica.server
+            for replica_set in system.coordinator.replica_sets
+            for replica in replica_set.replicas
         ]
-        assert any(bumped), "no shard was invalidated"
-        assert not all(bumped), (
-            "a narrow leaf update invalidated every shard"
-        )
+        queries = ("//patient/SSN", "//pname", "//patient")
+        self.warm(system, queries)
+        cached = [set(server._fragment_cache.live()) for server in servers]
+        assert sum(map(len, cached)) > 4
+        system.update_value("//patient[pname='Matt']/pname", "Matthew")
+        touched = set(hosted.subtree_stamps)
+        assert touched and any(ids & touched for ids in cached)
+        # Each shard keeps exactly what the write cannot reach ...
+        for server, ids in zip(servers, cached):
+            assert set(server._fragment_cache.live()) == ids - touched
+        # ... and the next round re-serializes only the rest.
+        before = counters.snapshot()
+        self.warm(system, queries)
+        delta = counters.delta_since(before)
+        assert delta["fragment_cache_hits"] > 0
+        assert 0 < delta["fragment_cache_misses"] <= len(touched)
 
     def test_updates_stay_byte_identical(
         self, healthcare_doc, healthcare_scs
@@ -372,27 +376,6 @@ class TestUpdateRouting:
                 clustered.query(query).canonical()
                 == monolithic.query(query).canonical()
             ), query
-
-    def test_epoch_serial_and_stamps(self, healthcare_doc, healthcare_scs):
-        system = SecureXMLSystem.host(
-            healthcare_doc, healthcare_scs, scheme="opt",
-            cluster=ClusterConfig(shards=4),
-        )
-        epochs = system.coordinator.epochs
-        assert epochs.serial == 0
-        system.update_value("//patient[pname='Matt']/pname", "Matthew")
-        assert epochs.serial == 1
-        stamped = [s for s in range(4) if epochs.stamps[s] == 1]
-        assert stamped, "update stamped no shard"
-        assert epochs.freshest_shard() == stamped[0]
-
-    def test_shard_epochs_unit(self):
-        epochs = ShardEpochs(3)
-        epochs.bump([2])
-        assert epochs.freshest_shard() == 2
-        epochs.bump([0, 1])
-        assert epochs.serial == 2
-        assert epochs.freshest_shard() == 0
 
 
 # ----------------------------------------------------------------------

@@ -367,6 +367,58 @@ class TestRollbackSweepMonolithic:
 # ----------------------------------------------------------------------
 # Rollback attacker: cluster sweep + pinned stale replica
 # ----------------------------------------------------------------------
+class TestARetryRetranslates:
+    """A plan is as of an epoch.  The attempt after a freshness failure
+    seals one made under the epoch it runs at, not the one the commit
+    that failed it has just re-planned."""
+
+    QUERY = "//patient[SSN='276543']/pname"
+
+    def test_a_commit_between_seal_and_answer(
+        self, healthcare_doc, healthcare_scs, monkeypatch
+    ):
+        system = SecureXMLSystem.host(
+            healthcare_doc, healthcare_scs, scheme="opt"
+        )
+        assert system.query(self.QUERY).values() == ["Matt"]
+        answer_wire, requests = system.server.answer_wire, []
+
+        def commit_then_answer(request):
+            if not requests:  # another handle's write, mid-flight
+                system.delete_element("//patient[pname='Betty']/SSN")
+            requests.append(request)
+            return answer_wire(request)
+
+        monkeypatch.setattr(system.server, "answer_wire", commit_then_answer)
+        start = counters.snapshot()
+        # The old plan's key ranges, run over the rebuilt value index,
+        # select nothing: sealed, verified, and wrong.
+        assert system.query(self.QUERY).values() == ["Matt"]
+        trace = system.last_trace
+        assert (trace.retries, trace.fell_back) == (1, False)
+        delta = counters.delta_since(start)
+        assert delta["rollback_detected"] == 1
+        assert delta["plan_cache_misses"] == 2  # the delete's, the retry's
+
+    def test_a_retry_without_a_commit_is_a_plan_cache_hit(
+        self, healthcare_doc, healthcare_scs
+    ):
+        policy = FaultPolicy(seed=3, server_to_client=FaultRates(corrupt=0.5))
+        system = SecureXMLSystem.host(
+            healthcare_doc, healthcare_scs, scheme="opt",
+            channel=FaultyChannel(policy=policy),
+        )
+        start = counters.snapshot()
+        retries = 0
+        for _ in range(8):
+            assert system.query(self.QUERY).values() == ["Matt"]
+            retries += system.last_trace.retries
+        delta = counters.delta_since(start)
+        assert retries > 0
+        assert delta["plan_cache_misses"] == 1
+        assert delta["plan_cache_hits"] == 7 + retries
+
+
 class TestRollbackCluster:
     CONFIG = ClusterConfig(shards=4, replicas=2)
 

@@ -6,17 +6,24 @@ sequence, a battery of queries must agree exactly.  This is the strongest
 guarantee the update extension offers.
 """
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.client import canonical_node
+from test_updates_oracle import apply, choose_operation
+from updates_oracle import write_plaintext
+from repro.core.client import Client, canonical_node
 from repro.core.system import SecureXMLSystem
-from repro.core.updates import UpdateError
+from repro.core.updates import UpdateEngine, UpdateError
+from repro.workloads.axes import AxisWorkload
 from repro.workloads.healthcare import (
     build_healthcare_database,
     healthcare_constraints,
 )
-from repro.xmldb.node import Element, Text
+from repro.workloads.nasa import build_nasa_database, nasa_constraints
+from repro.xmldb.node import Element, EncryptedBlockNode, Text
+from repro.xmldb.serializer import serialize
 from repro.xpath.evaluator import evaluate
 
 _CHECK_QUERIES = (
@@ -118,3 +125,100 @@ class TestRandomUpdateSequences:
             system.update_value("//patient[pname='Betty']/SSN", value)
             answer = system.query(f"//patient[SSN='{value}']/pname")
             assert answer.values() == ["Betty"]
+
+
+# ----------------------------------------------------------------------
+# What a write invalidates: a warm system against a cold one and the oracle
+# ----------------------------------------------------------------------
+_DATASETS = {
+    "healthcare": (build_healthcare_database, healthcare_constraints),
+    "nasa-20": (lambda: build_nasa_database(20, seed=13), nasa_constraints),
+}
+
+
+def _plaintext_path(probe, node):
+    """The positional path that names hosted ``node`` in the plaintext
+    document: a placeholder stands where its block's root element stood."""
+
+    def tag_of(sibling):
+        if isinstance(sibling, EncryptedBlockNode):
+            return probe.decrypt_fragment(serialize(sibling)).tag
+        return sibling.tag if isinstance(sibling, Element) else None
+
+    steps = []
+    while node is not None:
+        tag = tag_of(node)
+        before = node.parent.children[: node.child_index] if node.parent else []
+        position = 1 + sum(tag_of(sibling) == tag for sibling in before)
+        steps.append(f"{tag}[{position}]")
+        node = node.parent
+    return "/" + "/".join(reversed(steps))
+
+
+def _plaintext_write(system, probe, operation):
+    """``operation`` (see ``test_updates_oracle``) as a ``write_plaintext``
+    call, read off the hosted tree before the engine changes it."""
+    kind, position, tag, value = operation
+    entry = system.hosted.structural_index.entries[position]
+    node = (
+        entry.hosted_node if entry.block_id is None
+        else system.hosted.placeholders[entry.block_id]
+    )
+    path = _plaintext_path(probe, node)
+    if kind == "insert":
+        return "insert_element", path, tag, value
+    if kind == "update":
+        return "update_value", path, value
+    return "delete_element", path
+
+
+def _assert_surviving_fragments_are_fresh(system):
+    nodes = {node.node_id: node for node in system.hosted.hosted_root.iter()}
+    server = system.server
+    for node_id, fragment in server._fragment_cache.live().items():
+        assert fragment == server._build_fragment(nodes[node_id]), node_id
+
+
+class TestWhatAWriteInvalidates:
+    @given(
+        st.sampled_from(sorted(_DATASETS)),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.lists(st.booleans(), min_size=4, max_size=14),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_warm_equals_cold_equals_oracle(self, dataset, seed, steps):
+        build, constraints = _DATASETS[dataset]
+        oracle = build()
+        warm = SecureXMLSystem.host(build(), constraints(), scheme="opt")
+        cold = SecureXMLSystem.host(build(), constraints(), scheme="opt")
+        probe = Client(warm.keyring, warm.hosted)
+        queries = AxisWorkload(oracle, seed=seed % 97, per_axis=2).queries()
+        rng = random.Random(seed)
+
+        def read(query):
+            cold.flush_caches()
+            expected = sorted(
+                canonical_node(node) for node in evaluate(oracle, query)
+            )
+            assert warm.query(query).canonical() == expected, query
+            assert cold.query(query).canonical() == expected, query
+
+        for query in queries:  # every cache of the warm side filled
+            read(query)
+        for step, is_write in enumerate(steps):
+            if not is_write:
+                read(rng.choice(queries))
+                continue
+            operation = choose_operation(warm, rng, step)
+            if operation is None:
+                continue
+            plaintext_write = _plaintext_write(warm, probe, operation)
+            try:
+                apply(warm, UpdateEngine, operation)
+            except UpdateError:
+                continue  # refused before anything changed
+            apply(cold, UpdateEngine, operation)
+            write_plaintext(oracle, *plaintext_write)
+            _assert_surviving_fragments_are_fresh(warm)
+        for query in queries:
+            read(query)

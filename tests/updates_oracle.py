@@ -93,6 +93,7 @@ class FullScanUpdateEngine(UpdateEngine):
             found.children.append(entry)
         index.table.setdefault(entry.key, []).append(entry)
         insort(index.entries, entry, key=lambda e: e.interval.low)
+        index.invalidate_caches((entry.key,))
 
     def _remove_entries_inside(self, interval: Interval) -> None:
         index = self._hosted.structural_index
@@ -107,6 +108,7 @@ class FullScanUpdateEngine(UpdateEngine):
     def _drop(self, removed: list[IndexEntry]) -> None:
         index = self._hosted.structural_index
         removed_ids = {id(e) for e in removed}
+        index.invalidate_caches({e.key for e in removed})
         index.entries = [e for e in index.entries if id(e) not in removed_ids]
         for key in list(index.table):
             index.table[key] = [
