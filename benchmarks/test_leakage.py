@@ -3,7 +3,7 @@
 Plays the known-query recovery game of :mod:`repro.security.leakage`
 twice over the healthcare workload: once against a record-only hosting
 (the attacker baseline) and once with the full countermeasure set
-(padded fetches + decoys + scatter shuffle).  The gate holds three
+(padded fetches + decoys).  The gate holds three
 numbers:
 
 * the *baseline* attacker must genuinely win (max advantage at or above
@@ -15,9 +15,7 @@ numbers:
   ``REPRO_LEAKAGE_OVERHEAD_LIMIT`` (extra ciphertext bytes fetched per
   real byte).
 
-A cluster (4 shards × 2 replicas) run against the ``shard0`` observer is
-measured and recorded alongside — the compromised-shard threat model —
-and byte-identity of the protected answers is asserted on the way.
+Byte-identity of the protected answers is asserted on the way.
 Results land in ``BENCH_leakage.json`` (read-modify-write) and a table
 under ``benchmarks/results/``.
 """
@@ -28,7 +26,6 @@ import json
 import os
 
 from repro.bench.harness import format_table
-from repro.cluster.placement import ClusterConfig
 from repro.core.leakage import LeakagePolicy
 from repro.core.system import SecureXMLSystem
 from repro.security.leakage import run_leakage_game
@@ -77,19 +74,17 @@ def _append_series(key: str, payload: object) -> None:
         handle.write("\n")
 
 
-def _host(leakage, **kwargs):
+def _host(leakage):
     return SecureXMLSystem.host(
         build_healthcare_database(),
         healthcare_constraints(),
         scheme="opt",
         leakage=leakage,
-        **kwargs,
     )
 
 
 def _series(game):
     return {
-        "observer": game.observer,
         "query_count": game.query_count,
         "repeats": game.repeats,
         "max_advantage": game.max_advantage,
@@ -125,30 +120,11 @@ def test_countermeasures_gate_residual_advantage():
         protected_system, queries, repeats=REPEATS, seed=SEED
     )
 
-    # The compromised-shard view: shard0 of a (4, 2) cluster under the
-    # same policy — recorded for the docs, gated on overhead only (a
-    # single shard's slice can be too small for a meaningful attack).
-    cluster_system = _host(
-        leakage=LeakagePolicy.full(seed=SEED),
-        cluster=ClusterConfig(shards=4, replicas=2),
-    )
-    for query in queries:
-        assert (
-            cluster_system.query(query).canonical()
-            == reference.query(query).canonical()
-        ), query
-    shard = run_leakage_game(
-        cluster_system, queries, repeats=REPEATS, seed=SEED,
-        observer="shard0",
-    )
-
     rows = [
         ["unprotected", baseline.max_advantage,
          baseline.bandwidth_overhead],
         ["full policy", protected.max_advantage,
          protected.bandwidth_overhead],
-        ["full policy @ shard0 (4x2)", shard.max_advantage,
-         shard.bandwidth_overhead],
     ]
     write_result(
         "leakage_game",
@@ -174,7 +150,6 @@ def test_countermeasures_gate_residual_advantage():
             },
             "unprotected": _series(baseline),
             "protected": _series(protected),
-            "protected_shard0_4x2": _series(shard),
         },
     )
 
@@ -191,4 +166,3 @@ def test_countermeasures_gate_residual_advantage():
         f"cover traffic costs {protected.bandwidth_overhead:.2f}x real "
         f"bytes (limit {OVERHEAD_LIMIT}x)"
     )
-    assert 0.0 < shard.bandwidth_overhead

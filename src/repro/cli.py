@@ -30,13 +30,7 @@ Commands:
 ``stats``
     Run a query workload and export the observability snapshot —
     counters, latency histograms and the slow-query log — as a table,
-    JSON, or Prometheus text exposition (plus a per-shard breakdown
-    when ``--shards`` is active).
-
-``cluster``
-    Host a workload across a sharded, replicated cluster, run a small
-    workload through the scatter–gather path, and print the placement
-    map plus per-shard statistics.
+    JSON, or Prometheus text exposition.
 
 ``serve``
     Host a workload behind the asyncio socket front door and serve it
@@ -98,38 +92,11 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
         help="master-key passphrase (defaults to the demo key)",
     )
     parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="shard the hosting across N servers with scatter–gather "
-        "queries (default: $REPRO_SHARDS, <=1 disables)",
-    )
-    parser.add_argument(
-        "--replicas", type=int, default=1, metavar="R",
-        help="replicas per shard for failover (needs --shards)",
-    )
-    parser.add_argument(
         "--leakage", default=None, metavar="POLICY",
         help="access-pattern countermeasures: 'off' records traces "
-        "only, 'full' enables padding+decoys+shuffle, or knobs like "
-        "'pad=8,decoys=16,shuffle=1,seed=0' (default: $REPRO_LEAKAGE; "
+        "only, 'full' enables padding+decoys, or knobs like "
+        "'pad=8,decoys=16,seed=0' (default: $REPRO_LEAKAGE; "
         "answers are byte-identical either way)",
-    )
-
-
-def _cluster(args: argparse.Namespace):
-    """``--shards``/``--replicas``, shaped for ``host(cluster=)``.
-
-    ``None`` (flag absent) defers to ``REPRO_SHARDS``; an explicit
-    ``--shards`` of 0/1 forces the single-server path.
-    """
-    shards = getattr(args, "shards", None)
-    if shards is None:
-        return None
-    if shards <= 1:
-        return False
-    from repro.cluster import ClusterConfig
-
-    return ClusterConfig(
-        shards=shards, replicas=max(1, getattr(args, "replicas", 1))
     )
 
 
@@ -184,15 +151,9 @@ def cmd_host(args: argparse.Namespace) -> int:
     system = SecureXMLSystem.host(
         document, constraints, scheme=args.scheme,
         master_key=_master_key(args),
-        cluster=_cluster(args), leakage=_leakage(args),
+        leakage=_leakage(args),
     )
     _print_hosting(system)
-    coordinator = system.coordinator
-    if coordinator is not None:
-        from repro.cluster.admin import render_placement
-
-        print()
-        print(render_placement(coordinator.placement))
     if args.save:
         from repro.core.storage import save_system
 
@@ -218,7 +179,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         )
         system = SecureXMLSystem.host(
             document, constraints, scheme=args.scheme,
-            cluster=_cluster(args), leakage=_leakage(args),
+            leakage=_leakage(args),
         )
     answer = system.query(args.xpath)
     print(f"answers ({len(answer)}):")
@@ -273,7 +234,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     system = SecureXMLSystem.host(
         document, constraints, scheme=args.scheme,
         master_key=_master_key(args),
-        cluster=_cluster(args), leakage=_leakage(args),
+        leakage=_leakage(args),
     )
     answer = system.query(args.xpath)
     trace = system.last_trace
@@ -335,7 +296,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     system = SecureXMLSystem.host(
         document, constraints, scheme=args.scheme,
         master_key=_master_key(args),
-        cluster=_cluster(args), leakage=_leakage(args),
+        leakage=_leakage(args),
     )
     workload = QueryWorkload(
         document, seed=args.seed, per_class=args.per_class
@@ -384,50 +345,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
         serving_rows,
         "serving gauges + labeled counters",
     ))
-    coordinator = system.coordinator
-    if coordinator is not None:
-        from repro.cluster.admin import render_shard_stats
-
-        print()
-        print("per-shard breakdown:")
-        print(render_shard_stats(coordinator))
     print()
     print(obs.slow_log.render())
-    return 0
-
-
-def cmd_cluster(args: argparse.Namespace) -> int:
-    from repro.cluster.admin import render_placement, render_shard_stats
-    from repro.workloads.queries import QueryWorkload
-
-    document, constraints = build_workload(args.workload, args.size, args.seed)
-    cluster = _cluster(args)
-    if cluster is None or cluster is False:
-        from repro.cluster import ClusterConfig
-
-        cluster = ClusterConfig(shards=4)
-    system = SecureXMLSystem.host(
-        document, constraints, scheme=args.scheme,
-        master_key=_master_key(args),
-        cluster=cluster, leakage=_leakage(args),
-    )
-    coordinator = system.coordinator
-    assert coordinator is not None
-    workload = QueryWorkload(
-        document, seed=args.seed, per_class=args.per_class
-    ).by_class()
-    queries = [query for batch in workload.values() for query in batch]
-    system.execute_many(queries)
-    print(render_placement(coordinator.placement))
-    print()
-    hosted = system.hosted
-    print(
-        f"freshness anchor: commit epoch {hosted.epoch}, "
-        f"state root {hosted.state_root().hex()[:16]}…"
-    )
-    print(f"ran {len(queries)} queries through the scatter–gather path:")
-    print(render_shard_stats(coordinator))
-    system.close()
     return 0
 
 
@@ -440,7 +359,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     system = SecureXMLSystem.host(
         document, constraints, scheme=args.scheme,
         master_key=_master_key(args),
-        cluster=_cluster(args), leakage=_leakage(args),
+        leakage=_leakage(args),
     )
     server = ServingServer(
         host=args.host, port=args.port,
@@ -459,7 +378,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(
             "access-pattern countermeasures: "
             f"pad_to={policy.pad_to} decoys={policy.decoys} "
-            f"shuffle={'on' if policy.shuffle else 'off'} "
             f"seed={policy.seed}"
         )
     if args.storage:
@@ -606,16 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="table", help="export format",
     )
     stats.set_defaults(handler=cmd_stats)
-
-    cluster = subparsers.add_parser(
-        "cluster", help="host across shards, print placement + shard stats"
-    )
-    _add_workload_arguments(cluster)
-    cluster.add_argument(
-        "--per-class", type=int, default=3, dest="per_class",
-        help="queries generated per §7.1 query class",
-    )
-    cluster.set_defaults(handler=cmd_cluster)
 
     serve = subparsers.add_parser(
         "serve", help="host a workload behind the socket serving layer"

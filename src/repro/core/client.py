@@ -235,22 +235,6 @@ class Client:
         """Seal the opaque naive-path request (the raw query string)."""
         return self._hosted.seal(self._request_key, xpath.encode("utf-8"))[0]
 
-    def check_freshness(self, blob: bytes) -> None:
-        """Cheap freshness pre-check on a sealed response blob.
-
-        The cluster coordinator runs this *inside* the replica-failover
-        loop (before the response leaves :meth:`ReplicaSet.exchange`),
-        so a stale replica is identified — and demoted — at the moment
-        it serves a rolled-back snapshot, rather than after the gather.
-        Raises the same typed errors as :meth:`open_response`.
-        """
-        if blob in self._response_cache.live():
-            return  # already fully verified under this epoch
-        unseal_fresh(
-            self._response_key, blob,
-            self._hosted.epoch, self._hosted.state_root(),
-        )
-
     def open_response(self, blob: bytes) -> ServerResponse:
         """Verify a sealed wire response and decode it.
 

@@ -229,55 +229,6 @@ class StructuralIndex:
                 return entry
         return None
 
-    # ------------------------------------------------------------------
-    # Group ownership (the cluster layer's sharding key)
-    # ------------------------------------------------------------------
-    def group_cutpoints(self, group_count: int) -> list[float]:
-        """Interval-group boundaries: ``group_count`` contiguous spans.
-
-        The entries are already sorted by interval low bound, so slicing
-        that order into contiguous spans partitions the laminar forest
-        into *interval groups* — the paper's §5.1 grouping unit, reused
-        by the cluster layer as its sharding key.  The returned list
-        holds the low bound opening each group; membership of any
-        interval (including one drawn *after* hosting, by an insert) is
-        resolved by bisecting its low bound against these cutpoints, so
-        group membership is a pure, seed-stable function of geometry.
-
-        The first cutpoint is forced to ``-inf`` so every possible low
-        bound maps to a group.
-        """
-        if group_count < 1:
-            raise ValueError(f"group_count must be >= 1, got {group_count}")
-        total = len(self.entries)
-        group_count = min(group_count, total) or 1
-        base, extra = divmod(total, group_count)
-        cutpoints: list[float] = []
-        start = 0
-        for group in range(group_count):
-            cutpoints.append(
-                float("-inf")
-                if group == 0
-                else self.entries[start].interval.low
-            )
-            start += base + (1 if group < extra else 0)
-        return cutpoints
-
-    def hosted_node_lows(self) -> dict[int, float]:
-        """Hosted node id → owning interval low, for plaintext entries.
-
-        The cluster layer resolves which shard owns a *plaintext*
-        fragment root through this map (encrypted roots resolve through
-        the block table instead).  Rebuilt by callers on epoch change —
-        updates add and remove entries.
-        """
-        lows: dict[int, float] = {}
-        for entry in self.entries:
-            node = entry.hosted_node
-            if node is not None:
-                lows[node.node_id] = entry.interval.low
-        return lows
-
 
 def build_structural_index(
     document: Document,

@@ -11,21 +11,21 @@ This module supplies the pieces the rest of the stack threads through
 the real request path:
 
 * :class:`LeakagePolicy` — the switchable countermeasure knobs
-  (fixed-size padded fetch counts, batched decoy fetches, shuffled
-  scatter order), parsed from ``repro serve --leakage`` or the
-  ``REPRO_LEAKAGE`` environment variable;
-* seeded draw streams — per-observer
-  :class:`~repro.crypto.prf.DeterministicRandom` instances (the same
-  counter-mode PRG the hosting pipeline draws decoy values from),
-  independent of the :mod:`random` module state, so decoy draws and
-  shuffles replay byte-identically across cluster shapes and runs;
+  (fixed-size padded fetch counts, batched decoy fetches), parsed from
+  ``repro serve --leakage`` or the ``REPRO_LEAKAGE`` environment
+  variable;
+* a seeded draw stream — a
+  :class:`~repro.crypto.prf.DeterministicRandom` (the same counter-mode
+  PRG the hosting pipeline draws decoy values from), independent of the
+  :mod:`random` module state, so decoy draws and fetch-order shuffles
+  replay byte-identically across runs;
 * :class:`TraceRecorder` / :class:`ObservedTrace` — what the attacker
-  in :mod:`repro.security.leakage` gets to see: the ordered block-fetch
-  sequence per observer ("server", "shard0", ...);
+  in :mod:`repro.security.leakage` gets to see: the server's ordered
+  block-fetch sequence;
 * :class:`LeakageContext` — the per-system object the
-  :class:`~repro.core.server.Server` (and every cluster shard) calls on
-  each evaluated query to perform the extra fetches, account for them
-  in the dedicated ``leakage_*`` counters, and record the trace.
+  :class:`~repro.core.server.Server` calls on each evaluated query to
+  perform the extra fetches, account for them in the dedicated
+  ``leakage_*`` counters, and record the trace.
 
 Everything here operates strictly *below* the wire: decoy and padding
 fetches read ciphertext the server already stores, never leave the
@@ -44,21 +44,21 @@ from repro.crypto.prf import DeterministicRandom
 from repro.perf import counters
 
 #: Environment knob read by :meth:`LeakageContext.coerce` when the
-#: hosting call leaves ``leakage=None`` — mirrors REPRO_SHARDS so CI
-#: matrices can flip the tier on without code edits.
+#: hosting call leaves ``leakage=None``, so CI matrices can flip the
+#: tier on without code edits.
 ENV_POLICY = "REPRO_LEAKAGE"
 
 
 def leakage_stream(seed: int, label: str) -> DeterministicRandom:
-    """A seeded counter-mode stream for one observer/purpose.
+    """A seeded counter-mode stream for one purpose.
 
     :class:`~repro.crypto.prf.DeterministicRandom` is a function of
     ``(key, label)`` only — never of interpreter hash randomization or
     :mod:`random` module state — which is the property the determinism
     tier tests: identical seeds must produce identical decoy/shuffle
-    sequences across cluster shapes and across runs.  The label is
-    namespaced so these streams can never collide with the hosting
-    pipeline's decoy-value streams even under a shared key.
+    sequences across runs.  The label is namespaced so these streams can
+    never collide with the hosting pipeline's decoy-value streams even
+    under a shared key.
     """
     key = (seed & ((1 << 64) - 1)).to_bytes(8, "big").rjust(16, b"\x00")
     return DeterministicRandom(key, f"leakage:{label}")
@@ -81,11 +81,8 @@ class LeakagePolicy:
     #: Decoy block fetches appended to every evaluated query, drawn from
     #: the observer's block universe by the seeded stream.
     decoys: int = 0
-    #: Shuffle the coordinator's scatter order so shards cannot be
-    #: correlated by their fixed position in the request sequence.
-    shuffle: bool = False
-    #: Seed for every stream the context derives (decoys, padding,
-    #: fetch-order shuffle, scatter shuffle).
+    #: Seed of the stream the context draws decoys, padding and the
+    #: fetch-order shuffle from.
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -99,15 +96,10 @@ class LeakagePolicy:
         """True when fetch-level countermeasures (pad/decoy) are on."""
         return self.pad_to > 1 or self.decoys > 0
 
-    @property
-    def enabled(self) -> bool:
-        """True when any countermeasure is on."""
-        return self.masks_fetches or self.shuffle
-
     @classmethod
     def full(cls, seed: int = 0) -> "LeakagePolicy":
         """The complete countermeasure set the CI gate measures."""
-        return cls(pad_to=8, decoys=16, shuffle=True, seed=seed)
+        return cls(pad_to=8, decoys=16, seed=seed)
 
     @classmethod
     def parse(cls, text: str) -> "LeakagePolicy":
@@ -115,8 +107,7 @@ class LeakagePolicy:
 
         ``"off"`` → record-only policy; ``"full"`` → :meth:`full`;
         otherwise comma-separated ``key=value`` pairs over ``pad``,
-        ``decoys``, ``shuffle`` and ``seed`` — e.g.
-        ``"pad=8,decoys=16,shuffle=1,seed=3"``.
+        ``decoys`` and ``seed`` — e.g. ``"pad=8,decoys=16,seed=3"``.
         """
         spec = text.strip().lower()
         if spec in ("", "off", "record"):
@@ -144,8 +135,6 @@ class LeakagePolicy:
                 values["pad_to"] = value
             elif key == "decoys":
                 values["decoys"] = value
-            elif key == "shuffle":
-                values["shuffle"] = bool(value)
             elif key == "seed":
                 values["seed"] = value
             else:
@@ -155,62 +144,48 @@ class LeakagePolicy:
 
 @dataclass(frozen=True)
 class ObservedTrace:
-    """One query's fetch sequence as one observer saw it.
+    """One query's fetch sequence as the server's storage layer saw it.
 
-    ``blocks`` is the ordered block-id sequence the observer's storage
+    ``blocks`` is the ordered block-id sequence the storage
     layer served — real fetches plus any decoy/padding fetches, in the
     (possibly shuffled) order they were issued.  This is the attacker's
     entire view; it carries no plaintext and no query text.
     """
 
-    observer: str
     blocks: tuple[int, ...]
 
     def encode(self) -> bytes:
         """Canonical bytes, for byte-identity assertions across runs."""
-        body = ",".join(str(block) for block in self.blocks)
-        return f"{self.observer}:{body}".encode("utf-8")
+        return ",".join(str(block) for block in self.blocks).encode("utf-8")
 
 
 class TraceRecorder:
-    """Append-only log of :class:`ObservedTrace` per observer.
+    """Append-only log of :class:`ObservedTrace`.
 
     Thread-safe: the serving layer evaluates concurrent readers, so two
-    queries may record at once.  Order within one observer is the order
-    the observer actually served the fetches.
+    queries may record at once.  Order is the order the server actually
+    served the fetches.
     """
 
     def __init__(self) -> None:
         self._traces: list[ObservedTrace] = []
         self._lock = threading.Lock()
 
-    def record(self, observer: str, blocks: Iterable[int]) -> ObservedTrace:
-        trace = ObservedTrace(observer=observer, blocks=tuple(blocks))
+    def record(self, blocks: Iterable[int]) -> ObservedTrace:
+        trace = ObservedTrace(blocks=tuple(blocks))
         with self._lock:
             self._traces.append(trace)
         counters.add("leakage_traces_recorded")
         return trace
 
-    def traces(self, observer: "str | None" = None) -> list[ObservedTrace]:
-        """Recorded traces, optionally filtered to one observer."""
+    def traces(self) -> list[ObservedTrace]:
+        """Recorded traces, in the order they were served."""
         with self._lock:
-            snapshot = list(self._traces)
-        if observer is None:
-            return snapshot
-        return [trace for trace in snapshot if trace.observer == observer]
+            return list(self._traces)
 
-    def observers(self) -> tuple[str, ...]:
-        """Distinct observer names, in first-recorded order."""
-        seen: dict[str, None] = {}
-        for trace in self.traces():
-            seen.setdefault(trace.observer, None)
-        return tuple(seen)
-
-    def encode(self, observer: "str | None" = None) -> bytes:
-        """Canonical bytes for the whole (filtered) log."""
-        return b"\n".join(
-            trace.encode() for trace in self.traces(observer)
-        )
+    def encode(self) -> bytes:
+        """Canonical bytes for the whole log."""
+        return b"\n".join(trace.encode() for trace in self.traces())
 
     def clear(self) -> None:
         with self._lock:
@@ -222,15 +197,14 @@ class TraceRecorder:
 
 
 class LeakageContext:
-    """Per-system leakage state: policy, recorder, and seeded streams.
+    """Per-system leakage state: policy, recorder, and the seeded stream.
 
-    One context is shared by the monolithic server, every cluster shard
-    replica, and the coordinator.  Each observer name gets its own
-    advancing :class:`DeterministicRandom` stream, so decoy draws are
-    fresh per query (a repeated query does *not* repeat its decoys —
-    per-request determinism would let the observer match repeats by set
-    equality) while remaining replay-identical across runs,
-    because the per-observer call sequence is identical.
+    One context is shared by every replica of the server, which draw
+    from one advancing :class:`DeterministicRandom` stream, so decoy
+    draws are fresh per query (a repeated query does *not* repeat its
+    decoys — per-request determinism would let the observer match
+    repeats by set equality) while remaining replay-identical across
+    runs, because the call sequence is identical.
     """
 
     def __init__(
@@ -240,7 +214,7 @@ class LeakageContext:
     ) -> None:
         self.policy = policy
         self.recorder = recorder if recorder is not None else TraceRecorder()
-        self._streams: dict[str, DeterministicRandom] = {}
+        self._stream = leakage_stream(policy.seed, "server")
         self._lock = threading.Lock()
 
     @classmethod
@@ -273,28 +247,18 @@ class LeakageContext:
             f"LeakagePolicy or a LeakageContext, not {type(value).__name__}"
         )
 
-    def stream(self, label: str) -> DeterministicRandom:
-        """The (created-on-first-use) stream for one observer/purpose."""
-        with self._lock:
-            stream = self._streams.get(label)
-            if stream is None:
-                stream = leakage_stream(self.policy.seed, label)
-                self._streams[label] = stream
-            return stream
-
     def observe(
         self,
-        observer: str,
         real_ids: Sequence[int],
         universe: Sequence[int],
         fetch: Callable[[int], "bytes | None"],
     ) -> int:
-        """Run one query's fetch plan for ``observer`` and record it.
+        """Run one query's fetch plan and record it.
 
         ``real_ids`` are the block ids the evaluated answer actually
         ships (subtree-walk ground truth); ``universe`` is the sorted
-        block-id population this observer could legitimately be asked
-        for (the whole store, or one shard's slice); ``fetch`` resolves
+        block-id population the server could legitimately be asked
+        for (the whole store); ``fetch`` resolves
         an id to its stored ciphertext so decoy/padding fetches do real
         storage reads.  Returns the total fetch count (the padded
         trace length).  Holds the context lock for the whole plan so a
@@ -312,10 +276,7 @@ class LeakageContext:
         extra_bytes = 0
         with self._lock:
             if universe and policy.masks_fetches:
-                rng = self._streams.get(observer)
-                if rng is None:
-                    rng = leakage_stream(policy.seed, observer)
-                    self._streams[observer] = rng
+                rng = self._stream
                 for _ in range(policy.decoys):
                     block_id = universe[rng.randint(0, len(universe) - 1)]
                     payload = fetch(block_id)
@@ -344,24 +305,5 @@ class LeakageContext:
             counters.add("leakage_pad_fetches", pad_count)
         if extra_bytes:
             counters.add("leakage_extra_bytes", extra_bytes)
-        self.recorder.record(observer, plan)
+        self.recorder.record(plan)
         return len(plan)
-
-    def scatter_order(self, shards: Sequence) -> list:
-        """The order to visit scatter targets in.
-
-        Identity order unless the policy shuffles, in which case one
-        shared ``"scatter"`` stream drives the permutation — the
-        coordinator and the serving gateway route through this helper so
-        both paths draw from the same advancing stream.
-        """
-        ordered = list(shards)
-        if self.policy.shuffle and len(ordered) > 1:
-            with self._lock:
-                rng = self._streams.get("scatter")
-                if rng is None:
-                    rng = leakage_stream(self.policy.seed, "scatter")
-                    self._streams["scatter"] = rng
-                rng.shuffle(ordered)
-            counters.add("leakage_shuffled_scatters")
-        return ordered

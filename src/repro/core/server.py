@@ -18,7 +18,7 @@ import threading
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.obs import Observability
@@ -58,13 +58,6 @@ class Fragment:
     #: fragment root's parent; empty when the fragment root *is* the root.
     ancestor_path: tuple[tuple[str, int], ...]
     xml: str
-    #: Hosted id of the fragment's root node.  ``None`` on the
-    #: single-server path (the fragment list is already in document
-    #: order); cluster shards tag their fragments with it so the
-    #: coordinator can deduplicate the gathered partial responses and
-    #: restore the global document order exactly (see
-    #: :mod:`repro.cluster.coordinator`).
-    root_id: "int | None" = None
 
     def size_bytes(self) -> int:
         overhead = sum(len(tag) + 8 for tag, _ in self.ancestor_path)
@@ -155,7 +148,6 @@ class Server:
         #: Access-pattern leakage tier; ``None`` (the default) keeps the
         #: evaluated path untouched.  See :meth:`attach_leakage`.
         self.leakage: "LeakageContext | None" = None
-        self._leakage_observer = "server"
 
     def _open_fresh_request(self, key: bytes, request_blob: bytes) -> bytes:
         """Verify a request's envelope *and* freshness.
@@ -215,18 +207,9 @@ class Server:
     # ------------------------------------------------------------------
     # Access-pattern leakage tier
     # ------------------------------------------------------------------
-    def attach_leakage(
-        self, context: LeakageContext, observer: str = "server"
-    ) -> None:
-        """Join this server to a system-wide leakage context.
-
-        ``observer`` names this server's vantage point in the recorded
-        traces ("server" for the monolith, "shard<N>" for cluster
-        shards — every replica of one shard shares the name, so the
-        trace stream is per-shard regardless of which replica served).
-        """
+    def attach_leakage(self, context: LeakageContext) -> None:
+        """Join this server to a system-wide leakage context."""
         self.leakage = context
-        self._leakage_observer = observer
 
     def _leakage_universe(self) -> tuple[int, ...]:
         """Sorted block-id population decoy fetches may draw from.
@@ -236,13 +219,8 @@ class Server:
         cached = self._universe_cache.live()
         universe = cached.get("universe")
         if universe is None:
-            universe = cached["universe"] = tuple(sorted(self._stored_blocks()))
+            universe = cached["universe"] = tuple(sorted(self._hosted.blocks))
         return universe
-
-    def _stored_blocks(self) -> Iterable[int]:
-        """Ids of the blocks this server can be asked for: the monolith,
-        any stored block; a cluster shard, its placement slice."""
-        return self._hosted.blocks
 
     def _observe_leakage(self, roots: list[Node]) -> None:
         """Record (and pad/decoy) one evaluated query's fetch trace.
@@ -260,7 +238,6 @@ class Server:
             for block in iter_encrypted_blocks(root)
         ]
         total = context.observe(
-            self._leakage_observer,
             real,
             self._leakage_universe(),
             self._hosted.blocks.get,

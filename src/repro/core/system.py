@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field as dataclass_field
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.core.client import Client, QueryAnswer
 from repro.core.constraints import SecurityConstraint
@@ -125,15 +125,6 @@ class QueryTrace:
     #: (or ``ResidualRequired``) message, or a retry-exhaustion note for
     #: a degraded query.  ``None`` while the twig plan serves.
     fallback_reason: "str | None" = None
-    # --- cluster (scatter–gather execution; zero on the monolithic path) ---
-    cluster_shards: int = 0
-    cluster_failovers: int = 0
-    #: Modelled concurrent completion time of the scatter: max over
-    #: shards of (server + wire + failover backoff) plus the gather.
-    #: ``server_s``/``transfer_s`` stay *sums* over shards so span
-    #: reconciliation (``span.total(...)``) keeps working; this field is
-    #: the cluster's answer to "how long would N parallel shards take".
-    cluster_makespan_s: float = 0.0
     #: Root of the query's span tree (None when tracing is disabled).
     #: Excluded from comparisons and reprs: two traces of the same
     #: exchange stay equal.
@@ -200,20 +191,33 @@ class SecureXMLSystem:
         server: Server,
         hosted: HostedDatabase,
         scheme: EncryptionScheme,
-        channel: Channel,
+        channel: "Channel | Sequence[Channel]",
         hosting_trace: HostingTrace,
         keyring: ClientKeyring,
         retry_policy: RetryPolicy | None = None,
         observability: "Observability | bool | None" = None,
-        cluster: "object | None" = None,
-        cluster_faults: "object | None" = None,
         leakage: "object | None" = None,
     ) -> None:
         self.client = client
-        self.server = server
         self.hosted = hosted
         self.scheme = scheme
-        self.channel = channel
+        # One server, reached over one channel per replica: ``server``
+        # answers on the first, a further ``Server`` over the same hosted
+        # database on each of the others.  ``self.server`` /
+        # ``self.channel`` are replica 0 — the whole list for every
+        # caller that passes one channel.
+        channels = [channel] if isinstance(channel, Channel) else list(channel)
+        servers = [server] + [
+            Server(hosted, session_keys=keyring.session_keys())
+            for _ in channels[1:]
+        ]
+        self._replicas: list[tuple[Server, Channel]] = list(
+            zip(servers, channels)
+        )
+        self.server, self.channel = self._replicas[0]
+        #: Replicas the attempts rotate over: all of them, less any
+        #: benched for serving stale state (see :meth:`_demote`).
+        self._active = list(range(len(self._replicas)))
         self.hosting_trace = hosting_trace
         self.last_trace: QueryTrace | None = None
         self.last_batch_traces: list[QueryTrace] = []
@@ -226,39 +230,16 @@ class SecureXMLSystem:
         # span regardless of which layer opened them.
         self._obs = Observability.coerce(observability)
         client._obs = self._obs
-        server._obs = self._obs
-        channel.obs = self._obs
-        # Sharded cluster execution (lazy import: the cluster package
-        # imports this module for QueryFailedError).  ``coerce`` returns
-        # None for the exact legacy single-server path; otherwise the
-        # coordinator replaces the monolithic exchange entirely while
-        # ``self.server`` stays available for direct/introspective use.
-        from repro.cluster.placement import ClusterConfig
-
-        self.cluster = ClusterConfig.coerce(cluster)
-        self._coordinator = None
-        if self.cluster is not None:
-            from repro.cluster.coordinator import ClusterCoordinator
-
-            self._coordinator = ClusterCoordinator.build(
-                hosted,
-                keyring,
-                self.cluster,
-                retry_policy=self.retry_policy,
-                obs=self._obs,
-                channel_template=channel,
-                faults=cluster_faults,
-            )
         # Access-pattern leakage tier (see repro.core.leakage): one
-        # context shared by the monolithic server and every shard
-        # replica, so the attacker harness and the countermeasures see
-        # one policy and one recorder.  ``None`` (with REPRO_LEAKAGE
-        # unset) leaves every path exactly as before.
+        # context shared by every replica, so the attacker harness and
+        # the countermeasures see one policy and one recorder.  ``None``
+        # (with REPRO_LEAKAGE unset) leaves every path exactly as before.
         self.leakage = LeakageContext.coerce(leakage)
-        if self.leakage is not None:
-            server.attach_leakage(self.leakage, observer="server")
-            if self._coordinator is not None:
-                self._coordinator.attach_leakage(self.leakage)
+        for replica_server, replica_channel in self._replicas:
+            replica_server._obs = self._obs
+            replica_channel.obs = self._obs
+            if self.leakage is not None:
+                replica_server.attach_leakage(self.leakage)
 
     # ------------------------------------------------------------------
     # Hosting
@@ -270,12 +251,10 @@ class SecureXMLSystem:
         constraints: list[SecurityConstraint],
         scheme: "str | EncryptionScheme" = "opt",
         master_key: bytes = _DEFAULT_MASTER_KEY,
-        channel: Channel | None = None,
+        channel: "Channel | Sequence[Channel] | None" = None,
         secure: bool = True,
         retry_policy: RetryPolicy | None = None,
         observability: "Observability | bool | None" = None,
-        cluster: "object | None" = None,
-        cluster_faults: "object | None" = None,
         leakage: "object | None" = None,
     ) -> "SecureXMLSystem":
         """Encrypt ``document`` under the given scheme and stand up a system.
@@ -293,23 +272,18 @@ class SecureXMLSystem:
         still timed — the trace fields depend on them — but nothing is
         linked, logged or exported), and an existing instance is shared.
 
-        ``cluster`` shards the hosted database across N server instances
-        with scatter–gather execution (see
-        :meth:`~repro.cluster.placement.ClusterConfig.coerce`): ``None``
-        reads ``REPRO_SHARDS``/``REPRO_REPLICAS``, ``False``/an int
-        ``<= 1`` force the exact legacy single-server path, an int
-        ``>= 2`` names the shard count, and a ``ClusterConfig`` passes
-        through (including ``shards=1``, which exercises the coordinator
-        over a single shard).  Answers are byte-identical at any (N, R).
-        ``cluster_faults`` injects a :class:`~repro.netsim.faults
-        .FaultPolicy` (or a ``(shard, replica) -> policy`` callable) into
-        the per-replica channels for failover testing.
+        ``channel`` is the modelled wire to the server — or a sequence
+        of them, one per *replica* of the server: the retry loop rotates
+        over the replicas, benches one caught serving stale state while
+        a peer remains, and resyncs it off the first fresh answer (see
+        ``docs/PROTOCOL.md``, "Replication & failover").  With one
+        channel none of that machinery ever runs.
 
         ``leakage`` enables the access-pattern leakage tier (see
         :meth:`~repro.core.leakage.LeakageContext.coerce`): ``None``
         reads ``REPRO_LEAKAGE`` (unset → tier off, zero overhead),
         ``True`` the full countermeasure set, a string a policy spec
-        like ``"pad=8,decoys=16,shuffle=1"``, or a
+        like ``"pad=8,decoys=16"``, or a
         :class:`~repro.core.leakage.LeakagePolicy`/``LeakageContext``
         directly.  Countermeasures run strictly below the wire, so
         answers stay byte-identical with any policy.
@@ -347,8 +321,6 @@ class SecureXMLSystem:
             keyring=keyring,
             retry_policy=retry_policy,
             observability=observability,
-            cluster=cluster,
-            cluster_faults=cluster_faults,
             leakage=leakage,
         )
 
@@ -363,14 +335,8 @@ class SecureXMLSystem:
         costs (the paper's protocol has no cross-query amortization).
         """
         self.client.flush_caches()
-        self.server.flush_caches()
-        if self._coordinator is not None:
-            self._coordinator.flush_caches()
-
-    @property
-    def coordinator(self):
-        """The cluster coordinator (``None`` on the single-server path)."""
-        return self._coordinator
+        for server, _channel in self._replicas:
+            server.flush_caches()
 
     @property
     def keyring(self) -> ClientKeyring:
@@ -380,9 +346,9 @@ class SecureXMLSystem:
     def close(self) -> None:
         """Release what the system holds open (idempotent).
 
-        An in-process system — monolithic or clustered — holds nothing
-        open and stays usable afterwards; the remote system overrides
-        this to close its connection.
+        An in-process system holds nothing open and stays usable
+        afterwards; the remote system overrides this to close its
+        connection.
         """
 
     # ------------------------------------------------------------------
@@ -433,6 +399,7 @@ class SecureXMLSystem:
         started_wall = time.perf_counter()
 
         last_error: Exception | None = None
+        replica = 0
         translated = None
         for attempt in range(policy.max_attempts):
             # Every attempt seals a plan made under the epoch it runs at:
@@ -441,37 +408,24 @@ class SecureXMLSystem:
             translated = self._translate(xpath, trace)
             if translated is None:
                 break
-            self._pre_attempt(attempt, trace, started_wall, policy)
+            replica = self._pre_attempt(attempt, trace, started_wall, policy)
             attempt_span: Span | None = None
             try:
                 with tracer.span(
-                    "attempt", number=trace.attempts
+                    "attempt", number=trace.attempts, replica=replica
                 ) as attempt_span:
-                    if self._coordinator is not None:
-                        # Cluster path: the coordinator handles its own
-                        # replica failover internally; a shard with no
-                        # surviving replica surfaces as a
-                        # ClusterDegradedError (a QueryFailedError, not
-                        # retryable here).
-                        response = self._coordinator.scatter_gather(
-                            self.client,
-                            xpath,
-                            translated,
-                            trace,
-                            self._backoff_rng,
+                    with tracer.span("seal"):
+                        request = self.client.seal_request(
+                            translated, cache_key=xpath
                         )
-                    else:
-                        with tracer.span("seal"):
-                            request = self.client.seal_request(
-                                translated, cache_key=xpath
-                            )
-                        response = self._exchange(
-                            request, self.server.answer_wire, trace
-                        )
-                        trace.candidate_counts = response.candidate_counts
+                    server, channel = self._replicas[replica]
+                    response = self._exchange(
+                        channel, request, server.answer_wire, trace
+                    )
+                    trace.candidate_counts = response.candidate_counts
                 return self._finish(xpath, response, trace)
             except _RETRYABLE as exc:
-                last_error = self._record_failure(exc, trace)
+                last_error = self._record_failure(exc, trace, replica)
                 if attempt_span is not None:
                     attempt_span.annotate(error=type(exc).__name__)
         if translated is not None:
@@ -479,7 +433,7 @@ class SecureXMLSystem:
                 counters.add("queries_failed")
                 raise QueryFailedError(
                     f"query failed after {trace.attempts} attempts "
-                    f"({self._failure_detail(trace, last_error)}): "
+                    f"({self._failure_detail(trace, last_error, replica)}): "
                     f"{last_error}"
                 ) from last_error
             trace.fell_back = True
@@ -491,7 +445,7 @@ class SecureXMLSystem:
             counters.add("naive_fallbacks")
 
         for attempt in range(policy.naive_attempts):
-            self._pre_attempt(
+            replica = self._pre_attempt(
                 attempt if translated is None else attempt + 1,
                 trace,
                 started_wall,
@@ -500,17 +454,19 @@ class SecureXMLSystem:
             attempt_span = None
             try:
                 with tracer.span(
-                    "attempt", number=trace.attempts, naive=True
+                    "attempt", number=trace.attempts, replica=replica,
+                    naive=True,
                 ) as attempt_span:
-                    return self._finish_naive(xpath, trace)
+                    return self._finish_naive(xpath, trace, replica)
             except _RETRYABLE as exc:
-                last_error = self._record_failure(exc, trace)
+                last_error = self._record_failure(exc, trace, replica)
                 if attempt_span is not None:
                     attempt_span.annotate(error=type(exc).__name__)
         counters.add("queries_failed")
         raise QueryFailedError(
             f"query failed after {trace.attempts} attempts "
-            f"({self._failure_detail(trace, last_error)}): {last_error}"
+            f"({self._failure_detail(trace, last_error, replica)}): "
+            f"{last_error}"
         ) from last_error
 
     # ------------------------------------------------------------------
@@ -541,12 +497,14 @@ class SecureXMLSystem:
         trace: QueryTrace,
         started_wall: float,
         policy: RetryPolicy,
-    ) -> None:
+    ) -> int:
         """Apply backoff before a retry and enforce the per-query deadline.
 
         The deadline covers real client/server CPU time plus the modelled
         wire and backoff time accumulated so far, so a hung-wire scenario
-        fails fast instead of wedging the caller.
+        fails fast instead of wedging the caller.  Returns the replica
+        this attempt goes to: the query's attempts rotate over the
+        replicas still in the rotation.
         """
         if attempt > 0:
             delay = policy.backoff_for(attempt - 1, self._backoff_rng)
@@ -570,10 +528,13 @@ class SecureXMLSystem:
                 f"query deadline of {policy.deadline_s}s exceeded after "
                 f"{trace.attempts} attempts"
             )
+        active = self._active
+        replica = active[trace.attempts % len(active)]
         trace.attempts += 1
+        return replica
 
     def _record_failure(
-        self, exc: Exception, trace: QueryTrace
+        self, exc: Exception, trace: QueryTrace, replica: int
     ) -> Exception:
         if isinstance(exc, IntegrityError):
             counters.add("integrity_failures")
@@ -583,18 +544,57 @@ class SecureXMLSystem:
                 trace.freshness_failures += 1
                 if isinstance(exc, RollbackDetectedError):
                     counters.add("rollback_detected")
+                self._demote(replica, exc)
         else:
             trace.drops += 1
         return exc
 
+    def _demote(self, replica: int, exc: FreshnessError) -> None:
+        """Bench a replica that served stale state — while a peer remains.
+
+        A retry against the same replica can never get past one pinned at
+        an old epoch, so it leaves the rotation until a peer has answered
+        fresh (:meth:`_readmit_demoted`).  The last replica standing is
+        never benched: with one replica nothing here ever runs.  The
+        rotation is replaced, never mutated, so a concurrent query that
+        already benched this replica (or is indexing the old list) is safe.
+        """
+        active = self._active
+        if replica not in active or len(active) < 2:
+            return
+        self._active = [index for index in active if index != replica]
+        counters.add("replica_demotions")
+        if self._obs.enabled:
+            self._obs.metrics.observe(
+                "replica_epoch_lag", float(exc.epoch_lag)
+            )
+
+    def _readmit_demoted(self) -> None:
+        """Resync benched replicas off a verified-fresh answer.
+
+        Each one's server caches are flushed (nothing sealed at the old
+        epoch survives) and its channel's recorded snapshots cleared (the
+        modelled replica has caught up); only then does it rejoin.
+        """
+        for index, (server, channel) in enumerate(self._replicas):
+            if index in self._active:
+                continue
+            server.flush_caches()
+            resync = getattr(channel, "resync", None)
+            if resync is not None:
+                resync()
+            counters.add("replica_resyncs")
+        self._active = list(range(len(self._replicas)))
+
     def _failure_detail(
-        self, trace: QueryTrace, last_error: Exception | None
+        self, trace: QueryTrace, last_error: Exception | None, replica: int
     ) -> str:
         """One-line diagnosis for QueryFailedError messages.
 
-        Names the last error type and — when the channel is a fault
-        injector — the last fault kind it applied, so a chaos-suite
-        failure is attributable from the error text alone.
+        Names the last error type and — when the channel of the replica
+        that failed last is a fault injector — the last fault kind it
+        applied, so a chaos-suite failure is attributable from the error
+        text alone.
         """
         detail = (
             f"{trace.integrity_failures} integrity failures "
@@ -602,7 +602,7 @@ class SecureXMLSystem:
         )
         if last_error is not None:
             detail += f", last error {type(last_error).__name__}"
-        kind = getattr(self.channel, "last_fault_kind", None)
+        kind = getattr(self._replicas[replica][1], "last_fault_kind", None)
         if kind is not None:
             detail += f", last fault {kind}"
         return detail
@@ -711,41 +711,52 @@ class SecureXMLSystem:
         engine.update_value(entry, new_value)
 
     def naive_query(self, xpath: str) -> QueryAnswer:
-        """Answer a query with the §7.3 naive baseline (ship everything)."""
+        """Answer a query with the §7.3 naive baseline (ship everything).
+
+        No retry budget and no backoff: one try per replica in the
+        rotation, failing over off one that drops, tampers or serves
+        stale state; the last replica's error is raised as it is.
+        """
         trace = QueryTrace(query=xpath)
-        trace.attempts = 1
         tracer = self._obs.tracer
         root = tracer.begin("query", query=xpath, naive=True)
         if tracer.enabled:
             trace.span = root
         with tracer.activate(root):
-            return self._finish_naive(xpath, trace)
+            last_error: Exception | None = None
+            for replica in list(self._active):
+                trace.attempts += 1
+                try:
+                    return self._finish_naive(xpath, trace, replica)
+                except _RETRYABLE as exc:
+                    last_error = self._record_failure(exc, trace, replica)
+            assert last_error is not None
+            raise last_error
 
-    def _finish_naive(self, xpath: str, trace: QueryTrace) -> QueryAnswer:
+    def _finish_naive(
+        self, xpath: str, trace: QueryTrace, replica: int
+    ) -> QueryAnswer:
         trace.naive = True
-        if self._coordinator is not None:
-            # The naive protocol has no sharded form; the coordinator
-            # routes it to the root-owning shard's replica set.
-            response = self._coordinator.naive_exchange(
-                self.client, xpath, trace, self._backoff_rng
-            )
-            return self._finish(xpath, response, trace)
         with self._obs.tracer.span("seal"):
             request = self.client.seal_naive_request(xpath)
-        response = self._exchange(request, self.server.ship_all_wire, trace)
+        server, channel = self._replicas[replica]
+        response = self._exchange(
+            channel, request, server.ship_all_wire, trace
+        )
         return self._finish(xpath, response, trace)
 
     def _exchange(
-        self, request: bytes, serve, trace: QueryTrace
+        self, channel: Channel, request: bytes, serve, trace: QueryTrace
     ) -> ServerResponse:
-        """One sealed request/response round trip over the channel.
+        """One sealed request/response round trip with one replica.
 
-        ``serve`` is the server's wire entry point for the request kind
-        (``answer_wire`` or ``ship_all_wire``): sealed bytes in, sealed
-        bytes out.
+        ``serve`` is that replica's wire entry point for the request
+        kind (``answer_wire`` or ``ship_all_wire``): sealed bytes in,
+        sealed bytes out.  A response that verifies is fresh by
+        construction, which is what lets benched replicas resync off it.
         """
         tracer = self._obs.tracer
-        request, seconds = self.channel.transfer(
+        request, seconds = channel.transfer(
             "client->server", "query", request
         )
         trace.transfer_s += seconds
@@ -754,12 +765,15 @@ class SecureXMLSystem:
             sealed = serve(request)
         trace.server_s += span.finish()
 
-        sealed, seconds = self.channel.transfer(
+        sealed, seconds = channel.transfer(
             "server->client", "answer", sealed
         )
         trace.transfer_s += seconds
         with tracer.span("verify"):
-            return self.client.open_response(sealed)
+            response = self.client.open_response(sealed)
+        if len(self._active) < len(self._replicas):
+            self._readmit_demoted()
+        return response
 
     def _finish(
         self, xpath: str, response: ServerResponse, trace: QueryTrace

@@ -25,7 +25,7 @@ Responses are keyed by the request payload with its freshness header
 stripped (:func:`repro.core.integrity.envelope_payload`), because the
 sealed request bytes change at every commit epoch while the logical
 query underneath does not.  ``FaultPolicy(pin_stale=True)`` is the
-cluster variant: the replica behind this channel *always* serves its
+replica variant: the replica behind this channel *always* serves its
 first-recorded snapshot, modelling a replica frozen at an old epoch
 until :meth:`FaultyChannel.resync` clears its recorded state.
 Cross-request substitution is deliberately not modelled — it would
@@ -107,7 +107,7 @@ class FaultPolicy:
     ``pin_stale=True`` makes the channel *deterministically* stale: it
     always serves the first response it recorded for each logical
     request, independent of any random draw — the "one replica pinned at
-    an old epoch" cluster scenario.
+    an old epoch" scenario.
     """
 
     def __init__(
@@ -211,7 +211,7 @@ class FaultyChannel(Channel):
 
     policy: FaultPolicy = field(default_factory=FaultPolicy)
     #: Diagnostic breadcrumb: the kind of the last fault this channel
-    #: injected, surfaced in QueryFailedError/ClusterDegradedError text.
+    #: injected, surfaced in QueryFailedError text.
     last_fault_kind: str | None = field(
         default=None, repr=False, compare=False
     )
@@ -232,7 +232,7 @@ class FaultyChannel(Channel):
 
         Clears the recorded-snapshot store, so the next response per
         request is re-recorded at the current epoch; called by the
-        replica set when it re-admits a demoted replica.
+        system when it re-admits a demoted replica.
         """
         self._snapshots.clear()
         self._last_request_key = None

@@ -110,16 +110,10 @@ def decode_query(payload: bytes) -> Any:
 # Server response (server -> client)
 # ----------------------------------------------------------------------
 def _fragment_record(fragment: Any) -> dict[str, Any]:
-    record = {
+    return {
         "p": [[tag, nid] for tag, nid in fragment.ancestor_path],
         "x": fragment.xml,
     }
-    # Shard-tagged fragments (cluster scatter–gather) carry their root's
-    # hosted id; single-server responses omit the key, keeping their
-    # wire bytes identical to the pre-cluster encoding.
-    if fragment.root_id is not None:
-        record["r"] = fragment.root_id
-    return record
 
 
 def _fragment_from_record(record: dict[str, Any]) -> Any:
@@ -128,7 +122,6 @@ def _fragment_from_record(record: dict[str, Any]) -> Any:
     return Fragment(
         ancestor_path=tuple((tag, nid) for tag, nid in record["p"]),
         xml=record["x"],
-        root_id=record.get("r"),
     )
 
 

@@ -53,13 +53,10 @@ HISTOGRAMS: dict[str, str] = {
     "chunk_decrypt_seconds": "Decrypt+strip time of one batch of cache-missing fragments.",
     "retry_backoff_seconds": "Modelled backoff before each query retry.",
     "transfer_seconds": "Modelled wire time per channel transfer.",
-    "cluster_scatter_seconds": "Scatter phase: all shard exchanges of one query.",
-    "cluster_gather_seconds": "Gather phase: merge of the partial responses.",
-    "shard_exchange_seconds": "One shard's server + wire time within a scatter.",
     # Unitless lag (commits, not seconds) — recorded when a replica is
     # demoted for serving stale state, so the distribution shows how far
     # behind stale replicas were when caught.
-    "shard_epoch_lag": "Commit-epoch lag of a replica demoted for staleness.",
+    "replica_epoch_lag": "Commit-epoch lag of a replica demoted for staleness.",
     "serving_request_seconds": (
         "Socket request latency: admission to last response frame."
     ),

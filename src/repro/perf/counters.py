@@ -71,11 +71,7 @@ class PerfCounters:
     rollback_detected: int = 0
     naive_fallbacks: int = 0
     queries_failed: int = 0
-    # --- cluster (scatter–gather, replica failover) ---
-    cluster_scatters: int = 0
-    cluster_failovers: int = 0
-    cluster_degraded: int = 0
-    shard_exchanges: int = 0
+    # --- replication ---
     #: Replicas benched for serving stale state, and benched replicas
     #: resynced + re-admitted after a confirmed-fresh exchange.
     replica_demotions: int = 0
@@ -111,8 +107,6 @@ class PerfCounters:
     leakage_real_bytes: int = 0
     #: Ciphertext bytes read for decoy + padding fetches (the numerator).
     leakage_extra_bytes: int = 0
-    #: Scatter fan-outs issued in shuffled order.
-    leakage_shuffled_scatters: int = 0
     #: Observed traces appended to the recorder.
     leakage_traces_recorded: int = 0
 

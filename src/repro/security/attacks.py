@@ -205,7 +205,7 @@ def correctly_cracked(system, report: AttackReport) -> int:
     """How many of the report's claimed cracks name the right ciphertext.
 
     A frequency match can assert a value→ciphertext mapping with false
-    certainty (a partial per-shard view, or OPESS counts that happen to
+    certainty (a partial view, or OPESS counts that happen to
     coincide); only a mapping that is *true* is attacker advantage.  The
     caller holds the client keys, so it can adjudicate: a claimed block
     payload must decrypt to the value, a claimed value-index key must be

@@ -3,8 +3,8 @@
 The adversary modelled here is the third of the suite's observers —
 after the ciphertext-distribution attacker (:mod:`repro.security
 .attacks`, PR 5) and the rollback attacker (:mod:`repro.netsim.faults`,
-PR 7): an honest-but-curious party watching the *storage layer* of one
-server (or one cluster shard).  It never sees plaintext, keys, query
+PR 7): an honest-but-curious party watching the *storage layer* of the
+server.  It never sees plaintext, keys, query
 text or response bytes — only the ordered sequence of block ids each
 query's evaluation fetched, exactly what :class:`~repro.core.leakage
 .TraceRecorder` captures.
@@ -53,7 +53,7 @@ METHODS = ("length", "jaccard", "coaccess")
 
 @dataclass(frozen=True)
 class LeakageAttackReport:
-    """Outcome of one attribution strategy against one observer.
+    """Outcome of one attribution strategy.
 
     The shape follows :class:`repro.security.attacks.AttackReport`:
     what the attacker tried, over what domain, and how far beyond
@@ -61,7 +61,6 @@ class LeakageAttackReport:
     """
 
     method: str
-    observer: str
     #: Distinct profiled queries (the guessing domain).
     query_count: int
     #: Unlabelled traces the attacker attributed.
@@ -85,7 +84,7 @@ class LeakageAttackReport:
 
     def describe(self) -> str:
         return (
-            f"{self.method} attribution on {self.observer}: "
+            f"{self.method} attribution: "
             f"{self.correct}/{self.trace_count} correct "
             f"(accuracy {self.accuracy:.3f}, guess {self.baseline:.3f}, "
             f"advantage {self.advantage:.3f})"
@@ -96,7 +95,6 @@ class LeakageAttackReport:
 class LeakageGameResult:
     """Everything one game run produced, for tests, bench and docs."""
 
-    observer: str
     query_count: int
     repeats: int
     reports: list[LeakageAttackReport]
@@ -126,7 +124,7 @@ class LeakageGameResult:
 
     def describe(self) -> str:
         lines = [
-            f"leakage game on {self.observer}: {self.query_count} queries "
+            f"leakage game: {self.query_count} queries "
             f"x {self.repeats} repeats, bandwidth overhead "
             f"{self.bandwidth_overhead:.2f}x"
         ]
@@ -191,7 +189,6 @@ class TraceClusteringAttack:
         traces: "list[ObservedTrace]",
         labels: "list[int]",
         method: str,
-        observer: str,
     ) -> LeakageAttackReport:
         """Score one strategy over a labelled attack-phase trace set."""
         if len(traces) != len(labels):
@@ -203,7 +200,6 @@ class TraceClusteringAttack:
         )
         return LeakageAttackReport(
             method=method,
-            observer=observer,
             query_count=self.query_count,
             trace_count=len(traces),
             correct=correct,
@@ -215,7 +211,6 @@ def run_leakage_game(
     queries: "list[str]",
     repeats: int = 4,
     seed: int = 0,
-    observer: str = "server",
 ) -> LeakageGameResult:
     """Play the full profile → attack → score game against ``system``.
 
@@ -240,11 +235,11 @@ def run_leakage_game(
     for query in queries:
         system.flush_caches()
         system.query(query)
-    references = recorder.traces(observer)
+    references = recorder.traces()
     if len(references) != len(queries):
         raise RuntimeError(
             f"profile phase recorded {len(references)} traces for "
-            f"{len(queries)} queries on observer {observer!r}"
+            f"{len(queries)} queries"
         )
     attack = TraceClusteringAttack(references)
 
@@ -260,18 +255,15 @@ def run_leakage_game(
         system.flush_caches()
         system.query(queries[label])
     delta = counters.delta_since(before)
-    traces = recorder.traces(observer)
+    traces = recorder.traces()
     if len(traces) != len(labels):
         raise RuntimeError(
             f"attack phase recorded {len(traces)} traces for "
-            f"{len(labels)} issues on observer {observer!r}"
+            f"{len(labels)} issues"
         )
 
-    reports = [
-        attack.run(traces, labels, method, observer) for method in METHODS
-    ]
+    reports = [attack.run(traces, labels, method) for method in METHODS]
     return LeakageGameResult(
-        observer=observer,
         query_count=len(queries),
         repeats=repeats,
         reports=reports,

@@ -33,7 +33,6 @@ from repro.serving.framing import (
     decode_frame,
     encode_frame,
 )
-from repro.serving.gateway import ClusterGateway
 from repro.serving.loadgen import LoadReport, run_load
 from repro.serving.server import ServingServer, TenantSession
 from repro.serving.transport import AsyncFaultTransport
@@ -42,7 +41,6 @@ __all__ = [
     "AsyncFaultTransport",
     "AsyncServingClient",
     "BackpressureRejected",
-    "ClusterGateway",
     "ConnectionClosedError",
     "FrameError",
     "LoadReport",

@@ -428,10 +428,9 @@ def remote_system(
         keyring=local.keyring,
         retry_policy=local.retry_policy,
         observability=observability,
-        cluster=False,  # never coordinator-side: the far end shards, not us
-        # Never client-side either: decoy/padding fetches happen where
-        # the storage is — the served tenant system — and REPRO_LEAKAGE
-        # must not make this proxy try to attach a tier to RemoteServer.
+        # Never client-side: decoy/padding fetches happen where the
+        # storage is — the served tenant system — and REPRO_LEAKAGE must
+        # not make this proxy try to attach a tier to RemoteServer.
         leakage=False,
     )
     remote._connection = connection

@@ -118,7 +118,7 @@ def encode_error(exc: Exception) -> bytes:
     """Serialize an exception into an ``OP_ERROR`` payload.
 
     Subclasses not individually registered fall back to the nearest
-    registered base (e.g. :class:`ClusterDegradedError` travels as
+    registered base (a subclass of :class:`QueryFailedError` travels as
     :class:`QueryFailedError`), which preserves the retry semantics the
     client's loop keys on even for types it has never imported.
     """

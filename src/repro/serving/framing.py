@@ -47,7 +47,7 @@ OP_STATS = 7  # freshness-sealed {"op": "stats"}; sealed JSON response
 # Server -> client opcodes.
 OP_OK = 16  # complete response payload for the request id
 OP_ERROR = 19  # JSON {"error": <type name>, "message": ...}
-OP_HELLO_OK = 20  # JSON session parameters (tenant, protocol, epoch, cluster)
+OP_HELLO_OK = 20  # JSON session parameters (tenant, protocol, epoch)
 
 #: Opcodes whose payloads are data-plane traffic: exactly the bytes that
 #: cross the in-process :class:`~repro.netsim.channel.Channel`, so the

@@ -55,8 +55,9 @@ from repro.serving.framing import OP_QUERY, OP_UPDATE
 
 #: Outcomes the generator absorbs with a re-issue: freshness races
 #: (anchor moved under a sealed payload) and dropped/rejected transfers
-#: (backpressure, drain) — the same retryable set the system uses.
-_RETRYABLE = (FreshnessError, TransferDropped)
+#: (backpressure, drain).  Narrower than the system's retry set: a
+#: byte-tampered response is a failure here, not a re-issue.
+_REISSUABLE = (FreshnessError, TransferDropped)
 
 
 @dataclass
@@ -170,7 +171,7 @@ def run_load(
                         _accept_in_flight(sealed, stale, issue_epoch)
                     report.queries += 1
                     return
-                except _RETRYABLE as exc:
+                except _REISSUABLE as exc:
                     await _backoff(exc, attempt)
             report.failures += 1
 
@@ -188,7 +189,7 @@ def run_load(
                     unseal(response_key, ack, error=TamperedResponseError)
                     report.updates += 1
                     return
-                except _RETRYABLE as exc:
+                except _REISSUABLE as exc:
                     await _backoff(exc, attempt)
             report.failures += 1
 

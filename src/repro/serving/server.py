@@ -89,7 +89,6 @@ from repro.serving.framing import (
     encode_frame,
     read_frame,
 )
-from repro.serving.gateway import ClusterGateway
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     pass
@@ -159,10 +158,7 @@ class TenantSession:
     """One hosted tenant: its system, session keys, and request surface.
 
     All methods here are synchronous and run on the serving thread
-    pool.  Cluster tenants are served through a
-    :class:`~repro.serving.gateway.ClusterGateway` so the wire surface
-    (monolithic sealed request → sealed response) is identical for both
-    execution engines.
+    pool.
     """
 
     def __init__(
@@ -179,9 +175,6 @@ class TenantSession:
             system.keyring.session_keys()
         )
         self._rw = ReadWriteLock()
-        self._gateway = (
-            ClusterGateway(system) if system.coordinator is not None else None
-        )
         self._counts_lock = threading.Lock()
         self.op_counts: dict[str, int] = {}
         # Replay guard for sealed commands: MAC tag -> sealed epoch of
@@ -192,31 +185,15 @@ class TenantSession:
         self._replay_lock = threading.Lock()
         # Many concurrent connections race the write path, so a request
         # sealed an instant before a concurrent commit must stay
-        # acceptable: widen every underlying server's request-freshness
-        # window (0 keeps the strict in-process rule).
+        # acceptable: widen the server's request-freshness window (0
+        # keeps the strict in-process rule).
         self.freshness_window = max(0, freshness_window)
         if self.freshness_window > 0:
-            for server in self._servers():
-                server.freshness_window = self.freshness_window
-
-    def _servers(self):
-        """Every core server this tenant's requests can reach."""
-        servers = []
-        if getattr(self.system, "server", None) is not None:
-            servers.append(self.system.server)
-        coordinator = self.system.coordinator
-        if coordinator is not None:
-            for replica_set in coordinator.replica_sets:
-                for replica in replica_set.replicas:
-                    servers.append(replica.server)
-        return servers
+            system.server.freshness_window = self.freshness_window
 
     def _count(self, op_name: str) -> None:
         with self._counts_lock:
             self.op_counts[op_name] = self.op_counts.get(op_name, 0) + 1
-
-    def _target(self):
-        return self._gateway if self._gateway is not None else self.system.server
 
     # ------------------------------------------------------------------
     # Request surface (sync, executor-side)
@@ -227,18 +204,17 @@ class TenantSession:
                 "tenant": self.tenant_id,
                 "protocol": PROTOCOL_VERSION,
                 "epoch": self.system.hosted.epoch,
-                "cluster": self._gateway is not None,
             }
 
     def query(self, blob: bytes) -> bytes:
         self._count("query")
         with self._rw.read():
-            return self._target().answer_wire(blob)
+            return self.system.server.answer_wire(blob)
 
     def naive(self, blob: bytes) -> bytes:
         self._count("naive")
         with self._rw.read():
-            return self._target().ship_all_wire(blob)
+            return self.system.server.ship_all_wire(blob)
 
     def update(self, blob: bytes) -> bytes:
         """Apply one sealed update operation; returns a sealed ack.
@@ -382,8 +358,6 @@ class TenantSession:
                     "flush request carries a different command"
                 )
             self.system.flush_caches()
-            if self._gateway is not None:
-                self._gateway.flush_caches()
             return seal(self._response_key, b"{}")
 
     def stats(self, blob: bytes) -> bytes:
@@ -416,9 +390,6 @@ class TenantSession:
                 "leakage": {
                     "pad_to": leakage.policy.pad_to if leakage else 0,
                     "decoys": leakage.policy.decoys if leakage else 0,
-                    "shuffle": bool(
-                        leakage.policy.shuffle if leakage else False
-                    ),
                     "traces": len(leakage.recorder) if leakage else 0,
                 },
             },
@@ -433,8 +404,6 @@ class TenantSession:
         """Flush caches and persist durable state (under the write lock)."""
         with self._rw.write():
             self.system.flush_caches()
-            if self._gateway is not None:
-                self._gateway.flush_caches()
             if self.storage_dir is not None:
                 from repro.core.storage import save_system
 

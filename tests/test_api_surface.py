@@ -260,6 +260,73 @@ class TestOneSerialPipeline:
         assert not hasattr(system, "fast_path")
 
 
+class TestOneServerBehindTheOwner:
+    """The sharded join is gone: no module, field, key or knob of it is left."""
+
+    def test_cluster_modules_fields_and_knobs_are_gone(
+        self, healthcare_doc, healthcare_scs
+    ):
+        import dataclasses
+        import importlib
+        import pathlib
+
+        import repro
+        from repro.core.server import Fragment
+        from repro.core.system import QueryTrace, SecureXMLSystem
+
+        for module in ("repro.cluster", "repro.serving.gateway"):
+            with pytest.raises(ImportError):
+                importlib.import_module(module)
+        assert {f.name for f in dataclasses.fields(Fragment)} == {
+            "ancestor_path", "xml",
+        }
+        assert not [
+            f.name for f in dataclasses.fields(QueryTrace)
+            if f.name.startswith("cluster_")
+        ]
+        for knob in ("cluster", "cluster_faults"):
+            with pytest.raises(TypeError):
+                SecureXMLSystem.host(
+                    healthcare_doc, healthcare_scs, **{knob: None}
+                )
+        retired = ("REPRO_SHARDS", "REPRO_REPLICAS", "--shards", "scatter")
+        for path in sorted(pathlib.Path(repro.__file__).parent.rglob("*.py")):
+            text = path.read_text()
+            assert not [word for word in retired if word in text], path
+
+    def test_a_stray_root_id_key_is_ignored_on_the_wire(self):
+        import json
+
+        from repro.core.server import Fragment, ServerResponse
+        from repro.netsim.message import (
+            MessageDecodeError,
+            decode_response,
+            encode_response,
+        )
+
+        response = ServerResponse(
+            fragments=[Fragment(ancestor_path=(("a", 1),), xml="<b/>")],
+            blocks_shipped=0,
+        )
+        record = json.loads(encode_response(response))
+        assert set(record["f"][0]) == {"p", "x"}
+        record["f"][0]["r"] = 7  # what a shard used to tag its fragments with
+        assert decode_response(json.dumps(record).encode()) == response
+        for missing in ("p", "x"):
+            broken = json.loads(encode_response(response))
+            del broken["f"][0][missing]
+            with pytest.raises(MessageDecodeError):
+                decode_response(json.dumps(broken).encode())
+
+    def test_scatter_shuffle_is_not_a_leakage_knob(self):
+        from repro.core.leakage import LeakagePolicy
+
+        with pytest.raises(ValueError, match="unknown leakage policy knob"):
+            LeakagePolicy.parse("shuffle=1")
+        assert LeakagePolicy.parse("full") == LeakagePolicy.full()
+        assert not hasattr(LeakagePolicy(), "shuffle")
+
+
 def test_no_module_of_the_package_imports_a_name_it_never_uses():
     """ruff F401, the lint job's commonest finding, where it runs offline.
     Exempt: ``__init__.py`` re-exports, ``TYPE_CHECKING`` blocks, ``from

@@ -25,10 +25,11 @@ from repro.core.system import (
     SecureXMLSystem,
     _DEFAULT_MASTER_KEY,
 )
+from repro.netsim.channel import Channel
+from repro.netsim.faults import FaultPolicy, FaultRates, FaultyChannel
 from repro.netsim.message import encode_response
 from repro.perf import counters
 from repro.serving import ServingServer, remote_system
-from repro.serving.gateway import ClusterGateway
 from repro.xpath.evaluator import evaluate
 
 
@@ -258,8 +259,6 @@ class TestEntriesThatOutliveAnEpoch:
         system.update_value(*self.WRITE)
         with pytest.raises(RollbackDetectedError):
             client.open_response(old_blob)
-        with pytest.raises(RollbackDetectedError):
-            client.check_freshness(old_blob)
 
     def test_a_handle_that_did_not_write_drops_the_same_entries(self, system):
         writer, reader = system.client, Client(system.keyring, system.hosted)
@@ -470,13 +469,7 @@ class TestBoundedByTheTypeNotByThePeer:
     def test_300_distinct_queries_in_one_epoch(
         self, healthcare_doc, healthcare_scs
     ):
-        system = SecureXMLSystem.host(
-            healthcare_doc, healthcare_scs, cluster=False
-        )
-        clustered = SecureXMLSystem.host(
-            healthcare_doc, healthcare_scs, cluster=2
-        )
-        gateway = ClusterGateway(clustered)
+        system = SecureXMLSystem.host(healthcare_doc, healthcare_scs)
         epoch = system.hosted.epoch
         for n in range(300):
             query = f"//patient[age>{n % 50}][age<{100 + n}]/pname"
@@ -484,29 +477,15 @@ class TestBoundedByTheTypeNotByThePeer:
                 canonical_node(node) for node in evaluate(healthcare_doc, query)
             )
             assert system.query(query).canonical() == expected, query
-            sealer = clustered.client
-            sealed = gateway.answer_wire(
-                sealer.seal_request(sealer.translate(query), cache_key=query)
-            )
-            answer = sealer.post_process(query, sealer.assemble(
-                sealer.decrypt_fragments(sealer.open_response(sealed))
-            ))
-            assert answer.canonical() == expected, query
         assert system.hosted.epoch == epoch
         # Keyed by one of the 300 strings, or by its sealed request: full.
         for cache in (
             system.client._plan_cache, system.client._request_cache,
-            system.server._wire_cache, gateway._wire_cache,
-            *(
-                replica.server._wire_cache
-                for replica_set in clustered.coordinator.replica_sets
-                for replica in replica_set.replicas
-            ),
+            system.server._wire_cache,
         ):
             assert len(cache) == EpochCache.BOUND
         # Keyed by the sealed response, and many of the 300 share one.
-        for client in (system.client, clustered.client):
-            assert 0 < len(client._response_cache) <= EpochCache.BOUND
+        assert 0 < len(system.client._response_cache) <= EpochCache.BOUND
 
 
 class TestClientOutlivesWrites:
@@ -629,30 +608,21 @@ class TestFlushCaches:
         Walks ``vars()`` rather than naming the caches: every
         :class:`EpochCache` an owner holds must be in the registry its
         ``flush_caches()`` loops over, and a dict called ``*_cache`` kept
-        beside the type fails here.
+        beside the type fails here.  Two replicas, the first losing every
+        response: both servers evaluate the query, both must be flushed.
         """
+        lossy = FaultyChannel(
+            policy=FaultPolicy(server_to_client=FaultRates(drop=1.0))
+        )
         system = SecureXMLSystem.host(
             healthcare_doc, healthcare_scs,
             leakage=LeakagePolicy(pad_to=8, decoys=8),
-            cluster=False,
+            channel=[lossy, Channel()],
         )
-        clustered = SecureXMLSystem.host(
-            healthcare_doc, healthcare_scs, cluster=2,
-            leakage=LeakagePolicy(pad_to=8, decoys=8),
-        )
-        gateway = ClusterGateway(clustered)
-        request = clustered.client.seal_request(
-            clustered.client.translate(self.QUERY), cache_key=self.QUERY
-        )
-        gateway.answer_wire(request)
         system.query(self.QUERY)
-        clustered.query(self.QUERY)
-        shards = [
-            replica.server
-            for replica_set in clustered.coordinator.replica_sets
-            for replica in replica_set.replicas
-        ]
-        owners = [system.client, system.server, clustered.client, gateway, *shards]
+        servers = [server for server, _channel in system._replicas]
+        assert len(servers) == 2 and servers[0] is system.server
+        owners = [system.client, *servers]
 
         def caches(owner):
             held = {
@@ -667,27 +637,24 @@ class TestFlushCaches:
                 ), (type(owner).__name__, name)
             return held
 
-        warm = {
+        warm = [
             (type(owner).__name__, name)
             for owner in owners
             for name, cache in caches(owner).items()
             if len(cache)
-        }
-        assert warm == {
+        ]
+        assert sorted(warm) == sorted([
             ("Client", "_translator_cache"), ("Client", "_plan_cache"),
             ("Client", "_request_cache"), ("Client", "_response_cache"),
             ("Client", "_verified_payloads"), ("Client", "_block_cache"),
             ("Client", "_tree_cache"),
-            ("Server", "_fragment_cache"), ("Server", "_wire_cache"),
-            ("Server", "_universe_cache"),
-            ("ShardServer", "_fragment_cache"), ("ShardServer", "_wire_cache"),
-            ("ShardServer", "_universe_cache"), ("ShardServer", "_lows_cache"),
-            ("ClusterGateway", "_wire_cache"),
-        }
+            *[
+                ("Server", "_fragment_cache"), ("Server", "_wire_cache"),
+                ("Server", "_universe_cache"),
+            ] * 2,
+        ])
 
         system.flush_caches()
-        clustered.flush_caches()
-        gateway.flush_caches()
         for owner in owners:
             for name, cache in caches(owner).items():
                 assert len(cache) == 0, (type(owner).__name__, name)

@@ -35,6 +35,22 @@ class TestParser:
         assert args.workload == "healthcare"
         assert args.scheme == "opt"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cluster"],
+            ["host", "--shards", "4"],
+            ["stats", "--shards", "4", "--replicas", "2"],
+            ["serve", "--replicas", "2"],
+        ],
+    )
+    def test_cluster_command_and_flags_are_errors(self, argv, capsys):
+        """Gone with the sharded join — and loudly, not as silent no-ops."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_demo(self, capsys):
@@ -167,6 +183,8 @@ class TestObservabilityCommands:
         samples = parse_prometheus(out)
         assert samples["repro_query_seconds_count"] > 0
         assert samples["repro_serving_connections"] == 0
+        assert not [name for name in samples if "shard" in name]
+        assert "repro_replica_epoch_lag_count" in samples
 
 
 class TestServeCommand:

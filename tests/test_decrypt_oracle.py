@@ -511,11 +511,11 @@ class _LyingServer:
             if mutate is not None:
                 first = shipped[0]
                 shipped[0] = Fragment(
-                    first.ancestor_path, mutate(system, first.xml), first.root_id
+                    first.ancestor_path, mutate(system, first.xml)
                 )
             if repath is not None:
                 shipped[:] = [
-                    Fragment(path, fragment.xml, fragment.root_id)
+                    Fragment(path, fragment.xml)
                     for fragment, path in zip(
                         shipped, repath([f.ancestor_path for f in shipped])
                     )

@@ -4,8 +4,8 @@ The contract under test extends the "exact answer or typed error"
 invariant to a *rollback* adversary: a channel that replays earlier
 validly-MACed responses.  Every query against a rolling-back channel
 must return the byte-identical fresh answer or raise a typed freshness
-error — never a stale answer.  In the cluster, a replica pinned at an
-old epoch must be demoted, failed over, resynced and re-admitted, with
+error — never a stale answer.  With replicas, one pinned at an old
+epoch must be demoted, failed over, resynced and re-admitted, with
 answers byte-identical to the no-fault run throughout.
 """
 
@@ -16,7 +16,6 @@ import os
 
 import pytest
 
-from repro.cluster import ClusterConfig, ClusterDegradedError
 from repro.core.integrity import (
     FRESH_OVERHEAD,
     MAGIC_FRESH,
@@ -34,6 +33,7 @@ from repro.core.integrity import (
     unseal_fresh,
 )
 from repro.core.system import QueryFailedError, SecureXMLSystem
+from repro.netsim.channel import Channel
 from repro.netsim.faults import FaultPolicy, FaultRates, FaultyChannel
 from repro.perf import counters
 
@@ -365,7 +365,7 @@ class TestRollbackSweepMonolithic:
 
 
 # ----------------------------------------------------------------------
-# Rollback attacker: cluster sweep + pinned stale replica
+# Rollback attacker: replica sweep + pinned stale replica
 # ----------------------------------------------------------------------
 class TestARetryRetranslates:
     """A plan is as of an epoch.  The attempt after a freshness failure
@@ -420,12 +420,17 @@ class TestARetryRetranslates:
 
 
 class TestRollbackCluster:
-    CONFIG = ClusterConfig(shards=4, replicas=2)
+    """The rollback attacker against R replicas of one server."""
 
-    def host(self, document, constraints, faults, **kwargs):
+    def host(self, document, constraints, policies, **kwargs):
+        """One replica per policy; ``None`` is a clean channel."""
         return SecureXMLSystem.host(
             document, constraints, scheme="opt",
-            cluster=self.CONFIG, cluster_faults=faults, **kwargs,
+            channel=[
+                Channel() if policy is None else FaultyChannel(policy=policy)
+                for policy in policies
+            ],
+            **kwargs,
         )
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -433,14 +438,16 @@ class TestRollbackCluster:
         self, seed, healthcare_doc, healthcare_scs
     ):
         before, after = _reference_run(healthcare_doc, healthcare_scs)
-
-        def faults(shard_id, replica_id):
-            return FaultPolicy(
-                seed=seed * 31 + shard_id * 7 + replica_id,
-                server_to_client=FaultRates(rollback=0.3),
-            )
-
-        system = self.host(healthcare_doc, healthcare_scs, faults)
+        system = self.host(
+            healthcare_doc, healthcare_scs,
+            [
+                FaultPolicy(
+                    seed=seed * 31 + replica,
+                    server_to_client=FaultRates(rollback=0.3),
+                )
+                for replica in range(3)
+            ],
+        )
         start = counters.snapshot()
         for query in QUERIES:
             assert system.query(query).canonical() == before[query]
@@ -463,21 +470,18 @@ class TestRollbackCluster:
     def test_pinned_stale_replica_demoted_resynced_readmitted(
         self, healthcare_doc, healthcare_scs
     ):
-        """One replica frozen at an old epoch at (4, 2): queries still
+        """One replica of two frozen at an old epoch: queries still
         succeed via failover, the replica is demoted then resynced and
         re-admitted, and every answer is byte-identical to the no-fault
-        cluster run."""
+        run."""
         reference = SecureXMLSystem.host(
-            healthcare_doc, healthcare_scs, scheme="opt",
-            cluster=self.CONFIG,
+            healthcare_doc, healthcare_scs, scheme="opt"
         )
-
-        def faults(shard_id, replica_id):
-            if shard_id == 0 and replica_id == 0:
-                return FaultPolicy(pin_stale=True)
-            return None
-
-        system = self.host(healthcare_doc, healthcare_scs, faults)
+        system = self.host(
+            healthcare_doc, healthcare_scs,
+            [FaultPolicy(pin_stale=True), None],
+        )
+        start = counters.snapshot()
 
         def run_phase():
             for query in QUERIES:
@@ -485,56 +489,57 @@ class TestRollbackCluster:
                     system.query(query).canonical()
                     == reference.query(query).canonical()
                 ), query
+            return counters.delta_since(start)
 
         run_phase()  # pins the pre-update snapshots
         system.update_value(PROBE, "987654")
         reference.update_value(PROBE, "987654")
-        run_phase()  # pinned replica serves stale → demote + failover
+        stats = run_phase()  # pinned replica serves stale → demote + failover
 
-        pinned_set = system.coordinator.replica_sets[0]
-        assert pinned_set.stats.demotions >= 1
-        assert pinned_set.stats.resyncs >= 1
-        assert pinned_set.stats.max_epoch_lag >= 1
-        assert pinned_set.stats.failovers >= 1
+        assert stats["replica_demotions"] >= 1
+        assert stats["replica_resyncs"] >= 1
+        assert stats["query_retries"] >= 1
+        lag = system.observability().metrics.snapshot()["histograms"][
+            "replica_epoch_lag"
+        ]
+        assert lag["max"] >= 1
 
-        run_phase()  # re-admitted replica now serves fresh state
-        demotions_after_resync = pinned_set.stats.demotions
+        # re-admitted replica now serves fresh state
+        demotions_after_resync = run_phase()["replica_demotions"]
 
         system.update_value(PROBE, "111222")
         reference.update_value(PROBE, "111222")
-        run_phase()  # pins again → a second demote/resync cycle
-        assert pinned_set.stats.demotions > demotions_after_resync
-        assert pinned_set.stats.resyncs >= 2
+        stats = run_phase()  # pins again → a second demote/resync cycle
+        assert stats["replica_demotions"] > demotions_after_resync
+        assert stats["replica_resyncs"] >= 2
 
     def test_all_replicas_stale_raises_typed_error(
         self, healthcare_doc, healthcare_scs
     ):
-        """When *every* replica of a shard is pinned stale, the shard
-        degrades with the typed error — never a stale answer — and the
-        message carries the diagnosis."""
+        """When *every* replica is pinned stale, the query fails with
+        the typed error — never a stale answer — and the message
+        carries the diagnosis."""
         from repro.core.system import RetryPolicy
-
-        def faults(shard_id, replica_id):
-            return FaultPolicy(pin_stale=True)
 
         # The naive fallback's request is first *recorded* post-update
         # (a fresh snapshot), so it would legitimately rescue the query;
         # disable it to corner the system into the typed error.
         system = self.host(
-            healthcare_doc, healthcare_scs, faults,
+            healthcare_doc, healthcare_scs,
+            [FaultPolicy(pin_stale=True), FaultPolicy(pin_stale=True)],
             retry_policy=RetryPolicy(naive_fallback=False),
         )
         # Cycle 1 seeds replica 0's recording; the post-update query
         # fails over to replica 1 (seeding *its* recording at the new
         # epoch) and resyncs replica 0, which re-records on the follow-up
         # query.  After the second update every replica replays a stale
-        # snapshot, so the shard can only degrade with the typed error.
+        # snapshot, so the query can only fail with the typed error.
         system.query(PROBE)
         system.update_value(PROBE, "987654")
         system.query(PROBE)
         system.query(PROBE)
         system.update_value(PROBE, "111222")
-        with pytest.raises((ClusterDegradedError, QueryFailedError)) as exc:
+        with pytest.raises(QueryFailedError) as exc:
             system.query(PROBE)
         assert "last fault rollback" in str(exc.value)
 
@@ -542,18 +547,14 @@ class TestRollbackCluster:
         self, healthcare_doc, healthcare_scs
     ):
         """The naive (ship-everything) route also refuses stale state:
-        the root-owning set fails over off its pinned replica."""
+        it fails over off the pinned replica."""
         reference = SecureXMLSystem.host(
-            healthcare_doc, healthcare_scs, scheme="opt",
-            cluster=self.CONFIG,
+            healthcare_doc, healthcare_scs, scheme="opt"
         )
-
-        def faults(shard_id, replica_id):
-            if replica_id == 0:
-                return FaultPolicy(pin_stale=True)
-            return None
-
-        system = self.host(healthcare_doc, healthcare_scs, faults)
+        system = self.host(
+            healthcare_doc, healthcare_scs,
+            [FaultPolicy(pin_stale=True), None],
+        )
         assert (
             system.naive_query(PROBE).canonical()
             == reference.naive_query(PROBE).canonical()

@@ -7,16 +7,15 @@ Four invariant families:
   specs fail loudly.
 * **Block accounting** (the bugfix) — ``blocks_shipped`` equals the
   number of encrypted-block markers actually present in the shipped
-  fragments, on the fast path, the naive path, and across a cluster.
+  fragments, on the fast path and the naive path.
 * **Trace determinism** — the same seed produces byte-identical fetch
-  traces across cluster shapes and runs.
+  traces across runs.
 * **Byte-identity & hygiene** — the full countermeasure set changes no
   answer byte on any path and pollutes no cache counter.
 """
 
 import pytest
 
-from repro.cluster.placement import ClusterConfig
 from repro.core import client as client_module
 from repro.core.leakage import (
     LeakageContext,
@@ -45,7 +44,7 @@ FULL = LeakagePolicy.full(seed=3)
 #: Axis-engine plans: multi-node ship sets, reverse/order joins,
 #: positional completeness, a residual plan.  The leakage gates must
 #: hold for these exactly as for the downward fragment — the new axes
-#: reuse the same sealed-fragment wire path, so pad/decoy/shuffle apply
+#: reuse the same sealed-fragment wire path, so pad/decoy apply
 #: unchanged.
 AXIS_QUERIES = (
     "//age/ancestor::patient",
@@ -68,11 +67,11 @@ def host(doc, scs, **kwargs):
 class TestPolicy:
     def test_full_enables_everything(self):
         policy = LeakagePolicy.full()
-        assert policy.masks_fetches and policy.shuffle and policy.enabled
+        assert policy.masks_fetches and policy.pad_to > 1 and policy.decoys
 
     def test_default_is_record_only(self):
         policy = LeakagePolicy()
-        assert not policy.enabled and not policy.masks_fetches
+        assert not policy.masks_fetches
 
     @pytest.mark.parametrize("spec", ["", "off", "record"])
     def test_parse_record_only(self, spec):
@@ -82,10 +81,8 @@ class TestPolicy:
         assert LeakagePolicy.parse("full") == LeakagePolicy.full()
 
     def test_parse_knobs(self):
-        policy = LeakagePolicy.parse("pad=4, decoys=9, shuffle=1, seed=17")
-        assert policy == LeakagePolicy(
-            pad_to=4, decoys=9, shuffle=True, seed=17
-        )
+        policy = LeakagePolicy.parse("pad=4, decoys=9, seed=17")
+        assert policy == LeakagePolicy(pad_to=4, decoys=9, seed=17)
 
     @pytest.mark.parametrize(
         "spec", ["pad", "pad=x", "bogus=1", "pad=8 decoys=2"]
@@ -172,24 +169,6 @@ class TestBlockAccounting:
             response.blocks_shipped == marker_count(response)
         )
 
-    def test_cluster_totals_match_monolithic(
-        self, healthcare_doc, healthcare_scs
-    ):
-        mono = host(healthcare_doc, healthcare_scs)
-        clustered = host(
-            healthcare_doc,
-            healthcare_scs,
-            cluster=ClusterConfig(shards=4, replicas=2),
-        )
-        for query in QUERIES:
-            mono_answer = mono.query(query)
-            cluster_answer = clustered.query(query)
-            assert mono_answer.canonical() == cluster_answer.canonical()
-            assert (
-                mono.last_trace.blocks_returned
-                == clustered.last_trace.blocks_returned
-            ), query
-
 
 class TestOneDefinitionOfABlock:
     """``blocks_shipped`` is counted in the fragment text; the tree walk
@@ -221,7 +200,7 @@ class TestOneDefinitionOfABlock:
                     for block_id, _ in client_module._BLOCK_RE.findall(fragment.xml)
                 ]
                 assert scanned == walked, query
-                assert recorder.traces("server")[-1].blocks == tuple(walked), query
+                assert recorder.traces()[-1].blocks == tuple(walked), query
                 assert response.blocks_shipped == len(walked), query
                 assert response.blocks_shipped == marker_count(response), query
             shipped += len(walked)
@@ -246,18 +225,10 @@ def recorded(doc, scs, **kwargs):
 
 
 class TestTraceDeterminism:
-    @pytest.mark.parametrize(
-        "cluster",
-        [ClusterConfig(shards=1, replicas=1),
-         ClusterConfig(shards=4, replicas=2)],
-        ids=["1x1", "4x2"],
-    )
-    def test_cluster_run_to_run_identical(
-        self, cluster, healthcare_doc, healthcare_scs
-    ):
-        first = recorded(healthcare_doc, healthcare_scs, cluster=cluster)
-        second = recorded(healthcare_doc, healthcare_scs, cluster=cluster)
-        assert first == second
+    def test_run_to_run_identical(self, healthcare_doc, healthcare_scs):
+        first = recorded(healthcare_doc, healthcare_scs)
+        second = recorded(healthcare_doc, healthcare_scs)
+        assert first == second and first
 
     def test_different_seed_differs(self, healthcare_doc, healthcare_scs):
         first = recorded(healthcare_doc, healthcare_scs,
@@ -272,20 +243,20 @@ class TestTraceDeterminism:
         system = host(healthcare_doc, healthcare_scs,
                       leakage=LeakagePolicy())
         system.query("//patient")
-        traces = system.leakage.recorder.traces("server")
+        traces = system.leakage.recorder.traces()
         assert len(traces) == 1
         assert len(traces[0].blocks) == system.last_trace.blocks_returned
 
     def test_repeats_do_not_repeat_decoys(
         self, healthcare_doc, healthcare_scs
     ):
-        # Per-observer streams advance across queries: an observer must
+        # The draw stream advances across queries: an observer must
         # not be able to match repeated queries by identical decoy sets.
         system = host(healthcare_doc, healthcare_scs, leakage=FULL)
         for _ in range(2):
             system.flush_caches()
             system.query("//SSN")
-        first, second = system.leakage.recorder.traces("server")
+        first, second = system.leakage.recorder.traces()
         assert first.blocks != second.blocks
 
 
@@ -293,21 +264,11 @@ class TestTraceDeterminism:
 # Byte-identity under the full countermeasure set
 # ----------------------------------------------------------------------
 class TestByteIdentity:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {},
-            {"cluster": ClusterConfig(shards=4, replicas=2)},
-        ],
-        ids=["serial", "cluster4x2"],
-    )
     def test_answers_identical_in_process(
-        self, kwargs, healthcare_doc, healthcare_scs
+        self, healthcare_doc, healthcare_scs
     ):
-        plain = host(healthcare_doc, healthcare_scs, **kwargs)
-        protected = host(
-            healthcare_doc, healthcare_scs, leakage=FULL, **kwargs
-        )
+        plain = host(healthcare_doc, healthcare_scs)
+        protected = host(healthcare_doc, healthcare_scs, leakage=FULL)
         for query in QUERIES:
             assert (
                 plain.query(query).canonical()
@@ -350,7 +311,7 @@ class TestByteIdentity:
                 leakage = stats["leakage"]
                 assert leakage["pad_to"] == FULL.pad_to
                 assert leakage["decoys"] == FULL.decoys
-                assert leakage["shuffle"] is True
+                assert "shuffle" not in leakage
                 assert leakage["traces"] >= 1
             finally:
                 remote.close()
@@ -426,15 +387,10 @@ class TestAxisQueryLeakage:
             response = system.server.answer(translated)
             assert response.blocks_shipped == marker_count(response), query
 
-    def test_cluster_run_to_run_identical(
-        self, healthcare_doc, healthcare_scs
-    ):
-        cluster = ClusterConfig(shards=4, replicas=2)
-        first = recorded_axis(healthcare_doc, healthcare_scs,
-                              cluster=cluster)
-        second = recorded_axis(healthcare_doc, healthcare_scs,
-                               cluster=cluster)
-        assert first == second
+    def test_run_to_run_identical(self, healthcare_doc, healthcare_scs):
+        first = recorded_axis(healthcare_doc, healthcare_scs)
+        second = recorded_axis(healthcare_doc, healthcare_scs)
+        assert first == second and first
 
     def test_answers_identical_under_countermeasures(
         self, healthcare_doc, healthcare_scs
@@ -470,29 +426,29 @@ class TestAxisQueryLeakage:
 class TestAttack:
     def references(self):
         return [
-            ObservedTrace("server", (1, 2, 3)),
-            ObservedTrace("server", (4,)),
-            ObservedTrace("server", (5, 6)),
+            ObservedTrace((1, 2, 3)),
+            ObservedTrace((4,)),
+            ObservedTrace((5, 6)),
         ]
 
     def test_classify_by_length(self):
         attack = TraceClusteringAttack(self.references())
-        assert attack.classify(ObservedTrace("server", (9,)), "length") == 1
+        assert attack.classify(ObservedTrace((9,)), "length") == 1
         assert (
-            attack.classify(ObservedTrace("server", (7, 8, 9)), "length")
+            attack.classify(ObservedTrace((7, 8, 9)), "length")
             == 0
         )
 
     def test_classify_by_jaccard_and_coaccess(self):
         attack = TraceClusteringAttack(self.references())
-        trace = ObservedTrace("server", (2, 3, 9))
+        trace = ObservedTrace((2, 3, 9))
         assert attack.classify(trace, "jaccard") == 0
         assert attack.classify(trace, "coaccess") == 0
 
     def test_unknown_method_rejected(self):
         attack = TraceClusteringAttack(self.references())
         with pytest.raises(ValueError):
-            attack.classify(ObservedTrace("server", (1,)), "psychic")
+            attack.classify(ObservedTrace((1,)), "psychic")
 
     def test_game_requires_leakage_tier(
         self, healthcare_doc, healthcare_scs

@@ -9,6 +9,7 @@ all keep working.
 import pytest
 
 from repro.core.system import SecureXMLSystem
+from repro.netsim.channel import Channel
 from repro.perf import counters
 
 QUERY = "//patient/SSN"
@@ -75,16 +76,14 @@ class TestCloseQueryCycles:
 
 
 class TestClusterCloseCycles:
-    """The same contract on a cluster system."""
+    """The same contract on a two-replica system."""
 
     @pytest.fixture
     def cluster_system(self, healthcare_doc, healthcare_scs):
-        from repro.cluster import ClusterConfig
-
         system = SecureXMLSystem.host(
             healthcare_doc,
             healthcare_scs,
-            cluster=ClusterConfig(shards=2, replicas=2),
+            channel=[Channel(), Channel()],
         )
         yield system
         system.close()
@@ -103,12 +102,12 @@ class TestClusterCloseCycles:
 
     def test_trace_coherent_across_cycles(self, cluster_system):
         cluster_system.query(QUERY)
-        assert cluster_system.last_trace.cluster_shards == 2
+        assert cluster_system.last_trace.attempts == 1
         cluster_system.close()
         cluster_system.query("//pname")
         trace = cluster_system.last_trace
         assert trace.query == "//pname"
-        assert trace.cluster_shards == 2
+        assert trace.attempts == 1
 
     def test_execute_many_after_close(self, cluster_system):
         queries = [QUERY, "//pname", QUERY]
@@ -155,12 +154,10 @@ class TestConcurrentClose:
     ):
         import threading
 
-        from repro.cluster import ClusterConfig
-
         system = SecureXMLSystem.host(
             healthcare_doc,
             healthcare_scs,
-            cluster=ClusterConfig(shards=2, replicas=2),
+            channel=[Channel(), Channel()],
         )
         system.query(QUERY)
         errors = []
