@@ -12,6 +12,7 @@ The client owns the master key and the OPESS plans.  Its two runtime jobs:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -141,7 +142,8 @@ class Client:
         self._verified_payloads = cache(survives=block_unwritten)
         #: block id → plaintext text
         self._block_cache = cache(survives=block_unwritten)
-        #: fragment text → (pristine decrypted tree, ids of its blocks)
+        #: fragment text → (pristine decrypted tree, ids of its blocks) —
+        #: or, for a text shipped once so far, (spliced plaintext, ids)
         self._tree_cache = cache(survives=tree_unwritten)
 
     # ------------------------------------------------------------------
@@ -319,53 +321,84 @@ class Client:
         tree is a pure function of that text and the client's keys, and
         the server's own fragment cache hands back the identical string
         object for a repeated node, so the dict lookup reuses Python's
-        cached string hash.  Cached trees are pristine; callers get deep
-        clones because assembly re-parents them.  Each is kept with the ids
-        of its blocks, which is what decides whether it outlives a write.
+        cached string hash.  Assembly re-parents what it is handed, so a
+        tree is either built for one caller or cloned from a pristine one
+        — and most fragments of a cold read never come back, so the
+        pristine one is not built until a text does:
+
+        * first sight: the caller gets the parse itself, and the cache
+          records the spliced plaintext it was parsed from (a ``str``:
+          nothing built, nothing to clone);
+        * second sight — the same new text twice in one response
+          included: the recorded text is parsed into the pristine tree,
+          which replaces it, and the caller gets a clone;
+        * from then on: a clone.
+
+        Either entry is kept with the ids of its blocks, which is what
+        decides whether it outlives a write.
         """
         cache = self._tree_cache.live()
-        #: distinct cache-missing texts, each built once for this batch
-        missing = list(dict.fromkeys(x for x in xmls if x not in cache))
-        hits = len(xmls) - len(missing)
+        #: texts without a pristine tree, a repeat as often as shipped
+        treeless = [
+            xml for xml in xmls
+            if cache.get(xml, _UNSEEN)[0].__class__ is not Element
+        ]
+        #: text → its parse, for each text never seen before
+        parsed = self._sight(treeless, cache) if treeless else {}
+        hits = len(xmls) - len(parsed)
         if hits:
             counters.add("tree_cache_hits", hits)
-        if missing:
-            counters.add("tree_cache_misses", len(missing))
-            cache.update(zip(missing, self._build_trees(missing)))
-        return [cache[xml][0].clone() for xml in xmls]
-
-    def _build_trees(
-        self, xmls: "list[str]"
-    ) -> "list[tuple[Element, tuple[int, ...]]]":
-        """splice every block's plaintext in → one parse per fragment.
-
-        Runs only on cache misses, so the span and histogram sit here:
-        on a warm hit (one dict lookup) they would cost more than the
-        work they measure — the obs overhead benchmark gates this.
-        """
-        obs = self._obs
-        if not xmls or obs is None or not obs.enabled:
-            return self._build_trees_untraced(xmls)
-        with obs.tracer.span("decrypt_batch") as span:
-            span.annotate(fragments=len(xmls))
-            trees = self._build_trees_untraced(xmls)
-        obs.metrics.observe("chunk_decrypt_seconds", span.finish())
+        if not parsed:
+            return [cache[xml][0].clone() for xml in xmls]
+        counters.add("tree_cache_misses", len(parsed))
+        trees = []
+        for xml in xmls:
+            tree = parsed.pop(xml, None)  # its first occurrence takes it
+            trees.append(cache[xml][0].clone() if tree is None else tree)
         return trees
 
-    def _build_trees_untraced(
-        self, xmls: "list[str]"
-    ) -> "list[tuple[Element, tuple[int, ...]]]":
+    def _sight(
+        self, treeless: "list[str]", cache: "dict[str, tuple]"
+    ) -> "dict[str, Element]":
+        """Parse the texts that have no tree: a first sight into the tree
+        returned for it, a second into the pristine tree ``cache`` keeps.
+
+        Runs only when some text lacks a tree, so the span and histogram
+        sit here: on a warm hit (one dict lookup) they would cost more
+        than the work they measure — the obs overhead benchmark gates this.
+        """
+        shipped = Counter(treeless)
+        first = [xml for xml in shipped if xml not in cache]
+        # A new text shipped twice is a first and a second sight.
+        second = [
+            xml for xml, times in shipped.items() if xml in cache or times > 1
+        ]
+        obs = self._obs
+        if obs is None or not obs.enabled:
+            return self._parse_sights(first, second, cache)
+        with obs.tracer.span("decrypt_batch") as span:
+            span.annotate(first=len(first), second=len(second))
+            parsed = self._parse_sights(first, second, cache)
+        obs.metrics.observe("chunk_decrypt_seconds", span.finish())
+        return parsed
+
+    def _parse_sights(
+        self, first: "list[str]", second: "list[str]", cache: "dict[str, tuple]"
+    ) -> "dict[str, Element]":
+        """splice every block's plaintext in → one parse per fragment."""
         try:
-            texts, block_ids = self._splice_plaintexts(xmls)
-            return [
-                (
-                    parse_fragment(text, drop_tag=DECOY_TAG, reject_blocks=True),
-                    ids,
-                )
-                for text, ids in zip(texts, block_ids)
-            ]
+            texts, block_ids = self._splice_plaintexts(first)
+            parsed = {
+                xml: _parse_spliced(text) for xml, text in zip(first, texts)
+            }
+            # Nothing is recorded unless the whole batch parsed.
+            cache.update(zip(first, zip(texts, block_ids)))
+            for xml in second:
+                text, ids = cache[xml]
+                cache[xml] = (_parse_spliced(text), ids)
         except XMLParseError as exc:  # not text our serializer wrote
             raise TamperedResponseError(f"malformed fragment: {exc}") from exc
+        return parsed
 
     def _splice_plaintexts(
         self, texts: "list[str]"
@@ -553,6 +586,15 @@ class Client:
         nodes = evaluate(pruned, query)
         return QueryAnswer(nodes=nodes, pruned_document=pruned)
 
+
+def _parse_spliced(text: str) -> Element:
+    """The tree of a fragment text whose blocks are spliced in: decoys
+    left out, and no block element the scan did not resolve."""
+    return parse_fragment(text, drop_tag=DECOY_TAG, reject_blocks=True)
+
+
+#: What the tree cache holds for a text never shipped: no tree.
+_UNSEEN = (None,)
 
 #: A block as the serializer writes it; ``bytes.fromhex`` judges the payload
 #: (``[^<]*`` scans five times faster than a hex class).  Anything else that

@@ -40,8 +40,9 @@ from repro.xmldb.node import (
     Element,
     EncryptedBlockNode,
     Node,
+    Text,
 )
-from repro.xmldb.serializer import serialize
+from repro.xmldb.serializer import serialize, text_round_trips
 from repro.xmldb.stats import leaf_field_name
 
 
@@ -327,6 +328,7 @@ def host_database(
     for node in document.iter_with_attributes():
         key = _node_key(node)
         if key is None:
+            _assert_text_round_trips(node)
             continue
         block = owning_block.get(node.node_id)
         if block is None:
@@ -414,6 +416,17 @@ def host_database(
         max_hosted_id=hosted_id_count - 1,
         max_block_id=len(blocks),
     )
+
+
+def _assert_text_round_trips(text: Node) -> None:
+    """Refuse to host text the hosted XML would not carry exactly: every
+    read would return it stripped while the value index held it whole."""
+    if isinstance(text, Text) and not text_round_trips(text.value):
+        raise ValueError(
+            f"text {text.value!r} under <{text.parent.tag}> is empty or has "
+            "leading or trailing whitespace, which XML text does not keep; "
+            "strip it before hosting"
+        )
 
 
 def _owning_blocks(

@@ -263,22 +263,27 @@ class Server:
 
     def _make_fragments(self, roots: list[Node]) -> list[Fragment]:
         """Serialize the shipped subtrees, in document order."""
-        fragments = []
         with self._span("server.serialize"):
             with self._cache_lock:
                 cache = self._fragment_cache.live()
-            for node in roots:
-                with self._cache_lock:
-                    fragment = cache.get(node.node_id)
-                if fragment is None:
-                    counters.add("fragment_cache_misses")
-                    fragment = self._build_fragment(node)
-                    with self._cache_lock:
-                        cache[node.node_id] = fragment
-                else:
-                    counters.add("fragment_cache_hits")
-                fragments.append(fragment)
-        return fragments
+                cached = [cache.get(node.node_id) for node in roots]
+            built = {
+                node.node_id: self._build_fragment(node)
+                for node, fragment in zip(roots, cached)
+                if fragment is None
+            }
+            hits = len(roots) - len(built)
+            if hits:
+                counters.add("fragment_cache_hits", hits)
+            if not built:
+                return cached
+            counters.add("fragment_cache_misses", len(built))
+            with self._cache_lock:
+                cache.update(built)
+            return [
+                built[node.node_id] if fragment is None else fragment
+                for node, fragment in zip(roots, cached)
+            ]
 
     @staticmethod
     def _count_blocks(fragments: list[Fragment]) -> int:

@@ -45,11 +45,21 @@ from repro.core.structural_join import match_pattern
 from repro.crypto.keyring import ClientKeyring
 from repro.crypto.modes import cbc_encrypt
 from repro.xmldb.node import Element, EncryptedBlockNode, Text
-from repro.xmldb.serializer import serialize
+from repro.xmldb.serializer import serialize, text_round_trips
 
 
 class UpdateError(ValueError):
     """Raised when an update cannot be applied safely."""
+
+
+def _check_value(value: str) -> None:
+    """Refuse a leaf value the XML form cannot carry exactly: the value
+    index would hold what was written, every read what the parser left."""
+    if not text_round_trips(value):
+        raise UpdateError(
+            f"leaf value {value!r} is empty or has leading or trailing "
+            "whitespace, which XML text does not keep"
+        )
 
 
 def _low(entry: IndexEntry) -> float:
@@ -86,6 +96,7 @@ class UpdateEngine:
         already encrypted elsewhere, or an SC-covered field — and kept in
         plaintext otherwise.
         """
+        _check_value(value)
         entry = self._resolve_parent(parent)
         hosted_parent = entry.hosted_node
         assert isinstance(hosted_parent, Element)
@@ -170,6 +181,7 @@ class UpdateEngine:
     # ------------------------------------------------------------------
     def update_value(self, target: IndexEntry, new_value: str) -> None:
         """Rewrite the value of a leaf entry."""
+        _check_value(new_value)
         if target.block_id is None:
             node = target.hosted_node
             assert isinstance(node, Element)

@@ -50,7 +50,7 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
 #: Histograms every registry carries, with their HELP strings.
 HISTOGRAMS: dict[str, str] = {
     "query_seconds": "End-to-end secure query latency (client wall time).",
-    "chunk_decrypt_seconds": "Decrypt+strip time of one batch of cache-missing fragments.",
+    "chunk_decrypt_seconds": "Decrypt+parse time of one batch of fragments that had no cached tree.",
     "retry_backoff_seconds": "Modelled backoff before each query retry.",
     "transfer_seconds": "Modelled wire time per channel transfer.",
     # Unitless lag (commits, not seconds) — recorded when a replica is

@@ -35,17 +35,31 @@ def _escape_attribute(value: str) -> str:
     return _escape_text(value).replace('"', "&quot;")
 
 
+def text_round_trips(value: str) -> bool:
+    """Does the parser give a text value back as the serializer wrote it?
+
+    The parser strips character data and builds no node for what is then
+    empty, so a value with leading or trailing whitespace, or none at all,
+    would come back altered.  Whoever accepts a value asks here and refuses.
+    """
+    return bool(value) and value == value.strip()
+
+
 def serialize(node: "Node | Document", indent: bool = False) -> str:
     """Render a node or document as an XML string.
 
     With ``indent=True`` a human-readable two-space-indented layout is
     produced; the compact form (the default) is byte-stable and is what the
-    encryptor and the size-based attack model measure.
+    server ships, the encryptor encrypts and the size-based attack model
+    measures.
     """
     if isinstance(node, Document):
         node = node.root
     pieces: list[str] = []
-    _write(node, pieces, 0, indent)
+    if indent:
+        _write_pretty(node, pieces.append, "")
+    else:
+        _write_compact(node, pieces.append)
     return "".join(pieces)
 
 
@@ -58,48 +72,60 @@ def serialized_size(node: "Node | Document") -> int:
     return len(serialize(node).encode("utf-8"))
 
 
-def _write(node: Node, pieces: list[str], level: int, indent: bool) -> None:
-    pad = "  " * level if indent else ""
-    newline = "\n" if indent else ""
-
-    if isinstance(node, Text):
-        pieces.append(f"{pad}{_escape_text(node.value)}{newline}")
-        return
-
-    if isinstance(node, EncryptedBlockNode):
-        pieces.append(
-            f'{pad}{BLOCK_OPEN}{node.block_id}">'
-            f"{node.payload.hex()}{BLOCK_CLOSE}{newline}"
-        )
-        return
-
-    if isinstance(node, Attribute):
-        # Attributes are serialized by their owning element; a bare attribute
-        # is rendered in the XPath-style @name=value debug form.
-        pieces.append(f"{pad}@{node.name}={node.value!r}{newline}")
-        return
-
-    assert isinstance(node, Element)
-    attribute_text = "".join(
+def _start_tag(node: Element) -> str:
+    """``<tag name="value"``: a start tag up to where it closes."""
+    if not node.attributes:
+        return f"<{node.tag}"
+    return f"<{node.tag}" + "".join(
         f' {attribute.name}="{_escape_attribute(attribute.value)}"'
         for attribute in node.attributes
     )
-    if not node.children:
-        pieces.append(f"{pad}<{node.tag}{attribute_text}/>{newline}")
-        return
 
-    if node.is_leaf_element:
-        # Keep leaf values inline even when indenting so values survive the
-        # parser's whitespace stripping unchanged.
-        child = node.children[0]
-        assert isinstance(child, Text)
-        pieces.append(
-            f"{pad}<{node.tag}{attribute_text}>"
-            f"{_escape_text(child.value)}</{node.tag}>{newline}"
-        )
-        return
 
-    pieces.append(f"{pad}<{node.tag}{attribute_text}>{newline}")
-    for child in node.children:
-        _write(child, pieces, level + 1, indent)
-    pieces.append(f"{pad}</{node.tag}>{newline}")
+def _write_compact(node: Node, append) -> None:
+    """One piece per tag, nothing between them.
+
+    Every shipped fragment and every encrypted block is written here, so
+    it dispatches on the exact class and carries no layout state.
+    """
+    kind = node.__class__
+    if kind is Element:
+        children = node.children
+        if not children:
+            append(f"{_start_tag(node)}/>")
+        elif len(children) == 1 and children[0].__class__ is Text:
+            append(
+                f"{_start_tag(node)}>{_escape_text(children[0].value)}"
+                f"</{node.tag}>"
+            )
+        else:
+            append(f"{_start_tag(node)}>")
+            for child in children:
+                _write_compact(child, append)
+            append(f"</{node.tag}>")
+    elif kind is Text:
+        append(_escape_text(node.value))
+    elif kind is EncryptedBlockNode:
+        append(f'{BLOCK_OPEN}{node.block_id}">{node.payload.hex()}{BLOCK_CLOSE}')
+    elif kind is Attribute:
+        # Attributes are serialized by their owning element; a bare attribute
+        # is rendered in the XPath-style @name=value debug form.
+        append(f"@{node.name}={node.value!r}")
+    else:
+        raise TypeError(f"cannot serialize {kind.__name__}")
+
+
+def _write_pretty(node: Node, append, pad: str) -> None:
+    """The compact pieces, one per line, indented two spaces per level."""
+    if isinstance(node, Element) and node.children and not node.is_leaf_element:
+        append(f"{pad}{_start_tag(node)}>\n")
+        deeper = pad + "  "
+        for child in node.children:
+            _write_pretty(child, append, deeper)
+        append(f"{pad}</{node.tag}>\n")
+        return
+    # Anything else is one compact piece: a leaf's value stays inline so it
+    # survives the parser's whitespace stripping unchanged.
+    append(pad)
+    _write_compact(node, append)
+    append("\n")

@@ -654,6 +654,12 @@ class TestFlushCaches:
             ] * 2,
         ])
 
+        # One read so far: what the tree cache holds is the plaintext of
+        # fragments seen once, not trees — counted warm all the same, and
+        # flushed like a tree.
+        sighted = system.client._tree_cache.live().values()
+        assert {type(entry[0]) for entry in sighted} == {str}
+
         system.flush_caches()
         for owner in owners:
             for name, cache in caches(owner).items():

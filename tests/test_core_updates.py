@@ -214,3 +214,81 @@ class TestUpdateSafety:
         assert system.aggregate("//disease", "min", mode="server") == (
             system.aggregate("//disease", "min")
         )
+
+
+#: XML text does not keep these: the parser strips character data and
+#: builds no node for what is then empty.
+UNCARRIABLE = [" padded ", "  hi ", "", "\n", "tail\t"]
+
+
+class TestValuesXmlTextCannotCarry:
+    """Refused, never accepted-and-altered: before this check the value
+    index held the written value while every read returned it stripped, so
+    ``//patient[treat/disease=' padded ']/pname`` answered ``[]``."""
+
+    QUERIES = (
+        "//patient[pname='Matt']//disease",
+        "//disease",
+        "//patient[treat/disease='leukemia']/pname",
+        "//patient/note",
+        "//patient",
+    )
+
+    @pytest.mark.parametrize("value", UNCARRIABLE, ids=repr)
+    @pytest.mark.parametrize(
+        "target",
+        ["//patient[pname='Matt']/treat/disease", "//patient[pname='Matt']/age"],
+        ids=["encrypted", "plaintext"],
+    )
+    def test_update_value_refuses_and_changes_nothing(self, pair, target, value):
+        system, oracle = pair
+        epoch, root = system.hosted.anchor()
+        with pytest.raises(UpdateError, match="whitespace"):
+            system.update_value(target, value)
+        assert system.hosted.anchor() == (epoch, root)
+        for query in (
+            *self.QUERIES,
+            f"//patient[treat/disease='{value}']/pname",
+            f"//patient[age='{value}']/pname",
+        ):
+            check(system, oracle, query)
+
+    @pytest.mark.parametrize("value", UNCARRIABLE, ids=repr)
+    @pytest.mark.parametrize(
+        "parent,tag",
+        [("//patient[pname='Matt']/treat", "disease"), ("//patient[pname='Matt']", "note")],
+        ids=["encrypted", "plaintext"],
+    )
+    def test_insert_element_refuses_and_changes_nothing(
+        self, pair, parent, tag, value
+    ):
+        system, oracle = pair
+        epoch, root = system.hosted.anchor()
+        blocks = system.hosted.block_count()
+        with pytest.raises(UpdateError, match="whitespace"):
+            system.insert_element(parent, tag, value)
+        assert system.hosted.anchor() == (epoch, root)
+        assert system.hosted.block_count() == blocks
+        for query in (*self.QUERIES, f"//patient[{tag}='{value}']/pname"):
+            check(system, oracle, query)
+
+    @pytest.mark.parametrize("value", UNCARRIABLE, ids=repr)
+    def test_hosting_refuses_a_built_document_holding_one(
+        self, healthcare_doc, healthcare_scs, value
+    ):
+        (leaf,) = evaluate(healthcare_doc, "//patient[pname='Matt']/treat/disease")
+        leaf.children[0].value = value
+        with pytest.raises(ValueError, match="whitespace"):
+            SecureXMLSystem.host(healthcare_doc, healthcare_scs)
+
+    def test_inner_whitespace_is_carried(self, pair):
+        """What the XML form does keep is still accepted, exactly."""
+        system, oracle = pair
+        system.update_value("//patient[pname='Matt']/treat/disease", "a  b\nc")
+        evaluate(oracle, "//patient[pname='Matt']/treat/disease")[0].children[
+            0
+        ].value = "a  b\nc"
+        system.insert_element("//patient[pname='Matt']", "note", "x \t y")
+        oracle_append_leaf(oracle, "//patient[pname='Matt']", "note", "x \t y")
+        for query in (*self.QUERIES, "//patient[note='x \t y']/pname"):
+            check(system, oracle, query)

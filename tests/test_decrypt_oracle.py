@@ -34,7 +34,7 @@ from repro.workloads.healthcare import (
 from repro.workloads.nasa import build_nasa_database, nasa_constraints
 from repro.workloads.xmark import build_xmark_database, xmark_constraints
 from repro.xmldb.builder import TreeBuilder
-from repro.xmldb.node import Element, EncryptedBlockNode, Text
+from repro.xmldb.node import Element, EncryptedBlockNode, Node, Text
 from repro.xmldb.serializer import serialize
 from repro.xpath.evaluator import evaluate
 
@@ -80,17 +80,22 @@ def shape(node):
     )
 
 
-def bench_queries(dataset, document):
-    """Every read shape of every ``bench/workloads.py`` workload."""
+def bench_reads(document, keep):
+    """Every read shape of the ``bench/workloads.py`` workloads kept."""
     with pytest.MonkeyPatch.context() as patch:
         patch.syspath_prepend(BENCH_DIR)
         from workloads import WORKLOADS, Plan
 
-        queries = []
-        for workload in WORKLOADS:
-            if workload.dataset == dataset:
-                queries += Plan(workload, document, seed=5).distinct_reads()
-        return queries
+        return [
+            query
+            for workload in WORKLOADS
+            if keep(workload)
+            for query in Plan(workload, document, seed=5).distinct_reads()
+        ]
+
+
+def bench_queries(dataset, document):
+    return bench_reads(document, lambda workload: workload.dataset == dataset)
 
 
 def queries_for(dataset, document):
@@ -176,6 +181,164 @@ class TestRandomHostings:
                 shape(tree)  # elements and text only
         whole = client.decrypt_fragments(server.ship_all())
         assert shape(whole[0][1]) == shape(document.root)
+
+
+# ----------------------------------------------------------------------
+# First, second and later sight of one fragment text
+# ----------------------------------------------------------------------
+def cold_ship_queries(document):
+    """The 12 read shapes of the ``cold-ship`` benchmark workload."""
+    queries = bench_reads(document, lambda workload: workload.name == "cold-ship")
+    assert len(queries) == 12
+    return queries
+
+
+SIGHT_DATASETS = {
+    "healthcare": (
+        build_healthcare_database,
+        healthcare_constraints,
+        lambda document: HEALTHCARE_QUERIES,
+    ),
+    "xmark-40": (
+        lambda: build_xmark_database(40, seed=5),
+        xmark_constraints,
+        cold_ship_queries,
+    ),
+}
+
+
+def vandalise(tree):
+    """What assembly and a careless caller do to a tree they were handed."""
+    tree.tag = "vandalised"
+    Element("attic").append(tree)
+    for child in list(tree.children):
+        child.detach()
+    tree.append(Element("graffiti"))
+
+
+def entry_kinds(client):
+    return {type(entry[0]) for entry in client._tree_cache.live().values()}
+
+
+class TestSights:
+    """The first sight of a text hands out the parse and records the text;
+    the second builds the pristine tree; every sight is the same tree."""
+
+    @pytest.mark.parametrize("dataset", sorted(SIGHT_DATASETS))
+    def test_every_sight_is_the_oracle_tree_whatever_became_of_the_last(
+        self, dataset
+    ):
+        build, constraints, queries = SIGHT_DATASETS[dataset]
+        document = build()
+        system = SecureXMLSystem.host(document, constraints())
+        client = Client(system.keyring, system.hosted)
+        oracle = OracleDecryptor(system.keyring, system.hosted)
+        responses = [
+            system.server.answer(client.translate(query))
+            for query in queries(document)
+        ]
+        responses.append(system.server.ship_all())
+        for response in responses:
+            xmls = [fragment.xml for fragment in response.fragments]
+            client.flush_caches()
+            expected = [serialize(tree) for tree in oracle.decrypt_batch(xmls)]
+            assert expected
+            for sight in ("first", "second", "third"):
+                trees, traffic = measured(
+                    lambda: client.decrypt_fragments(response)
+                )
+                assert [serialize(tree) for _, tree in trees] == expected, sight
+                assert len({id(tree) for _, tree in trees}) == len(trees)
+                if sight == "first":
+                    assert traffic["tree_cache_misses"] == len(set(xmls))
+                    # (a text shipped twice has its tree already)
+                    assert str in entry_kinds(client)
+                else:
+                    assert traffic["tree_cache_misses"] == 0
+                    assert traffic["tree_cache_hits"] == len(xmls)
+                    assert traffic["blocks_decrypted"] == 0
+                    assert entry_kinds(client) == {Element}
+                for _, tree in trees:
+                    vandalise(tree)
+
+    def test_the_same_new_text_twice_in_one_response_is_two_trees(self, stack):
+        system, client, oracle = stack
+        honest = honest_fragment(system)
+        path = (("hospital", 0),)
+        client.flush_caches()
+        response = ServerResponse(
+            fragments=[Fragment(path, honest), Fragment(path, honest)]
+        )
+        (_, one), (_, other) = client.decrypt_fragments(response)
+        expected = shape(oracle.decrypt_fragment(honest))
+        assert one is not other and shape(one) == shape(other) == expected
+        vandalise(one)
+        assert shape(other) == expected
+        vandalise(other)
+        # First and second sight at once: the pristine tree is already built.
+        assert entry_kinds(client) == {Element}
+        assert shape(client.decrypt_fragment(honest)) == expected
+
+    def test_a_write_between_first_and_second_sight(self, stack):
+        """The recorded plaintext is held to the same rule as a tree: a
+        write that rewrote one of its blocks drops it, any other keeps it."""
+        system, client, _ = stack
+        query = "//patient"
+
+        def read():
+            response = system.server.answer(client.translate(query))
+            return measured(lambda: client.decrypt_fragments(response))
+
+        client.flush_caches()
+        trees, _ = read()
+        assert "leukemia" in "".join(serialize(tree) for _, tree in trees)
+        recorded = client._tree_cache.live()
+        assert len(recorded) == 2 and entry_kinds(client) == {str}
+        assert any("leukemia" in text for text, _ in recorded.values())
+
+        system.update_value("//patient[pname='Matt']/treat/disease", "measles")
+        kept = client._tree_cache.live()
+        assert len(kept) == 1 and entry_kinds(client) == {str}
+        assert not any("leukemia" in text for text, _ in kept.values())
+
+        trees, traffic = read()
+        text = "".join(serialize(tree) for _, tree in trees)
+        assert "measles" in text and "leukemia" not in text
+        # Betty's fragment: second sight, parsed from the text kept across
+        # the write.  Matt's: a new text, two of its three blocks unwritten.
+        assert (traffic["tree_cache_hits"], traffic["tree_cache_misses"]) == (1, 1)
+        assert (traffic["block_cache_hits"], traffic["block_cache_misses"]) == (2, 1)
+        assert entry_kinds(client) == {str, Element}
+
+    def test_a_cold_read_builds_each_handed_node_about_once(self, monkeypatch):
+        """A count, not a timing: with a clone on first sight this read
+        2.0 nodes built per node handed to ``assemble``."""
+        document = build_xmark_database(40, seed=5)
+        system = SecureXMLSystem.host(document, xmark_constraints())
+        client = system.client
+        responses = [
+            system.server.answer(client.translate(query))
+            for query in cold_ship_queries(document)
+        ]
+        built = 0
+        construct = Node.__init__
+
+        def counted(node):
+            nonlocal built
+            built += 1
+            construct(node)
+
+        monkeypatch.setattr(Node, "__init__", counted)
+        handed = 0
+        for response in responses:
+            client.flush_caches()
+            for _, tree in client.decrypt_fragments(response):
+                handed += sum(
+                    1 + len(getattr(node, "attributes", ()))
+                    for node in tree.iter()
+                )
+        assert handed > 2000
+        assert built <= 1.15 * handed, (built, handed)
 
 
 # ----------------------------------------------------------------------

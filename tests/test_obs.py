@@ -381,6 +381,21 @@ class TestEndToEnd:
         slowest = system.observability().slow_log.entries()[0]
         assert slowest.span.find("evaluate") is not None
 
+    def test_decrypt_batch_says_which_sight_it_parsed(
+        self, healthcare_doc, healthcare_scs
+    ):
+        """Two reads of two fragments: parsed and handed on, parsed again
+        into the trees later reads clone, then nothing left to parse."""
+        system = SecureXMLSystem.host(healthcare_doc, healthcare_scs)
+        seen = []
+        for _ in range(3):
+            system.query("//patient")
+            batch = system.last_trace.span.find("decrypt_batch")
+            seen.append(batch and batch.annotations)
+        assert seen == [
+            {"first": 2, "second": 0}, {"first": 0, "second": 2}, None
+        ]
+
 
 class TestFaultAnnotations:
     def test_fault_kinds_annotate_the_open_span(self):

@@ -1,5 +1,7 @@
 """Unit and property tests for serialization (round-trip with the parser)."""
 
+import re
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -108,3 +110,17 @@ class TestRoundTripProperties:
     @settings(max_examples=30, deadline=None)
     def test_clone_serializes_identically(self, element):
         assert serialize(element.clone()) == serialize(element)
+
+    @given(_elements(), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=60, deadline=None)
+    def test_pretty_minus_its_layout_is_the_compact_tree(self, element, blocks):
+        """The two writers differ in whitespace between tags and in
+        nothing else — blocks, attributes and inline leaf values included."""
+        for block_id in range(blocks):
+            element.append(EncryptedBlockNode(block_id, bytes([block_id, 0xAB])))
+        compact = serialize(element)
+        pretty = serialize(element, indent=True)
+        assert pretty.endswith("\n") and "\n\n" not in pretty
+        unlaid = re.sub(r">\s+<", "><", pretty.strip())
+        assert serialize(parse_document(unlaid)) == compact
+        assert serialize(parse_document(compact)) == compact
