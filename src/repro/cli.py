@@ -278,8 +278,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_explain(args: argparse.Namespace) -> int:
     """Print the compiled plan for a query — no hosting, no round-trip.
 
-    Shows which tier the planner picked (twig / axis / residual), why
-    the faster tiers were rejected, and the pattern tree with ship-set
+    Shows which plan the planner picked (axis / residual), why no
+    pattern anchors a residual query, and the pattern tree with ship-set
     and positional markers.  Purely client-side: nothing is hosted and
     no server is contacted.
     """

@@ -152,13 +152,12 @@ class Client:
     def translate(self, query: "str | ast.LocationPath") -> TranslatedQuery:
         """Translate a query to its server-side plan.
 
-        Every parseable query now gets one: the planner picks the legacy
-        twig lowering, the axis engine, or the residual document-root
-        plan (``TranslatedQuery.plan_kind`` records which, and
-        ``plan_reason`` why).  String queries hit the plan cache first: a
-        repeated XPath under an unchanged scheme epoch reuses the
-        previously translated ``Qs`` without re-deriving tokens or key
-        ranges.
+        Every parseable query gets one: the axis lowering, or the
+        residual document-root plan (``TranslatedQuery.plan_kind``
+        records which, and ``plan_reason`` why).  String queries hit the
+        plan cache first: a repeated XPath under an unchanged scheme
+        epoch reuses the previously translated ``Qs`` without re-deriving
+        tokens or key ranges.
         """
         if not isinstance(query, str):
             return self._translate_uncached(query)

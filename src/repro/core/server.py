@@ -366,12 +366,24 @@ class Server:
     # Fragment assembly
     # ------------------------------------------------------------------
     def _fragment_roots(self, entries: list[IndexEntry]) -> list[Node]:
-        """Hosted nodes to ship, deduplicated and non-nested."""
+        """Hosted nodes to ship, deduplicated, non-nested, in document order.
+
+        The client grafts fragments onto its skeleton in the order they
+        arrive, so that order must be the document's.  Node ids are not:
+        an insert numbers its node after every existing one.  DSI
+        intervals are — an insert draws its interval in the parent's gap
+        after the last child — and any entry mapped to a node lies inside
+        that node's extent, which no other shipped root overlaps.
+        """
         nodes: dict[int, Node] = {}
+        lows: dict[int, float] = {}
         for entry in entries:
             node = self._node_for(entry)
             if node is not None:
-                nodes[id(node)] = node
+                key = id(node)
+                nodes[key] = node
+                low = entry.interval.low
+                lows[key] = min(lows.get(key, low), low)
         # Drop nodes nested inside other shipped nodes.
         chosen = list(nodes.values())
         chosen_ids = {id(node) for node in chosen}
@@ -380,7 +392,7 @@ class Server:
             if any(id(anc) in chosen_ids for anc in node.ancestors()):
                 continue
             kept.append(node)
-        kept.sort(key=lambda node: node.node_id)
+        kept.sort(key=lambda node: lows[id(node)])
         return kept
 
     def _node_for(self, entry: IndexEntry) -> Node | None:

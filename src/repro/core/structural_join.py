@@ -20,8 +20,8 @@ uses the precomputed immediate-parent pointers — the paper's
 The axis engine (:mod:`repro.xpath.axes`) extends the edge vocabulary:
 upward edges run on the same parent pointers in the other direction, and
 order/sibling edges run on threshold forms of the interval order
-relations (see the table in that module), computed per edge by the
-semi-joins in :mod:`repro.core.stack_join`.  The matching is
+relations (see the table in that module), two scalars per edge or per
+parent (:func:`_order_filter`).  The matching is
 sound-as-superset: grouped intervals and relaxed order thresholds can
 only widen match sets, never lose a real match, and the client restores
 exactness in post-processing.  Nodes translated from positional steps
@@ -33,12 +33,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from math import inf
 
 from repro.core.dsi import IndexEntry, StructuralIndex
 from repro.core.opess import ValueIndex
-from repro.core.stack_join import entry_order_bounds, entry_sibling_bounds
 from repro.core.translate import TranslatedNode, TranslatedQuery
-from repro.xpath.axes import can_follow, can_precede
+from repro.xpath.axes import ORDER_EDGES
 from repro.xpath.evaluator import compare_values
 
 
@@ -225,43 +225,15 @@ class _Matcher:
                 lambda entry: (or_self and id(entry) in match_ids)
                 or self._has_surviving_ancestor(entry, match_ids),
             )
-        if axis in ("following", "preceding"):
-            bounds = entry_order_bounds(child_matches)
-            if bounds is None:
-                return []
-            min_low, max_high = bounds
-            if axis == "following":
-                # some match can follow the candidate ⇔ candidate can
-                # precede some match
-                return self._filter(
-                    candidates,
-                    lambda entry: can_precede(
-                        entry.interval.low, entry.interval.high, max_high
-                    ),
-                )
-            return self._filter(
+        if axis in ORDER_EDGES:
+            # a match can follow the candidate ⇔ the candidate can
+            # precede that match (and mirrored for the preceding axes)
+            return _order_filter(
                 candidates,
-                lambda entry: can_follow(
-                    entry.interval.low, entry.interval.high, min_low
-                ),
+                child_matches,
+                precede=axis.startswith("following"),
+                sibling=axis.endswith("-sibling"),
             )
-        if axis in ("following-sibling", "preceding-sibling"):
-            bounds_by_parent = entry_sibling_bounds(child_matches)
-            following = axis == "following-sibling"
-
-            def sibling_ok(entry: IndexEntry) -> bool:
-                bounds = bounds_by_parent.get(_parent_key(entry))
-                if bounds is None:
-                    return False
-                if following:
-                    return can_precede(
-                        entry.interval.low, entry.interval.high, bounds[1]
-                    )
-                return can_follow(
-                    entry.interval.low, entry.interval.high, bounds[0]
-                )
-
-            return self._filter(candidates, sibling_ok)
         raise ValueError(f"unexpected pattern axis {axis!r}")
 
     def _descendant_lows(
@@ -354,41 +326,13 @@ class _Matcher:
                 lambda entry: (or_self and id(entry) in parent_ids)
                 or _has_low_inside(lows, entry),
             )
-        if axis in ("following", "preceding"):
-            bounds = entry_order_bounds(node_survivors)
-            if bounds is None:
-                return []
-            min_low, max_high = bounds
-            if axis == "following":
-                return self._filter(
-                    child_matches,
-                    lambda entry: can_follow(
-                        entry.interval.low, entry.interval.high, min_low
-                    ),
-                )
-            return self._filter(
+        if axis in ORDER_EDGES:
+            return _order_filter(
                 child_matches,
-                lambda entry: can_precede(
-                    entry.interval.low, entry.interval.high, max_high
-                ),
+                node_survivors,
+                precede=axis.startswith("preceding"),
+                sibling=axis.endswith("-sibling"),
             )
-        if axis in ("following-sibling", "preceding-sibling"):
-            bounds_by_parent = entry_sibling_bounds(node_survivors)
-            following = axis == "following-sibling"
-
-            def sibling_ok(entry: IndexEntry) -> bool:
-                bounds = bounds_by_parent.get(_parent_key(entry))
-                if bounds is None:
-                    return False
-                if following:
-                    return can_follow(
-                        entry.interval.low, entry.interval.high, bounds[0]
-                    )
-                return can_precede(
-                    entry.interval.low, entry.interval.high, bounds[1]
-                )
-
-            return self._filter(child_matches, sibling_ok)
         raise ValueError(f"unexpected pattern axis {axis!r}")
 
     @staticmethod
@@ -417,6 +361,44 @@ def _id_set(entries: list[IndexEntry]) -> set[int]:
 
 def _parent_key(entry: IndexEntry) -> "int | None":
     return id(entry.parent) if entry.parent is not None else None
+
+
+def _order_filter(
+    entries: list[IndexEntry],
+    anchors: list[IndexEntry],
+    precede: bool,
+    sibling: bool,
+) -> list[IndexEntry]:
+    """Entries that can precede (else follow) some anchor, in order.
+
+    The relaxed order tests of the table in :mod:`repro.xpath.axes`: an
+    entry can precede some anchor iff its low bound undercuts the
+    anchors' maximum high, and can follow one iff its high bound exceeds
+    the anchors' minimum low.  ``sibling`` keeps one threshold per parent
+    and tests each entry against its own parent's.
+    """
+
+    def key(entry: IndexEntry) -> "int | None":
+        return _parent_key(entry) if sibling else None
+
+    bounds: dict["int | None", float] = {}
+    if precede:
+        for anchor in anchors:
+            k = key(anchor)
+            bounds[k] = max(bounds.get(k, -inf), anchor.interval.high)
+        return [
+            entry
+            for entry in entries
+            if entry.interval.low < bounds.get(key(entry), -inf)
+        ]
+    for anchor in anchors:
+        k = key(anchor)
+        bounds[k] = min(bounds.get(k, inf), anchor.interval.low)
+    return [
+        entry
+        for entry in entries
+        if entry.interval.high > bounds.get(key(entry), inf)
+    ]
 
 
 def _has_low_inside(sorted_lows: list[float], entry: IndexEntry) -> bool:

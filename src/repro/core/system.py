@@ -28,13 +28,13 @@ from repro.core.integrity import (
 from repro.core.leakage import LeakageContext
 from repro.core.scheme import EncryptionScheme, build_scheme
 from repro.core.server import Server, ServerResponse
+from repro.core.translate import TranslatedQuery
 from repro.crypto.keyring import ClientKeyring
 from repro.netsim.channel import Channel
 from repro.netsim.faults import TransferDropped
 from repro.obs import Observability, Span
 from repro.perf import counters
 from repro.xmldb.node import Document
-from repro.xpath.compiler import UnsupportedQuery
 
 _DEFAULT_MASTER_KEY = b"repro-demo-master-key-0123456789"
 
@@ -116,14 +116,13 @@ class QueryTrace:
     fell_back: bool = False
     backoff_s: float = 0.0
     # --- query planning (axis engine) ---
-    #: Plan tier that served the query: ``"twig"`` (legacy pattern-tree
-    #: lowering), ``"axis"`` (interval-algebra axis engine),
-    #: ``"residual"`` (typed document-root plan), or ``"naive"`` when no
-    #: server-side plan could run at all.
-    plan: str = "twig"
-    #: Why the query left the twig fast path — the ``UnsupportedQuery``
-    #: (or ``ResidualRequired``) message, or a retry-exhaustion note for
-    #: a degraded query.  ``None`` while the twig plan serves.
+    #: Plan tier that served the query: ``"axis"`` (the pattern
+    #: lowering), ``"residual"`` (typed document-root plan), or
+    #: ``"naive"`` for the ship-everything baseline.
+    plan: str = "axis"
+    #: Why the query left the axis plan — the ``ResidualRequired`` (or
+    #: translator ``UnsupportedQuery``) message, or a retry-exhaustion
+    #: note for a degraded query.  ``None`` while the axis plan serves.
     fallback_reason: "str | None" = None
     #: Root of the query's span tree (None when tracing is disabled).
     #: Excluded from comparisons and reprs: two traces of the same
@@ -400,14 +399,11 @@ class SecureXMLSystem:
 
         last_error: Exception | None = None
         replica = 0
-        translated = None
         for attempt in range(policy.max_attempts):
             # Every attempt seals a plan made under the epoch it runs at:
             # the commit that failed the last one re-planned a field.  A
             # plan-cache hit — one dict lookup — when no commit landed.
             translated = self._translate(xpath, trace)
-            if translated is None:
-                break
             replica = self._pre_attempt(attempt, trace, started_wall, policy)
             attempt_span: Span | None = None
             try:
@@ -428,28 +424,23 @@ class SecureXMLSystem:
                 last_error = self._record_failure(exc, trace, replica)
                 if attempt_span is not None:
                     attempt_span.annotate(error=type(exc).__name__)
-        if translated is not None:
-            if not policy.naive_fallback:
-                counters.add("queries_failed")
-                raise QueryFailedError(
-                    f"query failed after {trace.attempts} attempts "
-                    f"({self._failure_detail(trace, last_error, replica)}): "
-                    f"{last_error}"
-                ) from last_error
-            trace.fell_back = True
-            trace.plan = "naive"
-            trace.fallback_reason = (
-                f"retries exhausted after {trace.attempts} attempts: "
+        if not policy.naive_fallback:
+            counters.add("queries_failed")
+            raise QueryFailedError(
+                f"query failed after {trace.attempts} attempts "
+                f"({self._failure_detail(trace, last_error, replica)}): "
                 f"{last_error}"
-            )
-            counters.add("naive_fallbacks")
+            ) from last_error
+        trace.fell_back = True
+        trace.fallback_reason = (
+            f"retries exhausted after {trace.attempts} attempts: "
+            f"{last_error}"
+        )
+        counters.add("naive_fallbacks")
 
         for attempt in range(policy.naive_attempts):
             replica = self._pre_attempt(
-                attempt if translated is None else attempt + 1,
-                trace,
-                started_wall,
-                policy,
+                attempt + 1, trace, started_wall, policy
             )
             attempt_span = None
             try:
@@ -472,23 +463,13 @@ class SecureXMLSystem:
     # ------------------------------------------------------------------
     # Retry machinery
     # ------------------------------------------------------------------
-    def _translate(self, xpath: str, trace: QueryTrace):
-        """The plan for one attempt, or ``None`` to go naive."""
+    def _translate(self, xpath: str, trace: QueryTrace) -> TranslatedQuery:
+        """The plan for one attempt (every parseable query has one)."""
         with self._obs.tracer.span("translate") as span:
-            try:
-                translated = self.client.translate(xpath)
-            except UnsupportedQuery as exc:
-                # The planner's residual tier makes this near-unreachable
-                # (every parseable query gets *some* server-side plan),
-                # but the typed degrade stays: count it and record why.
-                translated = None
-                trace.plan = "naive"
-                trace.fallback_reason = str(exc)
-                counters.add("naive_fallbacks")
+            translated = self.client.translate(xpath)
         trace.translate_client_s += span.finish()
-        if translated is not None:
-            trace.plan = translated.plan_kind
-            trace.fallback_reason = translated.plan_reason
+        trace.plan = translated.plan_kind
+        trace.fallback_reason = translated.plan_reason
         return translated
 
     def _pre_attempt(
@@ -737,6 +718,7 @@ class SecureXMLSystem:
         self, xpath: str, trace: QueryTrace, replica: int
     ) -> QueryAnswer:
         trace.naive = True
+        trace.plan = "naive"
         with self._obs.tracer.span("seal"):
             request = self.client.seal_naive_request(xpath)
         server, channel = self._replicas[replica]

@@ -40,7 +40,7 @@ class TranslatedNode:
     #: (op, literal) for plaintext occurrences of the constrained field
     plaintext_predicate: Optional[tuple[str, str]] = None
     is_output: bool = False
-    is_ship_node: bool = False
+    is_shipped: bool = False
     #: the source step carried a positional predicate: the matchers must
     #: not prune this node's own candidate list bottom-up (the client
     #: needs the complete per-parent list to resolve ``[n]``/``last()``)
@@ -79,20 +79,13 @@ class TranslatedQuery:
 
     root: TranslatedNode
     output: TranslatedNode
-    ship_node: TranslatedNode
-    #: additional ship nodes for axis-engine plans: the server ships the
-    #: union of every ship node's surviving matches (its nested-fragment
-    #: drop deduplicates overlaps)
-    extra_ship_nodes: list[TranslatedNode] = field(default_factory=list)
-    #: which lowering produced this plan ("twig" | "axis" | "residual");
+    #: the server ships the union of these nodes' surviving matches
+    ship_nodes: list[TranslatedNode]
+    #: which lowering produced this plan ("axis" | "residual");
     #: client-side metadata only — it never crosses the wire
-    plan_kind: str = "twig"
-    #: why the legacy twig lowering was bypassed, for explain/tracing
+    plan_kind: str = "axis"
+    #: why the query needs the residual plan, for explain/tracing
     plan_reason: Optional[str] = None
-
-    @property
-    def ship_nodes(self) -> list[TranslatedNode]:
-        return [self.ship_node, *self.extra_ship_nodes]
 
     def wire_size(self) -> int:
         return self.root.wire_size()
@@ -124,19 +117,11 @@ class QueryTranslator:
             raise UnsupportedQuery("pattern must have a single root")
         mapping: dict[int, TranslatedNode] = {}
         root = self._translate_node(pattern.roots[0], mapping)
-        output = mapping[id(pattern.output)]
-        if pattern.ship_roots:
-            # Axis-engine plan: ship the union of the computed ship set.
-            ships = [mapping[id(node)] for node in pattern.ship_roots]
-        else:
-            ships = [mapping[id(_ship_node(pattern))]]
+        ships = [mapping[id(node)] for node in pattern.ship_nodes]
         for ship in ships:
-            ship.is_ship_node = True
+            ship.is_shipped = True
         return TranslatedQuery(
-            root=root,
-            output=output,
-            ship_node=ships[0],
-            extra_ship_nodes=ships[1:],
+            root=root, output=mapping[id(pattern.output)], ship_nodes=ships
         )
 
     def _translate_node(
@@ -197,40 +182,3 @@ class QueryTranslator:
                 field_name
             )
 
-
-def _ship_node(pattern: PatternTree) -> PatternNode:
-    """Pick the subtree root the server should ship fragments for.
-
-    The deepest *spine* node whose subtree still contains every constrained
-    or branching pattern node and the output node.  Shipping that node's
-    matches gives the client enough context to re-evaluate the query
-    exactly (value predicates are only block-granular on the server), while
-    the pure tag path above it is verified exactly by the structural join.
-    """
-    spine: list[PatternNode] = []
-    node = pattern.spine_root
-    while True:
-        spine.append(node)
-        onward = [
-            child
-            for child in node.children
-            if _contains_output(child, pattern.output)
-        ]
-        if not onward:
-            break
-        node = onward[0]
-
-    for index, spine_node in enumerate(spine):
-        next_on_spine = spine[index + 1] if index + 1 < len(spine) else None
-        branches = [
-            child
-            for child in spine_node.children
-            if child is not next_on_spine
-        ]
-        if spine_node.value_constraint is not None or branches:
-            return spine_node
-    return spine[-1]
-
-
-def _contains_output(node: PatternNode, output: PatternNode) -> bool:
-    return any(candidate is output for candidate in node.walk())

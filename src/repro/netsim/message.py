@@ -49,7 +49,7 @@ def encode_query(query: Any) -> bytes:
             out["p"] = list(node.plaintext_predicate)
         if node.is_output:
             out["o"] = 1
-        if node.is_ship_node:
+        if node.is_shipped:
             out["s"] = 1
         if node.position_sensitive:
             out["ps"] = 1
@@ -81,7 +81,7 @@ def decode_query(payload: bytes) -> Any:
                 (record["p"][0], record["p"][1]) if "p" in record else None
             ),
             is_output=bool(record.get("o")),
-            is_ship_node=bool(record.get("s")),
+            is_shipped=bool(record.get("s")),
             position_sensitive=bool(record.get("ps")),
         )
         node.children = [build(child) for child in record.get("c", ())]
@@ -92,17 +92,11 @@ def decode_query(payload: bytes) -> Any:
     except (KeyError, TypeError, IndexError) as exc:
         raise MessageDecodeError(f"malformed query message: {exc}") from exc
     output = next((n for n in root.walk() if n.is_output), root)
-    # Axis-engine plans flag several ship nodes; the server ships the
-    # union of their survivors.  Walk order is deterministic, so the
-    # rebuilt ship list matches the client's.
-    ships = [n for n in root.walk() if n.is_ship_node]
-    if not ships:
-        ships = [root]
+    # A plan may flag several ship nodes, none nested under another by
+    # downward edges alone; the server ships the union of their survivors.
+    ships = [n for n in root.walk() if n.is_shipped]
     return TranslatedQuery(
-        root=root,
-        output=output,
-        ship_node=ships[0],
-        extra_ship_nodes=ships[1:],
+        root=root, output=output, ship_nodes=ships or [root]
     )
 
 

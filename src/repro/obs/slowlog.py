@@ -68,8 +68,8 @@ class SlowLogEntry:
         self.backoff_s = trace.backoff_s
         self.fell_back = trace.fell_back
         self.naive = trace.naive
-        self.plan = getattr(trace, "plan", "twig")
-        self.fallback_reason = getattr(trace, "fallback_reason", None)
+        self.plan = trace.plan
+        self.fallback_reason = trace.fallback_reason
         self.failed = failed
         self.answer_count = trace.answer_count
         self.span = span
@@ -104,7 +104,7 @@ class SlowLogEntry:
             flags.append("fell-back")
         if self.naive:
             flags.append("naive")
-        if self.plan not in ("twig", "naive"):
+        if self.plan not in ("axis", "naive"):
             flags.append(f"plan={self.plan}")
         if self.fallback_reason:
             flags.append(f"reason={self.fallback_reason!r}")

@@ -1,10 +1,10 @@
-"""Interval algebra and lowering for the full thirteen-axis XPath set.
+"""The one lowering from XPath to a server pattern, over all thirteen axes.
 
-The paper's twig compiler (:mod:`repro.xpath.compiler`) covers the
-downward fragment: child / descendant / descendant-or-self / attribute
-edges.  DSI intervals carry strictly more information than that — the
-``(low, high)`` pair of an entry, together with the precomputed parent
-pointers, decides *every* XPath 1.0 axis relation:
+The paper's twig patterns cover the downward fragment: child /
+descendant / descendant-or-self / attribute edges.  DSI intervals carry
+strictly more information than that — the ``(low, high)`` pair of an
+entry, together with the precomputed parent pointers, decides *every*
+XPath 1.0 axis relation:
 
 =====================  =====================================================
 axis ``y`` of ``x``    interval predicate over DSI entries
@@ -33,17 +33,16 @@ server's match sets are sound supersets and the client restores
 exactness by re-running the original query over the pruned document,
 exactly as in the downward-only protocol.
 
-:func:`compile_axis_pattern` lowers an arbitrary location path into the
-same :class:`~repro.xpath.compiler.PatternTree` shape the twig matchers
-consume, generalizing the edge vocabulary to the full axis set.  Reverse
-axes need no special output handling: ``//b/ancestor::x`` becomes the
-pattern ``b → x`` with an *ancestor* edge, the bottom-up phase filters
-``b`` by the inverse (descendant) test and the top-down phase keeps the
-``x`` entries with a surviving ``b`` strictly inside them.  The compiler
-also computes the **ship set** — every pattern node whose full surviving
-match set must be shipped for the client to finish exactly — replacing
-the legacy single-ship-node rule, which is only sufficient when all
-edges point downward.
+:func:`compile_axis_pattern` lowers every location path into a
+:class:`~repro.xpath.compiler.PatternTree`; on the downward fragment the
+pattern is the paper's twig.  Reverse axes need no special output
+handling: ``//b/ancestor::x`` becomes the pattern ``b → x`` with an
+*ancestor* edge, the bottom-up phase filters ``b`` by the inverse
+(descendant) test and the top-down phase keeps the ``x`` entries with a
+surviving ``b`` strictly inside them.  The compiler also computes the
+**ship set** — every pattern node whose full surviving match set must be
+shipped for the client to finish exactly, none of them reached from
+another by downward edges only (see :func:`_ship_set`).
 
 Degenerate shapes no pattern can express (relative paths, a reverse or
 order axis as the very first step, positional predicates inside
@@ -54,8 +53,6 @@ typed server-side plan, never the naive protocol.
 """
 
 from __future__ import annotations
-
-from typing import Iterable, Optional
 
 from repro.xpath import ast
 from repro.xpath.compiler import PatternNode, PatternTree, UnsupportedQuery
@@ -81,87 +78,10 @@ DOWNWARD_EDGES = frozenset(
     }
 )
 
-#: Pattern edges that climb toward the root.
-UPWARD_EDGES = frozenset({"parent", "ancestor", "ancestor-or-self"})
-
 #: Pattern edges that move sideways in document order.
 ORDER_EDGES = frozenset(
     {"following", "preceding", "following-sibling", "preceding-sibling"}
 )
-
-#: The rewrite at the heart of the engine: a pattern edge is *checked*
-#: bottom-up with its inverse axis (filter the parent's candidates by the
-#: child's matches) and top-down with the forward axis, so reverse axes
-#: run on the same two-phase join as the downward twig.
-INVERSE_EDGE = {
-    "child": "parent",
-    "attribute": "parent",
-    "descendant": "ancestor",
-    "attribute-descendant": "ancestor",
-    "descendant-or-self": "ancestor-or-self",
-    "self": "self",
-    "parent": "child",
-    "ancestor": "descendant",
-    "ancestor-or-self": "descendant-or-self",
-    "following": "preceding",
-    "preceding": "following",
-    "following-sibling": "preceding-sibling",
-    "preceding-sibling": "following-sibling",
-}
-
-
-# ----------------------------------------------------------------------
-# Interval-algebra threshold helpers
-# ----------------------------------------------------------------------
-
-
-def order_bounds(
-    intervals: Iterable[tuple[float, float]],
-) -> Optional[tuple[float, float]]:
-    """``(min low, max high)`` over an interval set, or None when empty.
-
-    These two scalars decide the relaxed *following*/*preceding* tests:
-    ``y`` can follow some anchor iff ``y.high > min_low`` and can precede
-    some anchor iff ``y.low < max_high``.
-    """
-    min_low: Optional[float] = None
-    max_high: Optional[float] = None
-    for low, high in intervals:
-        if min_low is None or low < min_low:
-            min_low = low
-        if max_high is None or high > max_high:
-            max_high = high
-    if min_low is None or max_high is None:
-        return None
-    return (min_low, max_high)
-
-
-def sibling_bounds(
-    items: Iterable[tuple[object, float, float]],
-) -> dict[object, tuple[float, float]]:
-    """Per-parent ``(min low, max high)`` from (parent, low, high) triples.
-
-    The sibling-axis tests are the order-axis tests scoped to one parent:
-    ``y`` can follow a sibling anchor iff ``y.high > bounds[parent].low``.
-    """
-    bounds: dict[object, tuple[float, float]] = {}
-    for parent, low, high in items:
-        current = bounds.get(parent)
-        if current is None:
-            bounds[parent] = (low, high)
-        else:
-            bounds[parent] = (min(current[0], low), max(current[1], high))
-    return bounds
-
-
-def can_follow(low: float, high: float, min_anchor_low: float) -> bool:
-    """Relaxed *following* membership for a (possibly grouped) entry."""
-    return high > min_anchor_low
-
-
-def can_precede(low: float, high: float, max_anchor_high: float) -> bool:
-    """Relaxed *preceding* membership for a (possibly grouped) entry."""
-    return low < max_anchor_high
 
 
 # ----------------------------------------------------------------------
@@ -181,11 +101,9 @@ def compile_axis_pattern(path: ast.LocationPath) -> PatternTree:
         raise ResidualRequired("query selects the document node itself")
     output = spine[-1]
     output.is_output = True
-    tree = PatternTree(
-        roots=[spine[0]], output=output, spine_root=spine[0]
+    return PatternTree(
+        roots=[spine[0]], output=output, ship_nodes=_ship_set(spine)
     )
-    tree.ship_roots = _ship_set(spine)
-    return tree
 
 
 def _compile_axis_steps(
@@ -395,45 +313,44 @@ def _all_downward(branch: PatternNode) -> bool:
 def _ship_set(spine: list[PatternNode]) -> list[PatternNode]:
     """Every pattern node whose surviving matches must ship.
 
-    The legacy rule ships one spine node and relies on all deeper
-    pattern nodes matching *inside* its fragments.  That containment
-    breaks as soon as an edge points upward or sideways, so the axis
-    engine ships a union: the spine suffix from the first *interesting*
-    node down, plus every node of a predicate branch that leaves its
-    holder's subtree.  Interesting means the node carries a constraint
-    or branch or positional flag, or sits on a non-downward edge —
-    everything above the cut is a pure downward name-test chain the
-    client re-verifies from fragment skeletons alone.
+    The first *interesting* spine node ships: one that carries a
+    constraint, a predicate branch or a positional flag, or is entered
+    or left by a non-downward edge (the output when none is).  The pure
+    downward name-test chain above it the client re-verifies from
+    fragment skeletons alone.  Below it, a node entered by a downward
+    edge has its survivors inside its pattern parent's fragments, so
+    besides that first node only the nodes entered by an upward or order
+    edge ship — on the spine or in a predicate branch.  No listed node
+    is reached from another by downward edges only, and on the paper's
+    downward fragment the set is the one first node.
     """
-    spine_children = {
-        id(spine[i]): spine[i + 1] for i in range(len(spine) - 1)
-    }
-
-    def branches(node: PatternNode) -> list[PatternNode]:
-        onward = spine_children.get(id(node))
-        return [c for c in node.children if c is not onward]
-
+    branches = [
+        [child for child in node.children if child is not onward]
+        for node, onward in zip(spine, [*spine[1:], None])
+    ]
     cut = len(spine) - 1
     for index, node in enumerate(spine):
-        edge_in = node.axis
-        onward = spine_children.get(id(node))
-        interesting = (
+        if (
             node.value_constraint is not None
             or node.position_sensitive
-            or bool(branches(node))
-            or edge_in not in DOWNWARD_EDGES
-            or (onward is not None and onward.axis not in DOWNWARD_EDGES)
-        )
-        if interesting:
+            or branches[index]
+            or node.axis not in DOWNWARD_EDGES
+            or (
+                index + 1 < len(spine)
+                and spine[index + 1].axis not in DOWNWARD_EDGES
+            )
+        ):
             cut = index
             break
 
-    ship: list[PatternNode] = list(spine[cut:])
-    for node in spine:
-        for branch in branches(node):
-            if not _all_downward(branch):
-                ship.extend(branch.walk())
-    return ship
+    below = spine[cut + 1 :]
+    for holder in branches:
+        for branch in holder:
+            below.extend(branch.walk())
+    return [
+        spine[cut],
+        *(node for node in below if node.axis not in DOWNWARD_EDGES),
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -453,6 +370,4 @@ def residual_pattern() -> PatternTree:
     """
     root = PatternNode(test="*", axis="root-child")
     root.is_output = True
-    tree = PatternTree(roots=[root], output=root, spine_root=root)
-    tree.ship_roots = [root]
-    return tree
+    return PatternTree(roots=[root], output=root, ship_nodes=[root])

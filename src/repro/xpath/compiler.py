@@ -1,27 +1,18 @@
-"""Compilation of XPath queries to pattern trees for server evaluation.
+"""Pattern trees: what an XPath query lowers to for server evaluation.
 
 The server evaluates queries structurally, over DSI intervals, by twig
-pattern matching (§6.2 steps 1–3).  This module lowers a parsed
-:class:`~repro.xpath.ast.LocationPath` into a :class:`PatternTree`: a tree
-of :class:`PatternNode` objects connected by ``child`` / ``descendant`` /
-``attribute`` edges, with at most one value constraint per node and a single
-distinguished *output* node (the query answer node).
-
-:func:`compile_pattern` lowers exactly the paper's fragment (downward
-axes, existence/value predicates) and raises :class:`UnsupportedQuery`
-for anything else; :mod:`repro.xpath.plan` catches that and re-lowers
-the query through the axis engine (:mod:`repro.xpath.axes`), which
-generalizes the edge vocabulary to all thirteen axes and positional
-predicates.  Both lowerings produce the same :class:`PatternTree` /
-:class:`PatternNode` shapes, so the structural-join matchers run either.
+pattern matching (§6.2 steps 1–3).  A query lowers to a
+:class:`PatternTree`: a tree of :class:`PatternNode` objects connected by
+axis edges, with at most one value constraint per node and a single
+distinguished *output* node (the query answer node).  The one lowering is
+:func:`repro.xpath.axes.compile_axis_pattern`; :mod:`repro.xpath.plan`
+picks it or the residual plan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional
-
-from repro.xpath import ast
 
 
 class UnsupportedQuery(ValueError):
@@ -34,9 +25,10 @@ class PatternNode:
 
     #: element tag, ``@name`` for attributes, or ``*``
     test: str
-    #: axis connecting this node to its pattern parent:
-    #: "child", "descendant" or "attribute" ("root-child"/"root-descendant"
-    #: for the edge from the virtual document node).
+    #: axis connecting this node to its pattern parent ("child",
+    #: "descendant", "attribute", an upward or order axis, …;
+    #: "root-child"/"root-descendant" for the edge from the virtual
+    #: document node).
     axis: str
     children: list["PatternNode"] = field(default_factory=list)
     #: (op, literal) when a comparison predicate constrains this node
@@ -73,145 +65,15 @@ class PatternNode:
 
 @dataclass
 class PatternTree:
-    """A compiled query: pattern roots plus the output node."""
+    """A compiled query: pattern roots, the output node and the ship set."""
 
     roots: list[PatternNode]
     output: PatternNode
-    #: the first named node on the main spine — the unit the server ships
-    spine_root: PatternNode
-    #: multi-ship override set by the axis engine: every node listed here
-    #: ships its full surviving match set (union, deduplicated by the
-    #: server's nested-fragment drop).  ``None`` keeps the legacy
-    #: single-ship-node selection in the translator.
-    ship_roots: Optional[list[PatternNode]] = None
+    #: every node whose full surviving match set the server ships
+    ship_nodes: list[PatternNode]
 
     def nodes(self) -> list[PatternNode]:
         out: list[PatternNode] = []
         for root in self.roots:
             out.extend(root.walk())
         return out
-
-
-def compile_pattern(path: ast.LocationPath) -> PatternTree:
-    """Compile an absolute location path into a pattern tree."""
-    if not path.absolute:
-        raise UnsupportedQuery(
-            "only absolute queries compile to server patterns"
-        )
-    spine, output = _compile_steps(path.steps, at_root=True)
-    if spine is None or output is None:
-        raise UnsupportedQuery("query has no named steps")
-    output.is_output = True
-    return PatternTree(roots=[spine], output=output, spine_root=spine)
-
-
-def _compile_steps(
-    steps: tuple[ast.Step, ...], at_root: bool
-) -> tuple[Optional[PatternNode], Optional[PatternNode]]:
-    """Compile a step chain; returns (first pattern node, last pattern node).
-
-    ``at_root`` marks the chain as starting at the virtual document node,
-    which prefixes the first edge's axis with ``root-``.
-    """
-    first: Optional[PatternNode] = None
-    last: Optional[PatternNode] = None
-    pending_descendant = False
-
-    for step in steps:
-        if (
-            step.axis == ast.AXIS_DESCENDANT_OR_SELF
-            and step.test.is_wildcard
-            and not step.predicates
-        ):
-            pending_descendant = True
-            continue
-        if step.axis == ast.AXIS_SELF and step.test.is_wildcard and not step.predicates:
-            continue  # '.' is a no-op in a forward chain
-        if step.axis == ast.AXIS_CHILD:
-            axis = "descendant" if pending_descendant else "child"
-            test = step.test.name
-        elif step.axis == ast.AXIS_DESCENDANT:
-            axis = "descendant"
-            test = step.test.name
-        elif step.axis == ast.AXIS_ATTRIBUTE:
-            # '//@x' keeps descendant reach; '/@x' is a direct attribute.
-            axis = "attribute-descendant" if pending_descendant else "attribute"
-            test = f"@{step.test.name}"
-        elif step.axis == ast.AXIS_DESCENDANT_OR_SELF:
-            # A named (or predicated) descendant-or-self step is not a
-            # plain descendant edge — the or-self part would be lost.
-            # The axis engine lowers it with a dedicated edge.
-            raise UnsupportedQuery(
-                "descendant-or-self with a name test or predicates"
-            )
-        else:
-            raise UnsupportedQuery(
-                f"axis {step.axis!r} is not server-evaluable"
-            )
-        pending_descendant = False
-
-        node = PatternNode(test=test, axis=axis)
-        if first is None:
-            if at_root:
-                if node.axis in ("attribute", "attribute-descendant"):
-                    raise UnsupportedQuery("attribute step cannot be first")
-                node.axis = f"root-{node.axis}"
-            first = node
-        else:
-            assert last is not None
-            last.children.append(node)
-        _attach_predicates(node, step.predicates)
-        last = node
-
-    if pending_descendant:
-        raise UnsupportedQuery("query cannot end with '//'")
-    return first, last
-
-
-def _attach_predicates(
-    node: PatternNode, predicates: tuple[ast.Predicate, ...]
-) -> None:
-    for predicate in predicates:
-        expr = predicate.expr
-        if isinstance(expr, ast.Position):
-            raise UnsupportedQuery("positional predicates are client-only")
-        if isinstance(expr, ast.Exists):
-            branch = _compile_branch(expr.path)
-            node.children.append(branch)
-        elif isinstance(expr, ast.Comparison):
-            if _is_self_path(expr.path):
-                _set_constraint(node, expr)
-            else:
-                branch = _compile_branch(expr.path)
-                leaf = branch
-                while leaf.children:
-                    leaf = leaf.children[-1]
-                _set_constraint(leaf, expr)
-                node.children.append(branch)
-        else:  # pragma: no cover - parser produces only the above
-            raise UnsupportedQuery(f"unsupported predicate {expr!r}")
-
-
-def _compile_branch(path: ast.LocationPath) -> PatternNode:
-    if path.absolute:
-        raise UnsupportedQuery("absolute paths inside predicates")
-    branch, _ = _compile_steps(path.steps, at_root=False)
-    if branch is None:
-        raise UnsupportedQuery("empty predicate path")
-    return branch
-
-
-def _set_constraint(node: PatternNode, expr: ast.Comparison) -> None:
-    if node.value_constraint is not None:
-        raise UnsupportedQuery("multiple value constraints on one node")
-    node.value_constraint = (expr.op, expr.literal)
-
-
-def _is_self_path(path: ast.LocationPath) -> bool:
-    return (
-        not path.absolute
-        and len(path.steps) == 1
-        and path.steps[0].axis == ast.AXIS_SELF
-        and path.steps[0].test.is_wildcard
-        and not path.steps[0].predicates
-    )

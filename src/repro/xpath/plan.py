@@ -1,20 +1,14 @@
-"""Per-query plan selection: twig lowering, axis engine, or residual.
+"""Per-query plan selection: the axis lowering, or residual.
 
 Every parseable query gets a server-side plan — the naive client-only
-protocol is no longer reachable from the planner:
-
-``twig``
-    The paper's original fragment (downward axes, existence/value
-    predicates).  Uses :func:`repro.xpath.compiler.compile_pattern`
-    unchanged, byte-for-byte the legacy plan, including the legacy
-    single-ship-node rule.
+protocol is not reachable from the planner:
 
 ``axis``
-    Anything the twig compiler rejects but a generalized pattern can
-    express: reverse axes, order axes, positional predicates, named
-    descendant-or-self, relative-shaped predicate branches over those.
-    Uses :func:`repro.xpath.axes.compile_axis_pattern`, which also
-    computes the multi-node ship set.
+    Anything a pattern can express: the paper's downward twigs, reverse
+    axes, order axes, positional predicates, named descendant-or-self,
+    relative-shaped predicate branches over those.  Uses
+    :func:`repro.xpath.axes.compile_axis_pattern`, which also computes
+    the ship set.
 
 ``residual``
     Degenerate shapes with no pattern anchor (relative paths, reverse
@@ -36,12 +30,7 @@ from repro.xpath.axes import (
     compile_axis_pattern,
     residual_pattern,
 )
-from repro.xpath.compiler import (
-    PatternNode,
-    PatternTree,
-    UnsupportedQuery,
-    compile_pattern,
-)
+from repro.xpath.compiler import PatternNode, PatternTree
 from repro.xpath.parser import parse_xpath
 
 
@@ -49,29 +38,20 @@ from repro.xpath.parser import parse_xpath
 class QueryPlan:
     """A chosen lowering for one query."""
 
-    kind: str  # "twig" | "axis" | "residual"
+    kind: str  # "axis" | "residual"
     pattern: PatternTree
-    #: why the previous tier was rejected (None for twig plans)
+    #: why no pattern anchors the query (None for axis plans)
     reason: Optional[str] = None
 
 
 def plan_query(path: ast.LocationPath) -> QueryPlan:
-    """Pick the cheapest lowering that still answers exactly."""
+    """The axis lowering, else the residual plan."""
     try:
-        return QueryPlan(kind="twig", pattern=compile_pattern(path))
-    except UnsupportedQuery as twig_reason:
-        try:
-            return QueryPlan(
-                kind="axis",
-                pattern=compile_axis_pattern(path),
-                reason=str(twig_reason),
-            )
-        except ResidualRequired as residual_reason:
-            return QueryPlan(
-                kind="residual",
-                pattern=residual_pattern(),
-                reason=str(residual_reason),
-            )
+        return QueryPlan(kind="axis", pattern=compile_axis_pattern(path))
+    except ResidualRequired as reason:
+        return QueryPlan(
+            kind="residual", pattern=residual_pattern(), reason=str(reason)
+        )
 
 
 def plan_for(xpath: str) -> QueryPlan:
@@ -85,7 +65,7 @@ def explain_plan(xpath: str) -> str:
     Reuses the pattern nodes' ``__str__`` and annotates ship-set and
     positional markers, e.g.::
 
-        plan: axis (axis 'ancestor' is not server-evaluable)
+        plan: axis
         root-descendant::b [ship]
           ancestor::x *OUT* [ship]
     """
@@ -96,20 +76,10 @@ def explain_plan(xpath: str) -> str:
     lines = [f"query: {xpath}", f"plan: {plan.kind}"]
     if plan.reason:
         lines[-1] += f" ({plan.reason})"
-    ship_ids = {id(n) for n in _ship_nodes(plan.pattern)}
+    ship_ids = {id(n) for n in plan.pattern.ship_nodes}
     for root in plan.pattern.roots:
         _render(root, 0, ship_ids, lines)
     return "\n".join(lines)
-
-
-def _ship_nodes(pattern: PatternTree) -> list[PatternNode]:
-    if pattern.ship_roots is not None:
-        return pattern.ship_roots
-    # Legacy single-ship selection lives in the translator; re-derive it
-    # lazily to avoid importing core from the pure xpath layer.
-    from repro.core.translate import _ship_node
-
-    return [_ship_node(pattern)]
 
 
 def _render(

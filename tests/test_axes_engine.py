@@ -7,7 +7,7 @@ and every positional-predicate shape, on three corpora, and under a
 error.
 
 None of these queries may touch the naive protocol: the planner must
-pick a twig, axis, or residual server-side plan for each (the
+pick an axis or residual server-side plan for each (the
 ``naive_fallbacks`` counter stays at zero and every trace records a
 plan tier).
 """
@@ -56,7 +56,7 @@ def assert_exact_and_served(system, document, queries):
         assert answer.canonical() == truth(document, query), query
         trace = system.last_trace
         assert not trace.naive, query
-        assert trace.plan in ("twig", "axis", "residual"), (
+        assert trace.plan in ("axis", "residual"), (
             query,
             trace.plan,
         )
@@ -139,8 +139,8 @@ class TestPlanTiers:
     @pytest.mark.parametrize(
         "query,kind",
         [
-            ("//patient/pname", "twig"),
-            ("//treat[disease='leukemia']/doctor", "twig"),
+            ("//patient/pname", "axis"),
+            ("//treat[disease='leukemia']/doctor", "axis"),
             ("//treat/following-sibling::insurance", "axis"),
             ("//age/ancestor::patient", "axis"),
             ("/hospital/patient[1]/pname", "axis"),
@@ -157,7 +157,7 @@ class TestPlanTiers:
         system.query(query)
         trace = system.last_trace
         assert trace.plan == kind, (query, trace.plan)
-        if kind == "twig":
+        if kind == "axis":
             assert trace.fallback_reason is None
         else:
             assert trace.fallback_reason
@@ -168,13 +168,27 @@ class TestPlanTiers:
         system = SecureXMLSystem.host(
             healthcare_doc, healthcare_scs, scheme="opt"
         )
-        system.query("//age/ancestor::patient")
+        system.query("//age/namespace::*")
         row = system.last_trace.as_row()
-        assert row["plan"] == "axis"
-        assert "ancestor" in row["fallback_reason"]
+        assert row["plan"] == "residual"
+        assert "namespace" in row["fallback_reason"]
         entries = system.observability().slow_log.entries()
         logged = {entry.query: entry for entry in entries}
-        entry = logged["//age/ancestor::patient"]
-        assert entry.plan == "axis"
-        assert "ancestor" in entry.fallback_reason
-        assert "plan=axis" in entry.render()
+        entry = logged["//age/namespace::*"]
+        assert entry.plan == "residual"
+        assert "namespace" in entry.fallback_reason
+        assert "plan=residual" in entry.render()
+
+    def test_naive_query_is_labelled_naive(
+        self, healthcare_doc, healthcare_scs
+    ):
+        system = SecureXMLSystem.host(
+            healthcare_doc, healthcare_scs, scheme="opt"
+        )
+        system.naive_query("//patient/pname")
+        trace = system.last_trace
+        assert trace.naive and trace.plan == "naive"
+        (entry,) = system.observability().slow_log.entries()
+        assert entry.plan == "naive"
+        assert entry.as_dict()["plan"] == "naive"
+        assert "naive" in entry.render()

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.core.dsi import assign_intervals, build_structural_index
 from repro.core.scheme import top_scheme
-from repro.core.stack_join import join_children, join_descendants, stack_tree_desc
+from repro.core.stack_join import stack_tree_desc
 from repro.crypto.prf import DeterministicRandom
 from repro.crypto.vernam import DeterministicTagCipher
 from repro.workloads.healthcare import build_healthcare_database
@@ -94,28 +94,6 @@ class TestStackTreeDesc:
 
 
 class TestSemiJoins:
-    def test_join_descendants_prunes_both_sides(self):
-        index = build_index(build_healthcare_database())
-        insurances = index.lookup("insurance")
-        doctors = index.lookup("doctor")
-        kept_a, kept_d = join_descendants(insurances, doctors)
-        assert kept_a == [] and kept_d == []  # doctors aren't in insurance
-
-        patients = index.lookup("patient")
-        kept_a, kept_d = join_descendants(patients, doctors)
-        assert len(kept_a) == 2 and len(kept_d) == 3
-
-    def test_join_children_immediate_only(self):
-        index = build_index(build_healthcare_database())
-        hospital = index.lookup("hospital")
-        diseases = index.lookup("disease")
-        kept_parents, kept_children = join_children(hospital, diseases)
-        assert kept_parents == [] and kept_children == []  # grandchildren
-
-        treats = index.lookup("treat")
-        kept_parents, kept_children = join_children(treats, diseases)
-        assert len(kept_parents) == 3 and len(kept_children) == 3
-
     def test_grouped_entries_behave(self):
         """Sibling groups (top scheme) still join correctly."""
         document = build_healthcare_database()
@@ -124,6 +102,7 @@ class TestSemiJoins:
         patients = index.lookup(cipher.encrypt_tag("patient"))
         pnames = index.lookup(cipher.encrypt_tag("pname"))
         assert len(patients) == 1  # grouped pair
-        kept_parents, kept_children = join_children(patients, pnames)
-        assert len(kept_parents) == 1
-        assert len(kept_children) == 2
+        pairs = stack_tree_desc(patients, pnames)
+        children = [d for a, d in pairs if d.parent is a]
+        assert {id(a) for a, _ in pairs} == {id(patients[0])}
+        assert len(children) == 2

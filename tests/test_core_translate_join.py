@@ -7,8 +7,8 @@ from repro.core.scheme import build_scheme
 from repro.core.structural_join import match_pattern
 from repro.crypto.keyring import ClientKeyring
 from repro.core.translate import QueryTranslator
-from repro.xpath.compiler import UnsupportedQuery, compile_pattern
-from repro.xpath.parser import parse_xpath
+from repro.xpath.compiler import UnsupportedQuery
+from repro.xpath.plan import plan_for
 
 
 @pytest.fixture
@@ -28,7 +28,7 @@ def hosted_opt(healthcare_doc, healthcare_scs):
 
 
 def translate(translator, query):
-    return translator.translate(compile_pattern(parse_xpath(query)))
+    return translator.translate(plan_for(query).pattern)
 
 
 class TestTranslation:
@@ -95,12 +95,14 @@ class TestTranslation:
             translator, "//patient[pname='Betty']//disease"
         )
         assert translated.output.is_output
-        assert translated.ship_node is translated.root  # predicate at patient
+        (ship,) = translated.ship_nodes
+        assert ship is translated.root  # predicate at patient
 
     def test_ship_node_is_output_without_predicates(self, hosted_opt):
         _, translator, _ = hosted_opt
         translated = translate(translator, "/hospital/patient/age")
-        assert translated.ship_node is translated.output
+        (ship,) = translated.ship_nodes
+        assert ship is translated.output
 
     def test_wire_size_positive(self, hosted_opt):
         _, translator, _ = hosted_opt

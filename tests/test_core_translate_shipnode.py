@@ -1,58 +1,79 @@
-"""Focused tests for ship-node selection (the fragment-granularity choice).
+"""Focused tests for ship-set selection (the fragment-granularity choice).
 
-The ship node determines what the server returns: the deepest spine node
-whose subtree still contains every constrained/branching pattern node and
-the output.  Getting it wrong either breaks exactness (too deep) or ships
-the world (too shallow), so its placement deserves direct coverage.
+The ship set determines what the server returns: every pattern node whose
+full surviving match set the client needs, none of them reached from
+another by downward edges only.  On the paper's downward fragment that is
+one node — the deepest spine node whose subtree still contains every
+constrained/branching pattern node and the output.  Getting it wrong
+either breaks exactness (too deep) or ships the world (too shallow), so
+its placement deserves direct coverage.
 """
 
 import pytest
 
-from repro.core.translate import _ship_node
-from repro.xpath.compiler import compile_pattern
+from repro.xpath.axes import compile_axis_pattern
 from repro.xpath.parser import parse_xpath
 
 
-def ship_test(query: str) -> str:
-    pattern = compile_pattern(parse_xpath(query))
-    return _ship_node(pattern).test
+def ship_tests(query: str) -> list[str]:
+    pattern = compile_axis_pattern(parse_xpath(query))
+    return [node.test for node in pattern.ship_nodes]
 
 
 class TestShipNodePlacement:
     def test_plain_chain_ships_output(self):
-        assert ship_test("/a/b/c") == "c"
-        assert ship_test("//SSN") == "SSN"
+        assert ship_tests("/a/b/c") == ["c"]
+        assert ship_tests("//SSN") == ["SSN"]
 
     def test_predicate_pins_the_spine_node(self):
-        assert ship_test("//patient[pname='B']//SSN") == "patient"
+        assert ship_tests("//patient[pname='B']//SSN") == ["patient"]
 
     def test_self_constraint_pins_its_node(self):
-        assert ship_test("//a/b[.='v']") == "b"
+        assert ship_tests("//a/b[.='v']") == ["b"]
 
     def test_deep_predicate_branch(self):
-        assert ship_test(
+        assert ship_tests(
             "//patient[.//insurance//@coverage>=1]//SSN"
-        ) == "patient"
+        ) == ["patient"]
 
     def test_predicate_below_output_is_fine(self):
         # The branch hangs off the output node itself: ship the output.
-        assert ship_test("//a/b[c='v']") == "b"
+        assert ship_tests("//a/b[c='v']") == ["b"]
 
     def test_earliest_constraint_wins(self):
-        assert ship_test("//a[x=1]/b[y=2]/c") == "a"
+        assert ship_tests("//a[x=1]/b[y=2]/c") == ["a"]
 
     def test_mid_spine_constraint(self):
-        assert ship_test("//a/b[y=2]/c") == "b"
+        assert ship_tests("//a/b[y=2]/c") == ["b"]
 
     def test_existence_branch_counts(self):
-        assert ship_test("//a[b]/c/d") == "a"
+        assert ship_tests("//a[b]/c/d") == ["a"]
 
     def test_wildcards_on_spine(self):
-        assert ship_test("/a/*/c") == "c"
+        assert ship_tests("/a/*/c") == ["c"]
 
     def test_attribute_output(self):
-        assert ship_test("//a/@x") == "@x"
-        assert ship_test("//a[@k='1']/@x") == "a"
+        assert ship_tests("//a/@x") == ["@x"]
+        assert ship_tests("//a[@k='1']/@x") == ["a"]
+
+
+class TestShipSetBeyondDownwardEdges:
+    """Nodes reached by an upward or order edge ship on their own."""
+
+    def test_reverse_output(self):
+        # x's matches lie above b's: no fragment of one holds the other.
+        assert ship_tests("//b/ancestor::x") == ["b", "x"]
+
+    def test_escaping_branch(self):
+        # d and b sit inside a's fragments; c, reached by a following
+        # edge, does not.
+        assert ship_tests("//a[b/following::c]/d") == ["a", "c"]
+
+    def test_reverse_edge_mid_spine(self):
+        # The spine climbs from c to b, then goes down again to d: d's
+        # matches lie inside b's fragments.
+        assert ship_tests("//c/parent::b/d") == ["c", "b"]
+        assert ship_tests("//a/b/ancestor::x/y") == ["b", "x"]
 
 
 class TestShipNodeExactnessConsequence:

@@ -89,3 +89,36 @@ class TestTableOrderRegression:
         for entries in system.hosted.structural_index.table.values():
             lows = [entry.interval.low for entry in entries]
             assert lows == sorted(lows)
+
+
+class TestFragmentOrderAfterInsertRegression:
+    """Fragments ship in document order, not node-id order.
+
+    Bug: the server sorted fragment roots by hosted node id and the client
+    grafts fragments onto its skeleton in arrival order.  An insert
+    numbers its node after every existing one, so an SSN inserted into
+    Matt's ``treat`` arrived after Matt's ``age`` and its skeleton
+    ``treat`` was grafted behind the ``age``: ``//age/preceding::SSN``
+    silently lost it.  Found by ``test_property_updates`` (healthcare,
+    seed 2332944).  Fixed by ordering roots by DSI interval.
+    """
+
+    def test_preceding_sees_an_inserted_node(
+        self, healthcare_doc, healthcare_scs
+    ):
+        from repro.workloads.healthcare import build_healthcare_database
+        from repro.xmldb.node import Element, Text
+
+        system = SecureXMLSystem.host(
+            healthcare_doc, healthcare_scs, scheme="opt"
+        )
+        system.insert_element("//patient[pname='Matt']/treat", "SSN", "w7")
+        oracle = build_healthcare_database()
+        (treat,) = evaluate(oracle, "//patient[pname='Matt']/treat")
+        ssn = Element("SSN")
+        ssn.append(Text("w7"))
+        treat.append(ssn)
+        query = "//age/preceding::SSN"
+        expected = sorted(canonical_node(n) for n in evaluate(oracle, query))
+        assert "<SSN>w7</SSN>" in expected
+        assert system.query(query).canonical() == expected

@@ -1,19 +1,20 @@
-"""Unit tests for query → pattern-tree compilation."""
+"""Unit tests for query → pattern-tree compilation (the axis lowering)."""
 
 import pytest
 
-from repro.xpath.compiler import UnsupportedQuery, compile_pattern
+from repro.xpath.axes import ResidualRequired, compile_axis_pattern
 from repro.xpath.parser import parse_xpath
+from repro.xpath.plan import plan_for
 
 
 def compile_query(text):
-    return compile_pattern(parse_xpath(text))
+    return compile_axis_pattern(parse_xpath(text))
 
 
 class TestSpineCompilation:
     def test_simple_chain(self):
         tree = compile_query("/a/b/c")
-        root = tree.spine_root
+        root = tree.roots[0]
         assert root.test == "a" and root.axis == "root-child"
         assert root.children[0].test == "b"
         assert root.children[0].axis == "child"
@@ -22,12 +23,12 @@ class TestSpineCompilation:
 
     def test_leading_double_slash(self):
         tree = compile_query("//a")
-        assert tree.spine_root.axis == "root-descendant"
-        assert tree.spine_root.test == "a"
+        assert tree.roots[0].axis == "root-descendant"
+        assert tree.roots[0].test == "a"
 
     def test_inner_double_slash(self):
         tree = compile_query("/a//b")
-        assert tree.spine_root.children[0].axis == "descendant"
+        assert tree.roots[0].children[0].axis == "descendant"
 
     def test_attribute_output(self):
         tree = compile_query("//a/@x")
@@ -41,17 +42,17 @@ class TestSpineCompilation:
 
     def test_wildcard_step(self):
         tree = compile_query("/a/*/c")
-        assert tree.spine_root.children[0].is_wildcard
+        assert tree.roots[0].children[0].is_wildcard
 
     def test_dot_steps_collapse(self):
         tree = compile_query("/a/./b")
-        assert tree.spine_root.children[0].test == "b"
+        assert tree.roots[0].children[0].test == "b"
 
 
 class TestPredicateCompilation:
     def test_existence_branch(self):
         tree = compile_query("//a[b/c]/d")
-        root = tree.spine_root
+        root = tree.roots[0]
         tests = sorted(child.test for child in root.children)
         assert tests == ["b", "d"]
         branch = next(c for c in root.children if c.test == "b")
@@ -59,28 +60,28 @@ class TestPredicateCompilation:
 
     def test_comparison_on_branch_leaf(self):
         tree = compile_query("//a[b/c='v']/d")
-        branch = next(c for c in tree.spine_root.children if c.test == "b")
+        branch = next(c for c in tree.roots[0].children if c.test == "b")
         assert branch.children[0].value_constraint == ("=", "v")
 
     def test_self_comparison_lands_on_node(self):
         tree = compile_query("//a[.='v']")
-        assert tree.spine_root.value_constraint == ("=", "v")
+        assert tree.roots[0].value_constraint == ("=", "v")
 
     def test_descendant_predicate_branch(self):
         tree = compile_query("//a[.//b='v']")
-        branch = tree.spine_root.children[0]
+        branch = tree.roots[0].children[0]
         assert branch.axis == "descendant"
         assert branch.value_constraint == ("=", "v")
 
     def test_attribute_predicate(self):
         tree = compile_query("//a[@x>=10]")
-        branch = tree.spine_root.children[0]
+        branch = tree.roots[0].children[0]
         assert branch.test == "@x"
         assert branch.value_constraint == (">=", "10")
 
     def test_paper_example_query(self):
         tree = compile_query("//patient[.//insurance//@coverage>=10000]//SSN")
-        root = tree.spine_root
+        root = tree.roots[0]
         assert root.test == "patient"
         insurance = next(c for c in root.children if c.test == "insurance")
         assert insurance.children[0].test == "@coverage"
@@ -93,17 +94,37 @@ class TestUnsupported:
         "query",
         [
             "a/b",                       # relative
-            "/a/b[1]",                   # positional
-            "//a/following-sibling::b",  # sibling axis
-            "//a/..",                    # reverse axis
             "/@x",                       # attribute at root
         ],
     )
     def test_falls_back(self, query):
-        with pytest.raises(UnsupportedQuery):
+        with pytest.raises(ResidualRequired):
             compile_query(query)
+        assert plan_for(query).kind == "residual"
 
     def test_nodes_enumeration(self):
         tree = compile_query("//a[b]//c")
         tests = sorted(node.test for node in tree.nodes())
         assert tests == ["a", "b", "c"]
+
+
+class TestBeyondTheDownwardFragment:
+    """Shapes outside the paper's twig fragment lower to axis plans."""
+
+    @pytest.mark.parametrize(
+        "query,edge",
+        [
+            ("/a/b[1]", "child"),                        # positional
+            ("//a/following-sibling::b", "following-sibling"),
+            ("//a/..", "parent"),                        # reverse axis
+        ],
+    )
+    def test_lowers_to_axis_plan(self, query, edge):
+        tree = compile_query(query)
+        assert tree.output.axis == edge
+        assert plan_for(query).kind == "axis"
+
+    def test_positional_step_is_marked(self):
+        tree = compile_query("/a/b[1]")
+        assert tree.output.position_sensitive
+        assert tree.output.children == []
