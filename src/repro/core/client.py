@@ -25,7 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 from repro.core.decoy import DECOY_TAG
 from repro.core.encryptor import HostedDatabase
 from repro.core.epoch_cache import EpochCache
-from repro.core.integrity import TamperedResponseError, unseal_fresh
+from repro.core.integrity import TamperedResponseError
 from repro.core.server import Fragment, ServerResponse
 from repro.core.translate import QueryTranslator, TranslatedQuery
 from repro.crypto.keyring import ClientKeyring
@@ -249,9 +249,8 @@ class Client:
         cached = self._response_cache.live().get(blob)
         if cached is not None:
             return cached
-        epoch = self._hosted.epoch
-        payload = unseal_fresh(
-            self._response_key, blob, epoch, self._hosted.state_root()
+        payload, epoch = self._hosted.unseal(
+            self._response_key, blob, error=TamperedResponseError
         )
         try:
             response = decode_response(payload)

@@ -119,16 +119,6 @@ class HostedDatabase:
     anchor_lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False, compare=False
     )
-    #: Recent committed anchors, ``epoch → Merkle root``, recorded at
-    #: every :meth:`anchor` read and :meth:`bump_epoch` commit.  This is
-    #: what lets a verifier authenticate an envelope sealed at an anchor
-    #: that was current *during a request's flight* but has since been
-    #: superseded by a concurrent writer (bounded-staleness acceptance:
-    #: see :meth:`root_at`).  Derived state — never persisted; a fresh
-    #: process simply starts with an empty window.
-    anchor_history: dict[int, bytes] = field(
-        default_factory=dict, repr=False, compare=False
-    )
     #: Hosted node id → the epoch of the last write that changed anything
     #: at or below that node (:meth:`mark_changed`).  What the server's
     #: fragment cache asks before carrying a serialized subtree across a
@@ -137,10 +127,6 @@ class HostedDatabase:
     subtree_stamps: dict[int, int] = field(
         default_factory=dict, repr=False, compare=False
     )
-
-    #: Bound on :attr:`anchor_history` (commits, not bytes — roots are
-    #: 32 bytes each, so the window costs at most ~16 KiB).
-    ANCHOR_HISTORY_LIMIT = 512
 
     def state_root(self) -> bytes:
         """Merkle root over the per-block tags: the freshness anchor.
@@ -167,44 +153,42 @@ class HostedDatabase:
         seal site should take the pair through here.
         """
         with self.anchor_lock:
-            root = self.state_root()
-            self._record_anchor(self.epoch, root)
-            return self.epoch, root
+            return self.epoch, self.state_root()
 
     def seal(self, key: bytes, payload: bytes) -> tuple[bytes, int]:
         """Seal ``payload`` under the current anchor; returns the sealed
         bytes and the epoch they name (what a cache stores them under).
 
         Client and server read the same hosted state, so an honest
-        exchange always verifies; only a *replayed* (rolled-back) blob —
-        whose header bytes authenticate an earlier epoch — fails the
-        receiver's freshness check.  Going through :meth:`anchor` also
-        records the pair in the bounded history, which keeps a request
-        verifiable if a concurrent writer supersedes it in flight.
+        exchange always verifies; a blob sealed at any other anchor — a
+        replay, or a request that lost a race to a commit — fails the
+        receiver's freshness check.
         """
         from repro.core.integrity import seal_fresh
 
         epoch, root = self.anchor()
         return seal_fresh(key, payload, epoch, root), epoch
 
-    def _record_anchor(self, epoch: int, root: bytes) -> None:
-        """Remember a committed anchor pair (caller holds the lock)."""
-        self.anchor_history[epoch] = root
-        while len(self.anchor_history) > self.ANCHOR_HISTORY_LIMIT:
-            self.anchor_history.pop(next(iter(self.anchor_history)))
+    def unseal(
+        self, key: bytes, blob: bytes, *, error: "type[IntegrityError]"
+    ) -> tuple[bytes, int]:
+        """Open a blob sealed by :meth:`seal`; returns the payload and
+        the epoch it was verified at.
 
-    def root_at(self, epoch: int) -> "bytes | None":
-        """The authentic Merkle root recorded for ``epoch``, if still held.
-
-        Returns the *live* root for the current epoch, a historical root
-        from the bounded :attr:`anchor_history` window for a recent past
-        epoch, and ``None`` for anything older (or never recorded) — the
-        caller must then treat the envelope as unverifiable-stale.
+        The one freshness rule, for requests, commands and responses
+        alike: a blob is valid at exactly the anchor it was sealed at.
+        One sealed at any other — a replay, or a request that lost a race
+        to a commit — raises
+        :class:`~repro.core.integrity.RollbackDetectedError` (or
+        :class:`~repro.core.integrity.StaleStateError`), so an old
+        epoch's plan, with its OPESS ranges, is never evaluated against
+        a newer index, and an applied write's command can never apply
+        again.  Anything that fails the MAC raises ``error``.
         """
-        with self.anchor_lock:
-            if epoch == self.epoch:
-                return self.state_root()
-            return self.anchor_history.get(epoch)
+        from repro.core.integrity import unseal_fresh
+
+        epoch, root = self.anchor()
+        return unseal_fresh(key, blob, epoch, root, error=error), epoch
 
     def set_block_tag(self, block_id: int, tag: bytes) -> None:
         """Install a block tag and incrementally maintain the Merkle tree."""
@@ -247,10 +231,6 @@ class HostedDatabase:
 
         with self.anchor_lock:
             self.epoch += 1
-            # Record the new commit's anchor immediately, so envelopes
-            # sealed at this epoch stay verifiable even after further
-            # concurrent commits advance the live anchor.
-            self._record_anchor(self.epoch, self.state_root())
         counters.add("epoch_invalidations")
 
     def allocate_hosted_id(self) -> int:

@@ -111,18 +111,6 @@ class StaleStateError(FreshnessError):
     (future epoch, or a Merkle root that does not match this epoch)."""
 
 
-class ReplayedCommandError(IntegrityError):
-    """A validly-MACed command blob was already applied: a captured replay.
-
-    Raised by the serving layer's command dedup: within a widened
-    freshness window a sealed mutating command stays MAC- and
-    freshness-valid for several commits, so the server remembers the
-    tags of recently applied commands and rejects a second arrival of
-    the same blob.  Deliberately *not* a :class:`FreshnessError` — the
-    client re-seal loops retry those, and a replay must surface as a
-    detection, never be absorbed by a retry."""
-
-
 def seal(key: bytes, payload: bytes) -> bytes:
     """Wrap ``payload`` in the integrity envelope under ``key``."""
     return MAGIC + hmac_sha256(key, payload) + payload

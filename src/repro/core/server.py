@@ -26,11 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 from repro.core.dsi import IndexEntry, StructuralIndex
 from repro.core.encryptor import HostedDatabase
 from repro.core.epoch_cache import EpochCache
-from repro.core.integrity import (
-    RollbackDetectedError,
-    TamperedRequestError,
-    unseal_fresh,
-)
+from repro.core.integrity import TamperedRequestError
 from repro.core.leakage import LeakageContext
 from repro.core.opess import ValueIndex
 from repro.core.structural_join import MatchResult, match_pattern
@@ -135,53 +131,9 @@ class Server:
         #: lock); this lock only has to make the check-epoch +
         #: cache-access sequences atomic.
         self._cache_lock = threading.RLock()
-        #: Bounded request-staleness acceptance (commits).  0 — the
-        #: default everywhere in-process — keeps the strict rule: a
-        #: request must be sealed at the *current* anchor.  The serving
-        #: layer raises it so a request sealed while a concurrent writer
-        #: was committing is still accepted, verified against the
-        #: authentic historical root for its epoch (see
-        #: :meth:`HostedDatabase.root_at`).  Requests older than the
-        #: window are rejected exactly as before — the window bounds how
-        #: far back a replayed request can probe.
-        self.freshness_window = 0
         #: Access-pattern leakage tier; ``None`` (the default) keeps the
         #: evaluated path untouched.  See :meth:`attach_leakage`.
         self.leakage: "LeakageContext | None" = None
-
-    def _open_fresh_request(self, key: bytes, request_blob: bytes) -> bytes:
-        """Verify a request's envelope *and* freshness.
-
-        A replayed stale request is rejected just like a tampered one —
-        the attacker cannot probe an old epoch's plans through the
-        server either.  When :attr:`freshness_window` is raised (the
-        concurrent serving path), a request sealed within the last N
-        commits is re-verified against the authentic historical root for
-        its own epoch instead of being bounced — a client that sealed an
-        instant before a concurrent writer committed should not have to
-        re-seal and re-send.
-        """
-        epoch, root = self._hosted.anchor()
-        try:
-            return unseal_fresh(
-                key, request_blob, epoch, root,
-                error=TamperedRequestError,
-            )
-        except RollbackDetectedError as stale:
-            if (
-                self.freshness_window <= 0
-                or stale.epoch_lag > self.freshness_window
-            ):
-                raise
-            historical = self._hosted.root_at(stale.observed_epoch)
-            if historical is None:
-                raise
-            payload = unseal_fresh(
-                key, request_blob, stale.observed_epoch, historical,
-                error=TamperedRequestError,
-            )
-            counters.add("requests_accepted_in_window")
-            return payload
 
     def flush_caches(self) -> None:
         """Drop the fragment, sealed-response and decoy-universe caches."""
@@ -327,7 +279,9 @@ class Server:
             cached = self._wire_cache.live().get(request_blob)
         if cached is not None:
             return cached
-        query_bytes = self._open_fresh_request(request_key, request_blob)
+        query_bytes, _ = self._hosted.unseal(
+            request_key, request_blob, error=TamperedRequestError
+        )
         try:
             translated = decode_query(query_bytes)
         except MessageDecodeError as exc:
@@ -349,7 +303,9 @@ class Server:
         so every call pays the full serialize + seal bill.
         """
         request_key, response_key = self._require_session_keys()
-        self._open_fresh_request(request_key, request_blob)
+        self._hosted.unseal(
+            request_key, request_blob, error=TamperedRequestError
+        )
         return self._hosted.seal(
             response_key, encode_response(self.ship_all())
         )[0]

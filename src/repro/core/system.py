@@ -43,11 +43,12 @@ _RETRYABLE = (IntegrityError, TransferDropped)
 
 
 class QueryFailedError(RuntimeError):
-    """A query exhausted its retries (and fallback) without an answer.
+    """A query exhausted its retries (or deadline) without an answer.
 
     Raised instead of ever returning a possibly-wrong answer: under the
     untrusted-server posture the outcome of a query is always either the
-    exact plaintext answer or a typed error.
+    exact plaintext answer or a typed error.  The last typed failure of
+    the exchange rides along as ``__cause__``.
     """
 
 
@@ -63,13 +64,11 @@ class RetryPolicy:
     """
 
     max_attempts: int = 4
-    naive_attempts: int = 2
     base_backoff_s: float = 0.01
     backoff_multiplier: float = 2.0
     max_backoff_s: float = 1.0
     jitter: float = 0.5  # each delay is scaled by 1 - jitter*U[0,1)
     deadline_s: float = 30.0
-    naive_fallback: bool = True
     seed: int = 0
 
     def backoff_for(self, retry_index: int, rng: random.Random) -> float:
@@ -113,7 +112,6 @@ class QueryTrace:
     #: (rolled-back or stale state rather than byte tampering).
     freshness_failures: int = 0
     drops: int = 0
-    fell_back: bool = False
     backoff_s: float = 0.0
     # --- query planning (axis engine) ---
     #: Plan tier that served the query: ``"axis"`` (the pattern
@@ -121,8 +119,8 @@ class QueryTrace:
     #: ``"naive"`` for the ship-everything baseline.
     plan: str = "axis"
     #: Why the query left the axis plan — the ``ResidualRequired`` (or
-    #: translator ``UnsupportedQuery``) message, or a retry-exhaustion
-    #: note for a degraded query.  ``None`` while the axis plan serves.
+    #: translator ``UnsupportedQuery``) message.  ``None`` while the axis
+    #: plan serves.
     fallback_reason: "str | None" = None
     #: Root of the query's span tree (None when tracing is disabled).
     #: Excluded from comparisons and reprs: two traces of the same
@@ -160,7 +158,6 @@ class QueryTrace:
             "blocks": self.blocks_returned,
             "answers": self.answer_count,
             "retries": self.retries,
-            "fell_back": self.fell_back,
             "plan": self.plan,
             "fallback_reason": self.fallback_reason,
         }
@@ -356,18 +353,20 @@ class SecureXMLSystem:
     def query(self, xpath: str) -> QueryAnswer:
         """Answer a query through the secure pipeline; trace in last_trace.
 
-        Queries outside the server-evaluable fragment transparently fall
-        back to the naive protocol (still exact, just unpruned).
+        Queries outside the server-evaluable fragment get the residual
+        document-root plan (still exact, just unpruned).
 
         The exchange is hardened against an untrusted wire and server:
         every payload crosses the channel as integrity-sealed bytes, a
         failed verification or a dropped transfer is retried with
         exponential backoff (modelled, deterministic — see
-        :class:`RetryPolicy`), a repeatedly failing translated query
-        degrades to the naive full-shipping path, and a query that cannot
-        complete before the deadline raises :class:`QueryFailedError`.
-        The outcome is always the exact answer or a typed error — never a
-        silent wrong answer.
+        :class:`RetryPolicy`), and a query that runs out of attempts or
+        cannot complete before the deadline raises
+        :class:`QueryFailedError`.  It never falls back to downloading
+        the database through the server that just failed verification
+        (:meth:`naive_query` is the explicit §7.3 baseline).  The outcome
+        is always the exact answer or a typed error — never a silent
+        wrong answer.
 
         Opens the query's root span and keeps it ambient for the whole
         run, so every stage span — including those opened by the client,
@@ -420,35 +419,6 @@ class SecureXMLSystem:
                     )
                     trace.candidate_counts = response.candidate_counts
                 return self._finish(xpath, response, trace)
-            except _RETRYABLE as exc:
-                last_error = self._record_failure(exc, trace, replica)
-                if attempt_span is not None:
-                    attempt_span.annotate(error=type(exc).__name__)
-        if not policy.naive_fallback:
-            counters.add("queries_failed")
-            raise QueryFailedError(
-                f"query failed after {trace.attempts} attempts "
-                f"({self._failure_detail(trace, last_error, replica)}): "
-                f"{last_error}"
-            ) from last_error
-        trace.fell_back = True
-        trace.fallback_reason = (
-            f"retries exhausted after {trace.attempts} attempts: "
-            f"{last_error}"
-        )
-        counters.add("naive_fallbacks")
-
-        for attempt in range(policy.naive_attempts):
-            replica = self._pre_attempt(
-                attempt + 1, trace, started_wall, policy
-            )
-            attempt_span = None
-            try:
-                with tracer.span(
-                    "attempt", number=trace.attempts, replica=replica,
-                    naive=True,
-                ) as attempt_span:
-                    return self._finish_naive(xpath, trace, replica)
             except _RETRYABLE as exc:
                 last_error = self._record_failure(exc, trace, replica)
                 if attempt_span is not None:
@@ -766,20 +736,16 @@ class SecureXMLSystem:
         trace.transfer_bytes = response.size_bytes()
 
         tracer = self._obs.tracer
-        # The naive path gets here from inside its ``attempt`` span —
-        # re-activate the query's root so the stage spans land directly
-        # under it on every path.
-        with tracer.activate(trace.span):
-            with tracer.span("decrypt") as span:
-                decrypted = self.client.decrypt_fragments(response)
-            trace.decrypt_client_s = span.finish()
+        with tracer.span("decrypt") as span:
+            decrypted = self.client.decrypt_fragments(response)
+        trace.decrypt_client_s = span.finish()
 
-            with tracer.span("postprocess") as span:
-                with tracer.span("assemble"):
-                    pruned = self.client.assemble(decrypted)
-                with tracer.span("evaluate"):
-                    answer = self.client.post_process(xpath, pruned)
-            trace.postprocess_client_s = span.finish()
+        with tracer.span("postprocess") as span:
+            with tracer.span("assemble"):
+                pruned = self.client.assemble(decrypted)
+            with tracer.span("evaluate"):
+                answer = self.client.post_process(xpath, pruned)
+        trace.postprocess_client_s = span.finish()
 
         trace.answer_count = len(answer)
         root = trace.span

@@ -27,7 +27,7 @@ from repro.perf import counters as _global_counters
 from repro.perf.counters import PerfCounters
 
 #: Log-spaced upper bounds (seconds) covering 0.1ms .. 10s — wide enough
-#: for both a warm memo hit and a naive ship-everything fallback.
+#: for both a warm memo hit and a naive ship-everything query.
 DEFAULT_BUCKETS: tuple[float, ...] = (
     0.0001,
     0.00025,

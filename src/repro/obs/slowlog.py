@@ -3,7 +3,7 @@
 Keeps the N worst queries *by total wall time* seen since startup (or
 the last reset), each with its stage breakdown and the fault/retry
 story from the netsim layer — enough to answer "why was this one slow"
-(a naive fallback? three retries across a lossy channel? just a big
+(a residual plan? three retries across a lossy channel? just a big
 candidate set?) without re-running anything.
 
 Bounded: a min-heap of size ``capacity`` evicts the fastest entry when
@@ -35,7 +35,6 @@ class SlowLogEntry:
         "integrity_failures",
         "drops",
         "backoff_s",
-        "fell_back",
         "naive",
         "plan",
         "fallback_reason",
@@ -66,7 +65,6 @@ class SlowLogEntry:
         self.integrity_failures = trace.integrity_failures
         self.drops = trace.drops
         self.backoff_s = trace.backoff_s
-        self.fell_back = trace.fell_back
         self.naive = trace.naive
         self.plan = trace.plan
         self.fallback_reason = trace.fallback_reason
@@ -85,7 +83,6 @@ class SlowLogEntry:
             "integrity_failures": self.integrity_failures,
             "drops": self.drops,
             "backoff_s": self.backoff_s,
-            "fell_back": self.fell_back,
             "naive": self.naive,
             "plan": self.plan,
             "fallback_reason": self.fallback_reason,
@@ -100,8 +97,6 @@ class SlowLogEntry:
         flags = []
         if self.failed:
             flags.append("FAILED")
-        if self.fell_back:
-            flags.append("fell-back")
         if self.naive:
             flags.append("naive")
         if self.plan not in ("axis", "naive"):

@@ -69,7 +69,6 @@ class PerfCounters:
     #: Freshness failures whose authenticated epoch was *older* than the
     #: client's — a detected rollback to a pre-update snapshot.
     rollback_detected: int = 0
-    naive_fallbacks: int = 0
     queries_failed: int = 0
     # --- replication ---
     #: Replicas benched for serving stale state, and benched replicas
@@ -82,13 +81,6 @@ class PerfCounters:
     serving_updates: int = 0
     #: Requests refused because the bounded in-flight queue was full.
     backpressure_rejections: int = 0
-    #: Requests sealed at a just-superseded anchor, accepted after
-    #: re-verification against the historical root for their epoch
-    #: (bounded ``Server.freshness_window``, serving layer only).
-    requests_accepted_in_window: int = 0
-    #: Sealed commands rejected by the replay dedup: a blob whose MAC
-    #: tag was already applied within the live freshness window.
-    serving_replays_rejected: int = 0
     #: Graceful drains completed (in-flight finished, caches flushed,
     #: storage fsynced).
     serving_drains: int = 0

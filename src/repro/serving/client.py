@@ -36,13 +36,13 @@ Three layers, innermost first:
 Update parity: in-process updates are local mutations with no channel
 transfer, so remote updates bypass the fault transport too.  They cross
 as freshness-sealed commands (:data:`OP_UPDATE`) bound to the tenant's
-``(epoch, Merkle root)`` anchor *and* a random per-command nonce (so
-the server's replay dedup can key on the seal's MAC tag without ever
-rejecting a distinct identical command); losing a seal race to a
-concurrent writer surfaces as a typed freshness error and the client
-re-seals against the moved anchor, a bounded number of times.  Flush
-and stats travel the same sealed-command path — no tenant operation is
-reachable unauthenticated.
+``(epoch, Merkle root)`` anchor, valid at exactly that one epoch; losing
+a seal race to a concurrent writer surfaces as a typed freshness error
+and the client re-seals against the moved anchor, a bounded number of
+times.  Stats travel the same sealed-command path — no tenant operation
+is reachable unauthenticated.  Cache flushes do not cross the wire:
+:meth:`RemoteSecureXMLSystem.flush_caches` empties the client half, and
+the served tenant's caches are the host's to flush.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
-import secrets
 import threading
 from concurrent.futures import TimeoutError as _FutureTimeoutError
 
@@ -69,7 +68,6 @@ from repro.serving.errors import (
 from repro.serving.framing import (
     FAULTED_OPS,
     OP_ERROR,
-    OP_FLUSH,
     OP_HELLO,
     OP_HELLO_OK,
     OP_NAIVE,
@@ -209,7 +207,7 @@ class ServingConnection:
     ) -> None:
         self.transport = AsyncFaultTransport(channel)
         self._timeout = timeout
-        # Owner-side state for sealed control commands (update, flush,
+        # Owner-side state for sealed control commands (update,
         # stats): the session keys and the live (epoch, root) anchor.
         # Optional — a connection without them can still run the sealed
         # query paths, whose blobs the caller seals itself.
@@ -264,12 +262,13 @@ class ServingConnection:
         """Issue a freshness-sealed control command; returns the
         verified response payload.
 
-        The command JSON gains a random nonce (so two identical logical
-        commands seal to distinct blobs — the server's replay dedup
-        keys on the seal's MAC tag) and is sealed at the live anchor;
-        losing the anchor race to a concurrent writer re-seals against
-        the moved epoch, a bounded number of times.  The response must
-        verify under the tenant's response key.
+        The command is sealed at the live anchor, the one epoch it is
+        valid at; losing the anchor race to a concurrent writer re-seals
+        against the moved epoch, a bounded number of times.  No nonce is
+        needed: an applied write moves the epoch, so two identical
+        commands seal to distinct blobs anyway, and a replay of either
+        fails freshness.  The response must verify under the tenant's
+        response key.
         """
         if self._keyring is None or self._hosted is None:
             raise ServingError(
@@ -277,9 +276,7 @@ class ServingConnection:
                 "control commands need both (see remote_system)"
             )
         request_key, response_key = self._keyring.session_keys()
-        payload = json.dumps(
-            {**command, "nonce": secrets.token_hex(16)}, sort_keys=True
-        ).encode("utf-8")
+        payload = json.dumps(command, sort_keys=True).encode("utf-8")
         last: FreshnessError | None = None
         for _ in range(_COMMAND_RESEAL_ATTEMPTS):
             blob, _ = self._hosted.seal(request_key, payload)
@@ -326,7 +323,7 @@ class ServingConnection:
 class RemoteServer:
     """The monolithic ``Server`` wire surface, proxied over a connection.
 
-    Implements exactly the three methods the secure pipeline calls on
+    Implements exactly the two methods the secure pipeline calls on
     ``system.server`` plus the attributes the system constructor touches,
     so a :class:`~repro.core.system.SecureXMLSystem` cannot tell it from
     a local server.
@@ -342,20 +339,22 @@ class RemoteServer:
     def ship_all_wire(self, request_blob: bytes) -> bytes:
         return self._connection.call(OP_NAIVE, request_blob)
 
-    def flush_caches(self) -> None:
-        self._connection.sealed_call(OP_FLUSH, {"op": "flush"})
-
 
 class RemoteSecureXMLSystem(SecureXMLSystem):
     """A system whose server half lives behind the socket.
 
     Queries need no overriding at all — the inherited pipeline calls the
     :class:`RemoteServer` proxy and verifies everything itself.  Updates
-    are overridden to travel as sealed commands, and ``close`` also
-    closes the connection (idempotently — a serving drain can race it).
+    are overridden to travel as sealed commands, ``flush_caches`` empties
+    the client half only, and ``close`` also closes the connection
+    (idempotently — a serving drain can race it).
     """
 
     _connection: ServingConnection | None = None
+
+    def flush_caches(self) -> None:
+        """Drop the client-side caches; the served tenant keeps its own."""
+        self.client.flush_caches()
 
     # ------------------------------------------------------------------
     # Updates over the wire
@@ -381,8 +380,8 @@ class RemoteSecureXMLSystem(SecureXMLSystem):
     def _remote_update(self, op: dict) -> None:
         connection = self._connection
         assert connection is not None, "remote system has no connection"
-        # sealed_call binds a fresh nonce, seals at the live anchor and
-        # re-seals after losing an anchor race to a concurrent writer.
+        # sealed_call seals at the live anchor and re-seals after losing
+        # an anchor race to a concurrent writer.
         ack = connection.sealed_call(OP_UPDATE, op)
         json.loads(ack.decode("utf-8"))  # malformed ack → typed error
 

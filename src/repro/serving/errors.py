@@ -28,7 +28,6 @@ import json
 from repro.core.integrity import (
     FreshnessError,
     IntegrityError,
-    ReplayedCommandError,
     RollbackDetectedError,
     StaleStateError,
     TamperedRequestError,
@@ -94,7 +93,6 @@ _REGISTERED: tuple[type[Exception], ...] = (
     TamperedRequestError,
     TamperedResponseError,
     FreshnessError,
-    ReplayedCommandError,
     RollbackDetectedError,
     StaleStateError,
     # Pipeline failures.

@@ -40,8 +40,9 @@ _HEAD = struct.Struct("!QB")
 OP_HELLO = 1  # JSON {"tenant": ..., "protocol": 1}
 OP_QUERY = 2  # sealed translated-query request (answer_wire)
 OP_NAIVE = 4  # sealed naive request (ship_all_wire)
-OP_UPDATE = 5  # freshness-sealed JSON update command (nonce-bound)
-OP_FLUSH = 6  # freshness-sealed {"op": "flush"} command (admin/benchmarks)
+OP_UPDATE = 5  # freshness-sealed JSON update command
+# 6 is retired (a cache flush does not move the epoch, so a sealed one
+# could be replayed); the front door answers it as an unknown opcode.
 OP_STATS = 7  # freshness-sealed {"op": "stats"}; sealed JSON response
 
 # Server -> client opcodes.

@@ -1,6 +1,6 @@
 """Concurrent load generator for the serving layer.
 
-Drives hundreds of simulated clients against one :class:`~repro.serving
+Drives many simulated clients against one :class:`~repro.serving
 .server.ServingServer` from a single event loop — each "client" is an
 :class:`~repro.serving.client.AsyncServingClient` connection issuing a
 mixed sequence of sealed queries and sealed updates.  The point is
@@ -14,16 +14,10 @@ client-side minimum for a *verified* exchange:
   :meth:`~repro.core.client.Client.open_response` — fragment decryption
   is skipped, keeping the generator light enough that the *server* is
   the thing being measured;
-* updates are freshness-sealed commands; losing an anchor race to a
-  concurrent writer (common at hundreds of clients) retries with a
-  re-seal, exactly like the remote system's update path;
-* a response sealed an instant before a concurrent writer committed is
-  *accepted*, not retried: it is re-verified (full MAC + anchor check)
-  against the owner's recorded historical root for its exact epoch,
-  which must be at least the epoch known when the request was issued.
-  Without this bounded-staleness rule a sustained mixed load livelocks —
-  every round trip overlaps some commit, so strict equality against the
-  live anchor can reject every response indefinitely.
+* updates are freshness-sealed commands, and every request and
+  response is valid at exactly one epoch: losing an anchor race to a
+  concurrent writer (common at many clients) re-translates and
+  re-seals, exactly like the remote system's retry loop.
 
 Typed backpressure rejections count as retries, not failures: a full
 in-flight queue is the admission controller doing its job, and the
@@ -35,18 +29,11 @@ from __future__ import annotations
 
 import asyncio
 import json
-import secrets
 import time
 from dataclasses import dataclass
 
 from repro.core.client import Client
-from repro.core.integrity import (
-    FreshnessError,
-    RollbackDetectedError,
-    TamperedResponseError,
-    unseal,
-    unseal_fresh,
-)
+from repro.core.integrity import FreshnessError, TamperedResponseError, unseal
 from repro.core.system import SecureXMLSystem
 from repro.netsim.faults import TransferDropped
 
@@ -69,10 +56,6 @@ class LoadReport:
     updates: int = 0
     retries: int = 0
     failures: int = 0
-    #: Responses sealed at an anchor superseded *during the request's
-    #: flight* by a concurrent writer, accepted after re-verification
-    #: against the authentic historical root for that anchor.
-    flight_accepts: int = 0
     elapsed_s: float = 0.0
 
     @property
@@ -134,41 +117,12 @@ def run_load(
                 # off exponentially so the retry storm decays.
                 await asyncio.sleep(min(0.002 * (2 ** attempt), 0.1))
 
-        def _accept_in_flight(
-            sealed: bytes, stale: RollbackDetectedError, issue_epoch: int
-        ) -> None:
-            """Accept a response sealed at an anchor that was current
-            while the request was in flight.
-
-            The response's authenticated epoch must be at least the
-            epoch known when the request was issued (so it cannot be a
-            genuinely pre-issue replay), and its root must match the
-            owner's recorded history for that exact epoch — a full MAC
-            re-verification against an *authentic* anchor, not a waiver.
-            Anything else re-raises the original rollback error.
-            """
-            if stale.observed_epoch < issue_epoch:
-                raise stale
-            root = local.hosted.root_at(stale.observed_epoch)
-            if root is None:
-                raise stale
-            unseal_fresh(
-                response_key, sealed, stale.observed_epoch, root,
-                error=TamperedResponseError,
-            )
-            report.flight_accepts += 1
-
         async def _query(conn: AsyncServingClient, xpath: str) -> None:
             for attempt in range(max_attempts):
                 try:
                     plan = sealer.translate(xpath)
-                    issue_epoch = local.hosted.epoch
                     blob = sealer.seal_request(plan, cache_key=xpath)
-                    sealed = await conn.call(OP_QUERY, blob)
-                    try:
-                        sealer.open_response(sealed)
-                    except RollbackDetectedError as stale:
-                        _accept_in_flight(sealed, stale, issue_epoch)
+                    sealer.open_response(await conn.call(OP_QUERY, blob))
                     report.queries += 1
                     return
                 except _REISSUABLE as exc:
@@ -176,12 +130,7 @@ def run_load(
             report.failures += 1
 
         async def _update(conn: AsyncServingClient, op: dict) -> None:
-            # The nonce makes this command distinct from every other
-            # instance of the same logical op, so the server's replay
-            # dedup (keyed on the seal's MAC tag) never rejects it.
-            payload = json.dumps(
-                {**op, "nonce": secrets.token_hex(16)}, sort_keys=True
-            ).encode("utf-8")
+            payload = json.dumps(op, sort_keys=True).encode("utf-8")
             for attempt in range(max_attempts):
                 try:
                     blob, _ = local.hosted.seal(request_key, payload)

@@ -20,9 +20,9 @@ many requests per connection are genuinely in flight at once and
 responses are matched by request id, not order.
 
 Concurrency within a tenant is a readers–writer discipline:
-queries and naive ships share a read lock, updates and cache
-flushes take the write lock (writer-priority, so a steady query stream
-cannot starve updates).  Combined with the
+queries and naive ships share a read lock, updates and the drain's
+cache flush take the write lock (writer-priority, so a steady query
+stream cannot starve updates).  Combined with the
 :class:`~repro.core.server.Server` cache lock and the
 :class:`~repro.core.encryptor.HostedDatabase` anchor lock, a reader can
 never observe a half-applied update or a torn ``(epoch, root)`` pair.
@@ -50,18 +50,9 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
-from repro.core.integrity import (
-    FRESH_HEADER,
-    FRESH_OVERHEAD,
-    ReplayedCommandError,
-    RollbackDetectedError,
-    TamperedRequestError,
-    peek_epoch,
-    seal,
-    unseal_fresh,
-)
+from repro.core.integrity import TamperedRequestError, seal
 from repro.core.system import SecureXMLSystem
 from repro.core.updates import UpdateError
 from repro.obs import Observability
@@ -76,7 +67,6 @@ from repro.serving.errors import (
 )
 from repro.serving.framing import (
     OP_ERROR,
-    OP_FLUSH,
     OP_HELLO,
     OP_HELLO_OK,
     OP_NAIVE,
@@ -90,16 +80,12 @@ from repro.serving.framing import (
     read_frame,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    pass
-
 #: Request opcodes the front door serves, mapped to the
 #: :class:`TenantSession` method that handles each.
 _REQUEST_HANDLERS = {
     OP_QUERY: "query",
     OP_NAIVE: "naive",
     OP_UPDATE: "update",
-    OP_FLUSH: "flush",
     OP_STATS: "stats",
 }
 
@@ -166,7 +152,6 @@ class TenantSession:
         tenant_id: str,
         system: SecureXMLSystem,
         storage_dir: str | None = None,
-        freshness_window: int = 0,
     ) -> None:
         self.tenant_id = tenant_id
         self.system = system
@@ -177,19 +162,6 @@ class TenantSession:
         self._rw = ReadWriteLock()
         self._counts_lock = threading.Lock()
         self.op_counts: dict[str, int] = {}
-        # Replay guard for sealed commands: MAC tag -> sealed epoch of
-        # every command applied within the live freshness window (see
-        # _register_command).  Own lock: stats commands verify under the
-        # read lock, concurrently with each other.
-        self._seen_command_tags: dict[bytes, int] = {}
-        self._replay_lock = threading.Lock()
-        # Many concurrent connections race the write path, so a request
-        # sealed an instant before a concurrent commit must stay
-        # acceptable: widen the server's request-freshness window (0
-        # keeps the strict in-process rule).
-        self.freshness_window = max(0, freshness_window)
-        if self.freshness_window > 0:
-            system.server.freshness_window = self.freshness_window
 
     def _count(self, op_name: str) -> None:
         with self._counts_lock:
@@ -219,22 +191,17 @@ class TenantSession:
     def update(self, blob: bytes) -> bytes:
         """Apply one sealed update operation; returns a sealed ack.
 
-        The request must be sealed fresh at a *recent* authentic anchor:
-        the current one, or — within the tenant's bounded freshness
-        window — one superseded by a concurrent writer while this
-        command was waiting on the write lock (without the window, every
-        commit would invalidate every queued update's seal, a thundering
-        herd that livelocks sustained write loads).  A command older
-        than the window gets the typed
-        :class:`~repro.core.integrity.RollbackDetectedError` back and
-        re-seals against the new epoch (bounded retries client-side).
-        A command *blob* seen before gets the typed
-        :class:`~repro.core.integrity.ReplayedCommandError` — the window
-        never makes a captured update re-applicable (see
-        :meth:`_register_command`).  The ack is sealed with the plain
-        envelope (not the freshness one): by the time the client
-        verifies it, a *further* update may legitimately have moved the
-        anchor again, and the ack's job is authenticity, not freshness.
+        The command must be sealed at the *current* anchor, like every
+        request.  One that lost a race to a concurrent commit while it
+        waited on the write lock gets the typed
+        :class:`~repro.core.integrity.RollbackDetectedError` back and the
+        client re-seals against the new epoch.  Every applied write moves
+        the epoch, so a captured command blob re-sent after it landed
+        fails the same check: replay protection needs no memory.  The ack
+        is sealed with the plain envelope (not the freshness one): by the
+        time the client verifies it, a *further* update may legitimately
+        have moved the anchor again, and the ack's job is authenticity,
+        not freshness.
         """
         counters.add("serving_updates")
         self._count("update")
@@ -248,9 +215,10 @@ class TenantSession:
             return seal(self._response_key, ack)
 
     def _open_command(self, blob: bytes) -> dict:
-        """Verify, replay-check and decode one sealed command blob."""
-        payload = self._open_fresh_command(blob)
-        self._register_command(blob)
+        """Verify (strictly fresh) and decode one sealed command blob."""
+        payload, _ = self.system.hosted.unseal(
+            self._request_key, blob, error=TamperedRequestError
+        )
         try:
             op = json.loads(payload.decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:
@@ -260,71 +228,6 @@ class TenantSession:
         if not isinstance(op, dict):
             raise TamperedRequestError("command payload is not an object")
         return op
-
-    def _register_command(self, blob: bytes) -> None:
-        """Replay guard: one sealed command blob is accepted at most once.
-
-        The bounded freshness window keeps a sealed command MAC-valid
-        for up to ``freshness_window`` commits, so a wire adversary who
-        captures an update blob could otherwise re-send it and have it
-        re-applied — a bounded rollback.  The MAC tag identifies a
-        sealed command uniquely (clients bind a random nonce into the
-        payload, so even identical logical commands seal to distinct
-        tags), and the freshness rule already bounds how long any tag
-        stays acceptable — remembering the tags sealed within the live
-        window is therefore a *complete* dedup with memory bounded by
-        the window's write rate.  Only runs after
-        :meth:`_open_fresh_command` authenticated the blob, so the tag
-        and epoch read here are trusted bytes.
-        """
-        tag = blob[FRESH_HEADER:FRESH_OVERHEAD]
-        sealed_epoch = peek_epoch(blob) or 0
-        with self._replay_lock:
-            horizon = self.system.hosted.epoch - self.freshness_window
-            stale = [
-                seen
-                for seen, epoch in self._seen_command_tags.items()
-                if epoch < horizon
-            ]
-            for seen in stale:
-                del self._seen_command_tags[seen]
-            if tag in self._seen_command_tags:
-                counters.add("serving_replays_rejected")
-                raise ReplayedCommandError(
-                    "sealed command replayed within the freshness window"
-                )
-            self._seen_command_tags[tag] = sealed_epoch
-
-    def _open_fresh_command(self, blob: bytes) -> bytes:
-        """Unseal a freshness-sealed command, within the staleness window.
-
-        Mirrors ``Server._open_fresh_request``: strict verification at
-        the current anchor first; a seal at a just-superseded epoch is
-        re-verified against the authentic historical root for that
-        epoch, provided the lag fits the configured window.
-        """
-        hosted = self.system.hosted
-        epoch, root = hosted.anchor()
-        try:
-            return unseal_fresh(
-                self._request_key, blob, epoch, root,
-                error=TamperedRequestError,
-            )
-        except RollbackDetectedError as stale:
-            if (
-                self.freshness_window <= 0
-                or stale.epoch_lag > self.freshness_window
-            ):
-                raise
-            historical = hosted.root_at(stale.observed_epoch)
-            if historical is None:
-                raise
-            payload = unseal_fresh(
-                self._request_key, blob, stale.observed_epoch, historical,
-                error=TamperedRequestError,
-            )
-            counters.add("requests_accepted_in_window")
-            return payload
 
     def _apply_update(self, op: dict) -> str:
         name = op.get("op")
@@ -339,26 +242,6 @@ class TenantSession:
         else:
             self.system.update_value(op["xpath"], op["new_value"])
         return name
-
-    def flush(self, blob: bytes) -> bytes:
-        """Drop the tenant's warm caches; requires a sealed command.
-
-        Flushing is a write-path admin operation with real cost (every
-        cache refills cold), so it is authenticated exactly like an
-        update: a freshness-sealed ``{"op": "flush"}`` command under the
-        tenant's request key, replay-deduped within the window — an
-        unauthenticated peer that knows the tenant id cannot drop the
-        caches, and a captured flush blob cannot be re-sent.
-        """
-        self._count("flush")
-        with self._rw.write():
-            op = self._open_command(blob)
-            if op.get("op") != "flush":
-                raise TamperedRequestError(
-                    "flush request carries a different command"
-                )
-            self.system.flush_caches()
-            return seal(self._response_key, b"{}")
 
     def stats(self, blob: bytes) -> bytes:
         """Per-tenant serving statistics; requires a sealed command.
@@ -420,7 +303,6 @@ class ServingServer:
         max_inflight: int = 64,
         workers: int | None = None,
         obs: "Observability | bool | None" = None,
-        freshness_window: int = 16,
     ) -> None:
         if max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
@@ -428,10 +310,6 @@ class ServingServer:
         self.port = port  # 0 until start() binds
         self._requested_port = port
         self.max_inflight = max_inflight
-        #: Commits of request staleness tolerated per tenant server
-        #: (bounded-window acceptance under concurrent writers; 0 keeps
-        #: the strict single-writer rule).
-        self.freshness_window = freshness_window
         self._obs = Observability.coerce(obs)
         self._executor = ThreadPoolExecutor(
             max_workers=workers or min(32, (os.cpu_count() or 4) + 4),
@@ -461,10 +339,7 @@ class ServingServer:
     ) -> TenantSession:
         if tenant_id in self._tenants:
             raise ValueError(f"tenant {tenant_id!r} already registered")
-        session = TenantSession(
-            tenant_id, system, storage_dir=storage_dir,
-            freshness_window=self.freshness_window,
-        )
+        session = TenantSession(tenant_id, system, storage_dir=storage_dir)
         self._tenants[tenant_id] = session
         return session
 

@@ -162,7 +162,7 @@ class TestOneSerialPipeline:
         }
         assert opcodes == {
             "OP_HELLO": 1, "OP_QUERY": 2, "OP_NAIVE": 4, "OP_UPDATE": 5,
-            "OP_FLUSH": 6, "OP_STATS": 7,
+            "OP_STATS": 7,
             "OP_OK": 16, "OP_ERROR": 19, "OP_HELLO_OK": 20,
         }
         assert _defined_public_names(framing) - set(opcodes) == {

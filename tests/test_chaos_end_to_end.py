@@ -4,8 +4,8 @@ The invariant under test is the hardening contract: whatever the fault
 rates, a query either returns the **exact** answer (matching plaintext
 XPath evaluation) or raises a **typed** error — never a silently wrong
 or partial answer.  Corruption is detected by the integrity envelope,
-drops are absorbed by retry/backoff, persistent failure degrades to the
-naive path, and everything is deterministic in the fault seed.
+drops are absorbed by retry/backoff, persistent failure is a typed
+``QueryFailedError``, and everything is deterministic in the fault seed.
 """
 
 import os
@@ -96,7 +96,6 @@ class TestFaultSweep:
                 healthcare_doc, query
             )
             assert system.last_trace.retries == 0
-            assert not system.last_trace.fell_back
 
     def test_drop_heavy_wire_still_answers_with_retries(
         self, healthcare_doc, healthcare_scs
@@ -146,7 +145,7 @@ class TestDeterminism:
                 trace = system.last_trace
                 outcomes.append(
                     (query, trace.attempts, trace.retries,
-                     trace.integrity_failures, trace.drops, trace.fell_back)
+                     trace.integrity_failures, trace.drops, trace.plan)
                 )
             except QueryFailedError as exc:
                 outcomes.append((query, "failed", str(exc)))
@@ -207,33 +206,10 @@ class TestWireTampering:
             with pytest.raises(TamperedResponseError):
                 system.client.open_response(bytes(mutated))
 
-    def test_tampering_server_triggers_fallback(self, system):
-        """A server that always mangles the fast path forces naive mode."""
-        real_answer_wire = system.server.answer_wire
-
-        def mangled(request_blob):
-            blob = bytearray(real_answer_wire(request_blob))
-            blob[-1] ^= 0xFF
-            return bytes(blob)
-
-        system.server.answer_wire = mangled
-        answer = system.query(QUERIES[1])
-        trace = system.last_trace
-        assert answer.values() == ["Brown"]
-        assert trace.fell_back
-        assert trace.naive
-        assert trace.integrity_failures == system.retry_policy.max_attempts
-        assert trace.retries == system.retry_policy.max_attempts
-
-    def test_no_fallback_policy_raises_typed_error(
-        self, healthcare_doc, healthcare_scs
-    ):
-        system = SecureXMLSystem.host(
-            healthcare_doc,
-            healthcare_scs,
-            scheme="opt",
-            retry_policy=RetryPolicy(naive_fallback=False),
-        )
+    def test_no_fallback_policy_raises_typed_error(self, system):
+        """A server that always mangles the answer exhausts the retries:
+        the query fails typed rather than downloading the database
+        through that same server."""
         real_answer_wire = system.server.answer_wire
 
         def mangled(request_blob):
@@ -243,13 +219,15 @@ class TestWireTampering:
 
         system.server.answer_wire = mangled
         before = counters.snapshot()
-        with pytest.raises(QueryFailedError):
+        with pytest.raises(QueryFailedError) as failed:
             system.query(QUERIES[0])
+        assert isinstance(failed.value.__cause__, TamperedResponseError)
         delta = counters.delta_since(before)
         assert delta["queries_failed"] == 1
         assert delta["integrity_failures"] == (
             system.retry_policy.max_attempts
         )
+        assert delta["query_retries"] == system.retry_policy.max_attempts - 1
 
     def test_deadline_exceeded_raises_typed_error(
         self, healthcare_doc, healthcare_scs

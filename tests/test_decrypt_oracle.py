@@ -22,7 +22,7 @@ from repro.core.client import Client, canonical_node
 from repro.core.decoy import DECOY_TAG
 from repro.core.integrity import TamperedResponseError
 from repro.core.server import Fragment, ServerResponse
-from repro.core.system import QueryFailedError, RetryPolicy, SecureXMLSystem
+from repro.core.system import QueryFailedError, SecureXMLSystem
 from repro.crypto.modes import cbc_encrypt
 from repro.perf import counters
 from repro.serving import ServingServer, remote_system
@@ -700,17 +700,18 @@ class TestLyingServer:
         expected = sorted(canonical_node(n) for n in evaluate(document, self.QUERY))
         system = SecureXMLSystem.host(document, healthcare_constraints())
         liar = _LyingServer(system, HOSTILE[name][0])
-        # Default policy: every attempt fails typed, then the naive ship
-        # (which this server does not lie about) answers exactly.
-        assert system.query(self.QUERY).canonical() == expected
-        trace = system.last_trace
-        # (The server's wire cache re-serves the one sealed lie.)
-        assert trace.fell_back and trace.integrity_failures == 4
-        assert liar.lies >= 1
-        system.retry_policy = RetryPolicy(naive_fallback=False)
+        # Every attempt fails typed; running out of them is a typed
+        # failure, never a download through the server that just lied.
+        before = counters.snapshot()
         with pytest.raises(QueryFailedError) as failed:
             system.query(self.QUERY)
         assert isinstance(failed.value.__cause__, TamperedResponseError)
+        # (The server's wire cache re-serves the one sealed lie.)
+        assert counters.delta_since(before)["integrity_failures"] == 4
+        assert liar.lies >= 1
+        # The explicit §7.3 baseline, which this server does not lie
+        # about, still answers exactly.
+        assert system.naive_query(self.QUERY).canonical() == expected
 
     @pytest.mark.parametrize("name", sorted(HOSTILE_PATHS))
     def test_hostile_ancestor_paths_fail_typed_too(self, name):
@@ -731,15 +732,12 @@ class TestLyingServer:
                 system.server.answer(system.client.translate(query))
             ))
         before = counters.snapshot()
-        assert system.query(query).canonical() == expected
-        trace = system.last_trace
-        assert trace.fell_back and trace.integrity_failures == 4
-        assert counters.delta_since(before)["integrity_failures"] == 4
-        assert liar.lies >= 2
-        system.retry_policy = RetryPolicy(naive_fallback=False)
         with pytest.raises(QueryFailedError) as failed:
             system.query(query)
         assert isinstance(failed.value.__cause__, TamperedResponseError)
+        assert counters.delta_since(before)["integrity_failures"] == 4
+        assert liar.lies >= 2
+        assert system.naive_query(query).canonical() == expected
 
     def test_remote_system_gets_the_same_typed_failure(self):
         document = build_healthcare_database()
@@ -755,10 +753,14 @@ class TestLyingServer:
                 liar = _LyingServer(local, HOSTILE["truncated-tail"][0])
                 local.server.flush_caches()
                 remote.flush_caches()
-                assert remote.query(self.QUERY).canonical() == expected
+                before = counters.snapshot()
+                with pytest.raises(QueryFailedError) as failed:
+                    remote.query(self.QUERY)
+                assert isinstance(
+                    failed.value.__cause__, TamperedResponseError
+                )
                 assert liar.lies >= 1
-                assert remote.last_trace.integrity_failures == 4
-                assert remote.last_trace.fell_back
+                assert counters.delta_since(before)["integrity_failures"] == 4
             finally:
                 remote.close()
         finally:
@@ -808,7 +810,7 @@ class TestAwkwardLeafValues:
             system.flush_caches()
             assert system.query(query).canonical() == expected, query
             assert system.query(query).canonical() == expected, query  # warm
-            assert not system.last_trace.fell_back
+            assert system.last_trace.integrity_failures == 0
 
     def test_round_trip_through_hosting(self):
         document = self._document(AWKWARD_VALUES)

@@ -343,15 +343,12 @@ class TestRollbackSweepMonolithic:
         self, healthcare_doc, healthcare_scs
     ):
         """Satellite: the one-line error is diagnosable on its own."""
-        from repro.core.system import RetryPolicy
-
         policy = FaultPolicy(
             seed=1, server_to_client=FaultRates(rollback=1.0)
         )
         system = SecureXMLSystem.host(
             healthcare_doc, healthcare_scs, scheme="opt",
             channel=FaultyChannel(policy=policy),
-            retry_policy=RetryPolicy(naive_fallback=False),
         )
         system.query(PROBE)  # record the snapshot
         system.update_value(PROBE, "424242")
@@ -395,7 +392,7 @@ class TestARetryRetranslates:
         # select nothing: sealed, verified, and wrong.
         assert system.query(self.QUERY).values() == ["Matt"]
         trace = system.last_trace
-        assert (trace.retries, trace.fell_back) == (1, False)
+        assert (trace.retries, trace.plan) == (1, "axis")
         delta = counters.delta_since(start)
         assert delta["rollback_detected"] == 1
         assert delta["plan_cache_misses"] == 2  # the delete's, the retry's
@@ -519,15 +516,9 @@ class TestRollbackCluster:
         """When *every* replica is pinned stale, the query fails with
         the typed error — never a stale answer — and the message
         carries the diagnosis."""
-        from repro.core.system import RetryPolicy
-
-        # The naive fallback's request is first *recorded* post-update
-        # (a fresh snapshot), so it would legitimately rescue the query;
-        # disable it to corner the system into the typed error.
         system = self.host(
             healthcare_doc, healthcare_scs,
             [FaultPolicy(pin_stale=True), FaultPolicy(pin_stale=True)],
-            retry_policy=RetryPolicy(naive_fallback=False),
         )
         # Cycle 1 seeds replica 0's recording; the post-update query
         # fails over to replica 1 (seeding *its* recording at the new

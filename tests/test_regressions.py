@@ -4,9 +4,13 @@ Each test documents a concrete failure mode that once existed, so the
 exact scenario stays covered forever.
 """
 
-from repro.core.client import canonical_node
+import pytest
+
+from repro.core.client import Client, canonical_node
 from repro.core.constraints import parse_constraints
+from repro.core.integrity import RollbackDetectedError
 from repro.core.system import SecureXMLSystem
+from repro.serving import ServingServer, remote_system
 from repro.xmldb.builder import TreeBuilder
 from repro.xpath.evaluator import evaluate
 
@@ -122,3 +126,99 @@ class TestFragmentOrderAfterInsertRegression:
         expected = sorted(canonical_node(n) for n in evaluate(oracle, query))
         assert "<SSN>w7</SSN>" in expected
         assert system.query(query).canonical() == expected
+
+
+class TestPlanOutlivesItsEpochOnTheServedPathRegression:
+    """A request is valid at exactly one epoch on the served path too.
+
+    Bug: the front door accepted a request sealed up to 16 commits ago,
+    re-verified against that epoch's recorded root.  The plan inside it
+    carries its epoch's OPESS ranges, and the server evaluated them over
+    the newer value index.  Deleting Betty's SSN re-plans the SSN field,
+    so ``//patient[SSN='276543']/pname`` sealed before the delete and
+    answered after it selected nothing: it verified and was ``[]``, not
+    ``['Matt']``.  Fixed by deleting the window: a stale request is
+    refused, typed, and the client re-translates and re-seals.
+    """
+
+    QUERY = "//patient[SSN='276543']/pname"
+    DELETE = "//patient[pname='Betty']/SSN"
+
+    def test_session_refuses_a_request_sealed_before_a_commit(
+        self, healthcare_doc, healthcare_scs
+    ):
+        system = SecureXMLSystem.host(
+            healthcare_doc, healthcare_scs, scheme="opt"
+        )
+        session = ServingServer().register_tenant("t0", system)
+        client = Client(system.keyring, system.hosted)
+        blob = client.seal_request(client.translate(self.QUERY))
+        system.delete_element(self.DELETE)
+        with pytest.raises(RollbackDetectedError):
+            session.query(blob)
+
+    def test_remote_query_across_the_delete_is_exact(
+        self, healthcare_doc, healthcare_scs
+    ):
+        system = SecureXMLSystem.host(
+            healthcare_doc, healthcare_scs, scheme="opt"
+        )
+        with ServingServer() as server:
+            server.register_tenant("t0", system)
+            remote = remote_system(system, server.address, "t0")
+            try:
+                send, sent = remote.server.answer_wire, []
+
+                def commit_then_send(blob):
+                    if not sent:  # another handle's write, mid-flight
+                        system.delete_element(self.DELETE)
+                    sent.append(blob)
+                    return send(blob)
+
+                remote.server.answer_wire = commit_then_send
+                assert remote.query(self.QUERY).values() == ["Matt"]
+                assert remote.last_trace.freshness_failures == 1
+            finally:
+                remote.close()
+
+
+class TestIdenticalCommandsNeedNoNonceRegression:
+    """Two identical update commands both land, with no nonce.
+
+    The replay memory keyed on each sealed blob, so clients bound a
+    random nonce into every command to keep two identical ones distinct.
+    With one valid epoch per seal, the first command's commit makes the
+    second's seal stale: ``sealed_call`` re-seals it at the new anchor
+    and it lands.
+    """
+
+    def test_a_raced_identical_command_is_resealed_and_lands(
+        self, healthcare_doc, healthcare_scs
+    ):
+        system = SecureXMLSystem.host(
+            healthcare_doc, healthcare_scs, scheme="opt"
+        )
+        probe = "//patient[pname='Betty']/SSN"
+        with ServingServer() as server:
+            server.register_tenant("t0", system)
+            a = remote_system(system, server.address, "t0")
+            b = remote_system(system, server.address, "t0")
+            try:
+                connection, blobs = b._connection, []
+                call = connection.call
+
+                def racing_call(op, blob):
+                    if not blobs:  # a's identical command lands first
+                        a.update_value(probe, "555000")
+                    blobs.append(blob)
+                    return call(op, blob)
+
+                connection.call = racing_call
+                epoch = system.hosted.epoch
+                b.update_value(probe, "555000")
+                assert system.hosted.epoch == epoch + 2
+                assert len(blobs) == 2 and blobs[0] != blobs[1]
+                assert system.query(probe).values() == ["555000"]
+            finally:
+                a.close()
+                b.close()

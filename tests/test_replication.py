@@ -166,21 +166,22 @@ class TestOneLoop:
         with pytest.raises(QueryFailedError, match="deadline of 0.5s"):
             system.query("//patient/SSN")
 
-    def test_exhausted_plan_goes_naive_through_the_survivor(
-        self, healthcare_doc, healthcare_scs, reference
-    ):
+    def test_exhausted_plan_fails_typed(self, healthcare_doc, healthcare_scs):
+        """The one attempt goes to the dead replica: running out of
+        attempts is the typed failure, not a whole-database download
+        through the survivor."""
+        survivor = Channel()
         system = host(
-            healthcare_doc, healthcare_scs, [dead(), Channel()],
+            healthcare_doc, healthcare_scs, [dead(), survivor],
             retry_policy=RetryPolicy(max_attempts=1),
         )
         for query in QUERIES:
-            assert (
-                system.query(query).canonical()
-                == reference.query(query).canonical()
-            )
-            trace = system.last_trace
-            assert trace.fell_back and trace.naive and trace.plan == "naive"
-            assert trace.attempts == 2 and trace.drops == 1
+            with pytest.raises(
+                QueryFailedError, match="after 1 attempts"
+            ) as failed:
+                system.query(query)
+            assert isinstance(failed.value.__cause__, TransferDropped)
+        assert survivor.total_bytes() == 0
 
     def test_failure_detail_names_the_replica_that_failed_last(
         self, healthcare_doc, healthcare_scs
@@ -195,7 +196,6 @@ class TestOneLoop:
         )
         system = host(
             healthcare_doc, healthcare_scs, [clean_then_dead, corrupting],
-            retry_policy=RetryPolicy(naive_fallback=False),
         )
         system.query("//pname")
         assert clean_then_dead.last_fault_kind is None
@@ -241,10 +241,7 @@ class TestStaleReplica:
         """With no peer there is nowhere to fail over to: nothing is
         demoted, flushed or resynced — the monolith's behaviour."""
         pinned = FaultyChannel(policy=FaultPolicy(pin_stale=True))
-        system = host(
-            healthcare_doc, healthcare_scs, [pinned],
-            retry_policy=RetryPolicy(naive_fallback=False),
-        )
+        system = host(healthcare_doc, healthcare_scs, [pinned])
         system.query(PROBE)
         system.update_value(PROBE, "987654")
         before = counters.snapshot()
@@ -314,7 +311,7 @@ class TestOneReplicaIsTheMonolith:
                 continue
             for field in (
                 "attempts", "retries", "drops", "integrity_failures",
-                "backoff_s", "transfer_bytes", "fell_back", "plan",
+                "backoff_s", "transfer_bytes", "plan",
                 "blocks_returned", "answer_count",
             ):
                 assert getattr(one, field) == getattr(other, field), field

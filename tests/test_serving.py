@@ -40,7 +40,7 @@ from repro.serving import (
     remote_system,
     run_load,
 )
-from repro.serving.framing import OP_FLUSH, OP_QUERY, OP_STATS, OP_UPDATE
+from repro.serving.framing import OP_QUERY, OP_STATS, OP_UPDATE
 from repro.serving.server import ReadWriteLock
 from repro.xpath.evaluator import evaluate
 
@@ -183,9 +183,10 @@ class TestRemoteByteIdentity:
 
 
 class TestRetiredOpcodes:
-    @pytest.mark.parametrize("opcode", [3, 17, 18])
+    @pytest.mark.parametrize("opcode", [3, 6, 17, 18])
     def test_typed_error_then_connection_still_serves(self, served, opcode):
-        """3/17/18 were QUERY_STREAM/CHUNK/END: now unknown, not fatal."""
+        """3/17/18 were QUERY_STREAM/CHUNK/END and 6 was FLUSH: now
+        unknown, not fatal."""
         _, address, local = served
         remote = remote_system(local, address, "t0")
         try:
@@ -321,7 +322,7 @@ class TestTwoConnections:
             assert expected or name == "delete-of-a-fields-last-occurrence"
             for handle in (b, a, local):
                 assert handle.query(query).canonical() == expected
-                assert handle.last_trace.fell_back is False
+                assert handle.last_trace.plan != "naive"
             assert a.client is not b.client and b.client is client
         finally:
             a.close()
@@ -699,18 +700,16 @@ class TestReadWriteLock:
 
 
 # ----------------------------------------------------------------------
-# Bounded freshness window (concurrent-writer serving)
+# Freshness on the served path: one epoch, no replay memory
 # ----------------------------------------------------------------------
 class TestFreshnessWindow:
-    """Requests sealed an instant before a concurrent commit stay valid.
+    """The freshness window is exactly one epoch wide.
 
-    Strict anchor equality is the right rule for one sequential owner,
-    but a multi-client front door races writers constantly: every
-    commit would invalidate every in-flight seal.  The serving layer
-    therefore widens ``Server.freshness_window`` (default 0 = strict
-    everywhere in-process), accepting a request within the last N
-    commits after re-verifying it against the *authentic* historical
-    root recorded for its epoch in ``HostedDatabase.anchor_history``.
+    A sealed request or command verifies only at the anchor it was
+    sealed at.  One that lost a race to a commit is refused with the
+    typed :class:`~repro.core.integrity.RollbackDetectedError` and the
+    client re-seals; every applied write moves the epoch, so a captured
+    command re-sent after it landed fails the same check.
     """
 
     def _sealed_query(self, system, xpath):
@@ -719,143 +718,67 @@ class TestFreshnessWindow:
         client = Client(system.keyring, system.hosted)
         return client.seal_request(client.translate(xpath))
 
-    def test_anchor_history_records_commits(self, local):
-        epoch0, root0 = local.hosted.anchor()
-        local.update_value(PROBE, "111222")
-        epoch1, root1 = local.hosted.anchor()
-        assert epoch1 == epoch0 + 1 and root1 != root0
-        assert local.hosted.root_at(epoch0) == root0
-        assert local.hosted.root_at(epoch1) == root1
-        assert local.hosted.root_at(epoch1 + 7) is None
-
-    def test_anchor_history_is_bounded(self, local):
-        hosted = local.hosted
-        with hosted.anchor_lock:
-            for epoch in range(hosted.ANCHOR_HISTORY_LIMIT + 50):
-                hosted._record_anchor(epoch, b"\x00" * 32)
-        assert len(hosted.anchor_history) == hosted.ANCHOR_HISTORY_LIMIT
+    def _sealed_update(self, system, new_value):
+        request_key, _ = system.keyring.session_keys()
+        command = {"op": "update_value", "xpath": PROBE,
+                   "new_value": new_value}
+        payload = json.dumps(command, sort_keys=True).encode("utf-8")
+        return system.hosted.seal(request_key, payload)[0]
 
     def test_strict_server_rejects_superseded_request(self, local):
         from repro.core.integrity import RollbackDetectedError
 
         blob = self._sealed_query(local, "//SSN")
         local.update_value(PROBE, "333444")
-        assert local.server.freshness_window == 0  # in-process default
         with pytest.raises(RollbackDetectedError):
             local.server.answer_wire(blob)
-
-    def test_window_accepts_request_within_lag(self, local):
-        from repro.core.client import Client
-
-        local.server.freshness_window = 8
-        blob = self._sealed_query(local, "//SSN")
-        local.update_value(PROBE, "555666")
-        before = counters.snapshot()
-        sealed = local.server.answer_wire(blob)
-        delta = counters.delta_since(before)
-        assert delta.get("requests_accepted_in_window", 0) == 1
-        # The response is sealed at the *current* anchor, so the owner's
-        # strict verification accepts it as usual.
-        client = Client(local.keyring, local.hosted)
-        assert client.open_response(sealed) is not None
 
     def test_window_bounds_the_accepted_lag(self, local):
+        """One commit of lag is already too much, on the tenant's
+        command path as on its query path: a command that waited out a
+        concurrent writer is refused, not applied."""
         from repro.core.integrity import RollbackDetectedError
 
-        local.server.freshness_window = 2
-        blob = self._sealed_query(local, "//SSN")
-        for value in ("101010", "202020", "303030"):
-            local.update_value(PROBE, value)
-        with pytest.raises(RollbackDetectedError):
-            local.server.answer_wire(blob)
-
-    def test_serving_server_widens_tenant_window(self, local):
-        server = ServingServer(freshness_window=5)
-        session = server.register_tenant("t0", local)
-        assert session.freshness_window == 5
-        assert local.server.freshness_window == 5
-
-    def test_session_update_accepts_superseded_seal(self, local):
-        from repro.core.integrity import (
-            TamperedResponseError,
-            seal_fresh,
-            unseal,
-        )
-
-        server = ServingServer()  # default window covers the race
-        session = server.register_tenant("t0", local)
-        request_key, response_key = local.keyring.session_keys()
-        epoch, root = local.hosted.anchor()
-        blob = seal_fresh(
-            request_key,
-            json.dumps(
-                {"op": "update_value", "xpath": PROBE,
-                 "new_value": "777888"},
-                sort_keys=True,
-            ).encode("utf-8"),
-            epoch, root,
-        )
-        # A concurrent writer commits while our command is "in flight".
+        session = ServingServer().register_tenant("t0", local)
+        query = self._sealed_query(local, "//SSN")
+        command = self._sealed_update(local, "777888")
         local.update_value("//patient[pname='Matt']/SSN", "999000")
-        ack = session.update(blob)
-        payload = json.loads(
-            unseal(response_key, ack, error=TamperedResponseError)
-        )
-        assert payload["applied"] == "update_value"
-        assert local.query(PROBE).values() == ["777888"]
+        with pytest.raises(RollbackDetectedError) as caught:
+            session.update(command)
+        assert caught.value.epoch_lag == 1
+        with pytest.raises(RollbackDetectedError):
+            session.query(query)
+        assert local.query(PROBE).values() == ["763895"]
 
     def test_replayed_update_command_is_rejected(self, local):
-        """A captured OP_UPDATE blob must not be re-applicable within
-        the freshness window: the dedup raises the typed
-        ReplayedCommandError and the value stays at the first commit."""
-        from repro.core.integrity import ReplayedCommandError, seal_fresh
+        """A captured OP_UPDATE blob is not re-applicable: the write it
+        carried moved the epoch, so the re-sent blob fails freshness —
+        typed, with no replay memory — and the value stays at the
+        newer write."""
+        from repro.core.integrity import RollbackDetectedError
 
-        server = ServingServer()  # default window=16 keeps the blob fresh
-        session = server.register_tenant("t0", local)
-        request_key, _ = local.keyring.session_keys()
-        epoch, root = local.hosted.anchor()
-        blob = seal_fresh(
-            request_key,
-            json.dumps(
-                {"op": "update_value", "xpath": PROBE,
-                 "new_value": "100001", "nonce": "n-0"},
-                sort_keys=True,
-            ).encode("utf-8"),
-            epoch, root,
-        )
+        session = ServingServer().register_tenant("t0", local)
+        blob = self._sealed_update(local, "100001")
         session.update(blob)
         assert local.query(PROBE).values() == ["100001"]
         local.update_value(PROBE, "100002")  # a newer legitimate write
-        before = counters.snapshot()
-        with pytest.raises(ReplayedCommandError):
+        with pytest.raises(RollbackDetectedError):
             session.update(blob)  # wire adversary re-sends the capture
-        delta = counters.delta_since(before)
-        assert delta.get("serving_replays_rejected", 0) == 1
         # The rollback the replay attempted did not happen.
         assert local.query(PROBE).values() == ["100002"]
 
     def test_replay_rejected_as_typed_error_over_socket(self, served):
-        from repro.core.integrity import ReplayedCommandError, seal_fresh
+        from repro.core.integrity import RollbackDetectedError
         from repro.serving.client import AsyncServingClient
 
         _, (host, port), local = served
-        request_key, _ = local.keyring.session_keys()
-        epoch, root = local.hosted.anchor()
-        blob = seal_fresh(
-            request_key,
-            json.dumps(
-                {"op": "update_value", "xpath": PROBE,
-                 "new_value": "200002", "nonce": "n-1"},
-                sort_keys=True,
-            ).encode("utf-8"),
-            epoch, root,
-        )
+        blob = self._sealed_update(local, "200002")
 
         async def drive():
             conn = await AsyncServingClient.open(host, port, "t0")
             try:
                 await conn.call(OP_UPDATE, blob)
-                with pytest.raises(ReplayedCommandError):
+                with pytest.raises(RollbackDetectedError):
                     await conn.call(OP_UPDATE, blob)
             finally:
                 await conn.close()
@@ -863,93 +786,15 @@ class TestFreshnessWindow:
         asyncio.run(drive())
         assert local.query(PROBE).values() == ["200002"]
 
-    def test_identical_commands_with_distinct_nonces_both_apply(
-        self, local
-    ):
-        """The dedup keys on the sealed blob, not the logical op: two
-        same-op commands sealed at the same anchor under different
-        nonces are distinct commands and both commit."""
-        from repro.core.integrity import seal_fresh
-
-        server = ServingServer()
-        session = server.register_tenant("t0", local)
-        request_key, _ = local.keyring.session_keys()
-        epoch, root = local.hosted.anchor()
-        blobs = [
-            seal_fresh(
-                request_key,
-                json.dumps(
-                    {"op": "update_value", "xpath": PROBE,
-                     "new_value": "300003", "nonce": nonce},
-                    sort_keys=True,
-                ).encode("utf-8"),
-                epoch, root,
-            )
-            for nonce in ("n-a", "n-b")
-        ]
-        for blob in blobs:
-            session.update(blob)  # second lands in-window, not as replay
-        assert local.hosted.epoch == epoch + 2
-
-    def test_replay_memory_is_pruned_to_the_window(self, local):
-        from repro.core.integrity import seal_fresh
-
-        server = ServingServer(freshness_window=2)
-        session = server.register_tenant("t0", local)
-        request_key, _ = local.keyring.session_keys()
-        for value in ("400001", "400002", "400003", "400004"):
-            epoch, root = local.hosted.anchor()
-            blob = seal_fresh(
-                request_key,
-                json.dumps(
-                    {"op": "update_value", "xpath": PROBE,
-                     "new_value": value, "nonce": f"n-{value}"},
-                    sort_keys=True,
-                ).encode("utf-8"),
-                epoch, root,
-            )
-            session.update(blob)
-        # Tags sealed before the live window can no longer verify, so
-        # the dedup memory stays bounded by the window's write rate.
-        # The last prune ran at registration time (one commit ago).
-        horizon = local.hosted.epoch - 1 - session.freshness_window
-        assert all(
-            epoch >= horizon
-            for epoch in session._seen_command_tags.values()
-        )
-        assert len(session._seen_command_tags) <= (
-            session.freshness_window + 1
-        )
-
-    def test_loadgen_reports_flight_accepts(self, served):
-        server, address, local = served
-        report = run_load(
-            address, "t0", local, list(QUERIES),
-            clients=8, ops_per_client=6,
-            update_ops=[
-                {"op": "update_value", "xpath": PROBE,
-                 "new_value": "121212"},
-                {"op": "update_value", "xpath": PROBE,
-                 "new_value": "343434"},
-            ],
-            update_every=4,
-        )
-        assert report.failures == 0
-        assert report.operations == 48
-        # With updates racing queries, at least some responses should
-        # have been accepted at a flight-time anchor (not guaranteed at
-        # this scale, but retries + accepts must reconcile either way).
-        assert report.flight_accepts >= 0
-        assert report.queries + report.updates == 48
-
 
 # ----------------------------------------------------------------------
-# Control-plane authentication (flush/stats are sealed commands)
+# Control-plane authentication (stats is a sealed command; flush is gone)
 # ----------------------------------------------------------------------
 class TestControlPlaneAuth:
-    """FLUSH and STATS must not be reachable by an unauthenticated peer:
-    knowing a tenant id (HELLO is unauthenticated) must not allow
-    dropping the tenant's warm caches or reading its metadata."""
+    """Nothing beyond the sealed data plane is reachable by an
+    unauthenticated peer: knowing a tenant id (HELLO is unauthenticated)
+    must not allow dropping the tenant's warm caches or reading its
+    metadata."""
 
     def test_unsealed_flush_and_stats_are_rejected(self, served):
         from repro.core.integrity import TamperedRequestError
@@ -960,27 +805,15 @@ class TestControlPlaneAuth:
         async def drive():
             conn = await AsyncServingClient.open(host, port, "t0")
             try:
-                for op in (OP_FLUSH, OP_STATS):
+                for payload in (b"", b"\x00" * 96):
                     with pytest.raises(TamperedRequestError):
-                        await conn.call(op, b"")
-                    with pytest.raises(TamperedRequestError):
-                        await conn.call(op, b"\x00" * 96)
+                        await conn.call(OP_STATS, payload)
+                    with pytest.raises(ProtocolError, match="opcode 6"):
+                        await conn.call(6, payload)  # the retired FLUSH
             finally:
                 await conn.close()
 
         asyncio.run(drive())
-
-    def test_sealed_flush_round_trips(self, served):
-        _, address, local = served
-        remote = remote_system(local, address, "t0")
-        try:
-            remote.query(PROBE)
-            remote.server.flush_caches()  # sealed {"op": "flush"}
-            assert remote.query(PROBE).canonical() == (
-                local.query(PROBE).canonical()
-            )
-        finally:
-            remote.close()
 
     def test_sealed_stats_response_is_verified(self, served):
         _, address, local = served
@@ -1005,32 +838,45 @@ class TestControlPlaneAuth:
             connection.close()
 
     def test_flush_replay_is_rejected(self, served):
-        """A captured sealed flush blob cannot be re-sent to repeatedly
-        drop the tenant's caches (perf DoS)."""
-        from repro.core.integrity import ReplayedCommandError, seal_fresh
+        """A flush does not move the epoch, so a captured sealed flush
+        blob would stay valid for as long as no write lands: the front
+        door no longer serves one at all.  An authentic flush sealed at
+        the live anchor is refused typed every time it is sent, and the
+        tenant's warm caches survive."""
         from repro.serving.client import AsyncServingClient
 
         _, (host, port), local = served
+        local.query(PROBE)
+        warm = len(local.server._fragment_cache.live())
         request_key, _ = local.keyring.session_keys()
-        epoch, root = local.hosted.anchor()
-        blob = seal_fresh(
-            request_key,
-            json.dumps(
-                {"op": "flush", "nonce": "n-f"}, sort_keys=True
-            ).encode("utf-8"),
-            epoch, root,
-        )
+        blob, _ = local.hosted.seal(request_key, b'{"op": "flush"}')
 
         async def drive():
             conn = await AsyncServingClient.open(host, port, "t0")
             try:
-                await conn.call(OP_FLUSH, blob)
-                with pytest.raises(ReplayedCommandError):
-                    await conn.call(OP_FLUSH, blob)
+                for _ in range(2):
+                    with pytest.raises(ProtocolError, match="opcode 6"):
+                        await conn.call(6, blob)
             finally:
                 await conn.close()
 
         asyncio.run(drive())
+        assert warm and len(local.server._fragment_cache.live()) == warm
+
+    def test_remote_flush_empties_the_client_half_only(self, served):
+        _, address, local = served
+        remote = remote_system(local, address, "t0")
+        try:
+            remote.query(PROBE)
+            warm = len(local.server._fragment_cache.live())
+            remote.flush_caches()
+            assert not remote.client._block_cache.live()
+            assert warm and len(local.server._fragment_cache.live()) == warm
+            assert remote.query(PROBE).canonical() == (
+                local.query(PROBE).canonical()
+            )
+        finally:
+            remote.close()
 
 
 # ----------------------------------------------------------------------
