@@ -21,43 +21,41 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
+#: The ``attributes`` of every element that has none.
+_NO_ATTRIBUTES: tuple = ()
+
 
 class Node:
     """Base class for every node in a document tree.
 
     Concrete subclasses are :class:`Element`, :class:`Text`,
     :class:`Attribute` and :class:`EncryptedBlockNode`.  The base class
-    implements the parent/children bookkeeping and the traversal helpers
-    shared by all of them.
+    implements the parent bookkeeping and the traversal helpers shared by
+    all of them; each subclass constructor sets ``parent`` to ``None`` and
+    ``node_id`` to ``-1``.
     """
 
-    __slots__ = ("parent", "children", "node_id")
+    __slots__ = ("parent", "node_id")
 
-    def __init__(self) -> None:
-        self.parent: Optional[Node] = None
-        self.children: list[Node] = []
-        #: Document-order identifier, assigned by :meth:`Document.renumber`.
-        #: ``-1`` until the node is attached to a numbered document.
-        self.node_id: int = -1
+    parent: Optional[Node]
+    #: Document-order identifier, assigned by :meth:`Document.renumber`.
+    #: ``-1`` until the node is attached to a numbered document.
+    node_id: int
+    #: A leaf's children: one shared empty tuple, so that a leaf is one
+    #: object to the cyclic collector, which alone frees a tree (``parent``
+    #: makes it cyclic).  :class:`Element` owns a list instead.
+    children: "list[Node] | tuple[()]" = ()
 
     # ------------------------------------------------------------------
     # Structure mutation
     # ------------------------------------------------------------------
     def append(self, child: "Node") -> "Node":
-        """Attach ``child`` as the last child of this node and return it."""
-        if child.parent is not None:
-            raise ValueError("node already has a parent; detach it first")
-        child.parent = self
-        self.children.append(child)
-        return child
+        """Leaves have no children: only :meth:`Element.append` attaches."""
+        raise ValueError(f"a {type(self).__name__} node cannot have children")
 
     def insert(self, index: int, child: "Node") -> "Node":
-        """Attach ``child`` at position ``index`` among the children."""
-        if child.parent is not None:
-            raise ValueError("node already has a parent; detach it first")
-        child.parent = self
-        self.children.insert(index, child)
-        return child
+        """Leaves have no children: only :meth:`Element.insert` attaches."""
+        raise ValueError(f"a {type(self).__name__} node cannot have children")
 
     def detach(self) -> "Node":
         """Remove this node from its parent and return it."""
@@ -197,14 +195,33 @@ class Element(Node):
     :attr:`attributes`.
     """
 
-    __slots__ = ("tag", "attributes")
+    __slots__ = ("tag", "attributes", "children")
 
     def __init__(self, tag: str) -> None:
-        super().__init__()
         if not tag:
             raise ValueError("element tag must be non-empty")
+        self.parent = None
+        self.node_id = -1
         self.tag = tag
-        self.attributes: list[Attribute] = []
+        #: A list once the element has an attribute, else the shared ``()``.
+        self.attributes: "list[Attribute] | tuple[()]" = _NO_ATTRIBUTES
+        self.children: list[Node] = []
+
+    def append(self, child: Node) -> Node:
+        """Attach ``child`` as the last child of this node and return it."""
+        if child.parent is not None:
+            raise ValueError("node already has a parent; detach it first")
+        child.parent = self
+        self.children.append(child)
+        return child
+
+    def insert(self, index: int, child: Node) -> Node:
+        """Attach ``child`` at position ``index`` among the children."""
+        if child.parent is not None:
+            raise ValueError("node already has a parent; detach it first")
+        child.parent = self
+        self.children.insert(index, child)
+        return child
 
     def set_attribute(self, name: str, value: str) -> "Attribute":
         """Set (or overwrite) an attribute and return its node."""
@@ -214,7 +231,10 @@ class Element(Node):
                 return attribute
         attribute = Attribute(name, value)
         attribute.parent = self
-        self.attributes.append(attribute)
+        if self.attributes:
+            self.attributes.append(attribute)
+        else:
+            self.attributes = [attribute]
         return attribute
 
     def attribute(self, name: str) -> Optional["Attribute"]:
@@ -226,7 +246,8 @@ class Element(Node):
 
     def remove_attribute(self, name: str) -> None:
         """Delete an attribute if present."""
-        self.attributes = [a for a in self.attributes if a.name != name]
+        kept = [a for a in self.attributes if a.name != name]
+        self.attributes = kept or _NO_ATTRIBUTES
 
     def child_elements(self) -> Iterator["Element"]:
         """Yield element children only (skipping text)."""
@@ -241,15 +262,18 @@ class Element(Node):
                 yield node
 
     def clone(self, _map: "Optional[dict[int, Node]]" = None) -> "Element":
+        # Direct: the copies are fresh, so neither ``set_attribute``'s name
+        # scan nor ``append``'s parent check has anything to find.
         copy = Element(self.tag)
-        for attribute in self.attributes:
-            attribute_copy = copy.set_attribute(
-                attribute.name, attribute.value
-            )
-            if _map is not None:
-                _map[id(attribute)] = attribute_copy
+        if self.attributes:
+            copy.attributes = [a.clone(_map) for a in self.attributes]
+            for attribute in copy.attributes:
+                attribute.parent = copy
+        children = copy.children
         for child in self.children:
-            copy.append(child.clone(_map))
+            child_copy = child.clone(_map)
+            child_copy.parent = copy
+            children.append(child_copy)
         if _map is not None:
             _map[id(self)] = copy
         return copy
@@ -264,7 +288,8 @@ class Text(Node):
     __slots__ = ("value",)
 
     def __init__(self, value: str) -> None:
-        super().__init__()
+        self.parent = None
+        self.node_id = -1
         self.value = value
 
     def clone(self, _map: "Optional[dict[int, Node]]" = None) -> "Text":
@@ -283,9 +308,10 @@ class Attribute(Node):
     __slots__ = ("name", "value")
 
     def __init__(self, name: str, value: str) -> None:
-        super().__init__()
         if not name:
             raise ValueError("attribute name must be non-empty")
+        self.parent = None
+        self.node_id = -1
         self.name = name
         self.value = value
 
@@ -313,7 +339,8 @@ class EncryptedBlockNode(Node):
     __slots__ = ("block_id", "payload")
 
     def __init__(self, block_id: int, payload: bytes) -> None:
-        super().__init__()
+        self.parent = None
+        self.node_id = -1
         self.block_id = block_id
         self.payload = payload
 

@@ -199,8 +199,10 @@ def parse_fragment(
 
 
 # ----------------------------------------------------------------------
-# Node construction (``append``/``set_attribute`` bypassed: the scanner
-# already guarantees what they check — unparented nodes, distinct names)
+# Node construction, as ``Element.clone`` does it: slots are filled
+# directly, bypassing ``append`` and ``set_attribute``, because the scanner
+# already guarantees what they check (unparented nodes, distinct names).
+# An element's attribute list is created here, only when it has one.
 # ----------------------------------------------------------------------
 def _attach(parent: Element, child: Node) -> None:
     child.parent = parent
@@ -218,7 +220,8 @@ def _flush_text(element: Element, pieces: list[str]) -> None:
 def _set_attributes(element: Element, source: str, offset: int) -> None:
     """Attach the attributes of one start tag (``source`` already scanned)."""
     seen: set[str] = set()
-    attributes = element.attributes
+    attributes: list[Attribute] = []
+    element.attributes = attributes
     for name, double, single in _ATTRIBUTE_RE.findall(source):
         if not name.isascii():
             _check_name(name, offset)

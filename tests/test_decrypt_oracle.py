@@ -10,6 +10,7 @@ placeholder or a decoy, and never one of the untyped errors the oracle
 lets escape.
 """
 
+import gc
 import os
 
 import pytest
@@ -34,7 +35,7 @@ from repro.workloads.healthcare import (
 from repro.workloads.nasa import build_nasa_database, nasa_constraints
 from repro.workloads.xmark import build_xmark_database, xmark_constraints
 from repro.xmldb.builder import TreeBuilder
-from repro.xmldb.node import Element, EncryptedBlockNode, Node, Text
+from repro.xmldb.node import Attribute, Element, EncryptedBlockNode, Node, Text
 from repro.xmldb.serializer import serialize
 from repro.xpath.evaluator import evaluate
 
@@ -339,6 +340,82 @@ class TestSights:
                 )
         assert handed > 2000
         assert built <= 1.15 * handed, (built, handed)
+
+
+# ----------------------------------------------------------------------
+# What a tree costs the garbage collector
+# ----------------------------------------------------------------------
+LAYOUT_READS = {
+    "xmark-40": (
+        lambda: build_xmark_database(40, seed=5),
+        xmark_constraints,
+        "/site/people",
+    ),
+    "nasa-40": (
+        lambda: build_nasa_database(40, seed=5),
+        nasa_constraints,
+        "//journal/author[1]/initial",
+    ),
+}
+
+
+def tracked_per_node(document):
+    """Distinct GC-tracked objects per node among the node, its children
+    and its attributes, attribute nodes included."""
+    tracked = nodes = 0
+    for node in document.iter_with_attributes():
+        parts = (node, node.children, getattr(node, "attributes", ()))
+        tracked += len({id(part) for part in parts if gc.is_tracked(part)})
+        nodes += 1
+    return tracked / nodes
+
+
+class TestNodeLayout:
+    """Counts, not timings.  An answer tree is cyclic through ``parent``,
+    so only the collector frees it, at a cost that grows with the objects
+    it tracks: a leaf with its own empty child list and an element with its
+    own empty attribute list cost 2.546 (XMark) and 2.672 (NASA) per node."""
+
+    @pytest.mark.parametrize("dataset", sorted(LAYOUT_READS))
+    def test_a_cold_answer_node_is_about_one_tracked_object(self, dataset):
+        build, constraints, query = LAYOUT_READS[dataset]
+        system = SecureXMLSystem.host(build(), constraints())
+        system.flush_caches()
+        pruned = system.query(query).pruned_document
+        assert pruned.size() > 500
+        assert tracked_per_node(pruned) <= 1.75
+
+    def test_a_cold_read_builds_each_handed_node_about_once_per_kind(
+        self, monkeypatch
+    ):
+        """``TestSights``' count, taken at each kind's own constructor:
+        none of them chains to ``Node.__init__``."""
+        document = build_xmark_database(40, seed=5)
+        system = SecureXMLSystem.host(document, xmark_constraints())
+        client = system.client
+        responses = [
+            system.server.answer(client.translate(query))
+            for query in cold_ship_queries(document)
+        ]
+        built = 0
+        for kind in (Element, Text, Attribute, EncryptedBlockNode):
+
+            def counted(node, *args, construct=kind.__init__):
+                nonlocal built
+                built += 1
+                construct(node, *args)
+
+            monkeypatch.setattr(kind, "__init__", counted)
+        handed = 0
+        for response in responses:
+            client.flush_caches()
+            for _, tree in client.decrypt_fragments(response):
+                handed += sum(
+                    1 + len(getattr(node, "attributes", ()))
+                    for node in tree.iter()
+                )
+        assert handed > 2000
+        assert handed <= built <= 1.15 * handed, (built, handed)
 
 
 # ----------------------------------------------------------------------

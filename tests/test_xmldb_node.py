@@ -9,6 +9,7 @@ from repro.xmldb.node import (
     EncryptedBlockNode,
     Text,
 )
+from repro.xmldb.parser import parse_fragment
 
 
 def small_tree() -> Element:
@@ -73,6 +74,22 @@ class TestStructureMutation:
         attached = other_root.append(Element("y"))
         with pytest.raises(ValueError):
             root.children[0].replace_with(attached)
+
+    @pytest.mark.parametrize(
+        "leaf",
+        [Text("x"), Attribute("k", "v"), EncryptedBlockNode(1, b"\x00")],
+        ids=lambda leaf: type(leaf).__name__,
+    )
+    def test_a_leaf_refuses_children_typed(self, leaf):
+        """``serialize`` writes no child of a leaf, so an attached one
+        would be lost without an error."""
+        orphan = Element("lost")
+        with pytest.raises(ValueError, match=type(leaf).__name__):
+            leaf.append(orphan)
+        with pytest.raises(ValueError, match=type(leaf).__name__):
+            leaf.insert(0, orphan)
+        assert orphan.parent is None
+        assert leaf.children == ()
 
 
 class TestNavigation:
@@ -151,6 +168,21 @@ class TestContent:
         root.remove_attribute("k")
         assert root.attribute("k") is None
 
+    def test_no_attributes_is_the_shared_empty_tuple(self):
+        """An attribute-less element costs the collector no list."""
+        element = Element("a")
+        shared = Element("b").attributes
+        assert element.attributes is shared and shared == ()
+        element.set_attribute("k", "1")
+        element.set_attribute("j", "2")
+        assert isinstance(element.attributes, list)
+        element.remove_attribute("k")
+        assert [a.name for a in element.attributes] == ["j"]
+        element.remove_attribute("j")
+        assert element.attributes is shared
+        assert element.clone().attributes is shared
+        assert parse_fragment("<a><b k='1'/></a>").attributes is shared
+
     def test_subtree_size(self):
         root = small_tree()
         assert root.subtree_size() == 5  # a, b, text, c, d (attr not counted)
@@ -176,6 +208,20 @@ class TestClone:
         root = small_tree()
         copy = root.clone()
         assert copy.attribute("x").value == "1"
+
+    def test_clone_parents_and_maps_every_copy(self):
+        root = small_tree()
+        mapping = {}
+        copy = root.clone(mapping)
+        attribute = copy.attribute("x")
+        assert attribute.parent is copy
+        assert attribute is not root.attribute("x")
+        assert mapping[id(root.attribute("x"))] is attribute
+        for original in root.iter():
+            twin = mapping[id(original)]
+            assert twin is not original and type(twin) is type(original)
+            for child in twin.children:
+                assert child.parent is twin
 
     def test_encrypted_block_clone(self):
         node = EncryptedBlockNode(3, b"\x01\x02")
