@@ -14,7 +14,7 @@ organised as a stack of substrates with the paper's contribution on top:
 
 ``repro.crypto``
     From-scratch cryptographic primitives: SHA-256, HMAC, AES-128 with
-    CBC/CTR modes, the Vernam (one-time pad) cipher used for tag names, and
+    batched CBC, the Vernam (one-time pad) cipher used for tag names, and
     a keyed order-preserving encryption function.
 
 ``repro.btree``

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.xmldb.node import Attribute, Document, Element, Node
-from repro.core.constraints import SecurityConstraint
+from repro.xpath.ast import LocationPath
+from repro.core.constraints import SecurityConstraint, nodes_under
 
 
 @dataclass
@@ -50,15 +51,62 @@ class ConstraintGraph:
         return all(edge & cover for edge in self.edges)
 
 
+class ConstraintBindings:
+    """What a set of SCs binds on one document, each path evaluated once.
+
+    One scheme build asks for the same bindings over and over: every
+    association SC of XMark and NASA shares its context path
+    (``//person``, ``//dataset``), and endpoint paths recur across SCs.
+    This memo evaluates each distinct context path once and each distinct
+    (context, endpoint) pair once, with the same evaluator
+    :meth:`SecurityConstraint.context_nodes` / ``endpoint_nodes`` use.  It
+    lives for one build and holds the document as it was then: checking
+    constraints against a document that writes have changed
+    (:mod:`repro.core.enforcement`) evaluates afresh.
+    """
+
+    def __init__(self, document: Document) -> None:
+        self.document = document
+        self._contexts: dict[LocationPath, list[Element]] = {}
+        self._endpoints: dict[tuple[LocationPath, LocationPath], list[Node]] = {}
+
+    def context_nodes(self, constraint: SecurityConstraint) -> list[Element]:
+        """Elements the SC's context path ``p`` binds to."""
+        path = constraint.context_path
+        nodes = self._contexts.get(path)
+        if nodes is None:
+            nodes = self._contexts[path] = constraint.context_nodes(
+                self.document
+            )
+        return nodes
+
+    def endpoint_nodes(
+        self, constraint: SecurityConstraint, which: int
+    ) -> list[Node]:
+        """Nodes endpoint ``which`` binds, over every context binding."""
+        key = (constraint.context_path, constraint.endpoint_path(which))
+        nodes = self._endpoints.get(key)
+        if nodes is None:
+            nodes = self._endpoints[key] = nodes_under(
+                self.context_nodes(constraint), key[1]
+            )
+        return nodes
+
+
 def build_constraint_graph(
-    document: Document, constraints: list[SecurityConstraint]
+    document: Document,
+    constraints: list[SecurityConstraint],
+    bindings: ConstraintBindings | None = None,
 ) -> ConstraintGraph:
     """Construct the weighted constraint graph of the association SCs.
 
     Node-type SCs do not appear in the graph — their targets are encrypted
     unconditionally (there is no covering choice to make); see
-    :func:`repro.core.scheme.secure_scheme`.
+    :func:`repro.core.scheme.secure_scheme`.  ``bindings`` shares one
+    scheme build's evaluations; without it the graph makes its own.
     """
+    if bindings is None:
+        bindings = ConstraintBindings(document)
     graph = ConstraintGraph()
     for constraint in constraints:
         if not constraint.is_association:
@@ -67,7 +115,7 @@ def build_constraint_graph(
         for which, field_name in enumerate(fields, start=1):
             bound = [
                 _encryptable(node)
-                for node in constraint.endpoint_nodes(document, which)
+                for node in bindings.endpoint_nodes(constraint, which)
             ]
             if field_name not in graph.weights:
                 graph.bindings[field_name] = []

@@ -91,15 +91,9 @@ class SecurityConstraint:
         Only meaningful for association constraints; the result is the
         union over all context bindings.
         """
-        path = self._endpoint(which)
-        nodes: list[Node] = []
-        seen: set[int] = set()
-        for context in self.context_nodes(document):
-            for node in evaluate_on_element(context, path):
-                if id(node) not in seen:
-                    seen.add(id(node))
-                    nodes.append(node)
-        return nodes
+        return nodes_under(
+            self.context_nodes(document), self.endpoint_path(which)
+        )
 
     def association_pairs(
         self, document: Document
@@ -109,16 +103,17 @@ class SecurityConstraint:
             return
         for context in self.context_nodes(document):
             left_values = _leaf_values(
-                evaluate_on_element(context, self._endpoint(1))
+                evaluate_on_element(context, self.endpoint_path(1))
             )
             right_values = _leaf_values(
-                evaluate_on_element(context, self._endpoint(2))
+                evaluate_on_element(context, self.endpoint_path(2))
             )
             for v1 in left_values:
                 for v2 in right_values:
                     yield (v1, v2)
 
-    def _endpoint(self, which: int) -> ast.LocationPath:
+    def endpoint_path(self, which: int) -> ast.LocationPath:
+        """``q1`` (which=1) or ``q2`` (which=2)."""
         if not self.is_association:
             raise ValueError("node-type constraints have no endpoints")
         if which == 1:
@@ -135,7 +130,7 @@ class SecurityConstraint:
         This is the vertex label in the constraint graph (§4.2, Fig. 8):
         the paper's graph "has a node for every tag appearing in the SCs".
         """
-        path = self._endpoint(which)
+        path = self.endpoint_path(which)
         last = path.steps[-1]
         if last.axis == ast.AXIS_ATTRIBUTE:
             return f"@{last.test.name}"
@@ -163,6 +158,18 @@ class SecurityConstraint:
     def holds(self, document: Document, captured_query: str) -> bool:
         """``D ⊨ A``: the captured query has a non-empty answer on D."""
         return bool(evaluate(document, captured_query))
+
+
+def nodes_under(contexts: list[Element], path: ast.LocationPath) -> list[Node]:
+    """Union of ``path``'s answers over ``contexts``, first-seen order."""
+    nodes: list[Node] = []
+    seen: set[int] = set()
+    for context in contexts:
+        for node in evaluate_on_element(context, path):
+            if id(node) not in seen:
+                seen.add(id(node))
+                nodes.append(node)
+    return nodes
 
 
 def _normalize_relative(path: ast.LocationPath) -> ast.LocationPath:

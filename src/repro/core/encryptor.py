@@ -33,7 +33,7 @@ from repro.core.dsi import (
 from repro.core.opess import FieldPlan, ValueIndex, build_field_plan, build_value_index
 from repro.core.scheme import EncryptionScheme
 from repro.crypto.keyring import ClientKeyring
-from repro.crypto.modes import cbc_encrypt
+from repro.crypto.modes import cbc_encrypt_many
 from repro.xmldb.node import (
     Attribute,
     Document,
@@ -347,15 +347,21 @@ def host_database(
     block_tags: dict[int, bytes] = {}
     hosted_root: Node = hosted.root
     decoy_count = 0
+    # Decoys and serialization block after block (the decoy stream is
+    # drawn in block order), then every CBC chain in one lock-step pass.
+    subtrees: list[tuple[int, Element]] = []
+    chains: list[tuple[bytes, bytes]] = []
     for root_id in sorted(scheme.block_root_ids):
         block_id = block_ids[root_id]
         subtree = hosted.node_by_id(root_id)
         assert isinstance(subtree, Element)
         if secure:
             decoy_count += inject_decoys(subtree, decoy_stream)
-        plaintext_xml = serialize(subtree).encode("utf-8")
         iv = keyring.block_iv(block_id) if secure else keyring.block_iv(0)
-        payload = cbc_encrypt(keyring.block_cipher, iv, plaintext_xml)
+        subtrees.append((block_id, subtree))
+        chains.append((iv, serialize(subtree).encode("utf-8")))
+    payloads = cbc_encrypt_many(keyring.block_cipher, chains)
+    for (block_id, subtree), payload in zip(subtrees, payloads):
         placeholder = EncryptedBlockNode(block_id, payload)
         blocks[block_id] = payload
         placeholders[block_id] = placeholder

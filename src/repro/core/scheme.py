@@ -21,7 +21,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.xmldb.node import Document, Element
-from repro.core.constraint_graph import _encryptable, build_constraint_graph
+from repro.core.constraint_graph import (
+    ConstraintBindings,
+    _encryptable,
+    build_constraint_graph,
+)
 from repro.core.constraints import SecurityConstraint
 from repro.core.optimal import clarkson_greedy_cover, exact_min_cover
 
@@ -84,7 +88,12 @@ def _covered_elements(
     constraints: list[SecurityConstraint],
     cover_algorithm: Callable,
 ) -> tuple[list[Element], set[str]]:
-    """Elements to encrypt: node-type targets + association cover bindings."""
+    """Elements to encrypt: node-type targets + association cover bindings.
+
+    One :class:`ConstraintBindings` serves both halves, so a context path
+    that several SCs share is evaluated once per scheme build.
+    """
+    bindings = ConstraintBindings(document)
     elements: list[Element] = []
     seen: set[int] = set()
 
@@ -95,10 +104,10 @@ def _covered_elements(
 
     for constraint in constraints:
         if not constraint.is_association:
-            for node in constraint.context_nodes(document):
+            for node in bindings.context_nodes(constraint):
                 add(node)
 
-    graph = build_constraint_graph(document, constraints)
+    graph = build_constraint_graph(document, constraints, bindings)
     cover = cover_algorithm(graph) if graph.edges else set()
     for field_name in sorted(cover):
         for element in graph.bindings[field_name]:
@@ -175,15 +184,16 @@ def naive_leaf_scheme(
     block encryption); it exists so the attack experiments can run against
     real ciphertext rather than a simulated histogram.
     """
+    bindings = ConstraintBindings(document)
     elements: list[Element] = []
     seen: set[int] = set()
     for constraint in constraints:
         if constraint.is_association:
             bound = []
             for which in (1, 2):
-                bound.extend(constraint.endpoint_nodes(document, which))
+                bound.extend(bindings.endpoint_nodes(constraint, which))
         else:
-            bound = list(constraint.context_nodes(document))
+            bound = bindings.context_nodes(constraint)
         for node in bound:
             element = _encryptable(node)
             if id(element) not in seen:

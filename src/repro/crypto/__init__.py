@@ -9,7 +9,7 @@ external crypto dependencies:
   held to a from-scratch RFC 2104 / FIPS 180-4 transcription that lives
   with the test suite;
 * a semantically secure block cipher for encryption blocks —
-  :mod:`repro.crypto.aes` (FIPS-197 AES-128) with CBC/CTR modes and PKCS#7
+  :mod:`repro.crypto.aes` (FIPS-197 AES-128) with batched CBC and PKCS#7
   padding in :mod:`repro.crypto.modes`;
 * the Vernam (one-time pad) cipher for tag names in the DSI index table and
   translated queries (§5.1.1, §6.1) — :mod:`repro.crypto.vernam`;
@@ -26,7 +26,6 @@ from repro.crypto.aes import AES128
 from repro.crypto.modes import (
     cbc_decrypt,
     cbc_encrypt,
-    ctr_transform,
     pkcs7_pad,
     pkcs7_unpad,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "AES128",
     "cbc_encrypt",
     "cbc_decrypt",
-    "ctr_transform",
     "pkcs7_pad",
     "pkcs7_unpad",
     "VernamCipher",

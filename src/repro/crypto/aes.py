@@ -22,14 +22,19 @@ Two equivalent code paths exist:
   arithmetic, and the property suite checks byte-identity of the two
   paths on random keys and blocks.
 
-A third, decrypt-only form serves whole batches:
-:meth:`AES128.decrypt_blocks` holds ``n`` ciphertext blocks as sixteen
-*byte-planes* (plane ``j`` is byte ``j`` of every block) and runs each
-round as a handful of ``bytes.translate`` and big-integer XOR calls over
-all ``n`` blocks at once, so the per-block cost is C loops rather than
-Python bytecode.  It is byte-identical to the other two paths
-(``tests/test_crypto_fastpath.py``) and only pays off from a few dozen
-blocks up; shorter inputs take the T-table path.
+A third form serves whole batches in both directions:
+:meth:`AES128.encrypt_blocks` / :meth:`AES128.decrypt_blocks` hold ``n``
+independent blocks as sixteen *byte-planes* (plane ``j`` is byte ``j`` of
+every block) and run each round as a handful of ``bytes.translate`` and
+big-integer XOR calls over all ``n`` blocks at once, so the per-block cost
+is C loops rather than Python bytecode.  One kernel,
+:func:`_plane_rounds`, runs both: the forward cipher is the equivalent
+inverse cipher with its tables swapped (SubBytes fused with ×2 and ×3 in
+place of InvSubBytes with ×14/11/13/9) and its rows rotated left instead
+of right.  It is byte-identical to the other two paths
+(``tests/test_crypto_fastpath.py``) and pays off from
+:data:`_PLANE_MIN_BLOCKS` blocks up; narrower batches take the T-table
+path.  Batch width is the only thing that picks the kernel.
 
 Key schedules are expanded exactly once per distinct key
 (:func:`_expand_key_cached`), and :func:`aes128_for_key` memoizes whole
@@ -154,12 +159,26 @@ def _build_round_tables() -> tuple[tuple[tuple[int, ...], ...], ...]:
 (_D0, _D1, _D2, _D3) = _DEC_T
 
 
-# Byte-plane kernel tables (decrypt_blocks): InvSubBytes fused with each
-# InvMixColumns constant, as 256-byte ``bytes.translate`` tables.  Key
-# independent, 1 KiB in all; the final round uses ``_INV_SBOX`` itself.
-_PLANE_D14, _PLANE_D11, _PLANE_D13, _PLANE_D9 = (
-    bytes(_MUL[constant][_INV_SBOX[x]] for x in range(256))
-    for constant in (14, 11, 13, 9)
+def _fused_sbox(box: bytes, constant: int) -> bytes:
+    """A ``bytes.translate`` table for ``constant · box[x]`` in GF(2⁸)."""
+    return bytes(_MUL[constant][box[x]] for x in range(256))
+
+
+#: How the byte-plane kernel runs one direction of the cipher: the
+#: left rotation of each state row (ShiftRows turns row ``i`` left by
+#: ``i``, InvShiftRows right by ``i``), the four fused S-box tables whose
+#: images of rows ``i, i+1, i+2, i+3`` XOR into output row ``i`` (the
+#: MixColumns row ``2 3 1 1`` and the InvMixColumns row ``14 11 13 9``),
+#: and the bare S-box of the final round.  Key independent, 1.5 KiB in all.
+_PLANE_FORWARD = (
+    (0, 1, 2, 3),
+    (_fused_sbox(_SBOX, 2), _fused_sbox(_SBOX, 3), _SBOX, _SBOX),
+    _SBOX,
+)
+_PLANE_INVERSE = (
+    (0, 3, 2, 1),
+    tuple(_fused_sbox(_INV_SBOX, constant) for constant in (14, 11, 13, 9)),
+    _INV_SBOX,
 )
 
 #: State byte held by each plane, planes in row-major order.
@@ -170,6 +189,83 @@ _PLANE_ORDER = tuple(row + 4 * col for row in range(4) for col in range(4))
 #: block on the T-table path, so it wins from about this many blocks.  A
 #: property of the input (batch size), not a setting.
 _PLANE_MIN_BLOCKS = 8
+
+
+def _plane_rounds(
+    data: bytes,
+    schedule: "tuple[tuple[int, ...], ...]",
+    direction: tuple,
+) -> bytes:
+    """Ten AES rounds over every 16-byte block of ``data`` at once.
+
+    Layout: the state of all ``n`` blocks is one ``16n``-byte string of
+    planes in *row-major* order — plane ``4*row + col`` holds state byte
+    ``row + 4*col`` of every block — so that
+
+    * (Inv)ShiftRows is a renaming of planes within each row (slices and
+      a join),
+    * (Inv)SubBytes∘(Inv)MixColumns is one whole-state ``translate`` per
+      distinct table of ``direction`` (the S-box fused into each GF
+      constant); because the layout is row-major, "row ``i+k``" is the
+      image rotated by ``4kn`` bytes, and the rotated images XOR as
+      integers into output row ``i``,
+    * AddRoundKey is one more integer XOR with the round key spread over
+      the planes.
+
+    SubBytes commutes with ShiftRows, so each round shifts first.  The
+    forward cipher runs ``schedule`` = the FIPS-197 round keys under
+    :data:`_PLANE_FORWARD`; the equivalent inverse cipher runs the
+    T-table decryptor's schedule under :data:`_PLANE_INVERSE`, so no
+    per-key table exists.  XOR is position-wise, so the integer byte
+    order is immaterial as long as it is the same everywhere;
+    little-endian is the cheaper conversion in CPython.
+    """
+    rotations, (by_row, by_next, by_second, by_third), final_table = direction
+    n = len(data) // 16
+    size = 16 * n
+    n4, n8, n12 = 4 * n, 8 * n, 12 * n
+    from_bytes = int.from_bytes
+    keys = [
+        from_bytes(
+            b"".join(round_key[j : j + 1] * n for j in _PLANE_ORDER),
+            "little",
+        )
+        for round_key in (_FOUR_WORDS.pack(*words) for words in schedule)
+    ]
+    # Row ``i`` turned left by ``t`` planes: its planes from ``t`` on,
+    # then its first ``t``.
+    cuts = []
+    for row, turn in enumerate(rotations):
+        start = n4 * row
+        cuts.append((start + turn * n, start + n4))
+        if turn:
+            cuts.append((start, start + turn * n))
+    state = (
+        from_bytes(b"".join(data[j::16] for j in _PLANE_ORDER), "little")
+        ^ keys[0]
+    ).to_bytes(size, "little")
+    for round_index in range(1, 11):
+        state = b"".join([state[low:high] for low, high in cuts])
+        if round_index == 10:
+            mixed = from_bytes(state.translate(final_table), "little")
+        else:
+            next_rows = state.translate(by_next)
+            second_rows = state.translate(by_second)
+            third_rows = (
+                second_rows if by_third is by_second
+                else state.translate(by_third)
+            )
+            mixed = (
+                from_bytes(state.translate(by_row), "little")
+                ^ from_bytes(next_rows[n4:] + next_rows[:n4], "little")
+                ^ from_bytes(second_rows[n8:] + second_rows[:n8], "little")
+                ^ from_bytes(third_rows[n12:] + third_rows[:n12], "little")
+            )
+        state = (mixed ^ keys[round_index]).to_bytes(size, "little")
+    out = bytearray(size)
+    for plane, j in enumerate(_PLANE_ORDER):
+        out[j::16] = state[plane * n : (plane + 1) * n]
+    return bytes(out)
 
 
 def _inv_mix_word(word: int) -> int:
@@ -411,14 +507,26 @@ class AES128:
 
 
     # ------------------------------------------------------------------
-    # Multi-block decryption (ECB over independent blocks)
+    # Multi-block forms (ECB over independent blocks; the modes layer
+    # applies the chaining)
     # ------------------------------------------------------------------
+    def encrypt_blocks(self, plaintext: bytes) -> bytes:
+        """Encrypt a whole number of independent 16-byte blocks.
+
+        The batch form of :meth:`encrypt_block`: short inputs loop over
+        the T-table path, longer ones go through the byte-plane kernel.
+        """
+        if len(plaintext) % self.BLOCK_SIZE != 0:
+            raise ValueError("plaintext must be a whole number of blocks")
+        if len(plaintext) < _PLANE_MIN_BLOCKS * self.BLOCK_SIZE:
+            return self._encrypt_blocks_scalar(plaintext)
+        return self._encrypt_blocks_planes(plaintext)
+
     def decrypt_blocks(self, ciphertext: bytes) -> bytes:
         """Decrypt a whole number of independent 16-byte blocks.
 
-        The batch form of :meth:`decrypt_block` (no chaining — the modes
-        layer applies that): short inputs loop over the T-table path,
-        longer ones go through the byte-plane kernel.
+        The batch form of :meth:`decrypt_block`, split by size exactly as
+        :meth:`encrypt_blocks` is.
         """
         if len(ciphertext) % self.BLOCK_SIZE != 0:
             raise ValueError("ciphertext must be a whole number of blocks")
@@ -426,79 +534,27 @@ class AES128:
             return self._decrypt_blocks_scalar(ciphertext)
         return self._decrypt_blocks_planes(ciphertext)
 
+    def _encrypt_blocks_scalar(self, plaintext: bytes) -> bytes:
+        encrypt_block = self.encrypt_block
+        return b"".join([
+            encrypt_block(plaintext[offset : offset + 16])
+            for offset in range(0, len(plaintext), 16)
+        ])
+
     def _decrypt_blocks_scalar(self, ciphertext: bytes) -> bytes:
         decrypt_block = self.decrypt_block
-        return b"".join(
+        return b"".join([
             decrypt_block(ciphertext[offset : offset + 16])
             for offset in range(0, len(ciphertext), 16)
-        )
+        ])
+
+    def _encrypt_blocks_planes(self, plaintext: bytes) -> bytes:
+        """The cipher over sixteen byte-planes (:func:`_plane_rounds`)."""
+        return _plane_rounds(plaintext, self._enc_schedule, _PLANE_FORWARD)
 
     def _decrypt_blocks_planes(self, ciphertext: bytes) -> bytes:
-        """The equivalent inverse cipher over sixteen byte-planes.
-
-        Layout: the state of all ``n`` blocks is one ``16n``-byte string
-        of planes in *row-major* order — plane ``4*row + col`` holds state
-        byte ``row + 4*col`` of every block — so that
-
-        * InvShiftRows is a renaming of planes within each row (seven
-          slices and a join),
-        * InvSubBytes∘InvMixColumns is four whole-state ``translate``
-          calls (one per GF constant, InvSubBytes fused into each table)
-          whose results are rotated by whole rows and XORed as integers:
-          output row ``i`` = 14·row ``i`` ⊕ 11·row ``i+1`` ⊕ 13·row
-          ``i+2`` ⊕ 9·row ``i+3``,
-        * AddRoundKey is one more integer XOR with the round key spread
-          over the planes.
-
-        Round keys are the equivalent-inverse schedule the T-table path
-        already uses, so no per-key table exists.  XOR is position-wise,
-        so the integer byte order is immaterial as long as it is the same
-        everywhere; little-endian is the cheaper conversion in CPython.
-        """
-        n = len(ciphertext) // 16
-        size = 16 * n
-        from_bytes = int.from_bytes
-        keys = [
-            from_bytes(
-                b"".join(round_key[j : j + 1] * n for j in _PLANE_ORDER),
-                "little",
-            )
-            for round_key in (
-                _FOUR_WORDS.pack(*words) for words in self._dec_schedule
-            )
-        ]
-        n4, n7, n8, n10, n12, n13 = 4 * n, 7 * n, 8 * n, 10 * n, 12 * n, 13 * n
-        state = (
-            from_bytes(
-                b"".join(ciphertext[j::16] for j in _PLANE_ORDER), "little"
-            )
-            ^ keys[0]
-        ).to_bytes(size, "little")
-        for round_index in range(1, 11):
-            # InvShiftRows: row i rotates right by i planes.
-            state = b"".join((
-                state[:n4],
-                state[n7:n8], state[n4:n7],
-                state[n10:n12], state[n8:n10],
-                state[n13:], state[n12:n13],
-            ))
-            if round_index == 10:
-                mixed = from_bytes(state.translate(_INV_SBOX), "little")
-            else:
-                by11 = state.translate(_PLANE_D11)
-                by13 = state.translate(_PLANE_D13)
-                by9 = state.translate(_PLANE_D9)
-                mixed = (
-                    from_bytes(state.translate(_PLANE_D14), "little")
-                    ^ from_bytes(by11[n4:] + by11[:n4], "little")
-                    ^ from_bytes(by13[n8:] + by13[:n8], "little")
-                    ^ from_bytes(by9[n12:] + by9[:n12], "little")
-                )
-            state = (mixed ^ keys[round_index]).to_bytes(size, "little")
-        out = bytearray(size)
-        for plane, j in enumerate(_PLANE_ORDER):
-            out[j::16] = state[plane * n : (plane + 1) * n]
-        return bytes(out)
+        """The equivalent inverse cipher over sixteen byte-planes."""
+        return _plane_rounds(ciphertext, self._dec_schedule, _PLANE_INVERSE)
 
 
 @lru_cache(maxsize=1024)

@@ -5,15 +5,15 @@ cipher's keystream, every deterministic randomness stream, the
 order-preserving encryption function's gap generator, the per-block CBC
 IVs and every integrity tag.
 
-:func:`hmac_sha256` is the one entry point every consumer calls, backed by
-the C implementation in the standard library (``hmac.digest``).  A cold
-query derives one IV and checks one tag per shipped encryption block;
-hosting draws every weight, decoy and OPE rectangle from the same C
-function (:mod:`repro.crypto.prf` calls it without this wrapper's
-argument checks, some twenty thousand times per hosting).  The readable
-reference — the RFC 2104 construction over a from-scratch SHA-256 — is
-``tests/hmac_spec.py``; the two are asserted byte-identical on the
-RFC 4231 vectors and on random inputs.
+:func:`hmac_sha256` is the one-shot entry point, backed by the C
+implementation in the standard library (``hmac.digest``).  Everything that
+draws many times under one key — hosting's weights, decoys and OPE
+rectangles, and the keyring's per-block IVs and tags, one of each per
+shipped block on a cold read — goes through the pre-keyed
+:class:`~repro.crypto.prf.PRF` instead, which computes the same bytes.
+The readable reference — the RFC 2104 construction over a from-scratch
+SHA-256 — is ``tests/hmac_spec.py``; all three are asserted
+byte-identical on the RFC 4231 vectors and on random inputs.
 """
 
 from __future__ import annotations
@@ -41,10 +41,15 @@ def derive_key(master: bytes, label: str, *context: str) -> bytes:
     length-prefixed so distinct derivations can never collide
     (``derive_key(k, "a", "bc") != derive_key(k, "ab", "c")``).
     """
+    return hmac_sha256(master, derivation_message(label, *context))
+
+
+def derivation_message(label: str, *context: str) -> bytes:
+    """The message :func:`derive_key` MACs: every part length-prefixed."""
     material = _length_prefixed(label.encode("utf-8"))
     for item in context:
         material += _length_prefixed(item.encode("utf-8"))
-    return hmac_sha256(master, material)
+    return material
 
 
 def _length_prefixed(data: bytes) -> bytes:

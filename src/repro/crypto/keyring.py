@@ -27,7 +27,7 @@ no stamp and keeps the id-only derivation.
 from __future__ import annotations
 
 from repro.crypto.aes import AES128, aes128_for_key
-from repro.crypto.hmac import derive_key, hmac_sha256
+from repro.crypto.hmac import derivation_message, derive_key
 from repro.crypto.ope import OrderPreservingEncryption
 from repro.crypto.prf import DeterministicRandom, PRF
 from repro.crypto.vernam import DeterministicTagCipher
@@ -45,17 +45,24 @@ class ClientKeyring:
     def __init__(self, master_key: bytes) -> None:
         if len(master_key) < 16:
             raise ValueError("master key must be at least 16 bytes")
-        self._master = bytes(master_key)
+        #: The master key, pre-keyed once: every derivation below is one
+        #: draw on it.  Like the AES key schedule, it survives
+        #: :meth:`flush_memoized`; it is key material, not a memo.
+        self._master = PRF(master_key)
         self._tag_cipher: DeterministicTagCipher | None = None
         self._ope: OrderPreservingEncryption | None = None
         self._block_cipher: AES128 | None = None
         self._block_ivs: dict[tuple[int, int | None], bytes] = {}
-        self._block_mac_key: bytes | None = None
+        self._block_mac: PRF | None = None
 
     @classmethod
     def from_passphrase(cls, passphrase: str) -> "ClientKeyring":
         """Derive a keyring from a human passphrase (demo convenience)."""
         return cls(derive_key(passphrase.encode("utf-8"), "master"))
+
+    def _derive(self, label: str, *context: str) -> bytes:
+        """``derive_key(master, label, *context)`` on the pre-keyed master."""
+        return self._master(derivation_message(label, *context))
 
     # ------------------------------------------------------------------
     # Ciphers
@@ -78,7 +85,7 @@ class ClientKeyring:
         The one ``"block"`` derivation :attr:`block_cipher` is built
         from.  Never sent anywhere.
         """
-        return derive_key(self._master, "block")[:16]
+        return self._derive("block")[:16]
 
     def block_iv(self, block_id: int, stamp: int | None = None) -> bytes:
         """Per-block CBC IV, memoized per ``(block id, stamp)``.
@@ -89,9 +96,7 @@ class ClientKeyring:
         """
         cached = self._block_ivs.get((block_id, stamp))
         if cached is None:
-            cached = derive_key(
-                self._master, "block-iv", *_context(block_id, stamp)
-            )[:16]
+            cached = self._derive("block-iv", *_context(block_id, stamp))[:16]
             self._block_ivs[block_id, stamp] = cached
         return cached
 
@@ -101,7 +106,9 @@ class ClientKeyring:
         The IVs are pure functions of the master key, so keeping them is
         always *correct* — but ``flush_caches()`` promises a genuinely
         cold warm-path measurement, and a warm IV memo was quietly
-        exempting the HMAC derivations from that promise.
+        exempting the HMAC derivations from that promise.  The pre-keyed
+        master and block-MAC states stay, as the AES key schedule does:
+        a cold read still runs every derivation, on keys set up once.
         """
         self._block_ivs.clear()
         self._block_cipher = None
@@ -111,7 +118,7 @@ class ClientKeyring:
         """The Vernam-style tag cipher shared by index build and translation."""
         if self._tag_cipher is None:
             self._tag_cipher = DeterministicTagCipher(
-                derive_key(self._master, "tags")
+                self._derive("tags")
             )
         return self._tag_cipher
 
@@ -119,7 +126,7 @@ class ClientKeyring:
     def ope(self) -> OrderPreservingEncryption:
         """The order-preserving encryption function used by OPESS."""
         if self._ope is None:
-            self._ope = OrderPreservingEncryption(derive_key(self._master, "ope"))
+            self._ope = OrderPreservingEncryption(self._derive("ope"))
         return self._ope
 
     # ------------------------------------------------------------------
@@ -128,9 +135,7 @@ class ClientKeyring:
     @property
     def block_mac_key(self) -> bytes:
         """MAC key for encryption-block tags.  **Never** given to the server."""
-        if self._block_mac_key is None:
-            self._block_mac_key = derive_key(self._master, "block-mac")
-        return self._block_mac_key
+        return self._derive("block-mac")
 
     def block_tag(self, block_id: int, payload: bytes) -> bytes:
         """Encrypt-then-MAC tag binding a ciphertext payload to its block id.
@@ -139,9 +144,9 @@ class ClientKeyring:
         server's metadata; the server cannot forge a tag for a modified
         (or swapped) payload because it never holds :attr:`block_mac_key`.
         """
-        return hmac_sha256(
-            self.block_mac_key, block_id.to_bytes(8, "big") + payload
-        )
+        if self._block_mac is None:
+            self._block_mac = PRF(self.block_mac_key)
+        return self._block_mac(block_id.to_bytes(8, "big") + payload)
 
     def session_keys(self) -> "tuple[bytes, bytes]":
         """(request, response) MAC keys for the wire envelope.
@@ -152,8 +157,8 @@ class ClientKeyring:
         against the server itself.
         """
         return (
-            derive_key(self._master, "request-mac"),
-            derive_key(self._master, "response-mac"),
+            self._derive("request-mac"),
+            self._derive("response-mac"),
         )
 
     # ------------------------------------------------------------------
@@ -168,7 +173,7 @@ class ClientKeyring:
         one insert that commits as epoch ``stamp``.
         """
         return DeterministicRandom(
-            derive_key(self._master, "dsi-weights", *_context(stamp))
+            self._derive("dsi-weights", *_context(stamp))
         )
 
     def decoy_stream(
@@ -181,13 +186,13 @@ class ClientKeyring:
         block written after hosting.
         """
         return DeterministicRandom(
-            derive_key(self._master, "decoys", *_context(block_id, stamp))
+            self._derive("decoys", *_context(block_id, stamp))
         )
 
     def opess_stream(self, field: str) -> DeterministicRandom:
         """Per-field stream for OPESS splitting weights and scale factors."""
-        return DeterministicRandom(derive_key(self._master, "opess", field))
+        return DeterministicRandom(self._derive("opess", field))
 
     def field_prf(self, field: str) -> PRF:
         """Per-field PRF (used to pick key indices for split chunks)."""
-        return PRF(derive_key(self._master, "field-prf", field))
+        return PRF(self._derive("field-prf", field))

@@ -4,18 +4,24 @@ Encryption blocks (serialized subtrees) are encrypted with AES-128-CBC and a
 deterministic per-block IV derived from the block id — the hosted database
 must be reproducible from the client keyring, and CBC with distinct IVs keeps
 equal plaintext subtrees from producing equal ciphertexts (the same goal the
-paper's decoys serve at the value level, here at the byte level).  CTR mode
-is provided for keystream-style uses.
+paper's decoys serve at the value level, here at the byte level).
 
-The XOR plumbing is word-wise: blocks are combined as 128-bit integers via
-``int.from_bytes`` rather than per-byte generator expressions, and the
-chaining XOR of CBC decryption (plus the keystream XOR of CTR) is applied
-to the whole message in a single big-integer operation — CBC decryption
-and CTR have no sequential data dependency, only CBC *encryption* does.
-That independence is also why decryption batches: :func:`cbc_decrypt_many`
-hands every cipher block of every payload of a response to
-:meth:`AES128.decrypt_blocks` in one call, while each block of an
-encryption needs the previous block's *output* first.
+Both directions batch, and both hand whole batches to the byte-plane
+kernels of :class:`~repro.crypto.aes.AES128`; blocks are combined as big
+integers via ``int.from_bytes`` rather than per-byte loops.
+
+* **Decryption** has no sequential dependency: plaintext block ``k`` is
+  the decryption of cipher block ``k`` XOR cipher block ``k - 1``.
+  :func:`cbc_decrypt_many` hands every cipher block of every payload of a
+  response to :meth:`AES128.decrypt_blocks` in one call and applies the
+  chaining XOR once.
+* **Encryption** of one chain is sequential — block ``k`` needs block
+  ``k - 1``'s *output* — but independent chains are not.
+  :func:`cbc_encrypt_many` advances every chain of a batch in lock-step:
+  step ``k`` encrypts block ``k`` of every chain that long in one
+  :meth:`AES128.encrypt_blocks` call, so hosting's few-block chains run as
+  a handful of wide passes.  A single chain (a write, or one long
+  payload) is a batch of width one and stays on the T-table path.
 """
 
 from __future__ import annotations
@@ -58,19 +64,57 @@ def _xor_bytes(left: bytes, right: bytes) -> bytes:
 
 def cbc_encrypt(cipher: AES128, iv: bytes, plaintext: bytes) -> bytes:
     """CBC-encrypt ``plaintext`` (padded internally with PKCS#7)."""
-    if len(iv) != BLOCK:
-        raise ValueError("IV must be one cipher block")
-    padded = pkcs7_pad(plaintext)
-    counters.add("blocks_encrypted", len(padded) // BLOCK)
-    encrypt_block = cipher.encrypt_block
-    previous = int.from_bytes(iv, "big")
-    out = bytearray()
-    for offset in range(0, len(padded), BLOCK):
-        block = int.from_bytes(padded[offset : offset + BLOCK], "big")
-        encrypted = encrypt_block((block ^ previous).to_bytes(BLOCK, "big"))
-        out += encrypted
-        previous = int.from_bytes(encrypted, "big")
-    return bytes(out)
+    return cbc_encrypt_many(cipher, [(iv, plaintext)])[0]
+
+
+def cbc_encrypt_many(
+    cipher: AES128, items: "Sequence[tuple[bytes, bytes]]"
+) -> list[bytes]:
+    """CBC-encrypt independent ``(iv, plaintext)`` payloads in lock-step.
+
+    Equal to ``[cbc_encrypt(cipher, iv, pt) for iv, pt in items]``.  The
+    chains are ranked longest first, so the chains still running at step
+    ``k`` are always a prefix of the ranking: step ``k`` XORs block ``k``
+    of each of them with that chain's previous cipher block (its IV at
+    step 0) in one big-integer operation, then encrypts them all in one
+    :meth:`AES128.encrypt_blocks` call.  Every IV is validated before any
+    block is encrypted.
+    """
+    for iv, _ in items:
+        if len(iv) != BLOCK:
+            raise ValueError("IV must be one cipher block")
+    padded = [pkcs7_pad(plaintext) for _, plaintext in items]
+    counters.add("blocks_encrypted", sum(map(len, padded)) // BLOCK)
+    ranking = sorted(
+        range(len(padded)), key=lambda index: len(padded[index]), reverse=True
+    )
+    chains = [padded[index] for index in ranking]
+    previous = b"".join([items[index][0] for index in ranking])
+    encrypt_blocks = cipher.encrypt_blocks
+    from_bytes = int.from_bytes
+    steps: list[bytes] = []
+    live = len(chains)
+    for offset in range(0, len(chains[0]) if chains else 0, BLOCK):
+        while len(chains[live - 1]) <= offset:
+            live -= 1
+        end = offset + BLOCK
+        width = BLOCK * live
+        previous = encrypt_blocks((
+            from_bytes(
+                b"".join([chain[offset:end] for chain in chains[:live]]),
+                "little",
+            )
+            ^ from_bytes(previous[:width], "little")
+        ).to_bytes(width, "little"))
+        steps.append(previous)
+    ciphertexts: list[bytes] = [b""] * len(padded)
+    for rank, index in enumerate(ranking):
+        low = BLOCK * rank
+        high = low + BLOCK
+        ciphertexts[index] = b"".join([
+            step[low:high] for step in steps[: len(chains[rank]) // BLOCK]
+        ])
+    return ciphertexts
 
 
 def cbc_decrypt(cipher: AES128, iv: bytes, ciphertext: bytes) -> bytes:
@@ -113,18 +157,3 @@ def cbc_decrypt_many(
         plaintexts.append(pkcs7_unpad(padded[offset:end]))
         offset = end
     return plaintexts
-
-
-def ctr_transform(cipher: AES128, nonce: bytes, data: bytes) -> bytes:
-    """CTR-mode keystream XOR (encryption and decryption are the same op)."""
-    if len(nonce) != 8:
-        raise ValueError("CTR nonce must be 8 bytes")
-    if not data:
-        return b""
-    encrypt_block = cipher.encrypt_block
-    block_count = (len(data) + BLOCK - 1) // BLOCK
-    keystream = b"".join(
-        encrypt_block(nonce + counter.to_bytes(8, "big"))
-        for counter in range(block_count)
-    )
-    return _xor_bytes(data, keystream[: len(data)])

@@ -8,7 +8,6 @@ from repro.crypto.aes import AES128, _build_sbox, _gf_inverse, _gf_multiply
 from repro.crypto.modes import (
     cbc_decrypt,
     cbc_encrypt,
-    ctr_transform,
     pkcs7_pad,
     pkcs7_unpad,
 )
@@ -144,22 +143,3 @@ class TestCBC:
         cipher = AES128(KEY)
         with pytest.raises(ValueError):
             cbc_decrypt(cipher, bytes(16), b"x" * 15)
-
-
-class TestCTR:
-    @given(st.binary(max_size=200))
-    @settings(max_examples=40, deadline=None)
-    def test_involution(self, data):
-        cipher = AES128(KEY)
-        nonce = b"\x07" * 8
-        assert ctr_transform(
-            cipher, nonce, ctr_transform(cipher, nonce, data)
-        ) == data
-
-    def test_nonce_length_enforced(self):
-        with pytest.raises(ValueError):
-            ctr_transform(AES128(KEY), b"bad", b"data")
-
-    def test_length_preserved(self):
-        cipher = AES128(KEY)
-        assert len(ctr_transform(cipher, b"\x00" * 8, b"x" * 33)) == 33

@@ -1,13 +1,14 @@
 """Property tests for the crypto fast paths against their spec twins.
 
 Every fast path must be a pure performance change: the T-table AES and
-the byte-plane batch kernel byte-identical to the from-scratch FIPS-197
-spec implementation on every key and block (the official Appendix C
-vector passing through all of them), the word-wise CBC/CTR rewrites
+the byte-plane batch kernel, in both directions, byte-identical to the
+from-scratch FIPS-197 spec implementation on every key and block (the
+official Appendix C vector passing through all of them), the word-wise CBC
 round-tripping arbitrary payloads including empty and non-block-aligned
-ones, the batched CBC decryption equal to the one-at-a-time form, and the
-C-backed HMAC equal to the from-scratch one — with ``derive_key`` pinned
-by literals, so that hosted bytes can never drift.
+ones, the lock-step CBC encryption equal to a block-by-block spec chain,
+the batched CBC decryption equal to the one-at-a-time form, and the
+C-backed and pre-keyed HMACs equal to the from-scratch one — with
+``derive_key`` pinned by literals, so that hosted bytes can never drift.
 """
 
 import hashlib
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import aes
 from repro.crypto.aes import (
     _PLANE_MIN_BLOCKS,
     AES128,
@@ -29,8 +31,10 @@ from repro.crypto.modes import (
     cbc_decrypt,
     cbc_decrypt_many,
     cbc_encrypt,
-    ctr_transform,
+    cbc_encrypt_many,
+    pkcs7_pad,
 )
+from repro.crypto.prf import PRF
 from repro.perf import counters
 from hmac_spec import hmac_sha256_spec
 
@@ -42,7 +46,6 @@ _FIPS_CIPHER = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
 _keys = st.binary(min_size=16, max_size=16)
 _blocks = st.binary(min_size=16, max_size=16)
 _ivs = st.binary(min_size=16, max_size=16)
-_nonces = st.binary(min_size=8, max_size=8)
 _payloads = st.binary(min_size=0, max_size=200)
 
 
@@ -60,8 +63,23 @@ class ReferenceAES128(AES128):
         return self.decrypt_block_spec(ciphertext)
 
     #: Multi-block calls stay on the spec path at every length: the
-    #: scalar loop goes through :meth:`decrypt_block` above.
+    #: scalar loops go through the block methods above.
+    _encrypt_blocks_planes = AES128._encrypt_blocks_scalar
     _decrypt_blocks_planes = AES128._decrypt_blocks_scalar
+
+
+def _cbc_encrypt_spec(cipher, iv, plaintext):
+    """CBC by the definition: one spec-path block after another."""
+    padded = pkcs7_pad(plaintext)
+    previous = iv
+    out = b""
+    for offset in range(0, len(padded), 16):
+        block = padded[offset : offset + 16]
+        previous = cipher.encrypt_block_spec(
+            bytes(left ^ right for left, right in zip(block, previous))
+        )
+        out += previous
+    return out
 
 
 class TestFastPathEquivalence:
@@ -101,6 +119,63 @@ class TestFastPathEquivalence:
         spec = ReferenceAES128(key)
         assert fast.encrypt_block(block) == spec.encrypt_block(block)
         assert spec.decrypt_block(fast.encrypt_block(block)) == block
+
+
+class TestBytePlaneKernelEncrypt:
+    """``encrypt_blocks``: plane kernel == T-table == FIPS-197 spec."""
+
+    @given(_keys, st.integers(1, 300), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_three_paths_agree(self, key, block_count, random):
+        cipher = AES128(key)
+        data = random.randbytes(16 * block_count)
+        spec = b"".join(
+            cipher.encrypt_block_spec(data[offset : offset + 16])
+            for offset in range(0, len(data), 16)
+        )
+        assert cipher._encrypt_blocks_planes(data) == spec
+        assert cipher._encrypt_blocks_scalar(data) == spec
+        assert cipher.encrypt_blocks(data) == spec
+        assert cipher.decrypt_blocks(spec) == data
+
+    def test_fips_197_appendix_c_through_the_planes(self):
+        cipher = AES128(_FIPS_KEY)
+        assert cipher._encrypt_blocks_planes(_FIPS_PLAIN * 3) == _FIPS_CIPHER * 3
+
+    def test_both_sides_of_the_size_threshold(self, monkeypatch):
+        cipher = AES128(_FIPS_KEY)
+        planes = []
+        kernel = aes._plane_rounds
+        monkeypatch.setattr(
+            aes, "_plane_rounds",
+            lambda data, *rest: planes.append(len(data)) or kernel(data, *rest),
+        )
+        for block_count in (0, 1, _PLANE_MIN_BLOCKS - 1, _PLANE_MIN_BLOCKS):
+            data = (bytes(range(256)) * block_count)[: 16 * block_count]
+            assert cipher.encrypt_blocks(data) == cipher._encrypt_blocks_scalar(data)
+        assert planes == [16 * _PLANE_MIN_BLOCKS]
+
+    def test_partial_block_rejected(self):
+        for cipher in (AES128(_FIPS_KEY), ReferenceAES128(_FIPS_KEY)):
+            with pytest.raises(ValueError):
+                cipher.encrypt_blocks(bytes(17))
+
+    def test_reference_cipher_stays_on_the_spec_path(self, monkeypatch):
+        """Neither the forward plane kernel nor the T-table encryptor is
+        reachable from the oracle, at any batch width."""
+        spec = ReferenceAES128(_FIPS_KEY)
+
+        def forbidden(*_):
+            raise AssertionError("fast path reached from ReferenceAES128")
+
+        monkeypatch.setattr(aes, "_plane_rounds", forbidden)
+        monkeypatch.setattr(AES128, "encrypt_block", forbidden)
+        data = _FIPS_PLAIN * (4 * _PLANE_MIN_BLOCKS)
+        assert spec.encrypt_blocks(data) == _FIPS_CIPHER * (4 * _PLANE_MIN_BLOCKS)
+        items = [(bytes([n]) * 16, bytes(40 * n)) for n in range(2 * _PLANE_MIN_BLOCKS)]
+        assert cbc_encrypt_many(spec, items) == [
+            _cbc_encrypt_spec(spec, iv, plaintext) for iv, plaintext in items
+        ]
 
 
 class TestBytePlaneKernel:
@@ -155,6 +230,69 @@ class TestBytePlaneKernel:
 _batches = st.lists(
     st.tuples(_ivs, st.binary(min_size=0, max_size=400)), min_size=0, max_size=12
 )
+
+
+class TestBatchedCbcEncrypt:
+    """``cbc_encrypt_many`` == a chained ``encrypt_block_spec`` reference."""
+
+    @given(_keys, _batches)
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_spec_chain(self, key, batch):
+        cipher = AES128(key)
+        expected = [_cbc_encrypt_spec(cipher, iv, payload) for iv, payload in batch]
+        assert cbc_encrypt_many(cipher, batch) == expected
+        assert [cbc_encrypt(cipher, iv, payload) for iv, payload in batch] == expected
+
+    def test_ragged_edges(self):
+        cipher = AES128(_FIPS_KEY)
+        iv = bytes(range(16))
+        assert cbc_encrypt_many(cipher, []) == []
+        for batch in (
+            [(iv, b"")],
+            [(iv, b""), (bytes(16), b""), (iv, b"x")],
+            [(iv, bytes(1000))],
+        ):
+            assert cbc_encrypt_many(cipher, batch) == [
+                _cbc_encrypt_spec(cipher, chain_iv, payload)
+                for chain_iv, payload in batch
+            ]
+
+    def test_width_crosses_the_threshold_between_steps(self, monkeypatch):
+        """Step 0 is wide enough for the planes, later steps are not."""
+        cipher = AES128(_FIPS_KEY)
+        widths = []
+        encrypt_blocks = AES128.encrypt_blocks
+        monkeypatch.setattr(
+            AES128, "encrypt_blocks",
+            lambda self, data: widths.append(len(data) // 16)
+            or encrypt_blocks(self, data),
+        )
+        short = [(bytes([n]) * 16, bytes([n]) * n) for n in range(_PLANE_MIN_BLOCKS)]
+        long = [(bytes(16), bytes(100)), (bytes([7]) * 16, bytes(range(90)))]
+        batch = short[:3] + long[:1] + short[3:] + long[1:]
+        assert cbc_encrypt_many(cipher, batch) == [
+            _cbc_encrypt_spec(cipher, iv, payload) for iv, payload in batch
+        ]
+        assert widths == [_PLANE_MIN_BLOCKS + 2] + [2] * 5 + [1]
+
+    def test_blocks_encrypted_counts_the_same(self):
+        cipher = AES128(_FIPS_KEY)
+        batch = [(bytes(16), bytes(size)) for size in (0, 15, 16, 300)]
+        before = counters.snapshot()
+        for iv, payload in batch:
+            cbc_encrypt(cipher, iv, payload)
+        one_at_a_time = counters.delta_since(before)["blocks_encrypted"]
+        before = counters.snapshot()
+        cbc_encrypt_many(cipher, batch)
+        assert counters.delta_since(before)["blocks_encrypted"] == one_at_a_time
+        assert one_at_a_time == 1 + 1 + 2 + 19
+
+    def test_bad_iv_rejected_before_any_cipher_call(self):
+        cipher = AES128(_FIPS_KEY)
+        before = counters.snapshot()
+        with pytest.raises(ValueError):
+            cbc_encrypt_many(cipher, [(bytes(16), bytes(300)), (b"short", b"x")])
+        assert counters.delta_since(before).get("blocks_encrypted", 0) == 0
 
 
 class TestBatchedCbc:
@@ -235,12 +373,14 @@ _RFC_4231 = [
 
 
 class TestHmacPaths:
-    """``hmac_sha256`` (C) == ``hmac_sha256_spec`` (from scratch) == stdlib."""
+    """``hmac_sha256`` (C) == pre-keyed ``PRF`` == ``hmac_sha256_spec``
+    (from scratch) == stdlib."""
 
     @pytest.mark.parametrize("key, message, digest", _RFC_4231)
     def test_rfc_4231_vectors(self, key, message, digest):
         assert hmac_sha256(key, message).hex() == digest
         assert hmac_sha256_spec(key, message).hex() == digest
+        assert PRF(key)(message).hex() == digest
 
     @given(st.binary(max_size=200), st.binary(max_size=300))
     @settings(max_examples=80, deadline=None)
@@ -249,6 +389,15 @@ class TestHmacPaths:
         assert hmac_sha256(key, message) == expected
         assert hmac_sha256_spec(key, message) == expected
         assert hmac_sha256(bytearray(key), bytearray(message)) == expected
+
+    @given(st.binary(max_size=200), st.lists(st.binary(max_size=300), max_size=4))
+    @settings(max_examples=80, deadline=None)
+    def test_pre_keyed_prf_equals_the_spec(self, key, messages):
+        """Keys shorter and longer than SHA-256's block; repeated draws on
+        one instance do not disturb each other."""
+        prf = PRF(key)
+        for message in messages + messages:
+            assert prf(message) == hmac_sha256_spec(key, message)
 
     def test_derive_key_pinned(self):
         """Every hosted byte hangs off these: literals, not a comparison."""
@@ -275,24 +424,12 @@ class TestWordWiseModes:
         cipher = AES128(key)
         assert cbc_decrypt(cipher, iv, cbc_encrypt(cipher, iv, payload)) == payload
 
-    @given(_keys, _nonces, _payloads)
-    @settings(max_examples=60, deadline=None)
-    def test_ctr_round_trip(self, key, nonce, payload):
-        cipher = AES128(key)
-        transformed = ctr_transform(cipher, nonce, payload)
-        assert len(transformed) == len(payload)
-        assert ctr_transform(cipher, nonce, transformed) == payload
-
     def test_cbc_empty_payload(self):
         cipher = AES128(_FIPS_KEY)
         iv = bytes(16)
         ciphertext = cbc_encrypt(cipher, iv, b"")
         assert len(ciphertext) == 16  # one full padding block
         assert cbc_decrypt(cipher, iv, ciphertext) == b""
-
-    def test_ctr_empty_payload(self):
-        cipher = AES128(_FIPS_KEY)
-        assert ctr_transform(cipher, bytes(8), b"") == b""
 
     def test_cbc_non_aligned_payloads(self):
         cipher = AES128(_FIPS_KEY)
@@ -312,6 +449,17 @@ class TestCipherCaches:
         AES128(key).encrypt_block(bytes(16))
         AES128(key).encrypt_block(bytes(16))
         assert counters.key_expansions - before == 1
+
+    def test_flush_keeps_the_keyed_states_and_drops_the_iv_memo(self):
+        keyring = ClientKeyring(b"pinned-master-key-0123456789abcd")
+        iv = keyring.block_iv(17)
+        tag = keyring.block_tag(17, b"payload")
+        master, block_mac = keyring._master, keyring._block_mac
+        keyring.flush_memoized()
+        assert keyring._block_ivs == {}
+        assert keyring._master is master and keyring._block_mac is block_mac
+        assert keyring.block_iv(17) == iv
+        assert keyring.block_tag(17, b"payload") == tag
 
     def test_keyed_cipher_cache_shares_instances(self):
         key = b"shared-cipher-k!"

@@ -13,6 +13,7 @@ import hashlib
 import os
 
 from repro.core.system import SecureXMLSystem
+from repro.workloads.nasa import build_nasa_database, nasa_constraints
 from repro.workloads.xmark import build_xmark_database, xmark_constraints
 from repro.xmldb.serializer import serialize
 
@@ -47,12 +48,117 @@ PINNED_V2 = {
 }
 
 
+#: The server's two indexes and the NASA-20 hosting, taken at the commit
+#: before hosting encrypted its blocks in one lock-step pass.  NASA's
+#: chains are shorter and its scheme binds more endpoint paths per
+#: context than XMark's, so the two documents exercise different shapes.
+PINNED_INDEXES = {
+    "xmark-20": {
+        "value_index": "d7e95dd481c84ce24f046288fd0e62f6f7d10d3cd54b3d1b9b05774e4027b639",
+        "dsi": "abb637b26d7495fe3c03331cfe479fa245986fd74e870f9288c656e25d3d6e64",
+    },
+    "nasa-20": {
+        "blocks": "815b61154c599144c0f16df881b08fa5f96a4791ef77943911153367e8a6f9d5",
+        "block_tags": "3185c527adb6101dd1d2ab7d464db352781a19140bc49635c241c1656f01977f",
+        "state_root": "064a8f9b0c4e2247f73e2d9fe858923991b0a4d5d29933ef93e2c6c979d7e9b5",
+        "hosted_root": "d85e660030bb2f41bf13646a52fbb5e91d3f9ff12d8f55885734d99cc7e3f0d8",
+        "value_index": "a95a605438707dc2c971f39d105d5f322a699ac23cdf265760ef130460c9848e",
+        "dsi": "7b973653963c5e20f78ba6bf2e30f15bf419bd3c3327552aa72d0a729f1873a6",
+        "wire": "2f2e1c744941cc8ef42fdf8dbf8a1832c2a4ac1eeb41b2cc63482b7391e12dd4",
+    },
+}
+
+NASA_QUERIES = [
+    "//dataset/title",
+    "//author/last",
+    "//author[initial='K']/age",
+    "//dataset[distribution/city='Pasadena']//publisher",
+    "//dataset[@subject='photometry']/altname",
+]
+
+
 def _digest_by_id(table):
     digest = hashlib.sha256()
     for block_id in sorted(table):
         digest.update(block_id.to_bytes(8, "big"))
         digest.update(table[block_id])
     return digest.hexdigest()
+
+
+def _value_index_digest(value_index):
+    """Every row of every field's B-tree: token, OPE key, block id."""
+    digest = hashlib.sha256()
+    for token in sorted(value_index.trees):
+        for key, block_id in value_index.trees[token].items():
+            digest.update(f"{token}\t{key}\t{block_id}\n".encode())
+    return digest.hexdigest()
+
+
+def _dsi_digest(structural_index):
+    """Every DSI entry in interval order: tag token, interval, block."""
+    digest = hashlib.sha256()
+    for entry in structural_index.all_entries():
+        interval = entry.interval
+        digest.update(
+            f"{entry.key}\t{interval.low!r}\t{interval.high!r}\t"
+            f"{entry.block_id}\n".encode()
+        )
+    return digest.hexdigest()
+
+
+def _wire_digest(system, queries):
+    wire = hashlib.sha256()
+    for query in queries:
+        request = system.client.seal_request(
+            system.client.translate(query), cache_key=query
+        )
+        wire.update(request)
+        wire.update(system.server.answer_wire(request))
+    return wire.hexdigest()
+
+
+def _clear_knobs(monkeypatch):
+    for name in [name for name in os.environ if name.startswith("REPRO_")]:
+        monkeypatch.delenv(name)
+
+
+def test_xmark_20_index_bytes_unchanged(monkeypatch):
+    _clear_knobs(monkeypatch)
+    system = SecureXMLSystem.host(
+        build_xmark_database(20), xmark_constraints(), scheme="opt"
+    )
+    try:
+        hosted = system.hosted
+        actual = {
+            "value_index": _value_index_digest(hosted.value_index),
+            "dsi": _dsi_digest(hosted.structural_index),
+        }
+    finally:
+        system.close()
+    assert actual == PINNED_INDEXES["xmark-20"]
+
+
+def test_nasa_20_hosting_index_and_wire_bytes_unchanged(monkeypatch):
+    _clear_knobs(monkeypatch)
+    system = SecureXMLSystem.host(
+        build_nasa_database(20), nasa_constraints(), scheme="opt"
+    )
+    try:
+        hosted = system.hosted
+        actual = {
+            "blocks": _digest_by_id(hosted.blocks),
+            "block_tags": _digest_by_id(hosted.block_tags),
+            "state_root": hosted.state_root().hex(),
+            "hosted_root": hashlib.sha256(
+                serialize(hosted.hosted_root).encode("utf-8")
+            ).hexdigest(),
+            "value_index": _value_index_digest(hosted.value_index),
+            "dsi": _dsi_digest(hosted.structural_index),
+            "wire": _wire_digest(system, NASA_QUERIES),
+        }
+    finally:
+        system.close()
+    assert actual == PINNED_INDEXES["nasa-20"]
 
 
 def test_xmark_20_hosting_and_wire_bytes_unchanged(monkeypatch):
