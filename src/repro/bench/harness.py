@@ -27,8 +27,8 @@ class QueryClassResult:
     transfer_bytes: float
     blocks: float
     query_count: int
-    #: perf-counter deltas accumulated while this cell ran (cache
-    #: traffic, blocks decrypted, key expansions — see repro.perf)
+    #: counter deltas accumulated while this cell ran (cache traffic,
+    #: blocks decrypted, key expansions — see repro.obs.metrics.COUNTERS)
     perf: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -77,9 +77,8 @@ def run_query_class(
     protocol), not cross-query amortization.
 
     Counter deltas come from the system's observability context (its
-    :class:`~repro.obs.MetricsRegistry`) rather than from poking the
-    global counter module — the harness sees exactly what the exporters
-    export.
+    :class:`~repro.obs.MetricsRegistry`), so the harness sees exactly
+    what the exporters export.
     """
     metrics = system.observability().metrics
     before = metrics.counter_values()

@@ -24,8 +24,9 @@ Commands:
     many of its claimed matches were right.
 
 ``trace``
-    Run one query and print its nested span tree plus a reconciliation
-    table proving the span totals match the ``QueryTrace`` stage fields.
+    Run one query and print its nested span tree, its stage totals, and
+    a reconciliation table proving the counts on its root span are
+    exactly what it added to the process total.
 
 ``stats``
     Run a query workload and export the observability snapshot —
@@ -215,62 +216,47 @@ def cmd_schemes(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Reconciliation tolerance for ``repro trace`` (issue acceptance: ±1ms).
-_TRACE_TOLERANCE_S = 0.001
-
-#: (span name, QueryTrace attribute) pairs the trace command reconciles.
+#: The Fig. 9 stages ``repro trace`` tabulates.
 _TRACE_STAGES = (
-    ("translate", "translate_client_s"),
-    ("server", "server_s"),
-    ("transfer", "transfer_s"),
-    ("decrypt", "decrypt_client_s"),
-    ("postprocess", "postprocess_client_s"),
-    ("backoff", "backoff_s"),
+    "translate", "server", "transfer", "decrypt", "postprocess", "backoff",
 )
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    from repro.bench.harness import format_table
+
     document, constraints = build_workload(args.workload, args.size, args.seed)
     system = SecureXMLSystem.host(
         document, constraints, scheme=args.scheme,
         master_key=_master_key(args),
         leakage=_leakage(args),
     )
+    metrics = system.observability().metrics
+    before = metrics.counter_values()
     answer = system.query(args.xpath)
-    trace = system.last_trace
-    assert trace is not None
-    root = trace.span
-    if root is None:
-        print("error: no span recorded (observability disabled?)",
-              file=sys.stderr)
-        return 2
+    delta = metrics.counters_delta(before)
+    root = system.last_trace.span
     print(f"answers: {len(answer)}")
     print()
     print(root.render())
     print()
-    rows = []
-    ok = True
-    for span_name, attr in _TRACE_STAGES:
-        span_total = root.total(span_name)
-        trace_value = getattr(trace, attr)
-        delta = abs(span_total - trace_value)
-        if delta > _TRACE_TOLERANCE_S:
-            ok = False
-        rows.append([
-            span_name,
-            f"{span_total * 1000:.3f}",
-            f"{trace_value * 1000:.3f}",
-            f"{delta * 1000:.3f}",
-        ])
-    from repro.bench.harness import format_table
-
     print(format_table(
-        ["stage", "span_ms", "trace_ms", "delta_ms"],
-        rows,
-        "span/trace reconciliation (tolerance 1.000ms)",
+        ["stage", "ms"],
+        [[name, f"{root.total(name) * 1000:.3f}"] for name in _TRACE_STAGES],
+        "stage totals",
     ))
-    if not ok:
-        print("error: span totals disagree with the trace", file=sys.stderr)
+    print()
+    counted = sorted(name for name, value in delta.items() if value)
+    counted += sorted(set(root.counts) - set(counted))
+    print(format_table(
+        ["counter", "root", "process_delta"],
+        [[name, root.counts.get(name, 0), delta.get(name, 0)]
+         for name in counted],
+        "count reconciliation (the root's counts vs the process total)",
+    ))
+    if any(root.counts.get(name, 0) != delta.get(name, 0) for name in counted):
+        print("error: the root's counts disagree with the process total",
+              file=sys.stderr)
         return 1
     return 0
 

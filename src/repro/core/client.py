@@ -14,18 +14,18 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import hmac as _compare
 import re
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.obs import Observability
-
 from repro.core.decoy import DECOY_TAG
 from repro.core.encryptor import HostedDatabase
 from repro.core.epoch_cache import EpochCache
-from repro.core.integrity import TamperedResponseError
+from repro.core.integrity import (
+    IntegrityError,
+    TamperedResponseError,
+    count_failure,
+)
 from repro.core.server import Fragment, ServerResponse
 from repro.core.translate import QueryTranslator, TranslatedQuery
 from repro.crypto.keyring import ClientKeyring
@@ -35,7 +35,7 @@ from repro.netsim.message import (
     decode_response,
     encode_query,
 )
-from repro.perf import counters
+from repro.obs.span import count, span
 from repro.xmldb.node import Attribute, Document, Element, Node
 from repro.xmldb.parser import XMLParseError, parse_fragment
 from repro.xmldb.serializer import BLOCK_CLOSE, BLOCK_OPEN, serialize
@@ -95,11 +95,9 @@ class Client:
         self,
         keyring: ClientKeyring,
         hosted: HostedDatabase,
-        obs: "Observability | None" = None,
     ) -> None:
         self._keyring = keyring
         self._hosted = hosted
-        self._obs = obs
         self._root_tag = hosted.root_tag
         self._secure = hosted.secure
         self._request_key, self._response_key = keyring.session_keys()
@@ -164,11 +162,11 @@ class Client:
         epoch = self._hosted.epoch  # read first: the plan is as of it
         plan = self._plan_cache.live().get(query)
         if plan is None:
-            counters.add("plan_cache_misses")
+            count("plan_cache_misses")
             plan = self._translate_uncached(query)
             self._plan_cache.store(query, plan, epoch)
         else:
-            counters.add("plan_cache_hits")
+            count("plan_cache_hits")
         return plan
 
     def _translator(self) -> QueryTranslator:
@@ -245,17 +243,24 @@ class Client:
         single byte is parsed.  Verified responses are cached by their
         sealed bytes, so the warm repeated-query path costs one dict
         lookup (the server hands back the identical bytes object).
+
+        Here, in :meth:`decrypt_fragments` and in :meth:`assemble` is
+        where the client detects a failure, so that is where it counts.
         """
         cached = self._response_cache.live().get(blob)
         if cached is not None:
             return cached
-        payload, epoch = self._hosted.unseal(
-            self._response_key, blob, error=TamperedResponseError
-        )
         try:
-            response = decode_response(payload)
-        except MessageDecodeError as exc:
-            raise TamperedResponseError(str(exc)) from exc
+            payload, epoch = self._hosted.unseal(
+                self._response_key, blob, error=TamperedResponseError
+            )
+            try:
+                response = decode_response(payload)
+            except MessageDecodeError as exc:
+                raise TamperedResponseError(str(exc)) from exc
+        except IntegrityError as exc:
+            count_failure(exc)
+            raise
         if not response.naive:
             # Naive responses hold the whole database as live fragment
             # objects; pinning one per scheme bloats the heap (and the
@@ -283,7 +288,6 @@ class Client:
             if expected is None or not _compare.compare_digest(
                 self._keyring.block_tag(block_id, payload), expected
             ):
-                counters.add("integrity_failures")
                 raise TamperedResponseError(
                     f"block {block_id} failed integrity verification"
                 )
@@ -345,10 +349,10 @@ class Client:
         parsed = self._sight(treeless, cache) if treeless else {}
         hits = len(xmls) - len(parsed)
         if hits:
-            counters.add("tree_cache_hits", hits)
+            count("tree_cache_hits", hits)
         if not parsed:
             return [cache[xml][0].clone() for xml in xmls]
-        counters.add("tree_cache_misses", len(parsed))
+        count("tree_cache_misses", len(parsed))
         trees = []
         for xml in xmls:
             tree = parsed.pop(xml, None)  # its first occurrence takes it
@@ -361,9 +365,9 @@ class Client:
         """Parse the texts that have no tree: a first sight into the tree
         returned for it, a second into the pristine tree ``cache`` keeps.
 
-        Runs only when some text lacks a tree, so the span and histogram
-        sit here: on a warm hit (one dict lookup) they would cost more
-        than the work they measure — the obs overhead benchmark gates this.
+        Runs only when some text lacks a tree, so the span sits here: on
+        a warm hit (one dict lookup) it would cost more than the work it
+        measures.
         """
         shipped = Counter(treeless)
         first = [xml for xml in shipped if xml not in cache]
@@ -371,14 +375,12 @@ class Client:
         second = [
             xml for xml, times in shipped.items() if xml in cache or times > 1
         ]
-        obs = self._obs
-        if obs is None or not obs.enabled:
-            return self._parse_sights(first, second, cache)
-        with obs.tracer.span("decrypt_batch") as span:
-            span.annotate(first=len(first), second=len(second))
-            parsed = self._parse_sights(first, second, cache)
-        obs.metrics.observe("chunk_decrypt_seconds", span.finish())
-        return parsed
+        with span("decrypt_batch", first=len(first), second=len(second)):
+            try:
+                return self._parse_sights(first, second, cache)
+            except IntegrityError as exc:
+                count_failure(exc)
+                raise
 
     def _parse_sights(
         self, first: "list[str]", second: "list[str]", cache: "dict[str, tuple]"
@@ -456,9 +458,9 @@ class Client:
 
         hits = len(occurrences) - len(wanted)
         if hits:
-            counters.add("block_cache_hits", hits)
+            count("block_cache_hits", hits)
         if wanted:
-            counters.add("block_cache_misses", len(wanted))
+            count("block_cache_misses", len(wanted))
             cache.update(zip(wanted, self._decrypt_blocks(stamped)))
         plaintexts = [cache[block_id] for block_id, _ in occurrences]
 
@@ -560,9 +562,11 @@ class Client:
             if current is None:
                 # One document has one root: the server shipped paths
                 # that cannot all be true.
-                raise TamperedResponseError(
+                failure = TamperedResponseError(
                     "fragments disagree on the document root"
                 )
+                count_failure(failure)
+                raise failure
             for tag, ancestor_id in path[1:]:
                 node = skeleton.get(ancestor_id)
                 if node is None:

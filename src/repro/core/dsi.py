@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from repro.crypto.prf import DeterministicRandom
+from repro.obs.span import count
 from repro.xmldb.node import Document, Element, Node
 
 #: Intervals thinner than this lose float resolution for strict-containment
@@ -180,18 +181,16 @@ class StructuralIndex:
         tag, built on first use and dropped when that tag's entry list is
         edited (see :meth:`invalidate_caches`).
         """
-        from repro.perf import counters
-
         cached = self._lows_by_key.get(key)
         if cached is not None:
-            counters.add("interval_cache_hits")
+            count("interval_cache_hits")
             return cached
         with self._lows_lock:
             cached = self._lows_by_key.get(key)
             if cached is not None:
-                counters.add("interval_cache_hits")
+                count("interval_cache_hits")
                 return cached
-            counters.add("interval_cache_misses")
+            count("interval_cache_misses")
             lows = sorted(
                 entry.interval.low for entry in self.table.get(key, [])
             )

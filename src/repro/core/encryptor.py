@@ -34,6 +34,7 @@ from repro.core.opess import FieldPlan, ValueIndex, build_field_plan, build_valu
 from repro.core.scheme import EncryptionScheme
 from repro.crypto.keyring import ClientKeyring
 from repro.crypto.modes import cbc_encrypt_many
+from repro.obs.span import count
 from repro.xmldb.node import (
     Attribute,
     Document,
@@ -227,11 +228,9 @@ class HostedDatabase:
         caches (plans, fragments, decrypted blocks) sweep lazily on their
         next epoch check.
         """
-        from repro.perf import counters
-
         with self.anchor_lock:
             self.epoch += 1
-        counters.add("epoch_invalidations")
+        count("epoch_invalidations")
 
     def allocate_hosted_id(self) -> int:
         """Next fresh hosted node id (advances the high-water mark)."""

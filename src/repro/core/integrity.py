@@ -48,6 +48,7 @@ import hashlib
 import hmac as _compare
 
 from repro.crypto.hmac import hmac_sha256
+from repro.obs.span import count
 
 #: Envelope magic: "repro xml integrity, layout 1".
 MAGIC = b"rxi1"
@@ -109,6 +110,16 @@ class RollbackDetectedError(FreshnessError):
 class StaleStateError(FreshnessError):
     """The envelope's authenticated state diverges from the verifier's
     (future epoch, or a Merkle root that does not match this epoch)."""
+
+
+def count_failure(exc: IntegrityError) -> None:
+    """Count one detected failure on the open span — once, by whoever
+    detected it (or first saw a refusal the server detected)."""
+    count("integrity_failures")
+    if isinstance(exc, FreshnessError):
+        count("freshness_failures")
+        if isinstance(exc, RollbackDetectedError):
+            count("rollback_detected")
 
 
 def seal(key: bytes, payload: bytes) -> bytes:

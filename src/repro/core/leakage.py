@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from repro.crypto.prf import DeterministicRandom
-from repro.perf import counters
+from repro.obs.span import count
 
 #: Environment knob read by :meth:`LeakageContext.coerce` when the
 #: hosting call leaves ``leakage=None``, so CI matrices can flip the
@@ -175,7 +175,7 @@ class TraceRecorder:
         trace = ObservedTrace(blocks=tuple(blocks))
         with self._lock:
             self._traces.append(trace)
-        counters.add("leakage_traces_recorded")
+        count("leakage_traces_recorded")
         return trace
 
     def traces(self) -> list[ObservedTrace]:
@@ -297,13 +297,13 @@ class LeakageContext:
                 # Shuffle the issue order so trace position does not
                 # reveal which fetches were real.
                 rng.shuffle(plan)
-        counters.add("leakage_real_fetches", len(real_ids))
-        counters.add("leakage_real_bytes", real_bytes)
+        count("leakage_real_fetches", len(real_ids))
+        count("leakage_real_bytes", real_bytes)
         if decoy_count:
-            counters.add("leakage_decoy_fetches", decoy_count)
+            count("leakage_decoy_fetches", decoy_count)
         if pad_count:
-            counters.add("leakage_pad_fetches", pad_count)
+            count("leakage_pad_fetches", pad_count)
         if extra_bytes:
-            counters.add("leakage_extra_bytes", extra_bytes)
+            count("leakage_extra_bytes", extra_bytes)
         self.recorder.record(plan)
         return len(plan)

@@ -15,7 +15,6 @@ document and re-evaluate the original query exactly.
 from __future__ import annotations
 
 import threading
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from typing import TYPE_CHECKING
@@ -36,7 +35,7 @@ from repro.netsim.message import (
     decode_query,
     encode_response,
 )
-from repro.perf import counters
+from repro.obs.span import count, span
 from repro.xmldb.node import (
     Attribute,
     Element,
@@ -93,10 +92,11 @@ class Server:
         self,
         hosted: HostedDatabase,
         session_keys: "tuple[bytes, bytes] | None" = None,
-        obs: "Observability | None" = None,
     ) -> None:
         self._hosted = hosted
-        self._obs = obs
+        #: Where the leakage histogram goes (set by the owning system):
+        #: a served evaluation has no query root to read it off.
+        self._obs: "Observability | None" = None
         self._hosted_root = hosted.hosted_root
         self._structure: StructuralIndex = hosted.structural_index
         self._values: ValueIndex = hosted.value_index
@@ -194,28 +194,21 @@ class Server:
             self._leakage_universe(),
             self._hosted.blocks.get,
         )
-        if self._obs is not None and self._obs.enabled:
+        if self._obs is not None:
             self._obs.metrics.observe("leakage_fetch_blocks", float(total))
 
-    def _span(self, name: str):
-        """Span for one server stage, under the caller's ambient span.
-
-        The system opens a ``server`` span around every call into this
-        class, so these children break its time into join vs.
-        serialization.  No-op without an enabled observability context.
-        """
-        if self._obs is None or not self._obs.enabled:
-            return nullcontext()
-        return self._obs.tracer.span(name)
-
     def _match(self, query: TranslatedQuery) -> MatchResult:
-        """Structural join over the DSI index table."""
-        with self._span("server.join"):
+        """Structural join over the DSI index table.
+
+        Its span and the serializer's break the caller's ``server`` span
+        into join vs. serialization.
+        """
+        with span("server.join"):
             return match_pattern(query, self._structure, self._values)
 
     def _make_fragments(self, roots: list[Node]) -> list[Fragment]:
         """Serialize the shipped subtrees, in document order."""
-        with self._span("server.serialize"):
+        with span("server.serialize"):
             with self._cache_lock:
                 cache = self._fragment_cache.live()
                 cached = [cache.get(node.node_id) for node in roots]
@@ -226,10 +219,10 @@ class Server:
             }
             hits = len(roots) - len(built)
             if hits:
-                counters.add("fragment_cache_hits", hits)
+                count("fragment_cache_hits", hits)
             if not built:
                 return cached
-            counters.add("fragment_cache_misses", len(built))
+            count("fragment_cache_misses", len(built))
             with self._cache_lock:
                 cache.update(built)
             return [

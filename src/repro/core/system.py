@@ -14,17 +14,14 @@ from __future__ import annotations
 
 import random
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dataclass_field
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from repro.core.client import Client, QueryAnswer
 from repro.core.constraints import SecurityConstraint
 from repro.core.encryptor import HostedDatabase, host_database
-from repro.core.integrity import (
-    FreshnessError,
-    IntegrityError,
-    RollbackDetectedError,
-)
+from repro.core.integrity import FreshnessError, IntegrityError, count_failure
 from repro.core.leakage import LeakageContext
 from repro.core.scheme import EncryptionScheme, build_scheme
 from repro.core.server import Server, ServerResponse
@@ -33,7 +30,7 @@ from repro.crypto.keyring import ClientKeyring
 from repro.netsim.channel import Channel
 from repro.netsim.faults import TransferDropped
 from repro.obs import Observability, Span
-from repro.perf import counters
+from repro.obs.span import activate, count, span
 from repro.xmldb.node import Document
 
 _DEFAULT_MASTER_KEY = b"repro-demo-master-key-0123456789"
@@ -80,39 +77,36 @@ class RetryPolicy:
         return delay * (1.0 - self.jitter * rng.random())
 
 
+#: The Fig. 9 stages a query's wall time is the sum of.
+_STAGES = ("translate", "server", "transfer", "decrypt", "postprocess", "backoff")
+
+
+def _stage_seconds(name: str) -> property:
+    return property(lambda trace: trace.span.total(name))
+
+
+def _counted(name: str) -> property:
+    return property(lambda trace: trace.span.counts.get(name, 0))
+
+
 @dataclass
 class QueryTrace:
     """Per-stage cost breakdown for one query (the Fig. 9 quantities).
 
-    Since the observability layer landed, the scalar timing fields here
-    are a *compatibility view*: each is assigned from the duration of the
-    correspondingly named span in :attr:`span` (``translate``, ``server``,
-    ``transfer``, ``decrypt``, ``postprocess``, ``backoff``), so
-    ``span.total(name)`` and the matching field always reconcile — one
-    measurement, two presentations.
+    Stage timings and fault counts are read off :attr:`span`, the query's
+    root: ``server_s`` is ``span.total("server")``, ``integrity_failures``
+    is ``span.counts["integrity_failures"]`` — one record, so the two
+    cannot disagree.  The other fields are what the exchange returned.
     """
 
     query: str
     naive: bool = False
-    translate_client_s: float = 0.0
-    server_s: float = 0.0
     transfer_bytes: int = 0
-    transfer_s: float = 0.0
-    decrypt_client_s: float = 0.0
-    postprocess_client_s: float = 0.0
     blocks_returned: int = 0
     fragments_returned: int = 0
     answer_count: int = 0
     candidate_counts: dict[str, int] = dataclass_field(default_factory=dict)
-    # --- fault handling (untrusted-server hardening) ---
     attempts: int = 0
-    retries: int = 0
-    integrity_failures: int = 0
-    #: Subset of ``integrity_failures`` that were freshness violations
-    #: (rolled-back or stale state rather than byte tampering).
-    freshness_failures: int = 0
-    drops: int = 0
-    backoff_s: float = 0.0
     # --- query planning (axis engine) ---
     #: Plan tier that served the query: ``"axis"`` (the pattern
     #: lowering), ``"residual"`` (typed document-root plan), or
@@ -122,26 +116,40 @@ class QueryTrace:
     #: translator ``UnsupportedQuery``) message.  ``None`` while the axis
     #: plan serves.
     fallback_reason: "str | None" = None
-    #: Root of the query's span tree (None when tracing is disabled).
-    #: Excluded from comparisons and reprs: two traces of the same
-    #: exchange stay equal.
-    span: "Span | None" = dataclass_field(
-        default=None, repr=False, compare=False
+    #: Root of the query's span tree.  Excluded from comparisons and
+    #: reprs: two traces of the same exchange stay equal.
+    span: Span = dataclass_field(
+        default_factory=lambda: Span("query"), repr=False, compare=False
     )
 
+    translate_client_s = _stage_seconds("translate")
+    server_s = _stage_seconds("server")
+    #: Modelled wire time of the transfers that arrived.
+    transfer_s = _stage_seconds("transfer")
+    decrypt_client_s = _stage_seconds("decrypt")
+    postprocess_client_s = _stage_seconds("postprocess")
+    #: Modelled backoff before the retries.
+    backoff_s = _stage_seconds("backoff")
+    retries = _counted("query_retries")
+    integrity_failures = _counted("integrity_failures")
+    #: Subset of ``integrity_failures`` that were freshness violations
+    #: (rolled-back or stale state rather than byte tampering).
+    freshness_failures = _counted("freshness_failures")
+
     @property
-    def client_s(self) -> float:
-        """Total client-side time (translate + decrypt + post-process)."""
-        return (
-            self.translate_client_s
-            + self.decrypt_client_s
-            + self.postprocess_client_s
+    def drops(self) -> int:
+        """Attempts lost to a dropped transfer."""
+        return sum(
+            1
+            for attempt in self.span.iter()
+            if attempt.name == "attempt"
+            and attempt.annotations.get("error") == "TransferDropped"
         )
 
     @property
     def total_s(self) -> float:
         """End-to-end query time including modelled wire + backoff time."""
-        return self.client_s + self.server_s + self.transfer_s + self.backoff_s
+        return self.span.total(*_STAGES)
 
     def as_row(self) -> dict[str, object]:
         """Flat dict for benchmark tables."""
@@ -191,7 +199,7 @@ class SecureXMLSystem:
         hosting_trace: HostingTrace,
         keyring: ClientKeyring,
         retry_policy: RetryPolicy | None = None,
-        observability: "Observability | bool | None" = None,
+        observability: Observability | None = None,
         leakage: "object | None" = None,
     ) -> None:
         self.client = client
@@ -220,20 +228,17 @@ class SecureXMLSystem:
         self.retry_policy = retry_policy or RetryPolicy()
         self._backoff_rng = random.Random(self.retry_policy.seed)
         self._keyring = keyring
-        # One observability context threads through every layer: the
-        # system owns it and wires it into its collaborators, so spans
-        # opened deep in the client/server/channel nest under the query
-        # span regardless of which layer opened them.
+        # Finished query roots are recorded here; spans and counts need
+        # no handle (they land on the thread's open span).  The servers
+        # hold it for the leakage histogram, recorded with no root open.
         self._obs = Observability.coerce(observability)
-        client._obs = self._obs
         # Access-pattern leakage tier (see repro.core.leakage): one
         # context shared by every replica, so the attacker harness and
         # the countermeasures see one policy and one recorder.  ``None``
         # (with REPRO_LEAKAGE unset) leaves every path exactly as before.
         self.leakage = LeakageContext.coerce(leakage)
-        for replica_server, replica_channel in self._replicas:
+        for replica_server, _channel in self._replicas:
             replica_server._obs = self._obs
-            replica_channel.obs = self._obs
             if self.leakage is not None:
                 replica_server.attach_leakage(self.leakage)
 
@@ -250,7 +255,7 @@ class SecureXMLSystem:
         channel: "Channel | Sequence[Channel] | None" = None,
         secure: bool = True,
         retry_policy: RetryPolicy | None = None,
-        observability: "Observability | bool | None" = None,
+        observability: Observability | None = None,
         leakage: "object | None" = None,
     ) -> "SecureXMLSystem":
         """Encrypt ``document`` under the given scheme and stand up a system.
@@ -262,11 +267,9 @@ class SecureXMLSystem:
         the attack demonstrations only.  Every query cache is always on;
         :meth:`flush_caches` is how a measurement gets a cold system.
 
-        ``observability`` wires the tracing/metrics/slow-log context (see
-        :class:`~repro.obs.Observability.coerce`): ``None``/``True``
-        builds an enabled context, ``False`` a disabled one (spans are
-        still timed — the trace fields depend on them — but nothing is
-        linked, logged or exported), and an existing instance is shared.
+        ``observability`` is the metrics/slow-log context finished
+        queries are recorded into: ``None`` builds one, an existing
+        :class:`~repro.obs.Observability` is shared.
 
         ``channel`` is the modelled wire to the server — or a sequence
         of them, one per *replica* of the server: the retry loop rotates
@@ -321,7 +324,7 @@ class SecureXMLSystem:
         )
 
     def observability(self) -> Observability:
-        """The system's observability context (tracer, metrics, slow log)."""
+        """The system's observability context (metrics, slow log)."""
         return self._obs
 
     def flush_caches(self) -> None:
@@ -369,75 +372,102 @@ class SecureXMLSystem:
         wrong answer.
 
         Opens the query's root span and keeps it ambient for the whole
-        run, so every stage span — including those opened by the client,
-        server and channel — nests under it.  The root is finished (and
-        the query folded into the metrics/slow log) by :meth:`_finish`;
-        a query that fails outright is finished and recorded here,
-        annotated ``failed``.
+        run, so every stage span and every count — including those of
+        the client, server, channel and crypto layers — lands under it
+        (see :meth:`_root`).
         """
-        trace = QueryTrace(query=xpath)
-        tracer = self._obs.tracer
-        root = tracer.begin("query", query=xpath)
-        if tracer.enabled:
-            trace.span = root
-        with tracer.activate(root):
-            try:
-                return self._run_query_attempts(xpath, trace)
-            except QueryFailedError:
-                root.annotate(failed=True)
-                root.finish()
-                self._obs.record_query(trace, trace.span, failed=True)
-                raise
-
-    def _run_query_attempts(
-        self, xpath: str, trace: QueryTrace
-    ) -> QueryAnswer:
-        policy = self.retry_policy
-        tracer = self._obs.tracer
-        started_wall = time.perf_counter()
-
-        last_error: Exception | None = None
-        replica = 0
-        for attempt in range(policy.max_attempts):
-            # Every attempt seals a plan made under the epoch it runs at:
-            # the commit that failed the last one re-planned a field.  A
-            # plan-cache hit — one dict lookup — when no commit landed.
-            translated = self._translate(xpath, trace)
-            replica = self._pre_attempt(attempt, trace, started_wall, policy)
-            attempt_span: Span | None = None
-            try:
-                with tracer.span(
-                    "attempt", number=trace.attempts, replica=replica
-                ) as attempt_span:
-                    with tracer.span("seal"):
-                        request = self.client.seal_request(
+        with self._root(xpath) as trace:
+            policy = self.retry_policy
+            started_wall = time.perf_counter()
+            last_error: Exception | None = None
+            replica = 0
+            for attempt in range(policy.max_attempts):
+                # Every attempt seals a plan made under the epoch it runs
+                # at: the commit that failed the last one re-planned a
+                # field.  A plan-cache hit — one dict lookup — when no
+                # commit landed.
+                translated = self._translate(xpath, trace)
+                replica = self._pre_attempt(
+                    attempt, trace, started_wall, policy
+                )
+                try:
+                    return self._attempt(
+                        xpath, trace, replica,
+                        lambda: self.client.seal_request(
                             translated, cache_key=xpath
-                        )
-                    server, channel = self._replicas[replica]
-                    response = self._exchange(
-                        channel, request, server.answer_wire, trace
+                        ),
+                        self._replicas[replica][0].answer_wire,
                     )
-                    trace.candidate_counts = response.candidate_counts
+                except _RETRYABLE as exc:
+                    last_error = self._record_failure(exc, replica)
+            count("queries_failed")
+            raise QueryFailedError(
+                f"query failed after {trace.attempts} attempts "
+                f"({self._failure_detail(trace, last_error, replica)}): "
+                f"{last_error}"
+            ) from last_error
+
+    @contextmanager
+    def _root(self, xpath: str, **annotations: object) -> Iterator[QueryTrace]:
+        """The query's trace, its root span ambient for the block.
+
+        The root finishes — folding its counts into the process total —
+        on every exit path.  An answered query becomes ``last_trace``; it
+        and one that ran out of attempts (annotated ``failed``) are
+        recorded into the observability context.
+        """
+        trace = QueryTrace(
+            query=xpath, span=span("query", query=xpath, **annotations)
+        )
+        root = trace.span
+        try:
+            with activate(root):
+                yield trace
+        except QueryFailedError:
+            root.annotate(failed=True)
+            root.finish()
+            self._obs.record_query(trace, failed=True)
+            raise
+        finally:
+            root.finish()
+        root.annotate(answers=trace.answer_count)
+        self.last_trace = trace
+        self._obs.record_query(trace)
+
+    def _attempt(
+        self,
+        xpath: str,
+        trace: QueryTrace,
+        replica: int,
+        seal: Callable[[], bytes],
+        serve: Callable[[bytes], bytes],
+    ) -> QueryAnswer:
+        """One sealed exchange with one replica, then the finish: a
+        concurrent write or a lying server can fail either.
+
+        A failure marks the ``attempt`` span with its error type.
+        """
+        channel = self._replicas[replica][1]
+        with span(
+            "attempt", number=trace.attempts, replica=replica
+        ) as attempt:
+            try:
+                with span("seal"):
+                    request = seal()
+                response = self._exchange(channel, request, serve)
+                trace.candidate_counts = response.candidate_counts
                 return self._finish(xpath, response, trace)
             except _RETRYABLE as exc:
-                last_error = self._record_failure(exc, trace, replica)
-                if attempt_span is not None:
-                    attempt_span.annotate(error=type(exc).__name__)
-        counters.add("queries_failed")
-        raise QueryFailedError(
-            f"query failed after {trace.attempts} attempts "
-            f"({self._failure_detail(trace, last_error, replica)}): "
-            f"{last_error}"
-        ) from last_error
+                attempt.annotate(error=type(exc).__name__)
+                raise
 
     # ------------------------------------------------------------------
     # Retry machinery
     # ------------------------------------------------------------------
     def _translate(self, xpath: str, trace: QueryTrace) -> TranslatedQuery:
         """The plan for one attempt (every parseable query has one)."""
-        with self._obs.tracer.span("translate") as span:
+        with span("translate"):
             translated = self.client.translate(xpath)
-        trace.translate_client_s += span.finish()
         trace.plan = translated.plan_kind
         trace.fallback_reason = translated.plan_reason
         return translated
@@ -458,23 +488,18 @@ class SecureXMLSystem:
         replicas still in the rotation.
         """
         if attempt > 0:
-            delay = policy.backoff_for(attempt - 1, self._backoff_rng)
-            trace.backoff_s += delay
-            counters.add("query_retries")
-            trace.retries += 1
-            if self._obs.enabled:
-                # Backoff is modelled, not slept — the span carries the
-                # modelled delay so totals reconcile with ``backoff_s``.
-                span = self._obs.tracer.begin("backoff", retry=trace.retries)
-                span.set_duration(delay)
-                self._obs.metrics.observe("retry_backoff_seconds", delay)
+            count("query_retries")
+            # Modelled, not slept: the span carries the delay.
+            span("backoff", retry=attempt).set_duration(
+                policy.backoff_for(attempt - 1, self._backoff_rng)
+            )
         elapsed = (
             time.perf_counter() - started_wall
             + trace.backoff_s
             + trace.transfer_s
         )
         if elapsed > policy.deadline_s:
-            counters.add("queries_failed")
+            count("queries_failed")
             raise QueryFailedError(
                 f"query deadline of {policy.deadline_s}s exceeded after "
                 f"{trace.attempts} attempts"
@@ -484,20 +509,11 @@ class SecureXMLSystem:
         trace.attempts += 1
         return replica
 
-    def _record_failure(
-        self, exc: Exception, trace: QueryTrace, replica: int
-    ) -> Exception:
-        if isinstance(exc, IntegrityError):
-            counters.add("integrity_failures")
-            trace.integrity_failures += 1
-            if isinstance(exc, FreshnessError):
-                counters.add("freshness_failures")
-                trace.freshness_failures += 1
-                if isinstance(exc, RollbackDetectedError):
-                    counters.add("rollback_detected")
-                self._demote(replica, exc)
-        else:
-            trace.drops += 1
+    def _record_failure(self, exc: Exception, replica: int) -> Exception:
+        """Bench a replica caught serving stale state (the failure itself
+        was counted where it was detected)."""
+        if isinstance(exc, FreshnessError):
+            self._demote(replica, exc)
         return exc
 
     def _demote(self, replica: int, exc: FreshnessError) -> None:
@@ -514,11 +530,8 @@ class SecureXMLSystem:
         if replica not in active or len(active) < 2:
             return
         self._active = [index for index in active if index != replica]
-        counters.add("replica_demotions")
-        if self._obs.enabled:
-            self._obs.metrics.observe(
-                "replica_epoch_lag", float(exc.epoch_lag)
-            )
+        count("replica_demotions")
+        self._obs.metrics.observe("replica_epoch_lag", float(exc.epoch_lag))
 
     def _readmit_demoted(self) -> None:
         """Resync benched replicas off a verified-fresh answer.
@@ -534,7 +547,7 @@ class SecureXMLSystem:
             resync = getattr(channel, "resync", None)
             if resync is not None:
                 resync()
-            counters.add("replica_resyncs")
+            count("replica_resyncs")
         self._active = list(range(len(self._replicas)))
 
     def _failure_detail(
@@ -668,60 +681,44 @@ class SecureXMLSystem:
         rotation, failing over off one that drops, tampers or serves
         stale state; the last replica's error is raised as it is.
         """
-        trace = QueryTrace(query=xpath)
-        tracer = self._obs.tracer
-        root = tracer.begin("query", query=xpath, naive=True)
-        if tracer.enabled:
-            trace.span = root
-        with tracer.activate(root):
+        with self._root(xpath, naive=True) as trace:
+            trace.naive = True
+            trace.plan = "naive"
             last_error: Exception | None = None
             for replica in list(self._active):
                 trace.attempts += 1
                 try:
-                    return self._finish_naive(xpath, trace, replica)
+                    return self._attempt(
+                        xpath, trace, replica,
+                        lambda: self.client.seal_naive_request(xpath),
+                        self._replicas[replica][0].ship_all_wire,
+                    )
                 except _RETRYABLE as exc:
-                    last_error = self._record_failure(exc, trace, replica)
+                    last_error = self._record_failure(exc, replica)
             assert last_error is not None
             raise last_error
 
-    def _finish_naive(
-        self, xpath: str, trace: QueryTrace, replica: int
-    ) -> QueryAnswer:
-        trace.naive = True
-        trace.plan = "naive"
-        with self._obs.tracer.span("seal"):
-            request = self.client.seal_naive_request(xpath)
-        server, channel = self._replicas[replica]
-        response = self._exchange(
-            channel, request, server.ship_all_wire, trace
-        )
-        return self._finish(xpath, response, trace)
-
     def _exchange(
-        self, channel: Channel, request: bytes, serve, trace: QueryTrace
+        self, channel: Channel, request: bytes, serve
     ) -> ServerResponse:
         """One sealed request/response round trip with one replica.
 
         ``serve`` is that replica's wire entry point for the request
         kind (``answer_wire`` or ``ship_all_wire``): sealed bytes in,
-        sealed bytes out.  A response that verifies is fresh by
-        construction, which is what lets benched replicas resync off it.
+        sealed bytes out.  A refusal it raises was detected by the
+        server and is counted here, where it reaches us.  A response
+        that verifies is fresh by construction, which is what lets
+        benched replicas resync off it.
         """
-        tracer = self._obs.tracer
-        request, seconds = channel.transfer(
-            "client->server", "query", request
-        )
-        trace.transfer_s += seconds
-
-        with tracer.span("server") as span:
-            sealed = serve(request)
-        trace.server_s += span.finish()
-
-        sealed, seconds = channel.transfer(
-            "server->client", "answer", sealed
-        )
-        trace.transfer_s += seconds
-        with tracer.span("verify"):
+        request, _ = channel.transfer("client->server", "query", request)
+        with span("server"):
+            try:
+                sealed = serve(request)
+            except IntegrityError as exc:
+                count_failure(exc)
+                raise
+        sealed, _ = channel.transfer("server->client", "answer", sealed)
+        with span("verify"):
             response = self.client.open_response(sealed)
         if len(self._active) < len(self._replicas):
             self._readmit_demoted()
@@ -734,26 +731,14 @@ class SecureXMLSystem:
         trace.blocks_returned = response.blocks_shipped
         trace.fragments_returned = len(response.fragments)
         trace.transfer_bytes = response.size_bytes()
-
-        tracer = self._obs.tracer
-        with tracer.span("decrypt") as span:
+        with span("decrypt"):
             decrypted = self.client.decrypt_fragments(response)
-        trace.decrypt_client_s = span.finish()
-
-        with tracer.span("postprocess") as span:
-            with tracer.span("assemble"):
+        with span("postprocess"):
+            with span("assemble"):
                 pruned = self.client.assemble(decrypted)
-            with tracer.span("evaluate"):
+            with span("evaluate"):
                 answer = self.client.post_process(xpath, pruned)
-        trace.postprocess_client_s = span.finish()
-
         trace.answer_count = len(answer)
-        root = trace.span
-        if root is not None:
-            root.annotate(answers=trace.answer_count)
-            root.finish()
-        self.last_trace = trace
-        self._obs.record_query(trace, root)
         return answer
 
 

@@ -47,7 +47,7 @@ from __future__ import annotations
 from functools import lru_cache
 from struct import Struct
 
-from repro.perf import counters
+from repro.obs.span import count
 
 _FOUR_WORDS = Struct(">IIII")
 
@@ -297,7 +297,7 @@ def _expand_key_cached(
       keys in reverse order with InvMixColumns applied to the nine inner
       ones, for the D-table decryptor.
     """
-    counters.add("key_expansions")
+    count("key_expansions")
     words = [list(key[i : i + 4]) for i in range(0, 16, 4)]
     for i in range(4, 44):
         word = list(words[i - 1])

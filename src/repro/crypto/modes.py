@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.crypto.aes import AES128
-from repro.perf import counters
+from repro.obs.span import count
 
 BLOCK = AES128.BLOCK_SIZE
 
@@ -84,7 +84,7 @@ def cbc_encrypt_many(
         if len(iv) != BLOCK:
             raise ValueError("IV must be one cipher block")
     padded = [pkcs7_pad(plaintext) for _, plaintext in items]
-    counters.add("blocks_encrypted", sum(map(len, padded)) // BLOCK)
+    count("blocks_encrypted", sum(map(len, padded)) // BLOCK)
     ranking = sorted(
         range(len(padded)), key=lambda index: len(padded[index]), reverse=True
     )
@@ -142,7 +142,7 @@ def cbc_decrypt_many(
                 "ciphertext length must be a multiple of the block size"
             )
     joined = b"".join(ciphertext for _, ciphertext in items)
-    counters.add("blocks_decrypted", len(joined) // BLOCK)
+    count("blocks_decrypted", len(joined) // BLOCK)
     # Each plaintext block is decrypted-block XOR previous ciphertext
     # block (IV for the first block of a payload) — independent per
     # block, so one whole-batch XOR replaces the chaining loop.

@@ -16,10 +16,8 @@ still letting the harness explore slower links.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.obs import Observability
+from repro.obs.span import current, span
 
 #: The two documented transfer directions; anything else is a caller bug.
 DIRECTIONS = ("client->server", "server->client")
@@ -42,12 +40,6 @@ class Channel:
     bandwidth_bits_per_second: float = 100_000_000.0  # the paper's 100 Mbps
     latency_seconds: float = 0.0002
     transfers: list[TransferRecord] = field(default_factory=list)
-    #: Observability context (set by the owning system).  Each completed
-    #: :meth:`transfer` emits a ``transfer`` span carrying the *modelled*
-    #: seconds (``set_duration`` — nothing here sleeps) under whatever
-    #: span the caller has open, plus a ``transfer_seconds`` histogram
-    #: sample.  ``repr=False`` keeps channel reprs byte-for-byte stable.
-    obs: "Observability | None" = field(default=None, repr=False, compare=False)
 
     def send(self, direction: str, label: str, size_bytes: int) -> float:
         """Record a transfer; returns the modelled wire time in seconds."""
@@ -85,21 +77,16 @@ class Channel:
     def observe_transfer(
         self, direction: str, label: str, size_bytes: int, seconds: float
     ) -> None:
-        """Record one completed transfer with the observability context.
+        """Hang one completed transfer under the caller's open span.
 
-        The span duration is the transfer's *modelled* wire time, so span
-        totals reconcile exactly with ``QueryTrace.transfer_s`` (which
-        accumulates the same numbers).  Dropped transfers never get here
-        — their modelled time never reaches the trace either.
+        A ``transfer`` span whose duration is the *modelled* wire time
+        (nothing here sleeps): ``QueryTrace.transfer_s`` is their sum.
+        Dropped transfers never get here.
         """
-        obs = self.obs
-        if obs is None or not obs.enabled:
-            return
-        span = obs.tracer.begin(
-            "transfer", direction=direction, label=label, bytes=size_bytes
-        )
-        span.set_duration(seconds)
-        obs.metrics.observe("transfer_seconds", seconds)
+        if current() is not None:
+            span(
+                "transfer", direction=direction, label=label, bytes=size_bytes
+            ).set_duration(seconds)
 
     def total_bytes(self, direction: str | None = None) -> int:
         """Bytes moved, optionally filtered by direction."""

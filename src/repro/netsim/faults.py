@@ -39,7 +39,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.netsim.channel import Channel
-from repro.perf import counters
+from repro.obs.span import count, current
 
 
 class TransferDropped(Exception):
@@ -260,7 +260,7 @@ class FaultyChannel(Channel):
         stale = recorded[seq]
         attacking = decision.rollback or self.policy.pin_stale
         if attacking and stale != payload:
-            counters.add("faults_rolled_back")
+            count("faults_rolled_back")
             self._annotate_fault("rollback")
             return stale
         return payload
@@ -273,25 +273,25 @@ class FaultyChannel(Channel):
         seconds = self.send(direction, label, len(payload))
         if decision.duplicate:
             seconds += self.send(direction, f"{label}+dup", len(payload))
-            counters.add("faults_duplicated")
+            count("faults_duplicated")
             self._annotate_fault("duplicate")
         if decision.delay_seconds:
             seconds += decision.delay_seconds
-            counters.add("faults_delayed")
+            count("faults_delayed")
             self._annotate_fault("delay")
         if decision.drop:
-            counters.add("faults_dropped")
+            count("faults_dropped")
             self._annotate_fault("drop")
             raise TransferDropped(f"{direction} {label!r} dropped")
         if decision.truncate_to is not None:
             payload = payload[: decision.truncate_to]
-            counters.add("faults_truncated")
+            count("faults_truncated")
             self._annotate_fault("truncate")
         if decision.corrupt_offset is not None and decision.corrupt_offset < len(payload):
             mutated = bytearray(payload)
             mutated[decision.corrupt_offset] ^= decision.corrupt_xor
             payload = bytes(mutated)
-            counters.add("faults_corrupted")
+            count("faults_corrupted")
             self._annotate_fault("corrupt")
         self.observe_transfer(direction, label, len(payload), seconds)
         return payload, seconds
@@ -304,9 +304,6 @@ class FaultyChannel(Channel):
         show *which* faults a slow or retried query actually hit.
         """
         self.last_fault_kind = kind
-        obs = self.obs
-        if obs is None or not obs.enabled:
-            return
-        span = obs.tracer.current()
+        span = current()
         if span is not None:
             span.add_event("faults", kind)

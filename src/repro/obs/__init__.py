@@ -1,22 +1,18 @@
 """Structured observability for the secure query pipeline.
 
-One :class:`Observability` context threads through the whole stack —
-client, server, netsim channel, CLI — and bundles the
-three concerns the paper's §7 "division of work" analysis needs:
+One record: the span tree.  A query's root :class:`~repro.obs.span.Span`
+holds its stage timings and, in :attr:`~repro.obs.span.Span.counts`,
+every counter its request moved (:func:`~repro.obs.span.count` lands on
+the open span; spans fold into their parent, roots into the one process
+total).  :class:`~repro.core.system.QueryTrace` reads its timings and
+fault counts off that root.  One :class:`Observability` context per
+system (or shared between systems) records finished roots into:
 
-* :class:`~repro.obs.span.Tracer` — nested timed spans per query;
-  :class:`~repro.core.system.QueryTrace`'s scalar timing fields are a
-  compatibility view *derived from* these spans, so the two always
-  reconcile;
-* :class:`~repro.obs.metrics.MetricsRegistry` — the global perf
-  counters plus latency histograms, with JSON and Prometheus-text
+* :class:`~repro.obs.metrics.MetricsRegistry` — the process counter
+  total plus latency histograms, with JSON and Prometheus-text
   exporters;
 * :class:`~repro.obs.slowlog.SlowQueryLog` — bounded top-N slowest
   queries with span breakdowns and fault/retry annotations.
-
-``SecureXMLSystem.host(..., observability=False)`` disables the
-recording half (tree-linking, histograms, slow log) while keeping the
-measurements themselves — trace timing fields are populated either way.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from repro.obs.metrics import (
     parse_prometheus,
 )
 from repro.obs.slowlog import SlowLogEntry, SlowQueryLog
-from repro.obs.span import Span, Tracer
+from repro.obs.span import Span, count
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.system import QueryTrace
@@ -43,60 +39,54 @@ __all__ = [
     "SlowLogEntry",
     "SlowQueryLog",
     "Span",
-    "Tracer",
+    "count",
     "lint_prometheus",
     "parse_prometheus",
 ]
 
+#: Queries the slow log keeps.
+SLOW_LOG_CAPACITY = 32
+
+#: Span name → the histogram each such span of a finished root feeds.
+_SPAN_HISTOGRAMS = {
+    "transfer": "transfer_seconds",
+    "decrypt_batch": "chunk_decrypt_seconds",
+    "backoff": "retry_backoff_seconds",
+}
+
 
 class Observability:
-    """Tracer + metrics + slow log, as one context object."""
+    """Metrics + slow log, as one context object."""
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        slow_log_capacity: int = 32,
-    ) -> None:
-        self.enabled = enabled
-        self.tracer = Tracer(enabled=enabled)
+    def __init__(self) -> None:
         self.metrics = MetricsRegistry()
-        self.slow_log = SlowQueryLog(capacity=slow_log_capacity)
+        self.slow_log = SlowQueryLog(capacity=SLOW_LOG_CAPACITY)
 
     @classmethod
     def coerce(cls, value: Any) -> "Observability":
-        """Normalize a constructor knob into an :class:`Observability`.
-
-        ``None``/``True`` → a fresh enabled instance; ``False`` → a
-        disabled one; an existing instance passes through (so several
-        systems can share one context, or tests can inject a spy).
-        """
+        """``None`` → a fresh context; an instance passes through (so
+        several systems can share one, or tests can inject a spy)."""
+        if value is None:
+            return cls()
         if isinstance(value, cls):
             return value
-        if value is None or value is True:
-            return cls(enabled=True)
-        if value is False:
-            return cls(enabled=False)
         raise TypeError(
-            "observability must be an Observability instance, bool, or "
-            f"None, not {type(value).__name__}"
+            "observability must be an Observability instance or None, "
+            f"not {type(value).__name__}"
         )
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def record_query(
-        self,
-        trace: "QueryTrace",
-        span: Span | None = None,
-        failed: bool = False,
-    ) -> None:
+    def record_query(self, trace: "QueryTrace", failed: bool = False) -> None:
         """Fold one finished query into histograms and the slow log."""
-        if not self.enabled:
-            return
-        self.metrics.observe("query_seconds", trace.total_s)
-        if trace.backoff_s:
-            self.metrics.observe("retry_backoff_seconds", trace.backoff_s)
-        self.slow_log.record(trace, span, failed=failed)
+        observe = self.metrics.observe
+        observe("query_seconds", trace.total_s)
+        for span in trace.span.iter():
+            histogram = _SPAN_HISTOGRAMS.get(span.name)
+            if histogram is not None:
+                observe(histogram, span.duration_s or 0.0)
+        self.slow_log.record(trace, failed=failed)
 
     # ------------------------------------------------------------------
     # Export
@@ -113,7 +103,7 @@ class Observability:
         return self.metrics.to_prometheus()
 
     def reset(self) -> None:
-        """Clear histograms and the slow log (counters are global and
-        stay — reset those via ``repro.perf.counters.reset()``)."""
+        """Clear histograms and the slow log (counters are the process
+        total and stay)."""
         self.metrics.reset_histograms()
         self.slow_log.clear()

@@ -1,10 +1,11 @@
 """Metrics registry: counters + latency histograms, with two exporters.
 
-Wraps the process-wide :data:`repro.perf.counters` registry (counters
-stay global — the crypto layer increments them without any handle on a
-system object) and adds per-registry latency histograms for the stages
-the paper's §7 experiments care about: whole-query latency, per-chunk
-fragment decryption, retry backoff, and modelled wire transfer.
+Counters are the process total of :mod:`repro.obs.span` — counts land on
+the open span and finished roots fold them in — declared here, once,
+with their HELP strings (:data:`COUNTERS`).  Each registry adds its own
+latency histograms for the stages the paper's §7 experiments care about:
+whole-query latency, per-chunk fragment decryption, retry backoff, and
+modelled wire transfer.
 
 Exporters:
 
@@ -23,8 +24,7 @@ import re
 import threading
 from typing import Any, Iterable
 
-from repro.perf import counters as _global_counters
-from repro.perf.counters import PerfCounters
+from repro.obs.span import totals
 
 #: Log-spaced upper bounds (seconds) covering 0.1ms .. 10s — wide enough
 #: for both a warm memo hit and a naive ship-everything query.
@@ -45,6 +45,63 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
     2.5,
     5.0,
     10.0,
+)
+
+#: Every counter, with its HELP string.  ``*_cache_hits`` /
+#: ``*_cache_misses`` pairs cover one cache layer each (:data:`CACHE_LAYERS`).
+COUNTERS: dict[str, str] = {
+    "key_expansions": "AES-128 key schedules expanded.",
+    "blocks_encrypted": "AES cipher blocks encrypted.",
+    "blocks_decrypted": "AES cipher blocks decrypted.",
+    "plan_cache_hits": "Queries whose translated plan was cached.",
+    "plan_cache_misses": "Queries translated afresh.",
+    "fragment_cache_hits": "Shipped fragments served from the server's cache.",
+    "fragment_cache_misses": "Shipped fragments the server serialized afresh.",
+    "block_cache_hits": "Shipped blocks whose plaintext the client held.",
+    "block_cache_misses": "Shipped blocks the client decrypted.",
+    "tree_cache_hits": "Shipped fragments whose tree the client held.",
+    "tree_cache_misses": "Shipped fragments the client parsed afresh.",
+    "interval_cache_hits": "Descendant joins that reused a tag's sorted lows.",
+    "interval_cache_misses": "Descendant joins that sorted a tag's lows.",
+    "epoch_invalidations": "Commits that moved the hosted epoch.",
+    "faults_dropped": "Transfers the fault channel dropped.",
+    "faults_corrupted": "Transfers the fault channel corrupted.",
+    "faults_truncated": "Transfers the fault channel truncated.",
+    "faults_duplicated": "Transfers the fault channel duplicated.",
+    "faults_delayed": "Transfers the fault channel delayed.",
+    "faults_rolled_back": (
+        "Responses the fault channel replaced with a recorded stale one."
+    ),
+    "query_retries": "Query attempts after the first.",
+    "integrity_failures": "Exchanges that failed integrity verification.",
+    "freshness_failures": (
+        "Integrity failures caught by the freshness envelope, not the MAC."
+    ),
+    "rollback_detected": (
+        "Freshness failures whose authenticated epoch was older than ours."
+    ),
+    "queries_failed": "Queries that ran out of attempts or deadline.",
+    "replica_demotions": "Replicas benched for serving stale state.",
+    "replica_resyncs": "Benched replicas resynced and re-admitted.",
+    "serving_connections": "Socket connections accepted.",
+    "serving_requests": "Socket requests admitted.",
+    "serving_updates": "Sealed update commands applied over the socket.",
+    "backpressure_rejections": "Socket requests refused: in-flight queue full.",
+    "serving_drains": "Graceful serving drains completed.",
+    # Deliberately not ``*_cache_*``: cover traffic is not cache traffic.
+    "leakage_real_fetches": "Block fetches the evaluated answers required.",
+    "leakage_decoy_fetches": "Decoy block fetches the leakage policy added.",
+    "leakage_pad_fetches": "Padding fetches that round a trace up to its bucket.",
+    "leakage_real_bytes": "Ciphertext bytes read for real fetches.",
+    "leakage_extra_bytes": "Ciphertext bytes read for decoy and padding fetches.",
+    "leakage_traces_recorded": "Observed fetch traces recorded.",
+}
+
+#: Cache layers with a hits/misses counter pair, in declaration order.
+CACHE_LAYERS: tuple[str, ...] = tuple(
+    name[: -len("_cache_hits")]
+    for name in COUNTERS
+    if name.endswith("_cache_hits")
 )
 
 #: Histograms every registry carries, with their HELP strings.
@@ -140,10 +197,9 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Counters (global) + histograms (per registry), exportable."""
+    """Counters (the process total) + histograms (per registry), exportable."""
 
-    def __init__(self, perf: PerfCounters | None = None) -> None:
-        self._perf = perf if perf is not None else _global_counters
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._histograms = self._fresh_histograms()
         self._gauges: dict[str, float] = {name: 0.0 for name in GAUGES}
@@ -202,16 +258,35 @@ class MetricsRegistry:
             family[key] = family.get(key, 0) + amount
 
     # ------------------------------------------------------------------
-    # Counter passthrough (so callers stop poking the global directly)
+    # Counters: reads of the process total
     # ------------------------------------------------------------------
     def counter_values(self) -> dict[str, int]:
-        return self._perf.snapshot()
+        """Every declared counter's process total, zero included."""
+        counted = totals()
+        return {name: counted.get(name, 0) for name in COUNTERS}
 
     def counters_delta(self, before: dict[str, int]) -> dict[str, int]:
-        return self._perf.delta_since(before)
+        """Per-counter difference against an earlier :meth:`counter_values`."""
+        return {
+            name: value - before.get(name, 0)
+            for name, value in self.counter_values().items()
+        }
 
     def hit_rate(self, cache: str) -> float:
-        return self._perf.hit_rate(cache)
+        """Hit rate in [0, 1] for one cache layer (0.0 when untouched).
+
+        Raises :class:`ValueError` naming the known layers for anything
+        else.
+        """
+        if cache not in CACHE_LAYERS:
+            raise ValueError(
+                f"unknown cache layer {cache!r}; known layers: "
+                + ", ".join(CACHE_LAYERS)
+            )
+        counted = totals()
+        hits = counted.get(f"{cache}_cache_hits", 0)
+        total = hits + counted.get(f"{cache}_cache_misses", 0)
+        return hits / total if total else 0.0
 
     def snapshot(self) -> dict[str, Any]:
         """Counters + histograms (+ gauges/labeled series) as one dict."""
@@ -225,7 +300,7 @@ class MetricsRegistry:
                 name: dict(series) for name, series in self._labeled.items()
             }
         return {
-            "counters": self._perf.snapshot(),
+            "counters": self.counter_values(),
             "histograms": histograms,
             "gauges": gauges,
             "labeled": labeled,
@@ -246,10 +321,10 @@ class MetricsRegistry:
     def to_prometheus(self) -> str:
         """Prometheus text exposition format 0.0.4."""
         lines: list[str] = []
-        counter_values = self._perf.snapshot()
+        counter_values = self.counter_values()
         for name in sorted(counter_values):
             metric = f"{_PROM_PREFIX}{name}_total"
-            lines.append(f"# HELP {metric} Cumulative count of {name}.")
+            lines.append(f"# HELP {metric} {COUNTERS[name]}")
             lines.append(f"# TYPE {metric} counter")
             lines.append(f"{metric} {counter_values[name]}")
         with self._lock:

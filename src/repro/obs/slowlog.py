@@ -45,36 +45,36 @@ class SlowLogEntry:
     )
 
     def __init__(
-        self,
-        trace: "QueryTrace",
-        span: Span | None,
-        failed: bool,
-        sequence: int,
+        self, trace: "QueryTrace", failed: bool, sequence: int
     ) -> None:
         self.query = trace.query
         self.total_s = trace.total_s
+        #: Span name → summed duration, in one walk of the root.
+        seconds: dict[str, float] = {}
+        for span in trace.span.iter():
+            seconds[span.name] = (
+                seconds.get(span.name, 0.0) + (span.duration_s or 0.0)
+            )
         self.stages = {
-            "translate": trace.translate_client_s,
-            "server": trace.server_s,
-            "transfer": trace.transfer_s,
-            "decrypt": trace.decrypt_client_s,
-            "postprocess": trace.postprocess_client_s,
+            name: seconds.get(name, 0.0)
+            for name in ("translate", "server", "transfer", "decrypt",
+                         "postprocess")
         }
         self.attempts = trace.attempts
         self.retries = trace.retries
         self.integrity_failures = trace.integrity_failures
         self.drops = trace.drops
-        self.backoff_s = trace.backoff_s
+        self.backoff_s = seconds.get("backoff", 0.0)
         self.naive = trace.naive
         self.plan = trace.plan
         self.fallback_reason = trace.fallback_reason
         self.failed = failed
         self.answer_count = trace.answer_count
-        self.span = span
+        self.span: Span = trace.span
         self.sequence = sequence
 
     def as_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
+        return {
             "query": self.query,
             "total_s": self.total_s,
             "stages": dict(self.stages),
@@ -88,10 +88,8 @@ class SlowLogEntry:
             "fallback_reason": self.fallback_reason,
             "failed": self.failed,
             "answer_count": self.answer_count,
+            "span": self.span.as_dict(),
         }
-        if self.span is not None:
-            out["span"] = self.span.as_dict()
-        return out
 
     def render(self) -> str:
         flags = []
@@ -136,20 +134,20 @@ class SlowQueryLog:
         self._heap: list[tuple[float, int, SlowLogEntry]] = []
         self._sequence = itertools.count()
 
-    def record(
-        self,
-        trace: "QueryTrace",
-        span: Span | None = None,
-        failed: bool = False,
-    ) -> None:
+    def record(self, trace: "QueryTrace", failed: bool = False) -> None:
+        """Keep ``trace`` if it is among the slowest seen (its entry is
+        built only then)."""
+        total_s = trace.total_s
         with self._lock:
+            full = len(self._heap) >= self.capacity
+            if full and self._heap[0][0] >= total_s:
+                return
             sequence = next(self._sequence)
-            entry = SlowLogEntry(trace, span, failed, sequence)
-            item = (entry.total_s, sequence, entry)
-            if len(self._heap) < self.capacity:
-                heapq.heappush(self._heap, item)
-            elif self._heap[0][0] < entry.total_s:
+            item = (total_s, sequence, SlowLogEntry(trace, failed, sequence))
+            if full:
                 heapq.heapreplace(self._heap, item)
+            else:
+                heapq.heappush(self._heap, item)
 
     def entries(self) -> list[SlowLogEntry]:
         """Logged queries, slowest first (ties: most recent first)."""

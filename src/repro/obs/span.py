@@ -1,4 +1,4 @@
-"""Per-query span tracing (the timing half of the observability layer).
+"""Per-query span tracing and the one accounting record.
 
 A :class:`Span` is one timed region of the query pipeline — ``translate``,
 ``server``, ``decrypt`` — nested into a tree that mirrors the paper's
@@ -7,24 +7,26 @@ reports one scalar per stage, the span tree keeps *structure* (which
 attempt, which stage of which layer) so "where did this query spend its
 time" has an answer without editing benchmark code.
 
-A :class:`Tracer` owns the ambient context: a thread-local stack of open
-spans, so a deeper layer (the server's structural join, the channel, the
-client's batch decrypt) attaches its spans under whatever the caller has
-open without any plumbing through call signatures.
+The ambient context is module state: one stack of open spans per thread,
+so any layer — the crypto kernels, the DSI, the fault channel — attaches
+its spans and counts under whatever the caller has open without a handle
+on a system.
 
 Design rules, load-bearing for the rest of the package:
 
-* **Spans always time.**  A disabled tracer still hands out real,
-  clock-backed spans — it only skips linking them into a tree — because
-  ``QueryTrace``'s timing fields are *derived from* span durations.
-  Tracing on/off must never change the measured numbers.
+* **A count lands on the open span.**  :func:`count` adds to the
+  innermost open span on the calling thread.  A span folds its counts
+  into its parent when it finishes; a span with no parent folds them into
+  the one process total under one lock, exactly once.  A count made with
+  no span open goes straight to the process total.  So the process total
+  is the sum over finished roots plus the unspanned counts, and a root's
+  :attr:`Span.counts` is what its own request did.
 * **Modelled time is first-class.**  Wire transfer and retry backoff are
   modelled, not slept (see :mod:`repro.netsim.channel`); their spans get
-  :meth:`Span.set_duration` so span totals still reconcile with the
-  trace's modelled fields.
-* **Mutation is GIL-atomic.**  Child lists and annotation dicts are
-  mutated with single list/dict operations only, the same concurrency
-  discipline the cache layers use; spans carry no locks.
+  :meth:`Span.set_duration`.
+* **Mutation is GIL-atomic.**  A span is opened, counted on and finished
+  by the thread whose stack holds it; only the process total is shared,
+  and it has the lock.
 """
 
 from __future__ import annotations
@@ -36,7 +38,11 @@ from typing import Any, Iterator, Optional
 
 
 class Span:
-    """One timed, annotated region of work, with nested children."""
+    """One timed, annotated region of work, with nested children.
+
+    As a context manager it is the ambient span for the block and is
+    finished when the block exits (see :func:`span`).
+    """
 
     __slots__ = (
         "name",
@@ -45,6 +51,7 @@ class Span:
         "annotations",
         "started_s",
         "duration_s",
+        "counts",
     )
 
     def __init__(
@@ -60,31 +67,47 @@ class Span:
         self.started_s = time.perf_counter()
         #: None while open; set by :meth:`finish` or :meth:`set_duration`.
         self.duration_s: Optional[float] = None
+        #: Counter name → amount counted in this subtree (children's
+        #: counts arrive when they finish).
+        self.counts: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
+    def __enter__(self) -> "Span":
+        _ambient.stack.append(self)
+        return self
+
+    def __exit__(self, *_exc: object) -> None:
+        _ambient.stack.pop()
+        self.finish()
+
     def finish(self) -> float:
-        """Close the span (idempotent); returns its duration in seconds."""
+        """Close the span (idempotent); returns its duration in seconds.
+
+        The first call folds :attr:`counts` into the parent, or into the
+        process total when there is none.
+        """
         if self.duration_s is None:
             self.duration_s = time.perf_counter() - self.started_s
+            counts = self.counts
+            if counts:
+                parent = self.parent
+                if parent is None:
+                    with _TOTAL_LOCK:
+                        _fold(counts, _TOTAL)
+                else:
+                    _fold(counts, parent.counts)
         return self.duration_s
 
     def set_duration(self, seconds: float) -> None:
         """Override the measured duration with a *modelled* one.
 
         Used for stages whose cost is accounted rather than slept (wire
-        transfer, retry backoff), so span totals reconcile with the
-        modelled fields of :class:`~repro.core.system.QueryTrace`.
+        transfer, retry backoff).
         """
         self.duration_s = seconds
         self.annotations["modelled"] = True
-
-    def elapsed_s(self) -> float:
-        """Wall time since the span started (duration once finished)."""
-        if self.duration_s is not None:
-            return self.duration_s
-        return time.perf_counter() - self.started_s
 
     # ------------------------------------------------------------------
     # Annotations
@@ -99,25 +122,25 @@ class Span:
     # ------------------------------------------------------------------
     # Aggregation / traversal
     # ------------------------------------------------------------------
-    def iter(self) -> Iterator["Span"]:
-        """Depth-first traversal of the subtree, self first."""
-        stack = [self]
-        while stack:
-            span = stack.pop()
-            yield span
-            stack.extend(reversed(span.children))
+    def iter(self) -> list["Span"]:
+        """The subtree depth-first, self first."""
+        spans = [self]
+        for child in self.children:
+            spans += child.iter()
+        return spans
 
-    def total(self, name: str) -> float:
-        """Sum of durations of every span named ``name`` in the subtree.
+    def total(self, *names: str) -> float:
+        """Sum of durations of every span in the subtree named one of
+        ``names``.
 
-        This is the reconciliation primitive: ``root.total("server")``
-        equals ``QueryTrace.server_s`` exactly, because both are written
-        from the same span measurements.  Spans still open count as 0.
+        ``QueryTrace``'s stage timings are this, over the query's root.
+        Spans still open count as 0.
         """
+        spans = [self]
+        for span in spans:  # breadth-first: the list grows as it is read
+            spans += span.children
         return sum(
-            span.duration_s or 0.0
-            for span in self.iter()
-            if span.name == name
+            span.duration_s or 0.0 for span in spans if span.name in names
         )
 
     def find(self, name: str) -> "Span | None":
@@ -138,6 +161,8 @@ class Span:
         }
         if self.annotations:
             out["annotations"] = dict(self.annotations)
+        if self.counts:
+            out["counts"] = dict(self.counts)
         if self.children:
             out["children"] = [child.as_dict() for child in self.children]
         return out
@@ -219,86 +244,80 @@ def _render_annotations(annotations: dict[str, Any]) -> str:
     return "  [" + " ".join(parts) + "]"
 
 
-class Tracer:
-    """Thread-local span context: who is currently being timed, per thread.
+def _fold(counts: dict[str, int], into: dict[str, int]) -> None:
+    for name, amount in counts.items():
+        into[name] = into.get(name, 0) + amount
 
-    ``enabled=False`` is the overhead escape hatch: spans are still
-    created and timed (the trace fields depend on them) but never linked
-    into a tree, annotated, or made ambient — the steady-state cost is
-    one small object per stage.  The obs overhead benchmark gates the
-    *enabled* path against this baseline.
+
+class _Ambient(threading.local):
+    def __init__(self) -> None:
+        self.stack: list[Span] = []
+
+
+#: This thread's open spans, innermost last.
+_ambient = _Ambient()
+#: The process total: counts of finished roots plus unspanned counts.
+_TOTAL: dict[str, int] = {}
+_TOTAL_LOCK = threading.Lock()
+
+
+def count(name: str, amount: int = 1) -> None:
+    """Add ``amount`` to counter ``name`` on the innermost open span.
+
+    With no span open on this thread, straight to the process total.
+    Names are declared in :data:`repro.obs.metrics.COUNTERS`.
     """
+    stack = _ambient.stack
+    if stack:
+        counts = stack[-1].counts
+        counts[name] = counts.get(name, 0) + amount
+    else:
+        with _TOTAL_LOCK:
+            _TOTAL[name] = _TOTAL.get(name, 0) + amount
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
-        self._local = threading.local()
 
-    # ------------------------------------------------------------------
-    # Ambient context
-    # ------------------------------------------------------------------
-    def _stack(self) -> list[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
+def totals() -> dict[str, int]:
+    """A consistent copy of the process total (counted names only)."""
+    with _TOTAL_LOCK:
+        return dict(_TOTAL)
 
-    def current(self) -> Span | None:
-        """The innermost open span on this thread, if any."""
-        stack = self._stack()
-        return stack[-1] if stack else None
 
-    # ------------------------------------------------------------------
-    # Span creation
-    # ------------------------------------------------------------------
-    def begin(self, name: str, **annotations: Any) -> Span:
-        """Open a span *without* making it ambient (see :meth:`activate`).
+def current() -> Span | None:
+    """The innermost open span on this thread, if any."""
+    stack = _ambient.stack
+    return stack[-1] if stack else None
 
-        The query pipeline uses this for the root ``query`` span, whose
-        lifetime spans multiple method calls rather than one lexical
-        block.
-        """
-        if not self.enabled:
-            return Span(name)
-        parent = self.current()
-        span = Span(name, parent, dict(annotations) if annotations else None)
-        if parent is not None:
-            parent.children.append(span)
-        return span
 
-    @contextmanager
-    def span(self, name: str, **annotations: Any):
-        """Open a child of the current span for the duration of the block."""
-        span = self.begin(name, **annotations)
-        if not self.enabled:
-            try:
-                yield span
-            finally:
-                span.finish()
-            return
-        stack = self._stack()
-        stack.append(span)
-        try:
-            yield span
-        finally:
-            span.finish()
-            if stack and stack[-1] is span:
-                stack.pop()
+def span(name: str, **annotations: Any) -> Span:
+    """Open a child of the current span (a root when none is open).
 
-    @contextmanager
-    def activate(self, span: Span | None):
-        """Make ``span`` the ambient parent without timing anything.
+    ``with span(name):`` makes it ambient for the block and finishes it
+    on exit.  Opened without ``with`` it is not ambient: the query
+    pipeline does that for the root ``query`` span, whose lifetime
+    covers several method calls (see :func:`activate`), and for modelled
+    spans that are given a duration instead of a finish.
+    """
+    stack = _ambient.stack
+    parent = stack[-1] if stack else None
+    opened = Span(name, parent, annotations or None)
+    if parent is not None:
+        parent.children.append(opened)
+    return opened
 
-        Used to keep a long-lived span (the root query span) ambient
-        across the method calls it covers.
-        """
-        if not self.enabled or span is None:
-            yield
-            return
-        stack = self._stack()
-        stack.append(span)
-        try:
-            yield
-        finally:
-            if stack and stack[-1] is span:
-                stack.pop()
+
+@contextmanager
+def activate(opened: Span | None) -> Iterator[None]:
+    """Make ``opened`` the ambient parent without timing anything.
+
+    Keeps a long-lived span (the root query span) ambient across the
+    method calls it covers; ``None`` changes nothing.
+    """
+    if opened is None:
+        yield
+        return
+    stack = _ambient.stack
+    stack.append(opened)
+    try:
+        yield
+    finally:
+        stack.pop()

@@ -34,7 +34,7 @@ each trace with its closest profile):
   the same cover traffic, but unnormalized, so it falls to frequent
   decoys differently than Jaccard).
 
-Bandwidth cost comes from the dedicated ``leakage_*`` perf counters:
+Bandwidth cost comes from the dedicated ``leakage_*`` counters:
 ``extra_bytes / real_bytes`` over the attack phase — the exact price of
 the cover traffic, reported next to the residual advantage in
 ``BENCH_leakage.json``.
@@ -45,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.leakage import ObservedTrace, leakage_stream
-from repro.perf import counters
 
 #: Attribution strategies :class:`TraceClusteringAttack` implements.
 METHODS = ("length", "jaccard", "coaccess")
@@ -250,11 +249,12 @@ def run_leakage_game(
     ]
     leakage_stream(seed, "game-order").shuffle(labels)
     recorder.clear()
-    before = counters.snapshot()
+    metrics = system.observability().metrics
+    before = metrics.counter_values()
     for label in labels:
         system.flush_caches()
         system.query(queries[label])
-    delta = counters.delta_since(before)
+    delta = metrics.counters_delta(before)
     traces = recorder.traces()
     if len(traces) != len(labels):
         raise RuntimeError(

@@ -56,7 +56,7 @@ from repro.core.integrity import TamperedRequestError, seal
 from repro.core.system import SecureXMLSystem
 from repro.core.updates import UpdateError
 from repro.obs import Observability
-from repro.perf import counters
+from repro.obs.span import count
 
 from repro.serving.errors import (
     BackpressureRejected,
@@ -203,7 +203,7 @@ class TenantSession:
         have moved the anchor again, and the ack's job is authenticity,
         not freshness.
         """
-        counters.add("serving_updates")
+        count("serving_updates")
         self._count("update")
         with self._rw.write():
             op = self._open_command(blob)
@@ -302,7 +302,7 @@ class ServingServer:
         port: int = 0,
         max_inflight: int = 64,
         workers: int | None = None,
-        obs: "Observability | bool | None" = None,
+        obs: Observability | None = None,
     ) -> None:
         if max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
@@ -422,7 +422,7 @@ class ServingServer:
             await loop.run_in_executor(self._executor, session.drain)
         for writer in list(self._writers):
             writer.close()
-        counters.add("serving_drains")
+        count("serving_drains")
         self._drained.set()
 
     def stop(self, timeout: float | None = 60.0) -> None:
@@ -455,9 +455,9 @@ class ServingServer:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
-        counters.add("serving_connections")
+        count("serving_connections")
         self._connections += 1
-        self._set_gauge("serving_connections", self._connections)
+        self._obs.metrics.set_gauge("serving_connections", self._connections)
         write_lock = asyncio.Lock()
         self._writers.add(writer)
         try:
@@ -475,7 +475,7 @@ class ServingServer:
         finally:
             self._writers.discard(writer)
             self._connections -= 1
-            self._set_gauge("serving_connections", self._connections)
+            self._obs.metrics.set_gauge("serving_connections", self._connections)
             writer.close()
             with suppress(Exception):
                 await writer.wait_closed()
@@ -555,19 +555,18 @@ class ServingServer:
         """Admission control: typed rejection before any work is queued."""
         if self._draining:
             raise ServerDraining("server is draining; request rejected")
-        self._observe("serving_queue_depth", float(self._inflight))
+        self._obs.metrics.observe("serving_queue_depth", float(self._inflight))
         if self._inflight >= self.max_inflight:
-            counters.add("backpressure_rejections")
+            count("backpressure_rejections")
             raise BackpressureRejected(
                 f"in-flight queue full ({self.max_inflight} requests)"
             )
         self._inflight += 1
-        self._set_gauge("serving_inflight", self._inflight)
-        counters.add("serving_requests")
-        if self._obs.enabled:
-            self._obs.metrics.inc_labeled(
-                "serving_tenant_requests", tenant=session.tenant_id
-            )
+        self._obs.metrics.set_gauge("serving_inflight", self._inflight)
+        count("serving_requests")
+        self._obs.metrics.inc_labeled(
+            "serving_tenant_requests", tenant=session.tenant_id
+        )
 
     async def _run_request(
         self,
@@ -593,13 +592,13 @@ class ServingServer:
                 await self._send_error(writer, write_lock, rid, exc)
         finally:
             self._inflight -= 1
-            self._set_gauge("serving_inflight", self._inflight)
-            self._observe(
+            self._obs.metrics.set_gauge("serving_inflight", self._inflight)
+            self._obs.metrics.observe(
                 "serving_request_seconds", time.perf_counter() - started
             )
 
     # ------------------------------------------------------------------
-    # Frame I/O and metric helpers
+    # Frame I/O
     # ------------------------------------------------------------------
     @staticmethod
     async def _send(
@@ -622,11 +621,3 @@ class ServingServer:
         exc: Exception,
     ) -> None:
         await self._send(writer, write_lock, rid, OP_ERROR, encode_error(exc))
-
-    def _observe(self, name: str, value: float) -> None:
-        if self._obs.enabled:
-            self._obs.metrics.observe(name, value)
-
-    def _set_gauge(self, name: str, value: float) -> None:
-        if self._obs.enabled:
-            self._obs.metrics.set_gauge(name, float(value))

@@ -23,7 +23,7 @@ from repro.core.encryptor import HostedDatabase
 from repro.core.integrity import TamperedResponseError
 from repro.crypto.keyring import ClientKeyring
 from repro.crypto.modes import cbc_decrypt_many
-from repro.perf import counters
+from repro.obs.span import count
 from repro.xmldb.node import Element, iter_encrypted_blocks
 from repro.xmldb.parser import (
     ENCRYPTED_DATA_TAG,
@@ -86,13 +86,13 @@ class OracleDecryptor:
         for index, xml in enumerate(xmls):
             cached = cache.get(xml)
             if cached is not None:
-                counters.add("tree_cache_hits")
+                count("tree_cache_hits")
                 results[index] = cached.clone()
             elif xml in missing:
-                counters.add("tree_cache_hits")
+                count("tree_cache_hits")
                 missing[xml].append(index)
             else:
-                counters.add("tree_cache_misses")
+                count("tree_cache_misses")
                 missing[xml] = [index]
         if missing:
             trees = self._build_trees(list(missing))
@@ -139,12 +139,12 @@ class OracleDecryptor:
             wanted: dict[int, bytes] = {}
             for _, _, block_id, payload in occurrences:
                 if block_id in pristine or block_id in wanted:
-                    counters.add("block_cache_hits")
+                    count("block_cache_hits")
                 elif (cached := cache.get(block_id)) is not None:
-                    counters.add("block_cache_hits")
+                    count("block_cache_hits")
                     pristine[block_id] = cached
                 else:
-                    counters.add("block_cache_misses")
+                    count("block_cache_misses")
                     wanted[block_id] = payload
             fresh = dict(
                 zip(wanted, self._plaintext_subtrees(list(wanted.items())))

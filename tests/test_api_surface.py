@@ -171,27 +171,47 @@ class TestOneSerialPipeline:
             "encode_frame", "decode_frame", "read_frame",
         }
 
-    def test_counter_registry_surface(self):
-        from repro.perf.counters import PerfCounters
+    def test_counter_registry_surface(
+        self, healthcare_doc, healthcare_scs
+    ):
+        """One record: counts on spans, one process total read through
+        ``MetricsRegistry``; no counter package, no off switch, no knob
+        with one value in use."""
+        import importlib
+        import inspect
 
+        from repro import obs
+        from repro.core.system import SecureXMLSystem
+        from repro.obs import MetricsRegistry, Observability
+        from repro.obs.metrics import CACHE_LAYERS, COUNTERS
+
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.perf")
+        assert not hasattr(obs, "Tracer")
+        assert not hasattr(obs.span, "Tracer")
+        for knobless in (Observability, MetricsRegistry):
+            assert list(inspect.signature(knobless).parameters) == []
+        observability = Observability()
+        assert not hasattr(observability, "enabled")
+        assert not hasattr(observability, "tracer")
+        with pytest.raises(TypeError):
+            SecureXMLSystem.host(
+                healthcare_doc, healthcare_scs, observability=False
+            )
         methods = {
             name
-            for name, value in vars(PerfCounters).items()
+            for name, value in vars(MetricsRegistry).items()
             if callable(value) and not name.startswith("_")
         }
-        assert methods == {
-            "add", "snapshot", "delta_since", "reset",
-            "cache_layers", "hit_rate",
-        }
-        assert set(PerfCounters().cache_layers()) == {
-            "plan", "fragment", "block", "tree", "interval",
-        }
+        assert {"counter_values", "counters_delta", "hit_rate"} <= methods
+        assert CACHE_LAYERS == ("plan", "fragment", "block", "tree", "interval")
         retired = {
             "answer_cache_hits", "answer_cache_misses", "chunks_streamed",
             "parallel_decrypt_tasks", "sharded_filter_runs",
             "serving_streams",
         }
-        assert not retired & set(PerfCounters().snapshot())
+        assert not retired & set(COUNTERS)
+        assert set(MetricsRegistry().counter_values()) == set(COUNTERS)
 
     def test_engine_knobs_are_rejected_or_ignored(
         self, healthcare_doc, healthcare_scs, monkeypatch

@@ -10,6 +10,7 @@ from repro.bench.harness import (
     trimmed_mean,
 )
 from repro.core.system import QueryTrace, SecureXMLSystem
+from repro.obs.span import activate, span
 
 
 class TestTrimmedMean:
@@ -48,8 +49,9 @@ class TestSavingRatio:
 class TestAverageTraces:
     def _trace(self, server, decrypt):
         trace = QueryTrace(query="//x")
-        trace.server_s = server
-        trace.decrypt_client_s = decrypt
+        with activate(trace.span):
+            span("server").set_duration(server)
+            span("decrypt").set_duration(decrypt)
         trace.transfer_bytes = 100
         return trace
 

@@ -28,9 +28,12 @@ from repro.core.system import (
 from repro.netsim.channel import Channel
 from repro.netsim.faults import FaultPolicy, FaultRates, FaultyChannel
 from repro.netsim.message import encode_response
-from repro.perf import counters
+from repro.obs import MetricsRegistry
 from repro.serving import ServingServer, remote_system
 from repro.xpath.evaluator import evaluate
+
+#: Reads of the process counter total.
+metrics = MetricsRegistry()
 
 
 @pytest.fixture
@@ -55,9 +58,9 @@ class TestEpochBumping:
         assert system.hosted.epoch > before
 
     def test_epoch_invalidation_counter(self, system):
-        before = counters.epoch_invalidations
+        before = metrics.counter_values()["epoch_invalidations"]
         system.insert_element("//patient[pname='Matt']", "phone", "555-0000")
-        assert counters.epoch_invalidations > before
+        assert metrics.counter_values()["epoch_invalidations"] > before
 
 
 class TestInvalidationCorrectness:
@@ -94,10 +97,10 @@ class TestInvalidationCorrectness:
         system.query(query)
         system.query(query)
         system.insert_element("//patient[pname='Matt']", "phone", "555-9999")
-        before = counters.snapshot()
+        before = metrics.counter_values()
         system.query(query)  # epoch changed: must re-translate
         system.query(query)  # and the new plan is cached again
-        delta = counters.delta_since(before)
+        delta = metrics.counters_delta(before)
         assert delta["plan_cache_misses"] == 1
         assert delta["plan_cache_hits"] == 1
 
@@ -110,9 +113,9 @@ class TestInvalidationCorrectness:
         system.update_value(
             "//patient[pname='Matt']/treat/disease", "updated-disease"
         )
-        before = counters.snapshot()
+        before = metrics.counter_values()
         answer = system.query(query)
-        delta = counters.delta_since(before)
+        delta = metrics.counters_delta(before)
         text = "".join(answer.canonical())
         assert "updated-disease" in text and "leukemia" not in text
         # Matt's fragment holds the rewritten block, Betty's does not ...
@@ -142,9 +145,9 @@ class TestSortedIntervalArrays:
     JOIN = "//patient[.//disease]/pname"  # probes the ``disease`` array
 
     def misses(self, system):
-        before = counters.snapshot()
+        before = metrics.counter_values()
         assert len(system.query(self.JOIN)) == 2
-        delta = counters.delta_since(before)
+        delta = metrics.counters_delta(before)
         assert delta["interval_cache_misses"] + delta["interval_cache_hits"] > 0
         return delta["interval_cache_misses"]
 
@@ -213,10 +216,10 @@ class TestEntriesThatOutliveAnEpoch:
             client.decrypt_fragments(replay)
         # The fragment without the rewritten block is still the truth, and
         # still cached; the honest answer is the updated one.
-        before = counters.snapshot()
+        before = metrics.counter_values()
         text = self.text_of(self.staged(client, system))
         assert "measles" in text and "leukemia" not in text
-        delta = counters.delta_since(before)
+        delta = metrics.counters_delta(before)
         assert (delta["tree_cache_hits"], delta["block_cache_misses"]) == (1, 1)
 
     def test_the_current_text_with_the_old_payload_is_refused(
@@ -296,10 +299,10 @@ class TestEntriesThatOutliveAnEpoch:
             block_id = self.rewritten_block(system)
             assert block_id not in reader.client._block_cache.live()
             assert len(reader.client._block_cache) == 6
-            before = counters.snapshot()
+            before = metrics.counter_values()
             text = "".join(reader.query(self.QUERY).canonical())
             assert "measles" in text and "leukemia" not in text
-            assert counters.delta_since(before)["block_cache_misses"] == 1
+            assert metrics.counters_delta(before)["block_cache_misses"] == 1
         finally:
             writer.close()
             reader.close()
@@ -457,12 +460,12 @@ class TestBoundedByTheTypeNotByThePeer:
         for query in queries:
             client.translate(query)
         assert len(client._plan_cache) == EpochCache.BOUND
-        before = counters.snapshot()
+        before = metrics.counter_values()
         client.translate(queries[-1])
         client.translate(queries[1])
-        assert counters.delta_since(before)["plan_cache_hits"] == 2
+        assert metrics.counters_delta(before)["plan_cache_hits"] == 2
         client.translate(queries[0])  # the one that made room
-        delta = counters.delta_since(before)
+        delta = metrics.counters_delta(before)
         assert delta["plan_cache_misses"] == 1
         assert len(client._plan_cache) == EpochCache.BOUND
 

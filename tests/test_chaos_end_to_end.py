@@ -20,8 +20,11 @@ from repro.core.system import (
     SecureXMLSystem,
 )
 from repro.netsim import FaultPolicy, FaultyChannel
-from repro.perf import counters
+from repro.obs import MetricsRegistry
 from repro.xpath.evaluator import evaluate
+
+#: Reads of the process counter total.
+metrics = MetricsRegistry()
 
 QUERIES = (
     "//patient[.//insurance//@coverage>=10000]//SSN",
@@ -102,14 +105,14 @@ class TestFaultSweep:
     ):
         policy = FaultPolicy.symmetric(seed=8, drop=0.3)
         system = host_with_faults(healthcare_doc, healthcare_scs, policy)
-        before = counters.snapshot()
+        before = metrics.counter_values()
         results = {}
         for query in QUERIES:
             try:
                 results[query] = system.query(query).canonical()
             except QueryFailedError:
                 results[query] = None
-        delta = counters.delta_since(before)
+        delta = metrics.counters_delta(before)
         assert delta["faults_dropped"] > 0
         assert delta["query_retries"] > 0
         for query, result in results.items():
@@ -218,11 +221,11 @@ class TestWireTampering:
             return bytes(blob)
 
         system.server.answer_wire = mangled
-        before = counters.snapshot()
+        before = metrics.counter_values()
         with pytest.raises(QueryFailedError) as failed:
             system.query(QUERIES[0])
         assert isinstance(failed.value.__cause__, TamperedResponseError)
-        delta = counters.delta_since(before)
+        delta = metrics.counters_delta(before)
         assert delta["queries_failed"] == 1
         assert delta["integrity_failures"] == (
             system.retry_policy.max_attempts

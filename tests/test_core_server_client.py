@@ -10,10 +10,13 @@ from repro.core.scheme import build_scheme
 from repro.core.server import Fragment, Server, ServerResponse
 from repro.crypto.keyring import ClientKeyring
 from repro.crypto.modes import cbc_encrypt
-from repro.perf import counters
+from repro.obs import MetricsRegistry
 from repro.xmldb.node import Attribute, Element, EncryptedBlockNode
 from repro.xmldb.parser import parse_fragment
 from repro.xmldb.serializer import serialize
+
+#: Reads of the process counter total.
+metrics = MetricsRegistry()
 
 
 @pytest.fixture
@@ -127,10 +130,10 @@ class TestDecryptPipelineOrder:
         assert len(response.fragments) > 1 and response.blocks_shipped > 2
         tampered = _with_tampered_block(response, len(response.fragments) - 1)
         client.flush_caches()  # hosting shares the keyring and its IV memo
-        before = counters.snapshot()
+        before = metrics.counter_values()
         with pytest.raises(TamperedResponseError):
             client.decrypt_fragments(tampered)
-        delta = counters.delta_since(before)
+        delta = metrics.counters_delta(before)
         assert delta["blocks_decrypted"] == 0
         assert delta["integrity_failures"] == 1
         assert len(client._block_cache) == len(client._tree_cache) == 0
@@ -146,10 +149,10 @@ class TestDecryptPipelineOrder:
         assert blocks
         assert all(type(text) is str for text in blocks.values())
         tampered = _with_tampered_block(response, 0)  # new text: tree-cache miss
-        before = counters.snapshot()
+        before = metrics.counter_values()
         with pytest.raises(TamperedResponseError):
             client.decrypt_fragments(tampered)
-        assert counters.delta_since(before)["blocks_decrypted"] == 0
+        assert metrics.counters_delta(before)["blocks_decrypted"] == 0
 
     def test_one_cipher_pass_per_response(self, stack, monkeypatch):
         hosted, server, client = stack
@@ -162,16 +165,16 @@ class TestDecryptPipelineOrder:
             return original(cipher, items)
 
         monkeypatch.setattr(client_module, "cbc_decrypt_many", recording)
-        before = counters.snapshot()
+        before = metrics.counter_values()
         client.decrypt_fragments(response)
-        delta = counters.delta_since(before)
+        delta = metrics.counters_delta(before)
         assert calls == [response.blocks_shipped]
         assert delta["block_cache_misses"] == response.blocks_shipped
         assert delta["tree_cache_misses"] == len(response.fragments)
         # Warm: a dict lookup and a clone per fragment, no cipher pass.
-        before = counters.snapshot()
+        before = metrics.counter_values()
         client.decrypt_fragments(response)
-        delta = counters.delta_since(before)
+        delta = metrics.counters_delta(before)
         assert calls == [response.blocks_shipped]
         assert delta["tree_cache_hits"] == len(response.fragments)
         assert delta["blocks_decrypted"] == delta["block_cache_misses"] == 0
@@ -185,11 +188,11 @@ class TestDecryptPipelineOrder:
         assert blocks >= 1
         # Same block under a different fragment text: a block-cache hit.
         wrapped = Fragment(first.ancestor_path, f"<w>{first.xml}</w>")
-        before = counters.snapshot()
+        before = metrics.counter_values()
         trees = client.decrypt_fragments(
             ServerResponse(fragments=[first, first, wrapped])
         )
-        delta = counters.delta_since(before)
+        delta = metrics.counters_delta(before)
         assert delta["tree_cache_misses"] == 2 and delta["tree_cache_hits"] == 1
         assert delta["block_cache_misses"] == blocks
         assert delta["block_cache_hits"] == blocks

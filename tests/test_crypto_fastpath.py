@@ -35,8 +35,11 @@ from repro.crypto.modes import (
     pkcs7_pad,
 )
 from repro.crypto.prf import PRF
-from repro.perf import counters
+from repro.obs import MetricsRegistry
 from hmac_spec import hmac_sha256_spec
+
+#: Reads of the process counter total.
+metrics = MetricsRegistry()
 
 # FIPS-197 Appendix C.1 (AES-128) known-answer vector.
 _FIPS_KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
@@ -278,21 +281,21 @@ class TestBatchedCbcEncrypt:
     def test_blocks_encrypted_counts_the_same(self):
         cipher = AES128(_FIPS_KEY)
         batch = [(bytes(16), bytes(size)) for size in (0, 15, 16, 300)]
-        before = counters.snapshot()
+        before = metrics.counter_values()
         for iv, payload in batch:
             cbc_encrypt(cipher, iv, payload)
-        one_at_a_time = counters.delta_since(before)["blocks_encrypted"]
-        before = counters.snapshot()
+        one_at_a_time = metrics.counters_delta(before)["blocks_encrypted"]
+        before = metrics.counter_values()
         cbc_encrypt_many(cipher, batch)
-        assert counters.delta_since(before)["blocks_encrypted"] == one_at_a_time
+        assert metrics.counters_delta(before)["blocks_encrypted"] == one_at_a_time
         assert one_at_a_time == 1 + 1 + 2 + 19
 
     def test_bad_iv_rejected_before_any_cipher_call(self):
         cipher = AES128(_FIPS_KEY)
-        before = counters.snapshot()
+        before = metrics.counter_values()
         with pytest.raises(ValueError):
             cbc_encrypt_many(cipher, [(bytes(16), bytes(300)), (b"short", b"x")])
-        assert counters.delta_since(before).get("blocks_encrypted", 0) == 0
+        assert metrics.counters_delta(before).get("blocks_encrypted", 0) == 0
 
 
 class TestBatchedCbc:
@@ -314,9 +317,9 @@ class TestBatchedCbc:
             (iv, cbc_encrypt(cipher, iv, b"x")),  # one cipher block
             (iv, cbc_encrypt(cipher, iv, bytes(500))),
         ]
-        before = counters.snapshot()
+        before = metrics.counter_values()
         assert cbc_decrypt_many(cipher, items) == [b"x", bytes(500)]
-        assert counters.delta_since(before)["blocks_decrypted"] == 1 + 32
+        assert metrics.counters_delta(before)["blocks_decrypted"] == 1 + 32
 
     def test_bad_padding_member_fails_the_whole_batch(self):
         cipher = AES128(_FIPS_KEY)
@@ -338,11 +341,11 @@ class TestBatchedCbc:
         good = (bytes(16), cbc_encrypt(cipher, bytes(16), bytes(300)))
         with pytest.raises(ValueError) as single:
             cbc_decrypt(cipher, *bad_item)
-        before = counters.snapshot()
+        before = metrics.counter_values()
         with pytest.raises(ValueError) as batched:
             cbc_decrypt_many(cipher, [good, bad_item])
         assert str(batched.value) == str(single.value)
-        assert counters.delta_since(before).get("blocks_decrypted", 0) == 0
+        assert metrics.counters_delta(before).get("blocks_decrypted", 0) == 0
 
     def test_empty_member_and_empty_batch(self):
         cipher = AES128(_FIPS_KEY)
@@ -445,10 +448,10 @@ class TestCipherCaches:
     def test_key_schedule_cached_across_instances(self):
         key = b"cached-schedule!"
         _expand_key_cached.cache_clear()
-        before = counters.key_expansions
+        before = metrics.counter_values()["key_expansions"]
         AES128(key).encrypt_block(bytes(16))
         AES128(key).encrypt_block(bytes(16))
-        assert counters.key_expansions - before == 1
+        assert metrics.counter_values()["key_expansions"] - before == 1
 
     def test_flush_keeps_the_keyed_states_and_drops_the_iv_memo(self):
         keyring = ClientKeyring(b"pinned-master-key-0123456789abcd")

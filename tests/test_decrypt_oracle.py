@@ -25,7 +25,7 @@ from repro.core.integrity import TamperedResponseError
 from repro.core.server import Fragment, ServerResponse
 from repro.core.system import QueryFailedError, SecureXMLSystem
 from repro.crypto.modes import cbc_encrypt
-from repro.perf import counters
+from repro.obs import MetricsRegistry
 from repro.serving import ServingServer, remote_system
 from repro.workloads.axes import AxisWorkload
 from repro.workloads.healthcare import (
@@ -38,6 +38,9 @@ from repro.xmldb.builder import TreeBuilder
 from repro.xmldb.node import Attribute, Element, EncryptedBlockNode, Node, Text
 from repro.xmldb.serializer import serialize
 from repro.xpath.evaluator import evaluate
+
+#: Reads of the process counter total.
+metrics = MetricsRegistry()
 
 BENCH_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"
@@ -109,9 +112,9 @@ def queries_for(dataset, document):
 
 
 def measured(call):
-    before = counters.snapshot()
+    before = metrics.counter_values()
     result = call()
-    delta = counters.delta_since(before)
+    delta = metrics.counters_delta(before)
     return result, {name: delta[name] for name in COUNTERS}
 
 
@@ -658,14 +661,14 @@ class TestHostileFragments:
         elif expected == "oracle":
             assert oracle_shape is not None
         for attempt in ("cold", "warm"):  # warm: block cache holds the ids
-            before = counters.snapshot()
+            before = metrics.counter_values()
             try:
                 tree = client.decrypt_fragment(hostile)
             except TamperedResponseError:
                 assert expected in ("tampered", "untagged"), (name, attempt)
                 assert hostile not in client._tree_cache.live()
                 if expected == "untagged":
-                    delta = counters.delta_since(before)
+                    delta = metrics.counters_delta(before)
                     assert delta["integrity_failures"] == 1, (name, attempt)
                     assert delta["blocks_decrypted"] == 0, (name, attempt)
             else:
@@ -680,7 +683,7 @@ class TestHostileFragments:
         system, client, _ = stack
         honest = honest_fragment(system)
         client.flush_caches()
-        before = counters.snapshot()
+        before = metrics.counter_values()
         with pytest.raises(TamperedResponseError):
             client.decrypt_fragments(ServerResponse(fragments=[
                 Fragment((("hospital", 0),), honest),
@@ -688,7 +691,7 @@ class TestHostileFragments:
             ]))
         # The scan and every MAC check passed; only the parse did not —
         # so the blocks were decrypted, but no tree was cached.
-        assert counters.delta_since(before)["blocks_decrypted"] > 0
+        assert metrics.counters_delta(before)["blocks_decrypted"] > 0
         assert len(client._tree_cache) == 0
 
     @pytest.mark.parametrize(
@@ -779,12 +782,12 @@ class TestLyingServer:
         liar = _LyingServer(system, HOSTILE[name][0])
         # Every attempt fails typed; running out of them is a typed
         # failure, never a download through the server that just lied.
-        before = counters.snapshot()
+        before = metrics.counter_values()
         with pytest.raises(QueryFailedError) as failed:
             system.query(self.QUERY)
         assert isinstance(failed.value.__cause__, TamperedResponseError)
         # (The server's wire cache re-serves the one sealed lie.)
-        assert counters.delta_since(before)["integrity_failures"] == 4
+        assert metrics.counters_delta(before)["integrity_failures"] == 4
         assert liar.lies >= 1
         # The explicit §7.3 baseline, which this server does not lie
         # about, still answers exactly.
@@ -808,11 +811,11 @@ class TestLyingServer:
             system.client.assemble(system.client.decrypt_fragments(
                 system.server.answer(system.client.translate(query))
             ))
-        before = counters.snapshot()
+        before = metrics.counter_values()
         with pytest.raises(QueryFailedError) as failed:
             system.query(query)
         assert isinstance(failed.value.__cause__, TamperedResponseError)
-        assert counters.delta_since(before)["integrity_failures"] == 4
+        assert metrics.counters_delta(before)["integrity_failures"] == 4
         assert liar.lies >= 2
         assert system.naive_query(query).canonical() == expected
 
@@ -830,14 +833,14 @@ class TestLyingServer:
                 liar = _LyingServer(local, HOSTILE["truncated-tail"][0])
                 local.server.flush_caches()
                 remote.flush_caches()
-                before = counters.snapshot()
+                before = metrics.counter_values()
                 with pytest.raises(QueryFailedError) as failed:
                     remote.query(self.QUERY)
                 assert isinstance(
                     failed.value.__cause__, TamperedResponseError
                 )
                 assert liar.lies >= 1
-                assert counters.delta_since(before)["integrity_failures"] == 4
+                assert metrics.counters_delta(before)["integrity_failures"] == 4
             finally:
                 remote.close()
         finally:

@@ -35,7 +35,10 @@ from repro.core.integrity import (
 from repro.core.system import QueryFailedError, SecureXMLSystem
 from repro.netsim.channel import Channel
 from repro.netsim.faults import FaultPolicy, FaultRates, FaultyChannel
-from repro.perf import counters
+from repro.obs import MetricsRegistry
+
+#: Reads of the process counter total.
+metrics = MetricsRegistry()
 
 KEY = b"freshness-unit-test-key-32-bytes"
 ROOT = bytes(range(32))
@@ -296,7 +299,7 @@ class TestRollbackSweepMonolithic:
             healthcare_doc, healthcare_scs, scheme="opt",
             channel=FaultyChannel(policy=policy),
         )
-        start = counters.snapshot()
+        start = metrics.counter_values()
         for query in QUERIES:  # record pre-update snapshots
             assert system.query(query).canonical() == before[query]
         system.update_value(PROBE, "987654")
@@ -311,7 +314,7 @@ class TestRollbackSweepMonolithic:
                 assert answer.canonical() == after[query], query
                 outcomes.append("fresh")
         assert "fresh" in outcomes  # retries do recover real answers
-        delta = counters.delta_since(start)
+        delta = metrics.counters_delta(start)
         assert delta.get("faults_rolled_back", 0) > 0, seed
         assert delta.get("rollback_detected", 0) > 0, seed
         assert delta.get("freshness_failures", 0) > 0, seed
@@ -387,13 +390,13 @@ class TestARetryRetranslates:
             return answer_wire(request)
 
         monkeypatch.setattr(system.server, "answer_wire", commit_then_answer)
-        start = counters.snapshot()
+        start = metrics.counter_values()
         # The old plan's key ranges, run over the rebuilt value index,
         # select nothing: sealed, verified, and wrong.
         assert system.query(self.QUERY).values() == ["Matt"]
         trace = system.last_trace
         assert (trace.retries, trace.plan) == (1, "axis")
-        delta = counters.delta_since(start)
+        delta = metrics.counters_delta(start)
         assert delta["rollback_detected"] == 1
         assert delta["plan_cache_misses"] == 2  # the delete's, the retry's
 
@@ -405,12 +408,12 @@ class TestARetryRetranslates:
             healthcare_doc, healthcare_scs, scheme="opt",
             channel=FaultyChannel(policy=policy),
         )
-        start = counters.snapshot()
+        start = metrics.counter_values()
         retries = 0
         for _ in range(8):
             assert system.query(self.QUERY).values() == ["Matt"]
             retries += system.last_trace.retries
-        delta = counters.delta_since(start)
+        delta = metrics.counters_delta(start)
         assert retries > 0
         assert delta["plan_cache_misses"] == 1
         assert delta["plan_cache_hits"] == 7 + retries
@@ -445,7 +448,7 @@ class TestRollbackCluster:
                 for replica in range(3)
             ],
         )
-        start = counters.snapshot()
+        start = metrics.counter_values()
         for query in QUERIES:
             assert system.query(query).canonical() == before[query]
         system.update_value(PROBE, "987654")
@@ -460,7 +463,7 @@ class TestRollbackCluster:
                 assert answer.canonical() == after[query], query
                 outcomes.append("fresh")
         assert "fresh" in outcomes
-        delta = counters.delta_since(start)
+        delta = metrics.counters_delta(start)
         assert delta.get("faults_rolled_back", 0) > 0, seed
         assert delta.get("freshness_failures", 0) > 0, seed
 
@@ -478,7 +481,7 @@ class TestRollbackCluster:
             healthcare_doc, healthcare_scs,
             [FaultPolicy(pin_stale=True), None],
         )
-        start = counters.snapshot()
+        start = metrics.counter_values()
 
         def run_phase():
             for query in QUERIES:
@@ -486,7 +489,7 @@ class TestRollbackCluster:
                     system.query(query).canonical()
                     == reference.query(query).canonical()
                 ), query
-            return counters.delta_since(start)
+            return metrics.counters_delta(start)
 
         run_phase()  # pins the pre-update snapshots
         system.update_value(PROBE, "987654")

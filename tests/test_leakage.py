@@ -24,12 +24,16 @@ from repro.core.leakage import (
     leakage_stream,
 )
 from repro.core.system import SecureXMLSystem
-from repro.perf import counters
+from repro.obs import MetricsRegistry
+from repro.obs.metrics import CACHE_LAYERS
 from repro.security.leakage import TraceClusteringAttack, run_leakage_game
 from repro.serving import ServingServer, remote_system
 from repro.workloads.axes import AxisWorkload
 from repro.xmldb.node import iter_encrypted_blocks
 from repro.xmldb.parser import ENCRYPTED_DATA_TAG
+
+#: Reads of the process counter total.
+metrics = MetricsRegistry()
 
 QUERIES = (
     "//patient",
@@ -327,13 +331,13 @@ class TestCacheHygiene:
         system = host(doc, scs, **kwargs)
         for query in QUERIES:
             system.query(query)  # cold pass fills every cache
-        before = counters.snapshot()
+        before = metrics.counter_values()
         for query in QUERIES:
             system.query(query)  # warm pass measured
-        return counters.delta_since(before)
+        return metrics.counters_delta(before)
 
     def test_leakage_is_not_a_cache_layer(self):
-        for layer in counters.cache_layers():
+        for layer in CACHE_LAYERS:
             assert "leakage" not in layer
 
     def test_warm_hit_rates_unchanged_by_policy(
@@ -345,7 +349,7 @@ class TestCacheHygiene:
         )
         cache_keys = [
             key for key in plain
-            if any(layer in key for layer in counters.cache_layers())
+            if any(layer in key for layer in CACHE_LAYERS)
         ]
         assert cache_keys  # the warm pass exercised real caches
         for key in cache_keys:
@@ -355,9 +359,9 @@ class TestCacheHygiene:
         self, healthcare_doc, healthcare_scs
     ):
         system = host(healthcare_doc, healthcare_scs, leakage=FULL)
-        before = counters.snapshot()
+        before = metrics.counter_values()
         system.query("//SSN")
-        delta = counters.delta_since(before)
+        delta = metrics.counters_delta(before)
         assert delta.get("leakage_decoy_fetches", 0) == FULL.decoys
         assert delta.get("leakage_extra_bytes", 0) > 0
         assert delta.get("leakage_traces_recorded", 0) == 1

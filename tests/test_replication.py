@@ -21,7 +21,10 @@ from repro.netsim.faults import (
     FaultyChannel,
     TransferDropped,
 )
-from repro.perf import counters
+from repro.obs import MetricsRegistry
+
+#: Reads of the process counter total.
+metrics = MetricsRegistry()
 
 QUERIES = ("//patient/SSN", "//pname", "//patient/treat/disease")
 PROBE = "//patient[pname='Betty']/SSN"
@@ -218,9 +221,9 @@ class TestStaleReplica:
         for target in (system, reference):
             target.update_value(PROBE, "987654")
 
-        before = counters.snapshot()
+        before = metrics.counter_values()
         assert system.query(PROBE).canonical() == reference.query(PROBE).canonical()
-        delta = counters.delta_since(before)
+        delta = metrics.counters_delta(before)
         assert delta["replica_demotions"] == delta["replica_resyncs"] == 1
         assert delta["rollback_detected"] == 1
         assert system.last_trace.freshness_failures == 1
@@ -230,10 +233,10 @@ class TestStaleReplica:
         assert lag["count"] == 1 and lag["max"] == 1.0
 
         # Re-admitted: the next query goes to replica 0 and is fresh.
-        before = counters.snapshot()
+        before = metrics.counter_values()
         assert system.query(PROBE).canonical() == reference.query(PROBE).canonical()
         assert system.last_trace.attempts == 1
-        assert counters.delta_since(before)["replica_demotions"] == 0
+        assert metrics.counters_delta(before)["replica_demotions"] == 0
 
     def test_one_replica_is_never_benched(
         self, healthcare_doc, healthcare_scs
@@ -244,10 +247,10 @@ class TestStaleReplica:
         system = host(healthcare_doc, healthcare_scs, [pinned])
         system.query(PROBE)
         system.update_value(PROBE, "987654")
-        before = counters.snapshot()
+        before = metrics.counter_values()
         with pytest.raises(QueryFailedError):
             system.query(PROBE)
-        delta = counters.delta_since(before)
+        delta = metrics.counters_delta(before)
         assert delta["replica_demotions"] == delta["replica_resyncs"] == 0
         assert pinned._snapshots  # never resynced
 
@@ -263,13 +266,13 @@ class TestStaleReplica:
             "stale", observed_epoch=0, expected_epoch=1
         )
         rotation = system._active
-        before = counters.snapshot()
+        before = metrics.counter_values()
         system._demote(0, stale)
         system._demote(0, stale)
         system._demote(1, stale)
         assert system._active == [1]
         assert rotation == [0, 1]  # a reader holding the old list is safe
-        assert counters.delta_since(before)["replica_demotions"] == 1
+        assert metrics.counters_delta(before)["replica_demotions"] == 1
 
 
 # ----------------------------------------------------------------------

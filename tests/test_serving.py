@@ -21,7 +21,7 @@ from repro.core.client import canonical_node
 from repro.core.storage import load_system
 from repro.core.system import SecureXMLSystem, _DEFAULT_MASTER_KEY
 from repro.obs import Observability
-from repro.perf import counters
+from repro.obs import MetricsRegistry
 from repro.serving import (
     BackpressureRejected,
     ConnectionClosedError,
@@ -43,6 +43,9 @@ from repro.serving import (
 from repro.serving.framing import OP_QUERY, OP_STATS, OP_UPDATE
 from repro.serving.server import ReadWriteLock
 from repro.xpath.evaluator import evaluate
+
+#: Reads of the process counter total.
+metrics = MetricsRegistry()
 
 QUERIES = (
     "//patient[.//insurance//@coverage>=10000]//SSN",
@@ -414,7 +417,7 @@ class TestBackpressure:
 
         session.query = slow_query
         host, port = server.start()
-        before = counters.snapshot()
+        before = metrics.counter_values()
         try:
             from repro.core.client import Client
             from repro.serving.client import AsyncServingClient
@@ -442,7 +445,7 @@ class TestBackpressure:
         finally:
             release.set()
             server.stop()
-        delta = counters.delta_since(before)
+        delta = metrics.counters_delta(before)
         assert delta.get("backpressure_rejections", 0) >= 1
 
     def test_backpressure_is_absorbed_by_system_retries(self, local):
@@ -473,10 +476,10 @@ class TestDrain:
 
     def test_drain_is_idempotent_and_counted(self, served):
         server, _, _ = served
-        before = counters.snapshot()
+        before = metrics.counter_values()
         server.drain()
         server.drain()
-        assert counters.delta_since(before).get("serving_drains", 0) == 1
+        assert metrics.counters_delta(before).get("serving_drains", 0) == 1
 
     def test_inflight_request_finishes_during_drain(self, local):
         server = ServingServer(max_inflight=4)

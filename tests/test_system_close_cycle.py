@@ -10,7 +10,10 @@ import pytest
 
 from repro.core.system import SecureXMLSystem
 from repro.netsim.channel import Channel
-from repro.perf import counters
+from repro.obs import MetricsRegistry
+
+#: Reads of the process counter total.
+metrics = MetricsRegistry()
 
 QUERY = "//patient/SSN"
 
@@ -56,12 +59,12 @@ class TestCloseQueryCycles:
         assert len(system.last_batch_traces) == len(queries)
 
     def test_counters_keep_accumulating_across_cycles(self, system):
-        before = counters.snapshot()
+        before = metrics.counter_values()
         system.query(QUERY)
         system.close()
         system.flush_caches()
         system.query(QUERY)
-        delta = counters.delta_since(before)
+        delta = metrics.counters_delta(before)
         # Two cold executions: the second cycle's decrypt work is counted.
         assert delta.get("blocks_decrypted", 0) > 0
 
