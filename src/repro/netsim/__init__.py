@@ -4,7 +4,6 @@ codecs, and deterministic fault injection for chaos testing."""
 from repro.netsim.channel import (
     DIRECTIONS,
     Channel,
-    NullChannel,
     TransferRecord,
 )
 from repro.netsim.faults import (
@@ -24,7 +23,6 @@ __all__ = [
     "FaultRates",
     "FaultyChannel",
     "MessageDecodeError",
-    "NullChannel",
     "TransferDropped",
     "TransferRecord",
 ]

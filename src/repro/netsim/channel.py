@@ -107,31 +107,3 @@ class Channel:
     def reset(self) -> None:
         """Clear the transfer log (benchmarks do this between queries)."""
         self.transfers.clear()
-
-
-@dataclass
-class NullChannel(Channel):
-    """A channel that neither accounts nor models time.
-
-    The serving layer moves the transfer boundary out of the system and
-    onto the socket: the remote client's
-    :class:`~repro.serving.transport.AsyncFaultTransport` carries (and
-    bills, and optionally faults) the actual bytes.  The
-    :class:`~repro.core.system.SecureXMLSystem` wrapped around that
-    transport still routes every exchange through ``self.channel``, so
-    it gets this no-op — otherwise each payload would be billed twice
-    and every fault schedule would draw twice per transfer.
-    """
-
-    def send(self, direction: str, label: str, size_bytes: int) -> float:
-        if direction not in DIRECTIONS:
-            raise ValueError(
-                f"unknown transfer direction {direction!r}; "
-                f"expected one of {DIRECTIONS}"
-            )
-        return 0.0
-
-    def transfer(
-        self, direction: str, label: str, payload: bytes
-    ) -> tuple[bytes, float]:
-        return payload, self.send(direction, label, len(payload))

@@ -1,18 +1,18 @@
-"""Async socket serving: the multi-tenant front door (PR 8).
+"""Socket serving: the multi-tenant front door.
 
-Stands the secure query pipeline up behind real TCP sockets on an
-``asyncio`` event loop without changing a byte of its security
-behaviour: requests and responses cross the wire as the same sealed
-payloads the in-process channel carries, every verification step runs
-in the unmodified owner-side code, and the netsim fault layer plugs in
-at the socket boundary so the chaos and rollback suites replay their
-seeded schedules over live connections.  See ``docs/SERVING.md``.
+Stands the secure query pipeline up behind real TCP sockets without
+changing a byte of its security behaviour: requests and responses cross
+the wire as the same sealed payloads the in-process channel carries,
+every verification step runs in the unmodified owner-side code, and the
+owner's end is a plain blocking socket, one request at a time, under a
+system that keeps its own netsim channel — so the chaos and rollback
+suites replay their seeded schedules over live connections.  The front
+door is an ``asyncio`` event loop that serves each connection's frames
+in order.  See ``docs/SERVING.md``.
 """
 
 from repro.serving.client import (
-    AsyncServingClient,
     RemoteSecureXMLSystem,
-    RemoteServer,
     ServingConnection,
     remote_system,
 )
@@ -33,20 +33,14 @@ from repro.serving.framing import (
     decode_frame,
     encode_frame,
 )
-from repro.serving.loadgen import LoadReport, run_load
 from repro.serving.server import ServingServer, TenantSession
-from repro.serving.transport import AsyncFaultTransport
 
 __all__ = [
-    "AsyncFaultTransport",
-    "AsyncServingClient",
     "BackpressureRejected",
     "ConnectionClosedError",
     "FrameError",
-    "LoadReport",
     "ProtocolError",
     "RemoteSecureXMLSystem",
-    "RemoteServer",
     "RemoteServerError",
     "RequestTimeoutError",
     "ServerDraining",
@@ -60,5 +54,4 @@ __all__ = [
     "encode_error",
     "encode_frame",
     "remote_system",
-    "run_load",
 ]

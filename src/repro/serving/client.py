@@ -1,41 +1,31 @@
-"""The remote side of the front door: async client, sync facade, proxy.
-
-Three layers, innermost first:
-
-:class:`AsyncServingClient`
-    Pure asyncio: one TCP connection, a HELLO handshake, and a reader
-    task that demultiplexes response frames back to their requests by
-    request id — which is what lets one connection carry many in-flight
-    requests at once.
+"""The owner's end of the front door: one blocking connection, one system.
 
 :class:`ServingConnection`
-    A synchronous facade owning a private event loop on a daemon
-    thread, so the *blocking* secure pipeline can call through it like
-    any other function.  This is also where the
-    :class:`~repro.serving.transport.AsyncFaultTransport` is applied:
-    request payloads are faulted **before** they are framed (a corrupted
-    request genuinely crosses the wire mangled; a dropped one never
-    leaves the process), responses are faulted on arrival, on the
-    calling thread, in consumption order — exactly the transfer
-    sequence the in-process channel sees, so a seeded
-    :class:`~repro.netsim.faults.FaultPolicy` replays the same schedule
-    over live sockets.
+    One TCP socket to the front door, one request in flight at a time.
+    A lock covers each send and its receive; responses are split off a
+    receive buffer by the sans-IO :func:`~repro.serving.framing
+    .decode_frame`.  The request id exists for one job only: after a
+    :class:`~repro.serving.errors.RequestTimeoutError` the abandoned
+    request's late answer is still on its way, and the next request
+    reads past it by id.  The connection *is* the remote server: it
+    exposes ``answer_wire`` / ``ship_all_wire``, the two methods the
+    secure pipeline calls on ``system.server``.
 
-:class:`RemoteServer` / :class:`RemoteSecureXMLSystem` / :func:`remote_system`
-    The drop-in: ``RemoteServer`` implements the monolithic
-    :class:`~repro.core.server.Server` wire surface over a connection,
-    and ``remote_system(local, address, tenant)`` builds a
+:class:`RemoteSecureXMLSystem` / :func:`remote_system`
+    ``remote_system(local, address, tenant, channel)`` builds a
     :class:`~repro.core.system.SecureXMLSystem` whose server is that
-    proxy and whose channel is a :class:`~repro.netsim.channel
-    .NullChannel` (all fault injection and byte accounting happen once,
-    in the transport).  Every verification step — envelope, freshness,
-    decryption, re-evaluation — runs in the unmodified system code, so
-    remote answers are byte-identical to in-process ones and failures
-    surface as the same typed errors.
+    connection and whose channel is the caller's netsim channel.  The
+    system's own exchange carries every sealed payload across the
+    channel exactly as in process — billed, and faulted by a
+    :class:`~repro.netsim.faults.FaultyChannel` on the same transfers in
+    the same order — and then across the socket.  Every verification
+    step (envelope, freshness, decryption, re-evaluation) runs in the
+    unmodified system code, so remote answers are byte-identical to
+    in-process ones and failures surface as the same typed errors.
 
 Update parity: in-process updates are local mutations with no channel
-transfer, so remote updates bypass the fault transport too.  They cross
-as freshness-sealed commands (:data:`OP_UPDATE`) bound to the tenant's
+transfer, so remote updates bypass the channel too.  They cross as
+freshness-sealed commands (:data:`OP_UPDATE`) bound to the tenant's
 ``(epoch, Merkle root)`` anchor, valid at exactly that one epoch; losing
 a seal race to a concurrent writer surfaces as a typed freshness error
 and the client re-seals against the moved anchor, a bounded number of
@@ -47,17 +37,16 @@ the served tenant's caches are the host's to flush.
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import json
+import socket
 import threading
-from concurrent.futures import TimeoutError as _FutureTimeoutError
 
 from repro.core.client import Client
 from repro.core.integrity import FreshnessError, TamperedResponseError, unseal
 from repro.core.system import SecureXMLSystem
 from repro.crypto.keyring import ClientKeyring
-from repro.netsim.channel import Channel, NullChannel
+from repro.netsim.channel import Channel
 
 from repro.serving.errors import (
     ProtocolError,
@@ -66,7 +55,6 @@ from repro.serving.errors import (
     decode_error,
 )
 from repro.serving.framing import (
-    FAULTED_OPS,
     OP_ERROR,
     OP_HELLO,
     OP_HELLO_OK,
@@ -77,122 +65,24 @@ from repro.serving.framing import (
     OP_UPDATE,
     PROTOCOL_VERSION,
     ConnectionClosedError,
-    FrameError,
+    decode_frame,
     encode_frame,
-    read_frame,
 )
-from repro.serving.transport import AsyncFaultTransport
 
 #: How many times a sealed command re-seals after losing an anchor race.
 _COMMAND_RESEAL_ATTEMPTS = 5
 
-#: Sentinel opcode the reader enqueues when the connection dies.
-_CLOSED = -1
-
-
-class AsyncServingClient:
-    """One framed connection with request-id demultiplexing (asyncio)."""
-
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        hello: dict,
-    ) -> None:
-        self._reader = reader
-        self._writer = writer
-        self.hello = hello
-        self._ids = itertools.count(1)
-        self._pending: dict[int, asyncio.Queue] = {}
-        self._write_lock = asyncio.Lock()
-        self._reader_task = asyncio.get_running_loop().create_task(
-            self._read_loop()
-        )
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    @classmethod
-    async def open(
-        cls, host: str, port: int, tenant: str
-    ) -> "AsyncServingClient":
-        reader, writer = await asyncio.open_connection(host, port)
-        payload = json.dumps(
-            {"tenant": tenant, "protocol": PROTOCOL_VERSION}, sort_keys=True
-        ).encode("utf-8")
-        writer.write(encode_frame(0, OP_HELLO, payload))
-        await writer.drain()
-        _, op, data = await read_frame(reader)
-        if op == OP_ERROR:
-            writer.close()
-            raise decode_error(data)
-        if op != OP_HELLO_OK:
-            writer.close()
-            raise ProtocolError(f"expected HELLO_OK, got opcode {op}")
-        return cls(reader, writer, json.loads(data.decode("utf-8")))
-
-    async def close(self) -> None:
-        self._reader_task.cancel()
-        try:
-            await self._reader_task
-        except (asyncio.CancelledError, Exception):
-            pass
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except Exception:
-            pass
-
-    async def _read_loop(self) -> None:
-        try:
-            while True:
-                rid, op, payload = await read_frame(self._reader)
-                queue = self._pending.get(rid)
-                if queue is not None:
-                    queue.put_nowait((op, payload))
-        except (FrameError, ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            for queue in self._pending.values():
-                queue.put_nowait((_CLOSED, b""))
-
-    # ------------------------------------------------------------------
-    # Requests
-    # ------------------------------------------------------------------
-    async def _send(self, rid: int, op: int, payload: bytes) -> None:
-        frame = encode_frame(rid, op, payload)
-        async with self._write_lock:
-            self._writer.write(frame)
-            await self._writer.drain()
-
-    async def call(self, op: int, payload: bytes) -> bytes:
-        """One monolithic request; returns the OK payload or re-raises."""
-        rid = next(self._ids)
-        queue: asyncio.Queue = asyncio.Queue()
-        self._pending[rid] = queue
-        try:
-            await self._send(rid, op, payload)
-            resp_op, data = await queue.get()
-            if resp_op == _CLOSED:
-                raise ConnectionClosedError("connection lost mid-request")
-            if resp_op == OP_ERROR:
-                raise decode_error(data)
-            if resp_op != OP_OK:
-                raise ProtocolError(
-                    f"expected OK for request {rid}, got opcode {resp_op}"
-                )
-            return data
-        finally:
-            self._pending.pop(rid, None)
+#: Bytes asked of the socket per read.
+_RECV_BYTES = 1 << 18
 
 
 class ServingConnection:
-    """Blocking facade over :class:`AsyncServingClient`.
+    """One blocking framed connection to a tenant; the remote server.
 
-    Owns a private event loop on a daemon thread; every public method is
-    safe to call from any (single) client thread.  The fault transport
-    is applied here — on the calling thread, in the order payloads are
-    produced/consumed — keeping a stateful seeded channel single-threaded.
+    Safe to share between threads: a lock serializes whole requests.
+    ``timeout`` bounds each wait for bytes from the front door; a
+    request that hits it raises :class:`RequestTimeoutError` and leaves
+    the connection usable.
     """
 
     def __init__(
@@ -200,12 +90,10 @@ class ServingConnection:
         host: str,
         port: int,
         tenant: str,
-        channel: Channel | None = None,
         timeout: float = 60.0,
         keyring: "ClientKeyring | None" = None,
         hosted: "object | None" = None,
     ) -> None:
-        self.transport = AsyncFaultTransport(channel)
         self._timeout = timeout
         # Owner-side state for sealed control commands (update,
         # stats): the session keys and the live (epoch, root) anchor.
@@ -213,50 +101,85 @@ class ServingConnection:
         # query paths, whose blobs the caller seals itself.
         self._keyring = keyring
         self._hosted = hosted
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever,
-            name=f"serving-client-{tenant}",
-            daemon=True,
-        )
-        self._thread.start()
-        self._closed = False
-        self._close_lock = threading.Lock()
+        self._ids = itertools.count(1)
+        self._buffer = bytearray()
+        self._lock = threading.Lock()
+        self._sock = socket.create_connection((host, port), timeout=timeout)
         try:
-            self._client = self._run(
-                AsyncServingClient.open(host, port, tenant)
-            )
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            payload = json.dumps(
+                {"tenant": tenant, "protocol": PROTOCOL_VERSION},
+                sort_keys=True,
+            ).encode("utf-8")
+            op, data = self._round_trip(0, OP_HELLO, payload)
+            if op == OP_ERROR:
+                raise decode_error(data)
+            if op != OP_HELLO_OK:
+                raise ProtocolError(f"expected HELLO_OK, got opcode {op}")
+            self.hello = json.loads(data.decode("utf-8"))
         except BaseException:
-            self._shutdown_loop()
+            self._sock.close()
             raise
-        self.hello = self._client.hello
 
-    def _run(self, coro):
-        future = asyncio.run_coroutine_threadsafe(coro, self._loop)
-        try:
-            return future.result(self._timeout)
-        except _FutureTimeoutError:
-            # Cancel the coroutine on the client loop so its finally
-            # blocks run (dropping the _pending entry) — otherwise the
-            # abandoned call sits on queue.get forever and a late frame
-            # for its request id could be mis-delivered later.
-            future.cancel()
-            raise RequestTimeoutError(
-                f"no response within {self._timeout}s"
-            ) from None
+    # ------------------------------------------------------------------
+    # Frame I/O
+    # ------------------------------------------------------------------
+    def _round_trip(
+        self, rid: int, op: int, payload: bytes
+    ) -> tuple[int, bytes]:
+        """Send one frame; return ``(opcode, payload)`` of its answer.
+
+        A frame carrying another id is the late answer to a request that
+        timed out earlier on this connection, and is discarded.
+        """
+        with self._lock:
+            try:
+                self._sock.sendall(encode_frame(rid, op, payload))
+                while True:
+                    got, resp_op, data = self._read_frame()
+                    if got == rid:
+                        return resp_op, data
+            except TimeoutError:
+                raise RequestTimeoutError(
+                    f"no response within {self._timeout}s"
+                ) from None
+            except OSError as exc:
+                raise ConnectionClosedError(
+                    "connection lost mid-request"
+                ) from exc
+
+    def _read_frame(self) -> tuple[int, int, bytes]:
+        while True:
+            try:
+                frame, self._buffer = decode_frame(self._buffer)
+                return frame
+            except ConnectionClosedError:
+                pass  # a partial frame: read more
+            chunk = self._sock.recv(_RECV_BYTES)
+            if not chunk:
+                raise ConnectionClosedError("connection lost mid-request")
+            self._buffer += chunk
 
     # ------------------------------------------------------------------
     # Request surface
     # ------------------------------------------------------------------
     def call(self, op: int, payload: bytes) -> bytes:
-        """One request/response; fault-transported iff ``op`` is data-plane."""
-        faulted = op in FAULTED_OPS
-        if faulted:
-            payload = self.transport.outbound("query", payload)
-        data = self._run(self._client.call(op, payload))
-        if faulted:
-            data = self.transport.inbound("answer", data)
+        """One request/response; returns the OK payload or re-raises."""
+        rid = next(self._ids)
+        resp_op, data = self._round_trip(rid, op, payload)
+        if resp_op == OP_ERROR:
+            raise decode_error(data)
+        if resp_op != OP_OK:
+            raise ProtocolError(
+                f"expected OK for request {rid}, got opcode {resp_op}"
+            )
         return data
+
+    def answer_wire(self, request_blob: bytes) -> bytes:
+        return self.call(OP_QUERY, request_blob)
+
+    def ship_all_wire(self, request_blob: bytes) -> bytes:
+        return self.call(OP_NAIVE, request_blob)
 
     def sealed_call(self, op: int, command: dict) -> bytes:
         """Issue a freshness-sealed control command; returns the
@@ -299,19 +222,8 @@ class ServingConnection:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        with self._close_lock:
-            if self._closed:
-                return
-            self._closed = True
-        try:
-            self._run(self._client.close())
-        finally:
-            self._shutdown_loop()
-
-    def _shutdown_loop(self) -> None:
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=self._timeout)
-        self._loop.close()
+        """Close the socket (idempotent)."""
+        self._sock.close()
 
     def __enter__(self) -> "ServingConnection":
         return self
@@ -320,37 +232,19 @@ class ServingConnection:
         self.close()
 
 
-class RemoteServer:
-    """The monolithic ``Server`` wire surface, proxied over a connection.
-
-    Implements exactly the two methods the secure pipeline calls on
-    ``system.server`` plus the attributes the system constructor touches,
-    so a :class:`~repro.core.system.SecureXMLSystem` cannot tell it from
-    a local server.
-    """
-
-    def __init__(self, connection: ServingConnection) -> None:
-        self._connection = connection
-        self._obs = None  # assigned by SecureXMLSystem.__init__
-
-    def answer_wire(self, request_blob: bytes) -> bytes:
-        return self._connection.call(OP_QUERY, request_blob)
-
-    def ship_all_wire(self, request_blob: bytes) -> bytes:
-        return self._connection.call(OP_NAIVE, request_blob)
-
-
 class RemoteSecureXMLSystem(SecureXMLSystem):
     """A system whose server half lives behind the socket.
 
     Queries need no overriding at all — the inherited pipeline calls the
-    :class:`RemoteServer` proxy and verifies everything itself.  Updates
-    are overridden to travel as sealed commands, ``flush_caches`` empties
-    the client half only, and ``close`` also closes the connection
-    (idempotently — a serving drain can race it).
+    :class:`ServingConnection` as its server and verifies everything
+    itself.  Updates are overridden to travel as sealed commands,
+    ``flush_caches`` empties the client half only, and ``close`` also
+    closes the connection.
     """
 
-    _connection: ServingConnection | None = None
+    @property
+    def _connection(self) -> ServingConnection:
+        return self.server
 
     def flush_caches(self) -> None:
         """Drop the client-side caches; the served tenant keeps its own."""
@@ -378,11 +272,9 @@ class RemoteSecureXMLSystem(SecureXMLSystem):
         )
 
     def _remote_update(self, op: dict) -> None:
-        connection = self._connection
-        assert connection is not None, "remote system has no connection"
         # sealed_call seals at the live anchor and re-seals after losing
         # an anchor race to a concurrent writer.
-        ack = connection.sealed_call(OP_UPDATE, op)
+        ack = self._connection.sealed_call(OP_UPDATE, op)
         json.loads(ack.decode("utf-8"))  # malformed ack → typed error
 
     # ------------------------------------------------------------------
@@ -390,9 +282,7 @@ class RemoteSecureXMLSystem(SecureXMLSystem):
     # ------------------------------------------------------------------
     def close(self) -> None:
         super().close()
-        connection = self._connection
-        if connection is not None:
-            connection.close()
+        self._connection.close()
 
 
 def remote_system(
@@ -400,37 +290,31 @@ def remote_system(
     address: tuple[str, int],
     tenant: str,
     channel: Channel | None = None,
-    observability: "object | None" = None,
-    timeout: float = 60.0,
 ) -> RemoteSecureXMLSystem:
     """Build the owner's remote handle onto a served tenant.
 
     ``local`` is the owner's system for the same tenant — the remote
     handle shares its hosted state and keyring (the owner *is* the same
     party on both ends; what moves to the far side of the socket is the
-    untrusted server half).  ``channel`` is the netsim channel applied
-    at the socket boundary: default accounting-only, ``NullChannel()``
-    for free transfers, a ``FaultyChannel`` for chaos over live sockets.
+    untrusted server half).  ``channel`` is the system's netsim channel,
+    as for :meth:`SecureXMLSystem.host`: default accounting-only, a
+    ``FaultyChannel`` for chaos over live sockets.
     """
     host, port = address
     connection = ServingConnection(
-        host, port, tenant, channel=channel, timeout=timeout,
-        keyring=local.keyring, hosted=local.hosted,
+        host, port, tenant, keyring=local.keyring, hosted=local.hosted
     )
-    remote = RemoteSecureXMLSystem(
+    return RemoteSecureXMLSystem(
         client=Client(local.keyring, local.hosted),
-        server=RemoteServer(connection),
+        server=connection,
         hosted=local.hosted,
         scheme=local.scheme,
-        channel=NullChannel(),
+        channel=channel or Channel(),
         hosting_trace=local.hosting_trace,
         keyring=local.keyring,
         retry_policy=local.retry_policy,
-        observability=observability,
         # Never client-side: decoy/padding fetches happen where the
         # storage is — the served tenant system — and REPRO_LEAKAGE must
-        # not make this proxy try to attach a tier to RemoteServer.
+        # not make this handle try to attach a tier to its connection.
         leakage=False,
     )
-    remote._connection = connection
-    return remote

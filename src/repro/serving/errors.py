@@ -67,8 +67,9 @@ class ServerDraining(TransferDropped):
 class RequestTimeoutError(ServingError):
     """A client-side deadline expired with the request still in flight.
 
-    Raised by the blocking facade only — the server may or may not have
-    executed the operation, so this is deliberately *not* retryable
+    Raised by :class:`~repro.serving.client.ServingConnection` — the
+    server may or may not have executed the operation, so this is
+    deliberately *not* retryable
     (re-issuing a mutating command after a timeout could double-apply
     it); callers that know their operation is idempotent can retry
     explicitly.

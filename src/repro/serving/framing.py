@@ -2,15 +2,15 @@
 
 The in-process pipeline already has a canonical byte encoding for every
 message (:mod:`repro.netsim.message`) and a freshness envelope around it
-(:mod:`repro.core.integrity`); what a real socket adds is *delimitation*
-and *multiplexing*.  One frame is::
+(:mod:`repro.core.integrity`); what a real socket adds is
+*delimitation*.  One frame is::
 
     u32 BE length | u64 BE request id | u8 opcode | payload
 
 where ``length`` covers everything after itself (id + opcode + payload).
-The request id is chosen by the client and echoed by the server on every
-frame belonging to that request, so many requests can be in flight on
-one connection and responses are matched by id, not arrival order.
+A connection carries one request at a time.  The request id is chosen by
+the client and echoed by the server on the reply, so a client that gave
+up on a request (a timeout) can recognize and drop its late answer.
 
 The framing is deliberately dumb: no compression, no negotiation beyond
 the HELLO exchange, and a hard size cap so a garbage length prefix
@@ -49,11 +49,6 @@ OP_STATS = 7  # freshness-sealed {"op": "stats"}; sealed JSON response
 OP_OK = 16  # complete response payload for the request id
 OP_ERROR = 19  # JSON {"error": <type name>, "message": ...}
 OP_HELLO_OK = 20  # JSON session parameters (tenant, protocol, epoch)
-
-#: Opcodes whose payloads are data-plane traffic: exactly the bytes that
-#: cross the in-process :class:`~repro.netsim.channel.Channel`, so the
-#: fault transport applies the seeded schedules to these and only these.
-FAULTED_OPS = frozenset({OP_QUERY, OP_NAIVE})
 
 PROTOCOL_VERSION = 1
 

@@ -12,12 +12,13 @@ never sees a key it didn't already hold as the tenant's host.
 Execution model
 ---------------
 
-The event loop does I/O only.  Every admitted request is dispatched to
-a thread pool (`run_in_executor`) where the synchronous pipeline — the
+One request at a time per connection.  The event loop does I/O only:
+it reads a connection's frame, admits it, awaits its handler on a
+thread pool (`run_in_executor`) where the synchronous pipeline — the
 same :meth:`~repro.core.server.Server.answer_wire` the in-process path
-calls — runs to completion; the loop meanwhile keeps reading frames, so
-many requests per connection are genuinely in flight at once and
-responses are matched by request id, not order.
+calls — runs to completion, writes the reply, and only then reads that
+connection's next frame.  Concurrency comes from connections: each owner
+handle is one, and their requests run side by side on the pool.
 
 Concurrency within a tenant is a readers–writer discipline:
 queries and naive ships share a read lock, updates and the drain's
@@ -35,7 +36,8 @@ server answers with a typed :class:`BackpressureRejected` **before** any
 work is done, which the remote system's retry loop absorbs like a
 dropped transfer.  :meth:`ServingServer.drain` is the graceful
 shutdown: stop accepting connections, reject new requests as
-:class:`ServerDraining`, let every in-flight request finish, then flush
+:class:`ServerDraining`, wait for the in-flight count to reach zero (an
+idle connection has nothing in flight), then flush
 each tenant's caches and (for tenants registered with a storage
 directory) persist through :func:`repro.core.storage.save_system`,
 whose stage-then-commit protocol fsyncs everything durable.
@@ -45,7 +47,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -62,6 +63,7 @@ from repro.serving.errors import (
     BackpressureRejected,
     ProtocolError,
     ServerDraining,
+    ServingError,
     UnknownTenantError,
     encode_error,
 )
@@ -301,7 +303,6 @@ class ServingServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_inflight: int = 64,
-        workers: int | None = None,
         obs: Observability | None = None,
     ) -> None:
         if max_inflight < 1:
@@ -311,17 +312,16 @@ class ServingServer:
         self._requested_port = port
         self.max_inflight = max_inflight
         self._obs = Observability.coerce(obs)
-        self._executor = ThreadPoolExecutor(
-            max_workers=workers or min(32, (os.cpu_count() or 4) + 4),
-            thread_name_prefix="serving",
-        )
+        self._executor = ThreadPoolExecutor(thread_name_prefix="serving")
         self._tenants: dict[str, TenantSession] = {}
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
         self._server: asyncio.base_events.Server | None = None
-        self._tasks: set[asyncio.Task] = set()
         self._writers: set[asyncio.StreamWriter] = set()
         self._inflight = 0
+        #: Set while no request is in flight: what drain waits for.
+        self._idle = asyncio.Event()
+        self._idle.set()
         self._connections = 0
         self._draining = False
         self._drain_started = False
@@ -412,11 +412,10 @@ class ServingServer:
         self._drain_started = True
         self._draining = True
         if self._server is not None:
+            # Stops the listener at once.  Not wait_closed(): from
+            # Python 3.12 it also waits for every idle connection.
             self._server.close()
-            await self._server.wait_closed()
-        pending = [task for task in self._tasks if not task.done()]
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
+        await self._idle.wait()
         loop = asyncio.get_running_loop()
         for session in self._tenants.values():
             await loop.run_in_executor(self._executor, session.drain)
@@ -455,23 +454,19 @@ class ServingServer:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
+        """Serve one connection's frames in order, one at a time."""
         count("serving_connections")
         self._connections += 1
         self._obs.metrics.set_gauge("serving_connections", self._connections)
-        write_lock = asyncio.Lock()
         self._writers.add(writer)
         try:
-            session = await self._handshake(reader, writer, write_lock)
-            if session is None:
-                return
-            while True:
-                try:
-                    rid, op, payload = await read_frame(reader)
-                except FrameError:
-                    return
-                await self._dispatch(
-                    session, rid, op, payload, writer, write_lock
-                )
+            session = await self._handshake(reader, writer)
+            while session is not None:
+                rid, op, payload = await read_frame(reader)
+                reply_op, reply = await self._serve(session, op, payload)
+                await self._reply(writer, rid, reply_op, reply)
+        except (ConnectionError, FrameError):
+            pass  # the peer went away, or its framing can't be trusted
         finally:
             self._writers.discard(writer)
             self._connections -= 1
@@ -484,72 +479,69 @@ class ServingServer:
         self,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
     ) -> TenantSession | None:
+        """Answer the HELLO: the connection's session, or ``None`` after
+        a typed refusal."""
+        rid, op, payload = await read_frame(reader)
         try:
-            rid, op, payload = await read_frame(reader)
-        except FrameError:
-            return None
-        if op != OP_HELLO:
-            await self._send_error(
-                writer, write_lock, rid,
-                ProtocolError(f"expected HELLO, got opcode {op}"),
-            )
-            return None
-        try:
-            hello = json.loads(payload.decode("utf-8"))
-            tenant_id = hello["tenant"]
-        except (ValueError, KeyError, UnicodeDecodeError):
-            await self._send_error(
-                writer, write_lock, rid,
-                ProtocolError("HELLO payload must be JSON with a tenant"),
-            )
-            return None
-        if self._draining:
-            await self._send_error(
-                writer, write_lock, rid, ServerDraining("server is draining")
-            )
-            return None
-        session = self._tenants.get(tenant_id)
-        if session is None:
-            await self._send_error(
-                writer, write_lock, rid,
-                UnknownTenantError(f"unknown tenant {tenant_id!r}"),
-            )
+            session = self._open_session(op, payload)
+        except (ServingError, ServerDraining) as exc:
+            await self._reply(writer, rid, OP_ERROR, encode_error(exc))
             return None
         loop = asyncio.get_running_loop()
-        reply = await loop.run_in_executor(self._executor, session.hello)
-        await self._send(
-            writer, write_lock, rid, OP_HELLO_OK,
-            json.dumps(reply, sort_keys=True).encode("utf-8"),
+        hello = await loop.run_in_executor(self._executor, session.hello)
+        await self._reply(
+            writer, rid, OP_HELLO_OK,
+            json.dumps(hello, sort_keys=True).encode("utf-8"),
         )
         return session
 
-    async def _dispatch(
-        self,
-        session: TenantSession,
-        rid: int,
-        op: int,
-        payload: bytes,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-    ) -> None:
-        if op not in _REQUEST_HANDLERS:
-            await self._send_error(
-                writer, write_lock, rid,
-                ProtocolError(f"unknown opcode {op}"),
+    def _open_session(self, op: int, payload: bytes) -> TenantSession:
+        if op != OP_HELLO:
+            raise ProtocolError(f"expected HELLO, got opcode {op}")
+        try:
+            tenant_id = json.loads(payload.decode("utf-8"))["tenant"]
+        except (ValueError, KeyError, TypeError, UnicodeDecodeError):
+            raise ProtocolError(
+                "HELLO payload must be JSON with a tenant"
+            ) from None
+        if self._draining:
+            raise ServerDraining("server is draining")
+        session = self._tenants.get(tenant_id)
+        if session is None:
+            raise UnknownTenantError(f"unknown tenant {tenant_id!r}")
+        return session
+
+    async def _serve(
+        self, session: TenantSession, op: int, payload: bytes
+    ) -> tuple[int, bytes]:
+        """One request's reply: ``OK`` and the handler's bytes, or a
+        typed ``ERROR``."""
+        handler = _REQUEST_HANDLERS.get(op)
+        if handler is None:
+            return OP_ERROR, encode_error(
+                ProtocolError(f"unknown opcode {op}")
             )
-            return
         try:
             self._admit(session)
         except (BackpressureRejected, ServerDraining) as exc:
-            await self._send_error(writer, write_lock, rid, exc)
-            return
-        task = asyncio.get_running_loop().create_task(
-            self._run_request(session, rid, op, payload, writer, write_lock)
-        )
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+            return OP_ERROR, encode_error(exc)
+        started = time.perf_counter()
+        try:
+            blob = await asyncio.get_running_loop().run_in_executor(
+                self._executor, getattr(session, handler), payload
+            )
+            return OP_OK, blob
+        except Exception as exc:  # typed errors travel as ERROR frames
+            return OP_ERROR, encode_error(exc)
+        finally:
+            self._inflight -= 1
+            if not self._inflight:
+                self._idle.set()
+            self._obs.metrics.set_gauge("serving_inflight", self._inflight)
+            self._obs.metrics.observe(
+                "serving_request_seconds", time.perf_counter() - started
+            )
 
     def _admit(self, session: TenantSession) -> None:
         """Admission control: typed rejection before any work is queued."""
@@ -562,62 +554,16 @@ class ServingServer:
                 f"in-flight queue full ({self.max_inflight} requests)"
             )
         self._inflight += 1
+        self._idle.clear()
         self._obs.metrics.set_gauge("serving_inflight", self._inflight)
         count("serving_requests")
         self._obs.metrics.inc_labeled(
             "serving_tenant_requests", tenant=session.tenant_id
         )
 
-    async def _run_request(
-        self,
-        session: TenantSession,
-        rid: int,
-        op: int,
-        payload: bytes,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-    ) -> None:
-        loop = asyncio.get_running_loop()
-        started = time.perf_counter()
-        try:
-            handler = getattr(session, _REQUEST_HANDLERS[op])
-            blob = await loop.run_in_executor(
-                self._executor, handler, payload
-            )
-            await self._send(writer, write_lock, rid, OP_OK, blob)
-        except (ConnectionError, FrameError):
-            pass  # peer went away mid-response; nothing left to tell it
-        except Exception as exc:  # typed errors travel as ERROR frames
-            with suppress(ConnectionError, FrameError):
-                await self._send_error(writer, write_lock, rid, exc)
-        finally:
-            self._inflight -= 1
-            self._obs.metrics.set_gauge("serving_inflight", self._inflight)
-            self._obs.metrics.observe(
-                "serving_request_seconds", time.perf_counter() - started
-            )
-
-    # ------------------------------------------------------------------
-    # Frame I/O
-    # ------------------------------------------------------------------
     @staticmethod
-    async def _send(
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        rid: int,
-        op: int,
-        payload: bytes,
+    async def _reply(
+        writer: asyncio.StreamWriter, rid: int, op: int, payload: bytes
     ) -> None:
-        frame = encode_frame(rid, op, payload)
-        async with write_lock:
-            writer.write(frame)
-            await writer.drain()
-
-    async def _send_error(
-        self,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        rid: int,
-        exc: Exception,
-    ) -> None:
-        await self._send(writer, write_lock, rid, OP_ERROR, encode_error(exc))
+        writer.write(encode_frame(rid, op, payload))
+        await writer.drain()

@@ -166,10 +166,35 @@ class TestOneSerialPipeline:
             "OP_OK": 16, "OP_ERROR": 19, "OP_HELLO_OK": 20,
         }
         assert _defined_public_names(framing) - set(opcodes) == {
-            "MAX_FRAME_BYTES", "PROTOCOL_VERSION", "FAULTED_OPS",
+            "MAX_FRAME_BYTES", "PROTOCOL_VERSION",
             "FrameError", "ConnectionClosedError",
             "encode_frame", "decode_frame", "read_frame",
         }
+
+    def test_one_blocking_client_and_no_fault_transport(self):
+        """The owner's end is one blocking connection under a system that
+        keeps its own channel: no async client, no socket-side fault
+        transport, no load generator, no knob with one value in use."""
+        import importlib
+        import inspect
+
+        from repro import netsim, serving
+
+        for module in ("repro.serving.transport", "repro.serving.loadgen"):
+            with pytest.raises(ImportError):
+                importlib.import_module(module)
+        for name in (
+            "AsyncServingClient", "RemoteServer", "AsyncFaultTransport",
+            "run_load", "LoadReport",
+        ):
+            assert not hasattr(serving, name), name
+        assert not hasattr(netsim, "NullChannel")
+        assert list(inspect.signature(serving.remote_system).parameters) == [
+            "local", "address", "tenant", "channel",
+        ]
+        assert "workers" not in inspect.signature(
+            serving.ServingServer
+        ).parameters
 
     def test_counter_registry_surface(
         self, healthcare_doc, healthcare_scs
