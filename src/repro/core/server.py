@@ -45,7 +45,7 @@ from repro.xmldb.node import (
 from repro.xmldb.serializer import BLOCK_OPEN, serialize
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fragment:
     """One shipped result unit: subtree XML plus its ancestor path."""
 

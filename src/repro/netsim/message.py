@@ -10,9 +10,20 @@ execution on decode, and every decode error is raised as
 :class:`MessageDecodeError` so the retry layer can treat a mangled
 payload that slipped past truncation checks exactly like a tampered one.
 
+A response crosses as flat columns, so neither side builds a container
+per fragment.  ``a`` is the ancestor row table — every distinct ancestor
+once, as ``(parent row, tag, id)``, where a row names only an earlier
+row or ``-1`` (the document root) — ``f`` holds each fragment's parent
+row and ``x`` its text.  The decoder builds each row's ancestor path
+once, and fragments under one parent share the tuple.  A table that
+chains deeper than :data:`~repro.xmldb.parser.MAX_DEPTH` is refused,
+which keeps decode's allocation linear in the payload.
+
 Codec stability is not a compatibility promise (client and server are
-versioned together); determinism is what matters — the same query object
-encodes to the same bytes, which the request/response wire caches key on.
+versioned together, and the serving HELLO refuses a peer on another
+``PROTOCOL_VERSION``); determinism is what matters — the same query
+object encodes to the same bytes, which the request/response wire caches
+key on.
 
 Layering note: every message this module encodes crosses the wire inside
 the *freshness* envelope (``rxi2``, :mod:`repro.core.integrity`), which
@@ -27,6 +38,8 @@ from __future__ import annotations
 
 import json
 from typing import Any
+
+from repro.xmldb.parser import MAX_DEPTH as _MAX_DEPTH
 
 
 class MessageDecodeError(ValueError):
@@ -87,9 +100,10 @@ def decode_query(payload: bytes) -> Any:
         node.children = [build(child) for child in record.get("c", ())]
         return node
 
+    record = _load(payload)
     try:
-        root = build(_load(payload)["q"])
-    except (KeyError, TypeError, IndexError) as exc:
+        root = build(record["q"])
+    except (KeyError, TypeError, IndexError, ValueError, RecursionError) as exc:
         raise MessageDecodeError(f"malformed query message: {exc}") from exc
     output = next((n for n in root.walk() if n.is_output), root)
     # A plan may flag several ship nodes, none nested under another by
@@ -103,30 +117,33 @@ def decode_query(payload: bytes) -> Any:
 # ----------------------------------------------------------------------
 # Server response (server -> client)
 # ----------------------------------------------------------------------
-def _fragment_record(fragment: Any) -> dict[str, Any]:
-    return {
-        "p": [[tag, nid] for tag, nid in fragment.ancestor_path],
-        "x": fragment.xml,
-    }
-
-
-def _fragment_from_record(record: dict[str, Any]) -> Any:
-    from repro.core.server import Fragment
-
-    return Fragment(
-        ancestor_path=tuple((tag, nid) for tag, nid in record["p"]),
-        xml=record["x"],
-    )
-
-
 def encode_response(response: Any) -> bytes:
-    """Serialize a ``ServerResponse`` to canonical JSON bytes."""
+    """Serialize a ``ServerResponse`` to canonical JSON bytes.
+
+    Each distinct ancestor becomes one ``(parent row, tag, id)`` row of
+    ``a``, interned by that whole triple — the same ``(tag, id)`` under
+    two parents is two rows, so any response round-trips.  Fragments
+    name their parent row in ``f`` (``-1``: the document root) and their
+    text in ``x``.
+    """
+    rows: dict[tuple[int, str, int], int] = {}
+    parents = []
+    for fragment in response.fragments:
+        row = -1
+        for tag, nid in fragment.ancestor_path:
+            key = (row, tag, nid)
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = len(rows)
+        parents.append(row)
     return json.dumps(
         {
-            "n": int(response.naive),
+            "a": list(rows),
             "b": response.blocks_shipped,
             "cc": response.candidate_counts,
-            "f": [_fragment_record(f) for f in response.fragments],
+            "f": parents,
+            "n": int(response.naive),
+            "x": [fragment.xml for fragment in response.fragments],
         },
         separators=(",", ":"),
         sort_keys=True,
@@ -134,25 +151,75 @@ def encode_response(response: Any) -> bytes:
 
 
 def decode_response(payload: bytes) -> Any:
-    """Rebuild a ``ServerResponse`` from :func:`encode_response` bytes."""
-    from repro.core.server import ServerResponse
+    """Rebuild a ``ServerResponse`` from :func:`encode_response` bytes.
 
+    Each row's path is built once, from its parent's, and every fragment
+    under that row shares the tuple.  A row naming itself or a later
+    row, a path deeper than :data:`~repro.xmldb.parser.MAX_DEPTH`, a
+    parent index outside the table, ``f`` and ``x`` of different
+    lengths, or any value of the wrong JSON type is refused.
+    """
+    from repro.core.server import Fragment, ServerResponse
+
+    record = _load(payload)
     try:
-        record = _load(payload)
-        return ServerResponse(
-            fragments=[_fragment_from_record(f) for f in record["f"]],
-            naive=bool(record["n"]),
-            blocks_shipped=record["b"],
-            candidate_counts=dict(record["cc"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        paths = _ancestor_paths(record["a"])
+        parents, texts = record["f"], record["x"]
+        counts = record["cc"]
+        if not (
+            type(parents) is list
+            and type(texts) is list
+            and len(parents) == len(texts)
+            and set(map(type, parents)) <= {int}
+            and set(map(type, texts)) <= {str}
+            and type(counts) is dict
+            and set(map(type, counts.values())) <= {int}
+            and type(record["b"]) is int
+            and record["n"] in (0, 1)
+        ):
+            raise MessageDecodeError("malformed response columns")
+        if parents and not -1 <= min(parents) <= max(parents) < len(paths):
+            raise MessageDecodeError("fragment names no row of the table")
+    except (KeyError, TypeError) as exc:
         raise MessageDecodeError(f"malformed response message: {exc}") from exc
+    paths.append(())  # row -1: the document root
+    return ServerResponse(
+        fragments=list(map(Fragment, map(paths.__getitem__, parents), texts)),
+        naive=bool(record["n"]),
+        blocks_shipped=record["b"],
+        candidate_counts=counts,
+    )
+
+
+def _ancestor_paths(table: Any) -> list[tuple[tuple[str, int], ...]]:
+    """Row ``i``'s full ancestor path, for every row of the ``a`` table."""
+    if type(table) is not list:
+        raise MessageDecodeError("ancestor table is not a list")
+    paths: list[tuple[tuple[str, int], ...]] = []
+    for row in table:
+        if type(row) is not list or len(row) != 3:
+            raise MessageDecodeError("ancestor row is not a triple")
+        parent, tag, nid = row
+        if not (
+            type(parent) is int
+            and type(tag) is str
+            and type(nid) is int
+            and -1 <= parent < len(paths)
+        ):
+            raise MessageDecodeError(f"malformed ancestor row {len(paths)}")
+        base = paths[parent] if parent >= 0 else ()
+        if len(base) >= _MAX_DEPTH:
+            raise MessageDecodeError(
+                f"ancestor path deeper than {_MAX_DEPTH}"
+            )
+        paths.append(base + ((tag, nid),))
+    return paths
 
 
 def _load(payload: bytes) -> dict[str, Any]:
     try:
         record = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise MessageDecodeError(f"undecodable message: {exc}") from exc
     if not isinstance(record, dict):
         raise MessageDecodeError("message is not an object")

@@ -116,7 +116,14 @@ class ServingConnection:
                 raise decode_error(data)
             if op != OP_HELLO_OK:
                 raise ProtocolError(f"expected HELLO_OK, got opcode {op}")
-            self.hello = json.loads(data.decode("utf-8"))
+            hello = json.loads(data.decode("utf-8"))
+            protocol = hello.get("protocol") if isinstance(hello, dict) else None
+            if protocol != PROTOCOL_VERSION:
+                raise ProtocolError(
+                    f"server speaks protocol {protocol!r}, "
+                    f"this client {PROTOCOL_VERSION}"
+                )
+            self.hello = hello
         except BaseException:
             self._sock.close()
             raise

@@ -37,7 +37,7 @@ MAX_FRAME_BYTES = 256 * 1024 * 1024
 _HEAD = struct.Struct("!QB")
 
 # Client -> server opcodes.
-OP_HELLO = 1  # JSON {"tenant": ..., "protocol": 1}
+OP_HELLO = 1  # JSON {"tenant": ..., "protocol": 2}
 OP_QUERY = 2  # sealed translated-query request (answer_wire)
 OP_NAIVE = 4  # sealed naive request (ship_all_wire)
 OP_UPDATE = 5  # freshness-sealed JSON update command
@@ -50,7 +50,10 @@ OP_OK = 16  # complete response payload for the request id
 OP_ERROR = 19  # JSON {"error": <type name>, "message": ...}
 OP_HELLO_OK = 20  # JSON session parameters (tenant, protocol, epoch)
 
-PROTOCOL_VERSION = 1
+#: What HELLO and HELLO_OK both carry; a peer on another version is
+#: refused at the handshake.  2: a response's fragments cross as an
+#: ancestor row table and a text column (:mod:`repro.netsim.message`).
+PROTOCOL_VERSION = 2
 
 
 class FrameError(Exception):

@@ -500,11 +500,17 @@ class ServingServer:
         if op != OP_HELLO:
             raise ProtocolError(f"expected HELLO, got opcode {op}")
         try:
-            tenant_id = json.loads(payload.decode("utf-8"))["tenant"]
+            hello = json.loads(payload.decode("utf-8"))
+            tenant_id, protocol = hello["tenant"], hello["protocol"]
         except (ValueError, KeyError, TypeError, UnicodeDecodeError):
             raise ProtocolError(
-                "HELLO payload must be JSON with a tenant"
+                "HELLO payload must be JSON with a tenant and a protocol"
             ) from None
+        if protocol != PROTOCOL_VERSION:
+            raise ProtocolError(
+                f"HELLO speaks protocol {protocol!r}, this server "
+                f"{PROTOCOL_VERSION}"
+            )
         if self._draining:
             raise ServerDraining("server is draining")
         session = self._tenants.get(tenant_id)

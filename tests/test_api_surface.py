@@ -354,12 +354,12 @@ class TestOneServerBehindTheOwner:
             blocks_shipped=0,
         )
         record = json.loads(encode_response(response))
-        assert set(record["f"][0]) == {"p", "x"}
-        record["f"][0]["r"] = 7  # what a shard used to tag its fragments with
+        assert set(record) == {"a", "b", "cc", "f", "n", "x"}
+        record["r"] = [7]  # what a shard used to tag its fragments with
         assert decode_response(json.dumps(record).encode()) == response
-        for missing in ("p", "x"):
+        for missing in ("a", "f", "x"):
             broken = json.loads(encode_response(response))
-            del broken["f"][0][missing]
+            del broken[missing]
             with pytest.raises(MessageDecodeError):
                 decode_response(json.dumps(broken).encode())
 

@@ -7,6 +7,11 @@ format 3 (one HMAC-SHA256 PRF under OPE and every derived stream) redrew
 every decoy, weight and OPE rectangle, and ``PINNED`` was taken again at
 that commit.  The *documents* did not move — ``tests/test_workloads.py``
 pins them — so this is the same plaintext under a new hosting.
+
+The wire is pinned as two digests: every sealed request, and every sealed
+response.  Wire protocol 2 (fragments cross as an ancestor row table and
+a text column) re-pinned ``responses`` once; ``requests`` was taken at the
+commit before it and did not move.
 """
 
 import hashlib
@@ -33,7 +38,8 @@ PINNED = {
     "block_tags": "15138c710fe33b5af567d0d94b6fef72daa2680ec76ba5783029e6d882805393",
     "state_root": "5ed4aa5a947963b61935aacdd8d8747892b5aa197e1ef6bd0446eef617c2ea55",
     "hosted_root": "b01c0bf26c43d99138f0b7facea0220fd3c9046d589c48fadff9cfd5f5d4814c",
-    "wire": "fa8c8a24aac5c1a488d3b709e7478f7efb484b41c7e01a2ce0f086b9368de964",
+    "requests": "12003ea82c0fd378b2864b406d65cf2990afda1fb4ad6d01a7fefddd7f7a42fb",
+    "responses": "ba479e8fa6ea5b3091098029a43f735e27d8df89f4a56b2eb23efb8f411a9032",
 }
 
 #: The same hosting under hosted format 2 (PRs 12–19), kept so the diff that
@@ -64,8 +70,17 @@ PINNED_INDEXES = {
         "hosted_root": "d85e660030bb2f41bf13646a52fbb5e91d3f9ff12d8f55885734d99cc7e3f0d8",
         "value_index": "a95a605438707dc2c971f39d105d5f322a699ac23cdf265760ef130460c9848e",
         "dsi": "7b973653963c5e20f78ba6bf2e30f15bf419bd3c3327552aa72d0a729f1873a6",
-        "wire": "2f2e1c744941cc8ef42fdf8dbf8a1832c2a4ac1eeb41b2cc63482b7391e12dd4",
+        "requests": "b510d024d1f194e5dea5422eaaf35c57a696bb2d90c5bbd9b87ec7ee1d344059",
+        "responses": "b8b1cdc02d8d69d3f75eab49e79a8f7f82645c0dd63da7aa380999d2f4f9cf8c",
     },
+}
+
+#: Requests and responses hashed together under wire protocol 1, when a
+#: response was a list of per-fragment ``{"p": path, "x": text}`` records:
+#: the history of the ``requests`` + ``responses`` pair above.
+PINNED_WIRE_V1 = {
+    "xmark-20": "fa8c8a24aac5c1a488d3b709e7478f7efb484b41c7e01a2ce0f086b9368de964",
+    "nasa-20": "2f2e1c744941cc8ef42fdf8dbf8a1832c2a4ac1eeb41b2cc63482b7391e12dd4",
 }
 
 NASA_QUERIES = [
@@ -106,15 +121,19 @@ def _dsi_digest(structural_index):
     return digest.hexdigest()
 
 
-def _wire_digest(system, queries):
-    wire = hashlib.sha256()
+def _wire_digests(system, queries):
+    """Every sealed request, and every sealed response, in query order."""
+    requests, responses = hashlib.sha256(), hashlib.sha256()
     for query in queries:
         request = system.client.seal_request(
             system.client.translate(query), cache_key=query
         )
-        wire.update(request)
-        wire.update(system.server.answer_wire(request))
-    return wire.hexdigest()
+        requests.update(request)
+        responses.update(system.server.answer_wire(request))
+    return {
+        "requests": requests.hexdigest(),
+        "responses": responses.hexdigest(),
+    }
 
 
 def _clear_knobs(monkeypatch):
@@ -154,7 +173,7 @@ def test_nasa_20_hosting_index_and_wire_bytes_unchanged(monkeypatch):
             ).hexdigest(),
             "value_index": _value_index_digest(hosted.value_index),
             "dsi": _dsi_digest(hosted.structural_index),
-            "wire": _wire_digest(system, NASA_QUERIES),
+            **_wire_digests(system, NASA_QUERIES),
         }
     finally:
         system.close()
@@ -169,13 +188,6 @@ def test_xmark_20_hosting_and_wire_bytes_unchanged(monkeypatch):
     )
     try:
         hosted = system.hosted
-        wire = hashlib.sha256()
-        for query in QUERIES:
-            request = system.client.seal_request(
-                system.client.translate(query), cache_key=query
-            )
-            wire.update(request)
-            wire.update(system.server.answer_wire(request))
         actual = {
             "blocks": _digest_by_id(hosted.blocks),
             "block_tags": _digest_by_id(hosted.block_tags),
@@ -183,9 +195,11 @@ def test_xmark_20_hosting_and_wire_bytes_unchanged(monkeypatch):
             "hosted_root": hashlib.sha256(
                 serialize(hosted.hosted_root).encode("utf-8")
             ).hexdigest(),
-            "wire": wire.hexdigest(),
+            **_wire_digests(system, QUERIES),
         }
     finally:
         system.close()
     assert actual == PINNED
-    assert all(actual[part] != PINNED_V2[part] for part in PINNED_V2)
+    assert all(
+        actual[part] != PINNED_V2[part] for part in PINNED_V2 if part in actual
+    )

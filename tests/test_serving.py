@@ -10,6 +10,7 @@ graceful drain with durable persistence.
 """
 
 import json
+import socket
 import threading
 import time
 
@@ -38,7 +39,14 @@ from repro.serving import (
     encode_frame,
     remote_system,
 )
-from repro.serving.framing import OP_QUERY, OP_STATS, OP_UPDATE
+from repro.serving.framing import (
+    OP_ERROR,
+    OP_HELLO,
+    OP_QUERY,
+    OP_STATS,
+    OP_UPDATE,
+    PROTOCOL_VERSION,
+)
 from repro.serving.server import ReadWriteLock
 from repro.xpath.evaluator import evaluate
 
@@ -177,10 +185,49 @@ class TestRemoteByteIdentity:
         try:
             hello = remote._connection.hello
             assert hello["tenant"] == "t0"
-            assert hello["protocol"] == 1
+            assert hello["protocol"] == PROTOCOL_VERSION == 2
             assert hello["epoch"] == local.hosted.epoch
         finally:
             remote.close()
+
+
+class TestProtocolVersion:
+    """Both ends of the HELLO compare versions: a peer on another
+    response format is refused typed at the handshake, never retried as
+    a tamper on its first answer."""
+
+    def test_front_door_refuses_another_version(self, served):
+        _, (host, port), _ = served
+        with socket.create_connection((host, port), timeout=10) as sock:
+            hello = json.dumps({"tenant": "t0", "protocol": 99}).encode()
+            sock.sendall(encode_frame(0, OP_HELLO, hello))
+            buffer = b""
+            while True:
+                try:
+                    (rid, op, payload), _ = decode_frame(buffer)
+                    break
+                except ConnectionClosedError:
+                    chunk = sock.recv(4096)
+                    assert chunk, "front door closed without an answer"
+                    buffer += chunk
+        assert (rid, op) == (0, OP_ERROR)
+        refusal = decode_error(payload)
+        assert isinstance(refusal, ProtocolError)
+        assert "protocol 99" in str(refusal)
+
+    def test_client_refuses_a_hello_ok_of_another_version(
+        self, served, monkeypatch
+    ):
+        server, (host, port), _ = served
+        session = server.tenants["t0"]
+        honest = session.hello
+        monkeypatch.setattr(
+            session, "hello", lambda: {**honest(), "protocol": 1}
+        )
+        with pytest.raises(ProtocolError, match="protocol 1"):
+            ServingConnection(host, port, "t0")
+        monkeypatch.undo()
+        ServingConnection(host, port, "t0").close()
 
 
 class TestRetiredOpcodes:

@@ -1,10 +1,11 @@
 """Chaos and rollback sweeps over live sockets (satellite of PR 8).
 
 The serving layer's contract with the netsim fault machinery is
-*schedule parity*: moving the seeded :class:`~repro.netsim.faults
-.FaultyChannel` from the in-process call path to the socket boundary
-(the :class:`~repro.serving.transport.AsyncFaultTransport` inside the
-remote client) must not change a single RNG draw.  These sweeps run the
+*schedule parity*: the seeded :class:`~repro.netsim.faults.FaultyChannel`
+lives in the system on both paths — ``remote_system`` hands the caller's
+channel to the remote system, whose exchange faults each sealed payload
+before it crosses the socket — so going over TCP must not change a
+single RNG draw.  These sweeps run the
 exact fault scenarios of ``test_chaos_end_to_end`` and the rollback
 scenario of ``test_freshness`` twice per seed — once in process, once
 over a real TCP connection — and assert:
