@@ -34,10 +34,11 @@ Commands:
     JSON, or Prometheus text exposition.
 
 ``serve``
-    Host a workload behind the asyncio socket front door and serve it
-    as a tenant until interrupted (or for ``--serve-for`` seconds),
-    then drain gracefully: finish in-flight requests, flush caches,
-    and persist the hosting when ``--storage`` is given.
+    Host a workload behind the socket front door (one blocking thread
+    per connection) and serve it as a tenant until interrupted (or for
+    ``--serve-for`` seconds), then drain gracefully: finish in-flight
+    requests, flush caches, and persist the hosting when ``--storage``
+    is given.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ every verification step runs in the unmodified owner-side code, and the
 owner's end is a plain blocking socket, one request at a time, under a
 system that keeps its own netsim channel — so the chaos and rollback
 suites replay their seeded schedules over live connections.  The front
-door is an ``asyncio`` event loop that serves each connection's frames
-in order.  See ``docs/SERVING.md``.
+door matches it: one blocking thread per connection reads a frame, runs
+its handler and writes the reply, in order.  See ``docs/SERVING.md``.
 """
 
 from repro.serving.client import (

@@ -2,9 +2,10 @@
 
 :class:`ServingConnection`
     One TCP socket to the front door, one request in flight at a time.
-    A lock covers each send and its receive; responses are split off a
-    receive buffer by the sans-IO :func:`~repro.serving.framing
-    .decode_frame`.  The request id exists for one job only: after a
+    A lock covers each send and its receive; responses are read with
+    :func:`~repro.serving.framing.read_frame`, the blocking reader the
+    front door's connection threads use too.  The request id exists for
+    one job only: after a
     :class:`~repro.serving.errors.RequestTimeoutError` the abandoned
     request's late answer is still on its way, and the next request
     reads past it by id.  The connection *is* the remote server: it
@@ -65,15 +66,12 @@ from repro.serving.framing import (
     OP_UPDATE,
     PROTOCOL_VERSION,
     ConnectionClosedError,
-    decode_frame,
     encode_frame,
+    read_frame,
 )
 
 #: How many times a sealed command re-seals after losing an anchor race.
 _COMMAND_RESEAL_ATTEMPTS = 5
-
-#: Bytes asked of the socket per read.
-_RECV_BYTES = 1 << 18
 
 
 class ServingConnection:
@@ -143,7 +141,7 @@ class ServingConnection:
             try:
                 self._sock.sendall(encode_frame(rid, op, payload))
                 while True:
-                    got, resp_op, data = self._read_frame()
+                    got, resp_op, data = read_frame(self._sock, self._buffer)
                     if got == rid:
                         return resp_op, data
             except TimeoutError:
@@ -154,18 +152,6 @@ class ServingConnection:
                 raise ConnectionClosedError(
                     "connection lost mid-request"
                 ) from exc
-
-    def _read_frame(self) -> tuple[int, int, bytes]:
-        while True:
-            try:
-                frame, self._buffer = decode_frame(self._buffer)
-                return frame
-            except ConnectionClosedError:
-                pass  # a partial frame: read more
-            chunk = self._sock.recv(_RECV_BYTES)
-            if not chunk:
-                raise ConnectionClosedError("connection lost mid-request")
-            self._buffer += chunk
 
     # ------------------------------------------------------------------
     # Request surface

@@ -1,7 +1,6 @@
 """The multi-tenant socket front door.
 
-One :class:`ServingServer` owns an ``asyncio`` event loop on a
-background thread and hosts any number of tenants, each a fully
+One :class:`ServingServer` hosts any number of tenants, each a fully
 independent :class:`~repro.core.system.SecureXMLSystem` (own keyring,
 own hosted tree, own epoch history) registered under a tenant id.  The
 wire protocol is the length-prefixed framing of
@@ -12,13 +11,13 @@ never sees a key it didn't already hold as the tenant's host.
 Execution model
 ---------------
 
-One request at a time per connection.  The event loop does I/O only:
-it reads a connection's frame, admits it, awaits its handler on a
-thread pool (`run_in_executor`) where the synchronous pipeline — the
-same :meth:`~repro.core.server.Server.answer_wire` the in-process path
-calls — runs to completion, writes the reply, and only then reads that
-connection's next frame.  Concurrency comes from connections: each owner
-handle is one, and their requests run side by side on the pool.
+One thread per connection, one request at a time on it.  A
+``serving-accept`` thread owns the listener; each connection's
+``serving-connection`` thread blocks on ``recv``, reads a frame, admits
+it, runs its handler inline — the synchronous pipeline, the same
+:meth:`~repro.core.server.Server.answer_wire` the in-process path calls
+— and writes the reply with ``sendall`` before it reads the next frame.
+Concurrency comes from connections: each owner handle is one.
 
 Concurrency within a tenant is a readers–writer discipline:
 queries and naive ships share a read lock, updates and the drain's
@@ -31,25 +30,24 @@ never observe a half-applied update or a torn ``(epoch, root)`` pair.
 Admission control and drain
 ---------------------------
 
-A bounded in-flight counter guards the pool: past ``max_inflight`` the
-server answers with a typed :class:`BackpressureRejected` **before** any
-work is done, which the remote system's retry loop absorbs like a
-dropped transfer.  :meth:`ServingServer.drain` is the graceful
-shutdown: stop accepting connections, reject new requests as
-:class:`ServerDraining`, wait for the in-flight count to reach zero (an
-idle connection has nothing in flight), then flush
-each tenant's caches and (for tenants registered with a storage
-directory) persist through :func:`repro.core.storage.save_system`,
-whose stage-then-commit protocol fsyncs everything durable.
+A bounded counter of running handlers, taken under a condition
+variable: past ``max_inflight`` the server answers with a typed
+:class:`BackpressureRejected` **before** any work is done, which the
+remote system's retry loop absorbs like a dropped transfer.
+:meth:`ServingServer.drain` is the graceful shutdown: stop accepting,
+reject new requests as :class:`ServerDraining`, wait for the in-flight
+count to reach zero, flush each tenant's caches and (for tenants
+registered with a storage directory) persist through
+:func:`repro.core.storage.save_system`, then shut idle connections
+down so their threads exit.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
+import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
 from typing import Iterator
 
@@ -145,8 +143,8 @@ class ReadWriteLock:
 class TenantSession:
     """One hosted tenant: its system, session keys, and request surface.
 
-    All methods here are synchronous and run on the serving thread
-    pool.
+    All methods here are synchronous and run on the thread of the
+    connection that sent the request.
     """
 
     def __init__(
@@ -170,7 +168,7 @@ class TenantSession:
             self.op_counts[op_name] = self.op_counts.get(op_name, 0) + 1
 
     # ------------------------------------------------------------------
-    # Request surface (sync, executor-side)
+    # Request surface (sync, on the connection's thread)
     # ------------------------------------------------------------------
     def hello(self) -> dict[str, object]:
         with self._rw.read():
@@ -296,7 +294,7 @@ class TenantSession:
 
 
 class ServingServer:
-    """Asyncio TCP front door over any number of tenant systems."""
+    """Blocking TCP front door over any number of tenant systems."""
 
     def __init__(
         self,
@@ -312,21 +310,20 @@ class ServingServer:
         self._requested_port = port
         self.max_inflight = max_inflight
         self._obs = Observability.coerce(obs)
-        self._executor = ThreadPoolExecutor(thread_name_prefix="serving")
         self._tenants: dict[str, TenantSession] = {}
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._server: asyncio.base_events.Server | None = None
-        self._writers: set[asyncio.StreamWriter] = set()
-        self._inflight = 0
-        #: Set while no request is in flight: what drain waits for.
-        self._idle = asyncio.Event()
-        self._idle.set()
-        self._connections = 0
-        self._draining = False
-        self._drain_started = False
-        self._drained = asyncio.Event()
+        self._listener: socket.socket | None = None
+        self._acceptor: threading.Thread | None = None
+        self._drain_lock = threading.Lock()
         self._lifecycle = threading.Lock()
+        #: Guards the state below; notified whenever ``_inflight`` falls.
+        self._state = threading.Condition()
+        self._inflight = 0
+        self._draining = False
+        self._drained = False
+        #: Live connection sockets, and the door's threads (pruned of
+        #: finished ones at each spawn) that ``stop`` joins.
+        self._sockets: set[socket.socket] = set()
+        self._threads: list[threading.Thread] = []
 
     # ------------------------------------------------------------------
     # Tenant registry
@@ -361,83 +358,105 @@ class ServingServer:
     def start(self) -> tuple[str, int]:
         """Bind the listener and start serving; returns ``(host, port)``."""
         with self._lifecycle:
-            if self._loop is not None:
+            if self._listener is not None:
                 raise RuntimeError("serving server already started")
-            loop = asyncio.new_event_loop()
-            self._loop = loop
-            self._thread = threading.Thread(
-                target=self._run_loop,
-                args=(loop,),
-                name="serving-loop",
-                daemon=True,
-            )
-            self._thread.start()
-            future = asyncio.run_coroutine_threadsafe(
-                self._open_listener(), loop
-            )
-            self.port = future.result(timeout=30)
+            family, _, _, _, address = socket.getaddrinfo(
+                self.host, self._requested_port, type=socket.SOCK_STREAM
+            )[0]
+            self._listener = socket.create_server(address, family=family)
+            self.port = self._listener.getsockname()[1]
+            self._acceptor = self._spawn(self._accept, "serving-accept")
             return (self.host, self.port)
 
-    def _run_loop(self, loop: asyncio.AbstractEventLoop) -> None:
-        asyncio.set_event_loop(loop)
-        try:
-            loop.run_forever()
-        finally:
-            loop.close()
-
-    async def _open_listener(self) -> int:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self._requested_port
+    def _spawn(self, target, name: str, *args: object) -> threading.Thread:
+        thread = threading.Thread(
+            target=target, args=args, name=name, daemon=True
         )
-        return self._server.sockets[0].getsockname()[1]
+        with self._state:
+            self._threads = [t for t in self._threads if t.is_alive()]
+            self._threads.append(thread)
+        thread.start()
+        return thread
+
+    def _accept(self) -> None:
+        """Hand each new connection its own thread until draining."""
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                if self._draining:
+                    return  # drain shut the listener down
+                time.sleep(0.01)  # transient, say out of descriptors
+                continue
+            with self._state:
+                if self._draining:
+                    conn.close()
+                    return
+                self._sockets.add(conn)
+                self._obs.metrics.set_gauge(
+                    "serving_connections", len(self._sockets)
+                )
+            count("serving_connections")
+            self._spawn(self._serve_connection, "serving-connection", conn)
 
     def drain(self, timeout: float | None = 60.0) -> None:
-        """Graceful shutdown of serving (the loop itself keeps running).
+        """Graceful shutdown of serving.
 
         Stop accepting connections, refuse new requests with the typed
-        :class:`ServerDraining`, wait for every in-flight request, then
-        flush and persist every tenant.  Idempotent and safe to call
-        concurrently — late callers wait for the first drain to finish.
+        :class:`ServerDraining`, wait for every in-flight request, flush
+        and persist every tenant, then shut idle connections down so
+        their threads exit.  Idempotent and safe to call concurrently —
+        late callers wait for the first drain to finish.  Raises
+        ``TimeoutError`` if requests still run after ``timeout``
+        seconds; a later call resumes the drain.
         """
-        loop = self._loop
-        if loop is None or not loop.is_running():
-            return
-        future = asyncio.run_coroutine_threadsafe(self._drain_async(), loop)
-        future.result(timeout=timeout)
+        if self._listener is None:
+            return  # never started, or stopped
+        with self._drain_lock:
+            if self._drained:
+                return
+            with self._state:
+                self._draining = True
+            self._stop_accepting()
+            with self._state:
+                if not self._state.wait_for(
+                    lambda: not self._inflight, timeout
+                ):
+                    raise TimeoutError(
+                        f"{self._inflight} requests in flight after {timeout}s"
+                    )
+            for session in self._tenants.values():
+                session.drain()
+            with self._state:
+                for conn in self._sockets:
+                    with suppress(OSError):
+                        conn.shutdown(socket.SHUT_RDWR)
+                self._drained = True
+            count("serving_drains")
 
-    async def _drain_async(self) -> None:
-        if self._drain_started:
-            await self._drained.wait()
-            return
-        self._drain_started = True
-        self._draining = True
-        if self._server is not None:
-            # Stops the listener at once.  Not wait_closed(): from
-            # Python 3.12 it also waits for every idle connection.
-            self._server.close()
-        await self._idle.wait()
-        loop = asyncio.get_running_loop()
-        for session in self._tenants.values():
-            await loop.run_in_executor(self._executor, session.drain)
-        for writer in list(self._writers):
-            writer.close()
-        count("serving_drains")
-        self._drained.set()
+    def _stop_accepting(self) -> None:
+        """Wake the accept thread off the listener, join it, close it."""
+        with suppress(OSError):
+            self._listener.shutdown(socket.SHUT_RDWR)  # wakes it on Linux
+        self._acceptor.join(timeout=1.0)
+        if self._acceptor.is_alive():
+            # A platform that leaves accept blocked on a shut-down
+            # listener: one connection wakes it, and it sees the drain.
+            with suppress(OSError):
+                socket.create_connection(self.address, timeout=1.0).close()
+            self._acceptor.join(timeout=1.0)
+        self._listener.close()
 
     def stop(self, timeout: float | None = 60.0) -> None:
-        """Drain (if not yet drained) and tear the loop down. Idempotent."""
+        """Drain (if not yet drained) and join every thread the door
+        started.  Idempotent."""
         self.drain(timeout=timeout)
         with self._lifecycle:
-            loop = self._loop
-            if loop is None:
+            if self._listener is None:
                 return
-            self._loop = None
-            loop.call_soon_threadsafe(loop.stop)
-            if self._thread is not None:
-                self._thread.join(timeout=timeout)
-                self._thread = None
-            self._server = None
-            self._executor.shutdown(wait=False)
+            self._listener = None
+            for thread in self._threads:  # drained: no thread starts now
+                thread.join(timeout=timeout)
 
     def __enter__(self) -> "ServingServer":
         self.start()
@@ -447,53 +466,41 @@ class ServingServer:
         self.stop()
 
     # ------------------------------------------------------------------
-    # Connection handling (event-loop side)
+    # Connection handling (one thread per connection)
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
+    def _serve_connection(self, conn: socket.socket) -> None:
         """Serve one connection's frames in order, one at a time."""
-        count("serving_connections")
-        self._connections += 1
-        self._obs.metrics.set_gauge("serving_connections", self._connections)
-        self._writers.add(writer)
+        buffer = bytearray()
         try:
-            session = await self._handshake(reader, writer)
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            session = self._handshake(conn, buffer)
             while session is not None:
-                rid, op, payload = await read_frame(reader)
-                reply_op, reply = await self._serve(session, op, payload)
-                await self._reply(writer, rid, reply_op, reply)
-        except (ConnectionError, FrameError):
+                rid, op, payload = read_frame(conn, buffer)
+                reply_op, reply = self._serve(session, op, payload)
+                conn.sendall(encode_frame(rid, reply_op, reply))
+        except (OSError, FrameError):
             pass  # the peer went away, or its framing can't be trusted
         finally:
-            self._writers.discard(writer)
-            self._connections -= 1
-            self._obs.metrics.set_gauge("serving_connections", self._connections)
-            writer.close()
-            with suppress(Exception):
-                await writer.wait_closed()
+            with self._state:
+                self._sockets.discard(conn)
+                self._obs.metrics.set_gauge(
+                    "serving_connections", len(self._sockets)
+                )
+            conn.close()
 
-    async def _handshake(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
+    def _handshake(
+        self, conn: socket.socket, buffer: bytearray
     ) -> TenantSession | None:
         """Answer the HELLO: the connection's session, or ``None`` after
         a typed refusal."""
-        rid, op, payload = await read_frame(reader)
+        rid, op, payload = read_frame(conn, buffer)
         try:
             session = self._open_session(op, payload)
         except (ServingError, ServerDraining) as exc:
-            await self._reply(writer, rid, OP_ERROR, encode_error(exc))
+            conn.sendall(encode_frame(rid, OP_ERROR, encode_error(exc)))
             return None
-        loop = asyncio.get_running_loop()
-        hello = await loop.run_in_executor(self._executor, session.hello)
-        await self._reply(
-            writer, rid, OP_HELLO_OK,
-            json.dumps(hello, sort_keys=True).encode("utf-8"),
-        )
+        hello = json.dumps(session.hello(), sort_keys=True).encode("utf-8")
+        conn.sendall(encode_frame(rid, OP_HELLO_OK, hello))
         return session
 
     def _open_session(self, op: int, payload: bytes) -> TenantSession:
@@ -518,7 +525,7 @@ class ServingServer:
             raise UnknownTenantError(f"unknown tenant {tenant_id!r}")
         return session
 
-    async def _serve(
+    def _serve(
         self, session: TenantSession, op: int, payload: bytes
     ) -> tuple[int, bytes]:
         """One request's reply: ``OK`` and the handler's bytes, or a
@@ -534,42 +541,32 @@ class ServingServer:
             return OP_ERROR, encode_error(exc)
         started = time.perf_counter()
         try:
-            blob = await asyncio.get_running_loop().run_in_executor(
-                self._executor, getattr(session, handler), payload
-            )
-            return OP_OK, blob
+            return OP_OK, getattr(session, handler)(payload)
         except Exception as exc:  # typed errors travel as ERROR frames
             return OP_ERROR, encode_error(exc)
         finally:
-            self._inflight -= 1
-            if not self._inflight:
-                self._idle.set()
-            self._obs.metrics.set_gauge("serving_inflight", self._inflight)
+            with self._state:
+                self._inflight -= 1
+                self._state.notify_all()  # a drain waits for zero
+                self._obs.metrics.set_gauge("serving_inflight", self._inflight)
             self._obs.metrics.observe(
                 "serving_request_seconds", time.perf_counter() - started
             )
 
     def _admit(self, session: TenantSession) -> None:
-        """Admission control: typed rejection before any work is queued."""
-        if self._draining:
-            raise ServerDraining("server is draining; request rejected")
-        self._obs.metrics.observe("serving_queue_depth", float(self._inflight))
-        if self._inflight >= self.max_inflight:
-            count("backpressure_rejections")
-            raise BackpressureRejected(
-                f"in-flight queue full ({self.max_inflight} requests)"
-            )
-        self._inflight += 1
-        self._idle.clear()
-        self._obs.metrics.set_gauge("serving_inflight", self._inflight)
+        """Admission control: typed rejection before any work is done."""
+        with self._state:
+            if self._draining:
+                raise ServerDraining("server is draining; request rejected")
+            self._obs.metrics.observe("serving_queue_depth", float(self._inflight))
+            if self._inflight >= self.max_inflight:
+                count("backpressure_rejections")
+                raise BackpressureRejected(
+                    f"in-flight queue full ({self.max_inflight} requests)"
+                )
+            self._inflight += 1
+            self._obs.metrics.set_gauge("serving_inflight", self._inflight)
         count("serving_requests")
         self._obs.metrics.inc_labeled(
             "serving_tenant_requests", tenant=session.tenant_id
         )
-
-    @staticmethod
-    async def _reply(
-        writer: asyncio.StreamWriter, rid: int, op: int, payload: bytes
-    ) -> None:
-        writer.write(encode_frame(rid, op, payload))
-        await writer.drain()

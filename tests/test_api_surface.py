@@ -405,6 +405,33 @@ def test_no_module_of_the_package_imports_a_name_it_never_uses():
     assert not unused, unused
 
 
+def test_no_module_of_the_package_imports_asyncio_or_concurrent_futures():
+    """The front door is one blocking thread per connection and the
+    owner's end one blocking socket: no event loop, no executor."""
+    import ast
+    import pathlib
+
+    import repro
+
+    offenders = []
+    for path in sorted(pathlib.Path(repro.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""]
+            else:
+                continue
+            offenders += [
+                f"{path}:{node.lineno} imports {name}"
+                for name in imported
+                if name.split(".")[0] == "asyncio"
+                or name.startswith("concurrent.futures")
+                or name == "concurrent"
+            ]
+    assert not offenders, offenders
+
+
 def test_cryptography_and_generators_do_not_import_each_other():
     """Format 3's layering, where it can be checked offline: nothing under
     ``repro/crypto`` or ``repro/core`` imports ``repro.workloads`` or

@@ -520,7 +520,11 @@ class TestBackpressure:
 
         Backoff is modelled, not slept, so a rejected query is re-issued
         at once: the owner's patience is its attempt budget, and eight
-        handles through one slot take tens of attempts.
+        handles through one slot take tens of attempts.  Each served
+        query holds the slot for 2 ms across a GIL release, as the other
+        slow handlers here do: the handler runs on the thread that read
+        its frame, so an unslowed one releases the slot before another
+        connection's thread gets the GIL to ask for it.
         """
         from repro.core.system import QueryFailedError, RetryPolicy
 
@@ -531,7 +535,14 @@ class TestBackpressure:
             ),
         )
         server = ServingServer(max_inflight=1)
-        server.register_tenant("t0", local)
+        session = server.register_tenant("t0", local)
+        original = session.query
+
+        def slow_query(blob):
+            time.sleep(0.002)  # holds the one slot across a GIL release
+            return original(blob)
+
+        session.query = slow_query
         address = server.start()
         handles = [remote_system(local, address, "t0") for _ in range(8)]
         barrier = threading.Barrier(len(handles), timeout=30)
@@ -1068,15 +1079,197 @@ class TestOnePipeline:
             remote.close()
 
     def test_a_remote_handle_starts_no_thread(self, served):
-        """Compared as sets, not counts: an earlier test's stopped front
-        door may still be retiring its pool threads."""
+        """Compared as sets, not counts.  The front door runs in this
+        process and gives each connection its own thread, so a handle's
+        arrival adds exactly that thread; the client adds none, and the
+        door's thread exits once the handle closes."""
         _, address, local = served
-        warm = remote_system(local, address, "t0")
-        warm.query(PROBE)  # the front door's pool has its worker now
-        warm.close()
         before = set(threading.enumerate())
         remote = remote_system(local, address, "t0")
         remote.query(PROBE)
-        assert not set(threading.enumerate()) - before
+        added = set(threading.enumerate()) - before
+        assert [thread.name for thread in added] == ["serving-connection"]
         remote.close()
-        assert not set(threading.enumerate()) - before
+        for thread in added:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+
+
+# ----------------------------------------------------------------------
+# One thread per connection: what the blocking door must keep
+# ----------------------------------------------------------------------
+def _door_threads(before):
+    return [
+        thread for thread in threading.enumerate()
+        if thread.name.startswith("serving-") and thread not in before
+    ]
+
+
+def _raw_session(host, port):
+    """A bare socket past the HELLO, for sending frames by hand."""
+    sock = socket.create_connection((host, port), timeout=10)
+    hello = json.dumps({"tenant": "t0", "protocol": PROTOCOL_VERSION})
+    sock.sendall(encode_frame(0, OP_HELLO, hello.encode()))
+    buffer = b""
+    while True:
+        try:
+            (_, op, _), _ = decode_frame(buffer)
+            break
+        except ConnectionClosedError:
+            chunk = sock.recv(4096)
+            assert chunk, "front door closed during the handshake"
+            buffer += chunk
+    assert op != OP_ERROR
+    return sock
+
+
+def _closed_by_peer(sock):
+    """Whether the front door has closed ``sock`` (EOF or reset)."""
+    try:
+        return sock.recv(4096) == b""
+    except ConnectionResetError:
+        return True
+
+
+class TestThreadPerConnection:
+    def test_a_stalled_half_header_does_not_delay_another_connection(
+        self, served
+    ):
+        """Each connection blocks on its own thread: one peer stuck
+        mid-header (before its HELLO, or after it) holds up no other."""
+        _, (host, port), local = served
+        expected = local.query(PROBE).canonical()
+        stalled = [
+            socket.create_connection((host, port), timeout=10),
+            _raw_session(host, port),
+        ]
+        remote = remote_system(local, (host, port), "t0")
+        try:
+            for sock in stalled:
+                sock.sendall(b"\x00\x00")  # half of a length prefix
+            started = time.perf_counter()
+            for _ in range(3):
+                assert remote.query(PROBE).canonical() == expected
+            assert time.perf_counter() - started < 5.0
+        finally:
+            remote.close()
+            for sock in stalled:
+                sock.close()
+
+    def test_an_oversized_prefix_closes_only_its_connection(self, served):
+        from repro.serving.framing import MAX_FRAME_BYTES
+
+        _, (host, port), local = served
+        expected = local.query(PROBE).canonical()
+        bystander = remote_system(local, (host, port), "t0")
+        offender = _raw_session(host, port)
+        try:
+            offender.sendall(
+                (MAX_FRAME_BYTES + 1).to_bytes(4, "big") + b"\x00" * 64
+            )
+            assert _closed_by_peer(offender)
+            assert bystander.query(PROBE).canonical() == expected
+            late = remote_system(local, (host, port), "t0")
+            try:
+                assert late.query(PROBE).canonical() == expected
+            finally:
+                late.close()
+        finally:
+            offender.close()
+            bystander.close()
+
+    def test_admission_never_runs_more_handlers_than_max_inflight(
+        self, healthcare_doc, healthcare_scs
+    ):
+        """The in-flight count is shared by every connection thread: under
+        a short switch interval, six handles through two slots never have
+        a third handler running, and the count ends at zero."""
+        import sys
+
+        from repro.core.system import RetryPolicy
+
+        local = SecureXMLSystem.host(
+            healthcare_doc, healthcare_scs, scheme="opt",
+            retry_policy=RetryPolicy(
+                max_attempts=10_000, deadline_s=float("inf")
+            ),
+        )
+        server = ServingServer(max_inflight=2)
+        session = server.register_tenant("t0", local)
+        original, lock = session.query, threading.Lock()
+        running, peak = [0], [0]
+
+        def counted_query(blob):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            try:
+                time.sleep(0.001)
+                return original(blob)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        session.query = counted_query
+        address = server.start()
+        handles = [remote_system(local, address, "t0") for _ in range(6)]
+        expected = local.query(PROBE).canonical()
+        answers = []
+
+        def drive(handle):
+            for _ in range(8):
+                answers.append(handle.query(PROBE).canonical())
+
+        threads = [
+            threading.Thread(target=drive, args=(handle,))
+            for handle in handles
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            for handle in handles:
+                handle.close()
+            server.stop(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert answers == [expected] * 48
+        assert 1 <= peak[0] <= 2
+        assert server.inflight == 0
+
+    def test_stop_leaves_no_door_thread_and_idle_handles_fail_typed(
+        self, local
+    ):
+        """An idle handle (past its HELLO, no request yet) and a bare
+        connection that never sent a byte both have a thread blocked in
+        ``recv``; ``stop()`` ends both, and the handle's next call is a
+        typed connection error at once, not a wait for its timeout."""
+        before = set(threading.enumerate())
+        server = ServingServer()
+        server.register_tenant("t0", local)
+        host, port = server.start()
+        idle = remote_system(local, (host, port), "t0")
+        silent = socket.create_connection((host, port), timeout=10)
+        try:
+            deadline = time.monotonic() + 10
+            while len(_door_threads(before)) < 3 and time.monotonic() < deadline:
+                time.sleep(0.01)  # until the door has accepted `silent`
+            names = sorted(thread.name for thread in _door_threads(before))
+            assert names == [
+                "serving-accept", "serving-connection", "serving-connection"
+            ]
+            server.stop()
+            assert not _door_threads(before)
+            assert _closed_by_peer(silent)
+            started = time.perf_counter()
+            with pytest.raises(ConnectionClosedError):
+                idle.query(PROBE)
+            assert time.perf_counter() - started < 5.0
+        finally:
+            silent.close()
+            idle.close()
+            server.stop()
