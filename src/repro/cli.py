@@ -21,7 +21,8 @@ Commands:
 ``attack``
     Mount the frequency-based attack against the strawman, decoy and
     OPESS designs on a workload, over twenty master keys, and print how
-    many of its claimed matches were right.
+    many of its claimed matches were right; then play the access-pattern
+    game once, scoring the unprotected and the protected observer.
 
 ``trace``
     Run one query and print its nested span tree, its stage totals, and
@@ -38,7 +39,7 @@ Commands:
     per connection) and serve it as a tenant until interrupted (or for
     ``--serve-for`` seconds), then drain gracefully: finish in-flight
     requests, flush caches, and persist the hosting when ``--storage``
-    is given.
+    is given.  ``--leakage`` turns the access-pattern countermeasures on.
 """
 
 from __future__ import annotations
@@ -93,21 +94,6 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
         "--key", default=None,
         help="master-key passphrase (defaults to the demo key)",
     )
-    parser.add_argument(
-        "--leakage", default=None, metavar="POLICY",
-        help="access-pattern countermeasures: 'off' records traces "
-        "only, 'full' enables padding+decoys, or knobs like "
-        "'pad=8,decoys=16,seed=0' (default: $REPRO_LEAKAGE; "
-        "answers are byte-identical either way)",
-    )
-
-
-def _leakage(args: argparse.Namespace):
-    """``--leakage`` policy spec for ``host(leakage=)``.
-
-    ``None`` (flag absent) defers to ``REPRO_LEAKAGE``.
-    """
-    return getattr(args, "leakage", None)
 
 
 def _master_key(args: argparse.Namespace) -> bytes:
@@ -153,7 +139,6 @@ def cmd_host(args: argparse.Namespace) -> int:
     system = SecureXMLSystem.host(
         document, constraints, scheme=args.scheme,
         master_key=_master_key(args),
-        leakage=_leakage(args),
     )
     _print_hosting(system)
     if args.save:
@@ -180,8 +165,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             args.workload, args.size, args.seed
         )
         system = SecureXMLSystem.host(
-            document, constraints, scheme=args.scheme,
-            leakage=_leakage(args),
+            document, constraints, scheme=args.scheme
         )
     answer = system.query(args.xpath)
     print(f"answers ({len(answer)}):")
@@ -230,7 +214,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     system = SecureXMLSystem.host(
         document, constraints, scheme=args.scheme,
         master_key=_master_key(args),
-        leakage=_leakage(args),
     )
     metrics = system.observability().metrics
     before = metrics.counter_values()
@@ -283,7 +266,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     system = SecureXMLSystem.host(
         document, constraints, scheme=args.scheme,
         master_key=_master_key(args),
-        leakage=_leakage(args),
     )
     workload = QueryWorkload(
         document, seed=args.seed, per_class=args.per_class
@@ -340,13 +322,14 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     import time
 
+    from repro.core.leakage import DECOYS, PAD_TO
     from repro.serving import ServingServer
 
     document, constraints = build_workload(args.workload, args.size, args.seed)
     system = SecureXMLSystem.host(
         document, constraints, scheme=args.scheme,
         master_key=_master_key(args),
-        leakage=_leakage(args),
+        leakage=args.leakage,
     )
     server = ServingServer(
         host=args.host, port=args.port,
@@ -360,12 +343,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         f"on {host}:{port}"
     )
     print(f"admission control: {args.max_inflight} in-flight requests")
-    if system.leakage is not None:
-        policy = system.leakage.policy
+    if args.leakage:
         print(
-            "access-pattern countermeasures: "
-            f"pad_to={policy.pad_to} decoys={policy.decoys} "
-            f"seed={policy.seed}"
+            f"access-pattern countermeasures on: {DECOYS} decoy fetches "
+            f"per query, padded to a multiple of {PAD_TO}"
         )
     if args.storage:
         print(f"drain persists the hosting to {args.storage}")
@@ -413,8 +394,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
         )
 
     # Third security tier: access-pattern trace attribution, with and
-    # without the fetch countermeasures (see repro.security.leakage).
-    from repro.core.leakage import LeakagePolicy
+    # without the fetch countermeasures (see repro.security.leakage),
+    # scored off one run of one hosting.
     from repro.security.leakage import run_leakage_game
     from repro.workloads.queries import QueryWorkload
 
@@ -425,16 +406,15 @@ def cmd_attack(args: argparse.Namespace) -> int:
         ).by_class().values()
         for query in queries
     ][:6]
+    system = SecureXMLSystem.host(
+        document, constraints, scheme="opt", leakage=True
+    )
+    unprotected, protected = run_leakage_game(
+        system, queries, repeats=3, seed=args.seed
+    )
     print()
-    for label, policy in (
-        ("unprotected traces", LeakagePolicy()),
-        ("full countermeasures", LeakagePolicy.full()),
-    ):
-        system = SecureXMLSystem.host(
-            document, constraints, scheme="opt", leakage=policy
-        )
-        game = run_leakage_game(system, queries, repeats=3, seed=args.seed)
-        print(f"{label}: {game.describe()}")
+    print(f"unprotected traces: {unprotected.describe()}")
+    print(f"countermeasures on: {protected.describe()}")
     return 0
 
 
@@ -533,6 +513,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--storage", default=None, metavar="DIR",
         help="persist the hosting to DIR on drain",
+    )
+    serve.add_argument(
+        "--leakage", action="store_true",
+        help="turn the access-pattern countermeasures on (decoy and "
+        "padding fetches; answers are byte-identical either way)",
     )
     serve.add_argument(
         "--serve-for", type=float, default=None, dest="serve_for",

@@ -131,8 +131,9 @@ class Server:
         #: lock); this lock only has to make the check-epoch +
         #: cache-access sequences atomic.
         self._cache_lock = threading.RLock()
-        #: Access-pattern leakage tier; ``None`` (the default) keeps the
-        #: evaluated path untouched.  See :meth:`attach_leakage`.
+        #: Access-pattern leakage tier, shared by the owning system's
+        #: replicas; ``None`` (the default) keeps the evaluated path
+        #: untouched.
         self.leakage: "LeakageContext | None" = None
 
     def flush_caches(self) -> None:
@@ -159,10 +160,6 @@ class Server:
     # ------------------------------------------------------------------
     # Access-pattern leakage tier
     # ------------------------------------------------------------------
-    def attach_leakage(self, context: LeakageContext) -> None:
-        """Join this server to a system-wide leakage context."""
-        self.leakage = context
-
     def _leakage_universe(self) -> tuple[int, ...]:
         """Sorted block-id population decoy fetches may draw from.
 
@@ -175,7 +172,7 @@ class Server:
         return universe
 
     def _observe_leakage(self, roots: list[Node]) -> None:
-        """Record (and pad/decoy) one evaluated query's fetch trace.
+        """Pad, decoy and shuffle one evaluated query's fetches.
 
         Called once per *evaluation* — warm wire-cache hits
         replay sealed bytes without touching storage, so they add no

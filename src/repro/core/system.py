@@ -200,7 +200,7 @@ class SecureXMLSystem:
         keyring: ClientKeyring,
         retry_policy: RetryPolicy | None = None,
         observability: Observability | None = None,
-        leakage: "object | None" = None,
+        leakage: bool = False,
     ) -> None:
         self.client = client
         self.hosted = hosted
@@ -233,14 +233,18 @@ class SecureXMLSystem:
         # hold it for the leakage histogram, recorded with no root open.
         self._obs = Observability.coerce(observability)
         # Access-pattern leakage tier (see repro.core.leakage): one
-        # context shared by every replica, so the attacker harness and
-        # the countermeasures see one policy and one recorder.  ``None``
-        # (with REPRO_LEAKAGE unset) leaves every path exactly as before.
-        self.leakage = LeakageContext.coerce(leakage)
+        # context shared by every replica, so they draw from one cover
+        # stream.  Off leaves every path exactly as before.
+        if not isinstance(leakage, bool):
+            raise TypeError(
+                f"leakage must be a bool, not {type(leakage).__name__}"
+            )
+        self.leakage = (
+            LeakageContext(keyring.cover_stream()) if leakage else None
+        )
         for replica_server, _channel in self._replicas:
             replica_server._obs = self._obs
-            if self.leakage is not None:
-                replica_server.attach_leakage(self.leakage)
+            replica_server.leakage = self.leakage
 
     # ------------------------------------------------------------------
     # Hosting
@@ -256,7 +260,7 @@ class SecureXMLSystem:
         secure: bool = True,
         retry_policy: RetryPolicy | None = None,
         observability: Observability | None = None,
-        leakage: "object | None" = None,
+        leakage: bool = False,
     ) -> "SecureXMLSystem":
         """Encrypt ``document`` under the given scheme and stand up a system.
 
@@ -278,14 +282,11 @@ class SecureXMLSystem:
         ``docs/PROTOCOL.md``, "Replication & failover").  With one
         channel none of that machinery ever runs.
 
-        ``leakage`` enables the access-pattern leakage tier (see
-        :meth:`~repro.core.leakage.LeakageContext.coerce`): ``None``
-        reads ``REPRO_LEAKAGE`` (unset → tier off, zero overhead),
-        ``True`` the full countermeasure set, a string a policy spec
-        like ``"pad=8,decoys=16"``, or a
-        :class:`~repro.core.leakage.LeakagePolicy`/``LeakageContext``
-        directly.  Countermeasures run strictly below the wire, so
-        answers stay byte-identical with any policy.
+        ``leakage=True`` turns the access-pattern countermeasures on
+        (see :mod:`repro.core.leakage`): decoy and padding fetches in
+        shuffled order, drawn from the keyring's cover stream.  They run
+        strictly below the wire, so answers stay byte-identical; off
+        (the default) costs nothing.
         """
         from repro.xmldb.serializer import serialize
 

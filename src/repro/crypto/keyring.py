@@ -2,10 +2,13 @@
 
 The data owner holds a single master secret; every other key in the system —
 block-encryption keys, the tag cipher key, the OPE key, the per-field OPESS
-splitting/scaling seeds, the DSI weight stream and the decoy stream — is
-derived from it with the HKDF-style labelled derivation in
-:mod:`repro.crypto.hmac`.  Nothing derived here ever leaves the client;
-the server sees only ciphertexts and metadata.
+splitting/scaling seeds, the DSI weight stream, the decoy stream and the
+access-pattern cover stream — is derived from it with the HKDF-style
+labelled derivation in :mod:`repro.crypto.hmac`.  Two derived values are
+handed to the server's side: the wire session keys and, with the
+access-pattern tier on, the cover stream that picks its decoy fetches.
+Nothing else derived here leaves the client; the server sees only
+ciphertexts and metadata.
 
 Determinism matters: hosting the same database twice with the same master
 key produces byte-identical ciphertext and metadata, which the test suite
@@ -188,6 +191,16 @@ class ClientKeyring:
         return DeterministicRandom(
             self._derive("decoys", *_context(block_id, stamp))
         )
+
+    def cover_stream(self) -> DeterministicRandom:
+        """Stream of the access-pattern tier's decoy and padding block
+        picks and fetch-order shuffles (:mod:`repro.core.leakage`).
+
+        Keyed by the master key, so the same key replays byte-identical
+        fetch traces and an observer holding only public values cannot
+        replay the draws to strip the cover traffic off.
+        """
+        return DeterministicRandom(self._derive("leakage-cover"))
 
     def opess_stream(self, field: str) -> DeterministicRandom:
         """Per-field stream for OPESS splitting weights and scale factors."""

@@ -23,6 +23,11 @@ setup of *Information Flows in Encrypted Databases* (Vaswani et al.):
    guessing scores ``1/Q``; *advantage* is the excess over that
    baseline, clamped at zero — the number the CI gate bounds.
 
+One run of one system hosted with ``leakage=True`` scores two observers:
+the *unprotected* one sees each query's real fetches — exactly what a
+system without the countermeasures would serve — and the *protected*
+one the padded, decoyed, shuffled sequence the storage actually served.
+
 Three attribution strategies, mirroring the clustering features named
 in ROADMAP open item 1 (nearest-reference is single-link clustering of
 each trace with its closest profile):
@@ -44,7 +49,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.leakage import ObservedTrace, leakage_stream
+from repro.core.leakage import ObservedTrace, TraceRecorder
+from repro.crypto.prf import DeterministicRandom
 
 #: Attribution strategies :class:`TraceClusteringAttack` implements.
 METHODS = ("length", "jaccard", "coaccess")
@@ -210,64 +216,75 @@ def run_leakage_game(
     queries: "list[str]",
     repeats: int = 4,
     seed: int = 0,
-) -> LeakageGameResult:
-    """Play the full profile → attack → score game against ``system``.
+) -> "tuple[LeakageGameResult, LeakageGameResult]":
+    """Play the profile → attack → score game against ``system``.
 
-    ``system`` must have been hosted with the leakage tier on
-    (``leakage=LeakagePolicy(...)`` at minimum records traces).  Caches
-    are flushed before every issue so each one is a cold evaluation —
-    warm hits replay sealed bytes without touching storage, which a
-    storage-level observer never sees.  The issue order is drawn from a
-    :func:`~repro.core.leakage.leakage_stream` over ``seed``, so the whole
-    game replays identically across runs.
+    ``system`` must have been hosted with ``leakage=True``.  One run
+    scores two observers: the *unprotected* one sees each query's real
+    fetches (what a system without the countermeasures serves), the
+    *protected* one the padded, decoyed, shuffled sequence.  Returns
+    ``(unprotected, protected)``.
+
+    A :class:`~repro.core.leakage.TraceRecorder` is attached for the
+    game only.  Caches are flushed before every issue so each one is a
+    cold evaluation — warm hits replay sealed bytes without touching
+    storage, which a storage-level observer never sees.  The issue order
+    is the experimenter's, not a secret: it is shuffled by a stream over
+    the public ``seed``, so the whole game replays identically across
+    runs under one master key.
     """
     context = system.leakage
     if context is None:
         raise ValueError(
-            "system has no leakage context; host with leakage="
-            "LeakagePolicy(...) to record traces"
+            "system has no leakage context; host with leakage=True"
         )
-    recorder = context.recorder
-
-    # Profile phase: one labelled trace per query.
-    recorder.clear()
-    for query in queries:
-        system.flush_caches()
-        system.query(query)
-    references = recorder.traces()
-    if len(references) != len(queries):
-        raise RuntimeError(
-            f"profile phase recorded {len(references)} traces for "
-            f"{len(queries)} queries"
-        )
-    attack = TraceClusteringAttack(references)
-
-    # Attack phase: seeded shuffled repeats, counters bracketing the
-    # phase so the bandwidth overhead covers exactly these issues.
     labels = [
         index for index in range(len(queries)) for _ in range(repeats)
     ]
-    leakage_stream(seed, "game-order").shuffle(labels)
-    recorder.clear()
+    DeterministicRandom(
+        (seed % (1 << 64)).to_bytes(16, "big"), "leakage:game-order"
+    ).shuffle(labels)
     metrics = system.observability().metrics
-    before = metrics.counter_values()
-    for label in labels:
-        system.flush_caches()
-        system.query(queries[label])
-    delta = metrics.counters_delta(before)
+    recorder = context.recorder = TraceRecorder()
+    try:
+        # Profile phase: one labelled trace per query.  Then the attack
+        # phase, counters bracketing it so the bandwidth overhead covers
+        # exactly its issues.
+        for query in queries:
+            system.flush_caches()
+            system.query(query)
+        before = metrics.counter_values()
+        for label in labels:
+            system.flush_caches()
+            system.query(queries[label])
+        delta = metrics.counters_delta(before)
+    finally:
+        context.recorder = None
     traces = recorder.traces()
-    if len(traces) != len(labels):
+    if len(traces) != len(queries) + len(labels):
         raise RuntimeError(
-            f"attack phase recorded {len(traces)} traces for "
-            f"{len(labels)} issues"
+            f"the game recorded {len(traces)} traces for "
+            f"{len(queries) + len(labels)} issues"
+        )
+    references, traces = traces[: len(queries)], traces[len(queries):]
+
+    real_bytes = delta.get("leakage_real_bytes", 0)
+
+    def score(view, extra_bytes: int) -> LeakageGameResult:
+        attack = TraceClusteringAttack([view(trace) for trace in references])
+        observed = [view(trace) for trace in traces]
+        return LeakageGameResult(
+            query_count=len(queries),
+            repeats=repeats,
+            reports=[
+                attack.run(observed, labels, method) for method in METHODS
+            ],
+            real_bytes=real_bytes,
+            extra_bytes=extra_bytes,
+            labels=labels,
         )
 
-    reports = [attack.run(traces, labels, method) for method in METHODS]
-    return LeakageGameResult(
-        query_count=len(queries),
-        repeats=repeats,
-        reports=reports,
-        real_bytes=delta.get("leakage_real_bytes", 0),
-        extra_bytes=delta.get("leakage_extra_bytes", 0),
-        labels=labels,
+    return (
+        score(lambda trace: ObservedTrace(trace.real), 0),
+        score(lambda trace: trace, delta.get("leakage_extra_bytes", 0)),
     )

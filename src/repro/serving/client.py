@@ -306,8 +306,4 @@ def remote_system(
         hosting_trace=local.hosting_trace,
         keyring=local.keyring,
         retry_policy=local.retry_policy,
-        # Never client-side: decoy/padding fetches happen where the
-        # storage is — the served tenant system — and REPRO_LEAKAGE must
-        # not make this handle try to attach a tier to its connection.
-        leakage=False,
     )

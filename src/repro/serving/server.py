@@ -30,8 +30,9 @@ never observe a half-applied update or a torn ``(epoch, root)`` pair.
 Admission control and drain
 ---------------------------
 
-A bounded counter of running handlers, taken under a condition
-variable: past ``max_inflight`` the server answers with a typed
+A bounded counter of requests in flight (handler running or reply
+still being written), taken under a condition variable: past
+``max_inflight`` the server answers with a typed
 :class:`BackpressureRejected` **before** any work is done, which the
 remote system's retry loop absorbs like a dropped transfer.
 :meth:`ServingServer.drain` is the graceful shutdown: stop accepting,
@@ -260,21 +261,16 @@ class TenantSession:
             )
         with self._counts_lock:
             ops = dict(self.op_counts)
-        leakage = self.system.leakage
         payload = json.dumps(
             {
                 "tenant": self.tenant_id,
                 "epoch": self.system.hosted.epoch,
                 "ops": ops,
-                # Access-pattern countermeasure knobs this tenant serves
-                # under (absent tier reported as all-off) — operators
-                # audit the front door's posture through the same sealed
-                # stats op the rest of the metadata uses.
-                "leakage": {
-                    "pad_to": leakage.policy.pad_to if leakage else 0,
-                    "decoys": leakage.policy.decoys if leakage else 0,
-                    "traces": len(leakage.recorder) if leakage else 0,
-                },
+                # Whether this tenant serves under the access-pattern
+                # countermeasures — operators audit the front door's
+                # posture through the same sealed stats op the rest of
+                # the metadata uses.
+                "leakage": self.system.leakage is not None,
             },
             sort_keys=True,
         ).encode("utf-8")
@@ -476,8 +472,14 @@ class ServingServer:
             session = self._handshake(conn, buffer)
             while session is not None:
                 rid, op, payload = read_frame(conn, buffer)
-                reply_op, reply = self._serve(session, op, payload)
-                conn.sendall(encode_frame(rid, reply_op, reply))
+                reply_op, reply, admitted = self._serve(session, op, payload)
+                try:
+                    conn.sendall(encode_frame(rid, reply_op, reply))
+                finally:
+                    if admitted:
+                        # In flight until the reply is written: a drain
+                        # must not shut the socket under it.
+                        self._release()
         except (OSError, FrameError):
             pass  # the peer went away, or its framing can't be trusted
         finally:
@@ -527,31 +529,34 @@ class ServingServer:
 
     def _serve(
         self, session: TenantSession, op: int, payload: bytes
-    ) -> tuple[int, bytes]:
-        """One request's reply: ``OK`` and the handler's bytes, or a
-        typed ``ERROR``."""
+    ) -> tuple[int, bytes, bool]:
+        """One request's reply — ``OK`` and the handler's bytes, or a
+        typed ``ERROR`` — and whether it was admitted (the caller
+        releases its slot once the reply is written)."""
         handler = _REQUEST_HANDLERS.get(op)
         if handler is None:
             return OP_ERROR, encode_error(
                 ProtocolError(f"unknown opcode {op}")
-            )
+            ), False
         try:
             self._admit(session)
         except (BackpressureRejected, ServerDraining) as exc:
-            return OP_ERROR, encode_error(exc)
+            return OP_ERROR, encode_error(exc), False
         started = time.perf_counter()
         try:
-            return OP_OK, getattr(session, handler)(payload)
+            return OP_OK, getattr(session, handler)(payload), True
         except Exception as exc:  # typed errors travel as ERROR frames
-            return OP_ERROR, encode_error(exc)
+            return OP_ERROR, encode_error(exc), True
         finally:
-            with self._state:
-                self._inflight -= 1
-                self._state.notify_all()  # a drain waits for zero
-                self._obs.metrics.set_gauge("serving_inflight", self._inflight)
             self._obs.metrics.observe(
                 "serving_request_seconds", time.perf_counter() - started
             )
+
+    def _release(self) -> None:
+        with self._state:
+            self._inflight -= 1
+            self._state.notify_all()  # a drain waits for zero
+            self._obs.metrics.set_gauge("serving_inflight", self._inflight)
 
     def _admit(self, session: TenantSession) -> None:
         """Admission control: typed rejection before any work is done."""

@@ -363,14 +363,6 @@ class TestOneServerBehindTheOwner:
             with pytest.raises(MessageDecodeError):
                 decode_response(json.dumps(broken).encode())
 
-    def test_scatter_shuffle_is_not_a_leakage_knob(self):
-        from repro.core.leakage import LeakagePolicy
-
-        with pytest.raises(ValueError, match="unknown leakage policy knob"):
-            LeakagePolicy.parse("shuffle=1")
-        assert LeakagePolicy.parse("full") == LeakagePolicy.full()
-        assert not hasattr(LeakagePolicy(), "shuffle")
-
 
 def test_no_module_of_the_package_imports_a_name_it_never_uses():
     """ruff F401, the lint job's commonest finding, where it runs offline.
@@ -429,6 +421,37 @@ def test_no_module_of_the_package_imports_asyncio_or_concurrent_futures():
                 or name.startswith("concurrent.futures")
                 or name == "concurrent"
             ]
+    assert not offenders, offenders
+
+
+def test_no_module_of_the_package_reads_the_environment():
+    """Every setting is an argument: nothing under ``src/repro`` reads
+    ``os.environ`` or calls ``os.getenv``."""
+    import ast
+    import pathlib
+
+    import repro
+
+    offenders = []
+    for path in sorted(pathlib.Path(repro.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+                reads = (
+                    isinstance(node.value, ast.Name)
+                    and node.value.id == "os"
+                    and name in ("environ", "environb", "getenv", "getenvb")
+                )
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                name = ",".join(alias.name for alias in node.names)
+                reads = any(
+                    alias.name in ("environ", "environb", "getenv", "getenvb")
+                    for alias in node.names
+                )
+            else:
+                continue
+            if reads:
+                offenders.append(f"{path}:{node.lineno} {name}")
     assert not offenders, offenders
 
 

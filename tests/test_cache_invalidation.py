@@ -17,7 +17,6 @@ from updates_oracle import write_plaintext
 from repro.core.client import Client, canonical_node
 from repro.core.epoch_cache import EpochCache
 from repro.core.integrity import RollbackDetectedError, TamperedResponseError
-from repro.core.leakage import LeakagePolicy
 from repro.core.server import Fragment, ServerResponse
 from repro.core.storage import load_system, save_system
 from repro.core.system import (
@@ -619,7 +618,7 @@ class TestFlushCaches:
         )
         system = SecureXMLSystem.host(
             healthcare_doc, healthcare_scs,
-            leakage=LeakagePolicy(pad_to=8, decoys=8),
+            leakage=True,
             channel=[lossy, Channel()],
         )
         system.query(self.QUERY)

@@ -174,19 +174,15 @@ class TestDeterminism:
         Cover traffic reads ciphertext the server already stores — it
         must consume nothing from the fault schedule's stream, so the
         same seed replays the exact same faults and outcomes with the
-        countermeasures on.  Scatter *shuffle* is deliberately off here:
-        it legitimately reorders cluster transfers, which a transfer-
-        order-keyed schedule is allowed to see; its determinism is
-        covered in test_leakage.py.
+        countermeasures on.  Its own determinism is covered in
+        test_leakage.py.
         """
-        from repro.core.leakage import LeakagePolicy
-
         plain = self.run_once(healthcare_doc, healthcare_scs, seed=11)
         padded = self.run_once(
             healthcare_doc,
             healthcare_scs,
             seed=11,
-            leakage=LeakagePolicy(pad_to=8, decoys=8),
+            leakage=True,
         )
         assert plain == padded
 

@@ -209,6 +209,23 @@ class TestServeCommand:
         assert main(["query", "--load", directory, "//SSN"]) == 0
         assert "763895" in capsys.readouterr().out
 
+    def test_serve_with_the_countermeasures_on(self, capsys):
+        assert main(["serve", "--leakage", "--serve-for", "0.2"]) == 0
+        out = capsys.readouterr().out
+        assert "access-pattern countermeasures on" in out
+        assert "seed" not in out
+        assert "drained and stopped" in out
+
+    def test_leakage_is_a_serve_flag_only(self, capsys):
+        assert build_parser().parse_args(["serve"]).leakage is False
+        for command in ("host", "query", "trace", "stats", "attack"):
+            argv = [command, "--leakage"]
+            if command in ("query", "trace"):
+                argv.append("//SSN")
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
+        capsys.readouterr()
+
     def test_served_tenant_answers_over_the_socket(self):
         """The same stack ``repro serve`` wires, driven by a remote peer."""
         from repro.core.system import SecureXMLSystem

@@ -182,7 +182,7 @@ def test_nasa_20_hosting_index_and_wire_bytes_unchanged(monkeypatch):
 
 def test_xmark_20_hosting_and_wire_bytes_unchanged(monkeypatch):
     for name in [name for name in os.environ if name.startswith("REPRO_")]:
-        monkeypatch.delenv(name)  # CI exports backend/shard/leakage knobs
+        monkeypatch.delenv(name)  # no REPRO_* variable may move a byte
     system = SecureXMLSystem.host(
         build_xmark_database(20), xmark_constraints(), scheme="opt"
     )

@@ -1,29 +1,37 @@
 """Access-pattern leakage tier: traces, countermeasures, accounting.
 
-Four invariant families:
+Five invariant families:
 
-* **Policy plumbing** — every spelling of ``leakage=`` (env var, CLI
-  string, dataclass, shared context) lands on the same policy, and bad
-  specs fail loudly.
+* **One switch** — ``host(leakage=)`` takes a bool and nothing else;
+  on means padding, decoys and a shuffle, drawn from a stream keyed by
+  the owner's master key.
 * **Block accounting** (the bugfix) — ``blocks_shipped`` equals the
   number of encrypted-block markers actually present in the shipped
   fragments, on the fast path and the naive path.
-* **Trace determinism** — the same seed produces byte-identical fetch
-  traces across runs.
-* **Byte-identity & hygiene** — the full countermeasure set changes no
-  answer byte on any path and pollutes no cache counter.
+* **Trace determinism** — the same master key produces byte-identical
+  fetch traces across runs, and another key different ones.
+* **No public replay** — an observer holding every public value cannot
+  replay the cover draws to strip the decoys and padding back off.
+* **Byte-identity & hygiene** — the countermeasures change no answer
+  byte on any path, pollute no cache counter, and keep no trace outside
+  the game.
 """
+
+import copy
 
 import pytest
 
 from repro.core import client as client_module
 from repro.core.leakage import (
+    DECOYS,
+    PAD_TO,
     LeakageContext,
-    LeakagePolicy,
     ObservedTrace,
-    leakage_stream,
+    TraceRecorder,
 )
 from repro.core.system import SecureXMLSystem
+from repro.crypto.keyring import ClientKeyring
+from repro.crypto.prf import DeterministicRandom
 from repro.obs import MetricsRegistry
 from repro.obs.metrics import CACHE_LAYERS
 from repro.security.leakage import TraceClusteringAttack, run_leakage_game
@@ -42,8 +50,6 @@ QUERIES = (
     "//insurance/policy#",
     "//SSN",
 )
-
-FULL = LeakagePolicy.full(seed=3)
 
 #: Axis-engine plans: multi-node ship sets, reverse/order joins,
 #: positional completeness, a residual plan.  The leakage gates must
@@ -65,72 +71,73 @@ def host(doc, scs, **kwargs):
     return SecureXMLSystem.host(doc, scs, scheme="opt", **kwargs)
 
 
+def recording(system):
+    """Attach a fresh recorder to ``system``'s tier and return it."""
+    recorder = system.leakage.recorder = TraceRecorder()
+    return recorder
+
+
 # ----------------------------------------------------------------------
-# Policy parsing and coercion
+# The switch
 # ----------------------------------------------------------------------
 class TestPolicy:
-    def test_full_enables_everything(self):
-        policy = LeakagePolicy.full()
-        assert policy.masks_fetches and policy.pad_to > 1 and policy.decoys
+    def test_full_enables_everything(self, healthcare_doc, healthcare_scs):
+        system = host(healthcare_doc, healthcare_scs, leakage=True)
+        recorder = recording(system)
+        system.query("//SSN")
+        (trace,) = recorder.traces()
+        assert PAD_TO > 1 and DECOYS > 0
+        assert len(trace.blocks) >= len(trace.real) + DECOYS
+        assert len(trace.blocks) % PAD_TO == 0
+        assert trace.blocks != trace.real
 
-    def test_default_is_record_only(self):
-        policy = LeakagePolicy()
-        assert not policy.masks_fetches
+    def test_coerce_none_without_env_is_off(
+        self, healthcare_doc, healthcare_scs, monkeypatch
+    ):
+        # The switch is the only way on: the retired environment
+        # variable is read by nothing.
+        monkeypatch.delenv("REPRO_LEAKAGE", raising=False)
+        assert host(healthcare_doc, healthcare_scs).leakage is None
+        monkeypatch.setenv("REPRO_LEAKAGE", "full")
+        assert host(healthcare_doc, healthcare_scs).leakage is None
 
-    @pytest.mark.parametrize("spec", ["", "off", "record"])
-    def test_parse_record_only(self, spec):
-        assert LeakagePolicy.parse(spec) == LeakagePolicy()
-
-    def test_parse_full(self):
-        assert LeakagePolicy.parse("full") == LeakagePolicy.full()
-
-    def test_parse_knobs(self):
-        policy = LeakagePolicy.parse("pad=4, decoys=9, seed=17")
-        assert policy == LeakagePolicy(pad_to=4, decoys=9, seed=17)
+    def test_coerce_bools_and_passthrough(
+        self, healthcare_doc, healthcare_scs
+    ):
+        off = host(healthcare_doc, healthcare_scs, leakage=False)
+        assert off.leakage is None
+        system = host(healthcare_doc, healthcare_scs, leakage=True)
+        assert isinstance(system.leakage, LeakageContext)
+        assert all(
+            server.leakage is system.leakage
+            for server, _channel in system._replicas
+        )
 
     @pytest.mark.parametrize(
         "spec", ["pad", "pad=x", "bogus=1", "pad=8 decoys=2"]
     )
-    def test_parse_rejects_bad_specs(self, spec):
-        with pytest.raises(ValueError):
-            LeakagePolicy.parse(spec)
-
-    def test_negative_knobs_rejected(self):
-        with pytest.raises(ValueError):
-            LeakagePolicy(pad_to=-1)
-        with pytest.raises(ValueError):
-            LeakagePolicy(decoys=-1)
-
-    def test_coerce_none_without_env_is_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LEAKAGE", raising=False)
-        assert LeakageContext.coerce(None) is None
-
-    def test_coerce_none_reads_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LEAKAGE", "pad=8,decoys=2")
-        context = LeakageContext.coerce(None)
-        assert context.policy == LeakagePolicy(pad_to=8, decoys=2)
-
-    def test_coerce_bools_and_passthrough(self):
-        assert LeakageContext.coerce(False) is None
-        assert LeakageContext.coerce(True).policy == LeakagePolicy.full()
-        context = LeakageContext(FULL)
-        assert LeakageContext.coerce(context) is context
-        assert LeakageContext.coerce(FULL).policy is FULL
-        assert LeakageContext.coerce("full").policy == LeakagePolicy.full()
-
-    def test_coerce_rejects_garbage(self):
+    def test_parse_rejects_bad_specs(
+        self, spec, healthcare_doc, healthcare_scs
+    ):
+        # No policy grammar is left: every spec string is refused.
         with pytest.raises(TypeError):
-            LeakageContext.coerce(3.14)
+            host(healthcare_doc, healthcare_scs, leakage=spec)
+
+    def test_coerce_rejects_garbage(self, healthcare_doc, healthcare_scs):
+        for value in (None, 1, 0, "off", "full", 3.14):
+            with pytest.raises(TypeError, match="must be a bool"):
+                host(healthcare_doc, healthcare_scs, leakage=value)
 
     def test_stream_is_seed_and_label_keyed(self):
-        first = [leakage_stream(5, "server").randint(0, 99)
-                 for _ in range(8)]
-        again = [leakage_stream(5, "server").randint(0, 99)
-                 for _ in range(8)]
-        other = [leakage_stream(6, "server").randint(0, 99)
-                 for _ in range(8)]
-        assert first == again
-        assert first != other
+        def draws(stream):
+            return [stream.randint(0, 99) for _ in range(16)]
+
+        first = ClientKeyring(b"k" * 32)
+        assert draws(first.cover_stream()) == draws(first.cover_stream())
+        assert draws(first.cover_stream()) != draws(
+            ClientKeyring(b"j" * 32).cover_stream()
+        )
+        assert draws(first.cover_stream()) != draws(first.decoy_stream())
 
 
 # ----------------------------------------------------------------------
@@ -185,8 +192,8 @@ class TestOneDefinitionOfABlock:
     ):
         document = request.getfixturevalue(f"{dataset}_doc")
         constraints = request.getfixturevalue(f"{dataset}_scs")
-        system = host(document, constraints, leakage=LeakagePolicy())
-        server, recorder = system.server, system.leakage.recorder
+        system = host(document, constraints, leakage=True)
+        server, recorder = system.server, recording(system)
         shipped = 0
         for query in AxisWorkload(document).queries():
             translated = system.client.translate(query)
@@ -204,7 +211,7 @@ class TestOneDefinitionOfABlock:
                     for block_id, _ in client_module._BLOCK_RE.findall(fragment.xml)
                 ]
                 assert scanned == walked, query
-                assert recorder.traces()[-1].blocks == tuple(walked), query
+                assert recorder.traces()[-1].real == tuple(walked), query
                 assert response.blocks_shipped == len(walked), query
                 assert response.blocks_shipped == marker_count(response), query
             shipped += len(walked)
@@ -219,13 +226,13 @@ class TestOneDefinitionOfABlock:
 # Trace determinism
 # ----------------------------------------------------------------------
 def recorded(doc, scs, **kwargs):
-    """Host with the full policy, run QUERIES cold, return trace bytes."""
-    policy = kwargs.pop("policy", FULL)
-    system = host(doc, scs, leakage=policy, **kwargs)
+    """Host with the tier on, run QUERIES cold, return trace bytes."""
+    system = host(doc, scs, leakage=True, **kwargs)
+    recorder = recording(system)
     for query in QUERIES:
         system.flush_caches()
         system.query(query)
-    return system.leakage.recorder.encode()
+    return recorder.encode()
 
 
 class TestTraceDeterminism:
@@ -234,34 +241,126 @@ class TestTraceDeterminism:
         second = recorded(healthcare_doc, healthcare_scs)
         assert first == second and first
 
-    def test_different_seed_differs(self, healthcare_doc, healthcare_scs):
-        first = recorded(healthcare_doc, healthcare_scs,
-                         policy=LeakagePolicy.full(seed=1))
-        second = recorded(healthcare_doc, healthcare_scs,
-                          policy=LeakagePolicy.full(seed=2))
-        assert first != second
-
-    def test_record_only_traces_are_real_fetches(
+    def test_one_master_key_replays_identical_bytes(
         self, healthcare_doc, healthcare_scs
     ):
-        system = host(healthcare_doc, healthcare_scs,
-                      leakage=LeakagePolicy())
+        key = b"another-owner-master-key-0123456"
+        first = recorded(healthcare_doc, healthcare_scs, master_key=key)
+        second = recorded(healthcare_doc, healthcare_scs, master_key=key)
+        assert first == second and first
+
+    def test_different_master_keys_differ(
+        self, healthcare_doc, healthcare_scs
+    ):
+        first = recorded(healthcare_doc, healthcare_scs,
+                         master_key=b"first-owner-master-key-012345678")
+        second = recorded(healthcare_doc, healthcare_scs,
+                          master_key=b"second-owner-master-key-01234567")
+        assert first != second
+
+    def test_traces_carry_the_real_fetches(
+        self, healthcare_doc, healthcare_scs
+    ):
+        system = host(healthcare_doc, healthcare_scs, leakage=True)
+        recorder = recording(system)
         system.query("//patient")
-        traces = system.leakage.recorder.traces()
+        traces = recorder.traces()
         assert len(traces) == 1
-        assert len(traces[0].blocks) == system.last_trace.blocks_returned
+        assert len(traces[0].real) == system.last_trace.blocks_returned
+        served = list(traces[0].blocks)
+        for block_id in traces[0].real:
+            served.remove(block_id)  # every real fetch was served
+        assert len(served) >= DECOYS
 
     def test_repeats_do_not_repeat_decoys(
         self, healthcare_doc, healthcare_scs
     ):
         # The draw stream advances across queries: an observer must
         # not be able to match repeated queries by identical decoy sets.
-        system = host(healthcare_doc, healthcare_scs, leakage=FULL)
+        system = host(healthcare_doc, healthcare_scs, leakage=True)
+        recorder = recording(system)
         for _ in range(2):
             system.flush_caches()
             system.query("//SSN")
-        first, second = system.leakage.recorder.traces()
+        first, second = recorder.traces()
         assert first.blocks != second.blocks
+
+
+# ----------------------------------------------------------------------
+# No public value replays the cover stream
+# ----------------------------------------------------------------------
+def public_stream():
+    """The cover stream every hosting drew from while it was keyed by a
+    public seed (0, the default) rather than by the owner."""
+    return DeterministicRandom(bytes(16), "leakage:server")
+
+
+def strip(traces, universe, stream):
+    """Replay ``LeakageContext.observe``'s draws to strip the cover traffic.
+
+    For each served sequence the observer tries every real-fetch count
+    its length allows, replays that many decoy and padding picks and the
+    shuffle on a copy of ``stream``, and keeps the count whose picks all
+    sit where the shuffle put them.  Returns the real-fetch sequence it
+    recovered per trace, or ``None`` once it has lost the stream.
+    """
+    recovered = []
+    for trace in traces:
+        served = trace.blocks
+        found = None
+        for real_count in range(max(0, len(served) - DECOYS) + 1):
+            rng = copy.copy(stream)
+            picks = [
+                universe[rng.randint(0, len(universe) - 1)]
+                for _ in range(len(served) - real_count)
+            ]
+            order = list(range(len(served)))
+            rng.shuffle(order)
+            if all(
+                served[position] == picks[index - real_count]
+                for position, index in enumerate(order)
+                if index >= real_count
+            ):
+                real = [None] * real_count
+                for position, index in enumerate(order):
+                    if index < real_count:
+                        real[index] = served[position]
+                found, stream = tuple(real), rng
+                break
+        if found is None:
+            return recovered + [None] * (len(traces) - len(recovered))
+        recovered.append(found)
+    return recovered
+
+
+class TestNoPublicReplay:
+    def test_public_seed_replay_strips_no_trace(
+        self, healthcare_doc, healthcare_scs
+    ):
+        system = host(healthcare_doc, healthcare_scs, leakage=True)
+        recorder = recording(system)
+        for query in QUERIES:
+            system.flush_caches()
+            system.query(query)
+        traces = recorder.traces()
+        universe = tuple(sorted(system.hosted.blocks))
+        assert len(traces) == len(QUERIES)
+
+        # Control: the same real fetches covered from the public stream
+        # are stripped, every one of them.
+        public = LeakageContext(public_stream())
+        control = public.recorder = TraceRecorder()
+        for trace in traces:
+            public.observe(trace.real, universe, system.hosted.blocks.get)
+        assert strip(control.traces(), universe, public_stream()) == [
+            trace.real for trace in traces
+        ]
+
+        stripped = strip(traces, universe, public_stream())
+        assert not [
+            trace for trace, real in zip(traces, stripped)
+            if real == trace.real
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -272,7 +371,7 @@ class TestByteIdentity:
         self, healthcare_doc, healthcare_scs
     ):
         plain = host(healthcare_doc, healthcare_scs)
-        protected = host(healthcare_doc, healthcare_scs, leakage=FULL)
+        protected = host(healthcare_doc, healthcare_scs, leakage=True)
         for query in QUERIES:
             assert (
                 plain.query(query).canonical()
@@ -283,7 +382,7 @@ class TestByteIdentity:
         self, healthcare_doc, healthcare_scs
     ):
         reference = host(healthcare_doc, healthcare_scs)
-        local = host(healthcare_doc, healthcare_scs, leakage=FULL)
+        local = host(healthcare_doc, healthcare_scs, leakage=True)
         server = ServingServer(max_inflight=8)
         server.register_tenant("t0", local)
         address = server.start()
@@ -303,7 +402,7 @@ class TestByteIdentity:
     def test_serving_stats_surface_policy(
         self, healthcare_doc, healthcare_scs
     ):
-        local = host(healthcare_doc, healthcare_scs, leakage=FULL)
+        local = host(healthcare_doc, healthcare_scs, leakage=True)
         server = ServingServer(max_inflight=8)
         server.register_tenant("t0", local)
         address = server.start()
@@ -311,16 +410,36 @@ class TestByteIdentity:
             remote = remote_system(local, address, "t0")
             try:
                 remote.query(QUERIES[0])
-                stats = remote._connection.stats()
-                leakage = stats["leakage"]
-                assert leakage["pad_to"] == FULL.pad_to
-                assert leakage["decoys"] == FULL.decoys
-                assert "shuffle" not in leakage
-                assert leakage["traces"] >= 1
+                # The switch, and nothing a knob or a trace count could
+                # add to it.
+                assert remote._connection.stats()["leakage"] is True
             finally:
                 remote.close()
         finally:
             server.stop()
+
+    def test_a_served_tenant_keeps_no_trace(
+        self, healthcare_doc, healthcare_scs
+    ):
+        local = host(healthcare_doc, healthcare_scs, leakage=True)
+        server = ServingServer(max_inflight=8)
+        server.register_tenant("t0", local)
+        address = server.start()
+        try:
+            remote = remote_system(local, address, "t0")
+            try:
+                before = metrics.counter_values()
+                for query in QUERIES * 4:
+                    local.server.flush_caches()  # every query evaluates
+                    remote.query(query)
+                delta = metrics.counters_delta(before)
+            finally:
+                remote.close()
+        finally:
+            server.stop()
+        assert local.leakage.recorder is None
+        assert delta["leakage_traces_recorded"] == 0
+        assert delta["leakage_decoy_fetches"] >= DECOYS * len(QUERIES) * 4
 
 
 # ----------------------------------------------------------------------
@@ -345,7 +464,7 @@ class TestCacheHygiene:
     ):
         plain = self.warm_deltas(healthcare_doc, healthcare_scs)
         protected = self.warm_deltas(
-            healthcare_doc, healthcare_scs, leakage=FULL
+            healthcare_doc, healthcare_scs, leakage=True
         )
         cache_keys = [
             key for key in plain
@@ -358,25 +477,27 @@ class TestCacheHygiene:
     def test_cover_traffic_lands_in_dedicated_counters(
         self, healthcare_doc, healthcare_scs
     ):
-        system = host(healthcare_doc, healthcare_scs, leakage=FULL)
+        system = host(healthcare_doc, healthcare_scs, leakage=True)
         before = metrics.counter_values()
         system.query("//SSN")
         delta = metrics.counters_delta(before)
-        assert delta.get("leakage_decoy_fetches", 0) == FULL.decoys
+        assert delta.get("leakage_decoy_fetches", 0) == DECOYS
         assert delta.get("leakage_extra_bytes", 0) > 0
-        assert delta.get("leakage_traces_recorded", 0) == 1
+        # Outside the game nothing records the trace.
+        assert delta.get("leakage_traces_recorded", 0) == 0
 
 
 # ----------------------------------------------------------------------
 # Axis-heavy queries: same gates, new plans
 # ----------------------------------------------------------------------
 def recorded_axis(doc, scs, **kwargs):
-    """Host with the full policy, run AXIS_QUERIES cold, return bytes."""
-    system = host(doc, scs, leakage=FULL, **kwargs)
+    """Host with the tier on, run AXIS_QUERIES cold, return bytes."""
+    system = host(doc, scs, leakage=True, **kwargs)
+    recorder = recording(system)
     for query in AXIS_QUERIES:
         system.flush_caches()
         system.query(query)
-    return system.leakage.recorder.encode()
+    return recorder.encode()
 
 
 class TestAxisQueryLeakage:
@@ -400,7 +521,7 @@ class TestAxisQueryLeakage:
         self, healthcare_doc, healthcare_scs
     ):
         plain = host(healthcare_doc, healthcare_scs)
-        protected = host(healthcare_doc, healthcare_scs, leakage=FULL)
+        protected = host(healthcare_doc, healthcare_scs, leakage=True)
         for query in AXIS_QUERIES:
             assert (
                 plain.query(query).canonical()
@@ -410,15 +531,11 @@ class TestAxisQueryLeakage:
     def test_countermeasures_reduce_advantage_on_axis_workload(
         self, healthcare_doc, healthcare_scs
     ):
-        unprotected = host(
-            healthcare_doc, healthcare_scs, leakage=LeakagePolicy()
-        )
-        protected = host(
-            healthcare_doc, healthcare_scs, leakage=LeakagePolicy.full()
-        )
+        system = host(healthcare_doc, healthcare_scs, leakage=True)
         queries = list(AXIS_QUERIES)
-        baseline = run_leakage_game(unprotected, queries, repeats=2, seed=0)
-        hardened = run_leakage_game(protected, queries, repeats=2, seed=0)
+        baseline, hardened = run_leakage_game(
+            system, queries, repeats=2, seed=0
+        )
         assert baseline.max_advantage > 0.0
         assert hardened.max_advantage <= baseline.max_advantage
         assert hardened.bandwidth_overhead > 0.0
@@ -464,16 +581,13 @@ class TestAttack:
     def test_countermeasures_reduce_advantage(
         self, healthcare_doc, healthcare_scs
     ):
-        unprotected = host(
-            healthcare_doc, healthcare_scs, leakage=LeakagePolicy()
-        )
-        protected = host(
-            healthcare_doc, healthcare_scs, leakage=LeakagePolicy.full()
-        )
+        system = host(healthcare_doc, healthcare_scs, leakage=True)
         queries = list(QUERIES)
-        baseline = run_leakage_game(unprotected, queries, repeats=2, seed=0)
-        hardened = run_leakage_game(protected, queries, repeats=2, seed=0)
+        baseline, hardened = run_leakage_game(
+            system, queries, repeats=2, seed=0
+        )
         assert baseline.max_advantage > 0.0
         assert hardened.max_advantage <= baseline.max_advantage
         assert hardened.bandwidth_overhead > 0.0
         assert baseline.bandwidth_overhead == 0.0
+        assert system.leakage.recorder is None  # attached for the game only

@@ -42,6 +42,7 @@ from repro.serving import (
 from repro.serving.framing import (
     OP_ERROR,
     OP_HELLO,
+    OP_OK,
     OP_QUERY,
     OP_STATS,
     OP_UPDATE,
@@ -636,6 +637,44 @@ class TestDrain:
         assert drainer.is_alive()
         release.set()
         drainer.join(timeout=30)
+        worker.join(timeout=30)
+        server.stop()
+        remote.close()
+        assert result["answer"] == local.query(PROBE).canonical()
+
+    def test_drain_waits_for_the_reply_to_be_written(
+        self, local, monkeypatch
+    ):
+        """A request stays in flight until its reply is on the wire: a
+        drain that starts between the handler's return and the write
+        must not shut the socket under the reply."""
+        from repro.serving import server as server_module
+
+        server = ServingServer(max_inflight=4)
+        server.register_tenant("t0", local)
+        address = server.start()
+        remote = remote_system(local, address, "t0")
+        writing = threading.Event()
+        encode = server_module.encode_frame
+
+        def slow_encode(rid, op, payload):
+            if op == OP_OK and threading.current_thread().name.startswith(
+                "serving-connection"
+            ):
+                writing.set()
+                time.sleep(0.2)
+            return encode(rid, op, payload)
+
+        monkeypatch.setattr(server_module, "encode_frame", slow_encode)
+        result = {}
+
+        def issue():
+            result["answer"] = remote.query(PROBE).canonical()
+
+        worker = threading.Thread(target=issue)
+        worker.start()
+        assert writing.wait(timeout=30)
+        server.drain()
         worker.join(timeout=30)
         server.stop()
         remote.close()

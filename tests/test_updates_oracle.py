@@ -313,7 +313,7 @@ def _saved_digests(directory):
 
 def test_saved_hosting_bytes_pinned_and_reload_answers(tmp_path, monkeypatch):
     for name in [name for name in os.environ if name.startswith("REPRO_")]:
-        monkeypatch.delenv(name)  # CI exports the leakage knob
+        monkeypatch.delenv(name)  # no REPRO_* variable may move a byte
     system = SecureXMLSystem.host(
         build_xmark_database(20),
         xmark_constraints(),
