@@ -207,6 +207,7 @@ class Client:
             translated = translator.translate(plan.pattern)
         translated.plan_kind = plan.kind
         translated.plan_reason = plan.reason
+        translated.path = path
         return translated
 
     # ------------------------------------------------------------------

@@ -155,8 +155,8 @@ class StructuralIndex:
     _lows_by_key: dict[str, list[float]] = field(
         default_factory=dict, repr=False, compare=False
     )
-    #: guards first-build of the lazy arrays: the serving executor's
-    #: concurrent readers probe them at once, and without the lock every
+    #: guards first-build of the lazy arrays: the front door's
+    #: connection threads probe them at once, and without the lock every
     #: thread would re-sort the same static data on a cold key
     _lows_lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False

@@ -67,9 +67,18 @@ class ServerResponse:
     naive: bool = False
     blocks_shipped: int = 0
     candidate_counts: dict[str, int] = field(default_factory=dict)
+    _size: "int | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def size_bytes(self) -> int:
-        return sum(fragment.size_bytes() for fragment in self.fragments)
+        """The fragments' byte count, encoded once per response: the
+        client's response cache hands a warm read the same object."""
+        if self._size is None:
+            self._size = sum(
+                fragment.size_bytes() for fragment in self.fragments
+            )
+        return self._size
 
 
 class Server:
@@ -123,8 +132,8 @@ class Server:
         #: the sorted block-id population decoy fetches draw from
         self._universe_cache = EpochCache(lambda: hosted.epoch, self._caches)
         #: Serializes cache reads against epoch flushes.  The serving
-        #: layer dispatches many connections onto a thread pool, so an
-        #: epoch bump must not be able to interleave with a cache lookup
+        #: front door runs one thread per connection, so an epoch bump
+        #: must not be able to interleave with a cache lookup
         #: (e.g. a wire-cache hit sealed at the pre-flush anchor being
         #: returned after the flush).  Query-vs-update *evaluation* is
         #: serialized one level up (the tenant session's reader–writer

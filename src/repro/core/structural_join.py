@@ -34,12 +34,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import inf
+from typing import Callable
 
 from repro.core.dsi import IndexEntry, StructuralIndex
 from repro.core.opess import ValueIndex
 from repro.core.translate import TranslatedNode, TranslatedQuery
 from repro.xpath.axes import ORDER_EDGES
-from repro.xpath.evaluator import compare_values
+from repro.xpath.evaluator import comparator
 
 
 @dataclass
@@ -141,39 +142,20 @@ class _Matcher:
                 entries.extend(self._structure.lookup(key))
         if not node.has_value_constraint:
             return entries
-        # The B-tree range probe depends only on the node, not the entry:
-        # run it once here instead of once per candidate.
+        # The B-tree range probe and the literal's classification depend
+        # only on the node, not the entry: do each once here instead of
+        # once per candidate.
         blocks: "set[int] | None" = None
         if node.value_ranges is not None and node.value_field_token is not None:
             blocks = self._values.lookup_blocks(
                 node.value_field_token, node.value_ranges
             )
-        return self._filter(
-            entries, lambda entry: self._value_ok(node, entry, blocks)
-        )
-
-    def _value_ok(
-        self,
-        node: TranslatedNode,
-        entry: IndexEntry,
-        blocks: "set[int] | None",
-    ) -> bool:
-        if entry.block_id is not None:
-            if node.value_ranges is None:
-                # Only a plaintext predicate was sent, but this entry is
-                # encrypted: the server cannot verify it — keep it (sound
-                # superset; the client will re-check).
-                return True
-            assert blocks is not None
-            return entry.block_id in blocks
+        holds = None
         if node.plaintext_predicate is not None:
-            if entry.plaintext_value is None:
-                return False
-            op, literal = node.plaintext_predicate
-            return compare_values(entry.plaintext_value, op, literal)
-        # Encrypted-only predicate but this entry is plaintext: no
-        # plaintext occurrence was expected, so nothing here can match.
-        return False
+            holds = comparator(*node.plaintext_predicate)
+        return self._filter(
+            entries, lambda entry: _value_ok(node, entry, blocks, holds)
+        )
 
     def _filter_by_child(
         self,
@@ -183,12 +165,11 @@ class _Matcher:
     ) -> list[IndexEntry]:
         axis = child.axis
         if axis in ("child", "attribute"):
-            match_ids = _id_set(child_matches)
+            # the parent-pointer relation read upward: one set of parent
+            # ids per edge (a root match's parent, None, names no entry)
+            parent_ids = {id(match.parent) for match in child_matches}
             return self._filter(
-                candidates,
-                lambda entry: any(
-                    id(sub) in match_ids for sub in entry.children
-                ),
+                candidates, lambda entry: id(entry) in parent_ids
             )
         if axis in ("descendant", "attribute-descendant"):
             lows = self._descendant_lows(child, child_matches)
@@ -353,6 +334,28 @@ class _Matcher:
         if axis == "root-descendant":
             return True
         raise ValueError(f"pattern root must use a root axis, got {axis!r}")
+
+
+def _value_ok(
+    node: TranslatedNode,
+    entry: IndexEntry,
+    blocks: "set[int] | None",
+    holds: "Callable[[str], bool] | None",
+) -> bool:
+    if entry.block_id is not None:
+        if node.value_ranges is None:
+            # Only a plaintext predicate was sent, but this entry is
+            # encrypted: the server cannot verify it — keep it (sound
+            # superset; the client will re-check).
+            return True
+        assert blocks is not None
+        return entry.block_id in blocks
+    if holds is not None:
+        value = entry.plaintext_value
+        return value is not None and holds(value)
+    # Encrypted-only predicate but this entry is plaintext: no
+    # plaintext occurrence was expected, so nothing here can match.
+    return False
 
 
 def _id_set(entries: list[IndexEntry]) -> set[int]:

@@ -32,6 +32,7 @@ from repro.netsim.faults import TransferDropped
 from repro.obs import Observability, Span
 from repro.obs.span import activate, count, span
 from repro.xmldb.node import Document
+from repro.xpath import ast
 
 _DEFAULT_MASTER_KEY = b"repro-demo-master-key-0123456789"
 
@@ -393,7 +394,7 @@ class SecureXMLSystem:
                 )
                 try:
                     return self._attempt(
-                        xpath, trace, replica,
+                        translated.path, trace, replica,
                         lambda: self.client.seal_request(
                             translated, cache_key=xpath
                         ),
@@ -437,7 +438,7 @@ class SecureXMLSystem:
 
     def _attempt(
         self,
-        xpath: str,
+        query: "str | ast.LocationPath",
         trace: QueryTrace,
         replica: int,
         seal: Callable[[], bytes],
@@ -457,7 +458,7 @@ class SecureXMLSystem:
                     request = seal()
                 response = self._exchange(channel, request, serve)
                 trace.candidate_counts = response.candidate_counts
-                return self._finish(xpath, response, trace)
+                return self._finish(query, response, trace)
             except _RETRYABLE as exc:
                 attempt.annotate(error=type(exc).__name__)
                 raise
@@ -726,9 +727,16 @@ class SecureXMLSystem:
         return response
 
     def _finish(
-        self, xpath: str, response: ServerResponse, trace: QueryTrace
+        self,
+        query: "str | ast.LocationPath",
+        response: ServerResponse,
+        trace: QueryTrace,
     ) -> QueryAnswer:
-        """Decrypt, assemble and re-evaluate — the client's §6.4 half."""
+        """Decrypt, assemble and re-evaluate — the client's §6.4 half.
+
+        ``query`` is the plan's parsed path (the naive path passes its
+        string), so a planned read parses its XPath once, at translation.
+        """
         trace.blocks_returned = response.blocks_shipped
         trace.fragments_returned = len(response.fragments)
         trace.transfer_bytes = response.size_bytes()
@@ -738,14 +746,13 @@ class SecureXMLSystem:
             with span("assemble"):
                 pruned = self.client.assemble(decrypted)
             with span("evaluate"):
-                answer = self.client.post_process(xpath, pruned)
+                answer = self.client.post_process(query, pruned)
         trace.answer_count = len(answer)
         return answer
 
 
 def _output_field(xpath: str) -> Optional[str]:
     """Field name of a query's output node (tag or ``@name``), if any."""
-    from repro.xpath import ast
     from repro.xpath.parser import parse_xpath
 
     path = parse_xpath(xpath)

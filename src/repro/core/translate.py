@@ -22,6 +22,7 @@ from typing import Optional
 from repro.core.opess import FieldPlan, KeyRange, translate_predicate
 from repro.crypto.ope import OrderPreservingEncryption
 from repro.crypto.vernam import DeterministicTagCipher
+from repro.xpath import ast
 from repro.xpath.compiler import PatternNode, PatternTree, UnsupportedQuery
 
 
@@ -86,6 +87,9 @@ class TranslatedQuery:
     plan_kind: str = "axis"
     #: why the query needs the residual plan, for explain/tracing
     plan_reason: Optional[str] = None
+    #: the parsed query the plan was built from, which the client
+    #: re-evaluates on the pruned document; client-side metadata only
+    path: Optional[ast.LocationPath] = None
 
     def wire_size(self) -> int:
         return self.root.wire_size()

@@ -36,7 +36,7 @@ walk this replaced, kept as the differential oracle.
 
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import attrgetter, eq, ge, gt, le, lt, ne
 from typing import Callable, Optional, Union
 
 from repro.xmldb.node import (
@@ -511,10 +511,11 @@ class _Evaluation:
                 if self._predicate_nodes(node, expr.path)
             ]
         if isinstance(expr, ast.Comparison):
+            holds = comparator(expr.op, expr.literal)
             return [
                 node
                 for node in candidates
-                if self._comparison_holds(node, expr)
+                if self._comparison_holds(node, expr.path, holds)
             ]
         raise TypeError(f"unknown predicate expression {expr!r}")
 
@@ -528,19 +529,17 @@ class _Evaluation:
         return []
 
     def _comparison_holds(
-        self, node: Node, comparison: ast.Comparison
+        self, node: Node, path: ast.LocationPath, holds: Callable[[str], bool]
     ) -> bool:
         # The path in a comparison may be empty-ish ('.'), addressing the
         # context node's own value.
-        if _is_self_path(comparison.path):
+        if _is_self_path(path):
             targets: list[Node] = [node]
         else:
-            targets = self._predicate_nodes(node, comparison.path)
+            targets = self._predicate_nodes(node, path)
         for target in targets:
             value = target.text_value()
-            if value is None:
-                continue
-            if compare_values(value, comparison.op, comparison.literal):
+            if value is not None and holds(value):
                 return True
         return False
 
@@ -629,17 +628,34 @@ def _is_self_path(path: ast.LocationPath) -> bool:
     )
 
 
-def compare_values(left: str, op: str, right: str) -> bool:
-    """Compare two values with XPath-flavoured coercion.
+def comparator(op: str, literal: str) -> Callable[[str], bool]:
+    """``value op literal`` as a test on ``value``, the literal classified once.
 
-    Numeric comparison when both sides parse as floats; string comparison
-    otherwise.  Exposed for reuse by the server-side value-index scan.
+    The rule is XPath-flavoured coercion: a numeric comparison when both
+    sides parse as floats, a string comparison otherwise.  A literal that
+    is no number therefore makes every comparison a string one, and no
+    value is parsed at all; a numeric literal is parsed here, once.  The
+    server's join and this evaluator test every candidate through one.
     """
-    left_num = _to_number(left)
-    right_num = _to_number(right)
-    if left_num is not None and right_num is not None:
-        return _apply_op(left_num, op, right_num)
-    return _apply_op(left, op, right)
+    apply = _OPERATORS.get(op)
+    if apply is None:
+        raise ValueError(f"unsupported operator {op!r}")
+    number = _to_number(literal)
+    if number is None:
+        return lambda value: apply(value, literal)
+
+    def holds(value: str) -> bool:
+        value_number = _to_number(value)
+        if value_number is None:
+            return apply(value, literal)
+        return apply(value_number, number)
+
+    return holds
+
+
+def compare_values(left: str, op: str, right: str) -> bool:
+    """``left op right`` under :func:`comparator`'s rule, for one pair."""
+    return comparator(op, right)(left)
 
 
 def _to_number(value: str) -> float | None:
@@ -649,17 +665,11 @@ def _to_number(value: str) -> float | None:
         return None
 
 
-def _apply_op(left, op: str, right) -> bool:
-    if op == "=":
-        return left == right
-    if op == "!=":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
-    raise ValueError(f"unsupported operator {op!r}")
+_OPERATORS: dict[str, Callable[[object, object], bool]] = {
+    "=": eq,
+    "!=": ne,
+    "<": lt,
+    "<=": le,
+    ">": gt,
+    ">=": ge,
+}

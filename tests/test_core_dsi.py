@@ -10,6 +10,7 @@ from repro.core.dsi import (
     build_structural_index,
 )
 from repro.core.scheme import opt_scheme, top_scheme
+from repro.core.system import SecureXMLSystem
 from repro.crypto.prf import DeterministicRandom
 from repro.crypto.vernam import DeterministicTagCipher
 from repro.xmldb.node import Document, Element
@@ -125,6 +126,21 @@ def build_index(document, scheme):
     return index, cipher
 
 
+def assert_children_are_parent_image(index):
+    """Each entry's ``children`` is exactly the entries whose ``parent``
+    it is — the relation the join reads upward for a child edge — and
+    every ``parent`` is an entry of the index."""
+    entries = index.all_entries()
+    named: dict[int, list[int]] = {}
+    for entry in entries:
+        if entry.parent is not None:
+            named.setdefault(id(entry.parent), []).append(id(entry))
+    for entry in entries:
+        children = sorted(map(id, entry.children))
+        assert children == sorted(named.pop(id(entry), [])), entry.key
+    assert not named, "a parent pointer names no entry of the index"
+
+
 class TestStructuralIndexTable:
     def test_plaintext_tags_in_clear(self, healthcare_doc, healthcare_scs):
         index, _ = build_index(
@@ -225,6 +241,29 @@ class TestStructuralIndexTable:
         assert index.block_of(policy_entry) is not None
         patient_entry = index.lookup("patient")[0]
         assert index.block_of(patient_entry) is None
+
+    @pytest.mark.parametrize("top", [False, True], ids=["opt", "top"])
+    def test_children_are_the_entries_naming_their_parent(
+        self, healthcare_doc, healthcare_scs, top
+    ):
+        scheme = (
+            top_scheme(healthcare_doc)
+            if top
+            else opt_scheme(healthcare_doc, healthcare_scs)
+        )
+        index, _ = build_index(healthcare_doc, scheme)
+        assert_children_are_parent_image(index)
+
+    @pytest.mark.parametrize("corpus", ["xmark", "nasa"])
+    def test_hosted_children_are_the_entries_naming_their_parent(
+        self, corpus, request
+    ):
+        system = SecureXMLSystem.host(
+            request.getfixturevalue(f"{corpus}_doc"),
+            request.getfixturevalue(f"{corpus}_scs"),
+            scheme="opt",
+        )
+        assert_children_are_parent_image(system.hosted.structural_index)
 
     def test_entries_sorted_by_low(self, healthcare_doc, healthcare_scs):
         index, _ = build_index(

@@ -71,6 +71,24 @@ class TestServerFragments:
         )
         assert fragment.size_bytes() > len("<a/>")
 
+    def test_a_response_counts_its_bytes_once(self, stack, monkeypatch):
+        """A warm read gets the cached response object back: its size
+        is the fragments' sum, encoded on the first call only."""
+        hosted, server, client = stack
+        response = server.answer(client.translate("//patient"))
+        expected = sum(fragment.size_bytes() for fragment in response.fragments)
+        counted = []
+        size_bytes = Fragment.size_bytes
+
+        def counting_size(fragment):
+            counted.append(fragment)
+            return size_bytes(fragment)
+
+        monkeypatch.setattr(Fragment, "size_bytes", counting_size)
+        assert response.size_bytes() == expected
+        assert response.size_bytes() == expected
+        assert counted == response.fragments
+
 
 class TestClientDecryption:
     def test_decrypt_fragments_strips_decoys(self, stack):
@@ -281,6 +299,37 @@ class TestClientAssembly:
             canonical_node(n) for n in evaluate(healthcare_doc, query)
         )
         assert answer.canonical() == expected
+
+
+class TestOneParsePerQuery:
+    def test_a_read_parses_its_xpath_once_and_a_repeat_never(
+        self, healthcare_doc, healthcare_scs, monkeypatch
+    ):
+        """The plan carries the parsed path the client re-evaluates, so
+        a cold read parses once, at translation, and a plan-cache hit
+        not at all."""
+        from repro.core.system import SecureXMLSystem
+        from repro.xpath import evaluator as evaluator_module
+        from repro.xpath.evaluator import evaluate
+
+        query = "//treat[disease='diarrhea']/doctor"
+        expected = sorted(
+            canonical_node(n) for n in evaluate(healthcare_doc, query)
+        )
+        system = SecureXMLSystem.host(healthcare_doc, healthcare_scs)
+        parses = []
+        parse = client_module.parse_xpath
+
+        def counting_parse(text):
+            parses.append(text)
+            return parse(text)
+
+        for module in (client_module, evaluator_module):
+            monkeypatch.setattr(module, "parse_xpath", counting_parse)
+        assert system.query(query).canonical() == expected
+        assert parses == [query]
+        assert system.query(query).canonical() == expected
+        assert parses == [query]
 
 
 class TestQueryAnswer:

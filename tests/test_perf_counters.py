@@ -2,7 +2,7 @@
 
 ``count`` lands on the innermost open span of the calling thread; a span
 folds into its parent when it finishes, a root into the process total
-under one lock.  The serving executor counts from many threads at once,
+under one lock.  The front door's connection threads count at once,
 so no fold and no unspanned count may lose an increment under contention.
 """
 

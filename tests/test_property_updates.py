@@ -11,6 +11,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_core_dsi import assert_children_are_parent_image
 from test_updates_oracle import apply, choose_operation
 from updates_oracle import write_plaintext
 from repro.core.client import Client, canonical_node
@@ -104,6 +105,7 @@ class TestRandomUpdateSequences:
                 # Ambiguous target after earlier inserts: acceptable
                 # refusal, state must still be consistent.
                 applied = False
+            assert_children_are_parent_image(system.hosted.structural_index)
             if not applied:
                 continue
         for query in _CHECK_QUERIES:
@@ -219,6 +221,10 @@ class TestWhatAWriteInvalidates:
                 continue  # refused before anything changed
             apply(cold, UpdateEngine, operation)
             write_plaintext(oracle, *plaintext_write)
+            for system in (warm, cold):
+                assert_children_are_parent_image(
+                    system.hosted.structural_index
+                )
             _assert_surviving_fragments_are_fresh(warm)
         for query in queries:
             read(query)
