@@ -10,9 +10,11 @@ the index.
 The implementation is a classic Cormen-style B-tree parameterized by minimum
 degree ``t`` (max ``2t − 1`` keys per node), supporting insertion, exact
 search, inclusive range scans, in-order iteration and a structural invariant
-checker used by the property-based tests.  A whole sorted run of entries is
-loaded bottom-up in one pass by :meth:`BTree.from_sorted` — the path every
-index (re)build takes; :meth:`BTree.insert` is for one entry at a time.
+checker used by the property-based tests.  Strictly increasing keys with
+their payload runs are loaded bottom-up in one pass by
+:meth:`BTree.from_runs` — the path every index (re)build takes, directly or
+through :meth:`BTree.from_sorted`, which groups a key-ordered entry list
+into runs first; :meth:`BTree.insert` is for one entry at a time.
 """
 
 from __future__ import annotations
@@ -59,31 +61,45 @@ class BTree:
         """Build a tree from ⟨key, payload⟩ entries in non-decreasing key order.
 
         Equivalent to inserting the entries one by one — same ``items()``,
-        duplicates under one key keep the order they arrive in — but in
-        one linear pass: equal keys are merged, then nodes are cut
-        bottom-up with each level's keys spread evenly over the fewest
-        levels that hold them, which keeps every non-root node between
-        ``t − 1`` and ``2t − 1`` keys.  Raises ``ValueError`` if a key is
-        smaller than its predecessor.
+        duplicates under one key keep the order they arrive in: equal
+        neighbours are grouped into one run and the runs go to
+        :meth:`from_runs`.  Raises ``ValueError`` if a key is smaller than
+        its predecessor.
+        """
+        keys: list[Any] = []
+        runs: list[list[Any]] = []
+        for key, run in groupby(entries, key=itemgetter(0)):
+            keys.append(key)
+            runs.append([payload for _, payload in run])
+        return cls.from_runs(keys, runs, min_degree)
+
+    @classmethod
+    def from_runs(
+        cls, keys: list[Any], runs: list[list[Any]], min_degree: int = 16
+    ) -> "BTree":
+        """Build a tree from strictly increasing keys and their payload runs.
+
+        ``runs[i]`` is every payload stored under ``keys[i]``, in order,
+        and becomes that key's list in the tree (the caller hands it
+        over).  Equivalent to inserting each run's payloads under its key
+        one by one, but in one linear pass: nodes are cut bottom-up with
+        each level's keys spread evenly over the fewest levels that hold
+        them, which keeps every non-root node between ``t − 1`` and
+        ``2t − 1`` keys.  Every run must be non-empty.  Raises
+        ``ValueError`` if a key is not larger than its predecessor.
         """
         tree = cls(min_degree)
-        keys: list[Any] = []
-        payloads: list[list[Any]] = []
-        count = 0
-        for key, run in groupby(entries, key=itemgetter(0)):
-            if keys and key < keys[-1]:
+        for previous, key in zip(keys, keys[1:]):
+            if not previous < key:
                 raise ValueError(
-                    f"bulk-load keys out of order: {key!r} after {keys[-1]!r}"
+                    f"bulk-load keys out of order: {key!r} after {previous!r}"
                 )
-            keys.append(key)
-            payloads.append([payload for _, payload in run])
-            count += len(payloads[-1])
-        tree._entry_count = count
+        tree._entry_count = sum(map(len, runs))
         tree._distinct_keys = len(keys)
         height = 1
         while len(keys) > (2 * min_degree) ** height - 1:
             height += 1
-        tree._root = tree._build(keys, payloads, 0, len(keys), height)
+        tree._root = tree._build(keys, runs, 0, len(keys), height)
         return tree
 
     def _build(

@@ -80,7 +80,9 @@ class HostedDatabase:
     secure: bool = True
     #: Per-field encrypted occurrences (value, block id) in document order.
     #: Client-side knowledge retained to support the incremental-update
-    #: extension (field-granular value-index rebuilds).
+    #: extension (field-granular value-index rebuilds, each re-planned
+    #: from the field's plan in :attr:`field_plans`, which is owner state
+    #: and no cache).
     occurrences: dict[str, list[tuple[str, int]]] = field(default_factory=dict)
     #: Scheme epoch: bumped on every mutation of the hosted state.  Every
     #: derived cache — query plans, sealed blobs, server fragments,

@@ -35,6 +35,11 @@ Implementation notes (deviations are called out in DESIGN.md):
 * Categorical domains are mapped to integer ranks ("If the domain is not
   real or rational, then we map it to such a domain.  The client keeps the
   mapping.").
+* A re-plan after a write (the paper leaves updates to §8) is *carried*
+  from the plan it replaces: every weight, scale and chunk ciphertext it
+  would draw or compute from scratch that the old plan already holds is
+  taken from it — see :func:`build_field_plan`.  The result is equal, byte
+  for byte, to a plan built from scratch.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
-from operator import itemgetter
 from typing import Optional
 
 from repro.btree import BTree
@@ -117,6 +121,21 @@ class FieldPlan:
     chunk_plan: dict[str, list[int]]
     #: value → scale factor sᵢ ∈ [1, 10]
     scales: dict[str, int]
+    # --- owner state a re-plan carries (not the paper's parameters: never
+    # compared, printed or persisted) ---
+    #: the OPE function the plan was sized for
+    ope: Optional[OrderPreservingEncryption] = field(
+        default=None, compare=False, repr=False
+    )
+    #: the scale draws of this key count, and the stream that extends them
+    scale_draws: Optional["_ScaleDraws"] = field(
+        default=None, compare=False, repr=False
+    )
+    #: position → its chunk ciphertexts under :attr:`ope`, as far as
+    #: computed; only positions of :attr:`mapping` are kept
+    ciphertexts: dict[float, list[int]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     @property
     def key_count(self) -> int:
@@ -182,8 +201,28 @@ def build_field_plan(
     histogram: Counter,
     stream: DeterministicRandom,
     ope: OrderPreservingEncryption,
+    previous: Optional[FieldPlan] = None,
 ) -> FieldPlan:
-    """Derive the OPESS plan for one field from its plaintext histogram."""
+    """Derive the OPESS plan for one field from its plaintext histogram.
+
+    ``stream`` is the field's own OPESS stream, fresh: the plan draws the
+    weights from it, then one scale per value in position order, and keeps
+    it to draw more scales for a later re-plan.
+
+    ``previous`` is the field's current plan, when a write re-plans it.
+    The result equals the from-scratch plan; what the old plan already
+    holds is taken from it instead of drawn or computed again:
+
+    * with the same key count ``K`` the stream draws the same weights and
+      the same scale sequence, so both are reused — a prefix when the
+      field lost values, the same stream continued when it gained some;
+    * a chunk ciphertext is ``enc(position + (w₁+…+w_j)·δ)``, with the
+      position and ``δ`` both stretched, so when ``δ`` is also unchanged
+      each position the old plan had keeps its ciphertexts and only new
+      positions are encrypted (by :func:`build_value_index`).  A
+      categorical field's positions are its ranks, so a write that swaps
+      one distinct value for another encrypts nothing.
+    """
     if not histogram:
         raise ValueError("cannot plan an empty field")
     values = list(histogram)
@@ -238,8 +277,21 @@ def build_field_plan(
     for value in (ordered[0], ordered[-1]):
         ope.quantize(base_positions[value] + delta)
 
-    weights = _draw_weights(key_count, stream)
-    scales = {value: stream.randint(1, 10) for value in ordered}
+    ciphertexts: dict[float, list[int]] = {}
+    if previous is not None and previous.key_count == key_count:
+        weights = previous.weights
+        scale_draws = previous.scale_draws
+        if previous.ope is ope and previous.delta == delta:
+            kept = previous.ciphertexts
+            ciphertexts = {
+                position: kept[position]
+                for position in base_positions.values()
+                if position in kept
+            }
+    else:
+        weights = _draw_weights(key_count, stream)
+        scale_draws = _ScaleDraws(stream)
+    scales = dict(zip(ordered, scale_draws.first(len(ordered))))
 
     return FieldPlan(
         field_name=field_name,
@@ -252,7 +304,34 @@ def build_field_plan(
         stretch=stretch,
         chunk_plan=chunk_plan,
         scales=scales,
+        ope=ope,
+        scale_draws=scale_draws,
+        ciphertexts=ciphertexts,
     )
+
+
+class _ScaleDraws:
+    """The scale factors one key count's stream draws, in draw order.
+
+    The stream draws the weights first, then one scale per value in
+    position order, so for a given ``K`` the ``i``-th value's scale is
+    always the ``i``-th draw after the weights.  Every plan carried from
+    the one that opened the stream shares this object: a plan takes a
+    prefix, and a larger plan extends the list from the stream, which
+    stays positioned just past the last draw.
+    """
+
+    __slots__ = ("_stream", "_drawn")
+
+    def __init__(self, stream: DeterministicRandom) -> None:
+        self._stream = stream
+        self._drawn: list[int] = []
+
+    def first(self, count: int) -> list[int]:
+        """The first ``count`` scale draws, drawing the missing ones."""
+        while len(self._drawn) < count:
+            self._drawn.append(self._stream.randint(1, 10))
+        return self._drawn[:count]
 
 
 def _draw_weights(key_count: int, stream: DeterministicRandom) -> list[float]:
@@ -292,19 +371,40 @@ def chunk_ciphertexts(plan: FieldPlan, value: str, ope: OrderPreservingEncryptio
 def _chunk_ciphertexts_of(
     plan: FieldPlan, values: list[str], ope: OrderPreservingEncryption
 ) -> list[list[int]]:
-    """:func:`chunk_ciphertexts` of each value, from one OPE batch."""
-    displacements = [
-        plan.displacement(j) for j in range(1, plan.key_count + 1)
+    """:func:`chunk_ciphertexts` of each value, from one OPE batch.
+
+    A chunk ciphertext is a function of the value's position, the chunk's
+    displacement and the OPE key, so under the plan's own OPE the plan
+    keeps them per position (:attr:`FieldPlan.ciphertexts`) and only
+    positions it has not seen yet — or chunks past those it has — are
+    encrypted.
+    """
+    memo = plan.ciphertexts if ope is plan.ope else {}
+    positions = [plan.mapping[value] for value in values]
+    counts = [len(plan.chunk_plan[value]) for value in values]
+    missing = [
+        (position, len(memo.get(position, ())), count)
+        for position, count in zip(positions, counts)
+        if len(memo.get(position, ())) < count
     ]
-    chunk_counts = [len(plan.chunk_plan[value]) for value in values]
-    ciphertexts = iter(
-        ope.encrypt_many(
-            ope.quantize(plan.mapping[value] + displacement)
-            for value, count in zip(values, chunk_counts)
-            for displacement in displacements[:count]
+    if missing:
+        displacements = [
+            plan.displacement(j) for j in range(1, plan.key_count + 1)
+        ]
+        fresh = iter(
+            ope.encrypt_many(
+                ope.quantize(position + displacements[chunk])
+                for position, have, count in missing
+                for chunk in range(have, count)
+            )
         )
-    )
-    return [list(islice(ciphertexts, count)) for count in chunk_counts]
+        for position, have, count in missing:
+            memo[position] = memo.get(position, []) + list(
+                islice(fresh, count - have)
+            )
+    return [
+        memo[position][:count] for position, count in zip(positions, counts)
+    ]
 
 
 def translate_predicate(
@@ -432,9 +532,10 @@ def build_value_index(
     ``occurrences[field]`` lists ``(value, block_id)`` for every encrypted
     occurrence, in document order.  Occurrences of a value are dealt to its
     chunks in order; every resulting ⟨ciphertext, block⟩ entry appears
-    ``sᵢ`` times (the scaling step).  A field's entries are gathered, put
-    in key order by one stable sort and bulk-loaded, so entries under one
-    ciphertext keep the order they were dealt in.
+    ``sᵢ`` times (the scaling step).  Requirement (*) puts a field's keys in
+    order already when its values are taken by position and each value's
+    chunks in order, so each key's run — its blocks, each repeated ``sᵢ``
+    times — goes straight to :meth:`BTree.from_runs`.
     """
     index = ValueIndex()
     for field_name, occurrence_list in occurrences.items():
@@ -442,25 +543,32 @@ def build_value_index(
         by_value: dict[str, list[int]] = {}
         for value, block_id in occurrence_list:
             by_value.setdefault(value, []).append(block_id)
-        entries: list[tuple[int, int]] = []
-        for (value, block_ids), ciphertexts in zip(
-            by_value.items(), _chunk_ciphertexts_of(plan, list(by_value), ope)
+        values = sorted(by_value, key=plan.mapping.__getitem__)
+        keys: list[int] = []
+        runs: list[list[int]] = []
+        for value, ciphertexts in zip(
+            values, _chunk_ciphertexts_of(plan, values, ope)
         ):
+            block_ids = by_value[value]
             chunks = plan.chunk_plan[value]
             scale = plan.scales[value]
+            keys.extend(ciphertexts)
             if len(block_ids) == 1 and len(chunks) > 1:
                 # Singleton rule: every chunk indexes the one occurrence.
-                for ciphertext in ciphertexts:
-                    entries.extend([(ciphertext, block_ids[0])] * scale)
+                runs.extend(block_ids * scale for _ in ciphertexts)
                 continue
             cursor = 0
-            for ciphertext, chunk_size in zip(ciphertexts, chunks):
-                for block_id in block_ids[cursor : cursor + chunk_size]:
-                    entries.extend([(ciphertext, block_id)] * scale)
+            for chunk_size in chunks:
+                runs.append(
+                    [
+                        block_id
+                        for block_id in block_ids[cursor : cursor + chunk_size]
+                        for _ in range(scale)
+                    ]
+                )
                 cursor += chunk_size
             assert cursor == len(block_ids)
-        entries.sort(key=itemgetter(0))
-        index.trees[field_tokens[field_name]] = BTree.from_sorted(
-            entries, min_degree=min_degree
+        index.trees[field_tokens[field_name]] = BTree.from_runs(
+            keys, runs, min_degree=min_degree
         )
     return index

@@ -394,6 +394,83 @@ def _check_version(meta: dict, path: str) -> int:
     return version
 
 
+def _check_server_meta(meta: dict, path: str, with_rows: bool) -> None:
+    """Refuse, typed, sections that are not the shapes :func:`save_system`
+    writes.
+
+    ``server_meta.json`` comes from the untrusted side and its manifest
+    digest is unkeyed, so whoever holds the files can rewrite both: a
+    section of the wrong JSON type must be a :class:`StorageError`, never
+    an ``AttributeError`` out of the loader.  ``dsi`` is an array of entry
+    records — a record's ``parent`` names an *earlier* record, as the
+    interval order saves them, so the links cannot form a cycle;
+    ``block_table`` maps block ids to ``[low, high]``; ``value_index``
+    (read when ``with_rows``) maps tokens to ``[key, block]`` integer rows.
+    """
+
+    def refuse(message: str) -> None:
+        raise StorageError(path, f"malformed server metadata: {message}")
+
+    records = meta.get("dsi")
+    if not isinstance(records, list):
+        refuse("'dsi' is not a JSON array")
+    for position, record in enumerate(records):
+        if not (
+            isinstance(record, dict)
+            and record.keys() >= _DSI_FIELDS
+            and type(record["key"]) is str
+            and _is_number(record["low"])
+            and _is_number(record["high"])
+            and isinstance(record["members"], list)
+            and all(type(member) is int for member in record["members"])
+            and _is_optional(record["block"], int)
+            and _is_optional(record["value"], str)
+            and _is_optional(record["hosted_id"], int)
+            and _is_optional(record["parent"], int)
+            and (record["parent"] is None or 0 <= record["parent"] < position)
+        ):
+            refuse(f"'dsi' record {position} is not an entry: {record!r:.80}")
+    table = meta.get("block_table")
+    if not isinstance(table, dict):
+        refuse("'block_table' is not a JSON object")
+    for block_id, bounds in table.items():
+        if not (
+            block_id.isdigit()
+            and isinstance(bounds, list)
+            and len(bounds) == 2
+            and all(_is_number(bound) for bound in bounds)
+        ):
+            refuse(f"'block_table' row {block_id!r:.40} is not [low, high]")
+    if not with_rows:
+        return
+    rows = meta.get("value_index")
+    if not isinstance(rows, dict):
+        refuse("'value_index' is not a JSON object")
+    for token, flat_entries in rows.items():
+        if not isinstance(flat_entries, list):
+            refuse(f"value index {token!r:.40} is not a JSON array")
+        for row in flat_entries:
+            if not (isinstance(row, list) and list(map(type, row)) == [int, int]):
+                refuse(
+                    f"value index {token!r:.40} holds a row that is not "
+                    f"[int, int]: {row!r:.40}"
+                )
+
+
+#: The fields of a ``dsi`` record, as :func:`save_system` writes them.
+_DSI_FIELDS = frozenset(
+    ("key", "low", "high", "members", "block", "parent", "value", "hosted_id")
+)
+
+
+def _is_number(cell: object) -> bool:
+    return type(cell) in (int, float)
+
+
+def _is_optional(cell: object, kind: type) -> bool:
+    return cell is None or type(cell) is kind
+
+
 def _index_from_records(
     records: list[dict],
     block_table: dict,
@@ -485,6 +562,10 @@ def load_system(
     server_meta = _read_json(meta_path)
     index_version = _check_version(server_meta, meta_path)
 
+    # A version-2 index holds keys of the old PRF: its rows are not read
+    # but rebuilt below, under the plans.
+    with_rows = index_version == _FORMAT_VERSION
+    _check_server_meta(server_meta, meta_path, with_rows)
     try:
         structural_index = _index_from_records(
             server_meta["dsi"],
@@ -493,26 +574,13 @@ def load_system(
         )
 
         value_index = ValueIndex()
-        persisted_rows = (
-            server_meta["value_index"]
-            if index_version == _FORMAT_VERSION
-            else {}  # keys of the old PRF: rebuilt below, under the plans
-        )
+        persisted_rows = server_meta["value_index"] if with_rows else {}
         for token, flat_entries in persisted_rows.items():
-            for row in flat_entries:
-                if [type(cell) for cell in row] != [int, int]:
-                    raise StorageError(
-                        meta_path,
-                        f"value index {token!r} holds a row that is not "
-                        f"[int, int]: {row!r}",
-                    )
             # ``save_system`` writes ``tree.items()``: key order.  The
             # bulk load raises ValueError on anything else.
             value_index.trees[token] = BTree.from_sorted(
                 flat_entries, min_degree=16
             )
-    except StorageError:
-        raise
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise StorageError(
             meta_path, f"malformed server metadata ({exc!r})"

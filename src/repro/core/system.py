@@ -334,6 +334,8 @@ class SecureXMLSystem:
 
         Benchmarks call this between queries to measure cold per-query
         costs (the paper's protocol has no cross-query amortization).
+        The owner's OPESS plans are not caches and stay: a write re-plans
+        its field from the plan it replaces.
         """
         self.client.flush_caches()
         for server, _channel in self._replicas:

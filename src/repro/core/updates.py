@@ -24,6 +24,13 @@ Supported operations (see :class:`UpdateEngine`):
   for plaintext leaves; re-encrypting the enclosing single-leaf block for
   encrypted ones).
 
+Every write that changes an encrypted field's occurrences re-plans that
+field from the plan it replaces (:meth:`UpdateEngine._rebuild_field`):
+the new plan equals one built from scratch, but the weights, the scale
+draws and the chunk ciphertexts of every position the old plan already
+had are taken from it rather than drawn and encrypted again, and the
+field's B-tree is bulk-loaded from key-ordered runs without a sort.
+
 Security caveat, stated openly: the paper's theorems cover a static
 hosting.  These updates preserve *query* security (the server still sees
 only tokens, intervals and ciphertext), but the update *trace* itself —
@@ -44,6 +51,7 @@ from repro.core.opess import build_field_plan, build_value_index
 from repro.core.structural_join import match_pattern
 from repro.crypto.keyring import ClientKeyring
 from repro.crypto.modes import cbc_encrypt
+from repro.obs.span import count
 from repro.xmldb.node import Element, EncryptedBlockNode, Text
 from repro.xmldb.serializer import serialize, text_round_trips
 
@@ -418,7 +426,16 @@ class UpdateEngine:
         return None
 
     def _rebuild_field(self, field_name: str) -> None:
-        """Re-plan OPESS and rebuild the B-tree for one field."""
+        """Re-plan OPESS and rebuild the B-tree for one field.
+
+        The re-plan is carried from the field's current plan (see
+        :func:`~repro.core.opess.build_field_plan`): equal to a plan built
+        from scratch, it redraws and re-encrypts only what the old plan
+        does not hold.  That plan is the owner's state, not a cache — no
+        epoch or flush drops it — and it is never persisted: a loaded
+        hosting re-derives its plans, so the first write to each field
+        after a load encrypts every position once.
+        """
         hosted = self._hosted
         occurrence_list = hosted.occurrences.get(field_name, [])
         token = hosted.field_tokens.get(
@@ -430,12 +447,16 @@ class UpdateEngine:
             hosted.value_index.trees.pop(token, None)
             return
         histogram = Counter(value for value, _ in occurrence_list)
+        previous = hosted.field_plans.get(field_name)
         plan = build_field_plan(
             field_name,
             histogram,
             self._keyring.opess_stream(field_name),
             self._keyring.ope,
+            previous=previous,
         )
+        carried = previous is not None and previous.key_count == plan.key_count
+        count("opess_replans_carried" if carried else "opess_replans_full")
         hosted.field_plans[field_name] = plan
         rebuilt = build_value_index(
             {field_name: occurrence_list},

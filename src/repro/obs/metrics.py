@@ -64,6 +64,12 @@ COUNTERS: dict[str, str] = {
     "interval_cache_hits": "Descendant joins that reused a tag's sorted lows.",
     "interval_cache_misses": "Descendant joins that sorted a tag's lows.",
     "epoch_invalidations": "Commits that moved the hosted epoch.",
+    "opess_replans_carried": (
+        "Write re-plans of an OPESS field that reused the old plan's draws."
+    ),
+    "opess_replans_full": (
+        "Write re-plans of an OPESS field drawn from scratch."
+    ),
     "faults_dropped": "Transfers the fault channel dropped.",
     "faults_corrupted": "Transfers the fault channel corrupted.",
     "faults_truncated": "Transfers the fault channel truncated.",

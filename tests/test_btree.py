@@ -238,3 +238,43 @@ class TestBulkLoad:
     def test_min_degree_validated(self):
         with pytest.raises(ValueError):
             BTree.from_sorted([], min_degree=1)
+
+
+class TestRunLoad:
+    """``from_runs`` takes each key's payloads as one run, already grouped."""
+
+    @given(
+        st.integers(2, 20),
+        st.dictionaries(
+            st.integers(-200, 200),
+            st.lists(st.integers(0, 9), min_size=1, max_size=6),
+            max_size=300,
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_from_sorted_and_insert_loop(self, degree, by_key):
+        keys = sorted(by_key)
+        runs = [list(by_key[key]) for key in keys]
+        entries = [(key, payload) for key in keys for payload in by_key[key]]
+        looped = BTree(min_degree=degree)
+        for key, payload in entries:
+            looped.insert(key, payload)
+        bulk = BTree.from_runs(keys, runs, min_degree=degree)
+        _assert_same_tree_contents(bulk, looped, entries)
+        assert list(BTree.from_sorted(entries, degree).items()) == entries
+        assert bulk.distinct_keys == len(keys)
+
+    def test_keys_out_of_order_or_repeated_rejected(self):
+        with pytest.raises(ValueError, match="out of order"):
+            BTree.from_runs([1, 3, 2], [[0], [0], [0]])
+        with pytest.raises(ValueError, match="out of order"):
+            BTree.from_runs([1, 1], [[0], [1]])
+        with pytest.raises(ValueError, match="out of order"):
+            BTree.from_runs([1, 2, 2, 3], [[0], [0], [0], [0]])
+
+    def test_a_run_is_the_key_s_payload_list(self):
+        tree = BTree.from_runs([1, 2], [["a", "b"], ["c"]], min_degree=2)
+        tree.insert(1, "d")
+        tree.check_invariants()
+        assert tree.search(1) == ["a", "b", "d"]
+        assert len(tree) == 4

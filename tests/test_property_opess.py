@@ -4,11 +4,19 @@ For arbitrary value histograms, the whole OPESS pipeline — plan, split,
 encrypt, index, translate, scan — must satisfy the paper's contracts:
 non-straddling order (*), bounded flatness, and sound-superset predicate
 translation against a brute-force oracle.
+
+A write re-plans its field from the plan it replaces
+(``build_field_plan(..., previous=plan)``).  Along any chain of histogram
+edits the carried plan must equal the from-scratch one, and the rows it
+indexes must equal the insert-loop build over the from-scratch plan — also
+across a ``save_system`` → ``load_system`` between writes.
 """
 
+import random
 from collections import Counter
 
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.btree import BTree
@@ -18,9 +26,13 @@ from repro.core.opess import (
     chunk_ciphertexts,
     translate_predicate,
 )
+from repro.core.storage import load_system, save_system
+from repro.core.system import SecureXMLSystem
 from repro.crypto.ope import OrderPreservingEncryption
 from repro.crypto.prf import DeterministicRandom
-from repro.xpath.evaluator import compare_values
+from repro.workloads.xmark import build_xmark_database, xmark_constraints
+from repro.xpath.evaluator import compare_values, evaluate
+from updates_oracle import build_value_index_by_insertion
 
 _OPE = OrderPreservingEncryption(b"prop-ope-key-16b")
 
@@ -164,3 +176,206 @@ class TestIndexProperties:
         assert plan.value_at_position(
             _OPE.decrypt_float(tree.max_key())
         ) == numeric[-1]
+
+
+# ----------------------------------------------------------------------
+# A carried re-plan equals a from-scratch one
+# ----------------------------------------------------------------------
+#: Integers, quarters (δ = 0.25) and two values 1e-4 apart, whose δ needs
+#: the domain stretched once ``K`` ≥ 2.  No two strings share a position.
+_NUMERIC_POOL = (
+    [str(n) for n in range(-12, 13)]
+    + [f"{n}.25" for n in range(-3, 4)]
+    + ["1000.0001", "1000.0002"]
+)
+_CATEGORICAL_POOL = [f"{a}{b}" for a in "abcde" for b in "xyz"]
+
+#: ``(value, count)`` sets ``count`` occurrences (0 removes the value);
+#: ``None`` empties the field.
+_Edit = tuple[str, int] | None
+
+
+def _occurrences(histogram: Counter) -> list[tuple[str, int]]:
+    """The histogram as a document-order occurrence list, values
+    interleaved the way a document holds them."""
+    occurrences = []
+    for turn in range(max(histogram.values())):
+        for value in sorted(histogram):
+            if turn < histogram[value]:
+                occurrences.append((value, len(occurrences)))
+    return occurrences
+
+
+def _run_chain(seed: int, edits: list[_Edit]) -> set[str]:
+    """Apply ``edits`` in turn, re-planning from the last plan as a write
+    does; assert the carried plan equals the from-scratch one and its rows
+    equal the insert loop's.  Returns what the chain exercised."""
+    histogram: Counter = Counter()
+    previous = None
+    seen: set[str] = set()
+    for edit in edits:
+        if edit is None:
+            if histogram:
+                seen.add("emptied")
+            histogram.clear()
+        else:
+            value, count = edit
+            seen.add(
+                "removed" if count == 0 and value in histogram
+                else "added" if value not in histogram and count
+                else "recounted" if count and histogram[value] != count
+                else "unchanged"
+            )
+            histogram[value] = count
+            histogram = +histogram  # drop zero counts
+        if not histogram:
+            previous = None  # the engine drops an emptied field's plan
+            continue
+        carried = build_field_plan(
+            "f", histogram, _stream(seed), _OPE, previous=previous
+        )
+        scratch = build_field_plan("f", histogram, _stream(seed), _OPE)
+        assert carried == scratch
+        assert carried.key_count == scratch.key_count
+        if previous is None:
+            seen.add("refilled" if "emptied" in seen else "first")
+        else:
+            for name in ("m", "key_count", "delta", "stretch"):
+                if getattr(previous, name) != getattr(carried, name):
+                    seen.add(f"{name} changed")
+            size = len(carried.ordered_values) - len(previous.ordered_values)
+            seen.add("N grew" if size > 0 else "N shrank" if size else "N kept")
+            if carried.ciphertexts:
+                seen.add("ciphertexts carried")
+        occurrences = _occurrences(histogram)
+        rows = build_value_index({"f": occurrences}, {"f": carried}, {"f": "T"}, _OPE)
+        expected = build_value_index_by_insertion(
+            {"f": occurrences}, {"f": scratch}, {"f": "T"}, _OPE
+        )
+        tree = rows.trees["T"]
+        tree.check_invariants()
+        assert list(tree.items()) == list(expected.trees["T"].items())
+        # The plan keeps exactly the positions it uses.
+        assert set(carried.ciphertexts) == set(carried.mapping.values())
+        previous = carried
+    return seen
+
+
+def _edits(pool: list[str], max_count: int):
+    return st.lists(
+        st.none()
+        | st.tuples(st.sampled_from(pool), st.integers(0, max_count)),
+        min_size=1,
+        max_size=10,
+    )
+
+
+#: Fixed chains that between them exercise every kind of edit and every
+#: parameter a re-plan may or may not carry (checked below).
+_CHAINS: dict[str, tuple[int, list[_Edit]]] = {
+    "categorical swap": (
+        1,
+        [("ax", 1), ("bx", 1), ("cy", 1), ("bx", 0), ("dz", 1), ("az", 1)],
+    ),
+    "categorical recounts": (
+        2,
+        [("ax", 5), ("by", 9), ("by", 2), ("cz", 14), ("ax", 0), ("ax", 3)],
+    ),
+    "numeric gaps": (
+        3,
+        [("1", 4), ("3", 4), ("2", 4), ("2.25", 4), ("2.25", 0), ("-7", 1)],
+    ),
+    "numeric stretch": (
+        4,
+        [("1000.0001", 1), ("1000.0002", 1), ("1000.0001", 9), ("5", 30),
+         ("5", 0), ("1000.0001", 1)],
+    ),
+    "emptied and refilled": (
+        5,
+        [("ax", 2), ("bx", 2), None, ("bx", 2), ("cx", 2), ("bx", 0),
+         ("cx", 0), ("dz", 7)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CHAINS))
+def test_fixed_chain_carries_to_the_from_scratch_plan(name):
+    _run_chain(*_CHAINS[name])
+
+
+def test_fixed_chains_exercise_every_carry_case():
+    seen = set().union(*(_run_chain(*chain) for chain in _CHAINS.values()))
+    assert {
+        "added", "removed", "recounted", "emptied", "refilled",
+        "m changed", "key_count changed", "delta changed", "stretch changed",
+        "N grew", "N shrank", "N kept", "ciphertexts carried",
+    } <= seen, seen
+
+
+@given(st.integers(0, 2**32), _edits(_NUMERIC_POOL, 30))
+@settings(max_examples=60, deadline=None)
+@example(0, [("1", 2), ("1000.0001", 1), ("1000.0002", 9), ("1", 0)])
+def test_numeric_chains_carry_to_the_from_scratch_plan(seed, edits):
+    _run_chain(seed, edits)
+
+
+@given(st.integers(0, 2**32), _edits(_CATEGORICAL_POOL, 20))
+@settings(max_examples=60, deadline=None)
+@example(0, [("ax", 1), ("bx", 1), None, ("cz", 3), ("ax", 1)])
+def test_categorical_chains_carry_to_the_from_scratch_plan(seed, edits):
+    _run_chain(seed, edits)
+
+
+def _assert_plans_are_full_replans(system):
+    """Every field's plan and rows equal a full re-plan's, as after a
+    write the update oracle would build."""
+    hosted, keyring = system.hosted, system.keyring
+    for field_name, occurrences in hosted.occurrences.items():
+        token = hosted.field_tokens[field_name]
+        if not occurrences:
+            assert field_name not in hosted.field_plans
+            continue
+        scratch = build_field_plan(
+            field_name,
+            Counter(value for value, _ in occurrences),
+            keyring.opess_stream(field_name),
+            keyring.ope,
+        )
+        assert hosted.field_plans[field_name] == scratch
+        expected = build_value_index_by_insertion(
+            {field_name: occurrences},
+            {field_name: scratch},
+            {field_name: token},
+            keyring.ope,
+        )
+        assert list(hosted.value_index.trees[token].items()) == list(
+            expected.trees[token].items()
+        ), field_name
+
+
+def test_writes_across_a_save_and_load_carry_to_full_replans(tmp_path):
+    document = build_xmark_database(12, seed=3)
+    people = [
+        person.attribute("id").value
+        for person in evaluate(document, "//person[creditcard]")
+    ]
+    master_key = b"carried-replan-key-16"
+    system = SecureXMLSystem.host(
+        document, xmark_constraints(), scheme="opt", master_key=master_key
+    )
+    rng = random.Random(7)
+
+    def write(step):
+        person = f"//person[@id='{rng.choice(people)}']"
+        card = f"{step} {rng.randint(1000, 9999)}"
+        system.update_value(f"{person}/creditcard", card)
+
+    for step in range(4):
+        write(step)
+        _assert_plans_are_full_replans(system)
+    save_system(system, str(tmp_path))
+    system = load_system(str(tmp_path), master_key)
+    _assert_plans_are_full_replans(system)
+    for step in range(4, 8):
+        write(step)
+        _assert_plans_are_full_replans(system)

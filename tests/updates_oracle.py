@@ -10,9 +10,11 @@ as they stood before a write was made to cost what it changes:
   ``entries`` list, rebuild every tag list of ``table`` and every surviving
   entry's ``children`` (the engine now bisects to the one run of entries
   and rewrites only the lists that held a removed entry);
-* a field's B-tree is rebuilt by encrypting each chunk point on its own and
-  ``BTree.insert``-ing every ⟨ciphertext, block⟩ entry one at a time (the
-  engine now sorts once and bulk-loads).
+* a field is re-planned from scratch, and its B-tree is rebuilt by
+  encrypting each chunk point on its own and ``BTree.insert``-ing every
+  ⟨ciphertext, block⟩ entry one at a time (the engine now re-plans from
+  the field's old plan, keeping what it already holds, and bulk-loads
+  key-ordered runs).
 
 Slow and obviously right.  ``test_updates_oracle.py`` runs both engines in
 lockstep over seeded update streams and holds every hosted structure of
