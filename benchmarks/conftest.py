@@ -9,6 +9,7 @@ generators take explicit scale parameters if larger runs are wanted.
 from __future__ import annotations
 
 import os
+import sys
 
 import pytest
 
@@ -28,6 +29,14 @@ QUERIES_PER_CLASS = int(os.environ.get("REPRO_QUERIES_PER_CLASS", "6"))
 BENCH_TRIALS = max(1, int(os.environ.get("REPRO_BENCH_TRIALS", "5")))
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+
+#: Reference code a benchmark shares with tier-1 (``stack_join``) lives in
+#: ``tests/``.  Pytest puts only this directory on ``sys.path``, so the
+#: tests directory goes after it: a benchmark imports such a module by its
+#: bare name, as a test does, and this directory's ``conftest`` still wins.
+TESTS_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tests")
+if TESTS_DIR not in sys.path:
+    sys.path.append(TESTS_DIR)
 
 
 def write_result(name: str, text: str) -> None:

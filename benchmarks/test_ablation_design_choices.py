@@ -183,7 +183,7 @@ def test_ablation_structural_join_algorithms(benchmark):
     """
     import time
 
-    from repro.core.stack_join import stack_tree_desc
+    from stack_join import stack_tree_desc
 
     def run():
         document = build_nasa_database(dataset_count=120, seed=5)

@@ -274,13 +274,11 @@ class Client:
 
         The expected tag comes from the client's *own* hosted-state
         knowledge (``hosted.block_tags``), never from the response, so a
-        server cannot strip or substitute tags.  Hostings built before
-        tags existed hold none and skip the check; on any other hosting
-        an id without a tag is a block the owner never wrote.
+        server cannot strip or substitute tags.  An id without a tag is a
+        block the owner never wrote — on every hosting, one with no
+        blocks included.
         """
         tags = self._hosted.block_tags
-        if not tags:
-            return
         verified = self._verified_payloads.live()
         for block_id, payload in blocks:
             if verified.get(block_id) == payload:
@@ -498,12 +496,6 @@ class Client:
             ]
         except ValueError as exc:  # bad length, padding or UTF-8
             raise TamperedResponseError(f"undecryptable block: {exc}") from exc
-        if not self._hosted.block_tags:
-            # Splicing is only sound for one well-formed element.  A
-            # verified MAC says the owner's serializer wrote this one; a
-            # block from a hosting without tags has to parse on its own.
-            for plaintext in plaintexts:
-                parse_fragment(plaintext)
         # A plaintext that itself holds blocks (the encryptor nests none
         # today) is resolved before anyone caches or splices it.  The outer
         # entry is kept under the outer id alone: an encryptor that nested

@@ -132,9 +132,6 @@ class IndexEntry:
     plaintext_value: Optional[str] = None
     hosted_node: Optional[Node] = None
 
-    def is_descendant_of(self, other: "IndexEntry") -> bool:
-        return other.interval.contains(self.interval)
-
     def is_child_of(self, other: "IndexEntry") -> bool:
         return self.parent is other
 
@@ -219,13 +216,6 @@ class StructuralIndex:
                 representative == entry.interval
             ):
                 return block_id
-        return None
-
-    def representative_entry(self, block_id: int) -> Optional[IndexEntry]:
-        representative = self.block_table[block_id]
-        for entry in self.entries:
-            if entry.interval == representative:
-                return entry
         return None
 
 

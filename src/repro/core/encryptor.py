@@ -57,6 +57,14 @@ class HostedDatabase:
     value_index: ValueIndex
     blocks: dict[int, bytes]
     placeholders: dict[int, EncryptedBlockNode]
+    #: High-water mark of hosted node ids: the largest id ever assigned in
+    #: the hosted tree (elements, attributes and block placeholders) —
+    #: one less than the count :func:`_renumber_hosted` returns, at
+    #: hosting and at load.  All id allocation goes through
+    #: :meth:`allocate_hosted_id`, so inserts cost O(1).  Deletes never
+    #: lower the mark — ids are never reused, which also means a fragment
+    #: path can never alias a node deleted earlier in the epoch.
+    max_hosted_id: int
 
     # --- client-side knowledge ---
     root_tag: str
@@ -91,14 +99,6 @@ class HostedDatabase:
     #: and :attr:`block_stamps` / :attr:`subtree_stamps` tell the layers
     #: that can use the answer what that write left alone.
     epoch: int = 0
-    #: High-water mark of hosted node ids: the largest id ever assigned in
-    #: the hosted tree (elements, attributes and block placeholders).  All
-    #: id allocation goes through :meth:`allocate_hosted_id`, so inserts
-    #: cost O(1) instead of a full-tree walk per insert.  Deletes never
-    #: lower the mark — ids are never reused, which also means a fragment
-    #: path can never alias a node deleted earlier in the epoch.  ``None``
-    #: (hostings loaded from pre-mark storage) triggers one lazy scan.
-    max_hosted_id: int | None = None
     #: High-water mark of block ids, persisted with the client state: a
     #: deleted block's id (and with it every ``(id, stamp)`` it was
     #: encrypted under) is never handed out again.  ``None`` (hostings
@@ -114,11 +114,12 @@ class HostedDatabase:
     )
     #: Serializes anchor reads (``state_root``) against anchor mutations
     #: (tag maintenance, epoch bumps).  :class:`BlockMerkleTree` is not
-    #: thread-safe, and the serving layer seals envelopes (reading epoch
-    #: + root) on the event-loop thread while update handlers mutate the
-    #: tree on pool threads — without the lock a seal could observe a
-    #: half-rebuilt tree and emit an anchor that verifies against
-    #: nothing.  Reentrant so locked callers can compose these helpers.
+    #: thread-safe, and the front door gives each connection its own
+    #: thread: one connection's thread seals an envelope (reading epoch +
+    #: root) while another's applies an update that mutates the tree.
+    #: Without the lock a seal could observe a half-rebuilt tree and emit
+    #: an anchor that verifies against nothing.  Reentrant so locked
+    #: callers can compose these helpers.
     anchor_lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False, compare=False
     )
@@ -236,8 +237,6 @@ class HostedDatabase:
 
     def allocate_hosted_id(self) -> int:
         """Next fresh hosted node id (advances the high-water mark)."""
-        if self.max_hosted_id is None:
-            self.max_hosted_id = self._scan_max_hosted_id()
         self.max_hosted_id += 1
         return self.max_hosted_id
 
@@ -247,20 +246,6 @@ class HostedDatabase:
             self.max_block_id = max(self.blocks, default=0)
         self.max_block_id += 1
         return self.max_block_id
-
-    def _scan_max_hosted_id(self) -> int:
-        """Full-tree walk for the largest assigned id (legacy hostings).
-
-        Runs at most once per loaded database — every allocation after
-        the first maintains the mark incrementally.
-        """
-        best = 0
-        for node in self.hosted_root.iter():
-            best = max(best, node.node_id)
-            if isinstance(node, Element):
-                for attribute in node.attributes:
-                    best = max(best, attribute.node_id)
-        return best
 
     def hosted_size_bytes(self) -> int:
         """Size of the serialized hosted database, |E(D)|."""
@@ -391,6 +376,7 @@ def host_database(
         value_index=value_index,
         blocks=blocks,
         placeholders=placeholders,
+        max_hosted_id=hosted_id_count - 1,
         block_tags=block_tags,
         root_tag=document.root.tag,
         encrypted_tags=encrypted_tags,
@@ -400,7 +386,6 @@ def host_database(
         decoy_count=decoy_count,
         secure=secure,
         occurrences=occurrences,
-        max_hosted_id=hosted_id_count - 1,
         max_block_id=len(blocks),
     )
 

@@ -216,25 +216,13 @@ def unseal_fresh(
     return payload
 
 
-def peek_epoch(blob: bytes) -> int | None:
-    """Read the (unauthenticated) epoch field of an ``rxi2`` blob.
-
-    For lag accounting only — never trust this for verification; use
-    :func:`unseal_fresh`, which authenticates the header first.
-    """
-    if len(blob) < FRESH_OVERHEAD or blob[: len(MAGIC_FRESH)] != MAGIC_FRESH:
-        return None
-    return int.from_bytes(
-        blob[len(MAGIC_FRESH) : len(MAGIC_FRESH) + EPOCH_BYTES], "big"
-    )
-
-
 def envelope_payload(blob: bytes) -> bytes:
     """Strip the (rxi1 or rxi2) envelope header without verifying.
 
-    Used by the rollback attacker in :mod:`repro.netsim.faults` to match
-    *logical* requests across epochs: the sealed request bytes change
-    whenever the epoch moves, but the query payload underneath does not.
+    Names the *logical* request across epochs: the sealed request bytes
+    change whenever the epoch moves, but the query payload underneath
+    does not.  The chaos tests' rollback attacker
+    (``tests/fault_channel.py``) keys its recorded responses on it.
     """
     if len(blob) >= FRESH_OVERHEAD and blob[: len(MAGIC_FRESH)] == MAGIC_FRESH:
         return blob[FRESH_OVERHEAD:]

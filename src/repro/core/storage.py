@@ -544,7 +544,7 @@ def load_system(
         raise StorageError(
             hosted_path, f"unparseable root block ({exc})"
         ) from exc
-    _renumber_hosted(hosted_root)
+    hosted_id_count = _renumber_hosted(hosted_root)
     nodes_by_id: dict[int, Node] = {}
     for node in hosted_root.iter():
         nodes_by_id[node.node_id] = node
@@ -597,7 +597,7 @@ def load_system(
         }
         block_tags = {
             int(block_id): bytes.fromhex(tag_hex)
-            for block_id, tag_hex in client_state.get("block_tags", {}).items()
+            for block_id, tag_hex in client_state["block_tags"].items()
         }
         field_plans = {}
         field_tokens = {}
@@ -624,6 +624,7 @@ def load_system(
             value_index=value_index,
             blocks=blocks,
             placeholders=placeholders,
+            max_hosted_id=hosted_id_count - 1,
             root_tag=client_state["root_tag"],
             encrypted_tags=set(client_state["encrypted_tags"]),
             plaintext_keys=set(client_state["plaintext_keys"]),

@@ -27,8 +27,7 @@ from repro.core.scheme import EncryptionScheme, build_scheme
 from repro.core.server import Server, ServerResponse
 from repro.core.translate import TranslatedQuery
 from repro.crypto.keyring import ClientKeyring
-from repro.netsim.channel import Channel
-from repro.netsim.faults import TransferDropped
+from repro.netsim.channel import Channel, TransferDropped
 from repro.obs import Observability, Span
 from repro.obs.span import activate, count, span
 from repro.xmldb.node import Document

@@ -7,20 +7,16 @@ GF(2⁸) followed by the affine transform — rather than hard-coded, and the
 whole cipher is validated against the FIPS-197 Appendix C test vector in the
 test suite.
 
-Two equivalent code paths exist:
-
-* the **spec path** (:meth:`AES128.encrypt_block_spec` /
-  :meth:`AES128.decrypt_block_spec`) — a direct transcription of the
-  FIPS-197 round functions over a 16-byte state list, kept as the
-  readable reference the T-tables are built from;
-* the **T-table fast path** (:meth:`AES128.encrypt_block` /
-  :meth:`AES128.decrypt_block`) — the classic 32-bit-word formulation:
-  SubBytes+ShiftRows+MixColumns fused into four 256-entry word tables
-  (and the equivalent inverse cipher for decryption), so each round is
-  sixteen table lookups and word XORs instead of dozens of per-byte
-  loops.  The tables are built once at import *from* the spec-path field
-  arithmetic, and the property suite checks byte-identity of the two
-  paths on random keys and blocks.
+Single blocks run the **T-table path** (:meth:`AES128.encrypt_block` /
+:meth:`AES128.decrypt_block`) — the classic 32-bit-word formulation:
+SubBytes+ShiftRows+MixColumns fused into four 256-entry word tables (and
+the equivalent inverse cipher for decryption), so each round is sixteen
+table lookups and word XORs instead of dozens of per-byte loops.  The
+tables are built once at import from the field arithmetic below.  The
+readable reference — a direct transcription of the FIPS-197 round
+functions over a 16-byte state list, from the same S-box and GF tables —
+is ``tests/aes_spec.py``, and the property suite checks byte-identity of
+every path against it on random keys and blocks.
 
 A third form serves whole batches in both directions:
 :meth:`AES128.encrypt_blocks` / :meth:`AES128.decrypt_blocks` hold ``n``
@@ -31,7 +27,7 @@ is C loops rather than Python bytecode.  One kernel,
 :func:`_plane_rounds`, runs both: the forward cipher is the equivalent
 inverse cipher with its tables swapped (SubBytes fused with ×2 and ×3 in
 place of InvSubBytes with ×14/11/13/9) and its rows rotated left instead
-of right.  It is byte-identical to the other two paths
+of right.  It is byte-identical to the T-table path and the spec
 (``tests/test_crypto_fastpath.py``) and pays off from
 :data:`_PLANE_MIN_BLOCKS` blocks up; narrower batches take the T-table
 path.  Batch width is the only thing that picks the kernel.
@@ -127,7 +123,7 @@ def _rotr8(word: int) -> int:
 
 def _build_round_tables() -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Build the encryption T-tables, decryption D-tables and the
-    InvMixColumns U-tables, all from the spec-path S-box and GF tables.
+    InvMixColumns U-tables, all from the S-box and GF tables.
 
     ``T0[x]`` is the MixColumns image of the column ``(S[x], 0, 0, 0)``;
     ``U0[x]`` the InvMixColumns image of ``(x, 0, 0, 0)``; ``D0[x] =
@@ -281,21 +277,16 @@ def _inv_mix_word(word: int) -> int:
 @lru_cache(maxsize=4096)
 def _expand_key_cached(
     key: bytes,
-) -> tuple[
-    tuple[tuple[int, ...], ...],
-    tuple[tuple[int, ...], ...],
-    tuple[tuple[int, ...], ...],
-]:
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """FIPS-197 §5.2 key expansion, computed once per distinct key.
 
-    Returns ``(spec_round_keys, enc_schedule, dec_schedule)``:
+    Returns ``(enc_schedule, dec_schedule)``:
 
-    * ``spec_round_keys`` — 11 rounds × 16 bytes, for the spec path;
     * ``enc_schedule`` — 11 rounds × 4 big-endian words, for the T-table
-      encryptor;
+      encryptor (and, spread over the planes, the forward plane kernel);
     * ``dec_schedule`` — the equivalent-inverse-cipher schedule: round
       keys in reverse order with InvMixColumns applied to the nine inner
-      ones, for the D-table decryptor.
+      ones, for the D-table decryptor and the inverse plane kernel.
     """
     count("key_expansions")
     words = [list(key[i : i + 4]) for i in range(0, 16, 4)]
@@ -307,14 +298,9 @@ def _expand_key_cached(
             word[0] ^= _RCON[i // 4 - 1]
         words.append([w ^ p for w, p in zip(word, words[i - 4])])
 
-    spec_rounds = []
     enc_schedule = []
     for round_index in range(11):
         round_words = words[round_index * 4 : round_index * 4 + 4]
-        flat: list[int] = []
-        for word in round_words:
-            flat.extend(word)
-        spec_rounds.append(tuple(flat))
         enc_schedule.append(
             tuple((w[0] << 24) | (w[1] << 16) | (w[2] << 8) | w[3] for w in round_words)
         )
@@ -325,15 +311,16 @@ def _expand_key_cached(
             tuple(_inv_mix_word(word) for word in enc_schedule[round_index])
         )
     dec_schedule.append(enc_schedule[0])
-    return tuple(spec_rounds), tuple(enc_schedule), tuple(dec_schedule)
+    return tuple(enc_schedule), tuple(dec_schedule)
 
 
 class AES128:
     """AES with a 128-bit key: 10 rounds over a 4×4 byte state.
 
-    ``encrypt_block``/``decrypt_block`` run the T-table fast path; the
-    ``*_spec`` variants run the readable FIPS-197 transcription.  Both
-    produce identical bytes for every key and block.
+    ``encrypt_block``/``decrypt_block`` run the T-table path,
+    ``encrypt_blocks``/``decrypt_blocks`` pick it or the byte-plane
+    kernel by batch width; every form produces the bytes of the FIPS-197
+    transcription in ``tests/aes_spec.py`` for every key and block.
     """
 
     BLOCK_SIZE = 16
@@ -342,106 +329,10 @@ class AES128:
     def __init__(self, key: bytes) -> None:
         if len(key) != self.KEY_SIZE:
             raise ValueError("AES-128 requires a 16-byte key")
-        spec_rounds, enc_schedule, dec_schedule = _expand_key_cached(bytes(key))
-        self._round_keys = spec_rounds
-        self._enc_schedule = enc_schedule
-        self._dec_schedule = dec_schedule
+        self._enc_schedule, self._dec_schedule = _expand_key_cached(bytes(key))
 
     # ------------------------------------------------------------------
-    # Key schedule (spec form; retained for the reference path)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _expand_key(key: bytes) -> list[list[int]]:
-        """FIPS-197 §5.2 key expansion to 11 round keys of 16 bytes each."""
-        return [list(round_key) for round_key in _expand_key_cached(bytes(key))[0]]
-
-    # ------------------------------------------------------------------
-    # Round transformations (state is a flat list of 16 bytes,
-    # column-major as in the spec: state[row + 4*col]).
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _add_round_key(state: list[int], round_key: "tuple[int, ...] | list[int]") -> None:
-        for i in range(16):
-            state[i] ^= round_key[i]
-
-    @staticmethod
-    def _sub_bytes(state: list[int], box: bytes) -> None:
-        for i in range(16):
-            state[i] = box[state[i]]
-
-    @staticmethod
-    def _shift_rows(state: list[int]) -> None:
-        for row in range(1, 4):
-            row_bytes = [state[row + 4 * col] for col in range(4)]
-            row_bytes = row_bytes[row:] + row_bytes[:row]
-            for col in range(4):
-                state[row + 4 * col] = row_bytes[col]
-
-    @staticmethod
-    def _inv_shift_rows(state: list[int]) -> None:
-        for row in range(1, 4):
-            row_bytes = [state[row + 4 * col] for col in range(4)]
-            row_bytes = row_bytes[-row:] + row_bytes[:-row]
-            for col in range(4):
-                state[row + 4 * col] = row_bytes[col]
-
-    @staticmethod
-    def _mix_columns(state: list[int]) -> None:
-        mul2, mul3 = _MUL[2], _MUL[3]
-        for col in range(0, 16, 4):
-            a0, a1, a2, a3 = state[col : col + 4]
-            state[col + 0] = mul2[a0] ^ mul3[a1] ^ a2 ^ a3
-            state[col + 1] = a0 ^ mul2[a1] ^ mul3[a2] ^ a3
-            state[col + 2] = a0 ^ a1 ^ mul2[a2] ^ mul3[a3]
-            state[col + 3] = mul3[a0] ^ a1 ^ a2 ^ mul2[a3]
-
-    @staticmethod
-    def _inv_mix_columns(state: list[int]) -> None:
-        mul9, mul11, mul13, mul14 = _MUL[9], _MUL[11], _MUL[13], _MUL[14]
-        for col in range(0, 16, 4):
-            a0, a1, a2, a3 = state[col : col + 4]
-            state[col + 0] = mul14[a0] ^ mul11[a1] ^ mul13[a2] ^ mul9[a3]
-            state[col + 1] = mul9[a0] ^ mul14[a1] ^ mul11[a2] ^ mul13[a3]
-            state[col + 2] = mul13[a0] ^ mul9[a1] ^ mul14[a2] ^ mul11[a3]
-            state[col + 3] = mul11[a0] ^ mul13[a1] ^ mul9[a2] ^ mul14[a3]
-
-    # ------------------------------------------------------------------
-    # Spec path (direct FIPS-197 transcription)
-    # ------------------------------------------------------------------
-    def encrypt_block_spec(self, plaintext: bytes) -> bytes:
-        """Encrypt one block with the readable reference round functions."""
-        if len(plaintext) != self.BLOCK_SIZE:
-            raise ValueError("plaintext block must be 16 bytes")
-        state = list(plaintext)
-        self._add_round_key(state, self._round_keys[0])
-        for round_index in range(1, 10):
-            self._sub_bytes(state, _SBOX)
-            self._shift_rows(state)
-            self._mix_columns(state)
-            self._add_round_key(state, self._round_keys[round_index])
-        self._sub_bytes(state, _SBOX)
-        self._shift_rows(state)
-        self._add_round_key(state, self._round_keys[10])
-        return bytes(state)
-
-    def decrypt_block_spec(self, ciphertext: bytes) -> bytes:
-        """Decrypt one block with the readable reference round functions."""
-        if len(ciphertext) != self.BLOCK_SIZE:
-            raise ValueError("ciphertext block must be 16 bytes")
-        state = list(ciphertext)
-        self._add_round_key(state, self._round_keys[10])
-        for round_index in range(9, 0, -1):
-            self._inv_shift_rows(state)
-            self._sub_bytes(state, _INV_SBOX)
-            self._add_round_key(state, self._round_keys[round_index])
-            self._inv_mix_columns(state)
-        self._inv_shift_rows(state)
-        self._sub_bytes(state, _INV_SBOX)
-        self._add_round_key(state, self._round_keys[0])
-        return bytes(state)
-
-    # ------------------------------------------------------------------
-    # T-table fast path (public block interface)
+    # T-table path (public block interface)
     # ------------------------------------------------------------------
     def encrypt_block(self, plaintext: bytes) -> bytes:
         """Encrypt exactly one 16-byte block."""

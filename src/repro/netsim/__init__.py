@@ -1,27 +1,17 @@
-"""Simulated client↔server channel: byte/latency accounting, wire message
-codecs, and deterministic fault injection for chaos testing."""
+"""Simulated client↔server channel: byte/latency accounting and the
+wire message codecs."""
 
 from repro.netsim.channel import (
     DIRECTIONS,
     Channel,
-    TransferRecord,
-)
-from repro.netsim.faults import (
-    FaultEvent,
-    FaultPolicy,
-    FaultRates,
-    FaultyChannel,
     TransferDropped,
+    TransferRecord,
 )
 from repro.netsim.message import MessageDecodeError
 
 __all__ = [
     "Channel",
     "DIRECTIONS",
-    "FaultEvent",
-    "FaultPolicy",
-    "FaultRates",
-    "FaultyChannel",
     "MessageDecodeError",
     "TransferDropped",
     "TransferRecord",

@@ -23,6 +23,11 @@ from repro.obs.span import current, span
 DIRECTIONS = ("client->server", "server->client")
 
 
+class TransferDropped(Exception):
+    """A payload did not arrive (modelled packet loss, or a front door
+    that refused it).  Retryable: the system's backoff loop absorbs it."""
+
+
 @dataclass(frozen=True)
 class TransferRecord:
     """One payload crossing the channel."""
@@ -65,10 +70,11 @@ class Channel:
         """Carry an actual payload across the wire.
 
         The base channel is a perfect wire: it accounts for the bytes and
-        returns the payload unchanged.  :class:`~repro.netsim.faults
-        .FaultyChannel` overrides this to drop, delay, corrupt, truncate
-        or duplicate the payload — which is why the query pipeline ships
-        real bytes through here rather than just sizes.
+        returns the payload unchanged.  A subclass may drop the payload
+        (raising :class:`TransferDropped`), delay, corrupt, truncate or
+        duplicate it — the chaos tests' fault channel does — which is why
+        the query pipeline ships real bytes through here rather than just
+        sizes.
         """
         seconds = self.send(direction, label, len(payload))
         self.observe_transfer(direction, label, len(payload), seconds)

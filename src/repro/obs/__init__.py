@@ -20,12 +20,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Any
 
-from repro.obs.metrics import (
-    Histogram,
-    MetricsRegistry,
-    lint_prometheus,
-    parse_prometheus,
-)
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.slowlog import SlowLogEntry, SlowQueryLog
 from repro.obs.span import Span, count
 
@@ -40,8 +35,6 @@ __all__ = [
     "SlowQueryLog",
     "Span",
     "count",
-    "lint_prometheus",
-    "parse_prometheus",
 ]
 
 #: Queries the slow log keeps.

@@ -1,13 +1,12 @@
 """Access-pattern attacker: query recovery from observed fetch traces.
 
-The adversary modelled here is the third of the suite's observers —
-after the ciphertext-distribution attacker (:mod:`repro.security
-.attacks`, PR 5) and the rollback attacker (:mod:`repro.netsim.faults`,
-PR 7): an honest-but-curious party watching the *storage layer* of the
-server.  It never sees plaintext, keys, query
-text or response bytes — only the ordered sequence of block ids each
-query's evaluation fetched, exactly what :class:`~repro.core.leakage
-.TraceRecorder` captures.
+The adversary modelled here is one of the suite's observers, beside
+the ciphertext-distribution attacker (:mod:`repro.security.attacks`)
+and the rollback attacker (``tests/fault_channel.py``): an
+honest-but-curious party watching the *storage layer* of the server.
+It never sees plaintext, keys, query text or response bytes — only
+the ordered sequence of block ids each query's evaluation fetched,
+exactly what :class:`~repro.core.leakage.TraceRecorder` captures.
 
 The game (:func:`run_leakage_game`) follows the known-query recovery
 setup of *Information Flows in Encrypted Databases* (Vaswani et al.):

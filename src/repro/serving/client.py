@@ -17,8 +17,8 @@
     :class:`~repro.core.system.SecureXMLSystem` whose server is that
     connection and whose channel is the caller's netsim channel.  The
     system's own exchange carries every sealed payload across the
-    channel exactly as in process — billed, and faulted by a
-    :class:`~repro.netsim.faults.FaultyChannel` on the same transfers in
+    channel exactly as in process — billed, and faulted by a test's
+    fault channel (``tests/fault_channel.py``) on the same transfers in
     the same order — and then across the socket.  Every verification
     step (envelope, freshness, decryption, re-evaluation) runs in the
     unmodified system code, so remote answers are byte-identical to
@@ -291,7 +291,7 @@ def remote_system(
     party on both ends; what moves to the far side of the socket is the
     untrusted server half).  ``channel`` is the system's netsim channel,
     as for :meth:`SecureXMLSystem.host`: default accounting-only, a
-    ``FaultyChannel`` for chaos over live sockets.
+    test's fault channel for chaos over live sockets.
     """
     host, port = address
     connection = ServingConnection(

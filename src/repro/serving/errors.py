@@ -35,7 +35,7 @@ from repro.core.integrity import (
 )
 from repro.core.system import QueryFailedError
 from repro.core.updates import UpdateError
-from repro.netsim.faults import TransferDropped
+from repro.netsim.channel import TransferDropped
 from repro.netsim.message import MessageDecodeError
 
 

@@ -1,11 +1,16 @@
-"""Deterministic fault injection for the modelled channel (chaos testing).
+"""Deterministic fault injection for the modelled channel (chaos tests).
+
+A test double: nothing in ``src/`` constructs it.  The system takes any
+:class:`~repro.netsim.channel.Channel` (or a list of them, one per
+replica), and a test hands it a :class:`FaultyChannel` instead.
 
 A :class:`FaultPolicy` is a seeded random schedule of wire faults — drop,
 delay, corrupt-bytes, truncate, duplicate — with independent rates per
 direction.  A :class:`FaultyChannel` applies the policy to every
 :meth:`~repro.netsim.channel.Channel.transfer`, so chaos tests drive the
 *real* query path: corrupted payloads reach the real integrity envelope,
-drops reach the real retry loop.
+drops reach the real retry loop (as the channel's own
+:class:`~repro.netsim.channel.TransferDropped`).
 
 Determinism is load-bearing: the policy consumes one ``random.Random``
 stream in a fixed draw order per transfer, so the same seed, the same
@@ -38,12 +43,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.netsim.channel import Channel
+from repro.netsim.channel import Channel, TransferDropped
 from repro.obs.span import count, current
-
-
-class TransferDropped(Exception):
-    """The channel dropped a payload (modelled packet loss)."""
 
 
 @dataclass(frozen=True)
@@ -231,8 +232,8 @@ class FaultyChannel(Channel):
         """Model the stale replica catching up to the committed state.
 
         Clears the recorded-snapshot store, so the next response per
-        request is re-recorded at the current epoch; called by the
-        system when it re-admits a demoted replica.
+        request is re-recorded at the current epoch; the system calls it
+        (when the channel has it) as it re-admits a demoted replica.
         """
         self._snapshots.clear()
         self._last_request_key = None

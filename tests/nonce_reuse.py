@@ -1,8 +1,8 @@
 """Update-trace attacker: a shared-prefix distinguisher over rewritten blocks.
 
-The fourth observer of the suite, after the ciphertext-distribution
-attacker (:mod:`repro.security.attacks`), the rollback attacker
-(:mod:`repro.netsim.faults`) and the access-pattern attacker
+A test-side observer, beside the ciphertext-distribution attacker
+(:mod:`repro.security.attacks`), the rollback attacker
+(``tests/fault_channel.py``) and the access-pattern attacker
 (:mod:`repro.security.leakage`): an honest-but-curious server that keeps
 what a block location held *before* a write and compares it with what it
 holds after.  It never sees plaintext or keys — only two ciphertexts and

@@ -8,11 +8,13 @@ sorted by interval start, :func:`stack_tree_desc` emits every
 (ancestor, descendant) pair in one linear pass with an explicit stack —
 O(|A| + |D| + |output|) instead of the nested-loop product.
 
-The twig matcher in :mod:`repro.core.structural_join` normally uses the
-precomputed parent pointers (possible because it owns the whole laminar
-forest); this module is the drop-in the paper actually names, used by the
-join ablation benchmark and available for callers that only hold the two
-sorted lists.
+The server's join in :mod:`repro.core.structural_join` reads the
+precomputed parent pointers instead (possible because it owns the whole
+laminar forest), so nothing in ``src/`` runs this one.  It is the
+primitive the paper names, kept beside its tests: ``test_core_stack_join``
+cross-checks it and the join ablation benchmark
+(``benchmarks/test_ablation_design_choices.py``, which reaches ``tests/``
+through ``benchmarks/conftest.py``) prices it against the nested loop.
 """
 
 from __future__ import annotations

@@ -491,3 +491,108 @@ def test_cryptography_and_generators_do_not_import_each_other():
                 ):
                     offenders.append(f"{path}:{node.lineno} imports {name}")
     assert not offenders, offenders
+
+
+def _package_imports():
+    """Module name → every dotted name its source imports, statically.
+
+    An import anywhere in a module counts, a function-level one included;
+    ``from a import b`` imports ``a`` and names ``a.b`` (a module when
+    ``b`` is one).
+    """
+    import ast
+    import pathlib
+
+    import repro
+
+    package = pathlib.Path(repro.__file__).parent
+    imports = {}
+    for path in sorted(package.rglob("*.py")):
+        parts = path.relative_to(package.parent).with_suffix("").parts
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module)
+                imported.update(
+                    f"{node.module}.{alias.name}" for alias in node.names
+                )
+        name = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        imports[name] = imported
+    return imports
+
+
+#: ``src/`` modules no deployed entry point imports, each with its reason.
+#: Everything else a test, a benchmark or CI alone calls lives in tests/.
+UNREACHABLE_BY_DESIGN = {
+    "repro.__main__": "the `python -m repro` entry point",
+    "repro.core.enforcement": "the Theorem 4.1 checker owners run on a scheme",
+    "repro.security.enumeration": (
+        "paper evidence: examples/attack_simulation.py enumerates candidates"
+    ),
+    "repro.security.indistinguishability": (
+        "paper evidence: examples/attack_simulation.py checks Definition 3.1"
+    ),
+    "repro.workloads.axes": "the axis-complete workload the axes gate runs",
+}
+
+
+def test_every_module_of_the_package_is_reachable_or_allow_listed():
+    """``src/`` ships what runs: every module is imported, transitively,
+    from ``repro``, the CLI, the system or the serving layer — or is on
+    :data:`UNREACHABLE_BY_DESIGN` with its reason.  Importing ``a.b.c``
+    runs ``a`` and ``a.b`` first."""
+    imports = _package_imports()
+    reached = set()
+    frontier = ["repro", "repro.cli", "repro.core.system", "repro.serving"]
+    while frontier:
+        module = frontier.pop()
+        if module in reached:
+            continue
+        reached.add(module)
+        for name in imports[module]:
+            parts = name.split(".")
+            prefixes = (".".join(parts[:n]) for n in range(1, len(parts) + 1))
+            frontier += [prefix for prefix in prefixes if prefix in imports]
+    assert sorted(imports.keys() - reached) == sorted(UNREACHABLE_BY_DESIGN)
+
+
+def test_no_module_of_the_package_imports_from_tests():
+    """Test doubles and slow references live in ``tests/`` and nothing in
+    ``src/`` may lean on them: no import names ``tests`` or a module
+    that lives there."""
+    import pathlib
+
+    test_modules = {"tests"} | {
+        path.stem for path in pathlib.Path(__file__).parent.glob("*.py")
+    }
+    offenders = [
+        f"{module} imports {name}"
+        for module, imported in _package_imports().items()
+        for name in sorted(imported)
+        if name.split(".")[0] in test_modules
+    ]
+    assert not offenders, offenders
+
+
+def test_every_seed_reading_test_runs_in_the_seeds_job():
+    """A tests/ file that reads ``REPRO_CHAOS_SEEDS`` runs under CI's seed
+    matrix only if the ``seeds`` job names it.  Read as text: a job is a
+    two-space-indented key, and its body runs to the next one."""
+    import pathlib
+    import re
+
+    tests = pathlib.Path(__file__).parent
+    workflow = (tests.parent / ".github" / "workflows" / "ci.yml").read_text()
+    seeds_job = re.search(
+        r"^  seeds:\n(.*?)(?=^  [\w-]+:\n|\Z)", workflow, re.M | re.S
+    ).group(1)
+    readers = [
+        f"tests/{path.name}"
+        for path in sorted(tests.glob("test_*.py"))
+        if re.search(r"environ.*REPRO_CHAOS_SEEDS", path.read_text())
+    ]
+    assert "REPRO_CHAOS_SEEDS:" in seeds_job
+    assert len(readers) >= 3
+    assert [name for name in readers if name not in seeds_job] == []

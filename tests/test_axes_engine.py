@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.client import canonical_node
 from repro.core.system import QueryFailedError, SecureXMLSystem
-from repro.netsim import FaultPolicy, FaultyChannel
+from fault_channel import FaultPolicy, FaultyChannel
 from repro.workloads.axes import ALL_AXES, AxisWorkload
 from repro.xpath.evaluator import evaluate
 

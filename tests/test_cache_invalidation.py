@@ -25,7 +25,7 @@ from repro.core.system import (
     _DEFAULT_MASTER_KEY,
 )
 from repro.netsim.channel import Channel
-from repro.netsim.faults import FaultPolicy, FaultRates, FaultyChannel
+from fault_channel import FaultPolicy, FaultRates, FaultyChannel
 from repro.netsim.message import encode_response
 from repro.obs import MetricsRegistry
 from repro.serving import ServingServer, remote_system

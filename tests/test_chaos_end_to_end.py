@@ -19,7 +19,7 @@ from repro.core.system import (
     RetryPolicy,
     SecureXMLSystem,
 )
-from repro.netsim import FaultPolicy, FaultyChannel
+from fault_channel import FaultPolicy, FaultyChannel
 from repro.obs import MetricsRegistry
 from repro.xpath.evaluator import evaluate
 

@@ -173,18 +173,21 @@ class TestObservabilityCommands:
         assert "slow_queries" in payload
 
     def test_stats_prometheus_is_lint_clean(self, capsys):
-        from repro.obs import lint_prometheus, parse_prometheus
+        from prometheus_lint import lint_prometheus, parse_prometheus
 
-        assert main(
-            ["stats", "--per-class", "1", "--format", "prometheus"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert lint_prometheus(out) == []
-        samples = parse_prometheus(out)
-        assert samples["repro_query_seconds_count"] > 0
-        assert samples["repro_serving_connections"] == 0
-        assert not [name for name in samples if "shard" in name]
-        assert "repro_replica_epoch_lag_count" in samples
+        for argv in (
+            ["stats", "--per-class", "1", "--format", "prometheus"],
+            # The default --per-class, as an operator's first run sees it.
+            ["stats", "--workload", "healthcare", "--format", "prometheus"],
+        ):
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert lint_prometheus(out) == []
+            samples = parse_prometheus(out)
+            assert samples["repro_query_seconds_count"] > 0
+            assert samples["repro_serving_connections"] == 0
+            assert not [name for name in samples if "shard" in name]
+            assert "repro_replica_epoch_lag_count" in samples
 
 
 class TestServeCommand:

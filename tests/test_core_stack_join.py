@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.core.dsi import assign_intervals, build_structural_index
 from repro.core.scheme import top_scheme
-from repro.core.stack_join import stack_tree_desc
+from stack_join import stack_tree_desc
 from repro.crypto.prf import DeterministicRandom
 from repro.crypto.vernam import DeterministicTagCipher
 from repro.workloads.healthcare import build_healthcare_database

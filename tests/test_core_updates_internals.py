@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.encryptor import host_database
 from repro.core.scheme import build_scheme
-from repro.core.system import SecureXMLSystem
+from repro.core.storage import load_system, save_system
+from repro.core.system import _DEFAULT_MASTER_KEY, SecureXMLSystem
 from repro.core.updates import UpdateEngine, UpdateError
 from repro.crypto.keyring import ClientKeyring
 
@@ -176,44 +177,36 @@ class TestHostedIdAllocation:
 
     Inserts used to recompute ``max(node_id)`` by walking the whole
     hosted tree on every allocation — quadratic over a batch of inserts.
-    The mark is maintained incrementally now; the full walk is a lazy
-    one-shot fallback for hostings loaded from pre-mark storage.
+    Hosting and loading both seed the mark from the renumbering that
+    assigns the ids; every allocation after that advances it.
     """
 
-    def _count_scans(self, hosted, monkeypatch):
-        calls = {"scans": 0}
-        original = type(hosted)._scan_max_hosted_id
-
-        def counting_scan(self):
-            calls["scans"] += 1
-            return original(self)
-
-        monkeypatch.setattr(
-            type(hosted), "_scan_max_hosted_id", counting_scan
+    def test_fresh_and_loaded_hostings_carry_the_mark(
+        self, healthcare_doc, healthcare_scs, tmp_path
+    ):
+        system = SecureXMLSystem.host(
+            healthcare_doc, healthcare_scs, scheme="opt"
         )
-        return calls
-
-    def test_fresh_hosting_never_scans(
-        self, engine_and_hosted, monkeypatch
-    ):
-        engine, hosted = engine_and_hosted
-        assert hosted.max_hosted_id is not None  # set at hosting time
-        calls = self._count_scans(hosted, monkeypatch)
-        parent = hosted.structural_index.lookup("patient")[0]
-        for index in range(20):
-            engine.insert_element(parent, "note", f"n{index}")
-        assert calls["scans"] == 0
-
-    def test_legacy_hosting_scans_exactly_once(
-        self, engine_and_hosted, monkeypatch
-    ):
-        engine, hosted = engine_and_hosted
-        hosted.max_hosted_id = None  # simulate a pre-mark stored hosting
-        calls = self._count_scans(hosted, monkeypatch)
-        parent = hosted.structural_index.lookup("patient")[0]
-        for index in range(20):
-            engine.insert_element(parent, "note", f"n{index}")
-        assert calls["scans"] == 1
+        save_system(system, str(tmp_path / "hosting"))
+        loaded = load_system(str(tmp_path / "hosting"), _DEFAULT_MASTER_KEY)
+        for owner in (system, loaded):
+            hosted = owner.hosted
+            mark = max(
+                node.node_id
+                for element in hosted.hosted_root.iter()
+                for node in (element, *getattr(element, "attributes", ()))
+            )
+            assert hosted.max_hosted_id == mark
+            engine = UpdateEngine(hosted, owner.keyring)
+            parent = hosted.structural_index.lookup("patient")[0]
+            for index in range(20):
+                engine.insert_element(parent, "note", f"n{index}")
+            notes = sorted(
+                entry.hosted_node.node_id
+                for entry in hosted.structural_index.lookup("note")
+            )
+            assert notes == list(range(mark + 1, mark + 21))
+            assert hosted.max_hosted_id == mark + 20
 
     def test_allocated_ids_are_fresh_and_increasing(self, engine_and_hosted):
         engine, hosted = engine_and_hosted

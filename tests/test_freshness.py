@@ -26,7 +26,6 @@ from repro.core.integrity import (
     StaleStateError,
     TamperedResponseError,
     envelope_payload,
-    peek_epoch,
     seal,
     seal_fresh,
     unseal,
@@ -34,7 +33,7 @@ from repro.core.integrity import (
 )
 from repro.core.system import QueryFailedError, SecureXMLSystem
 from repro.netsim.channel import Channel
-from repro.netsim.faults import FaultPolicy, FaultRates, FaultyChannel
+from fault_channel import FaultPolicy, FaultRates, FaultyChannel
 from repro.obs import MetricsRegistry
 
 #: Reads of the process counter total.
@@ -117,10 +116,6 @@ class TestFreshSeal:
         blob = seal_fresh(KEY, b"p", 1, ROOT)
         with pytest.raises(TamperedResponseError):
             unseal_fresh(KEY, blob[: FRESH_OVERHEAD - 1], 1, ROOT)
-
-    def test_peek_epoch(self):
-        assert peek_epoch(seal_fresh(KEY, b"p", 42, ROOT)) == 42
-        assert peek_epoch(b"garbage") is None
 
     def test_envelope_payload_strips_both_layouts(self):
         assert envelope_payload(seal_fresh(KEY, b"pay", 3, ROOT)) == b"pay"

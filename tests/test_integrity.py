@@ -12,9 +12,11 @@ from repro.core.integrity import (
     seal,
     unseal,
 )
-from repro.core.system import SecureXMLSystem
+from repro.core.system import QueryFailedError, SecureXMLSystem
 from repro.crypto.hmac import derive_key, hmac_sha256
 from repro.crypto.keyring import ClientKeyring
+from repro.workloads.healthcare import build_healthcare_database
+from repro.xmldb.node import Element, EncryptedBlockNode
 from hmac_spec import hmac_sha256_spec
 
 KEY = derive_key(b"integrity-test-master", "unit")
@@ -155,6 +157,32 @@ class TestBlockTagsEndToEnd:
         hosted.bump_epoch()
         with pytest.raises(TamperedResponseError):
             system.naive_query("//SSN")
+
+    def test_a_hosting_with_no_blocks_refuses_a_shipped_block(
+        self, healthcare_scs
+    ):
+        """No blocks means no tags, and no tag is no licence to believe a
+        block: a server that ships one written by another hosting under
+        the same master key is caught, not decrypted into the answer."""
+        other = build_healthcare_database()
+        betty_ssn = next(
+            node for node in other.root.iter()
+            if isinstance(node, Element) and node.tag == "SSN"
+        )
+        betty_ssn.children[0].value = "999999"
+        donor = SecureXMLSystem.host(other, healthcare_scs, scheme="opt")
+        bare = SecureXMLSystem.host(
+            build_healthcare_database(), [], scheme="opt"
+        )
+        assert bare.hosted.blocks == {} and bare.hosted.block_tags == {}
+        block_id = min(donor.hosted.blocks)
+        shipped = bare.hosted.structural_index.lookup("SSN")[0].hosted_node
+        shipped.children[0].replace_with(
+            EncryptedBlockNode(block_id, donor.hosted.blocks[block_id])
+        )
+        with pytest.raises(QueryFailedError) as failed:
+            bare.query("//patient/SSN")
+        assert isinstance(failed.value.__cause__, TamperedResponseError)
 
     def test_update_refreshes_tags(self, system):
         system.update_value("//patient[pname='Betty']/SSN", "999999")

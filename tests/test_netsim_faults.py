@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.netsim import (
-    FaultPolicy,
-    FaultRates,
-    FaultyChannel,
-    TransferDropped,
-)
+from fault_channel import FaultPolicy, FaultRates, FaultyChannel
+from repro.netsim import TransferDropped
 
 #: Traffic pattern used by the determinism tests: (direction, size).
 TRAFFIC = [

@@ -1,6 +1,6 @@
 """Every write encrypts under a nonce that has never been used.
 
-``repro.security.nonce_reuse`` is the attacker: a server that compares what
+``tests/nonce_reuse.py`` is the attacker: a server that compares what
 a block location held before and after a write and guesses "same leading
 plaintext block" iff the leading 16-byte cipher blocks are equal.  It is
 played here against two derivations:
@@ -27,7 +27,7 @@ from repro.crypto.aes import aes128_for_key
 from repro.crypto.hmac import derive_key
 from repro.crypto.modes import cbc_encrypt
 from repro.crypto.prf import DeterministicRandom
-from repro.security.nonce_reuse import (
+from nonce_reuse import (
     guess_same_prefix,
     leading_plaintext_block,
     run_shared_prefix_game,

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.system import SecureXMLSystem
 from repro.netsim.channel import Channel
-from repro.netsim.faults import FaultPolicy, FaultyChannel
+from fault_channel import FaultPolicy, FaultyChannel
 from repro.core.system import QueryTrace
 from repro.obs import (
     Histogram,
@@ -20,9 +20,8 @@ from repro.obs import (
     Observability,
     SlowQueryLog,
     Span,
-    lint_prometheus,
-    parse_prometheus,
 )
+from prometheus_lint import lint_prometheus, parse_prometheus
 from repro.obs.span import activate, current, span
 
 #: (span name, trace attribute) — what each stage timing is read off.

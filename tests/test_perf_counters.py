@@ -15,7 +15,7 @@ import pytest
 
 from counter_script import QUERIES, run_script
 from repro.core.system import QueryFailedError, SecureXMLSystem
-from repro.netsim.faults import FaultPolicy, FaultyChannel
+from fault_channel import FaultPolicy, FaultyChannel
 from repro.obs import MetricsRegistry
 from repro.obs.metrics import CACHE_LAYERS, COUNTERS
 from repro.obs.span import count, span

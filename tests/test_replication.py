@@ -14,13 +14,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.system import QueryFailedError, RetryPolicy, SecureXMLSystem
-from repro.netsim.channel import Channel
-from repro.netsim.faults import (
-    FaultPolicy,
-    FaultRates,
-    FaultyChannel,
-    TransferDropped,
-)
+from fault_channel import FaultPolicy, FaultRates, FaultyChannel
+from repro.netsim.channel import Channel, TransferDropped
 from repro.obs import MetricsRegistry
 
 #: Reads of the process counter total.

@@ -1106,7 +1106,7 @@ class TestOnePipeline:
 
     def test_a_dropped_transfer_is_diagnosed_over_a_socket(self, served):
         from repro.core.system import QueryFailedError
-        from repro.netsim import FaultPolicy, FaultyChannel
+        from fault_channel import FaultPolicy, FaultyChannel
 
         _, address, local = served
         channel = FaultyChannel(policy=FaultPolicy.symmetric(drop=1.0))

@@ -1,7 +1,7 @@
 """Chaos and rollback sweeps over live sockets (satellite of PR 8).
 
 The serving layer's contract with the netsim fault machinery is
-*schedule parity*: the seeded :class:`~repro.netsim.faults.FaultyChannel`
+*schedule parity*: the seeded :class:`~fault_channel.FaultyChannel`
 lives in the system on both paths — ``remote_system`` hands the caller's
 channel to the remote system, whose exchange faults each sealed payload
 before it crosses the socket — so going over TCP must not change a
@@ -13,7 +13,7 @@ over a real TCP connection — and assert:
 * per-query outcomes are identical, seed for seed: the same queries
   answer (byte-identically) and the same queries fail with the typed
   :class:`~repro.core.system.QueryFailedError`;
-* the two policies' :meth:`~repro.netsim.faults.FaultPolicy
+* the two policies' :meth:`~fault_channel.FaultPolicy
   .schedule_signature` transcripts are equal — every transfer faulted
   the same way, in the same order, at the same payload size.
 """
@@ -23,8 +23,7 @@ import os
 import pytest
 
 from repro.core.system import QueryFailedError, SecureXMLSystem
-from repro.netsim import FaultPolicy, FaultyChannel
-from repro.netsim.faults import FaultRates
+from fault_channel import FaultPolicy, FaultRates, FaultyChannel
 from repro.serving import ServingServer, remote_system
 
 QUERIES = (
