@@ -78,6 +78,11 @@ def canonical_node(node: Node) -> str:
     return serialize(node)
 
 
+#: The request-cache key of every naive plan, which all seal to the same
+#: bytes at an epoch: a tuple, so no XPath (a planned read's key) is it.
+NAIVE_REQUEST = ("naive",)
+
+
 class Client:
     """The data owner's runtime state after hosting.
 
@@ -169,6 +174,15 @@ class Client:
             count("plan_cache_hits")
         return plan
 
+    def naive_plan(self, xpath: str) -> TranslatedQuery:
+        """The §7.3 baseline's plan: the residual document-root pattern
+        (the whole hosted tree ships), labelled ``naive``.  Never in the
+        plan cache, where the XPath's entry is its planned read."""
+        translated = self._translator().translate(residual_pattern())
+        translated.plan_kind = "naive"
+        translated.path = parse_xpath(xpath)
+        return translated
+
     def _translator(self) -> QueryTranslator:
         """The translator over the hosting's tags and OPESS plans as they
         stand; a write re-plans its field, so it lasts one epoch."""
@@ -198,7 +212,7 @@ class Client:
             if plan.kind == "residual":
                 raise  # the residual pattern always translates
             # e.g. a value constraint on a wildcard node: degrade to the
-            # residual plan rather than the naive protocol.
+            # residual plan.
             plan = QueryPlan(
                 kind="residual",
                 pattern=residual_pattern(),
@@ -214,11 +228,12 @@ class Client:
     # Wire envelope (untrusted-server hardening)
     # ------------------------------------------------------------------
     def seal_request(
-        self, translated: TranslatedQuery, cache_key: str | None = None
+        self, translated: TranslatedQuery, cache_key: "str | tuple | None" = None
     ) -> bytes:
         """Encode and integrity-seal a translated query for the wire.
 
-        ``cache_key`` (the original XPath string) lets a repeated query
+        ``cache_key`` (the original XPath string, or
+        :data:`NAIVE_REQUEST` for a naive plan) lets a repeated query
         reuse its sealed bytes — same object, same cached hash — which is
         what keeps the server's wire cache a single dict lookup.
         """
@@ -230,10 +245,6 @@ class Client:
             blob, epoch = seal(key, encode_query(translated))
             self._request_cache.store(cache_key, blob, epoch)
         return blob
-
-    def seal_naive_request(self, xpath: str) -> bytes:
-        """Seal the opaque naive-path request (the raw query string)."""
-        return self._hosted.seal(self._request_key, xpath.encode("utf-8"))[0]
 
     def open_response(self, blob: bytes) -> ServerResponse:
         """Verify a sealed wire response and decode it.
@@ -262,11 +273,7 @@ class Client:
         except IntegrityError as exc:
             count_failure(exc)
             raise
-        if not response.naive:
-            # Naive responses hold the whole database as live fragment
-            # objects; pinning one per scheme bloats the heap (and the
-            # naive path is the cost baseline — it should stay honest).
-            self._response_cache.store(blob, response, epoch)
+        self._response_cache.store(blob, response, epoch)
         return response
 
     def _verify_blocks(self, blocks: "list[tuple[int, bytes]]") -> None:

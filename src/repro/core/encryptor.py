@@ -101,9 +101,9 @@ class HostedDatabase:
     epoch: int = 0
     #: High-water mark of block ids, persisted with the client state: a
     #: deleted block's id (and with it every ``(id, stamp)`` it was
-    #: encrypted under) is never handed out again.  ``None`` (hostings
-    #: saved before the mark existed) falls back to the largest live id.
-    max_block_id: int | None = None
+    #: encrypted under) is never handed out again.  A hosting saved
+    #: before the mark existed is seeded with its largest id at load.
+    max_block_id: int = 0
     #: Lazily-built Merkle tree over ``block_tags`` (the freshness
     #: anchor).  All tag mutations must go through :meth:`set_block_tag`
     #: / :meth:`drop_block_tag` so the tree stays incremental; a keyset
@@ -242,8 +242,6 @@ class HostedDatabase:
 
     def allocate_block_id(self) -> int:
         """Next fresh block id (advances the high-water mark)."""
-        if self.max_block_id is None:
-            self.max_block_id = max(self.blocks, default=0)
         self.max_block_id += 1
         return self.max_block_id
 

@@ -44,6 +44,7 @@ Implementation notes (deviations are called out in DESIGN.md):
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
@@ -226,7 +227,7 @@ def build_field_plan(
     if not histogram:
         raise ValueError("cannot plan an empty field")
     values = list(histogram)
-    is_numeric = all(_is_number(value) for value in values)
+    is_numeric = all(_is_finite_number(value) for value in values)
 
     if is_numeric:
         base_positions = {value: float(value) for value in values}
@@ -347,12 +348,12 @@ def _draw_weights(key_count: int, stream: DeterministicRandom) -> list[float]:
     return [cell / (cells * (key_count + 1.0)) for cell in sorted(chosen)]
 
 
-def _is_number(value: str) -> bool:
+def _is_finite_number(value: str) -> bool:
+    """A finite real (for a field's values; a literal may be ``"inf"``)."""
     try:
-        float(value)
+        return math.isfinite(float(value))
     except ValueError:
         return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,6 @@ class ServerResponse:
     """The answer to one translated query."""
 
     fragments: list[Fragment]
-    naive: bool = False
     blocks_shipped: int = 0
     candidate_counts: dict[str, int] = field(default_factory=dict)
     _size: "int | None" = field(
@@ -106,7 +105,6 @@ class Server:
         #: Where the leakage histogram goes (set by the owning system):
         #: a served evaluation has no query root to read it off.
         self._obs: "Observability | None" = None
-        self._hosted_root = hosted.hosted_root
         self._structure: StructuralIndex = hosted.structural_index
         self._values: ValueIndex = hosted.value_index
         self._placeholders = hosted.placeholders
@@ -247,18 +245,6 @@ class Server:
         return sum(fragment.xml.count(BLOCK_OPEN) for fragment in fragments)
 
     # ------------------------------------------------------------------
-    # Fallback path: the naive ship-everything protocol (§7.3 baseline)
-    # ------------------------------------------------------------------
-    def ship_all(self) -> ServerResponse:
-        """Send the entire hosted database (the naive method)."""
-        fragment = Fragment(ancestor_path=(), xml=serialize(self._hosted_root))
-        return ServerResponse(
-            fragments=[fragment],
-            naive=True,
-            blocks_shipped=self._count_blocks([fragment]),
-        )
-
-    # ------------------------------------------------------------------
     # Wire interface (integrity-enveloped bytes; see docs/PROTOCOL.md,
     # "Failure model & integrity envelope")
     # ------------------------------------------------------------------
@@ -290,24 +276,6 @@ class Server:
         with self._cache_lock:
             self._wire_cache.store(request_blob, blob, epoch)
         return blob
-
-    def ship_all_wire(self, request_blob: bytes) -> bytes:
-        """Naive-path wire exchange: verify the request, ship everything.
-
-        The naive request payload is just the opaque query string (the
-        server never parses it); the envelope check still rejects a
-        mangled request instead of wasting a full-database ship on it.
-
-        Deliberately uncached: the naive path is the §7.3 cost baseline,
-        so every call pays the full serialize + seal bill.
-        """
-        request_key, response_key = self._require_session_keys()
-        self._hosted.unseal(
-            request_key, request_blob, error=TamperedRequestError
-        )
-        return self._hosted.seal(
-            response_key, encode_response(self.ship_all())
-        )[0]
 
     def _require_session_keys(self) -> tuple[bytes, bytes]:
         if self._session_keys is None:
@@ -365,17 +333,3 @@ class Server:
             assert isinstance(ancestor, Element)
             path.append((ancestor.tag, ancestor.node_id))
         return Fragment(ancestor_path=tuple(path), xml=serialize(node))
-
-    # ------------------------------------------------------------------
-    # Observable state (what an attacker on the server sees)
-    # ------------------------------------------------------------------
-    def hosted_size_bytes(self) -> int:
-        return len(serialize(self._hosted_root).encode("utf-8"))
-
-    @property
-    def structural_index(self) -> StructuralIndex:
-        return self._structure
-
-    @property
-    def value_index(self) -> ValueIndex:
-        return self._values

@@ -339,11 +339,9 @@ def _remove_quietly(path: str) -> None:
 
 
 def _verify_manifest(directory: str) -> None:
-    """Check every file against the manifest; raise StorageError if bad."""
+    """Check every file against the manifest; raise StorageError if bad
+    (a missing manifest included)."""
     manifest_path = os.path.join(directory, _MANIFEST)
-    if not os.path.exists(manifest_path):
-        # Pre-hardening hosting (no manifest): nothing to verify against.
-        return
     manifest = _read_json(manifest_path)
     try:
         files = dict(manifest["files"])
@@ -616,7 +614,9 @@ def load_system(
                 field_tokens,
                 keyring.ope,
             )
-        max_block_id = client_state.get("max_block_id")
+        # A state without the block-id mark (format 2, or ``null`` from
+        # re-saving one) gets the largest id, before a write can delete it.
+        mark = client_state.get("max_block_id")
 
         hosted = HostedDatabase(
             hosted_root=hosted_root,
@@ -637,11 +637,11 @@ def load_system(
                     "block_stamps", {}
                 ).items()
             },
-            max_block_id=None if max_block_id is None else int(max_block_id),
+            max_block_id=max(blocks, default=0) if mark is None else int(mark),
             decoy_count=client_state["decoy_count"],
             secure=client_state["secure"],
             occurrences=occurrences,
-            epoch=int(client_state.get("epoch", 0)),
+            epoch=int(client_state["epoch"]),
         )
         scheme = EncryptionScheme(
             kind=client_state["scheme_kind"],
@@ -658,16 +658,17 @@ def load_system(
     # tag-level tampering below the manifest, or a regressed epoch
     # pairing) — refuse to boot rather than silently re-anchor.
     persisted_root = client_state.get("state_root")
-    if persisted_root is not None:
-        recomputed = hosted.state_root().hex()
-        if recomputed != persisted_root:
-            raise StorageError(
-                state_path,
-                "freshness root mismatch: persisted Merkle root "
-                f"{persisted_root[:16]}… does not match the root "
-                f"recomputed from the stored block tags "
-                f"({recomputed[:16]}…)",
-            )
+    if not isinstance(persisted_root, str):
+        raise StorageError(state_path, "no freshness anchor (state_root)")
+    recomputed = hosted.state_root().hex()
+    if recomputed != persisted_root:
+        raise StorageError(
+            state_path,
+            "freshness root mismatch: persisted Merkle root "
+            f"{persisted_root[:16]}… does not match the root "
+            f"recomputed from the stored block tags "
+            f"({recomputed[:16]}…)",
+        )
     hosting_trace = HostingTrace(
         scheme_kind=scheme.kind,
         scheme_size_nodes=0,

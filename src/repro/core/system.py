@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Iterator, Optional, Sequence
 
-from repro.core.client import Client, QueryAnswer
+from repro.core.client import NAIVE_REQUEST, Client, QueryAnswer
 from repro.core.constraints import SecurityConstraint
 from repro.core.encryptor import HostedDatabase, host_database
 from repro.core.integrity import FreshnessError, IntegrityError, count_failure
@@ -100,7 +100,6 @@ class QueryTrace:
     """
 
     query: str
-    naive: bool = False
     transfer_bytes: int = 0
     blocks_returned: int = 0
     fragments_returned: int = 0
@@ -155,7 +154,6 @@ class QueryTrace:
         """Flat dict for benchmark tables."""
         return {
             "query": self.query,
-            "naive": self.naive,
             "t_translate": self.translate_client_s,
             "t_server": self.server_s,
             "t_transfer": self.transfer_s,
@@ -369,16 +367,31 @@ class SecureXMLSystem:
         :class:`RetryPolicy`), and a query that runs out of attempts or
         cannot complete before the deadline raises
         :class:`QueryFailedError`.  It never falls back to downloading
-        the database through the server that just failed verification
-        (:meth:`naive_query` is the explicit §7.3 baseline).  The outcome
-        is always the exact answer or a typed error — never a silent
-        wrong answer.
+        the database (:meth:`naive_query` is the explicit §7.3
+        baseline).  The outcome is always the exact answer or a typed
+        error — never a silent wrong answer.
 
         Opens the query's root span and keeps it ambient for the whole
         run, so every stage span and every count — including those of
         the client, server, channel and crypto layers — lands under it
         (see :meth:`_root`).
         """
+        return self._read(xpath, self.client.translate, xpath)
+
+    def naive_query(self, xpath: str) -> QueryAnswer:
+        """Answer a query with the §7.3 naive baseline (ship everything):
+        :meth:`query`'s loop, run on the residual document-root plan
+        labelled ``naive``."""
+        return self._read(xpath, self.client.naive_plan, NAIVE_REQUEST)
+
+    def _read(
+        self,
+        xpath: str,
+        plan: Callable[[str], TranslatedQuery],
+        request_key: "str | tuple",
+    ) -> QueryAnswer:
+        """The retry loop; ``plan`` makes each attempt's plan, and the
+        client's request cache keeps it sealed under ``request_key``."""
         with self._root(xpath) as trace:
             policy = self.retry_policy
             started_wall = time.perf_counter()
@@ -389,20 +402,23 @@ class SecureXMLSystem:
                 # at: the commit that failed the last one re-planned a
                 # field.  A plan-cache hit — one dict lookup — when no
                 # commit landed.
-                translated = self._translate(xpath, trace)
+                with span("translate"):
+                    translated = plan(xpath)
+                trace.plan = translated.plan_kind
+                trace.fallback_reason = translated.plan_reason
                 replica = self._pre_attempt(
                     attempt, trace, started_wall, policy
                 )
                 try:
                     return self._attempt(
-                        translated.path, trace, replica,
-                        lambda: self.client.seal_request(
-                            translated, cache_key=xpath
-                        ),
-                        self._replicas[replica][0].answer_wire,
+                        translated, request_key, trace, replica
                     )
                 except _RETRYABLE as exc:
-                    last_error = self._record_failure(exc, replica)
+                    # Bench a replica caught serving stale state (the
+                    # failure was counted where it was detected).
+                    if isinstance(exc, FreshnessError):
+                        self._demote(replica, exc)
+                    last_error = exc
             count("queries_failed")
             raise QueryFailedError(
                 f"query failed after {trace.attempts} attempts "
@@ -411,7 +427,7 @@ class SecureXMLSystem:
             ) from last_error
 
     @contextmanager
-    def _root(self, xpath: str, **annotations: object) -> Iterator[QueryTrace]:
+    def _root(self, xpath: str) -> Iterator[QueryTrace]:
         """The query's trace, its root span ambient for the block.
 
         The root finishes — folding its counts into the process total —
@@ -420,7 +436,7 @@ class SecureXMLSystem:
         recorded into the observability context.
         """
         trace = QueryTrace(
-            query=xpath, span=span("query", query=xpath, **annotations)
+            query=xpath, span=span("query", query=xpath)
         )
         root = trace.span
         try:
@@ -439,27 +455,28 @@ class SecureXMLSystem:
 
     def _attempt(
         self,
-        query: "str | ast.LocationPath",
+        translated: TranslatedQuery,
+        request_key: "str | tuple",
         trace: QueryTrace,
         replica: int,
-        seal: Callable[[], bytes],
-        serve: Callable[[bytes], bytes],
     ) -> QueryAnswer:
         """One sealed exchange with one replica, then the finish: a
         concurrent write or a lying server can fail either.
 
         A failure marks the ``attempt`` span with its error type.
         """
-        channel = self._replicas[replica][1]
+        server, channel = self._replicas[replica]
         with span(
             "attempt", number=trace.attempts, replica=replica
         ) as attempt:
             try:
                 with span("seal"):
-                    request = seal()
-                response = self._exchange(channel, request, serve)
+                    request = self.client.seal_request(
+                        translated, cache_key=request_key
+                    )
+                response = self._exchange(channel, request, server)
                 trace.candidate_counts = response.candidate_counts
-                return self._finish(query, response, trace)
+                return self._finish(translated.path, response, trace)
             except _RETRYABLE as exc:
                 attempt.annotate(error=type(exc).__name__)
                 raise
@@ -467,14 +484,6 @@ class SecureXMLSystem:
     # ------------------------------------------------------------------
     # Retry machinery
     # ------------------------------------------------------------------
-    def _translate(self, xpath: str, trace: QueryTrace) -> TranslatedQuery:
-        """The plan for one attempt (every parseable query has one)."""
-        with span("translate"):
-            translated = self.client.translate(xpath)
-        trace.plan = translated.plan_kind
-        trace.fallback_reason = translated.plan_reason
-        return translated
-
     def _pre_attempt(
         self,
         attempt: int,
@@ -511,13 +520,6 @@ class SecureXMLSystem:
         replica = active[trace.attempts % len(active)]
         trace.attempts += 1
         return replica
-
-    def _record_failure(self, exc: Exception, replica: int) -> Exception:
-        """Bench a replica caught serving stale state (the failure itself
-        was counted where it was detected)."""
-        if isinstance(exc, FreshnessError):
-            self._demote(replica, exc)
-        return exc
 
     def _demote(self, replica: int, exc: FreshnessError) -> None:
         """Bench a replica that served stale state — while a peer remains.
@@ -677,46 +679,21 @@ class SecureXMLSystem:
         entry = engine.resolve_single(self.client.translate(xpath))
         engine.update_value(entry, new_value)
 
-    def naive_query(self, xpath: str) -> QueryAnswer:
-        """Answer a query with the §7.3 naive baseline (ship everything).
-
-        No retry budget and no backoff: one try per replica in the
-        rotation, failing over off one that drops, tampers or serves
-        stale state; the last replica's error is raised as it is.
-        """
-        with self._root(xpath, naive=True) as trace:
-            trace.naive = True
-            trace.plan = "naive"
-            last_error: Exception | None = None
-            for replica in list(self._active):
-                trace.attempts += 1
-                try:
-                    return self._attempt(
-                        xpath, trace, replica,
-                        lambda: self.client.seal_naive_request(xpath),
-                        self._replicas[replica][0].ship_all_wire,
-                    )
-                except _RETRYABLE as exc:
-                    last_error = self._record_failure(exc, replica)
-            assert last_error is not None
-            raise last_error
-
     def _exchange(
-        self, channel: Channel, request: bytes, serve
+        self, channel: Channel, request: bytes, server: Server
     ) -> ServerResponse:
         """One sealed request/response round trip with one replica.
 
-        ``serve`` is that replica's wire entry point for the request
-        kind (``answer_wire`` or ``ship_all_wire``): sealed bytes in,
-        sealed bytes out.  A refusal it raises was detected by the
-        server and is counted here, where it reaches us.  A response
-        that verifies is fresh by construction, which is what lets
-        benched replicas resync off it.
+        ``server.answer_wire`` takes sealed bytes and returns sealed
+        bytes.  A refusal it raises was detected by the server and is
+        counted here, where it reaches us.  A response that verifies is
+        fresh by construction, which is what lets benched replicas
+        resync off it.
         """
         request, _ = channel.transfer("client->server", "query", request)
         with span("server"):
             try:
-                sealed = serve(request)
+                sealed = server.answer_wire(request)
             except IntegrityError as exc:
                 count_failure(exc)
                 raise
@@ -729,14 +706,14 @@ class SecureXMLSystem:
 
     def _finish(
         self,
-        query: "str | ast.LocationPath",
+        query: ast.LocationPath,
         response: ServerResponse,
         trace: QueryTrace,
     ) -> QueryAnswer:
         """Decrypt, assemble and re-evaluate — the client's §6.4 half.
 
-        ``query`` is the plan's parsed path (the naive path passes its
-        string), so a planned read parses its XPath once, at translation.
+        ``query`` is the plan's parsed path, so a read parses its XPath
+        once, at translation.
         """
         trace.blocks_returned = response.blocks_shipped
         trace.fragments_returned = len(response.fragments)

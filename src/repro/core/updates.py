@@ -114,7 +114,7 @@ class UpdateEngine:
 
         new_element = Element(tag)
         new_element.append(Text(value))
-        new_element.node_id = self._next_hosted_id()
+        new_element.node_id = self._hosted.allocate_hosted_id()
 
         if sensitive:
             block_id = self._hosted.allocate_block_id()
@@ -465,13 +465,3 @@ class UpdateEngine:
             self._keyring.ope,
         )
         hosted.value_index.trees[token] = rebuilt.trees[token]
-
-    def _next_hosted_id(self) -> int:
-        """Fresh hosted node id, from the database's high-water mark.
-
-        O(1) per insert: the mark is seeded at hosting (or by one lazy
-        full-tree scan for databases loaded from pre-mark storage) and
-        maintained by every allocation; see
-        :meth:`HostedDatabase.allocate_hosted_id`.
-        """
-        return self._hosted.allocate_hosted_id()

@@ -142,7 +142,6 @@ def encode_response(response: Any) -> bytes:
             "b": response.blocks_shipped,
             "cc": response.candidate_counts,
             "f": parents,
-            "n": int(response.naive),
             "x": [fragment.xml for fragment in response.fragments],
         },
         separators=(",", ":"),
@@ -175,7 +174,6 @@ def decode_response(payload: bytes) -> Any:
             and type(counts) is dict
             and set(map(type, counts.values())) <= {int}
             and type(record["b"]) is int
-            and record["n"] in (0, 1)
         ):
             raise MessageDecodeError("malformed response columns")
         if parents and not -1 <= min(parents) <= max(parents) < len(paths):
@@ -185,7 +183,6 @@ def decode_response(payload: bytes) -> Any:
     paths.append(())  # row -1: the document root
     return ServerResponse(
         fragments=list(map(Fragment, map(paths.__getitem__, parents), texts)),
-        naive=bool(record["n"]),
         blocks_shipped=record["b"],
         candidate_counts=counts,
     )

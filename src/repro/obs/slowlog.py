@@ -35,7 +35,6 @@ class SlowLogEntry:
         "integrity_failures",
         "drops",
         "backoff_s",
-        "naive",
         "plan",
         "fallback_reason",
         "failed",
@@ -65,7 +64,6 @@ class SlowLogEntry:
         self.integrity_failures = trace.integrity_failures
         self.drops = trace.drops
         self.backoff_s = seconds.get("backoff", 0.0)
-        self.naive = trace.naive
         self.plan = trace.plan
         self.fallback_reason = trace.fallback_reason
         self.failed = failed
@@ -83,7 +81,6 @@ class SlowLogEntry:
             "integrity_failures": self.integrity_failures,
             "drops": self.drops,
             "backoff_s": self.backoff_s,
-            "naive": self.naive,
             "plan": self.plan,
             "fallback_reason": self.fallback_reason,
             "failed": self.failed,
@@ -95,9 +92,9 @@ class SlowLogEntry:
         flags = []
         if self.failed:
             flags.append("FAILED")
-        if self.naive:
+        if self.plan == "naive":
             flags.append("naive")
-        if self.plan not in ("axis", "naive"):
+        elif self.plan != "axis":
             flags.append(f"plan={self.plan}")
         if self.fallback_reason:
             flags.append(f"reason={self.fallback_reason!r}")

@@ -9,8 +9,8 @@
     :class:`~repro.serving.errors.RequestTimeoutError` the abandoned
     request's late answer is still on its way, and the next request
     reads past it by id.  The connection *is* the remote server: it
-    exposes ``answer_wire`` / ``ship_all_wire``, the two methods the
-    secure pipeline calls on ``system.server``.
+    exposes ``answer_wire``, the one method the secure pipeline calls
+    on ``system.server``.
 
 :class:`RemoteSecureXMLSystem` / :func:`remote_system`
     ``remote_system(local, address, tenant, channel)`` builds a
@@ -59,7 +59,6 @@ from repro.serving.framing import (
     OP_ERROR,
     OP_HELLO,
     OP_HELLO_OK,
-    OP_NAIVE,
     OP_OK,
     OP_QUERY,
     OP_STATS,
@@ -170,9 +169,6 @@ class ServingConnection:
 
     def answer_wire(self, request_blob: bytes) -> bytes:
         return self.call(OP_QUERY, request_blob)
-
-    def ship_all_wire(self, request_blob: bytes) -> bytes:
-        return self.call(OP_NAIVE, request_blob)
 
     def sealed_call(self, op: int, command: dict) -> bytes:
         """Issue a freshness-sealed control command; returns the

@@ -28,8 +28,8 @@ import socket
 import struct
 
 #: Frames larger than this are a protocol violation (or garbage reaching
-#: the port); a naive full-database ship of the benchmark workloads is a
-#: few MB, so 256 MiB leaves orders of magnitude of headroom.
+#: the port); a full-database ship of the benchmark workloads is a few
+#: MB, so 256 MiB leaves orders of magnitude of headroom.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 #: Bytes asked of the socket per read.  A read allocates its whole size
@@ -42,12 +42,11 @@ _RECV_BYTES = 1 << 16
 _HEAD = struct.Struct("!QB")
 
 # Client -> server opcodes.
-OP_HELLO = 1  # JSON {"tenant": ..., "protocol": 2}
+OP_HELLO = 1  # JSON {"tenant": ..., "protocol": 3}
 OP_QUERY = 2  # sealed translated-query request (answer_wire)
-OP_NAIVE = 4  # sealed naive request (ship_all_wire)
 OP_UPDATE = 5  # freshness-sealed JSON update command
-# 6 is retired (a cache flush does not move the epoch, so a sealed one
-# could be replayed); the front door answers it as an unknown opcode.
+# 4 (the naive baseline is a query plan) and 6 (an epoch-less, so
+# replayable, cache flush) are retired: unknown opcodes to the front door.
 OP_STATS = 7  # freshness-sealed {"op": "stats"}; sealed JSON response
 
 # Server -> client opcodes.
@@ -56,9 +55,10 @@ OP_ERROR = 19  # JSON {"error": <type name>, "message": ...}
 OP_HELLO_OK = 20  # JSON session parameters (tenant, protocol, epoch)
 
 #: What HELLO and HELLO_OK both carry; a peer on another version is
-#: refused at the handshake.  2: a response's fragments cross as an
-#: ancestor row table and a text column (:mod:`repro.netsim.message`).
-PROTOCOL_VERSION = 2
+#: refused at the handshake.  3: no naive opcode and no naive flag on a
+#: response, whose fragments cross as an ancestor row table and a text
+#: column (:mod:`repro.netsim.message`) since 2.
+PROTOCOL_VERSION = 3
 
 
 class FrameError(Exception):

@@ -20,7 +20,7 @@ it, runs its handler inline — the synchronous pipeline, the same
 Concurrency comes from connections: each owner handle is one.
 
 Concurrency within a tenant is a readers–writer discipline:
-queries and naive ships share a read lock, updates and the drain's
+queries share a read lock, updates and the drain's
 cache flush take the write lock (writer-priority, so a steady query
 stream cannot starve updates).  Combined with the
 :class:`~repro.core.server.Server` cache lock and the
@@ -70,7 +70,6 @@ from repro.serving.framing import (
     OP_ERROR,
     OP_HELLO,
     OP_HELLO_OK,
-    OP_NAIVE,
     OP_OK,
     OP_QUERY,
     OP_STATS,
@@ -85,7 +84,6 @@ from repro.serving.framing import (
 #: :class:`TenantSession` method that handles each.
 _REQUEST_HANDLERS = {
     OP_QUERY: "query",
-    OP_NAIVE: "naive",
     OP_UPDATE: "update",
     OP_STATS: "stats",
 }
@@ -183,11 +181,6 @@ class TenantSession:
         self._count("query")
         with self._rw.read():
             return self.system.server.answer_wire(blob)
-
-    def naive(self, blob: bytes) -> bytes:
-        self._count("naive")
-        with self._rw.read():
-            return self.system.server.ship_all_wire(blob)
 
     def update(self, blob: bytes) -> bytes:
         """Apply one sealed update operation; returns a sealed ack.

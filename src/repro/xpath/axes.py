@@ -49,7 +49,7 @@ order axis as the very first step, positional predicates inside
 non-downward predicate branches, …) raise :class:`ResidualRequired`;
 the planner then falls back to :func:`residual_pattern`, which ships
 the whole document through the standard sealed-fragment path — still a
-typed server-side plan, never the naive protocol.
+typed server-side plan.
 """
 
 from __future__ import annotations
@@ -365,8 +365,8 @@ def residual_pattern() -> PatternTree:
     entry, so the server ships one fragment — the whole tree — through
     the standard sealed path (integrity, freshness and leakage
     countermeasures all apply) and the client evaluates the original
-    query over it.  Same transfer cost as the naive protocol, but typed,
-    counted, and on the hardened wire.
+    query over it.  It is also the §7.3 naive baseline's plan
+    (``Client.naive_plan``).
     """
     root = PatternNode(test="*", axis="root-child")
     root.is_output = True

@@ -1,7 +1,8 @@
 """Per-query plan selection: the axis lowering, or residual.
 
-Every parseable query gets a server-side plan — the naive client-only
-protocol is not reachable from the planner:
+Every parseable query gets a server-side plan — the §7.3 naive
+baseline is the residual pattern under another label, and only
+``naive_query`` asks for it:
 
 ``axis``
     Anything a pattern can express: the paper's downward twigs, reverse

@@ -161,7 +161,7 @@ class TestOneSerialPipeline:
             if name.startswith("OP_")
         }
         assert opcodes == {
-            "OP_HELLO": 1, "OP_QUERY": 2, "OP_NAIVE": 4, "OP_UPDATE": 5,
+            "OP_HELLO": 1, "OP_QUERY": 2, "OP_UPDATE": 5,
             "OP_STATS": 7,
             "OP_OK": 16, "OP_ERROR": 19, "OP_HELLO_OK": 20,
         }
@@ -354,7 +354,7 @@ class TestOneServerBehindTheOwner:
             blocks_shipped=0,
         )
         record = json.loads(encode_response(response))
-        assert set(record) == {"a", "b", "cc", "f", "n", "x"}
+        assert set(record) == {"a", "b", "cc", "f", "x"}
         record["r"] = [7]  # what a shard used to tag its fragments with
         assert decode_response(json.dumps(record).encode()) == response
         for missing in ("a", "f", "x"):

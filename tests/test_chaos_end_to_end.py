@@ -74,15 +74,18 @@ class TestFaultSweep:
         policy = FaultPolicy.symmetric(seed=seed, **rates)
         system = host_with_faults(healthcare_doc, healthcare_scs, policy)
         answered = 0
+        # The §7.3 baseline crosses the same faulty exchange as a
+        # planned read, and owes the same outcome.
         for query in QUERIES:
-            try:
-                answer = system.query(query)
-            except QueryFailedError:
-                continue  # typed failure is an allowed outcome
-            answered += 1
-            assert answer.canonical() == expected_answer(
-                healthcare_doc, query
-            ), (seed, rates, query)
+            for read in (system.query, system.naive_query):
+                try:
+                    answer = read(query)
+                except QueryFailedError:
+                    continue  # typed failure is an allowed outcome
+                answered += 1
+                assert answer.canonical() == expected_answer(
+                    healthcare_doc, query
+                ), (seed, rates, query, read.__name__)
         # The retry layer must be doing real work: across the sweep the
         # rates are high enough that a no-retry pipeline could not answer
         # everything cleanly, yet most queries should still succeed.

@@ -221,7 +221,10 @@ class TestPredicateTranslation:
         return plan, encryption, cipher_of
 
     @pytest.mark.parametrize("op", ["=", "<", "<=", ">", ">=", "!="])
-    @pytest.mark.parametrize("literal", ["10", "20", "30", "40", "25"])
+    @pytest.mark.parametrize(
+        "literal",
+        ["10", "20", "30", "40", "25", "inf", "-inf", "nan", "1e400"],
+    )
     def test_range_covers_exactly_matching_values(self, setup, op, literal):
         plan, encryption, cipher_of = setup
         ranges = translate_predicate(plan, op, literal, encryption)

@@ -8,12 +8,20 @@ from repro.core.encryptor import host_database
 from repro.core.integrity import TamperedResponseError
 from repro.core.scheme import build_scheme
 from repro.core.server import Fragment, Server, ServerResponse
+from repro.core.system import SecureXMLSystem
 from repro.crypto.keyring import ClientKeyring
 from repro.crypto.modes import cbc_encrypt
 from repro.obs import MetricsRegistry
+from repro.workloads.healthcare import (
+    build_healthcare_database,
+    healthcare_constraints,
+)
+from repro.workloads.nasa import build_nasa_database, nasa_constraints
+from repro.workloads.xmark import build_xmark_database, xmark_constraints
 from repro.xmldb.node import Attribute, Element, EncryptedBlockNode
 from repro.xmldb.parser import parse_fragment
-from repro.xmldb.serializer import serialize
+from repro.xmldb.serializer import BLOCK_OPEN, serialize
+from repro.xpath.evaluator import evaluate
 
 #: Reads of the process counter total.
 metrics = MetricsRegistry()
@@ -25,6 +33,35 @@ def stack(healthcare_doc, healthcare_scs):
     scheme = build_scheme(healthcare_doc, healthcare_scs, "opt")
     hosted = host_database(healthcare_doc, scheme, keyring)
     return hosted, Server(hosted), Client(keyring, hosted)
+
+
+NAIVE_DATASETS = {
+    "healthcare": (build_healthcare_database, healthcare_constraints),
+    "xmark-40": (lambda: build_xmark_database(40, seed=5), xmark_constraints),
+    "nasa-40": (lambda: build_nasa_database(40, seed=5), nasa_constraints),
+}
+
+
+@pytest.mark.parametrize("secure", [True, False], ids=["secure", "insecure"])
+@pytest.mark.parametrize("scheme", ["opt", "app", "sub", "top", "leaf"])
+@pytest.mark.parametrize("dataset", sorted(NAIVE_DATASETS))
+def test_the_naive_plan_ships_exactly_the_hosted_tree(dataset, scheme, secure):
+    """The §7.3 baseline is the residual plan: one fragment, at the
+    root, holding the serialized hosted tree — every block of it."""
+    build, constraints = NAIVE_DATASETS[dataset]
+    document = build()
+    system = SecureXMLSystem.host(
+        document, constraints(), scheme=scheme, secure=secure
+    )
+    whole = serialize(system.hosted.hosted_root)
+    response = system.server.answer(system.client.naive_plan("//*"))
+    assert response.fragments == [Fragment((), whole)]
+    assert response.blocks_shipped == whole.count(BLOCK_OPEN)
+    assert system.naive_query("//*").canonical() == sorted(
+        canonical_node(node) for node in evaluate(document, "//*")
+    )
+    assert system.last_trace.plan == "naive"
+    assert system.last_trace.blocks_returned == whole.count(BLOCK_OPEN)
 
 
 class TestServerFragments:
@@ -59,11 +96,10 @@ class TestServerFragments:
 
     def test_ship_all_is_whole_database(self, stack):
         hosted, server, client = stack
-        response = server.ship_all()
-        assert response.naive
+        response = server.answer(client.naive_plan("//*"))
         assert len(response.fragments) == 1
         assert response.fragments[0].ancestor_path == ()
-        assert response.size_bytes() >= server.hosted_size_bytes()
+        assert response.size_bytes() >= hosted.hosted_size_bytes()
 
     def test_fragment_size_accounts_path(self):
         fragment = Fragment(
@@ -276,7 +312,9 @@ class TestClientAssembly:
     def test_assemble_whole_document_fragment(self, stack):
         hosted, server, client = stack
         pruned = client.assemble(
-            client.decrypt_fragments(server.ship_all())
+            client.decrypt_fragments(
+                server.answer(client.naive_plan("//*"))
+            )
         )
         assert pruned.root.tag == "hospital"
         assert len(list(pruned.root.iter())) > 10

@@ -1,6 +1,5 @@
 """Tests for saving and loading hosted systems."""
 
-import hashlib
 import json
 import os
 import shutil
@@ -15,6 +14,7 @@ from repro.workloads.axes import AxisWorkload
 from repro.workloads.nasa import build_nasa_database
 from repro.xmldb.node import Element, Text
 from repro.xpath.evaluator import evaluate
+from test_storage_crash import reseal_manifest
 from updates_oracle import write_plaintext
 
 MASTER = b"storage-test-master-key-32bytes!"
@@ -213,10 +213,7 @@ def _write_marker(directory, name, version):
     meta = json.loads(path.read_text())
     meta["version"] = version
     path.write_text(json.dumps(meta))
-    manifest_path = Path(directory, "manifest.json")
-    manifest = json.loads(manifest_path.read_text())
-    manifest["files"][name] = hashlib.sha256(path.read_bytes()).hexdigest()
-    manifest_path.write_text(json.dumps(manifest))
+    reseal_manifest(directory)
 
 
 class TestParentFormatHosting:
@@ -336,6 +333,25 @@ class TestParentFormatHosting:
         assert sorted(reloaded.query("//SSN").values()) == [
             "111333", "276543", "999000",
         ]
+
+    def test_a_deleted_highest_block_id_is_never_handed_out_again(
+        self, tmp_path
+    ):
+        """A version-2 state has no block-id mark: it is seeded with the
+        largest id at load, not at the first insert after a delete."""
+        directory = str(tmp_path / "written")
+        shutil.copytree(WRITTEN_PARENT_FORMAT_HOSTING, directory)
+        loaded = load_system(directory, MASTER)
+        assert max(loaded.hosted.blocks) == 8  # the inserted measles
+        loaded.delete_element("//treat/disease[.='measles']")
+        assert 8 not in loaded.hosted.blocks
+        loaded.insert_element("//patient[pname='Betty']", "SSN", "999000")
+        assert max(loaded.hosted.blocks) == 9
+
+        resaved = str(tmp_path / "resaved")
+        save_system(loaded, resaved)
+        state = json.loads(Path(resaved, "client_state.json").read_text())
+        assert state["max_block_id"] == 9
 
     @pytest.mark.parametrize("version", [1, 4])
     @pytest.mark.parametrize(

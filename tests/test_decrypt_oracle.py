@@ -141,7 +141,7 @@ def test_every_shipped_fragment_decrypts_to_the_oracle_tree(
         system.server.answer(client.translate(query))
         for query in queries_for(dataset, document)
     ]
-    responses.append(system.server.ship_all())
+    responses.append(system.server.answer(client.naive_plan("//*")))
     shipped = 0
     for response in responses:
         xmls = [fragment.xml for fragment in response.fragments]
@@ -183,7 +183,9 @@ class TestRandomHostings:
                 assert "EncryptedData" not in text
                 assert text in originals
                 shape(tree)  # elements and text only
-        whole = client.decrypt_fragments(server.ship_all())
+        whole = client.decrypt_fragments(
+            server.answer(client.naive_plan("//*"))
+        )
         assert shape(whole[0][1]) == shape(document.root)
 
 
@@ -241,7 +243,7 @@ class TestSights:
             system.server.answer(client.translate(query))
             for query in queries(document)
         ]
-        responses.append(system.server.ship_all())
+        responses.append(system.server.answer(client.naive_plan("//*")))
         for response in responses:
             xmls = [fragment.xml for fragment in response.fragments]
             client.flush_caches()
@@ -742,7 +744,8 @@ HOSTILE_PATHS = {
 
 class _LyingServer:
     """Seals honest-looking responses around fragments it has damaged:
-    the first one's text, or (``repath``) every one's ancestor path."""
+    the first one's text, or (``repath``) every one's ancestor path when
+    it ships two or more (one fragment has no other to disagree with)."""
 
     def __init__(self, system, mutate=None, repath=None):
         self.lies = 0
@@ -756,7 +759,7 @@ class _LyingServer:
                 shipped[0] = Fragment(
                     first.ancestor_path, mutate(system, first.xml)
                 )
-            if repath is not None:
+            if repath is not None and len(shipped) >= 2:
                 shipped[:] = [
                     Fragment(path, fragment.xml)
                     for fragment, path in zip(
@@ -777,7 +780,6 @@ class TestLyingServer:
     )
     def test_query_falls_back_or_fails_typed(self, name):
         document = build_healthcare_database()
-        expected = sorted(canonical_node(n) for n in evaluate(document, self.QUERY))
         system = SecureXMLSystem.host(document, healthcare_constraints())
         liar = _LyingServer(system, HOSTILE[name][0])
         # Every attempt fails typed; running out of them is a typed
@@ -789,9 +791,11 @@ class TestLyingServer:
         # (The server's wire cache re-serves the one sealed lie.)
         assert metrics.counters_delta(before)["integrity_failures"] == 4
         assert liar.lies >= 1
-        # The explicit §7.3 baseline, which this server does not lie
-        # about, still answers exactly.
-        assert system.naive_query(self.QUERY).canonical() == expected
+        # The §7.3 baseline is a plan on the same exchange: the liar
+        # damages its one fragment too, and it fails just as typed.
+        with pytest.raises(QueryFailedError) as failed:
+            system.naive_query(self.QUERY)
+        assert isinstance(failed.value.__cause__, TamperedResponseError)
 
     @pytest.mark.parametrize("name", sorted(HOSTILE_PATHS))
     def test_hostile_ancestor_paths_fail_typed_too(self, name):
@@ -817,6 +821,8 @@ class TestLyingServer:
         assert isinstance(failed.value.__cause__, TamperedResponseError)
         assert metrics.counters_delta(before)["integrity_failures"] == 4
         assert liar.lies >= 2
+        # The naive plan ships one root fragment, which the liar leaves
+        # alone: the baseline still answers exactly.
         assert system.naive_query(query).canonical() == expected
 
     def test_remote_system_gets_the_same_typed_failure(self):
@@ -898,7 +904,8 @@ class TestAwkwardLeafValues:
         self._check(
             system, document, ["//secret", "//label", "//rec", "/root", "//rec/@note"]
         )
-        for _, tree in system.client.decrypt_fragments(system.server.ship_all()):
+        whole = system.server.answer(system.client.naive_plan("//*"))
+        for _, tree in system.client.decrypt_fragments(whole):
             assert shape(tree) == shape(document.root)
 
     @pytest.mark.parametrize("value", AWKWARD_VALUES)

@@ -10,8 +10,9 @@ pins them — so this is the same plaintext under a new hosting.
 
 The wire is pinned as two digests: every sealed request, and every sealed
 response.  Wire protocol 2 (fragments cross as an ancestor row table and
-a text column) re-pinned ``responses`` once; ``requests`` was taken at the
-commit before it and did not move.
+a text column) re-pinned ``responses`` once, and wire protocol 3 (no naive
+flag on a response) once more; ``requests`` was taken at the commit before
+protocol 2 and did not move.
 """
 
 import hashlib
@@ -39,7 +40,7 @@ PINNED = {
     "state_root": "5ed4aa5a947963b61935aacdd8d8747892b5aa197e1ef6bd0446eef617c2ea55",
     "hosted_root": "b01c0bf26c43d99138f0b7facea0220fd3c9046d589c48fadff9cfd5f5d4814c",
     "requests": "12003ea82c0fd378b2864b406d65cf2990afda1fb4ad6d01a7fefddd7f7a42fb",
-    "responses": "ba479e8fa6ea5b3091098029a43f735e27d8df89f4a56b2eb23efb8f411a9032",
+    "responses": "d87d2964caaefc0543961d4a5ae0c55229f4f903b8c07450de183ca9bf702fa7",
 }
 
 #: The same hosting under hosted format 2 (PRs 12–19), kept so the diff that
@@ -71,8 +72,15 @@ PINNED_INDEXES = {
         "value_index": "a95a605438707dc2c971f39d105d5f322a699ac23cdf265760ef130460c9848e",
         "dsi": "7b973653963c5e20f78ba6bf2e30f15bf419bd3c3327552aa72d0a729f1873a6",
         "requests": "b510d024d1f194e5dea5422eaaf35c57a696bb2d90c5bbd9b87ec7ee1d344059",
-        "responses": "b8b1cdc02d8d69d3f75eab49e79a8f7f82645c0dd63da7aa380999d2f4f9cf8c",
+        "responses": "2207f5e859e046f6aa4f89db834b8eac461839267ec90e7de10432fa5b2d918b",
     },
+}
+
+#: ``responses`` under wire protocol 2, whose response record carried an
+#: ``"n"`` (naive) column: the history of the ``responses`` pins above.
+PINNED_RESPONSES_V2 = {
+    "xmark-20": "ba479e8fa6ea5b3091098029a43f735e27d8df89f4a56b2eb23efb8f411a9032",
+    "nasa-20": "b8b1cdc02d8d69d3f75eab49e79a8f7f82645c0dd63da7aa380999d2f4f9cf8c",
 }
 
 #: Requests and responses hashed together under wire protocol 1, when a

@@ -144,8 +144,9 @@ class TestBlockTagsEndToEnd:
             hosted.blocks[first],
         )
         hosted.bump_epoch()  # server republishes its mutated state
-        with pytest.raises(TamperedResponseError):
+        with pytest.raises(QueryFailedError) as failed:
             system.naive_query("//SSN")
+        assert isinstance(failed.value.__cause__, TamperedResponseError)
 
     def test_server_side_bit_flip_detected(self, system):
         hosted = system.hosted
@@ -155,8 +156,9 @@ class TestBlockTagsEndToEnd:
         hosted.placeholders[block_id].payload = bytes(mutated)
         hosted.blocks[block_id] = bytes(mutated)
         hosted.bump_epoch()
-        with pytest.raises(TamperedResponseError):
+        with pytest.raises(QueryFailedError) as failed:
             system.naive_query("//SSN")
+        assert isinstance(failed.value.__cause__, TamperedResponseError)
 
     def test_a_hosting_with_no_blocks_refuses_a_shipped_block(
         self, healthcare_scs

@@ -6,7 +6,8 @@ fragment's parent row and ``x`` its text.  The properties:
 
 * any ``ServerResponse`` round-trips, including the shapes that interning
   rows could get wrong — an empty path, shared prefixes, the same
-  ``(tag, id)`` under two parents, non-ASCII tags and texts, naive ships;
+  ``(tag, id)`` under two parents, non-ASCII tags and texts, a whole-tree
+  ship;
 * every response the server gives for the three pinned plan corpora
   round-trips, and fragments under one parent share one path tuple;
 * untrusted bytes — arbitrary JSON values, and byte mutations of real
@@ -50,7 +51,6 @@ _responses = st.builds(
         st.builds(Fragment, ancestor_path=_paths, xml=st.text(max_size=20)),
         max_size=8,
     ),
-    naive=st.booleans(),
     blocks_shipped=st.integers(min_value=0),
     candidate_counts=st.dictionaries(st.text(max_size=8), st.integers()),
 )
@@ -61,7 +61,7 @@ _ROOT = (("site", 0),)
 @settings(max_examples=300, deadline=None)
 @given(_responses)
 @example(ServerResponse(fragments=[]))
-@example(ServerResponse(fragments=[Fragment((), "<site/>")], naive=True))
+@example(ServerResponse(fragments=[Fragment((), "<site/>")]))
 @example(  # shared prefixes: siblings, cousins, and a fragment at the root
     ServerResponse(
         fragments=[
@@ -120,7 +120,7 @@ def test_corpus_responses_round_trip(corpus):
         responses = [
             system.server.answer(system.client.translate(query))
             for query in queries
-        ] + [system.server.ship_all()]
+        ] + [system.server.answer(system.client.naive_plan("//*"))]
         for response in responses:
             decoded = decode_response(encode_response(response))
             assert decoded == response

@@ -297,10 +297,10 @@ class TestEndToEnd:
         )
         system.naive_query("//patient/SSN")
         trace = system.last_trace
-        assert trace.naive
+        assert trace.plan == "naive"
         root = trace.span
         assert root is not None
-        assert root.annotations.get("naive") is True
+        assert root.annotations.get("query") == "//patient/SSN"
         assert_reconciles(trace)
 
     def test_there_is_no_off_switch(self, healthcare_doc, healthcare_scs):

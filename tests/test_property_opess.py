@@ -84,6 +84,7 @@ class TestPlanProperties:
                 assert set(chunks) <= {plan.m - 1, plan.m, plan.m + 1}
 
     @given(_categorical_histograms, st.integers(0, 2**32))
+    @example({"nan": 1, "inf": 2}, 0)  # float() parses these words
     @settings(max_examples=30, deadline=None)
     def test_categorical_round_trip(self, histogram, seed):
         plan = build_field_plan("f", Counter(histogram), _stream(seed), _OPE)

@@ -120,8 +120,8 @@ class TestFailover:
     def test_direct_naive_query_fails_over(
         self, healthcare_doc, healthcare_scs, reference
     ):
-        """One try per replica, no budget: exact off the survivor, and
-        the last replica's own error when none survives."""
+        """The retry loop's rotation: exact off the survivor, and a
+        typed failure, the drop as its cause, when none survives."""
         system = host(healthcare_doc, healthcare_scs, [dead(), Channel()])
         assert (
             system.naive_query("//patient/SSN").canonical()
@@ -130,8 +130,9 @@ class TestFailover:
         assert system.last_trace.attempts == 2
         assert system.last_trace.drops == 1
         system = host(healthcare_doc, healthcare_scs, [dead(0), dead(1)])
-        with pytest.raises(TransferDropped):
+        with pytest.raises(QueryFailedError) as failed:
             system.naive_query("//patient/SSN")
+        assert isinstance(failed.value.__cause__, TransferDropped)
 
     def test_spans_reconcile_with_trace(self, healthcare_doc, healthcare_scs):
         system = host(healthcare_doc, healthcare_scs, [dead(), Channel()])

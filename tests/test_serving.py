@@ -171,7 +171,7 @@ class TestRemoteByteIdentity:
                 remote.naive_query(PROBE).canonical()
                 == reference.naive_query(PROBE).canonical()
             )
-            assert remote.last_trace.naive
+            assert remote.last_trace.plan == "naive"
         finally:
             remote.close()
 
@@ -186,7 +186,7 @@ class TestRemoteByteIdentity:
         try:
             hello = remote._connection.hello
             assert hello["tenant"] == "t0"
-            assert hello["protocol"] == PROTOCOL_VERSION == 2
+            assert hello["protocol"] == PROTOCOL_VERSION == 3
             assert hello["epoch"] == local.hosted.epoch
         finally:
             remote.close()
@@ -195,26 +195,28 @@ class TestRemoteByteIdentity:
 class TestProtocolVersion:
     """Both ends of the HELLO compare versions: a peer on another
     response format is refused typed at the handshake, never retried as
-    a tamper on its first answer."""
+    a tamper on its first answer.  Version 2 is the last one that had a
+    naive opcode and a naive flag on responses."""
 
     def test_front_door_refuses_another_version(self, served):
         _, (host, port), _ = served
-        with socket.create_connection((host, port), timeout=10) as sock:
-            hello = json.dumps({"tenant": "t0", "protocol": 99}).encode()
-            sock.sendall(encode_frame(0, OP_HELLO, hello))
-            buffer = b""
-            while True:
-                try:
-                    (rid, op, payload), _ = decode_frame(buffer)
-                    break
-                except ConnectionClosedError:
-                    chunk = sock.recv(4096)
-                    assert chunk, "front door closed without an answer"
-                    buffer += chunk
-        assert (rid, op) == (0, OP_ERROR)
-        refusal = decode_error(payload)
-        assert isinstance(refusal, ProtocolError)
-        assert "protocol 99" in str(refusal)
+        for version in (2, 99):
+            with socket.create_connection((host, port), timeout=10) as sock:
+                hello = {"tenant": "t0", "protocol": version}
+                sock.sendall(encode_frame(0, OP_HELLO, json.dumps(hello).encode()))
+                buffer = b""
+                while True:
+                    try:
+                        (rid, op, payload), _ = decode_frame(buffer)
+                        break
+                    except ConnectionClosedError:
+                        chunk = sock.recv(4096)
+                        assert chunk, "front door closed without an answer"
+                        buffer += chunk
+            assert (rid, op) == (0, OP_ERROR)
+            refusal = decode_error(payload)
+            assert isinstance(refusal, ProtocolError)
+            assert f"protocol {version}" in str(refusal)
 
     def test_client_refuses_a_hello_ok_of_another_version(
         self, served, monkeypatch
@@ -222,20 +224,21 @@ class TestProtocolVersion:
         server, (host, port), _ = served
         session = server.tenants["t0"]
         honest = session.hello
-        monkeypatch.setattr(
-            session, "hello", lambda: {**honest(), "protocol": 1}
-        )
-        with pytest.raises(ProtocolError, match="protocol 1"):
-            ServingConnection(host, port, "t0")
+        for version in (1, 2):
+            monkeypatch.setattr(
+                session, "hello", lambda: {**honest(), "protocol": version}
+            )
+            with pytest.raises(ProtocolError, match=f"protocol {version}"):
+                ServingConnection(host, port, "t0")
         monkeypatch.undo()
         ServingConnection(host, port, "t0").close()
 
 
 class TestRetiredOpcodes:
-    @pytest.mark.parametrize("opcode", [3, 6, 17, 18])
+    @pytest.mark.parametrize("opcode", [3, 4, 6, 17, 18])
     def test_typed_error_then_connection_still_serves(self, served, opcode):
-        """3/17/18 were QUERY_STREAM/CHUNK/END and 6 was FLUSH: now
-        unknown, not fatal."""
+        """3/17/18 were QUERY_STREAM/CHUNK/END, 4 was NAIVE and 6 was
+        FLUSH: now unknown, not fatal."""
         _, address, local = served
         remote = remote_system(local, address, "t0")
         try:

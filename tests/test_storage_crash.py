@@ -1,5 +1,6 @@
 """Crash-safety and corruption-detection tests for persisted hostings."""
 
+import hashlib
 import json
 import os
 
@@ -23,6 +24,20 @@ PROBE = "//patient[pname='Betty']/SSN"
 def disarm_crash_hook():
     yield
     set_crash_point(None)
+
+
+def reseal_manifest(directory):
+    """Re-list every file at its current digest, as a saver would: an
+    edit below the manifest then meets the load's deeper checks, not the
+    checksum gate."""
+    path = os.path.join(directory, "manifest.json")
+    with open(path) as f:
+        manifest = json.load(f)
+    for name in manifest["files"]:
+        with open(os.path.join(directory, name), "rb") as f:
+            manifest["files"][name] = hashlib.sha256(f.read()).hexdigest()
+    with open(path, "w") as f:
+        json.dump(manifest, f)
 
 
 @pytest.fixture
@@ -145,32 +160,31 @@ class TestCorruptionDetection:
 
     def test_invalid_json_wrapped_without_manifest(self, saved):
         """The load-path JSON errors surface as StorageError + path even
-        for a legacy hosting that has no manifest to fail first."""
-        os.remove(os.path.join(saved, "manifest.json"))
+        with no manifest digest to fail first."""
         path = os.path.join(saved, "server_meta.json")
         with open(path, "w") as f:
             f.write("{not json")
+        reseal_manifest(saved)
         with pytest.raises(StorageError) as excinfo:
             load_system(saved, MASTER)
         assert "server_meta.json" in str(excinfo.value)
         assert "JSON" in str(excinfo.value)
 
     def test_missing_key_wrapped_without_manifest(self, saved):
-        os.remove(os.path.join(saved, "manifest.json"))
         path = os.path.join(saved, "server_meta.json")
         with open(path) as f:
             meta = json.load(f)
         del meta["dsi"]
         with open(path, "w") as f:
             json.dump(meta, f)
+        reseal_manifest(saved)
         with pytest.raises(StorageError) as excinfo:
             load_system(saved, MASTER)
         assert "server_meta.json" in str(excinfo.value)
 
     @staticmethod
     def _rewrite_value_index(saved, rewrite):
-        """Edit one persisted value-index list in a manifest-less hosting."""
-        os.remove(os.path.join(saved, "manifest.json"))
+        """Edit one persisted value-index list, manifest resealed."""
         path = os.path.join(saved, "server_meta.json")
         with open(path) as f:
             meta = json.load(f)
@@ -178,6 +192,7 @@ class TestCorruptionDetection:
         rewrite(meta["value_index"][token])
         with open(path, "w") as f:
             json.dump(meta, f)
+        reseal_manifest(saved)
 
     def test_value_index_rows_load_in_saved_order(self, saved):
         """The untouched list loads: it is ``tree.items()``, key order."""
@@ -221,9 +236,9 @@ class TestCorruptionDetection:
         self, saved, hosted_xml
     ):
         """Deep nesting used to escape as RecursionError, untyped."""
-        os.remove(os.path.join(saved, "manifest.json"))
         with open(os.path.join(saved, "hosted.xml"), "w") as f:
             f.write(hosted_xml)
+        reseal_manifest(saved)
         with pytest.raises(StorageError) as excinfo:
             load_system(saved, MASTER)
         assert "hosted.xml" in str(excinfo.value)
@@ -285,9 +300,8 @@ class TestFreshnessPersistence:
         v1, _, _, _ = hosted_pair
         directory = str(tmp_path / "tamper")
         save_system(v1, directory)
-        # Remove the manifest so the whole-file checksum gate cannot fire
-        # first; the root check must stand on its own for legacy layouts.
-        os.remove(os.path.join(directory, "manifest.json"))
+        # Reseal the manifest so the whole-file checksum gate cannot fire
+        # first: the root check must stand on its own.
         path = os.path.join(directory, "client_state.json")
         with open(path) as f:
             state = json.load(f)
@@ -295,30 +309,32 @@ class TestFreshnessPersistence:
         state["state_root"] = "00" * 32
         with open(path, "w") as f:
             json.dump(state, f)
+        reseal_manifest(directory)
         with pytest.raises(StorageError) as excinfo:
             load_system(directory, MASTER)
         assert "client_state.json" in str(excinfo.value)
         assert "root mismatch" in str(excinfo.value)
 
-    def test_legacy_state_without_anchor_still_loads(
-        self, tmp_path, hosted_pair
+    @pytest.mark.parametrize("stripped", ["state_root", "epoch", "manifest.json"])
+    def test_a_stripped_anchor_or_manifest_fails_typed(
+        self, tmp_path, hosted_pair, stripped
     ):
-        """Pre-freshness saves (no epoch/state_root keys) load at epoch 0
-        with the root recomputed from the stored tags."""
-        v1, _, v1_answer, _ = hosted_pair
-        directory = str(tmp_path / "legacy")
-        save_system(v1, directory)
-        os.remove(os.path.join(directory, "manifest.json"))
+        """Every loadable directory carries both: one without is refused
+        by name, never loaded unchecked at epoch 0."""
+        directory = str(tmp_path / "stripped")
+        save_system(hosted_pair[0], directory)
         path = os.path.join(directory, "client_state.json")
-        with open(path) as f:
-            state = json.load(f)
-        del state["state_root"]
-        del state["epoch"]
-        with open(path, "w") as f:
-            json.dump(state, f)
-        loaded = load_system(directory, MASTER)
-        assert loaded.hosted.epoch == 0
-        assert loaded.query(PROBE).values() == v1_answer
+        if stripped == "manifest.json":
+            os.remove(os.path.join(directory, stripped))
+        else:
+            with open(path) as f:
+                state = json.load(f)
+            del state[stripped]
+            with open(path, "w") as f:
+                json.dump(state, f)
+            reseal_manifest(directory)
+        with pytest.raises(StorageError, match=stripped):
+            load_system(directory, MASTER)
 
 
 class TestCliDiagnostics:
