@@ -7,7 +7,9 @@ The client owns the master key and the OPESS plans.  Its two runtime jobs:
   into ciphertext key ranges (Figure 7);
 * **post-process** the server's fragments — decrypt blocks, strip decoys,
   rebuild a pruned document in the original shape, and re-run the original
-  query on it, which restores exactness (``Q(δ(Qs(η(D)))) = Q(D)``).
+  query on it, which restores exactness (``Q(δ(Qs(η(D)))) = Q(D)``).  A
+  verified response that comes back for the same query is answered from
+  copies of the answer nodes instead (:meth:`Client.finish`).
 """
 
 from __future__ import annotations
@@ -49,10 +51,16 @@ from repro.xpath.plan import QueryPlan, plan_query
 
 @dataclass
 class QueryAnswer:
-    """The final, exact answer to a query."""
+    """The final, exact answer to a query.
+
+    ``nodes`` are subtrees the caller owns: no other caller holds them,
+    so mutating one changes no later answer.  What lies above an answer
+    node is not part of the answer — one handed out by the client's
+    answer memo has no ``parent``, and nested answers come back as
+    independent copies.
+    """
 
     nodes: list[Node]
-    pruned_document: Document
 
     def canonical(self) -> list[str]:
         """Order-insensitive canonical form, for comparing answer sets."""
@@ -94,6 +102,8 @@ class Client:
     Verified payloads, block plaintexts and decrypted trees outlive a
     commit that did not rewrite their blocks — judged by the owner's own
     ``block_tags`` / ``block_stamps``, never by anything a server sent.
+    The answer memo does not: an answer is a function of the verified
+    response it came from, which no other epoch verifies.
     """
 
     def __init__(
@@ -148,6 +158,9 @@ class Client:
         #: fragment text → (pristine decrypted tree, ids of its blocks) —
         #: or, for a text shipped once so far, (spliced plaintext, ids)
         self._tree_cache = cache(survives=tree_unwritten)
+        #: (verified sealed response, XPath) → detached copies of the
+        #: answer nodes — or, for a pair answered once so far, ``_SEEN``
+        self._answer_memo = cache(bounded=True)
 
     # ------------------------------------------------------------------
     # Query translation (§6.1)
@@ -585,8 +598,70 @@ class Client:
         pruned: Document,
     ) -> QueryAnswer:
         """Apply the original query to the pruned plaintext document."""
-        nodes = evaluate(pruned, query)
-        return QueryAnswer(nodes=nodes, pruned_document=pruned)
+        return QueryAnswer(evaluate(pruned, query))
+
+    def finish(
+        self,
+        sealed: bytes,
+        xpath: str,
+        query: ast.LocationPath,
+        response: ServerResponse,
+    ) -> QueryAnswer:
+        """The answer to ``xpath`` on ``response``, which ``sealed``
+        verified into at the live epoch: decrypt, assemble and evaluate —
+        or fresh copies of the answer memoised for the pair.
+
+        The answer is a function of the verified response and the query,
+        so the memo is keyed by the two and consulted only here, after
+        :meth:`open_response`: every read still crosses the wire and
+        verifies.  It keeps the answer nodes alone, never the pruned
+        document, and follows the tree cache's sights:
+
+        * first sight of a pair: the full pass, and the memo records only
+          that the pair was seen (nothing copied);
+        * second sight: the full pass, then detached copies of the answer
+          nodes are kept;
+        * from then on: a clone of each kept copy, inside the
+          ``postprocess`` span — no decrypt, assemble or evaluate.
+
+        Whatever a caller is handed is its own, so no caller's edits
+        reach the memo or another caller.  A key names a blob that
+        verifies at one epoch only, so no other epoch reaches its entry.
+        """
+        epoch = self._hosted.epoch  # read first: the entry is as of it
+        key = (sealed, xpath)
+        stored = self._answer_memo.live().get(key)
+        if stored.__class__ is tuple:
+            count("answer_memo_hits")
+            with span("postprocess"):
+                return QueryAnswer([node.clone() for node in stored])
+        count("answer_memo_misses")
+        with span("decrypt"):
+            decrypted = self.decrypt_fragments(response)
+        with span("postprocess"):
+            with span("assemble"):
+                pruned = self.assemble(decrypted)
+            with span("evaluate"):
+                answer = self.post_process(query, pruned)
+            self._answer_memo.store(
+                key, _SEEN if stored is None else _detach(answer.nodes), epoch
+            )
+        return answer
+
+
+def _detach(nodes: "list[Node]") -> "tuple[Node, ...]":
+    """Parentless copies of answer nodes; a nested answer is the copy of
+    itself inside its ancestor's, so each node is copied once."""
+    copies: "dict[int, Node]" = {}
+    detached = []
+    for node in nodes:
+        copy = copies.get(id(node))
+        detached.append(node.clone(copies) if copy is None else copy)
+    return tuple(detached)
+
+
+#: What the answer memo holds for a pair answered once: no copies.
+_SEEN = "seen"
 
 
 def _parse_spliced(text: str) -> Element:

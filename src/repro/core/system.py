@@ -474,9 +474,9 @@ class SecureXMLSystem:
                     request = self.client.seal_request(
                         translated, cache_key=request_key
                     )
-                response = self._exchange(channel, request, server)
+                sealed, response = self._exchange(channel, request, server)
                 trace.candidate_counts = response.candidate_counts
-                return self._finish(translated.path, response, trace)
+                return self._finish(translated.path, sealed, response, trace)
             except _RETRYABLE as exc:
                 attempt.annotate(error=type(exc).__name__)
                 raise
@@ -681,8 +681,9 @@ class SecureXMLSystem:
 
     def _exchange(
         self, channel: Channel, request: bytes, server: Server
-    ) -> ServerResponse:
-        """One sealed request/response round trip with one replica.
+    ) -> tuple[bytes, ServerResponse]:
+        """One sealed request/response round trip with one replica: the
+        sealed response and what it verified into.
 
         ``server.answer_wire`` takes sealed bytes and returns sealed
         bytes.  A refusal it raises was detected by the server and is
@@ -702,15 +703,18 @@ class SecureXMLSystem:
             response = self.client.open_response(sealed)
         if len(self._active) < len(self._replicas):
             self._readmit_demoted()
-        return response
+        return sealed, response
 
     def _finish(
         self,
         query: ast.LocationPath,
+        sealed: bytes,
         response: ServerResponse,
         trace: QueryTrace,
     ) -> QueryAnswer:
-        """Decrypt, assemble and re-evaluate — the client's §6.4 half.
+        """Decrypt, assemble and re-evaluate — the client's §6.4 half,
+        or its answer memo once the verified response has come back
+        (:meth:`Client.finish`).
 
         ``query`` is the plan's parsed path, so a read parses its XPath
         once, at translation.
@@ -718,13 +722,7 @@ class SecureXMLSystem:
         trace.blocks_returned = response.blocks_shipped
         trace.fragments_returned = len(response.fragments)
         trace.transfer_bytes = response.size_bytes()
-        with span("decrypt"):
-            decrypted = self.client.decrypt_fragments(response)
-        with span("postprocess"):
-            with span("assemble"):
-                pruned = self.client.assemble(decrypted)
-            with span("evaluate"):
-                answer = self.client.post_process(query, pruned)
+        answer = self.client.finish(sealed, trace.query, query, response)
         trace.answer_count = len(answer)
         return answer
 

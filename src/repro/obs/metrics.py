@@ -62,6 +62,12 @@ COUNTERS: dict[str, str] = {
     "tree_cache_misses": "Shipped fragments the client parsed afresh.",
     "interval_cache_hits": "Descendant joins that reused a tag's sorted lows.",
     "interval_cache_misses": "Descendant joins that sorted a tag's lows.",
+    # Not ``*_cache_*`` (no hit-rate layer): a pair's first two sights
+    # miss by design.
+    "answer_memo_hits": "Reads answered with copies of a memoised answer.",
+    "answer_memo_misses": (
+        "Reads that decrypted, assembled and evaluated their response."
+    ),
     "epoch_invalidations": "Commits that moved the hosted epoch.",
     "opess_replans_carried": (
         "Write re-plans of an OPESS field that reused the old plan's draws."

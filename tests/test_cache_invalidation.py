@@ -649,7 +649,7 @@ class TestFlushCaches:
             ("Client", "_translator_cache"), ("Client", "_plan_cache"),
             ("Client", "_request_cache"), ("Client", "_response_cache"),
             ("Client", "_verified_payloads"), ("Client", "_block_cache"),
-            ("Client", "_tree_cache"),
+            ("Client", "_tree_cache"), ("Client", "_answer_memo"),
             *[
                 ("Server", "_fragment_cache"), ("Server", "_wire_cache"),
                 ("Server", "_universe_cache"),
@@ -661,6 +661,11 @@ class TestFlushCaches:
         # flushed like a tree.
         sighted = system.client._tree_cache.live().values()
         assert {type(entry[0]) for entry in sighted} == {str}
+        # Likewise the answer memo: the pair's first sight, no copies.
+        assert all(
+            entry.__class__ is not tuple
+            for entry in system.client._answer_memo.live().values()
+        )
 
         system.flush_caches()
         for owner in owners:

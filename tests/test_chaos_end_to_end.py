@@ -13,13 +13,13 @@ import os
 import pytest
 
 from repro.core.client import canonical_node
-from repro.core.integrity import TamperedResponseError
+from repro.core.integrity import RollbackDetectedError, TamperedResponseError
 from repro.core.system import (
     QueryFailedError,
     RetryPolicy,
     SecureXMLSystem,
 )
-from fault_channel import FaultPolicy, FaultyChannel
+from fault_channel import FaultPolicy, FaultRates, FaultyChannel
 from repro.obs import MetricsRegistry
 from repro.xpath.evaluator import evaluate
 
@@ -75,21 +75,46 @@ class TestFaultSweep:
         system = host_with_faults(healthcare_doc, healthcare_scs, policy)
         answered = 0
         # The §7.3 baseline crosses the same faulty exchange as a
-        # planned read, and owes the same outcome.
+        # planned read, and owes the same outcome.  Three reads in a row:
+        # a response that comes back verified a third time is answered
+        # from the client's answer memo, and owes the same outcome too.
         for query in QUERIES:
             for read in (system.query, system.naive_query):
-                try:
-                    answer = read(query)
-                except QueryFailedError:
-                    continue  # typed failure is an allowed outcome
-                answered += 1
-                assert answer.canonical() == expected_answer(
-                    healthcare_doc, query
-                ), (seed, rates, query, read.__name__)
+                for sight in range(3):
+                    try:
+                        answer = read(query)
+                    except QueryFailedError:
+                        continue  # typed failure is an allowed outcome
+                    answered += 1
+                    assert answer.canonical() == expected_answer(
+                        healthcare_doc, query
+                    ), (seed, rates, query, read.__name__, sight)
         # The retry layer must be doing real work: across the sweep the
         # rates are high enough that a no-retry pipeline could not answer
         # everything cleanly, yet most queries should still succeed.
         assert answered >= 1
+
+    def test_a_replayed_pre_write_response_is_refused_not_recalled(
+        self, healthcare_doc, healthcare_scs
+    ):
+        """The memo is consulted only after verification: the third read
+        gets the exact pre-write bytes the memo's copies were keyed by,
+        and is refused typed on every attempt."""
+        policy = FaultPolicy(server_to_client=FaultRates(rollback=1.0))
+        system = host_with_faults(healthcare_doc, healthcare_scs, policy)
+        query = "//patient/pname"
+        for _ in range(2):  # the second sight keeps the answer's copies
+            assert system.query(query).values() == ["Betty", "Matt"]
+        system.update_value("//patient[pname='Matt']/pname", "Matthew")
+        before = metrics.counter_values()
+        with pytest.raises(QueryFailedError) as failure:
+            system.query(query)
+        assert isinstance(failure.value.__cause__, RollbackDetectedError)
+        delta = metrics.counters_delta(before)
+        assert delta["faults_rolled_back"] == delta["rollback_detected"] > 0
+        assert delta["answer_memo_hits"] == delta["answer_memo_misses"] == 0
+        system.channel.resync()  # the replica catches up
+        assert system.query(query).values() == ["Betty", "Matthew"]
 
     def test_faultless_faulty_channel_is_transparent(
         self, healthcare_doc, healthcare_scs

@@ -379,11 +379,6 @@ class TestQueryAnswer:
 
     def test_values_skips_non_leaves(self):
         root = parse_fragment("<a><b>v</b><c><d>w</d></c></a>")
-        from repro.xmldb.node import Document
-
-        answer = QueryAnswer(
-            nodes=[root, root.children[0]],
-            pruned_document=Document(root.clone()),
-        )
+        answer = QueryAnswer(nodes=[root, root.children[0]])
         assert answer.values() == ["v"]  # root has no text value
         assert len(answer) == 2
