@@ -82,8 +82,8 @@ class FreshnessError(IntegrityError):
     Carries the authenticated ``observed_epoch`` from the envelope and
     the verifier's ``expected_epoch`` so callers (and error messages)
     can report the exact lag.  Subclassing :class:`IntegrityError` makes
-    freshness failures retryable under the existing ``RetryPolicy`` and
-    replica-failover budgets with no changes to those layers.
+    freshness failures retryable under the existing ``RetryPolicy``
+    budget with no changes to that layer.
     """
 
     def __init__(

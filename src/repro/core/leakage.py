@@ -95,12 +95,11 @@ class TraceRecorder:
 class LeakageContext:
     """Per-system countermeasure state: the cover stream and its lock.
 
-    One context is shared by every replica of the server, which draw
-    from one advancing stream, so decoy draws are fresh per query (a
-    repeated query does *not* repeat its decoys — per-request
-    determinism would let the observer match repeats by set equality)
-    while remaining replay-identical across runs under one key, because
-    the call sequence is identical.
+    Every query draws from one advancing stream, so decoy draws are
+    fresh per query (a repeated query does *not* repeat its decoys —
+    per-request determinism would let the observer match repeats by set
+    equality) while remaining replay-identical across runs under one
+    key, because the call sequence is identical.
     """
 
     def __init__(self, stream: DeterministicRandom) -> None:

@@ -138,9 +138,8 @@ class Server:
         #: lock); this lock only has to make the check-epoch +
         #: cache-access sequences atomic.
         self._cache_lock = threading.RLock()
-        #: Access-pattern leakage tier, shared by the owning system's
-        #: replicas; ``None`` (the default) keeps the evaluated path
-        #: untouched.
+        #: Access-pattern leakage tier, set by the owning system;
+        #: ``None`` (the default) keeps the evaluated path untouched.
         self.leakage: "LeakageContext | None" = None
 
     def flush_caches(self) -> None:

@@ -148,11 +148,12 @@ def _sha256_hex(data: bytes) -> str:
 
 
 def _file_digest(path: str) -> str | None:
-    """SHA-256 of a file, or None when it is absent/unreadable."""
+    """SHA-256 of a file, or None when it is absent/unreadable (or its
+    name cannot be opened at all)."""
     try:
         with open(path, "rb") as f:
             return _sha256_hex(f.read())
-    except OSError:
+    except (OSError, ValueError):
         return None
 
 
@@ -297,8 +298,8 @@ def _recover(directory: str) -> None:
     try:
         with open(staged_manifest, "rb") as f:
             manifest = json.loads(f.read().decode("utf-8"))
-        files = dict(manifest["files"])
-    except (ValueError, KeyError, TypeError, OSError):
+        files = _manifest_files(manifest, staged_manifest)
+    except (ValueError, OSError, RecursionError):
         # The save died while writing the staged manifest itself; the old
         # generation is untouched and authoritative.
         _discard_staged(directory)
@@ -338,15 +339,34 @@ def _remove_quietly(path: str) -> None:
         pass
 
 
+def _manifest_files(manifest: object, path: str) -> dict[str, str]:
+    """A manifest's ``files``: a JSON object of file name → digest that
+    lists every data file (and may list more), else StorageError.  A name
+    is a plain file name of the hosting directory: the load hashes it and
+    recovery renames it, so nothing outside the directory is touched."""
+    files = manifest.get("files") if isinstance(manifest, dict) else None
+    if not isinstance(files, dict) or not all(
+        isinstance(digest, str)
+        and os.path.basename(name) == name
+        and name not in ("", ".", "..")
+        for name, digest in files.items()
+    ):
+        raise StorageError(
+            path, "malformed manifest ('files' must map file names to digests)"
+        )
+    unlisted = [name for name in _DATA_FILES if name not in files]
+    if unlisted:
+        raise StorageError(
+            path, f"manifest lists no digest for {', '.join(unlisted)}"
+        )
+    return files
+
+
 def _verify_manifest(directory: str) -> None:
     """Check every file against the manifest; raise StorageError if bad
     (a missing manifest included)."""
     manifest_path = os.path.join(directory, _MANIFEST)
-    manifest = _read_json(manifest_path)
-    try:
-        files = dict(manifest["files"])
-    except (KeyError, TypeError) as exc:
-        raise StorageError(manifest_path, "malformed manifest") from exc
+    files = _manifest_files(_read_json(manifest_path), manifest_path)
     for name, digest in files.items():
         path = os.path.join(directory, name)
         actual = _file_digest(path)
@@ -376,6 +396,8 @@ def _read_json(path: str) -> dict:
         decoded = json.loads(text)
     except json.JSONDecodeError as exc:
         raise StorageError(path, f"invalid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise StorageError(path, "JSON nested too deeply") from exc
     if not isinstance(decoded, dict):
         raise StorageError(path, "expected a JSON object")
     return decoded
@@ -685,7 +707,7 @@ def load_system(
         server=Server(hosted, session_keys=keyring.session_keys()),
         hosted=hosted,
         scheme=scheme,
-        channel=channel or Channel(),
+        channel=Channel() if channel is None else channel,
         hosting_trace=hosting_trace,
         keyring=keyring,
         retry_policy=retry_policy,

@@ -16,12 +16,12 @@ import random
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 from repro.core.client import NAIVE_REQUEST, Client, QueryAnswer
 from repro.core.constraints import SecurityConstraint
 from repro.core.encryptor import HostedDatabase, host_database
-from repro.core.integrity import FreshnessError, IntegrityError, count_failure
+from repro.core.integrity import IntegrityError, count_failure
 from repro.core.leakage import LeakageContext
 from repro.core.scheme import EncryptionScheme, build_scheme
 from repro.core.server import Server, ServerResponse
@@ -193,7 +193,7 @@ class SecureXMLSystem:
         server: Server,
         hosted: HostedDatabase,
         scheme: EncryptionScheme,
-        channel: "Channel | Sequence[Channel]",
+        channel: Channel,
         hosting_trace: HostingTrace,
         keyring: ClientKeyring,
         retry_policy: RetryPolicy | None = None,
@@ -203,23 +203,13 @@ class SecureXMLSystem:
         self.client = client
         self.hosted = hosted
         self.scheme = scheme
-        # One server, reached over one channel per replica: ``server``
-        # answers on the first, a further ``Server`` over the same hosted
-        # database on each of the others.  ``self.server`` /
-        # ``self.channel`` are replica 0 — the whole list for every
-        # caller that passes one channel.
-        channels = [channel] if isinstance(channel, Channel) else list(channel)
-        servers = [server] + [
-            Server(hosted, session_keys=keyring.session_keys())
-            for _ in channels[1:]
-        ]
-        self._replicas: list[tuple[Server, Channel]] = list(
-            zip(servers, channels)
-        )
-        self.server, self.channel = self._replicas[0]
-        #: Replicas the attempts rotate over: all of them, less any
-        #: benched for serving stale state (see :meth:`_demote`).
-        self._active = list(range(len(self._replicas)))
+        # One server, reached over one channel (paper §3, Fig. 1).
+        if not isinstance(channel, Channel):
+            raise TypeError(
+                f"channel must be a Channel, not {type(channel).__name__}"
+            )
+        self.server = server
+        self.channel = channel
         self.hosting_trace = hosting_trace
         self.last_trace: QueryTrace | None = None
         self.last_batch_traces: list[QueryTrace] = []
@@ -227,12 +217,12 @@ class SecureXMLSystem:
         self._backoff_rng = random.Random(self.retry_policy.seed)
         self._keyring = keyring
         # Finished query roots are recorded here; spans and counts need
-        # no handle (they land on the thread's open span).  The servers
-        # hold it for the leakage histogram, recorded with no root open.
+        # no handle (they land on the thread's open span).  The server
+        # holds it for the leakage histogram, recorded with no root open.
         self._obs = Observability.coerce(observability)
-        # Access-pattern leakage tier (see repro.core.leakage): one
-        # context shared by every replica, so they draw from one cover
-        # stream.  Off leaves every path exactly as before.
+        # Access-pattern leakage tier (see repro.core.leakage), drawn
+        # from the keyring's cover stream.  Off leaves every path exactly
+        # as before.
         if not isinstance(leakage, bool):
             raise TypeError(
                 f"leakage must be a bool, not {type(leakage).__name__}"
@@ -240,9 +230,8 @@ class SecureXMLSystem:
         self.leakage = (
             LeakageContext(keyring.cover_stream()) if leakage else None
         )
-        for replica_server, _channel in self._replicas:
-            replica_server._obs = self._obs
-            replica_server.leakage = self.leakage
+        server._obs = self._obs
+        server.leakage = self.leakage
 
     # ------------------------------------------------------------------
     # Hosting
@@ -254,7 +243,7 @@ class SecureXMLSystem:
         constraints: list[SecurityConstraint],
         scheme: "str | EncryptionScheme" = "opt",
         master_key: bytes = _DEFAULT_MASTER_KEY,
-        channel: "Channel | Sequence[Channel] | None" = None,
+        channel: Channel | None = None,
         secure: bool = True,
         retry_policy: RetryPolicy | None = None,
         observability: Observability | None = None,
@@ -273,12 +262,8 @@ class SecureXMLSystem:
         queries are recorded into: ``None`` builds one, an existing
         :class:`~repro.obs.Observability` is shared.
 
-        ``channel`` is the modelled wire to the server — or a sequence
-        of them, one per *replica* of the server: the retry loop rotates
-        over the replicas, benches one caught serving stale state while
-        a peer remains, and resyncs it off the first fresh answer (see
-        ``docs/PROTOCOL.md``, "Replication & failover").  With one
-        channel none of that machinery ever runs.
+        ``channel`` is the modelled wire to the server: default
+        accounting-only, or a test's fault-injecting subclass.
 
         ``leakage=True`` turns the access-pattern countermeasures on
         (see :mod:`repro.core.leakage`): decoy and padding fetches in
@@ -314,7 +299,7 @@ class SecureXMLSystem:
             server=Server(hosted, session_keys=keyring.session_keys()),
             hosted=hosted,
             scheme=scheme_obj,
-            channel=channel or Channel(),
+            channel=Channel() if channel is None else channel,
             hosting_trace=hosting_trace,
             keyring=keyring,
             retry_policy=retry_policy,
@@ -335,8 +320,7 @@ class SecureXMLSystem:
         its field from the plan it replaces.
         """
         self.client.flush_caches()
-        for server, _channel in self._replicas:
-            server.flush_caches()
+        self.server.flush_caches()
 
     @property
     def keyring(self) -> ClientKeyring:
@@ -396,7 +380,6 @@ class SecureXMLSystem:
             policy = self.retry_policy
             started_wall = time.perf_counter()
             last_error: Exception | None = None
-            replica = 0
             for attempt in range(policy.max_attempts):
                 # Every attempt seals a plan made under the epoch it runs
                 # at: the commit that failed the last one re-planned a
@@ -406,23 +389,15 @@ class SecureXMLSystem:
                     translated = plan(xpath)
                 trace.plan = translated.plan_kind
                 trace.fallback_reason = translated.plan_reason
-                replica = self._pre_attempt(
-                    attempt, trace, started_wall, policy
-                )
+                self._pre_attempt(attempt, trace, started_wall, policy)
                 try:
-                    return self._attempt(
-                        translated, request_key, trace, replica
-                    )
+                    return self._attempt(translated, request_key, trace)
                 except _RETRYABLE as exc:
-                    # Bench a replica caught serving stale state (the
-                    # failure was counted where it was detected).
-                    if isinstance(exc, FreshnessError):
-                        self._demote(replica, exc)
                     last_error = exc
             count("queries_failed")
             raise QueryFailedError(
                 f"query failed after {trace.attempts} attempts "
-                f"({self._failure_detail(trace, last_error, replica)}): "
+                f"({self._failure_detail(trace, last_error)}): "
                 f"{last_error}"
             ) from last_error
 
@@ -458,23 +433,19 @@ class SecureXMLSystem:
         translated: TranslatedQuery,
         request_key: "str | tuple",
         trace: QueryTrace,
-        replica: int,
     ) -> QueryAnswer:
-        """One sealed exchange with one replica, then the finish: a
-        concurrent write or a lying server can fail either.
+        """One sealed exchange, then the finish: a concurrent write or a
+        lying server can fail either.
 
         A failure marks the ``attempt`` span with its error type.
         """
-        server, channel = self._replicas[replica]
-        with span(
-            "attempt", number=trace.attempts, replica=replica
-        ) as attempt:
+        with span("attempt", number=trace.attempts) as attempt:
             try:
                 with span("seal"):
                     request = self.client.seal_request(
                         translated, cache_key=request_key
                     )
-                sealed, response = self._exchange(channel, request, server)
+                sealed, response = self._exchange(request)
                 trace.candidate_counts = response.candidate_counts
                 return self._finish(translated.path, sealed, response, trace)
             except _RETRYABLE as exc:
@@ -490,14 +461,12 @@ class SecureXMLSystem:
         trace: QueryTrace,
         started_wall: float,
         policy: RetryPolicy,
-    ) -> int:
+    ) -> None:
         """Apply backoff before a retry and enforce the per-query deadline.
 
         The deadline covers real client/server CPU time plus the modelled
         wire and backoff time accumulated so far, so a hung-wire scenario
-        fails fast instead of wedging the caller.  Returns the replica
-        this attempt goes to: the query's attempts rotate over the
-        replicas still in the rotation.
+        fails fast instead of wedging the caller.
         """
         if attempt > 0:
             count("query_retries")
@@ -516,54 +485,16 @@ class SecureXMLSystem:
                 f"query deadline of {policy.deadline_s}s exceeded after "
                 f"{trace.attempts} attempts"
             )
-        active = self._active
-        replica = active[trace.attempts % len(active)]
         trace.attempts += 1
-        return replica
-
-    def _demote(self, replica: int, exc: FreshnessError) -> None:
-        """Bench a replica that served stale state — while a peer remains.
-
-        A retry against the same replica can never get past one pinned at
-        an old epoch, so it leaves the rotation until a peer has answered
-        fresh (:meth:`_readmit_demoted`).  The last replica standing is
-        never benched: with one replica nothing here ever runs.  The
-        rotation is replaced, never mutated, so a concurrent query that
-        already benched this replica (or is indexing the old list) is safe.
-        """
-        active = self._active
-        if replica not in active or len(active) < 2:
-            return
-        self._active = [index for index in active if index != replica]
-        count("replica_demotions")
-        self._obs.metrics.observe("replica_epoch_lag", float(exc.epoch_lag))
-
-    def _readmit_demoted(self) -> None:
-        """Resync benched replicas off a verified-fresh answer.
-
-        Each one's server caches are flushed (nothing sealed at the old
-        epoch survives) and its channel's recorded snapshots cleared (the
-        modelled replica has caught up); only then does it rejoin.
-        """
-        for index, (server, channel) in enumerate(self._replicas):
-            if index in self._active:
-                continue
-            server.flush_caches()
-            resync = getattr(channel, "resync", None)
-            if resync is not None:
-                resync()
-            count("replica_resyncs")
-        self._active = list(range(len(self._replicas)))
 
     def _failure_detail(
-        self, trace: QueryTrace, last_error: Exception | None, replica: int
+        self, trace: QueryTrace, last_error: Exception | None
     ) -> str:
         """One-line diagnosis for QueryFailedError messages.
 
-        Names the last error type and — when the channel of the replica
-        that failed last is a fault injector — the last fault kind it
-        applied, so a chaos-suite failure is attributable from the error
-        text alone.
+        Names the last error type and — when the channel is a fault
+        injector — the last fault kind it applied, so a chaos-suite
+        failure is attributable from the error text alone.
         """
         detail = (
             f"{trace.integrity_failures} integrity failures "
@@ -571,7 +502,7 @@ class SecureXMLSystem:
         )
         if last_error is not None:
             detail += f", last error {type(last_error).__name__}"
-        kind = getattr(self._replicas[replica][1], "last_fault_kind", None)
+        kind = getattr(self.channel, "last_fault_kind", None)
         if kind is not None:
             detail += f", last fault {kind}"
         return detail
@@ -679,30 +610,25 @@ class SecureXMLSystem:
         entry = engine.resolve_single(self.client.translate(xpath))
         engine.update_value(entry, new_value)
 
-    def _exchange(
-        self, channel: Channel, request: bytes, server: Server
-    ) -> tuple[bytes, ServerResponse]:
-        """One sealed request/response round trip with one replica: the
-        sealed response and what it verified into.
+    def _exchange(self, request: bytes) -> tuple[bytes, ServerResponse]:
+        """One sealed request/response round trip: the sealed response
+        and what it verified into.
 
         ``server.answer_wire`` takes sealed bytes and returns sealed
         bytes.  A refusal it raises was detected by the server and is
-        counted here, where it reaches us.  A response that verifies is
-        fresh by construction, which is what lets benched replicas
-        resync off it.
+        counted here, where it reaches us.
         """
+        channel = self.channel
         request, _ = channel.transfer("client->server", "query", request)
         with span("server"):
             try:
-                sealed = server.answer_wire(request)
+                sealed = self.server.answer_wire(request)
             except IntegrityError as exc:
                 count_failure(exc)
                 raise
         sealed, _ = channel.transfer("server->client", "answer", sealed)
         with span("verify"):
             response = self.client.open_response(sealed)
-        if len(self._active) < len(self._replicas):
-            self._readmit_demoted()
         return sealed, response
 
     def _finish(

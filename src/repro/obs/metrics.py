@@ -92,8 +92,6 @@ COUNTERS: dict[str, str] = {
         "Freshness failures whose authenticated epoch was older than ours."
     ),
     "queries_failed": "Queries that ran out of attempts or deadline.",
-    "replica_demotions": "Replicas benched for serving stale state.",
-    "replica_resyncs": "Benched replicas resynced and re-admitted.",
     "serving_connections": "Socket connections accepted.",
     "serving_requests": "Socket requests admitted.",
     "serving_updates": "Sealed update commands applied over the socket.",
@@ -121,10 +119,6 @@ HISTOGRAMS: dict[str, str] = {
     "chunk_decrypt_seconds": "Decrypt+parse time of one batch of fragments that had no cached tree.",
     "retry_backoff_seconds": "Modelled backoff before each query retry.",
     "transfer_seconds": "Modelled wire time per channel transfer.",
-    # Unitless lag (commits, not seconds) — recorded when a replica is
-    # demoted for serving stale state, so the distribution shows how far
-    # behind stale replicas were when caught.
-    "replica_epoch_lag": "Commit-epoch lag of a replica demoted for staleness.",
     "serving_request_seconds": (
         "Socket request latency: admission to last response frame."
     ),

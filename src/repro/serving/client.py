@@ -298,7 +298,7 @@ def remote_system(
         server=connection,
         hosted=local.hosted,
         scheme=local.scheme,
-        channel=channel or Channel(),
+        channel=Channel() if channel is None else channel,
         hosting_trace=local.hosting_trace,
         keyring=local.keyring,
         retry_policy=local.retry_policy,

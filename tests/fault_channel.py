@@ -1,8 +1,8 @@
 """Deterministic fault injection for the modelled channel (chaos tests).
 
 A test double: nothing in ``src/`` constructs it.  The system takes any
-:class:`~repro.netsim.channel.Channel` (or a list of them, one per
-replica), and a test hands it a :class:`FaultyChannel` instead.
+:class:`~repro.netsim.channel.Channel`, and a test hands it a
+:class:`FaultyChannel` instead.
 
 A :class:`FaultPolicy` is a seeded random schedule of wire faults — drop,
 delay, corrupt-bytes, truncate, duplicate — with independent rates per
@@ -30,8 +30,8 @@ Responses are keyed by the request payload with its freshness header
 stripped (:func:`repro.core.integrity.envelope_payload`), because the
 sealed request bytes change at every commit epoch while the logical
 query underneath does not.  ``FaultPolicy(pin_stale=True)`` is the
-replica variant: the replica behind this channel *always* serves its
-first-recorded snapshot, modelling a replica frozen at an old epoch
+deterministic variant: the server behind this channel *always* serves
+its first-recorded snapshot, modelling a server frozen at an old epoch
 until :meth:`FaultyChannel.resync` clears its recorded state.
 Cross-request substitution is deliberately not modelled — it would
 decode to a wrong-but-accepted answer, which is outside the freshness
@@ -107,8 +107,8 @@ class FaultPolicy:
 
     ``pin_stale=True`` makes the channel *deterministically* stale: it
     always serves the first response it recorded for each logical
-    request, independent of any random draw — the "one replica pinned at
-    an old epoch" scenario.
+    request, independent of any random draw — the "server pinned at an
+    old epoch" scenario.
     """
 
     def __init__(
@@ -229,11 +229,11 @@ class FaultyChannel(Channel):
     _response_seq: int = field(default=0, repr=False, compare=False)
 
     def resync(self) -> None:
-        """Model the stale replica catching up to the committed state.
+        """Model the stale server catching up to the committed state.
 
         Clears the recorded-snapshot store, so the next response per
-        request is re-recorded at the current epoch; the system calls it
-        (when the channel has it) as it re-admits a demoted replica.
+        request is re-recorded at the current epoch; a test calls it to
+        end a pinned-stale scenario.
         """
         self._snapshots.clear()
         self._last_request_key = None

@@ -334,10 +334,28 @@ class TestOneServerBehindTheOwner:
                 SecureXMLSystem.host(
                     healthcare_doc, healthcare_scs, **{knob: None}
                 )
-        retired = ("REPRO_SHARDS", "REPRO_REPLICAS", "--shards", "scatter")
+        retired = (
+            "REPRO_SHARDS", "REPRO_REPLICAS", "--shards", "scatter",
+            "_replicas", "_readmit_demoted", "replica_demotions",
+            "replica_resyncs", "replica_epoch_lag",
+        )
         for path in sorted(pathlib.Path(repro.__file__).parent.rglob("*.py")):
             text = path.read_text()
             assert not [word for word in retired if word in text], path
+
+    def test_one_channel_and_no_list_of_them(
+        self, healthcare_doc, healthcare_scs
+    ):
+        """Replication by channel list is gone: a list is refused at
+        construction, not rotated over."""
+        from repro.core.system import SecureXMLSystem
+        from repro.netsim.channel import Channel
+
+        for channels in ([Channel(), Channel()], [Channel()], []):
+            with pytest.raises(TypeError, match="channel must be a Channel"):
+                SecureXMLSystem.host(
+                    healthcare_doc, healthcare_scs, channel=channels
+                )
 
     def test_a_stray_root_id_key_is_ignored_on_the_wire(self):
         import json

@@ -113,7 +113,7 @@ class TestFaultSweep:
         delta = metrics.counters_delta(before)
         assert delta["faults_rolled_back"] == delta["rollback_detected"] > 0
         assert delta["answer_memo_hits"] == delta["answer_memo_misses"] == 0
-        system.channel.resync()  # the replica catches up
+        system.channel.resync()  # the server catches up
         assert system.query(query).values() == ["Betty", "Matthew"]
 
     def test_faultless_faulty_channel_is_transparent(

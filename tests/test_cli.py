@@ -187,7 +187,8 @@ class TestObservabilityCommands:
             assert samples["repro_query_seconds_count"] > 0
             assert samples["repro_serving_connections"] == 0
             assert not [name for name in samples if "shard" in name]
-            assert "repro_replica_epoch_lag_count" in samples
+            # A declared histogram is exported, observed or not.
+            assert "repro_retry_backoff_seconds_count" in samples
 
 
 class TestServeCommand:

@@ -4,9 +4,8 @@ The contract under test extends the "exact answer or typed error"
 invariant to a *rollback* adversary: a channel that replays earlier
 validly-MACed responses.  Every query against a rolling-back channel
 must return the byte-identical fresh answer or raise a typed freshness
-error — never a stale answer.  With replicas, one pinned at an old
-epoch must be demoted, failed over, resynced and re-admitted, with
-answers byte-identical to the no-fault run throughout.
+error — never a stale answer.  A channel pinned at an old epoch fails
+every read typed until it catches up.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from repro.core.integrity import (
     unseal_fresh,
 )
 from repro.core.system import QueryFailedError, SecureXMLSystem
-from repro.netsim.channel import Channel
 from fault_channel import FaultPolicy, FaultRates, FaultyChannel
 from repro.obs import MetricsRegistry
 
@@ -358,10 +356,45 @@ class TestRollbackSweepMonolithic:
         assert "last error RollbackDetectedError" in message
         assert "last fault rollback" in message
 
+    def test_a_pinned_stale_channel_fails_typed(
+        self, healthcare_doc, healthcare_scs
+    ):
+        """A channel that always replays its first recorded response:
+        after a commit, planned and naive reads fail typed on every
+        attempt — never a stale answer — and the message carries the
+        diagnosis.  Once it catches up, reads are fresh again."""
+        reference = SecureXMLSystem.host(
+            healthcare_doc, healthcare_scs, scheme="opt"
+        )
+        channel = FaultyChannel(policy=FaultPolicy(pin_stale=True))
+        system = SecureXMLSystem.host(
+            healthcare_doc, healthcare_scs, scheme="opt", channel=channel
+        )
+        for read in ("query", "naive_query"):  # record the snapshots
+            assert (
+                getattr(system, read)(PROBE).canonical()
+                == getattr(reference, read)(PROBE).canonical()
+            )
+        for target in (system, reference):
+            target.update_value(PROBE, "987654")
+        for read in ("query", "naive_query"):
+            start = metrics.counter_values()
+            with pytest.raises(QueryFailedError) as excinfo:
+                getattr(system, read)(PROBE)
+            assert isinstance(excinfo.value.__cause__, RollbackDetectedError)
+            assert "last fault rollback" in str(excinfo.value)
+            delta = metrics.counters_delta(start)
+            attempts = system.retry_policy.max_attempts
+            assert delta["rollback_detected"] == attempts, read
+            assert delta["freshness_failures"] == attempts, read
+        channel.resync()
+        for read in ("query", "naive_query"):
+            assert (
+                getattr(system, read)(PROBE).canonical()
+                == getattr(reference, read)(PROBE).canonical()
+            )
 
-# ----------------------------------------------------------------------
-# Rollback attacker: replica sweep + pinned stale replica
-# ----------------------------------------------------------------------
+
 class TestARetryRetranslates:
     """A plan is as of an epoch.  The attempt after a freshness failure
     seals one made under the epoch it runs at, not the one the commit
@@ -412,148 +445,6 @@ class TestARetryRetranslates:
         assert retries > 0
         assert delta["plan_cache_misses"] == 1
         assert delta["plan_cache_hits"] == 7 + retries
-
-
-class TestRollbackCluster:
-    """The rollback attacker against R replicas of one server."""
-
-    def host(self, document, constraints, policies, **kwargs):
-        """One replica per policy; ``None`` is a clean channel."""
-        return SecureXMLSystem.host(
-            document, constraints, scheme="opt",
-            channel=[
-                Channel() if policy is None else FaultyChannel(policy=policy)
-                for policy in policies
-            ],
-            **kwargs,
-        )
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_cluster_sweep_never_a_stale_answer(
-        self, seed, healthcare_doc, healthcare_scs
-    ):
-        before, after = _reference_run(healthcare_doc, healthcare_scs)
-        system = self.host(
-            healthcare_doc, healthcare_scs,
-            [
-                FaultPolicy(
-                    seed=seed * 31 + replica,
-                    server_to_client=FaultRates(rollback=0.3),
-                )
-                for replica in range(3)
-            ],
-        )
-        start = metrics.counter_values()
-        for query in QUERIES:
-            assert system.query(query).canonical() == before[query]
-        system.update_value(PROBE, "987654")
-        outcomes = []
-        for _ in range(4):
-            for query in QUERIES:
-                try:
-                    answer = system.query(query)
-                except QueryFailedError:
-                    outcomes.append("typed-error")
-                    continue
-                assert answer.canonical() == after[query], query
-                outcomes.append("fresh")
-        assert "fresh" in outcomes
-        delta = metrics.counters_delta(start)
-        assert delta.get("faults_rolled_back", 0) > 0, seed
-        assert delta.get("freshness_failures", 0) > 0, seed
-
-    def test_pinned_stale_replica_demoted_resynced_readmitted(
-        self, healthcare_doc, healthcare_scs
-    ):
-        """One replica of two frozen at an old epoch: queries still
-        succeed via failover, the replica is demoted then resynced and
-        re-admitted, and every answer is byte-identical to the no-fault
-        run."""
-        reference = SecureXMLSystem.host(
-            healthcare_doc, healthcare_scs, scheme="opt"
-        )
-        system = self.host(
-            healthcare_doc, healthcare_scs,
-            [FaultPolicy(pin_stale=True), None],
-        )
-        start = metrics.counter_values()
-
-        def run_phase():
-            for query in QUERIES:
-                assert (
-                    system.query(query).canonical()
-                    == reference.query(query).canonical()
-                ), query
-            return metrics.counters_delta(start)
-
-        run_phase()  # pins the pre-update snapshots
-        system.update_value(PROBE, "987654")
-        reference.update_value(PROBE, "987654")
-        stats = run_phase()  # pinned replica serves stale → demote + failover
-
-        assert stats["replica_demotions"] >= 1
-        assert stats["replica_resyncs"] >= 1
-        assert stats["query_retries"] >= 1
-        lag = system.observability().metrics.snapshot()["histograms"][
-            "replica_epoch_lag"
-        ]
-        assert lag["max"] >= 1
-
-        # re-admitted replica now serves fresh state
-        demotions_after_resync = run_phase()["replica_demotions"]
-
-        system.update_value(PROBE, "111222")
-        reference.update_value(PROBE, "111222")
-        stats = run_phase()  # pins again → a second demote/resync cycle
-        assert stats["replica_demotions"] > demotions_after_resync
-        assert stats["replica_resyncs"] >= 2
-
-    def test_all_replicas_stale_raises_typed_error(
-        self, healthcare_doc, healthcare_scs
-    ):
-        """When *every* replica is pinned stale, the query fails with
-        the typed error — never a stale answer — and the message
-        carries the diagnosis."""
-        system = self.host(
-            healthcare_doc, healthcare_scs,
-            [FaultPolicy(pin_stale=True), FaultPolicy(pin_stale=True)],
-        )
-        # Cycle 1 seeds replica 0's recording; the post-update query
-        # fails over to replica 1 (seeding *its* recording at the new
-        # epoch) and resyncs replica 0, which re-records on the follow-up
-        # query.  After the second update every replica replays a stale
-        # snapshot, so the query can only fail with the typed error.
-        system.query(PROBE)
-        system.update_value(PROBE, "987654")
-        system.query(PROBE)
-        system.query(PROBE)
-        system.update_value(PROBE, "111222")
-        with pytest.raises(QueryFailedError) as exc:
-            system.query(PROBE)
-        assert "last fault rollback" in str(exc.value)
-
-    def test_stale_replica_does_not_block_naive_path(
-        self, healthcare_doc, healthcare_scs
-    ):
-        """The naive (ship-everything) route also refuses stale state:
-        it fails over off the pinned replica."""
-        reference = SecureXMLSystem.host(
-            healthcare_doc, healthcare_scs, scheme="opt"
-        )
-        system = self.host(
-            healthcare_doc, healthcare_scs,
-            [FaultPolicy(pin_stale=True), None],
-        )
-        assert (
-            system.naive_query(PROBE).canonical()
-            == reference.naive_query(PROBE).canonical()
-        )
-        system.update_value(PROBE, "987654")
-        reference.update_value(PROBE, "987654")
-        assert (
-            system.naive_query(PROBE).canonical()
-            == reference.naive_query(PROBE).canonical()
-        )
 
 
 # ----------------------------------------------------------------------

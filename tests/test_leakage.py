@@ -108,10 +108,7 @@ class TestPolicy:
         assert off.leakage is None
         system = host(healthcare_doc, healthcare_scs, leakage=True)
         assert isinstance(system.leakage, LeakageContext)
-        assert all(
-            server.leakage is system.leakage
-            for server, _channel in system._replicas
-        )
+        assert system.server.leakage is system.leakage
 
     @pytest.mark.parametrize(
         "spec", ["pad", "pad=x", "bogus=1", "pad=8 decoys=2"]

@@ -9,7 +9,6 @@ all keep working.
 import pytest
 
 from repro.core.system import SecureXMLSystem
-from repro.netsim.channel import Channel
 from repro.obs import MetricsRegistry
 
 #: Reads of the process counter total.
@@ -78,52 +77,6 @@ class TestCloseQueryCycles:
         assert len(obs.slow_log) == 2
 
 
-class TestClusterCloseCycles:
-    """The same contract on a two-replica system."""
-
-    @pytest.fixture
-    def cluster_system(self, healthcare_doc, healthcare_scs):
-        system = SecureXMLSystem.host(
-            healthcare_doc,
-            healthcare_scs,
-            channel=[Channel(), Channel()],
-        )
-        yield system
-        system.close()
-
-    def test_query_after_close(self, cluster_system):
-        baseline = cluster_system.query(QUERY).canonical()
-        cluster_system.close()
-        assert cluster_system.query(QUERY).canonical() == baseline
-        cluster_system.close()
-        assert cluster_system.query(QUERY).canonical() == baseline
-
-    def test_close_is_idempotent(self, cluster_system):
-        cluster_system.close()
-        cluster_system.close()
-        assert cluster_system.query(QUERY) is not None
-
-    def test_trace_coherent_across_cycles(self, cluster_system):
-        cluster_system.query(QUERY)
-        assert cluster_system.last_trace.attempts == 1
-        cluster_system.close()
-        cluster_system.query("//pname")
-        trace = cluster_system.last_trace
-        assert trace.query == "//pname"
-        assert trace.attempts == 1
-
-    def test_execute_many_after_close(self, cluster_system):
-        queries = [QUERY, "//pname", QUERY]
-        baseline = [
-            a.canonical() for a in cluster_system.execute_many(queries)
-        ]
-        cluster_system.close()
-        again = [
-            a.canonical() for a in cluster_system.execute_many(queries)
-        ]
-        assert again == baseline
-
-
 class TestConcurrentClose:
     """Satellite of PR 8: `close()` is safe under concurrency.
 
@@ -151,34 +104,6 @@ class TestConcurrentClose:
             thread.join(timeout=30)
         assert errors == []
         assert system.query(QUERY) is not None
-
-    def test_threaded_close_on_cluster_system(
-        self, healthcare_doc, healthcare_scs
-    ):
-        import threading
-
-        system = SecureXMLSystem.host(
-            healthcare_doc,
-            healthcare_scs,
-            channel=[Channel(), Channel()],
-        )
-        system.query(QUERY)
-        errors = []
-
-        def closer():
-            try:
-                system.close()
-            except Exception as exc:  # pragma: no cover - the failure mode
-                errors.append(exc)
-
-        threads = [threading.Thread(target=closer) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert errors == []
-        assert system.query(QUERY) is not None
-        system.close()
 
     def test_remote_system_close_races_server_drain(
         self, healthcare_doc, healthcare_scs
