@@ -201,14 +201,9 @@ def cmd_schemes(args: argparse.Namespace) -> int:
     return 0
 
 
-#: The Fig. 9 stages ``repro trace`` tabulates.
-_TRACE_STAGES = (
-    "translate", "server", "transfer", "decrypt", "postprocess", "backoff",
-)
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.bench.harness import format_table
+    from repro.obs import STAGES
 
     document, constraints = build_workload(args.workload, args.size, args.seed)
     system = SecureXMLSystem.host(
@@ -226,7 +221,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     print()
     print(format_table(
         ["stage", "ms"],
-        [[name, f"{root.total(name) * 1000:.3f}"] for name in _TRACE_STAGES],
+        [[name, f"{root.total(name) * 1000:.3f}"] for name in STAGES],
         "stage totals",
     ))
     print()

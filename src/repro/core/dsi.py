@@ -234,7 +234,7 @@ def build_structural_index(
     not learn those), while plaintext nodes keep their clear tags
     (Figure 4b shows both kinds side by side).
     """
-    owning_block = _owning_blocks(document, block_root_ids, block_ids)
+    owning_block = owning_blocks(document, block_root_ids, block_ids)
 
     table: dict[str, list[IndexEntry]] = {}
     entries: list[IndexEntry] = []
@@ -307,7 +307,7 @@ def build_structural_index(
     return StructuralIndex(table=table, block_table=block_table, entries=entries)
 
 
-def _owning_blocks(
+def owning_blocks(
     document: Document,
     block_root_ids: frozenset[int],
     block_ids: dict[int, int],

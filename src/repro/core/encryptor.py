@@ -29,6 +29,7 @@ from repro.core.dsi import (
     StructuralIndex,
     assign_intervals,
     build_structural_index,
+    owning_blocks,
 )
 from repro.core.opess import FieldPlan, ValueIndex, build_field_plan, build_value_index
 from repro.core.scheme import EncryptionScheme
@@ -285,7 +286,7 @@ def host_database(
     )
 
     # --- classify nodes and gather value occurrences ---
-    owning_block = _owning_blocks(document, scheme.block_root_ids, block_ids)
+    owning_block = owning_blocks(document, scheme.block_root_ids, block_ids)
     encrypted_tags: set[str] = set()
     plaintext_keys: set[str] = set()
     occurrences: dict[str, list[tuple[str, int]]] = {}
@@ -397,24 +398,6 @@ def _assert_text_round_trips(text: Node) -> None:
             "leading or trailing whitespace, which XML text does not keep; "
             "strip it before hosting"
         )
-
-
-def _owning_blocks(
-    document: Document,
-    block_root_ids: frozenset[int],
-    block_ids: dict[int, int],
-) -> dict[int, int]:
-    owning: dict[int, int] = {}
-    for root_id in block_root_ids:
-        root = document.node_by_id(root_id)
-        assert isinstance(root, Element)
-        block = block_ids[root_id]
-        for node in root.iter():
-            owning[node.node_id] = block
-            if isinstance(node, Element):
-                for attribute in node.attributes:
-                    owning[attribute.node_id] = block
-    return owning
 
 
 def _node_key(node: Node) -> str | None:

@@ -99,7 +99,7 @@ class Server:
     def __init__(
         self,
         hosted: HostedDatabase,
-        session_keys: "tuple[bytes, bytes] | None" = None,
+        session_keys: tuple[bytes, bytes],
     ) -> None:
         self._hosted = hosted
         #: Where the leakage histogram goes (set by the owning system):
@@ -108,6 +108,7 @@ class Server:
         self._structure: StructuralIndex = hosted.structural_index
         self._values: ValueIndex = hosted.value_index
         self._placeholders = hosted.placeholders
+        #: (request key, response key): the wire envelopes' MAC keys.
         self._session_keys = session_keys
         self._caches: list[EpochCache] = []
         #: hosted node id → shipped :class:`Fragment`
@@ -258,7 +259,7 @@ class Server:
         :class:`MessageDecodeError` is mapped to the same typed error so
         the client's retry loop has a single failure surface.
         """
-        request_key, response_key = self._require_session_keys()
+        request_key, response_key = self._session_keys
         with self._cache_lock:
             cached = self._wire_cache.live().get(request_blob)
         if cached is not None:
@@ -275,14 +276,6 @@ class Server:
         with self._cache_lock:
             self._wire_cache.store(request_blob, blob, epoch)
         return blob
-
-    def _require_session_keys(self) -> tuple[bytes, bytes]:
-        if self._session_keys is None:
-            raise RuntimeError(
-                "server has no session MAC keys; construct it with "
-                "session_keys=keyring.session_keys() to use the wire API"
-            )
-        return self._session_keys
 
     # ------------------------------------------------------------------
     # Fragment assembly

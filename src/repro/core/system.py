@@ -28,7 +28,7 @@ from repro.core.server import Server, ServerResponse
 from repro.core.translate import TranslatedQuery
 from repro.crypto.keyring import ClientKeyring
 from repro.netsim.channel import Channel, TransferDropped
-from repro.obs import Observability, Span
+from repro.obs import STAGES, Observability, Span
 from repro.obs.span import activate, count, span
 from repro.xmldb.node import Document
 from repro.xpath import ast
@@ -75,10 +75,6 @@ class RetryPolicy:
             self.base_backoff_s * self.backoff_multiplier**retry_index,
         )
         return delay * (1.0 - self.jitter * rng.random())
-
-
-#: The Fig. 9 stages a query's wall time is the sum of.
-_STAGES = ("translate", "server", "transfer", "decrypt", "postprocess", "backoff")
 
 
 def _stage_seconds(name: str) -> property:
@@ -146,9 +142,14 @@ class QueryTrace:
         )
 
     @property
+    def failed(self) -> bool:
+        """Whether the query ran out of attempts (marked on its root)."""
+        return self.span.annotations.get("failed", False)
+
+    @property
     def total_s(self) -> float:
         """End-to-end query time including modelled wire + backoff time."""
-        return self.span.total(*_STAGES)
+        return self.span.total(*STAGES)
 
     def as_row(self) -> dict[str, object]:
         """Flat dict for benchmark tables."""
@@ -420,7 +421,7 @@ class SecureXMLSystem:
         except QueryFailedError:
             root.annotate(failed=True)
             root.finish()
-            self._obs.record_query(trace, failed=True)
+            self._obs.record_query(trace)
             raise
         finally:
             root.finish()

@@ -1,12 +1,7 @@
-"""Simulated client↔server channel: byte/latency accounting and the
-wire message codecs."""
+"""Simulated client↔server channel: the bandwidth/latency model whose
+transfers land as ``transfer`` spans, and the wire message codecs."""
 
-from repro.netsim.channel import (
-    DIRECTIONS,
-    Channel,
-    TransferDropped,
-    TransferRecord,
-)
+from repro.netsim.channel import DIRECTIONS, Channel, TransferDropped
 from repro.netsim.message import MessageDecodeError
 
 __all__ = [
@@ -14,5 +9,4 @@ __all__ = [
     "DIRECTIONS",
     "MessageDecodeError",
     "TransferDropped",
-    "TransferRecord",
 ]

@@ -3,19 +3,19 @@
 The paper ran on a 100 Mbps LAN and found transmission time "negligible
 comparing with other time factors" (§7.2); we reproduce the experiments on
 one host, so instead of measuring a real wire we *model* it: every payload
-that crosses the channel is counted, and the modelled wall time is
+that crosses the channel costs a modelled wall time of
 
     latency + bytes * 8 / bandwidth
 
-with the paper's 100 Mbps as the default.  Benchmarks report this modelled
-transfer time alongside the measured CPU times, which keeps the Fig. 9-style
-breakdowns faithful (transfer is indeed negligible at LAN speeds) while
-still letting the harness explore slower links.
+with the paper's 100 Mbps as the default.  The channel keeps no record of
+its own: each transfer that arrives hangs a ``transfer`` span (direction,
+label, bytes, modelled seconds) under the caller's open span, so a query's
+wire cost is read off its root like every other stage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.obs.span import current, span
 
@@ -28,26 +28,15 @@ class TransferDropped(Exception):
     that refused it).  Retryable: the system's backoff loop absorbs it."""
 
 
-@dataclass(frozen=True)
-class TransferRecord:
-    """One payload crossing the channel."""
-
-    direction: str  # "client->server" or "server->client"
-    label: str
-    size_bytes: int
-    modelled_seconds: float
-
-
 @dataclass
 class Channel:
-    """Byte/latency accounting for one client↔server session."""
+    """The bandwidth/latency model of one client↔server session."""
 
     bandwidth_bits_per_second: float = 100_000_000.0  # the paper's 100 Mbps
     latency_seconds: float = 0.0002
-    transfers: list[TransferRecord] = field(default_factory=list)
 
-    def send(self, direction: str, label: str, size_bytes: int) -> float:
-        """Record a transfer; returns the modelled wire time in seconds."""
+    def wire_seconds(self, direction: str, size_bytes: int) -> float:
+        """Modelled wire time of ``size_bytes`` crossing in ``direction``."""
         if direction not in DIRECTIONS:
             raise ValueError(
                 f"unknown transfer direction {direction!r}; "
@@ -55,28 +44,24 @@ class Channel:
             )
         if size_bytes < 0:
             raise ValueError("size must be non-negative")
-        seconds = (
+        return (
             self.latency_seconds
             + size_bytes * 8.0 / self.bandwidth_bits_per_second
         )
-        self.transfers.append(
-            TransferRecord(direction, label, size_bytes, seconds)
-        )
-        return seconds
 
     def transfer(
         self, direction: str, label: str, payload: bytes
     ) -> tuple[bytes, float]:
         """Carry an actual payload across the wire.
 
-        The base channel is a perfect wire: it accounts for the bytes and
-        returns the payload unchanged.  A subclass may drop the payload
-        (raising :class:`TransferDropped`), delay, corrupt, truncate or
-        duplicate it — the chaos tests' fault channel does — which is why
-        the query pipeline ships real bytes through here rather than just
-        sizes.
+        The base channel is a perfect wire: it models the transfer's time
+        and returns the payload unchanged.  A subclass may drop the
+        payload (raising :class:`TransferDropped`), delay, corrupt,
+        truncate or duplicate it — the chaos tests' fault channel does —
+        which is why the query pipeline ships real bytes through here
+        rather than just sizes.
         """
-        seconds = self.send(direction, label, len(payload))
+        seconds = self.wire_seconds(direction, len(payload))
         self.observe_transfer(direction, label, len(payload), seconds)
         return payload, seconds
 
@@ -93,23 +78,3 @@ class Channel:
             span(
                 "transfer", direction=direction, label=label, bytes=size_bytes
             ).set_duration(seconds)
-
-    def total_bytes(self, direction: str | None = None) -> int:
-        """Bytes moved, optionally filtered by direction."""
-        return sum(
-            record.size_bytes
-            for record in self.transfers
-            if direction is None or record.direction == direction
-        )
-
-    def total_seconds(self, direction: str | None = None) -> float:
-        """Modelled wire time, optionally filtered by direction."""
-        return sum(
-            record.modelled_seconds
-            for record in self.transfers
-            if direction is None or record.direction == direction
-        )
-
-    def reset(self) -> None:
-        """Clear the transfer log (benchmarks do this between queries)."""
-        self.transfers.clear()

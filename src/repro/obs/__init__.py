@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.slowlog import SlowLogEntry, SlowQueryLog
-from repro.obs.span import Span, count
+from repro.obs.span import STAGES, Span, count
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.system import QueryTrace
@@ -31,6 +31,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "Observability",
+    "STAGES",
     "SlowLogEntry",
     "SlowQueryLog",
     "Span",
@@ -71,7 +72,7 @@ class Observability:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def record_query(self, trace: "QueryTrace", failed: bool = False) -> None:
+    def record_query(self, trace: "QueryTrace") -> None:
         """Fold one finished query into histograms and the slow log."""
         observe = self.metrics.observe
         observe("query_seconds", trace.total_s)
@@ -79,7 +80,7 @@ class Observability:
             histogram = _SPAN_HISTOGRAMS.get(span.name)
             if histogram is not None:
                 observe(histogram, span.duration_s or 0.0)
-        self.slow_log.record(trace, failed=failed)
+        self.slow_log.record(trace)
 
     # ------------------------------------------------------------------
     # Export

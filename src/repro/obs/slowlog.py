@@ -1,10 +1,12 @@
 """Ring-buffer slow-query log: the top-N slowest queries, with context.
 
 Keeps the N worst queries *by total wall time* seen since startup (or
-the last reset), each with its stage breakdown and the fault/retry
-story from the netsim layer — enough to answer "why was this one slow"
-(a residual plan? three retries across a lossy channel? just a big
-candidate set?) without re-running anything.
+the last reset): each entry is the query's own
+:class:`~repro.core.system.QueryTrace`, whose root span holds its stage
+breakdown and the fault/retry story from the netsim layer — enough to
+answer "why was this one slow" (a residual plan? three retries across a
+lossy channel? just a big candidate set?) without re-running anything.
+Nothing is copied out of the trace: the exports read it.
 
 Bounded: a min-heap of size ``capacity`` evicts the fastest entry when
 a slower query arrives, so memory stays O(capacity) under any traffic.
@@ -17,102 +19,69 @@ import itertools
 import threading
 from typing import TYPE_CHECKING, Any
 
-from repro.obs.span import Span
+from repro.obs.span import STAGES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.system import QueryTrace
 
 
 class SlowLogEntry:
-    """One logged query: scalar trace view + span tree + fault story."""
+    """One logged query: its :class:`QueryTrace`, read when exported."""
 
-    __slots__ = (
-        "query",
-        "total_s",
-        "stages",
-        "attempts",
-        "retries",
-        "integrity_failures",
-        "drops",
-        "backoff_s",
-        "plan",
-        "fallback_reason",
-        "failed",
-        "answer_count",
-        "span",
-        "sequence",
-    )
+    __slots__ = ("trace",)
 
-    def __init__(
-        self, trace: "QueryTrace", failed: bool, sequence: int
-    ) -> None:
-        self.query = trace.query
-        self.total_s = trace.total_s
-        #: Span name → summed duration, in one walk of the root.
-        seconds: dict[str, float] = {}
-        for span in trace.span.iter():
-            seconds[span.name] = (
-                seconds.get(span.name, 0.0) + (span.duration_s or 0.0)
-            )
-        self.stages = {
-            name: seconds.get(name, 0.0)
-            for name in ("translate", "server", "transfer", "decrypt",
-                         "postprocess")
-        }
-        self.attempts = trace.attempts
-        self.retries = trace.retries
-        self.integrity_failures = trace.integrity_failures
-        self.drops = trace.drops
-        self.backoff_s = seconds.get("backoff", 0.0)
-        self.plan = trace.plan
-        self.fallback_reason = trace.fallback_reason
-        self.failed = failed
-        self.answer_count = trace.answer_count
-        self.span: Span = trace.span
-        self.sequence = sequence
+    def __init__(self, trace: "QueryTrace") -> None:
+        self.trace = trace
+
+    def stages(self) -> dict[str, float]:
+        """Pipeline stage → seconds (the modelled backoff is apart)."""
+        root = self.trace.span
+        return {name: root.total(name) for name in STAGES if name != "backoff"}
 
     def as_dict(self) -> dict[str, Any]:
+        trace = self.trace
         return {
-            "query": self.query,
-            "total_s": self.total_s,
-            "stages": dict(self.stages),
-            "attempts": self.attempts,
-            "retries": self.retries,
-            "integrity_failures": self.integrity_failures,
-            "drops": self.drops,
-            "backoff_s": self.backoff_s,
-            "plan": self.plan,
-            "fallback_reason": self.fallback_reason,
-            "failed": self.failed,
-            "answer_count": self.answer_count,
-            "span": self.span.as_dict(),
+            "query": trace.query,
+            "total_s": trace.total_s,
+            "stages": self.stages(),
+            "attempts": trace.attempts,
+            "retries": trace.retries,
+            "integrity_failures": trace.integrity_failures,
+            "drops": trace.drops,
+            "backoff_s": trace.backoff_s,
+            "plan": trace.plan,
+            "fallback_reason": trace.fallback_reason,
+            "failed": trace.failed,
+            "answer_count": trace.answer_count,
+            "span": trace.span.as_dict(),
         }
 
     def render(self) -> str:
+        trace = self.trace
         flags = []
-        if self.failed:
+        if trace.failed:
             flags.append("FAILED")
-        if self.plan == "naive":
+        if trace.plan == "naive":
             flags.append("naive")
-        elif self.plan != "axis":
-            flags.append(f"plan={self.plan}")
-        if self.fallback_reason:
-            flags.append(f"reason={self.fallback_reason!r}")
-        if self.retries:
-            flags.append(f"retries={self.retries}")
-        if self.integrity_failures:
-            flags.append(f"integrity_failures={self.integrity_failures}")
-        if self.drops:
-            flags.append(f"drops={self.drops}")
-        if self.backoff_s:
-            flags.append(f"backoff={self.backoff_s * 1000:.1f}ms")
+        elif trace.plan != "axis":
+            flags.append(f"plan={trace.plan}")
+        if trace.fallback_reason:
+            flags.append(f"reason={trace.fallback_reason!r}")
+        if trace.retries:
+            flags.append(f"retries={trace.retries}")
+        if trace.integrity_failures:
+            flags.append(f"integrity_failures={trace.integrity_failures}")
+        if trace.drops:
+            flags.append(f"drops={trace.drops}")
+        if trace.backoff_s:
+            flags.append(f"backoff={trace.backoff_s * 1000:.1f}ms")
         flag_text = f"  [{' '.join(flags)}]" if flags else ""
         stage_text = " ".join(
             f"{name}={seconds * 1000:.2f}ms"
-            for name, seconds in self.stages.items()
+            for name, seconds in self.stages().items()
         )
         return (
-            f"{self.total_s * 1000:8.2f}ms  {self.query}{flag_text}\n"
+            f"{trace.total_s * 1000:8.2f}ms  {trace.query}{flag_text}\n"
             f"          {stage_text}"
         )
 
@@ -131,16 +100,15 @@ class SlowQueryLog:
         self._heap: list[tuple[float, int, SlowLogEntry]] = []
         self._sequence = itertools.count()
 
-    def record(self, trace: "QueryTrace", failed: bool = False) -> None:
-        """Keep ``trace`` if it is among the slowest seen (its entry is
-        built only then)."""
+    def record(self, trace: "QueryTrace") -> None:
+        """Keep ``trace`` if it is among the slowest seen."""
         total_s = trace.total_s
         with self._lock:
             full = len(self._heap) >= self.capacity
             if full and self._heap[0][0] >= total_s:
                 return
             sequence = next(self._sequence)
-            item = (total_s, sequence, SlowLogEntry(trace, failed, sequence))
+            item = (total_s, sequence, SlowLogEntry(trace))
             if full:
                 heapq.heapreplace(self._heap, item)
             else:

@@ -36,6 +36,10 @@ import time
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional
 
+#: The Fig. 9 stages a query's wall time is the sum of, in pipeline
+#: order; ``backoff`` is the modelled wait before a retry.
+STAGES = ("translate", "server", "transfer", "decrypt", "postprocess", "backoff")
+
 
 class Span:
     """One timed, annotated region of work, with nested children.

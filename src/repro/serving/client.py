@@ -10,19 +10,20 @@
     request's late answer is still on its way, and the next request
     reads past it by id.  The connection *is* the remote server: it
     exposes ``answer_wire``, the one method the secure pipeline calls
-    on ``system.server``.
+    on ``system.server``.  It is transport only and holds no key.
 
 :class:`RemoteSecureXMLSystem` / :func:`remote_system`
     ``remote_system(local, address, tenant, channel)`` builds a
     :class:`~repro.core.system.SecureXMLSystem` whose server is that
     connection and whose channel is the caller's netsim channel.  The
     system's own exchange carries every sealed payload across the
-    channel exactly as in process — billed, and faulted by a test's
-    fault channel (``tests/fault_channel.py``) on the same transfers in
-    the same order — and then across the socket.  Every verification
-    step (envelope, freshness, decryption, re-evaluation) runs in the
-    unmodified system code, so remote answers are byte-identical to
-    in-process ones and failures surface as the same typed errors.
+    channel exactly as in process — modelled as ``transfer`` spans, and
+    faulted by a test's fault channel (``tests/fault_channel.py``) on
+    the same transfers in the same order — and then across the socket.
+    Every verification step (envelope, freshness, decryption,
+    re-evaluation) runs in the unmodified system code, so remote answers
+    are byte-identical to in-process ones and failures surface as the
+    same typed errors.
 
 Update parity: in-process updates are local mutations with no channel
 transfer, so remote updates bypass the channel too.  They cross as
@@ -30,8 +31,8 @@ freshness-sealed commands (:data:`OP_UPDATE`) bound to the tenant's
 ``(epoch, Merkle root)`` anchor, valid at exactly that one epoch; losing
 a seal race to a concurrent writer surfaces as a typed freshness error
 and the client re-seals against the moved anchor, a bounded number of
-times.  Stats travel the same sealed-command path — no tenant operation
-is reachable unauthenticated.  Cache flushes do not cross the wire:
+times.  No other command crosses the wire — the tenant's request counts
+are the host's metrics registry — and cache flushes do not either:
 :meth:`RemoteSecureXMLSystem.flush_caches` empties the client half, and
 the served tenant's caches are the host's to flush.
 """
@@ -46,13 +47,11 @@ import threading
 from repro.core.client import Client
 from repro.core.integrity import FreshnessError, TamperedResponseError, unseal
 from repro.core.system import SecureXMLSystem
-from repro.crypto.keyring import ClientKeyring
 from repro.netsim.channel import Channel
 
 from repro.serving.errors import (
     ProtocolError,
     RequestTimeoutError,
-    ServingError,
     decode_error,
 )
 from repro.serving.framing import (
@@ -61,7 +60,6 @@ from repro.serving.framing import (
     OP_HELLO_OK,
     OP_OK,
     OP_QUERY,
-    OP_STATS,
     OP_UPDATE,
     PROTOCOL_VERSION,
     ConnectionClosedError,
@@ -88,16 +86,8 @@ class ServingConnection:
         port: int,
         tenant: str,
         timeout: float = 60.0,
-        keyring: "ClientKeyring | None" = None,
-        hosted: "object | None" = None,
     ) -> None:
         self._timeout = timeout
-        # Owner-side state for sealed control commands (update,
-        # stats): the session keys and the live (epoch, root) anchor.
-        # Optional — a connection without them can still run the sealed
-        # query paths, whose blobs the caller seals itself.
-        self._keyring = keyring
-        self._hosted = hosted
         self._ids = itertools.count(1)
         self._buffer = bytearray()
         self._lock = threading.Lock()
@@ -170,43 +160,6 @@ class ServingConnection:
     def answer_wire(self, request_blob: bytes) -> bytes:
         return self.call(OP_QUERY, request_blob)
 
-    def sealed_call(self, op: int, command: dict) -> bytes:
-        """Issue a freshness-sealed control command; returns the
-        verified response payload.
-
-        The command is sealed at the live anchor, the one epoch it is
-        valid at; losing the anchor race to a concurrent writer re-seals
-        against the moved epoch, a bounded number of times.  No nonce is
-        needed: an applied write moves the epoch, so two identical
-        commands seal to distinct blobs anyway, and a replay of either
-        fails freshness.  The response must verify under the tenant's
-        response key.
-        """
-        if self._keyring is None or self._hosted is None:
-            raise ServingError(
-                "connection opened without keyring/hosted state; sealed "
-                "control commands need both (see remote_system)"
-            )
-        request_key, response_key = self._keyring.session_keys()
-        payload = json.dumps(command, sort_keys=True).encode("utf-8")
-        last: FreshnessError | None = None
-        for _ in range(_COMMAND_RESEAL_ATTEMPTS):
-            blob, _ = self._hosted.seal(request_key, payload)
-            try:
-                sealed = self.call(op, blob)
-            except FreshnessError as exc:
-                last = exc
-                continue
-            return unseal(
-                response_key, sealed, error=TamperedResponseError
-            )
-        assert last is not None
-        raise last
-
-    def stats(self) -> dict:
-        sealed = self.sealed_call(OP_STATS, {"op": "stats"})
-        return json.loads(sealed.decode("utf-8"))
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -261,10 +214,31 @@ class RemoteSecureXMLSystem(SecureXMLSystem):
         )
 
     def _remote_update(self, op: dict) -> None:
-        # sealed_call seals at the live anchor and re-seals after losing
-        # an anchor race to a concurrent writer.
-        ack = self._connection.sealed_call(OP_UPDATE, op)
-        json.loads(ack.decode("utf-8"))  # malformed ack → typed error
+        """Send one freshness-sealed update command; verify its ack.
+
+        The command is sealed at the live anchor, the one epoch it is
+        valid at; losing the anchor race to a concurrent writer re-seals
+        against the moved epoch, a bounded number of times.  No nonce is
+        needed: an applied write moves the epoch, so two identical
+        commands seal to distinct blobs anyway, and a replay of either
+        fails freshness.  The ack must verify under the tenant's
+        response key.
+        """
+        request_key, response_key = self.keyring.session_keys()
+        payload = json.dumps(op, sort_keys=True).encode("utf-8")
+        last: FreshnessError | None = None
+        for _ in range(_COMMAND_RESEAL_ATTEMPTS):
+            blob, _ = self.hosted.seal(request_key, payload)
+            try:
+                sealed = self._connection.call(OP_UPDATE, blob)
+            except FreshnessError as exc:
+                last = exc
+                continue
+            ack = unseal(response_key, sealed, error=TamperedResponseError)
+            json.loads(ack.decode("utf-8"))  # malformed ack → typed error
+            return
+        assert last is not None
+        raise last
 
     # ------------------------------------------------------------------
     # Teardown
@@ -290,9 +264,7 @@ def remote_system(
     test's fault channel for chaos over live sockets.
     """
     host, port = address
-    connection = ServingConnection(
-        host, port, tenant, keyring=local.keyring, hosted=local.hosted
-    )
+    connection = ServingConnection(host, port, tenant)
     return RemoteSecureXMLSystem(
         client=Client(local.keyring, local.hosted),
         server=connection,

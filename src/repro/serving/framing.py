@@ -42,12 +42,12 @@ _RECV_BYTES = 1 << 16
 _HEAD = struct.Struct("!QB")
 
 # Client -> server opcodes.
-OP_HELLO = 1  # JSON {"tenant": ..., "protocol": 3}
+OP_HELLO = 1  # JSON {"tenant": ..., "protocol": 4}
 OP_QUERY = 2  # sealed translated-query request (answer_wire)
 OP_UPDATE = 5  # freshness-sealed JSON update command
-# 4 (the naive baseline is a query plan) and 6 (an epoch-less, so
-# replayable, cache flush) are retired: unknown opcodes to the front door.
-OP_STATS = 7  # freshness-sealed {"op": "stats"}; sealed JSON response
+# 4 (the naive baseline is a query plan), 6 (an epoch-less, so
+# replayable, cache flush) and 7 (a sealed stats read whose replay bumped
+# a server-side tally) are retired: unknown opcodes to the front door.
 
 # Server -> client opcodes.
 OP_OK = 16  # complete response payload for the request id
@@ -55,10 +55,10 @@ OP_ERROR = 19  # JSON {"error": <type name>, "message": ...}
 OP_HELLO_OK = 20  # JSON session parameters (tenant, protocol, epoch)
 
 #: What HELLO and HELLO_OK both carry; a peer on another version is
-#: refused at the handshake.  3: no naive opcode and no naive flag on a
-#: response, whose fragments cross as an ancestor row table and a text
-#: column (:mod:`repro.netsim.message`) since 2.
-PROTOCOL_VERSION = 3
+#: refused at the handshake.  4: no stats opcode; 3: no naive opcode and
+#: no naive flag on a response, whose fragments cross as an ancestor row
+#: table and a text column (:mod:`repro.netsim.message`) since 2.
+PROTOCOL_VERSION = 4
 
 
 class FrameError(Exception):

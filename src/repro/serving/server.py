@@ -72,7 +72,6 @@ from repro.serving.framing import (
     OP_HELLO_OK,
     OP_OK,
     OP_QUERY,
-    OP_STATS,
     OP_UPDATE,
     PROTOCOL_VERSION,
     FrameError,
@@ -85,7 +84,6 @@ from repro.serving.framing import (
 _REQUEST_HANDLERS = {
     OP_QUERY: "query",
     OP_UPDATE: "update",
-    OP_STATS: "stats",
 }
 
 #: Update operations a sealed OP_UPDATE payload may name, mapped to the
@@ -159,12 +157,6 @@ class TenantSession:
             system.keyring.session_keys()
         )
         self._rw = ReadWriteLock()
-        self._counts_lock = threading.Lock()
-        self.op_counts: dict[str, int] = {}
-
-    def _count(self, op_name: str) -> None:
-        with self._counts_lock:
-            self.op_counts[op_name] = self.op_counts.get(op_name, 0) + 1
 
     # ------------------------------------------------------------------
     # Request surface (sync, on the connection's thread)
@@ -178,7 +170,6 @@ class TenantSession:
             }
 
     def query(self, blob: bytes) -> bytes:
-        self._count("query")
         with self._rw.read():
             return self.system.server.answer_wire(blob)
 
@@ -198,7 +189,6 @@ class TenantSession:
         not freshness.
         """
         count("serving_updates")
-        self._count("update")
         with self._rw.write():
             op = self._open_command(blob)
             applied = self._apply_update(op)
@@ -236,38 +226,6 @@ class TenantSession:
         else:
             self.system.update_value(op["xpath"], op["new_value"])
         return name
-
-    def stats(self, blob: bytes) -> bytes:
-        """Per-tenant serving statistics; requires a sealed command.
-
-        Epoch and op counts are tenant metadata, so reading them takes
-        the same sealed-command authentication as every other non-query
-        op, and the response is sealed under the tenant's response key —
-        a peer without the session keys gets a typed tamper error and
-        learns nothing from a captured reply.
-        """
-        self._count("stats")
-        op = self._open_command(blob)
-        if op.get("op") != "stats":
-            raise TamperedRequestError(
-                "stats request carries a different command"
-            )
-        with self._counts_lock:
-            ops = dict(self.op_counts)
-        payload = json.dumps(
-            {
-                "tenant": self.tenant_id,
-                "epoch": self.system.hosted.epoch,
-                "ops": ops,
-                # Whether this tenant serves under the access-pattern
-                # countermeasures — operators audit the front door's
-                # posture through the same sealed stats op the rest of
-                # the metadata uses.
-                "leakage": self.system.leakage is not None,
-            },
-            sort_keys=True,
-        ).encode("utf-8")
-        return seal(self._response_key, payload)
 
     # ------------------------------------------------------------------
     # Drain

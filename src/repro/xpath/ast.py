@@ -187,6 +187,19 @@ class LocationPath:
     absolute: bool
     steps: tuple[Step, ...]
 
+    @property
+    def is_self(self) -> bool:
+        """Whether this is ``.``: the context node itself.  The lowering
+        and the evaluator both read a comparison on it as a test of the
+        node's own value."""
+        return (
+            not self.absolute
+            and len(self.steps) == 1
+            and self.steps[0].axis == AXIS_SELF
+            and self.steps[0].test.is_wildcard
+            and not self.steps[0].predicates
+        )
+
     def __str__(self) -> str:
         text = ""
         separator = "/" if self.absolute else ""

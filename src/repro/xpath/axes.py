@@ -222,7 +222,7 @@ def _attach_axis_predicates(
         if isinstance(expr, ast.Exists):
             node.children.append(_compile_axis_branch(expr.path))
         elif isinstance(expr, ast.Comparison):
-            if _is_self_comparison(expr.path):
+            if expr.path.is_self:
                 _add_constraint(node, expr)
             else:
                 branch = _compile_axis_branch(expr.path)
@@ -277,16 +277,6 @@ def _strip_positions(
             step = ast.Step(step.axis, step.test, kept)
         steps.append(step)
     return ast.LocationPath(path.absolute, tuple(steps)), had_position
-
-
-def _is_self_comparison(path: ast.LocationPath) -> bool:
-    return (
-        not path.absolute
-        and len(path.steps) == 1
-        and path.steps[0].axis == ast.AXIS_SELF
-        and path.steps[0].test.is_wildcard
-        and not path.steps[0].predicates
-    )
 
 
 def _add_constraint(node: PatternNode, expr: ast.Comparison) -> None:

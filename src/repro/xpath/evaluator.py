@@ -533,7 +533,7 @@ class _Evaluation:
     ) -> bool:
         # The path in a comparison may be empty-ish ('.'), addressing the
         # context node's own value.
-        if _is_self_path(path):
+        if path.is_self:
             targets: list[Node] = [node]
         else:
             targets = self._predicate_nodes(node, path)
@@ -615,16 +615,6 @@ def _is_double_slash(step: ast.Step) -> bool:
         step.axis == ast.AXIS_DESCENDANT_OR_SELF
         and step.test.is_wildcard
         and not step.predicates
-    )
-
-
-def _is_self_path(path: ast.LocationPath) -> bool:
-    return (
-        not path.absolute
-        and len(path.steps) == 1
-        and path.steps[0].axis == ast.AXIS_SELF
-        and path.steps[0].test.is_wildcard
-        and not path.steps[0].predicates
     )
 
 

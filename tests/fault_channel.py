@@ -197,10 +197,11 @@ class FaultPolicy:
 class FaultyChannel(Channel):
     """A :class:`Channel` that injects faults from a :class:`FaultPolicy`.
 
-    Accounting still happens for every attempt (dropped bytes were still
-    sent), and a duplicated payload is billed twice — so bandwidth sweeps
-    under faults stay honest.  Semantically a duplicate is idempotent for
-    this request/response protocol; only the accounting sees it.
+    Every attempt is billed in :attr:`billed` (dropped bytes were still
+    sent, and never reach a ``transfer`` span), and a duplicated payload
+    is billed twice — so bandwidth sweeps under faults stay honest.
+    Semantically a duplicate is idempotent for this request/response
+    protocol; only the accounting sees it.
 
     The channel doubles as the rollback attacker's vantage point (see
     the module docstring): it remembers the first sealed response per
@@ -211,6 +212,10 @@ class FaultyChannel(Channel):
     """
 
     policy: FaultPolicy = field(default_factory=FaultPolicy)
+    #: ``(direction, bytes)`` of every payload put on the wire, in order.
+    billed: list[tuple[str, int]] = field(
+        default_factory=list, repr=False, compare=False
+    )
     #: Diagnostic breadcrumb: the kind of the last fault this channel
     #: injected, surfaced in QueryFailedError text.
     last_fault_kind: str | None = field(
@@ -271,9 +276,9 @@ class FaultyChannel(Channel):
     ) -> tuple[bytes, float]:
         decision = self.policy.decide(direction, len(payload))
         payload = self._apply_rollback(direction, payload, decision)
-        seconds = self.send(direction, label, len(payload))
+        seconds = self._bill(direction, len(payload))
         if decision.duplicate:
-            seconds += self.send(direction, f"{label}+dup", len(payload))
+            seconds += self._bill(direction, len(payload))
             count("faults_duplicated")
             self._annotate_fault("duplicate")
         if decision.delay_seconds:
@@ -296,6 +301,15 @@ class FaultyChannel(Channel):
             self._annotate_fault("corrupt")
         self.observe_transfer(direction, label, len(payload), seconds)
         return payload, seconds
+
+    def _bill(self, direction: str, size_bytes: int) -> float:
+        seconds = self.wire_seconds(direction, size_bytes)
+        self.billed.append((direction, size_bytes))
+        return seconds
+
+    def billed_bytes(self) -> int:
+        """Bytes put on the wire, dropped and duplicated ones included."""
+        return sum(size for _, size in self.billed)
 
     def _annotate_fault(self, kind: str) -> None:
         """Tag the caller's open span with an injected-fault event.

@@ -162,7 +162,6 @@ class TestOneSerialPipeline:
         }
         assert opcodes == {
             "OP_HELLO": 1, "OP_QUERY": 2, "OP_UPDATE": 5,
-            "OP_STATS": 7,
             "OP_OK": 16, "OP_ERROR": 19, "OP_HELLO_OK": 20,
         }
         assert _defined_public_names(framing) - set(opcodes) == {
@@ -296,7 +295,10 @@ class TestOneSerialPipeline:
             ),
             lambda: load_system(str(tmp_path / "saved"), key, fast_path=False),
             lambda: Client(system.keyring, system.hosted, enable_cache=False),
-            lambda: Server(system.hosted, enable_cache=False),
+            lambda: Server(
+                system.hosted, system.keyring.session_keys(),
+                enable_cache=False,
+            ),
             lambda: ClientKeyring(key, fast_aes=False),
         ):
             with pytest.raises(TypeError):
@@ -338,6 +340,7 @@ class TestOneServerBehindTheOwner:
             "REPRO_SHARDS", "REPRO_REPLICAS", "--shards", "scatter",
             "_replicas", "_readmit_demoted", "replica_demotions",
             "replica_resyncs", "replica_epoch_lag",
+            "TransferRecord", "OP_STATS", "op_counts", "_TRACE_STAGES",
         )
         for path in sorted(pathlib.Path(repro.__file__).parent.rglob("*.py")):
             text = path.read_text()

@@ -168,10 +168,10 @@ class TestPlanTiers:
         assert row["plan"] == "residual"
         assert "namespace" in row["fallback_reason"]
         entries = system.observability().slow_log.entries()
-        logged = {entry.query: entry for entry in entries}
+        logged = {entry.trace.query: entry for entry in entries}
         entry = logged["//age/namespace::*"]
-        assert entry.plan == "residual"
-        assert "namespace" in entry.fallback_reason
+        assert entry.trace.plan == "residual"
+        assert "namespace" in entry.trace.fallback_reason
         assert "plan=residual" in entry.render()
 
     def test_naive_query_is_labelled_naive(
@@ -184,6 +184,6 @@ class TestPlanTiers:
         trace = system.last_trace
         assert trace.plan == "naive"
         (entry,) = system.observability().slow_log.entries()
-        assert entry.plan == "naive"
+        assert entry.trace.plan == "naive"
         assert entry.as_dict()["plan"] == "naive"
         assert "naive" in entry.render()

@@ -32,7 +32,11 @@ def stack(healthcare_doc, healthcare_scs):
     keyring = ClientKeyring(b"s" * 16)
     scheme = build_scheme(healthcare_doc, healthcare_scs, "opt")
     hosted = host_database(healthcare_doc, scheme, keyring)
-    return hosted, Server(hosted), Client(keyring, hosted)
+    return (
+        hosted,
+        Server(hosted, keyring.session_keys()),
+        Client(keyring, hosted),
+    )
 
 
 NAIVE_DATASETS = {

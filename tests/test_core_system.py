@@ -102,10 +102,15 @@ class TestTraces:
         assert {"t_server", "t_decrypt", "t_post", "bytes"} <= set(row)
 
     def test_channel_accounts_both_directions(self, system):
-        system.channel.reset()
         system.query("//SSN")
-        assert system.channel.total_bytes("client->server") > 0
-        assert system.channel.total_bytes("server->client") > 0
+        transfers = [
+            s.annotations for s in system.last_trace.span.iter()
+            if s.name == "transfer"
+        ]
+        assert [t["direction"] for t in transfers] == [
+            "client->server", "server->client"
+        ]
+        assert all(t["bytes"] > 0 for t in transfers)
 
     def test_hosting_trace(self, system):
         trace = system.hosting_trace

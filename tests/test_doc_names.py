@@ -1,17 +1,33 @@
-"""Docs name only what exists: the metric tables of OBSERVABILITY.md.
+"""Docs name only what exists.
 
-Each row of a table in ``docs/OBSERVABILITY.md`` opens with the
-backticked name of a counter or histogram.  Every such name must be
-declared in :mod:`repro.obs.metrics` — a row left behind by a deleted
-metric fails here instead of going stale.
+* The metric tables of ``docs/OBSERVABILITY.md``: each row opens with
+  the backticked name of a counter or histogram, which must be declared
+  in :mod:`repro.obs.metrics` — a row left behind by a deleted metric
+  fails here instead of going stale.
+* README.md, DESIGN.md and ``docs/*.md``: every backticked
+  ``repro.``-dotted name must resolve (import its longest module prefix,
+  then ``getattr`` the rest), and every backticked ``OP_*`` name must be
+  an opcode of :mod:`repro.serving.framing`.
+
+``bench/README.md`` is left out: ``bench/`` is the frozen benchmark
+harness, and its stale names are mended together with the next change
+to the benchmark.
 """
 
+import importlib
 import re
 from pathlib import Path
 
-from repro.obs.metrics import COUNTERS, HISTOGRAMS
+import pytest
 
-OBSERVABILITY = Path(__file__).resolve().parent.parent / "docs" / "OBSERVABILITY.md"
+from repro.obs.metrics import COUNTERS, HISTOGRAMS
+from repro.serving import framing
+
+ROOT = Path(__file__).resolve().parent.parent
+OBSERVABILITY = ROOT / "docs" / "OBSERVABILITY.md"
+GUARDED_DOCS = sorted(
+    [ROOT / "README.md", ROOT / "DESIGN.md", *(ROOT / "docs").glob("*.md")]
+)
 
 
 def table_metric_names(text: str) -> list[str]:
@@ -30,3 +46,44 @@ def test_every_metric_row_names_a_declared_metric():
     unknown = [name for name in names if name not in {**COUNTERS, **HISTOGRAMS}]
     assert unknown == [], unknown
 
+
+def resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names a module, or an attribute chain off one."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for name in parts[cut:]:
+            if not hasattr(target, name):
+                return False
+            target = getattr(target, name)
+        return True
+    return False
+
+
+def backticked(pattern: str, text: str) -> set[str]:
+    return set(re.findall(rf"`({pattern})`", text))
+
+
+@pytest.mark.parametrize("doc", GUARDED_DOCS, ids=lambda path: path.name)
+def test_every_dotted_repro_name_resolves(doc):
+    names = backticked(r"repro(?:\.\w+)+", doc.read_text())
+    assert [name for name in sorted(names) if not resolves(name)] == []
+
+
+@pytest.mark.parametrize("doc", GUARDED_DOCS, ids=lambda path: path.name)
+def test_every_opcode_name_is_a_framing_opcode(doc):
+    names = backticked(r"OP_\w+", doc.read_text())
+    assert [name for name in sorted(names) if not hasattr(framing, name)] == []
+
+
+def test_the_guard_sees_the_docs():
+    """The patterns find what the docs name, so an empty match is not a
+    silent pass."""
+    text = "\n".join(doc.read_text() for doc in GUARDED_DOCS)
+    assert len(backticked(r"repro(?:\.\w+)+", text)) >= 40
+    assert {"OP_HELLO", "OP_QUERY", "OP_UPDATE"} <= backticked(r"OP_\w+", text)
+    assert resolves("repro.core.dsi.StructuralIndex")
+    assert not resolves("repro.core.blocktable")

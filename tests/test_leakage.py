@@ -405,9 +405,9 @@ class TestByteIdentity:
             remote = remote_system(local, address, "t0")
             try:
                 remote.query(QUERIES[0])
-                # The switch, and nothing a knob or a trace count could
-                # add to it.
-                assert remote._connection.stats()["leakage"] is True
+                # The switch, read by the host in process: no frame
+                # reports a tenant's posture.
+                assert server.tenants["t0"].system.leakage is not None
             finally:
                 remote.close()
         finally:

@@ -102,14 +102,14 @@ class TestFaultyChannelBehaviour:
         payload, seconds = channel.transfer("client->server", "q", b"hello")
         assert payload == b"hello"
         assert seconds > 0.0
-        assert channel.total_bytes() == 5
+        assert channel.billed_bytes() == 5
 
     def test_drop_raises_and_still_bills_bytes(self):
         policy = FaultPolicy.symmetric(seed=0, drop=1.0)
         channel = FaultyChannel(policy=policy)
         with pytest.raises(TransferDropped):
             channel.transfer("client->server", "q", b"hello")
-        assert channel.total_bytes() == 5  # the wire still carried it
+        assert channel.billed_bytes() == 5  # the wire still carried it
 
     def test_corrupt_flips_exactly_one_byte(self):
         policy = FaultPolicy.symmetric(seed=3, corrupt=1.0)
@@ -133,7 +133,7 @@ class TestFaultyChannelBehaviour:
         channel = FaultyChannel(policy=policy)
         delivered, _ = channel.transfer("client->server", "q", b"q" * 10)
         assert delivered == b"q" * 10  # idempotent for request/response
-        assert channel.total_bytes() == 20
+        assert channel.billed_bytes() == 20
 
     def test_delay_adds_modelled_seconds(self):
         quiet = FaultyChannel(policy=FaultPolicy())

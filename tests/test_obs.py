@@ -228,7 +228,9 @@ class TestSlowQueryLog:
             log.record(self._trace(f"//q{index}", float(index)))
         entries = log.entries()
         assert len(entries) == 3
-        assert [entry.query for entry in entries] == ["//q9", "//q8", "//q7"]
+        assert [entry.trace.query for entry in entries] == [
+            "//q9", "//q8", "//q7",
+        ]
 
     def test_render_and_clear(self):
         log = SlowQueryLog(capacity=2)
@@ -244,6 +246,14 @@ class TestSlowQueryLog:
         log.record(self._trace("//a", 0.5))
         payload = json.loads(json.dumps(log.as_dicts()))
         assert payload[0]["query"] == "//a"
+        assert set(payload[0]) == {
+            "query", "total_s", "stages", "attempts", "retries",
+            "integrity_failures", "drops", "backoff_s", "plan",
+            "fallback_reason", "failed", "answer_count", "span",
+        }
+        assert list(payload[0]["stages"]) == [
+            "translate", "server", "transfer", "decrypt", "postprocess",
+        ]
 
 
 class TestObservabilityContainer:
@@ -325,7 +335,7 @@ class TestEndToEnd:
             queries
         )
         assert snapshot["histograms"]["chunk_decrypt_seconds"]["count"] > 0
-        logged = {entry.query for entry in obs.slow_log.entries()}
+        logged = {entry.trace.query for entry in obs.slow_log.entries()}
         assert logged == set(queries)
         assert lint_prometheus(obs.export_prometheus()) == []
         exported = json.loads(obs.export_json())
@@ -366,7 +376,7 @@ class TestEndToEnd:
         # still the one span the trace field is read off.
         assert trace.span.total("postprocess") == trace.postprocess_client_s
         slowest = system.observability().slow_log.entries()[0]
-        assert slowest.span.find("evaluate") is not None
+        assert slowest.trace.span.find("evaluate") is not None
 
     def test_decrypt_batch_says_which_sight_it_parsed(
         self, healthcare_doc, healthcare_scs
@@ -427,9 +437,9 @@ class TestFaultAnnotations:
         entry = next(
             entry
             for entry in system.observability().slow_log.entries()
-            if entry.query == retried.query and entry.retries
+            if entry.trace.query == retried.query and entry.trace.retries
         )
-        assert entry.retries == retried.retries
+        assert entry.trace.retries == retried.retries
 
 
     def test_query_retried_after_a_decrypt_failure_reconciles(

@@ -191,7 +191,7 @@ class TestOneRecord:
         assert delta["integrity_failures"] == 4
         assert delta["query_retries"] == 3
         entry = system.observability().slow_log.entries()[0]
-        assert entry.failed and entry.integrity_failures == 4
+        assert entry.trace.failed and entry.trace.integrity_failures == 4
 
     def test_one_backoff_sample_per_retry(self, healthcare_doc, healthcare_scs):
         channel = FaultyChannel(policy=FaultPolicy.symmetric(seed=3, drop=0.5))

@@ -188,7 +188,7 @@ class TestIdenticalCommandsNeedNoNonceRegression:
     The replay memory keyed on each sealed blob, so clients bound a
     random nonce into every command to keep two identical ones distinct.
     With one valid epoch per seal, the first command's commit makes the
-    second's seal stale: ``sealed_call`` re-seals it at the new anchor
+    second's seal stale: the remote update re-seals it at the new anchor
     and it lands.
     """
 

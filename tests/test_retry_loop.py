@@ -136,7 +136,7 @@ class TestOneLoop:
             ) as failed:
                 system.query(query)
             assert isinstance(failed.value.__cause__, TransferDropped)
-        assert [record.direction for record in channel.transfers] == [
+        assert [direction for direction, _ in channel.billed] == [
             "client->server"
         ] * len(QUERIES)
 

@@ -44,7 +44,6 @@ from repro.serving.framing import (
     OP_HELLO,
     OP_OK,
     OP_QUERY,
-    OP_STATS,
     OP_UPDATE,
     PROTOCOL_VERSION,
 )
@@ -94,9 +93,9 @@ class TestFraming:
         assert rest == b"tail"
 
     def test_empty_payload(self):
-        frame = encode_frame(1, OP_STATS, b"")
+        frame = encode_frame(1, OP_UPDATE, b"")
         (rid, op, payload), rest = decode_frame(frame)
-        assert (rid, op, payload) == (1, OP_STATS, b"")
+        assert (rid, op, payload) == (1, OP_UPDATE, b"")
         assert rest == b""
 
     def test_partial_frame_raises_closed(self):
@@ -186,7 +185,7 @@ class TestRemoteByteIdentity:
         try:
             hello = remote._connection.hello
             assert hello["tenant"] == "t0"
-            assert hello["protocol"] == PROTOCOL_VERSION == 3
+            assert hello["protocol"] == PROTOCOL_VERSION == 4
             assert hello["epoch"] == local.hosted.epoch
         finally:
             remote.close()
@@ -196,11 +195,12 @@ class TestProtocolVersion:
     """Both ends of the HELLO compare versions: a peer on another
     response format is refused typed at the handshake, never retried as
     a tamper on its first answer.  Version 2 is the last one that had a
-    naive opcode and a naive flag on responses."""
+    naive opcode and a naive flag on responses, version 3 the last one
+    with a stats opcode."""
 
     def test_front_door_refuses_another_version(self, served):
         _, (host, port), _ = served
-        for version in (2, 99):
+        for version in (2, 3, 99):
             with socket.create_connection((host, port), timeout=10) as sock:
                 hello = {"tenant": "t0", "protocol": version}
                 sock.sendall(encode_frame(0, OP_HELLO, json.dumps(hello).encode()))
@@ -224,7 +224,7 @@ class TestProtocolVersion:
         server, (host, port), _ = served
         session = server.tenants["t0"]
         honest = session.hello
-        for version in (1, 2):
+        for version in (1, 2, 3):
             monkeypatch.setattr(
                 session, "hello", lambda: {**honest(), "protocol": version}
             )
@@ -235,10 +235,10 @@ class TestProtocolVersion:
 
 
 class TestRetiredOpcodes:
-    @pytest.mark.parametrize("opcode", [3, 4, 6, 17, 18])
+    @pytest.mark.parametrize("opcode", [3, 4, 6, 7, 17, 18])
     def test_typed_error_then_connection_still_serves(self, served, opcode):
-        """3/17/18 were QUERY_STREAM/CHUNK/END, 4 was NAIVE and 6 was
-        FLUSH: now unknown, not fatal."""
+        """3/17/18 were QUERY_STREAM/CHUNK/END, 4 was NAIVE, 6 was
+        FLUSH and 7 was STATS: now unknown, not fatal."""
         _, address, local = served
         remote = remote_system(local, address, "t0")
         try:
@@ -713,7 +713,8 @@ class TestMultiTenant:
             healthcare_doc, healthcare_scs, scheme="opt"
         )
         xmark = SecureXMLSystem.host(xmark_doc, xmark_scs, scheme="opt")
-        server = ServingServer()
+        obs = Observability()
+        server = ServingServer(obs=obs)
         server.register_tenant("health", health)
         server.register_tenant("xmark", xmark)
         address = server.start()
@@ -729,16 +730,14 @@ class TestMultiTenant:
                     remote_x.query("//person/name").canonical()
                     == xmark.query("//person/name").canonical()
                 )
-                stats_h = remote_h._connection.stats()
-                stats_x = remote_x._connection.stats()
-                assert stats_h["tenant"] == "health"
-                assert stats_x["tenant"] == "xmark"
-                assert stats_h["ops"]["query"] >= 1
             finally:
                 remote_h.close()
                 remote_x.close()
         finally:
             server.stop()
+        tally = obs.metrics.snapshot()["labeled"]["serving_tenant_requests"]
+        assert tally['tenant="health"'] >= 1
+        assert tally['tenant="xmark"'] >= 1
 
     def test_duplicate_tenant_id_rejected(self, local):
         server = ServingServer()
@@ -951,7 +950,8 @@ class TestFreshnessWindow:
 
 
 # ----------------------------------------------------------------------
-# Control-plane authentication (stats is a sealed command; flush is gone)
+# Control-plane authentication (update is the one command; flush and
+# stats are gone)
 # ----------------------------------------------------------------------
 class TestControlPlaneAuth:
     """Nothing beyond the sealed data plane is reachable by an
@@ -960,37 +960,37 @@ class TestControlPlaneAuth:
     metadata."""
 
     def test_unsealed_flush_and_stats_are_rejected(self, served):
-        from repro.core.integrity import TamperedRequestError
-
         _, (host, port), _ = served
         with ServingConnection(host, port, "t0") as conn:
             for payload in (b"", b"\x00" * 96):
-                with pytest.raises(TamperedRequestError):
-                    conn.call(OP_STATS, payload)
+                with pytest.raises(ProtocolError, match="unknown opcode 7"):
+                    conn.call(7, payload)  # the retired STATS
                 with pytest.raises(ProtocolError, match="opcode 6"):
                     conn.call(6, payload)  # the retired FLUSH
 
-    def test_sealed_stats_response_is_verified(self, served):
-        _, address, local = served
-        remote = remote_system(local, address, "t0")
+    def test_sealed_stats_is_refused_and_the_registry_counts(self, local):
+        """A stats command sealed at the live anchor is an unknown
+        opcode like any other frame 7; the tenant's request count is the
+        host's registry, which the refusal does not move."""
+        obs = Observability()
+        server = ServingServer(obs=obs)
+        server.register_tenant("t0", local)
+        host, port = server.start()
         try:
-            remote.query(PROBE)
-            stats = remote._connection.stats()
-            assert stats["tenant"] == "t0"
-            assert stats["ops"]["query"] >= 1
+            remote = remote_system(local, (host, port), "t0")
+            try:
+                remote.query(PROBE)
+            finally:
+                remote.close()
+            request_key, _ = local.keyring.session_keys()
+            blob, _ = local.hosted.seal(request_key, b'{"op": "stats"}')
+            with ServingConnection(host, port, "t0") as conn:
+                with pytest.raises(ProtocolError, match="unknown opcode 7"):
+                    conn.call(7, blob)
         finally:
-            remote.close()
-
-    def test_connection_without_keys_cannot_issue_commands(self, served):
-        from repro.serving import ServingError
-
-        _, (host, port), _ = served
-        connection = ServingConnection(host, port, "t0")
-        try:
-            with pytest.raises(ServingError):
-                connection.stats()
-        finally:
-            connection.close()
+            server.stop()
+        tally = obs.metrics.snapshot()["labeled"]["serving_tenant_requests"]
+        assert tally == {'tenant="t0"': 1}
 
     def test_flush_replay_is_rejected(self, served):
         """A flush does not move the epoch, so a captured sealed flush
