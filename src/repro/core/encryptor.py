@@ -115,12 +115,13 @@ class HostedDatabase:
     )
     #: Serializes anchor reads (``state_root``) against anchor mutations
     #: (tag maintenance, epoch bumps).  :class:`BlockMerkleTree` is not
-    #: thread-safe, and the front door gives each connection its own
-    #: thread: one connection's thread seals an envelope (reading epoch +
-    #: root) while another's applies an update that mutates the tree.
-    #: Without the lock a seal could observe a half-rebuilt tree and emit
-    #: an anchor that verifies against nothing.  Reentrant so locked
-    #: callers can compose these helpers.
+    #: thread-safe, and a served tenant's ``hosted`` is shared with the
+    #: owner's remote handles: one handle's thread seals a request
+    #: (reading epoch + root) while the tenant's connection thread
+    #: applies an update that mutates the tree.  Without the lock a seal
+    #: could observe a half-rebuilt tree and emit an anchor that
+    #: verifies against nothing.  Reentrant so locked callers can
+    #: compose these helpers.
     anchor_lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False, compare=False
     )

@@ -21,8 +21,8 @@ class EpochCache:
     """A dict swept — emptied, unless ``survives`` says otherwise — when
     the epoch it reads has moved.
 
-    Not synchronised: an owner shared between threads holds its own lock
-    around each gate-and-access sequence.
+    Not synchronised: its owner is called one request at a time — a
+    served system through its tenant's one lock.
     """
 
     #: Entry bound of a cache whose *keys* a peer chooses (query strings,

@@ -31,7 +31,6 @@ byte-identical with the tier on.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -68,24 +67,20 @@ class ObservedTrace:
 class TraceRecorder:
     """Append-only log of :class:`ObservedTrace`.
 
-    Thread-safe: the serving layer evaluates concurrent readers, so two
-    queries may record at once.  Order is the order the server actually
-    served the fetches.
+    Order is the order the server actually served the fetches; a served
+    tenant runs one request at a time, so no two queries record at once.
     """
 
     def __init__(self) -> None:
         self._traces: list[ObservedTrace] = []
-        self._lock = threading.Lock()
 
     def record(self, trace: ObservedTrace) -> None:
-        with self._lock:
-            self._traces.append(trace)
+        self._traces.append(trace)
         count("leakage_traces_recorded")
 
     def traces(self) -> list[ObservedTrace]:
         """Recorded traces, in the order they were served."""
-        with self._lock:
-            return list(self._traces)
+        return list(self._traces)
 
     def encode(self) -> bytes:
         """Canonical bytes for the whole log."""
@@ -93,7 +88,7 @@ class TraceRecorder:
 
 
 class LeakageContext:
-    """Per-system countermeasure state: the cover stream and its lock.
+    """Per-system countermeasure state: the cover stream.
 
     Every query draws from one advancing stream, so decoy draws are
     fresh per query (a repeated query does *not* repeat its decoys —
@@ -104,7 +99,6 @@ class LeakageContext:
 
     def __init__(self, stream: DeterministicRandom) -> None:
         self._stream = stream
-        self._lock = threading.Lock()
         #: Where traces go while the leakage game observes; ``None``
         #: otherwise, so a long-running tenant keeps no per-query state.
         self.recorder: "TraceRecorder | None" = None
@@ -122,9 +116,9 @@ class LeakageContext:
         block-id population the server could legitimately be asked
         for (the whole store); ``fetch`` resolves an id to its stored
         ciphertext so decoy/padding fetches do real storage reads.
-        Returns the total fetch count (the padded trace length).  Holds
-        the context lock for the whole plan so a concurrent query cannot
-        interleave draws within one trace.
+        Returns the total fetch count (the padded trace length).  One
+        query's draws are contiguous on the stream: a served tenant runs
+        one request at a time.
         """
         plan = list(real_ids)
         real_bytes = 0
@@ -133,20 +127,17 @@ class LeakageContext:
             if payload is not None:
                 real_bytes += len(payload)
         extra_bytes = 0
-        with self._lock:
-            if universe:
-                rng = self._stream
-                # DECOYS draws, then padding draws up to the bucket.
-                target = max(
-                    PAD_TO, -(-(len(plan) + DECOYS) // PAD_TO) * PAD_TO
-                )
-                while len(plan) < target:
-                    block_id = universe[rng.randint(0, len(universe) - 1)]
-                    extra_bytes += len(fetch(block_id) or b"")
-                    plan.append(block_id)
-                # Shuffle the issue order so trace position does not
-                # reveal which fetches were real.
-                rng.shuffle(plan)
+        if universe:
+            rng = self._stream
+            # DECOYS draws, then padding draws up to the bucket.
+            target = max(PAD_TO, -(-(len(plan) + DECOYS) // PAD_TO) * PAD_TO)
+            while len(plan) < target:
+                block_id = universe[rng.randint(0, len(universe) - 1)]
+                extra_bytes += len(fetch(block_id) or b"")
+                plan.append(block_id)
+            # Shuffle the issue order so trace position does not
+            # reveal which fetches were real.
+            rng.shuffle(plan)
         count("leakage_real_fetches", len(real_ids))
         count("leakage_real_bytes", real_bytes)
         extra = len(plan) - len(real_ids)
@@ -155,7 +146,6 @@ class LeakageContext:
             count("leakage_extra_bytes", extra_bytes)
         if extra > DECOYS:
             count("leakage_pad_fetches", extra - DECOYS)
-        recorder = self.recorder
-        if recorder is not None:
-            recorder.record(ObservedTrace(tuple(plan), tuple(real_ids)))
+        if self.recorder is not None:
+            self.recorder.record(ObservedTrace(tuple(plan), tuple(real_ids)))
         return len(plan)

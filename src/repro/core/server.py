@@ -14,7 +14,6 @@ document and re-evaluate the original query exactly.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 from typing import TYPE_CHECKING
@@ -130,24 +129,14 @@ class Server:
         )
         #: the sorted block-id population decoy fetches draw from
         self._universe_cache = EpochCache(lambda: hosted.epoch, self._caches)
-        #: Serializes cache reads against epoch flushes.  The serving
-        #: front door runs one thread per connection, so an epoch bump
-        #: must not be able to interleave with a cache lookup
-        #: (e.g. a wire-cache hit sealed at the pre-flush anchor being
-        #: returned after the flush).  Query-vs-update *evaluation* is
-        #: serialized one level up (the tenant session's reader–writer
-        #: lock); this lock only has to make the check-epoch +
-        #: cache-access sequences atomic.
-        self._cache_lock = threading.RLock()
         #: Access-pattern leakage tier, set by the owning system;
         #: ``None`` (the default) keeps the evaluated path untouched.
         self.leakage: "LeakageContext | None" = None
 
     def flush_caches(self) -> None:
         """Drop the fragment, sealed-response and decoy-universe caches."""
-        with self._cache_lock:
-            for cache in self._caches:
-                cache.clear()
+        for cache in self._caches:
+            cache.clear()
 
     # ------------------------------------------------------------------
     # Normal path: §6.2 steps 1-3
@@ -213,9 +202,8 @@ class Server:
     def _make_fragments(self, roots: list[Node]) -> list[Fragment]:
         """Serialize the shipped subtrees, in document order."""
         with span("server.serialize"):
-            with self._cache_lock:
-                cache = self._fragment_cache.live()
-                cached = [cache.get(node.node_id) for node in roots]
+            cache = self._fragment_cache.live()
+            cached = [cache.get(node.node_id) for node in roots]
             built = {
                 node.node_id: self._build_fragment(node)
                 for node, fragment in zip(roots, cached)
@@ -227,8 +215,7 @@ class Server:
             if not built:
                 return cached
             count("fragment_cache_misses", len(built))
-            with self._cache_lock:
-                cache.update(built)
+            cache.update(built)
             return [
                 built[node.node_id] if fragment is None else fragment
                 for node, fragment in zip(roots, cached)
@@ -260,8 +247,7 @@ class Server:
         the client's retry loop has a single failure surface.
         """
         request_key, response_key = self._session_keys
-        with self._cache_lock:
-            cached = self._wire_cache.live().get(request_blob)
+        cached = self._wire_cache.live().get(request_blob)
         if cached is not None:
             return cached
         query_bytes, _ = self._hosted.unseal(
@@ -273,8 +259,7 @@ class Server:
             raise TamperedRequestError(str(exc)) from exc
         response = self.answer(translated)
         blob, epoch = self._hosted.seal(response_key, encode_response(response))
-        with self._cache_lock:
-            self._wire_cache.store(request_blob, blob, epoch)
+        self._wire_cache.store(request_blob, blob, epoch)
         return blob
 
     # ------------------------------------------------------------------

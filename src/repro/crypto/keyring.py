@@ -49,13 +49,11 @@ class ClientKeyring:
         if len(master_key) < 16:
             raise ValueError("master key must be at least 16 bytes")
         #: The master key, pre-keyed once: every derivation below is one
-        #: draw on it.  Like the AES key schedule, it survives
-        #: :meth:`flush_memoized`; it is key material, not a memo.
+        #: draw on it.
         self._master = PRF(master_key)
         self._tag_cipher: DeterministicTagCipher | None = None
         self._ope: OrderPreservingEncryption | None = None
         self._block_cipher: AES128 | None = None
-        self._block_ivs: dict[tuple[int, int | None], bytes] = {}
         self._block_mac: PRF | None = None
 
     @classmethod
@@ -91,30 +89,14 @@ class ClientKeyring:
         return self._derive("block")[:16]
 
     def block_iv(self, block_id: int, stamp: int | None = None) -> bytes:
-        """Per-block CBC IV, memoized per ``(block id, stamp)``.
+        """Per-block CBC IV, derived on each call: one draw on the
+        pre-keyed master.
 
         ``stamp`` is the epoch the block's payload was written at, from
         ``HostedDatabase.block_stamps``; ``None`` for a block still
         holding the payload hosting gave it.
         """
-        cached = self._block_ivs.get((block_id, stamp))
-        if cached is None:
-            cached = self._derive("block-iv", *_context(block_id, stamp))[:16]
-            self._block_ivs[block_id, stamp] = cached
-        return cached
-
-    def flush_memoized(self) -> None:
-        """Drop the memoized per-block IVs (and lazily rebuilt ciphers).
-
-        The IVs are pure functions of the master key, so keeping them is
-        always *correct* — but ``flush_caches()`` promises a genuinely
-        cold warm-path measurement, and a warm IV memo was quietly
-        exempting the HMAC derivations from that promise.  The pre-keyed
-        master and block-MAC states stay, as the AES key schedule does:
-        a cold read still runs every derivation, on keys set up once.
-        """
-        self._block_ivs.clear()
-        self._block_cipher = None
+        return self._derive("block-iv", *_context(block_id, stamp))[:16]
 
     @property
     def tag_cipher(self) -> DeterministicTagCipher:

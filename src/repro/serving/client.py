@@ -192,6 +192,20 @@ class RemoteSecureXMLSystem(SecureXMLSystem):
         """Drop the client-side caches; the served tenant keeps its own."""
         self.client.flush_caches()
 
+    def aggregate(self, xpath: str, func: str, mode: str = "exact"):
+        """Aggregate over the socket: ``mode="exact"`` only.
+
+        The server-side min/max fold has no opcode; inherited, it would
+        read the served tenant's index on this thread, outside the
+        tenant's lock.
+        """
+        if mode == "server":
+            raise ValueError(
+                "a remote handle cannot fold server-side "
+                "(use mode='exact')"
+            )
+        return super().aggregate(xpath, func, mode)
+
     # ------------------------------------------------------------------
     # Updates over the wire
     # ------------------------------------------------------------------

@@ -19,13 +19,14 @@ it, runs its handler inline — the synchronous pipeline, the same
 — and writes the reply with ``sendall`` before it reads the next frame.
 Concurrency comes from connections: each owner handle is one.
 
-Concurrency within a tenant is a readers–writer discipline:
-queries share a read lock, updates and the drain's
-cache flush take the write lock (writer-priority, so a steady query
-stream cannot starve updates).  Combined with the
-:class:`~repro.core.server.Server` cache lock and the
-:class:`~repro.core.encryptor.HostedDatabase` anchor lock, a reader can
-never observe a half-applied update or a torn ``(epoch, root)`` pair.
+A tenant runs one request at a time: every handler (``hello``,
+``query``, ``update``, ``drain``) takes its session's one lock, so a
+query never observes a half-applied update and the served system needs
+no lock of its own.  A handler is pure CPU, so under the GIL a second
+one could not run beside it in any case.  While a system is registered
+here, only the front door calls it: the owner's remote handles share
+its hosted state and keyring, and read the freshness anchor under the
+:class:`~repro.core.encryptor.HostedDatabase` anchor lock.
 
 Admission control and drain
 ---------------------------
@@ -49,8 +50,7 @@ import json
 import socket
 import threading
 import time
-from contextlib import contextmanager, suppress
-from typing import Iterator
+from contextlib import suppress
 
 from repro.core.integrity import TamperedRequestError, seal
 from repro.core.system import SecureXMLSystem
@@ -91,57 +91,12 @@ _REQUEST_HANDLERS = {
 _UPDATE_OPS = ("insert_element", "delete_element", "update_value")
 
 
-class ReadWriteLock:
-    """Writer-priority readers–writer lock (context-manager API).
-
-    Plain condition-variable construction: readers share, a writer is
-    exclusive, and a *waiting* writer blocks new readers so a steady
-    query stream cannot starve updates.
-    """
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writer_active = False
-        self._writers_waiting = 0
-
-    @contextmanager
-    def read(self) -> Iterator[None]:
-        with self._cond:
-            while self._writer_active or self._writers_waiting:
-                self._cond.wait()
-            self._readers += 1
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._readers -= 1
-                if self._readers == 0:
-                    self._cond.notify_all()
-
-    @contextmanager
-    def write(self) -> Iterator[None]:
-        with self._cond:
-            self._writers_waiting += 1
-            try:
-                while self._writer_active or self._readers:
-                    self._cond.wait()
-                self._writer_active = True
-            finally:
-                self._writers_waiting -= 1
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._writer_active = False
-                self._cond.notify_all()
-
-
 class TenantSession:
     """One hosted tenant: its system, session keys, and request surface.
 
-    All methods here are synchronous and run on the thread of the
-    connection that sent the request.
+    All methods here are synchronous, run on the thread of the
+    connection that sent the request, and hold the session's lock: one
+    request at a time per tenant.
     """
 
     def __init__(
@@ -156,13 +111,13 @@ class TenantSession:
         self._request_key, self._response_key = (
             system.keyring.session_keys()
         )
-        self._rw = ReadWriteLock()
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Request surface (sync, on the connection's thread)
     # ------------------------------------------------------------------
     def hello(self) -> dict[str, object]:
-        with self._rw.read():
+        with self._lock:
             return {
                 "tenant": self.tenant_id,
                 "protocol": PROTOCOL_VERSION,
@@ -170,7 +125,7 @@ class TenantSession:
             }
 
     def query(self, blob: bytes) -> bytes:
-        with self._rw.read():
+        with self._lock:
             return self.system.server.answer_wire(blob)
 
     def update(self, blob: bytes) -> bytes:
@@ -178,7 +133,7 @@ class TenantSession:
 
         The command must be sealed at the *current* anchor, like every
         request.  One that lost a race to a concurrent commit while it
-        waited on the write lock gets the typed
+        waited on the tenant lock gets the typed
         :class:`~repro.core.integrity.RollbackDetectedError` back and the
         client re-seals against the new epoch.  Every applied write moves
         the epoch, so a captured command blob re-sent after it landed
@@ -189,7 +144,7 @@ class TenantSession:
         not freshness.
         """
         count("serving_updates")
-        with self._rw.write():
+        with self._lock:
             op = self._open_command(blob)
             applied = self._apply_update(op)
             ack = json.dumps(
@@ -231,8 +186,8 @@ class TenantSession:
     # Drain
     # ------------------------------------------------------------------
     def drain(self) -> None:
-        """Flush caches and persist durable state (under the write lock)."""
-        with self._rw.write():
+        """Flush caches and persist durable state (under the tenant lock)."""
+        with self._lock:
             self.system.flush_caches()
             if self.storage_dir is not None:
                 from repro.core.storage import save_system

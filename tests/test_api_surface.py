@@ -341,6 +341,8 @@ class TestOneServerBehindTheOwner:
             "_replicas", "_readmit_demoted", "replica_demotions",
             "replica_resyncs", "replica_epoch_lag",
             "TransferRecord", "OP_STATS", "op_counts", "_TRACE_STAGES",
+            "ReadWriteLock", "_cache_lock", "_lows_lock", "_block_ivs",
+            "flush_memoized",
         )
         for path in sorted(pathlib.Path(repro.__file__).parent.rglob("*.py")):
             text = path.read_text()

@@ -181,13 +181,18 @@ class TestDecryptPipelineOrder:
     one parse per fragment."""
 
     def test_one_tampered_payload_stops_the_batch_before_any_cipher_call(
-        self, stack
+        self, stack, monkeypatch
     ):
         hosted, server, client = stack
         response = server.answer(client.translate("//patient"))
         assert len(response.fragments) > 1 and response.blocks_shipped > 2
         tampered = _with_tampered_block(response, len(response.fragments) - 1)
-        client.flush_caches()  # hosting shares the keyring and its IV memo
+        derived = []
+        real_iv = client._keyring.block_iv
+        monkeypatch.setattr(
+            client._keyring, "block_iv",
+            lambda *args: derived.append(args) or real_iv(*args),
+        )
         before = metrics.counter_values()
         with pytest.raises(TamperedResponseError):
             client.decrypt_fragments(tampered)
@@ -195,7 +200,7 @@ class TestDecryptPipelineOrder:
         assert delta["blocks_decrypted"] == 0
         assert delta["integrity_failures"] == 1
         assert len(client._block_cache) == len(client._tree_cache) == 0
-        assert client._keyring._block_ivs == {}  # not even an IV derived
+        assert derived == []  # not even an IV derived
         # The untampered response still decrypts afterwards.
         assert len(client.decrypt_fragments(response)) == len(response.fragments)
 
@@ -257,17 +262,6 @@ class TestDecryptPipelineOrder:
         assert serialize(trees[0][1]) == serialize(trees[1][1])
         assert trees[0][1] is not trees[1][1]
         assert serialize(trees[2][1]) == f"<w>{serialize(trees[0][1])}</w>"
-
-    def test_flush_caches_empties_the_iv_memo(self, stack):
-        """Cold stays cold: the IVs are re-derived, just in C."""
-        hosted, server, client = stack
-        response = server.answer(client.translate("//patient"))
-        client.flush_caches()
-        client.decrypt_fragments(response)
-        assert len(client._keyring._block_ivs) == response.blocks_shipped
-        client.flush_caches()
-        assert client._keyring._block_ivs == {}
-        assert len(client._block_cache) == len(client._tree_cache) == 0
 
     def test_decrypt_fragment_is_a_batch_of_one(self, stack):
         hosted, server, client = stack

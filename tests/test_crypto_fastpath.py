@@ -454,17 +454,6 @@ class TestCipherCaches:
         AES128(key).encrypt_block(bytes(16))
         assert metrics.counter_values()["key_expansions"] - before == 1
 
-    def test_flush_keeps_the_keyed_states_and_drops_the_iv_memo(self):
-        keyring = ClientKeyring(b"pinned-master-key-0123456789abcd")
-        iv = keyring.block_iv(17)
-        tag = keyring.block_tag(17, b"payload")
-        master, block_mac = keyring._master, keyring._block_mac
-        keyring.flush_memoized()
-        assert keyring._block_ivs == {}
-        assert keyring._master is master and keyring._block_mac is block_mac
-        assert keyring.block_iv(17) == iv
-        assert keyring.block_tag(17, b"payload") == tag
-
     def test_keyed_cipher_cache_shares_instances(self):
         key = b"shared-cipher-k!"
         assert aes128_for_key(key) is aes128_for_key(key)

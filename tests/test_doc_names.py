@@ -6,8 +6,12 @@
   fails here instead of going stale.
 * README.md, DESIGN.md and ``docs/*.md``: every backticked
   ``repro.``-dotted name must resolve (import its longest module prefix,
-  then ``getattr`` the rest), and every backticked ``OP_*`` name must be
-  an opcode of :mod:`repro.serving.framing`.
+  then ``getattr`` the rest), every backticked ``OP_*`` name must be
+  an opcode of :mod:`repro.serving.framing`, and every backticked
+  ``REPRO_*`` name must be read — ``os.environ.get("…")`` or
+  ``os.environ["…"]`` in ``tests/``, ``benchmarks/`` or ``bench/`` — or
+  be an ``env:`` key of the CI workflow.  A variable a test only sets
+  is not one a reader can use.
 
 ``bench/README.md`` is left out: ``bench/`` is the frozen benchmark
 harness, and its stale names are mended together with the next change
@@ -28,6 +32,7 @@ OBSERVABILITY = ROOT / "docs" / "OBSERVABILITY.md"
 GUARDED_DOCS = sorted(
     [ROOT / "README.md", ROOT / "DESIGN.md", *(ROOT / "docs").glob("*.md")]
 )
+CI_WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
 
 
 def table_metric_names(text: str) -> list[str]:
@@ -79,11 +84,44 @@ def test_every_opcode_name_is_a_framing_opcode(doc):
     assert [name for name in sorted(names) if not hasattr(framing, name)] == []
 
 
+def environment_variables_in_use() -> set[str]:
+    """``REPRO_*`` names a harness reads, or CI sets under an ``env:``."""
+    read = re.compile(r"""os\.environ(?:\.get\(|\[)\s*["'](REPRO_\w+)["']""")
+    names = {
+        name
+        for folder in ("tests", "benchmarks", "bench")
+        for path in (ROOT / folder).rglob("*.py")
+        for name in read.findall(path.read_text())
+    }
+    env_indent = None
+    for line in CI_WORKFLOW.read_text().splitlines():
+        indent = len(line) - len(line.lstrip())
+        if re.fullmatch(r"\s*env:\s*", line):
+            env_indent = indent
+        elif env_indent is not None and line.strip():
+            key = re.match(r"\s*(\w+):", line)
+            if indent <= env_indent or key is None:
+                env_indent = None
+            else:
+                names.add(key.group(1))
+    return names
+
+
+@pytest.mark.parametrize("doc", GUARDED_DOCS, ids=lambda path: path.name)
+def test_every_environment_variable_is_one_something_reads(doc):
+    names = backticked(r"REPRO_\w+", doc.read_text())
+    assert sorted(names - environment_variables_in_use()) == []
+
+
 def test_the_guard_sees_the_docs():
     """The patterns find what the docs name, so an empty match is not a
     silent pass."""
     text = "\n".join(doc.read_text() for doc in GUARDED_DOCS)
     assert len(backticked(r"repro(?:\.\w+)+", text)) >= 40
     assert {"OP_HELLO", "OP_QUERY", "OP_UPDATE"} <= backticked(r"OP_\w+", text)
+    assert len(backticked(r"REPRO_\w+", text)) >= 4
+    in_use = environment_variables_in_use()
+    assert {"REPRO_CHAOS_SEEDS", "REPRO_OBS_OVERHEAD"} <= in_use
+    assert "REPRO_WORKERS" not in in_use  # a guard test sets it; none reads it
     assert resolves("repro.core.dsi.StructuralIndex")
     assert not resolves("repro.core.blocktable")

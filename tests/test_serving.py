@@ -11,6 +11,7 @@ graceful drain with durable persistence.
 
 import json
 import socket
+import sys
 import threading
 import time
 
@@ -47,7 +48,6 @@ from repro.serving.framing import (
     OP_UPDATE,
     PROTOCOL_VERSION,
 )
-from repro.serving.server import ReadWriteLock
 from repro.xpath.evaluator import evaluate
 
 #: Reads of the process counter total.
@@ -171,6 +171,23 @@ class TestRemoteByteIdentity:
                 == reference.naive_query(PROBE).canonical()
             )
             assert remote.last_trace.plan == "naive"
+        finally:
+            remote.close()
+
+    def test_aggregates_cross_the_socket_or_are_refused(
+        self, served, reference
+    ):
+        """A server-side fold would read the tenant's index on this
+        thread, outside the tenant's lock: refused.  Exact mode is a
+        query like any other."""
+        _, address, local = served
+        remote = remote_system(local, address, "t0")
+        try:
+            with pytest.raises(ValueError, match="mode='exact'"):
+                remote.aggregate("//patient/SSN", "max", mode="server")
+            assert remote.aggregate(
+                "//patient/SSN", "max", mode="exact"
+            ) == reference.aggregate("//patient/SSN", "max", mode="exact")
         finally:
             remote.close()
 
@@ -773,100 +790,68 @@ class TestServingMetrics:
 
 
 # ----------------------------------------------------------------------
-# ReadWriteLock (the tenant-session concurrency primitive)
+# One request at a time per tenant
 # ----------------------------------------------------------------------
-class TestReadWriteLock:
-    def test_readers_share(self):
-        lock = ReadWriteLock()
-        inside = []
-        barrier = threading.Barrier(3, timeout=10)
+class TestOneRequestAtATime:
+    def test_readers_take_turns_on_one_tenant(
+        self, served, reference, monkeypatch
+    ):
+        """Five handles query at once, the interpreter switches threads
+        every 10 µs and each evaluation sleeps 1 ms inside: still no two
+        of the tenant's handlers overlap, and every answer is the
+        in-process one."""
+        _, address, local = served
+        real = local.server.answer_wire
+        guard = threading.Lock()
+        inside = {"now": 0, "peak": 0}
 
-        def reader():
-            with lock.read():
-                inside.append(1)
-                barrier.wait()
+        def answer_wire(blob):
+            with guard:
+                inside["now"] += 1
+                inside["peak"] = max(inside["peak"], inside["now"])
+            try:
+                time.sleep(0.001)  # releases the GIL mid-handler
+                return real(blob)
+            finally:
+                with guard:
+                    inside["now"] -= 1
 
-        threads = [threading.Thread(target=reader) for _ in range(3)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
-        assert len(inside) == 3
+        monkeypatch.setattr(local.server, "answer_wire", answer_wire)
+        handles = [remote_system(local, address, "t0") for _ in range(5)]
+        barrier = threading.Barrier(len(handles), timeout=30)
+        answers, failed = {}, []
 
-    def test_writer_excludes_readers(self):
-        lock = ReadWriteLock()
-        order = []
-        entered = threading.Event()
-        release = threading.Event()
+        def drive(index, handle):
+            barrier.wait()
+            try:
+                for query in QUERIES:
+                    answers[index, query] = handle.query(query).canonical()
+            except Exception as exc:  # surfaced by the asserts below
+                failed.append(exc)
 
-        def writer():
-            with lock.write():
-                entered.set()
-                assert release.wait(timeout=10)
-                order.append("write")
-
-        def reader():
-            with lock.read():
-                order.append("read")
-
-        w = threading.Thread(target=writer)
-        w.start()
-        assert entered.wait(timeout=10)
-        r = threading.Thread(target=reader)
-        r.start()
-        time.sleep(0.05)
-        release.set()
-        w.join(timeout=10)
-        r.join(timeout=10)
-        assert order == ["write", "read"]
-
-    def test_waiting_writer_blocks_new_readers(self):
-        """Writer priority: once a writer queues, new readers wait."""
-        lock = ReadWriteLock()
-        order = []
-        first_reader_in = threading.Event()
-        first_reader_out = threading.Event()
-
-        def long_reader():
-            with lock.read():
-                first_reader_in.set()
-                assert first_reader_out.wait(timeout=10)
-            order.append("r1-out")
-
-        def writer():
-            with lock.write():
-                order.append("write")
-
-        def late_reader():
-            with lock.read():
-                order.append("r2")
-
-        r1 = threading.Thread(target=long_reader)
-        r1.start()
-        assert first_reader_in.wait(timeout=10)
-        w = threading.Thread(target=writer)
-        w.start()
-        time.sleep(0.05)  # writer is now waiting on r1
-        r2 = threading.Thread(target=late_reader)
-        r2.start()
-        time.sleep(0.05)
-        first_reader_out.set()
-        for t in (r1, w, r2):
-            t.join(timeout=10)
-        assert order.index("write") < order.index("r2")
-
-    def test_release_on_another_thread(self):
-        """The lock must not assume thread ownership."""
-        lock = ReadWriteLock()
-        ctx = lock.read()
-        t1 = threading.Thread(target=ctx.__enter__)
-        t1.start()
-        t1.join(timeout=10)
-        t2 = threading.Thread(target=ctx.__exit__, args=(None, None, None))
-        t2.start()
-        t2.join(timeout=10)
-        with lock.write():  # would deadlock if the read leaked
-            pass
+        threads = [
+            threading.Thread(target=drive, args=pair)
+            for pair in enumerate(handles)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            for handle in handles:
+                handle.close()
+        assert not failed, failed
+        assert inside["peak"] == 1
+        assert len(answers) == len(handles) * len(QUERIES)
+        expected = {
+            query: reference.query(query).canonical() for query in QUERIES
+        }
+        for (_, query), answer in answers.items():
+            assert answer == expected[query], query
 
 
 # ----------------------------------------------------------------------
