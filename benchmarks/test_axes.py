@@ -12,13 +12,14 @@ A second gate pins the planner: every query of the full axis-complete
 workload (all thirteen axes plus positional predicates, three corpora)
 is served by an axis or residual plan — none reaches the naive protocol.
 
-Results land in ``benchmarks/results/axes_vs_naive.txt`` (human table)
-and ``BENCH_axes.json`` at the repository root (machine-readable gate).
+At the full trial count, results land in
+``benchmarks/results/axes_vs_naive.txt`` (human table) and
+``BENCH_axes.json`` at the repository root (machine-readable gate); a
+faster run only prints them.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
@@ -33,7 +34,7 @@ from repro.workloads.healthcare import (
 from repro.workloads.nasa import nasa_constraints
 from repro.workloads.xmark import _CITIES, xmark_constraints
 
-from conftest import BENCH_TRIALS, write_result
+from conftest import BENCH_TRIALS, write_result, write_series
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_JSON = os.path.join(REPO_ROOT, "BENCH_axes.json")
@@ -54,15 +55,6 @@ GATE_QUERIES = (
     "//itemref/following-sibling::current",
     "//reserve/preceding-sibling::itemref",
 )
-
-_REPORT: dict[str, object] = {"trials": BENCH_TRIALS}
-
-
-def _write_report() -> None:
-    with open(BENCH_JSON, "w", encoding="utf-8") as handle:
-        json.dump(_REPORT, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
 
 @pytest.fixture(scope="module")
 def xmark_system(xmark_doc):
@@ -107,14 +99,17 @@ class TestBlocksShippedVsNaive:
                 }
             )
         aggregate = total_naive / max(1, total_secure)
-        _REPORT["vs_naive"] = {
-            "queries": report_rows,
-            "blocks_secure_total": total_secure,
-            "blocks_naive_total": total_naive,
-            "aggregate_reduction": aggregate,
-            "gate_min_reduction": MIN_BLOCK_REDUCTION,
-        }
-        _write_report()
+        write_series(
+            BENCH_JSON,
+            trials=BENCH_TRIALS,
+            vs_naive={
+                "queries": report_rows,
+                "blocks_secure_total": total_secure,
+                "blocks_naive_total": total_naive,
+                "aggregate_reduction": aggregate,
+                "gate_min_reduction": MIN_BLOCK_REDUCTION,
+            },
+        )
         write_result(
             "axes_vs_naive",
             "\n".join(
@@ -161,8 +156,10 @@ class TestNoNaiveFallbacks:
                 assert trace.plan != "naive", query
                 plans[trace.plan] = plans.get(trace.plan, 0) + 1
                 queries_run += 1
-        _REPORT["axis_workload"] = {"queries": queries_run, "plans": plans}
-        _write_report()
+        write_series(
+            BENCH_JSON,
+            axis_workload={"queries": queries_run, "plans": plans},
+        )
         write_result(
             "axes_fallbacks",
             f"axis-complete workload: {queries_run} queries, plans={plans}",

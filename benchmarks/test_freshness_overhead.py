@@ -16,15 +16,14 @@ The gate passes when either
 * the absolute per-verify cost is under a tiny floor (50µs) — below
   that, the ratio measures timer noise, not crypto.
 
-Results are appended to ``BENCH_hotpath.json`` as a
-``freshness_overhead`` series (read-modify-write, so the other series
-survive) and a table under ``benchmarks/results/``.
+At the full trial count, results are merged into ``BENCH_hotpath.json``
+as a ``freshness_overhead`` series (the other series survive) and a table
+under ``benchmarks/results/``; a faster run only prints them.
 """
 
 from __future__ import annotations
 
 import gc
-import json
 import os
 import time
 
@@ -36,7 +35,7 @@ from repro.core.system import SecureXMLSystem
 from repro.workloads.xmark import xmark_constraints
 from repro.xpath.compiler import UnsupportedQuery
 
-from conftest import BENCH_TRIALS, write_result
+from conftest import BENCH_TRIALS, write_result, write_series
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_JSON = os.path.join(REPO_ROOT, "BENCH_hotpath.json")
@@ -46,18 +45,6 @@ MASTER_KEY = b"freshness-bench-master-key-0001!"
 OVERHEAD_LIMIT = float(os.environ.get("REPRO_FRESHNESS_OVERHEAD", "0.05"))
 #: below this per-verify cost the ratio gate measures noise, not work.
 ABSOLUTE_FLOOR_S = 50e-6
-
-
-def _append_series(key: str, payload: object) -> None:
-    """Read-modify-write ``BENCH_hotpath.json`` (other series survive)."""
-    report: dict[str, object] = {}
-    if os.path.exists(BENCH_JSON):
-        with open(BENCH_JSON, "r", encoding="utf-8") as handle:
-            report = json.load(handle)
-    report[key] = payload
-    with open(BENCH_JSON, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 @pytest.fixture(scope="module")
@@ -140,9 +127,9 @@ def test_freshness_verify_overhead_on_warm_queries(xmark_doc, fresh_queries):
             f"(limit {OVERHEAD_LIMIT * 100:.0f}%)",
         ),
     )
-    _append_series(
-        "freshness_overhead",
-        {
+    write_series(
+        BENCH_JSON,
+        freshness_overhead={
             "query_count": len(queries),
             "warm_query_s": warm_query_s,
             "verify_s": verify_s,

@@ -17,13 +17,13 @@ The gate holds three numbers:
   real byte).
 
 Byte-identity of the protected answers is asserted on the way.
-Results land in ``BENCH_leakage.json`` (read-modify-write) and a table
-under ``benchmarks/results/``.
+At the full trial count, results land in ``BENCH_leakage.json``
+(read-modify-write) and a table under ``benchmarks/results/``; a faster
+run only prints them.
 """
 
 from __future__ import annotations
 
-import json
 import os
 
 from repro.bench.harness import format_table
@@ -34,7 +34,7 @@ from repro.workloads.healthcare import (
     healthcare_constraints,
 )
 
-from conftest import write_result
+from conftest import write_result, write_series
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_JSON = os.path.join(REPO_ROOT, "BENCH_leakage.json")
@@ -62,18 +62,6 @@ MAX_ADVANTAGE = float(os.environ.get("REPRO_LEAKAGE_MAX_ADVANTAGE", "0.25"))
 OVERHEAD_LIMIT = float(
     os.environ.get("REPRO_LEAKAGE_OVERHEAD_LIMIT", "16.0")
 )
-
-
-def _append_series(key: str, payload: object) -> None:
-    """Read-modify-write ``BENCH_leakage.json`` (other series survive)."""
-    report: dict[str, object] = {}
-    if os.path.exists(BENCH_JSON):
-        with open(BENCH_JSON, "r", encoding="utf-8") as handle:
-            report = json.load(handle)
-    report[key] = payload
-    with open(BENCH_JSON, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def _host(leakage):
@@ -134,9 +122,9 @@ def test_countermeasures_gate_residual_advantage():
             f"overhead <= {OVERHEAD_LIMIT}x",
         ),
     )
-    _append_series(
-        "leakage_game",
-        {
+    write_series(
+        BENCH_JSON,
+        leakage_game={
             "seed": SEED,
             "queries": len(queries),
             "repeats": REPEATS,

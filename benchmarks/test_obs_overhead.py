@@ -18,15 +18,14 @@ The gate passes when either
   the warm query's wall, or
 * its absolute per-query cost is under a tiny floor (50µs).
 
-Results are appended to ``BENCH_hotpath.json`` as an ``obs_overhead``
-series (read-modify-write, so the other series survive) and a table
-under ``benchmarks/results/``.
+At the full trial count, results are merged into ``BENCH_hotpath.json``
+as an ``obs_overhead`` series (the other series survive) and a table
+under ``benchmarks/results/``; a faster run only prints them.
 """
 
 from __future__ import annotations
 
 import gc
-import json
 import os
 import sys
 import time
@@ -39,7 +38,7 @@ from repro.obs.span import Span, count, span
 from repro.workloads.xmark import xmark_constraints
 from repro.xpath.compiler import UnsupportedQuery
 
-from conftest import BENCH_TRIALS, write_result
+from conftest import BENCH_TRIALS, write_result, write_series
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_JSON = os.path.join(REPO_ROOT, "BENCH_hotpath.json")
@@ -49,18 +48,6 @@ MASTER_KEY = b"hotpath-benchmark-master-key-001"
 OVERHEAD_LIMIT = float(os.environ.get("REPRO_OBS_OVERHEAD", "0.05"))
 #: below this per-query cost the ratio gate measures noise, not work.
 ABSOLUTE_FLOOR_S = 50e-6
-
-
-def _append_series(key: str, payload: object) -> None:
-    """Read-modify-write ``BENCH_hotpath.json`` (other series survive)."""
-    report: dict[str, object] = {}
-    if os.path.exists(BENCH_JSON):
-        with open(BENCH_JSON, "r", encoding="utf-8") as handle:
-            report = json.load(handle)
-    report[key] = payload
-    with open(BENCH_JSON, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 @pytest.fixture(scope="module")
@@ -192,9 +179,9 @@ def test_tracing_overhead_on_warm_queries(xmark_doc, obs_queries):
             f"{(ratio - 1.0) * 100:.1f}% (limit {OVERHEAD_LIMIT * 100:.0f}%)",
         ),
     )
-    _append_series(
-        "obs_overhead",
-        {
+    write_series(
+        BENCH_JSON,
+        obs_overhead={
             "query_count": len(queries),
             "warm_query_s": wall_s,
             "spans_per_query": spans_per_query,

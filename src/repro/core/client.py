@@ -27,6 +27,7 @@ from repro.core.integrity import (
     IntegrityError,
     TamperedResponseError,
     count_failure,
+    seal_fresh,
 )
 from repro.core.server import Fragment, ServerResponse
 from repro.core.translate import QueryTranslator, TranslatedQuery
@@ -86,21 +87,19 @@ def canonical_node(node: Node) -> str:
     return serialize(node)
 
 
-#: The request-cache key of every naive plan, which all seal to the same
-#: bytes at an epoch: a tuple, so no XPath (a planned read's key) is it.
-NAIVE_REQUEST = ("naive",)
-
-
 class Client:
     """The data owner's runtime state after hosting.
 
     Built once per hosting and kept across writes — its own or anybody
-    else's.  Everything it derives from hosted state, the translator's
-    view of the tags and OPESS plans included, sits in an
-    :class:`EpochCache` read off ``hosted.epoch``, so a commit made
-    through any handle invalidates it without any call into the client.
-    Verified payloads, block plaintexts and decrypted trees outlive a
-    commit that did not rewrite their blocks — judged by the owner's own
+    else's.  Everything it derives from hosted state sits in one of five
+    :class:`EpochCache` instances read off ``hosted.epoch`` — plans,
+    verified responses, blocks, trees and answers — so a commit made
+    through any handle invalidates it without any call into the client.  A plan
+    holds the anchor it was made at and is sealed there, so one that a
+    commit outdated between translate and seal fails freshness instead
+    of reaching the index it no longer matches.  Verified block payloads
+    with their plaintexts, and decrypted trees, outlive a commit that
+    did not rewrite their blocks — judged by the owner's own
     ``block_tags`` / ``block_stamps``, never by anything a server sent.
     The answer memo does not: an answer is a function of the verified
     response it came from, which no other epoch verifies.
@@ -143,17 +142,13 @@ class Client:
                 block_unwritten(block_id, None, since) for block_id in entry[1]
             )
 
-        #: the one :class:`QueryTranslator` of this epoch
-        self._translator_cache = cache()
-        #: XPath string → translated plan
+        #: XPath string → translated plan, holding its anchor and the
+        #: request it sealed to
         self._plan_cache = cache(bounded=True)
-        #: XPath string → sealed request bytes
-        self._request_cache = cache(bounded=True)
         #: sealed response bytes → verified, decoded response
         self._response_cache = cache(bounded=True)
-        #: block id → the ciphertext payload whose MAC tag verified
-        self._verified_payloads = cache(survives=block_unwritten)
-        #: block id → plaintext text
+        #: block id → (the ciphertext payload whose MAC tag verified, its
+        #: plaintext text)
         self._block_cache = cache(survives=block_unwritten)
         #: fragment text → (pristine decrypted tree, ids of its blocks) —
         #: or, for a text shipped once so far, (spliced plaintext, ids)
@@ -172,50 +167,50 @@ class Client:
         residual document-root plan (``TranslatedQuery.plan_kind``
         records which, and ``plan_reason`` why).  String queries hit the
         plan cache first: a repeated XPath under an unchanged scheme
-        epoch reuses the previously translated ``Qs`` without re-deriving
-        tokens or key ranges.
+        epoch reuses the previously translated ``Qs`` — and the request
+        it sealed to — without re-deriving tokens or key ranges.
         """
         if not isinstance(query, str):
             return self._translate_uncached(query)
-        epoch = self._hosted.epoch  # read first: the plan is as of it
         plan = self._plan_cache.live().get(query)
         if plan is None:
             count("plan_cache_misses")
             plan = self._translate_uncached(query)
-            self._plan_cache.store(query, plan, epoch)
+            self._plan_cache.store(query, plan, plan.anchor[0])
         else:
             count("plan_cache_hits")
         return plan
 
-    def naive_plan(self, xpath: str) -> TranslatedQuery:
+    def naive_plan(self, query: "str | ast.LocationPath") -> TranslatedQuery:
         """The §7.3 baseline's plan: the residual document-root pattern
         (the whole hosted tree ships), labelled ``naive``.  Never in the
         plan cache, where the XPath's entry is its planned read."""
+        anchor = self._hosted.anchor()  # read first: the plan is as of it
         translated = self._translator().translate(residual_pattern())
         translated.plan_kind = "naive"
-        translated.path = parse_xpath(xpath)
+        translated.path = (
+            query if isinstance(query, ast.LocationPath) else parse_xpath(query)
+        )
+        translated.anchor = anchor
         return translated
 
     def _translator(self) -> QueryTranslator:
-        """The translator over the hosting's tags and OPESS plans as they
-        stand; a write re-plans its field, so it lasts one epoch."""
-        cached = self._translator_cache.live()
-        translator = cached.get("translator")
-        if translator is None:
-            hosted, keyring = self._hosted, self._keyring
-            translator = cached["translator"] = QueryTranslator(
-                tag_cipher=keyring.tag_cipher,
-                ope=keyring.ope,
-                encrypted_tags=set(hosted.encrypted_tags),
-                plaintext_keys=set(hosted.plaintext_keys),
-                field_plans=dict(hosted.field_plans),
-                field_tokens=dict(hosted.field_tokens),
-            )
-        return translator
+        """A translator over the hosting's tags and OPESS plans as they
+        stand; a write re-plans its field, so one serves one plan."""
+        hosted, keyring = self._hosted, self._keyring
+        return QueryTranslator(
+            tag_cipher=keyring.tag_cipher,
+            ope=keyring.ope,
+            encrypted_tags=hosted.encrypted_tags,
+            plaintext_keys=hosted.plaintext_keys,
+            field_plans=hosted.field_plans,
+            field_tokens=hosted.field_tokens,
+        )
 
     def _translate_uncached(
         self, query: "str | ast.LocationPath"
     ) -> TranslatedQuery:
+        anchor = self._hosted.anchor()  # read first: the plan is as of it
         path = query if isinstance(query, ast.LocationPath) else parse_xpath(query)
         plan = plan_query(path)
         translator = self._translator()
@@ -235,28 +230,44 @@ class Client:
         translated.plan_kind = plan.kind
         translated.plan_reason = plan.reason
         translated.path = path
+        translated.anchor = anchor
         return translated
 
     # ------------------------------------------------------------------
     # Wire envelope (untrusted-server hardening)
     # ------------------------------------------------------------------
     def seal_request(
-        self, translated: TranslatedQuery, cache_key: "str | tuple | None" = None
+        self, translated: TranslatedQuery, cache_key: "str | None" = None
     ) -> bytes:
         """Encode and integrity-seal a translated query for the wire.
 
-        ``cache_key`` (the original XPath string, or
-        :data:`NAIVE_REQUEST` for a naive plan) lets a repeated query
-        reuse its sealed bytes — same object, same cached hash — which is
-        what keeps the server's wire cache a single dict lookup.
+        A plan is sealed at the anchor it was made at, once: a repeated
+        query hands back the same bytes object — same cached hash — which
+        is what keeps the server's wire cache a single dict lookup.  A
+        plan that a commit outdated before its seal therefore fails the
+        server's freshness check, and the read's retry translates afresh.
+        Asked again for a plan already sealed at an anchor that has since
+        passed — a caller that keeps one plan across its attempts — the
+        client makes the plan anew from its query: the bytes it holds can
+        never verify again.  A plan the client did not make carries no
+        anchor and is sealed at the live one each time.  ``cache_key`` is
+        accepted and unused.
         """
-        seal, key = self._hosted.seal, self._request_key
-        if cache_key is None:
-            return seal(key, encode_query(translated))[0]
-        blob = self._request_cache.live().get(cache_key)
-        if blob is None:
-            blob, epoch = seal(key, encode_query(translated))
-            self._request_cache.store(cache_key, blob, epoch)
+        blob = translated.sealed
+        if blob is not None:
+            if translated.anchor[0] == self._hosted.epoch:
+                return blob
+            remake = (
+                self.naive_plan if translated.plan_kind == "naive"
+                else self._translate_uncached
+            )
+            return self.seal_request(remake(translated.path))
+        payload = encode_query(translated)
+        if translated.anchor is None:
+            return self._hosted.seal(self._request_key, payload)[0]
+        blob = translated.sealed = seal_fresh(
+            self._request_key, payload, *translated.anchor
+        )
         return blob
 
     def open_response(self, blob: bytes) -> ServerResponse:
@@ -288,29 +299,6 @@ class Client:
             raise
         self._response_cache.store(blob, response, epoch)
         return response
-
-    def _verify_blocks(self, blocks: "list[tuple[int, bytes]]") -> None:
-        """Check ciphertext payloads against their encrypt-then-MAC tags.
-
-        The expected tag comes from the client's *own* hosted-state
-        knowledge (``hosted.block_tags``), never from the response, so a
-        server cannot strip or substitute tags.  An id without a tag is a
-        block the owner never wrote — on every hosting, one with no
-        blocks included.
-        """
-        tags = self._hosted.block_tags
-        verified = self._verified_payloads.live()
-        for block_id, payload in blocks:
-            if verified.get(block_id) == payload:
-                continue
-            expected = tags.get(block_id)
-            if expected is None or not _compare.compare_digest(
-                self._keyring.block_tag(block_id, payload), expected
-            ):
-                raise TamperedResponseError(
-                    f"block {block_id} failed integrity verification"
-                )
-            verified[block_id] = payload
 
     # ------------------------------------------------------------------
     # Decryption (§6.4, first half)
@@ -425,15 +413,18 @@ class Client:
         """The texts with every serialized block replaced by its plaintext,
         and the ids of the blocks each one held.
 
-        scan → verify → one cipher pass → splice.  Every MAC tag is
-        verified before anything else happens — cache hits included, so a
-        tampered payload is never masked by a stale cached plaintext, and
-        one bad tag means no cipher call and no cache entry for the whole
-        batch.  Decoys stay in the text; the parse that follows drops them.
+        scan → verify → one cipher pass → splice.  The block cache keeps,
+        per block id, the payload whose MAC tag verified and its
+        plaintext: a shipped payload byte-equal to the held one skips both
+        the MAC and the cipher.  Any other payload is verified against the
+        owner's ``block_tags`` before anything else happens, so a tampered
+        payload is never masked by a cached plaintext, and one bad tag
+        means no cipher call and no cache entry for the whole batch.
+        Decoys stay in the text; the parse that follows drops them.
 
-        The block cache keeps one plaintext string per block id, until a
-        write re-encrypts a payload under the *same* id: an epoch move
-        drops the ids stamped since (``block_unwritten``, above).
+        An entry lasts until a write re-encrypts a payload under the
+        *same* id: an epoch move drops the ids stamped since
+        (``block_unwritten``, above).
         """
         scanned = [_BLOCK_RE.findall(text) for text in texts]
         if not any(scanned):
@@ -460,28 +451,46 @@ class Client:
         # Gate before verifying: a commit that lands after a tag verified
         # must find these plaintexts in the old epoch's entries.
         cache = self._block_cache.live()
-        #: distinct cache-missing ids; a repeated id keeps its first payload
-        wanted: dict[int, bytes] = {}
-        for block_id, payload in occurrences:
-            if block_id not in cache:
-                wanted.setdefault(block_id, payload)
-        # Write stamps are read before the tags verify, for the same
-        # reason: a payload that then verifies is the one its stamp was
-        # kept for, whatever commits afterwards.
+        tags = self._hosted.block_tags
         stamp_of = self._hosted.block_stamps.get
-        stamped = [
-            (block_id, stamp_of(block_id), payload)
-            for block_id, payload in wanted.items()
-        ]
-        self._verify_blocks(occurrences)
+        block_tag = self._keyring.block_tag
+        #: distinct ids shipped with a payload not held → (stamp, payload)
+        wanted: dict[int, tuple[int | None, bytes]] = {}
+        for block_id, payload in occurrences:
+            if cache.get(block_id, _UNHELD)[0] == payload:
+                continue
+            if wanted.get(block_id, _UNHELD)[1] == payload:
+                continue  # verified earlier in this batch
+            # The write stamp is read before the tag, for the same reason:
+            # a payload that then verifies is the one its stamp was kept
+            # for, whatever commits afterwards.
+            stamp = stamp_of(block_id)
+            # The owner's own tag, never one a server sent; an id without
+            # one is a block the owner never wrote.
+            expected = tags.get(block_id)
+            if expected is None or not _compare.compare_digest(
+                block_tag(block_id, payload), expected
+            ):
+                raise TamperedResponseError(
+                    f"block {block_id} failed integrity verification"
+                )
+            wanted[block_id] = (stamp, payload)
 
         hits = len(occurrences) - len(wanted)
         if hits:
             count("block_cache_hits", hits)
         if wanted:
             count("block_cache_misses", len(wanted))
-            cache.update(zip(wanted, self._decrypt_blocks(stamped)))
-        plaintexts = [cache[block_id] for block_id, _ in occurrences]
+            blocks = [
+                (block_id, stamp, payload)
+                for block_id, (stamp, payload) in wanted.items()
+            ]
+            cache.update(
+                (block_id, (payload, plaintext))
+                for (block_id, _, payload), plaintext
+                in zip(blocks, self._decrypt_blocks(blocks))
+            )
+        plaintexts = [cache[block_id][1] for block_id, _ in occurrences]
 
         # A callable replacement: a plaintext is never read as a template.
         supply = iter(plaintexts)
@@ -530,7 +539,8 @@ class Client:
         return plaintexts
 
     def flush_caches(self) -> None:
-        """Drop every warm-path cache (plans, trees, blocks, wire blobs).
+        """Drop every warm-path cache (plans, responses, blocks, trees,
+        answers).
 
         Correctness never depends on the caches, so flushing is always
         safe; benchmarks use it to measure cold per-query costs.
@@ -666,6 +676,9 @@ def _parse_spliced(text: str) -> Element:
 
 #: What the tree cache holds for a text never shipped: no tree.
 _UNSEEN = (None,)
+
+#: What the block cache holds for an id never verified: no payload.
+_UNHELD = (None, None)
 
 #: A block as the serializer writes it; ``bytes.fromhex`` judges the payload
 #: (``[^<]*`` scans five times faster than a hex class).  Anything else that

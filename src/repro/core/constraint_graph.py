@@ -39,13 +39,6 @@ class ConstraintGraph:
     def degree(self, vertex: str) -> int:
         return sum(1 for edge in self.edges if vertex in edge)
 
-    def neighbors(self, vertex: str) -> set[str]:
-        out: set[str] = set()
-        for edge in self.edges:
-            if vertex in edge:
-                out |= set(edge) - {vertex}
-        return out
-
     def is_vertex_cover(self, cover: set[str]) -> bool:
         """True if every edge has at least one endpoint in ``cover``."""
         return all(edge & cover for edge in self.edges)

@@ -131,9 +131,6 @@ class IndexEntry:
     plaintext_value: Optional[str] = None
     hosted_node: Optional[Node] = None
 
-    def is_child_of(self, other: "IndexEntry") -> bool:
-        return self.parent is other
-
 
 @dataclass
 class StructuralIndex:
@@ -188,22 +185,6 @@ class StructuralIndex:
         none, so it drops none."""
         for key in keys:
             self._lows_by_key.pop(key, None)
-
-    def block_of(self, entry: IndexEntry) -> Optional[int]:
-        """Resolve which encryption block an entry falls inside, if any.
-
-        The server derives this from public metadata: an entry lies in
-        block ``b`` when the block's representative interval contains (or
-        equals) the entry's interval.
-        """
-        if entry.block_id is not None:
-            return entry.block_id
-        for block_id, representative in self.block_table.items():
-            if representative.contains(entry.interval) or (
-                representative == entry.interval
-            ):
-                return block_id
-        return None
 
 
 def build_structural_index(

@@ -1,8 +1,7 @@
 """The one epoch-gated cache.
 
-Whatever the client and the servers derive from hosted state — plans,
-plaintexts, trees, sealed blobs, the translator's view of the OPESS plans —
-is valid as of one epoch: a write re-encrypts payloads under the same block
+Whatever the client and the server derive from hosted state — plans,
+plaintexts, trees, sealed blobs, answers — is valid as of one epoch: a write re-encrypts payloads under the same block
 ids and re-plans a field under the same name.  This type owns the only
 comparison of a stored epoch with the live one.  What an epoch move costs
 is the owner's call: a cache built with a ``survives`` predicate carries

@@ -66,9 +66,6 @@ class EncryptionScheme:
             total += root.subtree_size() + max(leaf_count, 1)
         return total
 
-    def encrypts_everything(self, document: Document) -> bool:
-        return self.block_root_ids == {document.root.node_id}
-
 
 def _normalize_roots(document: Document, roots: list[Element]) -> frozenset[int]:
     """Drop roots nested inside other roots; return id set."""

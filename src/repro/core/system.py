@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Iterator, Optional
 
-from repro.core.client import NAIVE_REQUEST, Client, QueryAnswer
+from repro.core.client import Client, QueryAnswer
 from repro.core.constraints import SecurityConstraint
 from repro.core.encryptor import HostedDatabase, host_database
 from repro.core.integrity import IntegrityError, count_failure
@@ -361,38 +361,37 @@ class SecureXMLSystem:
         the client, server, channel and crypto layers — lands under it
         (see :meth:`_root`).
         """
-        return self._read(xpath, self.client.translate, xpath)
+        return self._read(xpath, self.client.translate)
 
     def naive_query(self, xpath: str) -> QueryAnswer:
         """Answer a query with the §7.3 naive baseline (ship everything):
         :meth:`query`'s loop, run on the residual document-root plan
         labelled ``naive``."""
-        return self._read(xpath, self.client.naive_plan, NAIVE_REQUEST)
+        return self._read(xpath, self.client.naive_plan)
 
     def _read(
         self,
         xpath: str,
         plan: Callable[[str], TranslatedQuery],
-        request_key: "str | tuple",
     ) -> QueryAnswer:
-        """The retry loop; ``plan`` makes each attempt's plan, and the
-        client's request cache keeps it sealed under ``request_key``."""
+        """The retry loop; ``plan`` makes each attempt's plan, which is
+        sealed at the anchor it was made at."""
         with self._root(xpath) as trace:
             policy = self.retry_policy
             started_wall = time.perf_counter()
             last_error: Exception | None = None
             for attempt in range(policy.max_attempts):
-                # Every attempt seals a plan made under the epoch it runs
-                # at: the commit that failed the last one re-planned a
-                # field.  A plan-cache hit — one dict lookup — when no
-                # commit landed.
+                # Every attempt seals a plan at the anchor it was made
+                # at: one that a commit outdated fails freshness, and the
+                # next attempt re-plans.  A plan-cache hit — one dict
+                # lookup — when no commit landed.
                 with span("translate"):
                     translated = plan(xpath)
                 trace.plan = translated.plan_kind
                 trace.fallback_reason = translated.plan_reason
                 self._pre_attempt(attempt, trace, started_wall, policy)
                 try:
-                    return self._attempt(translated, request_key, trace)
+                    return self._attempt(translated, trace)
                 except _RETRYABLE as exc:
                     last_error = exc
             count("queries_failed")
@@ -432,7 +431,6 @@ class SecureXMLSystem:
     def _attempt(
         self,
         translated: TranslatedQuery,
-        request_key: "str | tuple",
         trace: QueryTrace,
     ) -> QueryAnswer:
         """One sealed exchange, then the finish: a concurrent write or a
@@ -443,9 +441,7 @@ class SecureXMLSystem:
         with span("attempt", number=trace.attempts) as attempt:
             try:
                 with span("seal"):
-                    request = self.client.seal_request(
-                        translated, cache_key=request_key
-                    )
+                    request = self.client.seal_request(translated)
                 sealed, response = self._exchange(request)
                 trace.candidate_counts = response.candidate_counts
                 return self._finish(translated.path, sealed, response, trace)

@@ -90,14 +90,24 @@ class TranslatedQuery:
     #: the parsed query the plan was built from, which the client
     #: re-evaluates on the pruned document; client-side metadata only
     path: Optional[ast.LocationPath] = None
+    #: the ``(epoch, state root)`` the client read before it read any of
+    #: the hosted state the plan derives from: the one anchor the plan is
+    #: sealed at, so a plan that outlived its epoch fails freshness
+    #: instead of being evaluated against a newer index; client-side only
+    anchor: Optional[tuple[int, bytes]] = field(
+        default=None, compare=False, repr=False
+    )
+    #: the plan's sealed request bytes, once sealed; client-side only
+    sealed: Optional[bytes] = field(default=None, compare=False, repr=False)
 
     def wire_size(self) -> int:
         return self.root.wire_size()
 
 
 class QueryTranslator:
-    """The client knowledge needed to translate queries, as of one epoch:
-    a write re-plans its field and may add a tag."""
+    """The client knowledge needed to translate queries: the hosting's
+    own tag sets and OPESS plans, read as they stand while one plan is
+    made (a write re-plans its field and may add a tag)."""
 
     def __init__(
         self,

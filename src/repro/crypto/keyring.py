@@ -30,7 +30,7 @@ no stamp and keeps the id-only derivation.
 from __future__ import annotations
 
 from repro.crypto.aes import AES128, aes128_for_key
-from repro.crypto.hmac import derivation_message, derive_key
+from repro.crypto.hmac import derivation_message
 from repro.crypto.ope import OrderPreservingEncryption
 from repro.crypto.prf import DeterministicRandom, PRF
 from repro.crypto.vernam import DeterministicTagCipher
@@ -55,11 +55,6 @@ class ClientKeyring:
         self._ope: OrderPreservingEncryption | None = None
         self._block_cipher: AES128 | None = None
         self._block_mac: PRF | None = None
-
-    @classmethod
-    def from_passphrase(cls, passphrase: str) -> "ClientKeyring":
-        """Derive a keyring from a human passphrase (demo convenience)."""
-        return cls(derive_key(passphrase.encode("utf-8"), "master"))
 
     def _derive(self, label: str, *context: str) -> bytes:
         """``derive_key(master, label, *context)`` on the pre-keyed master."""

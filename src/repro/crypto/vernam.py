@@ -79,10 +79,6 @@ class DeterministicTagCipher:
         except KeyError:
             raise ValueError(f"unknown tag token {token!r}") from None
 
-    def known_tags(self) -> dict[str, str]:
-        """Copy of the plaintext → token map accumulated so far."""
-        return dict(self._known)
-
     def _pad_for(self, tag: str, length: int) -> bytes:
         pad = b""
         counter = 0

@@ -57,12 +57,6 @@ class AuditReport:
     tags_cracked_with_priors: list[str] = field(default_factory=list)
 
     @property
-    def weakest_field(self) -> FieldAudit | None:
-        if not self.fields:
-            return None
-        return min(self.fields, key=lambda f: f.database_candidates)
-
-    @property
     def any_value_cracked(self) -> bool:
         return any(f.cracked_by_frequency for f in self.fields)
 

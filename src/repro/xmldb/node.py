@@ -249,12 +249,6 @@ class Element(Node):
         kept = [a for a in self.attributes if a.name != name]
         self.attributes = kept or _NO_ATTRIBUTES
 
-    def child_elements(self) -> Iterator["Element"]:
-        """Yield element children only (skipping text)."""
-        for child in self.children:
-            if isinstance(child, Element):
-                yield child
-
     def find_elements(self, tag: str) -> Iterator["Element"]:
         """Yield descendant-or-self elements with the given tag."""
         for node in self.iter():

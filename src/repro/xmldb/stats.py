@@ -11,7 +11,6 @@ frequency profile to plan its splitting.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterator
 
 from repro.xmldb.node import Attribute, Document, Element, Node
 
@@ -28,11 +27,6 @@ def leaf_field_name(node: Node) -> str:
     if isinstance(node, Element):
         return node.tag
     raise TypeError(f"not a value-bearing leaf: {node!r}")
-
-
-def iter_value_leaves(document: Document) -> Iterator[Node]:
-    """Yield every value-bearing leaf (leaf elements and attributes)."""
-    yield from document.leaves()
 
 
 def value_frequencies(document: Document) -> dict[str, Counter]:
@@ -70,15 +64,6 @@ def depth(document: Document) -> int:
     for node in document.root.iter():
         best = max(best, node.depth)
     return best
-
-
-def fanout_profile(document: Document) -> Counter:
-    """Histogram of children counts over internal elements."""
-    profile: Counter = Counter()
-    for element in document.elements():
-        if element.children and not element.is_leaf_element:
-            profile[len(element.children)] += 1
-    return profile
 
 
 def same_distribution(left: Counter, right: Counter) -> bool:

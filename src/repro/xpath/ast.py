@@ -219,18 +219,3 @@ class LocationPath:
         if not text:
             return "/" if self.absolute else "."
         return text
-
-
-def canonical_text(path: LocationPath) -> str:
-    """Unambiguous rendering used for logging and round-trip tests.
-
-    Unlike ``str(path)`` this never abbreviates: every step is written with
-    an explicit axis, so ``//a`` becomes
-    ``/descendant-or-self::*/child::a``.
-    """
-    pieces: list[str] = []
-    for step in path.steps:
-        preds = "".join(str(p) for p in step.predicates)
-        pieces.append(f"{step.axis}::{step.test}{preds}")
-    prefix = "/" if path.absolute else ""
-    return prefix + "/".join(pieces)

@@ -84,14 +84,6 @@ class TestAggregateModuleCorners:
             )
 
 
-class TestStatsAuxiliary:
-    def test_iter_value_leaves(self, healthcare_doc):
-        from repro.xmldb.stats import iter_value_leaves
-
-        leaves = list(iter_value_leaves(healthcare_doc))
-        assert len(leaves) == len(list(healthcare_doc.leaves()))
-
-
 class TestNegativeLiterals:
     def test_lexer_negative_number(self):
         from repro.xpath.lexer import tokenize
@@ -343,6 +335,12 @@ class TestOneServerBehindTheOwner:
             "TransferRecord", "OP_STATS", "op_counts", "_TRACE_STAGES",
             "ReadWriteLock", "_cache_lock", "_lows_lock", "_block_ivs",
             "flush_memoized",
+            "_request_cache", "_translator_cache", "_verified_payloads",
+            "NAIVE_REQUEST",
+            "block_of", "is_child_of", "canonical_text", "neighbors",
+            "child_elements", "weakest_field", "known_tags",
+            "encrypts_everything", "from_passphrase", "fanout_profile",
+            "iter_value_leaves",
         )
         for path in sorted(pathlib.Path(repro.__file__).parent.rglob("*.py")):
             text = path.read_text()

@@ -273,9 +273,14 @@ class TestEntriesThatOutliveAnEpoch:
             assert set(client._block_cache.live()) == (
                 set(system.hosted.blocks) - {block_id}
             )
-            assert set(client._verified_payloads.live()) == (
-                set(system.hosted.blocks) - {block_id}
-            )
+            assert {
+                held_id: payload
+                for held_id, (payload, _) in client._block_cache.live().items()
+            } == {
+                held_id: payload
+                for held_id, payload in system.hosted.blocks.items()
+                if held_id != block_id
+            }
             assert len(client._tree_cache.live()) == 1
         with pytest.raises(TamperedResponseError):
             reader.decrypt_fragments(
@@ -370,7 +375,6 @@ class TestEntriesThatOutliveAnEpoch:
         system.hosted.block_tags.clear()
         system.hosted.bump_epoch()
         assert len(client._block_cache.live()) == 0
-        assert len(client._verified_payloads.live()) == 0
         assert len(client._tree_cache.live()) == 0
 
     def test_a_reloaded_handle_starts_empty(self, system, warm, tmp_path):
@@ -479,11 +483,12 @@ class TestBoundedByTheTypeNotByThePeer:
             assert system.query(query).canonical() == expected, query
         assert system.hosted.epoch == epoch
         # Keyed by one of the 300 strings, or by its sealed request: full.
-        for cache in (
-            system.client._plan_cache, system.client._request_cache,
-            system.server._wire_cache,
-        ):
+        for cache in (system.client._plan_cache, system.server._wire_cache):
             assert len(cache) == EpochCache.BOUND
+        # Each kept plan holds the request it sealed to, and nothing else
+        # does.
+        plans = system.client._plan_cache.live().values()
+        assert all(plan.sealed in system.server._wire_cache.live() for plan in plans)
         # Keyed by the sealed response, and many of the 300 share one.
         assert 0 < len(system.client._response_cache) <= EpochCache.BOUND
 
@@ -628,13 +633,13 @@ class TestFlushCaches:
             if len(cache)
         ]
         assert sorted(warm) == sorted([
-            ("Client", "_translator_cache"), ("Client", "_plan_cache"),
-            ("Client", "_request_cache"), ("Client", "_response_cache"),
-            ("Client", "_verified_payloads"), ("Client", "_block_cache"),
-            ("Client", "_tree_cache"), ("Client", "_answer_memo"),
+            ("Client", "_plan_cache"), ("Client", "_response_cache"),
+            ("Client", "_block_cache"), ("Client", "_tree_cache"),
+            ("Client", "_answer_memo"),
             ("Server", "_fragment_cache"), ("Server", "_wire_cache"),
             ("Server", "_universe_cache"),
         ])
+        assert [len(owner._caches) for owner in owners] == [5, 3]
 
         # One read so far: what the tree cache holds is the plaintext of
         # fragments seen once, not trees — counted warm all the same, and

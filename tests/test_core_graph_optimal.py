@@ -37,7 +37,8 @@ class TestConstraintGraph:
     def test_degree_and_neighbors(self, healthcare_doc, healthcare_scs):
         graph = build_constraint_graph(healthcare_doc, healthcare_scs)
         assert graph.degree("pname") == 2
-        assert graph.neighbors("disease") == {"pname", "doctor"}
+        touching = [edge for edge in graph.edges if "disease" in edge]
+        assert set().union(*touching) - {"disease"} == {"pname", "doctor"}
 
     def test_is_vertex_cover(self, healthcare_doc, healthcare_scs):
         graph = build_constraint_graph(healthcare_doc, healthcare_scs)

@@ -77,7 +77,6 @@ class TestSchemeConstruction:
     def test_top_is_single_root_block(self, healthcare_doc, healthcare_scs):
         scheme = top_scheme(healthcare_doc, healthcare_scs)
         assert scheme.block_root_ids == {healthcare_doc.root.node_id}
-        assert scheme.encrypts_everything(healthcare_doc)
 
     def test_scheme_ordering_by_size(self, healthcare_doc, healthcare_scs):
         """|opt| <= |app| <= |top|: granularity monotonicity (§7.4)."""

@@ -210,7 +210,12 @@ class TestDecryptPipelineOrder:
         client.decrypt_fragments(response)
         blocks = client._block_cache.live()
         assert blocks
-        assert all(type(text) is str for text in blocks.values())
+        # Each entry is the verified payload the server shipped and its
+        # plaintext.
+        assert all(
+            payload == hosted.blocks[block_id] and type(text) is str
+            for block_id, (payload, text) in blocks.items()
+        )
         tampered = _with_tampered_block(response, 0)  # new text: tree-cache miss
         before = metrics.counter_values()
         with pytest.raises(TamperedResponseError):

@@ -354,12 +354,6 @@ class TestTagCipher:
         b = DeterministicTagCipher(b"b" * 32)
         assert a.encrypt_tag("SSN") != b.encrypt_tag("SSN")
 
-    def test_known_tags_snapshot(self):
-        cipher = DeterministicTagCipher(b"t" * 32)
-        cipher.encrypt_tag("x")
-        snapshot = cipher.known_tags()
-        assert set(snapshot) == {"x"}
-
     def test_token_length_validated(self):
         with pytest.raises(ValueError):
             DeterministicTagCipher(b"t" * 32, token_length=2)
@@ -413,11 +407,6 @@ class TestKeyring:
         a = keyring.opess_stream("age")
         b = keyring.opess_stream("income")
         assert a.uint(64) != b.uint(64)
-
-    def test_from_passphrase(self):
-        keyring = ClientKeyring.from_passphrase("hunter2")
-        again = ClientKeyring.from_passphrase("hunter2")
-        assert keyring.block_iv(1) == again.block_iv(1)
 
     def test_block_cipher_roundtrip(self):
         keyring = ClientKeyring(b"m" * 16)

@@ -12,25 +12,36 @@
   ``os.environ["…"]`` in ``tests/``, ``benchmarks/`` or ``bench/`` — or
   be an ``env:`` key of the CI workflow.  A variable a test only sets
   is not one a reader can use.
+* README.md, DESIGN.md and ``docs/*.md``: every backticked ``repro
+  <subcommand>`` (or ``python -m repro …``) names a subcommand of
+  :func:`repro.cli.build_parser`, and each ``--flag`` written after it is
+  one of that subcommand's options; every other backticked ``--flag`` is
+  an option of some subcommand.
+* DESIGN.md's module tables: every backticked ``*.py`` file in a row
+  whose package cell is a ``repro.`` package exists in that package (a
+  name with a ``/`` is a path from the repository root).
 
 ``bench/README.md`` is left out: ``bench/`` is the frozen benchmark
 harness, and its stale names are mended together with the next change
 to the benchmark.
 """
 
+import argparse
 import importlib
 import re
 from pathlib import Path
 
 import pytest
 
+from repro.cli import build_parser
 from repro.obs.metrics import COUNTERS, HISTOGRAMS
 from repro.serving import framing
 
 ROOT = Path(__file__).resolve().parent.parent
 OBSERVABILITY = ROOT / "docs" / "OBSERVABILITY.md"
+DESIGN = ROOT / "DESIGN.md"
 GUARDED_DOCS = sorted(
-    [ROOT / "README.md", ROOT / "DESIGN.md", *(ROOT / "docs").glob("*.md")]
+    [ROOT / "README.md", DESIGN, *(ROOT / "docs").glob("*.md")]
 )
 CI_WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
 
@@ -113,6 +124,86 @@ def test_every_environment_variable_is_one_something_reads(doc):
     assert sorted(names - environment_variables_in_use()) == []
 
 
+def cli_options() -> dict[str, set[str]]:
+    """Each subcommand of the CLI → the option strings it accepts."""
+    parser = build_parser()
+    (commands,) = [
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return {
+        name: {
+            option
+            for action in command._actions
+            for option in action.option_strings
+        }
+        for name, command in commands.choices.items()
+    }
+
+
+def unknown_cli_names(text: str) -> list[str]:
+    """The backticked commands and flags of ``text`` the CLI lacks."""
+    options = cli_options()
+    unknown = []
+    for command in sorted(backticked(r"(?:python -m )?repro [^`]+", text)):
+        words = command.removeprefix("python -m ").split()[1:]
+        names = words[0].split("|")
+        flags = {
+            word.strip("[]").split("=")[0]
+            for word in words[1:]
+            if word.strip("[]").startswith("--")
+        }
+        for name in names:
+            if name not in options:
+                unknown.append(f"repro {name}")
+            else:
+                unknown += [
+                    f"repro {name} {flag}"
+                    for flag in sorted(flags - options[name])
+                ]
+    every_option = set().union(*options.values())
+    unknown += sorted(backticked(r"--[\w-]+", text) - every_option)
+    return unknown
+
+
+@pytest.mark.parametrize("doc", GUARDED_DOCS, ids=lambda path: path.name)
+def test_every_cli_command_and_flag_is_one_the_parser_takes(doc):
+    assert unknown_cli_names(doc.read_text()) == []
+
+
+def module_table_files(text: str) -> list[tuple[Path, str]]:
+    """``(package directory, file name)`` for each backticked ``*.py`` in
+    a table row whose second cell is a backticked ``repro.`` package."""
+    found = []
+    for line in text.splitlines():
+        if not line.startswith("|"):
+            continue
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        package = len(cells) >= 3 and re.fullmatch(
+            r"`(repro(?:\.\w+)*)`", cells[1]
+        )
+        if not package:
+            continue
+        folder = ROOT / "src" / Path(*package.group(1).split("."))
+        if folder.is_dir():
+            contents = "|".join(cells[2:])
+            found += [
+                (folder, name)
+                for name in re.findall(r"`([\w/]+\.py)`", contents)
+            ]
+    return found
+
+
+def test_every_module_table_file_exists_in_its_package():
+    files = module_table_files(DESIGN.read_text())
+    assert len(files) >= 20, "the module tables were not found"
+    missing = [
+        name for folder, name in files
+        if not (ROOT / name if "/" in name else folder / name).is_file()
+    ]
+    assert missing == []
+
+
 def test_the_guard_sees_the_docs():
     """The patterns find what the docs name, so an empty match is not a
     silent pass."""
@@ -125,3 +216,8 @@ def test_the_guard_sees_the_docs():
     assert "REPRO_WORKERS" not in in_use  # a guard test sets it; none reads it
     assert resolves("repro.core.dsi.StructuralIndex")
     assert not resolves("repro.core.blocktable")
+    assert backticked(r"--[\w-]+", text) >= {"--save", "--load"}
+    assert unknown_cli_names("`repro serve --leakage` `repro query`") == []
+    assert unknown_cli_names("`repro cluster` `repro query --shards`") == [
+        "repro cluster", "repro query --shards",
+    ]

@@ -222,3 +222,100 @@ class TestIdenticalCommandsNeedNoNonceRegression:
             finally:
                 a.close()
                 b.close()
+
+
+class TestPlanSealedAtAnotherEpochRegression:
+    """A plan is sealed at the anchor it was made at.
+
+    Bug: the client translated a query at one epoch and sealed it at
+    whatever anchor stood when ``seal_request`` ran, keeping the sealed
+    bytes under the XPath for the rest of the new epoch.  A commit in
+    between — here a write that re-plans the ``disease`` field — got the
+    old epoch's OPESS ranges sealed as fresh: the server evaluated them
+    over the new value index, and every read of the XPath until the next
+    commit answered ``[]`` instead of ``['Matt']``.  Fixed by sealing each
+    plan at its own anchor: the outdated plan is refused for freshness and
+    the retry re-translates.
+    """
+
+    QUERY = "//patient[.//disease = 'leukemia']/pname"
+    WRITE = ("//patient[pname='Betty']/treat[doctor='Smith']/disease", "asthma")
+
+    def test_a_commit_after_translate_is_retried_in_process(
+        self, healthcare_doc, healthcare_scs
+    ):
+        system = SecureXMLSystem.host(
+            healthcare_doc, healthcare_scs, scheme="opt"
+        )
+        translate, committed = system.client.translate, []
+
+        def translate_then_commit(query):
+            plan = translate(query)
+            if not committed:  # another handle's write, mid-read
+                committed.append(True)
+                system.update_value(*self.WRITE)
+            return plan
+
+        system.client.translate = translate_then_commit
+        epoch = system.hosted.epoch
+        assert system.query(self.QUERY).values() == ["Matt"]
+        assert system.last_trace.freshness_failures == 1
+        assert system.last_trace.attempts == 2
+        for _ in range(3):
+            assert system.query(self.QUERY).values() == ["Matt"]
+            assert system.last_trace.freshness_failures == 0
+        assert system.hosted.epoch == epoch + 1
+
+    def test_a_plan_kept_across_a_commit_is_made_anew_when_resealed(
+        self, healthcare_doc, healthcare_scs
+    ):
+        """A caller that re-seals one plan on each attempt (as a staged
+        replay does) gets a request the server accepts, not the dead one."""
+        system = SecureXMLSystem.host(
+            healthcare_doc, healthcare_scs, scheme="opt"
+        )
+        client = system.client
+        plan = client.translate(self.QUERY)
+        stale = client.seal_request(plan)
+        system.update_value(*self.WRITE)
+        with pytest.raises(RollbackDetectedError):
+            system.server.answer_wire(stale)
+        fresh = client.seal_request(plan)
+        assert fresh != stale
+        response = client.open_response(system.server.answer_wire(fresh))
+        pruned = client.assemble(client.decrypt_fragments(response))
+        assert client.post_process(self.QUERY, pruned).values() == ["Matt"]
+
+    def test_a_commit_after_translate_is_retried_on_the_served_path(
+        self, healthcare_doc, healthcare_scs
+    ):
+        system = SecureXMLSystem.host(
+            healthcare_doc, healthcare_scs, scheme="opt"
+        )
+        with ServingServer() as server:
+            server.register_tenant("t0", system)
+            a = remote_system(system, server.address, "t0")
+            b = remote_system(system, server.address, "t0")
+            try:
+                translate, committed = a.client.translate, []
+
+                def translate_then_commit(query):
+                    plan = translate(query)
+                    if not committed:  # b's write lands mid-read
+                        committed.append(True)
+                        b.update_value(*self.WRITE)
+                    return plan
+
+                a.client.translate = translate_then_commit
+                epoch = system.hosted.epoch
+                assert a.query(self.QUERY).values() == ["Matt"]
+                assert a.last_trace.freshness_failures == 1
+                assert a.last_trace.attempts == 2
+                for _ in range(3):
+                    assert a.query(self.QUERY).values() == ["Matt"]
+                    assert a.last_trace.freshness_failures == 0
+                assert b.query(self.QUERY).values() == ["Matt"]
+                assert system.hosted.epoch == epoch + 1
+            finally:
+                a.close()
+                b.close()

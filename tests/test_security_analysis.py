@@ -38,14 +38,6 @@ class TestAuditReport:
             assert audit.ciphertext_values >= audit.plaintext_values
         assert report.structural_candidates >= 1
 
-    def test_weakest_field_identified(self, report_pair):
-        report, _ = report_pair
-        weakest = report.weakest_field
-        assert weakest is not None
-        assert weakest.database_candidates == min(
-            audit.database_candidates for audit in report.fields
-        )
-
     def test_out_of_model_exposure_reported(self, report_pair):
         """The healthcare hosting has a unique-count encrypted tag."""
         report, _ = report_pair

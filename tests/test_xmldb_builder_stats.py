@@ -5,7 +5,6 @@ import pytest
 from repro.xmldb.builder import TreeBuilder
 from repro.xmldb.stats import (
     depth,
-    fanout_profile,
     field_frequency,
     leaf_field_name,
     same_distribution,
@@ -98,11 +97,6 @@ class TestStats:
 
     def test_depth(self, doc):
         assert depth(doc) == 3  # r -> p -> name -> text
-
-    def test_fanout_profile(self, doc):
-        profile = fanout_profile(doc)
-        assert profile[3] == 1  # root has 3 children
-        assert profile[2] == 3  # each p has 2 children
 
     def test_same_distribution_ignores_labels(self):
         from collections import Counter

@@ -157,10 +157,3 @@ class TestRendering:
     def test_str_roundtrips_through_parser(self, query):
         path = parse_xpath(query)
         assert parse_xpath(str(path)) == path
-
-    def test_canonical_text(self):
-        path = parse_xpath("//a")
-        assert (
-            ast.canonical_text(path)
-            == "/descendant-or-self::*/child::a"
-        )
