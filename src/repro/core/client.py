@@ -8,8 +8,8 @@ The client owns the master key and the OPESS plans.  Its two runtime jobs:
 * **post-process** the server's fragments — decrypt blocks, strip decoys,
   rebuild a pruned document in the original shape, and re-run the original
   query on it, which restores exactness (``Q(δ(Qs(η(D)))) = Q(D)``).  A
-  verified response that comes back for the same query is answered from
-  copies of the answer nodes instead (:meth:`Client.finish`).
+  verified response whose fragments come back for the same query is
+  answered from copies of the answer nodes instead (:meth:`Client.finish`).
 """
 
 from __future__ import annotations
@@ -101,8 +101,9 @@ class Client:
     with their plaintexts, and decrypted trees, outlive a commit that
     did not rewrite their blocks — judged by the owner's own
     ``block_tags`` / ``block_stamps``, never by anything a server sent.
-    The answer memo does not: an answer is a function of the verified
-    response it came from, which no other epoch verifies.
+    So does the answer memo: it is keyed by a digest of the verified
+    fragments' content and the XPath, and an entry outlives a commit
+    while every block its fragments name is live and unstamped since.
     """
 
     def __init__(
@@ -137,7 +138,8 @@ class Client:
                 and hosted.block_stamps.get(block_id, 0) <= since
             )
 
-        def tree_unwritten(_text: str, entry, since: int) -> bool:
+        def blocks_unwritten(_key, entry, since: int) -> bool:
+            """Is every block the entry names unwritten since ``since``?"""
             return all(
                 block_unwritten(block_id, None, since) for block_id in entry[1]
             )
@@ -152,10 +154,11 @@ class Client:
         self._block_cache = cache(survives=block_unwritten)
         #: fragment text → (pristine decrypted tree, ids of its blocks) —
         #: or, for a text shipped once so far, (spliced plaintext, ids)
-        self._tree_cache = cache(survives=tree_unwritten)
-        #: (verified sealed response, XPath) → detached copies of the
-        #: answer nodes — or, for a pair answered once so far, ``_SEEN``
-        self._answer_memo = cache(bounded=True)
+        self._tree_cache = cache(survives=blocks_unwritten)
+        #: (digest of the verified fragments, XPath) → (detached copies
+        #: of the answer nodes, ids of the fragments' blocks) — or, for a
+        #: pair answered once so far, ``_FIRST_SIGHT``
+        self._answer_memo = cache(bounded=True, survives=blocks_unwritten)
 
     # ------------------------------------------------------------------
     # Query translation (§6.1)
@@ -606,20 +609,22 @@ class Client:
 
     def finish(
         self,
-        sealed: bytes,
         xpath: str,
         query: ast.LocationPath,
         response: ServerResponse,
     ) -> QueryAnswer:
-        """The answer to ``xpath`` on ``response``, which ``sealed``
-        verified into at the live epoch: decrypt, assemble and evaluate —
-        or fresh copies of the answer memoised for the pair.
+        """The answer to ``xpath`` on ``response``, verified at the live
+        epoch: decrypt, assemble and evaluate — or fresh copies of the
+        answer memoised for the pair.
 
-        The answer is a function of the verified response and the query,
-        so the memo is keyed by the two and consulted only here, after
-        :meth:`open_response`: every read still crosses the wire and
-        verifies.  It keeps the answer nodes alone, never the pruned
-        document, and follows the tree cache's sights:
+        The answer is a function of the fragments that verified (each
+        one's ancestor path and XML, ciphertext included) and the query,
+        so the memo is keyed by the fragments' digest
+        (:meth:`ServerResponse.content_digest`) and the XPath, and
+        consulted only here, after :meth:`open_response`: every read
+        still crosses the wire and verifies.  It keeps the answer nodes
+        alone, never the pruned document, and follows the tree cache's
+        sights:
 
         * first sight of a pair: the full pass, and the memo records only
           that the pair was seen (nothing copied);
@@ -629,12 +634,17 @@ class Client:
           ``postprocess`` span — no decrypt, assemble or evaluate.
 
         Whatever a caller is handed is its own, so no caller's edits
-        reach the memo or another caller.  A key names a blob that
-        verifies at one epoch only, so no other epoch reaches its entry.
+        reach the memo or another caller.  A hit skips the block-tag
+        check, so kept copies come with the ids of the blocks their
+        fragments name, and outlive a commit only while each is live and
+        unstamped since (``blocks_unwritten``): the payloads then still
+        verify.  A write to plaintext structure changes the digest, and
+        a server that replays a rewritten block finds no copies and
+        meets the block-tag check.
         """
         epoch = self._hosted.epoch  # read first: the entry is as of it
-        key = (sealed, xpath)
-        stored = self._answer_memo.live().get(key)
+        key = (response.content_digest(), xpath)
+        stored = self._answer_memo.live().get(key, _UNSEEN)[0]
         if stored.__class__ is tuple:
             count("answer_memo_hits")
             with span("postprocess"):
@@ -648,7 +658,10 @@ class Client:
             with span("evaluate"):
                 answer = self.post_process(query, pruned)
             self._answer_memo.store(
-                key, _SEEN if stored is None else _detach(answer.nodes), epoch
+                key,
+                _FIRST_SIGHT if stored is None
+                else (_detach(answer.nodes), _block_ids(response)),
+                epoch,
             )
         return answer
 
@@ -664,8 +677,20 @@ def _detach(nodes: "list[Node]") -> "tuple[Node, ...]":
     return tuple(detached)
 
 
-#: What the answer memo holds for a pair answered once: no copies.
-_SEEN = "seen"
+def _block_ids(response: ServerResponse) -> frozenset[int]:
+    """The ids of the blocks in a response's fragments — found by the
+    scan that resolved them, so each one verified."""
+    return frozenset(
+        int(block_id)
+        for fragment in response.fragments
+        for block_id, _ in _BLOCK_RE.findall(fragment.xml)
+    )
+
+
+#: What the answer memo holds for a pair answered once: no copies, so
+#: nothing that needs a block — a hit never reads it, and it may outlive
+#: any commit.
+_FIRST_SIGHT = ("seen", ())
 
 
 def _parse_spliced(text: str) -> Element:
@@ -674,7 +699,8 @@ def _parse_spliced(text: str) -> Element:
     return parse_fragment(text, drop_tag=DECOY_TAG, reject_blocks=True)
 
 
-#: What the tree cache holds for a text never shipped: no tree.
+#: What the tree cache holds for a text never shipped, and the answer
+#: memo for a pair never answered: nothing.
 _UNSEEN = (None,)
 
 #: What the block cache holds for an id never verified: no payload.

@@ -129,9 +129,16 @@ class HostedDatabase:
     #: at or below that node (:meth:`mark_changed`).  What the server's
     #: fragment cache asks before carrying a serialized subtree across a
     #: commit.  Sparse, derived, never persisted: a reload renumbers the
-    #: hosted ids and starts every cache empty.
+    #: hosted ids and starts every cache empty.  Bounded by the live
+    #: tree: a removed node's stamp goes once the server's fragment
+    #: cache has swept past it (:meth:`forget_removed`).
     subtree_stamps: dict[int, int] = field(
         default_factory=dict, repr=False, compare=False
+    )
+    #: Ids :meth:`mark_changed` stamped as removed and
+    #: :meth:`forget_removed` has not dropped yet.
+    removed_ids: list[int] = field(
+        default_factory=list, repr=False, compare=False
     )
 
     def state_root(self) -> bytes:
@@ -220,10 +227,33 @@ class HostedDatabase:
         node takes its whole subtree along: none of it ships again.
         """
         stamps = self.subtree_stamps
-        for touched in node.iter() if removed else (node,):
-            stamps[touched.node_id] = stamp
+        touched = [node.node_id]
+        if removed:
+            touched = [member.node_id for member in node.iter()]
+            self.removed_ids += touched
+        for node_id in touched:
+            stamps[node_id] = stamp
         for ancestor in node.ancestors():
             stamps[ancestor.node_id] = stamp
+
+    def forget_removed(self, epoch: int) -> None:
+        """Drop the stamps of nodes removed by writes committed by
+        ``epoch``.
+
+        Ids are never reused, so a removed node never ships again: its
+        stamp is needed only until the server's fragment cache has swept
+        past it, dropping any fragment rooted there — the server calls
+        this right after such a sweep.  A bare drop at the delete would
+        leave that fragment to survive every sweep, unread.
+        """
+        stamps = self.subtree_stamps
+        pending = []
+        for node_id in self.removed_ids:
+            if stamps.get(node_id, 0) <= epoch:
+                stamps.pop(node_id, None)
+            else:  # a write still in progress
+                pending.append(node_id)
+        self.removed_ids = pending
 
     def bump_epoch(self) -> None:
         """Advance the scheme epoch after a hosted-state mutation.

@@ -14,6 +14,8 @@ document and re-evaluate the original query exactly.
 
 from __future__ import annotations
 
+import hashlib
+import marshal
 from dataclasses import dataclass, field
 
 from typing import TYPE_CHECKING
@@ -68,15 +70,39 @@ class ServerResponse:
     _size: "int | None" = field(
         default=None, init=False, repr=False, compare=False
     )
+    _digest: "bytes | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def size_bytes(self) -> int:
         """The fragments' byte count, encoded once per response: the
         client's response cache hands a warm read the same object."""
         if self._size is None:
-            self._size = sum(
-                fragment.size_bytes() for fragment in self.fragments
-            )
+            self._measure()
         return self._size
+
+    def content_digest(self) -> bytes:
+        """SHA-256 over the fragments' content — each one's ancestor path
+        and XML, in order — taken once per response, with its byte count.
+
+        Two responses that digest alike ship the same fragments, so one
+        client derives the same answer from either: the answer memo's
+        key."""
+        if self._digest is None:
+            self._measure()
+        return self._digest
+
+    def _measure(self) -> None:
+        fragments = self.fragments
+        self._size = sum(fragment.size_bytes() for fragment in fragments)
+        # marshal's format 2 writes no back-references, and it decodes:
+        # equal bytes are equal fragment lists.
+        self._digest = hashlib.sha256(
+            marshal.dumps(
+                [(fragment.ancestor_path, fragment.xml) for fragment in fragments],
+                2,
+            )
+        ).digest()
 
 
 class Server:
@@ -202,7 +228,11 @@ class Server:
     def _make_fragments(self, roots: list[Node]) -> list[Fragment]:
         """Serialize the shipped subtrees, in document order."""
         with span("server.serialize"):
+            hosted = self._hosted
+            epoch = hosted.epoch  # read first: the sweep below covers it
             cache = self._fragment_cache.live()
+            if hosted.removed_ids:
+                hosted.forget_removed(epoch)
             cached = [cache.get(node.node_id) for node in roots]
             built = {
                 node.node_id: self._build_fragment(node)

@@ -442,9 +442,9 @@ class SecureXMLSystem:
             try:
                 with span("seal"):
                     request = self.client.seal_request(translated)
-                sealed, response = self._exchange(request)
+                response = self._exchange(request)
                 trace.candidate_counts = response.candidate_counts
-                return self._finish(translated.path, sealed, response, trace)
+                return self._finish(translated.path, response, trace)
             except _RETRYABLE as exc:
                 attempt.annotate(error=type(exc).__name__)
                 raise
@@ -607,9 +607,9 @@ class SecureXMLSystem:
         entry = engine.resolve_single(self.client.translate(xpath))
         engine.update_value(entry, new_value)
 
-    def _exchange(self, request: bytes) -> tuple[bytes, ServerResponse]:
-        """One sealed request/response round trip: the sealed response
-        and what it verified into.
+    def _exchange(self, request: bytes) -> ServerResponse:
+        """One sealed request/response round trip: what the sealed
+        response verified into.
 
         ``server.answer_wire`` takes sealed bytes and returns sealed
         bytes.  A refusal it raises was detected by the server and is
@@ -625,18 +625,16 @@ class SecureXMLSystem:
                 raise
         sealed, _ = channel.transfer("server->client", "answer", sealed)
         with span("verify"):
-            response = self.client.open_response(sealed)
-        return sealed, response
+            return self.client.open_response(sealed)
 
     def _finish(
         self,
         query: ast.LocationPath,
-        sealed: bytes,
         response: ServerResponse,
         trace: QueryTrace,
     ) -> QueryAnswer:
         """Decrypt, assemble and re-evaluate — the client's §6.4 half,
-        or its answer memo once the verified response has come back
+        or its answer memo once the verified fragments have come back
         (:meth:`Client.finish`).
 
         ``query`` is the plan's parsed path, so a read parses its XPath
@@ -645,7 +643,7 @@ class SecureXMLSystem:
         trace.blocks_returned = response.blocks_shipped
         trace.fragments_returned = len(response.fragments)
         trace.transfer_bytes = response.size_bytes()
-        answer = self.client.finish(sealed, trace.query, query, response)
+        answer = self.client.finish(trace.query, query, response)
         trace.answer_count = len(answer)
         return answer
 

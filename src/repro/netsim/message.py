@@ -37,9 +37,14 @@ attacker keys its recorded responses on the *stripped* request payload
 from __future__ import annotations
 
 import json
+import re
 from typing import Any
 
 from repro.xmldb.parser import MAX_DEPTH as _MAX_DEPTH
+
+#: The JSON escape of a UTF-16 surrogate.  Left unpaired, it decodes to a
+#: ``str`` that no UTF-8 can carry, and whoever encodes it fails untyped.
+_SURROGATE_ESCAPE = re.compile(rb"\\u[dD][89a-fA-F]")
 
 
 class MessageDecodeError(ValueError):
@@ -220,4 +225,9 @@ def _load(payload: bytes) -> dict[str, Any]:
         raise MessageDecodeError(f"undecodable message: {exc}") from exc
     if not isinstance(record, dict):
         raise MessageDecodeError("message is not an object")
+    if _SURROGATE_ESCAPE.search(payload):  # rare: check what it decoded to
+        try:
+            json.dumps(record, ensure_ascii=False).encode("utf-8")
+        except (UnicodeEncodeError, RecursionError) as exc:
+            raise MessageDecodeError(f"unencodable message: {exc}") from None
     return record

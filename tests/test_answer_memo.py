@@ -1,28 +1,38 @@
 """The client's answer memo: a repeated read answers from what it evaluated.
 
-``Client.finish`` keys the memo by the verified sealed response and the
-XPath.  A pair's first sight records only that it was seen, its second
-keeps detached copies of the answer nodes, and every later sight hands
-out fresh clones of those copies.  The properties:
+``Client.finish`` keys the memo by a digest of the verified fragments'
+content and the XPath.  A pair's first sight records only that it was
+seen, its second keeps detached copies of the answer nodes, and every
+later sight hands out fresh clones of those copies.  An entry outlives a
+commit while every block its fragments name is live and unstamped.  The
+properties:
 
 * three consecutive reads each equal plaintext evaluation, over the axis
   workload on healthcare, XMark-40 and NASA-40, planned and naive;
 * whatever a caller does to the nodes it was handed — element, attribute
   or nested answers — the next read's answer is unchanged, and no node it
   returns is one an earlier caller holds;
-* a write between reads is visible on the very next read;
+* a write between reads is visible on the very next read: a write to a
+  block an entry names drops the entry, a write elsewhere keeps it (the
+  next read is a hit), and a pre-write response replayed in a fresh
+  envelope is refused, never answered from the memo;
+* positional predicates that share one response answer apart;
 * ``flush_caches()`` empties the memo, ``BOUND + 1`` distinct XPaths in
-  one epoch evict the oldest entry, and the memo holds answer copies,
-  never a pruned document;
+  one epoch evict the oldest entry, the memo never holds more than
+  ``BOUND`` entries across commits, and it holds answer copies, never a
+  pruned document;
 * every read, hits included, crosses the wire: ``Server.answer_wire``
   runs once per read, in process and over a socket.
 """
 
 import pytest
 
+from updates_oracle import write_plaintext
 from repro.core.client import canonical_node
+from repro.core.integrity import TamperedResponseError
+from repro.core.server import Fragment, ServerResponse
 from repro.core.epoch_cache import EpochCache
-from repro.core.system import SecureXMLSystem
+from repro.core.system import QueryFailedError, SecureXMLSystem
 from repro.obs import MetricsRegistry
 from repro.serving import ServingServer, remote_system
 from repro.workloads.axes import AxisWorkload
@@ -32,6 +42,7 @@ from repro.workloads.healthcare import (
 )
 from repro.workloads.nasa import build_nasa_database, nasa_constraints
 from repro.workloads.xmark import build_xmark_database, xmark_constraints
+from repro.netsim.message import encode_response
 from repro.xmldb.node import Element, Text
 from repro.xpath.evaluator import evaluate
 
@@ -148,7 +159,7 @@ class TestCallersOwnTheirAnswers:
         query = "//treat/doctor"
         for _ in range(2):
             answer = system.query(query)
-        (stored,) = system.client._answer_memo.live().values()
+        ((stored, _blocks),) = system.client._answer_memo.live().values()
         assert isinstance(stored, tuple)
         assert [canonical_node(node) for node in stored] == [
             canonical_node(node) for node in answer.nodes
@@ -159,7 +170,7 @@ class TestCallersOwnTheirAnswers:
         for _ in range(2):
             nested = system.query("//*")
         (stored,) = [
-            entry for (_blob, xpath), entry
+            entry[0] for (_digest, xpath), entry
             in system.client._answer_memo.live().items() if xpath == "//*"
         ]
         assert len(stored) == len(nested)
@@ -227,12 +238,171 @@ class TestWritesAndBounds:
         for query in queries:
             system.query(query)
         assert system.hosted.epoch == epoch
-        held = [xpath for _blob, xpath in memo.live()]
+        held = [xpath for _digest, xpath in memo.live()]
         assert held == queries[1:]
         before = metrics.counter_values()
         for _ in range(2):  # first and second sight again
             system.query(queries[0])
         assert memo_counts(before) == (0, 2)
+
+
+class TestTheMemoOutlivesACommit:
+    """What decides an entry's fate at a commit is the owner's record of
+    the blocks its fragments name, and what finds it afterwards is the
+    content of the fragments that verified."""
+
+    #: Rewrites block 6 (Matt's disease); ``//insurance/@coverage`` ships
+    #: blocks 4 and 7 only, ``//treat/disease`` ships 2, 3 and 6.
+    WRITE = ("//patient[pname='Matt']/treat/disease", "measles")
+
+    @staticmethod
+    def entries(system, xpath):
+        return [
+            entry for (_digest, held), entry
+            in system.client._answer_memo.live().items() if held == xpath
+        ]
+
+    @pytest.fixture
+    def system(self):
+        return SecureXMLSystem.host(
+            build_healthcare_database(), healthcare_constraints()
+        )
+
+    def test_a_write_to_a_block_an_entry_names_drops_it(self, system):
+        query = "//treat/disease"
+        for _ in range(2):
+            system.query(query)
+        ((kept, blocks),) = self.entries(system, query)
+        assert isinstance(kept, tuple) and 6 in blocks
+        system.update_value(*self.WRITE)
+        assert set(system.hosted.block_stamps) == {6}
+        assert self.entries(system, query) == []
+        before = metrics.counter_values()
+        assert sorted(system.query(query).values()) == [
+            "diarrhea", "diarrhea", "measles",
+        ]
+        assert memo_counts(before) == (0, 1)
+
+    def test_a_write_elsewhere_keeps_it_and_the_next_read_hits(self, system):
+        query = "//insurance/@coverage"
+        want = expected(build_healthcare_database(), query)
+        for _ in range(2):
+            system.query(query)
+        ((_kept, blocks),) = self.entries(system, query)
+        assert blocks == {4, 7}
+        request = system.client.seal_request(system.client.translate(query))
+        system.update_value(*self.WRITE)
+        assert len(self.entries(system, query)) == 1
+        before = metrics.counter_values()
+        assert system.query(query).canonical() == want
+        assert memo_counts(before) == (1, 0)
+        trace = system.last_trace
+        # A fresh exchange at the new epoch, answered without the §6.4 pass.
+        assert system.client.translate(query).sealed != request
+        assert trace.transfer_bytes > 0
+        stages = {span.name for span in trace.span.iter()}
+        assert {"seal", "server", "verify", "postprocess"} <= stages
+        assert not stages & {"decrypt", "assemble", "evaluate"}
+
+    def test_a_replayed_pre_write_response_in_a_fresh_envelope_is_refused(
+        self, system, monkeypatch
+    ):
+        """A server holding the session keys seals the fragments it
+        shipped before the write under the live anchor: the envelope
+        verifies, the memo holds nothing under those fragments, and the
+        rewritten block fails its tag on every attempt."""
+        query = "//treat/disease"
+        client = system.client
+        old = client.open_response(
+            system.server.answer_wire(
+                client.seal_request(client.translate(query))
+            )
+        )
+        for _ in range(2):
+            assert "leukemia" in system.query(query).values()
+        (entry,) = self.entries(system, query)
+        assert isinstance(entry[0], tuple) and 6 in entry[1]
+        system.update_value(*self.WRITE)
+        _, response_key = system.keyring.session_keys()
+        monkeypatch.setattr(
+            system.server,
+            "answer_wire",
+            lambda _request: system.hosted.seal(
+                response_key, encode_response(old)
+            )[0],
+        )
+        before = metrics.counter_values()
+        with pytest.raises(QueryFailedError) as failure:
+            system.query(query)
+        assert isinstance(failure.value.__cause__, TamperedResponseError)
+        attempts = system.retry_policy.max_attempts
+        assert memo_counts(before) == (0, attempts)
+        assert metrics.counters_delta(before)["integrity_failures"] == attempts
+
+    def test_positional_predicates_sharing_a_response_answer_apart(
+        self, system
+    ):
+        first, second = "//patient[1]/pname", "//patient[2]/pname"
+        for round_ in range(2):
+            for _ in range(3):
+                assert system.query(first).values() == ["Betty"]
+                assert system.query(second).values() == ["Matt"]
+            one, two = (
+                {digest for digest, xpath in system.client._answer_memo.live()
+                 if xpath == query}
+                for query in (first, second)
+            )
+            # One response per epoch, two answers to it.  The pre-write
+            # entries stay (no block was stamped), under their old content.
+            assert one == two and len(one) == round_ + 1
+            # A plaintext write to both patients' fragments: new content.
+            system.update_value("//patient[pname='Betty']/age", f"3{round_}")
+
+    def test_never_more_than_bound_entries_across_commits(self, system):
+        """Entries that survive commits count against the bound too."""
+        memo = system.client._answer_memo
+        document = build_healthcare_database()
+        held = []
+        for n in range(EpochCache.BOUND + 44):
+            if n % 20 == 0:
+                # Plaintext: a new key for every patient fragment, and no
+                # block stamped, so no entry leaves at the sweep.
+                age = str(30 + n % 7)
+                system.update_value("//patient[pname='Betty']/age", age)
+                write_plaintext(
+                    document, "update_value", "//patient[pname='Betty']/age",
+                    age,
+                )
+            query = f"//patient[age>{n}]/pname"
+            assert system.query(query).canonical() == expected(document, query)
+            held.append(len(memo.live()))
+        assert max(held) == EpochCache.BOUND
+        assert system.hosted.epoch == 15
+
+
+class TestTheKeyIsTheFragmentsContent:
+    @staticmethod
+    def digest(*fragments):
+        return ServerResponse(
+            [Fragment(path, xml) for path, xml in fragments]
+        ).content_digest()
+
+    def test_equal_fragments_digest_alike_whatever_the_counts(self):
+        one = ((("h", 0),), "<a>1</a>")
+        assert self.digest(one) == ServerResponse(
+            [Fragment(*one)], blocks_shipped=3, candidate_counts={"a": 9}
+        ).content_digest()
+
+    @pytest.mark.parametrize("other", [
+        [((("h", 0),), "<a>2</a>")],                  # another text
+        [((("h", 1),), "<a>1</a>")],                  # another ancestor id
+        [((("g", 0),), "<a>1</a>")],                  # another ancestor tag
+        [((), "<a>1</a>")],                           # another depth
+        [((("h", 0),), "<a>"), ((("h", 0),), "1</a>")],  # another split
+        [((("h", 0),), "<a>1</a>")] * 2,              # shipped twice
+    ])
+    def test_any_change_of_content_is_another_key(self, other):
+        assert self.digest(((("h", 0),), "<a>1</a>")) != self.digest(*other)
 
 
 class TestEveryReadCrossesTheWire:

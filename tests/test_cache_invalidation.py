@@ -403,6 +403,42 @@ class TestEntriesThatOutliveAnEpoch:
             assert fragment == server._build_fragment(node)
 
 
+class TestSubtreeStampsAreBoundedByTheTree:
+    """A removed node never ships again, so its subtree stamp goes once
+    the server's fragment cache has swept past it — with any fragment
+    rooted there."""
+
+    def test_2000_insert_delete_pairs_leave_only_live_stamps(self, system):
+        hosted, server = system.hosted, system.server
+        patient = "//patient[pname='Betty']"
+        for n in range(2000):
+            system.insert_element(patient, "note", f"n{n}")
+            # Ships the new node, so the server caches its fragment.
+            assert system.query("//patient/note").values() == [f"n{n}"]
+            system.delete_element(f"{patient}/note")
+            assert system.query("//patient/note").values() == []
+        live = {node.node_id for node in hosted.hosted_root.iter()}
+        assert len(live) == 27
+        assert set(hosted.subtree_stamps) <= live
+        assert set(server._fragment_cache.live()) <= live
+        assert hosted.removed_ids == []
+
+    def test_a_write_only_stretch_keeps_them_until_the_next_sweep(
+        self, system
+    ):
+        """The stamps of nodes removed since the server last evaluated
+        a query are what that query's sweep still needs."""
+        hosted = system.hosted
+        for n in range(5):
+            system.insert_element("//patient[pname='Matt']", "note", f"n{n}")
+            system.delete_element("//patient[pname='Matt']/note")
+        assert len(hosted.removed_ids) == 5 * 2  # each element and its text
+        system.query("//patient/note")
+        live = {node.node_id for node in hosted.hosted_root.iter()}
+        assert hosted.removed_ids == []
+        assert set(hosted.subtree_stamps) <= live
+
+
 class TestEpochCache:
     """The type itself: one gate, stores that name their epoch, a bound."""
 
@@ -648,7 +684,7 @@ class TestFlushCaches:
         assert {type(entry[0]) for entry in sighted} == {str}
         # Likewise the answer memo: the pair's first sight, no copies.
         assert all(
-            entry.__class__ is not tuple
+            entry[0].__class__ is not tuple
             for entry in system.client._answer_memo.live().values()
         )
 

@@ -20,7 +20,9 @@ from repro.core.system import (
     SecureXMLSystem,
 )
 from fault_channel import FaultPolicy, FaultRates, FaultyChannel
+from updates_oracle import write_plaintext
 from repro.obs import MetricsRegistry
+from repro.workloads.healthcare import build_healthcare_database
 from repro.xpath.evaluator import evaluate
 
 #: Reads of the process counter total.
@@ -50,6 +52,12 @@ SWEEP_RATES = (
 )
 
 
+#: A leaf no query of :data:`QUERIES` reads.  Four of their five planned
+#: reads ship no block holding it, so their kept answers outlive a write
+#: to it.
+UNRELATED_LEAF = "//patient[pname='Betty']/treat[doctor='Walker']/disease"
+
+
 def expected_answer(document, query):
     return sorted(canonical_node(n) for n in evaluate(document, query))
 
@@ -73,21 +81,31 @@ class TestFaultSweep:
     ):
         policy = FaultPolicy.symmetric(seed=seed, **rates)
         system = host_with_faults(healthcare_doc, healthcare_scs, policy)
-        answered = 0
+        plaintext = build_healthcare_database()
+        answered = writes = 0
         # The §7.3 baseline crosses the same faulty exchange as a
         # planned read, and owes the same outcome.  Three reads in a row:
-        # a response that comes back verified a third time is answered
-        # from the client's answer memo, and owes the same outcome too.
+        # fragments that come back verified a third time are answered
+        # from the client's answer memo, and owe the same outcome too —
+        # across the unrelated write before the third read, which a
+        # planned read's kept answer outlives.
         for query in QUERIES:
             for read in (system.query, system.naive_query):
                 for sight in range(3):
+                    if sight == 2:
+                        writes += 1
+                        value = f"flu{writes}"
+                        system.update_value(UNRELATED_LEAF, value)
+                        write_plaintext(
+                            plaintext, "update_value", UNRELATED_LEAF, value
+                        )
                     try:
                         answer = read(query)
                     except QueryFailedError:
                         continue  # typed failure is an allowed outcome
                     answered += 1
                     assert answer.canonical() == expected_answer(
-                        healthcare_doc, query
+                        plaintext, query
                     ), (seed, rates, query, read.__name__, sight)
         # The retry layer must be doing real work: across the sweep the
         # rates are high enough that a no-retry pipeline could not answer

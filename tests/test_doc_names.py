@@ -12,6 +12,10 @@
   ``os.environ["…"]`` in ``tests/``, ``benchmarks/`` or ``bench/`` — or
   be an ``env:`` key of the CI workflow.  A variable a test only sets
   is not one a reader can use.
+* README.md, DESIGN.md and ``docs/*.md``: every backticked snake_case
+  name shaped like a counter — its last word ends a declared counter's
+  name, as ``_hits`` ends ``answer_memo_hits`` — is a counter
+  :mod:`repro.obs.metrics` describes.
 * README.md, DESIGN.md and ``docs/*.md``: every backticked ``repro
   <subcommand>`` (or ``python -m repro …``) names a subcommand of
   :func:`repro.cli.build_parser`, and each ``--flag`` written after it is
@@ -34,7 +38,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser
-from repro.obs.metrics import COUNTERS, HISTOGRAMS
+from repro.obs.metrics import COUNTERS, HISTOGRAMS, LABELED_COUNTERS
 from repro.serving import framing
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -93,6 +97,23 @@ def test_every_dotted_repro_name_resolves(doc):
 def test_every_opcode_name_is_a_framing_opcode(doc):
     names = backticked(r"OP_\w+", doc.read_text())
     assert [name for name in sorted(names) if not hasattr(framing, name)] == []
+
+
+def counter_shaped(text: str) -> set[str]:
+    """The backticked snake_case names whose last word is the last word
+    of a declared counter."""
+    last_words = {name.rsplit("_", 1)[1] for name in COUNTERS}
+    return {
+        name
+        for name in backticked(r"[a-z][a-z0-9]*(?:_[a-z0-9]+)+", text)
+        if name.rsplit("_", 1)[1] in last_words
+    }
+
+
+@pytest.mark.parametrize("doc", GUARDED_DOCS, ids=lambda path: path.name)
+def test_every_counter_name_is_a_declared_counter(doc):
+    names = counter_shaped(doc.read_text())
+    assert sorted(names - {*COUNTERS, *LABELED_COUNTERS}) == []
 
 
 def environment_variables_in_use() -> set[str]:
@@ -211,6 +232,12 @@ def test_the_guard_sees_the_docs():
     assert len(backticked(r"repro(?:\.\w+)+", text)) >= 40
     assert {"OP_HELLO", "OP_QUERY", "OP_UPDATE"} <= backticked(r"OP_\w+", text)
     assert len(backticked(r"REPRO_\w+", text)) >= 4
+    assert {"answer_memo_hits", "query_retries", "tree_cache_misses"} <= (
+        counter_shaped(text)
+    )
+    assert counter_shaped("`stale_cache_hits` `load_system`") == {
+        "stale_cache_hits"
+    }
     in_use = environment_variables_in_use()
     assert {"REPRO_CHAOS_SEEDS", "REPRO_OBS_OVERHEAD"} <= in_use
     assert "REPRO_WORKERS" not in in_use  # a guard test sets it; none reads it

@@ -8,8 +8,10 @@ import pytest
 
 from repro.core.client import Client, canonical_node
 from repro.core.constraints import parse_constraints
-from repro.core.integrity import RollbackDetectedError
-from repro.core.system import SecureXMLSystem
+from repro.core.integrity import RollbackDetectedError, TamperedResponseError
+from repro.core.server import Fragment, ServerResponse
+from repro.core.system import QueryFailedError, SecureXMLSystem
+from repro.netsim.message import decode_response, encode_response
 from repro.serving import ServingServer, remote_system
 from repro.xmldb.builder import TreeBuilder
 from repro.xpath.evaluator import evaluate
@@ -319,3 +321,37 @@ class TestPlanSealedAtAnotherEpochRegression:
             finally:
                 a.close()
                 b.close()
+
+
+class TestUnpairedSurrogateRegression:
+    """A response whose text holds an unpaired surrogate escape fails
+    typed.
+
+    Bug: JSON lets ``\\ud800`` stand alone, and it decodes to a ``str``
+    that UTF-8 cannot carry.  A server holding the session keys could
+    seal such a fragment text, and the client's byte count raised a raw
+    ``UnicodeEncodeError`` out of ``system.query``.  Fixed in the codec:
+    a message that decodes to an unencodable string is a
+    ``MessageDecodeError``, so the read is retried and fails typed.
+    """
+
+    def test_the_query_fails_typed(self, healthcare_doc, healthcare_scs):
+        system = SecureXMLSystem.host(healthcare_doc, healthcare_scs)
+        _, response_key = system.keyring.session_keys()
+        for path, text in (
+            ((("hospital", 0),), "<patient><pname>\ud800</pname></patient>"),
+            ((("hospital\udfff", 0),), "<patient/>"),
+        ):
+            forged = encode_response(ServerResponse([Fragment(path, text)]))
+            system.server.answer_wire = lambda _request, forged=forged: (
+                system.hosted.seal(response_key, forged)[0]
+            )
+            with pytest.raises(QueryFailedError) as failure:
+                system.query("//patient/pname")
+            assert isinstance(failure.value.__cause__, TamperedResponseError)
+
+    def test_a_paired_surrogate_escape_still_decodes(self):
+        response = ServerResponse([Fragment((("h😀", 1),), "<t>😀</t>")])
+        payload = encode_response(response)
+        assert b"\\ud83d\\ude00" in payload
+        assert decode_response(payload) == response
