@@ -24,6 +24,7 @@ from repro.core.decoy import DECOY_TAG
 from repro.core.encryptor import HostedDatabase
 from repro.core.epoch_cache import EpochCache
 from repro.core.integrity import (
+    FRESH_OVERHEAD,
     IntegrityError,
     TamperedResponseError,
     count_failure,
@@ -104,6 +105,10 @@ class Client:
     So does the answer memo: it is keyed by a digest of the verified
     fragments' content and the XPath, and an entry outlives a commit
     while every block its fragments name is live and unstamped since.
+    A sealed response embeds the commit epoch, so its blob verifies in
+    one epoch only; the response decoded from its payload outlives a
+    commit the ending epoch used it in, and a later blob that verifies at
+    the live anchor around the very same payload reuses it undecoded.
     """
 
     def __init__(
@@ -118,7 +123,7 @@ class Client:
         self._request_key, self._response_key = keyring.session_keys()
         self._caches: list[EpochCache] = []
 
-        def cache(bounded: bool = False, survives=None) -> EpochCache:
+        def cache(bounded: int = 0, survives=None) -> EpochCache:
             return EpochCache(
                 lambda: hosted.epoch, self._caches, bounded, survives
             )
@@ -146,9 +151,18 @@ class Client:
 
         #: XPath string → translated plan, holding its anchor and the
         #: request it sealed to
-        self._plan_cache = cache(bounded=True)
-        #: sealed response bytes → verified, decoded response
-        self._response_cache = cache(bounded=True)
+        self._plan_cache = cache(bounded=1)
+        #: sealed response bytes → verified, decoded response; and, keyed
+        #: by the 1-tuple of a view of a verified blob's payload (no blob a
+        #: server sends can name it), ``(that response, epoch)`` — a record
+        #: that outlives a commit only if the epoch that just ended used it.
+        #: Each miss stores both, so the bound counts pairs.
+        self._response_cache = cache(
+            bounded=2,
+            survives=lambda _key, kept, since: (
+                kept.__class__ is tuple and kept[1] == since
+            ),
+        )
         #: block id → (the ciphertext payload whose MAC tag verified, its
         #: plaintext text)
         self._block_cache = cache(survives=block_unwritten)
@@ -158,7 +172,7 @@ class Client:
         #: (digest of the verified fragments, XPath) → (detached copies
         #: of the answer nodes, ids of the fragments' blocks) — or, for a
         #: pair answered once so far, ``_FIRST_SIGHT``
-        self._answer_memo = cache(bounded=True, survives=blocks_unwritten)
+        self._answer_memo = cache(bounded=1, survives=blocks_unwritten)
 
     # ------------------------------------------------------------------
     # Query translation (§6.1)
@@ -279,28 +293,44 @@ class Client:
         Raises :class:`~repro.core.integrity.TamperedResponseError` for
         *any* byte-level difference from what the server sealed — a
         flipped bit, a truncation, a wholesale substitution — before a
-        single byte is parsed.  Verified responses are cached by their
-        sealed bytes, so the warm repeated-query path costs one dict
-        lookup (the server hands back the identical bytes object).
+        single byte is parsed, and a
+        :class:`~repro.core.integrity.FreshnessError` for a response
+        sealed at any anchor but the live one.  Verified responses are
+        cached by their sealed bytes, so the warm repeated-query path
+        costs one dict lookup (the server hands back the identical bytes
+        object).  Any other blob is unsealed first; a payload
+        byte-identical to one verified this epoch or the one before is
+        then answered with the response decoded from it — its size and
+        digest already taken — instead of decoded again.
 
         Here, in :meth:`decrypt_fragments` and in :meth:`assemble` is
         where the client detects a failure, so that is where it counts.
         """
-        cached = self._response_cache.live().get(blob)
+        cache = self._response_cache.live()
+        cached = cache.get(blob)
         if cached is not None:
             return cached
         try:
             payload, epoch = self._hosted.unseal(
                 self._response_key, blob, error=TamperedResponseError
             )
-            try:
-                response = decode_response(payload)
-            except MessageDecodeError as exc:
-                raise TamperedResponseError(str(exc)) from exc
+            # Taken out and put back under a view of *this* blob: the
+            # kept key would otherwise hold the previous blob alive.
+            kept = cache.pop((payload,), None)
+            if kept is not None:
+                response = kept[0]
+            else:
+                try:
+                    response = decode_response(payload)
+                except MessageDecodeError as exc:
+                    raise TamperedResponseError(str(exc)) from exc
         except IntegrityError as exc:
             count_failure(exc)
             raise
         self._response_cache.store(blob, response, epoch)
+        self._response_cache.store(
+            (memoryview(blob)[FRESH_OVERHEAD:],), (response, epoch), epoch
+        )
         return response
 
     # ------------------------------------------------------------------

@@ -24,19 +24,22 @@ class EpochCache:
     served system through its tenant's one lock.
     """
 
-    #: Entry bound of a cache whose *keys* a peer chooses (query strings,
-    #: sealed blobs); the oldest entry makes room.  Caches keyed by hosted
-    #: ids are bounded by the database.
+    #: How many *keys* a peer may choose (query strings, sealed blobs) in
+    #: a bounded cache: one that stores ``bounded`` entries per such key
+    #: holds ``bounded * BOUND``, and the oldest entry makes room.  Caches
+    #: keyed by hosted ids are bounded by the database.
     BOUND = 256
 
     def __init__(
         self,
         epoch: Callable[[], int],
         registry: "list[EpochCache]",
-        bounded: bool = False,
+        bounded: int = 0,
         survives: "Callable[[Any, Any, int], bool] | None" = None,
     ) -> None:
         self._epoch = epoch
+        #: entries stored per key a peer chooses; 0: bounded by what the
+        #: cache is keyed by
         self._bounded = bounded
         #: ``survives(key, value, since)``: has nothing this entry derives
         #: from been written after epoch ``since``?  Asked once per entry
@@ -77,7 +80,11 @@ class EpochCache:
         entries = self.live()
         if epoch != self._entries_epoch:
             return
-        if self._bounded and len(entries) >= self.BOUND and key not in entries:
+        if (
+            self._bounded
+            and len(entries) >= self._bounded * self.BOUND
+            and key not in entries
+        ):
             del entries[next(iter(entries))]
         entries[key] = value
 

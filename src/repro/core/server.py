@@ -26,7 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 from repro.core.dsi import IndexEntry, StructuralIndex
 from repro.core.encryptor import HostedDatabase
 from repro.core.epoch_cache import EpochCache
-from repro.core.integrity import TamperedRequestError
+from repro.core.integrity import FRESH_OVERHEAD, TamperedRequestError
 from repro.core.leakage import LeakageContext
 from repro.core.opess import ValueIndex
 from repro.core.structural_join import MatchResult, match_pattern
@@ -118,7 +118,12 @@ class Server:
     database's epoch, the hook the update engine drives.  A fragment
     outlives a commit unless the write marked its root's subtree changed
     (``HostedDatabase.subtree_stamps``) — which node a write touched is
-    in the update trace the server sees anyway.
+    in the update trace the server sees anyway.  A sealed response
+    embeds the commit epoch, so it answers its request blob for one epoch
+    only; what was last sent for a request payload outlives a commit the
+    ending epoch used it in, and an evaluation that ships the same
+    fragments re-seals those bytes instead of encoding them again — bytes
+    the server already sent, so the reuse reveals nothing new.
     """
 
     def __init__(
@@ -150,8 +155,19 @@ class Server:
         #: and even returns the *same bytes object*, which lets the client
         #: verify it with one cached-hash dict lookup.  Sealed blobs embed
         #: the commit epoch and Merkle root, so no commit spares one.
+        #: Beside them, keyed by the 1-tuple of a view of a verified
+        #: request's payload (no blob a peer sends can name it), what was
+        #: last sent for it:
+        #: ``(response, sealed blob, epoch)`` — a record, which outlives a
+        #: commit only if the epoch that just ended used it.  Each miss
+        #: stores both, so the bound counts pairs.
         self._wire_cache = EpochCache(
-            lambda: hosted.epoch, self._caches, bounded=True
+            lambda: hosted.epoch,
+            self._caches,
+            bounded=2,
+            survives=lambda _key, sent, since: (
+                sent.__class__ is tuple and sent[2] == since
+            ),
         )
         #: the sorted block-id population decoy fetches draw from
         self._universe_cache = EpochCache(lambda: hosted.epoch, self._caches)
@@ -275,9 +291,20 @@ class Server:
         despite an intact envelope is impossible by construction, but a
         :class:`MessageDecodeError` is mapped to the same typed error so
         the client's retry loop has a single failure surface.
+
+        A repeated request blob is answered with the bytes sealed for it
+        this epoch.  Any other request is verified and evaluated; if the
+        evaluation equals the response last sent for the same request
+        payload — the same fragments, usually the very objects the
+        fragment cache judged unwritten (list equality tries identity
+        first), with equal block and candidate counts — the payload kept
+        in that sealed blob is re-sealed at the live anchor instead of
+        encoded again: the codec is a pure function of those fields, so
+        the bytes are the ones :func:`encode_response` would write.
         """
         request_key, response_key = self._session_keys
-        cached = self._wire_cache.live().get(request_blob)
+        cache = self._wire_cache.live()
+        cached = cache.get(request_blob)
         if cached is not None:
             return cached
         query_bytes, _ = self._hosted.unseal(
@@ -288,8 +315,22 @@ class Server:
         except MessageDecodeError as exc:
             raise TamperedRequestError(str(exc)) from exc
         response = self.answer(translated)
-        blob, epoch = self._hosted.seal(response_key, encode_response(response))
+        # Taken out and put back under a view of *this* request blob: the
+        # kept key would otherwise hold the previous one alive.
+        sent = cache.pop((query_bytes,), None)
+        if sent is not None and sent[0] == response:
+            response, kept = sent[0], sent[1]
+            blob, epoch = self._hosted.seal(response_key, kept[FRESH_OVERHEAD:])
+        else:
+            blob, epoch = self._hosted.seal(
+                response_key, encode_response(response)
+            )
         self._wire_cache.store(request_blob, blob, epoch)
+        self._wire_cache.store(
+            (memoryview(request_blob)[FRESH_OVERHEAD:],),
+            (response, blob, epoch),
+            epoch,
+        )
         return blob
 
     # ------------------------------------------------------------------
@@ -304,6 +345,13 @@ class Server:
         intervals are — an insert draws its interval in the parent's gap
         after the last child — and any entry mapped to a node lies inside
         that node's extent, which no other shipped root overlaps.
+
+        A node nested inside another shipped node is dropped.  One walk up
+        from each node stops at the first ancestor an earlier walk
+        reached, so finding which shipped nodes hold another costs the
+        number of distinct ancestors, not the shipped nodes times their
+        depth.  Usually none does; only then is each node's chain tested
+        against the few that do.
         """
         nodes: dict[int, Node] = {}
         lows: dict[int, float] = {}
@@ -314,14 +362,19 @@ class Server:
                 nodes[key] = node
                 low = entry.interval.low
                 lows[key] = min(lows.get(key, low), low)
-        # Drop nodes nested inside other shipped nodes.
-        chosen = list(nodes.values())
-        chosen_ids = {id(node) for node in chosen}
-        kept = []
-        for node in chosen:
-            if any(id(anc) in chosen_ids for anc in node.ancestors()):
-                continue
-            kept.append(node)
+        seen: set[int] = set()
+        for node in nodes.values():
+            above = node.parent
+            while above is not None and id(above) not in seen:
+                seen.add(id(above))
+                above = above.parent
+        #: shipped nodes with a shipped node below them
+        holders = seen.intersection(nodes)
+        kept = [
+            node for node in nodes.values()
+            if not holders
+            or not any(id(ancestor) in holders for ancestor in node.ancestors())
+        ]
         kept.sort(key=lambda node: lows[id(node)])
         return kept
 
@@ -340,3 +393,4 @@ class Server:
             assert isinstance(ancestor, Element)
             path.append((ancestor.tag, ancestor.node_id))
         return Fragment(ancestor_path=tuple(path), xml=serialize(node))
+

@@ -23,7 +23,11 @@ Codec stability is not a compatibility promise (client and server are
 versioned together, and the serving HELLO refuses a peer on another
 ``PROTOCOL_VERSION``); determinism is what matters — the same query
 object encodes to the same bytes, which the request/response wire caches
-key on.
+key on, and a response of the same fragments and counts encodes to the
+same payload, which is why the server may re-seal a payload it kept
+instead of encoding again, and the client reuse what it decoded from a
+byte-identical payload.  Both codecs are pure: neither reads state
+beyond its argument.
 
 Layering note: every message this module encodes crosses the wire inside
 the *freshness* envelope (``rxi2``, :mod:`repro.core.integrity`), which

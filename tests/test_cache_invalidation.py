@@ -481,6 +481,14 @@ class TestEpochCache:
         cache.store(5, "again", 0)  # already held: nobody leaves
         assert len(cache) == EpochCache.BOUND and 3 in cache.live()
 
+    def test_a_cache_of_pairs_holds_bound_pairs(self):
+        cache, _ = self.make(bounded=2)
+        for key in range(EpochCache.BOUND + 3):
+            cache.store(key, key, 0)
+            cache.store((key,), key, 0)
+        assert len(cache) == 2 * EpochCache.BOUND
+        assert next(iter(cache.live())) == 3
+
     def test_an_unbounded_cache_is_bounded_by_what_it_is_keyed_by(self):
         cache, _ = self.make()
         for key in range(EpochCache.BOUND + 3):
@@ -518,15 +526,46 @@ class TestBoundedByTheTypeNotByThePeer:
             )
             assert system.query(query).canonical() == expected, query
         assert system.hosted.epoch == epoch
-        # Keyed by one of the 300 strings, or by its sealed request: full.
-        for cache in (system.client._plan_cache, system.server._wire_cache):
-            assert len(cache) == EpochCache.BOUND
+        # Keyed by one of the 300 strings, or by its sealed request (with
+        # the record of what was sent for its payload beside it): full.
+        assert len(system.client._plan_cache) == EpochCache.BOUND
+        assert len(system.server._wire_cache) == 2 * EpochCache.BOUND
         # Each kept plan holds the request it sealed to, and nothing else
         # does.
         plans = system.client._plan_cache.live().values()
-        assert all(plan.sealed in system.server._wire_cache.live() for plan in plans)
+        wire = system.server._wire_cache.live()
+        blobs = [key for key in wire if key.__class__ is bytes]
+        assert len(blobs) == EpochCache.BOUND
+        assert all(plan.sealed in wire for plan in plans)
         # Keyed by the sealed response, and many of the 300 share one.
-        assert 0 < len(system.client._response_cache) <= EpochCache.BOUND
+        opened = system.client._response_cache.live()
+        assert 0 < sum(key.__class__ is bytes for key in opened)
+        assert len(opened) <= 2 * EpochCache.BOUND
+
+    def test_200_distinct_queries_stay_warm_through_one_epoch(
+        self, healthcare_doc, healthcare_scs, monkeypatch
+    ):
+        """Each miss stores a sealed blob and a record: the bound counts
+        the pairs, so a second pass over 200 queries unseals nothing."""
+        system = SecureXMLSystem.host(healthcare_doc, healthcare_scs)
+        queries = [
+            f"//patient[age>{n % 50}][age<{100 + n}]/pname" for n in range(200)
+        ]
+        first = [system.query(query).canonical() for query in queries]
+        calls = []
+        answer, unseal = system.server.answer, system.hosted.unseal
+        monkeypatch.setattr(
+            system.server, "answer", lambda q: calls.append(q) or answer(q)
+        )
+        monkeypatch.setattr(
+            system.hosted,
+            "unseal",
+            lambda *a, **k: calls.append(a) or unseal(*a, **k),
+        )
+        epoch = system.hosted.epoch
+        assert [system.query(query).canonical() for query in queries] == first
+        assert system.hosted.epoch == epoch
+        assert calls == []
 
 
 class TestClientOutlivesWrites:

@@ -24,6 +24,10 @@
 * DESIGN.md's module tables: every backticked ``*.py`` file in a row
   whose package cell is a ``repro.`` package exists in that package (a
   name with a ``/`` is a path from the repository root).
+* README.md, DESIGN.md and ``docs/*.md``: every backticked path with a
+  directory part and a file extension (a ``::`` test id after it is
+  ignored, a ``*`` is a glob) exists, from the repository root, from
+  ``src/`` or from ``src/repro/``.
 
 ``bench/README.md`` is left out: ``bench/`` is the frozen benchmark
 harness, and its stale names are mended together with the next change
@@ -225,6 +229,31 @@ def test_every_module_table_file_exists_in_its_package():
     assert missing == []
 
 
+#: Where a path a document names may start.
+PATH_BASES = (ROOT, ROOT / "src", ROOT / "src" / "repro")
+
+
+def repository_paths(text: str) -> set[str]:
+    """The backticked names shaped like a file path: a directory part and
+    an extension, then perhaps a ``::`` test id (dropped)."""
+    return set(
+        re.findall(
+            r"`([\w.*-]+(?:/[\w.*-]+)*/[\w*-][\w.*-]*\.[A-Za-z0-9]{1,5})"
+            r"(?:::[\w:]+)?`",
+            text,
+        )
+    )
+
+
+@pytest.mark.parametrize("doc", GUARDED_DOCS, ids=lambda path: path.name)
+def test_every_repository_path_exists(doc):
+    missing = [
+        name for name in sorted(repository_paths(doc.read_text()))
+        if not any(any(base.glob(name)) for base in PATH_BASES)
+    ]
+    assert missing == []
+
+
 def test_the_guard_sees_the_docs():
     """The patterns find what the docs name, so an empty match is not a
     silent pass."""
@@ -241,6 +270,12 @@ def test_the_guard_sees_the_docs():
     in_use = environment_variables_in_use()
     assert {"REPRO_CHAOS_SEEDS", "REPRO_OBS_OVERHEAD"} <= in_use
     assert "REPRO_WORKERS" not in in_use  # a guard test sets it; none reads it
+    assert len(repository_paths(text)) >= 40
+    assert repository_paths(
+        "`core/epoch_cache.py` `tests/test_obs.py::TestX` `results/*.txt`"
+        " `security/counting.database_candidates` `python bench/run.py`"
+        " `repro/core/{a,b}.py` `setup.py`"
+    ) == {"core/epoch_cache.py", "tests/test_obs.py", "results/*.txt"}
     assert resolves("repro.core.dsi.StructuralIndex")
     assert not resolves("repro.core.blocktable")
     assert backticked(r"--[\w-]+", text) >= {"--save", "--load"}

@@ -14,12 +14,14 @@ digest in the manifest and loads.  The properties:
   that does not name an earlier record either loads or raises
   ``StorageError`` — never any other exception;
 * byte mutations of the real file load or raise ``StorageError``;
-* every one of those loads finishes within a fixed bound.
+* every one of those loads finishes within a fixed bound, and allocates
+  at most a fixed multiple of the bytes the hosting directory holds.
 """
 
 import hashlib
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -37,6 +39,10 @@ MASTER_KEY = b"storage-fuzz-master-key"
 #: Seconds one load of the (tiny) healthcare hosting may take, hostile or
 #: not; an honest load takes a few milliseconds.
 LOAD_BOUND_S = 5.0
+#: Peak bytes one load may allocate per byte of the hosting directory;
+#: an honest load of the healthcare hosting allocates about 8, and
+#: no fuzzed load seen allocated more than 10.
+ALLOC_BOUND = 32
 SECTIONS = ("dsi", "block_table", "value_index")
 
 _fuzz_settings = settings(
@@ -72,14 +78,21 @@ def _write_resigned(directory, payload: bytes) -> None:
 
 def _load_resigned(directory, payload: bytes) -> None:
     """Load with ``payload`` as ``server_meta.json``: the load returns or
-    raises a ``StorageError`` naming that file, within the bound."""
+    raises a ``StorageError`` naming that file, within the bounds."""
     _write_resigned(directory, payload)
+    stored = sum(path.stat().st_size for path in Path(directory).iterdir())
+    tracemalloc.start()
     started = time.perf_counter()
     try:
         load_system(str(directory), MASTER_KEY).close()
     except StorageError as error:
         assert error.path.endswith("server_meta.json"), error
-    assert time.perf_counter() - started < LOAD_BOUND_S
+    finally:
+        elapsed = time.perf_counter() - started
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    assert elapsed < LOAD_BOUND_S
+    assert peak <= ALLOC_BOUND * stored, (peak, stored)
 
 
 def _dump(meta) -> bytes:
