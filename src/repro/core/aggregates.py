@@ -21,7 +21,9 @@ Two evaluation modes are provided:
   block contains only matched occurrences of the field (always true for
   per-node granularities like ``opt``/``app`` covers) and may otherwise
   include a value from an unmatched sibling inside a matched block — the
-  same block-granularity caveat the paper's design carries.
+  same block-granularity caveat the paper's design carries.  A field
+  whose values mix numbers and words is refused: its plan orders them as
+  strings, the exact fold puts numbers first (:func:`check_server_order`).
 """
 
 from __future__ import annotations
@@ -114,6 +116,25 @@ def _coerce(value: str):
         return (0, float(value))
     except ValueError:
         return (1, value)
+
+
+def check_server_order(field: str, plan: Optional[FieldPlan]) -> None:
+    """Refuse a server-side min/max the plan's order would answer wrong.
+
+    The server's extreme is the extreme of the field's plan order: numeric
+    for a numeric field, string for a categorical one.  :func:`fold_exact`
+    puts numbers before words and orders numbers numerically, so the two
+    agree on a field of numbers only or of words only.  A categorical
+    field with a value that parses as a number (``inf`` and ``nan``
+    included) mixes the two, and its extreme is the client's to fold.
+    """
+    if plan is None or plan.is_numeric:
+        return
+    if any(_coerce(value)[0] == 0 for value in plan.ordered_values):
+        raise ValueError(
+            f"field {field!r} mixes numbers and words: the server cannot "
+            "fold it (use mode='exact')"
+        )
 
 
 def combine_min_max(

@@ -47,12 +47,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import groupby, islice
 from typing import Optional
 
 from repro.btree import BTree
 from repro.crypto.ope import OrderPreservingEncryption
 from repro.crypto.prf import DeterministicRandom
+from repro.xpath.evaluator import comparator
 
 
 def find_chunk_triple(counts: list[int]) -> int:
@@ -143,30 +144,6 @@ class FieldPlan:
         """K: the number of splitting weights (the paper's key count)."""
         return len(self.weights)
 
-    def position(self, value: str) -> Optional[float]:
-        """Line position of a known plaintext value (None when unknown)."""
-        return self.mapping.get(value)
-
-    def position_for_literal(self, literal: str) -> Optional[float]:
-        """Line position for a query literal, known or not.
-
-        Numeric literals always have a position (the stretched number);
-        unknown categorical literals interpolate between neighbouring
-        ranks so inequality predicates stay meaningful.
-        """
-        known = self.mapping.get(literal)
-        if known is not None:
-            return known
-        if self.is_numeric:
-            try:
-                return float(literal) * self.stretch
-            except ValueError:
-                return None
-        # Unknown categorical literal: position strictly between the ranks
-        # of its lexicographic neighbours.
-        rank = sum(1 for value in self.ordered_values if value < literal)
-        return (rank - 0.5) * _CATEGORICAL_SPACING * self.stretch
-
     def value_at_position(self, position: float) -> Optional[str]:
         """Invert the mapping: which plaintext value owns this position?
 
@@ -192,9 +169,6 @@ class FieldPlan:
     @property
     def max_displacement(self) -> float:
         return self.displacement(len(self.weights))
-
-
-_CATEGORICAL_SPACING = 1.0
 
 
 def build_field_plan(
@@ -227,26 +201,23 @@ def build_field_plan(
     if not histogram:
         raise ValueError("cannot plan an empty field")
     values = list(histogram)
-    is_numeric = all(_is_finite_number(value) for value in values)
-
-    if is_numeric:
+    base_positions: dict[str, float] = {}
+    if all(_is_finite_number(value) for value in values):
         base_positions = {value: float(value) for value in values}
-    else:
-        ranked = sorted(values)
+    # Numeric when every value is a distinct number: two spellings of one
+    # number ("10", "010") would share a position, so they rank as strings.
+    is_numeric = len(set(base_positions.values())) == len(values)
+    if not is_numeric:
         base_positions = {
-            value: rank * _CATEGORICAL_SPACING
-            for rank, value in enumerate(ranked)
+            value: float(rank) for rank, value in enumerate(sorted(values))
         }
 
-    ordered = sorted(values, key=lambda value: base_positions[value])
+    ordered = sorted(values, key=base_positions.__getitem__)
     gaps = [
         base_positions[b] - base_positions[a]
         for a, b in zip(ordered, ordered[1:])
     ]
-    positive_gaps = [gap for gap in gaps if gap > 0]
-    if len(positive_gaps) != len(gaps):
-        raise ValueError(f"field {field_name!r} has duplicate positions")
-    delta = min(positive_gaps) if positive_gaps else 1.0
+    delta = min(gaps) if gaps else 1.0
 
     m = find_chunk_triple(list(histogram.values()))
     chunk_plan: dict[str, list[int]] = {}
@@ -349,7 +320,7 @@ def _draw_weights(key_count: int, stream: DeterministicRandom) -> list[float]:
 
 
 def _is_finite_number(value: str) -> bool:
-    """A finite real (for a field's values; a literal may be ``"inf"``)."""
+    """Whether ``value`` parses as a finite real."""
     try:
         return math.isfinite(float(value))
     except ValueError:
@@ -416,73 +387,31 @@ def translate_predicate(
 ) -> list[KeyRange]:
     """Figure 7(a): translate a value predicate into B-tree key ranges.
 
-    Every operator becomes zero, one or two inclusive ranges over
-    ciphertext keys.  For a literal that is a known domain value, the
-    bounds are the paper's: the value's first-chunk ciphertext
-    ``enc(v + w₁δ)`` and its last possible chunk ``enc(v + (Σw)δ)`` —
-    non-straddling (*) guarantees these cover exactly the value's chunks.
-
-    For a literal *between* domain values the bounds are anchored on its
-    known neighbours instead: a displaced chunk of value ``v`` can exceed
-    the literal's own position (displacements reach almost δ), so naive
-    position-based bounds would drop matching chunks; neighbour anchoring
-    keeps the translation exact.
+    The owner knows every distinct value of the field, so it tests each
+    with :func:`~repro.xpath.evaluator.comparator` — the rule the join and
+    the evaluator apply — and sends one inclusive range per maximal run of
+    matching values in position order: from the run's first value's first
+    chunk ``enc(v + w₁δ)`` to its last value's last possible chunk
+    ``enc(v' + (Σw)δ)``.  Non-straddling (*) makes each range cover
+    exactly the chunks of its run, so the ranges match exactly the
+    field's matching values, whatever the literal and however the
+    matching values lie in the field's order.
     """
-    position = plan.position_for_literal(literal)
-    if position is None:
-        return []
-    known = plan.position(literal) is not None
-
-    def enc(displaced: float) -> int:
-        return ope.encrypt_float(displaced)
-
-    def first_chunk(value: str) -> float:
-        return plan.mapping[value] + plan.weights[0] * plan.delta
-
-    def last_chunk(value: str) -> float:
-        return plan.mapping[value] + plan.max_displacement
-
-    if known:
-        low_bound = enc(first_chunk(literal))
-        high_bound = enc(last_chunk(literal))
-        if op == "=":
-            return [KeyRange(low_bound, high_bound)]
-        if op == "!=":
-            return [
-                KeyRange(None, low_bound - 1),
-                KeyRange(high_bound + 1, None),
-            ]
-        if op == "<":
-            return [KeyRange(None, low_bound - 1)]
-        if op == "<=":
-            return [KeyRange(None, high_bound)]
-        if op == ">":
-            return [KeyRange(high_bound + 1, None)]
-        if op == ">=":
-            return [KeyRange(low_bound, None)]
-        raise ValueError(f"unsupported operator {op!r}")
-
-    # Unknown literal: anchor on its neighbouring domain values.
-    below = None
-    above = None
-    for value in plan.ordered_values:
-        if plan.mapping[value] < position:
-            below = value
-        elif plan.mapping[value] > position and above is None:
-            above = value
-    if op == "=":
-        return []
-    if op == "!=":
-        return [KeyRange(None, None)]
-    if op in ("<", "<="):
-        if below is None:
-            return []
-        return [KeyRange(None, enc(last_chunk(below)))]
-    if op in (">", ">="):
-        if above is None:
-            return []
-        return [KeyRange(enc(first_chunk(above)), None)]
-    raise ValueError(f"unsupported operator {op!r}")
+    holds = comparator(op, literal)
+    first_chunk = plan.weights[0] * plan.delta
+    ranges = []
+    for matched, run in groupby(plan.ordered_values, key=holds):
+        if matched:
+            values = list(run)
+            ranges.append(
+                KeyRange(
+                    ope.encrypt_float(plan.mapping[values[0]] + first_chunk),
+                    ope.encrypt_float(
+                        plan.mapping[values[-1]] + plan.max_displacement
+                    ),
+                )
+            )
+    return ranges
 
 
 @dataclass

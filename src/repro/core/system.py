@@ -541,9 +541,12 @@ class SecureXMLSystem:
         OPE key.  Exact at per-node block granularity; at coarser
         granularities it may see unmatched occurrences sharing a matched
         block (the design's inherent caveat — see
-        :mod:`repro.core.aggregates`).
+        :mod:`repro.core.aggregates`).  A field that mixes numbers and
+        words is a ``ValueError`` here: its plan orders values as
+        strings, the exact fold puts numbers first.
         """
         from repro.core.aggregates import (
+            check_server_order,
             combine_min_max,
             fold_exact,
             server_min_max,
@@ -563,6 +566,9 @@ class SecureXMLSystem:
                 "server-side aggregation supports only min/max; "
                 f"{func!r} requires decryption (use mode='exact')"
             )
+        field = _output_field(xpath)
+        plan = self.hosted.field_plans.get(field) if field else None
+        check_server_order(field, plan)
         translated = self.client.translate(xpath)
         reply = server_min_max(
             translated,
@@ -570,8 +576,6 @@ class SecureXMLSystem:
             self.hosted.value_index,
             func,
         )
-        field = _output_field(xpath)
-        plan = self.hosted.field_plans.get(field) if field else None
         return combine_min_max(reply, plan, self._keyring.ope, func)
 
     # ------------------------------------------------------------------

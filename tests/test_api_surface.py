@@ -340,7 +340,7 @@ class TestOneServerBehindTheOwner:
             "block_of", "is_child_of", "canonical_text", "neighbors",
             "child_elements", "weakest_field", "known_tags",
             "encrypts_everything", "from_passphrase", "fanout_profile",
-            "iter_value_leaves",
+            "iter_value_leaves", "position_for_literal",
         )
         for path in sorted(pathlib.Path(repro.__file__).parent.rglob("*.py")):
             text = path.read_text()

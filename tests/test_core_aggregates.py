@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.aggregates import fold_exact
+from repro.core.constraints import parse_constraints
 from repro.core.system import SecureXMLSystem
+from repro.xmldb.builder import TreeBuilder
 from repro.xpath.evaluator import evaluate
 
 
@@ -108,6 +110,41 @@ class TestServerMode:
                 exact = system.aggregate(f"//{field}", func, mode="exact")
                 server = system.aggregate(f"//{field}", func, mode="server")
                 assert server == exact, (kind, field, func)
+
+
+def _field_system(values):
+    builder = TreeBuilder("r")
+    for value in values:
+        with builder.element("p"):
+            builder.leaf("v", value)
+    return SecureXMLSystem.host(
+        builder.document(), parse_constraints(["//p/v"]), scheme="opt"
+    )
+
+
+class TestServerModeOrder:
+    """The server's extreme is its plan's; the exact fold puts numbers
+    first and orders them numerically.  They must agree or refuse."""
+
+    @pytest.mark.parametrize(
+        "values", [["10", "abc", "3"], ["abc", "inf"], ["zz", "nan", "b"]]
+    )
+    def test_a_field_of_numbers_and_words_is_refused(self, values):
+        system = _field_system(values)
+        for func in ("min", "max"):
+            with pytest.raises(ValueError, match=r"\(use mode='exact'\)$"):
+                system.aggregate("//p/v", func, mode="server")
+        assert system.aggregate("//p/v", "min") == fold_exact(values, "min")
+
+    @pytest.mark.parametrize(
+        "values", [["10", "9", "-3.5"], ["pear", "apple", "fig"]]
+    )
+    def test_numbers_only_or_words_only_keep_server_mode(self, values):
+        system = _field_system(values)
+        for func in ("min", "max"):
+            assert system.aggregate("//p/v", func, mode="server") == (
+                system.aggregate("//p/v", func, mode="exact")
+            )
 
 
 class TestStrawmanHosting:

@@ -31,6 +31,7 @@ from repro.workloads.healthcare import (
     build_healthcare_database,
     healthcare_constraints,
 )
+from test_storage_fuzz import rewrite
 
 MASTER_KEY = b"manifest-fuzz-master-key"
 DATA_FILES = ("hosted.xml", "server_meta.json", "client_state.json")
@@ -103,7 +104,7 @@ def _loads(directory: Path) -> bool:
 def _load(directory: Path, manifest_bytes: bytes) -> None:
     """Load with ``manifest_bytes`` as the manifest: the load raises
     ``StorageError``, or succeeds having checked every data file."""
-    Path(directory, "manifest.json").write_bytes(manifest_bytes)
+    rewrite(Path(directory, "manifest.json"), manifest_bytes)
     if _loads(directory):
         assert _every_data_file_was_checked(
             directory, json.loads(manifest_bytes)
@@ -176,8 +177,8 @@ def test_any_json_as_files_loads_or_is_refused(saved, files):
 )
 def test_a_files_entry_of_the_wrong_shape_names_the_manifest(saved, files):
     directory, manifest = saved
-    Path(directory, "manifest.json").write_bytes(
-        _dump(dict(manifest, files=files))
+    rewrite(
+        Path(directory, "manifest.json"), _dump(dict(manifest, files=files))
     )
     with pytest.raises(StorageError, match="manifest.json"):
         load_system(str(directory), MASTER_KEY)
@@ -188,11 +189,11 @@ def test_json_nested_past_the_recursion_limit_is_refused(saved, staged):
     """``json.loads`` raises ``RecursionError`` on deep nesting."""
     directory, manifest = saved
     deep = b'{"files": ' + b"[" * 100_000
-    Path(directory, "manifest.json").write_bytes(
-        _dump(manifest) if staged else deep
+    rewrite(
+        Path(directory, "manifest.json"), _dump(manifest) if staged else deep
     )
     if staged:  # recovery discards it; the manifest loads
-        Path(directory, "manifest.json.new").write_bytes(deep)
+        rewrite(Path(directory, "manifest.json.new"), deep)
         load_system(str(directory), MASTER_KEY).close()
         assert not Path(directory, "manifest.json.new").exists()
     else:
@@ -208,13 +209,13 @@ def test_an_edited_file_is_caught_whatever_the_manifest_leaves_out(
     manifest that lists less than every data file is refused."""
     manifest = _save(tmp_path)
     hosted = tmp_path / "hosted.xml"
-    hosted.write_text(hosted.read_text().replace("Matt", "Mutt"))
+    rewrite(hosted, hosted.read_bytes().replace(b"Matt", b"Mutt"))
     files = {
         name: digest
         for name, digest in manifest["files"].items()
         if name not in unlisted
     }
-    (tmp_path / "manifest.json").write_bytes(_dump(dict(manifest, files=files)))
+    rewrite(tmp_path / "manifest.json", _dump(dict(manifest, files=files)))
     with pytest.raises(StorageError) as refused:
         load_system(str(tmp_path), MASTER_KEY)
     assert refused.value.path.endswith(
@@ -230,8 +231,9 @@ def test_a_name_that_is_not_a_file_of_the_hosting_is_refused(tmp_path, name):
     outside = tmp_path / "outside.txt"
     outside.write_text("not part of the hosting")
     files = dict(manifest["files"], **{name: _digest(outside)})
-    Path(tmp_path, "hosting", "manifest.json").write_bytes(
-        _dump(dict(manifest, files=files))
+    rewrite(
+        Path(tmp_path, "hosting", "manifest.json"),
+        _dump(dict(manifest, files=files)),
     )
     with pytest.raises(StorageError, match="manifest.json"):
         load_system(str(tmp_path / "hosting"), MASTER_KEY)
@@ -244,9 +246,9 @@ def test_extra_listed_files_are_still_checked(tmp_path):
     extra = tmp_path / "columns.json"
     extra.write_text("{}")
     files = dict(manifest["files"], **{"columns.json": _digest(extra)})
-    (tmp_path / "manifest.json").write_bytes(_dump(dict(manifest, files=files)))
+    rewrite(tmp_path / "manifest.json", _dump(dict(manifest, files=files)))
     load_system(str(tmp_path), MASTER_KEY).close()
-    extra.write_text("[]")
+    rewrite(extra, b"[]")
     with pytest.raises(StorageError, match="columns.json"):
         load_system(str(tmp_path), MASTER_KEY)
 
@@ -302,8 +304,8 @@ def test_any_staged_manifest_loads_or_is_refused(saved, staged):
     directory, manifest = saved
     if isinstance(staged, list):  # mutations of the real manifest
         staged = _mutate(_dump(manifest), staged)
-    Path(directory, "manifest.json").write_bytes(_dump(manifest))
-    Path(directory, "manifest.json.new").write_bytes(staged)
+    rewrite(Path(directory, "manifest.json"), _dump(manifest))
+    rewrite(Path(directory, "manifest.json.new"), staged)
     try:
         _loads(directory)
     finally:

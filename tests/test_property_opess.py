@@ -20,6 +20,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.btree import BTree
+from repro.core.client import canonical_node
+from repro.core.constraints import parse_constraints
 from repro.core.opess import (
     build_field_plan,
     build_value_index,
@@ -31,6 +33,7 @@ from repro.core.system import SecureXMLSystem
 from repro.crypto.ope import OrderPreservingEncryption
 from repro.crypto.prf import DeterministicRandom
 from repro.workloads.xmark import build_xmark_database, xmark_constraints
+from repro.xmldb.builder import TreeBuilder
 from repro.xpath.evaluator import compare_values, evaluate
 from updates_oracle import build_value_index_by_insertion
 
@@ -89,8 +92,7 @@ class TestPlanProperties:
     def test_categorical_round_trip(self, histogram, seed):
         plan = build_field_plan("f", Counter(histogram), _stream(seed), _OPE)
         for value in plan.ordered_values:
-            position = plan.position(value)
-            assert position is not None
+            position = plan.mapping[value]
             assert plan.value_at_position(position) == value
             # A mid-displacement position still resolves to the value.
             assert plan.value_at_position(
@@ -107,8 +109,8 @@ class TestPredicateOracle:
     )
     @settings(max_examples=60, deadline=None)
     def test_translation_sound_superset(self, histogram, seed, op, literal):
-        """Translated ranges find every matching block; for known literals
-        they are exact (no extra blocks)."""
+        """Translated ranges find exactly the matching blocks, for every
+        operator and every literal, in the field or not."""
         assume(len(histogram) >= 2)
         plan = build_field_plan("f", Counter(histogram), _stream(seed), _OPE)
 
@@ -129,10 +131,73 @@ class TestPredicateOracle:
         got_blocks = index.lookup_blocks("TOK", ranges)
 
         assert truth_blocks <= got_blocks, "lost a matching block"
-        # With neighbour anchoring the translation is exact everywhere
-        # except '!=' on unknown literals (which deliberately scans all).
-        if not (op == "!=" and plan.position(literal) is None):
-            assert got_blocks == truth_blocks, "over-fetched"
+        assert got_blocks == truth_blocks, "over-fetched"
+
+
+# ----------------------------------------------------------------------
+# A hosted predicate answers what plaintext evaluation answers
+# ----------------------------------------------------------------------
+#: Integers, decimals, words, padded numbers and their plain spellings,
+#: ``nan`` / ``inf``, non-ASCII digits, and ``""`` — an empty ``<v/>``.
+_MIXED_POOL = [
+    "3", "10", "-7", "0", "2.5", "-0.75", "1e3", "276543", "0276543",
+    "007", "7", "abc", "Zeta", "nan", "inf", "-inf", "\u0663",
+    "\u0661\u0660", "",
+]
+#: Literals no pool value spells, but some equal or straddle as numbers.
+_OUTSIDE_LITERALS = [
+    "9.5", "10.0", "2.50", "+3", "276543.0", "abd", "A", "Infinity",
+    "NaN", "-1e400", "\u0665", "-", ".",
+]
+_OPERATORS = ["=", "!=", "<", "<=", ">", ">="]
+
+
+def _mixed_document(values: list[str]):
+    """One ``<p>`` per value: ``<n>`` names it, ``<v>`` holds it."""
+    builder = TreeBuilder("r")
+    for index, value in enumerate(values):
+        with builder.element("p"):
+            builder.leaf("n", f"x{index}")
+            if value:
+                builder.leaf("v", value)
+            else:
+                with builder.element("v"):
+                    pass
+    return builder.document()
+
+
+@given(
+    st.lists(st.sampled_from(_MIXED_POOL), min_size=1, max_size=8),
+    st.lists(
+        st.tuples(
+            st.sampled_from(_OPERATORS),
+            st.sampled_from(_MIXED_POOL + _OUTSIDE_LITERALS),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.sampled_from(["opt", "top"]),
+)
+@settings(max_examples=200, deadline=None)
+# Shrunk from a run against the neighbour-anchored translation, which
+# answered [] here: '3' equals the field's one value as a number but is
+# spelled differently, and that rule sent no range for '=' on a literal
+# the field did not hold.
+@example(["\u0663"], [("=", "3")], "opt")
+@example(["10", "abc", "3"], [(">", "9.5"), ("=", "10.0")], "opt")
+def test_hosted_predicates_answer_as_plaintext(values, predicates, scheme):
+    """``//p[v op 'literal']/n`` over an encrypted ``v`` answers what the
+    evaluator answers on the plaintext, whatever mix of numbers and words
+    the field holds and whether or not the literal is one of them."""
+    document = _mixed_document(values)
+    system = SecureXMLSystem.host(
+        document, parse_constraints(["//p/v"]), scheme=scheme,
+        master_key=b"mixed-field-master-key",
+    )
+    for op, literal in predicates:
+        query = f"//p[v {op} '{literal}']/n"
+        expected = sorted(canonical_node(n) for n in evaluate(document, query))
+        assert system.query(query).canonical() == expected, query
 
 
 class TestIndexProperties:

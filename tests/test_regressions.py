@@ -27,8 +27,13 @@ class TestUnknownLiteralRangeRegression:
     range — the server then dropped its block entirely and the final
     answer silently lost rows.  Found by
     ``test_property_opess.TestPredicateOracle`` with histogram
-    {'0': 2, '10': 5} and the predicate ``< 11``.  Fixed by anchoring
-    unknown-literal bounds on the neighbouring domain values.
+    {'0': 2, '10': 5} and the predicate ``< 11``.  First fixed by
+    anchoring unknown-literal bounds on the neighbouring domain values;
+    that rule still placed a literal in the field's own order, so a word
+    on a numeric field (``'abc'``, ``''``) or another spelling of a value
+    (``'10.0'``, ``'010'``; ``'0276543'`` for healthcare's SSN) lost rows
+    the same way.  Now the owner tests every distinct value with the
+    evaluator's comparator and sends one range per run of matching values.
     """
 
     def _build(self):
@@ -56,7 +61,10 @@ class TestUnknownLiteralRangeRegression:
     def test_all_operators_between_values(self):
         document, constraints = self._build()
         system = SecureXMLSystem.host(document, constraints, scheme="opt")
-        for literal in ("-1", "5", "11"):
+        for literal in (
+            "-1", "5", "11", "'276543.0'", "'0276543'", "'abc'", "''",
+            "'10.0'", "'010'",
+        ):
             for op in ("<", "<=", ">", ">=", "=", "!="):
                 query = f"//person[age{op}{literal}]/name"
                 expected = sorted(

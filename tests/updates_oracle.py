@@ -51,7 +51,7 @@ def build_value_index_by_insertion(
             by_value.setdefault(value, []).append(block_id)
         for value, block_ids in by_value.items():
             ciphertexts = [
-                ope.encrypt_float(plan.position(value) + plan.displacement(j))
+                ope.encrypt_float(plan.mapping[value] + plan.displacement(j))
                 for j in range(1, len(plan.chunk_plan[value]) + 1)
             ]
             chunks = plan.chunk_plan[value]
