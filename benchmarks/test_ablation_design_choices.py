@@ -38,12 +38,12 @@ def test_ablation_scaling_and_splitting(benchmark):
         rows = []
         for field, plan in sorted(system.hosted.field_plans.items()):
             token = system.hosted.field_tokens[field]
-            tree = system.hosted.value_index.tree_for(token)
+            entries = system.hosted.value_index.fields[token]
             occurrences = sum(
                 sum(chunks) for chunks in plan.chunk_plan.values()
             )
             unscaled_entries = occurrences
-            scaled_entries = len(tree)
+            scaled_entries = len(entries)
             rows.append(
                 [
                     field,

@@ -7,7 +7,7 @@ in no measured path and have no row).  Each uses proper multi-round pytest-bench
 measurement since the operations are cheap.
 """
 
-from repro.btree import BTree
+from repro.core.opess import KeyRuns
 from repro.crypto.aes import AES128
 from repro.crypto.hmac import hmac_sha256
 from repro.crypto.ope import OrderPreservingEncryption
@@ -41,25 +41,11 @@ def test_micro_ope_encrypt(benchmark):
     benchmark(encrypt_fresh)
 
 
-def test_micro_btree_insert(benchmark):
-    tree = BTree(min_degree=16)
-    counter = iter(range(10**9))
-
-    def insert():
-        key = next(counter)
-        tree.insert(key, key)
-
-    benchmark(insert)
-    tree.check_invariants()
-
-
-def test_micro_btree_range_scan(benchmark):
-    tree = BTree(min_degree=16)
-    for key in range(5000):
-        tree.insert(key, key)
+def test_micro_value_index_range_scan(benchmark):
+    index = KeyRuns(list(range(5000)), [[key] for key in range(5000)])
 
     def scan():
-        return sum(1 for _ in tree.range_scan(1000, 2000))
+        return sum(1 for _ in index.range_scan(1000, 2000))
 
     assert benchmark(scan) == 1001
 

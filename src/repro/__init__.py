@@ -17,9 +17,6 @@ organised as a stack of substrates with the paper's contribution on top:
     batched CBC, the Vernam (one-time pad) cipher used for tag names, and
     a keyed order-preserving encryption function.
 
-``repro.btree``
-    An order-configurable B-tree used as the server-side value index.
-
 ``repro.core``
     The paper's contribution: security constraints, secure/optimal encryption
     schemes, encryption decoys, the DSI structural index, OPESS

@@ -10,7 +10,7 @@ Module map (paper section in parentheses):
 * :mod:`repro.core.encryptor` — block extraction and AES encryption (§4.1)
 * :mod:`repro.core.dsi` — the DSI structural index + block table (§5.1)
 * :mod:`repro.core.opess` — order-preserving encryption with splitting and
-  scaling, and the B-tree value index (§5.2)
+  scaling, and the value index of key-ordered runs (§5.2)
 * :mod:`repro.core.translate` — client-side query translation (§6.1)
 * :mod:`repro.core.structural_join` — interval pattern matching (§6.2)
 * :mod:`repro.core.server` — the untrusted server (§6.2)

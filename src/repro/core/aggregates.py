@@ -13,21 +13,23 @@ Two evaluation modes are provided:
   always exact; COUNT and SUM necessarily go this way (splitting and
   scaling destroy cardinalities server-side).
 
-* **server mode** (min/max only) — the server scans the B-tree value index
+* **server mode** (min/max only) — the server scans the value index
   restricted to the blocks matched by the structural join and returns the
   extreme *ciphertext*; the client inverts it through the OPE function and
-  the field plan without decrypting any data block.  Because B-tree
+  the field plan without decrypting any data block.  Because index
   entries address encryption *blocks*, this is exact when each matched
   block contains only matched occurrences of the field (always true for
   per-node granularities like ``opt``/``app`` covers) and may otherwise
   include a value from an unmatched sibling inside a matched block — the
   same block-granularity caveat the paper's design carries.  A field
-  whose values mix numbers and words is refused: its plan orders them as
-  strings, the exact fold puts numbers first (:func:`check_server_order`).
+  whose plan orders its values otherwise than the exact fold — most often
+  one mixing numbers and words: its plan orders them as strings, the
+  exact fold puts numbers first — is refused (:func:`check_server_order`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -81,10 +83,10 @@ def server_min_max(
     ciphertext_best: Optional[int] = None
     scanned = 0
     for key in query.output.keys:
-        tree = values.tree_for(key)
-        if tree is None:
+        entries = values.fields.get(key)
+        if entries is None:
             continue
-        for ciphertext, block_id in tree.items():
+        for ciphertext, block_id in entries.items():
             scanned += 1
             if block_id not in blocks:
                 continue
@@ -112,10 +114,19 @@ def _fold_plaintext(current: Optional[str], value: str, func: str) -> str:
 
 
 def _coerce(value: str):
+    """The exact fold's sort key: numbers first, by value, then words.
+
+    ``nan`` has no place among numbers, so it ranks as a word, as it does
+    in a field plan; ``inf`` stays a number.  Two spellings of one number
+    order by spelling, so no answer order changes a fold.
+    """
     try:
-        return (0, float(value))
+        number = float(value)
     except ValueError:
         return (1, value)
+    if math.isnan(number):
+        return (1, value)
+    return (0, number, value)
 
 
 def check_server_order(field: str, plan: Optional[FieldPlan]) -> None:
@@ -123,17 +134,19 @@ def check_server_order(field: str, plan: Optional[FieldPlan]) -> None:
 
     The server's extreme is the extreme of the field's plan order: numeric
     for a numeric field, string for a categorical one.  :func:`fold_exact`
-    puts numbers before words and orders numbers numerically, so the two
-    agree on a field of numbers only or of words only.  A categorical
-    field with a value that parses as a number (``inf`` and ``nan``
-    included) mixes the two, and its extreme is the client's to fold.
+    orders by :func:`_coerce`: numbers first, numerically, then words.
+    The two folds agree on every set of the field's values exactly when
+    the two orders rank its values alike — always on a numeric field.  A
+    categorical field they rank apart (most often one mixing numbers,
+    ``inf`` included, with words) is the client's to fold.
     """
     if plan is None or plan.is_numeric:
         return
-    if any(_coerce(value)[0] == 0 for value in plan.ordered_values):
+    if sorted(plan.ordered_values, key=_coerce) != plan.ordered_values:
         raise ValueError(
-            f"field {field!r} mixes numbers and words: the server cannot "
-            "fold it (use mode='exact')"
+            f"field {field!r} is planned in another order than the exact "
+            "fold's (numbers first): the server cannot fold it "
+            "(use mode='exact')"
         )
 
 

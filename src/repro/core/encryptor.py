@@ -7,8 +7,8 @@ database, the security constraints' chosen scheme and the keyring, produce
   subtree replaced by an :class:`~repro.xmldb.node.EncryptedBlockNode`
   (decoys injected, AES-CBC encrypted with per-block IVs);
 * the structural metadata — DSI index table + encryption block table;
-* the value metadata — OPESS field plans (client-secret) and the B-tree
-  value index (server-side);
+* the value metadata — OPESS field plans (client-secret) and the value
+  index (server-side);
 * the translation knowledge — which tags/fields occur encrypted and/or in
   plaintext.
 

@@ -45,12 +45,13 @@ Implementation notes (deviations are called out in DESIGN.md):
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import groupby, islice
-from typing import Optional
+from operator import itemgetter
+from typing import Iterable, Iterator, Optional
 
-from repro.btree import BTree
 from repro.crypto.ope import OrderPreservingEncryption
 from repro.crypto.prf import DeterministicRandom
 from repro.xpath.evaluator import comparator
@@ -329,10 +330,10 @@ def _is_finite_number(value: str) -> bool:
 
 @dataclass(frozen=True)
 class KeyRange:
-    """An inclusive ciphertext key range for the B-tree (None = open)."""
+    """An inclusive range of OPE keys: ``low <= key <= high``."""
 
-    low: Optional[int]
-    high: Optional[int]
+    low: int
+    high: int
 
 
 def chunk_ciphertexts(plan: FieldPlan, value: str, ope: OrderPreservingEncryption) -> list[int]:
@@ -385,7 +386,7 @@ def translate_predicate(
     literal: str,
     ope: OrderPreservingEncryption,
 ) -> list[KeyRange]:
-    """Figure 7(a): translate a value predicate into B-tree key ranges.
+    """Figure 7(a): translate a value predicate into index key ranges.
 
     The owner knows every distinct value of the field, so it tests each
     with :func:`~repro.xpath.evaluator.comparator` — the rule the join and
@@ -414,40 +415,97 @@ def translate_predicate(
     return ranges
 
 
+class KeyRuns:
+    """One field's value index: the §5.2 ⟨evalue, Bid⟩ entries, key-ordered.
+
+    The paper keeps these entries in a B-tree; what the server holds of
+    them is their multiset and their order, and sorted arrays hold exactly
+    that (DESIGN.md, Substitutions).  ``keys`` are the field's OPE keys,
+    strictly increasing; ``runs[i]`` is every block id stored under
+    ``keys[i]``, in build order — scaling repeats an entry, so a run holds
+    duplicates, and their counts are exactly what a frequency attacker
+    profiles.  Requirement (*) hands a field's entries over in key order,
+    and every write rebuilds the whole field, so the index is never edited
+    in place: a range query is two binary searches and a slice.
+    """
+
+    __slots__ = ("keys", "runs", "_size")
+
+    def __init__(self, keys: list[int], runs: list[list[int]]) -> None:
+        """Hold ``keys`` and ``runs``, one run per key (the caller hands
+        them over).  Raises ``ValueError`` if a key is not larger than
+        the one before it.
+        """
+        for previous, key in zip(keys, keys[1:]):
+            if not previous < key:
+                raise ValueError(
+                    f"index keys out of order: {key!r} after {previous!r}"
+                )
+        self.keys = keys
+        self.runs = runs
+        self._size = sum(map(len, runs))
+
+    @classmethod
+    def from_sorted(cls, entries: Iterable[tuple[int, int]]) -> "KeyRuns":
+        """Group ⟨key, block⟩ entries in non-decreasing key order into runs.
+
+        Equal neighbours form one run, in the order they arrive; a key
+        smaller than the one before it is a ``ValueError``.
+        """
+        keys: list[int] = []
+        runs: list[list[int]] = []
+        for key, run in groupby(entries, key=itemgetter(0)):
+            keys.append(key)
+            runs.append([block for _, block in run])
+        return cls(keys, runs)
+
+    def __len__(self) -> int:
+        """Number of entries, duplicates counted."""
+        return self._size
+
+    def range_scan(self, low: int, high: int) -> Iterator[tuple[int, int]]:
+        """The ⟨key, block⟩ entries with ``low <= key <= high``, in order."""
+        start = bisect_left(self.keys, low)
+        end = bisect_right(self.keys, high, start)
+        for key, run in zip(self.keys[start:end], self.runs[start:end]):
+            for block in run:
+                yield key, block
+
+    def items(self) -> Iterator[tuple[int, int]]:
+        """Every ⟨key, block⟩ entry, in key order."""
+        for key, run in zip(self.keys, self.runs):
+            for block in run:
+                yield key, block
+
+
 @dataclass
 class ValueIndex:
-    """The server-side value index: one B-tree per (encrypted) field token."""
+    """The server-side value index: one :class:`KeyRuns` per field token."""
 
-    trees: dict[str, BTree] = field(default_factory=dict)
-
-    def tree_for(self, field_token: str) -> Optional[BTree]:
-        return self.trees.get(field_token)
+    fields: dict[str, KeyRuns] = field(default_factory=dict)
 
     def lookup_blocks(
         self, field_token: str, ranges: list[KeyRange]
     ) -> set[int]:
         """Block ids whose entries fall in any of the key ranges."""
-        tree = self.trees.get(field_token)
-        if tree is None:
+        entries = self.fields.get(field_token)
+        if entries is None:
             return set()
         blocks: set[int] = set()
         for key_range in ranges:
-            for _, block_id in tree.range_scan(key_range.low, key_range.high):
+            for _, block_id in entries.range_scan(key_range.low, key_range.high):
                 blocks.add(block_id)
         return blocks
 
     def total_entries(self) -> int:
-        return sum(len(tree) for tree in self.trees.values())
+        return sum(map(len, self.fields.values()))
 
     def ciphertext_histogram(self, field_token: str) -> Counter:
         """What the frequency attacker sees: key → entry count."""
-        tree = self.trees.get(field_token)
-        histogram: Counter = Counter()
-        if tree is None:
-            return histogram
-        for key, _ in tree.items():
-            histogram[key] += 1
-        return histogram
+        entries = self.fields.get(field_token)
+        if entries is None:
+            return Counter()
+        return Counter(dict(zip(entries.keys, map(len, entries.runs))))
 
 
 def build_value_index(
@@ -455,9 +513,8 @@ def build_value_index(
     plans: dict[str, FieldPlan],
     field_tokens: dict[str, str],
     ope: OrderPreservingEncryption,
-    min_degree: int = 16,
 ) -> ValueIndex:
-    """Build B-trees from per-field occurrence lists.
+    """Build each field's :class:`KeyRuns` from its occurrence list.
 
     ``occurrences[field]`` lists ``(value, block_id)`` for every encrypted
     occurrence, in document order.  Occurrences of a value are dealt to its
@@ -465,7 +522,7 @@ def build_value_index(
     ``sᵢ`` times (the scaling step).  Requirement (*) puts a field's keys in
     order already when its values are taken by position and each value's
     chunks in order, so each key's run — its blocks, each repeated ``sᵢ``
-    times — goes straight to :meth:`BTree.from_runs`.
+    times — is appended as it is made, and no sort is needed.
     """
     index = ValueIndex()
     for field_name, occurrence_list in occurrences.items():
@@ -498,7 +555,5 @@ def build_value_index(
                 )
                 cursor += chunk_size
             assert cursor == len(block_ids)
-        index.trees[field_tokens[field_name]] = BTree.from_runs(
-            keys, runs, min_degree=min_degree
-        )
+        index.fields[field_tokens[field_name]] = KeyRuns(keys, runs)
     return index

@@ -1,7 +1,7 @@
 """The untrusted server (§6.2).
 
 The server holds the hosted (partially encrypted) database and the metadata
-— DSI index table, encryption block table, B-tree value index — and answers
+— DSI index table, encryption block table, value index — and answers
 translated queries by structural joins and index lookups alone.  It never
 holds a key and never sees plaintext beyond what the chosen encryption
 scheme legitimately leaves in the clear.

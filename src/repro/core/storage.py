@@ -3,7 +3,7 @@
 In the DAS setting of Figure 1 the encrypted database and its metadata
 *live* at the server between sessions.  This module serializes everything
 a server stores — the hosted tree with its ciphertext blocks, the DSI
-index table, the encryption block table and the B-tree value index — plus
+index table, the encryption block table and the value index — plus
 a separate client-state file that stays with the data owner, and rebuilds
 a working :class:`~repro.core.system.SecureXMLSystem` from disk + the
 master key.
@@ -71,7 +71,6 @@ import json
 import os
 from collections import Counter
 
-from repro.btree import BTree
 from repro.core.client import Client
 from repro.core.dsi import IndexEntry, Interval, StructuralIndex
 from repro.core.encryptor import (
@@ -79,7 +78,12 @@ from repro.core.encryptor import (
     _renumber_hosted,
     renumbered_hosted_ids,
 )
-from repro.core.opess import ValueIndex, build_field_plan, build_value_index
+from repro.core.opess import (
+    KeyRuns,
+    ValueIndex,
+    build_field_plan,
+    build_value_index,
+)
 from repro.core.scheme import EncryptionScheme
 from repro.core.server import Server
 from repro.core.system import HostingTrace, RetryPolicy, SecureXMLSystem
@@ -220,8 +224,8 @@ def save_system(system: SecureXMLSystem, directory: str) -> None:
             )
         },
         "value_index": {
-            token: [[key, block] for key, block in tree.items()]
-            for token, tree in hosted.value_index.trees.items()
+            token: [[key, block] for key, block in entries.items()]
+            for token, entries in hosted.value_index.fields.items()
         },
     }
 
@@ -596,11 +600,9 @@ def load_system(
         value_index = ValueIndex()
         persisted_rows = server_meta["value_index"] if with_rows else {}
         for token, flat_entries in persisted_rows.items():
-            # ``save_system`` writes ``tree.items()``: key order.  The
-            # bulk load raises ValueError on anything else.
-            value_index.trees[token] = BTree.from_sorted(
-                flat_entries, min_degree=16
-            )
+            # ``save_system`` writes ``items()``: key order.  Grouping
+            # raises ValueError on anything else.
+            value_index.fields[token] = KeyRuns.from_sorted(flat_entries)
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise StorageError(
             meta_path, f"malformed server metadata ({exc!r})"

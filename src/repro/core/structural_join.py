@@ -5,7 +5,7 @@ Implements the three server steps of the paper's query pipeline:
 1. *Translation of query structure*: each pattern node's lookup keys pull
    interval entries from the DSI index table.
 2. *Translation of value-based constraints*: each constrained node's key
-   ranges are run against the B-tree value index, yielding the set of
+   ranges are run against the value index, yielding the set of
    encryption blocks that contain a matching value; entries of plaintext
    nodes are checked against the clear predicate directly.
 3. *Obtaining final results*: a bottom-up/top-down structural join over the
@@ -142,7 +142,7 @@ class _Matcher:
                 entries.extend(self._structure.lookup(key))
         if not node.has_value_constraint:
             return entries
-        # The B-tree range probe and the literal's classification depend
+        # The value-index range probe and the literal's classification depend
         # only on the node, not the entry: do each once here instead of
         # once per candidate.
         blocks: "set[int] | None" = None

@@ -535,15 +535,16 @@ class SecureXMLSystem:
         paper notes).
 
         ``mode="server"`` (min/max only) performs the paper's
-        no-decryption protocol: the server folds over the B-tree value
+        no-decryption protocol: the server folds over the value
         index restricted to the structurally matched blocks and returns a
         single extreme ciphertext, which the client inverts through its
         OPE key.  Exact at per-node block granularity; at coarser
         granularities it may see unmatched occurrences sharing a matched
         block (the design's inherent caveat — see
-        :mod:`repro.core.aggregates`).  A field that mixes numbers and
-        words is a ``ValueError`` here: its plan orders values as
-        strings, the exact fold puts numbers first.
+        :mod:`repro.core.aggregates`).  A field whose plan ranks its values
+        otherwise than the exact fold (one that mixes numbers and words:
+        its plan orders values as strings, the exact fold puts numbers
+        first) is a ``ValueError`` here.
         """
         from repro.core.aggregates import (
             check_server_order,
@@ -586,7 +587,7 @@ class SecureXMLSystem:
 
         New leaves of sensitive tags become their own encryption blocks
         (with decoys, fresh DSI interval drawn in the parent's gap, and a
-        field-granular OPESS/B-tree rebuild); other tags stay plaintext.
+        field-granular OPESS/value-index rebuild); other tags stay plaintext.
         See :mod:`repro.core.updates` for scope and the security caveat.
         """
         from repro.core.updates import UpdateEngine

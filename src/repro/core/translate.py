@@ -36,7 +36,7 @@ class TranslatedNode:
     children: list["TranslatedNode"] = field(default_factory=list)
     #: ciphertext key ranges for the value constraint (encrypted side)
     value_ranges: Optional[list[KeyRange]] = None
-    #: B-tree to consult for the ranges (the encrypted field name)
+    #: value-index field to consult for the ranges (the encrypted field name)
     value_field_token: Optional[str] = None
     #: (op, literal) for plaintext occurrences of the constrained field
     plaintext_predicate: Optional[tuple[str, str]] = None

@@ -14,7 +14,7 @@ Supported operations (see :class:`UpdateEngine`):
   plaintext parent.  If the tag is sensitive (already encrypted somewhere,
   or covered by a constraint field), the new leaf becomes its own
   encryption block with a decoy, its interval is drawn inside the parent's
-  trailing gap, and the field's OPESS plan and B-tree are rebuilt
+  trailing gap, and the field's OPESS plan and index entries are rebuilt
   (histograms change, so splitting must be re-planned — *field-granular*
   incrementality).
 * :meth:`UpdateEngine.delete_element` — remove a plaintext subtree or an
@@ -29,7 +29,8 @@ field from the plan it replaces (:meth:`UpdateEngine._rebuild_field`):
 the new plan equals one built from scratch, but the weights, the scale
 draws and the chunk ciphertexts of every position the old plan already
 had are taken from it rather than drawn and encrypted again, and the
-field's B-tree is bulk-loaded from key-ordered runs without a sort.
+field's index entries are taken as the key-ordered runs they are made in,
+without a sort.
 
 Security caveat, stated openly: the paper's theorems cover a static
 hosting.  These updates preserve *query* security (the server still sees
@@ -426,7 +427,7 @@ class UpdateEngine:
         return None
 
     def _rebuild_field(self, field_name: str) -> None:
-        """Re-plan OPESS and rebuild the B-tree for one field.
+        """Re-plan OPESS and rebuild the value index for one field.
 
         The re-plan is carried from the field's current plan (see
         :func:`~repro.core.opess.build_field_plan`): equal to a plan built
@@ -444,7 +445,7 @@ class UpdateEngine:
         hosted.field_tokens[field_name] = token
         if not occurrence_list:
             hosted.field_plans.pop(field_name, None)
-            hosted.value_index.trees.pop(token, None)
+            hosted.value_index.fields.pop(token, None)
             return
         histogram = Counter(value for value, _ in occurrence_list)
         previous = hosted.field_plans.get(field_name)
@@ -464,4 +465,4 @@ class UpdateEngine:
             {field_name: token},
             self._keyring.ope,
         )
-        hosted.value_index.trees[token] = rebuilt.trees[token]
+        hosted.value_index.fields[token] = rebuilt.fields[token]

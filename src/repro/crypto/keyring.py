@@ -182,7 +182,3 @@ class ClientKeyring:
     def opess_stream(self, field: str) -> DeterministicRandom:
         """Per-field stream for OPESS splitting weights and scale factors."""
         return DeterministicRandom(self._derive("opess", field))
-
-    def field_prf(self, field: str) -> PRF:
-        """Per-field PRF (used to pick key indices for split chunks)."""
-        return PRF(self._derive("field-prf", field))

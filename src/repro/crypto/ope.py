@@ -13,7 +13,7 @@ that every domain subinterval keeps at least as much range as it has points.
 That constraint makes the sampled function *strictly* increasing, and the
 PRF makes it a deterministic function of the key — two clients with the same
 key agree on every ciphertext, which is what lets the client translate query
-range bounds that the server then compares against B-tree entries.
+range bounds that the server then compares against value-index entries.
 
 Real-valued inputs (OPESS displaces plaintexts by fractions ``w·δ`` of the
 value gap) are quantized to fixed-point integers first; the quantization

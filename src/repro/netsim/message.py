@@ -89,12 +89,19 @@ def decode_query(payload: bytes) -> Any:
     from repro.core.opess import KeyRange
     from repro.core.translate import TranslatedNode, TranslatedQuery
 
+    def key_range(low: Any, high: Any) -> KeyRange:
+        if type(low) is not int or type(high) is not int:
+            raise TypeError(
+                f"key range bounds must be integers: {low!r}, {high!r}"
+            )
+        return KeyRange(low, high)
+
     def build(record: dict[str, Any]) -> TranslatedNode:
         node = TranslatedNode(
             keys=tuple(record["k"]),
             axis=record["a"],
             value_ranges=(
-                [KeyRange(low, high) for low, high in record["r"]]
+                [key_range(low, high) for low, high in record["r"]]
                 if "r" in record
                 else None
             ),

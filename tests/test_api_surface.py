@@ -36,15 +36,6 @@ class TestSerializerDebugForms:
         assert pretty.count("\n") >= 2
 
 
-class TestKeyringAuxiliary:
-    def test_field_prf_per_field(self):
-        from repro.crypto.keyring import ClientKeyring
-
-        keyring = ClientKeyring(b"k" * 16)
-        assert keyring.field_prf("a")(b"m") != keyring.field_prf("b")(b"m")
-        assert keyring.field_prf("a")(b"m") == keyring.field_prf("a")(b"m")
-
-
 class TestAggregateModuleCorners:
     def test_combine_without_plan_rejected(self):
         from repro.core.aggregates import ServerAggregate, combine_min_max
@@ -313,7 +304,7 @@ class TestOneServerBehindTheOwner:
         from repro.core.server import Fragment
         from repro.core.system import QueryTrace, SecureXMLSystem
 
-        for module in ("repro.cluster", "repro.serving.gateway"):
+        for module in ("repro.cluster", "repro.serving.gateway", "repro.btree"):
             with pytest.raises(ImportError):
                 importlib.import_module(module)
         assert {f.name for f in dataclasses.fields(Fragment)} == {
@@ -341,6 +332,7 @@ class TestOneServerBehindTheOwner:
             "child_elements", "weakest_field", "known_tags",
             "encrypts_everything", "from_passphrase", "fanout_profile",
             "iter_value_leaves", "position_for_literal",
+            "BTree", "min_degree", "field_prf",
         )
         for path in sorted(pathlib.Path(repro.__file__).parent.rglob("*.py")):
             text = path.read_text()

@@ -1,12 +1,26 @@
 """Tests for aggregate evaluation (§6.4): exact mode and server MIN/MAX."""
 
-import pytest
+from collections import Counter
+from itertools import combinations, permutations
 
-from repro.core.aggregates import fold_exact
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.aggregates import check_server_order, fold_exact
 from repro.core.constraints import parse_constraints
+from repro.core.opess import build_field_plan
 from repro.core.system import SecureXMLSystem
+from repro.crypto.ope import OrderPreservingEncryption
+from repro.crypto.prf import DeterministicRandom
 from repro.xmldb.builder import TreeBuilder
 from repro.xpath.evaluator import evaluate
+
+
+_POOL = [
+    "3", "10", "10.0", "010", "-7", "2.5", "1e3", "abc", "Zeta", "nan",
+    "NaN", "inf", "-inf", "\u0663", "",
+]
 
 
 class TestFoldExact:
@@ -34,6 +48,53 @@ class TestFoldExact:
     def test_unknown_function_rejected(self):
         with pytest.raises(ValueError):
             fold_exact(["1"], "median")
+
+    def test_no_answer_order_moves_min_or_max(self):
+        """``nan`` has no place among numbers, so it folds as a word and
+        every permutation of a pool holding it has one min and one max."""
+        pool = ["3", "nan", "1", "inf", "abc", "10", "10.0"]
+        for func, expected in (("min", "1"), ("max", "nan")):
+            folds = {fold_exact(list(p), func) for p in permutations(pool)}
+            assert folds == {expected}, func
+
+    @given(
+        st.lists(st.sampled_from(_POOL), min_size=1, max_size=8).flatmap(
+            lambda pool: st.tuples(st.just(pool), st.permutations(pool))
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_min_max_are_functions_of_the_answer_set(self, pools):
+        pool, shuffled = pools
+        for func in ("min", "max"):
+            assert fold_exact(shuffled, func) == fold_exact(pool, func)
+
+
+def _plan(values):
+    return build_field_plan(
+        "v",
+        Counter(values),
+        DeterministicRandom(b"aggregate-order!", "prop"),
+        OrderPreservingEncryption(b"aggregate-ope-k!"),
+    )
+
+
+@given(st.sets(st.sampled_from(_POOL), min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_server_order_is_refused_exactly_where_the_folds_disagree(values):
+    """The server's min of two values is the one its plan ranks first;
+    a plan is refused exactly when some pair folds otherwise exactly."""
+    plan = _plan(sorted(values))
+    rank = plan.ordered_values.index
+    disagree = any(
+        fold_exact([a, b], "min") != min(a, b, key=rank)
+        for a, b in combinations(values, 2)
+    )
+    try:
+        check_server_order("v", plan)
+    except ValueError:
+        assert disagree, plan.ordered_values
+    else:
+        assert not disagree, plan.ordered_values
 
 
 @pytest.fixture
@@ -127,7 +188,7 @@ class TestServerModeOrder:
     first and orders them numerically.  They must agree or refuse."""
 
     @pytest.mark.parametrize(
-        "values", [["10", "abc", "3"], ["abc", "inf"], ["zz", "nan", "b"]]
+        "values", [["10", "abc", "3"], ["abc", "inf"], ["b", "nan", "inf"]]
     )
     def test_a_field_of_numbers_and_words_is_refused(self, values):
         system = _field_system(values)
@@ -137,7 +198,13 @@ class TestServerModeOrder:
         assert system.aggregate("//p/v", "min") == fold_exact(values, "min")
 
     @pytest.mark.parametrize(
-        "values", [["10", "9", "-3.5"], ["pear", "apple", "fig"]]
+        "values",
+        [
+            ["10", "9", "-3.5"],
+            ["pear", "apple", "fig"],
+            # nan ranks as a word in the plan and in the exact fold.
+            ["zz", "nan", "b"],
+        ],
     )
     def test_numbers_only_or_words_only_keep_server_mode(self, values):
         system = _field_system(values)

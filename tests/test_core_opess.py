@@ -170,11 +170,11 @@ def build_small_index():
 class TestValueIndex:
     def test_entries_scaled(self):
         index, plan = build_small_index()
-        tree = index.tree_for("AGETOKEN")
+        entries = index.fields["AGETOKEN"]
         expected = sum(
             sum(plan.chunk_plan[v]) * plan.scales[v] for v in ("30", "41")
         )
-        assert len(tree) == expected
+        assert len(entries) == expected
 
     def test_lookup_blocks_equality(self):
         index, plan = build_small_index()
@@ -190,7 +190,7 @@ class TestValueIndex:
 
     def test_lookup_unknown_field(self):
         index, _ = build_small_index()
-        assert index.lookup_blocks("NOPE", [KeyRange(None, None)]) == set()
+        assert index.lookup_blocks("NOPE", [KeyRange(-(2**64), 2**64)]) == set()
 
     def test_ciphertext_histogram_hides_plaintext_counts(self):
         """The §5.2 point: observed frequencies are chunk·scale, not nᵢ."""

@@ -244,11 +244,11 @@ class TestParentFormatHosting:
         # The rebuilt value index holds the keys a fresh hosting draws
         # (block ids are the hosting's own numbering).
         assert {
-            token: [key for key, _ in tree.items()]
-            for token, tree in loaded.hosted.value_index.trees.items()
+            token: [key for key, _ in entries.items()]
+            for token, entries in loaded.hosted.value_index.fields.items()
         } == {
-            token: [key for key, _ in tree.items()]
-            for token, tree in fresh.hosted.value_index.trees.items()
+            token: [key for key, _ in entries.items()]
+            for token, entries in fresh.hosted.value_index.fields.items()
         }
 
     def test_loads_answers_resaves_and_still_checks_every_listed_file(

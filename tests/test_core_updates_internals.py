@@ -170,7 +170,7 @@ class TestFieldRebuild:
         assert "@coverage" not in system.hosted.field_plans
         token = system.hosted.field_tokens.get("@coverage")
         if token is not None:
-            assert system.hosted.value_index.tree_for(token) is None
+            assert token not in system.hosted.value_index.fields
 
 class TestHostedIdAllocation:
     """Hosted node ids come from an O(1) high-water mark, not tree walks.

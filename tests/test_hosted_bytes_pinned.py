@@ -109,10 +109,10 @@ def _digest_by_id(table):
 
 
 def _value_index_digest(value_index):
-    """Every row of every field's B-tree: token, OPE key, block id."""
+    """Every row of every field's index: token, OPE key, block id."""
     digest = hashlib.sha256()
-    for token in sorted(value_index.trees):
-        for key, block_id in value_index.trees[token].items():
+    for token in sorted(value_index.fields):
+        for key, block_id in value_index.fields[token].items():
             digest.update(f"{token}\t{key}\t{block_id}\n".encode())
     return digest.hexdigest()
 

@@ -192,6 +192,20 @@ def test_deep_nesting_is_refused_typed():
             decode_query(payload)
 
 
+@pytest.mark.parametrize("bound", [None, 1.5, "3", True, [1], {}])
+def test_a_key_range_bound_that_is_not_an_integer_is_refused(bound):
+    """The index compares bounds with its integer keys: anything else is
+    a typed refusal here, not an error inside the join."""
+    for pair in ([bound, 5], [5, bound]):
+        payload = json.dumps(
+            {"q": {"k": [], "a": "child", "r": [pair], "t": "T"}}
+        ).encode()
+        with pytest.raises(MessageDecodeError, match="must be integers"):
+            decode_query(payload)
+    query = decode_query(b'{"q":{"a":"child","k":[],"r":[[-3,5]],"t":"T"}}')
+    assert [(r.low, r.high) for r in query.root.value_ranges] == [(-3, 5)]
+
+
 @pytest.fixture(scope="module")
 def real_payloads():
     document, constraints = CORPORA["healthcare"]()

@@ -8,21 +8,22 @@ translation against a brute-force oracle.
 A write re-plans its field from the plan it replaces
 (``build_field_plan(..., previous=plan)``).  Along any chain of histogram
 edits the carried plan must equal the from-scratch one, and the rows it
-indexes must equal the insert-loop build over the from-scratch plan — also
-across a ``save_system`` → ``load_system`` between writes.
+indexes must equal the one-insort-per-entry build over the from-scratch
+plan — also across a ``save_system`` → ``load_system`` between writes.
 """
 
 import random
 from collections import Counter
+from operator import itemgetter
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from repro.btree import BTree
 from repro.core.client import canonical_node
 from repro.core.constraints import parse_constraints
 from repro.core.opess import (
+    KeyRuns,
     build_field_plan,
     build_value_index,
     chunk_ciphertexts,
@@ -200,6 +201,80 @@ def test_hosted_predicates_answer_as_plaintext(values, predicates, scheme):
         assert system.query(query).canonical() == expected, query
 
 
+class TestKeyRuns:
+    """A field's value index is its entries' key-ordered runs."""
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(-200, 200), st.integers(0, 9)), max_size=300
+        ),
+        st.integers(-210, 210),
+        st.integers(-210, 210),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_range_scan_matches_filter(self, entries, low, high):
+        """``items()`` gives the entries back in build order, duplicates
+        included, and a scan is the brute-force filter of ``items()``."""
+        entries.sort(key=itemgetter(0))  # stable: arrival order per key
+        index = KeyRuns.from_sorted(entries)
+        assert list(index.items()) == entries
+        assert len(index) == len(entries)
+        assert index.keys == sorted({key for key, _ in entries})
+        for first, last in ((low, high), (high, low), (low, low)):
+            assert list(index.range_scan(first, last)) == [
+                (key, block)
+                for key, block in index.items()
+                if first <= key <= last
+            ]
+
+    @given(
+        st.dictionaries(
+            st.integers(-200, 200),
+            st.lists(st.integers(0, 9), min_size=1, max_size=6),
+            max_size=200,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_runs_equal_their_grouped_entries(self, by_key):
+        keys = sorted(by_key)
+        runs = [list(by_key[key]) for key in keys]
+        entries = [(key, block) for key in keys for block in by_key[key]]
+        assert list(KeyRuns(keys, runs).items()) == entries
+        grouped = KeyRuns.from_sorted(entries)
+        assert (grouped.keys, grouped.runs) == (keys, runs)
+
+    @given(st.lists(st.integers(0, 20), max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_keys_must_strictly_increase(self, keys):
+        increasing = all(a < b for a, b in zip(keys, keys[1:]))
+        try:
+            KeyRuns(keys, [[0] for _ in keys])
+        except ValueError as exc:
+            assert "out of order" in str(exc)
+            assert not increasing
+        else:
+            assert increasing
+
+    def test_keys_out_of_order_or_repeated_are_refused(self):
+        for keys in ([1, 3, 2], [1, 1], [1, 2, 2, 3]):
+            with pytest.raises(ValueError, match="out of order"):
+                KeyRuns(keys, [[0] for _ in keys])
+        for entries in ([(1, 0), (3, 0), (2, 0)], [(1, 0), (2, 0), (1, 1)]):
+            with pytest.raises(ValueError, match="out of order"):
+                KeyRuns.from_sorted(entries)
+
+    def test_from_sorted_accepts_an_iterator(self):
+        index = KeyRuns.from_sorted(iter([(1, "a"), (1, "b"), (2, "c")]))
+        assert (index.keys, index.runs) == ([1, 2], [["a", "b"], ["c"]])
+        assert list(index.items()) == [(1, "a"), (1, "b"), (2, "c")]
+
+    def test_an_empty_index(self):
+        index = KeyRuns.from_sorted([])
+        assert len(index) == 0
+        assert list(index.items()) == []
+        assert list(index.range_scan(-(2**64), 2**64)) == []
+
+
 class TestIndexProperties:
     @given(_numeric_histograms, st.integers(0, 2**32))
     @settings(max_examples=25, deadline=None)
@@ -214,13 +289,13 @@ class TestIndexProperties:
         index = build_value_index(
             {"f": occurrences}, {"f": plan}, {"f": "TOK"}, _OPE
         )
-        tree = index.trees["TOK"]
-        tree.check_invariants()
+        entries = index.fields["TOK"]
+        KeyRuns(entries.keys, entries.runs)  # refuses keys out of order
         expected = 0
         for value, count in histogram.items():
             per_value = plan.m if count == 1 else count
             expected += per_value * plan.scales[value]
-        assert len(tree) == expected
+        assert len(entries) == expected
 
     @given(_numeric_histograms, st.integers(0, 2**32))
     @settings(max_examples=25, deadline=None)
@@ -234,14 +309,10 @@ class TestIndexProperties:
         index = build_value_index(
             {"f": occurrences}, {"f": plan}, {"f": "TOK"}, _OPE
         )
-        tree: BTree = index.trees["TOK"]
+        keys = index.fields["TOK"].keys
         numeric = sorted(histogram, key=float)
-        assert plan.value_at_position(
-            _OPE.decrypt_float(tree.min_key())
-        ) == numeric[0]
-        assert plan.value_at_position(
-            _OPE.decrypt_float(tree.max_key())
-        ) == numeric[-1]
+        assert plan.value_at_position(_OPE.decrypt_float(keys[0])) == numeric[0]
+        assert plan.value_at_position(_OPE.decrypt_float(keys[-1])) == numeric[-1]
 
 
 # ----------------------------------------------------------------------
@@ -318,9 +389,9 @@ def _run_chain(seed: int, edits: list[_Edit]) -> set[str]:
         expected = build_value_index_by_insertion(
             {"f": occurrences}, {"f": scratch}, {"f": "T"}, _OPE
         )
-        tree = rows.trees["T"]
-        tree.check_invariants()
-        assert list(tree.items()) == list(expected.trees["T"].items())
+        entries = rows.fields["T"]
+        KeyRuns(entries.keys, entries.runs)  # refuses keys out of order
+        assert list(entries.items()) == list(expected.fields["T"].items())
         # The plan keeps exactly the positions it uses.
         assert set(carried.ciphertexts) == set(carried.mapping.values())
         previous = carried
@@ -414,8 +485,8 @@ def _assert_plans_are_full_replans(system):
             {field_name: token},
             keyring.ope,
         )
-        assert list(hosted.value_index.trees[token].items()) == list(
-            expected.trees[token].items()
+        assert list(hosted.value_index.fields[token].items()) == list(
+            expected.fields[token].items()
         ), field_name
 
 

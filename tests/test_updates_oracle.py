@@ -3,11 +3,11 @@
 Two hostings of the same document under the same key are driven in
 lockstep through a seeded stream of inserts, value updates and deletes —
 one by ``UpdateEngine``, one by ``updates_oracle.FullScanUpdateEngine``
-(whole-index scans for the structural surgery, one ``BTree.insert`` per
+(whole-index scans for the structural surgery, one ``insort`` per
 entry for the value index).  After *every* operation everything the
 untrusted side stores or the client keeps must be equal on both: the DSI
 ``entries`` with their parent/child links, ``table``, ``block_table``,
-every ``FieldPlan``, every value-index tree's ``items()``, block payloads
+every ``FieldPlan``, every value-index field's ``items()``, block payloads
 and tags, the hosted tree, and ``state_root()`` — which must also equal the
 root of a Merkle tree built from scratch over the tags.
 
@@ -25,6 +25,7 @@ import random
 import pytest
 
 from repro.core.integrity import BlockMerkleTree
+from repro.core.opess import KeyRuns
 from repro.core.storage import load_system, save_system
 from repro.core.system import SecureXMLSystem
 from repro.core.updates import UpdateEngine, UpdateError
@@ -83,8 +84,8 @@ def hosted_state(system):
         "field_plans": dict(hosted.field_plans),
         "field_tokens": dict(hosted.field_tokens),
         "value_index": {
-            token: list(tree.items())
-            for token, tree in hosted.value_index.trees.items()
+            token: list(entries.items())
+            for token, entries in hosted.value_index.fields.items()
         },
         "occurrences": {k: list(v) for k, v in hosted.occurrences.items()},
         "blocks": dict(hosted.blocks),
@@ -104,8 +105,8 @@ def assert_same_state(system, oracle_system, context):
         assert actual[part] == expected[part], (part, context)
     hosted = system.hosted
     assert hosted.state_root() == BlockMerkleTree(hosted.block_tags).root(), context
-    for tree in hosted.value_index.trees.values():
-        tree.check_invariants()
+    for entries in hosted.value_index.fields.values():
+        KeyRuns(entries.keys, entries.runs)  # refuses keys out of order
 
 
 # ----------------------------------------------------------------------
@@ -251,11 +252,11 @@ def test_hosted_value_index_equals_insert_loop(build, constraints):
             hosted.field_tokens,
             system._keyring.ope,
         )
-        assert set(looped.trees) == set(hosted.value_index.trees)
-        for token, tree in hosted.value_index.trees.items():
-            tree.check_invariants()
-            assert list(tree.items()) == list(looped.trees[token].items())
-            assert len(tree) == len(looped.trees[token])
+        assert set(looped.fields) == set(hosted.value_index.fields)
+        for token, entries in hosted.value_index.fields.items():
+            KeyRuns(entries.keys, entries.runs)  # refuses keys out of order
+            assert list(entries.items()) == list(looped.fields[token].items())
+            assert len(entries) == len(looped.fields[token])
     finally:
         system.close()
 
@@ -340,7 +341,7 @@ def test_saved_hosting_bytes_pinned_and_reload_answers(tmp_path, monkeypatch):
     loaded = load_system(str(tmp_path / "written"), SAVED_MASTER_KEY)
     try:
         assert [loaded.query(q).canonical() for q in SAVED_QUERIES] == expected
-        for tree in loaded.hosted.value_index.trees.values():
-            tree.check_invariants()
+        for entries in loaded.hosted.value_index.fields.values():
+            KeyRuns(entries.keys, entries.runs)  # refuses keys out of order
     finally:
         loaded.close()

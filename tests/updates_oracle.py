@@ -10,11 +10,12 @@ as they stood before a write was made to cost what it changes:
   ``entries`` list, rebuild every tag list of ``table`` and every surviving
   entry's ``children`` (the engine now bisects to the one run of entries
   and rewrites only the lists that held a removed entry);
-* a field is re-planned from scratch, and its B-tree is rebuilt by
-  encrypting each chunk point on its own and ``BTree.insert``-ing every
-  ⟨ciphertext, block⟩ entry one at a time (the engine now re-plans from
-  the field's old plan, keeping what it already holds, and bulk-loads
-  key-ordered runs).
+* a field is re-planned from scratch, and its index is rebuilt by
+  encrypting each chunk point on its own and ``insort``-ing every
+  ⟨ciphertext, block⟩ entry into one list, one at a time, before
+  grouping it (the engine now re-plans from the field's old plan,
+  keeping what it already holds, and appends key-ordered runs as they
+  are made).
 
 Slow and obviously right.  ``test_updates_oracle.py`` runs both engines in
 lockstep over seeded update streams and holds every hosted structure of
@@ -25,11 +26,11 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import Counter
+from operator import itemgetter
 from typing import Optional
 
-from repro.btree import BTree
 from repro.core.dsi import IndexEntry, Interval
-from repro.core.opess import FieldPlan, ValueIndex, build_field_plan
+from repro.core.opess import FieldPlan, KeyRuns, ValueIndex, build_field_plan
 from repro.core.updates import UpdateEngine
 from repro.crypto.ope import OrderPreservingEncryption
 
@@ -39,13 +40,12 @@ def build_value_index_by_insertion(
     plans: dict[str, FieldPlan],
     field_tokens: dict[str, str],
     ope: OrderPreservingEncryption,
-    min_degree: int = 16,
 ) -> ValueIndex:
-    """``build_value_index`` as one ``BTree.insert`` per index entry."""
+    """``build_value_index`` as one ``insort`` per index entry."""
     index = ValueIndex()
     for field_name, occurrence_list in occurrences.items():
         plan = plans[field_name]
-        tree = BTree(min_degree=min_degree)
+        entries: list[tuple[int, int]] = []
         by_value: dict[str, list[int]] = {}
         for value, block_id in occurrence_list:
             by_value.setdefault(value, []).append(block_id)
@@ -71,8 +71,10 @@ def build_value_index_by_insertion(
                 assert cursor == len(block_ids)
             for ciphertext, block_id in assignments:
                 for _ in range(scale):
-                    tree.insert(ciphertext, block_id)
-        index.trees[field_tokens[field_name]] = tree
+                    insort(
+                        entries, (ciphertext, block_id), key=itemgetter(0)
+                    )
+        index.fields[field_tokens[field_name]] = KeyRuns.from_sorted(entries)
     return index
 
 
@@ -155,7 +157,7 @@ class FullScanUpdateEngine(UpdateEngine):
         hosted.field_tokens[field_name] = token
         if not occurrence_list:
             hosted.field_plans.pop(field_name, None)
-            hosted.value_index.trees.pop(token, None)
+            hosted.value_index.fields.pop(token, None)
             return
         histogram = Counter(value for value, _ in occurrence_list)
         plan = build_field_plan(
@@ -171,7 +173,7 @@ class FullScanUpdateEngine(UpdateEngine):
             {field_name: token},
             self._keyring.ope,
         )
-        hosted.value_index.trees[token] = rebuilt.trees[token]
+        hosted.value_index.fields[token] = rebuilt.fields[token]
 
 
 def write_plaintext(document, method: str, xpath: str, *args: str) -> None:
