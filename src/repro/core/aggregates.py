@@ -13,10 +13,15 @@ Two evaluation modes are provided:
   always exact; COUNT and SUM necessarily go this way (splitting and
   scaling destroy cardinalities server-side).
 
-* **server mode** (min/max only) — the server scans the value index
-  restricted to the blocks matched by the structural join and returns the
-  extreme *ciphertext*; the client inverts it through the OPE function and
-  the field plan without decrypting any data block.  Because index
+* **server mode** (min/max only) — the server walks the value index's keys
+  from the wanted end until one's run holds a block the structural join
+  matched, and returns that extreme *ciphertext*; the client inverts it
+  through the OPE function and the field plan without decrypting any data
+  block.  The join's output must be the answer itself: a residual plan
+  (it outputs the document root), a positional step (its candidates are
+  not pruned) or an order edge (its thresholds are relaxed) is refused
+  before the fold
+  (:func:`~repro.core.structural_join.superset_reason`).  Because index
   entries address encryption *blocks*, this is exact when each matched
   block contains only matched occurrences of the field (always true for
   per-node granularities like ``opt``/``app`` covers) and may otherwise
@@ -62,8 +67,9 @@ def server_min_max(
 
     Runs the ordinary structural join, then folds over (a) the plaintext
     values of matched plaintext entries and (b) the value-index entries
-    whose block is one of the matched encrypted blocks.  No block payload
-    is touched.
+    whose block is one of the matched encrypted blocks: keys are walked
+    from the wanted end, and the first whose run holds a matched block is
+    the field's extreme.  No block payload is touched.
     """
     if func not in ("min", "max"):
         raise ValueError("server aggregation supports only min/max")
@@ -80,22 +86,20 @@ def server_min_max(
                 plaintext_best, entry.plaintext_value, func
             )
 
-    ciphertext_best: Optional[int] = None
+    extremes: list[int] = []
     scanned = 0
     for key in query.output.keys:
         entries = values.fields.get(key)
-        if entries is None:
+        if entries is None or not blocks:
             continue
-        for ciphertext, block_id in entries.items():
-            scanned += 1
-            if block_id not in blocks:
-                continue
-            if ciphertext_best is None:
-                ciphertext_best = ciphertext
-            elif func == "min":
-                ciphertext_best = min(ciphertext_best, ciphertext)
-            else:
-                ciphertext_best = max(ciphertext_best, ciphertext)
+        at = range(len(entries.keys))
+        for index in at if func == "min" else reversed(at):
+            run = entries.runs[index]
+            scanned += len(run)
+            if not blocks.isdisjoint(run):
+                extremes.append(entries.keys[index])
+                break
+    ciphertext_best = (min if func == "min" else max)(extremes, default=None)
 
     return ServerAggregate(
         ciphertext=ciphertext_best,

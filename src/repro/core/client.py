@@ -45,10 +45,9 @@ from repro.xmldb.parser import XMLParseError, parse_fragment
 from repro.xmldb.serializer import BLOCK_CLOSE, BLOCK_OPEN, serialize
 from repro.xpath import ast
 from repro.xpath.axes import residual_pattern
-from repro.xpath.compiler import UnsupportedQuery
 from repro.xpath.evaluator import evaluate
 from repro.xpath.parser import parse_xpath
-from repro.xpath.plan import QueryPlan, plan_query
+from repro.xpath.plan import plan_query
 
 
 @dataclass
@@ -230,20 +229,7 @@ class Client:
         anchor = self._hosted.anchor()  # read first: the plan is as of it
         path = query if isinstance(query, ast.LocationPath) else parse_xpath(query)
         plan = plan_query(path)
-        translator = self._translator()
-        try:
-            translated = translator.translate(plan.pattern)
-        except UnsupportedQuery as exc:
-            if plan.kind == "residual":
-                raise  # the residual pattern always translates
-            # e.g. a value constraint on a wildcard node: degrade to the
-            # residual plan.
-            plan = QueryPlan(
-                kind="residual",
-                pattern=residual_pattern(),
-                reason=str(exc),
-            )
-            translated = translator.translate(plan.pattern)
+        translated = self._translator().translate(plan.pattern)
         translated.plan_kind = plan.kind
         translated.plan_reason = plan.reason
         translated.path = path

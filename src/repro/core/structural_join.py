@@ -34,7 +34,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import inf
-from typing import Callable
+from typing import Callable, Optional
 
 from repro.core.dsi import IndexEntry, StructuralIndex
 from repro.core.opess import ValueIndex
@@ -60,6 +60,25 @@ def match_pattern(
 ) -> MatchResult:
     """Run the full structural join for a translated query."""
     return _Matcher(structure, values).run(query)
+
+
+def superset_reason(query: TranslatedQuery) -> Optional[str]:
+    """Why the join's output entries may be more than the query selects.
+
+    ``None`` when they are the answer's nodes, so a write or a server
+    fold may act on them without the client's re-evaluation: never for
+    a residual or naive plan (its output is the document root), one with
+    a positional node (its candidates are not pruned) or one with an
+    order edge (its thresholds are relaxed).
+    """
+    if query.plan_kind != "axis":
+        return f"a {query.plan_kind} plan's output is the document root"
+    for node in query.root.walk():
+        if node.position_sensitive:
+            return "a positional step's candidates are not pruned"
+        if node.axis in ORDER_EDGES:
+            return f"a {node.axis} step's thresholds are relaxed"
+    return None
 
 
 class _Matcher:

@@ -25,6 +25,7 @@ from repro.core.integrity import IntegrityError, count_failure
 from repro.core.leakage import LeakageContext
 from repro.core.scheme import EncryptionScheme, build_scheme
 from repro.core.server import Server, ServerResponse
+from repro.core.structural_join import superset_reason
 from repro.core.translate import TranslatedQuery
 from repro.crypto.keyring import ClientKeyring
 from repro.netsim.channel import Channel, TransferDropped
@@ -107,9 +108,8 @@ class QueryTrace:
     #: lowering), ``"residual"`` (typed document-root plan), or
     #: ``"naive"`` for the ship-everything baseline.
     plan: str = "axis"
-    #: Why the query left the axis plan — the ``ResidualRequired`` (or
-    #: translator ``UnsupportedQuery``) message.  ``None`` while the axis
-    #: plan serves.
+    #: Why the query left the axis plan — the planner's
+    #: ``ResidualRequired`` message.  ``None`` while the axis plan serves.
     fallback_reason: "str | None" = None
     #: Root of the query's span tree.  Excluded from comparisons and
     #: reprs: two traces of the same exchange stay equal.
@@ -544,7 +544,10 @@ class SecureXMLSystem:
         :mod:`repro.core.aggregates`).  A field whose plan ranks its values
         otherwise than the exact fold (one that mixes numbers and words:
         its plan orders values as strings, the exact fold puts numbers
-        first) is a ``ValueError`` here.
+        first) is a ``ValueError`` here, and so is a query whose join
+        output may be more than its answer — a residual plan, a positional
+        step or an order axis
+        (:func:`~repro.core.structural_join.superset_reason`).
         """
         from repro.core.aggregates import (
             check_server_order,
@@ -571,6 +574,12 @@ class SecureXMLSystem:
         plan = self.hosted.field_plans.get(field) if field else None
         check_server_order(field, plan)
         translated = self.client.translate(xpath)
+        reason = superset_reason(translated)
+        if reason is not None:
+            raise ValueError(
+                f"the server cannot fold {xpath!r}: {reason} "
+                "(use mode='exact')"
+            )
         reply = server_min_max(
             translated,
             self.hosted.structural_index,

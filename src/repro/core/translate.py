@@ -173,10 +173,6 @@ class QueryTranslator:
     ) -> None:
         assert node.value_constraint is not None
         op, literal = node.value_constraint
-        if node.is_wildcard:
-            raise UnsupportedQuery(
-                "value constraints on wildcard nodes are client-only"
-            )
         field_name = node.test
         plan = self._field_plans.get(field_name)
         if plan is not None:

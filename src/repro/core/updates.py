@@ -49,7 +49,7 @@ from repro.core.decoy import inject_decoys
 from repro.core.dsi import _MIN_WIDTH, IndexEntry, Interval
 from repro.core.encryptor import HostedDatabase
 from repro.core.opess import build_field_plan, build_value_index
-from repro.core.structural_join import match_pattern
+from repro.core.structural_join import match_pattern, superset_reason
 from repro.crypto.keyring import ClientKeyring
 from repro.crypto.modes import cbc_encrypt
 from repro.obs.span import count
@@ -230,7 +230,15 @@ class UpdateEngine:
     # Target resolution helpers (used by the system façade)
     # ------------------------------------------------------------------
     def resolve_single(self, translated_query) -> IndexEntry:
-        """Resolve a translated query to exactly one output entry."""
+        """Resolve a translated query to exactly one output entry.
+
+        Only a plan whose join output is the answer itself can pin one
+        (:func:`~repro.core.structural_join.superset_reason`); any other
+        is refused before any state moves.
+        """
+        reason = superset_reason(translated_query)
+        if reason is not None:
+            raise UpdateError(f"the server cannot pin the target: {reason}")
         result = match_pattern(
             translated_query,
             self._hosted.structural_index,

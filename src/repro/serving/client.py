@@ -39,6 +39,7 @@ the served tenant's caches are the host's to flush.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import socket
@@ -236,7 +237,7 @@ class RemoteSecureXMLSystem(SecureXMLSystem):
         needed: an applied write moves the epoch, so two identical
         commands seal to distinct blobs anyway, and a replay of either
         fails freshness.  The ack must verify under the tenant's
-        response key.
+        response key and name the SHA-256 of the blob it acknowledges.
         """
         request_key, response_key = self.keyring.session_keys()
         payload = json.dumps(op, sort_keys=True).encode("utf-8")
@@ -249,7 +250,11 @@ class RemoteSecureXMLSystem(SecureXMLSystem):
                 last = exc
                 continue
             ack = unseal(response_key, sealed, error=TamperedResponseError)
-            json.loads(ack.decode("utf-8"))  # malformed ack → typed error
+            named = json.loads(ack.decode("utf-8")).get("command")
+            if named != hashlib.sha256(blob).hexdigest():
+                raise TamperedResponseError(
+                    "update ack names another command"
+                )
             return
         assert last is not None
         raise last

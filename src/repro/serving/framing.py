@@ -42,7 +42,7 @@ _RECV_BYTES = 1 << 16
 _HEAD = struct.Struct("!QB")
 
 # Client -> server opcodes.
-OP_HELLO = 1  # JSON {"tenant": ..., "protocol": 4}
+OP_HELLO = 1  # JSON {"tenant": ..., "protocol": 5}
 OP_QUERY = 2  # sealed translated-query request (answer_wire)
 OP_UPDATE = 5  # freshness-sealed JSON update command
 # 4 (the naive baseline is a query plan), 6 (an epoch-less, so
@@ -55,10 +55,11 @@ OP_ERROR = 19  # JSON {"error": <type name>, "message": ...}
 OP_HELLO_OK = 20  # JSON session parameters (tenant, protocol, epoch)
 
 #: What HELLO and HELLO_OK both carry; a peer on another version is
-#: refused at the handshake.  4: no stats opcode; 3: no naive opcode and
+#: refused at the handshake.  5: an update's ack names the SHA-256 of the
+#: command it acknowledges; 4: no stats opcode; 3: no naive opcode and
 #: no naive flag on a response, whose fragments cross as an ancestor row
 #: table and a text column (:mod:`repro.netsim.message`) since 2.
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 
 class FrameError(Exception):

@@ -46,6 +46,7 @@ down so their threads exit.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import socket
 import threading
@@ -141,14 +142,19 @@ class TenantSession:
         is sealed with the plain envelope (not the freshness one): by the
         time the client verifies it, a *further* update may legitimately
         have moved the anchor again, and the ack's job is authenticity,
-        not freshness.
+        not freshness.  It names the SHA-256 of the command blob, so the
+        ack of one command cannot pass for another's.
         """
         count("serving_updates")
         with self._lock:
             op = self._open_command(blob)
             applied = self._apply_update(op)
             ack = json.dumps(
-                {"applied": applied, "epoch": self.system.hosted.epoch},
+                {
+                    "applied": applied,
+                    "command": hashlib.sha256(blob).hexdigest(),
+                    "epoch": self.system.hosted.epoch,
+                },
                 sort_keys=True,
             ).encode("utf-8")
             return seal(self._response_key, ack)

@@ -280,6 +280,10 @@ def _strip_positions(
 
 
 def _add_constraint(node: PatternNode, expr: ast.Comparison) -> None:
+    if node.is_wildcard:
+        raise ResidualRequired(
+            "value constraints on wildcard nodes are client-only"
+        )
     if node.value_constraint is None:
         node.value_constraint = (expr.op, expr.literal)
         return

@@ -22,16 +22,19 @@ Semantics follow XPath 1.0 restricted to our fragment:
 Encrypted-block placeholders are opaque: they have no children and match no
 name test, which models the server's view of a hosted database.
 
-Each location step maps a duplicate-free context *set* to a duplicate-free
-result in time linear in the context plus the nodes it touches — never
-context × document.  The order axes and nested ``descendant`` contexts get
-there through :class:`~repro.xmldb.node.DocumentOrder`, where a subtree is
-one range of element ranks: it is the geometry §5.1 gives the server on DSI
-intervals (``following`` ⇔ ``e.low > t.high``), read off pre-order ranks
-instead.  The table is built once per document and only when such a step
-asks for it; child, attribute, parent, sibling and ancestor steps work on
-the tree alone.  ``tests/xpath_evaluator_oracle.py`` is the per-node tree
-walk this replaced, kept as the differential oracle.
+Each axis has one kernel (``_SET_AXES``), and every step runs it: it maps
+a duplicate-free context *set* to a duplicate-free result in time linear in
+the context plus the nodes it touches — never context × document.  A
+positional step runs the same kernel once per context node, on that node
+alone, so its predicate counts in the node's own candidate list.  The order
+axes and nested ``descendant`` contexts get there through
+:class:`~repro.xmldb.node.DocumentOrder`, where a subtree is one range of
+element ranks: it is the geometry §5.1 gives the server on DSI intervals
+(``following`` ⇔ ``e.low > t.high``), read off pre-order ranks instead.
+The table is built once per document and only when such a step asks for
+it; child, attribute, parent, sibling and ancestor steps work on the tree
+alone.  ``tests/xpath_evaluator_oracle.py`` is a slow per-node tree walk
+kept as the differential oracle.
 """
 
 from __future__ import annotations
@@ -248,9 +251,15 @@ class _Evaluation:
         ):
             return [], _FLAT
         test = _node_test(step)
-        if len(context) == 1 or _is_positional(step):
+        if _is_positional(step):
             return self._step_per_node(context, axis, test, step.predicates)
-        nodes, level = _SET_AXES[axis](self, context, level, test)
+        if len(context) == 1:
+            # From one node every axis answers in order, and flat on
+            # ``_FLAT_AXES``, whatever the kernel could prove of it.
+            nodes = _SET_AXES[axis](self, context, _FLAT, test)[0]
+            level = _FLAT if axis in _FLAT_AXES else _ORDERED
+        else:
+            nodes, level = _SET_AXES[axis](self, context, level, test)
         for predicate in step.predicates:
             nodes = self._filter(nodes, predicate.expr)
         return nodes, level
@@ -262,88 +271,33 @@ class _Evaluation:
         test: NodeTest,
         predicates: tuple[ast.Predicate, ...],
     ) -> tuple[list[Node], int]:
-        """XPath's own definition of a step: each context node by itself.
+        """One kernel per axis; a positional step runs it per context node.
 
-        The only way to give a positional predicate the candidate list it
-        counts in, and the cheapest way to serve a single context node.
+        The predicates count among one node's candidates in the axis's
+        proximity order, so a reverse axis's result is turned round first.
         """
-        if len(context) == 1:
-            candidates = self._candidates(context[0], axis, test, predicates)
-            if axis in _REVERSE_AXES:
-                candidates.reverse()
-            return candidates, _FLAT if axis in _FLAT_AXES else _ORDERED
+        kernel = _SET_AXES[axis]
+        reverse = axis in _REVERSE_AXES
         output: list[Node] = []
         seen: set[int] = set()
         for node in context:
-            for candidate in self._candidates(node, axis, test, predicates):
+            candidates = kernel(self, [node], _FLAT, test)[0]
+            if reverse:
+                candidates.reverse()
+            for predicate in predicates:
+                candidates = self._filter(candidates, predicate.expr)
+            if len(context) == 1:
+                if reverse:
+                    candidates.reverse()
+                return candidates, _FLAT if axis in _FLAT_AXES else _ORDERED
+            for candidate in candidates:
                 if id(candidate) not in seen:
                     seen.add(id(candidate))
                     output.append(candidate)
         return output, _ANY
 
-    def _candidates(
-        self,
-        node: Node,
-        axis: str,
-        test: NodeTest,
-        predicates: tuple[ast.Predicate, ...],
-    ) -> list[Node]:
-        candidates = self._axis_matches(node, axis, test)
-        for predicate in predicates:
-            candidates = self._filter(candidates, predicate.expr)
-        return candidates
-
-    def _axis_matches(
-        self, node: Node, axis: str, test: NodeTest
-    ) -> list[Node]:
-        """Nodes on ``axis`` from one node that pass ``test``, nearest first."""
-        if axis == ast.AXIS_CHILD:
-            return [child for child in node.children if test(child)]
-        if axis == ast.AXIS_DESCENDANT:
-            return [n for n in _descendant_elements(node) if test(n)]
-        if axis == ast.AXIS_DESCENDANT_OR_SELF:
-            return [n for n in (node, *_descendant_elements(node)) if test(n)]
-        if axis == ast.AXIS_SELF:
-            return [node] if test(node) else []
-        if axis == ast.AXIS_ATTRIBUTE:
-            if not isinstance(node, Element):
-                return []
-            return [a for a in node.attributes if test(a)]
-        if axis == ast.AXIS_PARENT:
-            parent = node.parent
-            return [parent] if parent is not None and test(parent) else []
-        if axis == ast.AXIS_ANCESTOR:
-            return [a for a in node.ancestors() if test(a)]
-        if axis == ast.AXIS_ANCESTOR_OR_SELF:
-            return [a for a in (node, *node.ancestors()) if test(a)]
-        if axis in (ast.AXIS_FOLLOWING_SIBLING, ast.AXIS_PRECEDING_SIBLING):
-            parent = node.parent
-            if parent is None or isinstance(node, Attribute):
-                return []  # an attribute is not among its owner's children
-            siblings = parent.children
-            at = siblings.index(node)
-            if axis == ast.AXIS_FOLLOWING_SIBLING:
-                return [s for s in siblings[at + 1 :] if test(s)]
-            return [s for s in reversed(siblings[:at]) if test(s)]
-        if axis == ast.AXIS_FOLLOWING:
-            following = self.order().elements[self._following_from(node) :]
-            return [n for n in following if test(n)]
-        if axis == ast.AXIS_PRECEDING:
-            preceding = self.order().elements[: self._preceding_until(node)]
-            ancestors = {id(a) for a in node.ancestors()}
-            return [
-                n
-                for n in reversed(preceding)
-                if test(n) and id(n) not in ancestors
-            ]
-        if axis == ast.AXIS_NAMESPACE:
-            # This data model carries no namespace declarations, so the
-            # thirteenth axis is well-defined and empty everywhere.
-            return []
-        raise ValueError(f"unsupported axis {axis!r}")
-
     # ------------------------------------------------------------------
-    # One axis, a whole context set (two or more nodes)
+    # One kernel per axis: a context set to the nodes it reaches
     # ------------------------------------------------------------------
     def _set_child(self, context, level, test):
         nodes = [c for node in context for c in node.children if test(c)]

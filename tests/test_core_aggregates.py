@@ -7,13 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.aggregates import check_server_order, fold_exact
+from repro.core.aggregates import (
+    check_server_order,
+    fold_exact,
+    server_min_max,
+)
 from repro.core.constraints import parse_constraints
 from repro.core.opess import build_field_plan
+from repro.core.structural_join import match_pattern
 from repro.core.system import SecureXMLSystem
 from repro.crypto.ope import OrderPreservingEncryption
 from repro.crypto.prf import DeterministicRandom
 from repro.xmldb.builder import TreeBuilder
+from repro.workloads.nasa import build_nasa_database, nasa_constraints
+from repro.workloads.xmark import build_xmark_database, xmark_constraints
 from repro.xpath.evaluator import evaluate
 
 
@@ -171,6 +178,104 @@ class TestServerMode:
                 exact = system.aggregate(f"//{field}", func, mode="exact")
                 server = system.aggregate(f"//{field}", func, mode="server")
                 assert server == exact, (kind, field, func)
+
+
+class TestServerModeNeedsAnExactJoin:
+    """The server folds the join's output entries: a residual plan
+    outputs the document root, a positional step's candidates are not
+    pruned and an order edge's thresholds are relaxed, so each would fold
+    values the query does not select."""
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "//patient[1]/SSN",  # exact min 763895; the superset's 276543
+            "//patient[pname='Matt']/SSN[2]",  # selects nothing
+            "patient/SSN",  # relative: residual
+            # Exact min None; the relaxed join's is Matt's own 40.
+            "//patient[pname='Matt']/following-sibling::patient/age",
+        ],
+    )
+    def test_refused(self, system, query):
+        for func in ("min", "max"):
+            with pytest.raises(ValueError, match=r"\(use mode='exact'\)$"):
+                system.aggregate(query, func, mode="server")
+
+    @pytest.mark.parametrize("scheme", ["opt", "app", "sub", "top"])
+    def test_positional_nasa_query_is_refused(self, scheme):
+        system = SecureXMLSystem.host(
+            build_nasa_database(40, seed=6), nasa_constraints(), scheme=scheme
+        )
+        query = "//dataset[1]//last"
+        assert system.aggregate(query, "min") == "Chandra"
+        with pytest.raises(ValueError, match=r"\(use mode='exact'\)$"):
+            system.aggregate(query, "min", mode="server")
+
+
+def _brute_force(system, translated, func):
+    """Fold every value-index entry of every matched block."""
+    index = system.hosted.value_index
+    result = match_pattern(translated, system.hosted.structural_index, index)
+    blocks = {e.block_id for e in result.output_entries if e.block_id is not None}
+    keys = [
+        key
+        for token in translated.output.keys
+        if token in index.fields
+        for key, block in index.fields[token].items()
+        if block in blocks
+    ]
+    return (min if func == "min" else max)(keys, default=None)
+
+
+@given(
+    rows=st.lists(
+        st.tuples(st.sampled_from(_POOL[:8]), st.booleans()),
+        min_size=1,
+        max_size=8,
+    )
+)
+@settings(max_examples=25, deadline=None)
+def test_server_scan_equals_a_brute_force_fold(rows):
+    """The scan stops at the first key whose run holds a matched block:
+    the extreme it returns is the fold over all of them."""
+    builder = TreeBuilder("r")
+    for value, picked in rows:
+        with builder.element("p"):
+            builder.leaf("k", "y" if picked else "n")
+            builder.leaf("v", value)
+    system = SecureXMLSystem.host(
+        builder.document(), parse_constraints(["//p/v"]), scheme="opt"
+    )
+    for query in ("//p[k='y']/v", "//p/v"):
+        translated = system.client.translate(query)
+        for func in ("min", "max"):
+            reply = server_min_max(
+                translated,
+                system.hosted.structural_index,
+                system.hosted.value_index,
+                func,
+            )
+            assert reply.ciphertext == _brute_force(system, translated, func)
+
+
+def test_server_scan_stops_at_the_extreme_key():
+    """One person's card is found well before the field's last entry
+    (XMark-200 ``creditcard`` holds 3 501)."""
+    system = SecureXMLSystem.host(
+        build_xmark_database(200), xmark_constraints(), scheme="opt"
+    )
+    token = system.hosted.field_tokens["creditcard"]
+    assert len(system.hosted.value_index.fields[token]) == 3501
+    translated = system.client.translate("//person[@id='person0']/creditcard")
+    for func in ("min", "max"):
+        reply = server_min_max(
+            translated,
+            system.hosted.structural_index,
+            system.hosted.value_index,
+            func,
+        )
+        assert reply.ciphertext is not None
+        assert reply.scanned_entries < 3501, func
 
 
 def _field_system(values):

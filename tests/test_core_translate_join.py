@@ -7,7 +7,6 @@ from repro.core.scheme import build_scheme
 from repro.core.structural_join import match_pattern
 from repro.crypto.keyring import ClientKeyring
 from repro.core.translate import QueryTranslator
-from repro.xpath.compiler import UnsupportedQuery
 from repro.xpath.plan import plan_for
 
 
@@ -84,10 +83,13 @@ class TestTranslation:
         translated = translate(translator, "//nonexistent")
         assert translated.root.keys == ("nonexistent",)
 
-    def test_wildcard_constraint_unsupported(self, hosted_opt):
-        _, translator, _ = hosted_opt
-        with pytest.raises(UnsupportedQuery):
-            translate(translator, "//patient/*[.='x']")
+    def test_wildcard_constraint_unsupported(self):
+        """The planner, not the translator, sends it to the residual plan."""
+        plan = plan_for("//patient/*[.='x']")
+        assert plan.kind == "residual"
+        assert plan.reason == (
+            "value constraints on wildcard nodes are client-only"
+        )
 
     def test_output_and_ship_marked(self, hosted_opt):
         _, translator, _ = hosted_opt

@@ -216,6 +216,40 @@ class TestUpdateSafety:
         )
 
 
+class TestTargetsTheJoinCannotPin:
+    """A write acts on the join's output entries, a sound superset of the
+    answer unless the plan is ``axis`` with no positional step and no
+    order edge: every other target is refused before any state moves,
+    never written."""
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            # Matt has one SSN: the path selects nothing.
+            ("delete_element", "//patient[pname='Matt']/SSN[2]"),
+            ("update_value", "//patient[pname='Matt']/SSN[2]", "111111"),
+            # Residual plans: the join's output is the document root.
+            ("insert_element", "hospital/nothing", "note", "hello"),
+            ("insert_element", "patient", "note", "hello"),
+            # Matt is the last patient; the relaxed join keeps his age.
+            (
+                "update_value",
+                "//patient[pname='Matt']/following-sibling::patient/age",
+                "99",
+            ),
+        ],
+    )
+    def test_refused_before_any_state_moves(self, pair, write):
+        system, oracle = pair
+        name, *args = write
+        epoch = system.hosted.epoch
+        with pytest.raises(UpdateError, match="cannot pin the target"):
+            getattr(system, name)(*args)
+        assert system.hosted.epoch == epoch
+        for query in ("//SSN", "//note", "//patient/pname", "//age"):
+            check(system, oracle, query)
+
+
 #: XML text does not keep these: the parser strips character data and
 #: builds no node for what is then empty.
 UNCARRIABLE = [" padded ", "  hi ", "", "\n", "tail\t"]

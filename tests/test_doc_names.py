@@ -28,6 +28,10 @@
   directory part and a file extension (a ``::`` test id after it is
   ignored, a ``*`` is a glob) exists, from the repository root, from
   ``src/`` or from ``src/repro/``.
+* README.md, DESIGN.md and ``docs/*.md``: every backticked name the
+  text calls a span — one written before "span" or "spans", or in a
+  list of such names (`` `decrypt`, `assemble` or `evaluate` span ``)
+  — is opened by some ``span("…")`` or ``Span("…")`` call in ``src/``.
 
 ``bench/README.md`` is left out: ``bench/`` is the frozen benchmark
 harness, and its stale names are mended together with the next change
@@ -35,6 +39,7 @@ to the benchmark.
 """
 
 import argparse
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -254,6 +259,42 @@ def test_every_repository_path_exists(doc):
     assert missing == []
 
 
+#: A backticked name, or a list of them, written before "span(s)".
+SPAN_RUN = re.compile(
+    r"`[a-z][\w.]*`(?:(?:,\s+|\s+and\s+|\s+or\s+|/)`[a-z][\w.]*`)*\s+spans?\b"
+)
+
+
+def span_names_called(text: str) -> set[str]:
+    """The backticked names ``text`` calls a span."""
+    return {
+        name
+        for run in SPAN_RUN.findall(text)
+        for name in re.findall(r"`([^`]+)`", run)
+    }
+
+
+def span_names_opened() -> set[str]:
+    """The literal names of every ``span(…)`` / ``Span(…)`` call in src/."""
+    names = set()
+    for path in (ROOT / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and node.args):
+                continue
+            func = node.func
+            called = getattr(func, "id", None) or getattr(func, "attr", None)
+            first = node.args[0]
+            if called in ("span", "Span") and isinstance(first, ast.Constant):
+                names.add(first.value)
+    return names
+
+
+@pytest.mark.parametrize("doc", GUARDED_DOCS, ids=lambda path: path.name)
+def test_every_span_name_is_one_the_code_opens(doc):
+    names = span_names_called(doc.read_text())
+    assert sorted(names - span_names_opened()) == []
+
+
 def test_the_guard_sees_the_docs():
     """The patterns find what the docs name, so an empty match is not a
     silent pass."""
@@ -271,6 +312,14 @@ def test_the_guard_sees_the_docs():
     assert {"REPRO_CHAOS_SEEDS", "REPRO_OBS_OVERHEAD"} <= in_use
     assert "REPRO_WORKERS" not in in_use  # a guard test sets it; none reads it
     assert len(repository_paths(text)) >= 40
+    assert {"transfer", "decrypt_batch", "postprocess", "evaluate"} <= (
+        span_names_called(text)
+    )
+    assert span_names_called(
+        "`decrypt`, `assemble` or\n`evaluate` span; `a`/`b` spans;"
+        " root span `trace.span`; `attempt` covers"
+    ) == {"decrypt", "assemble", "evaluate", "a", "b"}
+    assert {"query", "transfer", "server.join"} <= span_names_opened()
     assert repository_paths(
         "`core/epoch_cache.py` `tests/test_obs.py::TestX` `results/*.txt`"
         " `security/counting.database_candidates` `python bench/run.py`"

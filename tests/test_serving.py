@@ -19,8 +19,10 @@ import pytest
 
 from updates_oracle import write_plaintext
 from repro.core.client import canonical_node
+from repro.core.integrity import TamperedResponseError
 from repro.core.storage import load_system
 from repro.core.system import SecureXMLSystem, _DEFAULT_MASTER_KEY
+from repro.core.updates import UpdateError
 from repro.obs import Observability
 from repro.obs import MetricsRegistry
 from repro.serving import (
@@ -202,7 +204,7 @@ class TestRemoteByteIdentity:
         try:
             hello = remote._connection.hello
             assert hello["tenant"] == "t0"
-            assert hello["protocol"] == PROTOCOL_VERSION == 4
+            assert hello["protocol"] == PROTOCOL_VERSION == 5
             assert hello["epoch"] == local.hosted.epoch
         finally:
             remote.close()
@@ -213,11 +215,12 @@ class TestProtocolVersion:
     response format is refused typed at the handshake, never retried as
     a tamper on its first answer.  Version 2 is the last one that had a
     naive opcode and a naive flag on responses, version 3 the last one
-    with a stats opcode."""
+    with a stats opcode, version 4 the last whose update ack named no
+    command."""
 
     def test_front_door_refuses_another_version(self, served):
         _, (host, port), _ = served
-        for version in (2, 3, 99):
+        for version in (2, 3, 4, 99):
             with socket.create_connection((host, port), timeout=10) as sock:
                 hello = {"tenant": "t0", "protocol": version}
                 sock.sendall(encode_frame(0, OP_HELLO, json.dumps(hello).encode()))
@@ -241,7 +244,7 @@ class TestProtocolVersion:
         server, (host, port), _ = served
         session = server.tenants["t0"]
         honest = session.hello
-        for version in (1, 2, 3):
+        for version in (1, 2, 3, 4):
             monkeypatch.setattr(
                 session, "hello", lambda: {**honest(), "protocol": version}
             )
@@ -320,6 +323,54 @@ class TestRemoteUpdates:
                     remote.query(query).canonical()
                     == reference.query(query).canonical()
                 ), query
+        finally:
+            remote.close()
+
+    def test_a_target_the_join_cannot_pin_is_refused(self, served):
+        """``SSN[2]`` selects nothing under Matt; the server's join output
+        for it is Matt's one SSN.  Refused typed, nothing committed."""
+        _, address, local = served
+        remote = remote_system(local, address, "t0")
+        try:
+            epoch = local.hosted.epoch
+            xpath = "//patient[pname='Matt']/SSN[2]"
+            with pytest.raises(UpdateError, match="cannot pin the target"):
+                remote.update_value(xpath, "111111")
+            with pytest.raises(UpdateError, match="cannot pin the target"):
+                remote.delete_element(xpath)
+            with pytest.raises(UpdateError, match="cannot pin the target"):
+                remote.insert_element("hospital/nothing", "note", "hello")
+            assert local.hosted.epoch == epoch
+            assert len(remote.query("//patient[pname='Matt']/SSN")) == 1
+        finally:
+            remote.close()
+
+    def test_an_ack_names_the_command_it_acknowledges(
+        self, served, monkeypatch
+    ):
+        """The first write's ack handed back for a second write the
+        server never saw is a tamper, not a write reported done."""
+        _, address, local = served
+        remote = remote_system(local, address, "t0")
+        try:
+            connection = remote._connection
+            honest = connection.call
+            acks = []
+
+            def replay_first_ack(opcode, payload):
+                if opcode != OP_UPDATE:
+                    return honest(opcode, payload)
+                if not acks:
+                    acks.append(honest(opcode, payload))
+                return acks[0]
+
+            monkeypatch.setattr(connection, "call", replay_first_ack)
+            remote.update_value(PROBE, "41")
+            with pytest.raises(
+                TamperedResponseError, match="names another command"
+            ):
+                remote.update_value(PROBE, "42")
+            assert local.query(PROBE).values() == ["41"]
         finally:
             remote.close()
 
