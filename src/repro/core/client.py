@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Callable
 
 import hmac as _compare
 import re
@@ -127,25 +128,38 @@ class Client:
                 lambda: hosted.epoch, self._caches, bounded, survives
             )
 
-        def block_unwritten(block_id: int, _cached, since: int) -> bool:
-            """Is this block the one the owner held at epoch ``since``?
+        def written_since(since: int) -> tuple[frozenset[int], Callable]:
+            """The ids stamped after epoch ``since``, and the test of a
+            block's liveness.
 
             By the owner's own record alone: a live block has a tag, and
             a write that re-encrypts one stamps it with the epoch it
             commits as.  Ids are never reused, so a deleted block fails
-            for good; a hosting without tags keeps nothing.  (A closure
-            over ``hosted``, like the epoch reads: a bound method would
-            tie client and caches into a cycle only the collector frees.)
+            for good; a hosting without tags keeps nothing.  Found once
+            per sweep, so each entry is tested by set operations alone.
+            (A closure over ``hosted``, like the epoch reads: a bound
+            method would tie client and caches into a cycle only the
+            collector frees.)
             """
-            return (
-                block_id in hosted.block_tags
-                and hosted.block_stamps.get(block_id, 0) <= since
+            written = frozenset(
+                block_id
+                for block_id, stamp in hosted.block_stamps.items()
+                if stamp > since
+            )
+            return written, hosted.block_tags.__contains__
+
+        def block_unwritten(since: int) -> Callable:
+            """Is this block the one the owner held at epoch ``since``?"""
+            written, live = written_since(since)
+            return lambda block_id, _cached: (
+                block_id not in written and live(block_id)
             )
 
-        def blocks_unwritten(_key, entry, since: int) -> bool:
+        def blocks_unwritten(since: int) -> Callable:
             """Is every block the entry names unwritten since ``since``?"""
-            return all(
-                block_unwritten(block_id, None, since) for block_id in entry[1]
+            written, live = written_since(since)
+            return lambda _key, entry: (
+                written.isdisjoint(entry[1]) and all(map(live, entry[1]))
             )
 
         #: XPath string → translated plan, holding its anchor and the
@@ -158,7 +172,7 @@ class Client:
         #: Each miss stores both, so the bound counts pairs.
         self._response_cache = cache(
             bounded=2,
-            survives=lambda _key, kept, since: (
+            survives=lambda since: lambda _key, kept: (
                 kept.__class__ is tuple and kept[1] == since
             ),
         )

@@ -134,7 +134,16 @@ class IndexEntry:
 
 @dataclass
 class StructuralIndex:
-    """The server-side structural metadata: DSI table + block table."""
+    """The server-side structural metadata: DSI table + block table.
+
+    Invariant: every edit of an entry list, a parent link or a plaintext
+    value stamps its key (:attr:`key_stamps`) with the epoch the write
+    commits as.  A join reads nothing else of the index but the entries
+    its keys name, their parent links and values, so it is unchanged
+    while none of those keys is stamped since it ran — and the server
+    keeps its roots that long.  Any new way of editing the index (a
+    relabeller, say) must keep this.
+    """
 
     #: key (plaintext tag, ``@attr`` or ciphertext token) → entries
     table: dict[str, list[IndexEntry]]
@@ -147,6 +156,12 @@ class StructuralIndex:
     #: :meth:`invalidate_caches`).  Unlocked: a served tenant runs one
     #: request at a time, so no two joins build or drop one at once.
     _lows_by_key: dict[str, list[float]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    #: key → the epoch of the last write that edited its entries (see
+    #: the class invariant).  Sparse, derived, never persisted: a reload
+    #: starts the server with no join to keep.
+    key_stamps: dict[str, int] = field(
         default_factory=dict, repr=False, compare=False
     )
 
@@ -179,12 +194,19 @@ class StructuralIndex:
         )
         return lows
 
-    def invalidate_caches(self, keys: Iterable[str]) -> None:
-        """Drop the sorted arrays of ``keys``: whoever adds or removes an
-        entry names the tags whose lists it edited.  A value update edits
-        none, so it drops none."""
+    def invalidate_caches(self, keys: Iterable[str], stamp: int) -> None:
+        """Drop the sorted arrays of ``keys`` and stamp them: whoever adds
+        or removes an entry names the tags whose lists it edited.  A
+        value update edits none, so it drops none (:meth:`stamp`)."""
         for key in keys:
             self._lows_by_key.pop(key, None)
+            self.key_stamps[key] = stamp
+
+    def stamp(self, key: str, stamp: int) -> None:
+        """Record that the write committing as ``stamp`` edited what a
+        join reads under ``key`` without moving an entry: a plaintext
+        value, which a predicate compares."""
+        self.key_stamps[key] = stamp
 
 
 def build_structural_index(

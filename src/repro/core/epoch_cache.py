@@ -4,7 +4,7 @@ Whatever the client and the server derive from hosted state — plans,
 plaintexts, trees, sealed blobs, answers — is valid as of one epoch: a write re-encrypts payloads under the same block
 ids and re-plans a field under the same name.  This type owns the only
 comparison of a stored epoch with the live one.  What an epoch move costs
-is the owner's call: a cache built with a ``survives`` predicate carries
+is the owner's call: a cache built with a ``survives`` test carries
 the entries the owner's own record says no write since has touched; one
 built without drops them all (anything that embeds the anchor or an OPESS
 plan).  An owner's ``flush_caches()`` loops over the registry its caches
@@ -35,15 +35,16 @@ class EpochCache:
         epoch: Callable[[], int],
         registry: "list[EpochCache]",
         bounded: int = 0,
-        survives: "Callable[[Any, Any, int], bool] | None" = None,
+        survives: "Callable[[int], Callable[[Any, Any], bool]] | None" = None,
     ) -> None:
         self._epoch = epoch
         #: entries stored per key a peer chooses; 0: bounded by what the
         #: cache is keyed by
         self._bounded = bounded
-        #: ``survives(key, value, since)``: has nothing this entry derives
-        #: from been written after epoch ``since``?  Asked once per entry
-        #: per epoch move, never on a hit.
+        #: ``survives(since)(key, value)``: has nothing this entry derives
+        #: from been written after epoch ``since``?  ``survives`` is called
+        #: once per epoch move — where the owner finds what was written
+        #: since — and the test it returns once per entry; never on a hit.
         self._survives = survives
         self._entries: dict[Any, Any] = {}
         self._entries_epoch: "int | None" = None
@@ -62,15 +63,15 @@ class EpochCache:
             # ``since``" covers it wherever in the epoch it was made.  The
             # sweep reads a snapshot: such a stage may be writing now.
             survives = self._survives
-            self._entries = (
-                {}
-                if survives is None or since is None
-                else {
+            if survives is None or since is None:
+                self._entries = {}
+            else:
+                keep = survives(since)
+                self._entries = {
                     key: value
                     for key, value in list(self._entries.items())
-                    if survives(key, value, since)
+                    if keep(key, value)
                 }
-            )
             self._entries_epoch = epoch
         return self._entries
 

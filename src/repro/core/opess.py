@@ -483,6 +483,14 @@ class ValueIndex:
     """The server-side value index: one :class:`KeyRuns` per field token."""
 
     fields: dict[str, KeyRuns] = field(default_factory=dict)
+    #: field token → the epoch of the last write that rebuilt its runs.
+    #: Kept apart from :attr:`StructuralIndex.key_stamps
+    #: <repro.core.dsi.StructuralIndex.key_stamps>`: a token is also the
+    #: structural key of its field's block entries, and a value rewrite
+    #: moves none of them.  Derived, never persisted.
+    stamps: dict[str, int] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def lookup_blocks(
         self, field_token: str, ranges: list[KeyRange]

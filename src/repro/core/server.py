@@ -73,6 +73,11 @@ class ServerResponse:
     _digest: "bytes | None" = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: The server-side join this response was made from — ``(fragment
+    #: roots, candidate counts, what the plan read)``, see
+    #: :meth:`Server.answer` — never on the wire; ``None`` on a decoded
+    #: response.
+    join: "tuple | None" = field(default=None, repr=False, compare=False)
 
     def size_bytes(self) -> int:
         """The fragments' byte count, encoded once per response: the
@@ -123,7 +128,13 @@ class Server:
     only; what was last sent for a request payload outlives a commit the
     ending epoch used it in, and an evaluation that ships the same
     fragments re-seals those bytes instead of encoding them again — bytes
-    the server already sent, so the reuse reveals nothing new.
+    the server already sent, so the reuse reveals nothing new.  That
+    record keeps the join it was evaluated from too: while no index key
+    or value field the plan reads is stamped since
+    (``StructuralIndex.key_stamps``, ``ValueIndex.stamps``), the next
+    evaluation of the payload skips the join and the root walk.  Which
+    keys a write edited is in the server's view already — it applies
+    the write's entries itself.
     """
 
     def __init__(
@@ -145,7 +156,7 @@ class Server:
         self._fragment_cache = EpochCache(
             lambda: hosted.epoch,
             self._caches,
-            survives=lambda node_id, _fragment, since: (
+            survives=lambda since: lambda node_id, _fragment: (
                 hosted.subtree_stamps.get(node_id, 0) <= since
             ),
         )
@@ -158,17 +169,22 @@ class Server:
         #: Beside them, keyed by the 1-tuple of a view of a verified
         #: request's payload (no blob a peer sends can name it), what was
         #: last sent for it:
-        #: ``(response, sealed blob, epoch)`` — a record, which outlives a
-        #: commit only if the epoch that just ended used it.  Each miss
-        #: stores both, so the bound counts pairs.
+        #: ``(response, sealed blob, epoch, join)`` — a record, which
+        #: outlives a commit only if the epoch that just ended used it;
+        #: ``join`` is the ``ServerResponse.join`` of the evaluation that
+        #: made or re-sealed it.  Each miss stores both, so the bound
+        #: counts pairs.
         self._wire_cache = EpochCache(
             lambda: hosted.epoch,
             self._caches,
             bounded=2,
-            survives=lambda _key, sent, since: (
+            survives=lambda since: lambda _key, sent: (
                 sent.__class__ is tuple and sent[2] == since
             ),
         )
+        #: ``(translated query, record)`` from :meth:`answer_wire` to the
+        #: one :meth:`answer` call it makes for that query
+        self._record: "tuple | None" = None
         #: the sorted block-id population decoy fetches draw from
         self._universe_cache = EpochCache(lambda: hosted.epoch, self._caches)
         #: Access-pattern leakage tier, set by the owning system;
@@ -184,16 +200,51 @@ class Server:
     # Normal path: §6.2 steps 1-3
     # ------------------------------------------------------------------
     def answer(self, query: TranslatedQuery) -> ServerResponse:
-        """Evaluate a translated query and assemble the fragments."""
-        result = self._match(query)
-        roots = self._fragment_roots(result.ship_entries)
+        """Evaluate a translated query and assemble the fragments.
+
+        The one evaluation seam: :meth:`answer_wire` hands it the record
+        of what was last sent for the request's payload, and when no key
+        or field the plan reads was edited since that record's epoch the
+        record's join — its fragment roots and candidate counts — stands
+        in for the join and the root walk.  Everything after them runs
+        as always: the leakage tier observes the roots, and the fragment
+        cache rebuilds whatever subtree a write changed.
+        """
+        record, self._record = self._record, None
+        join = None
+        if record is not None and record[0] is query:
+            join = self._kept_join(record[1])
+        if join is None:
+            result = self._match(query)
+            roots = self._fragment_roots(result.ship_entries)
+            counts = result.candidate_counts
+            reads = _reads(query)
+        else:
+            count("join_reuses")
+            roots, counts, reads = join
         self._observe_leakage(roots)
         fragments = self._make_fragments(roots)
         return ServerResponse(
             fragments=fragments,
             blocks_shipped=self._count_blocks(fragments),
-            candidate_counts=result.candidate_counts,
+            candidate_counts=counts,
+            join=(roots, counts, reads),
         )
+
+    def _kept_join(self, sent: tuple) -> "tuple | None":
+        """A record's join, if no write since the record's epoch stamped
+        a key or field its plan reads; else ``None``."""
+        since, join = sent[2], sent[3]
+        if join is None or join[2] is None:
+            return None
+        keys, tokens = join[2]
+        key_stamps = self._structure.key_stamps
+        field_stamps = self._values.stamps
+        if any(key_stamps.get(key, 0) > since for key in keys) or any(
+            field_stamps.get(token, 0) > since for token in tokens
+        ):
+            return None
+        return join
 
     # ------------------------------------------------------------------
     # Access-pattern leakage tier
@@ -314,10 +365,16 @@ class Server:
             translated = decode_query(query_bytes)
         except MessageDecodeError as exc:
             raise TamperedRequestError(str(exc)) from exc
-        response = self.answer(translated)
         # Taken out and put back under a view of *this* request blob: the
         # kept key would otherwise hold the previous one alive.
         sent = cache.pop((query_bytes,), None)
+        self._record = None if sent is None else (translated, sent)
+        evaluated_at = self._hosted.epoch  # the join below is as of it
+        try:
+            response = self.answer(translated)
+        finally:
+            self._record = None
+        join = response.join
         if sent is not None and sent[0] == response:
             response, kept = sent[0], sent[1]
             blob, epoch = self._hosted.seal(response_key, kept[FRESH_OVERHEAD:])
@@ -328,7 +385,7 @@ class Server:
         self._wire_cache.store(request_blob, blob, epoch)
         self._wire_cache.store(
             (memoryview(request_blob)[FRESH_OVERHEAD:],),
-            (response, blob, epoch),
+            (response, blob, epoch, join if epoch == evaluated_at else None),
             epoch,
         )
         return blob
@@ -394,3 +451,19 @@ class Server:
             path.append((ancestor.tag, ancestor.node_id))
         return Fragment(ancestor_path=tuple(path), xml=serialize(node))
 
+
+def _reads(
+    query: TranslatedQuery,
+) -> "tuple[frozenset[str], frozenset[str]] | None":
+    """The index keys and value fields a plan's join reads: ``(structural
+    keys, field tokens)``, or ``None`` when a wildcard node reads every
+    entry."""
+    keys: set[str] = set()
+    tokens: set[str] = set()
+    for node in query.root.walk():
+        if node.is_wildcard:
+            return None
+        keys.update(node.keys)
+        if node.value_ranges is not None and node.value_field_token is not None:
+            tokens.add(node.value_field_token)
+    return frozenset(keys), frozenset(tokens)

@@ -160,12 +160,13 @@ class UpdateEngine:
         """Delete the subtree behind an index entry.
 
         Plaintext entries remove their hosted subtree (including any
-        encrypted blocks nested below it); encrypted entries remove the
-        enclosing block entirely (the block is the unit of encryption, so
-        a grouped entry's members leave together).
+        encrypted blocks nested below it); an encrypted entry removes its
+        block, and must be the block's root: the block is the unit of
+        encryption, so any other node inside would take the rest along.
         """
         hosted = self._hosted
         if target.block_id is not None:
+            self._check_block_root(target)
             placeholder = hosted.placeholders.get(target.block_id)
             if placeholder is not None:
                 hosted.mark_changed(placeholder, self._stamp(), removed=True)
@@ -200,17 +201,15 @@ class UpdateEngine:
             assert isinstance(text, Text)
             text.value = new_value
             target.plaintext_value = new_value
+            self._hosted.structural_index.stamp(target.key, self._stamp())
             self._hosted.mark_changed(node, self._stamp())
             self._hosted.bump_epoch()
             return
 
-        # Encrypted leaf: only single-leaf blocks can be value-updated
-        # without structural knowledge of the block internals.
-        if len(target.member_ids) != 1:
-            raise UpdateError(
-                "value update inside a grouped/multi-leaf block is not "
-                "supported; delete and re-insert instead"
-            )
+        # Encrypted leaf: only a block's root can be value-updated without
+        # structural knowledge of the block internals (a grouped entry is
+        # never one).
+        self._check_block_root(target)
         block_id = target.block_id
         tag = self._keyring.tag_cipher.decrypt_tag(target.key)
         old_value = self._remove_block_occurrence(tag, block_id)
@@ -276,6 +275,20 @@ class UpdateEngine:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _check_block_root(self, target: IndexEntry) -> None:
+        """Refuse an encrypted target that is not its block's root.
+
+        The block is the unit of encryption: rewriting or deleting it on
+        behalf of an entry nested inside would rewrite or delete every
+        other node the block holds.
+        """
+        block_table = self._hosted.structural_index.block_table
+        if block_table.get(target.block_id) != target.interval:
+            raise UpdateError(
+                "the target lies inside a larger encryption block; "
+                "write to the block's root instead"
+            )
+
     def _stamp(self) -> int:
         """The epoch the write in progress commits as.
 
@@ -319,7 +332,7 @@ class UpdateEngine:
         parent.children.append(entry)
         index.table.setdefault(entry.key, []).append(entry)
         insort(index.entries, entry, key=_low)
-        index.invalidate_caches((entry.key,))
+        index.invalidate_caches((entry.key,), self._stamp())
 
     def _unlink_entries(
         self, span: Interval, doomed: Callable[[IndexEntry], bool]
@@ -351,7 +364,7 @@ class UpdateEngine:
                 table[key] = kept
             else:
                 del table[key]
-        index.invalidate_caches(keys)
+        index.invalidate_caches(keys, self._stamp())
         survivors = {
             id(entry.parent): entry.parent
             for entry in removed
@@ -451,6 +464,7 @@ class UpdateEngine:
             field_name
         ) or self._keyring.tag_cipher.encrypt_tag(field_name)
         hosted.field_tokens[field_name] = token
+        hosted.value_index.stamps[token] = self._stamp()
         if not occurrence_list:
             hosted.field_plans.pop(field_name, None)
             hosted.value_index.fields.pop(token, None)

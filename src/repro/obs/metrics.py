@@ -69,6 +69,11 @@ COUNTERS: dict[str, str] = {
         "Reads that decrypted, assembled and evaluated their response."
     ),
     "epoch_invalidations": "Commits that moved the hosted epoch.",
+    # Not ``*_cache_*``: a reuse skips a stage; it is no cache layer.
+    "join_reuses": (
+        "Evaluations that kept the join of the request's last answer: no "
+        "key or field it read was edited since."
+    ),
     "opess_replans_carried": (
         "Write re-plans of an OPESS field that reused the old plan's draws."
     ),

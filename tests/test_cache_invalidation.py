@@ -19,6 +19,7 @@ from repro.core.epoch_cache import EpochCache
 from repro.core.integrity import RollbackDetectedError, TamperedResponseError
 from repro.core.server import Fragment, ServerResponse
 from repro.core.storage import load_system, save_system
+from repro.core.structural_join import match_pattern
 from repro.core.system import (
     QueryFailedError,
     SecureXMLSystem,
@@ -137,14 +138,22 @@ class TestInvalidationCorrectness:
 
 class TestSortedIntervalArrays:
     """``StructuralIndex.sorted_lows`` arrays go by tag: a write drops the
-    ones whose entry list it edited, a value update drops none."""
+    ones whose entry list it edited, a value update drops none.
+
+    Counted around the join itself: a read after a write that edited no
+    key it reads keeps its last join and probes no array."""
 
     JOIN = "//patient[.//disease]/pname"  # probes the ``disease`` array
 
     def misses(self, system):
         before = metrics.counter_values()
-        assert len(system.query(self.JOIN)) == 2
+        match_pattern(
+            system.client.translate(self.JOIN),
+            system.hosted.structural_index,
+            system.hosted.value_index,
+        )
         delta = metrics.counters_delta(before)
+        assert len(system.query(self.JOIN)) == 2
         assert delta["interval_cache_misses"] + delta["interval_cache_hits"] > 0
         return delta["interval_cache_misses"]
 
@@ -162,6 +171,59 @@ class TestSortedIntervalArrays:
         assert self.misses(system) == 1  # a ``disease`` entry went with it
         system.insert_element("//patient[pname='Matt']/treat", "disease", "flu")
         assert self.misses(system) == 1
+
+
+class TestTheSweepKeepsWhatTheBlockRuleKeeps:
+    """At an epoch move the client finds the ids stamped since once, then
+    tests each tree-cache and answer-memo entry by set operations.  The
+    entries that survive are the ones the per-block rule keeps: every
+    block the entry names still has a tag and no stamp after the sweep's
+    epoch."""
+
+    QUERIES = ("//patient", "//treat", "//patient/SSN", "//insurance", "//SSN")
+    WRITES = {
+        "one block stamped": (
+            "update_value", "//patient[pname='Matt']/treat/disease", "measles"
+        ),
+        "one block deleted": ("delete_element", "//patient[pname='Matt']/SSN"),
+    }
+
+    @staticmethod
+    def kept_by_rule(entries, hosted, since):
+        return {
+            key
+            for key, entry in entries.items()
+            if all(
+                block_id in hosted.block_tags
+                and hosted.block_stamps.get(block_id, 0) <= since
+                for block_id in entry[1]
+            )
+        }
+
+    @pytest.mark.parametrize("write", sorted(WRITES))
+    def test_a_write_to_one_block(self, system, write):
+        method, *arguments = self.WRITES[write]
+        for _ in range(3):  # first, second and third sights
+            for query in self.QUERIES:
+                system.query(query)
+        client, hosted = system.client, system.hosted
+        since = hosted.epoch
+        before = {
+            "tree": dict(client._tree_cache.live()),
+            "memo": dict(client._answer_memo.live()),
+        }
+        blocks = set(hosted.block_tags)
+        getattr(system, method)(*arguments)
+        written = {b for b, stamp in hosted.block_stamps.items() if stamp > since}
+        assert len(written | (blocks - set(hosted.block_tags))) == 1
+        after = {
+            "tree": client._tree_cache.live(),
+            "memo": client._answer_memo.live(),
+        }
+        for name, entries in before.items():
+            kept = self.kept_by_rule(entries, hosted, since)
+            assert set(after[name]) == kept, name
+            assert kept and kept != set(entries), name
 
 
 class TestEntriesThatOutliveAnEpoch:

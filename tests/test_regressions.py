@@ -234,6 +234,73 @@ class TestIdenticalCommandsNeedNoNonceRegression:
                 b.close()
 
 
+class TestWriteInsideALargerBlockRegression:
+    """A write to an encrypted node that is not its block's root is
+    refused before any state moves.
+
+    Bug: on healthcare ``sub`` Matt's whole patient subtree is one block,
+    and ``update_value("//patient[pname='Matt']/SSN", "111111")`` passed
+    its one check (a single-member entry): it re-encrypted the block as
+    one ``<SSN>`` leaf, and ``//patient/pname`` answered ``['Betty']``.
+    A delete of the same node removed the whole patient.
+    """
+
+    TARGET = "//patient[pname='Matt']/SSN"
+    WRITES = (("update_value", TARGET, "111111"), ("delete_element", TARGET))
+
+    @staticmethod
+    def state(system):
+        hosted = system.hosted
+        return (
+            hosted.epoch,
+            dict(hosted.blocks),
+            dict(hosted.block_stamps),
+            {name: list(values) for name, values in hosted.occurrences.items()},
+            len(hosted.structural_index.entries),
+        )
+
+    def check_refused(self, system, writer):
+        from repro.core.updates import UpdateError
+
+        before = self.state(system)
+        for method, *arguments in self.WRITES:
+            with pytest.raises(UpdateError, match="larger encryption block"):
+                getattr(writer, method)(*arguments)
+            assert self.state(system) == before
+        assert writer.query("//patient/pname").values() == ["Betty", "Matt"]
+        assert writer.query(self.TARGET).values() == ["276543"]
+
+    def test_refused_in_process(self, healthcare_doc, healthcare_scs):
+        system = SecureXMLSystem.host(
+            healthcare_doc, healthcare_scs, scheme="sub"
+        )
+        self.check_refused(system, system)
+
+    def test_refused_over_the_socket(self, healthcare_doc, healthcare_scs):
+        system = SecureXMLSystem.host(
+            healthcare_doc, healthcare_scs, scheme="sub"
+        )
+        with ServingServer() as server:
+            server.register_tenant("t0", system)
+            remote = remote_system(system, server.address, "t0")
+            try:
+                self.check_refused(system, remote)
+            finally:
+                remote.close()
+
+    def test_a_block_root_is_still_written(
+        self, healthcare_doc, healthcare_scs
+    ):
+        system = SecureXMLSystem.host(
+            healthcare_doc, healthcare_scs, scheme="opt"
+        )
+        system.update_value(self.TARGET, "111111")
+        assert system.query(self.TARGET).values() == ["111111"]
+        system.delete_element(self.TARGET)
+        assert system.query("//patient/pname").values() == ["Betty", "Matt"]
+        assert len(system.query(self.TARGET)) == 0
+
+
 class TestPlanSealedAtAnotherEpochRegression:
     """A plan is sealed at the anchor it was made at.
 

@@ -15,9 +15,19 @@ must stay within the live node, block and entry counts, or within its
 cache's share of ``EpochCache.BOUND``.  And none may grow across the
 second window by more than the live state did: a structure that keeps
 something per operation grows in both windows alike.
+
+A ``len()`` cannot see a structure that grows inside one entry, or a
+module-level one, so the mix also runs under ``tracemalloc``: after a
+warm window, one snapshot follows each of two more equal windows, and no
+allocation site in the package may hold more than
+:data:`SITE_GROWTH_BOUND` bytes more after the second than after the
+first.  A log that keeps ~100 bytes per read grows by tens of kilobytes
+a window; what the bounded caches churn nets out to a few.
 """
 
+import gc
 import random
+import tracemalloc
 
 from repro.core.epoch_cache import EpochCache
 from repro.core.storage import load_system, save_system
@@ -27,6 +37,8 @@ from repro.xpath.evaluator import evaluate
 
 MASTER = b"soak-guard-master-key-16"
 ROUNDS = 24
+#: Bytes one allocation site may gain across the second traced window.
+SITE_GROWTH_BOUND = 16 * 1024
 _CONTAINERS = (dict, list, set, frozenset, tuple, EpochCache)
 
 
@@ -158,3 +170,40 @@ def test_no_structure_grows_across_equal_windows(tmp_path):
     assert second["client._plan_cache"][0] > 0
     assert second["server._fragment_cache"][0] > 0
     assert sum(name.startswith("fields[") for name in second) == 4
+
+
+def _snapshot() -> tracemalloc.Snapshot:
+    gc.collect()
+    return tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.Filter(True, "*/repro/*")]
+    )
+
+
+def test_no_allocation_site_grows_across_equal_windows():
+    document = build_nasa_database(dataset_count=8, seed=13)
+    titles = [
+        title.text_value() for title in evaluate(document, "//dataset/title")
+    ]
+    operations = _mix(titles, seed=49)
+    system = SecureXMLSystem.host(
+        document, nasa_constraints(), scheme="opt", master_key=MASTER
+    )
+    was_tracing = tracemalloc.is_tracing()
+    try:
+        _run(system, operations)  # warm: every cache filled once
+        if not was_tracing:
+            tracemalloc.start(1)
+        _run(system, operations)
+        first = _snapshot()
+        _run(system, operations)
+        second = _snapshot()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+        system.close()
+    grew = {
+        str(stat.traceback): stat.size_diff
+        for stat in second.compare_to(first, "lineno")
+        if stat.size_diff > SITE_GROWTH_BOUND
+    }
+    assert not grew, grew

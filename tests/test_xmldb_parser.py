@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.xmldb.node import Element, EncryptedBlockNode, Text
+from repro.xmldb.node import Element, EncryptedBlockNode
 from repro.xmldb.parser import (
     MAX_DEPTH,
     XMLParseError,

@@ -97,7 +97,7 @@ class FullScanUpdateEngine(UpdateEngine):
             found.children.append(entry)
         index.table.setdefault(entry.key, []).append(entry)
         insort(index.entries, entry, key=lambda e: e.interval.low)
-        index.invalidate_caches((entry.key,))
+        index.invalidate_caches((entry.key,), self._stamp())
 
     def _remove_entries_inside(self, interval: Interval) -> None:
         index = self._hosted.structural_index
@@ -112,7 +112,7 @@ class FullScanUpdateEngine(UpdateEngine):
     def _drop(self, removed: list[IndexEntry]) -> None:
         index = self._hosted.structural_index
         removed_ids = {id(e) for e in removed}
-        index.invalidate_caches({e.key for e in removed})
+        index.invalidate_caches({e.key for e in removed}, self._stamp())
         index.entries = [e for e in index.entries if id(e) not in removed_ids]
         for key in list(index.table):
             index.table[key] = [
@@ -155,6 +155,7 @@ class FullScanUpdateEngine(UpdateEngine):
             field_name
         ) or self._keyring.tag_cipher.encrypt_tag(field_name)
         hosted.field_tokens[field_name] = token
+        hosted.value_index.stamps[token] = self._stamp()
         if not occurrence_list:
             hosted.field_plans.pop(field_name, None)
             hosted.value_index.fields.pop(token, None)
